@@ -220,7 +220,7 @@ func benchStream(b *testing.B) []*tweet.Message {
 	return ingestMsgs
 }
 
-func benchIngest(b *testing.B, workers, matchWorkers int) {
+func benchIngest(b *testing.B, workers int) {
 	msgs := benchStream(b)
 	s := benchScale()
 	b.ReportAllocs()
@@ -229,7 +229,7 @@ func benchIngest(b *testing.B, workers, matchWorkers int) {
 		b.StopTimer()
 		clones := stream.CloneSlice(msgs)
 		cfg := core.PartialIndexConfig(s.PoolLimit)
-		cfg.Parallel = core.ParallelOptions{Workers: workers, MatchWorkers: matchWorkers}
+		cfg.Parallel = core.ParallelOptions{Workers: workers}
 		e := core.New(cfg, nil, nil)
 		b.StartTimer()
 		n, err := pipeline.IngestAll(e, stream.NewSliceSource(clones))
@@ -241,12 +241,12 @@ func benchIngest(b *testing.B, workers, matchWorkers int) {
 }
 
 // BenchmarkIngestSerial is the single-threaded baseline ingest path.
-func BenchmarkIngestSerial(b *testing.B) { benchIngest(b, 1, 1) }
+func BenchmarkIngestSerial(b *testing.B) { benchIngest(b, 1) }
 
-// BenchmarkIngestParallel runs 4 prepare workers and 2 match workers;
-// the speedup over serial only materialises with GOMAXPROCS >= 4 (the
-// apply stage stays single-writer).
-func BenchmarkIngestParallel(b *testing.B) { benchIngest(b, 4, 2) }
+// BenchmarkIngestParallel runs 4 prepare workers; the speedup over
+// serial only materialises with spare cores (the apply stage stays
+// single-writer).
+func BenchmarkIngestParallel(b *testing.B) { benchIngest(b, 4) }
 
 func BenchmarkAblationKeywordClass(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI gate: build, vet, unit tests, then the race-detector pass. The
 # race pass matters since the ingest pipeline grew concurrent stages
-# (prepare worker pool, parallel match scoring, read-lock queries).
+# (prepare worker pool, sharded probe/commit rounds, read-lock queries).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -33,6 +33,7 @@ go test ./internal/tokenizer -fuzz FuzzTokenizeKeywords -fuzztime 10s -run '^$'
 go test ./internal/promtext -fuzz FuzzParse -fuzztime 10s -run '^$'
 go test ./internal/repl -fuzz FuzzFrameDecoder -fuzztime 10s -run '^$'
 go test ./internal/analysis/analyzers -fuzz FuzzParseGuardedBy -fuzztime 10s -run '^$'
+go test ./internal/sumindex -fuzz FuzzCandidates -fuzztime 10s -run '^$'
 
 # govulncheck is best-effort: it needs the tool and a vulndb, neither
 # of which an offline builder has.

@@ -37,7 +37,6 @@ func main() {
 		storeDir    = flag.String("store", "", "optional on-disk bundle store directory")
 		progress    = flag.Int("progress", 100_000, "print a progress line every N messages (0 = off)")
 		workers     = flag.Int("workers", 1, "concurrent prepare (keyword extraction) workers; <=1 ingests serially")
-		matchWkrs   = flag.Int("match-workers", 1, "concurrent Eq. 1 match-scoring workers on large candidate sets; <=1 scores serially")
 		shards      = flag.Int("shards", 1, "independent engine shards; >1 ingests through the two-phase round protocol (DESIGN.md section 2i)")
 		shardBatch  = flag.Int("shard-batch", shard.DefaultBatch, "messages buffered per sharded round (only with -shards > 1)")
 		traceSample = flag.Int("trace-sample", 0, "record every Nth ingest decision and print a decision-quality digest (0 = off)")
@@ -51,9 +50,6 @@ func main() {
 	if *workers < 1 {
 		*workers = 1
 	}
-	if *matchWkrs < 1 {
-		*matchWkrs = 1
-	}
 
 	var cfg core.Config
 	switch *mode {
@@ -66,7 +62,7 @@ func main() {
 	default:
 		cli.Fatal("unknown mode (want full, partial or limit)", nil, "mode", *mode)
 	}
-	cfg.Parallel = core.ParallelOptions{Workers: *workers, MatchWorkers: *matchWkrs}
+	cfg.Parallel = core.ParallelOptions{Workers: *workers}
 	if *shards < 1 {
 		*shards = 1
 	}
@@ -247,7 +243,7 @@ loop:
 		st.MatchTime.Seconds(), pct(st.MatchTime),
 		st.PlaceTime.Seconds(), pct(st.PlaceTime),
 		st.RefineTime.Seconds(), pct(st.RefineTime))
-	fmt.Printf("workers         prepare=%d match=%d\n", *workers, *matchWkrs)
+	fmt.Printf("workers         prepare=%d\n", *workers)
 	fmt.Printf("wall time       %.2fs (%.0f msg/s)\n", elapsed.Seconds(), float64(n)/elapsed.Seconds())
 	if sh != nil {
 		// Per-shard balance, cross-shard resolution rate, and the

@@ -32,9 +32,7 @@ func differentialRun(t *testing.T, cfg Config, msgs []*tweet.Message) ([]InsertR
 // property test: over a seeded synthetic stream with pool pressure
 // (evictions, refinement, closed bundles), the pruned match+placement
 // hot paths must produce bundle assignments, parent nodes and edges
-// byte-identical to Config.Exhaustive — including under parallel match,
-// whose chunk-local pruning must compose with the deterministic
-// reduction. Run under -race by ci.sh.
+// byte-identical to Config.Exhaustive. Run under -race by ci.sh.
 func TestPrunedMatchesExhaustiveEndToEnd(t *testing.T) {
 	for _, seed := range []int64{1, 42} {
 		g := gen.DefaultConfig()
@@ -50,13 +48,7 @@ func TestPrunedMatchesExhaustiveEndToEnd(t *testing.T) {
 
 		pruned := base
 		gotRes, gotEdges := differentialRun(t, pruned, msgs)
-		compareRuns(t, "pruned serial", seed, wantRes, wantEdges, gotRes, gotEdges)
-
-		parallel := base
-		parallel.Parallel.MatchWorkers = 4
-		parallel.Parallel.MatchThreshold = 8
-		gotRes, gotEdges = differentialRun(t, parallel, msgs)
-		compareRuns(t, "pruned parallel", seed, wantRes, wantEdges, gotRes, gotEdges)
+		compareRuns(t, "pruned", seed, wantRes, wantEdges, gotRes, gotEdges)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"provex/internal/bundle"
@@ -64,9 +63,9 @@ type Config struct {
 	// specification baseline and an escape hatch.
 	Exhaustive bool
 
-	// Parallel configures the concurrent ingest pipeline. The zero
-	// value keeps every stage serial — the paper's original
-	// single-threaded loop.
+	// Parallel configures the concurrent prepare stage. The zero value
+	// keeps every stage serial — the paper's original single-threaded
+	// loop.
 	Parallel ParallelOptions
 
 	// FlushRetry bounds the degraded mode entered when the disk
@@ -97,11 +96,9 @@ const (
 	DefaultFlushMaxQueue    = 1024
 )
 
-// ParallelOptions sizes the concurrent parts of the ingest pipeline.
-// Both stages preserve the exact serial semantics: prepare results are
-// applied strictly in stream order, and the parallel match reduction is
-// deterministic, so bundle assignment is byte-identical to a serial
-// run at any worker count.
+// ParallelOptions sizes the concurrent part of the ingest pipeline.
+// Prepare results are applied strictly in stream order, so bundle
+// assignment is byte-identical to a serial run at any worker count.
 type ParallelOptions struct {
 	// Workers is the prepare-stage worker count consumed by the
 	// pipeline helpers (pipeline.IngestAll, pipeline.Service): parse
@@ -109,19 +106,7 @@ type ParallelOptions struct {
 	// concurrently ahead of the single apply goroutine. <=1 prepares
 	// inline.
 	Workers int
-	// MatchWorkers fans the Eq. 1 scoring of one message's candidate
-	// list across this many goroutines when the list is at least
-	// MatchThreshold long. <=1 scores serially.
-	MatchWorkers int
-	// MatchThreshold is the minimum candidate-list length that
-	// justifies fanning out (goroutine handoff costs a few µs; short
-	// lists score faster inline). 0 uses DefaultMatchThreshold.
-	MatchThreshold int
 }
-
-// DefaultMatchThreshold is the candidate-list length at which the
-// parallel match starts paying for its goroutine handoff.
-const DefaultMatchThreshold = 64
 
 // FullIndexConfig is the unlimited baseline whose output the paper
 // treats as provenance ground truth.
@@ -221,9 +206,8 @@ func (s Stats) MemTotal() int64 { return s.MemBundles + s.MemIndex }
 // use: the paper's pipeline is a single temporally ordered stream, so
 // one goroutine must own every Insert/InsertPrepared call. Concurrency
 // lives around that invariant, not inside it — Prepare is pure and runs
-// on the pipeline package's worker pool ahead of the apply loop, and
-// ParallelOptions.MatchWorkers fans the Eq. 1 candidate scan over
-// read-only goroutines within a single insert (see DESIGN.md §2c).
+// on the pipeline package's worker pool ahead of the apply loop (see
+// DESIGN.md §2c).
 //
 // The sharded engine (internal/shard, DESIGN.md §2i) runs N Engines
 // side by side, one goroutine per shard per phase; the contract is
@@ -257,6 +241,13 @@ type Engine struct {
 	placeEarlyStop metrics.Counter
 	matchPruned    metrics.Counter
 	placeSkipHist  *metrics.Histogram
+
+	// Candidate-fetch work counts (sumindex.Candidates): posting entries
+	// walked and distinct candidates produced, before the MaxCandidates
+	// cut. They depend only on the stream and the config, so two builds
+	// that report the same totals did the same fetch work.
+	matchPostings metrics.Counter
+	matchFetched  metrics.Counter
 
 	// placeScratch is the engine-owned scratch of the pruned Algorithm 2
 	// scan, shared across every bundle (inserts are single-goroutine).
@@ -356,6 +347,10 @@ func (e *Engine) RegisterMetrics(reg *metrics.Registry, labels ...string) {
 		"Placements whose bound-ordered candidate scan stopped before the last group (early-termination rate = this / provex_ingest_messages_total).", &e.placeEarlyStop, labels...)
 	reg.RegisterCounter("provex_match_candidates_pruned_total",
 		"Match candidates skipped before Eq. 1 scoring because their score upper bound could not beat the running best.", &e.matchPruned, labels...)
+	reg.RegisterCounter("provex_match_postings_walked_total",
+		"Summary-index posting entries walked by candidate fetch (Algorithm 1 step 1; lists cut by the fanout cap or a disabled class are not walked).", &e.matchPostings, labels...)
+	reg.RegisterCounter("provex_match_candidates_fetched_total",
+		"Distinct candidate bundles produced by candidate fetch, before the MaxCandidates cut.", &e.matchFetched, labels...)
 	reg.RegisterHistogram("provex_place_skipped_nodes",
 		"Distribution of nodes skipped per placement by the pruned Algorithm 2 scan.",
 		e.placeSkipHist, 1, labels...)
@@ -667,14 +662,10 @@ type ProbeResult struct {
 //
 // Probe may run concurrently with other engines' inserts but not with
 // this engine's own mutations (it shares the summary index's candidate
-// scratch buffer with matchBundle). The pruning counter it bumps is
-// atomic.
+// scratch buffer with matchBundle). The fetch and pruning counters it
+// bumps are atomic.
 func (e *Engine) Probe(doc score.Doc) ProbeResult {
-	cands := e.index.Candidates(doc)
-	fetch := e.index.LastFetch()
-	if e.cfg.MaxCandidates > 0 && len(cands) > e.cfg.MaxCandidates {
-		cands = cands[:e.cfg.MaxCandidates]
-	}
+	cands, fetch, _ := e.fetchCandidates(doc)
 	b, s := e.matchRange(doc, cands, fetch, nil)
 	if b == nil {
 		return ProbeResult{}
@@ -696,49 +687,45 @@ func (e *Engine) Probe(doc score.Doc) ProbeResult {
 // timed.
 func (e *Engine) AdvanceClock(t time.Time) { e.clock.AdvanceTo(t) }
 
-// matchBundle scores the summary-index candidates with Eq. 1 and
-// returns the best open bundle above the threshold, nil when none
-// qualifies. Long candidate lists fan out across MatchWorkers
-// goroutines; the reduction is deterministic (max score, ties to the
-// lowest bundle ID — exactly the serial loop's invariant), so the
-// parallel and serial paths always pick the same bundle.
-func (e *Engine) matchBundle(doc score.Doc, td *trace.Decision) *bundle.Bundle {
-	cands := e.index.Candidates(doc)
-	fetch := e.index.LastFetch()
-	if td != nil {
-		td.CandidatesFetched = len(cands)
-		td.Threshold = e.cfg.BundleWeights.Threshold
-	}
-	if e.cfg.MaxCandidates > 0 && len(cands) > e.cfg.MaxCandidates {
+// fetchCandidates is Algorithm 1 step 1: the hit-ranked candidate list
+// cut to MaxCandidates, the fetch's skipped-list slack, and how many
+// candidates the index produced before the cut.
+func (e *Engine) fetchCandidates(doc score.Doc) (cands []sumindex.Candidate, fetch sumindex.FetchInfo, fetched int) {
+	cands = e.index.Candidates(doc)
+	fetch = e.index.LastFetch()
+	fetched = len(cands)
+	e.matchPostings.Add(int64(fetch.Postings))
+	e.matchFetched.Add(int64(fetched))
+	if e.cfg.MaxCandidates > 0 && fetched > e.cfg.MaxCandidates {
 		cands = cands[:e.cfg.MaxCandidates]
 	}
-	if td != nil {
-		td.CandidatesDropped = td.CandidatesFetched - len(cands)
-	}
-	threshold := e.cfg.Parallel.MatchThreshold
-	if threshold <= 0 {
-		threshold = DefaultMatchThreshold
-	}
-	if w := e.cfg.Parallel.MatchWorkers; w > 1 && len(cands) >= threshold {
-		return e.matchParallel(doc, cands, fetch, w, td)
-	}
+	return cands, fetch, fetched
+}
+
+// matchBundle scores the summary-index candidates with Eq. 1 and
+// returns the best open bundle above the threshold, nil when none
+// qualifies.
+func (e *Engine) matchBundle(doc score.Doc, td *trace.Decision) *bundle.Bundle {
+	cands, fetch, fetched := e.fetchCandidates(doc)
 	var sink *[]trace.CandidateScore
 	if td != nil {
+		td.CandidatesFetched = fetched
+		td.CandidatesDropped = fetched - len(cands)
+		td.Threshold = e.cfg.BundleWeights.Threshold
 		sink = &td.Candidates
 	}
 	best, _ := e.matchRange(doc, cands, fetch, sink)
 	return best
 }
 
-// matchRange is the serial Eq. 1 scoring loop over one candidate
-// slice: the best open bundle scoring strictly above the join
-// threshold, ties broken toward the lowest bundle ID. Safe to run
-// concurrently over disjoint slices — it only reads pool and bundle
-// state, which no one mutates during the match stage (the pruning
-// counter is atomic). A non-nil sink receives one CandidateScore per
-// fetched candidate (skipped ones included); the traced path scores
-// via BundleSimWithParts, whose Total is bit-identical to BundleSim,
-// so tracing never changes which bundle wins.
+// matchRange is the Eq. 1 scoring loop over the candidate list: the
+// best open bundle scoring strictly above the join threshold, ties
+// broken toward the lowest bundle ID. It only reads pool and bundle
+// state (the pruning counter is atomic), which is what lets Probe run
+// it beside sibling shards' inserts. A non-nil sink receives one
+// CandidateScore per candidate (skipped ones included); the traced
+// path scores via BundleSimWithParts, whose Total is bit-identical to
+// BundleSim, so tracing never changes which bundle wins.
 //
 // Unless Config.Exhaustive is set, each candidate is first tested
 // against its Eq. 1 upper bound (score.BundleSimCeil over the exact
@@ -749,8 +736,7 @@ func (e *Engine) matchBundle(doc score.Doc, td *trace.Decision) *bundle.Bundle {
 // score — or a lower-ID bundle already holds the tie). Since the true
 // score never exceeds ub, a pruned candidate could never have been
 // selected, so the returned (bundle, score) pair is identical to the
-// exhaustive loop's — which also makes chunk-local pruning compose
-// with matchParallel's reduction.
+// exhaustive loop's.
 //
 //provex:hotpath Eq. 1 scoring loop runs per ingested message
 func (e *Engine) matchRange(doc score.Doc, cands []sumindex.Candidate, fetch sumindex.FetchInfo, sink *[]trace.CandidateScore) (*bundle.Bundle, float64) {
@@ -773,7 +759,7 @@ func (e *Engine) matchRange(doc score.Doc, cands []sumindex.Candidate, fetch sum
 				pruned++
 				if sink != nil {
 					*sink = append(*sink, trace.CandidateScore{
-						Bundle: uint64(c.ID), Hits: c.Hits, Skipped: "pruned",
+						Bundle: uint64(c.ID), Hits: c.Hits(), Skipped: "pruned",
 					})
 				}
 				continue
@@ -787,7 +773,7 @@ func (e *Engine) matchRange(doc score.Doc, cands []sumindex.Candidate, fetch sum
 					skip = "closed"
 				}
 				*sink = append(*sink, trace.CandidateScore{
-					Bundle: uint64(c.ID), Hits: c.Hits, Skipped: skip,
+					Bundle: uint64(c.ID), Hits: c.Hits(), Skipped: skip,
 				})
 			}
 			continue
@@ -800,7 +786,7 @@ func (e *Engine) matchRange(doc score.Doc, cands []sumindex.Candidate, fetch sum
 			s = parts.Total
 			*sink = append(*sink, trace.CandidateScore{
 				Bundle:    uint64(c.ID),
-				Hits:      c.Hits,
+				Hits:      c.Hits(),
 				URL:       parts.URL,
 				Hashtag:   parts.Tag,
 				Keyword:   parts.Keyword,
@@ -817,64 +803,6 @@ func (e *Engine) matchRange(doc score.Doc, cands []sumindex.Candidate, fetch sum
 		e.matchPruned.Add(pruned)
 	}
 	return best, bestScore
-}
-
-// matchParallel splits the candidate list into contiguous chunks, runs
-// matchRange on each concurrently and reduces the per-chunk winners
-// under the same (score desc, ID asc) order the serial loop applies.
-// When tracing, each worker appends to its own chunk-local sink (no
-// shared mutable state between goroutines); the chunks concatenate in
-// chunk order after the barrier, so the merged candidate list is in
-// the exact order the serial loop would have produced.
-func (e *Engine) matchParallel(doc score.Doc, cands []sumindex.Candidate, fetch sumindex.FetchInfo, workers int, td *trace.Decision) *bundle.Bundle {
-	type chunkBest struct {
-		b *bundle.Bundle
-		s float64
-	}
-	chunk := (len(cands) + workers - 1) / workers
-	results := make([]chunkBest, workers)
-	var chunkSinks [][]trace.CandidateScore
-	if td != nil {
-		chunkSinks = make([][]trace.CandidateScore, workers)
-	}
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		lo := k * chunk
-		if lo >= len(cands) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(cands) {
-			hi = len(cands)
-		}
-		wg.Add(1)
-		go func(k int, part []sumindex.Candidate) {
-			defer wg.Done()
-			var sink *[]trace.CandidateScore
-			if td != nil {
-				sink = &chunkSinks[k]
-			}
-			b, s := e.matchRange(doc, part, fetch, sink)
-			results[k] = chunkBest{b: b, s: s}
-		}(k, cands[lo:hi])
-	}
-	wg.Wait()
-	if td != nil {
-		for _, cs := range chunkSinks {
-			td.Candidates = append(td.Candidates, cs...)
-		}
-	}
-	var best *bundle.Bundle
-	bestScore := e.cfg.BundleWeights.Threshold
-	for _, r := range results {
-		if r.b == nil {
-			continue
-		}
-		if r.s > bestScore || (r.s == bestScore && best != nil && r.b.ID() < best.ID()) {
-			bestScore, best = r.s, r.b
-		}
-	}
-	return best
 }
 
 // InsertAll drains src through the engine, returning the number of

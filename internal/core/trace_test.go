@@ -10,27 +10,21 @@ import (
 	"provex/internal/trace"
 )
 
-// TestTracedIngestConsistency drives the parallel match path with
-// sampling on while readers race the ingest goroutine (run it under
-// -race), then replays every recorded decision against the engine's
-// actual insert results and the recorder's own invariants:
+// TestTracedIngestConsistency ingests with sampling on while readers
+// race the ingest goroutine (run it under -race), then replays every
+// recorded decision against the engine's actual insert results and the
+// recorder's own invariants:
 //
 //   - the decision agrees with InsertResult (bundle, node, connection,
 //     new-bundle verdict);
 //   - the winner is the argmax over the non-skipped candidates,
-//     strictly above the threshold, ties to the lowest bundle ID —
-//     i.e. the parallel per-chunk merge reproduced the serial rule;
+//     strictly above the threshold, ties to the lowest bundle ID;
 //   - the margin is top1−top2 (threshold-floored) recomputed from the
 //     recorded candidate scores;
 //   - the chosen parent is the first maximum of the recorded
 //     Algorithm 2 scores.
 func TestTracedIngestConsistency(t *testing.T) {
-	cfg := PartialIndexConfig(400)
-	// MatchThreshold 2 forces nearly every candidate list through the
-	// parallel scorer, the path whose per-chunk trace sinks must merge
-	// back into one coherent record.
-	cfg.Parallel = ParallelOptions{MatchWorkers: 4, MatchThreshold: 2}
-	eng := New(cfg, nil, nil)
+	eng := New(PartialIndexConfig(400), nil, nil)
 	rec := trace.New(trace.Options{SampleEvery: 1, Buffer: 8192})
 	eng.SetTracer(rec)
 
@@ -196,9 +190,7 @@ func TestTracedIngestConsistency(t *testing.T) {
 // message in the same bundle, node and connection.
 func TestTracedMatchesUntraced(t *testing.T) {
 	build := func(tracing bool) []InsertResult {
-		cfg := PartialIndexConfig(400)
-		cfg.Parallel = ParallelOptions{MatchWorkers: 4, MatchThreshold: 2}
-		eng := New(cfg, nil, nil)
+		eng := New(PartialIndexConfig(400), nil, nil)
 		if tracing {
 			eng.SetTracer(trace.New(trace.Options{SampleEvery: 1, Buffer: 1024}))
 		}

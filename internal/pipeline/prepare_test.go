@@ -20,10 +20,9 @@ func comparable(s core.Stats) core.Stats {
 }
 
 // TestParallelIngestDeterminism is the core guarantee of the parallel
-// pipeline: with prepare fanned out over 4 workers and Eq. 1 match
-// scoring split across 2, every InsertResult — bundle assignment,
-// creation flag, connection type — must be identical to the serial
-// engine on the same 10k-message stream.
+// pipeline: with prepare fanned out over 4 workers, every InsertResult
+// — bundle assignment, creation flag, connection type — must be
+// identical to the serial engine on the same 10k-message stream.
 func TestParallelIngestDeterminism(t *testing.T) {
 	// Two identically-seeded generators, one per engine: engines retain
 	// and annotate messages, so the streams must not share pointers.
@@ -41,7 +40,7 @@ func TestParallelIngestDeterminism(t *testing.T) {
 	}
 
 	cfg := core.PartialIndexConfig(500)
-	cfg.Parallel = core.ParallelOptions{Workers: 4, MatchWorkers: 2, MatchThreshold: 8}
+	cfg.Parallel = core.ParallelOptions{Workers: 4}
 	par := core.New(cfg, nil, nil)
 	src := NewPreparedSource(stream.NewSliceSource(msgs), cfg.Parallel.Workers, 0)
 	parRes := make([]core.InsertResult, 0, n)

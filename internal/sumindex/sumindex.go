@@ -17,9 +17,10 @@
 // Twitter Search"): each term's postings live in an ID-sorted slice
 // whose capacity grows through power-of-two size classes, and slabs
 // freed by Forget are recycled through per-class freelists instead of
-// being handed back to the garbage collector. Candidate fetch reuses
-// internal scratch buffers, so the steady-state ingest path allocates
-// only when a term's posting list genuinely outgrows its slab.
+// being handed back to the garbage collector. Because every list is
+// ID-sorted, candidate fetch is a k-way merge plus a counting sort over
+// reused scratch (see Candidates), so the steady-state ingest path
+// allocates only when a term's posting list genuinely outgrows its slab.
 package sumindex
 
 import (
@@ -82,9 +83,9 @@ const (
 )
 
 // Index is the summary index. Not safe for concurrent use; the engine
-// serialises ingest. Concurrent *readers* (the parallel match stage,
-// queries under the pipeline's read lock) are safe as long as no
-// Observe/Forget/Candidates call runs at the same time.
+// serialises ingest. Concurrent *readers* (queries under the pipeline's
+// read lock) are safe as long as no Observe/Forget/Candidates call runs
+// at the same time.
 type Index struct {
 	classes [numClasses]map[string][]Posting
 	mem     metrics.MemEstimator
@@ -102,25 +103,16 @@ type Index struct {
 	// stores slices of capacity 1<<k.
 	slabs [maxSlabClass + 1][][]Posting
 
-	// Candidate-fetch scratch, reused across calls (see Candidates).
-	// hits packs the per-class hit counts of one bundle into a uint64
-	// (packedHits), so one map pass yields both the ranking total and
-	// the exact per-class counts the Eq. 1 upper bound needs.
-	hits    map[BundleID]uint64
+	// Candidate-fetch scratch, reused across calls (see Candidates):
+	// the gathered cursors and their merge heap, the ID-ordered merge
+	// output, the hit-count histogram and the ranked result.
+	cursors []cursor
+	heap    []heapEntry
+	merged  []Candidate
+	hist    []int
 	candBuf []Candidate
 	fetch   FetchInfo
 }
-
-// Packed per-class hit-count layout of the candidate-fetch scratch map:
-// 16 bits each for URL, tag and keyword hits (a message carries at most
-// a few dozen terms per class, and each traversed posting list
-// contributes at most one hit per bundle), one bit for the RT user hit.
-const (
-	shiftURL = 0
-	shiftTag = 16
-	shiftKey = 32
-	shiftRT  = 48
-)
 
 // New creates an empty summary index with every class enabled and no
 // fanout cap.
@@ -130,7 +122,6 @@ func New() *Index {
 		ix.classes[c] = make(map[string][]Posting)
 		ix.enabled[c] = true
 	}
-	ix.hits = make(map[BundleID]uint64, 256)
 	return ix
 }
 
@@ -292,14 +283,24 @@ func (ix *Index) drop(c Class, term string, id BundleID) {
 // of indicant hits that surfaced it, split per class. The per-class
 // counts are exact over the posting lists the fetch traversed — the
 // inputs of the Eq. 1 upper bound (score.BundleSimCeil); lists the
-// fetch skipped are reported in FetchInfo as slack.
+// fetch skipped are reported in FetchInfo as slack. A count is at most
+// the message's term count in that class, which a uint32 always holds:
+// it never wraps into a smaller one, which would make the bound unsound.
 type Candidate struct {
 	ID      BundleID
-	Hits    int // URLHits + TagHits + KeyHits (+1 for RTHit): the fetch rank
-	URLHits uint16
-	TagHits uint16
-	KeyHits uint16
+	URLHits uint32
+	TagHits uint32
+	KeyHits uint32
 	RTHit   bool
+}
+
+// Hits is the fetch rank: URLHits + TagHits + KeyHits (+1 for RTHit).
+func (c Candidate) Hits() int {
+	n := int(c.URLHits) + int(c.TagHits) + int(c.KeyHits)
+	if c.RTHit {
+		n++
+	}
+	return n
 }
 
 // FetchInfo describes what the last Candidates call did NOT traverse:
@@ -317,11 +318,30 @@ type FetchInfo struct {
 	Postings   int
 }
 
+// cursor is one traversed posting list and the read position in it.
+type cursor struct {
+	list  []Posting
+	pos   int
+	class Class
+}
+
+// heapEntry orders one cursor in the merge heap by the bundle ID under
+// its read position. Sifting these 16 bytes is measurably faster than
+// sifting cursors or a word-sized index (no message has 2^31 terms).
+type heapEntry struct {
+	head   BundleID
+	cursor int32
+}
+
 // Candidates fetches the candidate bundle list for doc (Algorithm 1,
 // step 1): the union over the message's indicants of each indicant's
 // posting list. The result is ordered by descending hit count, then
 // ascending bundle ID, so callers can cap scoring work at the most
 // promising candidates and the match stage can scan in impact order.
+//
+// Three passes over reused scratch produce it: gather one cursor per
+// traversed list (a repeated term gets one per occurrence, so counts
+// each time), merge them in ascending bundle ID, scatter by hit count.
 //
 // The returned slice is internal scratch, valid only until the next
 // Candidates call on this index — the ingest loop consumes it within
@@ -332,49 +352,33 @@ type FetchInfo struct {
 //provex:hotpath Algorithm 1 step 1 runs per ingested message
 func (ix *Index) Candidates(doc score.Doc) []Candidate {
 	ix.fetch = FetchInfo{}
-	clear(ix.hits)
+	ix.cursors, ix.heap = ix.cursors[:0], ix.heap[:0]
 	m := doc.Msg
 	for _, h := range m.Hashtags {
-		ix.collect(ClassTag, h, shiftTag)
+		ix.gather(ClassTag, h)
 	}
 	for _, u := range m.URLs {
-		ix.collect(ClassURL, u, shiftURL)
+		ix.gather(ClassURL, u)
 	}
 	for _, k := range doc.Keywords {
-		ix.collect(ClassKeyword, k, shiftKey)
+		ix.gather(ClassKeyword, k)
 	}
 	if m.IsRT() {
-		ix.collect(ClassUser, m.RTOf, shiftRT)
+		ix.gather(ClassUser, m.RTOf)
 	}
-	if len(ix.hits) == 0 {
+	if len(ix.cursors) == 0 {
 		return nil
 	}
-	out := ix.candBuf[:0]
-	for id, packed := range ix.hits {
-		c := Candidate{
-			ID:      id,
-			URLHits: uint16(packed >> shiftURL),
-			TagHits: uint16(packed >> shiftTag),
-			KeyHits: uint16(packed >> shiftKey),
-			RTHit:   packed>>shiftRT != 0,
-		}
-		c.Hits = int(c.URLHits) + int(c.TagHits) + int(c.KeyHits)
-		if c.RTHit {
-			c.Hits++
-		}
-		out = append(out, c)
-	}
-	slices.SortFunc(out, compareCandidates)
-	ix.candBuf = out
-	return out
+	ix.merge()
+	return ix.scatter()
 }
 
-// collect accumulates one term's posting list into the packed hit map,
-// or records the term as skipped slack when its class is disabled or
-// its list exceeds the fanout cap.
+// gather opens a cursor on one term's posting list, or records the term
+// as skipped slack when its class is disabled or its list exceeds the
+// fanout cap.
 //
 //provex:hotpath runs per indicant term of every ingested message
-func (ix *Index) collect(c Class, term string, shift uint) {
+func (ix *Index) gather(c Class, term string) {
 	if !ix.enabled[c] {
 		ix.noteSkip(c)
 		return
@@ -384,9 +388,11 @@ func (ix *Index) collect(c Class, term string, shift uint) {
 		ix.noteSkip(c)
 		return
 	}
-	for _, p := range pl {
-		ix.hits[p.ID] += 1 << shift
+	if len(pl) == 0 {
+		return
 	}
+	ix.heap = append(ix.heap, heapEntry{head: pl[0].ID, cursor: int32(len(ix.cursors))})
+	ix.cursors = append(ix.cursors, cursor{list: pl, class: c})
 	ix.fetch.Postings += len(pl)
 }
 
@@ -404,26 +410,94 @@ func (ix *Index) noteSkip(c Class) {
 	}
 }
 
+// merge drains the gathered cursors through a binary min-heap into
+// ix.merged: one Candidate per distinct bundle, in ascending ID, with
+// the per-class hits of every cursor that carried it. It histograms the
+// candidates by total hits in ix.hist; a list holds a bundle at most
+// once, so no total exceeds the cursor count.
+//
+//provex:hotpath runs per ingested message
+func (ix *Index) merge() {
+	cursors, h := ix.cursors, ix.heap
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i, h[i])
+	}
+	ix.hist = slices.Grow(ix.hist[:0], len(h)+1)[:len(h)+1]
+	clear(ix.hist)
+	out := ix.merged[:0]
+	for len(h) > 0 {
+		id := h[0].head
+		var n [numClasses]uint32
+		hits := 0
+		for len(h) > 0 && h[0].head == id {
+			top := h[0]
+			cur := &cursors[top.cursor]
+			n[cur.class]++
+			hits++
+			cur.pos++
+			if cur.pos < len(cur.list) {
+				top.head = cur.list[cur.pos].ID
+			} else {
+				top = h[len(h)-1]
+				h = h[:len(h)-1]
+			}
+			siftDown(h, 0, top)
+		}
+		ix.hist[hits]++
+		out = append(out, Candidate{ID: id, URLHits: n[ClassURL], TagHits: n[ClassTag], KeyHits: n[ClassKeyword], RTHit: n[ClassUser] != 0})
+	}
+	ix.merged = out
+}
+
+// siftDown places e at position i of the min-heap h or below it,
+// moving smaller children up.
+//
+//provex:hotpath runs per walked posting
+func siftDown(h []heapEntry, i int, e heapEntry) {
+	if i >= len(h) {
+		return
+	}
+	for {
+		child := 2*i + 1
+		if child >= len(h) {
+			break
+		}
+		if r := child + 1; r < len(h) && h[r].head < h[child].head {
+			child = r
+		}
+		if e.head <= h[child].head {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	h[i] = e
+}
+
+// scatter is a stable counting sort of ix.merged by hit count,
+// descending. The merge emitted ascending IDs, and stability keeps that
+// order inside each hit count, so the (hits desc, ID asc) rank needs no
+// comparator.
+//
+//provex:hotpath runs per ingested message
+func (ix *Index) scatter() []Candidate {
+	next := 0
+	for hits := len(ix.hist) - 1; hits > 0; hits-- {
+		next, ix.hist[hits] = next+ix.hist[hits], next
+	}
+	out := slices.Grow(ix.candBuf[:0], len(ix.merged))[:len(ix.merged)]
+	for _, c := range ix.merged {
+		hits := c.Hits()
+		out[ix.hist[hits]] = c
+		ix.hist[hits]++
+	}
+	ix.candBuf = out
+	return out
+}
+
 // LastFetch returns the FetchInfo of the most recent Candidates call.
 // Like the candidate slice itself, it is valid until the next call.
 func (ix *Index) LastFetch() FetchInfo { return ix.fetch }
-
-// compareCandidates orders by descending hit count, then ascending
-// bundle ID — the fetch rank contract Candidates documents. A named
-// function (not a closure) keeps the hot path allocation-free.
-func compareCandidates(a, b Candidate) int {
-	if a.Hits != b.Hits {
-		return b.Hits - a.Hits
-	}
-	switch {
-	case a.ID < b.ID:
-		return -1
-	case a.ID > b.ID:
-		return 1
-	default:
-		return 0
-	}
-}
 
 // Postings returns the posting list of term in class c, ordered by
 // ascending bundle ID. The slice is the index's internal storage:

@@ -1,7 +1,10 @@
 package sumindex
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -28,8 +31,8 @@ func TestObserveAndCandidates(t *testing.T) {
 	if len(cands) != 1 || cands[0].ID != 1 {
 		t.Fatalf("Candidates = %v, want bundle 1", cands)
 	}
-	if cands[0].Hits < 1 {
-		t.Errorf("Hits = %d, want >= 1", cands[0].Hits)
+	if cands[0].Hits() < 1 {
+		t.Errorf("Hits = %d, want >= 1", cands[0].Hits())
 	}
 }
 
@@ -45,7 +48,7 @@ func TestCandidatesRankedByHits(t *testing.T) {
 	if cands[0].ID != 2 {
 		t.Errorf("best candidate = %d, want 2 (more shared indicants)", cands[0].ID)
 	}
-	if cands[0].Hits <= cands[1].Hits {
+	if cands[0].Hits() <= cands[1].Hits() {
 		t.Errorf("hits not descending: %v", cands)
 	}
 }
@@ -219,7 +222,7 @@ func TestCandidateHitBoundProperty(t *testing.T) {
 		probe := doc(100, "p", "worda wordb #taga #tagb")
 		nIndicants := len(probe.Msg.Hashtags) + len(probe.Msg.URLs) + len(probe.Keywords)
 		for _, c := range ix.Candidates(probe) {
-			if c.Hits > nIndicants {
+			if c.Hits() > nIndicants {
 				return false
 			}
 		}
@@ -227,21 +230,6 @@ func TestCandidateHitBoundProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkCandidates(b *testing.B) {
-	ix := New()
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 20000; i++ {
-		text := "topic" + string(rune('a'+rng.Intn(26))) + " #tag" + string(rune('a'+rng.Intn(26)))
-		ix.Observe(BundleID(i%3000), doc(tweet.ID(i+1), "u", text))
-	}
-	probe := doc(99999, "p", "topicq thing #tagm #tagz")
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ix.Candidates(probe)
 	}
 }
 
@@ -271,9 +259,9 @@ func TestMaxFanoutCapsCandidateFetch(t *testing.T) {
 	}
 }
 
-// TestCandidatePerClassHits verifies the packed per-class split the
-// Eq. 1 upper bound consumes: class counts must sum to Hits and match
-// the terms each bundle actually carries.
+// TestCandidatePerClassHits verifies the per-class split the Eq. 1
+// upper bound consumes: the counts must match the terms each bundle
+// actually carries.
 func TestCandidatePerClassHits(t *testing.T) {
 	ix := New()
 	ix.Observe(1, doc(1, "ann", "game on #redsox #sox http://bit.ly/x"))
@@ -285,29 +273,19 @@ func TestCandidatePerClassHits(t *testing.T) {
 	}
 	byID := map[BundleID]Candidate{}
 	for _, c := range cands {
-		if got := int(c.URLHits) + int(c.TagHits) + int(c.KeyHits) + b2i(c.RTHit); got != c.Hits {
-			t.Errorf("bundle %d: class hits sum %d != Hits %d", c.ID, got, c.Hits)
-		}
 		byID[c.ID] = c
 	}
 	c1 := byID[1]
-	if c1.URLHits != 1 || c1.TagHits != 2 || !c1.RTHit {
-		t.Errorf("bundle 1 = %+v, want url=1 tag=2 rt=true", c1)
+	if c1.URLHits != 1 || c1.TagHits != 2 || !c1.RTHit || c1.Hits() != 4+int(c1.KeyHits) {
+		t.Errorf("bundle 1 = %+v (Hits %d), want url=1 tag=2 rt=true", c1, c1.Hits())
 	}
 	c2 := byID[2]
-	if c2.URLHits != 0 || c2.TagHits != 1 || c2.RTHit {
-		t.Errorf("bundle 2 = %+v, want url=0 tag=1 rt=false", c2)
+	if c2.URLHits != 0 || c2.TagHits != 1 || c2.RTHit || c2.Hits() != 1+int(c2.KeyHits) {
+		t.Errorf("bundle 2 = %+v (Hits %d), want url=0 tag=1 rt=false", c2, c2.Hits())
 	}
 	if fi := ix.LastFetch(); fi.SkippedURL != 0 || fi.SkippedTag != 0 || fi.SkippedKey != 0 || fi.SkippedRT {
 		t.Errorf("LastFetch = %+v, want no skipped lists", ix.LastFetch())
 	}
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // TestLastFetchSlack verifies that every list the fetch does not
@@ -348,5 +326,297 @@ func TestLastFetchSlack(t *testing.T) {
 	ix.Candidates(doc(11, "eve", "RT @ann: #hot"))
 	if fi := ix.LastFetch(); !fi.SkippedRT {
 		t.Errorf("LastFetch = %+v, want SkippedRT with user class disabled", fi)
+	}
+}
+
+// oracleCandidates is the fetch this package shipped before the merge:
+// accumulate every traversed posting into a map keyed by bundle, then
+// comparison-sort by (hits desc, ID asc). It is the reference the
+// merge/scatter implementation is diffed against and lives only here.
+func oracleCandidates(ix *Index, d score.Doc) ([]Candidate, FetchInfo) {
+	var fi FetchInfo
+	hits := map[BundleID]Candidate{}
+	collect := func(c Class, term string) {
+		pl := ix.classes[c][term]
+		if !ix.enabled[c] || (ix.maxFanout > 0 && len(pl) > ix.maxFanout) {
+			switch c {
+			case ClassURL:
+				fi.SkippedURL++
+			case ClassTag:
+				fi.SkippedTag++
+			case ClassKeyword:
+				fi.SkippedKey++
+			case ClassUser:
+				fi.SkippedRT = true
+			}
+			return
+		}
+		for _, p := range pl {
+			cand := hits[p.ID]
+			cand.ID = p.ID
+			switch c {
+			case ClassURL:
+				cand.URLHits++
+			case ClassTag:
+				cand.TagHits++
+			case ClassKeyword:
+				cand.KeyHits++
+			case ClassUser:
+				cand.RTHit = true
+			}
+			hits[p.ID] = cand
+		}
+		fi.Postings += len(pl)
+	}
+	for _, h := range d.Msg.Hashtags {
+		collect(ClassTag, h)
+	}
+	for _, u := range d.Msg.URLs {
+		collect(ClassURL, u)
+	}
+	for _, k := range d.Keywords {
+		collect(ClassKeyword, k)
+	}
+	if d.Msg.IsRT() {
+		collect(ClassUser, d.Msg.RTOf)
+	}
+	if len(hits) == 0 {
+		return nil, fi
+	}
+	out := make([]Candidate, 0, len(hits))
+	for _, c := range hits {
+		out = append(out, c)
+	}
+	slices.SortFunc(out, func(a, b Candidate) int {
+		if a.Hits() != b.Hits() {
+			return b.Hits() - a.Hits()
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+	return out, fi
+}
+
+// fetchCoverage counts the fetch shapes a script exercised, so the
+// property test can refuse to pass vacuously.
+type fetchCoverage struct {
+	fetches, empty, single, multiHit, repeated, fanoutCut, classOff, forgets int
+}
+
+// runFetchScript interprets data as a sequence of index operations —
+// Observe, Forget, SetMaxFanout, keyword-class toggles and probes — over
+// small vocabularies (so lists overlap and messages repeat terms) with
+// bundle IDs on a shard stride, and diffs every probe's Candidates and
+// LastFetch against oracleCandidates, adding the shapes it saw to cov.
+func runFetchScript(t *testing.T, data []byte, cov *fetchCoverage) {
+	t.Helper()
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	term := func(prefix string, vocab int) string { return prefix + strconv.Itoa(next()%vocab) }
+	randomDoc := func() score.Doc {
+		m := &tweet.Message{User: term("u", 4)}
+		for n := next() % 4; n > 0; n-- {
+			m.Hashtags = append(m.Hashtags, term("t", 5))
+		}
+		for n := next() % 3; n > 0; n-- {
+			m.URLs = append(m.URLs, term("l", 3))
+		}
+		var keys []string
+		for n := next() % 6; n > 0; n-- {
+			keys = append(keys, term("k", 6))
+		}
+		if next()%3 == 0 {
+			m.RTOf = term("u", 4)
+		}
+		return score.Doc{Msg: m, Keywords: keys}
+	}
+	probe := func(ix *Index, d score.Doc) {
+		got := ix.Candidates(d)
+		gotInfo := ix.LastFetch()
+		want, wantInfo := oracleCandidates(ix, d)
+		if !slices.Equal(got, want) || (got == nil) != (want == nil) {
+			t.Fatalf("Candidates diverged for %+v keys %v:\n got %v\nwant %v", *d.Msg, d.Keywords, got, want)
+		}
+		if gotInfo != wantInfo {
+			t.Fatalf("LastFetch diverged for %+v keys %v: got %+v, want %+v", *d.Msg, d.Keywords, gotInfo, wantInfo)
+		}
+		cov.fetches++
+		terms := append(append(append([]string(nil), d.Msg.Hashtags...), d.Msg.URLs...), d.Keywords...)
+		slices.Sort(terms)
+		if len(slices.Compact(terms)) < len(d.Msg.Hashtags)+len(d.Msg.URLs)+len(d.Keywords) {
+			cov.repeated++
+		}
+		switch {
+		case len(got) == 0:
+			cov.empty++
+		case len(ix.cursors) == 1:
+			cov.single++
+		}
+		if len(got) > 0 && got[0].Hits() > 1 {
+			cov.multiHit++
+		}
+		if ix.maxFanout > 0 && gotInfo.SkippedTag+gotInfo.SkippedURL > 0 {
+			cov.fanoutCut++
+		}
+		if !ix.enabled[ClassKeyword] && gotInfo.SkippedKey > 0 {
+			cov.classOff++
+		}
+	}
+
+	ix := New()
+	stride := 1 + next()%4
+	start := 1 + next()%stride
+	const nBundles = 12
+	// members[i] is what bundle i holds, per class, for Forget.
+	var members [nBundles][numClasses]map[string]bool
+	for len(data) > 0 {
+		switch op := next() % 8; op {
+		case 0, 1, 2, 3:
+			i := next() % nBundles
+			d := randomDoc()
+			ix.Observe(BundleID(start+stride*i), d)
+			for c, terms := range [numClasses][]string{
+				ClassTag: d.Msg.Hashtags, ClassURL: d.Msg.URLs, ClassKeyword: d.Keywords, ClassUser: {d.Msg.User},
+			} {
+				if members[i][c] == nil {
+					members[i][c] = map[string]bool{}
+				}
+				for _, term := range terms {
+					members[i][c][term] = true
+				}
+			}
+		case 4:
+			i := next() % nBundles
+			var terms [numClasses][]string
+			for c := range terms {
+				for term := range members[i][c] {
+					terms[c] = append(terms[c], term)
+				}
+				members[i][c] = nil
+			}
+			ix.Forget(BundleID(start+stride*i), terms[ClassTag], terms[ClassURL], terms[ClassKeyword], terms[ClassUser])
+			cov.forgets++
+		case 5:
+			ix.SetMaxFanout(next() % 6)
+		case 6:
+			ix.SetEnabled(ClassKeyword, next()%2 == 0)
+		case 7:
+			probe(ix, randomDoc())
+		}
+	}
+	probe(ix, score.Doc{Msg: &tweet.Message{User: "u0"}})
+	probe(ix, score.Doc{Msg: &tweet.Message{User: "u0", Hashtags: []string{"t0"}}})
+	probe(ix, score.Doc{Msg: &tweet.Message{User: "u0", Hashtags: []string{"t1", "t1"}, URLs: []string{"l0"}, RTOf: "u1"},
+		Keywords: []string{"k0", "k1", "k0"}})
+}
+
+// TestCandidatesMatchOracle is the seeded differential property test of
+// the merge/scatter fetch against the retained map+sort oracle.
+func TestCandidatesMatchOracle(t *testing.T) {
+	var total fetchCoverage
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		script := make([]byte, 600)
+		rng.Read(script)
+		runFetchScript(t, script, &total)
+	}
+	if total.empty == 0 || total.single == 0 || total.multiHit == 0 || total.repeated == 0 ||
+		total.fanoutCut == 0 || total.classOff == 0 || total.forgets == 0 {
+		t.Errorf("property run left a fetch shape uncovered: %+v", total)
+	}
+}
+
+// FuzzCandidates lets the fuzzer write the operation script.
+func FuzzCandidates(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 2, 0, 1, 2, 1, 1, 0, 0, 7, 2, 1, 1, 0, 0})
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 4; i++ {
+		script := make([]byte, 300)
+		rng.Read(script)
+		f.Add(script)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { runFetchScript(t, data, new(fetchCoverage)) })
+}
+
+// TestCandidateHitsCannotWrap: a per-class hit count is bounded only by
+// the message's term count, which nothing at the stream edge bounds
+// below a 1 MiB line. With 16-bit counts, 70 000 tags matching one
+// bundle wrapped TagHits to 4 464 and carried into KeyHits, so
+// BundleSimCeil under-estimated and pruning stopped being lossless.
+func TestCandidateHitsCannotWrap(t *testing.T) {
+	const nTags = 70_000
+	m := &tweet.Message{ID: 1, User: "u", Date: base}
+	for i := 0; i < nTags; i++ {
+		m.Hashtags = append(m.Hashtags, "t"+strconv.Itoa(i))
+	}
+	d := score.Doc{Msg: m}
+	ix := New()
+	ix.Observe(1, d)
+	got := ix.Candidates(d)
+	want := []Candidate{{ID: 1, TagHits: nTags}}
+	if !slices.Equal(got, want) || got[0].Hits() != nTags {
+		t.Fatalf("Candidates = %+v, want %+v", got, want)
+	}
+	if fi := ix.LastFetch(); fi.Postings != nTags || fi.SkippedTag != 0 {
+		t.Errorf("LastFetch = %+v, want %d postings walked, none skipped", fi, nTags)
+	}
+}
+
+// crawlShapedFetch builds an index and a probe with the fetch shape of
+// the crawl under FullIndexConfig: about eight traversed terms, several
+// posting lists at the 1 024 fanout cap, one hyper-frequent keyword cut
+// by it, and well over 3 000 distinct candidates out.
+func crawlShapedFetch() (*Index, score.Doc) {
+	const nBundles = 20_000
+	rng := rand.New(rand.NewSource(1))
+	ix := New()
+	ix.SetMaxFanout(1024)
+	fill := func(c Class, term string, n int) {
+		for _, i := range rng.Perm(nBundles)[:n] {
+			ix.add(c, term, BundleID(i+1))
+		}
+	}
+	fill(ClassTag, "tag0", 1024)
+	fill(ClassTag, "tag1", 300)
+	fill(ClassURL, "url0", 40)
+	fill(ClassKeyword, "key0", 1024)
+	fill(ClassKeyword, "key1", 1024)
+	fill(ClassKeyword, "key2", 900)
+	fill(ClassKeyword, "key3", 600)
+	fill(ClassKeyword, "key4", 120)
+	fill(ClassKeyword, "stop", 2000)
+	fill(ClassUser, "origin", 5)
+	return ix, score.Doc{
+		Msg:      &tweet.Message{User: "p", Hashtags: []string{"tag0", "tag1"}, URLs: []string{"url0"}, RTOf: "origin"},
+		Keywords: []string{"key0", "key1", "key2", "key3", "key4", "stop"},
+	}
+}
+
+func BenchmarkCandidates(b *testing.B) {
+	ix, probe := crawlShapedFetch()
+	if n := len(ix.Candidates(probe)); n < 3000 {
+		b.Fatalf("fetch produced %d candidates, want the crawl's >= 3000", n)
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ix.Candidates(probe)
+	}
+}
+
+// TestCandidatesZeroAlloc pins candidate fetch at zero allocations per
+// call once its scratch has grown to the fetch's size: it runs for every
+// ingested message (twice per message on a sharded engine).
+func TestCandidatesZeroAlloc(t *testing.T) {
+	ix, probe := crawlShapedFetch()
+	ix.Candidates(probe)
+	if n := testing.AllocsPerRun(100, func() { ix.Candidates(probe) }); n != 0 {
+		t.Errorf("Candidates allocates %.1f per op at steady state, want 0", n)
 	}
 }
