@@ -64,35 +64,78 @@ go test -race -count=1 ./internal/fsx ./internal/wal ./internal/storage
 echo "== crash torture =="
 go test -count=1 -run TestCrashTorture -v ./internal/pipeline | grep -E 'seed|PASS|FAIL|ok '
 
-# Observability loopback: a real provserve (decision tracing on)
-# answers a real provload run over localhost — non-zero throughput
-# (provload exits 1 on zero 2xx), a well-formed /metrics scrape
-# (provload errors on malformed exposition lines) with the HTTP
-# families present, and at least one harvested message ID resolving to
-# a well-formed /explain breakdown (full Eq. 1 candidate component
-# scores + Table II connection for a live-ingested message).
-echo "== provload vs provserve loopback =="
+# Observability loopback, once per engine: a real durable live
+# provserve (-shards 1 with decision tracing on, then -shards 2)
+# ingests a stream file and answers a real provload run over localhost.
+# Both legs must show non-zero throughput (provload exits 1 on zero
+# 2xx), a well-formed /metrics scrape (provload errors on malformed
+# exposition lines) with the HTTP families present and
+# provex_pipeline_ingested_total equal to the stream length, and a
+# clean SIGTERM exit after which a restart on the same state replays 0
+# WAL messages (end of input stops ingest with a final checkpoint,
+# whichever engine runs). The traced leg must also resolve at least one
+# harvested message ID to a well-formed /explain breakdown (full Eq. 1
+# candidate component scores + Table II connection).
+echo "== provload vs provserve loopback (-shards 1, -shards 2) =="
 obs_tmp="$(mktemp -d)"
 serve_pid=""
 trap '[ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null; rm -rf "$obs_tmp" "$lint_tmp"' EXIT
 go build -o "$obs_tmp/provserve" ./cmd/provserve
 go build -o "$obs_tmp/provload" ./cmd/provload
-"$obs_tmp/provserve" -n 3000 -addr 127.0.0.1:18923 \
-    -trace-sample 1 -trace-buffer 8192 >"$obs_tmp/serve.log" 2>&1 &
-serve_pid=$!
-"$obs_tmp/provload" -target http://127.0.0.1:18923 -wait 15s \
-    -qps 300 -workers 8 -warmup 200ms -duration 2s \
-    -mix 'search=5,prov=3,bundle=1,trending=1,explain=2' | tee "$obs_tmp/load.out"
-grep -q 'provex_http_requests_total' "$obs_tmp/load.out" \
-    || { echo "loopback: HTTP metric families missing from the delta"; exit 1; }
-grep -Eq 'explain: ok=[1-9]' "$obs_tmp/load.out" \
-    || { echo "loopback: no well-formed /explain breakdown observed"; exit 1; }
-grep -q 'explain: .*malformed=0' "$obs_tmp/load.out" \
-    || { echo "loopback: malformed /explain answers"; exit 1; }
-grep -q 'decision quality:' "$obs_tmp/load.out" \
-    || { echo "loopback: decision-quality digest missing"; exit 1; }
-kill "$serve_pid"
-wait "$serve_pid" 2>/dev/null || true
+go build -o "$obs_tmp/provgen" ./cmd/provgen
+"$obs_tmp/provgen" -n 3000 -out "$obs_tmp/loop.jsonl"
+loop_addr=127.0.0.1:18923
+# metric NAME: sum of the family's series in a scrape of the loopback node
+metric() {
+    curl -s "http://$loop_addr/metrics" \
+        | awk -v n="$1" '$1 == n || index($1, n "{") == 1 { s += $2; seen = 1 } END { if (seen) print s }'
+}
+# wait_metric NAME VALUE: poll until the family sums to VALUE
+wait_metric() {
+    local got=""
+    for _ in $(seq 1 120); do
+        got="$(metric "$1")" || true
+        [ "$got" = "$2" ] && return 0
+        sleep 0.25
+    done
+    echo "loopback: $1 = '$got', want $2"; return 1
+}
+for ns in 1 2; do
+    state="$obs_tmp/loop-$ns"
+    mkdir -p "$state"
+    node=(-live -shards "$ns" -ckpt "$state/engine.ckpt" -wal "$state/wal" -addr "$loop_addr")
+    trace=()
+    mix='search=5,prov=3,bundle=1,trending=1'
+    if [ "$ns" = 1 ]; then
+        trace=(-trace-sample 1 -trace-buffer 8192)
+        mix="$mix,explain=2"
+    fi
+    "$obs_tmp/provserve" "${node[@]}" -in "$obs_tmp/loop.jsonl" "${trace[@]}" >"$state/serve.log" 2>&1 &
+    serve_pid=$!
+    wait_metric provex_pipeline_ingested_total 3000
+    "$obs_tmp/provload" -target "http://$loop_addr" -wait 15s \
+        -qps 300 -workers 8 -warmup 200ms -duration 2s -mix "$mix" | tee "$state/load.out"
+    grep -q 'provex_http_requests_total' "$state/load.out" \
+        || { echo "loopback -shards $ns: HTTP metric families missing from the delta"; exit 1; }
+    if [ "$ns" = 1 ]; then
+        grep -Eq 'explain: ok=[1-9]' "$state/load.out" \
+            || { echo "loopback: no well-formed /explain breakdown observed"; exit 1; }
+        grep -q 'explain: .*malformed=0' "$state/load.out" \
+            || { echo "loopback: malformed /explain answers"; exit 1; }
+        grep -q 'decision quality:' "$state/load.out" \
+            || { echo "loopback: decision-quality digest missing"; exit 1; }
+    fi
+    kill "$serve_pid"
+    wait "$serve_pid" || { echo "loopback -shards $ns: unclean exit on SIGTERM"; cat "$state/serve.log"; exit 1; }
+    # restart on the state the node left: everything is in the checkpoint
+    "$obs_tmp/provserve" "${node[@]}" </dev/null >"$state/restart.log" 2>&1 &
+    serve_pid=$!
+    wait_metric provex_ingest_messages_total 3000
+    wait_metric provex_wal_replayed_messages 0
+    kill "$serve_pid"
+    wait "$serve_pid" || { echo "loopback -shards $ns: unclean exit of the restarted node"; exit 1; }
+    serve_pid=""
+done
 
 # Replication loopback: a durable leader ingests a generated stream
 # while a follower bootstraps from its checkpoint and tails its WAL
@@ -107,7 +150,6 @@ trap '[ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null;
       [ -n "$leader_pid" ] && kill "$leader_pid" 2>/dev/null;
       [ -n "$follower_pid" ] && kill "$follower_pid" 2>/dev/null;
       rm -rf "$obs_tmp" "$lint_tmp"' EXIT
-go build -o "$obs_tmp/provgen" ./cmd/provgen
 "$obs_tmp/provgen" -n 20000 -out "$obs_tmp/stream.jsonl"
 "$obs_tmp/provserve" -live -in "$obs_tmp/stream.jsonl" \
     -ckpt "$obs_tmp/leader.ckpt" -wal "$obs_tmp/leader-wal" \

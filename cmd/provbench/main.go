@@ -21,7 +21,6 @@ import (
 	"log/slog"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -38,12 +37,10 @@ func main() {
 		out      = flag.String("out", "-", "output path, '-' for stdout")
 		workers  = flag.Int("workers", 4, "prepare workers for the 'ingest' throughput comparison")
 		jsonOut  = flag.Bool("json", false, "emit a machine-readable JSON report instead of text tables")
-		figure   = flag.String("figure", "", "dedicated sweep mode, bypasses -fig: 'fig13' runs the long-stream stage-time sweep, 'shards' the sharded scaling sweep")
+		figure   = flag.String("figure", "", "dedicated sweep mode, bypasses -fig: 'fig13' runs the long-stream stage-time sweep")
 		maxN     = flag.Int("max", 1_000_000, "stream length for -figure sweeps")
 		linear   = flag.Float64("check-linear", 0, "with -figure fig13: exit nonzero unless cumulative match/placement time at -max stays within this factor of the linear extrapolation from -max/2")
 		shardsN  = flag.Int("shards", 0, "with -figure fig13: run the sweep through the sharded round engine at this shard count")
-		shardSet = flag.String("shard-set", "1,2,4,8", "with -figure shards: comma-separated shard counts to sweep")
-		minSpeed = flag.Float64("check-speedup", 0, "with -figure shards: exit nonzero unless span speedup at the largest shard count reaches this factor")
 		logLevel = cli.LogLevelFlag()
 	)
 	flag.Parse()
@@ -88,17 +85,11 @@ func main() {
 	}
 
 	if *figure != "" {
-		switch *figure {
-		case "fig13":
-			if err := runSweep(w, s, *maxN, *linear, *jsonOut, *workers, *shardsN); err != nil {
-				cli.Fatal("fig13 sweep", err)
-			}
-		case "shards":
-			if err := runShardSweep(w, s, *shardSet, *minSpeed, *jsonOut); err != nil {
-				cli.Fatal("shard sweep", err)
-			}
-		default:
-			cli.Fatal("unknown -figure (want fig13 or shards)", nil, "figure", *figure)
+		if *figure != "fig13" {
+			cli.Fatal("unknown -figure (want fig13)", nil, "figure", *figure)
+		}
+		if err := runSweep(w, s, *maxN, *linear, *jsonOut, *workers, *shardsN); err != nil {
+			cli.Fatal("fig13 sweep", err)
 		}
 		return
 	}
@@ -290,54 +281,6 @@ func runSweep(w io.Writer, s experiments.Scale, max int, checkLinear float64, js
 			return err
 		}
 		slog.Info("linearity check passed", "factor", checkLinear)
-	}
-	slog.Info("done", "seconds", fmt.Sprintf("%.1f", elapsed.Seconds()))
-	return nil
-}
-
-// runShardSweep executes the -figure shards scaling sweep: the main
-// stream through the sharded round engine at each count in shardSet,
-// wall-clock and critical-path (span) throughput side by side.
-// BENCH_PR8.json is an instance (GOMAXPROCS=8, -json); with
-// checkSpeedup > 0 the sweep doubles as a scaling guardrail on the
-// span column, which measures the algorithm rather than the host's
-// core count (see the table notes and EXPERIMENTS.md).
-func runShardSweep(w io.Writer, s experiments.Scale, shardSet string, checkSpeedup float64, jsonOut bool) error {
-	var counts []int
-	for _, part := range strings.Split(shardSet, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return fmt.Errorf("bad -shard-set entry %q", part)
-		}
-		counts = append(counts, n)
-	}
-	start := time.Now()
-	slog.Info("shard sweep", "messages", s.Messages, "counts", shardSet)
-	res := experiments.ShardSweep(s, counts, 0)
-	elapsed := time.Since(start)
-	if jsonOut {
-		report := jsonReport{
-			Schema:     reportSchema,
-			GoVersion:  runtime.Version(),
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			Scale:      s,
-			Figures:    []jsonFigure{{Name: "shardsweep", Tables: []*experiments.Table{res.Table()}}},
-			ElapsedSec: elapsed.Seconds(),
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			return err
-		}
-	} else {
-		fmt.Fprintln(w, res.Table().Render())
-	}
-	if checkSpeedup > 0 {
-		top := counts[len(counts)-1]
-		if got := res.SpanSpeedup(top); got < checkSpeedup {
-			return fmt.Errorf("span speedup at %d shards is %.2fx, below the required %.2fx", top, got, checkSpeedup)
-		}
-		slog.Info("speedup check passed", "shards", top, "factor", checkSpeedup)
 	}
 	slog.Info("done", "seconds", fmt.Sprintf("%.1f", elapsed.Seconds()))
 	return nil

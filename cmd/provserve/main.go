@@ -12,14 +12,17 @@
 //	provserve -in stream.jsonl -addr :8080      # serve an existing dataset
 //	provgen -n 0 | provserve -live              # live ingest from stdin while serving
 //	provserve -in s.jsonl -ckpt engine.ckpt     # resume from/persist a checkpoint
+//	provserve -live -ckpt e.ckpt -wal wal       # crash-safe ingest (add -shards 4 for the sharded engine)
+//	provserve -follow http://leader:8080 -ckpt f.ckpt -wal fwal -addr :8081   # read replica of a durable node
 //	provserve -n 50000 -pprof                   # + /debug/pprof/ for provload runs
 //
-// Replication: a live durable leader (-live -ckpt -wal) automatically
-// ships its WAL under /repl/; a follower replays it:
-//
-//	provserve -live -ckpt l.ckpt -wal lwal -addr :8080           # leader
-//	provserve -follow http://leader:8080 -ckpt f.ckpt -wal fwal \
-//	          -addr :8081                                        # read replica
+// Every mode but -follow runs one path: -shards picks the engine, one
+// pipeline.Service ingests the input into it, and -live only decides
+// whether the listener opens beside the feed or after it. At end of
+// input, ingest stops with a final checkpoint and the node keeps
+// serving. -wal makes any mode durable (with -shards > 1, -ckpt is the
+// cross-shard manifest and -wal the per-shard tree); a durable serial
+// node is also a replication leader, shipping its WAL under /repl/.
 //
 // A follower serves the same read endpoints with an explicit staleness
 // bound: beyond -max-lag messages (or -stale-after of leader silence)
@@ -61,15 +64,15 @@ func main() {
 		n           = flag.Int("n", 50_000, "messages to generate when -in is empty (ignored with -live)")
 		seed        = flag.Int64("seed", 1, "generator seed")
 		addr        = flag.String("addr", ":8080", "listen address")
-		live        = flag.Bool("live", false, "keep ingesting from the input while serving (live mode)")
+		live        = flag.Bool("live", false, "serve while ingesting (default: ingest the whole input first)")
 		follow      = flag.String("follow", "", "run as a read replica of the leader at this base URL (requires -ckpt and -wal)")
 		maxLag      = flag.Uint64("max-lag", 10_000, "follower staleness bound in messages; beyond it reads answer 503 + Retry-After")
 		staleAfter  = flag.Duration("stale-after", 30*time.Second, "follower gates reads after this much leader silence (staleness unquantifiable)")
 		ckpt        = flag.String("ckpt", "", "checkpoint path: resume from it when present, keep it updated while running")
-		walDir      = flag.String("wal", "", "write-ahead log directory (live mode, requires -ckpt): crash-safe ingest — acknowledged messages survive a kill")
+		walDir      = flag.String("wal", "", "write-ahead log directory (requires -ckpt): crash-safe ingest — acknowledged messages survive a kill")
 		shards      = flag.Int("shards", 1, "engine shards; >1 ingests through the sharded round protocol (0 = auto: min(GOMAXPROCS, 8)); replication and tracing require 1")
 		pprofOn     = flag.Bool("pprof", false, "expose /debug/pprof/ runtime profiles (opt-in: costs CPU while sampling)")
-		logEvery    = flag.Duration("log-every", 10*time.Second, "cadence of structured progress lines in live mode")
+		logEvery    = flag.Duration("log-every", 10*time.Second, "cadence of structured progress lines")
 		traceSample = flag.Int("trace-sample", 0, "record every Nth ingest decision for /explain and /trace/* (0 = tracing off)")
 		traceBuffer = flag.Int("trace-buffer", trace.DefaultBuffer, "decisions and refinement events retained in the trace rings")
 		logLevel    = cli.LogLevelFlag()
@@ -82,98 +85,219 @@ func main() {
 	if ns == 0 {
 		ns = min(runtime.GOMAXPROCS(0), 8)
 	}
+	if err := validate(ns, *follow, *ckpt, *walDir); err != nil {
+		cli.Fatal("flags", err)
+	}
+	if *follow != "" {
+		serveFollower(*follow, *addr, *ckpt, *walDir, *maxLag, *staleAfter, *pprofOn, *logEvery)
+		return
+	}
 	if ns > 1 && *traceSample > 0 {
 		// trace.Recorder is not safe for the concurrent commit
 		// goroutines; see DESIGN.md section 2i.
 		slog.Warn("tracing is unavailable with -shards > 1; disabling", "shards", ns)
 		*traceSample = 0
 	}
+
 	rec := newRecorder(*traceSample, *traceBuffer)
-
-	if *follow != "" {
-		if ns > 1 {
-			cli.Fatal("flags", errors.New("-follow requires -shards 1: WAL shipping replicates a single serial log (DESIGN.md section 2i)"))
-		}
-		serveFollower(*follow, *addr, *ckpt, *walDir, *maxLag, *staleAfter, *pprofOn, *logEvery)
-		return
-	}
 	src := openSource(*in, *n, *seed, *live)
-	if ns > 1 {
-		serveSharded(src, ns, *addr, *ckpt, *walDir, *live, *pprofOn, *logEvery)
-		return
-	}
-	if *live {
-		serveLive(src, *addr, *ckpt, *walDir, *pprofOn, *logEvery, rec)
-		return
-	}
-
-	// Build-then-serve: ingest everything, then answer queries
-	// single-threaded through the processor.
-	proc := buildProcessor(*ckpt)
-	proc.Engine().SetTracer(rec)
-	start := time.Now()
-	count := ingestAll(proc, src)
-	st := proc.Snapshot()
-	slog.Info("indexed", "messages", count, "bundles", st.BundlesLive,
-		"seconds", fmt.Sprintf("%.1f", time.Since(start).Seconds()))
-	if *ckpt != "" {
-		if err := proc.Engine().SaveCheckpoint(nil, *ckpt); err != nil {
-			cli.Fatal("checkpoint", err)
-		}
-		slog.Info("checkpoint written", "path", *ckpt)
-	}
 	reg := metrics.NewRegistry()
-	proc.Engine().RegisterMetrics(reg)
-	slog.Info("listening", "addr", *addr, "try", "/prov?q=tsunami+samoa")
-	serveHTTP(*addr, server.New(proc, serverOptions(reg, *pprofOn, rec)...), nil)
+	var nd node
+	if ns > 1 {
+		nd = openSharded(ns, *ckpt, *walDir, reg)
+	} else {
+		nd = openSerial(*ckpt, *walDir, reg, rec)
+	}
+	nd.svc.RegisterMetrics(reg)
+	srvOpts := serverOptions(reg, *pprofOn, rec)
+	if nd.shipper != nil {
+		srvOpts = append(srvOpts, server.WithReplication(nd.shipper))
+	}
+	slog.Info("serving", "addr", *addr, "shards", ns, "live", *live, "durable", nd.close != nil,
+		"leader", nd.shipper != nil, "recovered", nd.svc.Snapshot().Messages, "wal_replayed", nd.replayed,
+		"try", "/prov?q=tsunami+samoa")
+	serve(nd, src, *live, *addr, *logEvery, srvOpts)
 }
 
-// serveFollower runs provserve as a WAL-shipping read replica: it
-// bootstraps from the leader's newest checkpoint, tails its WAL with
-// retries and backoff, and serves the same read endpoints with an
-// explicit staleness bound — /readyz flips and data requests answer
-// 503 + Retry-After whenever the replica is bootstrapping, lagging
-// beyond maxLag, cut off from the leader past staleAfter, or diverged.
-func serveFollower(leaderURL, addr, ckpt, walDir string, maxLag uint64, staleAfter time.Duration, pprofOn bool, logEvery time.Duration) {
-	if ckpt == "" || walDir == "" {
-		cli.Fatal("flags", errors.New("-follow requires -ckpt and -wal: a follower is a full crash-recoverable node"))
+// validate checks the flag combinations every mode shares, before any
+// state is opened. shards is the resolved count (never 0).
+func validate(shards int, follow, ckpt, walDir string) error {
+	switch {
+	case shards < 1:
+		return fmt.Errorf("-shards %d: want a count, or 0 for auto", shards)
+	case walDir != "" && ckpt == "":
+		return errors.New("-wal requires -ckpt")
+	case follow != "" && shards > 1:
+		return errors.New("-follow requires -shards 1: WAL shipping replicates a single serial log (DESIGN.md section 2i)")
+	case follow != "" && walDir == "":
+		return errors.New("-follow requires -ckpt and -wal: a follower is a full crash-recoverable node")
+	case shards > 1 && ckpt != "" && walDir == "":
+		return errors.New("-shards > 1: -ckpt requires -wal (the checkpoint is a manifest over the per-shard tree)")
 	}
-	reg := metrics.NewRegistry()
-	rep, err := repl.NewReplica(leaderURL, core.FullIndexConfig(), repl.ReplicaOptions{
-		CheckpointPath: ckpt,
-		WALDir:         walDir,
-		MaxLag:         maxLag,
-		StaleAfter:     staleAfter,
-	})
-	if err != nil {
-		cli.Fatal("follower", err)
-	}
-	rep.RegisterMetrics(reg)
-	rep.Start()
+	return nil
+}
 
-	// Structured heartbeat mirroring the leader's live-mode line.
-	go func() {
-		for range time.Tick(logEvery) {
-			st := rep.Health()
-			attrs := []any{"ready", st.Ready, "applied", rep.Applied(), "lag", rep.Lag()}
-			if !st.Ready {
-				attrs = append(attrs, "reason", st.Reason)
+const (
+	checkpointEvery = 50_000 // checkpoint cadence, in applied messages
+	walSyncEvery    = 64     // WAL appends per fsync
+)
+
+// node is an opened engine behind its ingest service: everything serve
+// needs, whichever engine -shards picked.
+type node struct {
+	svc      *pipeline.Service
+	close    func() error // releases the durable files; nil without a WAL
+	shipper  *repl.Source // WAL shipping to followers; durable serial nodes only
+	replayed int          // messages the WAL contributed at open
+}
+
+// openSerial builds the serial engine: durable with -wal (and then a
+// replication leader shipping its WAL under /repl/), otherwise in
+// memory with an optional plain checkpoint file.
+func openSerial(ckpt, walDir string, reg *metrics.Registry, rec *trace.Recorder) node {
+	var nd node
+	opts := pipeline.Options{}
+	var eng *core.Engine
+	if walDir != "" {
+		dur, err := pipeline.OpenDurable(core.FullIndexConfig(), nil, nil, pipeline.DurableOptions{
+			CheckpointPath: ckpt,
+			WALDir:         walDir,
+			WALSyncEvery:   walSyncEvery,
+		})
+		if err != nil {
+			cli.Fatal("durable open", err)
+		}
+		eng = dur.Engine()
+		dur.RegisterMetrics(reg)
+		opts.Durable = dur
+		opts.CheckpointEvery = checkpointEvery
+		nd.close, nd.replayed = dur.Close, dur.Replayed()
+		nd.shipper = repl.NewSource(dur, repl.SourceOptions{})
+		nd.shipper.RegisterMetrics(reg)
+	} else {
+		eng = loadEngine(ckpt)
+		if ckpt != "" {
+			opts.CheckpointEvery = checkpointEvery
+			opts.CheckpointPath = ckpt
+		}
+	}
+	eng.SetTracer(rec)
+	eng.RegisterMetrics(reg)
+	proc := query.New(eng, query.DefaultOptions())
+	// Recovery bypassed the processor, so rebuild the baseline message
+	// index from the recovered pool — /search answers over the full
+	// recovered history, not just post-resume messages.
+	proc.Reindex()
+	nd.svc = pipeline.New(proc, opts)
+	return nd
+}
+
+// openSharded builds the sharded round engine (DESIGN.md section 2i):
+// durable with -wal, otherwise in memory. Replication shipping is a
+// single-shard feature: a sharded node exposes no /repl/ endpoints.
+func openSharded(ns int, ckpt, walDir string, reg *metrics.Registry) node {
+	var nd node
+	q := query.DefaultOptions()
+	opts := shard.Options{Shards: ns, Query: &q}
+	var eng *shard.Engine
+	var dur *shard.Durable
+	var err error
+	if walDir != "" {
+		dur, err = shard.OpenDurable(core.FullIndexConfig(), opts, shard.DurableOptions{
+			Dir:          walDir,
+			ManifestPath: ckpt,
+			WALSyncEvery: walSyncEvery,
+		})
+		if err != nil {
+			cli.Fatal("sharded durable open", err)
+		}
+		eng = dur.Engine
+		eng.Reindex() // as in openSerial, per shard
+		dur.RegisterMetrics(reg)
+		nd.close, nd.replayed = dur.Close, dur.Replayed()
+	} else if eng, err = shard.New(core.FullIndexConfig(), opts, nil, nil); err != nil {
+		cli.Fatal("sharded engine", err)
+	}
+	eng.RegisterMetrics(reg)
+	nd.svc, err = shard.NewService(eng, dur, shard.ServiceOptions{CheckpointEvery: checkpointEvery})
+	if err != nil {
+		cli.Fatal("sharded service", err)
+	}
+	return nd
+}
+
+// serve is everything after the engine is open, in every mode: feed
+// the input into the service, stop ingest (final checkpoint) when it
+// ends, log a heartbeat, answer HTTP and shut down cleanly. live opens
+// the listener beside the feed instead of after it.
+func serve(nd node, src stream.Source, live bool, addr string, logEvery time.Duration, srvOpts []server.Option) {
+	svc := nd.svc
+	svc.Start()
+	feed := func() {
+		start := time.Now()
+		for {
+			m, err := src.Next()
+			if err == io.EOF {
+				break
 			}
-			slog.Info("follower", attrs...)
+			if err == nil {
+				err = svc.Submit(m)
+			}
+			if errors.Is(err, pipeline.ErrClosed) {
+				return // shutdown raced the feed; drop the rest
+			}
+			if err != nil {
+				cli.Fatal("feed", err)
+			}
+		}
+		// Only ingest closes: the service keeps answering queries.
+		if err := svc.Stop(); err != nil {
+			cli.Fatal("ingest", err)
+		}
+		st := svc.Snapshot()
+		slog.Info("input drained, still serving", "messages", st.Messages, "bundles", st.BundlesLive,
+			"seconds", fmt.Sprintf("%.1f", time.Since(start).Seconds()))
+	}
+	if live {
+		go feed()
+	} else {
+		feed()
+	}
+
+	// The same numbers /metrics exports, so a terminal tail shows where
+	// ingest stands.
+	heartbeat(logEvery, "live", func() []any {
+		st := svc.Snapshot()
+		attrs := []any{"messages", st.Messages, "bundles", st.BundlesLive,
+			"mem_mb", fmt.Sprintf("%.1f", float64(st.MemTotal())/(1<<20)), "checkpoints", svc.Checkpoints()}
+		if st.Degraded() {
+			attrs = append(attrs, "flush_parked", st.FlushParked, "flush_dropped", st.FlushDropped)
+		}
+		return attrs
+	})
+
+	serveHTTP(addr, server.New(svc, srvOpts...), func() {
+		// Stop drains the ingest queue and writes the final checkpoint
+		// (which also truncates the WAL on a durable node).
+		if err := svc.Stop(); err != nil {
+			slog.Error("ingest stop", "err", err)
+		}
+		if nd.close != nil {
+			if err := nd.close(); err != nil {
+				slog.Error("wal close", "err", err)
+			}
+		}
+	})
+}
+
+// heartbeat logs msg with fresh attrs every interval, for the life of
+// the process.
+func heartbeat(every time.Duration, msg string, attrs func() []any) {
+	go func() {
+		for range time.Tick(every) {
+			slog.Info(msg, attrs()...)
 		}
 	}()
-
-	opts := serverOptions(reg, pprofOn, nil)
-	opts = append(opts, server.WithHealth(rep.Health))
-	slog.Info("follower mode", "leader", leaderURL, "addr", addr,
-		"max_lag", maxLag, "stale_after", staleAfter.String())
-	serveHTTP(addr, server.New(rep, opts...), func() {
-		// Stop drains the apply queue and writes a final checkpoint, so
-		// the next start recovers locally instead of re-bootstrapping.
-		if err := rep.Stop(); err != nil {
-			slog.Error("replica stop", "err", err)
-		}
-	})
 }
 
 // newRecorder builds the decision tracer, nil when sampling is off
@@ -200,35 +324,25 @@ func serverOptions(reg *metrics.Registry, pprofOn bool, rec *trace.Recorder) []s
 	return opts
 }
 
-// buildProcessor restores from a checkpoint when one exists, otherwise
-// starts fresh.
-func buildProcessor(ckpt string) *query.Processor {
+// loadEngine restores the engine from a plain checkpoint file when one
+// exists, otherwise starts fresh (the file is created on save).
+func loadEngine(ckpt string) *core.Engine {
 	cfg := core.FullIndexConfig()
 	if ckpt != "" {
 		eng, err := core.LoadCheckpoint(cfg, nil, nil, nil, ckpt)
-		switch {
-		case errors.Is(err, fs.ErrNotExist):
-			// Fresh start; the checkpoint will be created on save.
-		case err != nil:
+		if err == nil {
+			return eng
+		}
+		if !errors.Is(err, fs.ErrNotExist) {
 			cli.Fatal("restore checkpoint", err, "path", ckpt)
-		default:
-			st := eng.Snapshot()
-			slog.Info("resumed from checkpoint", "path", ckpt,
-				"messages", st.Messages, "bundles", st.BundlesLive)
-			// The baseline message index is not checkpointed; rebuild
-			// it from the restored pool so /search covers the full
-			// recovered history, not just post-resume messages.
-			proc := query.New(eng, query.DefaultOptions())
-			proc.Reindex()
-			return proc
 		}
 	}
-	return query.New(core.New(cfg, nil, nil), query.DefaultOptions())
+	return core.New(cfg, nil, nil)
 }
 
 // serveHTTP runs a configured http.Server until it fails or a
 // SIGINT/SIGTERM arrives, then drains in-flight requests and calls
-// onShutdown (ingest drain + final checkpoint in live mode).
+// onShutdown (ingest drain + final checkpoint).
 func serveHTTP(addr string, h http.Handler, onShutdown func()) {
 	srv := &http.Server{
 		Addr:              addr,
@@ -252,9 +366,7 @@ func serveHTTP(addr string, h http.Handler, onShutdown func()) {
 		if err := srv.Shutdown(ctx); err != nil {
 			slog.Error("http shutdown", "err", err)
 		}
-		if onShutdown != nil {
-			onShutdown()
-		}
+		onShutdown()
 		slog.Info("clean exit")
 	}
 }
@@ -280,251 +392,4 @@ func openSource(in string, n int, seed int64, live bool) stream.Source {
 		}}
 		return stream.Limit(stream.FuncSource(gen.New(cfg).Next), n)
 	}
-}
-
-func ingestAll(proc *query.Processor, src stream.Source) int {
-	count := 0
-	for {
-		m, err := src.Next()
-		if err == io.EOF {
-			return count
-		}
-		if err != nil {
-			cli.Fatal("read", err)
-		}
-		proc.Insert(m)
-		count++
-	}
-}
-
-// serveSharded hosts the site on the sharded round engine (DESIGN.md
-// section 2i): N shards ingest through two-phase rounds, queries fan
-// out and merge under the serial tie order. With -ckpt and -wal the
-// node is durable — -ckpt holds the cross-shard manifest and -wal the
-// per-shard WAL/checkpoint tree, with the coordinated barrier keeping
-// recovery crash-consistent across shards. Replication shipping is a
-// single-shard feature: a sharded leader exposes no /repl/ endpoints.
-func serveSharded(src stream.Source, ns int, addr, ckpt, walDir string, live, pprofOn bool, logEvery time.Duration) {
-	cfg := core.FullIndexConfig()
-	q := query.DefaultOptions()
-	opts := shard.Options{Shards: ns, Query: &q}
-	reg := metrics.NewRegistry()
-	var eng *shard.Engine
-	var dur *shard.Durable
-	svcOpts := shard.ServiceOptions{}
-	switch {
-	case walDir != "" && ckpt == "":
-		cli.Fatal("flags", errors.New("-wal requires -ckpt"))
-	case ckpt != "" && walDir == "":
-		cli.Fatal("flags", errors.New("sharded mode: -ckpt requires -wal (the checkpoint is a manifest over the per-shard tree)"))
-	case walDir != "":
-		var err error
-		dur, err = shard.OpenDurable(cfg, opts, shard.DurableOptions{
-			Dir:          walDir,
-			ManifestPath: ckpt,
-			WALSyncEvery: 64,
-		})
-		if err != nil {
-			cli.Fatal("sharded durable open", err)
-		}
-		eng = dur.Engine
-		if g := eng.Global(); g > 0 {
-			slog.Info("recovered", "messages", g, "wal_replayed", dur.Replayed())
-		}
-		// Recovery bypassed the processors; rebuild their baseline
-		// message indexes from the recovered pools.
-		eng.Reindex()
-		dur.RegisterMetrics(reg)
-		svcOpts.CheckpointEvery = 50_000
-	default:
-		var err error
-		eng, err = shard.New(cfg, opts, nil, nil)
-		if err != nil {
-			cli.Fatal("sharded engine", err)
-		}
-	}
-	eng.RegisterMetrics(reg)
-	svc, err := shard.NewService(eng, dur, svcOpts)
-	if err != nil {
-		cli.Fatal("sharded service", err)
-	}
-	svc.RegisterMetrics(reg)
-	svc.Start()
-
-	feed := func() {
-		for {
-			m, err := src.Next()
-			if err == io.EOF {
-				return
-			}
-			if err != nil {
-				cli.Fatal("read", err)
-			}
-			if err := svc.Submit(m); err != nil {
-				if errors.Is(err, shard.ErrClosed) {
-					return // shutdown raced the feed; drop the rest
-				}
-				cli.Fatal("submit", err)
-			}
-		}
-	}
-	if live {
-		go func() {
-			feed()
-			slog.Info("input drained, still serving", "messages", svc.Ingested())
-		}()
-	} else {
-		// Build-then-serve: ingest everything before listening. The
-		// service stays up for queries after Stop — only ingest closes.
-		start := time.Now()
-		feed()
-		if err := svc.Stop(); err != nil {
-			cli.Fatal("sharded ingest", err)
-		}
-		st := svc.Snapshot()
-		slog.Info("indexed", "messages", svc.Ingested(), "bundles", st.BundlesLive,
-			"shards", ns, "seconds", fmt.Sprintf("%.1f", time.Since(start).Seconds()))
-	}
-
-	go func() {
-		for range time.Tick(logEvery) {
-			st := svc.Snapshot()
-			attrs := []any{
-				"messages", st.Messages,
-				"bundles", st.BundlesLive,
-				"shards", ns,
-				"mem_mb", fmt.Sprintf("%.1f", float64(st.MemTotal())/(1<<20)),
-				"checkpoints", svc.Checkpoints(),
-			}
-			if st.Degraded() {
-				attrs = append(attrs, "flush_parked", st.FlushParked, "flush_dropped", st.FlushDropped)
-			}
-			slog.Info("live", attrs...)
-		}
-	}()
-
-	slog.Info("sharded mode", "addr", addr, "shards", ns, "live", live, "durable", dur != nil,
-		"note", "replication shipping requires -shards 1")
-	serveHTTP(addr, server.New(svc, serverOptions(reg, pprofOn, nil)...), func() {
-		if err := svc.Stop(); err != nil {
-			slog.Error("sharded stop", "err", err)
-		}
-		if dur != nil {
-			if err := dur.Close(); err != nil {
-				slog.Error("sharded close", "err", err)
-			}
-		}
-	})
-}
-
-// serveLive runs the concurrent pipeline: ingest from src in the
-// background while the HTTP server answers queries against live state.
-// With both -ckpt and -wal the ingest path is crash-safe: every
-// message is WAL-appended before it is applied, and a kill at any
-// point recovers to checkpoint + WAL replay on the next start.
-func serveLive(src stream.Source, addr, ckpt, walDir string, pprofOn bool, logEvery time.Duration, rec *trace.Recorder) {
-	cfg := core.FullIndexConfig()
-	opts := pipeline.Options{}
-	reg := metrics.NewRegistry()
-	var proc *query.Processor
-	var dur *pipeline.Durable
-	var shipper *repl.Source
-	switch {
-	case walDir != "" && ckpt == "":
-		cli.Fatal("flags", errors.New("-wal requires -ckpt"))
-	case walDir != "":
-		var err error
-		dur, err = pipeline.OpenDurable(cfg, nil, nil, pipeline.DurableOptions{
-			CheckpointPath: ckpt,
-			WALDir:         walDir,
-			WALSyncEvery:   64,
-		})
-		if err != nil {
-			cli.Fatal("durable open", err)
-		}
-		if st := dur.Engine().Snapshot(); st.Messages > 0 {
-			slog.Info("recovered", "messages", st.Messages, "wal_replayed", dur.Replayed())
-		}
-		proc = query.New(dur.Engine(), query.DefaultOptions())
-		// Recovery bypassed the processor, so rebuild the baseline
-		// message index from the recovered pool — /search answers over
-		// the full recovered history, not just post-resume messages.
-		proc.Reindex()
-		dur.RegisterMetrics(reg)
-		opts.Durable = dur
-		opts.CheckpointEvery = 50_000
-		// A durable live node is a replication leader: ship the WAL
-		// under /repl/ for followers to bootstrap from and tail.
-		shipper = repl.NewSource(dur, repl.SourceOptions{})
-		shipper.RegisterMetrics(reg)
-	default:
-		proc = buildProcessor(ckpt)
-		if ckpt != "" {
-			opts.CheckpointEvery = 50_000
-			opts.CheckpointPath = ckpt
-		}
-	}
-	proc.Engine().SetTracer(rec)
-	proc.Engine().RegisterMetrics(reg)
-	svc := pipeline.New(proc, opts)
-	svc.RegisterMetrics(reg)
-	svc.Start()
-
-	go func() {
-		for {
-			m, err := src.Next()
-			if err == io.EOF {
-				if err := svc.Stop(); err != nil {
-					cli.Fatal("pipeline", err)
-				}
-				slog.Info("input drained, still serving", "messages", svc.Ingested())
-				return
-			}
-			if err != nil {
-				cli.Fatal("read", err)
-			}
-			if err := svc.Submit(m); err != nil {
-				if errors.Is(err, pipeline.ErrClosed) {
-					return // shutdown raced the feed; drop the rest
-				}
-				cli.Fatal("submit", err)
-			}
-		}
-	}()
-
-	// Structured progress heartbeat: the same numbers /metrics exports,
-	// logged on a cadence so a terminal tail shows where ingest stands.
-	go func() {
-		for range time.Tick(logEvery) {
-			st := svc.Snapshot()
-			attrs := []any{
-				"messages", st.Messages,
-				"bundles", st.BundlesLive,
-				"mem_mb", fmt.Sprintf("%.1f", float64(st.MemTotal())/(1<<20)),
-				"checkpoints", svc.Checkpoints(),
-			}
-			if st.Degraded() {
-				attrs = append(attrs, "flush_parked", st.FlushParked, "flush_dropped", st.FlushDropped)
-			}
-			slog.Info("live", attrs...)
-		}
-	}()
-
-	srvOpts := serverOptions(reg, pprofOn, rec)
-	if shipper != nil {
-		srvOpts = append(srvOpts, server.WithReplication(shipper))
-	}
-	slog.Info("live mode", "addr", addr, "durable", dur != nil, "leader", shipper != nil)
-	serveHTTP(addr, server.New(svc, srvOpts...), func() {
-		// Stop drains the ingest queue and writes the final checkpoint
-		// (which also truncates the WAL in durable mode).
-		if err := svc.Stop(); err != nil {
-			slog.Error("pipeline stop", "err", err)
-		}
-		if dur != nil {
-			if err := dur.Close(); err != nil {
-				slog.Error("wal close", "err", err)
-			}
-		}
-	})
 }

@@ -1,15 +1,23 @@
-// Package pipeline wraps the single-threaded provenance engine in a
-// concurrent service: one writer goroutine owns ingest (the paper's
-// pipeline is inherently sequential — messages must enter in date
-// order), while any number of query goroutines read under a shared
-// lock. This is the "real time" deployment shell around the core: the
-// demo server and live feeds talk to a Service, not to the Engine.
+// Package pipeline is the one concurrent deployment shell around the
+// provenance engines: a single writer goroutine owns ingest (the
+// paper's pipeline is inherently sequential — messages must enter in
+// date order), while any number of query goroutines read under a
+// shared lock. The demo server, live feeds and replicas talk to a
+// Service, not to an engine.
 //
-// The Service also supports periodic durable checkpoints (the paper's
-// stability requirement): every CheckpointEvery messages the engine
-// state is written to CheckpointPath via an atomic temp-file rename, so
-// a crashed process can resume from the last checkpoint without
-// re-ingesting the stream.
+// The Service drives its engine through Backend, which has exactly two
+// implementations: the serial one New builds over a query.Processor and
+// its optional Durable, and the sharded one shard.NewService builds
+// over a shard.Engine. Everything that is not engine work — the queue
+// and its back-pressure, parallel prepare, flush-on-idle, the
+// checkpoint cadence and protocol, error latching, the
+// provex_pipeline_* metrics — exists once, here.
+//
+// Checkpoints (the paper's stability requirement) run every
+// CheckpointEvery applied messages and at Stop, in two steps: the
+// mutating step (flush the buffered round, drain parked flushes) under
+// the write lock, then the persisting step under the read lock, so
+// queries stay answerable while state goes to disk.
 //
 // Concurrency contract: Submit is safe from any goroutine (it only
 // feeds the queue); Start and Stop must not race each other; all query
@@ -37,16 +45,53 @@ import (
 // ErrClosed is returned by Submit after Stop.
 var ErrClosed = errors.New("pipeline: service closed")
 
+// Backend is the engine side of a Service. The Service supplies all
+// synchronisation: Log and the reads of Pending and Applied happen on
+// the writer goroutine, Apply, Flush and PrepareCheckpoint under the
+// write lock, and everything else under the read lock, so an
+// implementation needs no locking of its own.
+type Backend interface {
+	// Log makes m durable ahead of Apply. It runs outside the lock so an
+	// fsync never blocks queries; a failure degrades durability but does
+	// not stop ingest. Engines that log inside Apply return nil.
+	Log(m *tweet.Message) error
+	// Apply ingests one prepared message; it may only buffer it. An
+	// error is the backend's to latch and report through Err.
+	Apply(p core.Prepared) error
+	// Flush applies whatever Apply buffered; Pending counts it.
+	Flush() error
+	Pending() int
+	// Applied counts the messages in engine state, recovered ones
+	// included.
+	Applied() int
+
+	// CanCheckpoint reports whether the two checkpoint steps do
+	// anything. PrepareCheckpoint is the mutating step; Checkpoint only
+	// reads engine state and writes it out.
+	CanCheckpoint() bool
+	PrepareCheckpoint() error
+	Checkpoint() error
+
+	Err() error
+	Snapshot() core.Stats
+	SearchBundles(q string, k int) []query.BundleHit
+	SearchMessages(q string, k int) []query.MessageHit
+	Trail(id bundle.ID) (string, error)
+	Bundle(id bundle.ID) (*bundle.Bundle, error)
+	Trending(k int) []trending.Topic
+}
+
 // Options configure a Service.
 type Options struct {
 	// Buffer is the ingest queue capacity; Submit blocks when full
 	// (backpressure), so producers can never outrun memory. 0 uses 1024.
 	Buffer int
-	// CheckpointEvery writes a checkpoint after every n ingested
-	// messages; 0 disables checkpointing.
+	// CheckpointEvery writes a checkpoint once that many messages have
+	// been applied since the last one; 0 leaves only the checkpoint at
+	// Stop.
 	CheckpointEvery int
-	// CheckpointPath is the checkpoint file; required when
-	// CheckpointEvery > 0.
+	// CheckpointPath is the checkpoint file of a serial service without
+	// a Durable; required then when CheckpointEvery > 0.
 	CheckpointPath string
 	// Workers sets the number of concurrent prepare goroutines (keyword
 	// extraction) feeding the single apply writer. 0 defers to the
@@ -54,37 +99,41 @@ type Options struct {
 	// fully serial writer. Bundle assignment is identical either way —
 	// the apply stage consumes prepared messages in submission order.
 	Workers int
-	// Durable, when set, switches the service to crash-safe ingest:
+	// Durable, when set, switches a serial service to crash-safe ingest:
 	// every message is WAL-appended before it is applied, and
-	// checkpoints (on the CheckpointEvery cadence and at Stop) go
-	// through Durable.Checkpoint — drain parked flushes, sync the
-	// store, atomic checkpoint, truncate the WAL. The Durable must wrap
-	// the same engine the service's processor does; CheckpointPath is
-	// ignored (Durable carries its own).
+	// checkpoints go through Durable.Checkpoint — drain parked flushes,
+	// sync the store, atomic checkpoint, truncate the WAL. The Durable
+	// must wrap the same engine the service's processor does;
+	// CheckpointPath is ignored (Durable carries its own).
 	Durable *Durable
 }
 
-// Service is a concurrent facade over a query.Processor. Create with
-// New, feed with Submit, query with the Search/Trail methods, and shut
-// down with Stop.
+// Service is a concurrent facade over a Backend. Create with New (or
+// shard.NewService), feed with Submit, query with the Search/Trail
+// methods, and shut down with Stop. The query methods work on a
+// Service that was never started.
 type Service struct {
 	opts Options
-	proc *query.Processor
+	be   Backend
 
-	mu sync.RWMutex // guards proc/engine state
+	mu sync.RWMutex // guards the backend's engine state
 
 	in     chan *tweet.Message
 	done   chan struct{}
 	stopMu sync.Mutex
 	closed bool // guarded by stopMu
 
-	ingested  int   // guarded by mu
-	ckptErr   error // guarded by mu
-	ckptCount int   // guarded by mu
-	walErr    error // guarded by mu
+	// base is the backend's applied count at construction (the recovered
+	// prefix), immutable afterwards; lastCkpt is the applied count at the
+	// last checkpoint attempt, owned by the writer goroutine.
+	base     int
+	lastCkpt int
 
-	// ckptTimer accumulates checkpoint wall time (drain + store sync +
-	// atomic write + WAL truncate). Atomic, so scrapes read it live.
+	bgErr     error // guarded by mu
+	ckptCount int   // guarded by mu
+
+	// ckptTimer accumulates checkpoint wall time (both steps). Atomic,
+	// so scrapes read it live.
 	ckptTimer metrics.StageTimer
 }
 
@@ -94,13 +143,13 @@ type Service struct {
 // scrape briefly queues behind the writer like any query does.
 func (s *Service) RegisterMetrics(reg *metrics.Registry) {
 	reg.RegisterCounterFunc("provex_pipeline_ingested_total",
-		"Messages applied by the ingest writer.",
+		"Messages applied by the ingest writer since this process started (recovered messages excluded).",
 		func() float64 { return float64(s.Ingested()) })
 	reg.RegisterCounterFunc("provex_pipeline_checkpoints_total",
-		"Durable checkpoints written.",
+		"Durable checkpoints written by the ingest writer.",
 		func() float64 { return float64(s.Checkpoints()) })
 	reg.RegisterTimer("provex_pipeline_checkpoint_seconds",
-		"Cumulative checkpoint time (retry drain, store sync, atomic write, WAL truncate).",
+		"Cumulative checkpoint time (round flush, retry drain, store sync, atomic write, WAL truncate).",
 		&s.ckptTimer)
 	reg.RegisterGaugeFunc("provex_pipeline_queue_depth",
 		"Messages waiting in the ingest queue (capacity reached = producers blocked on backpressure).",
@@ -110,16 +159,35 @@ func (s *Service) RegisterMetrics(reg *metrics.Registry) {
 		func() float64 { return float64(cap(s.in)) })
 }
 
-// New builds a Service around proc. Call Start before Submit.
+// New builds a Service over the serial engine behind proc. Call Start
+// before Submit.
 func New(proc *query.Processor, opts Options) *Service {
+	if opts.Workers == 0 {
+		opts.Workers = proc.Engine().Config().Parallel.Workers
+	}
+	return NewWith(&serial{
+		Processor: proc,
+		dur:       opts.Durable,
+		path:      opts.CheckpointPath,
+		applied:   int(proc.Engine().Snapshot().Messages),
+	}, opts)
+}
+
+// NewWith builds a Service over be. Of opts it reads Buffer,
+// CheckpointEvery and Workers (0 meaning 1); the rest configure the
+// backend New builds.
+func NewWith(be Backend, opts Options) *Service {
 	if opts.Buffer <= 0 {
 		opts.Buffer = 1024
 	}
+	base := be.Applied()
 	return &Service{
-		opts: opts,
-		proc: proc,
-		in:   make(chan *tweet.Message, opts.Buffer),
-		done: make(chan struct{}),
+		opts:     opts,
+		be:       be,
+		in:       make(chan *tweet.Message, opts.Buffer),
+		done:     make(chan struct{}),
+		base:     base,
+		lastCkpt: base,
 	}
 }
 
@@ -128,46 +196,43 @@ func (s *Service) Start() {
 	go s.run()
 }
 
+// run is the writer loop: prepare (inline, or on a PreparePool that
+// keeps apply order equal to submission order), apply, and flush a
+// buffered round whenever the queue runs dry so a live tail never sits
+// invisible and non-durable in a batch buffer.
 func (s *Service) run() {
 	defer close(s.done)
-	workers := s.opts.Workers
-	if workers == 0 {
-		workers = s.proc.Engine().Config().Parallel.Workers
-	}
-	if workers > 1 {
-		s.runParallel(workers)
-	} else {
-		for m := range s.in {
-			s.apply(core.Prepare(m))
-		}
-	}
-	// Final checkpoint on drain, so Stop leaves durable state. Read
-	// the count through the locked accessor: Stop's caller goroutine
-	// observes ingested too, and the writer is not the only reader by
-	// the time the channel drains.
-	if s.Ingested() > 0 && (s.opts.CheckpointEvery > 0 || s.opts.Durable != nil) {
-		s.checkpoint()
-	}
-}
-
-// runParallel fans keyword extraction out over a PreparePool while this
-// goroutine stays the only writer: prepared messages are applied
-// strictly in submission order, so the resulting bundle state is
-// identical to the serial path.
-func (s *Service) runParallel(workers int) {
-	pool := NewPreparePool(workers, 0)
-	go func() {
-		for m := range s.in {
-			pool.Dispatch(m)
-		}
-		pool.Close()
-	}()
-	for {
-		p, ok := pool.Next()
+	next := func() (core.Prepared, bool) {
+		m, ok := <-s.in
 		if !ok {
-			return
+			return core.Prepared{}, false
+		}
+		return core.Prepare(m), true
+	}
+	if s.opts.Workers > 1 {
+		pool := NewPreparePool(s.opts.Workers, 0)
+		go func() {
+			for m := range s.in {
+				pool.Dispatch(m)
+			}
+			pool.Close()
+		}()
+		next = pool.Next
+	}
+	for {
+		p, ok := next()
+		if !ok {
+			break
 		}
 		s.apply(p)
+		if len(s.in) == 0 {
+			s.flush()
+		}
+	}
+	s.flush()
+	// Final checkpoint on drain, so Stop leaves durable state.
+	if s.be.CanCheckpoint() && s.be.Applied() > s.base {
+		s.checkpoint()
 	}
 }
 
@@ -175,52 +240,63 @@ func (s *Service) runParallel(workers int) {
 // (WAL-before-apply), mutate engine state under the write lock and
 // checkpoint on cadence.
 func (s *Service) apply(p core.Prepared) {
-	if d := s.opts.Durable; d != nil {
-		if err := d.Log(p.Doc.Msg); err != nil {
-			// The message stays in memory but is not crash-safe:
-			// degraded durability, latched and surfaced by Err while
-			// ingest continues (availability over durability).
-			s.setWALErr(err)
-		}
+	if err := s.be.Log(p.Doc.Msg); err != nil {
+		// The message stays in memory but is not crash-safe: degraded
+		// durability, latched and surfaced by Err while ingest continues
+		// (availability over durability).
+		s.fail("wal", err)
 	}
 	s.mu.Lock()
-	s.proc.InsertPrepared(p)
-	s.ingested++
-	n := s.ingested
+	err := s.be.Apply(p)
 	s.mu.Unlock()
-	if s.opts.CheckpointEvery > 0 && n%s.opts.CheckpointEvery == 0 {
+	// On error the backend has latched it; the queue keeps draining so
+	// Stop does not deadlock producers.
+	if err == nil {
+		s.maybeCheckpoint()
+	}
+}
+
+// flush applies a partial round so the live tail becomes visible (and,
+// for a durable backend, acknowledged).
+func (s *Service) flush() {
+	if s.be.Pending() == 0 {
+		return
+	}
+	s.mu.Lock()
+	err := s.be.Flush()
+	s.mu.Unlock()
+	if err == nil {
+		s.maybeCheckpoint()
+	}
+}
+
+// maybeCheckpoint checkpoints once CheckpointEvery messages have been
+// applied since the last checkpoint this writer took.
+func (s *Service) maybeCheckpoint() {
+	if s.opts.CheckpointEvery > 0 && s.be.CanCheckpoint() &&
+		s.be.Applied()-s.lastCkpt >= s.opts.CheckpointEvery {
 		s.checkpoint()
 	}
 }
 
-// checkpoint writes engine state to disk atomically. Only the writer
-// goroutine calls it. Failures are latched and surfaced by Err.
+// checkpoint makes engine state durable. Only the writer goroutine
+// calls it. Failures are latched and surfaced by Err.
 func (s *Service) checkpoint() {
 	start := time.Now()
 	defer func() { s.ckptTimer.Observe(time.Since(start)) }()
-	if d := s.opts.Durable; d != nil {
-		// Draining parked flushes mutates the engine: write lock.
-		s.mu.Lock()
-		d.DrainRetries()
-		s.mu.Unlock()
+	// Flushing and draining parked flushes mutate the engine: write lock.
+	s.mu.Lock()
+	err := s.be.PrepareCheckpoint()
+	s.mu.Unlock()
+	s.lastCkpt = s.be.Applied()
+	if err == nil {
 		// The checkpoint itself only reads — queries stay answerable.
 		s.mu.RLock()
-		err := d.Checkpoint()
+		err = s.be.Checkpoint()
 		s.mu.RUnlock()
-		if err != nil {
-			s.setCkptErr(err)
-			return
-		}
-		s.mu.Lock()
-		s.ckptCount++
-		s.mu.Unlock()
-		return
 	}
-	s.mu.RLock()
-	err := s.proc.Engine().SaveCheckpoint(nil, s.opts.CheckpointPath)
-	s.mu.RUnlock()
 	if err != nil {
-		s.setCkptErr(err)
+		s.fail("checkpoint", err)
 		return
 	}
 	s.mu.Lock()
@@ -228,19 +304,12 @@ func (s *Service) checkpoint() {
 	s.mu.Unlock()
 }
 
-func (s *Service) setCkptErr(err error) {
+// fail latches the first background failure.
+func (s *Service) fail(what string, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.ckptErr == nil {
-		s.ckptErr = fmt.Errorf("pipeline: checkpoint: %w", err)
-	}
-}
-
-func (s *Service) setWALErr(err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.walErr == nil {
-		s.walErr = fmt.Errorf("pipeline: wal: %w", err)
+	if s.bgErr == nil {
+		s.bgErr = fmt.Errorf("pipeline: %s: %w", what, err)
 	}
 }
 
@@ -260,7 +329,8 @@ func (s *Service) Submit(m *tweet.Message) error {
 }
 
 // Stop drains the queue, waits for the writer to finish (including the
-// final checkpoint) and returns the first background error, if any.
+// final flush and checkpoint) and returns the first background error,
+// if any. Queries keep working afterwards.
 func (s *Service) Stop() error {
 	s.stopMu.Lock()
 	if !s.closed {
@@ -269,36 +339,29 @@ func (s *Service) Stop() error {
 	}
 	s.stopMu.Unlock()
 	<-s.done
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.firstErrLocked()
+	return s.Err()
 }
 
-// Err surfaces the first background failure without stopping.
+// Err surfaces the first background failure without stopping: a failed
+// checkpoint or WAL append, else whatever the engine latched.
 func (s *Service) Err() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.firstErrLocked()
+	if s.bgErr != nil {
+		return s.bgErr
+	}
+	return s.be.Err()
 }
 
-func (s *Service) firstErrLocked() error {
-	if s.ckptErr != nil {
-		return s.ckptErr
-	}
-	if s.walErr != nil {
-		return s.walErr
-	}
-	return s.proc.Engine().Err()
-}
-
-// Ingested returns how many messages the writer has processed.
+// Ingested returns how many messages this service's writer has applied;
+// messages recovered before it was built are not counted.
 func (s *Service) Ingested() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.ingested
+	return s.be.Applied() - s.base
 }
 
-// Checkpoints returns how many checkpoints have been written.
+// Checkpoints returns how many checkpoints this service has written.
 func (s *Service) Checkpoints() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -309,7 +372,7 @@ func (s *Service) Checkpoints() int {
 func (s *Service) Snapshot() core.Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.proc.Engine().Snapshot()
+	return s.be.Snapshot()
 }
 
 // SearchBundles answers a provenance bundle query (Eq. 7) under the
@@ -317,7 +380,7 @@ func (s *Service) Snapshot() core.Stats {
 func (s *Service) SearchBundles(q string, k int) []query.BundleHit {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.proc.SearchBundles(q, k)
+	return s.be.SearchBundles(q, k)
 }
 
 // SearchMessages answers a conventional message query under the read
@@ -325,26 +388,69 @@ func (s *Service) SearchBundles(q string, k int) []query.BundleHit {
 func (s *Service) SearchMessages(q string, k int) []query.MessageHit {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.proc.SearchMessages(q, k)
+	return s.be.SearchMessages(q, k)
 }
 
 // Trail renders a bundle's provenance forest under the read lock.
 func (s *Service) Trail(id bundle.ID) (string, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.proc.Trail(id)
+	return s.be.Trail(id)
 }
 
 // Bundle resolves a bundle (pool or disk) under the read lock.
 func (s *Service) Bundle(id bundle.ID) (*bundle.Bundle, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.proc.Bundle(id)
+	return s.be.Bundle(id)
 }
 
 // Trending returns the hottest live bundles under the read lock.
 func (s *Service) Trending(k int) []trending.Topic {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.proc.Trending(k)
+	return s.be.Trending(k)
+}
+
+// serial is the Backend over one query.Processor (which supplies the
+// reads and Snapshot) and its optional Durable. It never buffers.
+type serial struct {
+	*query.Processor
+	dur     *Durable // nil without a WAL
+	path    string   // checkpoint file when dur is nil; "" for none
+	applied int
+}
+
+func (b *serial) Log(m *tweet.Message) error {
+	if b.dur == nil {
+		return nil
+	}
+	return b.dur.Log(m)
+}
+
+func (b *serial) Apply(p core.Prepared) error {
+	b.InsertPrepared(p)
+	b.applied++
+	return nil
+}
+
+func (b *serial) Flush() error { return nil }
+func (b *serial) Pending() int { return 0 }
+func (b *serial) Applied() int { return b.applied }
+func (b *serial) Err() error   { return b.Engine().Err() }
+
+func (b *serial) CanCheckpoint() bool { return b.dur != nil || b.path != "" }
+
+func (b *serial) PrepareCheckpoint() error {
+	if b.dur != nil {
+		b.dur.DrainRetries()
+	}
+	return nil
+}
+
+func (b *serial) Checkpoint() error {
+	if b.dur != nil {
+		return b.dur.Checkpoint()
+	}
+	return b.Engine().SaveCheckpoint(nil, b.path)
 }

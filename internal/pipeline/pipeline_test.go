@@ -1,17 +1,13 @@
 package pipeline
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
-	"time"
 
 	"provex/internal/core"
 	"provex/internal/gen"
 	"provex/internal/query"
-	"provex/internal/tweet"
 )
 
 func smallGen(seed int64) *gen.Generator {
@@ -29,84 +25,11 @@ func newService(opts Options) *Service {
 	return New(proc, opts)
 }
 
-func TestIngestAndQuery(t *testing.T) {
-	s := newService(Options{})
-	s.Start()
-	g := smallGen(1)
-	const n = 4000
-	for i := 0; i < n; i++ {
-		if err := s.Submit(g.Next()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Ingested() != n {
-		t.Errorf("Ingested = %d, want %d", s.Ingested(), n)
-	}
-	st := s.Snapshot()
-	if st.Messages != n || st.BundlesCreated == 0 {
-		t.Errorf("stats = %+v", st)
-	}
-}
-
-func TestSubmitAfterStop(t *testing.T) {
-	s := newService(Options{})
-	s.Start()
-	if err := s.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	err := s.Submit(&tweet.Message{ID: 1, User: "u", Text: "x", Date: time.Now()})
-	if !errors.Is(err, ErrClosed) {
-		t.Errorf("Submit after Stop = %v, want ErrClosed", err)
-	}
-	// Stop is idempotent.
-	if err := s.Stop(); err != nil {
-		t.Errorf("second Stop = %v", err)
-	}
-}
-
-// TestConcurrentQueriesDuringIngest hammers the read path while the
-// writer ingests; run with -race this verifies the locking discipline.
-func TestConcurrentQueriesDuringIngest(t *testing.T) {
-	s := newService(Options{Buffer: 64})
-	s.Start()
-	g := smallGen(2)
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				s.SearchBundles("game win", 5)
-				s.SearchMessages("game", 5)
-				s.Snapshot()
-				s.Ingested()
-			}
-		}()
-	}
-	for i := 0; i < 3000; i++ {
-		if err := s.Submit(g.Next()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	close(stop)
-	wg.Wait()
-	if s.Ingested() != 3000 {
-		t.Errorf("Ingested = %d", s.Ingested())
-	}
-}
+// The Service contract (ingest and query, submit after stop, concurrent
+// queries, cadence, failure surfacing, back-pressure, idle flush) is
+// tested once for both backends in internal/shard's TestServiceContract.
+// What stays here is the one path only the serial backend has: a plain
+// checkpoint file without a WAL.
 
 func TestPeriodicCheckpointAndResume(t *testing.T) {
 	dir := t.TempDir()
@@ -144,69 +67,5 @@ func TestPeriodicCheckpointAndResume(t *testing.T) {
 	// No stray temp file.
 	if _, err := os.Stat(ckpt + ".tmp"); !os.IsNotExist(err) {
 		t.Errorf("temp checkpoint left behind: %v", err)
-	}
-}
-
-func TestCheckpointFailureSurfaced(t *testing.T) {
-	s := newService(Options{CheckpointEvery: 10, CheckpointPath: "/nonexistent-dir/x.ckpt"})
-	s.Start()
-	g := smallGen(4)
-	for i := 0; i < 50; i++ {
-		if err := s.Submit(g.Next()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The failure must latch and surface through Err() while the
-	// service is still running, not only at Stop.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Err() == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("checkpoint failure not surfaced by Err before Stop")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	err := s.Stop()
-	if err == nil {
-		t.Fatal("checkpoint failure not surfaced by Stop")
-	}
-	if !errors.Is(err, s.Err()) && err.Error() != s.Err().Error() {
-		t.Errorf("Stop error %v differs from latched Err %v", err, s.Err())
-	}
-}
-
-func TestTrailThroughService(t *testing.T) {
-	s := newService(Options{})
-	s.Start()
-	base := time.Date(2009, 9, 1, 0, 0, 0, 0, time.UTC)
-	s.Submit(tweet.Parse(1, "a", base, "breaking story #news"))
-	s.Submit(tweet.Parse(2, "b", base.Add(time.Minute), "RT @a: breaking story #news"))
-	if err := s.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	hits := s.SearchBundles("breaking story", 1)
-	if len(hits) == 0 {
-		t.Fatal("no hits")
-	}
-	trail, err := s.Trail(hits[0].ID)
-	if err != nil || trail == "" {
-		t.Fatalf("Trail = (%q, %v)", trail, err)
-	}
-}
-
-func TestBackpressureBoundsQueue(t *testing.T) {
-	// A tiny buffer with a slow consumer must not lose messages.
-	s := newService(Options{Buffer: 2})
-	s.Start()
-	g := smallGen(5)
-	for i := 0; i < 500; i++ {
-		if err := s.Submit(g.Next()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Ingested() != 500 {
-		t.Errorf("Ingested = %d, want 500", s.Ingested())
 	}
 }

@@ -97,8 +97,9 @@ func (o *ReplicaOptions) defaults() {
 // atomically so queries racing a resync see either the old complete
 // generation or the new one, never a half-built node.
 type replState struct {
-	dur *pipeline.Durable
-	svc *pipeline.Service
+	dur  *pipeline.Durable
+	svc  *pipeline.Service
+	base uint64 // engine messages recovered at open; svc.Ingested counts from here
 }
 
 // Replica is the follower side of WAL-shipping replication: it
@@ -114,8 +115,9 @@ type replState struct {
 // explicit staleness bounds instead of unbounded-stale reads.
 //
 // Concurrency: Start launches the single tailer goroutine, which owns
-// all mutation. Queries, Health and metrics reads are lock-free
-// (atomic state pointer + atomic counters) and safe at any time.
+// all mutation. Queries, Health and metrics reads are safe at any
+// time: they go through the atomic state pointer and atomic counters,
+// and where they ask the pipeline (queries, Applied) its read lock.
 type Replica struct {
 	leader string
 	cfg    core.Config
@@ -123,7 +125,7 @@ type Replica struct {
 
 	state atomic.Pointer[replState]
 
-	applied      atomic.Uint64 // sequences submitted to the local pipeline
+	applied      atomic.Uint64 // sequences submitted to the local pipeline: the tail cursor, ahead of Applied() by the queue
 	leaderSynced atomic.Uint64 // leader watermark from the last good exchange
 	lastContact  atomic.Int64  // UnixNano of the last good exchange (0 = never)
 	diverged     atomic.Bool   // latched: leader regressed below our applied state
@@ -190,7 +192,7 @@ func (r *Replica) RegisterMetrics(reg *metrics.Registry) {
 		func() float64 { return float64(r.Lag()) })
 	reg.RegisterGaugeFunc("provex_repl_applied_seq",
 		"Highest WAL sequence applied to the local engine.",
-		func() float64 { return float64(r.applied.Load()) })
+		func() float64 { return float64(r.Applied()) })
 	reg.RegisterGaugeFunc("provex_repl_last_contact_seconds",
 		"Seconds since the last successful leader exchange (-1 = never).",
 		func() float64 {
@@ -270,15 +272,23 @@ func (r *Replica) kill() {
 // diverged or never connected (lag is then meaningless; Health covers
 // those states).
 func (r *Replica) Lag() uint64 {
-	synced, applied := r.leaderSynced.Load(), r.applied.Load()
+	synced, applied := r.leaderSynced.Load(), r.Applied()
 	if synced <= applied {
 		return 0
 	}
 	return synced - applied
 }
 
-// Applied returns the highest sequence submitted to the local engine.
-func (r *Replica) Applied() uint64 { return r.applied.Load() }
+// Applied returns the highest sequence applied to the local engine —
+// what queries can see. Sequences merely queued for the writer do not
+// count, so Lag and the staleness bound cover the local queue too.
+func (r *Replica) Applied() uint64 {
+	st := r.state.Load()
+	if st == nil {
+		return 0
+	}
+	return st.base + uint64(st.svc.Ingested())
+}
 
 // Health implements server.HealthFunc: the explicit staleness contract
 // of a follower. Cheap and lock-free — called per probe and per gated
@@ -287,7 +297,7 @@ func (r *Replica) Health() server.HealthStatus {
 	detail := map[string]interface{}{
 		"role":          "follower",
 		"leader":        r.leader,
-		"applied_seq":   r.applied.Load(),
+		"applied_seq":   r.Applied(),
 		"leader_synced": r.leaderSynced.Load(),
 		"lag":           r.Lag(),
 	}
@@ -495,8 +505,8 @@ func (r *Replica) openState() (*replState, error) {
 		CheckpointEvery: r.opts.CheckpointEvery,
 	})
 	svc.Start()
-	st := &replState{dur: dur, svc: svc}
-	r.applied.Store(uint64(dur.Engine().Snapshot().Messages))
+	st := &replState{dur: dur, svc: svc, base: uint64(dur.Engine().Snapshot().Messages)}
+	r.applied.Store(st.base)
 	r.cursor = wal.Cursor{}
 	r.catchupStart = time.Now()
 	r.state.Store(st)

@@ -34,9 +34,10 @@
 // metrics instruments — every handler is a stateless translation
 // between HTTP and the Backend, so the mux serves any number of
 // requests concurrently and thread safety is entirely the Backend's
-// contract. *pipeline.Service answers queries under its read lock
-// while its single writer ingests; *query.Processor is safe only once
-// ingest has finished (the build-then-serve mode). The metrics
+// contract. *pipeline.Service (what provserve passes, over either
+// engine) answers queries under its read lock while its single writer
+// ingests; a bare *query.Processor is safe only once ingest has
+// finished. The metrics
 // middleware uses atomic instruments and internally locked histograms,
 // adding no shared mutable state of its own.
 //
@@ -68,8 +69,8 @@ import (
 )
 
 // Backend is what the HTTP layer needs from the indexing side. Both
-// *query.Processor (single-threaded, build-then-serve) and
-// *pipeline.Service (concurrent live ingest) satisfy it.
+// *pipeline.Service (concurrent ingest, serial or sharded engine) and
+// a bare *query.Processor (no concurrent ingest) satisfy it.
 type Backend interface {
 	SearchMessages(q string, k int) []query.MessageHit
 	SearchBundles(q string, k int) []query.BundleHit

@@ -227,15 +227,31 @@ func (d *Durable) Replayed() int {
 // manifest records the new cut atomically, and the ledger resets. A
 // crash at any point recovers to either the previous cut or this one
 // (see the file comment's window analysis).
+//
+// It is the two steps below back to back; a Service runs them under
+// different locks.
 func (d *Durable) Checkpoint() error {
+	if err := d.prepareCheckpoint(); err != nil {
+		return err
+	}
+	return d.persistCheckpoint()
+}
+
+// prepareCheckpoint is the barrier's mutating step: it puts the engine
+// between rounds and re-attempts every parked bundle flush.
+func (d *Durable) prepareCheckpoint() error {
 	if err := d.Flush(); err != nil {
 		return err
 	}
+	d.runPhase(func(sh *shardState) { sh.dur.DrainRetries() })
+	return nil
+}
+
+// persistCheckpoint is the barrier proper. It only reads engine state,
+// so queries may run beside it; ingest may not.
+func (d *Durable) persistCheckpoint() error {
 	t0 := time.Now()
-	d.runPhase(func(sh *shardState) {
-		sh.dur.DrainRetries()
-		sh.err = sh.dur.Checkpoint()
-	})
+	d.runPhase(func(sh *shardState) { sh.err = sh.dur.Checkpoint() })
 	for i, sh := range d.shards {
 		if sh.err != nil {
 			err := sh.err
@@ -282,7 +298,7 @@ func (d *Durable) RegisterMetrics(reg *metrics.Registry) {
 	reg.RegisterCounter("provex_shard_checkpoints_total",
 		"Coordinated checkpoint barriers completed across all shards.", &d.ckpts)
 	reg.RegisterHistogram("provex_shard_checkpoint_barrier_seconds",
-		"Latency of the coordinated checkpoint barrier (per-shard drains and checkpoints, manifest write, ledger reset).",
+		"Latency of the coordinated checkpoint barrier (per-shard checkpoints, manifest write, ledger reset).",
 		d.barrierHist, 1e9)
 }
 

@@ -27,6 +27,11 @@
 // Shards=1 skips the probe phase entirely: the engine degenerates to
 // the serial apply loop behind the same API, which is both the honest
 // scaling baseline and the exact-equivalence anchor.
+//
+// Serving: the package has no writer loop of its own. NewService puts
+// an Engine behind pipeline.Service — the queue, idle flush, checkpoint
+// cadence and metrics every deployment shares — and Engine answers the
+// fan-out reads (service.go).
 package shard
 
 import (
@@ -63,11 +68,12 @@ type Options struct {
 	// Sequential runs both phases on the calling goroutine, one shard
 	// after another. Results are identical by construction — the
 	// protocol never depends on scheduling — so this mode exists for
-	// accurate per-shard busy timing (the provbench span measurement)
-	// and for deterministic debugging.
+	// accurate per-shard busy timing (the fig13 sharded sweep), as the
+	// scheduling-free reference of TestShardedDeterminism, and for
+	// deterministic debugging.
 	Sequential bool
 	// Query, when non-nil, wraps every shard engine in a query
-	// processor so the engine can serve the HTTP surface (Service).
+	// processor so the engine can answer reads (NewService requires it).
 	// Nil skips per-message indexing overhead — the right choice for
 	// pure ingest tools.
 	Query *query.Options
@@ -130,9 +136,10 @@ type shardState struct {
 // SpanStats is the measured critical path of the rounds so far: per
 // round the slowest shard's probe time, the serial reduce time, and
 // the slowest shard's commit time. Span is what an ideal scheduler
-// with one core per shard could not beat — provbench reports
-// throughput against it next to wall clock (EXPERIMENTS.md explains
-// why both numbers matter on core-starved hardware).
+// with one core per shard could not beat — provingest and the
+// benchmark's traced replay report it next to wall clock
+// (EXPERIMENTS.md explains why both numbers matter on core-starved
+// hardware).
 type SpanStats struct {
 	Probe  time.Duration // Σ rounds: max over shards of phase-1 busy
 	Reduce time.Duration // Σ rounds: serial reduce
@@ -146,8 +153,9 @@ func (s SpanStats) Total() time.Duration { return s.Probe + s.Reduce + s.Commit 
 // (Ingest/IngestPrepared/Flush) is single-goroutine: one owner feeds
 // the stream in date order, exactly like core.Engine — the parallelism
 // lives inside the round, not around it. Reads of individual shard
-// engines are safe between rounds under whatever lock the caller uses
-// for queries (Service wraps one around the whole round).
+// engines, and the fan-out reads in service.go, are safe between
+// rounds under whatever lock the caller uses for queries
+// (pipeline.Service wraps one around the whole round).
 type Engine struct {
 	opts   Options
 	shards []*shardState
@@ -523,7 +531,7 @@ func (e *Engine) RegisterMetrics(reg *metrics.Registry) {
 	} {
 		c := p.c
 		reg.RegisterGaugeFunc("provex_shard_span_seconds",
-			"Accumulated critical path per round phase: slowest shard's probe, serial reduce, slowest shard's commit (the denominator of provbench's span throughput).",
+			"Accumulated critical path per round phase: slowest shard's probe, serial reduce, slowest shard's commit (the denominator of span throughput).",
 			func() float64 { return float64(c.Value()) / 1e9 }, "phase", p.phase)
 	}
 	for i, sh := range e.shards {
