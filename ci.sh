@@ -35,6 +35,12 @@ go test ./internal/repl -fuzz FuzzFrameDecoder -fuzztime 10s -run '^$'
 go test ./internal/analysis/analyzers -fuzz FuzzParseGuardedBy -fuzztime 10s -run '^$'
 go test ./internal/sumindex -fuzz FuzzCandidates -fuzztime 10s -run '^$'
 
+# The WAL's group-commit path, once: 64 appends, one write, one fsync.
+# TestAppendZeroAlloc pins its allocations; this proves the benchmark
+# that times it still builds and runs.
+echo "== wal append benchmark (1x) =="
+go test ./internal/wal -run '^$' -bench BenchmarkAppend -benchtime 1x
+
 # govulncheck is best-effort: it needs the tool and a vulndb, neither
 # of which an offline builder has.
 echo "== govulncheck (best effort) =="
@@ -53,10 +59,11 @@ echo "== go test -race =="
 go test -race -shuffle=on ./...
 
 # Durability-critical packages once more, uncached: the fault-injection
-# and WAL tests are the crash-safety gate and must not ride a stale
-# test cache.
+# and WAL tests and the two-stage ingest loop (apply-after-sync, the
+# checkpoint barrier) are the crash-safety gate and must not ride a
+# stale test cache.
 echo "== durability (-race -count=1) =="
-go test -race -count=1 ./internal/fsx ./internal/wal ./internal/storage
+go test -race -count=1 ./internal/fsx ./internal/wal ./internal/storage ./internal/pipeline
 
 # Crash torture: randomized fault points, crash, recover, compare
 # against an uninterrupted run. Seeds are fixed; a failure prints the

@@ -188,6 +188,7 @@ func openSerial(ckpt, walDir string, reg *metrics.Registry, rec *trace.Recorder)
 	// index from the recovered pool — /search answers over the full
 	// recovered history, not just post-resume messages.
 	proc.Reindex()
+	proc.RegisterMetrics(reg)
 	nd.svc = pipeline.New(proc, opts)
 	return nd
 }

@@ -6,14 +6,16 @@
 // coverage. Checkpoint() inverts the dependency — once engine state is
 // durably on disk the log is redundant and is truncated.
 //
-// Durable is writer-side state: Log, Ingest, Checkpoint, SyncWAL, Seq
-// and Close must all be called from the goroutine that owns this
-// Durable's shard — the Service's writer loop, a serial tool's main
-// loop, or (sharded mode, DESIGN.md §2i) the per-shard commit
-// goroutine, which owns its shard's Durable exclusively for the round.
-// Engine reads may happen concurrently under whatever lock the caller
-// already uses for queries; WALSyncedSeq and ReadWAL are safe from any
-// goroutine.
+// Durable has one owner at a time: Log, Ingest, Checkpoint, SyncWAL,
+// Seq and Close must never run concurrently. Behind a Service the owner
+// is the log stage, or the writer while the stage is parked at a
+// checkpoint barrier (DESIGN.md §2c) — Log and SyncWAL come from the
+// one, Checkpoint from the other, and the hand-over is a channel
+// operation. Elsewhere it is a serial tool's main loop or (sharded
+// mode, DESIGN.md §2i) the per-shard commit goroutine, which owns its
+// shard's Durable exclusively for the round. Engine reads may happen
+// concurrently under whatever lock the caller already uses for
+// queries; WALSyncedSeq and ReadWAL are safe from any goroutine.
 
 package pipeline
 
@@ -39,8 +41,10 @@ type DurableOptions struct {
 	CheckpointPath string
 	// WALDir is the write-ahead log directory.
 	WALDir string
-	// WALSyncEvery fsyncs the log after every n appends; <=1 syncs
-	// every append (strongest guarantee, highest cost).
+	// WALSyncEvery is the group-commit batch cap: the log is written and
+	// fsynced after every n appends, and a Service closes its batches at
+	// the same n (or sooner, when its queue runs dry). <=1 syncs every
+	// append (strongest guarantee, highest cost).
 	WALSyncEvery int
 	// ReplayLimit, when non-zero, caps recovery at WAL sequence
 	// ReplayLimit: records beyond it are left in the log but NOT applied
@@ -132,9 +136,10 @@ func (d *Durable) Replayed() int { return d.replayed }
 // LogSize returns the active WAL file's byte length.
 func (d *Durable) LogSize() int64 { return d.wal.Size() }
 
-// Log appends m to the WAL under the next sequence number. Call it
-// immediately BEFORE applying m to the engine; on error the message
-// was not made durable and the sequence is not consumed.
+// Log appends m to the WAL's open batch under the next sequence number;
+// every WALSyncEvery-th call also writes and fsyncs the batch. Call it
+// BEFORE applying m to the engine. On error the sequence is not
+// consumed and nothing of the open batch was made durable (wal.Sync).
 func (d *Durable) Log(m *tweet.Message) error {
 	next := d.seq + 1
 	if err := d.wal.Append(next, m); err != nil {
@@ -145,9 +150,9 @@ func (d *Durable) Log(m *tweet.Message) error {
 }
 
 // Ingest is the serial convenience path (WAL append, then engine
-// insert) for tools that own the engine outright. Concurrent services
-// call Log from their writer loop instead and apply under their own
-// lock.
+// insert) for tools that own the engine outright. A Service calls Log
+// and SyncWAL from its log stage instead and applies, under its own
+// lock, only what has been synced.
 func (d *Durable) Ingest(m *tweet.Message) (core.InsertResult, error) {
 	if err := d.Log(m); err != nil {
 		return core.InsertResult{}, err
@@ -200,15 +205,16 @@ func (d *Durable) Checkpoint() error {
 // handlers).
 func (d *Durable) WALSyncedSeq() uint64 { return d.wal.SyncedSeq() }
 
-// SyncWAL forces an fsync of any records appended since the previous
-// sync, regardless of WALSyncEvery. The sharded commit phase calls it
-// at the end of each round so the round ledger's per-shard watermarks
-// only ever cover records that are actually on stable storage.
+// SyncWAL writes and fsyncs the WAL's open batch, however few records
+// it holds. The Service's log stage calls it before handing a batch to
+// the writer, the sharded commit phase at the end of each round so the
+// round ledger's per-shard watermarks only ever cover records that are
+// actually on stable storage.
 func (d *Durable) SyncWAL() error { return d.wal.Sync() }
 
 // Seq returns the last WAL sequence handed out by Log — the shard
 // round ledger records it as the shard's durable watermark after a
-// round's appends are synced. Writer-goroutine only, like Log.
+// round's appends are synced. Owner only, like Log.
 func (d *Durable) Seq() uint64 { return d.seq }
 
 // ReadWAL collects durable WAL record payloads with sequence in

@@ -1,23 +1,33 @@
 // Package pipeline is the one concurrent deployment shell around the
-// provenance engines: a single writer goroutine owns ingest (the
+// provenance engines: a single writer goroutine mutates the engine (the
 // paper's pipeline is inherently sequential — messages must enter in
 // date order), while any number of query goroutines read under a
 // shared lock. The demo server, live feeds and replicas talk to a
 // Service, not to an engine.
 //
+// Ingest is two goroutines (DESIGN.md §2c). The log stage does
+// everything with no dependency between messages: it drains the queue
+// into a batch, prepares and WAL-appends each message, lands the batch
+// with one write and one fsync, and hands it on. The writer does
+// nothing but lock, apply, unlock per message — so a message becomes
+// visible to queries only after its batch is on stable storage.
+//
 // The Service drives its engine through Backend, which has exactly two
 // implementations: the serial one New builds over a query.Processor and
 // its optional Durable, and the sharded one shard.NewService builds
 // over a shard.Engine. Everything that is not engine work — the queue
-// and its back-pressure, parallel prepare, flush-on-idle, the
-// checkpoint cadence and protocol, error latching, the
-// provex_pipeline_* metrics — exists once, here.
+// and its back-pressure, the two stages, flush-on-idle, the checkpoint
+// cadence and protocol, error latching, the provex_pipeline_* metrics —
+// exists once, here.
 //
 // Checkpoints (the paper's stability requirement) run every
-// CheckpointEvery applied messages and at Stop, in two steps: the
-// mutating step (flush the buffered round, drain parked flushes) under
-// the write lock, then the persisting step under the read lock, so
-// queries stay answerable while state goes to disk.
+// CheckpointEvery messages and at Stop, in two steps: the mutating step
+// (flush the buffered round, drain parked flushes) under the write
+// lock, then the persisting step under the read lock, so queries stay
+// answerable while state goes to disk. A cadence checkpoint is a
+// barrier through the pipe: the log stage cuts its batch at the
+// boundary and parks until the writer has checkpointed, so the WAL
+// holds exactly the applied prefix when it is truncated.
 //
 // Concurrency contract: Submit is safe from any goroutine (it only
 // feeds the queue); Start and Stop must not race each other; all query
@@ -46,15 +56,21 @@ import (
 var ErrClosed = errors.New("pipeline: service closed")
 
 // Backend is the engine side of a Service. The Service supplies all
-// synchronisation: Log and the reads of Pending and Applied happen on
-// the writer goroutine, Apply, Flush and PrepareCheckpoint under the
-// write lock, and everything else under the read lock, so an
-// implementation needs no locking of its own.
+// synchronisation: Log and Sync happen on the log stage, never beside a
+// checkpoint; the reads of Pending and Applied on the writer goroutine;
+// Apply, Flush and PrepareCheckpoint under the write lock; and
+// everything else under the read lock, so an implementation needs no
+// locking of its own.
 type Backend interface {
-	// Log makes m durable ahead of Apply. It runs outside the lock so an
-	// fsync never blocks queries; a failure degrades durability but does
-	// not stop ingest. Engines that log inside Apply return nil.
+	// Log appends m to the write-ahead log and Sync lands everything
+	// logged since the last Sync, both ahead of Apply. They run outside
+	// the lock, so an fsync never blocks queries; a failure degrades
+	// durability but does not stop ingest. Engines that log inside Apply
+	// do nothing in either.
 	Log(m *tweet.Message) error
+	Sync() error
+	// LogBatch is the most messages one Sync should cover; at least 1.
+	LogBatch() int
 	// Apply ingests one prepared message; it may only buffer it. An
 	// error is the backend's to latch and report through Err.
 	Apply(p core.Prepared) error
@@ -86,25 +102,19 @@ type Options struct {
 	// Buffer is the ingest queue capacity; Submit blocks when full
 	// (backpressure), so producers can never outrun memory. 0 uses 1024.
 	Buffer int
-	// CheckpointEvery writes a checkpoint once that many messages have
-	// been applied since the last one; 0 leaves only the checkpoint at
-	// Stop.
+	// CheckpointEvery writes a checkpoint after every that many messages
+	// this service ingests; 0 leaves only the checkpoint at Stop.
 	CheckpointEvery int
 	// CheckpointPath is the checkpoint file of a serial service without
 	// a Durable; required then when CheckpointEvery > 0.
 	CheckpointPath string
-	// Workers sets the number of concurrent prepare goroutines (keyword
-	// extraction) feeding the single apply writer. 0 defers to the
-	// engine's Parallel.Workers configuration; values <= 1 keep the
-	// fully serial writer. Bundle assignment is identical either way —
-	// the apply stage consumes prepared messages in submission order.
-	Workers int
 	// Durable, when set, switches a serial service to crash-safe ingest:
-	// every message is WAL-appended before it is applied, and
-	// checkpoints go through Durable.Checkpoint — drain parked flushes,
-	// sync the store, atomic checkpoint, truncate the WAL. The Durable
-	// must wrap the same engine the service's processor does;
-	// CheckpointPath is ignored (Durable carries its own).
+	// every message is WAL-appended and fsynced, in batches of at most
+	// the Durable's WALSyncEvery, before it is applied, and checkpoints
+	// go through Durable.Checkpoint — drain parked flushes, sync the
+	// store, atomic checkpoint, truncate the WAL. The Durable must wrap
+	// the same engine the service's processor does; CheckpointPath is
+	// ignored (Durable carries its own).
 	Durable *Durable
 }
 
@@ -124,17 +134,19 @@ type Service struct {
 	closed bool // guarded by stopMu
 
 	// base is the backend's applied count at construction (the recovered
-	// prefix), immutable afterwards; lastCkpt is the applied count at the
-	// last checkpoint attempt, owned by the writer goroutine.
-	base     int
-	lastCkpt int
+	// prefix), immutable afterwards.
+	base int
 
 	bgErr     error // guarded by mu
 	ckptCount int   // guarded by mu
 
-	// ckptTimer accumulates checkpoint wall time (both steps). Atomic,
-	// so scrapes read it live.
+	// ckptTimer accumulates checkpoint wall time (both steps); batchSize
+	// and the two waits describe the hand-over between the stages.
+	// Atomic or internally locked, so scrapes read them live.
 	ckptTimer metrics.StageTimer
+	batchSize *metrics.Histogram
+	logWait   metrics.StageTimer // log stage blocked on the writer
+	applyWait metrics.StageTimer // writer blocked on the log stage
 }
 
 // RegisterMetrics exposes the service's instruments on reg under
@@ -157,14 +169,17 @@ func (s *Service) RegisterMetrics(reg *metrics.Registry) {
 	reg.RegisterGaugeFunc("provex_pipeline_queue_capacity",
 		"Capacity of the ingest queue.",
 		func() float64 { return float64(cap(s.in)) })
+	reg.RegisterHistogram("provex_pipeline_batch_size",
+		"Messages per batch the log stage handed to the writer (one WAL write and fsync each).",
+		s.batchSize, 1)
+	const waitHelp = "Time one ingest stage spent blocked on the other: the log stage out of batch buffers or parked at a checkpoint barrier, the writer idle while a batch was being logged."
+	reg.RegisterTimer("provex_pipeline_stage_wait_seconds", waitHelp, &s.logWait, "stage", "log")
+	reg.RegisterTimer("provex_pipeline_stage_wait_seconds", waitHelp, &s.applyWait, "stage", "apply")
 }
 
 // New builds a Service over the serial engine behind proc. Call Start
 // before Submit.
 func New(proc *query.Processor, opts Options) *Service {
-	if opts.Workers == 0 {
-		opts.Workers = proc.Engine().Config().Parallel.Workers
-	}
 	return NewWith(&serial{
 		Processor: proc,
 		dur:       opts.Durable,
@@ -173,59 +188,88 @@ func New(proc *query.Processor, opts Options) *Service {
 	}, opts)
 }
 
-// NewWith builds a Service over be. Of opts it reads Buffer,
-// CheckpointEvery and Workers (0 meaning 1); the rest configure the
-// backend New builds.
+// NewWith builds a Service over be. Of opts it reads Buffer and
+// CheckpointEvery; the rest configure the backend New builds.
 func NewWith(be Backend, opts Options) *Service {
 	if opts.Buffer <= 0 {
 		opts.Buffer = 1024
 	}
-	base := be.Applied()
 	return &Service{
-		opts:     opts,
-		be:       be,
-		in:       make(chan *tweet.Message, opts.Buffer),
-		done:     make(chan struct{}),
-		base:     base,
-		lastCkpt: base,
+		opts:      opts,
+		be:        be,
+		in:        make(chan *tweet.Message, opts.Buffer),
+		done:      make(chan struct{}),
+		base:      be.Applied(),
+		batchSize: metrics.NewPow2Histogram(11), // 1 … 1024
 	}
 }
 
-// Start launches the writer goroutine.
+// Start launches the two ingest goroutines.
 func (s *Service) Start() {
 	go s.run()
 }
 
-// run is the writer loop: prepare (inline, or on a PreparePool that
-// keeps apply order equal to submission order), apply, and flush a
-// buffered round whenever the queue runs dry so a live tail never sits
-// invisible and non-durable in a batch buffer.
+// batch is one hand-over from the log stage to the writer: prepared
+// messages whose WAL records are already on stable storage.
+type batch struct {
+	msgs    []core.Prepared
+	started time.Time // when the log stage began filling it
+	// barrier marks a batch cut at the checkpoint cadence: the log stage
+	// is parked behind it until the writer has checkpointed.
+	barrier bool
+}
+
+// inFlight is how many batches may be between the stages: one being
+// applied, one being filled. More would only let the heap run further
+// ahead of the writer.
+const inFlight = 2
+
+// run is the writer: lock, apply, unlock per message, a flush whenever
+// no further batch is waiting — so a live tail never sits invisible in
+// a round buffer — and the checkpoints. Everything ahead of the engine
+// runs in logStage.
 func (s *Service) run() {
 	defer close(s.done)
-	next := func() (core.Prepared, bool) {
-		m, ok := <-s.in
-		if !ok {
-			return core.Prepared{}, false
-		}
-		return core.Prepare(m), true
+	// Both channels hold every batch buffer there is, so neither the
+	// hand-over nor the return ever blocks on a full channel.
+	full := make(chan batch, inFlight)
+	free := make(chan []core.Prepared, inFlight)
+	for i := 0; i < inFlight; i++ {
+		free <- make([]core.Prepared, 0, s.be.LogBatch())
 	}
-	if s.opts.Workers > 1 {
-		pool := NewPreparePool(s.opts.Workers, 0)
-		go func() {
-			for m := range s.in {
-				pool.Dispatch(m)
-			}
-			pool.Close()
-		}()
-		next = pool.Next
-	}
+	resume := make(chan struct{})
+	go s.logStage(full, free, resume)
+
 	for {
-		p, ok := next()
+		idle := time.Now()
+		b, ok := <-full
 		if !ok {
 			break
 		}
-		s.apply(p)
-		if len(s.in) == 0 {
+		// Only the part of the wait during which the log stage was at
+		// work on this batch is time blocked on it; the rest is a quiet
+		// feed.
+		if b.started.After(idle) {
+			idle = b.started
+		}
+		s.applyWait.Observe(time.Since(idle))
+
+		var err error
+		for _, p := range b.msgs {
+			s.mu.Lock()
+			err = s.be.Apply(p)
+			s.mu.Unlock()
+		}
+		free <- b.msgs[:0]
+		// On an Apply error the backend has latched it; the queue keeps
+		// draining so Stop does not deadlock producers.
+		switch {
+		case b.barrier:
+			if err == nil {
+				s.checkpoint()
+			}
+			resume <- struct{}{}
+		case len(full) == 0:
 			s.flush()
 		}
 	}
@@ -236,23 +280,59 @@ func (s *Service) run() {
 	}
 }
 
-// apply is the sequential half of ingest: make the message durable
-// (WAL-before-apply), mutate engine state under the write lock and
-// checkpoint on cadence.
-func (s *Service) apply(p core.Prepared) {
-	if err := s.be.Log(p.Doc.Msg); err != nil {
-		// The message stays in memory but is not crash-safe: degraded
-		// durability, latched and surfaced by Err while ingest continues
-		// (availability over durability).
-		s.fail("wal", err)
+// logStage is everything ingest does that has no dependency between
+// messages. It drains the queue greedily into a batch — closed at
+// LogBatch messages, at the checkpoint cadence, or as soon as the queue
+// is dry, so a quiet feed's tail is synced at once — prepares and logs
+// each message, syncs once, and hands the batch to the writer. Between
+// a barrier batch and resume it is parked: the writer checkpoints, and
+// owns the backend's log while it does.
+func (s *Service) logStage(full chan<- batch, free <-chan []core.Prepared, resume <-chan struct{}) {
+	defer close(full)
+	limit := s.be.LogBatch()
+	every := 0
+	if s.be.CanCheckpoint() {
+		every = s.opts.CheckpointEvery
 	}
-	s.mu.Lock()
-	err := s.be.Apply(p)
-	s.mu.Unlock()
-	// On error the backend has latched it; the queue keeps draining so
-	// Stop does not deadlock producers.
-	if err == nil {
-		s.maybeCheckpoint()
+	sinceCkpt := 0 // messages handed on since the last barrier (or Start)
+	for m := range s.in {
+		blocked := time.Now()
+		b := batch{msgs: <-free}
+		b.started = time.Now()
+		s.logWait.Observe(b.started.Sub(blocked))
+		for more := true; more; {
+			b.msgs = append(b.msgs, core.Prepare(m))
+			if err := s.be.Log(m); err != nil {
+				// The message stays in memory but is not crash-safe:
+				// degraded durability, latched and surfaced by Err while
+				// ingest continues (availability over durability).
+				s.fail("wal", err)
+			}
+			sinceCkpt++
+			if sinceCkpt == every {
+				b.barrier = true
+				break
+			}
+			if len(b.msgs) == limit {
+				break
+			}
+			select {
+			case m, more = <-s.in:
+			default:
+				more = false
+			}
+		}
+		if err := s.be.Sync(); err != nil {
+			s.fail("wal", err)
+		}
+		s.batchSize.Observe(int64(len(b.msgs)))
+		full <- b
+		if b.barrier {
+			sinceCkpt = 0
+			parked := time.Now()
+			<-resume
+			s.logWait.Observe(time.Since(parked))
+		}
 	}
 }
 
@@ -263,24 +343,14 @@ func (s *Service) flush() {
 		return
 	}
 	s.mu.Lock()
-	err := s.be.Flush()
+	// A failed flush is the backend's to latch and report through Err.
+	_ = s.be.Flush()
 	s.mu.Unlock()
-	if err == nil {
-		s.maybeCheckpoint()
-	}
-}
-
-// maybeCheckpoint checkpoints once CheckpointEvery messages have been
-// applied since the last checkpoint this writer took.
-func (s *Service) maybeCheckpoint() {
-	if s.opts.CheckpointEvery > 0 && s.be.CanCheckpoint() &&
-		s.be.Applied()-s.lastCkpt >= s.opts.CheckpointEvery {
-		s.checkpoint()
-	}
 }
 
 // checkpoint makes engine state durable. Only the writer goroutine
-// calls it. Failures are latched and surfaced by Err.
+// calls it, and only while the log stage is parked at a barrier or has
+// exited. Failures are latched and surfaced by Err.
 func (s *Service) checkpoint() {
 	start := time.Now()
 	defer func() { s.ckptTimer.Observe(time.Since(start)) }()
@@ -288,7 +358,6 @@ func (s *Service) checkpoint() {
 	s.mu.Lock()
 	err := s.be.PrepareCheckpoint()
 	s.mu.Unlock()
-	s.lastCkpt = s.be.Applied()
 	if err == nil {
 		// The checkpoint itself only reads — queries stay answerable.
 		s.mu.RLock()
@@ -426,6 +495,27 @@ func (b *serial) Log(m *tweet.Message) error {
 		return nil
 	}
 	return b.dur.Log(m)
+}
+
+func (b *serial) Sync() error {
+	if b.dur == nil {
+		return nil
+	}
+	return b.dur.SyncWAL()
+}
+
+// memLogBatch bounds a batch when there is no WAL to take the cap from:
+// large enough to amortise the hand-over, small enough that a message
+// is not held back behind many others' prepare.
+const memLogBatch = 64
+
+// LogBatch is the WAL's own batch cap, so the log stage's sync and the
+// log's cadence close the same batch.
+func (b *serial) LogBatch() int {
+	if b.dur == nil {
+		return memLogBatch
+	}
+	return max(1, b.dur.opts.WALSyncEvery)
 }
 
 func (b *serial) Apply(p core.Prepared) error {

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"provex/internal/core"
+	"provex/internal/fsx"
+	"provex/internal/query"
 	"provex/internal/stream"
 	"provex/internal/tweet"
 )
@@ -133,14 +135,22 @@ func (f *failAfter) Next() (*tweet.Message, error) {
 	return f.src.Next()
 }
 
-// TestServiceParallelMatchesSerial: the Service's parallel writer path
-// must end in the same engine state as the serial one.
+// TestServiceParallelMatchesSerial: the Service's two-stage loop must
+// end in the same engine state as a plain serial insert loop, whether
+// the stages hand over a message at a time or full batches.
 func TestServiceParallelMatchesSerial(t *testing.T) {
-	run := func(workers int) core.Stats {
-		s := newService(Options{Workers: workers})
+	const n = 5000
+	ref := core.New(core.PartialIndexConfig(500), nil, nil)
+	g := smallGen(14)
+	for i := 0; i < n; i++ {
+		ref.Insert(g.Next())
+	}
+	want := comparable(ref.Snapshot())
+	for _, buffer := range []int{1, 0} {
+		s := newService(Options{Buffer: buffer})
 		s.Start()
 		g := smallGen(14)
-		for i := 0; i < 5000; i++ {
+		for i := 0; i < n; i++ {
 			if err := s.Submit(g.Next()); err != nil {
 				t.Fatal(err)
 			}
@@ -148,18 +158,25 @@ func TestServiceParallelMatchesSerial(t *testing.T) {
 		if err := s.Stop(); err != nil {
 			t.Fatal(err)
 		}
-		return comparable(s.Snapshot())
-	}
-	serial, parallel := run(1), run(4)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("service state diverges:\nserial:   %+v\nparallel: %+v", serial, parallel)
+		if got := comparable(s.Snapshot()); !reflect.DeepEqual(got, want) {
+			t.Errorf("Buffer %d: service state diverges:\nserial:  %+v\nservice: %+v", buffer, want, got)
+		}
 	}
 }
 
 // TestConcurrentQueriesDuringParallelIngest is the -race companion of
-// TestConcurrentQueriesDuringIngest for the worker-pool writer path.
+// the Service contract's concurrent-queries case for multi-message
+// batches: readers run while the log stage group-commits 16 records at
+// a time and the writer crosses checkpoint barriers.
 func TestConcurrentQueriesDuringParallelIngest(t *testing.T) {
-	s := newService(Options{Buffer: 64, Workers: 4})
+	opts := durableOpts(fsx.NewMem())
+	opts.WALSyncEvery = 16
+	d, err := OpenDurable(core.PartialIndexConfig(500), nil, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	s := New(query.New(d.Engine(), query.DefaultOptions()), Options{Buffer: 64, Durable: d, CheckpointEvery: 700})
 	s.Start()
 	g := smallGen(15)
 
@@ -179,6 +196,8 @@ func TestConcurrentQueriesDuringParallelIngest(t *testing.T) {
 				s.SearchMessages("game", 5)
 				s.Snapshot()
 				s.Ingested()
+				s.Checkpoints()
+				d.WALSyncedSeq()
 			}
 		}()
 	}
@@ -194,5 +213,8 @@ func TestConcurrentQueriesDuringParallelIngest(t *testing.T) {
 	wg.Wait()
 	if s.Ingested() != 3000 {
 		t.Errorf("Ingested = %d", s.Ingested())
+	}
+	if got := s.Checkpoints(); got != 5 {
+		t.Errorf("Checkpoints = %d, want 4 on cadence + 1 final", got)
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"provex/internal/archive"
 	"provex/internal/bundle"
 	"provex/internal/core"
+	"provex/internal/metrics"
 	"provex/internal/sumindex"
 	"provex/internal/textindex"
 	"provex/internal/tokenizer"
@@ -81,6 +82,8 @@ type Processor struct {
 
 	msgIndex *textindex.Index
 	messages map[textindex.DocID]*tweet.Message
+	terms    []string        // scratch for one message's index terms
+	dups     metrics.Counter // messages whose ID the index already held
 
 	arch *archive.Index
 }
@@ -109,6 +112,19 @@ func New(eng *core.Engine, opts Options) *Processor {
 	return p
 }
 
+// RegisterMetrics exposes the processor's instruments on reg; labels
+// are extra key/value pairs baked into every series (the sharded engine
+// passes ("shard", "i")).
+func (p *Processor) RegisterMetrics(reg *metrics.Registry, labels ...string) {
+	reg.RegisterCounter("provex_query_duplicate_messages_total",
+		"Messages ingested under an ID the message index already held (a stream re-fed after a resume); the index keeps its first entry.",
+		&p.dups, labels...)
+}
+
+// DuplicateMessages counts the messages whose ID the message index
+// already held when they were inserted.
+func (p *Processor) DuplicateMessages() int64 { return p.dups.Value() }
+
 // Archived reports how many disk-resident bundles are searchable.
 func (p *Processor) Archived() int {
 	if p.arch == nil {
@@ -126,21 +142,30 @@ func (p *Processor) Insert(m *tweet.Message) core.InsertResult {
 // InsertPrepared applies an already-prepared message (see core.Prepare),
 // reusing its keyword extraction for the baseline message index instead
 // of running the tokenizer a second time. This is the apply half the
-// parallel pipeline calls from its single writer goroutine.
+// pipeline calls from its single writer goroutine. A message whose ID
+// the index already holds — a stream re-fed after a resume — still goes
+// through the engine (deduplication there is ROADMAP item 4) but keeps
+// its first index entry, and is counted.
 func (p *Processor) InsertPrepared(prep core.Prepared) core.InsertResult {
 	res := p.eng.InsertPrepared(prep)
 	if p.msgIndex != nil {
-		m := prep.Doc.Msg
-		kws := prep.Doc.Keywords
-		// Fresh slice: appending to prep.Doc.Keywords would alias the
-		// engine-retained keyword set.
-		terms := make([]string, 0, len(kws)+len(m.Hashtags))
-		terms = append(terms, kws...)
-		terms = append(terms, m.Hashtags...)
-		p.msgIndex.Add(textindex.DocID(m.ID), terms)
-		p.messages[textindex.DocID(m.ID)] = m
+		p.index(prep.Doc.Msg, prep.Doc.Keywords)
 	}
 	return res
+}
+
+// index adds m to the message index under its keywords and hashtags.
+func (p *Processor) index(m *tweet.Message, keywords []string) {
+	id := textindex.DocID(m.ID)
+	if _, dup := p.messages[id]; dup {
+		p.dups.Inc()
+		return
+	}
+	// Scratch, not keywords itself: appending to that would alias the
+	// engine-retained keyword set. The index keeps no reference to it.
+	p.terms = append(append(p.terms[:0], keywords...), m.Hashtags...)
+	p.msgIndex.Add(id, p.terms)
+	p.messages[id] = m
 }
 
 // Reindex rebuilds the baseline message index from the engine's live
@@ -161,12 +186,7 @@ func (p *Processor) Reindex() int {
 	n := 0
 	p.eng.Pool().All(func(b *bundle.Bundle) {
 		for _, node := range b.Nodes() {
-			m := node.Doc.Msg
-			terms := make([]string, 0, len(node.Doc.Keywords)+len(m.Hashtags))
-			terms = append(terms, node.Doc.Keywords...)
-			terms = append(terms, m.Hashtags...)
-			p.msgIndex.Add(textindex.DocID(m.ID), terms)
-			p.messages[textindex.DocID(m.ID)] = m
+			p.index(node.Doc.Msg, node.Doc.Keywords)
 			n++
 		}
 	})

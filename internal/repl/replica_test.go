@@ -316,11 +316,30 @@ func TestFollowerCrashTorture(t *testing.T) {
 
 // swapHandler lets a single stable URL point at successive leader
 // generations — an HTTP stand-in for a leader process restarting
-// behind its address.
-type swapHandler struct{ h atomic.Pointer[http.Handler] }
+// behind its address. holdWAL makes the moment of a swap exact: the
+// k-th WAL fetch parks before it is served, and is answered by
+// whatever handler is current once the test releases it.
+type swapHandler struct {
+	h atomic.Pointer[http.Handler]
+
+	holdAt  int64 // which /repl/wal request parks; 0 = none
+	fetches atomic.Int64
+	held    chan struct{} // closed when that request has arrived
+	release chan struct{} // closed by the test to let it through
+}
 
 func (s *swapHandler) set(h http.Handler) { s.h.Store(&h) }
+
+// holdWAL arms the hold; call it before the follower starts.
+func (s *swapHandler) holdWAL(k int64) {
+	s.holdAt, s.held, s.release = k, make(chan struct{}), make(chan struct{})
+}
+
 func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if s.holdAt > 0 && r.URL.Path == "/repl/wal" && s.fetches.Add(1) == s.holdAt {
+		close(s.held)
+		<-s.release
+	}
 	(*s.h.Load()).ServeHTTP(w, r)
 }
 
@@ -345,17 +364,24 @@ func TestFollowerSurvivesLeaderRestartMidStream(t *testing.T) {
 	r := newFollower(t, srv.URL, fsx.NewMem(), client, func(o *ReplicaOptions) {
 		o.MaxBatchBytes = 1500 // many fetches, so the restart lands mid-stream
 	})
+	// The follower is genuinely mid-stream when its fourth WAL fetch
+	// arrives — three small batches past the checkpoint, most of the log
+	// still to come. Hold that fetch, kill the leader under it, and let
+	// the fetch hit the dead leader.
+	sw.holdWAL(4)
 	r.Start()
 	defer r.Stop()
-
-	// Wait until the follower is genuinely mid-stream, then kill the
-	// leader under it.
-	waitFor(t, 5*time.Second, "mid-stream progress", func() bool {
-		a := r.Applied()
-		return a > 90 && a < uint64(leader.n)
-	})
+	select {
+	case <-sw.held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("timed out waiting for the follower's fourth WAL fetch")
+	}
 	sw.set(down)
+	close(sw.release)
 	prev := r.Applied()
+	if prev >= uint64(leader.n) {
+		t.Fatalf("follower already applied %d of %d before its fourth fetch — test premise broken", prev, leader.n)
+	}
 	leader.restart()
 	if got := leader.dur.WALSyncedSeq(); got != uint64(leader.n) {
 		t.Fatalf("leader recovered to %d, ingested %d — test premise broken", got, leader.n)

@@ -197,8 +197,19 @@ func OpenDurable(cfg core.Config, opts Options, dopts DurableOptions) (*Durable,
 
 	d.Engine = assemble(opts, states)
 	d.Engine.led = led
+	// Replay restores a shard's clock from its own messages only, while
+	// every commit had advanced all shards to the round's newest date:
+	// realign them, or a crash after the last round leaves the shards
+	// that won none of its messages aging their pools behind the rest.
+	var now time.Time
 	for _, sh := range states {
 		d.Engine.global += uint64(sh.eng.Snapshot().Messages)
+		if t := sh.eng.Now(); t.After(now) {
+			now = t
+		}
+	}
+	for _, sh := range states {
+		sh.eng.AdvanceClock(now)
 	}
 
 	// Persist the recovered cut before accepting new work: the barrier

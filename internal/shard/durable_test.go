@@ -115,6 +115,11 @@ func TestShardedCrashRecoversAcknowledgedRounds(t *testing.T) {
 	if got := d2.Global(); got != 1000 {
 		t.Fatalf("recovered Global = %d, want the 1000 acknowledged", got)
 	}
+	// Every commit leaves all shards at the round's newest date, whoever
+	// won that message; replay alone would leave the other shard behind.
+	if a, b := d2.ShardEngine(0).Now(), d2.ShardEngine(1).Now(); !a.Equal(b) || !a.Equal(msgs[999].Date) {
+		t.Fatalf("recovered shard clocks %v and %v, want both at the last acknowledged message's %v", a, b, msgs[999].Date)
+	}
 	// Resume exactly at the recovered prefix and finish the stream;
 	// the result must match an uninterrupted run.
 	feed(t, d2, msgs[1000:])

@@ -540,5 +540,8 @@ func (e *Engine) RegisterMetrics(reg *metrics.Registry) {
 			"Messages committed per shard by the phase-2 apply (imbalance = skewed indicant distribution).",
 			&sh.msgs, "shard", label)
 		sh.eng.RegisterMetrics(reg, "shard", label)
+		if sh.proc != nil {
+			sh.proc.RegisterMetrics(reg, "shard", label)
+		}
 	}
 }

@@ -47,22 +47,23 @@ func NewService(eng *Engine, dur *Durable, opts ServiceOptions) (*Service, error
 	if dur != nil && dur.Engine != eng {
 		return nil, errors.New("shard: service: dur does not wrap eng")
 	}
-	return pipeline.NewWith(backend{eng, dur}, pipeline.Options{
-		CheckpointEvery: opts.CheckpointEvery,
-		Workers:         eng.shards[0].eng.Config().Parallel.Workers,
-	}), nil
+	return pipeline.NewWith(backend{eng, dur}, pipeline.Options{CheckpointEvery: opts.CheckpointEvery}), nil
 }
 
 // backend is the pipeline.Backend over a sharded engine; the embedded
 // Engine supplies Flush, Pending, Err, Snapshot and the reads. Apply
-// buffers into the round, whose commit phase does the WAL logging, so
-// Log has nothing to do.
+// buffers into the round, whose commit phase does the WAL logging (one
+// batch write per fsync on each shard's log), so Log and Sync have
+// nothing to do, and the log stage hands over one round's worth at a
+// time.
 type backend struct {
 	*Engine
 	dur *Durable // nil for memory-only engines
 }
 
 func (b backend) Log(*tweet.Message) error    { return nil }
+func (b backend) Sync() error                 { return nil }
+func (b backend) LogBatch() int               { return b.Batch() }
 func (b backend) Apply(p core.Prepared) error { return b.IngestPrepared(p) }
 func (b backend) Applied() int                { return int(b.Global()) }
 func (b backend) CanCheckpoint() bool         { return b.dur != nil }

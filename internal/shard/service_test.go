@@ -29,14 +29,14 @@ type deployment struct {
 }
 
 // contractBackends lists how to open each backend on fs. opts carries
-// the writer-loop settings (Buffer, Workers, CheckpointEvery).
+// the ingest-loop settings (Buffer, CheckpointEvery).
 var contractBackends = []struct {
 	name string
 	open func(t *testing.T, fs fsx.FS, opts pipeline.Options) deployment
 }{
 	{"serial", func(t *testing.T, fs fsx.FS, opts pipeline.Options) deployment {
 		d, err := pipeline.OpenDurable(core.PartialIndexConfig(500), nil, nil, pipeline.DurableOptions{
-			FS: fs, CheckpointPath: "engine.ckpt", WALDir: "wal", WALSyncEvery: 1,
+			FS: fs, CheckpointPath: "engine.ckpt", WALDir: "wal", WALSyncEvery: 64,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -347,6 +347,27 @@ func TestServiceContract(t *testing.T) {
 			}
 			if err := s.Stop(); err != nil {
 				t.Fatal(err)
+			}
+		}},
+		// A quiet feed's tail must be on disk, not in a batch buffer
+		// waiting for more traffic: ten messages, silence, power loss.
+		{"quiet tail survives a crash", func(t *testing.T, open openFunc) {
+			mem := fsx.NewMem()
+			ff := fsx.NewFault(mem)
+			d := open(t, ff, pipeline.Options{})
+			d.svc.Start()
+			submitAll(t, d.svc, smallGen(7).Next, 10)
+			waitFor(t, "10 messages applied", func() bool { return d.svc.Ingested() == 10 })
+			// Freeze the disk before stopping, so Stop's final checkpoint
+			// cannot land what the ingest path had left volatile.
+			ff.Arm(1, fsx.Fault{Freeze: true})
+			_ = d.svc.Stop()
+			_ = d.close()
+			mem.Crash()
+			d2 := open(t, mem, pipeline.Options{})
+			defer d2.close()
+			if got := d2.svc.Snapshot().Messages; got != 10 {
+				t.Errorf("recovered %d messages, want the 10 that were visible before the crash", got)
 			}
 		}},
 	}

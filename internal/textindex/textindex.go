@@ -12,6 +12,7 @@ package textindex
 import (
 	"container/heap"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -40,6 +41,7 @@ type Index struct {
 	deleted  map[DocID]bool       // guarded by mu
 	totalLen int64                // sum of live+deleted doc lengths, adjusted on delete; guarded by mu
 	liveDocs int                  // guarded by mu
+	sorted   []string             // Add's scratch copy of one document's terms; guarded by mu
 }
 
 // New returns an empty index.
@@ -65,15 +67,21 @@ func (ix *Index) Add(doc DocID, terms []string) {
 	if _, ok := ix.docLen[doc]; ok && !ix.deleted[doc] {
 		panic("textindex: duplicate Add for live document")
 	}
-	tf := make(map[string]uint32, len(terms))
-	for _, t := range terms {
-		if t == "" {
-			continue
+	// Term frequencies by sort + run length over a scratch copy: no
+	// per-document map. Which term's posting list is extended first does
+	// not matter — each list stays in document order either way.
+	ix.sorted = append(ix.sorted[:0], terms...)
+	slices.Sort(ix.sorted)
+	for i := 0; i < len(ix.sorted); {
+		t := ix.sorted[i]
+		j := i + 1
+		for j < len(ix.sorted) && ix.sorted[j] == t {
+			j++
 		}
-		tf[t]++
-	}
-	for t, n := range tf {
-		ix.postings[t] = append(ix.postings[t], posting{doc: doc, tf: n})
+		if t != "" {
+			ix.postings[t] = append(ix.postings[t], posting{doc: doc, tf: uint32(j - i)})
+		}
+		i = j
 	}
 	delete(ix.deleted, doc)
 	ix.docLen[doc] = len(terms)

@@ -301,3 +301,37 @@ func BenchmarkSearch(b *testing.B) {
 		ix.Search(query, 10)
 	}
 }
+
+// TestAddNoPerDocumentMap pins Add's term counting at no heap map (or
+// any other allocation) per document: over a fixed vocabulary the only
+// allocations left are the posting lists and the length table growing,
+// which amortise to well under one per Add. The message index pays this
+// path once per ingested message.
+func TestAddNoPerDocumentMap(t *testing.T) {
+	ix := New()
+	vocab := []string{"game", "win", "team", "score", "final", "tsunami", "samoa", "quake", "coast", "rescue",
+		"warning", "relief", "wave", "island", "alert", "news", "live"}
+	terms := make([]string, 12) // a message's keywords and hashtags; more than a stack-allocated map holds
+	doc := DocID(0)
+	add := func() {
+		doc++
+		for i := range terms {
+			terms[i] = vocab[(int(doc)+i*3)%len(vocab)]
+		}
+		ix.Add(doc, terms)
+	}
+	for i := 0; i < 1000; i++ {
+		add()
+	}
+	if n := testing.AllocsPerRun(4000, add); n >= 0.5 {
+		t.Errorf("Add allocates %.2f per document, want amortised growth only (< 0.5)", n)
+	}
+	// Repeated terms still count: "game" twice, "win" once.
+	ix.Add(doc+1, []string{"game", "win", "game", ""})
+	if got := ix.postings["game"][len(ix.postings["game"])-1]; got.doc != doc+1 || got.tf != 2 {
+		t.Errorf("last posting of game = %+v, want doc %d with tf 2", got, doc+1)
+	}
+	if _, ok := ix.postings[""]; ok {
+		t.Error("the empty term was indexed")
+	}
+}

@@ -51,7 +51,9 @@ func (l *Log) SyncedSeq() uint64 { return l.synced.Load() }
 
 // EncodeRecord flattens (seq, m) into the canonical WAL record payload
 // (the bytes ReadBatch ships and DecodeRecord parses).
-func EncodeRecord(seq uint64, m *tweet.Message) []byte { return encodeRecord(seq, m) }
+func EncodeRecord(seq uint64, m *tweet.Message) []byte {
+	return appendRecord(make([]byte, 0, 32+len(m.User)+len(m.Text)), seq, m)
+}
 
 // DecodeRecord parses one record payload back into its sequence and
 // message. It is the follower-side inverse of EncodeRecord.

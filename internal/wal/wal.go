@@ -1,8 +1,18 @@
 // Package wal is the write-ahead log of the ingest path: every raw
-// message is appended (and fsynced on a batching cadence) before it is
+// message is appended, and its batch written and fsynced, before it is
 // applied to the in-memory engine, so a crash loses at most the
 // unsynced tail — everything acknowledged survives as checkpoint +
 // WAL replay.
+//
+// Group commit: Append only encodes a framed record into the open
+// batch, a buffer the log owns and reuses; Sync lands the whole batch
+// with one write and one fsync. Append calls Sync itself every
+// SyncEvery records, callers call it to close a batch early (the ingest
+// loop does whenever its queue runs dry). A batch lands whole or not at
+// all: if the write comes up short or the fsync fails, the file is cut
+// back to its last synced length and the batch is dropped, so the file
+// on disk always ends at a sync point and a later batch starts at a
+// clean record boundary.
 //
 // Layout: a log directory holds numbered files (wal-000001.log, ...).
 // Each starts with an 8-byte magic and carries length-prefixed CRC32C-
@@ -18,11 +28,14 @@
 // truncated on Open. Corruption in an earlier file is an error, since
 // sealed files are never legitimately half-written.
 //
-// Concurrency contract: the log has a single writer — Append, Sync,
-// Truncate, Replay and Close must all come from one goroutine (the
-// ingest loop). Size and the series registered by RegisterMetrics are
-// the only concurrent-read surfaces: they are backed by atomics and
-// safe to scrape while the writer is mid-append.
+// Concurrency contract: the log has one owner at a time — Append, Sync,
+// Truncate, Rebase, Replay and Close must never run concurrently. In a
+// pipeline.Service the owner is the log stage, or the writer while the
+// stage is parked at a checkpoint barrier (DESIGN.md §2c); a tool's
+// main loop or a shard's commit goroutine owns its log outright. Size,
+// SyncedSeq, ReadBatch and the series registered by RegisterMetrics
+// are the concurrent-read surfaces: they are backed by atomics and
+// their own file handles, safe while the owner is mid-append.
 package wal
 
 import (
@@ -66,40 +79,44 @@ var errBadMagic = errors.New("bad magic")
 type Options struct {
 	// FS is the filesystem; nil uses the real one.
 	FS fsx.FS
-	// SyncEvery fsyncs after every n appended records; <=1 syncs every
-	// append (the maximally durable default).
+	// SyncEvery caps the open batch: the n-th appended record writes and
+	// fsyncs it. <=1 syncs every append (the maximally durable default).
 	SyncEvery int
 }
 
 // Log is an open write-ahead log positioned for appending. Not safe
-// for concurrent use: the ingest pipeline's single writer owns it. The
-// only exceptions are Size and the RegisterMetrics instruments, which
-// are atomic (or internally locked) so a metrics scrape may read them
-// while the writer appends.
+// for concurrent use: it has one owner at a time (see the package
+// comment). The only exceptions are Size, SyncedSeq, ReadBatch and the
+// RegisterMetrics instruments, which are atomic (or internally locked)
+// so a metrics scrape or a replication read may run while the owner
+// appends.
 type Log struct {
 	fs   fsx.FS
 	dir  string
 	opts Options
 
-	// f through broken are owned by the single writer goroutine (the
-	// pipeline's apply loop); they are never touched from another
-	// goroutine, so they carry no lock. Cross-goroutine reads go
-	// through the atomics below instead.
+	// f through broken belong to the current owner — the pipeline's log
+	// stage, or its writer while the stage is parked at a checkpoint
+	// barrier; the hand-over between the two is a channel operation, so
+	// the fields carry no lock. Cross-goroutine reads go through the
+	// atomics below instead.
 	f       fsx.File
 	seg     int
-	size    atomic.Int64 // bytes in the active file; atomic for scrapes
-	pending int          // appended records not yet fsynced
-	lastSeq uint64       // highest sequence appended or replayed
-	broken  error        // set when a torn tail could not be repaired; appends refused
+	size    atomic.Int64  // bytes appended to the active file, the open batch included; atomic for scrapes
+	batch   []byte        // the open batch: framed records not yet written; reused across syncs
+	pending int           // records in batch
+	encode  time.Duration // time spent encoding the open batch
+	lastSeq uint64        // highest sequence appended or replayed
+	broken  error         // set when a torn tail could not be repaired; appends refused
 
 	// synced is the shipping watermark: the highest sequence known to be
 	// fully on stable storage. Atomic, because replication readers
 	// (ReadBatch) consult it from HTTP handler goroutines while the
-	// single writer appends.
+	// owner appends.
 	synced atomic.Uint64
 
-	// Observability: record-write latency, fsync-batch latency (one
-	// observation per physical fsync, covering SyncEvery records), and
+	// Observability: encode + batch-write time (one observation per batch
+	// written), fsync latency (one observation per physical fsync) and
 	// truncations. Exported via RegisterMetrics.
 	appendTimer metrics.StageTimer
 	syncHist    *metrics.Histogram
@@ -113,9 +130,9 @@ type Log struct {
 // latency series in the shared registry.
 func (l *Log) RegisterMetrics(reg *metrics.Registry, labels ...string) {
 	reg.RegisterTimer("provex_wal_append_seconds",
-		"Cumulative time writing WAL records (excludes fsync).", &l.appendTimer, labels...)
+		"Cumulative time encoding WAL records and writing their batches (excludes fsync); one observation per batch written.", &l.appendTimer, labels...)
 	reg.RegisterHistogram("provex_wal_fsync_seconds",
-		"Latency of WAL fsync batches (one fsync covers SyncEvery appends).", l.syncHist, 1e9, labels...)
+		"Latency of WAL fsyncs (one fsync covers one batch of at most SyncEvery appends).", l.syncHist, 1e9, labels...)
 	reg.RegisterCounter("provex_wal_truncations_total",
 		"WAL truncations after a covering checkpoint.", &l.truncations, labels...)
 	reg.RegisterGaugeFunc("provex_wal_size_bytes",
@@ -255,7 +272,6 @@ func (l *Log) startFile() error {
 	l.seg = next
 	l.f = f
 	l.size.Store(int64(len(walMagic)))
-	l.pending = 0
 	return nil
 }
 
@@ -343,12 +359,11 @@ func (l *Log) Replay(afterSeq uint64, fn func(seq uint64, m *tweet.Message) erro
 	return nil
 }
 
-// encodeRecord flattens (seq, m) into a record payload: the raw message
-// fields only — indicants are re-extracted by tweet.Parse on replay, so
-// the parser stays the single source of truth (same contract as the
-// JSONL codec).
-func encodeRecord(seq uint64, m *tweet.Message) []byte {
-	buf := make([]byte, 0, 32+len(m.User)+len(m.Text))
+// appendRecord appends the record payload of (seq, m) to buf: the raw
+// message fields only — indicants are re-extracted by tweet.Parse on
+// replay, so the parser stays the single source of truth (same contract
+// as the JSONL codec).
+func appendRecord(buf []byte, seq uint64, m *tweet.Message) []byte {
 	buf = binary.AppendUvarint(buf, seq)
 	buf = binary.AppendUvarint(buf, uint64(m.ID))
 	buf = binary.AppendVarint(buf, m.Date.UnixNano())
@@ -423,11 +438,13 @@ func (r *recReader) str() string {
 	return s
 }
 
-// Append logs message m under sequence seq (the engine ordinal it will
-// occupy), fsyncing on the configured cadence. Sequences must be
-// appended in increasing order. When Append returns nil and a
-// subsequent Sync (explicit or cadence-driven) succeeds, the message is
-// durable.
+// Append encodes message m under sequence seq (the engine ordinal it
+// will occupy) into the open batch; the record that fills the batch
+// (SyncEvery) also writes and fsyncs it. Sequences must be appended in
+// increasing order. A nil return promises nothing by itself: the
+// message is durable once a Sync — this one's, a later Append's or an
+// explicit one — has returned nil. An error means the whole open batch
+// was dropped (see Sync).
 func (l *Log) Append(seq uint64, m *tweet.Message) error {
 	if l.broken != nil {
 		return l.broken
@@ -435,21 +452,15 @@ func (l *Log) Append(seq uint64, m *tweet.Message) error {
 	if seq <= l.lastSeq {
 		return fmt.Errorf("wal: sequence %d not after %d", seq, l.lastSeq)
 	}
-	payload := encodeRecord(seq, m)
-	var hdr [recordHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
 	start := time.Now()
-	if _, err := l.f.Write(hdr[:]); err != nil {
-		l.repairTail()
-		return fmt.Errorf("wal: %w", err)
-	}
-	if _, err := l.f.Write(payload); err != nil {
-		l.repairTail()
-		return fmt.Errorf("wal: %w", err)
-	}
-	l.appendTimer.Observe(time.Since(start))
-	l.size.Add(recordHeaderSize + int64(len(payload)))
+	at := len(l.batch)
+	var hdr [recordHeaderSize]byte
+	l.batch = appendRecord(append(l.batch, hdr[:]...), seq, m)
+	payload := l.batch[at+recordHeaderSize:]
+	binary.LittleEndian.PutUint32(l.batch[at:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(l.batch[at+4:], crc32.Checksum(payload, crcTable))
+	l.encode += time.Since(start)
+	l.size.Add(int64(len(l.batch) - at))
 	l.lastSeq = seq
 	l.pending++
 	if l.pending >= l.opts.SyncEvery {
@@ -458,14 +469,49 @@ func (l *Log) Append(seq uint64, m *tweet.Message) error {
 	return nil
 }
 
-// repairTail rewinds the active file to its last good length after a
-// failed append, so a later append starts at a clean record boundary
-// instead of after dangling partial bytes whose CRC mismatch would end
-// replay early and silently drop every record behind them. If the
-// repair itself fails the log is latched broken: Append and Truncate
-// are refused, keeping the torn tail in the final file where the next
-// Open truncates it, rather than sealing it where Open must fail.
-func (l *Log) repairTail() {
+// Sync lands the open batch: one write, one fsync. On success every
+// record appended so far is on stable storage and the synced watermark
+// moves up to the last of them. If the write fails or comes up short,
+// or the fsync fails, none of the batch counts: the file is cut back to
+// its last synced length, the batch is dropped and LastSeq falls back
+// to the synced watermark — partial bytes whose CRC mismatch would end
+// replay early and silently hide every record behind them never stay
+// in front of a later batch. If that repair itself fails the log is
+// latched broken: Append and Truncate are refused, keeping the torn
+// tail in the final file where the next Open truncates it, rather than
+// sealing it where Open must fail.
+func (l *Log) Sync() error {
+	if l.pending == 0 {
+		return nil
+	}
+	start := time.Now()
+	n, err := l.f.Write(l.batch)
+	if err == nil && n < len(l.batch) {
+		err = io.ErrShortWrite
+	}
+	l.appendTimer.Observe(l.encode + time.Since(start))
+	if err == nil {
+		start = time.Now()
+		if err = l.f.Sync(); err == nil {
+			l.syncHist.Observe(int64(time.Since(start)))
+		}
+	}
+	if err != nil {
+		l.dropBatch()
+		return fmt.Errorf("wal: %w", err)
+	}
+	l.synced.Store(l.lastSeq)
+	l.batch, l.pending, l.encode = l.batch[:0], 0, 0
+	return nil
+}
+
+// dropBatch forgets the open batch after a failed Sync and rewinds the
+// active file to its last synced length, latching the log broken when
+// it cannot.
+func (l *Log) dropBatch() {
+	l.size.Add(-int64(len(l.batch)))
+	l.lastSeq = l.synced.Load()
+	l.batch, l.pending, l.encode = l.batch[:0], 0, 0
 	if err := l.f.Truncate(l.size.Load()); err != nil {
 		l.broken = fmt.Errorf("wal: tail unrepaired: %w", err)
 		return
@@ -473,23 +519,6 @@ func (l *Log) repairTail() {
 	if _, err := l.f.Seek(0, io.SeekEnd); err != nil {
 		l.broken = fmt.Errorf("wal: tail unrepaired: %w", err)
 	}
-}
-
-// Sync flushes appended records to stable storage. The fsync latency is
-// observed on the fsync-batch histogram — one observation covers every
-// record appended since the previous sync.
-func (l *Log) Sync() error {
-	if l.pending == 0 {
-		return nil
-	}
-	start := time.Now()
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	l.syncHist.Observe(int64(time.Since(start)))
-	l.pending = 0
-	l.synced.Store(l.lastSeq)
-	return nil
 }
 
 // LastSeq returns the highest sequence number appended or recovered.

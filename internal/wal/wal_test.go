@@ -1,8 +1,10 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"testing"
 	"time"
 
@@ -222,8 +224,8 @@ func TestStaleFilesFilteredWhenRemoveFails(t *testing.T) {
 func TestAppendFailureRepairsTail(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		nth  int64 // which write of the append tears: 1 = header, 2 = payload
-	}{{"header", 1}, {"payload", 2}} {
+		torn int // bytes of the batch write that land before it fails
+	}{{"header", 3}, {"payload", 20}} {
 		t.Run(tc.name, func(t *testing.T) {
 			mem := fsx.NewMem()
 			ff := fsx.NewFault(mem)
@@ -231,7 +233,7 @@ func TestAppendFailureRepairsTail(t *testing.T) {
 			appendN(t, l, 0, 5)
 			// The write tears, leaving partial garbage bytes at the
 			// append position before the error surfaces.
-			ff.Arm(tc.nth, fsx.Fault{TornBytes: 3}, fsx.OpWrite)
+			ff.Arm(1, fsx.Fault{TornBytes: tc.torn}, fsx.OpWrite)
 			if err := l.Append(6, msg(5)); !errors.Is(err, fsx.ErrInjected) {
 				t.Fatalf("append err = %v, want injected write failure", err)
 			}
@@ -254,19 +256,67 @@ func TestAppendFailureRepairsTail(t *testing.T) {
 	}
 }
 
+// TestShortBatchWriteDropsBatch: a batch lands whole or not at all. A
+// write that comes up short in the middle of a 64-record batch — whole
+// records and a partial one on disk — must leave the log ending at the
+// previous sync, in memory and on disk, and later batches must land
+// cleanly behind it.
+func TestShortBatchWriteDropsBatch(t *testing.T) {
+	for _, resume := range []bool{false, true} {
+		mem := fsx.NewMem()
+		ff := fsx.NewFault(mem)
+		l, _ := Open("wal", Options{FS: ff, SyncEvery: 64})
+		appendN(t, l, 0, 64) // one full batch: written and synced
+		syncedSize := l.Size()
+		appendN(t, l, 64, 127)
+		ff.Arm(1, fsx.Fault{TornBytes: int(l.Size()-syncedSize) / 2}, fsx.OpWrite)
+		if err := l.Append(128, msg(127)); !errors.Is(err, fsx.ErrInjected) {
+			t.Fatalf("append closing the batch: err = %v, want the injected short write", err)
+		}
+		ff.Disarm()
+		if l.LastSeq() != 64 || l.SyncedSeq() != 64 || l.Size() != syncedSize {
+			t.Fatalf("after the dropped batch: LastSeq %d SyncedSeq %d Size %d, want 64 64 %d",
+				l.LastSeq(), l.SyncedSeq(), l.Size(), syncedSize)
+		}
+		want := 64
+		if resume {
+			appendN(t, l, 64, 130) // the same sequences again, and past the cadence
+			if err := l.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			want = 130
+		}
+		mem.Crash()
+
+		l2, err := Open("wal", Options{FS: mem})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs, _ := collect(t, l2, 0)
+		if len(seqs) != want {
+			t.Fatalf("resume=%v: replayed %d records, want %d", resume, len(seqs), want)
+		}
+		for i, seq := range seqs {
+			if seq != uint64(i+1) {
+				t.Fatalf("resume=%v: record %d has sequence %d", resume, i, seq)
+			}
+		}
+	}
+}
+
 func TestUnrepairedTailLatchesBroken(t *testing.T) {
 	mem := fsx.NewMem()
 	ff := fsx.NewFault(mem)
-	l, _ := Open("wal", Options{FS: ff})
-	appendN(t, l, 0, 5)
-	// The write tears AND the repair truncate fails: the on-disk tail
-	// stays torn, so the log must refuse to write past it.
+	l, _ := Open("wal", Options{FS: ff, SyncEvery: 4})
+	appendN(t, l, 0, 11) // two batches synced, three records in the open one
+	// The batch write tears AND the repair truncate fails: the on-disk
+	// tail stays torn, so the log must refuse to write past it.
 	ff.Arm(1, fsx.Fault{TornBytes: 3, Freeze: true}, fsx.OpWrite, fsx.OpTruncate)
-	if err := l.Append(6, msg(5)); !errors.Is(err, fsx.ErrInjected) {
+	if err := l.Append(12, msg(11)); !errors.Is(err, fsx.ErrInjected) {
 		t.Fatalf("append err = %v, want injected write failure", err)
 	}
 	ff.Disarm()
-	if err := l.Append(6, msg(5)); err == nil {
+	if err := l.Append(9, msg(8)); err == nil {
 		t.Fatal("append accepted on a broken log")
 	}
 	// Truncate is refused too: sealing the torn file into a non-final
@@ -282,10 +332,10 @@ func TestUnrepairedTailLatchesBroken(t *testing.T) {
 		t.Fatal(err)
 	}
 	seqs, _ := collect(t, l2, 0)
-	if len(seqs) != 5 {
-		t.Fatalf("replay = %v, want records 1..5", seqs)
+	if len(seqs) != 8 {
+		t.Fatalf("replay = %v, want records 1..8", seqs)
 	}
-	if err := l2.Append(6, msg(5)); err != nil {
+	if err := l2.Append(9, msg(8)); err != nil {
 		t.Fatalf("append after reopen: %v", err)
 	}
 }
@@ -339,10 +389,26 @@ func TestTruncateReplacesDebrisFile(t *testing.T) {
 func TestSyncErrorSurfacesOnAppend(t *testing.T) {
 	mem := fsx.NewMem()
 	ff := fsx.NewFault(mem)
-	l, _ := Open("wal", Options{FS: ff, SyncEvery: 1})
+	l, _ := Open("wal", Options{FS: ff, SyncEvery: 4})
+	appendN(t, l, 0, 3)
 	ff.Arm(1, fsx.Fault{}, fsx.OpSync)
-	if err := l.Append(1, msg(0)); !errors.Is(err, fsx.ErrInjected) {
+	// The append that closes the batch carries the fsync failure, and
+	// the batch — written, but never known durable — is dropped with it.
+	if err := l.Append(4, msg(3)); !errors.Is(err, fsx.ErrInjected) {
 		t.Fatalf("append err = %v, want injected fsync failure", err)
+	}
+	ff.Disarm()
+	if l.LastSeq() != 0 || l.SyncedSeq() != 0 {
+		t.Fatalf("after the failed sync: LastSeq %d SyncedSeq %d, want 0 0", l.LastSeq(), l.SyncedSeq())
+	}
+	appendN(t, l, 0, 4)
+	mem.Crash()
+	l2, err := Open("wal", Options{FS: mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seqs, _ := collect(t, l2, 0); len(seqs) != 4 {
+		t.Fatalf("replay = %v, want the re-appended 1..4 exactly once", seqs)
 	}
 }
 
@@ -386,5 +452,107 @@ func TestCorruptSealedFileErrors(t *testing.T) {
 
 	if _, err := Open("wal", Options{FS: mem}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("open err = %v, want ErrCorrupt for sealed file", err)
+	}
+}
+
+// TestGoldenFormat pins the on-disk format across the move to batch
+// writes: a log file written by the previous implementation (two writes
+// per record) replays here, and the same appends produce the same bytes
+// here — so either side reads what the other wrote.
+func TestGoldenFormat(t *testing.T) {
+	golden, err := os.ReadFile("testdata/golden_pr14.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := fsx.NewMem()
+	mem.WriteFile("old/wal-000001.log", golden)
+	old, err := Open("old", Options{FS: mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs, msgs := collect(t, old, 0)
+	if len(seqs) != 10 {
+		t.Fatalf("golden file replayed %d records, want 10", len(seqs))
+	}
+	for i, m := range msgs {
+		want := msg(i)
+		if seqs[i] != uint64(i+1) || m.ID != want.ID || m.User != want.User || m.Text != want.Text || !m.Date.Equal(want.Date) {
+			t.Fatalf("golden record %d = seq %d %+v, want seq %d %+v", i, seqs[i], m, i+1, want)
+		}
+	}
+
+	l, err := Open("new", Options{FS: mem, SyncEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 0, 10)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	written, err := mem.ReadFile("new/wal-000001.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(written, golden) {
+		t.Fatalf("the same 10 appends wrote %d bytes that differ from the %d-byte golden file", len(written), len(golden))
+	}
+}
+
+// discardFile swallows writes and syncs, so an allocation count over
+// Append sees the log's own work and not MemFS growing a file.
+type discardFile struct{ fsx.File }
+
+func (discardFile) Write(p []byte) (int, error) { return len(p), nil }
+func (discardFile) Sync() error                 { return nil }
+
+// TestAppendZeroAlloc pins the group-commit path at zero allocations
+// per record once the batch buffer has reached its working size: no
+// per-record payload buffer, no header array escaping to the heap.
+func TestAppendZeroAlloc(t *testing.T) {
+	l, err := Open("wal", Options{FS: fsx.NewMem(), SyncEvery: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.f = discardFile{l.f}
+	m := msg(1)
+	seq := uint64(0)
+	add := func() {
+		seq++
+		if err := l.Append(seq, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		add()
+	}
+	if n := testing.AllocsPerRun(640, add); n != 0 {
+		t.Errorf("Append allocates %.2f per record, want 0", n)
+	}
+}
+
+// BenchmarkAppend times one 64-record batch per iteration: 64 encodes,
+// one write, one fsync, on MemFS. The log is truncated now and then, as
+// checkpoints do, because MemFS copies the whole file on every sync.
+func BenchmarkAppend(b *testing.B) {
+	l, err := Open("wal", Options{FS: fsx.NewMem(), SyncEvery: 64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := msg(1)
+	seq := uint64(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 64; j++ {
+			seq++
+			if err := l.Append(seq, m); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if i%256 == 255 {
+			if err := l.Truncate(); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

@@ -43,6 +43,7 @@ func fullRegistry(t *testing.T) *metrics.Registry {
 	dur.RegisterMetrics(reg)
 	dur.Engine().RegisterMetrics(reg)
 	proc := query.New(dur.Engine(), query.DefaultOptions())
+	proc.RegisterMetrics(reg)
 	svc := pipeline.New(proc, pipeline.Options{Durable: dur})
 	svc.RegisterMetrics(reg)
 	rec := trace.New(trace.Options{SampleEvery: 1})
