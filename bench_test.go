@@ -19,7 +19,6 @@ import (
 	"provex/internal/core"
 	"provex/internal/experiments"
 	"provex/internal/gen"
-	"provex/internal/pipeline"
 	"provex/internal/stream"
 	"provex/internal/tweet"
 )
@@ -196,9 +195,9 @@ func BenchmarkAblationRefineTrigger(b *testing.B) {
 	}
 }
 
-// Ingest throughput benches — serial engine vs the parallel prepare
-// pipeline on identical streams. Run with -benchmem to see the
-// allocation effect of the postings slab/interning overhaul too.
+// Ingest throughput bench — the serial engine's insert loop. Run with
+// -benchmem to see the allocation effect of the postings
+// slab/interning overhaul too.
 
 // ingestMsgs lazily generates one shared bench stream; iterations clone
 // it because engines annotate and retain the messages they ingest.
@@ -220,7 +219,8 @@ func benchStream(b *testing.B) []*tweet.Message {
 	return ingestMsgs
 }
 
-func benchIngest(b *testing.B, workers int) {
+// BenchmarkIngestSerial is the single-threaded baseline ingest path.
+func BenchmarkIngestSerial(b *testing.B) {
 	msgs := benchStream(b)
 	s := benchScale()
 	b.ReportAllocs()
@@ -228,25 +228,14 @@ func benchIngest(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		clones := stream.CloneSlice(msgs)
-		cfg := core.PartialIndexConfig(s.PoolLimit)
-		cfg.Parallel = core.ParallelOptions{Workers: workers}
-		e := core.New(cfg, nil, nil)
+		e := core.New(core.PartialIndexConfig(s.PoolLimit), nil, nil)
 		b.StartTimer()
-		n, err := pipeline.IngestAll(e, stream.NewSliceSource(clones))
-		if err != nil || n != len(clones) {
-			b.Fatalf("IngestAll = (%d, %v)", n, err)
+		for _, m := range clones {
+			e.Insert(m)
 		}
 	}
 	b.ReportMetric(float64(b.N*len(msgs))/b.Elapsed().Seconds(), "msgs/s")
 }
-
-// BenchmarkIngestSerial is the single-threaded baseline ingest path.
-func BenchmarkIngestSerial(b *testing.B) { benchIngest(b, 1) }
-
-// BenchmarkIngestParallel runs 4 prepare workers; the speedup over
-// serial only materialises with spare cores (the apply stage stays
-// single-writer).
-func BenchmarkIngestParallel(b *testing.B) { benchIngest(b, 4) }
 
 func BenchmarkAblationKeywordClass(b *testing.B) {
 	for i := 0; i < b.N; i++ {

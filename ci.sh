@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gate: build, vet, unit tests, then the race-detector pass. The
 # race pass matters since the ingest pipeline grew concurrent stages
-# (prepare worker pool, sharded probe/commit rounds, read-lock queries).
+# (log stage ahead of the writer, sharded probe/commit rounds,
+# read-lock queries).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -66,23 +67,25 @@ echo "== durability (-race -count=1) =="
 go test -race -count=1 ./internal/fsx ./internal/wal ./internal/storage ./internal/pipeline
 
 # Crash torture: randomized fault points, crash, recover, compare
-# against an uninterrupted run. Seeds are fixed; a failure prints the
-# seed in the subtest name for exact reproduction.
+# against an uninterrupted run — one seeded driver over the serial and
+# the sharded durable backend (it lives in internal/shard, which can
+# import both). Seeds are fixed; a failure prints the seed in the
+# subtest name for exact reproduction.
 echo "== crash torture =="
-go test -count=1 -run TestCrashTorture -v ./internal/pipeline | grep -E 'seed|PASS|FAIL|ok '
+go test -count=1 -run TestCrashTorture -v ./internal/shard | grep -E 'seed|PASS|FAIL|ok '
 
 # Observability loopback, once per engine: a real durable live
-# provserve (-shards 1 with decision tracing on, then -shards 2)
-# ingests a stream file and answers a real provload run over localhost.
-# Both legs must show non-zero throughput (provload exits 1 on zero
-# 2xx), a well-formed /metrics scrape (provload errors on malformed
-# exposition lines) with the HTTP families present and
-# provex_pipeline_ingested_total equal to the stream length, and a
+# provserve (-shards 1, then -shards 2), decision tracing on, ingests a
+# stream file and answers a real provload run over localhost. Both legs
+# must show non-zero throughput (provload exits 1 on zero 2xx), a
+# well-formed /metrics scrape (provload errors on malformed exposition
+# lines) with the HTTP families present and
+# provex_pipeline_ingested_total equal to the stream length, at least
+# one harvested message ID resolved to a well-formed /explain breakdown
+# (full Eq. 1 candidate component scores + Table II connection), and a
 # clean SIGTERM exit after which a restart on the same state replays 0
 # WAL messages (end of input stops ingest with a final checkpoint,
-# whichever engine runs). The traced leg must also resolve at least one
-# harvested message ID to a well-formed /explain breakdown (full Eq. 1
-# candidate component scores + Table II connection).
+# whichever engine runs).
 echo "== provload vs provserve loopback (-shards 1, -shards 2) =="
 obs_tmp="$(mktemp -d)"
 serve_pid=""
@@ -107,42 +110,86 @@ wait_metric() {
     done
     echo "loopback: $1 = '$got', want $2"; return 1
 }
-for ns in 1 2; do
-    state="$obs_tmp/loop-$ns"
-    mkdir -p "$state"
-    node=(-live -shards "$ns" -ckpt "$state/engine.ckpt" -wal "$state/wal" -addr "$loop_addr")
-    trace=()
-    mix='search=5,prov=3,bundle=1,trending=1'
-    if [ "$ns" = 1 ]; then
-        trace=(-trace-sample 1 -trace-buffer 8192)
-        mix="$mix,explain=2"
-    fi
-    "$obs_tmp/provserve" "${node[@]}" -in "$obs_tmp/loop.jsonl" "${trace[@]}" >"$state/serve.log" 2>&1 &
-    serve_pid=$!
-    wait_metric provex_pipeline_ingested_total 3000
-    "$obs_tmp/provload" -target "http://$loop_addr" -wait 15s \
-        -qps 300 -workers 8 -warmup 200ms -duration 2s -mix "$mix" | tee "$state/load.out"
-    grep -q 'provex_http_requests_total' "$state/load.out" \
-        || { echo "loopback -shards $ns: HTTP metric families missing from the delta"; exit 1; }
-    if [ "$ns" = 1 ]; then
-        grep -Eq 'explain: ok=[1-9]' "$state/load.out" \
-            || { echo "loopback: no well-formed /explain breakdown observed"; exit 1; }
-        grep -q 'explain: .*malformed=0' "$state/load.out" \
-            || { echo "loopback: malformed /explain answers"; exit 1; }
-        grep -q 'decision quality:' "$state/load.out" \
-            || { echo "loopback: decision-quality digest missing"; exit 1; }
-    fi
-    kill "$serve_pid"
-    wait "$serve_pid" || { echo "loopback -shards $ns: unclean exit on SIGTERM"; cat "$state/serve.log"; exit 1; }
-    # restart on the state the node left: everything is in the checkpoint
-    "$obs_tmp/provserve" "${node[@]}" </dev/null >"$state/restart.log" 2>&1 &
+# restart_clean LABEL FLAGS...: a node restarted on the state a clean
+# exit left finds all 3 000 messages in the checkpoint and replays none
+restart_clean() {
+    local label="$1"; shift
+    "$obs_tmp/provserve" "$@" </dev/null >"$state/restart.log" 2>&1 &
     serve_pid=$!
     wait_metric provex_ingest_messages_total 3000
     wait_metric provex_wal_replayed_messages 0
     kill "$serve_pid"
-    wait "$serve_pid" || { echo "loopback -shards $ns: unclean exit of the restarted node"; exit 1; }
+    wait "$serve_pid" || { echo "$label: unclean exit of the restarted node"; exit 1; }
     serve_pid=""
+}
+for ns in 1 2; do
+    state="$obs_tmp/loop-$ns"
+    mkdir -p "$state"
+    node=(-live -shards "$ns" -ckpt "$state/engine.ckpt" -wal "$state/wal" -addr "$loop_addr")
+    "$obs_tmp/provserve" "${node[@]}" -in "$obs_tmp/loop.jsonl" \
+        -trace-sample 1 -trace-buffer 8192 >"$state/serve.log" 2>&1 &
+    serve_pid=$!
+    wait_metric provex_pipeline_ingested_total 3000
+    "$obs_tmp/provload" -target "http://$loop_addr" -wait 15s \
+        -qps 300 -workers 8 -warmup 200ms -duration 2s \
+        -mix 'search=5,prov=3,bundle=1,trending=1,explain=2' | tee "$state/load.out"
+    grep -q 'provex_http_requests_total' "$state/load.out" \
+        || { echo "loopback -shards $ns: HTTP metric families missing from the delta"; exit 1; }
+    grep -Eq 'explain: ok=[1-9]' "$state/load.out" \
+        || { echo "loopback -shards $ns: no well-formed /explain breakdown observed"; exit 1; }
+    grep -q 'explain: .*malformed=0' "$state/load.out" \
+        || { echo "loopback -shards $ns: malformed /explain answers"; exit 1; }
+    grep -q 'decision quality:' "$state/load.out" \
+        || { echo "loopback -shards $ns: decision-quality digest missing"; exit 1; }
+    kill "$serve_pid"
+    wait "$serve_pid" || { echo "loopback -shards $ns: unclean exit on SIGTERM"; cat "$state/serve.log"; exit 1; }
+    restart_clean "loopback -shards $ns" "${node[@]}"
 done
+
+# Interrupted build: a build-then-serve node (-in, no -live) honours
+# SIGTERM while the feed is still running — ingest stops, the final
+# checkpoint is written, `clean exit` is logged — exactly as -live
+# does, and a restart on that state replays 0 WAL messages. The input
+# is a FIFO held open behind its 3 000 messages, so the signal is
+# certain to land mid-feed. -ckpt alone is the whole durability
+# switch: the WAL goes to <ckpt>.wal.
+echo "== provserve SIGTERM during build-then-serve =="
+state="$obs_tmp/build"
+mkdir -p "$state"
+mkfifo "$state/in.fifo"
+exec 3<>"$state/in.fifo"
+"$obs_tmp/provserve" -in "$state/in.fifo" -ckpt "$state/engine.ckpt" -addr "$loop_addr" \
+    -log-every 100ms 3<&- >"$state/serve.log" 2>&1 &
+serve_pid=$!
+cat "$obs_tmp/loop.jsonl" >&3
+for _ in $(seq 1 120); do
+    grep -q 'messages=3000' "$state/serve.log" && break
+    sleep 0.25
+done
+grep -q 'messages=3000' "$state/serve.log" \
+    || { echo "build: the feed never reached 3000 messages"; cat "$state/serve.log"; exit 1; }
+[ -d "$state/engine.ckpt.wal" ] || { echo "build: -ckpt alone did not put the WAL at <ckpt>.wal"; exit 1; }
+kill "$serve_pid"
+wait "$serve_pid" || { echo "build: unclean exit on SIGTERM mid-feed"; cat "$state/serve.log"; exit 1; }
+exec 3<&-
+grep -q 'clean exit' "$state/serve.log" || { echo "build: no clean exit logged"; cat "$state/serve.log"; exit 1; }
+restart_clean build -live -ckpt "$state/engine.ckpt" -addr "$loop_addr"
+
+# provingest smoke: the serial engine and the sharded one at B=1 (where
+# the round protocol is the serial apply order, DESIGN.md §2i) must
+# agree on what the stream contains.
+echo "== provingest smoke (-shards 1 vs -shards 2 -shard-batch 1) =="
+go build -o "$obs_tmp/provingest" ./cmd/provingest
+ingest_stats() {
+    "$obs_tmp/provingest" -in "$obs_tmp/loop.jsonl" -mode full -progress 0 "$@" 2>/dev/null \
+        | grep -E '^(messages|bundles created|edges) '
+}
+ingest_stats -shards 1 >"$obs_tmp/ingest-1.txt"
+ingest_stats -shards 2 -shard-batch 1 >"$obs_tmp/ingest-2.txt"
+[ "$(wc -l <"$obs_tmp/ingest-1.txt")" = 3 ] || { echo "provingest: statistics block missing"; exit 1; }
+cmp "$obs_tmp/ingest-1.txt" "$obs_tmp/ingest-2.txt" \
+    || { echo "provingest: -shards 2 -shard-batch 1 diverges from -shards 1"; exit 1; }
+cat "$obs_tmp/ingest-1.txt"
 
 # Replication loopback: a durable leader ingests a generated stream
 # while a follower bootstraps from its checkpoint and tails its WAL
@@ -205,7 +252,7 @@ leader_pid=""; follower_pid=""
 # parseable report with the provbench/1 schema (the format
 # BENCH_PR4.json is committed in).
 echo "== provbench -json smoke =="
-go run ./cmd/provbench -json -fig ingest -n 800 -out "$obs_tmp/bench.json" >/dev/null 2>&1
+go run ./cmd/provbench -json -fig 13 -n 800 -out "$obs_tmp/bench.json" >/dev/null 2>&1
 grep -q '"schema": "provbench/1"' "$obs_tmp/bench.json" \
     || { echo "bench smoke: schema tag missing"; exit 1; }
 
@@ -219,13 +266,14 @@ echo "== perf smoke (fig13 linearity) =="
 go run ./cmd/provbench -figure fig13 -max 40000 -check-linear 1.5 -out /dev/null
 
 # Sharded ingest gate (DESIGN.md §2i): the differential equivalence
-# proof and the sharded crash torture under the race detector, uncached
-# — these are the correctness contract for -shards > 1 — then the
-# fig13 stage-linearity smoke once more on a 4-shard engine, so the
-# round protocol cannot regress the §2g hot-path guarantees.
-echo "== sharded engine (equivalence + crash torture, -race) =="
+# proof, the shared-recorder tracing test and the sharded crash torture
+# under the race detector, uncached — these are the correctness
+# contract for -shards > 1 — then the fig13 stage-linearity smoke once
+# more on a 4-shard engine, so the round protocol cannot regress the
+# §2g hot-path guarantees.
+echo "== sharded engine (equivalence + tracing + crash torture, -race) =="
 go test -race -count=1 \
-    -run 'TestShardedEquivalenceWithSerial|TestShardedDeterminism|TestShardedCrashTorture' \
+    -run 'TestShardedEquivalenceWithSerial|TestShardedDeterminism|TestShardedTracing|TestCrashTorture/sharded' \
     -v ./internal/shard | grep -E 'seed|PASS|FAIL|ok '
 
 echo "== perf smoke (fig13 linearity, 4 shards) =="

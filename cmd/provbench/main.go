@@ -35,7 +35,6 @@ func main() {
 		messages = flag.Int("n", 0, "override the main stream length")
 		sweepN   = flag.Int("sweep-n", 0, "override the Fig 9 sweep stream length (pool limits scale proportionally)")
 		out      = flag.String("out", "-", "output path, '-' for stdout")
-		workers  = flag.Int("workers", 4, "prepare workers for the 'ingest' throughput comparison")
 		jsonOut  = flag.Bool("json", false, "emit a machine-readable JSON report instead of text tables")
 		figure   = flag.String("figure", "", "dedicated sweep mode, bypasses -fig: 'fig13' runs the long-stream stage-time sweep")
 		maxN     = flag.Int("max", 1_000_000, "stream length for -figure sweeps")
@@ -88,7 +87,7 @@ func main() {
 		if *figure != "fig13" {
 			cli.Fatal("unknown -figure (want fig13)", nil, "figure", *figure)
 		}
-		if err := runSweep(w, s, *maxN, *linear, *jsonOut, *workers, *shardsN); err != nil {
+		if err := runSweep(w, s, *maxN, *linear, *jsonOut, *shardsN); err != nil {
 			cli.Fatal("fig13 sweep", err)
 		}
 		return
@@ -97,17 +96,16 @@ func main() {
 	valid := map[string]bool{
 		"6": true, "7": true, "8": true, "9": true, "10": true,
 		"11": true, "12": true, "13": true, "ablations": true, "all": true,
-		"ingest": true,
 	}
 	figs := map[string]bool{}
 	for _, f := range strings.Split(strings.ToLower(*fig), ",") {
 		f = strings.TrimSpace(f)
 		if !valid[f] {
-			cli.Fatal("unknown figure (want 6..13, ablations, ingest or all)", nil, "fig", f)
+			cli.Fatal("unknown figure (want 6..13, ablations or all)", nil, "fig", f)
 		}
 		figs[f] = true
 	}
-	if err := run(w, s, figs, *workers, *jsonOut); err != nil {
+	if err := run(w, s, figs, *jsonOut); err != nil {
 		cli.Fatal("write report", err)
 	}
 }
@@ -130,7 +128,6 @@ type jsonReport struct {
 	Schema     string            `json:"schema"`
 	GoVersion  string            `json:"go_version"`
 	GOMAXPROCS int               `json:"gomaxprocs"`
-	Workers    int               `json:"workers"`
 	Scale      experiments.Scale `json:"scale"`
 	Figures    []jsonFigure      `json:"figures"`
 	ElapsedSec float64           `json:"elapsed_sec"`
@@ -140,13 +137,12 @@ type jsonReport struct {
 // share one three-method pass so 'all' (or any comma-joined subset of
 // them) ingests the main stream once. With jsonOut the tables are
 // collected into one jsonReport instead of rendered as text.
-func run(w io.Writer, s experiments.Scale, figs map[string]bool, workers int, jsonOut bool) error {
+func run(w io.Writer, s experiments.Scale, figs map[string]bool, jsonOut bool) error {
 	start := time.Now()
 	report := jsonReport{
 		Schema:     reportSchema,
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Workers:    workers,
 		Scale:      s,
 	}
 	if !jsonOut {
@@ -214,13 +210,6 @@ func run(w io.Writer, s experiments.Scale, figs map[string]bool, workers int, js
 	if three != nil {
 		emit("conn-breakdown", experiments.ConnBreakdown(three))
 	}
-	// The ingest throughput comparison is opt-in (not part of 'all'): it
-	// re-ingests the main stream twice and only shows a speedup on
-	// multi-core machines.
-	if figs["ingest"] {
-		slog.Info("ingest throughput comparison")
-		emit("ingest", experiments.IngestBench(s, workers))
-	}
 	if wants("ablations") {
 		slog.Info("ablations")
 		emit("ablations",
@@ -248,7 +237,7 @@ func run(w io.Writer, s experiments.Scale, figs map[string]bool, workers int, js
 // as a table (or a one-figure jsonReport; BENCH_PR6.json is an
 // instance). With checkLinear > 0 it is also the ci.sh perf-smoke
 // guardrail: a superlinear match or placement curve is a hard failure.
-func runSweep(w io.Writer, s experiments.Scale, max int, checkLinear float64, jsonOut bool, workers, shards int) error {
+func runSweep(w io.Writer, s experiments.Scale, max int, checkLinear float64, jsonOut bool, shards int) error {
 	start := time.Now()
 	slog.Info("fig13 sweep", "messages", max, "pool", s.PoolLimit, "shards", shards)
 	var res *experiments.Fig13SweepResult
@@ -263,7 +252,6 @@ func runSweep(w io.Writer, s experiments.Scale, max int, checkLinear float64, js
 			Schema:     reportSchema,
 			GoVersion:  runtime.Version(),
 			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			Workers:    workers,
 			Scale:      s,
 			Figures:    []jsonFigure{{Name: "fig13sweep", Tables: []*experiments.Table{res.Table()}}},
 			ElapsedSec: elapsed.Seconds(),

@@ -16,12 +16,12 @@ func smallScale() experiments.Scale {
 	return s
 }
 
-// TestRunJSON is the -json smoke: a small ingest-figure run must emit
+// TestRunJSON is the -json smoke: a small Figure 13 run must emit
 // one well-formed report that round-trips through encoding/json with
 // the schema tag BENCH_PR4.json (and successors) are matched against.
 func TestRunJSON(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, smallScale(), map[string]bool{"ingest": true}, 2, true); err != nil {
+	if err := run(&buf, smallScale(), map[string]bool{"13": true}, true); err != nil {
 		t.Fatal(err)
 	}
 	var rep jsonReport
@@ -31,18 +31,19 @@ func TestRunJSON(t *testing.T) {
 	if rep.Schema != reportSchema {
 		t.Errorf("schema = %q, want %q", rep.Schema, reportSchema)
 	}
-	if rep.GoVersion == "" || rep.GOMAXPROCS < 1 || rep.Workers != 2 {
+	if rep.GoVersion == "" || rep.GOMAXPROCS < 1 {
 		t.Errorf("environment header incomplete: %+v", rep)
 	}
 	if rep.Scale.Messages != 800 {
 		t.Errorf("scale not echoed: %+v", rep.Scale)
 	}
-	if len(rep.Figures) != 1 || rep.Figures[0].Name != "ingest" {
+	// The three-method pass behind Figure 13 also emits conn-breakdown.
+	if len(rep.Figures) != 2 || rep.Figures[0].Name != "fig13" {
 		t.Fatalf("figures = %+v", rep.Figures)
 	}
 	fig := rep.Figures[0]
 	if len(fig.Tables) == 0 || len(fig.Tables[0].Rows) == 0 {
-		t.Fatalf("ingest figure carries no table rows: %+v", fig)
+		t.Fatalf("figure carries no table rows: %+v", fig)
 	}
 	if rep.ElapsedSec <= 0 {
 		t.Errorf("elapsed_sec = %v", rep.ElapsedSec)
@@ -52,7 +53,7 @@ func TestRunJSON(t *testing.T) {
 // TestRunText: the default text mode still renders tables, not JSON.
 func TestRunText(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, smallScale(), map[string]bool{"ingest": true}, 2, false); err != nil {
+	if err := run(&buf, smallScale(), map[string]bool{"13": true}, false); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -21,7 +21,6 @@ import (
 
 	"provex/internal/cli"
 	"provex/internal/core"
-	"provex/internal/pipeline"
 	"provex/internal/shard"
 	"provex/internal/storage"
 	"provex/internal/stream"
@@ -36,7 +35,6 @@ func main() {
 		bundleLimit = flag.Int("bundle-limit", 500, "max bundle size (limit mode)")
 		storeDir    = flag.String("store", "", "optional on-disk bundle store directory")
 		progress    = flag.Int("progress", 100_000, "print a progress line every N messages (0 = off)")
-		workers     = flag.Int("workers", 1, "concurrent prepare (keyword extraction) workers; <=1 ingests serially")
 		shards      = flag.Int("shards", 1, "independent engine shards; >1 ingests through the two-phase round protocol (DESIGN.md section 2i)")
 		shardBatch  = flag.Int("shard-batch", shard.DefaultBatch, "messages buffered per sharded round (only with -shards > 1)")
 		traceSample = flag.Int("trace-sample", 0, "record every Nth ingest decision and print a decision-quality digest (0 = off)")
@@ -46,9 +44,6 @@ func main() {
 	flag.Parse()
 	if err := cli.SetupLogging(*logLevel); err != nil {
 		cli.Fatal("flags", err)
-	}
-	if *workers < 1 {
-		*workers = 1
 	}
 
 	var cfg core.Config
@@ -62,7 +57,6 @@ func main() {
 	default:
 		cli.Fatal("unknown mode (want full, partial or limit)", nil, "mode", *mode)
 	}
-	cfg.Parallel = core.ParallelOptions{Workers: *workers}
 	if *shards < 1 {
 		*shards = 1
 	}
@@ -109,41 +103,21 @@ func main() {
 		sh  *shard.Engine
 		rec *trace.Recorder
 	)
+	if *traceSample > 0 {
+		rec = trace.New(trace.Options{SampleEvery: *traceSample, Buffer: *traceBuffer, Logger: slog.Default()})
+	}
 	if *shards > 1 {
-		if *traceSample > 0 {
-			// trace.Recorder is not safe for the concurrent commit
-			// goroutines; see DESIGN.md section 2i.
-			slog.Warn("tracing is unavailable with -shards > 1; disabling", "shards", *shards)
-			*traceSample = 0
-		}
 		var err error
 		sh, err = shard.New(cfg, shard.Options{Shards: *shards, Batch: *shardBatch}, stores, nil)
 		if err != nil {
 			cli.Fatal("sharded engine", err)
 		}
+		sh.SetTracer(rec)
 	} else {
 		eng = core.New(cfg, store, nil)
-		if *traceSample > 0 {
-			rec = trace.New(trace.Options{SampleEvery: *traceSample, Buffer: *traceBuffer, Logger: slog.Default()})
-			eng.SetTracer(rec)
-		}
+		eng.SetTracer(rec)
 	}
 	src := stream.NewJSONLReader(r)
-
-	// Serial and parallel ingest share the apply loop: next() yields
-	// prepared messages either inline or from the worker pool, always in
-	// stream order so the resulting state is identical.
-	next := func() (core.Prepared, error) {
-		m, err := src.Next()
-		if err != nil {
-			return core.Prepared{}, err
-		}
-		return core.Prepare(m), nil
-	}
-	if *workers > 1 {
-		ps := pipeline.NewPreparedSource(src, *workers, 0)
-		next = ps.Next
-	}
 
 	// SIGINT/SIGTERM break the loop gracefully: the current message
 	// finishes, parked flushes drain, the store closes cleanly, and the
@@ -161,13 +135,14 @@ loop:
 			break loop
 		default:
 		}
-		p, err := next()
+		m, err := src.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			cli.Fatal("read", err)
 		}
+		p := core.Prepare(m)
 		if sh != nil {
 			if err := sh.IngestPrepared(p); err != nil {
 				cli.Fatal("sharded ingest", err)
@@ -229,8 +204,7 @@ loop:
 		float64(st.MemTotal())/(1<<20), float64(st.MemBundles)/(1<<20), float64(st.MemIndex)/(1<<20))
 	fmt.Printf("msgs in memory  %d\n", st.MessagesInMemory)
 	// Stage split of ingest cost — the paper's Figure 13 breakdown, with
-	// the prepare (tokenize) stage separated out since it is the part
-	// the -workers pool runs concurrently.
+	// the prepare (tokenize) stage separated out.
 	stageTotal := st.PrepareTime + st.MatchTime + st.PlaceTime + st.RefineTime
 	pct := func(d time.Duration) float64 {
 		if stageTotal <= 0 {
@@ -243,7 +217,6 @@ loop:
 		st.MatchTime.Seconds(), pct(st.MatchTime),
 		st.PlaceTime.Seconds(), pct(st.PlaceTime),
 		st.RefineTime.Seconds(), pct(st.RefineTime))
-	fmt.Printf("workers         prepare=%d\n", *workers)
 	fmt.Printf("wall time       %.2fs (%.0f msg/s)\n", elapsed.Seconds(), float64(n)/elapsed.Seconds())
 	if sh != nil {
 		// Per-shard balance, cross-shard resolution rate, and the

@@ -42,7 +42,7 @@ func serveFollower(leaderURL, addr, ckpt, walDir string, maxLag uint64, staleAft
 	opts = append(opts, server.WithHealth(rep.Health))
 	slog.Info("follower mode", "leader", leaderURL, "addr", addr,
 		"max_lag", maxLag, "stale_after", staleAfter.String())
-	serveHTTP(addr, server.New(rep, opts...), func() {
+	serveHTTP(addr, server.New(rep, opts...), nil, func() {
 		// Stop drains the apply queue and writes a final checkpoint, so
 		// the next start recovers locally instead of re-bootstrapping.
 		if err := rep.Stop(); err != nil {

@@ -11,18 +11,20 @@
 //	provserve -n 50000 -addr :8080              # generate, build, serve
 //	provserve -in stream.jsonl -addr :8080      # serve an existing dataset
 //	provgen -n 0 | provserve -live              # live ingest from stdin while serving
-//	provserve -in s.jsonl -ckpt engine.ckpt     # resume from/persist a checkpoint
-//	provserve -live -ckpt e.ckpt -wal wal       # crash-safe ingest (add -shards 4 for the sharded engine)
-//	provserve -follow http://leader:8080 -ckpt f.ckpt -wal fwal -addr :8081   # read replica of a durable node
+//	provserve -in s.jsonl -ckpt engine.ckpt     # crash-safe: resume from the checkpoint, WAL at engine.ckpt.wal
+//	provserve -live -ckpt e.ckpt -wal wal       # the same with the WAL elsewhere (add -shards 4 for the sharded engine)
+//	provserve -follow http://leader:8080 -ckpt f.ckpt -addr :8081   # read replica of a durable node
 //	provserve -n 50000 -pprof                   # + /debug/pprof/ for provload runs
 //
 // Every mode but -follow runs one path: -shards picks the engine, one
 // pipeline.Service ingests the input into it, and -live only decides
 // whether the listener opens beside the feed or after it. At end of
 // input, ingest stops with a final checkpoint and the node keeps
-// serving. -wal makes any mode durable (with -shards > 1, -ckpt is the
-// cross-shard manifest and -wal the per-shard tree); a durable serial
-// node is also a replication leader, shipping its WAL under /repl/.
+// serving. -ckpt makes any mode durable: every acknowledged message is
+// in the write-ahead log at -wal (default <ckpt>.wal) before queries see
+// it. With -shards > 1, -ckpt is the cross-shard manifest and -wal the
+// per-shard tree; a durable serial node is also a replication leader,
+// shipping its WAL under /repl/.
 //
 // A follower serves the same read endpoints with an explicit staleness
 // bound: beyond -max-lag messages (or -stale-after of leader silence)
@@ -36,7 +38,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"io/fs"
 	"log/slog"
 	"net/http"
 	"os"
@@ -65,12 +66,12 @@ func main() {
 		seed        = flag.Int64("seed", 1, "generator seed")
 		addr        = flag.String("addr", ":8080", "listen address")
 		live        = flag.Bool("live", false, "serve while ingesting (default: ingest the whole input first)")
-		follow      = flag.String("follow", "", "run as a read replica of the leader at this base URL (requires -ckpt and -wal)")
+		follow      = flag.String("follow", "", "run as a read replica of the leader at this base URL (requires -ckpt)")
 		maxLag      = flag.Uint64("max-lag", 10_000, "follower staleness bound in messages; beyond it reads answer 503 + Retry-After")
 		staleAfter  = flag.Duration("stale-after", 30*time.Second, "follower gates reads after this much leader silence (staleness unquantifiable)")
-		ckpt        = flag.String("ckpt", "", "checkpoint path: resume from it when present, keep it updated while running")
-		walDir      = flag.String("wal", "", "write-ahead log directory (requires -ckpt): crash-safe ingest — acknowledged messages survive a kill")
-		shards      = flag.Int("shards", 1, "engine shards; >1 ingests through the sharded round protocol (0 = auto: min(GOMAXPROCS, 8)); replication and tracing require 1")
+		ckpt        = flag.String("ckpt", "", "checkpoint path: resume from it when present, keep it updated while running; makes ingest crash-safe — acknowledged messages survive a kill")
+		walDir      = flag.String("wal", "", "write-ahead log directory (requires -ckpt; default <ckpt>.wal)")
+		shards      = flag.Int("shards", 1, "engine shards; >1 ingests through the sharded round protocol (0 = auto: min(GOMAXPROCS, 8)); replication requires 1")
 		pprofOn     = flag.Bool("pprof", false, "expose /debug/pprof/ runtime profiles (opt-in: costs CPU while sampling)")
 		logEvery    = flag.Duration("log-every", 10*time.Second, "cadence of structured progress lines")
 		traceSample = flag.Int("trace-sample", 0, "record every Nth ingest decision for /explain and /trace/* (0 = tracing off)")
@@ -85,6 +86,9 @@ func main() {
 	if ns == 0 {
 		ns = min(runtime.GOMAXPROCS(0), 8)
 	}
+	if *ckpt != "" && *walDir == "" {
+		*walDir = *ckpt + ".wal"
+	}
 	if err := validate(ns, *follow, *ckpt, *walDir); err != nil {
 		cli.Fatal("flags", err)
 	}
@@ -92,19 +96,13 @@ func main() {
 		serveFollower(*follow, *addr, *ckpt, *walDir, *maxLag, *staleAfter, *pprofOn, *logEvery)
 		return
 	}
-	if ns > 1 && *traceSample > 0 {
-		// trace.Recorder is not safe for the concurrent commit
-		// goroutines; see DESIGN.md section 2i.
-		slog.Warn("tracing is unavailable with -shards > 1; disabling", "shards", ns)
-		*traceSample = 0
-	}
 
 	rec := newRecorder(*traceSample, *traceBuffer)
 	src := openSource(*in, *n, *seed, *live)
 	reg := metrics.NewRegistry()
 	var nd node
 	if ns > 1 {
-		nd = openSharded(ns, *ckpt, *walDir, reg)
+		nd = openSharded(ns, *ckpt, *walDir, reg, rec)
 	} else {
 		nd = openSerial(*ckpt, *walDir, reg, rec)
 	}
@@ -120,7 +118,8 @@ func main() {
 }
 
 // validate checks the flag combinations every mode shares, before any
-// state is opened. shards is the resolved count (never 0).
+// state is opened. shards is the resolved count (never 0) and walDir
+// the resolved directory (set whenever ckpt is).
 func validate(shards int, follow, ckpt, walDir string) error {
 	switch {
 	case shards < 1:
@@ -129,10 +128,8 @@ func validate(shards int, follow, ckpt, walDir string) error {
 		return errors.New("-wal requires -ckpt")
 	case follow != "" && shards > 1:
 		return errors.New("-follow requires -shards 1: WAL shipping replicates a single serial log (DESIGN.md section 2i)")
-	case follow != "" && walDir == "":
-		return errors.New("-follow requires -ckpt and -wal: a follower is a full crash-recoverable node")
-	case shards > 1 && ckpt != "" && walDir == "":
-		return errors.New("-shards > 1: -ckpt requires -wal (the checkpoint is a manifest over the per-shard tree)")
+	case follow != "" && ckpt == "":
+		return errors.New("-follow requires -ckpt: a follower is a full crash-recoverable node")
 	}
 	return nil
 }
@@ -146,19 +143,21 @@ const (
 // needs, whichever engine -shards picked.
 type node struct {
 	svc      *pipeline.Service
-	close    func() error // releases the durable files; nil without a WAL
+	close    func() error // releases the durable files; nil without -ckpt
 	shipper  *repl.Source // WAL shipping to followers; durable serial nodes only
 	replayed int          // messages the WAL contributed at open
 }
 
-// openSerial builds the serial engine: durable with -wal (and then a
+// openSerial builds the serial engine: durable with -ckpt (and then a
 // replication leader shipping its WAL under /repl/), otherwise in
-// memory with an optional plain checkpoint file.
+// memory.
 func openSerial(ckpt, walDir string, reg *metrics.Registry, rec *trace.Recorder) node {
 	var nd node
-	opts := pipeline.Options{}
+	opts := pipeline.Options{CheckpointEvery: checkpointEvery}
 	var eng *core.Engine
-	if walDir != "" {
+	if ckpt == "" {
+		eng = core.New(core.FullIndexConfig(), nil, nil)
+	} else {
 		dur, err := pipeline.OpenDurable(core.FullIndexConfig(), nil, nil, pipeline.DurableOptions{
 			CheckpointPath: ckpt,
 			WALDir:         walDir,
@@ -170,16 +169,9 @@ func openSerial(ckpt, walDir string, reg *metrics.Registry, rec *trace.Recorder)
 		eng = dur.Engine()
 		dur.RegisterMetrics(reg)
 		opts.Durable = dur
-		opts.CheckpointEvery = checkpointEvery
 		nd.close, nd.replayed = dur.Close, dur.Replayed()
 		nd.shipper = repl.NewSource(dur, repl.SourceOptions{})
 		nd.shipper.RegisterMetrics(reg)
-	} else {
-		eng = loadEngine(ckpt)
-		if ckpt != "" {
-			opts.CheckpointEvery = checkpointEvery
-			opts.CheckpointPath = ckpt
-		}
 	}
 	eng.SetTracer(rec)
 	eng.RegisterMetrics(reg)
@@ -194,16 +186,16 @@ func openSerial(ckpt, walDir string, reg *metrics.Registry, rec *trace.Recorder)
 }
 
 // openSharded builds the sharded round engine (DESIGN.md section 2i):
-// durable with -wal, otherwise in memory. Replication shipping is a
+// durable with -ckpt, otherwise in memory. Replication shipping is a
 // single-shard feature: a sharded node exposes no /repl/ endpoints.
-func openSharded(ns int, ckpt, walDir string, reg *metrics.Registry) node {
+func openSharded(ns int, ckpt, walDir string, reg *metrics.Registry, rec *trace.Recorder) node {
 	var nd node
 	q := query.DefaultOptions()
 	opts := shard.Options{Shards: ns, Query: &q}
 	var eng *shard.Engine
 	var dur *shard.Durable
 	var err error
-	if walDir != "" {
+	if ckpt != "" {
 		dur, err = shard.OpenDurable(core.FullIndexConfig(), opts, shard.DurableOptions{
 			Dir:          walDir,
 			ManifestPath: ckpt,
@@ -219,6 +211,7 @@ func openSharded(ns int, ckpt, walDir string, reg *metrics.Registry) node {
 	} else if eng, err = shard.New(core.FullIndexConfig(), opts, nil, nil); err != nil {
 		cli.Fatal("sharded engine", err)
 	}
+	eng.SetTracer(rec)
 	eng.RegisterMetrics(reg)
 	nd.svc, err = shard.NewService(eng, dur, shard.ServiceOptions{CheckpointEvery: checkpointEvery})
 	if err != nil {
@@ -229,12 +222,17 @@ func openSharded(ns int, ckpt, walDir string, reg *metrics.Registry) node {
 
 // serve is everything after the engine is open, in every mode: feed
 // the input into the service, stop ingest (final checkpoint) when it
-// ends, log a heartbeat, answer HTTP and shut down cleanly. live opens
-// the listener beside the feed instead of after it.
+// ends, log a heartbeat, answer HTTP and shut down cleanly — on a
+// signal during the feed as after it. live opens the listener beside
+// the feed instead of after it.
 func serve(nd node, src stream.Source, live bool, addr string, logEvery time.Duration, srvOpts []server.Option) {
 	svc := nd.svc
 	svc.Start()
-	feed := func() {
+	var fed chan struct{} // closed at end of input; nil with -live
+	if !live {
+		fed = make(chan struct{})
+	}
+	go func() {
 		start := time.Now()
 		for {
 			m, err := src.Next()
@@ -258,12 +256,10 @@ func serve(nd node, src stream.Source, live bool, addr string, logEvery time.Dur
 		st := svc.Snapshot()
 		slog.Info("input drained, still serving", "messages", st.Messages, "bundles", st.BundlesLive,
 			"seconds", fmt.Sprintf("%.1f", time.Since(start).Seconds()))
-	}
-	if live {
-		go feed()
-	} else {
-		feed()
-	}
+		if fed != nil {
+			close(fed)
+		}
+	}()
 
 	// The same numbers /metrics exports, so a terminal tail shows where
 	// ingest stands.
@@ -277,7 +273,7 @@ func serve(nd node, src stream.Source, live bool, addr string, logEvery time.Dur
 		return attrs
 	})
 
-	serveHTTP(addr, server.New(svc, srvOpts...), func() {
+	serveHTTP(addr, server.New(svc, srvOpts...), fed, func() {
 		// Stop drains the ingest queue and writes the final checkpoint
 		// (which also truncates the WAL on a durable node).
 		if err := svc.Stop(); err != nil {
@@ -325,26 +321,11 @@ func serverOptions(reg *metrics.Registry, pprofOn bool, rec *trace.Recorder) []s
 	return opts
 }
 
-// loadEngine restores the engine from a plain checkpoint file when one
-// exists, otherwise starts fresh (the file is created on save).
-func loadEngine(ckpt string) *core.Engine {
-	cfg := core.FullIndexConfig()
-	if ckpt != "" {
-		eng, err := core.LoadCheckpoint(cfg, nil, nil, nil, ckpt)
-		if err == nil {
-			return eng
-		}
-		if !errors.Is(err, fs.ErrNotExist) {
-			cli.Fatal("restore checkpoint", err, "path", ckpt)
-		}
-	}
-	return core.New(cfg, nil, nil)
-}
-
 // serveHTTP runs a configured http.Server until it fails or a
 // SIGINT/SIGTERM arrives, then drains in-flight requests and calls
-// onShutdown (ingest drain + final checkpoint).
-func serveHTTP(addr string, h http.Handler, onShutdown func()) {
+// onShutdown (ingest drain + final checkpoint). A non-nil after delays
+// only the listener, until it is closed; the signals count from the start.
+func serveHTTP(addr string, h http.Handler, after <-chan struct{}, onShutdown func()) {
 	srv := &http.Server{
 		Addr:              addr,
 		Handler:           h,
@@ -353,7 +334,12 @@ func serveHTTP(addr string, h http.Handler, onShutdown func()) {
 		IdleTimeout:       2 * time.Minute,
 	}
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
+	go func() {
+		if after != nil {
+			<-after
+		}
+		errc <- srv.ListenAndServe()
+	}()
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)

@@ -5,7 +5,8 @@ import (
 	"testing"
 )
 
-// TestValidate pins the one set of flag rules every mode shares.
+// TestValidate pins the one set of flag rules every mode shares. It
+// sees -wal as main resolves it: <ckpt>.wal when only -ckpt is given.
 func TestValidate(t *testing.T) {
 	cases := []struct {
 		name              string
@@ -14,18 +15,16 @@ func TestValidate(t *testing.T) {
 		wantErr           string // substring; "" means valid
 	}{
 		{"serial in memory", 1, "", "", "", ""},
-		{"serial plain checkpoint", 1, "", "e.ckpt", "", ""},
-		{"serial durable", 1, "", "e.ckpt", "wal", ""},
+		{"serial durable", 1, "", "e.ckpt", "e.ckpt.wal", ""},
+		{"serial durable, wal elsewhere", 1, "", "e.ckpt", "wal", ""},
 		{"sharded in memory", 4, "", "", "", ""},
-		{"sharded durable", 4, "", "m.json", "tree", ""},
-		{"follower", 1, "http://leader:8080", "f.ckpt", "fwal", ""},
+		{"sharded durable", 4, "", "m.json", "m.json.wal", ""},
+		{"follower", 1, "http://leader:8080", "f.ckpt", "f.ckpt.wal", ""},
 
 		{"wal without ckpt", 1, "", "", "wal", "-wal requires -ckpt"},
 		{"sharded wal without ckpt", 2, "", "", "tree", "-wal requires -ckpt"},
-		{"sharded ckpt without wal", 2, "", "m.json", "", "-ckpt requires -wal"},
 		{"follower sharded", 2, "http://leader:8080", "f.ckpt", "fwal", "-follow requires -shards 1"},
-		{"follower without state", 1, "http://leader:8080", "", "", "-follow requires -ckpt and -wal"},
-		{"follower without wal", 1, "http://leader:8080", "f.ckpt", "", "-follow requires -ckpt and -wal"},
+		{"follower without state", 1, "http://leader:8080", "", "", "-follow requires -ckpt"},
 		{"follower without ckpt", 1, "http://leader:8080", "", "fwal", "-wal requires -ckpt"},
 		{"negative shards", -1, "", "", "", "-shards -1"},
 	}

@@ -22,7 +22,7 @@ import (
 //     goroutine — a deadlock the race detector cannot see.
 //
 // The analysis is intra-procedural and lexical, mirroring the repo's
-// fan-out idiom (prepare pool, shard rounds): Add before go, deferred
+// fan-out idiom (shard rounds): Add before go, deferred
 // Done first in the goroutine, Wait with nothing held.
 var WgBalance = &analysis.Analyzer{
 	Name: "wgbalance",

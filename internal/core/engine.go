@@ -11,9 +11,7 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"provex/internal/bundle"
@@ -63,11 +61,6 @@ type Config struct {
 	// specification baseline and an escape hatch.
 	Exhaustive bool
 
-	// Parallel configures the concurrent prepare stage. The zero value
-	// keeps every stage serial — the paper's original single-threaded
-	// loop.
-	Parallel ParallelOptions
-
 	// FlushRetry bounds the degraded mode entered when the disk
 	// back-end errors: failed bundle flushes are parked and retried
 	// instead of dropped.
@@ -95,18 +88,6 @@ const (
 	DefaultFlushMaxAttempts = 8
 	DefaultFlushMaxQueue    = 1024
 )
-
-// ParallelOptions sizes the concurrent part of the ingest pipeline.
-// Prepare results are applied strictly in stream order, so bundle
-// assignment is byte-identical to a serial run at any worker count.
-type ParallelOptions struct {
-	// Workers is the prepare-stage worker count consumed by the
-	// pipeline helpers (pipeline.IngestAll, pipeline.Service): parse
-	// and keyword extraction for up to this many messages run
-	// concurrently ahead of the single apply goroutine. <=1 prepares
-	// inline.
-	Workers int
-}
 
 // FullIndexConfig is the unlimited baseline whose output the paper
 // treats as provenance ground truth.
@@ -175,9 +156,9 @@ type Stats struct {
 	MemIndex         int64 // analytic bytes in the summary index
 	MessagesInMemory int64
 
-	// PrepareTime accumulates the tokenize/precompute stage. Under
-	// parallel ingest the work runs concurrently on several workers, so
-	// this is CPU time, not wall time.
+	// PrepareTime accumulates the tokenize/precompute stage. Behind a
+	// Service it runs on the log stage, beside the apply stage, so the
+	// four stage times sum to CPU time, not wall time.
 	PrepareTime time.Duration
 	MatchTime   time.Duration
 	PlaceTime   time.Duration
@@ -206,8 +187,8 @@ func (s Stats) MemTotal() int64 { return s.MemBundles + s.MemIndex }
 // use: the paper's pipeline is a single temporally ordered stream, so
 // one goroutine must own every Insert/InsertPrepared call. Concurrency
 // lives around that invariant, not inside it — Prepare is pure and runs
-// on the pipeline package's worker pool ahead of the apply loop (see
-// DESIGN.md §2c).
+// on pipeline.Service's log stage, one goroutine ahead of the apply
+// loop (see DESIGN.md §2c).
 //
 // The sharded engine (internal/shard, DESIGN.md §2i) runs N Engines
 // side by side, one goroutine per shard per phase; the contract is
@@ -336,7 +317,7 @@ func (e *Engine) RegisterMetrics(reg *metrics.Registry, labels ...string) {
 		{"refine", &e.refineTimer},
 	} {
 		reg.RegisterTimer("provex_ingest_stage_seconds",
-			"Cumulative ingest time per Algorithm 1 stage (Figure 13's match/placement/refinement split; prepare is the parallel tokenize stage).",
+			"Cumulative ingest time per Algorithm 1 stage (Figure 13's match/placement/refinement split; prepare is the tokenize stage the Service runs ahead of the writer).",
 			s.t, with("stage", s.stage)...)
 	}
 	reg.RegisterCounter("provex_place_nodes_scored_total",
@@ -387,10 +368,6 @@ func (e *Engine) SetTracer(r *trace.Recorder) {
 		})
 	})
 }
-
-// Tracer returns the attached decision recorder, nil when tracing is
-// off.
-func (e *Engine) Tracer() *trace.Recorder { return e.tracer }
 
 // SetKeywordClass toggles the summary index's keyword class (ablation).
 func (e *Engine) SetKeywordClass(on bool) {
@@ -537,9 +514,8 @@ func (e *Engine) Insert(m *tweet.Message) InsertResult {
 
 // InsertPrepared is the sequential apply stage of Algorithm 1: match,
 // place, index update and periodic refinement for one prepared message.
-// Prepared messages must be applied in stream (date) order — the
-// pipeline package's order-preserving prepare pool guarantees that even
-// when Prepare ran out of order across workers.
+// Prepared messages must be applied in stream (date) order, whichever
+// goroutine prepared them.
 func (e *Engine) InsertPrepared(p Prepared) InsertResult {
 	doc := p.Doc
 	m := doc.Msg
@@ -804,27 +780,6 @@ func (e *Engine) matchRange(doc score.Doc, cands []sumindex.Candidate, fetch sum
 	}
 	return best, bestScore
 }
-
-// InsertAll drains src through the engine, returning the number of
-// messages ingested.
-func (e *Engine) InsertAll(src stream.Source) (int, error) {
-	n := 0
-	for {
-		m, err := src.Next()
-		if errors.Is(err, io.EOF) {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		e.Insert(m)
-		n++
-	}
-}
-
-// Config returns the engine's configuration (read-only copy). The
-// pipeline helpers consult Parallel through it.
-func (e *Engine) Config() Config { return e.cfg }
 
 // Pool exposes the live bundle pool (read-only use by query/eval).
 func (e *Engine) Pool() *pool.Pool { return e.pool }

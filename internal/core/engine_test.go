@@ -9,7 +9,6 @@ import (
 	"provex/internal/gen"
 	"provex/internal/score"
 	"provex/internal/storage"
-	"provex/internal/stream"
 	"provex/internal/tweet"
 )
 
@@ -185,7 +184,7 @@ func TestEvictedBundleNotACandidate(t *testing.T) {
 	}
 }
 
-func TestInsertAll(t *testing.T) {
+func TestFullIndexStats(t *testing.T) {
 	cfg := gen.DefaultConfig()
 	cfg.MsgsPerDay = 5000
 	cfg.Users = 300
@@ -193,9 +192,8 @@ func TestInsertAll(t *testing.T) {
 	cfg.EventsPerDay = 150
 	msgs := gen.New(cfg).Generate(2000)
 	e := New(FullIndexConfig(), nil, nil)
-	n, err := e.InsertAll(stream.NewSliceSource(msgs))
-	if err != nil || n != 2000 {
-		t.Fatalf("InsertAll = (%d, %v)", n, err)
+	for _, m := range msgs {
+		e.Insert(m)
 	}
 	st := e.Snapshot()
 	if st.Messages != 2000 {

@@ -6,14 +6,14 @@
 // coverage. Checkpoint() inverts the dependency — once engine state is
 // durably on disk the log is redundant and is truncated.
 //
-// Durable has one owner at a time: Log, Ingest, Checkpoint, SyncWAL,
-// Seq and Close must never run concurrently. Behind a Service the owner
+// Durable has one owner at a time: Log, Checkpoint, SyncWAL, Seq and
+// Close must never run concurrently. Behind a Service the owner
 // is the log stage, or the writer while the stage is parked at a
 // checkpoint barrier (DESIGN.md §2c) — Log and SyncWAL come from the
 // one, Checkpoint from the other, and the hand-over is a channel
-// operation. Elsewhere it is a serial tool's main loop or (sharded
-// mode, DESIGN.md §2i) the per-shard commit goroutine, which owns its
-// shard's Durable exclusively for the round. Engine reads may happen
+// operation. In sharded mode (DESIGN.md §2i) it is the per-shard
+// commit goroutine, which owns its shard's Durable exclusively for the
+// round. Engine reads may happen
 // concurrently under whatever lock the caller already uses for
 // queries; WALSyncedSeq and ReadWAL are safe from any goroutine.
 
@@ -147,17 +147,6 @@ func (d *Durable) Log(m *tweet.Message) error {
 	}
 	d.seq = next
 	return nil
-}
-
-// Ingest is the serial convenience path (WAL append, then engine
-// insert) for tools that own the engine outright. A Service calls Log
-// and SyncWAL from its log stage instead and applies, under its own
-// lock, only what has been synced.
-func (d *Durable) Ingest(m *tweet.Message) (core.InsertResult, error) {
-	if err := d.Log(m); err != nil {
-		return core.InsertResult{}, err
-	}
-	return d.eng.Insert(m), nil
 }
 
 // DrainRetries re-attempts every parked bundle flush. It MUTATES the

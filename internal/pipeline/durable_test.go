@@ -24,6 +24,18 @@ func durableOpts(fs fsx.FS) DurableOptions {
 	}
 }
 
+// feed logs and applies msgs on d, log first as the Service's stages do;
+// at WALSyncEvery 1 every message is durable when feed returns.
+func feed(t *testing.T, d *Durable, msgs []*tweet.Message) {
+	t.Helper()
+	for _, m := range msgs {
+		if err := d.Log(m); err != nil {
+			t.Fatal(err)
+		}
+		d.Engine().Insert(m)
+	}
+}
+
 // genMessages pre-renders a deterministic stream.
 func genMessages(seed int64, n int) []*tweet.Message {
 	g := smallGen(seed)
@@ -43,19 +55,11 @@ func TestDurableFreshOpenAndReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range msgs[:1200] {
-		if _, err := d.Ingest(m); err != nil {
-			t.Fatal(err)
-		}
-	}
+	feed(t, d, msgs[:1200])
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range msgs[1200:] {
-		if _, err := d.Ingest(m); err != nil {
-			t.Fatal(err)
-		}
-	}
+	feed(t, d, msgs[1200:])
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -89,21 +93,13 @@ func TestDurableCrashRecoversAcknowledged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range msgs[:600] {
-		if _, err := d.Ingest(m); err != nil {
-			t.Fatal(err)
-		}
-	}
+	feed(t, d, msgs[:600])
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range msgs[600:1000] {
-		if _, err := d.Ingest(m); err != nil {
-			t.Fatal(err)
-		}
-	}
+	feed(t, d, msgs[600:1000])
 	// No Close, no checkpoint: the process dies. WALSyncEvery=1 means
-	// every acknowledged Ingest is durable.
+	// every acknowledged message is durable.
 	mem.Crash()
 
 	d2, err := OpenDurable(cfg, nil, nil, durableOpts(mem))
@@ -115,11 +111,7 @@ func TestDurableCrashRecoversAcknowledged(t *testing.T) {
 	}
 	// Resume exactly where the recovered state says and finish the
 	// stream; the result must match an uninterrupted run.
-	for _, m := range msgs[1000:] {
-		if _, err := d2.Ingest(m); err != nil {
-			t.Fatal(err)
-		}
-	}
+	feed(t, d2, msgs[1000:])
 	ref := core.New(cfg, nil, nil)
 	for _, m := range msgs {
 		ref.Insert(m)
@@ -142,11 +134,7 @@ func TestCheckpointResyncsSeqAfterFailedLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range msgs[:20] {
-		if _, err := d.Ingest(m); err != nil {
-			t.Fatal(err)
-		}
-	}
+	feed(t, d, msgs[:20])
 	// Degraded-mode step, exactly as Service.apply does it: the WAL
 	// append fails (torn write, tail repaired) but the message still
 	// enters the engine — in memory only, not crash-safe.
@@ -157,21 +145,13 @@ func TestCheckpointResyncsSeqAfterFailedLog(t *testing.T) {
 	ff.Disarm()
 	d.Engine().Insert(msgs[20])
 
-	for _, m := range msgs[21:30] {
-		if _, err := d.Ingest(m); err != nil {
-			t.Fatal(err)
-		}
-	}
+	feed(t, d, msgs[21:30])
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	// Everything after the checkpoint is logged successfully and
 	// acknowledged, so it must survive a crash.
-	for _, m := range msgs[30:] {
-		if _, err := d.Ingest(m); err != nil {
-			t.Fatal(err)
-		}
-	}
+	feed(t, d, msgs[30:])
 	mem.Crash()
 
 	d2, err := OpenDurable(cfg, nil, nil, durableOpts(mem))

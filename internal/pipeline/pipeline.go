@@ -14,11 +14,11 @@
 //
 // The Service drives its engine through Backend, which has exactly two
 // implementations: the serial one New builds over a query.Processor and
-// its optional Durable, and the sharded one shard.NewService builds
-// over a shard.Engine. Everything that is not engine work — the queue
-// and its back-pressure, the two stages, flush-on-idle, the checkpoint
-// cadence and protocol, error latching, the provex_pipeline_* metrics —
-// exists once, here.
+// its Durable (nil for a memory-only node), and the sharded one
+// shard.NewService builds over a shard.Engine. Everything that is not
+// engine work — the queue and its back-pressure, the two stages,
+// flush-on-idle, the checkpoint cadence and protocol, error latching,
+// the provex_pipeline_* metrics — exists once, here.
 //
 // Checkpoints (the paper's stability requirement) run every
 // CheckpointEvery messages and at Stop, in two steps: the mutating step
@@ -103,18 +103,16 @@ type Options struct {
 	// (backpressure), so producers can never outrun memory. 0 uses 1024.
 	Buffer int
 	// CheckpointEvery writes a checkpoint after every that many messages
-	// this service ingests; 0 leaves only the checkpoint at Stop.
+	// this service ingests; 0 leaves only the checkpoint at Stop. A
+	// memory-only service never checkpoints.
 	CheckpointEvery int
-	// CheckpointPath is the checkpoint file of a serial service without
-	// a Durable; required then when CheckpointEvery > 0.
-	CheckpointPath string
-	// Durable, when set, switches a serial service to crash-safe ingest:
-	// every message is WAL-appended and fsynced, in batches of at most
-	// the Durable's WALSyncEvery, before it is applied, and checkpoints
-	// go through Durable.Checkpoint — drain parked flushes, sync the
-	// store, atomic checkpoint, truncate the WAL. The Durable must wrap
-	// the same engine the service's processor does; CheckpointPath is
-	// ignored (Durable carries its own).
+	// Durable, when set, makes a serial service crash-safe: every
+	// message is WAL-appended and fsynced, in batches of at most the
+	// Durable's WALSyncEvery, before it is applied, and checkpoints go
+	// through Durable.Checkpoint — drain parked flushes, sync the store,
+	// atomic checkpoint, truncate the WAL. The Durable must wrap the
+	// same engine the service's processor does. Nil keeps the service
+	// memory-only.
 	Durable *Durable
 }
 
@@ -183,7 +181,6 @@ func New(proc *query.Processor, opts Options) *Service {
 	return NewWith(&serial{
 		Processor: proc,
 		dur:       opts.Durable,
-		path:      opts.CheckpointPath,
 		applied:   int(proc.Engine().Snapshot().Messages),
 	}, opts)
 }
@@ -482,11 +479,10 @@ func (s *Service) Trending(k int) []trending.Topic {
 }
 
 // serial is the Backend over one query.Processor (which supplies the
-// reads and Snapshot) and its optional Durable. It never buffers.
+// reads and Snapshot) and its Durable. It never buffers.
 type serial struct {
 	*query.Processor
-	dur     *Durable // nil without a WAL
-	path    string   // checkpoint file when dur is nil; "" for none
+	dur     *Durable // nil for a memory-only node
 	applied int
 }
 
@@ -529,18 +525,13 @@ func (b *serial) Pending() int { return 0 }
 func (b *serial) Applied() int { return b.applied }
 func (b *serial) Err() error   { return b.Engine().Err() }
 
-func (b *serial) CanCheckpoint() bool { return b.dur != nil || b.path != "" }
+func (b *serial) CanCheckpoint() bool { return b.dur != nil }
 
+// The Service runs the two checkpoint steps only when CanCheckpoint
+// holds, so dur is set in both.
 func (b *serial) PrepareCheckpoint() error {
-	if b.dur != nil {
-		b.dur.DrainRetries()
-	}
+	b.dur.DrainRetries()
 	return nil
 }
 
-func (b *serial) Checkpoint() error {
-	if b.dur != nil {
-		return b.dur.Checkpoint()
-	}
-	return b.Engine().SaveCheckpoint(nil, b.path)
-}
+func (b *serial) Checkpoint() error { return b.dur.Checkpoint() }

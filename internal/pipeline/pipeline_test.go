@@ -20,21 +20,25 @@ func smallGen(seed int64) *gen.Generator {
 	return gen.New(cfg)
 }
 
-func newService(opts Options) *Service {
-	proc := query.New(core.New(core.PartialIndexConfig(500), nil, nil), query.DefaultOptions())
-	return New(proc, opts)
-}
-
 // The Service contract (ingest and query, submit after stop, concurrent
 // queries, cadence, failure surfacing, back-pressure, idle flush) is
-// tested once for both backends in internal/shard's TestServiceContract.
-// What stays here is the one path only the serial backend has: a plain
-// checkpoint file without a WAL.
+// tested once for every backend, durable and memory-only, in
+// internal/shard's TestServiceContract, on an in-memory filesystem.
+// What stays here is the one Service run on the real one.
 
 func TestPeriodicCheckpointAndResume(t *testing.T) {
 	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "engine.ckpt")
-	s := newService(Options{CheckpointEvery: 500, CheckpointPath: ckpt})
+	dopts := DurableOptions{
+		CheckpointPath: filepath.Join(dir, "engine.ckpt"),
+		WALDir:         filepath.Join(dir, "wal"),
+		WALSyncEvery:   64,
+	}
+	cfg := core.PartialIndexConfig(500)
+	d, err := OpenDurable(cfg, nil, nil, dopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(query.New(d.Engine(), query.DefaultOptions()), Options{CheckpointEvery: 500, Durable: d})
 	s.Start()
 	g := smallGen(3)
 	const n = 2200
@@ -46,26 +50,28 @@ func TestPeriodicCheckpointAndResume(t *testing.T) {
 	if err := s.Stop(); err != nil {
 		t.Fatal(err)
 	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
 	// 4 periodic (500,1000,1500,2000) + 1 final on drain.
 	if got := s.Checkpoints(); got != 5 {
 		t.Errorf("Checkpoints = %d, want 5", got)
 	}
 
-	// The final checkpoint restores to the full ingested state.
-	f, err := os.Open(ckpt)
+	// The final checkpoint alone restores the full ingested state.
+	d2, err := OpenDurable(cfg, nil, nil, dopts)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("reopen: %v", err)
 	}
-	defer f.Close()
-	restored, err := core.RestoreCheckpoint(core.PartialIndexConfig(500), nil, nil, f)
-	if err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	if got := restored.Snapshot().Messages; got != n {
+	defer d2.Close()
+	if got := d2.Engine().Snapshot().Messages; got != n {
 		t.Errorf("restored messages = %d, want %d", got, n)
 	}
+	if got := d2.Replayed(); got != 0 {
+		t.Errorf("replayed = %d, want 0: the final checkpoint truncates the WAL", got)
+	}
 	// No stray temp file.
-	if _, err := os.Stat(ckpt + ".tmp"); !os.IsNotExist(err) {
+	if _, err := os.Stat(dopts.CheckpointPath + ".tmp"); !os.IsNotExist(err) {
 		t.Errorf("temp checkpoint left behind: %v", err)
 	}
 }

@@ -85,9 +85,11 @@ func (l *testLeader) queryServer() *httptest.Server {
 func (l *testLeader) ingest(count int) {
 	l.t.Helper()
 	for i := 0; i < count; i++ {
-		if _, err := l.dur.Ingest(testMsg(l.n)); err != nil {
+		m := testMsg(l.n)
+		if err := l.dur.Log(m); err != nil {
 			l.t.Fatalf("leader ingest %d: %v", l.n, err)
 		}
+		l.dur.Engine().Insert(m)
 		l.n++
 	}
 }

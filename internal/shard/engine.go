@@ -46,6 +46,7 @@ import (
 	"provex/internal/pipeline"
 	"provex/internal/query"
 	"provex/internal/storage"
+	"provex/internal/trace"
 	"provex/internal/tweet"
 )
 
@@ -240,6 +241,16 @@ func (e *Engine) Span() SpanStats {
 // per-shard stats reporting). Mutating it directly violates the round
 // protocol.
 func (e *Engine) ShardEngine(i int) *core.Engine { return e.shards[i].eng }
+
+// SetTracer hands one decision recorder to every shard engine. A
+// message is committed on exactly one shard, so the recorder samples
+// the stream as a whole; a decision lists the winning shard's
+// candidates only. Must be set before ingest starts.
+func (e *Engine) SetTracer(r *trace.Recorder) {
+	for _, sh := range e.shards {
+		sh.eng.SetTracer(r)
+	}
+}
 
 // Reindex rebuilds every shard processor's baseline message index
 // from its recovered pool. Call it once after OpenDurable on engines
@@ -474,8 +485,7 @@ func (e *Engine) Err() error {
 
 // Snapshot aggregates every shard's engine statistics into one global
 // view — counters and timings sum; the stage timers therefore report
-// CPU time across shards, not wall time (same reading as parallel
-// prepare, see core.Stats.PrepareTime).
+// CPU time across shards, not wall time (see core.Stats.PrepareTime).
 func (e *Engine) Snapshot() core.Stats {
 	agg := core.Stats{ConnCounts: make(map[string]int64, 5)}
 	for _, sh := range e.shards {

@@ -17,6 +17,7 @@ import (
 	"provex/internal/core"
 	"provex/internal/gen"
 	"provex/internal/score"
+	"provex/internal/trace"
 	"provex/internal/tweet"
 )
 
@@ -217,6 +218,57 @@ func TestShardedDeterminism(t *testing.T) {
 			}
 		}
 		assertPartitionsEqual(t, livePartition(shardEngines(a)...), livePartition(shardEngines(other)...))
+	}
+}
+
+// TestShardedTracing: one recorder behind four shards whose commit
+// goroutines run side by side (the -race half of the claim). The
+// sampler counts the stream as a whole — exactly every Nth message is
+// recorded, none lost to a torn increment — and every sampled message
+// ID resolves through the by-message lookup to a decision that names
+// the shard-strided bundle the message landed in.
+func TestShardedTracing(t *testing.T) {
+	const (
+		total = 4000
+		n     = 4
+	)
+	for _, every := range []int{1, 3} {
+		rec := trace.New(trace.Options{SampleEvery: every, Buffer: total})
+		e, err := New(core.PartialIndexConfig(400), Options{Shards: n, Batch: 64}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SetTracer(rec)
+		msgs := genMessages(17, total)
+		for _, m := range msgs {
+			if err := e.Ingest(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+
+		ds := rec.Recent(total)
+		if len(ds) != total/every {
+			t.Fatalf("sample 1/%d: %d decisions, want %d", every, len(ds), total/every)
+		}
+		for _, d := range ds {
+			got, ok := rec.Explain(d.MsgID)
+			if !ok || got != d {
+				t.Fatalf("sample 1/%d: message %d does not resolve to its decision", every, d.MsgID)
+			}
+			if d.Bundle == 0 || (d.NewBundle && d.Winner != 0) {
+				t.Fatalf("sample 1/%d: malformed decision %+v", every, d)
+			}
+		}
+		if every == 1 {
+			for _, m := range msgs {
+				if _, ok := rec.Explain(uint64(m.ID)); !ok {
+					t.Fatalf("message %d was ingested but not traced", m.ID)
+				}
+			}
+		}
 	}
 }
 

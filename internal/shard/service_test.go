@@ -1,8 +1,10 @@
 package shard
 
 // The Service contract: one table of cases run over both backends of
-// pipeline.Service — the serial engine behind pipeline.Durable and the
-// sharded engine (N=3, B=16) behind shard.Durable. The suite lives here
+// pipeline.Service, each durable and memory-only — the serial engine
+// with and without a pipeline.Durable, the sharded engine behind
+// shard.Durable (N=3, B=16) and without one (N=3, B=1). The cases that
+// need durable state skip the memory-only rows. The suite lives here
 // because pipeline cannot import shard.
 
 import (
@@ -20,21 +22,52 @@ import (
 	"provex/internal/tweet"
 )
 
-// deployment is one opened durable backend behind its Service.
+// deployment is one opened backend behind its Service.
 type deployment struct {
-	svc      *Service
-	replayed int // messages the WALs contributed at open
-	liveIDs  func() []bundle.ID
-	close    func() error
+	svc       *Service
+	replayed  int           // messages the WALs contributed at open
+	walSynced func() uint64 // a watermark readable beside ingest; nil for none
+	liveIDs   func() []bundle.ID
+	close     func() error
 }
 
-// contractBackends lists how to open each backend on fs. opts carries
-// the ingest-loop settings (Buffer, CheckpointEvery).
-var contractBackends = []struct {
-	name string
-	open func(t *testing.T, fs fsx.FS, opts pipeline.Options) deployment
-}{
-	{"serial", func(t *testing.T, fs fsx.FS, opts pipeline.Options) deployment {
+// liveIDs lists the live bundles of every engine behind a deployment.
+func liveIDs(engines ...*core.Engine) func() []bundle.ID {
+	return func() (ids []bundle.ID) {
+		for _, e := range engines {
+			e.Pool().All(func(b *bundle.Bundle) { ids = append(ids, b.ID()) })
+		}
+		return ids
+	}
+}
+
+// plainSerial is the serial backends' reference: the same engine fed by
+// a bare insert loop, no Service.
+func plainSerial(msgs []*tweet.Message) core.Stats {
+	e := core.New(core.PartialIndexConfig(500), nil, nil)
+	for _, m := range msgs {
+		e.Insert(m)
+	}
+	return e.Snapshot()
+}
+
+var memShardOpts = Options{Shards: 3, Batch: 1}
+
+// contractBackends lists how to open each backend on fs (the
+// memory-only ones ignore it). opts carries the ingest-loop settings
+// (Buffer, CheckpointEvery). plain, where set, is the state a bare
+// ingest loop over the same engine shape ends in; the durable sharded
+// backend has none, because at B=16 the end state depends on where the
+// idle flush cut the rounds.
+type contractBackend struct {
+	name    string
+	durable bool
+	open    func(t *testing.T, fs fsx.FS, opts pipeline.Options) deployment
+	plain   func(msgs []*tweet.Message) core.Stats
+}
+
+var contractBackends = []contractBackend{
+	{"serial", true, func(t *testing.T, fs fsx.FS, opts pipeline.Options) deployment {
 		d, err := pipeline.OpenDurable(core.PartialIndexConfig(500), nil, nil, pipeline.DurableOptions{
 			FS: fs, CheckpointPath: "engine.ckpt", WALDir: "wal", WALSyncEvery: 64,
 		})
@@ -45,16 +78,14 @@ var contractBackends = []struct {
 		proc.Reindex()
 		opts.Durable = d
 		return deployment{
-			svc:      pipeline.New(proc, opts),
-			replayed: d.Replayed(),
-			liveIDs: func() (ids []bundle.ID) {
-				d.Engine().Pool().All(func(b *bundle.Bundle) { ids = append(ids, b.ID()) })
-				return ids
-			},
-			close: d.Close,
+			svc:       pipeline.New(proc, opts),
+			replayed:  d.Replayed(),
+			walSynced: d.WALSyncedSeq,
+			liveIDs:   liveIDs(d.Engine()),
+			close:     d.Close,
 		}
-	}},
-	{"sharded", func(t *testing.T, fs fsx.FS, opts pipeline.Options) deployment {
+	}, plainSerial},
+	{"sharded", true, func(t *testing.T, fs fsx.FS, opts pipeline.Options) deployment {
 		q := query.DefaultOptions()
 		d, err := OpenDurable(core.PartialIndexConfig(500), Options{Shards: 3, Batch: 16, Query: &q}, testDurableOpts(fs))
 		if err != nil {
@@ -66,15 +97,46 @@ var contractBackends = []struct {
 			// cases vary.
 			svc:      pipeline.NewWith(backend{d.Engine, d}, opts),
 			replayed: d.Replayed(),
-			liveIDs: func() (ids []bundle.ID) {
-				for i := 0; i < d.Shards(); i++ {
-					d.ShardEngine(i).Pool().All(func(b *bundle.Bundle) { ids = append(ids, b.ID()) })
-				}
-				return ids
-			},
-			close: d.Close,
+			liveIDs:  liveIDs(shardEngines(d.Engine)...),
+			close:    d.Close,
 		}
+	}, nil},
+	// The shapes provserve -n 50000 runs: no Durable, nothing on disk.
+	{"serial-mem", false, func(t *testing.T, _ fsx.FS, opts pipeline.Options) deployment {
+		e := core.New(core.PartialIndexConfig(500), nil, nil)
+		return deployment{
+			svc:     pipeline.New(query.New(e, query.DefaultOptions()), opts),
+			liveIDs: liveIDs(e),
+			close:   func() error { return nil },
+		}
+	}, plainSerial},
+	{"sharded-mem", false, func(t *testing.T, _ fsx.FS, opts pipeline.Options) deployment {
+		q := query.DefaultOptions()
+		mo := memShardOpts
+		mo.Query = &q
+		e, err := New(core.PartialIndexConfig(500), mo, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return deployment{
+			svc:     pipeline.NewWith(backend{e, nil}, opts),
+			liveIDs: liveIDs(shardEngines(e)...),
+			close:   func() error { return nil },
+		}
+	}, func(msgs []*tweet.Message) core.Stats {
+		e, _ := New(core.PartialIndexConfig(500), memShardOpts, nil, nil)
+		for _, m := range msgs {
+			_ = e.Ingest(m) // a memory-only round cannot fail
+		}
+		return e.Snapshot()
 	}},
+}
+
+// comparable strips the stage timers (wall-clock, legitimately
+// different across runs) from a Stats for equality checks.
+func comparable(s core.Stats) core.Stats {
+	s.PrepareTime, s.MatchTime, s.PlaceTime, s.RefineTime = 0, 0, 0, 0
+	return s
 }
 
 func submitAll(t *testing.T, s *Service, next func() *tweet.Message, n int) {
@@ -100,14 +162,14 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 func TestServiceContract(t *testing.T) {
-	type openFunc = func(t *testing.T, fs fsx.FS, opts pipeline.Options) deployment
 	cases := []struct {
-		name string
-		run  func(t *testing.T, open openFunc)
+		name    string
+		durable bool // needs state that survives the Service
+		run     func(t *testing.T, be contractBackend)
 	}{
-		{"ingest query resume", func(t *testing.T, open openFunc) {
+		{"ingest query resume", true, func(t *testing.T, be contractBackend) {
 			mem := fsx.NewMem()
-			d := open(t, mem, pipeline.Options{CheckpointEvery: 1000})
+			d := be.open(t, mem, pipeline.Options{CheckpointEvery: 1000})
 			s := d.svc
 			s.Start()
 			const n = 4000
@@ -161,7 +223,7 @@ func TestServiceContract(t *testing.T) {
 			// Reopen: the stopped service checkpointed everything, so the
 			// recovered state resumes at the full stream with nothing to
 			// replay — and a new writer has ingested nothing yet.
-			d2 := open(t, mem, pipeline.Options{})
+			d2 := be.open(t, mem, pipeline.Options{})
 			if got := d2.svc.Snapshot().Messages; got != n {
 				t.Fatalf("resumed Messages = %d, want %d", got, n)
 			}
@@ -175,8 +237,8 @@ func TestServiceContract(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"submit after stop", func(t *testing.T, open openFunc) {
-			d := open(t, fsx.NewMem(), pipeline.Options{})
+		{"submit after stop", false, func(t *testing.T, be contractBackend) {
+			d := be.open(t, fsx.NewMem(), pipeline.Options{})
 			defer d.close()
 			d.svc.Start()
 			if err := d.svc.Stop(); err != nil {
@@ -190,10 +252,11 @@ func TestServiceContract(t *testing.T) {
 				t.Errorf("second Stop = %v", err)
 			}
 		}},
-		// Hammers the read path while the writer ingests; under -race
-		// this verifies the locking discipline.
-		{"concurrent queries during ingest", func(t *testing.T, open openFunc) {
-			d := open(t, fsx.NewMem(), pipeline.Options{Buffer: 64, CheckpointEvery: 1000})
+		// Hammers the read path while the log stage group-commits and the
+		// writer ingests and crosses checkpoint barriers; under -race this
+		// verifies the locking discipline.
+		{"concurrent queries during ingest", false, func(t *testing.T, be contractBackend) {
+			d := be.open(t, fsx.NewMem(), pipeline.Options{Buffer: 64, CheckpointEvery: 350})
 			defer d.close()
 			s := d.svc
 			s.Start()
@@ -215,6 +278,9 @@ func TestServiceContract(t *testing.T) {
 						s.Snapshot()
 						s.Ingested()
 						s.Checkpoints()
+						if d.walSynced != nil {
+							d.walSynced()
+						}
 					}
 				}()
 			}
@@ -227,10 +293,18 @@ func TestServiceContract(t *testing.T) {
 			if s.Ingested() != 1500 {
 				t.Errorf("Ingested = %d", s.Ingested())
 			}
+			// 4 on cadence + 1 final, or none at all without a Durable.
+			want := 0
+			if be.durable {
+				want = 5
+			}
+			if got := s.Checkpoints(); got != want {
+				t.Errorf("Checkpoints = %d, want %d", got, want)
+			}
 		}},
-		{"checkpoint cadence and resume", func(t *testing.T, open openFunc) {
+		{"checkpoint cadence and resume", true, func(t *testing.T, be contractBackend) {
 			mem := fsx.NewMem()
-			d := open(t, mem, pipeline.Options{CheckpointEvery: 500})
+			d := be.open(t, mem, pipeline.Options{CheckpointEvery: 500})
 			d.svc.Start()
 			const n = 2200
 			submitAll(t, d.svc, smallGen(3).Next, n)
@@ -248,7 +322,7 @@ func TestServiceContract(t *testing.T) {
 			// A crash after the clean stop loses nothing: the final
 			// checkpoint alone restores the full state.
 			mem.Crash()
-			d2 := open(t, mem, pipeline.Options{})
+			d2 := be.open(t, mem, pipeline.Options{})
 			defer d2.close()
 			if got := d2.svc.Snapshot().Messages; got != n {
 				t.Errorf("restored messages = %d, want %d", got, n)
@@ -259,10 +333,10 @@ func TestServiceContract(t *testing.T) {
 		}},
 		// The satellite bug: a writer built on recovered state owes no
 		// checkpoint until it has itself applied CheckpointEvery messages.
-		{"no checkpoint before cadence after restart", func(t *testing.T, open openFunc) {
+		{"no checkpoint before cadence after restart", true, func(t *testing.T, be contractBackend) {
 			mem := fsx.NewMem()
 			g := smallGen(6)
-			d := open(t, mem, pipeline.Options{CheckpointEvery: 1000})
+			d := be.open(t, mem, pipeline.Options{CheckpointEvery: 1000})
 			d.svc.Start()
 			submitAll(t, d.svc, g.Next, 1500)
 			if err := d.svc.Stop(); err != nil {
@@ -272,7 +346,7 @@ func TestServiceContract(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			d2 := open(t, mem, pipeline.Options{CheckpointEvery: 1000})
+			d2 := be.open(t, mem, pipeline.Options{CheckpointEvery: 1000})
 			defer d2.close()
 			s := d2.svc
 			s.Start()
@@ -288,9 +362,9 @@ func TestServiceContract(t *testing.T) {
 				t.Errorf("Checkpoints = %d after Stop, want 1 (the final one)", got)
 			}
 		}},
-		{"checkpoint failure surfaced", func(t *testing.T, open openFunc) {
+		{"checkpoint failure surfaced", true, func(t *testing.T, be contractBackend) {
 			ff := fsx.NewFault(fsx.NewMem())
-			d := open(t, ff, pipeline.Options{CheckpointEvery: 100})
+			d := be.open(t, ff, pipeline.Options{CheckpointEvery: 100})
 			defer d.close()
 			s := d.svc
 			// Checkpoints land by rename; WAL appends never rename, so
@@ -312,9 +386,31 @@ func TestServiceContract(t *testing.T) {
 				t.Errorf("Ingested = %d, want 300: a failed checkpoint must not stop ingest", s.Ingested())
 			}
 		}},
+		// The two-stage loop must end in the same engine state as a bare
+		// ingest loop, whether the stages hand over a message at a time
+		// or full batches.
+		{"matches a plain ingest loop", false, func(t *testing.T, be contractBackend) {
+			if be.plain == nil {
+				t.Skip("end state depends on idle-flush timing")
+			}
+			const n = 5000
+			want := comparable(be.plain(genMessages(14, n)))
+			for _, buffer := range []int{1, 0} {
+				d := be.open(t, fsx.NewMem(), pipeline.Options{Buffer: buffer})
+				d.svc.Start()
+				submitAll(t, d.svc, smallGen(14).Next, n)
+				if err := d.svc.Stop(); err != nil {
+					t.Fatal(err)
+				}
+				if got := comparable(d.svc.Snapshot()); !reflect.DeepEqual(got, want) {
+					t.Errorf("Buffer %d: service state diverges:\nplain:   %+v\nservice: %+v", buffer, want, got)
+				}
+				d.close()
+			}
+		}},
 		// A tiny buffer with a slow consumer must not lose messages.
-		{"backpressure bounds queue", func(t *testing.T, open openFunc) {
-			d := open(t, fsx.NewMem(), pipeline.Options{Buffer: 2})
+		{"backpressure bounds queue", false, func(t *testing.T, be contractBackend) {
+			d := be.open(t, fsx.NewMem(), pipeline.Options{Buffer: 2})
 			defer d.close()
 			d.svc.Start()
 			submitAll(t, d.svc, smallGen(5).Next, 500)
@@ -327,8 +423,8 @@ func TestServiceContract(t *testing.T) {
 		}},
 		// Fewer messages than one round: the writer must flush when its
 		// queue runs dry, or a live tail would sit invisible until Stop.
-		{"partial round visible when idle", func(t *testing.T, open openFunc) {
-			d := open(t, fsx.NewMem(), pipeline.Options{})
+		{"partial round visible when idle", false, func(t *testing.T, be contractBackend) {
+			d := be.open(t, fsx.NewMem(), pipeline.Options{})
 			defer d.close()
 			s := d.svc
 			s.Start()
@@ -351,10 +447,10 @@ func TestServiceContract(t *testing.T) {
 		}},
 		// A quiet feed's tail must be on disk, not in a batch buffer
 		// waiting for more traffic: ten messages, silence, power loss.
-		{"quiet tail survives a crash", func(t *testing.T, open openFunc) {
+		{"quiet tail survives a crash", true, func(t *testing.T, be contractBackend) {
 			mem := fsx.NewMem()
 			ff := fsx.NewFault(mem)
-			d := open(t, ff, pipeline.Options{})
+			d := be.open(t, ff, pipeline.Options{})
 			d.svc.Start()
 			submitAll(t, d.svc, smallGen(7).Next, 10)
 			waitFor(t, "10 messages applied", func() bool { return d.svc.Ingested() == 10 })
@@ -364,7 +460,7 @@ func TestServiceContract(t *testing.T) {
 			_ = d.svc.Stop()
 			_ = d.close()
 			mem.Crash()
-			d2 := open(t, mem, pipeline.Options{})
+			d2 := be.open(t, mem, pipeline.Options{})
 			defer d2.close()
 			if got := d2.svc.Snapshot().Messages; got != 10 {
 				t.Errorf("recovered %d messages, want the 10 that were visible before the crash", got)
@@ -373,7 +469,10 @@ func TestServiceContract(t *testing.T) {
 	}
 	for _, be := range contractBackends {
 		for _, c := range cases {
-			t.Run(be.name+"/"+c.name, func(t *testing.T) { c.run(t, be.open) })
+			if c.durable && !be.durable {
+				continue
+			}
+			t.Run(be.name+"/"+c.name, func(t *testing.T) { c.run(t, be) })
 		}
 	}
 }

@@ -13,8 +13,8 @@ import (
 // so posting-list keys, bundle summaries and Doc.Keywords slices all
 // share storage instead of each holding a fresh ToLower allocation.
 //
-// The table is process-global and safe for concurrent use — the
-// parallel prepare pool tokenizes on several goroutines at once. It is
+// The table is process-global and safe for concurrent use — every
+// Service's log stage tokenizes on its own goroutine. It is
 // read-mostly (a miss happens once per distinct term ever), so an
 // RWMutex-guarded map wins over sync.Map's amortised copying here.
 

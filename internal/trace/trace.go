@@ -10,22 +10,24 @@
 // The recorder is built for the ingest hot path: when disabled (nil
 // recorder or SampleEvery <= 0) Begin is a single branch and allocates
 // nothing (pinned by TestHotPathZeroAlloc); when enabled but the
-// message is not sampled, the cost is one counter increment and a
+// message is not sampled, the cost is one atomic increment and a
 // modulo. Only sampled messages pay for a Decision allocation.
 //
-// Concurrency contract: Begin/Commit/RecordRefine must be called from
-// the single ingest goroutine (the same serialization the engine
-// already requires). The ring buffers and lookup map are mutex-guarded
-// so Explain/Recent/Refinements may be called concurrently from HTTP
-// handlers while ingest commits new records. A Decision is built
-// lock-free between Begin and Commit and is immutable after Commit —
-// readers receive the shared pointer and must not mutate it.
+// Concurrency contract: every method is safe from any goroutine, so
+// one recorder serves all the engines of a sharded node, whose commit
+// goroutines run side by side — the sampler counter is atomic, and the
+// ring buffers and lookup map are mutex-guarded, for them as for the
+// HTTP handlers that call Explain/Recent/Refinements while ingest
+// commits new records. A Decision belongs to the goroutine that began
+// it until Commit, and is immutable afterwards — readers receive the
+// shared pointer and must not mutate it.
 package trace
 
 import (
 	"context"
 	"log/slog"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"provex/internal/metrics"
@@ -152,9 +154,7 @@ type Recorder struct {
 	sample int
 	logger *slog.Logger
 
-	// count is touched only by the ingest goroutine (see the package
-	// concurrency contract), so it needs no synchronisation.
-	count uint64
+	count atomic.Uint64 // messages offered to the sampler
 
 	decisionsTotal metrics.Counter
 	refinesTotal   metrics.Counter
@@ -226,8 +226,7 @@ func (r *Recorder) Begin(msgID uint64) *Decision {
 	if r == nil || r.sample <= 0 {
 		return nil
 	}
-	r.count++
-	if r.count%uint64(r.sample) != 0 {
+	if r.count.Add(1)%uint64(r.sample) != 0 {
 		return nil
 	}
 	//provlint:ignore hotpathalloc sampled slow path: 1-in-N messages deliberately pay for their Decision record

@@ -29,7 +29,6 @@ func TestHotPathZeroAlloc(t *testing.T) {
 	// Enabled with a huge period: every call takes the unsampled branch
 	// (counter increment + modulo) and must still be allocation-free.
 	sparse := New(Options{SampleEvery: 1 << 30, Buffer: 8})
-	sparse.count = 0
 	if n := testing.AllocsPerRun(1000, func() {
 		if d := sparse.Begin(1); d != nil {
 			t.Fatal("sparse recorder sampled within the test window")
