@@ -30,6 +30,9 @@ go vet -vettool="$lint_tmp/provlint" ./...
 # seeds still pass.
 echo "== fuzz smoke =="
 go test ./internal/wal -fuzz FuzzOpenReplay -fuzztime 10s -run '^$'
+# the shared segment scanner under the WAL and the store, and the bare
+# frame loop under the round ledger (its seeds include ledger bytes)
+go test ./internal/recfile -fuzz FuzzScan -fuzztime 10s -run '^$'
 go test ./internal/tokenizer -fuzz FuzzTokenizeKeywords -fuzztime 10s -run '^$'
 go test ./internal/promtext -fuzz FuzzParse -fuzztime 10s -run '^$'
 go test ./internal/repl -fuzz FuzzFrameDecoder -fuzztime 10s -run '^$'
@@ -64,7 +67,7 @@ go test -race -shuffle=on ./...
 # checkpoint barrier) are the crash-safety gate and must not ride a
 # stale test cache.
 echo "== durability (-race -count=1) =="
-go test -race -count=1 ./internal/fsx ./internal/wal ./internal/storage ./internal/pipeline
+go test -race -count=1 ./internal/fsx ./internal/recfile ./internal/wal ./internal/storage ./internal/pipeline
 
 # Crash torture: randomized fault points, crash, recover, compare
 # against an uninterrupted run — one seeded driver over the serial and
@@ -177,16 +180,26 @@ restart_clean build -live -ckpt "$state/engine.ckpt" -addr "$loop_addr"
 
 # provingest smoke: the serial engine and the sharded one at B=1 (where
 # the round protocol is the serial apply order, DESIGN.md §2i) must
-# agree on what the stream contains.
-echo "== provingest smoke (-shards 1 vs -shards 2 -shard-batch 1) =="
+# agree on what the stream contains, per Table II connection type too;
+# and two runs on one stream must print the same stdout apart from the
+# timing lines (the per-type lines used to come out in map order).
+echo "== provingest smoke (-shards 1 vs -shards 2 -shard-batch 1, run to run) =="
 go build -o "$obs_tmp/provingest" ./cmd/provingest
-ingest_stats() {
+ingest() {
     "$obs_tmp/provingest" -in "$obs_tmp/loop.jsonl" -mode full -progress 0 "$@" 2>/dev/null \
-        | grep -E '^(messages|bundles created|edges) '
+        | grep -Ev '^(stage|wall|span) time '
 }
-ingest_stats -shards 1 >"$obs_tmp/ingest-1.txt"
-ingest_stats -shards 2 -shard-batch 1 >"$obs_tmp/ingest-2.txt"
-[ "$(wc -l <"$obs_tmp/ingest-1.txt")" = 3 ] || { echo "provingest: statistics block missing"; exit 1; }
+ingest_stats() { grep -E '^(messages|bundles created|edges) |^  edges\[' "$1"; }
+ingest -shards 1 >"$obs_tmp/ingest-1.out"
+ingest -shards 1 >"$obs_tmp/ingest-1-again.out"
+ingest -shards 2 -shard-batch 1 >"$obs_tmp/ingest-2.out"
+cmp "$obs_tmp/ingest-1.out" "$obs_tmp/ingest-1-again.out" \
+    || { echo "provingest: two runs on the same stream print different stdout"; exit 1; }
+ingest_stats "$obs_tmp/ingest-1.out" >"$obs_tmp/ingest-1.txt"
+ingest_stats "$obs_tmp/ingest-2.out" >"$obs_tmp/ingest-2.txt"
+[ "$(wc -l <"$obs_tmp/ingest-1.txt")" = 7 ] || { echo "provingest: statistics block missing"; exit 1; }
+[ "$(grep -o 'edges\[[a-z]*\]' "$obs_tmp/ingest-1.txt" | tr '\n' ' ')" = 'edges[text] edges[hashtag] edges[url] edges[rt] ' ] \
+    || { echo "provingest: edges[conn] lines are not in Table II order"; exit 1; }
 cmp "$obs_tmp/ingest-1.txt" "$obs_tmp/ingest-2.txt" \
     || { echo "provingest: -shards 2 -shard-batch 1 diverges from -shards 1"; exit 1; }
 cat "$obs_tmp/ingest-1.txt"

@@ -21,6 +21,7 @@ import (
 
 	"provex/internal/cli"
 	"provex/internal/core"
+	"provex/internal/score"
 	"provex/internal/shard"
 	"provex/internal/storage"
 	"provex/internal/stream"
@@ -197,8 +198,8 @@ loop:
 	fmt.Printf("bundles created %d\n", st.BundlesCreated)
 	fmt.Printf("bundles live    %d\n", st.BundlesLive)
 	fmt.Printf("edges           %d\n", st.EdgesCreated)
-	for conn, c := range st.ConnCounts {
-		fmt.Printf("  edges[%s] = %d\n", conn, c)
+	for conn := score.ConnText; conn <= score.ConnRT; conn++ { // Table II order
+		fmt.Printf("  edges[%s] = %d\n", conn, st.ConnCounts[conn.String()])
 	}
 	fmt.Printf("mem estimate    %.1f MB (bundles %.1f + index %.1f)\n",
 		float64(st.MemTotal())/(1<<20), float64(st.MemBundles)/(1<<20), float64(st.MemIndex)/(1<<20))

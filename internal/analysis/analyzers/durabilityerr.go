@@ -23,6 +23,11 @@ var durabilityCritical = []critCall{
 	{"internal/wal", "Log", "Append", "a dropped WAL append loses the message on crash"},
 	{"internal/wal", "Log", "Truncate", "a dropped truncate error can leave a sealed log the next recovery rejects"},
 	{"internal/wal", "Log", "Sync", "an unchecked fsync means acknowledged data may not be durable"},
+	{"internal/wal", "", "Wipe", "an unchecked wipe can leave stale log files that the next recovery resurrects"},
+	{"internal/recfile", "", "Open", "an unchecked open hands back a nil directory and hides a corrupt sealed file"},
+	{"internal/recfile", "Dir", "CreateNext", "an unchecked file start leaves appends going to the file the caller believes sealed"},
+	{"internal/recfile", "Dir", "Sync", "an unchecked fsync means acknowledged data may not be durable"},
+	{"internal/recfile", "Dir", "RemoveBefore", "an unchecked remove leaves sealed files the caller believes gone"},
 	{"internal/storage", "Store", "Put", "a dropped Put error silently loses the bundle from the store"},
 	{"internal/storage", "Store", "Sync", "an unchecked store sync means flushed bundles may not be durable"},
 	{"internal/storage", "Store", "Compact", "an unchecked compaction error can strand dead segments"},
@@ -32,8 +37,7 @@ var durabilityCritical = []critCall{
 	{"internal/shard", "ledger", "append", "a dropped ledger append loses the barrier cut; recovery replays from a stale coordinate"},
 	{"internal/shard", "ledger", "reset", "an unchecked ledger reset can leave a stale cut that recovery trusts over newer shard state"},
 	{"internal/shard", "", "writeManifest", "an unchecked manifest write breaks the atomic commit point of the sharded checkpoint"},
-	{"internal/shard", "", "wipeDir", "an unchecked wipe can leave stale shard files that the next recovery resurrects"},
-	{"internal/repl", "Replica", "downloadTo", "an unchecked checkpoint download can install a torn snapshot as the replica's base state"},
+	{"internal/repl", "Replica", "installCheckpoint", "an unchecked checkpoint install leaves the replica on its old base state while reporting a new one"},
 	{"internal/repl", "Replica", "resync", "an unchecked resync failure leaves the replica serving stale state while reporting progress"},
 	{"internal/fsx", "File", "Write", "an unchecked write can tear the file image"},
 	{"internal/fsx", "File", "WriteAt", "an unchecked write can tear the file image"},
@@ -42,6 +46,7 @@ var durabilityCritical = []critCall{
 	{"internal/fsx", "FS", "Rename", "an unchecked rename breaks the atomic-checkpoint commit point"},
 	{"internal/fsx", "FS", "Remove", "an unchecked remove can resurrect stale state on recovery"},
 	{"internal/fsx", "FS", "MkdirAll", "an unchecked mkdir fails every subsequent write in the tree"},
+	{"internal/fsx", "", "WriteAtomic", "an unchecked atomic replace means the old file is still the one on disk"},
 }
 
 // DurabilityErr flags durability-critical calls whose error result is

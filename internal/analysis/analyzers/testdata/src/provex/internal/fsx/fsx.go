@@ -20,3 +20,5 @@ type FS interface {
 	Remove(name string) error
 	MkdirAll(path string, perm os.FileMode) error
 }
+
+func WriteAtomic(f FS, path string, write func(File) error) error { return nil }

@@ -1,10 +1,12 @@
 // Package shard is a hermetic stub of provex/internal/shard for the
 // durabilityerr fixtures: the ledger/manifest write paths carry the
 // same names as the real coordinated-checkpoint machinery. The fixture
-// functions live in-package because ledger, writeManifest and wipeDir
-// are unexported in the real tree too — the analyzer must fire on
+// functions live in-package because ledger and writeManifest are
+// unexported in the real tree too — the analyzer must fire on
 // intra-package discards.
 package shard
+
+import "provex/internal/wal"
 
 type ledger struct{}
 
@@ -12,13 +14,12 @@ func (l *ledger) append(global uint64, watermarks []uint64) error { return nil }
 func (l *ledger) reset() error                                    { return nil }
 
 func writeManifest(path string) error { return nil }
-func wipeDir(dir string) error        { return nil }
 
 func discards(l *ledger) {
-	l.append(1, nil)         // want `error from ledger\.append is discarded`
-	_ = l.reset()            // want `error from ledger\.reset is assigned to _`
-	writeManifest("m.json")  // want `error from writeManifest is discarded`
-	defer wipeDir("shard-0") // want `error from wipeDir is discarded by defer`
+	l.append(1, nil)          // want `error from ledger\.append is discarded`
+	_ = l.reset()             // want `error from ledger\.reset is assigned to _`
+	writeManifest("m.json")   // want `error from writeManifest is discarded`
+	defer wal.Wipe("shard-0") // want `error from Wipe is discarded by defer`
 }
 
 func checks(l *ledger) error {
@@ -28,7 +29,7 @@ func checks(l *ledger) error {
 	if err := writeManifest("m.json"); err != nil {
 		return err
 	}
-	if err := wipeDir("shard-0"); err != nil {
+	if err := wal.Wipe("shard-0"); err != nil {
 		return err
 	}
 	return l.reset()

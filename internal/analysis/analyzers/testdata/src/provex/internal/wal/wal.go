@@ -7,3 +7,5 @@ type Log struct{}
 func (l *Log) Append(seq uint64, data []byte) error { return nil }
 func (l *Log) Truncate() error                      { return nil }
 func (l *Log) Sync() error                          { return nil }
+
+func Wipe(dir string) error { return nil }

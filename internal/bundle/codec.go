@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
+	"provex/internal/recfile"
 	"provex/internal/score"
 	"provex/internal/tweet"
 )
@@ -17,8 +17,8 @@ import (
 //	magic byte 0xB5, version byte
 //	bundle id, closed flag, node count
 //	per node: parent+1 (so NoParent encodes as 0), score (float64 bits),
-//	          conn type, message id, unix-nano date, user, text,
-//	          keyword count + keywords
+//	          conn type, the raw message fields (tweet.AppendRaw: id,
+//	          unix-nano date, user, text), keyword count + keywords
 //
 // Indicant summaries, extent and memory estimate are NOT stored — they
 // are deterministic functions of the nodes and are rebuilt on decode,
@@ -48,14 +48,10 @@ func (b *Bundle) Marshal() []byte {
 		buf = binary.AppendUvarint(buf, uint64(n.Parent+1))
 		buf = binary.AppendUvarint(buf, math.Float64bits(n.Score))
 		buf = append(buf, byte(n.Conn))
-		m := n.Doc.Msg
-		buf = binary.AppendUvarint(buf, uint64(m.ID))
-		buf = binary.AppendVarint(buf, m.Date.UnixNano())
-		buf = appendString(buf, m.User)
-		buf = appendString(buf, m.Text)
+		buf = tweet.AppendRaw(buf, n.Doc.Msg)
 		buf = binary.AppendUvarint(buf, uint64(len(n.Doc.Keywords)))
 		for _, k := range n.Doc.Keywords {
-			buf = appendString(buf, k)
+			buf = recfile.AppendStr(buf, k)
 		}
 	}
 	return buf
@@ -65,50 +61,43 @@ func (b *Bundle) Marshal() []byte {
 // memory estimate from the node data. The decoded bundle satisfies
 // Validate if the input was produced by Marshal.
 func Unmarshal(data []byte) (*Bundle, error) {
-	r := &reader{data: data}
-	if r.byte() != codecMagic {
+	r := recfile.NewCursor(data)
+	truncated := func() error { return fmt.Errorf("%w: %v", ErrCorrupt, r.Err()) }
+	if r.Byte() != codecMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	if v := r.byte(); v != codecVersion {
+	if v := r.Byte(); v != codecVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, v)
 	}
-	id := ID(r.uvarint())
-	closed := r.byte() == 1
-	n := r.uvarint()
-	if r.err != nil {
-		return nil, r.err
+	id := ID(r.Uvarint())
+	closed := r.Byte() == 1
+	n := r.Uvarint()
+	if r.Err() != nil {
+		return nil, truncated()
 	}
 	if n > uint64(len(data)) { // each node needs >1 byte; cheap bound
 		return nil, fmt.Errorf("%w: implausible node count %d", ErrCorrupt, n)
 	}
 	b := New(id)
 	for i := uint64(0); i < n; i++ {
-		parent := int32(r.uvarint()) - 1
-		scoreBits := r.uvarint()
-		conn := score.ConnectionType(r.byte())
-		msgID := tweet.ID(r.uvarint())
-		date := r.varint()
-		user := r.string()
-		text := r.string()
-		nk := r.uvarint()
-		if r.err != nil {
-			return nil, r.err
-		}
+		parent := int32(r.Uvarint()) - 1
+		scoreBits := r.Uvarint()
+		conn := score.ConnectionType(r.Byte())
+		msg := tweet.DecodeRaw(r)
+		nk := r.Uvarint() // zero once the cursor has failed
 		if nk > uint64(len(data)) {
 			return nil, fmt.Errorf("%w: implausible keyword count %d", ErrCorrupt, nk)
 		}
 		keywords := make([]string, 0, nk)
 		for j := uint64(0); j < nk; j++ {
-			keywords = append(keywords, r.string())
+			keywords = append(keywords, r.Str())
 		}
-		if r.err != nil {
-			return nil, r.err
+		if r.Err() != nil {
+			return nil, truncated()
 		}
 		if parent != NoParent && (parent < 0 || uint64(parent) >= i) {
 			return nil, fmt.Errorf("%w: node %d parent %d", ErrCorrupt, i, parent)
 		}
-		msg := &tweet.Message{ID: msgID, Date: time.Unix(0, date).UTC(), User: user, Text: text}
-		reparse(msg)
 		doc := score.Doc{Msg: msg, Keywords: keywords}
 		b.nodes = append(b.nodes, Node{
 			Doc:    doc,
@@ -119,85 +108,8 @@ func Unmarshal(data []byte) (*Bundle, error) {
 		b.absorb(doc)
 	}
 	b.closed = closed
-	if r.pos != len(r.data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(r.data)-r.pos)
+	if r.Rest() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.Rest())
 	}
 	return b, nil
-}
-
-// reparse re-extracts message indicants from text. Encoding stores only
-// raw text; the parser is the single source of truth for entities.
-func reparse(m *tweet.Message) {
-	p := tweet.Parse(m.ID, m.User, m.Date, m.Text)
-	m.URLs, m.Hashtags, m.Mentions = p.URLs, p.Hashtags, p.Mentions
-	m.RTOf, m.RTComment = p.RTOf, p.RTComment
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-// reader is a cursor over the encoded buffer that latches the first
-// error so call sites stay linear.
-type reader struct {
-	data []byte
-	pos  int
-	err  error
-}
-
-func (r *reader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: truncated at byte %d", ErrCorrupt, r.pos)
-	}
-}
-
-func (r *reader) byte() byte {
-	if r.err != nil || r.pos >= len(r.data) {
-		r.fail()
-		return 0
-	}
-	b := r.data[r.pos]
-	r.pos++
-	return b
-}
-
-func (r *reader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.pos += n
-	return v
-}
-
-func (r *reader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.data[r.pos:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.pos += n
-	return v
-}
-
-func (r *reader) string() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if uint64(r.pos)+n > uint64(len(r.data)) {
-		r.fail()
-		return ""
-	}
-	s := string(r.data[r.pos : r.pos+int(n)])
-	r.pos += int(n)
-	return s
 }

@@ -39,6 +39,7 @@ import (
 	"provex/internal/bundle"
 	"provex/internal/fsx"
 	"provex/internal/pool"
+	"provex/internal/recfile"
 	"provex/internal/storage"
 	"provex/internal/sumindex"
 )
@@ -53,8 +54,6 @@ const maxCkptRecord = 64 << 20
 
 // ErrBadCheckpoint reports an unreadable or corrupt checkpoint stream.
 var ErrBadCheckpoint = errors.New("core: bad checkpoint")
-
-var ckptCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // WriteCheckpoint serialises the engine's in-memory state to w.
 // The engine must not ingest concurrently.
@@ -91,7 +90,7 @@ func (e *Engine) WriteCheckpoint(w io.Writer) error {
 	writeRec := func(payload []byte) error {
 		var rec []byte
 		rec = binary.AppendUvarint(rec, uint64(len(payload)))
-		rec = binary.AppendUvarint(rec, uint64(crc32.Checksum(payload, ckptCRC)))
+		rec = binary.AppendUvarint(rec, uint64(crc32.Checksum(payload, recfile.Castagnoli)))
 		if _, err := bw.Write(rec); err != nil {
 			return err
 		}
@@ -219,7 +218,7 @@ func RestoreCheckpoint(cfg Config, store *storage.Store, onEdge EdgeFunc, r io.R
 		if _, err := io.ReadFull(br, payload); err != nil {
 			return nil, fmt.Errorf("%w: truncated at %s %d", ErrBadCheckpoint, what, i)
 		}
-		if crc32.Checksum(payload, ckptCRC) != uint32(wantCRC) {
+		if crc32.Checksum(payload, recfile.Castagnoli) != uint32(wantCRC) {
 			return nil, fmt.Errorf("%w: checksum mismatch at %s %d", ErrBadCheckpoint, what, i)
 		}
 		b, err := bundle.Unmarshal(payload)
@@ -269,35 +268,10 @@ func RestoreCheckpoint(cfg Config, store *storage.Store, onEdge EdgeFunc, r io.R
 }
 
 // SaveCheckpoint atomically writes the engine's checkpoint to path on
-// fsys: the stream goes to a temporary sibling first, is fsynced, and
-// is renamed over path, so a crash at any point leaves either the old
+// fsys (fsx.WriteAtomic), so a crash at any point leaves either the old
 // checkpoint or the new one — never a torn hybrid.
 func (e *Engine) SaveCheckpoint(fsys fsx.FS, path string) error {
-	fsys = fsx.Default(fsys)
-	tmp := path + ".tmp"
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("core: checkpoint: %w", err)
-	}
-	if err := e.WriteCheckpoint(f); err != nil {
-		f.Close()
-		fsx.BestEffortRemove(fsys, tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsx.BestEffortRemove(fsys, tmp)
-		return fmt.Errorf("core: checkpoint: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		fsx.BestEffortRemove(fsys, tmp)
-		return fmt.Errorf("core: checkpoint: %w", err)
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsx.BestEffortRemove(fsys, tmp)
-		return fmt.Errorf("core: checkpoint: %w", err)
-	}
-	return nil
+	return fsx.WriteAtomic(fsx.Default(fsys), path, e.WriteCheckpoint)
 }
 
 // LoadCheckpoint restores an engine from the checkpoint file at path on

@@ -3,11 +3,13 @@ package core
 import (
 	"bytes"
 	"errors"
+	"os"
 	"reflect"
 	"testing"
 	"time"
 
 	"provex/internal/bundle"
+	"provex/internal/fsx"
 	"provex/internal/gen"
 	"provex/internal/score"
 	"provex/internal/tweet"
@@ -218,5 +220,38 @@ func TestCheckpointEmptyEngine(t *testing.T) {
 	}
 	if restored.Snapshot().Messages != 0 || restored.Pool().Len() != 0 {
 		t.Error("empty engine restore not empty")
+	}
+}
+
+// TestGoldenCheckpoint pins the checkpoint file across the move to
+// fsx.WriteAtomic and the shared cursor under bundle.Unmarshal: a file
+// saved by the previous implementation restores here, and the same
+// inserts save the same bytes here. One live bundle only — the pool
+// writes its bundles in map order, so two would not be reproducible.
+func TestGoldenCheckpoint(t *testing.T) {
+	golden, err := os.ReadFile("testdata/golden_pr16.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(FullIndexConfig(), nil, nil)
+	e.Insert(msg(1, "amaliebenjamin", "lester ovation from the crowd #redsox http://bit.ly/Uvcpr", base))
+	e.Insert(msg(2, "fan", "RT @amaliebenjamin: lester ovation from the crowd #redsox http://bit.ly/Uvcpr", base.Add(time.Minute)))
+	e.Insert(msg(3, "c", "game seven tonight #redsox", base.Add(5*time.Minute)))
+	e.Insert(msg(4, "d", "what an inning http://bit.ly/Uvcpr", base.Add(6*time.Minute)))
+
+	mem := fsx.NewMem()
+	mem.WriteFile("old.ckpt", golden)
+	old, err := LoadCheckpoint(FullIndexConfig(), nil, nil, mem, "old.ckpt")
+	if err != nil {
+		t.Fatalf("golden checkpoint: %v", err)
+	}
+	if got, want := snapshotComparable(old.Snapshot()), snapshotComparable(e.Snapshot()); !reflect.DeepEqual(got, want) || want.BundlesLive != 1 || want.Messages != 4 {
+		t.Fatalf("golden checkpoint restored %+v, want %+v", got, want)
+	}
+	if err := e.SaveCheckpoint(mem, "new.ckpt"); err != nil {
+		t.Fatal(err)
+	}
+	if written, _ := mem.ReadFile("new.ckpt"); !bytes.Equal(written, golden) {
+		t.Fatalf("the same 4 inserts saved %d bytes that differ from the %d-byte golden checkpoint", len(written), len(golden))
 	}
 }

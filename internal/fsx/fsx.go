@@ -28,6 +28,7 @@
 package fsx
 
 import (
+	"fmt"
 	"io"
 	"io/fs"
 	"os"
@@ -124,6 +125,40 @@ func (OS) ReadDir(name string) ([]string, error) {
 func BestEffortRemove(f FS, name string) {
 	//provlint:ignore durabilityerr best-effort debris cleanup; the caller reports the original failure and recovery tolerates leftovers
 	_ = f.Remove(name)
+}
+
+// WriteAtomic replaces the file at path with what write produces, all
+// or nothing: the bytes go to a temporary sibling, which is synced,
+// closed and renamed over path, so a crash or a failure at any point
+// leaves either the old file or the new one — never a torn hybrid. An
+// error from write is returned as is; on every failure the sibling is
+// removed, best effort.
+func WriteAtomic(f FS, path string, write func(io.Writer) error) (err error) {
+	tmp := path + ".tmp"
+	file, err := f.Create(tmp)
+	if err != nil {
+		return fmt.Errorf("fsx: replace %s: %w", path, err)
+	}
+	defer func() {
+		if err != nil {
+			BestEffortRemove(f, tmp)
+		}
+	}()
+	if err := write(file); err != nil {
+		file.Close()
+		return err
+	}
+	err = file.Sync()
+	if cerr := file.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = f.Rename(tmp, path)
+	}
+	if err != nil {
+		return fmt.Errorf("fsx: replace %s: %w", path, err)
+	}
+	return nil
 }
 
 // Default returns f, or the real filesystem when f is nil — the

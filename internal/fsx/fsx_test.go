@@ -278,3 +278,35 @@ func (p *prefixFS) MkdirAll(name string, perm os.FileMode) error {
 	return OS{}.MkdirAll(p.path(name), perm)
 }
 func (p *prefixFS) ReadDir(name string) ([]string, error) { return OS{}.ReadDir(p.path(name)) }
+
+// TestWriteAtomicAllOrNothing fails every mutating operation of a
+// replace in turn: the old file stays whole and no sibling is left
+// behind, until the replace goes through and the new bytes are there.
+func TestWriteAtomicAllOrNothing(t *testing.T) {
+	mem := NewMem()
+	mem.WriteFile("dir/ckpt", []byte("old"))
+	ff := NewFault(mem)
+	write := func(w io.Writer) error { _, err := w.Write([]byte("new")); return err }
+	for n := int64(1); ; n++ {
+		ff.Arm(n, Fault{TornBytes: 1}, MutatingOps()...)
+		err := WriteAtomic(ff, "dir/ckpt", write)
+		tripped := ff.Tripped()
+		ff.Disarm()
+		got, _ := mem.ReadFile("dir/ckpt")
+		if names, _ := mem.ReadDir("dir"); len(names) != 1 {
+			t.Fatalf("op %d: files left = %v", n, names)
+		}
+		if !tripped {
+			if err != nil || string(got) != "new" || n != 5 {
+				t.Fatalf("replace ran clean with %d ops: %q, %v; want \"new\" after create, write, sync, rename", n-1, got, err)
+			}
+			break
+		}
+		if !errors.Is(err, ErrInjected) || string(got) != "old" {
+			t.Fatalf("op %d: err %v, file %q; want the injected fault and the old bytes", n, err, got)
+		}
+	}
+	if err := WriteAtomic(mem, "dir/ckpt", func(io.Writer) error { return io.ErrShortWrite }); err != io.ErrShortWrite {
+		t.Fatalf("the writer's error came back as %v, want it as is", err)
+	}
+}

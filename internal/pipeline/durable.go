@@ -218,7 +218,7 @@ func (d *Durable) ReadWAL(after uint64, hint wal.Cursor, maxBytes int) (wal.Batc
 
 // OpenCheckpoint opens the newest checkpoint file for reading (the
 // replication bootstrap payload). The checkpoint is written atomically
-// (tmp + sync + rename), so a handle opened here always sees one
+// (fsx.WriteAtomic), so a handle opened here always sees one
 // complete checkpoint even while Checkpoint() replaces it. Returns
 // fs.ErrNotExist when no checkpoint has been taken yet.
 func (d *Durable) OpenCheckpoint() (fsx.File, error) {

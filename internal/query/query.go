@@ -144,7 +144,7 @@ func (p *Processor) Insert(m *tweet.Message) core.InsertResult {
 // of running the tokenizer a second time. This is the apply half the
 // pipeline calls from its single writer goroutine. A message whose ID
 // the index already holds — a stream re-fed after a resume — still goes
-// through the engine (deduplication there is ROADMAP item 4) but keeps
+// through the engine (deduplication there is ROADMAP item 5) but keeps
 // its first index entry, and is counted.
 func (p *Processor) InsertPrepared(prep core.Prepared) core.InsertResult {
 	res := p.eng.InsertPrepared(prep)

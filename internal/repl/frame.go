@@ -32,6 +32,7 @@ import (
 	"io"
 	"math"
 
+	"provex/internal/recfile"
 	"provex/internal/wal"
 )
 
@@ -43,12 +44,11 @@ const (
 	frameHeaderSize = 9
 	frameRecord     = 'R' // payload: one WAL record encoding (wal.DecodeRecord)
 	frameEnd        = 'E' // payload: uvarint synced, uvarint next.Seg, uvarint next.Off
-	// maxFramePayload mirrors the WAL's record cap so a corrupt length
-	// field cannot drive an absurd allocation on the follower.
-	maxFramePayload = 16 << 20
+	// maxFramePayload is the WAL's record cap: a frame carries one WAL
+	// record, and a corrupt length field cannot drive an absurd
+	// allocation on the follower.
+	maxFramePayload = wal.MaxRecordLen
 )
-
-var frameCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrFrame reports an undecodable stream: torn bytes, checksum
 // mismatch, unknown frame type, or a malformed trailer. Followers
@@ -108,7 +108,7 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	var hdr [frameHeaderSize]byte
 	hdr[0] = typ
 	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[5:9], crc32.Checksum(payload, frameCRC))
+	binary.LittleEndian.PutUint32(hdr[5:9], crc32.Checksum(payload, recfile.Castagnoli))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -145,7 +145,7 @@ func ReadStream(r io.Reader, fn func(payload []byte) error) (StreamEnd, error) {
 		if _, err := io.ReadFull(r, payload); err != nil {
 			return StreamEnd{}, fmt.Errorf("%w: torn frame payload: %v", ErrFrame, err)
 		}
-		if crc32.Checksum(payload, frameCRC) != wantCRC {
+		if crc32.Checksum(payload, recfile.Castagnoli) != wantCRC {
 			return StreamEnd{}, fmt.Errorf("%w: checksum mismatch", ErrFrame)
 		}
 		switch hdr[0] {
@@ -162,21 +162,9 @@ func ReadStream(r io.Reader, fn func(payload []byte) error) (StreamEnd, error) {
 }
 
 func decodeEnd(payload []byte) (StreamEnd, error) {
-	rest := payload
-	ok := true
-	take := func() uint64 {
-		v, n := binary.Uvarint(rest)
-		if n <= 0 {
-			ok = false
-			return 0
-		}
-		rest = rest[n:]
-		return v
-	}
-	synced := take()
-	seg := take()
-	off := take()
-	if !ok || len(rest) != 0 {
+	c := recfile.NewCursor(payload)
+	synced, seg, off := c.Uvarint(), c.Uvarint(), c.Uvarint()
+	if c.Err() != nil || c.Rest() != 0 {
 		return StreamEnd{}, fmt.Errorf("%w: malformed trailer", ErrFrame)
 	}
 	if seg > uint64(math.MaxInt32) || off > uint64(math.MaxInt64) {

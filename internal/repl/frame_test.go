@@ -34,7 +34,7 @@ func sampleRecords(n int) [][]byte {
 		m := tweet.Parse(tweet.ID(i+1), fmt.Sprintf("u%d", i),
 			time.Date(2009, 9, 29, 18, 0, i, 0, time.UTC),
 			fmt.Sprintf("msg %d #tag", i))
-		recs[i] = wal.EncodeRecord(uint64(i+1), m)
+		recs[i] = wal.AppendRecord(nil, uint64(i+1), m)
 	}
 	return recs
 }

@@ -213,7 +213,7 @@ func (r *Replica) RegisterMetrics(reg *metrics.Registry) {
 	reg.RegisterCounter("provex_repl_fetch_retries_total",
 		"Replication fetches retried after a network, HTTP or decode fault.", &r.retries)
 	reg.RegisterCounter("provex_repl_bootstraps_total",
-		"Checkpoint bootstraps (initial + 410-triggered resyncs).", &r.bootstraps)
+		"Leader checkpoints installed (initial bootstrap + 410-triggered resyncs).", &r.bootstraps)
 	reg.RegisterCounter("provex_repl_batches_applied_total",
 		"WAL batches fetched and applied.", &r.batches)
 	reg.RegisterCounter("provex_repl_records_applied_total",
@@ -515,64 +515,65 @@ func (r *Replica) openState() (*replState, error) {
 	return st, nil
 }
 
-// bootstrap downloads the leader's newest checkpoint, validates it
-// end-to-end (a torn download must never be installed) and atomically
-// renames it into place. A 404 means the leader has no checkpoint yet
-// — the follower starts empty and tails from zero.
-func (r *Replica) bootstrap() error {
+// downloadSuffix names the leader's checkpoint beside the local one
+// while it is fetched and validated.
+const downloadSuffix = ".download"
+
+// installCheckpoint fetches the leader's newest checkpoint to a sibling
+// of the local one, validates it end to end — a torn download must
+// never be installed — runs ready, the caller's last word before the
+// swap, and renames the download into place. found is false when the
+// leader has no checkpoint yet (404). On any failure the local
+// checkpoint is untouched.
+func (r *Replica) installCheckpoint(op string, ready func() error) (found bool, err error) {
 	resp, err := r.opts.Client.Get(r.leader + "/repl/checkpoint")
 	if err != nil {
-		return fmt.Errorf("repl: bootstrap: %w", err)
+		return false, fmt.Errorf("repl: %s: %w", op, err)
 	}
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
 	case http.StatusNotFound:
-		return nil
+		return false, nil
 	default:
-		return fmt.Errorf("repl: bootstrap: leader answered %s", resp.Status)
+		return false, fmt.Errorf("repl: %s: leader answered %s", op, resp.Status)
 	}
-	r.bootstraps.Inc()
-	tmp := r.opts.CheckpointPath + ".download"
-	if err := r.downloadTo(tmp, resp.Body); err != nil {
-		fsx.BestEffortRemove(r.opts.FS, tmp)
-		return fmt.Errorf("repl: bootstrap download: %w", err)
+	fsys, tmp := r.opts.FS, r.opts.CheckpointPath+downloadSuffix
+	if err = fsys.MkdirAll(filepath.Dir(tmp), 0o755); err == nil {
+		err = fsx.WriteAtomic(fsys, tmp, func(w io.Writer) error {
+			_, err := io.Copy(w, resp.Body)
+			return err
+		})
+	}
+	if err != nil {
+		return true, fmt.Errorf("repl: %s download: %w", op, err)
 	}
 	// Validate before install: load the engine once from the download.
 	// CRC-guarded checkpoint records turn torn/flipped downloads into
 	// load errors here instead of a poisoned install we would reopen
 	// forever.
-	if _, err := core.LoadCheckpoint(r.cfg, nil, nil, r.opts.FS, tmp); err != nil {
-		fsx.BestEffortRemove(r.opts.FS, tmp)
-		return fmt.Errorf("repl: bootstrap: downloaded checkpoint invalid: %w", err)
-	}
-	if err := r.opts.FS.Rename(tmp, r.opts.CheckpointPath); err != nil {
-		fsx.BestEffortRemove(r.opts.FS, tmp)
-		return fmt.Errorf("repl: bootstrap install: %w", err)
-	}
-	slog.Info("replica: bootstrapped from leader checkpoint")
-	return nil
-}
-
-func (r *Replica) downloadTo(path string, body io.Reader) error {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := r.opts.FS.MkdirAll(dir, 0o755); err != nil {
-			return err
+	if _, err = core.LoadCheckpoint(r.cfg, nil, nil, fsys, tmp); err != nil {
+		err = fmt.Errorf("repl: %s: downloaded checkpoint invalid: %w", op, err)
+	} else if err = ready(); err == nil {
+		if err = fsys.Rename(tmp, r.opts.CheckpointPath); err != nil {
+			err = fmt.Errorf("repl: %s install: %w", op, err)
 		}
 	}
-	f, err := r.opts.FS.Create(path)
 	if err != nil {
-		return err
+		fsx.BestEffortRemove(fsys, tmp)
+		return true, err
 	}
-	if _, err := io.Copy(f, body); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	r.bootstraps.Inc()
+	slog.Info("replica: leader checkpoint installed", "op", op)
+	return true, nil
+}
+
+// bootstrap installs the leader's newest checkpoint as the follower's
+// first. A 404 means the leader has none yet — the follower starts
+// empty and tails from zero.
+func (r *Replica) bootstrap() error {
+	_, err := r.installCheckpoint("bootstrap", func() error { return nil })
+	return err
 }
 
 // resync tears down the current generation and re-bootstraps from the
@@ -580,50 +581,28 @@ func (r *Replica) downloadTo(path string, body io.Reader) error {
 // records we still needed. Download and validation happen FIRST, so a
 // failed resync leaves the old generation serving (stale but intact).
 func (r *Replica) resync(st *replState) error {
-	resp, err := r.opts.Client.Get(r.leader + "/repl/checkpoint")
-	if err != nil {
-		return fmt.Errorf("repl: resync: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("repl: resync: leader answered %s", resp.Status)
-	}
-	tmp := r.opts.CheckpointPath + ".download"
-	if err := r.downloadTo(tmp, resp.Body); err != nil {
-		fsx.BestEffortRemove(r.opts.FS, tmp)
-		return fmt.Errorf("repl: resync download: %w", err)
-	}
-	if _, err := core.LoadCheckpoint(r.cfg, nil, nil, r.opts.FS, tmp); err != nil {
-		fsx.BestEffortRemove(r.opts.FS, tmp)
-		return fmt.Errorf("repl: resync: downloaded checkpoint invalid: %w", err)
-	}
-	r.bootstraps.Inc()
-	// Teardown only after the replacement is known-good. The old
-	// generation stops answering queries the moment state is cleared;
-	// Health gates reads ("bootstrapping") until the reopen finishes.
-	r.state.Store(nil)
-	if err := st.svc.Stop(); err != nil {
-		slog.Warn("replica: resync: stopping old pipeline", "err", err)
-	}
-	if err := st.dur.Close(); err != nil {
-		slog.Warn("replica: resync: closing old wal", "err", err)
-	}
-	// Wipe the local WAL before installing the new checkpoint: its
-	// records predate the new base and a degraded pipeline may have
-	// skipped appends, shifting sequences. Wipe-then-rename is the
-	// crash-safe order — dying in between leaves the OLD checkpoint
-	// with no WAL, a consistent (merely staler) recovery point.
-	if names, err := r.opts.FS.ReadDir(r.opts.WALDir); err == nil {
-		for _, name := range names {
-			fsx.BestEffortRemove(r.opts.FS, r.opts.WALDir+"/"+name)
+	found, err := r.installCheckpoint("resync", func() error {
+		// Teardown only after the replacement is known-good. The old
+		// generation stops answering queries the moment state is cleared;
+		// Health gates reads ("bootstrapping") until the reopen finishes.
+		r.state.Store(nil)
+		if err := st.svc.Stop(); err != nil {
+			slog.Warn("replica: resync: stopping old pipeline", "err", err)
 		}
+		if err := st.dur.Close(); err != nil {
+			slog.Warn("replica: resync: closing old wal", "err", err)
+		}
+		// Wipe the local WAL before installing the new checkpoint: its
+		// records predate the new base and a degraded pipeline may have
+		// skipped appends, shifting sequences. Wipe-then-rename is the
+		// crash-safe order — dying in between leaves the OLD checkpoint
+		// with no WAL, a consistent (merely staler) recovery point.
+		return wal.Wipe(r.opts.FS, r.opts.WALDir)
+	})
+	if err == nil && !found {
+		err = errors.New("repl: resync: leader has no checkpoint")
 	}
-	if err := r.opts.FS.Rename(tmp, r.opts.CheckpointPath); err != nil {
-		fsx.BestEffortRemove(r.opts.FS, tmp)
-		return fmt.Errorf("repl: resync install: %w", err)
-	}
-	slog.Info("replica: resynced from leader checkpoint")
-	return nil
+	return err
 }
 
 // tailOnce fetches and applies one WAL batch. The second return value

@@ -599,6 +599,47 @@ func TestSourceShedsAtCapacity(t *testing.T) {
 	}
 }
 
+// tornWriter is a ResponseWriter whose connection dies after k bytes.
+type tornWriter struct {
+	*httptest.ResponseRecorder
+	k int
+}
+
+func (w *tornWriter) Write(p []byte) (int, error) {
+	if len(p) > w.k {
+		n, _ := w.ResponseRecorder.Write(p[:w.k])
+		w.k = 0
+		return n, io.ErrClosedPipe
+	}
+	w.k -= len(p)
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestSourceCountsOnlyFinishedStreams: a WAL response torn mid-stream
+// ships bytes but no batch and no records — the follower retries, and
+// counting the torn attempt too would count them twice.
+func TestSourceCountsOnlyFinishedStreams(t *testing.T) {
+	leader := newTestLeader(t)
+	leader.ingest(10)
+	src := NewSource(leader.dur, SourceOptions{})
+	req := httptest.NewRequest(http.MethodGet, "/repl/wal?after=0", nil)
+
+	whole := httptest.NewRecorder()
+	src.ServeHTTP(whole, req)
+	if b, r := src.shipBatches.Value(), src.shipRecords.Value(); b != 1 || r != 10 {
+		t.Fatalf("a finished stream counted %d batches, %d records; want 1, 10", b, r)
+	}
+	for _, k := range []int{0, 20, whole.Body.Len() / 2, whole.Body.Len() - 1} {
+		src.ServeHTTP(&tornWriter{httptest.NewRecorder(), k}, req)
+	}
+	if b, r := src.shipBatches.Value(), src.shipRecords.Value(); b != 1 || r != 10 {
+		t.Fatalf("four torn streams moved the counts to %d batches, %d records", b, r)
+	}
+	if got, want := src.shipBytes.Value(), int64(whole.Body.Len()+20+whole.Body.Len()/2+whole.Body.Len()-1); got != want {
+		t.Fatalf("shipped bytes = %d, want %d (every byte that left, torn or not)", got, want)
+	}
+}
+
 // TestFollowerHonorsShedResponses injects a bare 503 (no Retry-After)
 // into the tail path and checks the follower treats it as backpressure
 // — bounded wait, then convergence — not as an error spiral.

@@ -81,9 +81,9 @@ func (s *Source) RegisterMetrics(reg *metrics.Registry) {
 	reg.RegisterCounter("provex_repl_ship_bytes_total",
 		"WAL stream bytes shipped to followers.", &s.shipBytes)
 	reg.RegisterCounter("provex_repl_ship_batches_total",
-		"WAL batches shipped to followers.", &s.shipBatches)
+		"WAL batches shipped to followers whole (trailer written).", &s.shipBatches)
 	reg.RegisterCounter("provex_repl_ship_records_total",
-		"WAL records shipped to followers.", &s.shipRecords)
+		"WAL records shipped to followers in whole batches.", &s.shipRecords)
 	reg.RegisterCounter("provex_repl_ship_shed_total",
 		"Shipping requests shed with 503 because MaxStreams were already in flight.", &s.shed)
 	reg.RegisterCounter("provex_repl_ship_resyncs_total",
@@ -134,13 +134,10 @@ func (s *Source) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	}
 	defer f.Close()
 	w.Header().Set("Content-Type", "application/octet-stream")
-	n, err := io.Copy(w, f)
+	// A copy error comes after the headers are gone; the follower's
+	// checkpoint loader rejects the torn download by CRC.
+	n, _ := io.Copy(w, f)
 	s.shipBytes.Add(n)
-	if err != nil {
-		// Headers are gone; the follower's checkpoint loader rejects the
-		// torn download by CRC.
-		_ = err
-	}
 }
 
 func (s *Source) handleWAL(w http.ResponseWriter, r *http.Request) {
@@ -183,9 +180,13 @@ func (s *Source) handleWAL(w http.ResponseWriter, r *http.Request) {
 	if werr == nil {
 		werr = sw.End(StreamEnd{Synced: batch.Synced, Next: batch.Next})
 	}
-	// A mid-stream write error means the follower went away; it will
-	// retry. The frame CRCs make the torn body undecodable.
 	s.shipBytes.Add(cw.n)
+	if werr != nil {
+		// A mid-stream write error means the follower went away; it will
+		// retry (the frame CRCs make the torn body undecodable), and that
+		// retry is what counts the batch.
+		return
+	}
 	s.shipBatches.Inc()
 	s.shipRecords.Add(int64(len(batch.Records)))
 }

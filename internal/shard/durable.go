@@ -12,7 +12,7 @@
 //
 // plus the manifest at DurableOptions.ManifestPath: shard count,
 // global sequence and per-shard counts at the last checkpoint barrier,
-// written atomically (tmp + sync + rename) AFTER every shard's
+// written atomically (fsx.WriteAtomic) AFTER every shard's
 // checkpoint and BEFORE the ledger reset. That ordering makes each
 // crash window recoverable:
 //
@@ -35,6 +35,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -44,6 +45,7 @@ import (
 	"provex/internal/metrics"
 	"provex/internal/pipeline"
 	"provex/internal/storage"
+	"provex/internal/wal"
 )
 
 // manifestVersion guards the manifest schema.
@@ -178,8 +180,8 @@ func OpenDurable(cfg core.Config, opts Options, dopts DurableOptions) (*Durable,
 			// records are a torn round's. ReplayLimit cannot express
 			// "replay none" (0 is its disabled sentinel), so drop the
 			// files outright.
-			if err := wipeDir(fsys, walDir); err != nil {
-				return fail(fmt.Errorf("shard: durable: shard %d wal wipe: %w", i, err))
+			if err := wal.Wipe(fsys, walDir); err != nil {
+				return fail(fmt.Errorf("shard: durable: shard %d: %w", i, err))
 			}
 		}
 		dur, err := pipeline.OpenDurable(splitConfig(cfg, i, n), st, dopts.OnEdge, pipeline.DurableOptions{
@@ -364,50 +366,12 @@ func readManifest(fsys fsx.FS, path string) (manifest, bool, error) {
 	return m, true, nil
 }
 
-// writeManifest persists m atomically: tmp file, sync, rename — the
-// same recipe as core.SaveCheckpoint, so a reader never sees a partial
+// writeManifest persists m atomically, so a reader never sees a partial
 // manifest.
 func writeManifest(fsys fsx.FS, path string, m manifest) error {
-	tmp := path + ".tmp"
-	f, err := fsys.Create(tmp)
+	err := fsx.WriteAtomic(fsys, path, func(w io.Writer) error { return json.NewEncoder(w).Encode(m) })
 	if err != nil {
 		return fmt.Errorf("shard: manifest: %w", err)
-	}
-	if err := json.NewEncoder(f).Encode(m); err != nil {
-		f.Close()
-		fsx.BestEffortRemove(fsys, tmp)
-		return fmt.Errorf("shard: manifest: encode: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsx.BestEffortRemove(fsys, tmp)
-		return fmt.Errorf("shard: manifest: sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		fsx.BestEffortRemove(fsys, tmp)
-		return fmt.Errorf("shard: manifest: close: %w", err)
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsx.BestEffortRemove(fsys, tmp)
-		return fmt.Errorf("shard: manifest: rename: %w", err)
-	}
-	return nil
-}
-
-// wipeDir removes every entry in dir (non-recursively — WAL dirs are
-// flat), tolerating a missing dir.
-func wipeDir(fsys fsx.FS, dir string) error {
-	ents, err := fsys.ReadDir(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	for _, name := range ents {
-		if err := fsys.Remove(filepath.Join(dir, name)); err != nil {
-			return err
-		}
 	}
 	return nil
 }

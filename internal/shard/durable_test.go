@@ -5,6 +5,9 @@ package shard
 // rounds survive crashes exactly; the manifest pins the shard count.
 
 import (
+	"bytes"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -195,5 +198,52 @@ func TestShardedTornRoundTrimmed(t *testing.T) {
 	}
 	if got := d2.Engine.Snapshot().Messages; got != 500 {
 		t.Fatalf("recovered messages = %d, want 500", got)
+	}
+}
+
+// TestGoldenLedgerAndManifest pins the two files the sharded barrier
+// writes across the move to the shared frame (one write per cut) and
+// fsx.WriteAtomic: files written by the previous implementation read
+// back here, and the same calls write the same bytes here.
+func TestGoldenLedgerAndManifest(t *testing.T) {
+	mem := fsx.NewMem()
+	golden := map[string][]byte{}
+	for _, name := range []string{"ledger", "manifest"} {
+		data, err := os.ReadFile("testdata/golden_pr16." + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden[name] = data
+		mem.WriteFile("old."+name, data)
+	}
+	cuts := []ledgerCut{{10, []uint64{4, 6}}, {25, []uint64{12, 13}}, {300, []uint64{150, 150}}}
+	man := manifest{Version: manifestVersion, Shards: 2, Global: 300, Counts: []uint64{150, 150}}
+
+	old, cut, ok, err := openLedger(mem, "old.ledger")
+	if err != nil || !ok || !reflect.DeepEqual(cut, cuts[2]) {
+		t.Fatalf("golden ledger: newest cut %+v, ok %v, err %v; want %+v", cut, ok, err, cuts[2])
+	}
+	old.close()
+	if got, ok, err := readManifest(mem, "old.manifest"); err != nil || !ok || !reflect.DeepEqual(got, man) {
+		t.Fatalf("golden manifest: %+v, ok %v, err %v; want %+v", got, ok, err, man)
+	}
+
+	l, _, _, err := openLedger(mem, "new.ledger")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cuts {
+		if err := l.append(c.global, c.watermarks); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.close()
+	if err := writeManifest(mem, "new.manifest", man); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range golden {
+		if got, _ := mem.ReadFile("new." + name); !bytes.Equal(got, want) {
+			t.Errorf("the same calls wrote a %s of %d bytes that differs from the %d-byte golden file", name, len(got), len(want))
+		}
 	}
 }

@@ -12,14 +12,13 @@
 // is exactly a stream prefix, which is what lets a feeder resume from
 // "total recovered messages" with no duplicates and no holes.
 //
-// The file is a sequence of [len u32][crc32 u32][payload] frames
-// (little endian, CRC over the payload); the payload is uvarints:
-// global seq, shard count, then one local watermark per shard. A torn
-// tail — the crash hit mid-append — invalidates only the final frame;
-// earlier frames still parse, so the ledger degrades to the previous
-// round's cut, never to garbage. The checkpoint barrier resets the
-// ledger (all state is then covered by the per-shard checkpoints and
-// the manifest).
+// The file is a bare sequence of recfile frames (CRC32-IEEE, no magic);
+// the payload is uvarints: global seq, shard count, then one local
+// watermark per shard. A torn tail — the crash hit mid-append —
+// invalidates only the final frame; earlier frames still parse, so the
+// ledger degrades to the previous round's cut, never to garbage. The
+// checkpoint barrier resets the ledger (all state is then covered by the
+// per-shard checkpoints and the manifest).
 
 package shard
 
@@ -32,6 +31,14 @@ import (
 	"os"
 
 	"provex/internal/fsx"
+	"provex/internal/recfile"
+)
+
+const (
+	// maxCutLen caps one ledger record and maxCutShards the shard count
+	// it may name, so a corrupt length cannot drive an absurd allocation.
+	maxCutLen    = 1 << 20
+	maxCutShards = 1 << 16
 )
 
 // ledgerCut is one decoded ledger record: the consistent cut after a
@@ -43,17 +50,14 @@ type ledgerCut struct {
 
 // ledger is the writer-side handle. Writer-goroutine only.
 type ledger struct {
-	fs   fsx.FS
-	path string
-	f    fsx.File
-	buf  []byte
+	f   fsx.File // opened for appending
+	buf []byte
 }
 
 // openLedger opens (creating if needed) the ledger for appends and
 // returns the newest valid cut, ok=false when the file is empty or
 // unreadable past frame zero.
 func openLedger(fsys fsx.FS, path string) (*ledger, ledgerCut, bool, error) {
-	l := &ledger{fs: fsys, path: path}
 	cut, ok := ledgerCut{}, false
 	if f, err := fsys.Open(path); err == nil {
 		cut, ok = scanLedger(f)
@@ -65,30 +69,17 @@ func openLedger(fsys fsx.FS, path string) (*ledger, ledgerCut, bool, error) {
 	if err != nil {
 		return nil, ledgerCut{}, false, fmt.Errorf("shard: ledger open: %w", err)
 	}
-	l.f = f
-	return l, cut, ok, nil
+	return &ledger{f: f}, cut, ok, nil
 }
 
 // scanLedger walks the frames and returns the last one that parses.
 // Torn or corrupt tails end the scan without error: the previous frame
 // is still a valid (if older) consistent cut.
-func scanLedger(f fsx.File) (ledgerCut, bool) {
+func scanLedger(r io.Reader) (ledgerCut, bool) {
 	cut, ok := ledgerCut{}, false
-	var hdr [8]byte
 	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			return cut, ok
-		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		crc := binary.LittleEndian.Uint32(hdr[4:8])
-		if n == 0 || n > 1<<20 {
-			return cut, ok
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return cut, ok
-		}
-		if crc32.ChecksumIEEE(payload) != crc {
+		payload, err := recfile.ReadFrame(r, crc32.IEEETable, maxCutLen)
+		if err != nil {
 			return cut, ok
 		}
 		c, err := decodeCut(payload)
@@ -100,42 +91,32 @@ func scanLedger(f fsx.File) (ledgerCut, bool) {
 }
 
 func decodeCut(p []byte) (ledgerCut, error) {
-	var c ledgerCut
-	var n uint64
-	var k int
-	if c.global, k = binary.Uvarint(p); k <= 0 {
-		return c, errors.New("shard: ledger: bad global seq")
+	c := recfile.NewCursor(p)
+	cut := ledgerCut{global: c.Uvarint()}
+	n := c.Uvarint()
+	if c.Err() != nil || n > maxCutShards {
+		return cut, errors.New("shard: ledger: bad global seq or shard count")
 	}
-	p = p[k:]
-	if n, k = binary.Uvarint(p); k <= 0 || n > 1<<16 {
-		return c, errors.New("shard: ledger: bad shard count")
+	cut.watermarks = make([]uint64, n)
+	for i := range cut.watermarks {
+		cut.watermarks[i] = c.Uvarint()
 	}
-	p = p[k:]
-	c.watermarks = make([]uint64, n)
-	for i := range c.watermarks {
-		if c.watermarks[i], k = binary.Uvarint(p); k <= 0 {
-			return c, errors.New("shard: ledger: truncated watermarks")
-		}
-		p = p[k:]
+	if err := c.Err(); err != nil {
+		return cut, fmt.Errorf("shard: ledger: watermarks: %w", err)
 	}
-	return c, nil
+	return cut, nil
 }
 
-// append writes and fsyncs one cut. On error the round is not
-// acknowledged; a torn frame is tolerated by the next scan.
+// append writes (one frame, one write) and fsyncs one cut. On error the
+// round is not acknowledged; a torn frame is tolerated by the next scan.
 func (l *ledger) append(global uint64, watermarks []uint64) error {
-	l.buf = l.buf[:0]
+	l.buf = recfile.BeginFrame(l.buf[:0])
 	l.buf = binary.AppendUvarint(l.buf, global)
 	l.buf = binary.AppendUvarint(l.buf, uint64(len(watermarks)))
 	for _, w := range watermarks {
 		l.buf = binary.AppendUvarint(l.buf, w)
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(l.buf)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(l.buf))
-	if _, err := l.f.Write(hdr[:]); err != nil {
-		return fmt.Errorf("shard: ledger append: %w", err)
-	}
+	recfile.EndFrame(l.buf, 0, crc32.IEEETable)
 	if _, err := l.f.Write(l.buf); err != nil {
 		return fmt.Errorf("shard: ledger append: %w", err)
 	}
@@ -149,27 +130,16 @@ func (l *ledger) append(global uint64, watermarks []uint64) error {
 // recorded is now covered by the per-shard checkpoints + manifest. A
 // crash mid-reset leaves either the old frames (stale — recovery
 // ignores cuts at or below the manifest's global seq) or an empty file;
-// both recover correctly.
+// both recover correctly. The handle appends, so the next cut lands at
+// the new end.
 func (l *ledger) reset() error {
-	if err := l.f.Close(); err != nil {
-		return fmt.Errorf("shard: ledger reset: %w", err)
+	err := l.f.Truncate(0)
+	if err == nil {
+		err = l.f.Sync()
 	}
-	f, err := l.fs.Create(l.path)
 	if err != nil {
 		return fmt.Errorf("shard: ledger reset: %w", err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("shard: ledger reset: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("shard: ledger reset: %w", err)
-	}
-	nf, err := l.fs.OpenFile(l.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("shard: ledger reset: %w", err)
-	}
-	l.f = nf
 	return nil
 }
 

@@ -7,8 +7,10 @@ package storage
 // crash-during-rotation stillborn-segment case.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"testing"
 	"time"
 
@@ -31,6 +33,23 @@ func faultBundle(id bundle.ID, n int) *bundle.Bundle {
 	return b
 }
 
+// put stores faultBundle(id, n), which must succeed.
+func put(t *testing.T, s *Store, id bundle.ID, n int) {
+	t.Helper()
+	if err := s.Put(faultBundle(id, n)); err != nil {
+		t.Fatalf("put %d: %v", id, err)
+	}
+}
+
+// putGolden makes the four Puts behind testdata/golden_pr16.bls: three
+// bundles, the second superseded.
+func putGolden(t *testing.T, s *Store) {
+	t.Helper()
+	for _, b := range [][2]int{{1, 3}, {2, 2}, {3, 4}, {2, 5}} {
+		put(t, s, bundle.ID(b[0]), b[1])
+	}
+}
+
 func openMem(t *testing.T, fs fsx.FS, opts Options) *Store {
 	t.Helper()
 	opts.FS = fs
@@ -45,9 +64,7 @@ func TestTornFinalRecordTruncatedOnOpen(t *testing.T) {
 	mem := fsx.NewMem()
 	s := openMem(t, mem, Options{})
 	for id := bundle.ID(1); id <= 3; id++ {
-		if err := s.Put(faultBundle(id, 4)); err != nil {
-			t.Fatal(err)
-		}
+		put(t, s, id, 4)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -69,9 +86,7 @@ func TestTornFinalRecordTruncatedOnOpen(t *testing.T) {
 		t.Fatal("torn bundle 3 still indexed")
 	}
 	// The tail is truncated: appending works and survives reopen.
-	if err := s2.Put(faultBundle(4, 2)); err != nil {
-		t.Fatal(err)
-	}
+	put(t, s2, 4, 2)
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -85,12 +100,10 @@ func TestENOSPCMidAppend(t *testing.T) {
 	mem := fsx.NewMem()
 	ff := fsx.NewFault(mem)
 	s := openMem(t, ff, Options{SyncEvery: 1})
-	if err := s.Put(faultBundle(1, 3)); err != nil {
-		t.Fatal(err)
-	}
-	// Fail the second write of the next Put (the payload write, after
-	// the header already landed) with ENOSPC — a torn append.
-	ff.Arm(2, fsx.Fault{Err: fsx.ErrNoSpace}, fsx.OpWrite)
+	put(t, s, 1, 3)
+	// Fail the next Put's write with ENOSPC after the frame header and
+	// some payload already landed — a torn append.
+	ff.Arm(1, fsx.Fault{Err: fsx.ErrNoSpace, TornBytes: 20}, fsx.OpWrite)
 	err := s.Put(faultBundle(2, 3))
 	if !errors.Is(err, fsx.ErrNoSpace) {
 		t.Fatalf("Put err = %v, want ENOSPC", err)
@@ -107,9 +120,7 @@ func TestENOSPCMidAppend(t *testing.T) {
 	if !s2.Has(1) || s2.Has(2) {
 		t.Fatalf("recovery after ENOSPC: has1=%v has2=%v", s2.Has(1), s2.Has(2))
 	}
-	if err := s2.Put(faultBundle(2, 3)); err != nil {
-		t.Fatalf("re-put after recovery: %v", err)
-	}
+	put(t, s2, 2, 3)
 	b, err := s2.Get(2)
 	if err != nil || b.Size() != 3 {
 		t.Fatalf("get after re-put: %v", err)
@@ -122,23 +133,17 @@ func TestPutRetryAfterTornAppend(t *testing.T) {
 	mem := fsx.NewMem()
 	ff := fsx.NewFault(mem)
 	s := openMem(t, ff, Options{SyncEvery: 1})
-	if err := s.Put(faultBundle(1, 3)); err != nil {
-		t.Fatal(err)
-	}
-	// Tear the payload write of the next Put: 4 bytes land, then error.
-	ff.Arm(2, fsx.Fault{Err: fsx.ErrNoSpace, TornBytes: 4}, fsx.OpWrite)
+	put(t, s, 1, 3)
+	// Tear the next Put's write: header and 4 payload bytes land, then error.
+	ff.Arm(1, fsx.Fault{Err: fsx.ErrNoSpace, TornBytes: 12}, fsx.OpWrite)
 	if err := s.Put(faultBundle(2, 3)); !errors.Is(err, fsx.ErrNoSpace) {
 		t.Fatalf("torn Put err = %v", err)
 	}
 	ff.Disarm()
 
 	// Retry on the SAME open store — the tail must have been repaired.
-	if err := s.Put(faultBundle(2, 3)); err != nil {
-		t.Fatalf("retry: %v", err)
-	}
-	if err := s.Put(faultBundle(3, 2)); err != nil {
-		t.Fatal(err)
-	}
+	put(t, s, 2, 3)
+	put(t, s, 3, 2)
 	for id := bundle.ID(1); id <= 3; id++ {
 		if b, err := s.Get(id); err != nil || b.ID() != id {
 			t.Fatalf("get %d after retry: %v", id, err)
@@ -158,9 +163,7 @@ func TestFsyncErrorOnRotate(t *testing.T) {
 	// Tiny segments force a rotation on the second Put; rotation syncs
 	// the sealed segment first — fail that fsync.
 	s := openMem(t, ff, Options{SegmentSize: 64})
-	if err := s.Put(faultBundle(1, 3)); err != nil {
-		t.Fatal(err)
-	}
+	put(t, s, 1, 3)
 	ff.Arm(1, fsx.Fault{}, fsx.OpSync)
 	if err := s.Put(faultBundle(2, 3)); !errors.Is(err, fsx.ErrInjected) {
 		t.Fatalf("Put during failing rotate = %v, want injected", err)
@@ -170,18 +173,14 @@ func TestFsyncErrorOnRotate(t *testing.T) {
 		t.Fatal("bundle 2 indexed despite failed rotation")
 	}
 	// Retry succeeds once the fault clears.
-	if err := s.Put(faultBundle(2, 3)); err != nil {
-		t.Fatalf("retry after rotate failure: %v", err)
-	}
+	put(t, s, 2, 3)
 }
 
 func TestCorruptSealedSegmentErrorsOnOpen(t *testing.T) {
 	mem := fsx.NewMem()
 	s := openMem(t, mem, Options{SegmentSize: 64}) // every Put rotates
 	for id := bundle.ID(1); id <= 3; id++ {
-		if err := s.Put(faultBundle(id, 4)); err != nil {
-			t.Fatal(err)
-		}
+		put(t, s, id, 4)
 	}
 	s.Close()
 	names, _ := mem.ReadDir("store")
@@ -205,9 +204,7 @@ func TestCrashAfterUnsyncedPutsLosesOnlyTail(t *testing.T) {
 	mem := fsx.NewMem()
 	s := openMem(t, mem, Options{SyncEvery: 2})
 	for id := bundle.ID(1); id <= 5; id++ {
-		if err := s.Put(faultBundle(id, 2)); err != nil {
-			t.Fatal(err)
-		}
+		put(t, s, id, 2)
 	}
 	// Puts 1-4 were covered by two fsyncs; put 5 is in the page cache
 	// only. Crash without Close.
@@ -231,9 +228,7 @@ func TestCrashAfterUnsyncedPutsLosesOnlyTail(t *testing.T) {
 func TestCrashDuringRotationDiscardsStillbornSegment(t *testing.T) {
 	mem := fsx.NewMem()
 	s := openMem(t, mem, Options{})
-	if err := s.Put(faultBundle(1, 3)); err != nil {
-		t.Fatal(err)
-	}
+	put(t, s, 1, 3)
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -245,17 +240,13 @@ func TestCrashDuringRotationDiscardsStillbornSegment(t *testing.T) {
 	if !s2.Has(1) {
 		t.Fatal("bundle 1 lost")
 	}
-	if err := s2.Put(faultBundle(2, 2)); err != nil {
-		t.Fatalf("put after stillborn recovery: %v", err)
-	}
+	put(t, s2, 2, 2)
 }
 
 func TestSyncFlushesActiveSegment(t *testing.T) {
 	mem := fsx.NewMem()
 	s := openMem(t, mem, Options{}) // SyncEvery 0: no implicit fsync
-	if err := s.Put(faultBundle(1, 3)); err != nil {
-		t.Fatal(err)
-	}
+	put(t, s, 1, 3)
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -263,5 +254,80 @@ func TestSyncFlushesActiveSegment(t *testing.T) {
 	s2 := openMem(t, mem, Options{})
 	if !s2.Has(1) {
 		t.Fatal("synced bundle lost by crash")
+	}
+}
+
+// TestCompactFailureLeavesStoreIntact arms a fault on every mutating
+// operation of Compact in turn. Whichever one fails, the store answers
+// exactly as before the call, accepts Put, and a reopen recovers every
+// bundle.
+func TestCompactFailureLeavesStoreIntact(t *testing.T) {
+	for n := int64(1); ; n++ {
+		mem := fsx.NewMem()
+		ff := fsx.NewFault(mem)
+		s := openMem(t, ff, Options{SegmentSize: 600}) // two records a segment: the rewrite rotates
+		putGolden(t, s)
+		check := func(when string, st *Store, ids ...bundle.ID) {
+			t.Helper()
+			if st.Count() != len(ids) {
+				t.Fatalf("op %d, %s: Count = %d, want %d", n, when, st.Count(), len(ids))
+			}
+			for _, id := range ids {
+				if b, err := st.Get(id); err != nil || b.ID() != id || id == 2 && b.Size() != 5 {
+					t.Fatalf("op %d, %s: Get(%d) = %v, %v", n, when, id, b, err)
+				}
+			}
+		}
+		ff.Arm(n, fsx.Fault{TornBytes: 5}, fsx.MutatingOps()...)
+		err := s.Compact()
+		tripped := ff.Tripped()
+		ff.Disarm()
+		if !tripped {
+			if err != nil || n < 10 {
+				t.Fatalf("Compact ran %d mutating ops without tripping, err %v", n-1, err)
+			}
+			check("after a clean compaction", s, 1, 2, 3)
+			if s.DeadBytes() != 0 {
+				t.Fatalf("DeadBytes after a clean compaction = %d", s.DeadBytes())
+			}
+			return
+		}
+		if err == nil {
+			t.Fatalf("op %d: Compact swallowed the injected fault", n)
+		}
+		check("after the failed compaction", s, 1, 2, 3)
+		if err := s.Put(faultBundle(4, 2)); err != nil {
+			t.Fatalf("op %d: Put after the failed compaction: %v", n, err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		check("reopened", openMem(t, mem, Options{}), 1, 2, 3, 4)
+	}
+}
+
+// TestGoldenSegment pins the segment format across the move to the
+// shared frame and one write per record: a segment written by the
+// previous implementation opens here, and the same Puts write the same
+// bytes here.
+func TestGoldenSegment(t *testing.T) {
+	golden, err := os.ReadFile("testdata/golden_pr16.bls")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := fsx.NewMem()
+	mem.WriteFile("store/seg-000001.bls", golden)
+	old := openMem(t, mem, Options{})
+	if b, err := old.Get(2); err != nil || b.Size() != 5 || old.Count() != 3 || old.DeadBytes() == 0 {
+		t.Fatalf("golden segment: Get(2) = %v, %v; Count %d, DeadBytes %d", b, err, old.Count(), old.DeadBytes())
+	}
+	mem = fsx.NewMem()
+	s := openMem(t, mem, Options{})
+	putGolden(t, s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if written, _ := mem.ReadFile("store/seg-000001.bls"); !bytes.Equal(written, golden) {
+		t.Fatalf("the same 4 Puts wrote %d bytes that differ from the %d-byte golden segment", len(written), len(golden))
 	}
 }

@@ -3,20 +3,14 @@
 // are flushed out of the in-memory pool and kept durably for later
 // retrieval and analysis.
 //
-// Layout: a store directory holds append-only segment files
-// (seg-000001.bls, seg-000002.bls, ...). Each segment starts with an
-// 8-byte magic and carries length-prefixed, CRC32C-guarded records,
-// one encoded bundle per record. An in-memory directory maps bundle ID
-// to its newest record position; re-flushing a bundle supersedes the
-// previous record (last write wins), and superseded records are dead
-// weight until Compact rewrites live records into fresh segments.
-//
-// Recovery: Open scans every segment. A corrupt or torn record in the
-// final segment truncates the tail (the torn-write case of a crash
-// mid-append), and a final segment whose header never reached the disk
-// (a crash during rotation) is discarded; corruption anywhere else is
-// reported as an error, since sealed segments are never legitimately
-// half-written.
+// The files are a recfile.Dir of append-only segments (seg-000001.bls,
+// ...; magic, CRC32C frames, torn-tail recovery — DESIGN.md §2d has the
+// table), one encoded bundle per record. What this package adds on top
+// of that layer: an in-memory directory mapping bundle ID to its newest
+// record position, rebuilt by Open from a scan of every segment;
+// re-flushing a bundle supersedes the previous record (last write
+// wins); rotation at a size threshold; and Compact, which rewrites the
+// live records into fresh segments and drops the dead weight.
 //
 // All filesystem access goes through an fsx.FS (Options.FS), so every
 // failure path — torn write, ENOSPC, fsync error, frozen image — is
@@ -25,34 +19,20 @@
 package storage
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"io/fs"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
 	"provex/internal/bundle"
 	"provex/internal/fsx"
+	"provex/internal/recfile"
 )
 
-var segMagic = [8]byte{'P', 'R', 'O', 'V', 'S', 'E', 'G', '1'}
-
-const (
-	recordHeaderSize = 8 // u32 length + u32 crc32c
-	// DefaultSegmentSize rotates segments at 8 MiB, large enough to
-	// amortise file overhead, small enough for cheap compaction.
-	DefaultSegmentSize = 8 << 20
-	// maxRecordLen caps one record's payload so a corrupt length field
-	// cannot drive an absurd allocation during recovery.
-	maxRecordLen = 64 << 20
-)
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+// DefaultSegmentSize rotates segments at 8 MiB, large enough to
+// amortise file overhead, small enough for cheap compaction.
+const DefaultSegmentSize = 8 << 20
 
 // ErrNotFound reports a bundle ID absent from the store.
 var ErrNotFound = errors.New("storage: bundle not found")
@@ -60,10 +40,14 @@ var ErrNotFound = errors.New("storage: bundle not found")
 // ErrCorrupt reports an unreadable sealed segment.
 var ErrCorrupt = errors.New("storage: corrupt segment")
 
-// errBadMagic distinguishes a segment whose header never made it to
-// disk (crash during rotation — recoverable for the final segment)
-// from record corruption.
-var errBadMagic = errors.New("bad magic")
+// segFormat is the on-disk layout of a store directory.
+var segFormat = recfile.Format{
+	Pkg:       "storage",
+	Magic:     [8]byte{'P', 'R', 'O', 'V', 'S', 'E', 'G', '1'},
+	Name:      "seg-%06d.bls",
+	MaxRecord: 64 << 20,
+	Corrupt:   ErrCorrupt,
+}
 
 // Options tune a Store.
 type Options struct {
@@ -87,27 +71,27 @@ type recordPos struct {
 	length int64 // payload length
 }
 
+// size is the record's footprint in its segment.
+func (p recordPos) size() int64 { return recfile.HeaderSize + p.length }
+
 // Store is the bundle store. Safe for concurrent use.
 type Store struct {
 	mu   sync.Mutex
-	dir  string
 	opts Options
-	fs   fsx.FS
 
-	active     fsx.File // guarded by mu
-	activeSeg  int      // guarded by mu
-	activeSize int64    // guarded by mu
-	appends    int      // guarded by mu
+	// segs is the segment files; its active file is the append target.
+	// Set once by Open; everything but Path is called under mu. A failed
+	// tail repair latches it broken: the active segment's on-disk state no
+	// longer matches activeSize, so appends are refused until the store is
+	// reopened (recovery truncates the torn tail). Reads stay available.
+	segs       *recfile.Dir
+	activeSize int64  // guarded by mu
+	appends    int    // guarded by mu
+	frame      []byte // the record being written, reused; guarded by mu
 
 	index     map[bundle.ID]recordPos // guarded by mu
 	deadBytes int64                   // superseded record bytes, Compact trigger signal; guarded by mu
 	liveBytes int64                   // guarded by mu
-
-	// broken latches a failed tail repair: the active segment's on-disk
-	// state no longer matches the in-memory cursor, so appends are
-	// refused until the store is reopened (recovery truncates the torn
-	// tail). Reads stay available. Guarded by mu.
-	broken error
 }
 
 // Open opens (creating if needed) the store at dir and replays existing
@@ -117,250 +101,76 @@ func Open(dir string, opts Options) (*Store, error) {
 		opts.SegmentSize = DefaultSegmentSize
 	}
 	opts.FS = fsx.Default(opts.FS)
-	if err := opts.FS.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("storage: %w", err)
-	}
-	s := &Store{
-		dir:   dir,
-		opts:  opts,
-		fs:    opts.FS,
-		index: make(map[bundle.ID]recordPos),
-	}
-	if err := s.recover(); err != nil {
+	s := &Store{opts: opts, index: make(map[bundle.ID]recordPos)}
+	// Open has not published the store yet, so there is no contention —
+	// but recovery fills the mu-guarded fields, so it takes the lock like
+	// any other writer.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var err error
+	s.segs, s.activeSize, err = recfile.Open(opts.FS, dir, &segFormat, func(seg int, off int64, payload []byte) error {
+		b, err := bundle.Unmarshal(payload)
+		if err != nil {
+			return err
+		}
+		s.indexRecordLocked(b.ID(), recordPos{seg: seg, offset: off, length: int64(len(payload))})
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return s, nil
-}
-
-// segPath names segment n.
-func (s *Store) segPath(n int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("seg-%06d.bls", n))
-}
-
-// listSegments returns existing segment numbers ascending.
-func (s *Store) listSegments() ([]int, error) {
-	names, err := s.fs.ReadDir(s.dir)
-	if err != nil {
-		return nil, err
-	}
-	var segs []int
-	for _, name := range names {
-		var n int
-		if _, err := fmt.Sscanf(name, "seg-%06d.bls", &n); err == nil {
-			segs = append(segs, n)
-		}
-	}
-	sort.Ints(segs)
-	return segs, nil
-}
-
-// recover replays all segments, rebuilding the index. The final segment
-// tolerates a torn tail, which is truncated away; a final segment whose
-// magic never reached the disk (crash during rotation) is discarded;
-// earlier segments must be pristine.
-func (s *Store) recover() error {
-	// Open has not published the store yet, so there is no contention —
-	// but recover mutates the mu-guarded segment cursor and calls
-	// *Locked helpers, so it takes the lock like any other writer.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	segs, err := s.listSegments()
-	if err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	if n := len(segs); n > 0 {
-		bad, err := s.badMagic(segs[n-1])
-		if err != nil {
-			return err
-		}
-		if bad {
-			if rmErr := s.fs.Remove(s.segPath(segs[n-1])); rmErr != nil {
-				return fmt.Errorf("storage: remove stillborn segment: %w", rmErr)
-			}
-			segs = segs[:n-1]
-		}
-	}
-	for i, seg := range segs {
-		last := i == len(segs)-1
-		validLen, err := s.replaySegment(seg, last)
-		if err != nil {
-			return err
-		}
-		if last {
-			s.activeSeg = seg
-			s.activeSize = validLen
-		}
-	}
-	if len(segs) == 0 {
-		s.activeSeg = 0
-		return s.rotateLocked()
-	}
-	// Reopen the final segment for appending, truncating a torn tail.
-	f, err := s.fs.OpenFile(s.segPath(s.activeSeg), os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	if err := f.Truncate(s.activeSize); err != nil {
-		f.Close()
-		return fmt.Errorf("storage: truncate torn tail: %w", err)
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return fmt.Errorf("storage: %w", err)
-	}
-	s.active = f
-	return nil
-}
-
-// badMagic reports whether segment seg lacks a complete, correct magic
-// header — the signature of a crash during rotation.
-func (s *Store) badMagic(seg int) (bool, error) {
-	f, err := s.fs.Open(s.segPath(seg))
-	if err != nil {
-		return false, fmt.Errorf("storage: %w", err)
-	}
-	defer f.Close()
-	var magic [8]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil || magic != segMagic {
-		return true, nil
-	}
-	return false, nil
-}
-
-// replaySegment scans one segment, indexing its records. It returns the
-// byte length of the valid prefix. tolerateTail permits a torn final
-// record (returning the prefix before it); otherwise corruption errors.
-func (s *Store) replaySegment(seg int, tolerateTail bool) (int64, error) {
-	f, err := s.fs.Open(s.segPath(seg))
-	if err != nil {
-		return 0, fmt.Errorf("storage: %w", err)
-	}
-	defer f.Close()
-
-	var magic [8]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil || magic != segMagic {
-		return 0, fmt.Errorf("%w: segment %d: %w", ErrCorrupt, seg, errBadMagic)
-	}
-	offset := int64(len(segMagic))
-	var hdr [recordHeaderSize]byte
-	for {
-		_, err := io.ReadFull(f, hdr[:])
-		if err == io.EOF {
-			return offset, nil
-		}
-		if err != nil { // torn header
-			if tolerateTail {
-				return offset, nil
-			}
-			return 0, fmt.Errorf("%w: segment %d: torn header at %d", ErrCorrupt, seg, offset)
-		}
-		length := int64(binary.LittleEndian.Uint32(hdr[0:4]))
-		wantCRC := binary.LittleEndian.Uint32(hdr[4:8])
-		if length > maxRecordLen {
-			if tolerateTail {
-				return offset, nil
-			}
-			return 0, fmt.Errorf("%w: segment %d: oversized record at %d", ErrCorrupt, seg, offset)
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			if tolerateTail {
-				return offset, nil
-			}
-			return 0, fmt.Errorf("%w: segment %d: torn payload at %d", ErrCorrupt, seg, offset)
-		}
-		if crc32.Checksum(payload, crcTable) != wantCRC {
-			if tolerateTail {
-				return offset, nil
-			}
-			return 0, fmt.Errorf("%w: segment %d: bad checksum at %d", ErrCorrupt, seg, offset)
-		}
-		b, err := bundle.Unmarshal(payload)
-		if err != nil {
-			if tolerateTail {
-				return offset, nil
-			}
-			return 0, fmt.Errorf("%w: segment %d: undecodable record at %d: %v", ErrCorrupt, seg, offset, err)
-		}
-		s.indexRecordLocked(b.ID(), recordPos{seg: seg, offset: offset, length: length})
-		offset += recordHeaderSize + length
-	}
 }
 
 // indexRecordLocked records the newest position of id, tracking dead
 // bytes of any superseded record. Caller holds s.mu.
 func (s *Store) indexRecordLocked(id bundle.ID, pos recordPos) {
 	if old, ok := s.index[id]; ok {
-		s.deadBytes += recordHeaderSize + old.length
-		s.liveBytes -= recordHeaderSize + old.length
+		s.deadBytes += old.size()
+		s.liveBytes -= old.size()
 	}
 	s.index[id] = pos
-	s.liveBytes += recordHeaderSize + pos.length
+	s.liveBytes += pos.size()
 }
 
-// rotateLocked seals the active segment and opens the next one. Every
-// failure path leaves the store retryable: a failed seal keeps the old
-// segment active, and a half-created next segment is removed (or
-// replaced on the next attempt) so it cannot shadow future rotations.
-// Caller holds s.mu (or is in single-threaded Open).
+// appendLocked frames payload and lands it in the active segment with
+// one write, sealing a full segment first (the old one is synced before
+// the next is started). Every failure leaves the active segment at its
+// last good length, so the caller may simply try again — or latches the
+// directory broken when that repair fails too. Caller holds s.mu.
+func (s *Store) appendLocked(payload []byte) (recordPos, error) {
+	if err := s.segs.Broken(); err != nil {
+		return recordPos{}, err
+	}
+	if s.segs.File() == nil || s.activeSize >= s.opts.SegmentSize {
+		if err := s.rotateLocked(); err != nil {
+			return recordPos{}, err
+		}
+	}
+	s.frame = append(recfile.BeginFrame(s.frame[:0]), payload...)
+	recfile.EndFrame(s.frame, 0, recfile.Castagnoli)
+	if _, err := s.segs.File().Write(s.frame); err != nil {
+		// Without the rewind a retried Put would start behind a dangling
+		// partial record.
+		s.segs.Rewind(s.activeSize)
+		return recordPos{}, fmt.Errorf("storage: %w", err)
+	}
+	pos := recordPos{seg: s.segs.Seg(), offset: s.activeSize, length: int64(len(payload))}
+	s.activeSize += pos.size()
+	return pos, nil
+}
+
+// rotateLocked seals the active segment and starts the next one. Caller
+// holds s.mu.
 func (s *Store) rotateLocked() error {
-	if s.active != nil {
-		if err := s.active.Sync(); err != nil {
-			return fmt.Errorf("storage: %w", err)
-		}
-		err := s.active.Close()
-		s.active = nil
-		if err != nil {
-			return fmt.Errorf("storage: %w", err)
-		}
+	if err := s.segs.Sync(); err != nil {
+		return err
 	}
-	next := s.activeSeg + 1
-	f, err := s.fs.OpenFile(s.segPath(next), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if errors.Is(err, fs.ErrExist) {
-		// Debris of a previously failed rotation; replace it.
-		if rmErr := s.fs.Remove(s.segPath(next)); rmErr == nil {
-			f, err = s.fs.OpenFile(s.segPath(next), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-		}
+	if err := s.segs.CreateNext(); err != nil {
+		return err
 	}
-	if err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	if _, err := f.Write(segMagic[:]); err != nil {
-		f.Close()
-		fsx.BestEffortRemove(s.fs, s.segPath(next))
-		return fmt.Errorf("storage: %w", err)
-	}
-	// Make the header durable immediately: a crash after rotation must
-	// find either a well-formed empty segment or (if this sync never
-	// ran) a stillborn file that recovery discards.
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsx.BestEffortRemove(s.fs, s.segPath(next))
-		return fmt.Errorf("storage: %w", err)
-	}
-	s.active = f
-	s.activeSeg = next
-	s.activeSize = int64(len(segMagic))
+	s.activeSize = recfile.MagicSize
 	return nil
-}
-
-// repairTailLocked rewinds the active segment to its last good length
-// after a failed append, so a retried Put starts from a clean boundary
-// instead of appending after a dangling partial record. If the repair
-// itself fails the store is marked broken: further Puts are refused
-// (the on-disk tail is torn, which recovery on the next Open handles),
-// rather than risking interior corruption a reopen could not detect.
-func (s *Store) repairTailLocked() {
-	if s.active == nil {
-		return
-	}
-	if err := s.active.Truncate(s.activeSize); err != nil {
-		s.broken = fmt.Errorf("storage: segment tail unrepaired: %w", err)
-		return
-	}
-	if _, err := s.active.Seek(0, io.SeekEnd); err != nil {
-		s.broken = fmt.Errorf("storage: segment tail unrepaired: %w", err)
-	}
 }
 
 // Put appends b to the store. A bundle already present is superseded by
@@ -370,32 +180,14 @@ func (s *Store) Put(b *bundle.Bundle) error {
 	payload := b.Marshal()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.broken != nil {
-		return s.broken
+	pos, err := s.appendLocked(payload)
+	if err != nil {
+		return err
 	}
-	if s.active == nil || s.activeSize >= s.opts.SegmentSize {
-		if err := s.rotateLocked(); err != nil {
-			return err
-		}
-	}
-	var hdr [recordHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	if _, err := s.active.Write(hdr[:]); err != nil {
-		s.repairTailLocked()
-		return fmt.Errorf("storage: %w", err)
-	}
-	if _, err := s.active.Write(payload); err != nil {
-		s.repairTailLocked()
-		return fmt.Errorf("storage: %w", err)
-	}
-	s.indexRecordLocked(b.ID(), recordPos{seg: s.activeSeg, offset: s.activeSize, length: int64(len(payload))})
-	s.activeSize += recordHeaderSize + int64(len(payload))
+	s.indexRecordLocked(b.ID(), pos)
 	s.appends++
 	if s.opts.SyncEvery > 0 && s.appends%s.opts.SyncEvery == 0 {
-		if err := s.active.Sync(); err != nil {
-			return fmt.Errorf("storage: %w", err)
-		}
+		return s.segs.Sync()
 	}
 	return nil
 }
@@ -412,21 +204,17 @@ func (s *Store) Get(id bundle.ID) (*bundle.Bundle, error) {
 }
 
 func (s *Store) readAt(pos recordPos) (*bundle.Bundle, error) {
-	// The active segment is written through s.active; reads open their
-	// own handle so readers never disturb the append cursor.
-	f, err := s.fs.Open(s.segPath(pos.seg))
+	// The active segment is written through its own handle; reads open
+	// theirs so readers never disturb the append cursor.
+	f, err := s.opts.FS.Open(s.segs.Path(pos.seg))
 	if err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
 	defer f.Close()
-	buf := make([]byte, recordHeaderSize+pos.length)
-	if _, err := f.ReadAt(buf, pos.offset); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	wantCRC := binary.LittleEndian.Uint32(buf[4:8])
-	payload := buf[recordHeaderSize:]
-	if crc32.Checksum(payload, crcTable) != wantCRC {
-		return nil, fmt.Errorf("%w: checksum mismatch for segment %d offset %d", ErrCorrupt, pos.seg, pos.offset)
+	frame := io.NewSectionReader(f, pos.offset, pos.size())
+	payload, err := recfile.ReadFrame(frame, recfile.Castagnoli, int(pos.length))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v for segment %d offset %d", ErrCorrupt, err, pos.seg, pos.offset)
 	}
 	b, err := bundle.Unmarshal(payload)
 	if err != nil {
@@ -469,6 +257,10 @@ func (s *Store) DeadBytes() int64 {
 func (s *Store) IDs() []bundle.ID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.idsLocked()
+}
+
+func (s *Store) idsLocked() []bundle.ID {
 	out := make([]bundle.ID, 0, len(s.index))
 	for id := range s.index {
 		out = append(out, id)
@@ -493,70 +285,43 @@ func (s *Store) Scan(fn func(*bundle.Bundle) error) error {
 }
 
 // Compact rewrites live records into fresh segments and deletes old
-// ones, reclaiming dead bytes. The store stays readable during the
-// rewrite but Put is excluded for its duration.
+// ones, reclaiming dead bytes. Put and Get wait for its duration. The
+// new chain is built behind the old one, and the directory moves over
+// to it only once it is whole and synced: if anything fails before
+// that, the store answers exactly as before the call and accepts Put —
+// behind whatever copies the new chain already holds, so that none of
+// them can replay after a record newer than itself.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-
-	oldSegs, err := s.listSegments()
-	if err != nil {
-		return fmt.Errorf("storage: %w", err)
+	// Even an empty store needs a segment to append to; and sealing the
+	// old chain syncs it, which a failure below relies on: the directory
+	// still points into it then.
+	last := s.segs.Seg()
+	if err := s.rotateLocked(); err != nil {
+		return err
 	}
-	ids := make([]bundle.ID, 0, len(s.index))
-	for id := range s.index {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	// Read everything first (positions reference old segments).
-	bundles := make([]*bundle.Bundle, 0, len(ids))
-	for _, id := range ids {
+	index, live := make(map[bundle.ID]recordPos, len(s.index)), int64(0)
+	for _, id := range s.idsLocked() {
 		b, err := s.readAt(s.index[id])
 		if err != nil {
 			return err
 		}
-		bundles = append(bundles, b)
+		pos, err := s.appendLocked(b.Marshal())
+		if err != nil {
+			return err
+		}
+		index[id] = pos
+		live += pos.size()
 	}
-
-	// Start a fresh segment chain after the old ones.
-	if s.active != nil {
-		s.active.Close()
-		s.active = nil
-	}
-	s.index = make(map[bundle.ID]recordPos, len(ids))
-	s.liveBytes, s.deadBytes = 0, 0
-	if err := s.rotateLocked(); err != nil {
+	if err := s.segs.Sync(); err != nil {
 		return err
 	}
-	for _, b := range bundles {
-		payload := b.Marshal()
-		if s.activeSize >= s.opts.SegmentSize {
-			if err := s.rotateLocked(); err != nil {
-				return err
-			}
-		}
-		var hdr [recordHeaderSize]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-		if _, err := s.active.Write(hdr[:]); err != nil {
-			return fmt.Errorf("storage: %w", err)
-		}
-		if _, err := s.active.Write(payload); err != nil {
-			return fmt.Errorf("storage: %w", err)
-		}
-		s.indexRecordLocked(b.ID(), recordPos{seg: s.activeSeg, offset: s.activeSize, length: int64(len(payload))})
-		s.activeSize += recordHeaderSize + int64(len(payload))
-	}
-	if err := s.active.Sync(); err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	for _, seg := range oldSegs {
-		if err := s.fs.Remove(s.segPath(seg)); err != nil {
-			return fmt.Errorf("storage: remove old segment: %w", err)
-		}
-	}
-	return nil
+	s.index, s.liveBytes, s.deadBytes = index, live, 0
+	// The old files are dead weight from here; one that outlives a crash
+	// or a failed remove costs only space — it replays first and loses
+	// to the new records.
+	return s.segs.RemoveBefore(last + 1)
 }
 
 // Sync flushes the active segment to stable storage. The durability
@@ -565,29 +330,15 @@ func (s *Store) Compact() error {
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.active == nil {
-		return nil
-	}
-	if err := s.active.Sync(); err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	return nil
+	return s.segs.Sync()
 }
 
 // Close syncs and closes the active segment.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.active == nil {
-		return nil
+	if err := s.segs.Sync(); err != nil {
+		return err
 	}
-	if err := s.active.Sync(); err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	err := s.active.Close()
-	s.active = nil
-	if err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	return nil
+	return s.segs.Close()
 }

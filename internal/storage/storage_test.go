@@ -3,7 +3,6 @@ package storage
 import (
 	"errors"
 	"os"
-	"path/filepath"
 	"testing"
 	"testing/quick"
 	"time"
@@ -115,7 +114,7 @@ func TestSegmentRotation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	segs, err := s.listSegments()
+	segs, err := s.segs.List()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,98 +207,6 @@ func TestScan(t *testing.T) {
 	err = s.Scan(func(*bundle.Bundle) error { return sentinel })
 	if !errors.Is(err, sentinel) {
 		t.Errorf("Scan error passthrough = %v", err)
-	}
-}
-
-func TestTornTailRecovered(t *testing.T) {
-	dir := t.TempDir()
-	s := openStore(t, dir, Options{})
-	for id := bundle.ID(1); id <= 5; id++ {
-		if err := s.Put(makeBundle(id, 4)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Close()
-
-	// Simulate a crash mid-append: chop bytes off the segment tail.
-	seg := filepath.Join(dir, "seg-000001.bls")
-	info, err := os.Stat(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(seg, info.Size()-7); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := openStore(t, dir, Options{})
-	if s2.Count() != 4 {
-		t.Fatalf("recovered Count = %d, want 4 (last record torn)", s2.Count())
-	}
-	// The store accepts new appends after tail truncation.
-	if err := s2.Put(makeBundle(50, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.Get(50); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCorruptPayloadDetectedOnGet(t *testing.T) {
-	dir := t.TempDir()
-	s := openStore(t, dir, Options{})
-	if err := s.Put(makeBundle(1, 6)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(makeBundle(2, 6)); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	// Flip a byte inside the FIRST record's payload (not the tail).
-	seg := filepath.Join(dir, "seg-000001.bls")
-	data, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[20] ^= 0xFF
-	if err := os.WriteFile(seg, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Open with a corrupt non-tail record in the last (only) segment:
-	// the scan treats it as a torn tail and drops everything from the
-	// corruption onwards.
-	s2 := openStore(t, dir, Options{})
-	if s2.Count() != 0 {
-		t.Errorf("Count = %d, want 0 (corruption at first record)", s2.Count())
-	}
-}
-
-func TestCorruptSealedSegmentFailsOpen(t *testing.T) {
-	dir := t.TempDir()
-	s := openStore(t, dir, Options{SegmentSize: 2 << 10})
-	for id := bundle.ID(1); id <= 30; id++ {
-		if err := s.Put(makeBundle(id, 6)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Close()
-	segs, _ := s.listSegments()
-	if len(segs) < 2 {
-		t.Skip("need multiple segments")
-	}
-	// Corrupt the FIRST (sealed) segment.
-	seg := filepath.Join(dir, "seg-000001.bls")
-	data, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xFF
-	if err := os.WriteFile(seg, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("Open over corrupt sealed segment = %v, want ErrCorrupt", err)
 	}
 }
 

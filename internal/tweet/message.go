@@ -10,11 +10,14 @@
 package tweet
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
 	"strings"
 	"time"
+
+	"provex/internal/recfile"
 )
 
 // ID is a stable message identifier, assigned by the producer of a stream
@@ -113,4 +116,26 @@ func SortByDate(ms []*Message) {
 		}
 		return ms[i].ID < ms[j].ID
 	})
+}
+
+// AppendRaw appends the stored form of m to buf: the raw fields only —
+// id, unix-nano date, user, text. Indicants are never stored; DecodeRaw
+// re-extracts them through Parse, so the parser stays the single source
+// of truth for every on-disk codec (WAL records, encoded bundles), the
+// same contract as the JSONL codec.
+func AppendRaw(buf []byte, m *Message) []byte {
+	buf = binary.AppendUvarint(buf, uint64(m.ID))
+	buf = binary.AppendVarint(buf, m.Date.UnixNano())
+	buf = recfile.AppendStr(buf, m.User)
+	return recfile.AppendStr(buf, m.Text)
+}
+
+// DecodeRaw reads what AppendRaw wrote and parses it back into a full
+// message (date in UTC). It returns nil once the cursor has failed.
+func DecodeRaw(c *recfile.Cursor) *Message {
+	id, nanos, user, text := ID(c.Uvarint()), c.Varint(), c.Str(), c.Str()
+	if c.Err() != nil {
+		return nil
+	}
+	return Parse(id, user, time.Unix(0, nanos).UTC(), text)
 }

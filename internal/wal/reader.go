@@ -4,19 +4,18 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"io/fs"
+	"slices"
 
-	"provex/internal/tweet"
+	"provex/internal/recfile"
 )
 
 // This file is the replication read surface of the log: ReadBatch lets
 // a shipping service stream CRC-verified record payloads to follower
 // replicas while the single writer keeps appending. Readers use their
-// own file handles and consult only immutable fields (fs, dir) plus the
-// atomic synced watermark, so they never contend with — or block — the
-// ingest path.
+// own file handles and consult only the Dir's read-only surface (List,
+// Scan) plus the atomic synced watermark, so they never contend with —
+// or block — the ingest path.
 
 // ErrGap reports that the log cannot supply a contiguous run of
 // sequences after the requested point: the records were truncated away
@@ -49,16 +48,6 @@ type Batch struct {
 // to be fully on stable storage. Safe from any goroutine.
 func (l *Log) SyncedSeq() uint64 { return l.synced.Load() }
 
-// EncodeRecord flattens (seq, m) into the canonical WAL record payload
-// (the bytes ReadBatch ships and DecodeRecord parses).
-func EncodeRecord(seq uint64, m *tweet.Message) []byte {
-	return appendRecord(make([]byte, 0, 32+len(m.User)+len(m.Text)), seq, m)
-}
-
-// DecodeRecord parses one record payload back into its sequence and
-// message. It is the follower-side inverse of EncodeRecord.
-func DecodeRecord(payload []byte) (uint64, *tweet.Message, error) { return decodeRecord(payload) }
-
 // defaultBatchBytes bounds a ReadBatch when the caller passes no limit.
 const defaultBatchBytes = 1 << 20
 
@@ -83,16 +72,16 @@ func (l *Log) ReadBatch(after uint64, hint Cursor, maxBytes int) (Batch, error) 
 	if maxBytes <= 0 {
 		maxBytes = defaultBatchBytes
 	}
-	segs, err := l.listFiles()
+	segs, err := l.dir.List()
 	if err != nil {
-		return Batch{}, fmt.Errorf("wal: %w", err)
+		return Batch{}, err
 	}
 	// Hinted attempt: resume where the previous batch ended. Anything
 	// suspicious about the result — no records where the watermark says
 	// there are some, or a first sequence that is not exactly after+1 —
 	// discards it in favor of a full scan; sequence numbers, not the
 	// cursor, are the source of truth.
-	if i := segIndex(segs, hint.Seg); i >= 0 && hint.Off >= int64(len(walMagic)) {
+	if i := slices.Index(segs, hint.Seg); i >= 0 && hint.Off >= recfile.MagicSize {
 		hb := Batch{Synced: synced}
 		if err := l.scanRun(segs[i:], hint.Off, after, synced, maxBytes, &hb); err != nil {
 			return Batch{}, err
@@ -111,16 +100,53 @@ func (l *Log) ReadBatch(after uint64, hint Cursor, maxBytes int) (Batch, error) 
 	return fb, nil
 }
 
-// scanRun walks segs in order, starting the first at off and the rest
-// at their magic, appending shippable payloads to b until the byte
-// budget, the watermark, or an unreadable region stops it.
+// scanRun walks segs in order — the first from off, the rest from the
+// top (0 means magic first) — appending records with sequence in (after,
+// synced] to b and advancing b.Next past every intact record it passes.
+// It moves on to the next segment only at a clean end-of-file. Any
+// anomaly — torn bytes, a bad checksum, a stillborn file, an in-flight
+// record past the watermark, an exhausted budget — ends the run, because
+// records collected after skipping an unreadable region would hide a
+// sequence gap inside the batch. A segment that vanished (concurrent
+// checkpoint truncation) is skipped only while the batch is still empty;
+// the contiguity check in ReadBatch decides whether what remains is
+// servable.
 func (l *Log) scanRun(segs []int, off int64, after, synced uint64, budget int, b *Batch) error {
 	for _, seg := range segs {
-		cont, err := l.readSeg(seg, off, after, synced, &budget, b)
-		if err != nil {
+		stopped := false
+		_, err := l.dir.Scan(seg, off, false, func(_ int, at int64, payload []byte) error {
+			seq, n := binary.Uvarint(payload)
+			if n <= 0 {
+				return errors.New("bad sequence")
+			}
+			if seq > synced {
+				// Not yet durable on this node; never ship it.
+				stopped = true
+				return recfile.Stop
+			}
+			size := recfile.HeaderSize + len(payload)
+			if seq > after {
+				b.Records = append(b.Records, payload)
+				budget -= size
+			}
+			b.Next = Cursor{Seg: seg, Off: at + int64(size)}
+			if budget <= 0 && len(b.Records) > 0 {
+				stopped = true
+				return recfile.Stop
+			}
+			return nil
+		})
+		switch {
+		case errors.Is(err, fs.ErrNotExist):
+			stopped = len(b.Records) > 0
+		case errors.Is(err, ErrCorrupt):
+			// The writer's in-flight tail, or damage: either way the run
+			// ends here.
+			stopped = true
+		case err != nil:
 			return err
 		}
-		if !cont {
+		if stopped {
 			return nil
 		}
 		off = 0
@@ -128,89 +154,10 @@ func (l *Log) scanRun(segs []int, off int64, after, synced uint64, budget int, b
 	return nil
 }
 
-// readSeg scans one segment from off (0 means verify the magic first),
-// appending records with sequence in (after, synced] to b and advancing
-// b.Next past every intact record it passes. The return value says
-// whether scanning should continue into the next segment: true only on
-// a clean end-of-file. Any anomaly — torn bytes, a bad checksum, an
-// in-flight record past the watermark, an exhausted budget — stops the
-// whole run, because records collected after skipping an unreadable
-// region would hide a sequence gap inside the batch. A segment that
-// vanished (concurrent checkpoint truncation) is skipped only while the
-// batch is still empty; the contiguity check in ReadBatch decides
-// whether what remains is servable.
-func (l *Log) readSeg(seg int, off int64, after, synced uint64, budget *int, b *Batch) (bool, error) {
-	f, err := l.fs.Open(l.filePath(seg))
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return len(b.Records) == 0, nil
-		}
-		return false, fmt.Errorf("wal: %w", err)
-	}
-	defer f.Close()
-	if off < int64(len(walMagic)) {
-		var magic [8]byte
-		if _, err := io.ReadFull(f, magic[:]); err != nil || magic != walMagic {
-			// Stillborn file (crash or in-flight startFile): no records.
-			return false, nil
-		}
-		off = int64(len(walMagic))
-	} else if _, err := f.Seek(off, io.SeekStart); err != nil {
-		return false, nil
-	}
-	var hdr [recordHeaderSize]byte
-	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			// A clean EOF is the segment boundary; anything torn is the
-			// writer's in-flight tail (or corruption) — stop the run.
-			return err == io.EOF, nil
-		}
-		length := int64(binary.LittleEndian.Uint32(hdr[0:4]))
-		wantCRC := binary.LittleEndian.Uint32(hdr[4:8])
-		if length > maxRecordLen {
-			return false, nil
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return false, nil
-		}
-		if crc32.Checksum(payload, crcTable) != wantCRC {
-			return false, nil
-		}
-		seq, n := binary.Uvarint(payload)
-		if n <= 0 {
-			return false, nil
-		}
-		if seq > synced {
-			// Not yet durable on this node; never ship it.
-			return false, nil
-		}
-		off += recordHeaderSize + length
-		if seq > after {
-			b.Records = append(b.Records, payload)
-			*budget -= recordHeaderSize + int(length)
-		}
-		b.Next = Cursor{Seg: seg, Off: off}
-		if *budget <= 0 && len(b.Records) > 0 {
-			return false, nil
-		}
-	}
-}
-
 // recordSeq peeks the sequence number off an encoded record payload.
-// Only called on payloads readSeg already CRC-verified and uvarint-
+// Only called on payloads scanRun already CRC-verified and uvarint-
 // checked, so decoding cannot fail here.
 func recordSeq(payload []byte) uint64 {
 	seq, _ := binary.Uvarint(payload)
 	return seq
-}
-
-// segIndex finds n in the ascending segment list, or -1.
-func segIndex(segs []int, n int) int {
-	for i, s := range segs {
-		if s == n {
-			return i
-		}
-	}
-	return -1
 }

@@ -14,19 +14,16 @@
 // on disk always ends at a sync point and a later batch starts at a
 // clean record boundary.
 //
-// Layout: a log directory holds numbered files (wal-000001.log, ...).
-// Each starts with an 8-byte magic and carries length-prefixed CRC32C-
-// guarded records; one record is one message tagged with its stream
-// sequence number (the engine's message ordinal). Normally a single
-// file is live; Truncate — called after a checkpoint has made all
-// logged messages redundant — starts a fresh file and removes the old
-// ones, so stale files only pile up when removal itself fails, and
-// replay filters those by sequence number anyway.
-//
-// Recovery contract (mirrors package storage): a torn or corrupt
-// record in the final file marks the end of the log — the tail is
-// truncated on Open. Corruption in an earlier file is an error, since
-// sealed files are never legitimately half-written.
+// The files are a recfile.Dir (wal-000001.log, ...; magic, CRC32C
+// frames, torn-tail recovery — DESIGN.md §2d has the table). What this
+// package adds on top of that layer: one record is one message tagged
+// with its stream sequence number (the engine's message ordinal) and
+// sequences only grow; the batch buffer and group commit above; the
+// synced watermark replication reads up to (reader.go); and Truncate —
+// called after a checkpoint has made all logged messages redundant —
+// which starts a fresh file and removes the old ones, so normally a
+// single file is live, stale files only pile up when removal itself
+// fails, and replay filters those by sequence number anyway.
 //
 // Concurrency contract: the log has one owner at a time — Append, Sync,
 // Truncate, Rebase, Replay and Close must never run concurrently. In a
@@ -42,38 +39,34 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"io/fs"
-	"os"
 	"path/filepath"
-	"sort"
 	"sync/atomic"
 	"time"
 
 	"provex/internal/fsx"
 	"provex/internal/metrics"
+	"provex/internal/recfile"
 	"provex/internal/tweet"
 )
 
-var walMagic = [8]byte{'P', 'R', 'O', 'V', 'W', 'A', 'L', '1'}
-
-const (
-	recordHeaderSize = 8 // u32 length + u32 crc32c
-	// maxRecordLen caps one record's payload so a corrupt length field
-	// cannot drive an absurd allocation during replay.
-	maxRecordLen = 16 << 20
-)
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+// MaxRecordLen caps one record's payload so a corrupt length field
+// cannot drive an absurd allocation during replay (or on a follower
+// reading shipped records).
+const MaxRecordLen = 16 << 20
 
 // ErrCorrupt reports an unreadable sealed WAL file.
 var ErrCorrupt = errors.New("wal: corrupt log")
 
-// errBadMagic distinguishes a file whose header never made it to disk
-// (crash during creation — recoverable for the final file) from record
-// corruption.
-var errBadMagic = errors.New("bad magic")
+// logFormat is the on-disk layout of a log directory.
+var logFormat = recfile.Format{
+	Pkg:       "wal",
+	Magic:     [8]byte{'P', 'R', 'O', 'V', 'W', 'A', 'L', '1'},
+	Name:      "wal-%06d.log",
+	MaxRecord: MaxRecordLen,
+	Corrupt:   ErrCorrupt,
+}
 
 // Options tune a Log.
 type Options struct {
@@ -91,23 +84,21 @@ type Options struct {
 // so a metrics scrape or a replication read may run while the owner
 // appends.
 type Log struct {
-	fs   fsx.FS
-	dir  string
 	opts Options
 
-	// f through broken belong to the current owner — the pipeline's log
+	// dir through lastSeq belong to the current owner — the pipeline's log
 	// stage, or its writer while the stage is parked at a checkpoint
 	// barrier; the hand-over between the two is a channel operation, so
 	// the fields carry no lock. Cross-goroutine reads go through the
-	// atomics below instead.
-	f       fsx.File
-	seg     int
+	// atomics below instead (and dir's List and Scan, which are safe
+	// beside the owner).
+	dir     *recfile.Dir  // the log files: creation, recovery, tail repair
+	f       fsx.File      // dir's active file, where Sync lands the batch
 	size    atomic.Int64  // bytes appended to the active file, the open batch included; atomic for scrapes
 	batch   []byte        // the open batch: framed records not yet written; reused across syncs
 	pending int           // records in batch
 	encode  time.Duration // time spent encoding the open batch
 	lastSeq uint64        // highest sequence appended or replayed
-	broken  error         // set when a torn tail could not be repaired; appends refused
 
 	// synced is the shipping watermark: the highest sequence known to be
 	// fully on stable storage. Atomic, because replication readers
@@ -160,282 +151,94 @@ func Open(dir string, opts Options) (*Log, error) {
 	if opts.SyncEvery < 1 {
 		opts.SyncEvery = 1
 	}
-	if err := opts.FS.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	l := &Log{fs: opts.FS, dir: dir, opts: opts, syncHist: metrics.NewHistogram(fsyncBounds...)}
-	segs, err := l.listFiles()
+	l := &Log{opts: opts, syncHist: metrics.NewHistogram(fsyncBounds...)}
+	d, size, err := recfile.Open(opts.FS, dir, &logFormat, func(_ int, _ int64, payload []byte) error {
+		seq, _, err := DecodeRecord(payload)
+		if seq > l.lastSeq {
+			l.lastSeq = seq
+		}
+		return err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
+		return nil, err
 	}
-	if n := len(segs); n > 0 {
-		// A final file without a complete magic is the debris of a crash
-		// during file creation; it never held a record. Drop it and fall
-		// back to the previous file (or a fresh one).
-		if _, _, err := l.scanFile(segs[n-1], true, 0, nil); errors.Is(err, errBadMagic) {
-			if rmErr := l.fs.Remove(l.filePath(segs[n-1])); rmErr != nil {
-				return nil, fmt.Errorf("wal: remove stillborn file: %w", rmErr)
-			}
-			segs = segs[:n-1]
-		}
-	}
-	for i, seg := range segs {
-		last := i == len(segs)-1
-		validLen, maxSeq, err := l.scanFile(seg, last, 0, nil)
-		if err != nil {
-			return nil, err
-		}
-		if maxSeq > l.lastSeq {
-			l.lastSeq = maxSeq
-		}
-		if last {
-			l.seg = seg
-			l.size.Store(validLen)
-		}
-	}
-	if len(segs) == 0 {
-		if err := l.startFile(); err != nil {
-			return nil, err
-		}
-		l.synced.Store(l.lastSeq)
-		return l, nil
-	}
-	// Reopen the final file for appending, truncating any torn tail.
-	f, err := l.fs.OpenFile(l.filePath(l.seg), os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	if err := f.Truncate(l.size.Load()); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: truncate torn tail: %w", err)
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	l.f = f
+	l.dir, l.f = d, d.File()
+	l.size.Store(size)
 	// Everything that survived recovery is on disk by definition.
 	l.synced.Store(l.lastSeq)
 	return l, nil
 }
 
-// filePath names log file n.
-func (l *Log) filePath(n int) string {
-	return filepath.Join(l.dir, fmt.Sprintf("wal-%06d.log", n))
-}
-
-// listFiles returns existing log file numbers ascending.
-func (l *Log) listFiles() ([]int, error) {
-	names, err := l.fs.ReadDir(l.dir)
-	if err != nil {
-		return nil, err
+// Wipe removes every file of the log directory at dir (it is flat),
+// tolerating a missing directory. For callers that know the whole log
+// is void: a shard none of whose records was ever acknowledged, a
+// follower about to install a checkpoint the old records predate.
+func Wipe(fsys fsx.FS, dir string) error {
+	names, err := fsys.ReadDir(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
 	}
-	var segs []int
 	for _, name := range names {
-		var n int
-		if _, err := fmt.Sscanf(name, "wal-%06d.log", &n); err == nil {
-			segs = append(segs, n)
-		}
-	}
-	sort.Ints(segs)
-	return segs, nil
-}
-
-// startFile begins a fresh log file after the current number and syncs
-// its header, so the file itself survives a crash. Every failure path
-// leaves the log retryable: the current file stays untouched (l.seg and
-// l.f change only on success), and a half-created next file is removed
-// (or replaced on the next attempt) so it cannot block future starts.
-func (l *Log) startFile() error {
-	next := l.seg + 1
-	path := l.filePath(next)
-	f, err := l.fs.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if errors.Is(err, fs.ErrExist) {
-		// Debris of a previously failed start; replace it.
-		if rmErr := l.fs.Remove(path); rmErr == nil {
-			f, err = l.fs.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+		if err == nil {
+			err = fsys.Remove(filepath.Join(dir, name))
 		}
 	}
 	if err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return fmt.Errorf("wal: wipe: %w", err)
 	}
-	if _, err := f.Write(walMagic[:]); err != nil {
-		f.Close()
-		fsx.BestEffortRemove(l.fs, path)
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsx.BestEffortRemove(l.fs, path)
-		return fmt.Errorf("wal: %w", err)
-	}
-	l.seg = next
-	l.f = f
-	l.size.Store(int64(len(walMagic)))
 	return nil
-}
-
-// scanFile reads one log file. When fn is nil it only validates,
-// returning the valid prefix length and the highest sequence seen;
-// tolerateTail permits a torn final record. When fn is non-nil every
-// record with seq > afterSeq is decoded and passed to it.
-func (l *Log) scanFile(seg int, tolerateTail bool, afterSeq uint64, fn func(seq uint64, m *tweet.Message) error) (int64, uint64, error) {
-	f, err := l.fs.Open(l.filePath(seg))
-	if err != nil {
-		return 0, 0, fmt.Errorf("wal: %w", err)
-	}
-	defer f.Close()
-
-	var maxSeq uint64
-	var magic [8]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil || magic != walMagic {
-		return 0, 0, fmt.Errorf("%w: file %d: %w", ErrCorrupt, seg, errBadMagic)
-	}
-	offset := int64(len(walMagic))
-	var hdr [recordHeaderSize]byte
-	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			if err == io.EOF {
-				return offset, maxSeq, nil
-			}
-			if tolerateTail {
-				return offset, maxSeq, nil
-			}
-			return 0, 0, fmt.Errorf("%w: file %d: torn header at %d", ErrCorrupt, seg, offset)
-		}
-		length := int64(binary.LittleEndian.Uint32(hdr[0:4]))
-		wantCRC := binary.LittleEndian.Uint32(hdr[4:8])
-		if length > maxRecordLen {
-			if tolerateTail {
-				return offset, maxSeq, nil
-			}
-			return 0, 0, fmt.Errorf("%w: file %d: oversized record at %d", ErrCorrupt, seg, offset)
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			if tolerateTail {
-				return offset, maxSeq, nil
-			}
-			return 0, 0, fmt.Errorf("%w: file %d: torn payload at %d", ErrCorrupt, seg, offset)
-		}
-		if crc32.Checksum(payload, crcTable) != wantCRC {
-			if tolerateTail {
-				return offset, maxSeq, nil
-			}
-			return 0, 0, fmt.Errorf("%w: file %d: bad checksum at %d", ErrCorrupt, seg, offset)
-		}
-		seq, m, err := decodeRecord(payload)
-		if err != nil {
-			if tolerateTail {
-				return offset, maxSeq, nil
-			}
-			return 0, 0, fmt.Errorf("%w: file %d: undecodable record at %d: %v", ErrCorrupt, seg, offset, err)
-		}
-		if seq > maxSeq {
-			maxSeq = seq
-		}
-		if fn != nil && seq > afterSeq {
-			if err := fn(seq, m); err != nil {
-				return 0, 0, err
-			}
-		}
-		offset += recordHeaderSize + length
-	}
 }
 
 // Replay streams every logged message with sequence > afterSeq to fn in
 // log order. Call it once, after Open and before the first Append.
 // afterSeq is the message count the restored checkpoint already covers.
 func (l *Log) Replay(afterSeq uint64, fn func(seq uint64, m *tweet.Message) error) error {
-	segs, err := l.listFiles()
+	segs, err := l.dir.List()
 	if err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return err
 	}
 	for i, seg := range segs {
-		if _, _, err := l.scanFile(seg, i == len(segs)-1, afterSeq, fn); err != nil {
+		var fnErr error
+		_, err := l.dir.Scan(seg, 0, i == len(segs)-1, func(_ int, _ int64, payload []byte) error {
+			seq, m, err := DecodeRecord(payload)
+			if err != nil || seq <= afterSeq {
+				return err
+			}
+			if fnErr = fn(seq, m); fnErr != nil {
+				return recfile.Stop
+			}
+			return nil
+		})
+		if fnErr != nil {
+			return fnErr
+		}
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// appendRecord appends the record payload of (seq, m) to buf: the raw
-// message fields only — indicants are re-extracted by tweet.Parse on
-// replay, so the parser stays the single source of truth (same contract
-// as the JSONL codec).
-func appendRecord(buf []byte, seq uint64, m *tweet.Message) []byte {
-	buf = binary.AppendUvarint(buf, seq)
-	buf = binary.AppendUvarint(buf, uint64(m.ID))
-	buf = binary.AppendVarint(buf, m.Date.UnixNano())
-	buf = binary.AppendUvarint(buf, uint64(len(m.User)))
-	buf = append(buf, m.User...)
-	buf = binary.AppendUvarint(buf, uint64(len(m.Text)))
-	buf = append(buf, m.Text...)
-	return buf
+// AppendRecord appends the canonical record payload of (seq, m) to buf
+// — the sequence and the raw message fields: the bytes ReadBatch ships
+// and DecodeRecord parses.
+func AppendRecord(buf []byte, seq uint64, m *tweet.Message) []byte {
+	return tweet.AppendRaw(binary.AppendUvarint(buf, seq), m)
 }
 
-// decodeRecord parses one record payload back into its message.
-func decodeRecord(payload []byte) (uint64, *tweet.Message, error) {
-	rd := recReader{data: payload}
-	seq := rd.uvarint()
-	id := rd.uvarint()
-	nanos := rd.varint()
-	user := rd.str()
-	text := rd.str()
-	if rd.err != nil {
-		return 0, nil, rd.err
+// DecodeRecord parses one record payload back into its sequence and
+// message: the inverse of AppendRecord, on a follower too.
+func DecodeRecord(payload []byte) (uint64, *tweet.Message, error) {
+	c := recfile.NewCursor(payload)
+	seq := c.Uvarint()
+	m := tweet.DecodeRaw(c)
+	if err := c.Err(); err != nil {
+		return 0, nil, err
 	}
-	if rd.pos != len(payload) {
+	if c.Rest() != 0 {
 		return 0, nil, errors.New("trailing bytes")
 	}
-	m := tweet.Parse(tweet.ID(id), user, time.Unix(0, nanos).UTC(), text)
 	return seq, m, nil
-}
-
-type recReader struct {
-	data []byte
-	pos  int
-	err  error
-}
-
-func (r *recReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 {
-		r.err = errors.New("bad uvarint")
-		return 0
-	}
-	r.pos += n
-	return v
-}
-
-func (r *recReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.data[r.pos:])
-	if n <= 0 {
-		r.err = errors.New("bad varint")
-		return 0
-	}
-	r.pos += n
-	return v
-}
-
-func (r *recReader) str() string {
-	n := int(r.uvarint())
-	if r.err != nil {
-		return ""
-	}
-	if n < 0 || r.pos+n > len(r.data) {
-		r.err = errors.New("bad string length")
-		return ""
-	}
-	s := string(r.data[r.pos : r.pos+n])
-	r.pos += n
-	return s
 }
 
 // Append encodes message m under sequence seq (the engine ordinal it
@@ -446,19 +249,16 @@ func (r *recReader) str() string {
 // explicit one — has returned nil. An error means the whole open batch
 // was dropped (see Sync).
 func (l *Log) Append(seq uint64, m *tweet.Message) error {
-	if l.broken != nil {
-		return l.broken
+	if err := l.dir.Broken(); err != nil {
+		return err
 	}
 	if seq <= l.lastSeq {
 		return fmt.Errorf("wal: sequence %d not after %d", seq, l.lastSeq)
 	}
 	start := time.Now()
 	at := len(l.batch)
-	var hdr [recordHeaderSize]byte
-	l.batch = appendRecord(append(l.batch, hdr[:]...), seq, m)
-	payload := l.batch[at+recordHeaderSize:]
-	binary.LittleEndian.PutUint32(l.batch[at:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(l.batch[at+4:], crc32.Checksum(payload, crcTable))
+	l.batch = AppendRecord(recfile.BeginFrame(l.batch), seq, m)
+	recfile.EndFrame(l.batch, at, recfile.Castagnoli)
 	l.encode += time.Since(start)
 	l.size.Add(int64(len(l.batch) - at))
 	l.lastSeq = seq
@@ -473,13 +273,10 @@ func (l *Log) Append(seq uint64, m *tweet.Message) error {
 // record appended so far is on stable storage and the synced watermark
 // moves up to the last of them. If the write fails or comes up short,
 // or the fsync fails, none of the batch counts: the file is cut back to
-// its last synced length, the batch is dropped and LastSeq falls back
-// to the synced watermark — partial bytes whose CRC mismatch would end
-// replay early and silently hide every record behind them never stay
-// in front of a later batch. If that repair itself fails the log is
-// latched broken: Append and Truncate are refused, keeping the torn
-// tail in the final file where the next Open truncates it, rather than
-// sealing it where Open must fail.
+// its last synced length (recfile.Dir.Rewind), the batch is dropped and
+// LastSeq falls back to the synced watermark. If that repair itself
+// fails the log is broken: Append and Truncate are refused until it is
+// reopened.
 func (l *Log) Sync() error {
 	if l.pending == 0 {
 		return nil
@@ -497,28 +294,15 @@ func (l *Log) Sync() error {
 		}
 	}
 	if err != nil {
-		l.dropBatch()
-		return fmt.Errorf("wal: %w", err)
+		l.size.Add(-int64(len(l.batch)))
+		l.lastSeq = l.synced.Load()
+		l.dir.Rewind(l.size.Load())
+		err = fmt.Errorf("wal: %w", err)
+	} else {
+		l.synced.Store(l.lastSeq)
 	}
-	l.synced.Store(l.lastSeq)
 	l.batch, l.pending, l.encode = l.batch[:0], 0, 0
-	return nil
-}
-
-// dropBatch forgets the open batch after a failed Sync and rewinds the
-// active file to its last synced length, latching the log broken when
-// it cannot.
-func (l *Log) dropBatch() {
-	l.size.Add(-int64(len(l.batch)))
-	l.lastSeq = l.synced.Load()
-	l.batch, l.pending, l.encode = l.batch[:0], 0, 0
-	if err := l.f.Truncate(l.size.Load()); err != nil {
-		l.broken = fmt.Errorf("wal: tail unrepaired: %w", err)
-		return
-	}
-	if _, err := l.f.Seek(0, io.SeekEnd); err != nil {
-		l.broken = fmt.Errorf("wal: tail unrepaired: %w", err)
-	}
+	return err
 }
 
 // LastSeq returns the highest sequence number appended or recovered.
@@ -549,34 +333,20 @@ func (l *Log) Size() int64 { return l.size.Load() }
 // point leaves either the old records (harmless: replay filters by
 // sequence) or the clean new file.
 func (l *Log) Truncate() error {
-	if l.broken != nil {
-		return l.broken
-	}
 	if err := l.Sync(); err != nil {
 		return err
 	}
-	old, err := l.listFiles()
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	prev := l.f
-	if err := l.startFile(); err != nil {
-		// startFile left l.f/l.seg untouched: the old file is still
-		// live and intact, so appends simply continue into it.
+	if err := l.dir.CreateNext(); err != nil {
+		// The old file is still live and intact (or the log is broken,
+		// and stays refused): appends simply continue into it.
 		return err
 	}
-	prev.Close()
-	for _, seg := range old {
-		if seg == l.seg {
-			// Debris listed at this number was already replaced by the
-			// fresh live file startFile just created; keep that one.
-			continue
-		}
-		if err := l.fs.Remove(l.filePath(seg)); err != nil {
-			// Stale files are tolerated: replay filters their records
-			// by sequence. Surface the error so callers can count it.
-			return fmt.Errorf("wal: remove stale file: %w", err)
-		}
+	l.f = l.dir.File()
+	l.size.Store(recfile.MagicSize)
+	// Stale files are tolerated: replay filters their records by
+	// sequence. Surface the error so callers can count it.
+	if err := l.dir.RemoveBefore(l.dir.Seg()); err != nil {
+		return err
 	}
 	l.truncations.Inc()
 	return nil
@@ -587,15 +357,10 @@ func (l *Log) Close() error {
 	if l.f == nil {
 		return nil
 	}
-	if err := l.Sync(); err != nil {
-		l.f.Close()
-		l.f = nil
-		return err
+	err := l.Sync()
+	if cerr := l.dir.Close(); err == nil {
+		err = cerr
 	}
-	err := l.f.Close()
 	l.f = nil
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	return nil
+	return err
 }

@@ -152,27 +152,6 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 	}
 }
 
-func TestCorruptRecordInTailTolerated(t *testing.T) {
-	mem := fsx.NewMem()
-	l, _ := Open("wal", Options{FS: mem})
-	appendN(t, l, 0, 5)
-	l.Close()
-
-	name := "wal/wal-000001.log"
-	data, _ := mem.ReadFile(name)
-	data[len(data)-1] ^= 0xFF // flip a payload bit in the final record
-	mem.WriteFile(name, data)
-
-	l2, err := Open("wal", Options{FS: mem})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqs, _ := collect(t, l2, 0)
-	if len(seqs) != 4 {
-		t.Fatalf("replay = %v, want 4 (corrupt tail dropped)", seqs)
-	}
-}
-
 func TestTruncateDiscardsAndRestarts(t *testing.T) {
 	mem := fsx.NewMem()
 	l, _ := Open("wal", Options{FS: mem})
@@ -366,23 +345,6 @@ func TestTruncateRetriesAfterFailedStart(t *testing.T) {
 	names, _ := mem.ReadDir("wal")
 	if len(names) != 1 {
 		t.Fatalf("files after truncate retry = %v, want exactly one", names)
-	}
-}
-
-func TestTruncateReplacesDebrisFile(t *testing.T) {
-	mem := fsx.NewMem()
-	l, _ := Open("wal", Options{FS: mem})
-	appendN(t, l, 0, 4)
-	// Debris at the next file number (a predecessor's failed start whose
-	// removal also failed): Truncate must replace it, not EEXIST forever.
-	mem.WriteFile("wal/wal-000002.log", []byte("debris"))
-	if err := l.Truncate(); err != nil {
-		t.Fatalf("truncate over debris: %v", err)
-	}
-	appendN(t, l, 4, 6)
-	seqs, _ := collect(t, l, 4)
-	if len(seqs) != 2 || seqs[0] != 5 {
-		t.Fatalf("replay = %v", seqs)
 	}
 }
 
