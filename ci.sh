@@ -38,6 +38,10 @@ go test ./internal/promtext -fuzz FuzzParse -fuzztime 10s -run '^$'
 go test ./internal/repl -fuzz FuzzFrameDecoder -fuzztime 10s -run '^$'
 go test ./internal/analysis/analyzers -fuzz FuzzParseGuardedBy -fuzztime 10s -run '^$'
 go test ./internal/sumindex -fuzz FuzzCandidates -fuzztime 10s -run '^$'
+# a bundle's two summary forms against the eight-map reference; every
+# input is ~40 Adds with the full comparison after each, so minimising
+# a new corpus entry is capped or it would eat the whole budget
+go test ./internal/bundle -fuzz FuzzBundleSummary -fuzztime 10s -fuzzminimizetime 20x -run '^$'
 
 # The WAL's group-commit path, once: 64 appends, one write, one fsync.
 # TestAppendZeroAlloc pins its allocations; this proves the benchmark
@@ -133,6 +137,10 @@ for ns in 1 2; do
         -trace-sample 1 -trace-buffer 8192 >"$state/serve.log" 2>&1 &
     serve_pid=$!
     wait_metric provex_pipeline_ingested_total 3000
+    for fam in provex_runtime_heap_live_bytes provex_runtime_heap_goal_bytes \
+               provex_runtime_gc_cycles_total provex_runtime_mem_mapped_bytes; do
+        [ -n "$(metric "$fam")" ] || { echo "loopback -shards $ns: $fam missing from /metrics"; exit 1; }
+    done
     "$obs_tmp/provload" -target "http://$loop_addr" -wait 15s \
         -qps 300 -workers 8 -warmup 200ms -duration 2s \
         -mix 'search=5,prov=3,bundle=1,trending=1,explain=2' | tee "$state/load.out"

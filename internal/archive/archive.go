@@ -74,7 +74,7 @@ func (a *Index) Note(b *bundle.Bundle) {
 	a.nextDoc++
 
 	terms := b.SummaryWords(summaryTerms)
-	tags, urls, _ := b.Indicants()
+	tags, urls, _, _ := b.Indicants()
 	terms = append(terms, tags...)
 	terms = append(terms, urls...)
 	a.ix.Add(doc, terms)

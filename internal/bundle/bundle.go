@@ -10,7 +10,6 @@ package bundle
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -50,22 +49,10 @@ type Bundle struct {
 	id    ID
 	nodes []Node
 
-	tagCounts map[string]int
-	urlCounts map[string]int
-	keyCounts map[string]int
-	users     map[string]int
-
-	// Node indexes: indicant term → ascending ids of the nodes carrying
-	// it. They are the bundle-local analogue of the summary index and
-	// make Algorithm 2 sublinear: the pruned Add scans only nodes
-	// sharing an indicant with the incoming message instead of every
-	// node (DESIGN.md §2g). Key sets mirror the count maps above, so the
-	// count maps already pay the map-entry and string costs; the node
-	// lists add metrics.NodeRefCost per reference.
-	tagNodes  map[string][]int32
-	urlNodes  map[string][]int32
-	keyNodes  map[string][]int32
-	userNodes map[string][]int32
+	// The indicant summary (summary.go): a row table below PruneMinNodes
+	// nodes, the hash index from there up — never both.
+	rows []row
+	idx  *index
 
 	start, end time.Time // message-date extent (Algorithm 2 lines 8–13)
 	lastUpdate time.Time // wall (simulated) time of last insertion
@@ -90,20 +77,7 @@ type Bundle struct {
 
 // New creates an empty bundle.
 func New(id ID) *Bundle {
-	return &Bundle{
-		id:        id,
-		tagCounts: make(map[string]int),
-		urlCounts: make(map[string]int),
-		keyCounts: make(map[string]int),
-		users:     make(map[string]int),
-		tagNodes:  make(map[string][]int32),
-		urlNodes:  make(map[string][]int32),
-		keyNodes:  make(map[string][]int32),
-		userNodes: make(map[string][]int32),
-		memBytes:  metrics.BundleBase,
-
-		timeOrdered: true,
-	}
+	return &Bundle{id: id, memBytes: metrics.BundleBase, timeOrdered: true}
 }
 
 // ID returns the bundle identifier.
@@ -139,37 +113,25 @@ func (b *Bundle) MemBytes() int64 { return b.memBytes }
 // score.BundleStats implementation — read by Eq. 1.
 
 // TagCount reports how many messages carry the hashtag.
-func (b *Bundle) TagCount(tag string) int { return b.tagCounts[tag] }
+func (b *Bundle) TagCount(tag string) int { return b.count(classTag, tag) }
 
 // URLCount reports how many messages carry the URL.
-func (b *Bundle) URLCount(u string) int { return b.urlCounts[u] }
+func (b *Bundle) URLCount(u string) int { return b.count(classURL, u) }
 
 // KeywordCount reports how many messages carry the keyword.
-func (b *Bundle) KeywordCount(k string) int { return b.keyCounts[k] }
+func (b *Bundle) KeywordCount(k string) int { return b.count(classKey, k) }
 
 // HasUser reports whether user posted inside the bundle.
-func (b *Bundle) HasUser(u string) bool { return b.users[u] > 0 }
+func (b *Bundle) HasUser(u string) bool { return b.count(classUser, u) > 0 }
 
 // LastDate implements score.BundleStats.
 func (b *Bundle) LastDate() time.Time { return b.end }
 
-// Indicants returns the distinct hashtags, URLs and keywords of the
-// bundle — exactly the terms the summary index must drop when the
-// bundle leaves memory.
-func (b *Bundle) Indicants() (tags, urls, keys []string) {
-	tags = mapKeys(b.tagCounts)
-	urls = mapKeys(b.urlCounts)
-	keys = mapKeys(b.keyCounts)
-	return tags, urls, keys
-}
-
-func mapKeys(m map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+// Indicants returns the distinct hashtags, URLs, keywords and users of
+// the bundle, each sorted — exactly the terms the summary index must
+// drop when the bundle leaves memory.
+func (b *Bundle) Indicants() (tags, urls, keys, users []string) {
+	return b.sortedTerms(classTag), b.sortedTerms(classURL), b.sortedTerms(classKey), b.sortedTerms(classUser)
 }
 
 // Add allocates doc inside the bundle per Algorithm 2: collect the
@@ -247,42 +209,16 @@ func (b *Bundle) addExhaustive(w score.MessageWeights, doc score.Doc, obs Parent
 	return len(b.nodes) - 1, stats
 }
 
-// absorb merges doc's indicants into the summary and the node indexes
-// and updates extent, freshness and the memory estimate. It must run
-// immediately after the node is appended: the node-index entries use
-// the id of the newest node.
+// absorb merges doc's indicants into the summary and updates extent,
+// freshness and the memory estimate. It must run immediately after the
+// node is appended: the summary's form and its node-index entries
+// follow the id of the newest node.
 func (b *Bundle) absorb(doc score.Doc) {
 	m := doc.Msg
-	id := int32(len(b.nodes) - 1)
-	var added int64 = metrics.NodeBase + metrics.MessageBase +
-		metrics.StringCost(m.User) + metrics.StringCost(m.Text)
-	for _, h := range m.Hashtags {
-		if b.tagCounts[h] == 0 {
-			added += metrics.MapEntryCost + metrics.StringCost(h)
-		}
-		b.tagCounts[h]++
-		added += appendNode(b.tagNodes, h, id)
-	}
-	for _, u := range m.URLs {
-		if b.urlCounts[u] == 0 {
-			added += metrics.MapEntryCost + metrics.StringCost(u)
-		}
-		b.urlCounts[u]++
-		added += appendNode(b.urlNodes, u, id)
-	}
-	for _, k := range doc.Keywords {
-		if b.keyCounts[k] == 0 {
-			added += metrics.MapEntryCost + metrics.StringCost(k)
-		}
-		b.keyCounts[k]++
-		added += appendNode(b.keyNodes, k, id)
-	}
-	if b.users[m.User] == 0 {
-		added += metrics.MapEntryCost + metrics.StringCost(m.User)
-	}
-	b.users[m.User]++
-	added += appendNode(b.userNodes, m.User, id)
-	b.memBytes += added
+	refs := len(m.Hashtags) + len(m.URLs) + len(m.Mentions) + len(doc.Keywords)
+	b.memBytes += metrics.NodeBase + metrics.MessageBase +
+		metrics.StringCost(m.User) + metrics.StringCost(m.Text) + int64(refs)*metrics.TermRefCost +
+		b.absorbSummary(doc)
 
 	if b.start.IsZero() || m.Date.Before(b.start) {
 		b.start = m.Date
@@ -336,16 +272,14 @@ func (b *Bundle) Children(i int) []int {
 // Words" column of the paper's Figure 2 result list. Hashtags count
 // double so topical tags float to the front like the paper's examples.
 func (b *Bundle) SummaryWords(k int) []string {
-	merged := make(map[string]int, len(b.keyCounts)+len(b.tagCounts))
-	for t, c := range b.keyCounts {
-		merged[t] += c
+	terms := len(b.rows)
+	if b.idx != nil {
+		terms = len(b.idx[classKey]) + len(b.idx[classTag]) + len(b.idx[classURL])
 	}
-	for t, c := range b.tagCounts {
-		merged[t] += 2 * c
-	}
-	for u, c := range b.urlCounts {
-		merged[u] += c
-	}
+	merged := make(map[string]int, terms)
+	b.each(classKey, func(t string, n int) { merged[t] += n })
+	b.each(classTag, func(t string, n int) { merged[t] += 2 * n })
+	b.each(classURL, func(t string, n int) { merged[t] += n })
 	return tokenizer.TopTerms(merged, k)
 }
 
@@ -381,10 +315,15 @@ func (b *Bundle) Render() string {
 // bounds every message. Used by tests and the storage round-trip
 // self-check.
 func (b *Bundle) Validate() error {
-	tags := map[string]int{}
-	urls := map[string]int{}
-	keys := map[string]int{}
-	users := map[string]int{}
+	indexed := b.idx != nil
+	if indexed != (len(b.nodes) >= PruneMinNodes) || (indexed && b.rows != nil) {
+		return fmt.Errorf("bundle %d: %d nodes with indexed=%v and %d summary rows",
+			b.id, len(b.nodes), indexed, len(b.rows))
+	}
+	var want [numClasses]map[string]int
+	for c := range want {
+		want[c] = map[string]int{}
+	}
 	for i, n := range b.nodes {
 		if n.Parent != NoParent && (n.Parent < 0 || int(n.Parent) >= i) {
 			return fmt.Errorf("bundle %d: node %d has invalid parent %d", b.id, i, n.Parent)
@@ -394,34 +333,26 @@ func (b *Bundle) Validate() error {
 			return fmt.Errorf("bundle %d: node %d date %v outside extent [%v, %v]",
 				b.id, i, m.Date, b.start, b.end)
 		}
-		for _, h := range m.Hashtags {
-			tags[h]++
-		}
-		for _, u := range m.URLs {
-			urls[u]++
-		}
-		for _, k := range n.Doc.Keywords {
-			keys[k]++
-		}
-		users[m.User]++
-	}
-	for name, pair := range map[string][2]map[string]int{
-		"tag":  {tags, b.tagCounts},
-		"url":  {urls, b.urlCounts},
-		"key":  {keys, b.keyCounts},
-		"user": {users, b.users},
-	} {
-		got, want := pair[1], pair[0]
-		if len(got) != len(want) {
-			return fmt.Errorf("bundle %d: %s summary has %d entries, nodes imply %d",
-				b.id, name, len(got), len(want))
-		}
-		for k, v := range want {
-			if got[k] != v {
-				return fmt.Errorf("bundle %d: %s %q count %d, nodes imply %d",
-					b.id, name, k, got[k], v)
+		var user [1]string
+		for c, ts := range classTerms(n.Doc, &user) {
+			for _, t := range ts {
+				want[c][t]++
 			}
 		}
 	}
-	return nil
+	var err error
+	for c := range want {
+		b.each(class(c), func(t string, got int) {
+			if got != want[c][t] && err == nil {
+				err = fmt.Errorf("bundle %d: %s %q count %d, nodes imply %d",
+					b.id, classNames[c], t, got, want[c][t])
+			}
+			delete(want[c], t)
+		})
+		if len(want[c]) > 0 && err == nil {
+			err = fmt.Errorf("bundle %d: %s summary lacks %d terms the nodes carry",
+				b.id, classNames[c], len(want[c]))
+		}
+	}
+	return err
 }

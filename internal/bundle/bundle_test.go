@@ -191,9 +191,21 @@ func TestMemBytesGrows(t *testing.T) {
 
 func TestValidateCatchesCorruption(t *testing.T) {
 	b := buildGameBundle(t)
-	b.tagCounts["redsox"] = 99
+	b.findRow(classTag, "redsox").count = 99
 	if err := b.Validate(); err == nil {
-		t.Error("Validate accepted corrupted summary")
+		t.Error("Validate accepted a corrupted summary row")
+	}
+	big := buildSized(PruneMinNodes)
+	p := big.idx[classUser]["user0"]
+	p.count = 99
+	big.idx[classUser]["user0"] = p
+	if err := big.Validate(); err == nil {
+		t.Error("Validate accepted a corrupted index entry")
+	}
+	early := buildSized(PruneMinNodes - 1)
+	early.idx, early.rows = new(index), nil
+	if err := early.Validate(); err == nil {
+		t.Error("Validate accepted an index below PruneMinNodes")
 	}
 	b2 := buildGameBundle(t)
 	b2.nodes[1].Parent = 3 // forward reference
@@ -204,7 +216,10 @@ func TestValidateCatchesCorruption(t *testing.T) {
 
 func TestIndicants(t *testing.T) {
 	b := buildGameBundle(t)
-	tags, urls, keys := b.Indicants()
+	tags, urls, keys, users := b.Indicants()
+	if !reflect.DeepEqual(users, []string{"abcdude", "amaliebenjamin", "dims", "wharman"}) {
+		t.Errorf("users = %v", users)
+	}
 	if !reflect.DeepEqual(tags, []string{"redsox", "yankee"}) {
 		t.Errorf("tags = %v", tags)
 	}

@@ -61,10 +61,32 @@ func assertBundleEqual(t *testing.T, want, got *Bundle) {
 	if !got.StartTime().Equal(want.StartTime()) || !got.EndTime().Equal(want.EndTime()) {
 		t.Error("extent differs after round trip")
 	}
-	if !reflect.DeepEqual(got.tagCounts, want.tagCounts) ||
-		!reflect.DeepEqual(got.urlCounts, want.urlCounts) ||
-		!reflect.DeepEqual(got.keyCounts, want.keyCounts) {
+	if !reflect.DeepEqual(got.rows, want.rows) || !reflect.DeepEqual(got.idx, want.idx) {
 		t.Error("summaries differ after round trip")
+	}
+	if got.MemBytes() != want.MemBytes() {
+		t.Errorf("MemBytes = %d after round trip, want %d", got.MemBytes(), want.MemBytes())
+	}
+}
+
+// TestRoundTripKeepsRepresentation: the summary's form is a function of
+// the nodes, so a decoded bundle is in the form — and at the memory
+// estimate — of the one that was encoded, on both sides of the
+// threshold and at it.
+func TestRoundTripKeepsRepresentation(t *testing.T) {
+	for _, n := range []int{1, PruneMinNodes - 1, PruneMinNodes, PruneMinNodes + 1, 200} {
+		b := buildSized(n)
+		got, err := Unmarshal(b.Marshal())
+		if err != nil {
+			t.Fatalf("size %d: Unmarshal: %v", n, err)
+		}
+		assertBundleEqual(t, b, got)
+		if indexed := got.idx != nil; indexed != (n >= PruneMinNodes) {
+			t.Errorf("size %d decoded with indexed=%v", n, indexed)
+		}
+		if err := got.Validate(); err != nil {
+			t.Errorf("size %d: decoded bundle invalid: %v", n, err)
+		}
 	}
 }
 

@@ -30,10 +30,7 @@
 // internal/core/differential_test.go.
 package bundle
 
-import (
-	"provex/internal/metrics"
-	"provex/internal/score"
-)
+import "provex/internal/score"
 
 // PruneMinNodes is the bundle size below which AddScratch takes the
 // exhaustive path: for a handful of nodes the direct Eq. 5 scan is
@@ -220,16 +217,16 @@ func (b *Bundle) addPruned(w score.MessageWeights, doc score.Doc, obs ParentObse
 	// message's indicants — exactly the nodes Classify connects.
 	m := doc.Msg
 	for _, u := range m.URLs {
-		sc.mark(b.urlNodes[u], maskURL)
+		sc.mark(b.nodesWith(classURL, u), maskURL)
 	}
 	for _, h := range m.Hashtags {
-		sc.mark(b.tagNodes[h], maskTag)
+		sc.mark(b.nodesWith(classTag, h), maskTag)
 	}
 	for _, k := range doc.Keywords {
-		sc.mark(b.keyNodes[k], maskKey)
+		sc.mark(b.nodesWith(classKey, k), maskKey)
 	}
 	if m.IsRT() {
-		sc.mark(b.userNodes[m.RTOf], maskRT)
+		sc.mark(b.nodesWith(classUser, m.RTOf), maskRT)
 	}
 
 	stats := PlaceStats{Nodes: len(b.nodes), Candidates: len(sc.cand)}
@@ -383,22 +380,22 @@ func (b *Bundle) addPrunedTime(w score.MessageWeights, doc score.Doc, obs Parent
 	wrPos, wtPos := clampPos(w.RT), clampPos(w.Time)
 	sc.lists = sc.lists[:0]
 	for _, u := range m.URLs {
-		if l := b.urlNodes[u]; len(l) > 0 {
+		if l := b.nodesWith(classURL, u); len(l) > 0 {
 			sc.lists = append(sc.lists, mergeList{ids: l, pos: len(l) - 1, bit: maskURL, wc: wuPos / float64(nU)})
 		}
 	}
 	for _, h := range m.Hashtags {
-		if l := b.tagNodes[h]; len(l) > 0 {
+		if l := b.nodesWith(classTag, h); len(l) > 0 {
 			sc.lists = append(sc.lists, mergeList{ids: l, pos: len(l) - 1, bit: maskTag, wc: whPos / float64(nH)})
 		}
 	}
 	for _, k := range doc.Keywords {
-		if l := b.keyNodes[k]; len(l) > 0 {
+		if l := b.nodesWith(classKey, k); len(l) > 0 {
 			sc.lists = append(sc.lists, mergeList{ids: l, pos: len(l) - 1, bit: maskKey, wc: wkPos / float64(nK)})
 		}
 	}
 	if m.IsRT() {
-		if l := b.userNodes[m.RTOf]; len(l) > 0 {
+		if l := b.nodesWith(classUser, m.RTOf); len(l) > 0 {
 			sc.lists = append(sc.lists, mergeList{ids: l, pos: len(l) - 1, bit: maskRT, wc: wrPos})
 		}
 	}
@@ -547,17 +544,4 @@ func (b *Bundle) addPrunedTime(w score.MessageWeights, doc score.Doc, obs Parent
 	b.nodes = append(b.nodes, node)
 	b.absorb(doc)
 	return len(b.nodes) - 1, stats
-}
-
-// appendNode records node id under term in a node index, returning the
-// bytes charged to the memory estimate. Ids arrive in ascending order
-// (absorb runs once per appended node), so duplicate terms within one
-// message show as a repeated tail id.
-func appendNode(m map[string][]int32, term string, id int32) int64 {
-	l := m[term]
-	if n := len(l); n > 0 && l[n-1] == id {
-		return 0
-	}
-	m[term] = append(l, id)
-	return metrics.NodeRefCost
 }

@@ -381,16 +381,7 @@ func (e *Engine) SetKeywordClass(on bool) {
 // mode); only exhausting FlushRetryOptions drops it, counted and
 // latched as the engine's background error.
 func (e *Engine) evict(b *bundle.Bundle, _ pool.EvictReason, flush bool) {
-	tags, urls, keys := b.Indicants()
-	users := make([]string, 0, 8)
-	seen := map[string]bool{}
-	for _, n := range b.Nodes() {
-		u := n.Doc.Msg.User
-		if !seen[u] {
-			seen[u] = true
-			users = append(users, u)
-		}
-	}
+	tags, urls, keys, users := b.Indicants()
 	e.index.Forget(sumindex.BundleID(b.ID()), tags, urls, keys, users)
 	if flush && e.store != nil {
 		if err := e.store.Put(b); err != nil {
@@ -540,12 +531,14 @@ func (e *Engine) InsertPrepared(p Prepared) InsertResult {
 	// Step 2b: allocate inside the bundle (Algorithm 2) or open a new
 	// one.
 	var res InsertResult
+	var grew int64
 	e.placeTimer.Time(func() {
 		if chosen == nil {
 			chosen = e.pool.Create()
 			res.Created = true
 		}
 		res.Bundle = chosen.ID()
+		before := chosen.MemBytes()
 		var obs bundle.ParentObserver
 		if td != nil {
 			obs = func(pc bundle.ParentCandidate) {
@@ -575,6 +568,7 @@ func (e *Engine) InsertPrepared(p Prepared) InsertResult {
 				e.placeEarlyStop.Inc()
 			}
 		}
+		grew = chosen.MemBytes() - before
 		node := chosen.Nodes()[res.Node]
 		res.Conn = node.Conn
 		if node.Parent != bundle.NoParent {
@@ -604,7 +598,7 @@ func (e *Engine) InsertPrepared(p Prepared) InsertResult {
 
 	// Periodic maintenance (Section V-B), plus the flush retry queue:
 	// parked bundles re-attempt storage on the same cadence.
-	if e.pool.NoteInsert(chosen) {
+	if e.pool.NoteInsert(chosen, grew) {
 		e.refineTimer.Time(func() {
 			e.pool.MaybeRefine(e.clock.Now())
 		})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"provex/internal/gen"
 	"provex/internal/score"
 	"provex/internal/storage"
+	"provex/internal/sumindex"
 	"provex/internal/tweet"
 )
 
@@ -118,13 +120,117 @@ func TestPartialIndexEviction(t *testing.T) {
 		// Fully disjoint vocabulary per message so each opens a bundle.
 		word := fmt.Sprintf("topic%dword", i)
 		text := fmt.Sprintf("%s #t%d", word, i)
-		e.Insert(msg(tweet.ID(i+1), "u", text, base.Add(time.Duration(i)*time.Hour)))
+		e.Insert(msg(tweet.ID(i+1), fmt.Sprintf("user%d", i), text, base.Add(time.Duration(i)*time.Hour)))
 	}
 	if got := e.Pool().Len(); got > 10 {
 		t.Errorf("pool size %d exceeds limit 10", got)
 	}
 	if e.Snapshot().Pool.Refines == 0 {
 		t.Error("no refinement ran")
+	}
+	// delete_index(b): what is left in the summary index is what the
+	// surviving bundles hold, in every class — users included, which
+	// evict takes from Indicants like the other three.
+	var want [4]map[string]bool
+	for c := range want {
+		want[c] = map[string]bool{}
+	}
+	e.Pool().All(func(b *bundle.Bundle) {
+		tags, urls, keys, users := b.Indicants()
+		for c, terms := range [4][]string{
+			sumindex.ClassTag: tags, sumindex.ClassURL: urls, sumindex.ClassKeyword: keys, sumindex.ClassUser: users,
+		} {
+			for _, term := range terms {
+				want[c][term] = true
+			}
+		}
+	})
+	for c, terms := range want {
+		if got := e.SummaryIndex().Terms(sumindex.Class(c)); got != len(terms) {
+			t.Errorf("summary index holds %d %s terms, the live bundles %d", got, sumindex.Class(c), len(terms))
+		}
+	}
+	if len(want[sumindex.ClassUser]) != e.Pool().Len() {
+		t.Errorf("%d users over %d single-author bundles", len(want[sumindex.ClassUser]), e.Pool().Len())
+	}
+}
+
+// poolWalk sums what Snapshot reports as running totals.
+func poolWalk(e *Engine) (mem, msgs int64) {
+	e.Pool().All(func(b *bundle.Bundle) {
+		mem += b.MemBytes()
+		msgs += int64(b.Size())
+	})
+	return mem, msgs
+}
+
+// TestSnapshotTotalsMatchWalk: MemBundles and MessagesInMemory come from
+// the pool's running totals; through refinement passes, a checkpoint
+// round trip (bundles re-enter through Adopt) and further ingest on the
+// restored engine they equal a fresh walk over the pool.
+func TestSnapshotTotalsMatchWalk(t *testing.T) {
+	check := func(e *Engine, when string) {
+		t.Helper()
+		st := e.Snapshot()
+		if mem, msgs := poolWalk(e); st.MemBundles != mem || st.MessagesInMemory != msgs {
+			t.Fatalf("%s: snapshot says %d B / %d messages, a walk finds %d B / %d",
+				when, st.MemBundles, st.MessagesInMemory, mem, msgs)
+		}
+	}
+	g := genSmall(11)
+	cfg := PartialIndexConfig(300)
+	e := New(cfg, nil, nil)
+	for i := 0; i < 6000; i++ {
+		e.Insert(g.Next())
+	}
+	if e.Snapshot().Pool.Refines == 0 {
+		t.Fatal("no refinement ran")
+	}
+	check(e, "after ingest")
+	var buf bytes.Buffer
+	if err := e.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreCheckpoint(cfg, nil, nil, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(restored, "after restore")
+	for i := 0; i < 2000; i++ {
+		restored.Insert(g.Next())
+	}
+	check(restored, "after ingest on the restored engine")
+}
+
+// TestSnapshotDoesNotWalkThePool: /stats and every /metrics scrape call
+// Snapshot under the service's read lock, so its cost must not grow
+// with the pool. Compared against the walk it used to be, on the same
+// host in the same test: the walk visits thousands of bundles, Snapshot
+// reads a handful of counters.
+func TestSnapshotDoesNotWalkThePool(t *testing.T) {
+	g := genSmall(12)
+	e := New(FullIndexConfig(), nil, nil)
+	for i := 0; i < 20000; i++ {
+		e.Insert(g.Next())
+	}
+	best := func(fn func()) time.Duration {
+		min := time.Duration(1 << 62)
+		for round := 0; round < 5; round++ {
+			start := time.Now()
+			for i := 0; i < 50; i++ {
+				fn()
+			}
+			if d := time.Since(start); d < min {
+				min = d
+			}
+		}
+		return min
+	}
+	walk := best(func() { poolWalk(e) })
+	snap := best(func() { e.Snapshot() })
+	t.Logf("%d bundles: walk %v, Snapshot %v per 50 calls", e.Pool().Len(), walk, snap)
+	if snap*10 > walk {
+		t.Errorf("Snapshot costs %v per 50 calls against %v for a pool walk: it scales with the pool", snap, walk)
 	}
 }
 

@@ -16,14 +16,20 @@ type MemEstimator struct {
 // Per-object cost constants for the 64-bit memory model.
 const (
 	PtrSize        = 8
-	StringOverhead = 16 // string header
-	SliceOverhead  = 24 // slice header
-	MapEntryCost   = 48 // amortised bucket share per map entry
-	MessageBase    = 96 // Message struct fields minus variable parts
-	NodeBase       = 32 // bundle tree node: parent index, score, pointer
+	StringOverhead = 16  // string header
+	SliceOverhead  = 24  // slice header
+	MapEntryCost   = 48  // amortised bucket share per map entry
+	MessageBase    = 176 // Message struct (168 B, in its 176 B size class); text and user are charged by length
+	NodeBase       = 64  // bundle tree node (56 B: doc, parent, score, connection) + node-slice growth slack
+	TermRefCost    = 16  // one entry of a message's indicant or keyword list: a string header; the bytes are the text's or the intern table's
 	BundleBase     = 160
 	PostingCost    = 24 // bundle ID + count + list slot
 	NodeRefCost    = 8  // node-index reference: int32 slot + growth slack
+
+	// A bundle's summary (bundle/summary.go) is a row table below
+	// bundle.PruneMinNodes nodes and four hash maps from there up.
+	SummaryRowCost   = 24  // row: term header + count + class; the term's bytes are the message's
+	SummaryIndexBase = 224 // the index array and four map headers, charged when built
 )
 
 // StringCost returns the estimated heap bytes of string s.

@@ -115,6 +115,11 @@ type Pool struct {
 	stats   Stats
 	gHist   *metrics.Histogram // optional: Eq. 6 scores of ranked evictions
 
+	// Running totals over the live bundles, so a stats snapshot does not
+	// walk the pool: moved wherever a bundle enters, grows or leaves.
+	memBytes int64
+	messages int64
+
 	onRefine RefineObserver // optional: per-victim refinement audit
 }
 
@@ -166,6 +171,7 @@ func New(cfg Config, onEvict EvictFunc) *Pool {
 func (p *Pool) Create() *bundle.Bundle {
 	b := bundle.New(p.nextID)
 	p.bundles[p.nextID] = b
+	p.memBytes += b.MemBytes()
 	p.nextID += bundle.ID(p.cfg.IDStride)
 	p.stats.Created++
 	return b
@@ -197,6 +203,8 @@ func (p *Pool) Adopt(b *bundle.Bundle) {
 		panic("pool: Adopt of duplicate bundle ID")
 	}
 	p.bundles[b.ID()] = b
+	p.memBytes += b.MemBytes()
+	p.messages += int64(b.Size())
 	if next := p.alignID(b.ID() + 1); next > p.nextID {
 		p.nextID = next
 	}
@@ -240,29 +248,20 @@ func (p *Pool) All(fn func(*bundle.Bundle)) {
 	}
 }
 
-// MemBytes sums the analytic memory estimate over live bundles.
-func (p *Pool) MemBytes() int64 {
-	var total int64
-	for _, b := range p.bundles {
-		total += b.MemBytes()
-	}
-	return total
-}
+// MemBytes is the analytic memory estimate summed over live bundles.
+func (p *Pool) MemBytes() int64 { return p.memBytes }
 
-// MessageCount sums the messages held in memory — Figure 11(b)'s
-// hardware-independent memory metric.
-func (p *Pool) MessageCount() int64 {
-	var total int64
-	for _, b := range p.bundles {
-		total += int64(b.Size())
-	}
-	return total
-}
+// MessageCount is the number of messages held in memory — Figure
+// 11(b)'s hardware-independent memory metric.
+func (p *Pool) MessageCount() int64 { return p.messages }
 
-// NoteInsert must be called after every message insertion into b: it
-// applies the bundle size constraint and advances the periodic check
-// counter. It returns true when the caller should run MaybeRefine.
-func (p *Pool) NoteInsert(b *bundle.Bundle) bool {
+// NoteInsert must be called after every message insertion into b, with
+// the growth of b.MemBytes() the insertion caused: it keeps the running
+// totals, applies the bundle size constraint and advances the periodic
+// check counter. It returns true when the caller should run MaybeRefine.
+func (p *Pool) NoteInsert(b *bundle.Bundle, grew int64) bool {
+	p.memBytes += grew
+	p.messages++
 	if p.cfg.MaxBundleSize > 0 && !b.Closed() && b.Size() >= p.cfg.MaxBundleSize {
 		b.Close()
 	}
@@ -280,6 +279,13 @@ func (p *Pool) MaybeRefine(now time.Time) bool {
 	return true
 }
 
+// remove takes b out of the pool and out of the running totals.
+func (p *Pool) remove(b *bundle.Bundle) {
+	delete(p.bundles, b.ID())
+	p.memBytes -= b.MemBytes()
+	p.messages -= int64(b.Size())
+}
+
 // rankedBundle pairs a bundle with its Equation 6 score for the
 // second-stage ranking.
 type rankedBundle struct {
@@ -295,11 +301,11 @@ func (p *Pool) refine(now time.Time) {
 	p.stats.Refines++
 	count := 0
 	waiting := make([]rankedBundle, 0, len(p.bundles))
-	for id, b := range p.bundles {
+	for _, b := range p.bundles {
 		age := now.Sub(b.LastUpdate())
 		switch {
 		case age > p.cfg.RefineAge && b.Size() < p.cfg.RefineSize:
-			delete(p.bundles, id)
+			p.remove(b)
 			if p.onRefine != nil {
 				p.onRefine(b, EvictAgingTiny, age.Hours(), score.EvictionRank(now, b.LastUpdate(), b.Size()), 0)
 			}
@@ -307,7 +313,7 @@ func (p *Pool) refine(now time.Time) {
 			p.stats.DeletedTiny++
 			count++
 		case age > p.cfg.RefineAge && b.Closed():
-			delete(p.bundles, id)
+			p.remove(b)
 			if p.onRefine != nil {
 				p.onRefine(b, EvictClosed, age.Hours(), score.EvictionRank(now, b.LastUpdate(), b.Size()), 0)
 			}
@@ -328,7 +334,7 @@ func (p *Pool) refine(now time.Time) {
 		if count >= p.cfg.LowerLimit && len(p.bundles) <= p.cfg.MaxBundles {
 			break
 		}
-		delete(p.bundles, rb.b.ID())
+		p.remove(rb.b)
 		if p.onRefine != nil {
 			p.onRefine(rb.b, EvictRanked, now.Sub(rb.b.LastUpdate()).Hours(), rb.g, rank+1)
 		}

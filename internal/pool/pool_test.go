@@ -2,6 +2,7 @@ package pool
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -19,10 +20,20 @@ var (
 
 // fill adds n messages dated at to b, each carrying a bundle-unique tag.
 func fill(b *bundle.Bundle, n int, at time.Time) {
-	for i := 0; i < n; i++ {
+	for i := b.Size(); n > 0; i, n = i+1, n-1 {
 		text := fmt.Sprintf("message %d of bundle %d #b%d", i, b.ID(), b.ID())
 		m := tweet.Parse(tweet.ID(uint64(b.ID())*1000+uint64(i)), "u", at, text)
 		b.Add(weights, score.Doc{Msg: m, Keywords: tokenizer.Keywords(text)})
+	}
+}
+
+// insert adds n messages to b the way the engine does: Add, then
+// NoteInsert with the growth of the bundle's estimate.
+func insert(p *Pool, b *bundle.Bundle, n int, at time.Time) {
+	for i := 0; i < n; i++ {
+		before := b.MemBytes()
+		fill(b, 1, at)
+		p.NoteInsert(b, b.MemBytes()-before)
 	}
 }
 
@@ -76,13 +87,11 @@ func TestUnlimitedPoolNeverRefines(t *testing.T) {
 func TestNoteInsertClosesAtSizeCap(t *testing.T) {
 	p := New(Config{MaxBundleSize: 3}, nil)
 	b := p.Create()
-	fill(b, 2, base)
-	p.NoteInsert(b)
+	insert(p, b, 2, base)
 	if b.Closed() {
 		t.Fatal("closed below cap")
 	}
-	fill(b, 1, base)
-	p.NoteInsert(b)
+	insert(p, b, 1, base)
 	if !b.Closed() {
 		t.Fatal("not closed at cap")
 	}
@@ -93,7 +102,7 @@ func TestNoteInsertCheckCadence(t *testing.T) {
 	b := p.Create()
 	checks := 0
 	for i := 0; i < 12; i++ {
-		if p.NoteInsert(b) {
+		if p.NoteInsert(b, 0) {
 			checks++
 		}
 	}
@@ -233,9 +242,9 @@ func TestRefineNotTriggeredUnderLimit(t *testing.T) {
 func TestMemAndMessageCounts(t *testing.T) {
 	p := New(Config{}, nil)
 	b1 := p.Create()
-	fill(b1, 3, base)
+	insert(p, b1, 3, base)
 	b2 := p.Create()
-	fill(b2, 4, base)
+	insert(p, b2, 4, base)
 	if got := p.MessageCount(); got != 7 {
 		t.Errorf("MessageCount = %d, want 7", got)
 	}
@@ -314,7 +323,7 @@ func TestStatsConservationProperty(t *testing.T) {
 		for i, s := range sizes {
 			b := p.Create()
 			fill(b, int(s%9)+1, base.Add(time.Duration(i)*time.Minute))
-			p.NoteInsert(b)
+			p.NoteInsert(b, 0)
 			p.MaybeRefine(base.Add(time.Duration(i)*time.Minute + 30*time.Hour))
 		}
 		st := p.Stats()
@@ -360,13 +369,64 @@ func TestInsertsCounter(t *testing.T) {
 	p := New(Config{CheckEvery: 100}, nil)
 	b := p.Create()
 	for i := 0; i < 7; i++ {
-		p.NoteInsert(b)
+		p.NoteInsert(b, 0)
 	}
 	if p.Inserts() != 7 {
 		t.Errorf("Inserts = %d", p.Inserts())
 	}
 	p.SetInserts(99)
-	if !p.NoteInsert(b) {
+	if !p.NoteInsert(b, 0) {
 		t.Error("restored counter lost check phase: insert 100 should trigger")
+	}
+}
+
+// TestRunningTotalsMatchWalk: MemBytes and MessageCount are kept as
+// running totals; after any seeded mix of creates, inserts (some
+// crossing the size at which a bundle's summary changes form), adopted
+// bundles and refinement passes of all three eviction kinds they equal
+// a fresh walk over the live bundles.
+func TestRunningTotalsMatchWalk(t *testing.T) {
+	check := func(p *Pool, when string) {
+		t.Helper()
+		var mem, msgs int64
+		p.All(func(b *bundle.Bundle) {
+			mem += b.MemBytes()
+			msgs += int64(b.Size())
+		})
+		if p.MemBytes() != mem || p.MessageCount() != msgs {
+			t.Fatalf("%s: totals %d B / %d messages, a walk finds %d B / %d",
+				when, p.MemBytes(), p.MessageCount(), mem, msgs)
+		}
+	}
+	for seed := int64(0); seed < 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := Config{MaxBundles: 12, RefineSize: 3, RefineAge: time.Hour, LowerLimit: 4, MaxBundleSize: 20, IDStride: 2}
+		p := New(cfg, nil)
+		var open []*bundle.Bundle
+		now := base
+		for step := 0; step < 400; step++ {
+			now = now.Add(time.Duration(rng.Intn(20)) * time.Minute)
+			switch r := rng.Intn(10); {
+			case r < 2 || len(open) == 0:
+				open = append(open, p.Create())
+			case r < 3:
+				b := bundle.New(bundle.ID(1_000_000 + 2*step)) // off this pool's own ID sequence
+				fill(b, 1+rng.Intn(25), now)
+				p.Adopt(b)
+			default:
+				if b := open[rng.Intn(len(open))]; p.Get(b.ID()) == b {
+					for n := 1 + rng.Intn(4); n > 0 && !b.Closed(); n-- {
+						insert(p, b, 1, now)
+					}
+				}
+			}
+			if p.MaybeRefine(now) {
+				check(p, fmt.Sprintf("seed %d step %d, after refinement", seed, step))
+			}
+		}
+		check(p, fmt.Sprintf("seed %d, at the end", seed))
+		if st := p.Stats(); st.DeletedTiny == 0 || st.FlushedClosed == 0 || st.FlushedRanked == 0 {
+			t.Errorf("seed %d: eviction kinds not all exercised: %+v", seed, st)
+		}
 	}
 }

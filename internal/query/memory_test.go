@@ -1,0 +1,44 @@
+package query
+
+import (
+	"runtime"
+	"testing"
+
+	"provex/internal/core"
+	"provex/internal/gen"
+)
+
+// TestLiveHeapPerMessage is the memory budget of the serving shape: an
+// unbounded engine behind a Processor (message index included) may
+// keep this many reachable bytes per ingested message on the paper's
+// crawl shape. The figure is HeapAlloc after a forced collection, which
+// is what the process's peak RSS follows at about 2× (the GC goal).
+//
+// 1 194 B/msg when bundles below PruneMinNodes got the row-table
+// summary; 1 884 B/msg before, with eight maps per bundle. The budget
+// is 15 % above the former. A change that needs more should say where
+// the bytes go (EXPERIMENTS.md has the by-owner table) and move the
+// budget knowingly.
+func TestLiveHeapPerMessage(t *testing.T) {
+	const (
+		n      = 20000
+		budget = 1375
+	)
+	g := gen.New(gen.DefaultConfig())
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	p := New(core.New(core.FullIndexConfig(), nil, nil), DefaultOptions())
+	for i := 0; i < n; i++ {
+		p.Insert(g.Next())
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(p)
+	runtime.KeepAlive(g)
+	perMsg := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
+	t.Logf("%d live heap bytes per message (budget %d)", perMsg, budget)
+	if perMsg > budget {
+		t.Errorf("%d live heap bytes per message after %d messages, budget %d", perMsg, n, budget)
+	}
+}

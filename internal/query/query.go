@@ -245,6 +245,13 @@ func (p *Processor) SearchMessages(q string, k int) []MessageHit {
 	return out
 }
 
+// scoredBundle is a ranked candidate that has not been rendered yet:
+// only the k winners get their summary row built.
+type scoredBundle struct {
+	b     *bundle.Bundle
+	score float64
+}
+
 // SearchBundles is Eq. 7: rank live bundles against the query and
 // return the top k with their Figure 2 summary rows.
 func (p *Processor) SearchBundles(q string, k int) []BundleHit {
@@ -268,33 +275,35 @@ func (p *Processor) SearchBundles(q string, k int) []BundleHit {
 			}
 		}
 	}
-	hits := make([]BundleHit, 0, len(cands))
+	scored := make([]scoredBundle, 0, len(cands))
 	for id := range cands {
 		b := p.eng.Pool().Get(id)
 		if b == nil {
 			continue
 		}
-		r := p.relevance(terms, b, now)
-		if r <= 0 {
-			continue
+		if r := p.relevance(terms, b, now); r > 0 {
+			scored = append(scored, scoredBundle{b, r})
 		}
-		hits = append(hits, BundleHit{
-			ID:       id,
-			Score:    r,
-			Size:     b.Size(),
-			LastPost: b.EndTime(),
-			Summary:  b.SummaryWords(10),
-		})
 	}
-	hits = append(hits, p.archivedHits(terms, k, now)...)
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
+	scored = append(scored, p.archivedHits(terms, k, now)...)
+	sort.Slice(scored, func(i, j int) bool {
+		if scored[i].score != scored[j].score {
+			return scored[i].score > scored[j].score
 		}
-		return hits[i].ID < hits[j].ID
+		return scored[i].b.ID() < scored[j].b.ID()
 	})
-	if len(hits) > k {
-		hits = hits[:k]
+	if len(scored) > k {
+		scored = scored[:k]
+	}
+	hits := make([]BundleHit, len(scored))
+	for i, s := range scored {
+		hits[i] = BundleHit{
+			ID:       s.b.ID(),
+			Score:    s.score,
+			Size:     s.b.Size(),
+			LastPost: s.b.EndTime(),
+			Summary:  s.b.SummaryWords(10),
+		}
 	}
 	return hits
 }
@@ -303,27 +312,19 @@ func (p *Processor) SearchBundles(q string, k int) []BundleHit {
 // archive index surfaces up to k candidates by summary-term BM25, the
 // candidates are loaded from the store, and each is scored with the
 // same Eq. 7 relevance as live bundles so merged ranking is coherent.
-func (p *Processor) archivedHits(terms []string, k int, now time.Time) []BundleHit {
+func (p *Processor) archivedHits(terms []string, k int, now time.Time) []scoredBundle {
 	if p.arch == nil {
 		return nil
 	}
-	var out []BundleHit
+	var out []scoredBundle
 	for _, ah := range p.arch.Search(terms, k) {
 		b, err := p.arch.Load(ah.ID)
 		if err != nil {
 			continue // a corrupt archived record should not fail a query
 		}
-		r := p.relevance(terms, b, now)
-		if r <= 0 {
-			continue
+		if r := p.relevance(terms, b, now); r > 0 {
+			out = append(out, scoredBundle{b, r})
 		}
-		out = append(out, BundleHit{
-			ID:       ah.ID,
-			Score:    r,
-			Size:     b.Size(),
-			LastPost: b.EndTime(),
-			Summary:  b.SummaryWords(10),
-		})
 	}
 	return out
 }
