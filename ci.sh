@@ -73,13 +73,18 @@ go test -race -shuffle=on ./...
 echo "== durability (-race -count=1) =="
 go test -race -count=1 ./internal/fsx ./internal/recfile ./internal/wal ./internal/storage ./internal/pipeline
 
-# Crash torture: randomized fault points, crash, recover, compare
-# against an uninterrupted run — one seeded driver over the serial and
-# the sharded durable backend (it lives in internal/shard, which can
-# import both). Seeds are fixed; a failure prints the seed in the
-# subtest name for exact reproduction.
-echo "== crash torture =="
-go test -count=1 -run TestCrashTorture -v ./internal/shard | grep -E 'seed|PASS|FAIL|ok '
+# Sharded engine gate and crash torture, once, uncached, under the race
+# detector (DESIGN.md §2i): randomized fault points, crash, recover,
+# compare against an uninterrupted run — one seeded driver over the
+# serial and the sharded durable backend (it lives in internal/shard,
+# which can import both; seeds are fixed, a failure prints the seed in
+# the subtest name) — plus the differential equivalence proof, the
+# determinism and shared-recorder tracing tests and the disk-full
+# barrier test: the correctness contract for -shards > 1.
+echo "== sharded engine + crash torture (-race -count=1) =="
+go test -race -count=1 \
+    -run 'TestCrashTorture|TestShardedEquivalenceWithSerial|TestShardedDeterminism|TestShardedTracing|TestShardedBarrierDiskFull' \
+    -v ./internal/shard | grep -E 'seed|PASS|FAIL|ok '
 
 # Observability loopback, once per engine: a real durable live
 # provserve (-shards 1, then -shards 2), decision tracing on, ingests a
@@ -286,18 +291,14 @@ grep -q '"schema": "provbench/1"' "$obs_tmp/bench.json" \
 echo "== perf smoke (fig13 linearity) =="
 go run ./cmd/provbench -figure fig13 -max 40000 -check-linear 1.5 -out /dev/null
 
-# Sharded ingest gate (DESIGN.md §2i): the differential equivalence
-# proof, the shared-recorder tracing test and the sharded crash torture
-# under the race detector, uncached — these are the correctness
-# contract for -shards > 1 — then the fig13 stage-linearity smoke once
-# more on a 4-shard engine, so the round protocol cannot regress the
-# §2g hot-path guarantees.
-echo "== sharded engine (equivalence + tracing + crash torture, -race) =="
-go test -race -count=1 \
-    -run 'TestShardedEquivalenceWithSerial|TestShardedDeterminism|TestShardedTracing|TestCrashTorture/sharded' \
-    -v ./internal/shard | grep -E 'seed|PASS|FAIL|ok '
-
+# The fig13 stage-linearity smoke once more on a 4-shard engine, so the
+# round protocol cannot regress the §2g hot-path guarantees.
 echo "== perf smoke (fig13 linearity, 4 shards) =="
 go run ./cmd/provbench -figure fig13 -max 30000 -shards 4 -check-linear 1.5 -out /dev/null
+
+# One counter for every CHANGES.md entry: non-test and test .go lines
+# under cmd/ and internal/, testdata excluded.
+go_lines() { find cmd internal -name '*.go' -not -path '*/testdata/*' "$@" -print0 | xargs -0 cat | wc -l; }
+echo "loc: non-test $(go_lines -not -name '*_test.go') test $(go_lines -name '*_test.go')"
 
 echo "CI OK"

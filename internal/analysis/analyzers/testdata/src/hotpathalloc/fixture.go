@@ -61,8 +61,8 @@ func hotReturn() sink {
 	return payload{n: 3} // want `returned value boxes .*payload into interface .*sink`
 }
 
-// hotBoundScan mirrors the pruned-placement upper-bound loop shape
-// (bundle.addPruned): bucket candidates into fixed-size scratch arrays,
+// hotBoundScan is a pruned upper-bound scan built from the constructs
+// bundle.addPrunedTime relies on: bucket candidates into scratch arrays,
 // insertion-sort group indices by a precomputed bound, then scan in
 // bound order with early termination. Every construct here — array
 // element assignment, by-value struct composite literals, slice

@@ -35,7 +35,6 @@ type Registry struct{}
 func NewRegistry() *Registry { return &Registry{} }
 
 func (r *Registry) RegisterCounter(name, help string, c *Counter)     {}
-func (r *Registry) RegisterGauge(name, help string, g *Gauge)         {}
 func (r *Registry) RegisterTimer(name, help string, t *StageTimer)    {}
 func (r *Registry) RegisterHistogram(name, help string, h *Histogram) {}
 func (r *Registry) Counter(name, help string) *Counter                { return &Counter{} }

@@ -61,15 +61,15 @@ type Bundle struct {
 	// timeOrdered reports that nodes were appended in non-decreasing
 	// message-date order, which makes node id order equal time order.
 	// The streaming ingest path always preserves this; it only breaks
-	// under out-of-order replays (e.g. merges), where placement falls
-	// back from the time-bounded scan to the mask-group scan
-	// (prune.go).
+	// under out-of-order replays (a re-fed stream, merges), where
+	// placement falls back from the time-bounded scan to the reference
+	// scan (prune.go).
 	timeOrdered bool
 
 	memBytes int64
 
-	// scratch backs Add/AddObserved calls that arrive without an
-	// engine-owned Scratch (tests, provops merges). Lazily allocated;
+	// scratch backs Add calls that arrive without an engine-owned
+	// Scratch (tests, provops merges). Lazily allocated;
 	// the engine hot path shares one Scratch across every bundle and
 	// never touches this field.
 	scratch *Scratch
@@ -154,23 +154,16 @@ type ParentCandidate struct {
 	Parts score.MessageSimParts
 }
 
-// ParentObserver receives each considered parent during AddObserved.
+// ParentObserver receives each parent candidate a placement scores,
+// with the score that was compared; the decision tracer passes one to
+// AddScratch.
 type ParentObserver func(ParentCandidate)
-
-// AddObserved is Add with a per-candidate observer for the decision
-// tracer; obs may be nil (then it is exactly Add). The observed path
-// uses score.MessageSimWithParts, whose Total is bit-identical to
-// MessageSim, so observation never changes the chosen parent.
-func (b *Bundle) AddObserved(w score.MessageWeights, doc score.Doc, obs ParentObserver) int {
-	n, _ := b.AddScratch(w, doc, obs, nil)
-	return n
-}
 
 // AddExhaustive is the reference Algorithm 2 implementation: score
 // every node of the bundle against doc with Eq. 5. It is the
 // specification the pruned path (AddScratch) is differentially tested
-// against, and the implementation Config.Exhaustive selects. Observer
-// semantics match AddObserved.
+// against, and the scan AddScratch itself takes for small and
+// out-of-order bundles. obs may be nil.
 func (b *Bundle) AddExhaustive(w score.MessageWeights, doc score.Doc, obs ParentObserver) int {
 	n, _ := b.addExhaustive(w, doc, obs)
 	return n
@@ -191,15 +184,11 @@ func (b *Bundle) addExhaustive(w score.MessageWeights, doc score.Doc, obs Parent
 		}
 		stats.Candidates++
 		stats.Scored++
-		var s float64
-		if obs == nil {
-			s = score.MessageSim(w, b.nodes[i].Doc, doc)
-		} else {
-			parts := score.MessageSimWithParts(w, b.nodes[i].Doc, doc)
-			s = parts.Total
+		parts := score.MessageSim(w, b.nodes[i].Doc, doc)
+		if obs != nil {
 			obs(ParentCandidate{Node: i, Msg: b.nodes[i].Doc.Msg.ID, Conn: c, Parts: parts})
 		}
-		if s > best || (s == best && parent == NoParent) {
+		if s := parts.Total; s > best || (s == best && parent == NoParent) {
 			best, parent, conn = s, int32(i), c
 		}
 	}

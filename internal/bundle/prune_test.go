@@ -90,10 +90,12 @@ func TestAddScratchMatchesExhaustive(t *testing.T) {
 }
 
 // TestAddScratchMatchesExhaustiveOutOfOrder replays the differential
-// property with non-chronological message dates: the bundle's
-// timeOrdered flag must drop on the first backwards date, routing
-// placement to the order-agnostic mask-group scan, and the results must
-// stay byte-identical to the exhaustive reference.
+// property with non-chronological message dates and pins the routing.
+// An ordered warm-up takes the bundle past PruneMinNodes, so the message
+// carrying the first backwards date meets a bundle the time scan owns
+// (its tCeil = 1 fallback places it); absorbing it drops timeOrdered,
+// and every Add after that takes the reference scan — with results
+// byte-identical to the twin bundle's throughout.
 func TestAddScratchMatchesExhaustiveOutOfOrder(t *testing.T) {
 	w := score.DefaultMessageWeights()
 	users := []string{"ann", "bob", "cat", "dee"}
@@ -104,11 +106,15 @@ func TestAddScratchMatchesExhaustiveOutOfOrder(t *testing.T) {
 		exhaustive := New(1)
 		sc := NewScratch()
 		for i := 0; i < 120; i++ {
-			// Dates jump freely within a two-day window — backwards
-			// moves are frequent.
-			at := base.Add(time.Duration(rng.Intn(48*3600)) * time.Second)
+			at := base.Add(24*time.Hour + time.Duration(i)*time.Minute)
+			if i > PruneMinNodes+int(seed) {
+				// Dates jump freely within a two-day window — backwards
+				// moves are frequent.
+				at = base.Add(time.Duration(rng.Intn(48*3600)) * time.Second)
+			}
 			d := randomDoc(rng, tweet.ID(i+1), users, at)
-			np, _ := pruned.AddScratch(w, d, nil, sc)
+			wasOrdered := pruned.timeOrdered
+			np, ps := pruned.AddScratch(w, d, nil, sc)
 			ne := exhaustive.AddExhaustive(w, d, nil)
 			if np != ne {
 				t.Fatalf("seed %d msg %d: node id %d vs %d", seed, i, np, ne)
@@ -117,6 +123,10 @@ func TestAddScratchMatchesExhaustiveOutOfOrder(t *testing.T) {
 			if a.Parent != b.Parent || a.Score != b.Score || a.Conn != b.Conn {
 				t.Fatalf("seed %d msg %d %q: pruned (parent=%d score=%v conn=%v) vs exhaustive (parent=%d score=%v conn=%v)",
 					seed, i, d.Msg.Text, a.Parent, a.Score, a.Conn, b.Parent, b.Score, b.Conn)
+			}
+			if want := i < PruneMinNodes || !wasOrdered; ps.Exhaustive != want {
+				t.Fatalf("seed %d msg %d (bundle ordered before the Add: %v): PlaceStats.Exhaustive = %v, want %v",
+					seed, i, wasOrdered, ps.Exhaustive, want)
 			}
 		}
 		if pruned.timeOrdered {

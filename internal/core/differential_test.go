@@ -15,12 +15,15 @@ type diffEdge struct {
 	conn          score.ConnectionType
 }
 
-func differentialRun(t *testing.T, cfg Config, msgs []*tweet.Message) ([]InsertResult, []diffEdge) {
+// exhaustive selects the engine's reference implementations of both hot
+// stages — the one place the unexported switch is set.
+func differentialRun(t *testing.T, cfg Config, exhaustive bool, msgs []*tweet.Message) ([]InsertResult, []diffEdge) {
 	t.Helper()
 	var edges []diffEdge
 	e := New(cfg, nil, func(p, c tweet.ID, conn score.ConnectionType) {
 		edges = append(edges, diffEdge{p, c, conn})
 	})
+	e.exhaustive = exhaustive
 	results := make([]InsertResult, 0, len(msgs))
 	for _, m := range msgs {
 		results = append(results, e.Insert(m))
@@ -32,7 +35,8 @@ func differentialRun(t *testing.T, cfg Config, msgs []*tweet.Message) ([]InsertR
 // property test: over a seeded synthetic stream with pool pressure
 // (evictions, refinement, closed bundles), the pruned match+placement
 // hot paths must produce bundle assignments, parent nodes and edges
-// byte-identical to Config.Exhaustive. Run under -race by ci.sh.
+// byte-identical to the reference implementations'. Run under -race by
+// ci.sh.
 func TestPrunedMatchesExhaustiveEndToEnd(t *testing.T) {
 	for _, seed := range []int64{1, 42} {
 		g := gen.DefaultConfig()
@@ -42,12 +46,8 @@ func TestPrunedMatchesExhaustiveEndToEnd(t *testing.T) {
 		base := PartialIndexConfig(150) // small pool: constant eviction churn
 		base.Pool.MaxBundleSize = 40    // closed bundles appear in candidate lists
 
-		exhaustive := base
-		exhaustive.Exhaustive = true
-		wantRes, wantEdges := differentialRun(t, exhaustive, msgs)
-
-		pruned := base
-		gotRes, gotEdges := differentialRun(t, pruned, msgs)
+		wantRes, wantEdges := differentialRun(t, base, true, msgs)
+		gotRes, gotEdges := differentialRun(t, base, false, msgs)
 		compareRuns(t, "pruned", seed, wantRes, wantEdges, gotRes, gotEdges)
 	}
 }

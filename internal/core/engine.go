@@ -53,14 +53,6 @@ type Config struct {
 	// while keeping ingest cost bounded per message.
 	MaxFanout int
 
-	// Exhaustive forces the reference O(n) implementations of both
-	// ingest hot stages: every bundle node is scored with Eq. 5 during
-	// placement and every fetched candidate with Eq. 1 during match,
-	// with no upper-bound pruning. Assignments are identical either way
-	// (the differential tests pin it); this switch exists as the
-	// specification baseline and an escape hatch.
-	Exhaustive bool
-
 	// FlushRetry bounds the degraded mode entered when the disk
 	// back-end errors: failed bundle flushes are parked and retried
 	// instead of dropped.
@@ -234,6 +226,13 @@ type Engine struct {
 	// scan, shared across every bundle (inserts are single-goroutine).
 	placeScratch *bundle.Scratch
 
+	// exhaustive selects the reference O(n) implementations of both hot
+	// stages: every bundle node scored with Eq. 5 during placement, every
+	// fetched candidate with Eq. 1 during match, no upper-bound pruning.
+	// Only the differential test sets it; assignments are identical
+	// either way, which is what that test pins.
+	exhaustive bool
+
 	// gHist observes the Eq. 6 score of ranked pool evictions (wired
 	// into the pool at construction, exposed via RegisterMetrics).
 	gHist *metrics.Histogram
@@ -325,7 +324,7 @@ func (e *Engine) RegisterMetrics(reg *metrics.Registry, labels ...string) {
 	reg.RegisterCounter("provex_place_nodes_skipped_total",
 		"Bundle nodes the pruned placement skipped (node-index pruning + score-bound early stop; DESIGN.md section 2g).", &e.placeSkipped, labels...)
 	reg.RegisterCounter("provex_place_early_stop_total",
-		"Placements whose bound-ordered candidate scan stopped before the last group (early-termination rate = this / provex_ingest_messages_total).", &e.placeEarlyStop, labels...)
+		"Placements whose time-bounded candidate scan stopped on its score bound before the posting lists ran out (early-termination rate = this / provex_ingest_messages_total).", &e.placeEarlyStop, labels...)
 	reg.RegisterCounter("provex_match_candidates_pruned_total",
 		"Match candidates skipped before Eq. 1 scoring because their score upper bound could not beat the running best.", &e.matchPruned, labels...)
 	reg.RegisterCounter("provex_match_postings_walked_total",
@@ -556,7 +555,7 @@ func (e *Engine) InsertPrepared(p Prepared) InsertResult {
 			}
 		}
 		var ps bundle.PlaceStats
-		if e.cfg.Exhaustive {
+		if e.exhaustive {
 			res.Node = chosen.AddExhaustive(e.cfg.MsgWeights, doc, obs)
 		} else {
 			res.Node, ps = chosen.AddScratch(e.cfg.MsgWeights, doc, obs, e.placeScratch)
@@ -693,14 +692,14 @@ func (e *Engine) matchBundle(doc score.Doc, td *trace.Decision) *bundle.Bundle {
 // broken toward the lowest bundle ID. It only reads pool and bundle
 // state (the pruning counter is atomic), which is what lets Probe run
 // it beside sibling shards' inserts. A non-nil sink receives one
-// CandidateScore per candidate (skipped ones included); the traced
-// path scores via BundleSimWithParts, whose Total is bit-identical to
-// BundleSim, so tracing never changes which bundle wins.
+// CandidateScore per candidate (skipped ones included), carrying the
+// score that was compared, so tracing never changes which bundle wins.
 //
-// Unless Config.Exhaustive is set, each candidate is first tested
-// against its Eq. 1 upper bound (score.BundleSimCeil over the exact
-// per-class hit counts plus fetch's skipped-list slack) and skipped
-// when it cannot beat the running best: a candidate is pruned only if
+// Unless the differential test selected the reference loop, each
+// candidate is first tested against its Eq. 1 upper bound
+// (score.BundleSimCeil over the exact per-class hit counts plus fetch's
+// skipped-list slack) and skipped when it cannot beat the running best:
+// a candidate is pruned only if
 // ub < bestScore, or ub == bestScore when the tie could not go its way
 // (no bundle chosen yet — joining needs a strictly-above-threshold
 // score — or a lower-ID bundle already holds the tie). Since the true
@@ -710,7 +709,7 @@ func (e *Engine) matchBundle(doc score.Doc, td *trace.Decision) *bundle.Bundle {
 //
 //provex:hotpath Eq. 1 scoring loop runs per ingested message
 func (e *Engine) matchRange(doc score.Doc, cands []sumindex.Candidate, fetch sumindex.FetchInfo, sink *[]trace.CandidateScore) (*bundle.Bundle, float64) {
-	prune := !e.cfg.Exhaustive
+	prune := !e.exhaustive
 	pruned := int64(0)
 	var best *bundle.Bundle
 	bestScore := e.cfg.BundleWeights.Threshold
@@ -748,12 +747,9 @@ func (e *Engine) matchRange(doc score.Doc, cands []sumindex.Candidate, fetch sum
 			}
 			continue
 		}
-		var s float64
-		if sink == nil {
-			s = score.BundleSim(e.cfg.BundleWeights, doc, b)
-		} else {
-			parts := score.BundleSimWithParts(e.cfg.BundleWeights, doc, b)
-			s = parts.Total
+		parts := score.BundleSim(e.cfg.BundleWeights, doc, b)
+		s := parts.Total
+		if sink != nil {
 			*sink = append(*sink, trace.CandidateScore{
 				Bundle:    uint64(c.ID),
 				Hits:      c.Hits(),

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
 
 	"provex/internal/bundle"
 	"provex/internal/gen"
+	"provex/internal/score"
 	"provex/internal/trace"
 )
 
@@ -129,9 +131,9 @@ func TestTracedIngestConsistency(t *testing.T) {
 		}
 
 		// Recompute the Algorithm 2 parent: maximum score, ties to the
-		// lowest node id. (The pruned scan records Parents in
-		// bound-group order, not node order, so "first maximum" is no
-		// longer the right recompute — the id tie-break is.)
+		// lowest node id. (The time scan records Parents newest-first,
+		// not in node order, so "first maximum" is not the right
+		// recompute — the id tie-break is.)
 		if len(d.Parents) == 0 {
 			if d.Parent != int(bundle.NoParent) {
 				t.Fatalf("msg %d: parent %d with no recorded candidates", d.MsgID, d.Parent)
@@ -214,20 +216,44 @@ func TestTracedMatchesUntraced(t *testing.T) {
 // for the match candidates the upper bound skipped and the bundle nodes
 // the placement scan never scored, the winner must never be a pruned
 // candidate, and at least some decisions must actually show pruning (so
-// the assertions are not vacuous).
+// the assertions are not vacuous). What /explain shows is the score
+// that was compared: every recorded breakdown sums to its Total, and
+// the traced winner's Total is, bit for bit, the edge score an untraced
+// engine stored on the node for the same message.
 func TestTraceRecordsPruning(t *testing.T) {
 	cfg := PartialIndexConfig(400)
 	eng := New(cfg, nil, nil)
 	rec := trace.New(trace.Options{SampleEvery: 1, Buffer: 8192})
 	eng.SetTracer(rec)
+	untraced := New(cfg, nil, nil)
+	stored := map[uint64]float64{} // message → edge score on the untraced engine's node
 
 	g := gen.New(gen.DefaultConfig())
 	for i := 0; i < 3000; i++ {
-		eng.Insert(g.Next())
+		m := g.Next()
+		eng.Insert(m)
+		res := untraced.Insert(m)
+		stored[uint64(m.ID)] = untraced.Pool().Get(res.Bundle).Nodes()[res.Node].Score
 	}
 
 	sawCandPrune, sawParentPrune := false, false
 	for _, d := range rec.Recent(rec.Buffer()) {
+		for _, c := range d.Candidates {
+			if sum := c.URL + c.Hashtag + c.Keyword + c.RT + c.Freshness; math.Abs(sum-c.Total) > score.BoundSlop {
+				t.Fatalf("msg %d: Eq. 1 components of bundle %d sum to %v, Total %v", d.MsgID, c.Bundle, sum, c.Total)
+			}
+		}
+		for _, p := range d.Parents {
+			if sum := p.U + p.H + p.T + p.Keyword + p.RT; math.Abs(sum-p.Total) > score.BoundSlop {
+				t.Fatalf("msg %d: Eq. 5 components of node %d sum to %v, Total %v", d.MsgID, p.Node, sum, p.Total)
+			}
+			if p.Node == d.Parent && p.Total != stored[d.MsgID] {
+				t.Fatalf("msg %d: traced winner's Total %v, the untraced run stored %v", d.MsgID, p.Total, stored[d.MsgID])
+			}
+		}
+		if d.ParentScore != stored[d.MsgID] {
+			t.Fatalf("msg %d: traced parent score %v, the untraced run stored %v", d.MsgID, d.ParentScore, stored[d.MsgID])
+		}
 		prunedN := 0
 		for _, c := range d.Candidates {
 			if c.Skipped != "pruned" {

@@ -61,19 +61,6 @@ func (m *MemFS) Crash() {
 	}
 }
 
-// SyncAll marks the current content of every file as durable — a
-// convenience for tests that build fixture state and only then start
-// injecting faults.
-func (m *MemFS) SyncAll() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, f := range m.files {
-		f.mu.Lock()
-		f.synced = append([]byte(nil), f.data...)
-		f.mu.Unlock()
-	}
-}
-
 // ReadFile returns a copy of the current content of name — test helper.
 func (m *MemFS) ReadFile(name string) ([]byte, error) {
 	name = clean(name)

@@ -122,12 +122,6 @@ func New(cfg Config) *Generator {
 func (g *Generator) nextEventID() uint64 { g.eventSeq++; return g.eventSeq }
 func (g *Generator) nextURL() uint64     { g.urlSeq++; return g.urlSeq }
 
-// Produced reports how many messages have been generated so far.
-func (g *Generator) Produced() uint64 { return g.produced }
-
-// ActiveEvents reports the current number of live events (diagnostics).
-func (g *Generator) ActiveEvents() int { return len(g.active) }
-
 // Next generates the next message in date order.
 func (g *Generator) Next() *tweet.Message {
 	// Advance the clock by an exponential inter-arrival gap.

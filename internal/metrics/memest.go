@@ -15,9 +15,7 @@ type MemEstimator struct {
 
 // Per-object cost constants for the 64-bit memory model.
 const (
-	PtrSize        = 8
 	StringOverhead = 16  // string header
-	SliceOverhead  = 24  // slice header
 	MapEntryCost   = 48  // amortised bucket share per map entry
 	MessageBase    = 176 // Message struct (168 B, in its 176 B size class); text and user are charged by length
 	NodeBase       = 64  // bundle tree node (56 B: doc, parent, score, connection) + node-slice growth slack
@@ -34,16 +32,6 @@ const (
 
 // StringCost returns the estimated heap bytes of string s.
 func StringCost(s string) int64 { return StringOverhead + int64(len(s)) }
-
-// StringsCost returns the estimated heap bytes of a []string with its
-// backing array and content.
-func StringsCost(ss []string) int64 {
-	total := int64(SliceOverhead)
-	for _, s := range ss {
-		total += PtrSize + StringCost(s)
-	}
-	return total
-}
 
 // Add charges n bytes.
 //

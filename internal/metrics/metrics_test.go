@@ -190,14 +190,6 @@ func TestStringCosts(t *testing.T) {
 	if got := StringCost("abcd"); got != StringOverhead+4 {
 		t.Errorf("StringCost = %d", got)
 	}
-	ss := []string{"ab", "cdef"}
-	want := int64(SliceOverhead) + 2*PtrSize + StringCost("ab") + StringCost("cdef")
-	if got := StringsCost(ss); got != want {
-		t.Errorf("StringsCost = %d, want %d", got, want)
-	}
-	if got := StringsCost(nil); got != SliceOverhead {
-		t.Errorf("StringsCost(nil) = %d, want %d", got, SliceOverhead)
-	}
 }
 
 // Property: histogram total always equals the number of observations

@@ -110,11 +110,6 @@ func (r *Registry) RegisterCounterFunc(name, help string, fn func() float64, lab
 	r.register(name, help, kindCounter, &series{fn: fn}, labels)
 }
 
-// RegisterGauge exposes g as a gauge series.
-func (r *Registry) RegisterGauge(name, help string, g *Gauge, labels ...string) {
-	r.register(name, help, kindGauge, &series{g: g}, labels)
-}
-
 // RegisterGaugeFunc exposes fn as a gauge series, with the same
 // render-time contract as RegisterCounterFunc.
 func (r *Registry) RegisterGaugeFunc(name, help string, fn func() float64, labels ...string) {
@@ -149,7 +144,7 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 // Gauge creates and registers a gauge in one step.
 func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 	g := &Gauge{}
-	r.RegisterGauge(name, help, g, labels...)
+	r.register(name, help, kindGauge, &series{g: g}, labels)
 	return g
 }
 

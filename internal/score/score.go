@@ -80,9 +80,6 @@ func overlap(a, b []string) int {
 	return n
 }
 
-// Overlap is the exported helper used by bundle summaries and tests.
-func Overlap(a, b []string) int { return overlap(a, b) }
-
 // Classify labels the strongest Table II connection from earlier
 // message a to later message b, ConnNone when unrelated.
 func Classify(a, b Doc) ConnectionType {
@@ -154,23 +151,9 @@ func keywordSim(earlier, later Doc) float64 {
 	return float64(overlap(later.Keywords, earlier.Keywords)) / float64(len(later.Keywords))
 }
 
-// MessageSim is Equation 5: the weighted similarity of a later message
-// to an earlier one, used to pick the parent node inside a bundle.
-func MessageSim(w MessageWeights, earlier, later Doc) float64 {
-	s := w.URL*U(earlier.Msg, later.Msg) +
-		w.Tag*H(earlier.Msg, later.Msg) +
-		w.Time*T(earlier.Msg, later.Msg) +
-		w.Keyword*keywordSim(earlier, later)
-	if later.Msg.IsRT() && later.Msg.RTOf == earlier.Msg.User {
-		s += w.RT
-	}
-	return s
-}
-
-// MessageSimParts is the per-component breakdown of Equation 5, used
-// by the decision tracer. Total accumulates in exactly the same order
-// as MessageSim, so it is bit-identical to the score Algorithm 2
-// actually compared — a traced run can never pick a different parent.
+// MessageSimParts is Equation 5 split into its weighted components.
+// Total is what Algorithm 2 compares; the components are what the
+// decision tracer shows.
 type MessageSimParts struct {
 	U       float64 // weighted Eq. 2 term
 	H       float64 // weighted Eq. 3 term
@@ -180,22 +163,23 @@ type MessageSimParts struct {
 	Total   float64
 }
 
-// MessageSimWithParts is MessageSim with the component split exposed.
-func MessageSimWithParts(w MessageWeights, earlier, later Doc) MessageSimParts {
+// MessageSim is Equation 5: the weighted similarity of a later message
+// to an earlier one, used to pick the parent node inside a bundle.
+// Total accumulates as ((U+H)+T)+Keyword, then the RT bonus; the
+// time-bounded placement scan (bundle.addPrunedTime) reproduces that
+// order from its merge counts.
+func MessageSim(w MessageWeights, earlier, later Doc) MessageSimParts {
 	p := MessageSimParts{
 		U:       w.URL * U(earlier.Msg, later.Msg),
 		H:       w.Tag * H(earlier.Msg, later.Msg),
 		T:       w.Time * T(earlier.Msg, later.Msg),
 		Keyword: w.Keyword * keywordSim(earlier, later),
 	}
-	// Identical association order to MessageSim: ((U+H)+T)+Keyword,
-	// then the RT bonus.
-	s := p.U + p.H + p.T + p.Keyword
+	p.Total = p.U + p.H + p.T + p.Keyword
 	if later.Msg.IsRT() && later.Msg.RTOf == earlier.Msg.User {
 		p.RT = w.RT
-		s += w.RT
+		p.Total += w.RT
 	}
-	p.Total = s
 	return p
 }
 
@@ -239,6 +223,18 @@ type BundleStats interface {
 	LastDate() time.Time
 }
 
+// BundleSimParts is Equation 1 split into its components. Total is what
+// the match stage compares against the join threshold; the components
+// are what the decision tracer shows.
+type BundleSimParts struct {
+	URL       float64 // hard URL indicant matches
+	Tag       float64 // hard hashtag indicant matches
+	Keyword   float64 // bounded keyword-ratio term
+	RT        float64 // re-share bonus (0 or w.RT)
+	Freshness float64 // γ·1/(1+Δt_hours), only when the rest is > 0
+	Total     float64
+}
+
 // BundleSim is Equation 1: S(t,B). The hard-indicant terms count
 // distinct indicants of t present in B (the |url(t) ∩ url(B)| and
 // |tag(t) ∩ tag(B)| of the paper). The keyword extension (the
@@ -247,56 +243,9 @@ type BundleStats interface {
 // large bundle, which accumulates every common word, attract every
 // subsequent message and snowball. The freshness term is
 // γ·1/(1+Δt_hours) per the documented reading of the paper's time
-// factor (see DESIGN.md).
-func BundleSim(w BundleWeights, t Doc, b BundleStats) float64 {
-	var s float64
-	for _, u := range t.Msg.URLs {
-		if b.URLCount(u) > 0 {
-			s += w.URL
-		}
-	}
-	for _, h := range t.Msg.Hashtags {
-		if b.TagCount(h) > 0 {
-			s += w.Tag
-		}
-	}
-	if len(t.Keywords) > 0 {
-		shared := 0
-		for _, k := range t.Keywords {
-			if b.KeywordCount(k) > 0 {
-				shared++
-			}
-		}
-		s += w.Keyword * float64(shared) / float64(len(t.Keywords))
-	}
-	if t.Msg.IsRT() && b.HasUser(t.Msg.RTOf) {
-		s += w.RT
-	}
-	if s > 0 && w.Time > 0 {
-		gap := t.Msg.Date.Sub(b.LastDate())
-		if gap < 0 {
-			gap = -gap
-		}
-		s += w.Time / (gap.Hours() + 1)
-	}
-	return s
-}
-
-// BundleSimParts is the per-component breakdown of Equation 1, used by
-// the decision tracer. Total accumulates in exactly the same sequence
-// as BundleSim — bit-identical to the score the match stage compared
-// against the join threshold, so tracing can never flip a near-tie.
-type BundleSimParts struct {
-	URL       float64 // hard URL indicant matches
-	Tag       float64 // hard hashtag indicant matches
-	Keyword   float64 // bounded keyword-ratio term
-	RT        float64 // re-share bonus (0 or w.RT)
-	Freshness float64 // γ·1/(1+Δt_hours), only when s > 0
-	Total     float64
-}
-
-// BundleSimWithParts is BundleSim with the component split exposed.
-func BundleSimWithParts(w BundleWeights, t Doc, b BundleStats) BundleSimParts {
+// factor (see DESIGN.md). Total is one running sum in the order the
+// terms are listed here, term by term, not a sum of the components.
+func BundleSim(w BundleWeights, t Doc, b BundleStats) BundleSimParts {
 	var p BundleSimParts
 	var s float64
 	for _, u := range t.Msg.URLs {
@@ -318,22 +267,20 @@ func BundleSimWithParts(w BundleWeights, t Doc, b BundleStats) BundleSimParts {
 				shared++
 			}
 		}
-		kw := w.Keyword * float64(shared) / float64(len(t.Keywords))
-		s += kw
-		p.Keyword = kw
+		p.Keyword = w.Keyword * float64(shared) / float64(len(t.Keywords))
+		s += p.Keyword
 	}
 	if t.Msg.IsRT() && b.HasUser(t.Msg.RTOf) {
-		s += w.RT
 		p.RT = w.RT
+		s += w.RT
 	}
 	if s > 0 && w.Time > 0 {
 		gap := t.Msg.Date.Sub(b.LastDate())
 		if gap < 0 {
 			gap = -gap
 		}
-		fresh := w.Time / (gap.Hours() + 1)
-		s += fresh
-		p.Freshness = fresh
+		p.Freshness = w.Time / (gap.Hours() + 1)
+		s += p.Freshness
 	}
 	p.Total = s
 	return p
@@ -365,31 +312,6 @@ func ceil0(w float64) float64 {
 		return 0
 	}
 	return w
-}
-
-// MessageSimCeil bounds MessageSim(w, earlier, later) from above for
-// any earlier node whose shared-indicant classes are exactly those
-// flagged: url/tag/keyword report whether the node shares at least one
-// URL, hashtag or keyword with the later message, rt whether the later
-// message is an explicit re-share of the node's author. Eq. 2–4 and
-// the keyword ratio are each ≤ 1, the time factor is ≤ 1, and absent
-// classes contribute exactly 0, so the clamped-weight sum plus
-// BoundSlop dominates every achievable score for that class mask.
-func MessageSimCeil(w MessageWeights, url, tag, kw, rt bool) float64 {
-	s := ceil0(w.Time) + BoundSlop
-	if url {
-		s += ceil0(w.URL)
-	}
-	if tag {
-		s += ceil0(w.Tag)
-	}
-	if kw {
-		s += ceil0(w.Keyword)
-	}
-	if rt {
-		s += ceil0(w.RT)
-	}
-	return s
 }
 
 // BundleSimCeil bounds BundleSim(w, t, b) from above for a candidate

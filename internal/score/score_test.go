@@ -2,9 +2,6 @@ package score
 
 import (
 	"math"
-	"math/rand"
-	"strconv"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -73,8 +70,8 @@ func TestOverlap(t *testing.T) {
 		{[]string{"a", "a"}, []string{"a"}, 2}, // caller guarantees dedup; raw count documented
 	}
 	for _, tc := range tests {
-		if got := Overlap(tc.a, tc.b); got != tc.want {
-			t.Errorf("Overlap(%v,%v) = %d, want %d", tc.a, tc.b, got, tc.want)
+		if got := overlap(tc.a, tc.b); got != tc.want {
+			t.Errorf("overlap(%v,%v) = %d, want %d", tc.a, tc.b, got, tc.want)
 		}
 	}
 }
@@ -125,8 +122,8 @@ func TestEquation5MessageSim(t *testing.T) {
 	a := doc(1, "src", "lester ovation #redsox http://bit.ly/x", base)
 	rt := doc(2, "fan", "classy RT @src: lester ovation #redsox http://bit.ly/x", base.Add(time.Minute))
 	unrelated := doc(3, "other", "totally different topic", base.Add(time.Minute))
-	sRT := MessageSim(w, a, rt)
-	sUn := MessageSim(w, a, unrelated)
+	sRT := MessageSim(w, a, rt).Total
+	sUn := MessageSim(w, a, unrelated).Total
 	if sRT <= sUn {
 		t.Errorf("RT sim %v not above unrelated sim %v", sRT, sUn)
 	}
@@ -136,7 +133,7 @@ func TestEquation5MessageSim(t *testing.T) {
 	// Freshness monotonicity: same content, later copy scores lower.
 	near := doc(4, "u", "lester ovation #redsox", base.Add(time.Minute))
 	far := doc(5, "u", "lester ovation #redsox", base.Add(48*time.Hour))
-	if MessageSim(w, a, near) <= MessageSim(w, a, far) {
+	if MessageSim(w, a, near).Total <= MessageSim(w, a, far).Total {
 		t.Error("nearer message should score higher than older twin")
 	}
 }
@@ -164,7 +161,7 @@ func TestEquation1BundleSim(t *testing.T) {
 		last:  base,
 	}
 	match := doc(1, "u", "lester hurt #redsox http://bit.ly/x", base.Add(time.Minute))
-	s := BundleSim(w, match, b)
+	s := BundleSim(w, match, b).Total
 	if s < w.URL+w.Tag+w.Keyword {
 		t.Errorf("matching message scored %v, want >= %v", s, w.URL+w.Tag+w.Keyword)
 	}
@@ -173,12 +170,12 @@ func TestEquation1BundleSim(t *testing.T) {
 	}
 
 	miss := doc(2, "u", "nothing in common whatsoever", base.Add(time.Minute))
-	if got := BundleSim(w, miss, b); got != 0 {
+	if got := BundleSim(w, miss, b).Total; got != 0 {
 		t.Errorf("unrelated message scored %v, want 0 (no freshness without overlap)", got)
 	}
 
 	rt := doc(3, "u", "so true RT @AmalieBenjamin: lester ovation", base.Add(time.Minute))
-	if got := BundleSim(w, rt, b); got < w.RT {
+	if got := BundleSim(w, rt, b).Total; got < w.RT {
 		t.Errorf("RT-into-bundle scored %v, want >= RT bonus %v", got, w.RT)
 	}
 }
@@ -188,7 +185,7 @@ func TestEquation1FreshnessTiebreak(t *testing.T) {
 	msg := doc(1, "u", "game on #redsox", base.Add(time.Hour))
 	fresh := &fakeBundle{tags: map[string]int{"redsox": 1}, last: base.Add(55 * time.Minute)}
 	stale := &fakeBundle{tags: map[string]int{"redsox": 1}, last: base.Add(-72 * time.Hour)}
-	if BundleSim(w, msg, fresh) <= BundleSim(w, msg, stale) {
+	if BundleSim(w, msg, fresh).Total <= BundleSim(w, msg, stale).Total {
 		t.Error("under equal overlap, fresher bundle must score higher (paper's stated intuition)")
 	}
 }
@@ -216,12 +213,12 @@ func TestMessageSimProperty(t *testing.T) {
 	f := func(textA, textB string, minutes uint16) bool {
 		a := doc(1, "alice", "seed "+textA, base)
 		b := doc(2, "bob", "seed "+textB, base.Add(time.Duration(minutes)*time.Minute))
-		s := MessageSim(w, a, b)
+		s := MessageSim(w, a, b).Total
 		if s < 0 || math.IsNaN(s) || math.IsInf(s, 0) {
 			return false
 		}
 		brt := doc(3, "bob", "RT @alice: seed "+textB, b.Msg.Date)
-		return MessageSim(w, a, brt) >= w.RT
+		return MessageSim(w, a, brt).Total >= w.RT
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -235,81 +232,9 @@ func TestBundleSimEmptyProperty(t *testing.T) {
 	f := func(text string) bool {
 		d := doc(1, "u", "x "+text, base)
 		d.Msg.RTOf = "" // ensure no RT path
-		return BundleSim(w, d, empty) == 0
+		return BundleSim(w, d, empty).Total == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-// randDoc builds a message from pooled vocabulary so random pairs
-// overlap on URLs, hashtags and keywords with realistic frequency.
-func randDoc(rng *rand.Rand, id tweet.ID) Doc {
-	words := []string{"lester", "ovation", "game", "tsunami", "samoa", "quake", "warning", "rescue", "coast", "boston"}
-	tags := []string{"#redsox", "#yankees", "#tsunami", "#samoa"}
-	urls := []string{"http://bit.ly/x", "http://bit.ly/y", "http://t.co/z"}
-	parts := []string{}
-	if rng.Intn(4) == 0 {
-		parts = append(parts, "RT @src"+strconv.Itoa(rng.Intn(3))+":")
-	}
-	for i, n := 0, 1+rng.Intn(5); i < n; i++ {
-		parts = append(parts, words[rng.Intn(len(words))])
-	}
-	for i, n := 0, rng.Intn(3); i < n; i++ {
-		parts = append(parts, tags[rng.Intn(len(tags))])
-	}
-	if rng.Intn(2) == 0 {
-		parts = append(parts, urls[rng.Intn(len(urls))])
-	}
-	at := base.Add(time.Duration(rng.Intn(72*3600)) * time.Second)
-	return doc(id, "src"+strconv.Itoa(rng.Intn(3)), strings.Join(parts, " "), at)
-}
-
-// TestMessageSimPartsBitEqual pins the tracing contract: the traced
-// breakdown accumulates in the exact sequence MessageSim uses, so its
-// Total is bit-identical — tracing can never flip a near-tie.
-func TestMessageSimPartsBitEqual(t *testing.T) {
-	w := DefaultMessageWeights()
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 500; i++ {
-		a := randDoc(rng, tweet.ID(2*i+1))
-		b := randDoc(rng, tweet.ID(2*i+2))
-		if b.Msg.Date.Before(a.Msg.Date) {
-			a, b = b, a
-		}
-		p := MessageSimWithParts(w, a, b)
-		if plain := MessageSim(w, a, b); p.Total != plain {
-			t.Fatalf("case %d: parts total %v != MessageSim %v", i, p.Total, plain)
-		}
-		if sum := p.U + p.H + p.T + p.Keyword + p.RT; math.Abs(sum-p.Total) > 1e-12 {
-			t.Fatalf("case %d: components sum %v vs total %v", i, sum, p.Total)
-		}
-	}
-}
-
-// TestBundleSimPartsBitEqual is the Eq. 1 analogue: the traced
-// candidate breakdown must reproduce the engine's threshold comparison
-// bit-for-bit.
-func TestBundleSimPartsBitEqual(t *testing.T) {
-	w := DefaultBundleWeights()
-	rng := rand.New(rand.NewSource(43))
-	for i := 0; i < 500; i++ {
-		d := randDoc(rng, tweet.ID(i+1))
-		b := &fakeBundle{
-			tags: map[string]int{"redsox": rng.Intn(5), "tsunami": rng.Intn(5)},
-			urls: map[string]int{"bit.ly/x": rng.Intn(2), "t.co/z": rng.Intn(2)},
-			kws:  map[string]int{"lester": rng.Intn(6), "quake": rng.Intn(6), "game": rng.Intn(6)},
-			users: map[string]bool{
-				"src0": rng.Intn(2) == 0, "src1": rng.Intn(2) == 0,
-			},
-			last: base.Add(time.Duration(rng.Intn(48*3600)) * time.Second),
-		}
-		p := BundleSimWithParts(w, d, b)
-		if plain := BundleSim(w, d, b); p.Total != plain {
-			t.Fatalf("case %d: parts total %v != BundleSim %v", i, p.Total, plain)
-		}
-		if sum := p.URL + p.Tag + p.Keyword + p.RT + p.Freshness; math.Abs(sum-p.Total) > 1e-12 {
-			t.Fatalf("case %d: components sum %v vs total %v", i, sum, p.Total)
-		}
 	}
 }

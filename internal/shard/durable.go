@@ -256,7 +256,7 @@ func (d *Durable) prepareCheckpoint() error {
 	if err := d.Flush(); err != nil {
 		return err
 	}
-	d.runPhase(func(sh *shardState) { sh.dur.DrainRetries() })
+	d.runPhase(func(_ int, sh *shardState) { sh.dur.DrainRetries() })
 	return nil
 }
 
@@ -264,11 +264,13 @@ func (d *Durable) prepareCheckpoint() error {
 // so queries may run beside it; ingest may not.
 func (d *Durable) persistCheckpoint() error {
 	t0 := time.Now()
-	d.runPhase(func(sh *shardState) { sh.err = sh.dur.Checkpoint() })
-	for i, sh := range d.shards {
-		if sh.err != nil {
-			err := sh.err
-			sh.err = nil
+	// The results stay local: a barrier that fails on several shards (a
+	// full disk) must leave nothing behind for the next round's commit
+	// to mistake for its own failure.
+	errs := make([]error, len(d.shards))
+	d.runPhase(func(i int, sh *shardState) { errs[i] = sh.dur.Checkpoint() })
+	for i, err := range errs {
+		if err != nil {
 			return fmt.Errorf("shard: checkpoint shard %d: %w", i, err)
 		}
 	}

@@ -6,6 +6,7 @@ package shard
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"reflect"
 	"strings"
@@ -35,6 +36,26 @@ func feed(t *testing.T, d *Durable, msgs []*tweet.Message) {
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// assertMatchesUninterrupted compares d's live bundles, shard by shard,
+// with an uninterrupted memory run over msgs at the same (N, B): rounds
+// are deterministic, so a recovered state must equal it.
+func assertMatchesUninterrupted(t *testing.T, cfg core.Config, opts Options, msgs []*tweet.Message, d *Durable) {
+	t.Helper()
+	ref, err := New(cfg, opts, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range msgs {
+		if err := ref.Ingest(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ref.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	assertPartitionsEqual(t, livePartition(shardEngines(ref)...), livePartition(shardEngines(d.Engine)...))
 }
 
 func TestShardedDurableFreshOpenAndReopen(t *testing.T) {
@@ -70,22 +91,7 @@ func TestShardedDurableFreshOpenAndReopen(t *testing.T) {
 		t.Fatalf("recovered Global = %d, want 2000", d2.Global())
 	}
 
-	// Reference: uninterrupted memory run with identical (N, B) —
-	// rounds are deterministic, so the recovered state must match it
-	// per shard.
-	ref, err := New(cfg, opts, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range msgs {
-		if err := ref.Ingest(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ref.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	assertPartitionsEqual(t, livePartition(shardEngines(ref)...), livePartition(shardEngines(d2.Engine)...))
+	assertMatchesUninterrupted(t, cfg, opts, msgs, d2)
 }
 
 func TestShardedCrashRecoversAcknowledgedRounds(t *testing.T) {
@@ -130,19 +136,54 @@ func TestShardedCrashRecoversAcknowledgedRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ref, err := New(cfg, opts, nil, nil)
+	assertMatchesUninterrupted(t, cfg, opts, msgs, d2)
+}
+
+// TestShardedBarrierDiskFull fills the disk under a whole barrier, so
+// every shard's checkpoint fails, then frees it. The failed barrier
+// must cost nothing but itself: later rounds commit, the next barrier
+// lands, and a crash after it recovers every acknowledged message.
+func TestShardedBarrierDiskFull(t *testing.T) {
+	mem := fsx.NewMem()
+	ff := fsx.NewFault(mem)
+	cfg := core.PartialIndexConfig(300)
+	opts := Options{Shards: 3, Batch: 32}
+	msgs := genMessages(47, 1600)
+
+	d, err := OpenDurable(cfg, opts, testDurableOpts(ff))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range msgs {
-		if err := ref.Ingest(m); err != nil {
-			t.Fatal(err)
-		}
+	feed(t, d, msgs[:640])
+	ff.Arm(1, fsx.Fault{Err: fsx.ErrNoSpace, Freeze: true})
+	if err := d.Checkpoint(); !errors.Is(err, fsx.ErrNoSpace) {
+		t.Fatalf("Checkpoint on a full disk = %v, want the injected ErrNoSpace", err)
 	}
-	if err := ref.Flush(); err != nil {
+	ff.Disarm()
+	barriers := d.Checkpoints()
+
+	feed(t, d, msgs[640:1280]) // the parent latched a stale checkpoint error here
+	if err := d.Checkpoint(); err != nil {
+		t.Fatalf("the barrier after the disk was freed: %v", err)
+	}
+	if got := d.Checkpoints(); got != barriers+1 {
+		t.Fatalf("Checkpoints = %d, want %d", got, barriers+1)
+	}
+	feed(t, d, msgs[1280:])
+	if err := d.Err(); err != nil {
+		t.Fatalf("Err after the disk was freed: %v", err)
+	}
+	mem.Crash()
+
+	d2, err := OpenDurable(cfg, opts, testDurableOpts(mem))
+	if err != nil {
 		t.Fatal(err)
 	}
-	assertPartitionsEqual(t, livePartition(shardEngines(ref)...), livePartition(shardEngines(d2.Engine)...))
+	defer d2.Close()
+	if got := d2.Global(); got != uint64(len(msgs)) {
+		t.Fatalf("recovered Global = %d, want all %d acknowledged messages", got, len(msgs))
+	}
+	assertMatchesUninterrupted(t, cfg, opts, msgs, d2)
 }
 
 func TestShardedReshardingRefused(t *testing.T) {

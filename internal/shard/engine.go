@@ -131,7 +131,7 @@ type shardState struct {
 	busy   time.Duration      // this phase's busy time on this shard
 
 	msgs metrics.Counter // messages committed to this shard
-	err  error           // this shard's phase-2 failure, if any
+	err  error           // this shard's failure in the current round's commit, if any
 }
 
 // SpanStats is the measured critical path of the rounds so far: per
@@ -321,7 +321,7 @@ func (e *Engine) round(batch []core.Prepared) error {
 	// shard goroutines are independent. One shard skips it — there is
 	// nothing to arbitrate.
 	if n > 1 {
-		e.runPhase(func(sh *shardState) {
+		e.runPhase(func(_ int, sh *shardState) {
 			t0 := time.Now()
 			sh.probes = sh.probes[:0]
 			for _, p := range batch {
@@ -367,9 +367,10 @@ func (e *Engine) round(batch []core.Prepared) error {
 	// Phase 2: commit. Each shard owns its engine and WAL exclusively;
 	// stream order within a shard is preserved because assign was
 	// filled in stream order.
-	e.runPhase(func(sh *shardState) {
+	e.runPhase(func(_ int, sh *shardState) {
 		t0 := time.Now()
 		defer func() { sh.busy = time.Since(t0) }()
+		sh.err = nil
 		for _, p := range sh.assign {
 			if sh.dur != nil {
 				if err := sh.dur.Log(p.Doc.Msg); err != nil {
@@ -435,23 +436,24 @@ func better(a, b core.ProbeResult) bool {
 	return a.FirstMsg < b.FirstMsg
 }
 
-// runPhase executes f once per shard — concurrently, one goroutine per
-// shard, unless Sequential is set. Phase results never depend on which
-// mode ran: shards share no mutable state during a phase.
-func (e *Engine) runPhase(f func(*shardState)) {
+// runPhase executes f once per shard, with the shard's index —
+// concurrently, one goroutine per shard, unless Sequential is set.
+// Phase results never depend on which mode ran: shards share no mutable
+// state during a phase.
+func (e *Engine) runPhase(f func(int, *shardState)) {
 	if e.opts.Sequential || len(e.shards) == 1 {
-		for _, sh := range e.shards {
-			f(sh)
+		for i, sh := range e.shards {
+			f(i, sh)
 		}
 		return
 	}
 	var wg sync.WaitGroup
-	for _, sh := range e.shards {
+	for i, sh := range e.shards {
 		wg.Add(1)
-		go func(sh *shardState) {
+		go func(i int, sh *shardState) {
 			defer wg.Done()
-			f(sh)
-		}(sh)
+			f(i, sh)
+		}(i, sh)
 	}
 	wg.Wait()
 }

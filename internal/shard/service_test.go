@@ -10,6 +10,7 @@ package shard
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -385,6 +386,32 @@ func TestServiceContract(t *testing.T) {
 			if s.Ingested() != 300 {
 				t.Errorf("Ingested = %d, want 300: a failed checkpoint must not stop ingest", s.Ingested())
 			}
+		}},
+		// A disk full for a whole barrier fails every shard's checkpoint,
+		// not one: the failure is reported, and once space is back ingest
+		// goes on as if the barrier had never been due.
+		{"ingest continues after a failed barrier", true, func(t *testing.T, be contractBackend) {
+			ff := fsx.NewFault(fsx.NewMem())
+			d := be.open(t, ff, pipeline.Options{CheckpointEvery: 100})
+			defer d.close()
+			s := d.svc
+			// Every checkpoint lands by rename and WAL appends never
+			// rename: the disk is full for the barriers and nothing else.
+			ff.Arm(1, fsx.Fault{Err: fsx.ErrNoSpace, Freeze: true}, fsx.OpRename)
+			s.Start()
+			g := smallGen(8)
+			submitAll(t, s, g.Next, 150)
+			waitFor(t, "checkpoint failure in Err", func() bool { return s.Err() != nil })
+			ff.Disarm()
+			submitAll(t, s, g.Next, 350)
+			waitFor(t, "500 messages applied", func() bool { return s.Ingested() == 500 })
+			if err := s.Err(); !errors.Is(err, fsx.ErrNoSpace) || !strings.Contains(err.Error(), "checkpoint") {
+				t.Errorf("Err = %v, want the failed checkpoint", err)
+			}
+			if s.Checkpoints() == 0 {
+				t.Error("no barrier landed after the disk was freed")
+			}
+			_ = s.Stop()
 		}},
 		// The two-stage loop must end in the same engine state as a bare
 		// ingest loop, whether the stages hand over a message at a time

@@ -1,7 +1,7 @@
 // Package stream provides the message-stream plumbing between dataset
 // producers (the generator, dataset files) and consumers (the provenance
-// engine, the text index): a Source iterator abstraction, JSONL and
-// binary codecs, and composition helpers.
+// engine, the text index): a Source iterator abstraction, the JSONL
+// codec, and composition helpers.
 //
 // The paper's simulation "imports the micro-blog messages into the
 // system in a temporally ordered sequence; the latest message's date is

@@ -13,7 +13,6 @@ import (
 	"container/heap"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -213,47 +212,6 @@ func (ix *Index) Search(terms []string, k int) []Hit {
 		}
 	}
 	return topK(scores, k)
-}
-
-// Conjunction returns the live documents containing every term, in
-// ascending DocID order. Empty terms yield nil.
-func (ix *Index) Conjunction(terms []string) []DocID {
-	if len(terms) == 0 {
-		return nil
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	var lists [][]posting
-	for _, t := range terms {
-		ps, ok := ix.postings[t]
-		if !ok {
-			return nil
-		}
-		lists = append(lists, ps)
-	}
-	// Intersect starting from the rarest list.
-	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
-	candidates := make(map[DocID]int, len(lists[0]))
-	for _, p := range lists[0] {
-		if !ix.deleted[p.doc] {
-			candidates[p.doc] = 1
-		}
-	}
-	for _, ps := range lists[1:] {
-		for _, p := range ps {
-			if n, ok := candidates[p.doc]; ok {
-				candidates[p.doc] = n + 1
-			}
-		}
-	}
-	var out []DocID
-	for doc, n := range candidates {
-		if n == len(lists) {
-			out = append(out, doc)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // hitHeap is a min-heap over scores (ties broken by larger DocID so the

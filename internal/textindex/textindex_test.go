@@ -158,29 +158,6 @@ func TestDuplicateAddPanics(t *testing.T) {
 	ix.Add(1, []string{"b"})
 }
 
-func TestConjunction(t *testing.T) {
-	ix := buildIndex(map[DocID][]string{
-		1: {"a", "b", "c"},
-		2: {"a", "b"},
-		3: {"a"},
-		4: {"b", "c"},
-	})
-	got := ix.Conjunction([]string{"a", "b"})
-	want := []DocID{1, 2}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Conjunction(a,b) = %v, want %v", got, want)
-	}
-	if got := ix.Conjunction([]string{"a", "zzz"}); got != nil {
-		t.Errorf("Conjunction with unknown term = %v, want nil", got)
-	}
-	ix.Delete(1)
-	got = ix.Conjunction([]string{"a", "b"})
-	want = []DocID{2}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Conjunction after delete = %v, want %v", got, want)
-	}
-}
-
 func TestConcurrentReadWrite(t *testing.T) {
 	ix := New()
 	var wg sync.WaitGroup

@@ -36,9 +36,8 @@ import (
 // CandidateScore is one Eq. 1 evaluation from the match stage: a
 // summary-index candidate bundle with the score split into its
 // URL / hashtag / keyword / RT / freshness components
-// (Total = URL+Hashtag+Keyword+RT+Freshness, accumulated in the same
-// order as score.BundleSim so it is bit-identical to the score the
-// engine compared against the threshold).
+// (Total = URL+Hashtag+Keyword+RT+Freshness: the score.BundleSim result
+// the engine compared against the threshold, not a recomputation).
 type CandidateScore struct {
 	Bundle    uint64  `json:"bundle"`
 	Hits      int     `json:"hits"` // summary-index indicant hits (fetch rank)
@@ -102,12 +101,14 @@ type Decision struct {
 	Margin    float64 `json:"margin"`
 
 	// Placement stage (Algorithm 2 / Eq. 5). Parents holds every node
-	// the pruned scan actually scored, in scan order (bound-descending
-	// mask groups). ParentsScored (derived at Commit) is len(Parents);
-	// ParentsPruned is how many bundle nodes the scan skipped — nodes
-	// sharing no indicant plus bound-pruned groups. The traced and
-	// untraced paths run the identical pruned scan, so the chosen
-	// Parent/Conn never depends on whether the message was sampled.
+	// the scan actually scored, in scan order (newest-first for the
+	// time-bounded scan, ascending for the reference scan).
+	// ParentsScored (derived at Commit) is len(Parents); ParentsPruned
+	// is how many bundle nodes the scan skipped — nodes sharing no
+	// indicant plus those older than the score bound's stop. The traced
+	// and untraced paths run the identical scan and compare the
+	// identical score, so the chosen Parent/Conn never depends on
+	// whether the message was sampled.
 	Parents       []ParentScore `json:"parent_scores,omitempty"`
 	ParentsScored int           `json:"parents_scored"`
 	ParentsPruned int           `json:"parents_pruned"`

@@ -66,7 +66,14 @@ func Detect(p *pool.Pool, now time.Time, k int, opts Options) []Topic {
 	}
 	cutoff := now.Add(-window)
 
-	var topics []Topic
+	// Rank first, render last: the Figure 2 summary row is a merged map
+	// plus a sort per bundle, so only the k winners get one.
+	type ranked struct {
+		b      *bundle.Bundle
+		score  float64
+		recent int
+	}
+	var hot []ranked
 	p.All(func(b *bundle.Bundle) {
 		if b.EndTime().Before(cutoff) {
 			return // quiet bundle
@@ -86,23 +93,30 @@ func Detect(p *pool.Pool, now time.Time, k int, opts Options) []Topic {
 		// life happened inside the window. A steady old topic has a
 		// low ratio; a fresh burst approaches 1.
 		ratio := float64(recent) / float64(b.Size())
-		topics = append(topics, Topic{
-			ID:       b.ID(),
-			Score:    rate * (0.5 + ratio),
-			Recent:   recent,
-			Size:     b.Size(),
-			LastPost: b.EndTime(),
-			Summary:  b.SummaryWords(6),
-		})
+		hot = append(hot, ranked{b: b, score: rate * (0.5 + ratio), recent: recent})
 	})
-	sort.Slice(topics, func(i, j int) bool {
-		if topics[i].Score != topics[j].Score {
-			return topics[i].Score > topics[j].Score
+	if len(hot) == 0 {
+		return nil
+	}
+	sort.Slice(hot, func(i, j int) bool {
+		if hot[i].score != hot[j].score {
+			return hot[i].score > hot[j].score
 		}
-		return topics[i].ID < topics[j].ID
+		return hot[i].b.ID() < hot[j].b.ID()
 	})
-	if len(topics) > k {
-		topics = topics[:k]
+	if len(hot) > k {
+		hot = hot[:k]
+	}
+	topics := make([]Topic, len(hot))
+	for i, h := range hot {
+		topics[i] = Topic{
+			ID:       h.b.ID(),
+			Score:    h.score,
+			Recent:   h.recent,
+			Size:     h.b.Size(),
+			LastPost: h.b.EndTime(),
+			Summary:  h.b.SummaryWords(6),
+		}
 	}
 	return topics
 }

@@ -13,7 +13,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -104,18 +103,6 @@ func (m *Message) Validate() error {
 		}
 	}
 	return nil
-}
-
-// SortByDate orders messages by publication date, breaking ties by ID, so
-// that replaying them forms a valid stream (Definition 1 requires the
-// stream ordered by published date).
-func SortByDate(ms []*Message) {
-	sort.SliceStable(ms, func(i, j int) bool {
-		if !ms[i].Date.Equal(ms[j].Date) {
-			return ms[i].Date.Before(ms[j].Date)
-		}
-		return ms[i].ID < ms[j].ID
-	})
 }
 
 // AppendRaw appends the stored form of m to buf: the raw fields only —

@@ -178,23 +178,6 @@ func TestClone(t *testing.T) {
 	}
 }
 
-func TestSortByDate(t *testing.T) {
-	base := testDate
-	ms := []*Message{
-		{ID: 3, Date: base.Add(2 * time.Hour), User: "c", Text: "x"},
-		{ID: 2, Date: base, User: "b", Text: "x"},
-		{ID: 1, Date: base, User: "a", Text: "x"},
-		{ID: 4, Date: base.Add(time.Hour), User: "d", Text: "x"},
-	}
-	SortByDate(ms)
-	wantIDs := []ID{1, 2, 4, 3}
-	for i, m := range ms {
-		if m.ID != wantIDs[i] {
-			t.Fatalf("order[%d] = ID %d, want %d", i, m.ID, wantIDs[i])
-		}
-	}
-}
-
 // Property: parsing never panics and always yields normalised indicants,
 // for arbitrary input text.
 func TestParseNormalisationProperty(t *testing.T) {
