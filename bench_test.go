@@ -19,7 +19,6 @@ import (
 	"provex/internal/core"
 	"provex/internal/experiments"
 	"provex/internal/gen"
-	"provex/internal/stream"
 	"provex/internal/tweet"
 )
 
@@ -227,10 +226,9 @@ func BenchmarkIngestSerial(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		clones := stream.CloneSlice(msgs)
 		e := core.New(core.PartialIndexConfig(s.PoolLimit), nil, nil)
 		b.StartTimer()
-		for _, m := range clones {
+		for _, m := range msgs {
 			e.Insert(m)
 		}
 	}

@@ -87,25 +87,33 @@ go test -race -count=1 \
     -v ./internal/shard | grep -E 'seed|PASS|FAIL|ok '
 
 # Observability loopback, once per engine: a real durable live
-# provserve (-shards 1, then -shards 2), decision tracing on, ingests a
-# stream file and answers a real provload run over localhost. Both legs
-# must show non-zero throughput (provload exits 1 on zero 2xx), a
+# provserve (-shards 1, then -shards 2), built with -race, decision
+# tracing on, answers a real provload run over localhost WHILE it is
+# still ingesting: provload starts the moment /readyz answers, its mix
+# asks /bundle for the bundles /prov ranks first — the ones the writer
+# is appending to — and the feed ($loop_n messages, ~3 500 a second
+# under the race detector on two slow cores) outlasts the run. Both
+# legs must show non-zero throughput (provload exits 1 on zero 2xx), a
 # well-formed /metrics scrape (provload errors on malformed exposition
-# lines) with the HTTP families present and
-# provex_pipeline_ingested_total equal to the stream length, at least
-# one harvested message ID resolved to a well-formed /explain breakdown
-# (full Eq. 1 candidate component scores + Table II connection), and a
-# clean SIGTERM exit after which a restart on the same state replays 0
-# WAL messages (end of input stops ingest with a final checkpoint,
-# whichever engine runs).
-echo "== provload vs provserve loopback (-shards 1, -shards 2) =="
+# lines) with the HTTP families present, at least one harvested message
+# ID resolved to a well-formed /explain breakdown (full Eq. 1 candidate
+# component scores + Table II connection), then
+# provex_pipeline_ingested_total reaching the stream length, and a
+# clean SIGTERM exit — which a race report (exit 66) or a runtime fatal
+# ("concurrent map iteration and map write") is not — after which a
+# restart on the same state replays 0 WAL messages (end of input stops
+# ingest with a final checkpoint, whichever engine runs).
+echo "== provload vs ingesting provserve -race loopback (-shards 1, -shards 2) =="
 obs_tmp="$(mktemp -d)"
 serve_pid=""
 trap '[ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null; rm -rf "$obs_tmp" "$lint_tmp"' EXIT
 go build -o "$obs_tmp/provserve" ./cmd/provserve
+go build -race -o "$obs_tmp/provserve-race" ./cmd/provserve
 go build -o "$obs_tmp/provload" ./cmd/provload
 go build -o "$obs_tmp/provgen" ./cmd/provgen
 "$obs_tmp/provgen" -n 3000 -out "$obs_tmp/loop.jsonl"
+loop_n=30000
+"$obs_tmp/provgen" -n "$loop_n" -out "$obs_tmp/live.jsonl"
 loop_addr=127.0.0.1:18923
 # metric NAME: sum of the family's series in a scrape of the loopback node
 metric() {
@@ -115,20 +123,20 @@ metric() {
 # wait_metric NAME VALUE: poll until the family sums to VALUE
 wait_metric() {
     local got=""
-    for _ in $(seq 1 120); do
+    for _ in $(seq 1 240); do
         got="$(metric "$1")" || true
         [ "$got" = "$2" ] && return 0
         sleep 0.25
     done
     echo "loopback: $1 = '$got', want $2"; return 1
 }
-# restart_clean LABEL FLAGS...: a node restarted on the state a clean
-# exit left finds all 3 000 messages in the checkpoint and replays none
+# restart_clean LABEL N FLAGS...: a node restarted on the state a clean
+# exit left finds all N messages in the checkpoint and replays none
 restart_clean() {
-    local label="$1"; shift
+    local label="$1" n="$2"; shift 2
     "$obs_tmp/provserve" "$@" </dev/null >"$state/restart.log" 2>&1 &
     serve_pid=$!
-    wait_metric provex_ingest_messages_total 3000
+    wait_metric provex_ingest_messages_total "$n"
     wait_metric provex_wal_replayed_messages 0
     kill "$serve_pid"
     wait "$serve_pid" || { echo "$label: unclean exit of the restarted node"; exit 1; }
@@ -138,17 +146,15 @@ for ns in 1 2; do
     state="$obs_tmp/loop-$ns"
     mkdir -p "$state"
     node=(-live -shards "$ns" -ckpt "$state/engine.ckpt" -wal "$state/wal" -addr "$loop_addr")
-    "$obs_tmp/provserve" "${node[@]}" -in "$obs_tmp/loop.jsonl" \
-        -trace-sample 1 -trace-buffer 8192 >"$state/serve.log" 2>&1 &
+    "$obs_tmp/provserve-race" "${node[@]}" -in "$obs_tmp/live.jsonl" \
+        -trace-sample 1 -trace-buffer 32768 >"$state/serve.log" 2>&1 &
     serve_pid=$!
-    wait_metric provex_pipeline_ingested_total 3000
-    for fam in provex_runtime_heap_live_bytes provex_runtime_heap_goal_bytes \
-               provex_runtime_gc_cycles_total provex_runtime_mem_mapped_bytes; do
-        [ -n "$(metric "$fam")" ] || { echo "loopback -shards $ns: $fam missing from /metrics"; exit 1; }
-    done
     "$obs_tmp/provload" -target "http://$loop_addr" -wait 15s \
         -qps 300 -workers 8 -warmup 200ms -duration 2s \
         -mix 'search=5,prov=3,bundle=1,trending=1,explain=2' | tee "$state/load.out"
+    fed="$(metric provex_pipeline_ingested_total)"
+    [ "${fed:-$loop_n}" -lt "$loop_n" ] \
+        || { echo "loopback -shards $ns: the feed ended before the load did, so nothing queried an ingesting node: raise loop_n"; exit 1; }
     grep -q 'provex_http_requests_total' "$state/load.out" \
         || { echo "loopback -shards $ns: HTTP metric families missing from the delta"; exit 1; }
     grep -Eq 'explain: ok=[1-9]' "$state/load.out" \
@@ -157,9 +163,14 @@ for ns in 1 2; do
         || { echo "loopback -shards $ns: malformed /explain answers"; exit 1; }
     grep -q 'decision quality:' "$state/load.out" \
         || { echo "loopback -shards $ns: decision-quality digest missing"; exit 1; }
+    wait_metric provex_pipeline_ingested_total "$loop_n"
+    for fam in provex_runtime_heap_live_bytes provex_runtime_heap_goal_bytes \
+               provex_runtime_gc_cycles_total provex_runtime_mem_mapped_bytes; do
+        [ -n "$(metric "$fam")" ] || { echo "loopback -shards $ns: $fam missing from /metrics"; exit 1; }
+    done
     kill "$serve_pid"
-    wait "$serve_pid" || { echo "loopback -shards $ns: unclean exit on SIGTERM"; cat "$state/serve.log"; exit 1; }
-    restart_clean "loopback -shards $ns" "${node[@]}"
+    wait "$serve_pid" || { echo "loopback -shards $ns: unclean exit on SIGTERM (a race report exits 66)"; cat "$state/serve.log"; exit 1; }
+    restart_clean "loopback -shards $ns" "$loop_n" "${node[@]}"
 done
 
 # Interrupted build: a build-then-serve node (-in, no -live) honours
@@ -189,7 +200,7 @@ kill "$serve_pid"
 wait "$serve_pid" || { echo "build: unclean exit on SIGTERM mid-feed"; cat "$state/serve.log"; exit 1; }
 exec 3<&-
 grep -q 'clean exit' "$state/serve.log" || { echo "build: no clean exit logged"; cat "$state/serve.log"; exit 1; }
-restart_clean build -live -ckpt "$state/engine.ckpt" -addr "$loop_addr"
+restart_clean build 3000 -live -ckpt "$state/engine.ckpt" -addr "$loop_addr"
 
 # provingest smoke: the serial engine and the sharded one at B=1 (where
 # the round protocol is the serial apply order, DESIGN.md §2i) must

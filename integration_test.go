@@ -274,8 +274,8 @@ func TestAccuracySanity(t *testing.T) {
 	partial := core.New(core.PartialIndexConfig(600), nil, partialEdges.Observe)
 	for i := 0; i < 20_000; i++ {
 		m := g.Next()
-		full.Insert(m.Clone())
-		partial.Insert(m.Clone())
+		full.Insert(m)
+		partial.Insert(m)
 	}
 	m := eval.Compare(partialEdges, truth)
 	if m.Accuracy < 0.7 {

@@ -10,7 +10,6 @@ package bundle
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"provex/internal/metrics"
@@ -54,8 +53,10 @@ type Bundle struct {
 	rows []row
 	idx  *index
 
-	start, end time.Time // message-date extent (Algorithm 2 lines 8–13)
-	lastUpdate time.Time // wall (simulated) time of last insertion
+	// Message-date extent (Algorithm 2 lines 8–13). end is also when the
+	// bundle last absorbed a message in stream time — Eq. 1's freshness
+	// and the date(B) of Equation 6.
+	start, end time.Time
 	closed     bool
 
 	// timeOrdered reports that nodes were appended in non-decreasing
@@ -67,12 +68,6 @@ type Bundle struct {
 	timeOrdered bool
 
 	memBytes int64
-
-	// scratch backs Add calls that arrive without an engine-owned
-	// Scratch (tests, provops merges). Lazily allocated;
-	// the engine hot path shares one Scratch across every bundle and
-	// never touches this field.
-	scratch *Scratch
 }
 
 // New creates an empty bundle.
@@ -98,10 +93,6 @@ func (b *Bundle) StartTime() time.Time { return b.start }
 
 // EndTime returns the newest message date.
 func (b *Bundle) EndTime() time.Time { return b.end }
-
-// LastUpdate returns when the bundle last absorbed a message — the
-// date(B) of Equation 6.
-func (b *Bundle) LastUpdate() time.Time { return b.lastUpdate }
 
 // Nodes exposes the node slice read-only by convention (callers must
 // not mutate). Index i is the node ID used in Parent links.
@@ -198,8 +189,8 @@ func (b *Bundle) addExhaustive(w score.MessageWeights, doc score.Doc, obs Parent
 	return len(b.nodes) - 1, stats
 }
 
-// absorb merges doc's indicants into the summary and updates extent,
-// freshness and the memory estimate. It must run immediately after the
+// absorb merges doc's indicants into the summary and updates extent
+// and the memory estimate. It must run immediately after the
 // node is appended: the summary's form and its node-index entries
 // follow the id of the newest node.
 func (b *Bundle) absorb(doc score.Doc) {
@@ -216,9 +207,6 @@ func (b *Bundle) absorb(doc score.Doc) {
 		b.timeOrdered = false
 	} else {
 		b.end = m.Date
-	}
-	if m.Date.After(b.lastUpdate) {
-		b.lastUpdate = m.Date
 	}
 }
 
@@ -270,32 +258,6 @@ func (b *Bundle) SummaryWords(k int) []string {
 	b.each(classTag, func(t string, n int) { merged[t] += 2 * n })
 	b.each(classURL, func(t string, n int) { merged[t] += n })
 	return tokenizer.TopTerms(merged, k)
-}
-
-// Render draws the provenance forest as indented text — the CLI/demo
-// analogue of the paper's Figure 10 visualisation.
-func (b *Bundle) Render() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "bundle %d: %d messages, %s .. %s, summary=%v\n",
-		b.id, len(b.nodes),
-		b.start.Format("2006-01-02 15:04"), b.end.Format("2006-01-02 15:04"),
-		b.SummaryWords(8))
-	var rec func(i, depth int)
-	rec = func(i, depth int) {
-		n := b.nodes[i]
-		label := ""
-		if n.Parent != NoParent {
-			label = fmt.Sprintf(" [%s %.2f]", n.Conn, n.Score)
-		}
-		fmt.Fprintf(&sb, "%s- %s%s\n", strings.Repeat("  ", depth+1), n.Doc.Msg, label)
-		for _, c := range b.Children(i) {
-			rec(c, depth+1)
-		}
-	}
-	for _, r := range b.Roots() {
-		rec(r, 0)
-	}
-	return sb.String()
 }
 
 // Validate checks the structural invariants of a bundle: parents

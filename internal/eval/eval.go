@@ -6,10 +6,10 @@
 //	accuracy = |Ei ∩ E0| / |Ei|   (how much of what it found is right)
 //	return   = |Ei ∩ E0| / |E0|   (how much of the truth it found)
 //
-// EdgeSet collects connections via the engine's edge callback;
-// Collector samples both metrics at checkpoints along the stream, which
-// is exactly how Figure 8 plots accuracy/return against incoming
-// messages.
+// EdgeSet collects connections via the engine's edge callback; Compare
+// scores one set against another, and the figures call it at
+// checkpoints along the stream, which is how Figure 8 plots
+// accuracy/return against incoming messages.
 package eval
 
 import (
@@ -101,45 +101,3 @@ func (m Metrics) String() string {
 	return fmt.Sprintf("accuracy=%.3f return=%.3f matched=%d found=%d truth=%d",
 		m.Accuracy, m.Return, m.Matched, m.Found, m.Truth)
 }
-
-// Checkpoint is one sampled point along the stream.
-type Checkpoint struct {
-	Messages int // messages ingested when the sample was taken
-	Metrics  Metrics
-}
-
-// Collector samples a method's metrics against ground truth every
-// Interval messages. Drive it by calling Tick after each message.
-type Collector struct {
-	Interval int
-	method   *EdgeSet
-	truth    *EdgeSet
-	seen     int
-	points   []Checkpoint
-}
-
-// NewCollector builds a collector sampling every interval messages.
-func NewCollector(interval int, method, truth *EdgeSet) *Collector {
-	if interval <= 0 {
-		interval = 1
-	}
-	return &Collector{Interval: interval, method: method, truth: truth}
-}
-
-// Tick advances the message count and samples at checkpoint boundaries.
-func (c *Collector) Tick() {
-	c.seen++
-	if c.seen%c.Interval == 0 {
-		c.points = append(c.points, Checkpoint{Messages: c.seen, Metrics: Compare(c.method, c.truth)})
-	}
-}
-
-// Finish takes a final sample if the stream did not end on a boundary.
-func (c *Collector) Finish() {
-	if len(c.points) == 0 || c.points[len(c.points)-1].Messages != c.seen {
-		c.points = append(c.points, Checkpoint{Messages: c.seen, Metrics: Compare(c.method, c.truth)})
-	}
-}
-
-// Points returns the sampled checkpoints in stream order.
-func (c *Collector) Points() []Checkpoint { return c.points }

@@ -84,54 +84,6 @@ func TestMetricsString(t *testing.T) {
 	}
 }
 
-func TestCollectorCheckpoints(t *testing.T) {
-	method, truth := NewEdgeSet(), NewEdgeSet()
-	c := NewCollector(10, method, truth)
-	for i := 0; i < 25; i++ {
-		// Grow both sets so successive checkpoints measure fresh state.
-		truth.Add(tweet.ID(i), tweet.ID(i+1000))
-		if i%2 == 0 {
-			method.Add(tweet.ID(i), tweet.ID(i+1000))
-		}
-		c.Tick()
-	}
-	c.Finish()
-	pts := c.Points()
-	if len(pts) != 3 {
-		t.Fatalf("points = %d, want 3 (10, 20, 25)", len(pts))
-	}
-	if pts[0].Messages != 10 || pts[1].Messages != 20 || pts[2].Messages != 25 {
-		t.Errorf("checkpoint positions = %v", pts)
-	}
-	for _, p := range pts {
-		if p.Metrics.Accuracy != 1 {
-			t.Errorf("subset method accuracy = %v, want 1", p.Metrics.Accuracy)
-		}
-		if p.Metrics.Return < 0.4 || p.Metrics.Return > 0.6 {
-			t.Errorf("return = %v, want ~0.5", p.Metrics.Return)
-		}
-	}
-}
-
-func TestCollectorFinishIdempotentOnBoundary(t *testing.T) {
-	c := NewCollector(5, NewEdgeSet(), NewEdgeSet())
-	for i := 0; i < 10; i++ {
-		c.Tick()
-	}
-	c.Finish()
-	if got := len(c.Points()); got != 2 {
-		t.Errorf("points = %d, want 2 (no duplicate final sample)", got)
-	}
-}
-
-func TestCollectorDefaultInterval(t *testing.T) {
-	c := NewCollector(0, NewEdgeSet(), NewEdgeSet())
-	c.Tick()
-	if len(c.Points()) != 1 {
-		t.Error("interval 0 should clamp to 1")
-	}
-}
-
 // Property: accuracy and return are always within [0,1], and a method
 // equal to the truth scores 1/1.
 func TestCompareBoundsProperty(t *testing.T) {

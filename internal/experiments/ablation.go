@@ -34,9 +34,9 @@ func runAblation(s Scale, n int, title, notes string, variants []*ablationVarian
 
 	for i := 0; i < n; i++ {
 		m := g.Next()
-		full.Insert(m.Clone())
+		full.Insert(m)
 		for _, v := range variants {
-			v.eng.Insert(m.Clone())
+			v.eng.Insert(m)
 		}
 	}
 

@@ -76,10 +76,7 @@ func RunThreeMethods(s Scale) *ThreeResult {
 	for i := 1; i <= s.Messages; i++ {
 		m := g.Next()
 		for _, mt := range methods {
-			// Each engine ingests its own clone: engines annotate and
-			// retain messages, and sharing pointers across engines
-			// would let one variant see another's mutations.
-			mt.eng.Insert(m.Clone())
+			mt.eng.Insert(m) // shared: a message is immutable once generated
 		}
 		if i%every == 0 || i == s.Messages {
 			res.Checkpoints = append(res.Checkpoints, i)
@@ -234,9 +231,9 @@ func Fig9(s Scale) *Table {
 	every := s.checkpointEvery(s.SweepMessages)
 	for i := 1; i <= s.SweepMessages; i++ {
 		m := g.Next()
-		full.Insert(m.Clone())
+		full.Insert(m)
 		for _, v := range variants {
-			v.eng.Insert(m.Clone())
+			v.eng.Insert(m)
 		}
 		if i%every == 0 || i == s.SweepMessages {
 			row := []interface{}{i}

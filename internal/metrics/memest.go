@@ -45,6 +45,3 @@ func (m *MemEstimator) Sub(n int64) { m.bytes.Add(-n) }
 
 // Bytes returns the current estimate.
 func (m *MemEstimator) Bytes() int64 { return m.bytes.Value() }
-
-// MB returns the estimate in mebibytes.
-func (m *MemEstimator) MB() float64 { return float64(m.bytes.Value()) / (1 << 20) }

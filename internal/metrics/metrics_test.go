@@ -177,8 +177,8 @@ func TestHistogramConcurrent(t *testing.T) {
 func TestMemEstimator(t *testing.T) {
 	var m MemEstimator
 	m.Add(1 << 20)
-	if m.MB() != 1 {
-		t.Errorf("MB = %v, want 1", m.MB())
+	if m.Bytes() != 1<<20 {
+		t.Errorf("Bytes = %d, want %d", m.Bytes(), 1<<20)
 	}
 	m.Sub(1 << 19)
 	if m.Bytes() != 1<<19 {

@@ -32,7 +32,11 @@
 // Concurrency contract: Submit is safe from any goroutine (it only
 // feeds the queue); Start and Stop must not race each other; all query
 // methods take the service's read lock and may run concurrently with
-// ingest. RegisterMetrics may be called before Start; the series it
+// ingest. What a query method returns was copied out under that lock
+// and is the caller's to keep after it (query.Reader's contract; only
+// messages are shared, and they are immutable once parsed) — no engine
+// state crosses the lock, and Trail renders from such a copy after
+// releasing it. RegisterMetrics may be called before Start; the series it
 // registers are scrape-safe at any time — counters are atomics, and
 // lock-guarded values are read through funcs that take the read lock
 // per render.
@@ -62,6 +66,11 @@ var ErrClosed = errors.New("pipeline: service closed")
 // everything else under the read lock, so an implementation needs no
 // locking of its own.
 type Backend interface {
+	// The reads. The Service runs each under the read lock and hands the
+	// result to a caller who keeps it after the lock is gone;
+	// query.Reader's contract is what makes that safe.
+	query.Reader
+
 	// Log appends m to the write-ahead log and Sync lands everything
 	// logged since the last Sync, both ahead of Apply. They run outside
 	// the lock, so an fsync never blocks queries; a failure degrades
@@ -89,12 +98,6 @@ type Backend interface {
 	Checkpoint() error
 
 	Err() error
-	Snapshot() core.Stats
-	SearchBundles(q string, k int) []query.BundleHit
-	SearchMessages(q string, k int) []query.MessageHit
-	Trail(id bundle.ID) (string, error)
-	Bundle(id bundle.ID) (*bundle.Bundle, error)
-	Trending(k int) []trending.Topic
 }
 
 // Options configure a Service.
@@ -457,15 +460,13 @@ func (s *Service) SearchMessages(q string, k int) []query.MessageHit {
 	return s.be.SearchMessages(q, k)
 }
 
-// Trail renders a bundle's provenance forest under the read lock.
-func (s *Service) Trail(id bundle.ID) (string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.be.Trail(id)
-}
+// Trail renders a bundle's provenance forest from the copy Bundle took,
+// after the read lock is released.
+func (s *Service) Trail(id bundle.ID) (string, error) { return query.Trail(s, id) }
 
-// Bundle resolves a bundle (pool or disk) under the read lock.
-func (s *Service) Bundle(id bundle.ID) (*bundle.Bundle, error) {
+// Bundle resolves a bundle (pool or disk) and copies it out under the
+// read lock.
+func (s *Service) Bundle(id bundle.ID) (query.BundleDetail, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.be.Bundle(id)

@@ -302,12 +302,12 @@ func (p *Pool) refine(now time.Time) {
 	count := 0
 	waiting := make([]rankedBundle, 0, len(p.bundles))
 	for _, b := range p.bundles {
-		age := now.Sub(b.LastUpdate())
+		age := now.Sub(b.EndTime())
 		switch {
 		case age > p.cfg.RefineAge && b.Size() < p.cfg.RefineSize:
 			p.remove(b)
 			if p.onRefine != nil {
-				p.onRefine(b, EvictAgingTiny, age.Hours(), score.EvictionRank(now, b.LastUpdate(), b.Size()), 0)
+				p.onRefine(b, EvictAgingTiny, age.Hours(), score.EvictionRank(now, b.EndTime(), b.Size()), 0)
 			}
 			p.onEvict(b, EvictAgingTiny, false)
 			p.stats.DeletedTiny++
@@ -315,13 +315,13 @@ func (p *Pool) refine(now time.Time) {
 		case age > p.cfg.RefineAge && b.Closed():
 			p.remove(b)
 			if p.onRefine != nil {
-				p.onRefine(b, EvictClosed, age.Hours(), score.EvictionRank(now, b.LastUpdate(), b.Size()), 0)
+				p.onRefine(b, EvictClosed, age.Hours(), score.EvictionRank(now, b.EndTime(), b.Size()), 0)
 			}
 			p.onEvict(b, EvictClosed, true)
 			p.stats.FlushedClosed++
 			count++
 		default:
-			waiting = append(waiting, rankedBundle{b: b, g: score.EvictionRank(now, b.LastUpdate(), b.Size())})
+			waiting = append(waiting, rankedBundle{b: b, g: score.EvictionRank(now, b.EndTime(), b.Size())})
 		}
 	}
 	sort.Slice(waiting, func(i, j int) bool {
@@ -336,7 +336,7 @@ func (p *Pool) refine(now time.Time) {
 		}
 		p.remove(rb.b)
 		if p.onRefine != nil {
-			p.onRefine(rb.b, EvictRanked, now.Sub(rb.b.LastUpdate()).Hours(), rb.g, rank+1)
+			p.onRefine(rb.b, EvictRanked, now.Sub(rb.b.EndTime()).Hours(), rb.g, rank+1)
 		}
 		p.onEvict(rb.b, EvictRanked, true)
 		p.stats.FlushedRanked++

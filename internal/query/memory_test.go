@@ -3,7 +3,9 @@ package query
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
+	"provex/internal/bundle"
 	"provex/internal/core"
 	"provex/internal/gen"
 )
@@ -24,6 +26,13 @@ func TestLiveHeapPerMessage(t *testing.T) {
 		n      = 20000
 		budget = 1375
 	)
+	// Most bundles never hold a second message, so the struct itself is
+	// a per-message cost: 128 B is id, node slice, the two summary forms,
+	// two dates, flags and the estimate — one date per fact, no field
+	// only tests reach.
+	if got := unsafe.Sizeof(bundle.Bundle{}); got != 128 {
+		t.Errorf("unsafe.Sizeof(bundle.Bundle{}) = %d, want 128", got)
+	}
 	g := gen.New(gen.DefaultConfig())
 	var before, after runtime.MemStats
 	runtime.GC()

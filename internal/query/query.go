@@ -196,8 +196,15 @@ func (p *Processor) Reindex() int {
 // Engine exposes the wrapped engine.
 func (p *Processor) Engine() *core.Engine { return p.eng }
 
-// Bundle resolves a bundle in the pool or the disk back-end.
-func (p *Processor) Bundle(id bundle.ID) (*bundle.Bundle, error) { return p.eng.Bundle(id) }
+// Bundle resolves a bundle in the pool or the disk back-end and copies
+// it out (Reader's contract).
+func (p *Processor) Bundle(id bundle.ID) (BundleDetail, error) {
+	b, err := p.eng.Bundle(id)
+	if err != nil {
+		return BundleDetail{}, err
+	}
+	return detail(b), nil
+}
 
 // Snapshot returns engine statistics.
 func (p *Processor) Snapshot() core.Stats { return p.eng.Snapshot() }
@@ -376,10 +383,4 @@ func freshness(now, last time.Time) float64 {
 
 // Trail loads a bundle wherever it lives (pool or disk) and renders its
 // provenance forest — the Figure 2(b)/Figure 10 visualisation.
-func (p *Processor) Trail(id bundle.ID) (string, error) {
-	b, err := p.eng.Bundle(id)
-	if err != nil {
-		return "", err
-	}
-	return b.Render(), nil
-}
+func (p *Processor) Trail(id bundle.ID) (string, error) { return Trail(p, id) }

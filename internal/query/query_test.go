@@ -1,10 +1,12 @@
 package query
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"provex/internal/bundle"
 	"provex/internal/core"
 	"provex/internal/fsx"
 	"provex/internal/gen"
@@ -189,6 +191,37 @@ func TestTrail(t *testing.T) {
 	}
 	if _, err := p.Trail(9999); err == nil {
 		t.Error("missing bundle trail did not error")
+	}
+}
+
+func TestRender(t *testing.T) {
+	p := newGameProcessor(t)
+	d, err := p.Bundle(p.SearchBundles("redsox", 1)[0].ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := d.Render()
+	if !strings.Contains(out, fmt.Sprintf("bundle %d: 4 messages", d.ID)) || !strings.Contains(out, "[rt") {
+		t.Errorf("Render missing expected parts:\n%s", out)
+	}
+	// Every message appears once, a child one step deeper than its
+	// parent and below it.
+	indent := make([]int, len(d.Nodes))
+	at := make([]int, len(d.Nodes))
+	for i, n := range d.Nodes {
+		line := "- " + n.Msg.String()
+		if strings.Count(out, line) != 1 {
+			t.Fatalf("Render shows message %q %d times:\n%s", n.Msg.Text, strings.Count(out, line), out)
+		}
+		at[i] = strings.Index(out, line)
+		indent[i] = at[i] - strings.LastIndex(out[:at[i]], "\n") - 1
+		if n.Parent == bundle.NoParent {
+			if indent[i] != 2 {
+				t.Errorf("root %d indented %d", i, indent[i])
+			}
+		} else if indent[i] != indent[n.Parent]+2 || at[i] < at[n.Parent] {
+			t.Errorf("node %d (indent %d) is not drawn under its parent %d (indent %d)", i, indent[i], n.Parent, indent[n.Parent])
+		}
 	}
 }
 

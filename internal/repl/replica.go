@@ -108,7 +108,7 @@ type replState struct {
 // records through pipeline.Durable exactly like leader-side ingest —
 // WAL-before-apply, own checkpoints, full crash recoverability.
 //
-// It implements server.Backend (read-only query surface) and exposes
+// It implements query.Reader (read-only query surface) and exposes
 // Health as a server.HealthFunc: the replica gates its data endpoints
 // when it is bootstrapping, has diverged from the leader, lags beyond
 // MaxLag, or has not heard from the leader within StaleAfter —
@@ -335,48 +335,39 @@ func (r *Replica) Health() server.HealthStatus {
 	return server.HealthStatus{Ready: true, Detail: detail}
 }
 
-// --- server.Backend (read-only query surface) ---
+// --- query.Reader (the read-only query surface server.New takes) ---
 
-// SearchMessages implements server.Backend over the current state
-// generation; empty results while bootstrapping (reads are gated then
-// anyway, but /stats-style callers must never crash).
+// reader is the current state generation's read surface; while there is
+// none (bootstrap, resync) it is one that finds nothing — reads are
+// gated then anyway, but /stats-style callers must never crash.
+func (r *Replica) reader() query.Reader {
+	if st := r.state.Load(); st != nil {
+		return st.svc
+	}
+	return bootstrapping{}
+}
+
+// SearchMessages and the four reads below are query.Reader, each
+// answered by reader().
 func (r *Replica) SearchMessages(q string, k int) []query.MessageHit {
-	if st := r.state.Load(); st != nil {
-		return st.svc.SearchMessages(q, k)
-	}
-	return nil
+	return r.reader().SearchMessages(q, k)
 }
-
-// SearchBundles implements server.Backend.
 func (r *Replica) SearchBundles(q string, k int) []query.BundleHit {
-	if st := r.state.Load(); st != nil {
-		return st.svc.SearchBundles(q, k)
-	}
-	return nil
+	return r.reader().SearchBundles(q, k)
 }
+func (r *Replica) Bundle(id bundle.ID) (query.BundleDetail, error) { return r.reader().Bundle(id) }
+func (r *Replica) Trending(k int) []trending.Topic                 { return r.reader().Trending(k) }
+func (r *Replica) Snapshot() core.Stats                            { return r.reader().Snapshot() }
 
-// Bundle implements server.Backend.
-func (r *Replica) Bundle(id bundle.ID) (*bundle.Bundle, error) {
-	if st := r.state.Load(); st != nil {
-		return st.svc.Bundle(id)
-	}
-	return nil, fmt.Errorf("repl: bootstrapping: %w", storage.ErrNotFound)
-}
+// bootstrapping is the query.Reader of a follower with no state yet.
+type bootstrapping struct{}
 
-// Snapshot implements server.Backend.
-func (r *Replica) Snapshot() core.Stats {
-	if st := r.state.Load(); st != nil {
-		return st.svc.Snapshot()
-	}
-	return core.Stats{}
-}
-
-// Trending implements server.Backend.
-func (r *Replica) Trending(k int) []trending.Topic {
-	if st := r.state.Load(); st != nil {
-		return st.svc.Trending(k)
-	}
-	return nil
+func (bootstrapping) SearchMessages(string, int) []query.MessageHit { return nil }
+func (bootstrapping) SearchBundles(string, int) []query.BundleHit   { return nil }
+func (bootstrapping) Trending(int) []trending.Topic                 { return nil }
+func (bootstrapping) Snapshot() core.Stats                          { return core.Stats{} }
+func (bootstrapping) Bundle(bundle.ID) (query.BundleDetail, error) {
+	return query.BundleDetail{}, fmt.Errorf("repl: bootstrapping: %w", storage.ErrNotFound)
 }
 
 // --- tailer ---

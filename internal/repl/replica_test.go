@@ -9,6 +9,7 @@ package repl
 // double-applied or skipped records cannot pass.
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -24,6 +25,7 @@ import (
 	"provex/internal/pipeline"
 	"provex/internal/query"
 	"provex/internal/server"
+	"provex/internal/storage"
 	"provex/internal/tweet"
 )
 
@@ -486,19 +488,47 @@ func TestFollowerGatesWhileLagBeyondBound(t *testing.T) {
 		o.MaxBatchBytes = 600 // a handful of records per fetch
 		o.MaxLag = 50
 	})
+	// No state generation yet: the read surface finds nothing — reads
+	// are gated then, but a caller that gets through must not crash.
+	if _, err := r.Bundle(1); !errors.Is(err, storage.ErrNotFound) {
+		t.Fatalf("Bundle while bootstrapping = %v, want storage.ErrNotFound", err)
+	}
+	if r.SearchBundles("tsunami", 5) != nil || r.SearchMessages("tsunami", 5) != nil ||
+		r.Trending(5) != nil || r.Snapshot().Messages != 0 {
+		t.Fatal("a bootstrapping follower's reads found something")
+	}
 	r.Start()
 	defer r.Stop()
 
-	sawLagGate := false
+	// Every message shares #tsunami, so bundle 1 is the one the tailer's
+	// writer keeps appending to; each poll walks all of what Bundle
+	// returned for it, beside that writer.
+	sawLagGate, partial, last := false, 0, 0
 	waitFor(t, 15*time.Second, "slow catch-up", func() bool {
 		st := r.Health()
 		if !st.Ready && strings.Contains(st.Reason, "lag") {
 			sawLagGate = true
 		}
+		if d, err := r.Bundle(1); err == nil {
+			for i, n := range d.Nodes {
+				if n.Msg.Text == "" || int(n.Parent) >= i {
+					t.Fatalf("Bundle(1) while tailing: node %d = %+v", i, n)
+				}
+			}
+			if len(d.Nodes) < last || len(d.Summary) == 0 {
+				t.Fatalf("Bundle(1) while tailing: %d nodes after %d, summary %v", len(d.Nodes), last, d.Summary)
+			}
+			if last = len(d.Nodes); last < leader.n {
+				partial++
+			}
+		}
 		return r.Applied() == uint64(leader.n)
 	})
 	if !sawLagGate {
 		t.Fatal("follower never reported a lag gate during a 500-message catch-up with MaxLag=50")
+	}
+	if partial == 0 || last != leader.n {
+		t.Fatalf("Bundle(1) answered %d times mid-tail and ended at %d of %d nodes", partial, last, leader.n)
 	}
 	waitFor(t, 2*time.Second, "ready after drain", func() bool { return r.Health().Ready })
 	if lag := r.Lag(); lag != 0 {

@@ -31,15 +31,19 @@
 // feed the node while clients are told to back off.
 //
 // Concurrency contract: a Server owns no state of its own beyond its
-// metrics instruments — every handler is a stateless translation
-// between HTTP and the Backend, so the mux serves any number of
-// requests concurrently and thread safety is entirely the Backend's
-// contract. *pipeline.Service (what provserve passes, over either
-// engine) answers queries under its read lock while its single writer
-// ingests; a bare *query.Processor is safe only once ingest has
-// finished. The metrics
-// middleware uses atomic instruments and internally locked histograms,
-// adding no shared mutable state of its own.
+// metrics instruments, so the mux serves any number of requests
+// concurrently. A handler makes one Backend call and then renders what
+// it returned — and the rendering runs after whatever lock that call
+// held is gone, beside a writer that is still ingesting. That is safe
+// because the Backend is a query.Reader, whose contract is that every
+// returned value is the caller's own copy (messages excepted: they are
+// immutable once parsed); a handler never holds a live bundle, pool or
+// index. *pipeline.Service (what provserve passes, over either engine)
+// answers under its read lock while its single writer ingests; a bare
+// *query.Processor takes no lock and is safe only once ingest has
+// finished. The metrics middleware uses atomic instruments and
+// internally locked histograms, adding no shared mutable state of its
+// own.
 //
 // With WithRegistry the server also becomes the metrics aggregation
 // point: per-endpoint request counters, an in-flight gauge and latency
@@ -65,19 +69,13 @@ import (
 	"provex/internal/query"
 	"provex/internal/storage"
 	"provex/internal/trace"
-	"provex/internal/trending"
 )
 
-// Backend is what the HTTP layer needs from the indexing side. Both
-// *pipeline.Service (concurrent ingest, serial or sharded engine) and
-// a bare *query.Processor (no concurrent ingest) satisfy it.
-type Backend interface {
-	SearchMessages(q string, k int) []query.MessageHit
-	SearchBundles(q string, k int) []query.BundleHit
-	Bundle(id bundle.ID) (*bundle.Bundle, error)
-	Snapshot() core.Stats
-	Trending(k int) []trending.Topic
-}
+// Backend is what the HTTP layer needs from the indexing side: the read
+// surface, declared in internal/query. *pipeline.Service (concurrent
+// ingest, serial or sharded engine), *repl.Replica and a bare
+// *query.Processor (no concurrent ingest) satisfy it.
+type Backend = query.Reader
 
 // HealthStatus is one readiness verdict from a HealthFunc.
 type HealthStatus struct {
@@ -513,7 +511,7 @@ func (s *Server) handleBundle(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "invalid id %q", idRaw)
 		return
 	}
-	b, err := s.backend.Bundle(bundle.ID(id))
+	d, err := s.backend.Bundle(bundle.ID(id))
 	if err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, storage.ErrNotFound) {
@@ -522,14 +520,14 @@ func (s *Server) handleBundle(w http.ResponseWriter, r *http.Request) {
 		httpError(w, status, "%v", err)
 		return
 	}
-	nodes := make([]nodeJSON, 0, b.Size())
-	for i, n := range b.Nodes() {
+	nodes := make([]nodeJSON, 0, len(d.Nodes))
+	for i, n := range d.Nodes {
 		nj := nodeJSON{
 			Index:  i,
 			Parent: int(n.Parent),
-			User:   n.Doc.Msg.User,
-			Date:   n.Doc.Msg.Date.Format(time.RFC3339),
-			Text:   n.Doc.Msg.Text,
+			User:   n.Msg.User,
+			Date:   n.Msg.Date.Format(time.RFC3339),
+			Text:   n.Msg.Text,
 		}
 		if n.Parent != bundle.NoParent {
 			nj.Conn = n.Conn.String()
@@ -538,12 +536,12 @@ func (s *Server) handleBundle(w http.ResponseWriter, r *http.Request) {
 		nodes = append(nodes, nj)
 	}
 	writeJSON(w, map[string]interface{}{
-		"id":      b.ID(),
-		"size":    b.Size(),
-		"closed":  b.Closed(),
-		"start":   b.StartTime().Format(time.RFC3339),
-		"end":     b.EndTime().Format(time.RFC3339),
-		"summary": b.SummaryWords(10),
+		"id":      d.ID,
+		"size":    len(d.Nodes),
+		"closed":  d.Closed,
+		"start":   d.Start.Format(time.RFC3339),
+		"end":     d.End.Format(time.RFC3339),
+		"summary": d.Summary,
 		"nodes":   nodes,
 	})
 }

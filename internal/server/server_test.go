@@ -4,12 +4,16 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"provex/internal/bundle"
 	"provex/internal/core"
+	"provex/internal/pipeline"
 	"provex/internal/query"
 	"provex/internal/tweet"
 )
@@ -120,6 +124,27 @@ func TestBundleEndpoint(t *testing.T) {
 	}
 }
 
+// TestBundleGolden pins the two renderings of one query.BundleDetail —
+// the /bundle body and the trail text — to the bytes the fixture
+// produced when both were drawn from the live *bundle.Bundle.
+func TestBundleGolden(t *testing.T) {
+	srv, proc := newTestServer(t)
+	_, body := get(t, srv.URL+"/bundle?id=1")
+	trail, err := proc.Trail(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for file, got := range map[string]string{"fixture_bundle.json": body, "fixture_trail.txt": trail} {
+		want, err := os.ReadFile(filepath.Join("testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Errorf("%s: got\n%s\nwant\n%s", file, got, want)
+		}
+	}
+}
+
 func jsonNum(f float64) string {
 	return strconv.FormatFloat(f, 'f', -1, 64)
 }
@@ -181,5 +206,87 @@ func TestTrendingEndpoint(t *testing.T) {
 	outBad := getJSON(t, srv.URL+"/trending?k=bogus", 400)
 	if outBad["error"] == "" {
 		t.Error("missing error body")
+	}
+}
+
+// TestBundleWhileIngesting polls the trail of a bundle the writer is
+// still appending to. Every message shares #samoa and one URL, so
+// bundle 1 absorbs the whole stream and is past PruneMinNodes — its
+// summary hash maps, its node slice reallocating — almost at once.
+// /bundle draws a copy taken under the Service's read lock; a handler
+// that walks the live bundle instead dies here with "concurrent map
+// iteration and map write" (a process exit, not a failed assertion)
+// and is reported under -race.
+func TestBundleWhileIngesting(t *testing.T) {
+	const n = 20000
+	svc := pipeline.New(query.New(core.New(core.FullIndexConfig(), nil, nil), query.DefaultOptions()), pipeline.Options{})
+	svc.Start()
+	srv := httptest.NewServer(New(svc))
+	defer srv.Close()
+
+	base := time.Date(2009, 9, 29, 18, 0, 0, 0, time.UTC)
+	fed := make(chan error, 1)
+	go func() {
+		for i := 1; i <= n; i++ {
+			text := "tsunami warning update " + strconv.Itoa(i) + " #samoa http://bit.ly/samoa"
+			if err := svc.Submit(tweet.Parse(tweet.ID(i), "user"+strconv.Itoa(i%50), base.Add(time.Duration(i)*time.Second), text)); err != nil {
+				fed <- err
+				return
+			}
+		}
+		fed <- svc.Stop()
+	}()
+
+	size := func() int {
+		resp, err := http.Get(srv.URL + "/bundle?id=1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode == http.StatusNotFound {
+			return 0 // the first message is not applied yet
+		}
+		var out struct {
+			Size    int
+			Summary []string
+			Nodes   []struct{ Index, Parent int }
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /bundle?id=1 = %d, decode: %v", resp.StatusCode, err)
+		}
+		if out.Size != len(out.Nodes) || len(out.Summary) == 0 {
+			t.Fatalf("/bundle: size %d with %d nodes, summary %v", out.Size, len(out.Nodes), out.Summary)
+		}
+		for i, nd := range out.Nodes {
+			if nd.Index != i || nd.Parent >= i {
+				t.Fatalf("/bundle: node %d = %+v", i, nd)
+			}
+		}
+		return out.Size
+	}
+	last, grew := 0, 0
+	for feeding := true; feeding; {
+		select {
+		case err := <-fed:
+			if err != nil {
+				t.Fatal(err)
+			}
+			feeding = false
+		default:
+		}
+		got := size()
+		if got < last {
+			t.Fatalf("/bundle shrank from %d to %d nodes", last, got)
+		}
+		if got > last && last >= bundle.PruneMinNodes {
+			grew++
+		}
+		last = got
+	}
+	if last != n {
+		t.Fatalf("bundle 1 holds %d of %d messages", last, n)
+	}
+	if grew == 0 {
+		t.Fatal("no poll saw bundle 1 between PruneMinNodes and full: the test did not overlap ingest")
 	}
 }

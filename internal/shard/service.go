@@ -6,8 +6,8 @@
 // protocol and the barrier's two steps, and the reads.
 //
 // Queries fan out: search and trending ask every shard's processor and
-// merge top-k under the serial tie order (score desc, ID asc); point
-// lookups (Bundle, Trail) route straight to the owning shard via the
+// merge top-k under the serial tie order (score desc, ID asc); the
+// point lookup (Bundle) routes straight to the owning shard via the
 // bundle ID stride.
 
 package shard
@@ -116,14 +116,8 @@ func (e *Engine) Trending(k int) []trending.Topic {
 		func(t trending.Topic) (float64, uint64) { return t.Score, uint64(t.ID) })
 }
 
-// owner returns the processor of the shard that allocated id.
-func (e *Engine) owner(id bundle.ID) *query.Processor {
-	return e.shards[Owner(id, len(e.shards))].proc
-}
-
 // Bundle resolves a bundle on its owning shard (pool, then that
-// shard's disk back-end).
-func (e *Engine) Bundle(id bundle.ID) (*bundle.Bundle, error) { return e.owner(id).Bundle(id) }
-
-// Trail renders a bundle's provenance forest from its owning shard.
-func (e *Engine) Trail(id bundle.ID) (string, error) { return e.owner(id).Trail(id) }
+// shard's disk back-end) and copies it out.
+func (e *Engine) Bundle(id bundle.ID) (query.BundleDetail, error) {
+	return e.shards[Owner(id, len(e.shards))].proc.Bundle(id)
+}

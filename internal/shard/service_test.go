@@ -20,6 +20,7 @@ import (
 	"provex/internal/fsx"
 	"provex/internal/pipeline"
 	"provex/internal/query"
+	"provex/internal/storage"
 	"provex/internal/tweet"
 )
 
@@ -162,6 +163,33 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// walkBundle reads everything Bundle and Trail return for id, from a
+// goroutine that holds no lock: query.Reader says the value is the
+// caller's, so under -race this fails if any of it is still the
+// writer's. Runs beside the test goroutine, hence Errorf only.
+func walkBundle(t *testing.T, s *Service, id bundle.ID) {
+	d, err := s.Bundle(id)
+	if errors.Is(err, storage.ErrNotFound) {
+		return // refined out of the bounded pool since the read that named it
+	}
+	if err != nil || d.ID != id || len(d.Nodes) == 0 || len(d.Summary) == 0 {
+		t.Errorf("Bundle(%d) = %d nodes, summary %v, err %v", id, len(d.Nodes), d.Summary, err)
+		return
+	}
+	for i, n := range d.Nodes {
+		if n.Msg.Text == "" || int(n.Parent) >= i || n.Msg.Date.Before(d.Start) || n.Msg.Date.After(d.End) {
+			t.Errorf("Bundle(%d): node %d = %+v outside the bundle's shape", id, i, n)
+			return
+		}
+	}
+	// A bundle only grows, so the trail drawn later has at least a
+	// header and one line per node seen above.
+	trail, err := s.Trail(id)
+	if lines := strings.Count(trail, "\n"); err == nil && lines <= len(d.Nodes) {
+		t.Errorf("Trail(%d) has %d lines after Bundle saw %d nodes", id, lines, len(d.Nodes))
+	}
+}
+
 func TestServiceContract(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -273,9 +301,23 @@ func TestServiceContract(t *testing.T) {
 							return
 						default:
 						}
-						s.SearchBundles("game win", 5)
+						// The trail view of the largest bundle the reads just
+						// named — the one the writer is most likely appending to.
+						big := query.BundleHit{}
+						for _, h := range s.SearchBundles("game win", 5) {
+							if h.Size > big.Size {
+								big = h
+							}
+						}
+						for _, tp := range s.Trending(5) {
+							if tp.Size > big.Size {
+								big = query.BundleHit{ID: tp.ID, Size: tp.Size}
+							}
+						}
+						if big.Size > 0 {
+							walkBundle(t, s, big.ID)
+						}
 						s.SearchMessages("game", 5)
-						s.Trending(5)
 						s.Snapshot()
 						s.Ingested()
 						s.Checkpoints()

@@ -107,18 +107,6 @@ func Drain(src Source) ([]*tweet.Message, error) {
 	}
 }
 
-// CloneSlice deep-copies a message slice. Benchmarks and experiments
-// that replay one generated stream through several engines need it:
-// engines annotate and retain the messages they ingest, so each run
-// must get its own copies.
-func CloneSlice(msgs []*tweet.Message) []*tweet.Message {
-	out := make([]*tweet.Message, len(msgs))
-	for i, m := range msgs {
-		out[i] = m.Clone()
-	}
-	return out
-}
-
 // Clock tracks simulated time per the paper's replay convention: the
 // newest message date observed so far is "now". The zero Clock reads as
 // the zero time until fed.

@@ -508,16 +508,6 @@ func (ix *Index) Postings(c Class, term string) []Posting {
 	return ix.classes[c][term]
 }
 
-// PostingCount returns term's occurrence count inside bundle id, 0 when
-// the bundle does not carry the term.
-func (ix *Index) PostingCount(c Class, term string, id BundleID) uint32 {
-	pl := ix.classes[c][term]
-	if i := findPosting(pl, id); i < len(pl) && pl[i].ID == id {
-		return pl[i].Count
-	}
-	return 0
-}
-
 // Terms returns the number of distinct terms in class c.
 func (ix *Index) Terms(c Class) int { return len(ix.classes[c]) }
 

@@ -127,12 +127,6 @@ func TestDuplicateObserveCounts(t *testing.T) {
 	if len(p) != 1 || p[0].ID != 1 || p[0].Count != 2 {
 		t.Errorf("postings = %v, want [{1 2}]", p)
 	}
-	if got := ix.PostingCount(ClassTag, "redsox", 1); got != 2 {
-		t.Errorf("PostingCount = %d, want 2", got)
-	}
-	if got := ix.PostingCount(ClassTag, "redsox", 9); got != 0 {
-		t.Errorf("PostingCount(absent) = %d, want 0", got)
-	}
 	if ix.Terms(ClassTag) != 1 {
 		t.Errorf("Terms = %d, want 1", ix.Terms(ClassTag))
 	}

@@ -129,13 +129,6 @@ func (ix *Index) Compact() {
 	ix.deleted = make(map[DocID]bool)
 }
 
-// Docs returns the number of live documents.
-func (ix *Index) Docs() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.liveDocs
-}
-
 // Terms returns the vocabulary size (including terms only present in
 // tombstoned docs until Compact runs).
 func (ix *Index) Terms() int {

@@ -112,14 +112,14 @@ func TestDeleteHidesDoc(t *testing.T) {
 	if len(hits) != 1 || hits[0].Doc != 2 {
 		t.Errorf("deleted doc still surfaces: %v", hits)
 	}
-	if ix.Docs() != 1 {
-		t.Errorf("Docs = %d, want 1", ix.Docs())
+	if ix.liveDocs != 1 {
+		t.Errorf("liveDocs = %d, want 1", ix.liveDocs)
 	}
 	// Deleting twice or deleting unknown docs is a no-op.
 	ix.Delete(1)
 	ix.Delete(999)
-	if ix.Docs() != 1 {
-		t.Errorf("no-op deletes changed Docs to %d", ix.Docs())
+	if ix.liveDocs != 1 {
+		t.Errorf("no-op deletes changed liveDocs to %d", ix.liveDocs)
 	}
 }
 
@@ -180,8 +180,8 @@ func TestConcurrentReadWrite(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if ix.Docs() != 2000 {
-		t.Errorf("Docs = %d, want 2000", ix.Docs())
+	if ix.liveDocs != 2000 {
+		t.Errorf("liveDocs = %d, want 2000", ix.liveDocs)
 	}
 	if len(ix.Search([]string{"shared"}, 3000)) != 2000 {
 		t.Error("not all docs searchable after concurrent build")

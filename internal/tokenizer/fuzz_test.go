@@ -1,6 +1,7 @@
 package tokenizer
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -9,8 +10,13 @@ import (
 // and pathological URL/sigil soup) at the tokenizer and checks the
 // structural invariants every downstream consumer relies on: no
 // panics, tokens are lower-cased word runes only, keywords are
-// deduplicated, interned and at least MinTokenLen long, and the
-// pipeline is deterministic.
+// deduplicated and interned, the single-pass Keywords scan is the
+// specified pipeline over Tokenize — drop tokens shorter than
+// MinTokenLen, stop words and numbers, THEN stem, keep first
+// occurrences — and the pipeline is deterministic. The stop-word filter
+// runs before the stemmer, so a keyword may itself spell a stop word
+// ("dons" → "don"): that is specified behaviour, pinned by the
+// benchmark recipes' bundle counts, not a leak.
 func FuzzTokenizeKeywords(f *testing.F) {
 	f.Add("RT @alice: check https://example.com/x #Breaking news BREAKING")
 	f.Add("plain words only")
@@ -20,6 +26,10 @@ func FuzzTokenizeKeywords(f *testing.F) {
 	f.Add(strings.Repeat("a", 200) + " " + strings.Repeat("Z", 200))
 	f.Add("под_снегом mixed апельсин scripts")
 	f.Add("don't can't won't O'Brien")
+	f.Add("dons")
+	f.Add("buts")
+	f.Add("thes")
+	f.Add("wills")
 
 	f.Fuzz(func(t *testing.T, text string) {
 		toks := Tokenize(text)
@@ -37,18 +47,24 @@ func FuzzTokenizeKeywords(f *testing.F) {
 			}
 		}
 
+		var want []string
+		listed := make(map[string]bool)
+		for _, tok := range toks {
+			if len(tok) < MinTokenLen || IsStopword(tok) || isNumeric(tok) {
+				continue
+			}
+			if st := Stem(tok); !listed[st] {
+				listed[st] = true
+				want = append(want, st)
+			}
+		}
 		kws := Keywords(text)
-		seen := make(map[string]bool, len(kws))
+		if !slices.Equal(kws, want) {
+			t.Fatalf("Keywords = %q, the pipeline over Tokenize gives %q", kws, want)
+		}
 		for _, k := range kws {
 			if len(k) == 0 {
 				t.Fatal("Keywords produced an empty keyword")
-			}
-			if seen[k] {
-				t.Fatalf("Keywords produced duplicate %q", k)
-			}
-			seen[k] = true
-			if IsStopword(k) {
-				t.Fatalf("Keywords leaked stopword %q", k)
 			}
 			// Interning must be stable: the same spelling resolves to
 			// the same canonical string.

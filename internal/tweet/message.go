@@ -35,6 +35,13 @@ const MaxTextLen = 140
 // Parse; code receiving a Message may rely on them being normalised:
 // hashtags lower-cased without '#', mentions lower-cased without '@',
 // URLs lower-cased with scheme stripped.
+//
+// A Message is immutable once Parse (or the generator) has returned it:
+// nothing downstream assigns to a field or to an element of its slices.
+// That is what lets one *Message be shared — by several engines fed the
+// same stream, by a bundle's nodes and the message index, and by the
+// writer and the readers its query results are handed to (query.Reader)
+// — without a copy or a lock.
 type Message struct {
 	ID   ID
 	Date time.Time
@@ -55,16 +62,6 @@ type Message struct {
 
 // IsRT reports whether the message re-shares a previous one.
 func (m *Message) IsRT() bool { return m.RTOf != "" }
-
-// Clone returns a deep copy of the message. Slices are copied so the
-// clone may be mutated independently.
-func (m *Message) Clone() *Message {
-	c := *m
-	c.URLs = append([]string(nil), m.URLs...)
-	c.Hashtags = append([]string(nil), m.Hashtags...)
-	c.Mentions = append([]string(nil), m.Mentions...)
-	return &c
-}
 
 // String renders the message in the compact "user date: text" form used
 // in examples and test failure output.

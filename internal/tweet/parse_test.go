@@ -165,19 +165,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	m := parseText(t, "hello #a #b http://x.io/1 @m RT @src: orig")
-	c := m.Clone()
-	if !reflect.DeepEqual(m, c) {
-		t.Fatalf("clone differs: %+v vs %+v", m, c)
-	}
-	c.Hashtags[0] = "mutated"
-	c.URLs[0] = "mutated"
-	if m.Hashtags[0] == "mutated" || m.URLs[0] == "mutated" {
-		t.Error("Clone shares slice storage with original")
-	}
-}
-
 // Property: parsing never panics and always yields normalised indicants,
 // for arbitrary input text.
 func TestParseNormalisationProperty(t *testing.T) {

@@ -111,7 +111,7 @@ func FuzzOpenReplay(f *testing.F) {
 		}); err != nil && !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("Replay: non-corruption error %v", err)
 		}
-		next := l.LastSeq() + 1
+		next := l.lastSeq + 1
 		if err := l.Append(next, &tweet.Message{ID: tweet.ID(next), User: "post", Text: "append after recovery"}); err != nil {
 			t.Fatalf("Append after recovery: %v", err)
 		}

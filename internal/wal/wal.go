@@ -305,9 +305,6 @@ func (l *Log) Sync() error {
 	return err
 }
 
-// LastSeq returns the highest sequence number appended or recovered.
-func (l *Log) LastSeq() uint64 { return l.lastSeq }
-
 // Rebase resets the sequence watermarks to seq. Only valid while the
 // log holds no records — immediately after Truncate — where the
 // append-monotonicity guard has no content left to protect. The

@@ -57,8 +57,8 @@ func TestAppendReplayRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l2.LastSeq() != 20 {
-		t.Fatalf("LastSeq = %d", l2.LastSeq())
+	if l2.lastSeq != 20 {
+		t.Fatalf("LastSeq = %d", l2.lastSeq)
 	}
 	seqs, msgs := collect(t, l2, 0)
 	if len(seqs) != 20 {
@@ -139,8 +139,8 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 	if len(seqs) != 4 {
 		t.Fatalf("replay after torn tail = %v, want 4 records", seqs)
 	}
-	if l2.LastSeq() != 4 {
-		t.Fatalf("LastSeq = %d", l2.LastSeq())
+	if l2.lastSeq != 4 {
+		t.Fatalf("LastSeq = %d", l2.lastSeq)
 	}
 	// Appending over the truncated tail works.
 	if err := l2.Append(5, msg(4)); err != nil {
@@ -253,9 +253,9 @@ func TestShortBatchWriteDropsBatch(t *testing.T) {
 			t.Fatalf("append closing the batch: err = %v, want the injected short write", err)
 		}
 		ff.Disarm()
-		if l.LastSeq() != 64 || l.SyncedSeq() != 64 || l.Size() != syncedSize {
+		if l.lastSeq != 64 || l.SyncedSeq() != 64 || l.Size() != syncedSize {
 			t.Fatalf("after the dropped batch: LastSeq %d SyncedSeq %d Size %d, want 64 64 %d",
-				l.LastSeq(), l.SyncedSeq(), l.Size(), syncedSize)
+				l.lastSeq, l.SyncedSeq(), l.Size(), syncedSize)
 		}
 		want := 64
 		if resume {
@@ -360,8 +360,8 @@ func TestSyncErrorSurfacesOnAppend(t *testing.T) {
 		t.Fatalf("append err = %v, want injected fsync failure", err)
 	}
 	ff.Disarm()
-	if l.LastSeq() != 0 || l.SyncedSeq() != 0 {
-		t.Fatalf("after the failed sync: LastSeq %d SyncedSeq %d, want 0 0", l.LastSeq(), l.SyncedSeq())
+	if l.lastSeq != 0 || l.SyncedSeq() != 0 {
+		t.Fatalf("after the failed sync: LastSeq %d SyncedSeq %d, want 0 0", l.lastSeq, l.SyncedSeq())
 	}
 	appendN(t, l, 0, 4)
 	mem.Crash()
