@@ -42,6 +42,11 @@ go test ./internal/sumindex -fuzz FuzzCandidates -fuzztime 10s -run '^$'
 # input is ~40 Adds with the full comparison after each, so minimising
 # a new corpus entry is capped or it would eat the whole budget
 go test ./internal/bundle -fuzz FuzzBundleSummary -fuzztime 10s -fuzzminimizetime 20x -run '^$'
+# the message index against the map-and-slice index it replaced (adds in
+# and out of key order, deletes, compactions, searches), and its posting
+# codec across slab sizes and chains
+go test ./internal/textindex -fuzz FuzzSearchMatchesOracle -fuzztime 10s -fuzzminimizetime 20x -run '^$'
+go test ./internal/textindex -fuzz FuzzPostingsRoundTrip -fuzztime 10s -run '^$'
 
 # The WAL's group-commit path, once: 64 appends, one write, one fsync.
 # TestAppendZeroAlloc pins its allocations; this proves the benchmark
@@ -311,5 +316,11 @@ go run ./cmd/provbench -figure fig13 -max 30000 -shards 4 -check-linear 1.5 -out
 # under cmd/ and internal/, testdata excluded.
 go_lines() { find cmd internal -name '*.go' -not -path '*/testdata/*' "$@" -print0 | xargs -0 cat | wc -l; }
 echo "loc: non-test $(go_lines -not -name '*_test.go') test $(go_lines -name '*_test.go')"
+
+# The two memory budgets, uncached, so every CI log carries the
+# figures: live heap bytes per ingested message of the serving shape,
+# and the message index's bytes per posting with its slab waste.
+go test -count=1 -run 'TestLiveHeapPerMessage|TestBytesPerPosting' -v ./internal/query ./internal/textindex \
+    | grep -E 'per message|per posting'
 
 echo "CI OK"

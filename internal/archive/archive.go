@@ -8,9 +8,10 @@
 //
 // The index is memory-resident and rebuilt from the store on Open —
 // the store itself stays the single source of durability. Each flush
-// gets a fresh internal document ID (re-flushing a bundle supersedes
-// its terms; the old document is tombstoned and reclaimed by lazy
-// compaction), so the full-text index never resurrects stale terms.
+// is a new document under the next key of a counter (re-flushing a
+// bundle supersedes its terms; the old document is tombstoned and
+// reclaimed by lazy compaction), so the full-text index never
+// resurrects stale terms and equal scores rank by flush order.
 package archive
 
 import (
@@ -36,8 +37,7 @@ type Index struct {
 	store *storage.Store
 	ix    *textindex.Index
 
-	nextDoc   textindex.DocID
-	docBundle map[textindex.DocID]bundle.ID
+	docBundle []bundle.ID // by document key − 1: keys are dense, so the slice is the map; 8 bytes a flush, superseded ones included
 	bundleDoc map[bundle.ID]textindex.DocID
 	ends      map[bundle.ID]time.Time
 }
@@ -48,8 +48,6 @@ func Open(store *storage.Store) (*Index, error) {
 	a := &Index{
 		store:     store,
 		ix:        textindex.New(),
-		nextDoc:   1,
-		docBundle: make(map[textindex.DocID]bundle.ID),
 		bundleDoc: make(map[bundle.ID]textindex.DocID),
 		ends:      make(map[bundle.ID]time.Time),
 	}
@@ -68,10 +66,9 @@ func Open(store *storage.Store) (*Index, error) {
 func (a *Index) Note(b *bundle.Bundle) {
 	if old, ok := a.bundleDoc[b.ID()]; ok {
 		a.ix.Delete(old)
-		delete(a.docBundle, old)
 	}
-	doc := a.nextDoc
-	a.nextDoc++
+	a.docBundle = append(a.docBundle, b.ID())
+	doc := textindex.DocID(len(a.docBundle))
 
 	terms := b.SummaryWords(summaryTerms)
 	tags, urls, _, _ := b.Indicants()
@@ -79,7 +76,6 @@ func (a *Index) Note(b *bundle.Bundle) {
 	terms = append(terms, urls...)
 	a.ix.Add(doc, terms)
 
-	a.docBundle[doc] = b.ID()
 	a.bundleDoc[b.ID()] = doc
 	a.ends[b.ID()] = b.EndTime()
 
@@ -111,10 +107,7 @@ func (a *Index) Search(terms []string, k int) []Hit {
 	}
 	out := make([]Hit, 0, len(raw))
 	for _, h := range raw {
-		id, ok := a.docBundle[h.Doc]
-		if !ok {
-			continue
-		}
+		id := a.docBundle[h.Doc-1]
 		out = append(out, Hit{ID: id, Text: h.Score / max, LastPost: a.ends[id]})
 	}
 	sort.Slice(out, func(i, j int) bool {

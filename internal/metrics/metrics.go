@@ -85,15 +85,6 @@ func (s *StageTimer) Total() time.Duration { return time.Duration(s.total.Load()
 // Count returns how many observations were charged.
 func (s *StageTimer) Count() int64 { return s.count.Load() }
 
-// Mean returns the average observation, zero when empty.
-func (s *StageTimer) Mean() time.Duration {
-	n := s.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(s.total.Load() / n)
-}
-
 // Histogram counts observations into caller-defined bucket upper bounds
 // (inclusive), plus an overflow bucket. It is safe for concurrent use.
 type Histogram struct {
@@ -182,31 +173,6 @@ func (h *Histogram) Snapshot() (buckets []Bucket, total int64, mean float64, max
 		mean = float64(h.sum) / float64(h.total)
 	}
 	return buckets, h.total, mean, h.max
-}
-
-// Quantile returns an upper-bound estimate of quantile q in [0,1],
-// resolved at bucket granularity. Empty histograms return 0.
-func (h *Histogram) Quantile(q float64) int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 {
-		return 0
-	}
-	target := int64(q * float64(h.total))
-	if target >= h.total {
-		target = h.total - 1
-	}
-	var cum int64
-	for i, c := range h.counts {
-		cum += c
-		if cum > target {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return h.max
-		}
-	}
-	return h.max
 }
 
 // String renders an ASCII sketch, useful in example output and -v tests.

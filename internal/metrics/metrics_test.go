@@ -60,19 +60,9 @@ func TestStageTimer(t *testing.T) {
 	if got := s.Count(); got != 2 {
 		t.Errorf("Count = %d, want 2", got)
 	}
-	if got := s.Mean(); got != 20*time.Millisecond {
-		t.Errorf("Mean = %v, want 20ms", got)
-	}
 	s.Time(func() { time.Sleep(time.Millisecond) })
 	if s.Count() != 3 || s.Total() <= 40*time.Millisecond {
 		t.Errorf("Time did not accumulate: count=%d total=%v", s.Count(), s.Total())
-	}
-}
-
-func TestStageTimerEmptyMean(t *testing.T) {
-	var s StageTimer
-	if s.Mean() != 0 {
-		t.Error("empty timer Mean should be 0")
 	}
 }
 
@@ -107,28 +97,6 @@ func TestPow2Histogram(t *testing.T) {
 		if b.UpperBound != want[i] {
 			t.Errorf("bound %d = %d, want %d", i, b.UpperBound, want[i])
 		}
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(1, 2, 4, 8, 16)
-	for v := int64(1); v <= 16; v++ {
-		h.Observe(v)
-	}
-	if q := h.Quantile(0); q != 1 {
-		t.Errorf("q0 = %d, want 1", q)
-	}
-	// target index 8 (0-based) of the sorted values 1..16 is 9, which
-	// falls in the <=16 bucket.
-	if q := h.Quantile(0.5); q != 16 {
-		t.Errorf("q50 = %d, want 16", q)
-	}
-	if q := h.Quantile(1); q != 16 {
-		t.Errorf("q100 = %d, want 16", q)
-	}
-	empty := NewHistogram(1)
-	if empty.Quantile(0.5) != 0 {
-		t.Error("empty histogram quantile should be 0")
 	}
 }
 
@@ -206,31 +174,6 @@ func TestHistogramConservationProperty(t *testing.T) {
 			sum += b.Count
 		}
 		return total == int64(len(vals)) && sum == total
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: quantiles are monotone in q.
-func TestHistogramQuantileMonotoneProperty(t *testing.T) {
-	f := func(vals []uint16) bool {
-		if len(vals) == 0 {
-			return true
-		}
-		h := NewPow2Histogram(17)
-		for _, v := range vals {
-			h.Observe(int64(v))
-		}
-		prev := int64(-1)
-		for _, q := range []float64{0, 0.25, 0.5, 0.75, 0.9, 1} {
-			cur := h.Quantile(q)
-			if cur < prev {
-				return false
-			}
-			prev = cur
-		}
-		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

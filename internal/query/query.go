@@ -14,7 +14,9 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -23,6 +25,7 @@ import (
 	"provex/internal/bundle"
 	"provex/internal/core"
 	"provex/internal/metrics"
+	"provex/internal/score"
 	"provex/internal/sumindex"
 	"provex/internal/textindex"
 	"provex/internal/tokenizer"
@@ -80,10 +83,10 @@ type Processor struct {
 	opts Options
 	eng  *core.Engine
 
-	msgIndex *textindex.Index
-	messages map[textindex.DocID]*tweet.Message
-	terms    []string        // scratch for one message's index terms
-	dups     metrics.Counter // messages whose ID the index already held
+	msgIndex *textindex.Index // set once by New: the /metrics gauges read it beside ingest
+	messages []*tweet.Message // by the ordinal msgIndex gave the message
+	terms    []string         // scratch for one message's index terms
+	dups     metrics.Counter  // messages whose ID the index already held
 
 	arch *archive.Index
 }
@@ -95,7 +98,6 @@ func New(eng *core.Engine, opts Options) *Processor {
 	p := &Processor{opts: opts, eng: eng}
 	if opts.KeepMessages {
 		p.msgIndex = textindex.New()
-		p.messages = make(map[textindex.DocID]*tweet.Message)
 	}
 	if opts.IncludeArchive {
 		st := eng.Store()
@@ -119,6 +121,19 @@ func (p *Processor) RegisterMetrics(reg *metrics.Registry, labels ...string) {
 	reg.RegisterCounter("provex_query_duplicate_messages_total",
 		"Messages ingested under an ID the message index already held (a stream re-fed after a resume); the index keeps its first entry.",
 		&p.dups, labels...)
+	if p.msgIndex == nil {
+		return
+	}
+	// The index locks for itself, so these are safe beside ingest.
+	reg.RegisterGaugeFunc("provex_query_index_docs",
+		"Messages the baseline message index holds.",
+		func() float64 { return float64(p.msgIndex.Stats().Docs) }, labels...)
+	reg.RegisterGaugeFunc("provex_query_index_postings",
+		"(term, message) pairs in the message index's posting lists.",
+		func() float64 { return float64(p.msgIndex.Stats().Postings) }, labels...)
+	reg.RegisterGaugeFunc("provex_query_index_bytes",
+		"Heap the message index owns: posting slabs, term table and per-message columns, counted from its own allocations (the messages and the interned terms are not its own).",
+		func() float64 { return float64(p.msgIndex.Stats().Bytes) }, labels...)
 }
 
 // DuplicateMessages counts the messages whose ID the message index
@@ -148,32 +163,37 @@ func (p *Processor) Insert(m *tweet.Message) core.InsertResult {
 // its first index entry, and is counted.
 func (p *Processor) InsertPrepared(prep core.Prepared) core.InsertResult {
 	res := p.eng.InsertPrepared(prep)
-	if p.msgIndex != nil {
-		p.index(prep.Doc.Msg, prep.Doc.Keywords)
+	if p.msgIndex != nil && !p.index(&prep.Doc) {
+		p.dups.Inc()
 	}
 	return res
 }
 
-// index adds m to the message index under its keywords and hashtags.
-func (p *Processor) index(m *tweet.Message, keywords []string) {
-	id := textindex.DocID(m.ID)
-	if _, dup := p.messages[id]; dup {
-		p.dups.Inc()
-		return
+// index adds the message to the message index under its keywords and
+// hashtags, unless the index already holds its ID.
+func (p *Processor) index(d *score.Doc) bool {
+	key := textindex.DocID(d.Msg.ID)
+	if _, held := p.msgIndex.Ordinal(key); held {
+		return false
 	}
-	// Scratch, not keywords itself: appending to that would alias the
-	// engine-retained keyword set. The index keeps no reference to it.
-	p.terms = append(append(p.terms[:0], keywords...), m.Hashtags...)
-	p.msgIndex.Add(id, p.terms)
-	p.messages[id] = m
+	// Scratch, not the keywords themselves: appending to those would
+	// alias the engine-retained set. The index keeps no reference to it.
+	p.terms = append(append(p.terms[:0], d.Keywords...), d.Msg.Hashtags...)
+	p.msgIndex.Add(key, p.terms)
+	p.messages = append(p.messages, d.Msg) // the n-th Add is ordinal n − 1
+	return true
 }
 
-// Reindex rebuilds the baseline message index from the engine's live
-// pool and returns the number of messages indexed. This is the
-// recovery companion: checkpoint restore and WAL replay insert
-// straight into the engine, so a resumed Processor starts with an
-// empty message index even though every pool node still carries its
-// message and extracted keywords. Messages evicted to disk before the
+// Reindex adds every message of the engine's live pool that the
+// baseline message index does not hold yet, and returns how many that
+// was. This is the recovery companion: checkpoint restore and WAL
+// replay insert straight into the engine, so a resumed Processor starts
+// with an empty message index even though every pool node still carries
+// its message and extracted keywords. The pool is walked in map order,
+// which no two runs share, so the messages are added in ID order: a
+// restarted node then holds the index an uninterrupted one built
+// (ordinals included — the stream's IDs increase), and the index never
+// sees an out-of-order key. Messages evicted to disk before the
 // checkpoint are not recoverable here; under an unbounded pool
 // (FullIndexConfig) the rebuilt index covers the full history. No-op
 // without KeepMessages.
@@ -181,15 +201,26 @@ func (p *Processor) Reindex() int {
 	if p.msgIndex == nil {
 		return 0
 	}
-	p.msgIndex = textindex.New()
-	p.messages = make(map[textindex.DocID]*tweet.Message)
-	n := 0
+	// The ID rides beside the pointer so that sorting touches the slice
+	// alone, not 125 000 messages scattered over a freshly loaded heap.
+	type ref struct {
+		id  tweet.ID
+		doc *score.Doc
+	}
+	refs := make([]ref, 0, p.eng.Pool().MessageCount())
 	p.eng.Pool().All(func(b *bundle.Bundle) {
-		for _, node := range b.Nodes() {
-			p.index(node.Doc.Msg, node.Doc.Keywords)
-			n++
+		nodes := b.Nodes()
+		for i := range nodes {
+			refs = append(refs, ref{nodes[i].Doc.Msg.ID, &nodes[i].Doc})
 		}
 	})
+	slices.SortFunc(refs, func(a, b ref) int { return cmp.Compare(a.id, b.id) })
+	n := 0
+	for _, r := range refs {
+		if p.index(r.doc) {
+			n++
+		}
+	}
 	return n
 }
 
@@ -245,9 +276,8 @@ func (p *Processor) SearchMessages(q string, k int) []MessageHit {
 	hits := p.msgIndex.Search(queryTerms(q), k)
 	out := make([]MessageHit, 0, len(hits))
 	for _, h := range hits {
-		if m, ok := p.messages[h.Doc]; ok {
-			out = append(out, MessageHit{Msg: m, Score: h.Score})
-		}
+		ord, _ := p.msgIndex.Ordinal(h.Doc)
+		out = append(out, MessageHit{Msg: p.messages[ord], Score: h.Score})
 	}
 	return out
 }

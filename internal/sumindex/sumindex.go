@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"strings"
 
 	"provex/internal/metrics"
 	"provex/internal/score"
@@ -513,13 +512,3 @@ func (ix *Index) Terms(c Class) int { return len(ix.classes[c]) }
 
 // MemBytes is the analytic memory estimate of the index.
 func (ix *Index) MemBytes() int64 { return ix.mem.Bytes() }
-
-// Stats renders a per-class size summary for diagnostics.
-func (ix *Index) Stats() string {
-	var b strings.Builder
-	for c := Class(0); c < numClasses; c++ {
-		fmt.Fprintf(&b, "%s=%d ", c, len(ix.classes[c]))
-	}
-	fmt.Fprintf(&b, "mem=%dB", ix.MemBytes())
-	return b.String()
-}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"slices"
 	"strconv"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -155,15 +154,6 @@ func TestClassString(t *testing.T) {
 		if c.String() != want {
 			t.Errorf("Class(%d).String() = %q, want %q", c, c.String(), want)
 		}
-	}
-}
-
-func TestStats(t *testing.T) {
-	ix := New()
-	ix.Observe(1, doc(1, "a", "#redsox game"))
-	s := ix.Stats()
-	if !strings.Contains(s, "hashtag=1") || !strings.Contains(s, "mem=") {
-		t.Errorf("Stats = %q", s)
 	}
 }
 

@@ -135,8 +135,11 @@ func TestCompact(t *testing.T) {
 		t.Errorf("DeletedRatio = %v, want 2/3", r)
 	}
 	ix.Compact()
-	if ix.Terms() != 1 {
-		t.Errorf("Terms after compact = %d, want 1", ix.Terms())
+	if n := ix.terms.names.n; n != 1 {
+		t.Errorf("terms after compact = %d, want 1", n)
+	}
+	if st := ix.Stats(); st.Docs != 1 || st.Postings != 1 {
+		t.Errorf("Stats after compact = %+v, want 1 doc, 1 posting", st)
 	}
 	if r := ix.DeletedRatio(); r != 0 {
 		t.Errorf("DeletedRatio after compact = %v", r)
@@ -156,6 +159,55 @@ func TestDuplicateAddPanics(t *testing.T) {
 		}
 	}()
 	ix.Add(1, []string{"b"})
+}
+
+// TestOrdinal: a key is recognised, and translated to the ordinal its
+// Add was given, whether keys have only ever increased (binary search
+// over the key column), have arrived out of order (the key → ordinal
+// map, built at the first such key), or the document has since been
+// tombstoned; Compact renumbers the survivors.
+func TestOrdinal(t *testing.T) {
+	ix := New()
+	check := func(key DocID, wantOrd int, wantHeld bool) {
+		t.Helper()
+		if ord, held := ix.Ordinal(key); held != wantHeld || (held && ord != wantOrd) {
+			t.Errorf("Ordinal(%d) = %d, %v; want %d, %v", key, ord, held, wantOrd, wantHeld)
+		}
+	}
+	check(10, 0, false)
+	ix.Add(10, []string{"a"})
+	ix.Add(20, nil) // no terms: an ordinal all the same
+	ix.Add(30, []string{"a"})
+	check(10, 0, true)
+	check(20, 1, true)
+	check(30, 2, true)
+	check(5, 0, false)
+	check(25, 0, false)
+	check(35, 0, false)
+	if ix.byKey != nil {
+		t.Error("increasing keys built the key map")
+	}
+	ix.Add(15, []string{"a"}) // new, and below the highest: out of order
+	if len(ix.byKey) != 4 {
+		t.Errorf("key map holds %d keys after an out-of-order add, want 4", len(ix.byKey))
+	}
+	ix.Add(40, []string{"a"})
+	check(15, 3, true)
+	check(40, 4, true)
+	check(10, 0, true)
+	check(25, 0, false)
+	ix.Delete(30)
+	check(30, 2, true)
+	if got := hitDocs(ix.Search([]string{"a"}, 10)); !reflect.DeepEqual(got, []DocID{10, 15, 40}) {
+		t.Errorf("Search(a) = %v, want [10 15 40] (equal scores, by key)", got)
+	}
+	ix.Compact()
+	check(30, 0, false)
+	check(15, 2, true)
+	check(40, 3, true)
+	if st := ix.Stats(); st.Docs != 4 || st.Postings != 3 {
+		t.Errorf("Stats = %+v, want 4 documents and 3 postings", st)
+	}
 }
 
 func TestConcurrentReadWrite(t *testing.T) {
@@ -281,7 +333,7 @@ func BenchmarkSearch(b *testing.B) {
 
 // TestAddNoPerDocumentMap pins Add's term counting at no heap map (or
 // any other allocation) per document: over a fixed vocabulary the only
-// allocations left are the posting lists and the length table growing,
+// allocations left are the arena's pages and the columns growing,
 // which amortise to well under one per Add. The message index pays this
 // path once per ingested message.
 func TestAddNoPerDocumentMap(t *testing.T) {
@@ -305,10 +357,14 @@ func TestAddNoPerDocumentMap(t *testing.T) {
 	}
 	// Repeated terms still count: "game" twice, "win" once.
 	ix.Add(doc+1, []string{"game", "win", "game", ""})
-	if got := ix.postings["game"][len(ix.postings["game"])-1]; got.doc != doc+1 || got.tf != 2 {
-		t.Errorf("last posting of game = %+v, want doc %d with tf 2", got, doc+1)
+	ord, _ := ix.Ordinal(doc + 1)
+	c := ix.pool.cursor(ix.terms.lookup("game"))
+	for c.next() {
 	}
-	if _, ok := ix.postings[""]; ok {
+	if int(c.ord) != ord || c.tf != 2 {
+		t.Errorf("last posting of game = ordinal %d tf %d, want ordinal %d (doc %d) with tf 2", c.ord, c.tf, ord, doc+1)
+	}
+	if ix.terms.lookup("") != nil {
 		t.Error("the empty term was indexed")
 	}
 }

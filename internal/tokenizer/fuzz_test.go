@@ -62,6 +62,9 @@ func FuzzTokenizeKeywords(f *testing.F) {
 		if !slices.Equal(kws, want) {
 			t.Fatalf("Keywords = %q, the pipeline over Tokenize gives %q", kws, want)
 		}
+		if cap(kws) != len(kws) {
+			t.Fatalf("Keywords: %d entries in a slice of %d", len(kws), cap(kws))
+		}
 		for _, k := range kws {
 			if len(k) == 0 {
 				t.Fatal("Keywords produced an empty keyword")

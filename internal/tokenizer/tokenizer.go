@@ -124,10 +124,14 @@ func Stem(tok string) string {
 // Keywords sits on the ingest hot path (once per message, inside the
 // prepare stage), so it scans text in a single pass — no intermediate
 // token slice, no seen-map — and returns interned strings: the only
-// steady-state allocation is the result slice itself. Safe for
+// steady-state allocation is the result slice itself, and since the
+// engine keeps that slice for as long as it keeps the message, it is
+// cut to fit: the keywords are collected in a stack scratch (which a
+// 140-character message cannot outgrow) and copied out once. Safe for
 // concurrent use.
 func Keywords(text string) []string {
-	var out []string
+	var scratch [36]string // 140 characters hold at most 35 tokens of MinTokenLen
+	out := scratch[:0]
 	i := 0
 	for i < len(text) {
 		// Skip URLs wholesale, as Tokenize does.
@@ -170,13 +174,13 @@ func Keywords(text string) []string {
 			}
 		}
 		if !dup {
-			if out == nil {
-				out = make([]string, 0, 8)
-			}
 			out = append(out, tok)
 		}
 	}
-	return out
+	if len(out) == 0 {
+		return nil
+	}
+	return append(make([]string, 0, len(out)), out...)
 }
 
 // internLower lower-cases tok (pure ASCII by construction: isWordRune

@@ -158,3 +158,38 @@ func BenchmarkKeywords(b *testing.B) {
 		Keywords(text)
 	}
 }
+
+// TestKeywordsExactFit: the engine keeps a message's keyword slice as
+// long as it keeps the message, so the slice holds no spare slots — for
+// the benchmark corpus, for a text that outgrows the stack scratch, and
+// for whatever quick.Check draws — and one allocation makes it.
+func TestKeywordsExactFit(t *testing.T) {
+	var long strings.Builder
+	for i := 0; i < 100; i++ {
+		long.WriteString("word")
+		long.WriteByte(byte('a' + i%26))
+		long.WriteByte(byte('a' + i/26))
+		long.WriteByte(' ')
+	}
+	for _, text := range append([]string{"", "the and of", long.String()}, benchTexts...) {
+		if kws := Keywords(text); cap(kws) != len(kws) {
+			t.Errorf("Keywords(%q): len %d, cap %d", text, len(kws), cap(kws))
+		}
+	}
+	if n := len(Keywords(long.String())); n != 100 {
+		t.Errorf("a text of 100 distinct words gave %d keywords", n)
+	}
+	f := func(s string) bool { kws := Keywords(s); return cap(kws) == len(kws) }
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	for _, text := range benchTexts {
+		want := 1.0
+		if len(Keywords(text)) == 0 { // also interns the text's words for the run below
+			want = 0
+		}
+		if got := testing.AllocsPerRun(100, func() { Keywords(text) }); got != want {
+			t.Errorf("Keywords(%q) allocates %.0f times, want %.0f", text, got, want)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package tweet
 
 import (
+	"slices"
 	"strings"
 	"time"
 	"unicode"
@@ -32,21 +33,12 @@ func Parse(id ID, user string, date time.Time, text string) *Message {
 // RTOf and RTComment.
 func extractEntities(m *Message) {
 	text := m.Text
-	var (
-		tagSeen, urlSeen, menSeen map[string]bool
-	)
-	add := func(dst *[]string, seen *map[string]bool, v string) {
-		if v == "" {
-			return
+	// A message carries one to three entities of a kind: deduplicating
+	// by linear scan beats allocating a map per kind.
+	add := func(dst *[]string, v string) {
+		if v != "" && !slices.Contains(*dst, v) {
+			*dst = append(*dst, v)
 		}
-		if *seen == nil {
-			*seen = make(map[string]bool, 4)
-		}
-		if (*seen)[v] {
-			return
-		}
-		(*seen)[v] = true
-		*dst = append(*dst, v)
 	}
 
 	i := 0
@@ -55,15 +47,15 @@ func extractEntities(m *Message) {
 		switch {
 		case c == '#':
 			tag, next := scanTag(text, i+1)
-			add(&m.Hashtags, &tagSeen, strings.ToLower(tag))
+			add(&m.Hashtags, strings.ToLower(tag))
 			i = next
 		case c == '@':
 			men, next := scanTag(text, i+1)
-			add(&m.Mentions, &menSeen, strings.ToLower(men))
+			add(&m.Mentions, strings.ToLower(men))
 			i = next
 		case hasURLPrefix(text[i:]):
 			u, next := scanURL(text, i)
-			add(&m.URLs, &urlSeen, NormalizeURL(u))
+			add(&m.URLs, NormalizeURL(u))
 			i = next
 		case c == 'R' || c == 'r':
 			if m.RTOf == "" && isRTMarker(text, i) {

@@ -233,3 +233,15 @@ func BenchmarkParse(b *testing.B) {
 		Parse(1, "abcdude", testDate, text)
 	}
 }
+
+// TestParseAllocs pins BenchmarkParse's message — two hashtags, a
+// mention, a URL and an RT marker — at the allocations its content
+// needs: the Message, the three entity slices (Hashtags grows once) and
+// the lower-cased copies. 14 when each entity kind deduplicated through
+// a map of its own. Parse runs once per message in the log stage.
+func TestParseAllocs(t *testing.T) {
+	text := "Classy. Way it should be RT @AmalieBenjamin: Lester getting an ovation from the #Yankee Stadium crowd http://bit.ly/Uvcpr #redsox"
+	if n := testing.AllocsPerRun(200, func() { Parse(1, "abcdude", testDate, text) }); n > 8 {
+		t.Errorf("Parse allocates %.0f times, want at most 8", n)
+	}
+}
