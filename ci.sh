@@ -107,7 +107,11 @@ go test -race -count=1 \
 # clean SIGTERM exit — which a race report (exit 66) or a runtime fatal
 # ("concurrent map iteration and map write") is not — after which a
 # restart on the same state replays 0 WAL messages (end of input stops
-# ingest with a final checkpoint, whichever engine runs).
+# ingest with a final checkpoint, whichever engine runs). Once each leg
+# has ingested the whole stream, and again from its restarted node, the
+# /search bodies of three fixed queries are saved: a node has one
+# message index, fed in stream order, so the -shards 2 bodies must be
+# the -shards 1 bodies byte for byte.
 echo "== provload vs ingesting provserve -race loopback (-shards 1, -shards 2) =="
 obs_tmp="$(mktemp -d)"
 serve_pid=""
@@ -135,6 +139,15 @@ wait_metric() {
     done
     echo "loopback: $1 = '$got', want $2"; return 1
 }
+# save_searches PREFIX: the loopback node's /search body for each fixed
+# query, to PREFIX-<i>.json
+searches=('q=tsunami+samoa&k=10' 'q=game&k=100' 'q=win+score&k=50')
+save_searches() {
+    local i
+    for i in "${!searches[@]}"; do
+        curl -sf "http://$loop_addr/search?${searches[$i]}" >"$1-$i.json"
+    done
+}
 # restart_clean LABEL N FLAGS...: a node restarted on the state a clean
 # exit left finds all N messages in the checkpoint and replays none
 restart_clean() {
@@ -143,6 +156,7 @@ restart_clean() {
     serve_pid=$!
     wait_metric provex_ingest_messages_total "$n"
     wait_metric provex_wal_replayed_messages 0
+    save_searches "$state/restarted"
     kill "$serve_pid"
     wait "$serve_pid" || { echo "$label: unclean exit of the restarted node"; exit 1; }
     serve_pid=""
@@ -169,6 +183,7 @@ for ns in 1 2; do
     grep -q 'decision quality:' "$state/load.out" \
         || { echo "loopback -shards $ns: decision-quality digest missing"; exit 1; }
     wait_metric provex_pipeline_ingested_total "$loop_n"
+    save_searches "$state/ingested"
     for fam in provex_runtime_heap_live_bytes provex_runtime_heap_goal_bytes \
                provex_runtime_gc_cycles_total provex_runtime_mem_mapped_bytes; do
         [ -n "$(metric "$fam")" ] || { echo "loopback -shards $ns: $fam missing from /metrics"; exit 1; }
@@ -177,6 +192,15 @@ for ns in 1 2; do
     wait "$serve_pid" || { echo "loopback -shards $ns: unclean exit on SIGTERM (a race report exits 66)"; cat "$state/serve.log"; exit 1; }
     restart_clean "loopback -shards $ns" "$loop_n" "${node[@]}"
 done
+for i in "${!searches[@]}"; do
+    grep -q '"id"' "$obs_tmp/loop-1/ingested-$i.json" \
+        || { echo "loopback: /search?${searches[$i]} finds nothing, so it compares nothing"; exit 1; }
+    for when in ingested restarted; do
+        cmp -s "$obs_tmp/loop-1/$when-$i.json" "$obs_tmp/loop-2/$when-$i.json" \
+            || { echo "loopback: /search?${searches[$i]} on the $when -shards 2 node differs from -shards 1"; exit 1; }
+    done
+done
+echo "loopback: -shards 2 /search equals -shards 1 on ${#searches[@]} queries, ingested and restarted"
 
 # Interrupted build: a build-then-serve node (-in, no -live) honours
 # SIGTERM while the feed is still running — ingest stops, the final

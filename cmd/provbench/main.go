@@ -39,7 +39,7 @@ func main() {
 		figure   = flag.String("figure", "", "dedicated sweep mode, bypasses -fig: 'fig13' runs the long-stream stage-time sweep")
 		maxN     = flag.Int("max", 1_000_000, "stream length for -figure sweeps")
 		linear   = flag.Float64("check-linear", 0, "with -figure fig13: exit nonzero unless cumulative match/placement time at -max stays within this factor of the linear extrapolation from -max/2")
-		shardsN  = flag.Int("shards", 0, "with -figure fig13: run the sweep through the sharded round engine at this shard count")
+		shardsN  = flag.Int("shards", 0, "with -figure fig13: the sweep's shard count (0 or 1: one shard, the serial apply loop)")
 		logLevel = cli.LogLevelFlag()
 	)
 	flag.Parse()
@@ -233,19 +233,15 @@ func run(w io.Writer, s experiments.Scale, figs map[string]bool, jsonOut bool) e
 }
 
 // runSweep executes the -figure fig13 long-stream sweep: one Partial
-// Index engine, cumulative per-stage time at 100 checkpoints, rendered
+// Index node of the given shard count, cumulative per-stage time at 100
+// checkpoints, rendered
 // as a table (or a one-figure jsonReport; BENCH_PR6.json is an
 // instance). With checkLinear > 0 it is also the ci.sh perf-smoke
 // guardrail: a superlinear match or placement curve is a hard failure.
 func runSweep(w io.Writer, s experiments.Scale, max int, checkLinear float64, jsonOut bool, shards int) error {
 	start := time.Now()
 	slog.Info("fig13 sweep", "messages", max, "pool", s.PoolLimit, "shards", shards)
-	var res *experiments.Fig13SweepResult
-	if shards > 1 {
-		res = experiments.Fig13SweepSharded(s, max, shards)
-	} else {
-		res = experiments.Fig13Sweep(s, max)
-	}
+	res := experiments.Fig13Sweep(s, max, shards)
 	elapsed := time.Since(start)
 	if jsonOut {
 		report := jsonReport{

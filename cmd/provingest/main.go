@@ -62,29 +62,20 @@ func main() {
 		*shards = 1
 	}
 
-	// Serial mode uses one store at -store; sharded mode gives each
-	// shard its own store under -store/shard-NNN (same layout as
-	// shard.OpenDurable).
-	var store *storage.Store
+	// -store names the one store at -shards 1; with more shards each gets
+	// its own under -store/shard-NNN (same layout as shard.OpenDurable).
 	var stores []*storage.Store
-	if *storeDir != "" && *shards == 1 {
-		var err error
-		store, err = storage.Open(*storeDir, storage.Options{})
+	for i := 0; *storeDir != "" && i < *shards; i++ {
+		dir := *storeDir
+		if *shards > 1 {
+			dir = fmt.Sprintf("%s/shard-%03d", *storeDir, i)
+		}
+		st, err := storage.Open(dir, storage.Options{})
 		if err != nil {
-			cli.Fatal("open store", err, "path", *storeDir)
+			cli.Fatal("open store", err, "path", dir)
 		}
-		defer store.Close()
-	}
-	if *storeDir != "" && *shards > 1 {
-		for i := 0; i < *shards; i++ {
-			dir := fmt.Sprintf("%s/shard-%03d", *storeDir, i)
-			st, err := storage.Open(dir, storage.Options{})
-			if err != nil {
-				cli.Fatal("open shard store", err, "path", dir)
-			}
-			defer st.Close()
-			stores = append(stores, st)
-		}
+		defer st.Close()
+		stores = append(stores, st)
 	}
 
 	r := os.Stdin
@@ -97,27 +88,17 @@ func main() {
 		r = f
 	}
 
-	// One engine or N: the sharded engine shares the prepared-message
-	// apply contract, so the read/prepare loop below is mode-agnostic.
-	var (
-		eng *core.Engine
-		sh  *shard.Engine
-		rec *trace.Recorder
-	)
+	// One ingest path at every shard count: one shard is the serial
+	// apply loop behind the sharded API (DESIGN.md section 2i).
+	var rec *trace.Recorder
 	if *traceSample > 0 {
 		rec = trace.New(trace.Options{SampleEvery: *traceSample, Buffer: *traceBuffer, Logger: slog.Default()})
 	}
-	if *shards > 1 {
-		var err error
-		sh, err = shard.New(cfg, shard.Options{Shards: *shards, Batch: *shardBatch}, stores, nil)
-		if err != nil {
-			cli.Fatal("sharded engine", err)
-		}
-		sh.SetTracer(rec)
-	} else {
-		eng = core.New(cfg, store, nil)
-		eng.SetTracer(rec)
+	sh, err := shard.New(cfg, shard.Options{Shards: *shards, Batch: *shardBatch}, stores, nil)
+	if err != nil {
+		cli.Fatal("sharded engine", err)
 	}
+	sh.SetTracer(rec)
 	src := stream.NewJSONLReader(r)
 
 	// SIGINT/SIGTERM break the loop gracefully: the current message
@@ -143,38 +124,23 @@ loop:
 		if err != nil {
 			cli.Fatal("read", err)
 		}
-		p := core.Prepare(m)
-		if sh != nil {
-			if err := sh.IngestPrepared(p); err != nil {
-				cli.Fatal("sharded ingest", err)
-			}
-		} else {
-			eng.InsertPrepared(p)
+		if err := sh.IngestPrepared(core.Prepare(m)); err != nil {
+			cli.Fatal("ingest", err)
 		}
 		n++
 		if *progress > 0 && n%*progress == 0 {
-			st := snapshotOf(eng, sh)
+			st := sh.Snapshot()
 			slog.Info("progress", "messages", n, "bundles_live", st.BundlesLive,
 				"mem_mb", fmt.Sprintf("%.1f", float64(st.MemTotal())/(1<<20)),
 				"seconds", fmt.Sprintf("%.1f", time.Since(start).Seconds()))
 		}
 	}
-	if sh != nil {
-		// Resolve the buffered partial round before reporting.
-		if err := sh.Flush(); err != nil {
-			cli.Fatal("sharded flush", err)
-		}
+	// Resolve the buffered partial round before reporting.
+	if err := sh.Flush(); err != nil {
+		cli.Fatal("flush", err)
 	}
-	if store != nil {
-		// Re-attempt any parked flushes and make the store durable
-		// before reporting; a still-failing disk is a hard error.
-		if err := eng.DrainFlushRetries(); err != nil {
-			cli.Fatal("flush drain", err)
-		}
-		if err := store.Sync(); err != nil {
-			cli.Fatal("store sync", err)
-		}
-	}
+	// Re-attempt any parked flushes and make the stores durable before
+	// reporting; a still-failing disk is a hard error.
 	for i, st := range stores {
 		if err := sh.ShardEngine(i).DrainFlushRetries(); err != nil {
 			cli.Fatal("flush drain", err, "shard", i)
@@ -183,15 +149,11 @@ loop:
 			cli.Fatal("store sync", err, "shard", i)
 		}
 	}
-	if sh != nil {
-		if err := sh.Err(); err != nil {
-			cli.Fatal("engine", err)
-		}
-	} else if err := eng.Err(); err != nil {
+	if err := sh.Err(); err != nil {
 		cli.Fatal("engine", err)
 	}
 
-	st := snapshotOf(eng, sh)
+	st := sh.Snapshot()
 	elapsed := time.Since(start)
 	fmt.Printf("mode            %s\n", *mode)
 	fmt.Printf("messages        %d\n", st.Messages)
@@ -219,7 +181,7 @@ loop:
 		st.PlaceTime.Seconds(), pct(st.PlaceTime),
 		st.RefineTime.Seconds(), pct(st.RefineTime))
 	fmt.Printf("wall time       %.2fs (%.0f msg/s)\n", elapsed.Seconds(), float64(n)/elapsed.Seconds())
-	if sh != nil {
+	if sh.Shards() > 1 {
 		// Per-shard balance, cross-shard resolution rate, and the
 		// critical-path (span) throughput an unstarved scheduler would
 		// reach — see EXPERIMENTS.md "Sharded scaling".
@@ -234,11 +196,12 @@ loop:
 			span.Probe.Seconds(), span.Reduce.Seconds(), span.Commit.Seconds(),
 			span.Total().Seconds(), float64(n)/span.Total().Seconds())
 	}
-	if store != nil {
-		fmt.Printf("store           %d bundles, %.1f MB live\n", store.Count(), float64(store.LiveBytes())/(1<<20))
-	}
 	for i, st := range stores {
-		fmt.Printf("store[%d]        %d bundles, %.1f MB live\n", i, st.Count(), float64(st.LiveBytes())/(1<<20))
+		label := "store"
+		if len(stores) > 1 {
+			label = fmt.Sprintf("store[%d]", i)
+		}
+		fmt.Printf("%-16s%d bundles, %.1f MB live\n", label, st.Count(), float64(st.LiveBytes())/(1<<20))
 	}
 	if rec != nil {
 		// Decision-quality digest over the retained trace window: how
@@ -250,13 +213,4 @@ loop:
 			dg.Decisions, 100*dg.NewBundleRate, dg.MeanMargin,
 			100*dg.NearTieRate, dg.NearTie, len(rec.Refinements(rec.Buffer())))
 	}
-}
-
-// snapshotOf reads aggregate statistics from whichever engine shape is
-// active.
-func snapshotOf(eng *core.Engine, sh *shard.Engine) core.Stats {
-	if sh != nil {
-		return sh.Snapshot()
-	}
-	return eng.Snapshot()
 }

@@ -205,7 +205,7 @@ func openSharded(ns int, ckpt, walDir string, reg *metrics.Registry, rec *trace.
 			cli.Fatal("sharded durable open", err)
 		}
 		eng = dur.Engine
-		eng.Reindex() // as in openSerial, per shard
+		eng.Reindex() // as in openSerial: one index over every shard
 		dur.RegisterMetrics(reg)
 		nd.close, nd.replayed = dur.Close, dur.Replayed()
 	} else if eng, err = shard.New(core.FullIndexConfig(), opts, nil, nil); err != nil {

@@ -9,7 +9,7 @@ import (
 )
 
 // Fig13Sweep is the long-stream variant of Fig13: one Partial Index
-// engine ingests up to max messages while the cumulative per-stage
+// node ingests up to max messages while the cumulative per-stage
 // timers are sampled at 100 evenly spaced checkpoints. It exists apart
 // from RunThreeMethods because the pruning guardrail needs a long
 // stream (BENCH_PR6.json runs 1M messages) at fine checkpoint
@@ -21,56 +21,33 @@ import (
 // message_placement columns must grow near-linearly, where the
 // pre-pruning implementation bent quadratic (BENCH_PR4.json: 677×
 // placement growth over a 10× stream).
-func Fig13Sweep(s Scale, max int) *Fig13SweepResult {
-	g := gen.New(s.genConfig())
-	e := core.New(core.PartialIndexConfig(s.PoolLimit), nil, nil)
-
-	every := max / 100
-	if every < 1 {
-		every = 1
-	}
-	res := &Fig13SweepResult{Scale: s, Max: max}
-	for i := 1; i <= max; i++ {
-		e.Insert(g.Next())
-		if i%every == 0 || i == max {
-			st := e.Snapshot()
-			res.Points = append(res.Points, SweepPoint{
-				Messages:  i,
-				MatchSec:  st.MatchTime.Seconds(),
-				PlaceSec:  st.PlaceTime.Seconds(),
-				RefineSec: st.RefineTime.Seconds(),
-			})
-		}
-	}
-	return res
-}
-
-// Fig13SweepSharded runs the same stage-time sweep through the sharded
-// round engine (DESIGN.md §2i): the checkpoints sample the aggregate
-// Snapshot, whose stage timers sum CPU time across shards, so the same
-// CheckLinear guardrail applies — sharding must not bend the pruned
-// match/placement curves back toward quadratic. The per-shard pools are
-// splitConfig ceil-divisions of the same global limit.
-func Fig13SweepSharded(s Scale, max, shards int) *Fig13SweepResult {
+//
+// The node is the sharded round engine (DESIGN.md §2i) at any shard
+// count; one shard is the serial apply loop. The checkpoints sample the
+// aggregate Snapshot, whose stage timers sum CPU time across shards, so
+// the same CheckLinear guardrail applies — sharding must not bend the
+// pruned match/placement curves back toward quadratic. The per-shard
+// pools are ceil-divisions of the same global limit.
+func Fig13Sweep(s Scale, max, shards int) *Fig13SweepResult {
 	g := gen.New(s.genConfig())
 	e, err := shard.New(core.PartialIndexConfig(s.PoolLimit),
 		shard.Options{Shards: shards, Sequential: true}, nil, nil)
 	if err != nil {
-		panic(fmt.Sprintf("experiments: sharded fig13 sweep: %v", err))
+		panic(fmt.Sprintf("experiments: fig13 sweep: %v", err))
 	}
 
 	every := max / 100
 	if every < 1 {
 		every = 1
 	}
-	res := &Fig13SweepResult{Scale: s, Max: max, Shards: shards}
+	res := &Fig13SweepResult{Scale: s, Max: max, Shards: e.Shards()}
 	for i := 1; i <= max; i++ {
 		if err := e.Ingest(g.Next()); err != nil {
-			panic(fmt.Sprintf("experiments: sharded fig13 sweep ingest: %v", err))
+			panic(fmt.Sprintf("experiments: fig13 sweep ingest: %v", err))
 		}
 		if i%every == 0 || i == max {
 			if err := e.Flush(); err != nil {
-				panic(fmt.Sprintf("experiments: sharded fig13 sweep flush: %v", err))
+				panic(fmt.Sprintf("experiments: fig13 sweep flush: %v", err))
 			}
 			st := e.Snapshot()
 			res.Points = append(res.Points, SweepPoint{
@@ -99,7 +76,7 @@ type SweepPoint struct {
 type Fig13SweepResult struct {
 	Scale  Scale        `json:"scale"`
 	Max    int          `json:"max"`
-	Shards int          `json:"shards,omitempty"` // 0 = serial engine
+	Shards int          `json:"shards,omitempty"`
 	Points []SweepPoint `json:"points"`
 }
 

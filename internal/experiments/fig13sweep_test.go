@@ -13,7 +13,7 @@ func TestFig13Sweep(t *testing.T) {
 	s := DefaultScale()
 	s.PoolLimit = 200
 	const max = 3000
-	r := Fig13Sweep(s, max)
+	r := Fig13Sweep(s, max, 1)
 
 	if len(r.Points) != 100 {
 		t.Fatalf("got %d checkpoints, want 100", len(r.Points))

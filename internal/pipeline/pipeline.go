@@ -15,7 +15,8 @@
 // The Service drives its engine through Backend, which has exactly two
 // implementations: the serial one New builds over a query.Processor and
 // its Durable (nil for a memory-only node), and the sharded one
-// shard.NewService builds over a shard.Engine. Everything that is not
+// shard.NewService builds over a shard.Engine. Both take their reads
+// from a query.Processor. Everything that is not
 // engine work — the queue and its back-pressure, the two stages,
 // flush-on-idle, the checkpoint cadence and protocol, error latching,
 // the provex_pipeline_* metrics — exists once, here.

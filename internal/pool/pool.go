@@ -192,6 +192,14 @@ func (p *Pool) alignID(id bundle.ID) bundle.ID {
 	return p.cfg.IDStart + bundle.ID(d)
 }
 
+// Allocates reports whether id lies on this pool's (IDStart, IDStride)
+// progression: whether this pool, and none of its siblings, would have
+// created it. A sharded node's reads route a bundle ID to its engine
+// with it.
+func (p *Pool) Allocates(id bundle.ID) bool {
+	return id >= p.cfg.IDStart && uint64(id-p.cfg.IDStart)%uint64(p.cfg.IDStride) == 0
+}
+
 // Get returns the live bundle with id, nil when absent.
 func (p *Pool) Get(id bundle.ID) *bundle.Bundle { return p.bundles[id] }
 

@@ -25,8 +25,8 @@ func oracleSearchBundles(p *Processor, q string, k int) []BundleHit {
 	if k <= 0 || len(terms) == 0 {
 		return nil
 	}
-	idx := p.eng.SummaryIndex()
-	now := p.eng.Now()
+	idx := p.Engine().SummaryIndex()
+	now := p.Engine().Now()
 	cands := make(map[bundle.ID]struct{})
 	for _, t := range terms {
 		for _, cls := range []sumindex.Class{sumindex.ClassKeyword, sumindex.ClassTag, sumindex.ClassURL} {
@@ -42,7 +42,7 @@ func oracleSearchBundles(p *Processor, q string, k int) []BundleHit {
 		}
 	}
 	for id := range cands {
-		if b := p.eng.Pool().Get(id); b != nil {
+		if b := p.Engine().Pool().Get(id); b != nil {
 			score(id, b)
 		}
 	}

@@ -8,8 +8,10 @@
 // search (the paper's Figure 1 baseline) built on the embedded
 // full-text index.
 //
-// A Processor wraps an engine: route ingest through Processor.Insert so
-// the message index stays in sync, then call SearchMessages (Figure 1
+// A Processor is the read side of a node, whatever its number of
+// engines: route a serial node's ingest through Processor.Insert, or
+// feed a sharded node's rounds to Processor.Index, so the node's one
+// message index stays in sync, then call SearchMessages (Figure 1
 // behaviour) or SearchBundles (Figure 2 behaviour).
 package query
 
@@ -38,19 +40,16 @@ import (
 type Options struct {
 	Alpha float64
 	Beta  float64
-	// KeepMessages disables per-message indexing when false — engines
-	// ingesting millions of messages for pure bundle experiments can
-	// skip the baseline index.
-	KeepMessages bool
 	// IncludeArchive extends SearchBundles over the disk back-end:
 	// bundles evicted from the pool remain retrievable through the
-	// archive index. Requires the engine to have a store.
+	// archive index. Requires a one-engine Processor (New) whose engine
+	// has a store.
 	IncludeArchive bool
 }
 
 // DefaultOptions weight text 0.6, indicants 0.3, freshness 0.1.
 func DefaultOptions() Options {
-	return Options{Alpha: 0.6, Beta: 0.3, KeepMessages: true}
+	return Options{Alpha: 0.6, Beta: 0.3}
 }
 
 // MessageHit is one result of the conventional message search.
@@ -77,13 +76,17 @@ func (h BundleHit) String() string {
 		strings.Join(h.Summary, ", "))
 }
 
-// Processor serves queries over an engine's live pool and message
-// history. Not safe for concurrent use with ingest.
+// Processor is the read side of a node: it serves queries over the
+// node's engines — the one engine of a serial node (New), every shard's
+// of a sharded one (NewNode) — and owns the node's one message index,
+// fed in stream order, so a message ranks the same whichever engine
+// holds it. It is the only engine-level implementation of Reader. Not
+// safe for concurrent use with ingest.
 type Processor struct {
 	opts Options
-	eng  *core.Engine
+	engs []*core.Engine // set once by NewNode; a sharded node's in shard order
 
-	msgIndex *textindex.Index // set once by New: the /metrics gauges read it beside ingest
+	msgIndex *textindex.Index // set once by NewNode: the /metrics gauges read it beside ingest
 	messages []*tweet.Message // by the ordinal msgIndex gave the message
 	terms    []string         // scratch for one message's index terms
 	dups     metrics.Counter  // messages whose ID the index already held
@@ -91,16 +94,24 @@ type Processor struct {
 	arch *archive.Index
 }
 
-// New wraps eng. With Options.IncludeArchive it opens an archive index
-// over the engine's store (panicking if the engine has none — that is
-// a configuration error) and subscribes to flush events.
+// New wraps one engine. With Options.IncludeArchive it opens an archive
+// index over the engine's store (panicking if the engine has none —
+// that is a configuration error) and subscribes to flush events.
 func New(eng *core.Engine, opts Options) *Processor {
-	p := &Processor{opts: opts, eng: eng}
-	if opts.KeepMessages {
-		p.msgIndex = textindex.New()
-	}
+	return NewNode([]*core.Engine{eng}, opts)
+}
+
+// NewNode builds the read side of a node over all of its engines (a
+// sharded node's, in shard order). The engines' pools must allocate
+// disjoint bundle IDs. Options.IncludeArchive with more than one engine
+// panics: the bounded shape the archive serves is serial-only.
+func NewNode(engs []*core.Engine, opts Options) *Processor {
+	p := &Processor{opts: opts, engs: engs, msgIndex: textindex.New()}
 	if opts.IncludeArchive {
-		st := eng.Store()
+		if len(engs) != 1 {
+			panic("query: IncludeArchive requires a one-engine Processor")
+		}
+		st := engs[0].Store()
 		if st == nil {
 			panic("query: IncludeArchive requires an engine with a store")
 		}
@@ -109,31 +120,27 @@ func New(eng *core.Engine, opts Options) *Processor {
 			panic("query: open archive: " + err.Error())
 		}
 		p.arch = arch
-		eng.SetFlushObserver(arch.Note)
+		engs[0].SetFlushObserver(arch.Note)
 	}
 	return p
 }
 
-// RegisterMetrics exposes the processor's instruments on reg; labels
-// are extra key/value pairs baked into every series (the sharded engine
-// passes ("shard", "i")).
-func (p *Processor) RegisterMetrics(reg *metrics.Registry, labels ...string) {
+// RegisterMetrics exposes the processor's instruments on reg, once per
+// node.
+func (p *Processor) RegisterMetrics(reg *metrics.Registry) {
 	reg.RegisterCounter("provex_query_duplicate_messages_total",
 		"Messages ingested under an ID the message index already held (a stream re-fed after a resume); the index keeps its first entry.",
-		&p.dups, labels...)
-	if p.msgIndex == nil {
-		return
-	}
+		&p.dups)
 	// The index locks for itself, so these are safe beside ingest.
 	reg.RegisterGaugeFunc("provex_query_index_docs",
 		"Messages the baseline message index holds.",
-		func() float64 { return float64(p.msgIndex.Stats().Docs) }, labels...)
+		func() float64 { return float64(p.msgIndex.Stats().Docs) })
 	reg.RegisterGaugeFunc("provex_query_index_postings",
 		"(term, message) pairs in the message index's posting lists.",
-		func() float64 { return float64(p.msgIndex.Stats().Postings) }, labels...)
+		func() float64 { return float64(p.msgIndex.Stats().Postings) })
 	reg.RegisterGaugeFunc("provex_query_index_bytes",
 		"Heap the message index owns: posting slabs, term table and per-message columns, counted from its own allocations (the messages and the interned terms are not its own).",
-		func() float64 { return float64(p.msgIndex.Stats().Bytes) }, labels...)
+		func() float64 { return float64(p.msgIndex.Stats().Bytes) })
 }
 
 // DuplicateMessages counts the messages whose ID the message index
@@ -149,7 +156,7 @@ func (p *Processor) Archived() int {
 }
 
 // Insert routes a message through the engine and mirrors it into the
-// baseline message index.
+// baseline message index. One-engine Processors only (see Engine).
 func (p *Processor) Insert(m *tweet.Message) core.InsertResult {
 	return p.InsertPrepared(core.Prepare(m))
 }
@@ -160,13 +167,31 @@ func (p *Processor) Insert(m *tweet.Message) core.InsertResult {
 // pipeline calls from its single writer goroutine. A message whose ID
 // the index already holds — a stream re-fed after a resume — still goes
 // through the engine (deduplication there is ROADMAP item 5) but keeps
-// its first index entry, and is counted.
+// its first index entry, and is counted. One-engine Processors only:
+// a node of several engines applies to them itself and calls Index.
 func (p *Processor) InsertPrepared(prep core.Prepared) core.InsertResult {
-	res := p.eng.InsertPrepared(prep)
-	if p.msgIndex != nil && !p.index(&prep.Doc) {
+	res := p.Engine().InsertPrepared(prep)
+	p.note(&prep.Doc)
+	return res
+}
+
+// Index adds batch, in stream order, to the message index — what
+// InsertPrepared does beside the engine insert, for a node that applies
+// messages to its engines itself (shard.Engine's round). It reads only
+// the prepared messages, which are immutable, and writes only the
+// index, so it may run while the engines apply the same batch.
+func (p *Processor) Index(batch []core.Prepared) {
+	for i := range batch {
+		p.note(&batch[i].Doc)
+	}
+}
+
+// note indexes one ingested message, counting it when the index
+// already held its ID.
+func (p *Processor) note(d *score.Doc) {
+	if !p.index(d) {
 		p.dups.Inc()
 	}
-	return res
 }
 
 // index adds the message to the message index under its keywords and
@@ -184,36 +209,39 @@ func (p *Processor) index(d *score.Doc) bool {
 	return true
 }
 
-// Reindex adds every message of the engine's live pool that the
+// Reindex adds every message of the engines' live pools that the
 // baseline message index does not hold yet, and returns how many that
 // was. This is the recovery companion: checkpoint restore and WAL
-// replay insert straight into the engine, so a resumed Processor starts
-// with an empty message index even though every pool node still carries
-// its message and extracted keywords. The pool is walked in map order,
-// which no two runs share, so the messages are added in ID order: a
+// replay insert straight into the engines, so a resumed Processor
+// starts with an empty message index even though every pool node still
+// carries its message and extracted keywords. The pools are walked in
+// map order, which no two runs share, and a sharded node's messages are
+// spread over several, so the messages are added in ID order: a
 // restarted node then holds the index an uninterrupted one built
 // (ordinals included — the stream's IDs increase), and the index never
 // sees an out-of-order key. Messages evicted to disk before the
 // checkpoint are not recoverable here; under an unbounded pool
-// (FullIndexConfig) the rebuilt index covers the full history. No-op
-// without KeepMessages.
+// (FullIndexConfig) the rebuilt index covers the full history.
 func (p *Processor) Reindex() int {
-	if p.msgIndex == nil {
-		return 0
-	}
 	// The ID rides beside the pointer so that sorting touches the slice
 	// alone, not 125 000 messages scattered over a freshly loaded heap.
 	type ref struct {
 		id  tweet.ID
 		doc *score.Doc
 	}
-	refs := make([]ref, 0, p.eng.Pool().MessageCount())
-	p.eng.Pool().All(func(b *bundle.Bundle) {
-		nodes := b.Nodes()
-		for i := range nodes {
-			refs = append(refs, ref{nodes[i].Doc.Msg.ID, &nodes[i].Doc})
-		}
-	})
+	var held int64
+	for _, e := range p.engs {
+		held += e.Pool().MessageCount()
+	}
+	refs := make([]ref, 0, held)
+	for _, e := range p.engs {
+		e.Pool().All(func(b *bundle.Bundle) {
+			nodes := b.Nodes()
+			for i := range nodes {
+				refs = append(refs, ref{nodes[i].Doc.Msg.ID, &nodes[i].Doc})
+			}
+		})
+	}
 	slices.SortFunc(refs, func(a, b ref) int { return cmp.Compare(a.id, b.id) })
 	n := 0
 	for _, r := range refs {
@@ -224,26 +252,111 @@ func (p *Processor) Reindex() int {
 	return n
 }
 
-// Engine exposes the wrapped engine.
-func (p *Processor) Engine() *core.Engine { return p.eng }
+// Engine exposes the engine of a one-engine Processor (New). It panics
+// on a node of several engines, which is built and fed by shard.Engine
+// and has no one engine to hand out.
+func (p *Processor) Engine() *core.Engine {
+	if len(p.engs) != 1 {
+		panic("query: Engine on a Processor of several engines")
+	}
+	return p.engs[0]
+}
 
-// Bundle resolves a bundle in the pool or the disk back-end and copies
-// it out (Reader's contract).
+// Bundle resolves a bundle in the pool or the disk back-end of the
+// engine that allocated its ID, and copies it out (Reader's contract).
 func (p *Processor) Bundle(id bundle.ID) (BundleDetail, error) {
-	b, err := p.eng.Bundle(id)
+	b, err := p.owner(id).Bundle(id)
 	if err != nil {
 		return BundleDetail{}, err
 	}
 	return detail(b), nil
 }
 
-// Snapshot returns engine statistics.
-func (p *Processor) Snapshot() core.Stats { return p.eng.Snapshot() }
+// owner returns the engine whose pool allocated id — the only one that
+// can hold it, live or on its store. An ID no pool allocates goes to the
+// first engine, which reports it missing.
+func (p *Processor) owner(id bundle.ID) *core.Engine {
+	for _, e := range p.engs {
+		if e.Pool().Allocates(id) {
+			return e
+		}
+	}
+	return p.engs[0]
+}
 
-// Trending returns the k hottest live bundles at the engine's current
-// simulated time.
+// Snapshot returns the engines' statistics, summed.
+func (p *Processor) Snapshot() core.Stats { return SumStats(p.engs) }
+
+// SumStats aggregates engine statistics into one view — counters and
+// timings sum, so on several engines the stage timers report CPU time
+// across them, not wall time (see core.Stats.PrepareTime). It is the one
+// place engine statistics are summed; shard.Engine.Snapshot calls it too.
+func SumStats(engs []*core.Engine) core.Stats {
+	agg := core.Stats{ConnCounts: make(map[string]int64, 5)}
+	for _, e := range engs {
+		st := e.Snapshot()
+		agg.Messages += st.Messages
+		agg.BundlesCreated += st.BundlesCreated
+		agg.BundlesLive += st.BundlesLive
+		agg.EdgesCreated += st.EdgesCreated
+		for k, v := range st.ConnCounts {
+			agg.ConnCounts[k] += v
+		}
+		agg.MemBundles += st.MemBundles
+		agg.MemIndex += st.MemIndex
+		agg.MessagesInMemory += st.MessagesInMemory
+		agg.PrepareTime += st.PrepareTime
+		agg.MatchTime += st.MatchTime
+		agg.PlaceTime += st.PlaceTime
+		agg.RefineTime += st.RefineTime
+		agg.FlushRetries += st.FlushRetries
+		agg.FlushDropped += st.FlushDropped
+		agg.FlushParked += st.FlushParked
+		agg.Pool.Created += st.Pool.Created
+		agg.Pool.Refines += st.Pool.Refines
+		agg.Pool.DeletedTiny += st.Pool.DeletedTiny
+		agg.Pool.FlushedClosed += st.Pool.FlushedClosed
+		agg.Pool.FlushedRanked += st.Pool.FlushedRanked
+	}
+	return agg
+}
+
+// Trending returns the k hottest live bundles, each engine's ranked at
+// its current simulated time.
 func (p *Processor) Trending(k int) []trending.Topic {
-	return trending.Detect(p.eng.Pool(), p.eng.Now(), k, trending.Options{})
+	return merge(p.engs, k,
+		func(e *core.Engine) []trending.Topic {
+			return trending.Detect(e.Pool(), e.Now(), k, trending.Options{})
+		},
+		func(t trending.Topic) (float64, uint64) { return t.Score, uint64(t.ID) })
+}
+
+// merge asks every engine for its top k and merges the answers under
+// the serial tie order, score descending then ID ascending; key returns
+// a result's score and ID. A bundle lives on one engine and every score
+// merged is a function of that bundle and its engine's clock, so the
+// merged list is the one a single engine holding every bundle would
+// rank. One engine's answer is returned as it is.
+func merge[T any](engs []*core.Engine, k int, ask func(*core.Engine) []T, key func(T) (float64, uint64)) []T {
+	if len(engs) == 1 {
+		return ask(engs[0])
+	}
+	var all []T
+	for _, e := range engs {
+		all = append(all, ask(e)...)
+	}
+	slices.SortFunc(all, func(a, b T) int {
+		sa, ia := key(a)
+		sb, ib := key(b)
+		if c := cmp.Compare(sb, sa); c != 0 {
+			return c
+		}
+		return cmp.Compare(ia, ib)
+	})
+	if k > 0 && len(all) > k {
+		all = all[:k]
+	}
+	return all
 }
 
 // queryTerms normalises a free-text query into search terms: keywords
@@ -270,9 +383,6 @@ func queryTerms(q string) []string {
 // SearchMessages is the conventional keyword search of Figure 1:
 // BM25-ranked individual messages.
 func (p *Processor) SearchMessages(q string, k int) []MessageHit {
-	if p.msgIndex == nil {
-		return nil
-	}
 	hits := p.msgIndex.Search(queryTerms(q), k)
 	out := make([]MessageHit, 0, len(hits))
 	for _, h := range hits {
@@ -299,8 +409,16 @@ func (p *Processor) SearchBundles(q string, k int) []BundleHit {
 	if len(terms) == 0 {
 		return nil
 	}
-	idx := p.eng.SummaryIndex()
-	now := p.eng.Now()
+	return merge(p.engs, k,
+		func(e *core.Engine) []BundleHit { return p.searchBundles(e, terms, k) },
+		func(h BundleHit) (float64, uint64) { return h.Score, uint64(h.ID) })
+}
+
+// searchBundles is SearchBundles over one engine's pool (and the
+// archive, which only a one-engine Processor has).
+func (p *Processor) searchBundles(e *core.Engine, terms []string, k int) []BundleHit {
+	idx := e.SummaryIndex()
+	now := e.Now()
 
 	// Candidate bundles: union of the query terms' postings over the
 	// keyword, hashtag and URL classes.
@@ -314,7 +432,7 @@ func (p *Processor) SearchBundles(q string, k int) []BundleHit {
 	}
 	scored := make([]scoredBundle, 0, len(cands))
 	for id := range cands {
-		b := p.eng.Pool().Get(id)
+		b := e.Pool().Get(id)
 		if b == nil {
 			continue
 		}

@@ -165,17 +165,6 @@ func TestFreshnessBreaksTies(t *testing.T) {
 	}
 }
 
-func TestKeepMessagesFalse(t *testing.T) {
-	p := New(core.New(core.FullIndexConfig(), nil, nil), Options{Alpha: 0.6, Beta: 0.3})
-	p.Insert(tweet.Parse(1, "a", base, "something #tag"))
-	if hits := p.SearchMessages("something", 5); hits != nil {
-		t.Errorf("message search without message index returned %v", hits)
-	}
-	if hits := p.SearchBundles("something", 5); len(hits) == 0 {
-		t.Error("bundle search should still work without the message index")
-	}
-}
-
 func TestTrail(t *testing.T) {
 	p := newGameProcessor(t)
 	hits := p.SearchBundles("redsox", 1)

@@ -13,8 +13,9 @@ import (
 )
 
 // Reader is the read surface of an indexing node, declared once: it is
-// server.Backend and the read half of pipeline.Backend, and Processor,
-// shard.Engine, pipeline.Service and repl.Replica implement it.
+// server.Backend and the read half of pipeline.Backend. Processor is
+// its one engine-level implementation, over a node's one or N engines;
+// pipeline.Service and repl.Replica wrap a Processor.
 //
 // Everything a Reader returns is the caller's to keep: it may be read
 // from any goroutine, for as long as the caller likes, after whatever

@@ -98,6 +98,7 @@ func (o *ReplicaOptions) defaults() {
 // generation or the new one, never a half-built node.
 type replState struct {
 	dur  *pipeline.Durable
+	proc *query.Processor
 	svc  *pipeline.Service
 	base uint64 // engine messages recovered at open; svc.Ingested counts from here
 }
@@ -181,10 +182,10 @@ func NewReplica(leaderURL string, cfg core.Config, opts ReplicaOptions) (*Replic
 
 // RegisterMetrics exposes the follower's instruments under canonical
 // provex_repl_* names (documented in OBSERVABILITY.md). The engine,
-// WAL and pipeline families of the underlying node register once the
-// first state generation exists (and stay bound to that generation
-// across resyncs — a documented trade-off, since the registry pins
-// series forever).
+// WAL, message-index and pipeline families of the underlying node
+// register once the first state generation exists (and stay bound to
+// that generation across resyncs — a documented trade-off, since the
+// registry pins series forever).
 func (r *Replica) RegisterMetrics(reg *metrics.Registry) {
 	r.reg = reg
 	reg.RegisterGaugeFunc("provex_repl_lag_messages",
@@ -235,6 +236,7 @@ func (r *Replica) registerStateMetrics(st *replState) {
 	r.regOnce.Do(func() {
 		st.dur.Engine().RegisterMetrics(r.reg)
 		st.dur.RegisterMetrics(r.reg)
+		st.proc.RegisterMetrics(r.reg)
 		st.svc.RegisterMetrics(r.reg)
 	})
 }
@@ -496,7 +498,7 @@ func (r *Replica) openState() (*replState, error) {
 		CheckpointEvery: r.opts.CheckpointEvery,
 	})
 	svc.Start()
-	st := &replState{dur: dur, svc: svc, base: uint64(dur.Engine().Snapshot().Messages)}
+	st := &replState{dur: dur, proc: proc, svc: svc, base: uint64(dur.Engine().Snapshot().Messages)}
 	r.applied.Store(st.base)
 	r.cursor = wal.Cursor{}
 	r.catchupStart = time.Now()

@@ -22,6 +22,7 @@ import (
 
 	"provex/internal/core"
 	"provex/internal/fsx"
+	"provex/internal/metrics"
 	"provex/internal/pipeline"
 	"provex/internal/query"
 	"provex/internal/server"
@@ -243,6 +244,45 @@ func TestFollowerBootstrapTailConvergesWithFaults(t *testing.T) {
 	fsrv2 := httptest.NewServer(server.New(r2, server.WithHealth(r2.Health)))
 	defer fsrv2.Close()
 	assertParity(t, leader.queryServer().URL, fsrv2.URL, parityPaths...)
+}
+
+// TestFollowerExportsReadSideFamilies: a follower answers /search from
+// its own message index, so its exposition carries the message-index
+// families a leader's does — and the index covers the bootstrapped
+// history, which the follower reindexed at open.
+func TestFollowerExportsReadSideFamilies(t *testing.T) {
+	leader := newTestLeader(t)
+	leader.ingest(120)
+	leader.checkpoint()
+	leader.ingest(30)
+
+	r := newFollower(t, leader.srv.URL, fsx.NewMem(), http.DefaultClient, nil)
+	reg := metrics.NewRegistry()
+	r.RegisterMetrics(reg)
+	r.Start()
+	defer r.Stop()
+	waitFor(t, 5*time.Second, "catch-up", func() bool { return r.Applied() == uint64(leader.n) })
+
+	var b strings.Builder
+	if err := reg.Expose(&b); err != nil {
+		t.Fatal(err)
+	}
+	exposition := b.String()
+	for _, fam := range []string{
+		"provex_query_index_docs", "provex_query_index_postings",
+		"provex_query_index_bytes", "provex_query_duplicate_messages_total",
+	} {
+		if !strings.Contains(exposition, "# TYPE "+fam+" ") {
+			t.Errorf("follower exposition lacks %s", fam)
+		}
+	}
+	// The 120 bootstrapped messages are reindexed at open, the 30 tailed
+	// ones indexed as they are applied.
+	waitFor(t, 5*time.Second, "the tail indexed", func() bool {
+		b.Reset()
+		_ = reg.Expose(&b)
+		return strings.Contains(b.String(), fmt.Sprintf("\nprovex_query_index_docs %d\n", leader.n))
+	})
 }
 
 // TestFollowerCrashTorture SIGKILLs the follower at random points

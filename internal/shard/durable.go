@@ -76,9 +76,6 @@ type DurableOptions struct {
 	// Store, when non-nil, opens one bundle store per shard at
 	// Dir/shard-NNN/store (its FS defaults to FS above).
 	Store *storage.Options
-	// OnEdge observes provenance edges from every shard; it must be
-	// safe for concurrent use unless Options.Sequential is set.
-	OnEdge core.EdgeFunc
 }
 
 // Durable is the crash-safe sharded engine: the Engine ingest API plus
@@ -184,7 +181,7 @@ func OpenDurable(cfg core.Config, opts Options, dopts DurableOptions) (*Durable,
 				return fail(fmt.Errorf("shard: durable: shard %d: %w", i, err))
 			}
 		}
-		dur, err := pipeline.OpenDurable(splitConfig(cfg, i, n), st, dopts.OnEdge, pipeline.DurableOptions{
+		dur, err := pipeline.OpenDurable(splitConfig(cfg, i, n), st, nil, pipeline.DurableOptions{
 			FS:             fsys,
 			CheckpointPath: filepath.Join(dir, "engine.ckpt"),
 			WALDir:         walDir,
@@ -256,7 +253,7 @@ func (d *Durable) prepareCheckpoint() error {
 	if err := d.Flush(); err != nil {
 		return err
 	}
-	d.runPhase(func(_ int, sh *shardState) { sh.dur.DrainRetries() })
+	d.runPhase(func(_ int, sh *shardState) { sh.dur.DrainRetries() }, nil)
 	return nil
 }
 
@@ -268,7 +265,7 @@ func (d *Durable) persistCheckpoint() error {
 	// full disk) must leave nothing behind for the next round's commit
 	// to mistake for its own failure.
 	errs := make([]error, len(d.shards))
-	d.runPhase(func(i int, sh *shardState) { errs[i] = sh.dur.Checkpoint() })
+	d.runPhase(func(i int, sh *shardState) { errs[i] = sh.dur.Checkpoint() }, nil)
 	for i, err := range errs {
 		if err != nil {
 			return fmt.Errorf("shard: checkpoint shard %d: %w", i, err)

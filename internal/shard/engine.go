@@ -23,15 +23,18 @@
 //     the commit-time re-match links same-round messages that joined
 //     the same shard — then every shard advances its clock to the
 //     round's newest message date so refinement ages pools in lockstep.
+//     With Options.Query, one more goroutine adds the whole batch, in
+//     stream order, to the node's message index meanwhile.
 //
 // Shards=1 skips the probe phase entirely: the engine degenerates to
 // the serial apply loop behind the same API, which is both the honest
 // scaling baseline and the exact-equivalence anchor.
 //
-// Serving: the package has no writer loop of its own. NewService puts
-// an Engine behind pipeline.Service — the queue, idle flush, checkpoint
-// cadence and metrics every deployment shares — and Engine answers the
-// fan-out reads (service.go).
+// Serving: the package has no writer loop and no read code of its own.
+// NewService puts an Engine behind pipeline.Service — the queue, idle
+// flush, checkpoint cadence and metrics every deployment shares — and
+// the reads are one query.Processor over all the shard engines, whose
+// one message index each round feeds in stream order (service.go).
 package shard
 
 import (
@@ -73,10 +76,10 @@ type Options struct {
 	// scheduling-free reference of TestShardedDeterminism, and for
 	// deterministic debugging.
 	Sequential bool
-	// Query, when non-nil, wraps every shard engine in a query
-	// processor so the engine can answer reads (NewService requires it).
-	// Nil skips per-message indexing overhead — the right choice for
-	// pure ingest tools.
+	// Query, when non-nil, makes the engine answer reads: one
+	// query.Processor over every shard engine, with the node's one
+	// message index (NewService requires it). Nil skips per-message
+	// indexing overhead — the right choice for pure ingest tools.
 	Query *query.Options
 }
 
@@ -108,23 +111,11 @@ func splitConfig(cfg core.Config, i, n int) core.Config {
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
-// Owner maps a bundle ID back to the shard whose pool allocated it —
-// the inverse of the splitConfig stride. Queries route point lookups
-// with it.
-func Owner(id bundle.ID, n int) int {
-	if n <= 1 || id == 0 {
-		return 0
-	}
-	return int((uint64(id) - 1) % uint64(n))
-}
-
-// shardState is one shard: its engine plus optional durability shell
-// and query processor, and the per-round scratch owned by that shard's
-// phase goroutine.
+// shardState is one shard: its engine plus optional durability shell,
+// and the per-round scratch owned by that shard's phase goroutine.
 type shardState struct {
-	eng  *core.Engine
-	dur  *pipeline.Durable
-	proc *query.Processor
+	eng *core.Engine
+	dur *pipeline.Durable
 
 	probes []core.ProbeResult // phase-1 output, one per batched message
 	assign []core.Prepared    // phase-2 input, stream order
@@ -153,13 +144,15 @@ func (s SpanStats) Total() time.Duration { return s.Probe + s.Reduce + s.Commit 
 // Engine is the sharded provenance engine. The ingest side
 // (Ingest/IngestPrepared/Flush) is single-goroutine: one owner feeds
 // the stream in date order, exactly like core.Engine — the parallelism
-// lives inside the round, not around it. Reads of individual shard
-// engines, and the fan-out reads in service.go, are safe between
-// rounds under whatever lock the caller uses for queries
-// (pipeline.Service wraps one around the whole round).
+// lives inside the round, not around it. Reads of the shard engines,
+// and the node's query.Processor over them, are safe between rounds
+// under whatever lock the caller uses for queries (pipeline.Service
+// wraps one around the whole round).
 type Engine struct {
 	opts   Options
 	shards []*shardState
+	engs   []*core.Engine   // the shard engines, in shard order
+	proc   *query.Processor // the node's read side; nil without Options.Query
 
 	pending []core.Prepared
 	global  uint64 // messages committed across all shards (stream prefix length)
@@ -183,7 +176,8 @@ type Engine struct {
 // stores may be nil (no disk back-end anywhere) or hold one store per
 // shard; onEdge, when non-nil, observes provenance edges from every
 // shard — it must be safe for concurrent use unless Sequential is set,
-// because commit goroutines run side by side.
+// because commit goroutines run side by side. Options.Query with
+// IncludeArchive and more than one shard panics (query.NewNode).
 func New(cfg core.Config, opts Options, stores []*storage.Store, onEdge core.EdgeFunc) (*Engine, error) {
 	opts = opts.normalized()
 	if stores != nil && len(stores) != opts.Shards {
@@ -203,16 +197,18 @@ func New(cfg core.Config, opts Options, stores []*storage.Store, onEdge core.Edg
 // assemble finishes construction from prepared shard states (New for
 // memory engines, OpenDurable for recovered ones).
 func assemble(opts Options, states []*shardState) *Engine {
-	for _, sh := range states {
-		if opts.Query != nil {
-			sh.proc = query.New(sh.eng, *opts.Query)
-		}
-	}
-	return &Engine{
+	e := &Engine{
 		opts:   opts,
 		shards: states,
 		marks:  make([]uint64, len(states)),
 	}
+	for _, sh := range states {
+		e.engs = append(e.engs, sh.eng)
+	}
+	if opts.Query != nil {
+		e.proc = query.NewNode(e.engs, *opts.Query)
+	}
+	return e
 }
 
 // Shards returns the partition count N.
@@ -252,18 +248,12 @@ func (e *Engine) SetTracer(r *trace.Recorder) {
 	}
 }
 
-// Reindex rebuilds every shard processor's baseline message index
-// from its recovered pool. Call it once after OpenDurable on engines
-// built with Options.Query: recovery replays through the engines,
-// bypassing the processors, so searches would otherwise only cover
-// post-recovery messages (same contract as query.Processor.Reindex).
-func (e *Engine) Reindex() {
-	for _, sh := range e.shards {
-		if sh.proc != nil {
-			sh.proc.Reindex()
-		}
-	}
-}
+// Reindex rebuilds the node's message index from every shard's
+// recovered pool, in message ID order. Call it once after OpenDurable,
+// on an engine built with Options.Query: recovery replays through the
+// shard engines, bypassing the index, so searches would otherwise only
+// cover post-recovery messages (query.Processor.Reindex).
+func (e *Engine) Reindex() { e.proc.Reindex() }
 
 // Rounds returns the number of two-phase rounds resolved so far.
 func (e *Engine) Rounds() int { return int(e.rounds.Value()) }
@@ -328,7 +318,7 @@ func (e *Engine) round(batch []core.Prepared) error {
 				sh.probes = append(sh.probes, sh.eng.Probe(p.Doc))
 			}
 			sh.busy = time.Since(t0)
-		})
+		}, nil)
 		e.spanProbe.Add(int64(e.maxBusy()))
 	}
 
@@ -366,7 +356,16 @@ func (e *Engine) round(batch []core.Prepared) error {
 
 	// Phase 2: commit. Each shard owns its engine and WAL exclusively;
 	// stream order within a shard is preserved because assign was
-	// filled in stream order.
+	// filled in stream order. Beside the shards, the node's one message
+	// index takes the round in stream order, so a message ranks as it
+	// would on a serial node whichever shard won it. That task reads only
+	// the batch's prepared messages and writes only the index; the
+	// caller's write lock keeps queries out of both. A round whose commit
+	// fails is indexed all the same — the engine latches the failure.
+	var index func()
+	if e.proc != nil {
+		index = func() { e.proc.Index(batch) }
+	}
 	e.runPhase(func(_ int, sh *shardState) {
 		t0 := time.Now()
 		defer func() { sh.busy = time.Since(t0) }()
@@ -378,11 +377,7 @@ func (e *Engine) round(batch []core.Prepared) error {
 					return
 				}
 			}
-			if sh.proc != nil {
-				sh.proc.InsertPrepared(p)
-			} else {
-				sh.eng.InsertPrepared(p)
-			}
+			sh.eng.InsertPrepared(p)
 			sh.msgs.Inc()
 		}
 		if sh.dur != nil {
@@ -392,7 +387,7 @@ func (e *Engine) round(batch []core.Prepared) error {
 			}
 		}
 		sh.eng.AdvanceClock(maxDate)
-	})
+	}, index)
 	e.spanCommit.Add(int64(e.maxBusy()))
 	for _, sh := range e.shards {
 		if sh.err != nil {
@@ -436,18 +431,29 @@ func better(a, b core.ProbeResult) bool {
 	return a.FirstMsg < b.FirstMsg
 }
 
-// runPhase executes f once per shard, with the shard's index —
-// concurrently, one goroutine per shard, unless Sequential is set.
-// Phase results never depend on which mode ran: shards share no mutable
-// state during a phase.
-func (e *Engine) runPhase(f func(int, *shardState)) {
-	if e.opts.Sequential || len(e.shards) == 1 {
+// runPhase executes f once per shard, with the shard's index, and
+// beside, when non-nil, once — concurrently, one goroutine each, unless
+// Sequential is set. Phase results never depend on which mode ran:
+// shards share no mutable state during a phase, and beside touches no
+// shard's.
+func (e *Engine) runPhase(f func(int, *shardState), beside func()) {
+	if e.opts.Sequential || (len(e.shards) == 1 && beside == nil) {
 		for i, sh := range e.shards {
 			f(i, sh)
+		}
+		if beside != nil {
+			beside()
 		}
 		return
 	}
 	var wg sync.WaitGroup
+	if beside != nil {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			beside()
+		}()
+	}
 	for i, sh := range e.shards {
 		wg.Add(1)
 		go func(i int, sh *shardState) {
@@ -486,48 +492,20 @@ func (e *Engine) Err() error {
 }
 
 // Snapshot aggregates every shard's engine statistics into one global
-// view — counters and timings sum; the stage timers therefore report
-// CPU time across shards, not wall time (see core.Stats.PrepareTime).
-func (e *Engine) Snapshot() core.Stats {
-	agg := core.Stats{ConnCounts: make(map[string]int64, 5)}
-	for _, sh := range e.shards {
-		st := sh.eng.Snapshot()
-		agg.Messages += st.Messages
-		agg.BundlesCreated += st.BundlesCreated
-		agg.BundlesLive += st.BundlesLive
-		agg.EdgesCreated += st.EdgesCreated
-		for k, v := range st.ConnCounts {
-			agg.ConnCounts[k] += v
-		}
-		agg.MemBundles += st.MemBundles
-		agg.MemIndex += st.MemIndex
-		agg.MessagesInMemory += st.MessagesInMemory
-		agg.PrepareTime += st.PrepareTime
-		agg.MatchTime += st.MatchTime
-		agg.PlaceTime += st.PlaceTime
-		agg.RefineTime += st.RefineTime
-		agg.FlushRetries += st.FlushRetries
-		agg.FlushDropped += st.FlushDropped
-		agg.FlushParked += st.FlushParked
-		agg.Pool.Created += st.Pool.Created
-		agg.Pool.Refines += st.Pool.Refines
-		agg.Pool.DeletedTiny += st.Pool.DeletedTiny
-		agg.Pool.FlushedClosed += st.Pool.FlushedClosed
-		agg.Pool.FlushedRanked += st.Pool.FlushedRanked
-	}
-	return agg
-}
+// view (query.SumStats).
+func (e *Engine) Snapshot() core.Stats { return query.SumStats(e.engs) }
 
 // ShardSnapshot captures shard i's statistics alone.
 func (e *Engine) ShardSnapshot(i int) core.Stats { return e.shards[i].eng.Snapshot() }
 
 // RegisterMetrics exposes the sharded engine on reg: the shard-level
 // families (rounds, cross-shard resolutions, per-shard committed
-// messages, per-phase critical-path gauges — OBSERVABILITY.md) plus
-// every shard engine's full provex_* instrument set labeled
-// shard="i", so per-shard series coexist in one registry and roll up
-// with sum by (). Durable series are registered by Durable, keeping
-// the memory/durable split of the serial layers.
+// messages, per-phase critical-path gauges — OBSERVABILITY.md), every
+// shard engine's full provex_* instrument set labeled shard="i", so
+// per-shard series coexist in one registry and roll up with sum by (),
+// and the node's message index once, unlabeled. Durable series are
+// registered by Durable, keeping the memory/durable split of the
+// serial layers.
 func (e *Engine) RegisterMetrics(reg *metrics.Registry) {
 	reg.RegisterCounter("provex_shard_rounds_total",
 		"Two-phase rounds resolved by the sharded ingest engine (DESIGN.md section 2i).", &e.rounds)
@@ -552,8 +530,8 @@ func (e *Engine) RegisterMetrics(reg *metrics.Registry) {
 			"Messages committed per shard by the phase-2 apply (imbalance = skewed indicant distribution).",
 			&sh.msgs, "shard", label)
 		sh.eng.RegisterMetrics(reg, "shard", label)
-		if sh.proc != nil {
-			sh.proc.RegisterMetrics(reg, "shard", label)
-		}
+	}
+	if e.proc != nil {
+		e.proc.RegisterMetrics(reg)
 	}
 }

@@ -273,7 +273,8 @@ func TestShardedTracing(t *testing.T) {
 }
 
 // TestShardIDSpaces pins the stride allocation: every bundle a shard
-// creates lies in its own residue class, so Owner inverts allocation.
+// creates lies in its own residue class, so exactly its own pool
+// Allocates it — the inverse the node's reads route a bundle ID by.
 func TestShardIDSpaces(t *testing.T) {
 	const n = 3
 	msgs := genMessages(17, 3000)
@@ -291,8 +292,10 @@ func TestShardIDSpaces(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		e.ShardEngine(i).Pool().All(func(b *bundle.Bundle) {
-			if Owner(b.ID(), n) != i {
-				t.Fatalf("bundle %d lives on shard %d but Owner says %d", b.ID(), i, Owner(b.ID(), n))
+			for j := 0; j < n; j++ {
+				if got := e.ShardEngine(j).Pool().Allocates(b.ID()); got != (j == i) {
+					t.Fatalf("bundle %d lives on shard %d but shard %d's pool Allocates it: %v", b.ID(), i, j, got)
+				}
 			}
 		})
 	}

@@ -9,6 +9,8 @@ package shard
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -21,6 +23,7 @@ import (
 	"provex/internal/pipeline"
 	"provex/internal/query"
 	"provex/internal/storage"
+	"provex/internal/trending"
 	"provex/internal/tweet"
 )
 
@@ -97,7 +100,7 @@ var contractBackends = []contractBackend{
 		return deployment{
 			// NewService's own wiring, with the loop settings the
 			// cases vary.
-			svc:      pipeline.NewWith(backend{d.Engine, d}, opts),
+			svc:      pipeline.NewWith(backend{d.proc, d.Engine, d}, opts),
 			replayed: d.Replayed(),
 			liveIDs:  liveIDs(shardEngines(d.Engine)...),
 			close:    d.Close,
@@ -121,7 +124,7 @@ var contractBackends = []contractBackend{
 			t.Fatal(err)
 		}
 		return deployment{
-			svc:     pipeline.NewWith(backend{e, nil}, opts),
+			svc:     pipeline.NewWith(backend{e.proc, e, nil}, opts),
 			liveIDs: liveIDs(shardEngines(e)...),
 			close:   func() error { return nil },
 		}
@@ -546,43 +549,171 @@ func TestServiceContract(t *testing.T) {
 	}
 }
 
-// TestServiceOneShardMatchesSerial: at Shards=1, Batch=1 the sharded
-// engine is the serial apply loop, so the Service over it must answer
-// exactly as the Service over the serial backend does.
-func TestServiceOneShardMatchesSerial(t *testing.T) {
+// TestServiceMatchesSerial: a sharded node answers reads as the serial
+// node fed the same stream does. Its message index is one per node, fed
+// in stream order, so SearchMessages is the serial list at every shard
+// count and round size — the same messages, the scores equal to the
+// bit. SearchBundles and Trending rank bundles, which are the serial
+// ones where assignment is (B = 1), and are compared by content: bundle
+// IDs are strided across shards. The durable row closes the node,
+// reopens it and asks again, so Reindex across shards rebuilds the same
+// index.
+func TestServiceMatchesSerial(t *testing.T) {
 	const n = 4000
-	cfg := core.PartialIndexConfig(500)
+	cfg := core.FullIndexConfig()
 	q := query.DefaultOptions()
+	msgs := genMessages(9, n)
+	queries := []string{"game", "game win", "zzzunknown"}
+	for i := 50; i < n; i += 100 {
+		m := msgs[i]
+		queries = append(queries, m.Text)
+		if len(m.Hashtags) > 0 {
+			queries = append(queries, m.Hashtags[0])
+		}
+	}
 
 	serial := pipeline.New(query.New(core.New(cfg, nil, nil), q), pipeline.Options{})
-	eng, err := New(cfg, Options{Shards: 1, Batch: 1, Query: &q}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := NewService(eng, nil, ServiceOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []*Service{serial, sharded} {
+	ingest := func(s *Service) {
 		s.Start()
 		submitAll(t, s, smallGen(9).Next, n)
 		if err := s.Stop(); err != nil {
 			t.Fatal(err)
 		}
 	}
+	ingest(serial)
+	messages := make(map[string][]query.MessageHit, len(queries))
+	hits := 0
+	for _, term := range queries {
+		messages[term] = serial.SearchMessages(term, 10)
+		hits += len(messages[term])
+	}
+	if hits == 0 {
+		t.Fatal("the serial node finds no message for any query")
+	}
+	sameMessages := func(t *testing.T, s *Service) {
+		t.Helper()
+		for _, term := range queries {
+			if a, b := messages[term], s.SearchMessages(term, 10); !sameMessageHits(a, b) {
+				t.Errorf("SearchMessages(%q) differs:\nserial  %v\nsharded %v", term, a, b)
+			}
+		}
+	}
 
-	msgs := genMessages(9, n)
-	for _, term := range []string{"game", "game win", msgs[100].Text, msgs[3000].Text} {
-		if a, b := serial.SearchBundles(term, 10), sharded.SearchBundles(term, 10); !reflect.DeepEqual(a, b) || len(a) == 0 {
-			t.Errorf("SearchBundles(%q) differs (or is empty):\nserial  %v\nsharded %v", term, a, b)
-		}
-		if a, b := serial.SearchMessages(term, 10), sharded.SearchMessages(term, 10); !reflect.DeepEqual(a, b) || len(a) == 0 {
-			t.Errorf("SearchMessages(%q) differs (or is empty):\nserial  %v\nsharded %v", term, a, b)
+	for _, row := range []struct {
+		shards, batch int
+		durable       bool
+	}{{1, 1, false}, {3, 1, false}, {3, 16, true}} {
+		t.Run(fmt.Sprintf("shards=%d/batch=%d", row.shards, row.batch), func(t *testing.T) {
+			opts := Options{Shards: row.shards, Batch: row.batch, Query: &q}
+			mem := fsx.NewMem()
+			open := func() (*Engine, *Durable) {
+				if !row.durable {
+					e, err := New(cfg, opts, nil, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return e, nil
+				}
+				d, err := OpenDurable(cfg, opts, testDurableOpts(mem))
+				if err != nil {
+					t.Fatal(err)
+				}
+				d.Reindex()
+				return d.Engine, d
+			}
+			eng, dur := open()
+			sharded, err := NewService(eng, dur, ServiceOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ingest(sharded)
+			sameMessages(t, sharded)
+
+			if row.batch == 1 {
+				for _, term := range queries {
+					if a, b := serial.SearchBundles(term, 10), sharded.SearchBundles(term, 10); !reflect.DeepEqual(bundleContent(a), bundleContent(b)) {
+						t.Errorf("SearchBundles(%q) differs:\nserial  %v\nsharded %v", term, a, b)
+					}
+				}
+				if a, b := serial.Trending(10), sharded.Trending(10); !reflect.DeepEqual(topicContent(a), topicContent(b)) || len(a) == 0 {
+					t.Errorf("Trending differs (or is empty):\nserial  %v\nsharded %v", a, b)
+				}
+			}
+
+			if dur == nil {
+				return
+			}
+			if err := dur.Close(); err != nil {
+				t.Fatal(err)
+			}
+			eng, dur = open()
+			defer dur.Close()
+			reopened, err := NewService(eng, dur, ServiceOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := reopened.Snapshot().Messages; got != n {
+				t.Fatalf("reopened node holds %d messages, want %d", got, n)
+			}
+			sameMessages(t, reopened)
+		})
+	}
+}
+
+// TestShardedRepeatsCountedOnce: a stream re-fed to a sharded node is
+// counted as repeats whichever shard each repeat lands on, because the
+// node has one message index.
+func TestShardedRepeatsCountedOnce(t *testing.T) {
+	const n = 1000
+	q := query.DefaultOptions()
+	e, err := New(core.FullIndexConfig(), Options{Shards: 3, Batch: 16, Query: &q}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs := genMessages(11, n)
+	for _, m := range append(msgs, msgs...) {
+		if err := e.Ingest(m); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if a, b := serial.Trending(10), sharded.Trending(10); !reflect.DeepEqual(a, b) || len(a) == 0 {
-		t.Errorf("Trending differs (or is empty):\nserial  %v\nsharded %v", a, b)
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
 	}
+	if got := e.proc.DuplicateMessages(); got != n {
+		t.Errorf("DuplicateMessages = %d, want %d", got, n)
+	}
+}
+
+// sameMessageHits: the same messages in the same order with scores equal
+// as float64 bits; nil and empty alike.
+func sameMessageHits(a, b []query.MessageHit) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Msg.ID != b[i].Msg.ID || math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) {
+			return false
+		}
+	}
+	return true
+}
+
+// bundleContent and topicContent drop the bundle IDs, which the shard
+// count alone changes; nil and empty come out alike.
+func bundleContent(hits []query.BundleHit) (out []query.BundleHit) {
+	for _, h := range hits {
+		h.ID = 0
+		out = append(out, h)
+	}
+	return out
+}
+
+func topicContent(topics []trending.Topic) (out []trending.Topic) {
+	for _, tp := range topics {
+		tp.ID = 0
+		out = append(out, tp)
+	}
+	return out
 }
 
 func TestServiceRequiresQueryProcessors(t *testing.T) {
