@@ -170,14 +170,6 @@ func BenchmarkFig13StageTime(b *testing.B) {
 
 // Ablation benches — the design choices DESIGN.md calls out.
 
-func BenchmarkAblationCandidateFetch(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := experiments.AblationCandidateFetch(benchScale())
-		b.ReportMetric(cell(b, t.Rows[1][1]), "acc_score_all")
-		b.ReportMetric(cell(b, t.Rows[len(t.Rows)-1][1]), "acc_top2")
-	}
-}
-
 func BenchmarkAblationFreshness(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t := experiments.AblationFreshness(benchScale())
@@ -233,12 +225,4 @@ func BenchmarkIngestSerial(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N*len(msgs))/b.Elapsed().Seconds(), "msgs/s")
-}
-
-func BenchmarkAblationKeywordClass(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := experiments.AblationKeywordClass(benchScale())
-		b.ReportMetric(cell(b, t.Rows[1][4]), "edges_keywords_on")
-		b.ReportMetric(cell(b, t.Rows[2][4]), "edges_keywords_off")
-	}
 }

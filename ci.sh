@@ -257,6 +257,18 @@ cmp "$obs_tmp/ingest-1.txt" "$obs_tmp/ingest-2.txt" \
     || { echo "provingest: -shards 2 -shard-batch 1 diverges from -shards 1"; exit 1; }
 cat "$obs_tmp/ingest-1.txt"
 
+# Pinned decisions: the seed-1 125 000-message stream under the full
+# index. Candidate fetch walks URL, hashtag and re-shared-user postings
+# only; the uncapped reference (every class, no fanout cut) makes
+# 43 423 / 81 577, and the two edges missing here come from hard lists
+# over the fanout cut (EXPERIMENTS.md, "Match from hard indicants").
+echo "== provingest pinned counts (provgen -n 125000, full index) =="
+"$obs_tmp/provgen" -n 125000 | "$obs_tmp/provingest" -mode full -progress 0 2>/dev/null \
+    | grep -E '^(bundles created|edges) ' >"$obs_tmp/pinned.txt"
+printf 'bundles created 43425\nedges           81575\n' | cmp -s - "$obs_tmp/pinned.txt" \
+    || { echo "provingest: pinned counts moved:"; cat "$obs_tmp/pinned.txt"; exit 1; }
+cat "$obs_tmp/pinned.txt"
+
 # Replication loopback: a durable leader ingests a generated stream
 # while a follower bootstraps from its checkpoint and tails its WAL
 # (DESIGN.md §2h). The gate: the follower reports ready with zero lag,

@@ -213,10 +213,8 @@ func run(w io.Writer, s experiments.Scale, figs map[string]bool, jsonOut bool) e
 	if wants("ablations") {
 		slog.Info("ablations")
 		emit("ablations",
-			experiments.AblationCandidateFetch(s),
 			experiments.AblationFreshness(s),
 			experiments.AblationRefineTrigger(s),
-			experiments.AblationKeywordClass(s),
 		)
 	}
 	elapsed := time.Since(start)

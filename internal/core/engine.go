@@ -36,21 +36,14 @@ type Config struct {
 	MsgWeights    score.MessageWeights
 	BundleWeights score.BundleWeights
 
-	// MaxCandidates caps how many summary-index candidates are scored
-	// per message, taking them in descending indicant-hit order.
-	// 0 scores every candidate (the paper's literal description); the
-	// default config caps at 256, which the candidate-fetch ablation
-	// shows is accuracy-neutral while bounding per-message match cost
-	// (candidates are hit-ranked, and low-hit keyword-only candidates
-	// cannot pass the Eq. 1 threshold under the default weights).
-	MaxCandidates int
-
-	// MaxFanout skips summary-index postings longer than this during
-	// candidate fetch (0 = unlimited). Hyper-frequent keywords appear
-	// in thousands of bundles and carry no routing signal; with the
-	// default Eq. 1 weights a keyword-only candidate cannot pass the
-	// join threshold anyway, so the cut changes at most tie ranking
-	// while keeping ingest cost bounded per message.
+	// MaxFanout is the stop-indicant cut (0 = unlimited): candidate
+	// fetch skips a hashtag, URL or re-shared-user posting list longer
+	// than this. A hashtag carried by thousands of bundles routes
+	// nothing, yet walking it for every message that carries it makes
+	// a full-index match superlinear in the stream. A skipped list is
+	// charged to every candidate's Eq. 1 bound as slack, so pruning
+	// stays sound; only a bundle reachable through nothing but skipped
+	// lists is missed.
 	MaxFanout int
 
 	// FlushRetry bounds the degraded mode entered when the disk
@@ -88,7 +81,6 @@ func FullIndexConfig() Config {
 		MsgWeights:    score.DefaultMessageWeights(),
 		BundleWeights: score.DefaultBundleWeights(),
 		MaxFanout:     1024,
-		MaxCandidates: 256,
 	}
 }
 
@@ -216,9 +208,9 @@ type Engine struct {
 	placeSkipHist  *metrics.Histogram
 
 	// Candidate-fetch work counts (sumindex.Candidates): posting entries
-	// walked and distinct candidates produced, before the MaxCandidates
-	// cut. They depend only on the stream and the config, so two builds
-	// that report the same totals did the same fetch work.
+	// walked and distinct candidates produced. They depend only on the
+	// stream and the config, so two builds that report the same totals
+	// did the same fetch work.
 	matchPostings metrics.Counter
 	matchFetched  metrics.Counter
 
@@ -232,6 +224,12 @@ type Engine struct {
 	// Only the differential test sets it; assignments are identical
 	// either way, which is what that test pins.
 	exhaustive bool
+
+	// refFetch, when set, replaces the summary index's hard-indicant
+	// fetch. Only the differential test sets it, to the uncapped
+	// reference that walks every class, and it pairs it with
+	// exhaustive, so the FetchInfo slack it does not report is unused.
+	refFetch func(score.Doc) []sumindex.Candidate
 
 	// gHist observes the Eq. 6 score of ranked pool evictions (wired
 	// into the pool at construction, exposed via RegisterMetrics).
@@ -265,8 +263,15 @@ type flushRetry struct {
 
 // New builds an engine. store may be nil (flushed bundles are then
 // discarded — sufficient for pure indexing experiments); onEdge may be
-// nil.
+// nil. It panics on Eq. 1 weights under which keywords and freshness
+// alone could pass the join threshold: candidate fetch walks only the
+// hard-indicant postings, which is lossless only when they cannot
+// (score.BundleWeights.HardIndicantsRequired).
 func New(cfg Config, store *storage.Store, onEdge EdgeFunc) *Engine {
+	if !cfg.BundleWeights.HardIndicantsRequired() {
+		panic(fmt.Sprintf("core: Eq. 1 keyword %v + time %v can pass threshold %v without a hard indicant",
+			cfg.BundleWeights.Keyword, cfg.BundleWeights.Time, cfg.BundleWeights.Threshold))
+	}
 	if onEdge == nil {
 		onEdge = func(tweet.ID, tweet.ID, score.ConnectionType) {}
 	}
@@ -328,9 +333,9 @@ func (e *Engine) RegisterMetrics(reg *metrics.Registry, labels ...string) {
 	reg.RegisterCounter("provex_match_candidates_pruned_total",
 		"Match candidates skipped before Eq. 1 scoring because their score upper bound could not beat the running best.", &e.matchPruned, labels...)
 	reg.RegisterCounter("provex_match_postings_walked_total",
-		"Summary-index posting entries walked by candidate fetch (Algorithm 1 step 1; lists cut by the fanout cap or a disabled class are not walked).", &e.matchPostings, labels...)
+		"Summary-index posting entries walked by candidate fetch (Algorithm 1 step 1; URL, hashtag and re-shared-user lists only, fanout-cut lists not walked).", &e.matchPostings, labels...)
 	reg.RegisterCounter("provex_match_candidates_fetched_total",
-		"Distinct candidate bundles produced by candidate fetch, before the MaxCandidates cut.", &e.matchFetched, labels...)
+		"Distinct candidate bundles produced by candidate fetch; every one reaches the Eq. 1 loop.", &e.matchFetched, labels...)
 	reg.RegisterHistogram("provex_place_skipped_nodes",
 		"Distribution of nodes skipped per placement by the pruned Algorithm 2 scan.",
 		e.placeSkipHist, 1, labels...)
@@ -366,11 +371,6 @@ func (e *Engine) SetTracer(r *trace.Recorder) {
 			Flushed:  reason != pool.EvictAgingTiny,
 		})
 	})
-}
-
-// SetKeywordClass toggles the summary index's keyword class (ablation).
-func (e *Engine) SetKeywordClass(on bool) {
-	e.index.SetEnabled(sumindex.ClassKeyword, on)
 }
 
 // evict is the pool's eviction hook: drop the bundle's postings from
@@ -634,7 +634,7 @@ type ProbeResult struct {
 // scratch buffer with matchBundle). The fetch and pruning counters it
 // bumps are atomic.
 func (e *Engine) Probe(doc score.Doc) ProbeResult {
-	cands, fetch, _ := e.fetchCandidates(doc)
+	cands, fetch := e.fetchCandidates(doc)
 	b, s := e.matchRange(doc, cands, fetch, nil)
 	if b == nil {
 		return ProbeResult{}
@@ -656,30 +656,27 @@ func (e *Engine) Probe(doc score.Doc) ProbeResult {
 // timed.
 func (e *Engine) AdvanceClock(t time.Time) { e.clock.AdvanceTo(t) }
 
-// fetchCandidates is Algorithm 1 step 1: the hit-ranked candidate list
-// cut to MaxCandidates, the fetch's skipped-list slack, and how many
-// candidates the index produced before the cut.
-func (e *Engine) fetchCandidates(doc score.Doc) (cands []sumindex.Candidate, fetch sumindex.FetchInfo, fetched int) {
-	cands = e.index.Candidates(doc)
-	fetch = e.index.LastFetch()
-	fetched = len(cands)
-	e.matchPostings.Add(int64(fetch.Postings))
-	e.matchFetched.Add(int64(fetched))
-	if e.cfg.MaxCandidates > 0 && fetched > e.cfg.MaxCandidates {
-		cands = cands[:e.cfg.MaxCandidates]
+// fetchCandidates is Algorithm 1 step 1: the hit-ranked candidates
+// from the hard-indicant postings and the fetch's skipped-list slack.
+func (e *Engine) fetchCandidates(doc score.Doc) ([]sumindex.Candidate, sumindex.FetchInfo) {
+	if e.refFetch != nil {
+		return e.refFetch(doc), sumindex.FetchInfo{}
 	}
-	return cands, fetch, fetched
+	cands := e.index.Candidates(doc)
+	fetch := e.index.LastFetch()
+	e.matchPostings.Add(int64(fetch.Postings))
+	e.matchFetched.Add(int64(len(cands)))
+	return cands, fetch
 }
 
 // matchBundle scores the summary-index candidates with Eq. 1 and
 // returns the best open bundle above the threshold, nil when none
 // qualifies.
 func (e *Engine) matchBundle(doc score.Doc, td *trace.Decision) *bundle.Bundle {
-	cands, fetch, fetched := e.fetchCandidates(doc)
+	cands, fetch := e.fetchCandidates(doc)
 	var sink *[]trace.CandidateScore
 	if td != nil {
-		td.CandidatesFetched = fetched
-		td.CandidatesDropped = fetched - len(cands)
+		td.CandidatesFetched = len(cands)
 		td.Threshold = e.cfg.BundleWeights.Threshold
 		sink = &td.Candidates
 	}
@@ -697,8 +694,9 @@ func (e *Engine) matchBundle(doc score.Doc, td *trace.Decision) *bundle.Bundle {
 //
 // Unless the differential test selected the reference loop, each
 // candidate is first tested against its Eq. 1 upper bound
-// (score.BundleSimCeil over the exact per-class hit counts plus fetch's
-// skipped-list slack) and skipped when it cannot beat the running best:
+// (score.BundleSimCeil over the exact hard-indicant hit counts, fetch's
+// skipped-list slack and the keyword and freshness ceilings) and
+// skipped when it cannot beat the running best:
 // a candidate is pruned only if
 // ub < bestScore, or ub == bestScore when the tie could not go its way
 // (no bundle chosen yet — joining needs a strictly-above-threshold
@@ -715,9 +713,8 @@ func (e *Engine) matchRange(doc score.Doc, cands []sumindex.Candidate, fetch sum
 	bestScore := e.cfg.BundleWeights.Threshold
 	for _, c := range cands {
 		if prune {
-			ub := score.BundleSimCeil(e.cfg.BundleWeights, doc,
-				int(c.URLHits), int(c.TagHits), int(c.KeyHits), c.RTHit,
-				fetch.SkippedURL, fetch.SkippedTag, fetch.SkippedKey, fetch.SkippedRT)
+			ub := score.BundleSimCeil(e.cfg.BundleWeights, int(c.URLHits), int(c.TagHits), c.RTHit,
+				fetch.SkippedURL, fetch.SkippedTag, fetch.SkippedRT)
 			skip := false
 			if best == nil {
 				skip = ub <= bestScore

@@ -95,17 +95,40 @@ func TestClosedBundleNotMatched(t *testing.T) {
 	}
 }
 
-func TestMaxCandidatesCap(t *testing.T) {
-	cfg := FullIndexConfig()
-	cfg.MaxCandidates = 1
-	e := New(cfg, nil, nil)
-	// Two bundles share the query tag; the cap must still find the one
-	// with more indicant hits (ranked first).
-	e.Insert(msg(1, "a", "alpha #shared", base))
-	e.Insert(msg(2, "b", "beta #shared #extra http://bit.ly/q", base.Add(time.Minute)))
-	r := e.Insert(msg(3, "c", "gamma #shared #extra http://bit.ly/q", base.Add(2*time.Minute)))
-	if r.Created {
-		t.Error("capped candidates missed the top-ranked bundle")
+// TestNewRefusesKeywordOnlyJoins: candidate fetch walks only hard
+// indicants, so weights under which keywords plus freshness could pass
+// the join threshold are refused at construction, and weights that sit
+// exactly on the condition's edge are accepted.
+func TestNewRefusesKeywordOnlyJoins(t *testing.T) {
+	refused := func(w score.BundleWeights) (p any) {
+		defer func() { p = recover() }()
+		cfg := FullIndexConfig()
+		cfg.BundleWeights = w
+		New(cfg, nil, nil)
+		return nil
+	}
+	w := score.DefaultBundleWeights()
+	if p := refused(w); p != nil {
+		t.Fatalf("default weights refused: %v", p)
+	}
+	gamma1 := w
+	gamma1.Time = 1.0 // the old freshness ablation's row: recency alone joins
+	if refused(gamma1) == nil {
+		t.Error("Time 1.0 accepted: 0.22 + 1.0 > 0.55")
+	}
+	edge := w
+	edge.Threshold = w.Keyword + w.Time + score.BoundSlop
+	if p := refused(edge); p != nil {
+		t.Errorf("threshold at keyword + time + slop refused: %v", p)
+	}
+	edge.Threshold = w.Keyword + w.Time
+	if refused(edge) == nil {
+		t.Error("threshold at keyword + time accepted: a sum a few ulps over it would join")
+	}
+	negative := w
+	negative.Keyword, negative.Time = -1, 0.5 // a negative weight can only lower a score
+	if p := refused(negative); p != nil {
+		t.Errorf("negative keyword weight refused: %v", p)
 	}
 }
 

@@ -62,28 +62,10 @@ func round3(d time.Duration) float64 {
 	return float64(d.Milliseconds()) / 1000
 }
 
-// AblationCandidateFetch compares scoring every summary-index candidate
-// (the paper's description) against capping at the top-K hit-ranked
-// candidates.
-func AblationCandidateFetch(s Scale) *Table {
-	mk := func(name string, maxCand int) *ablationVariant {
-		cfg := core.PartialIndexConfig(s.PoolLimit)
-		cfg.MaxCandidates = maxCand
-		return newVariant(name, cfg)
-	}
-	return runAblation(s, s.Messages/2,
-		"Ablation: candidate fetch policy (partial index)",
-		"capping scored candidates trades little accuracy for bounded match cost",
-		[]*ablationVariant{
-			mk("score-all", 0),
-			mk("top-32", 32),
-			mk("top-8", 8),
-			mk("top-2", 2),
-		})
-}
-
 // AblationFreshness toggles the Eq. 1 freshness term γ — the paper's
-// "a fresh bundle is more suitable to match with" intuition.
+// "a fresh bundle is more suitable to match with" intuition. γ stops
+// short of letting recency join bundles on its own: core.New refuses
+// weights where keyword + γ pass the threshold.
 func AblationFreshness(s Scale) *Table {
 	mk := func(name string, timeWeight float64) *ablationVariant {
 		cfg := core.PartialIndexConfig(s.PoolLimit)
@@ -96,7 +78,6 @@ func AblationFreshness(s Scale) *Table {
 		[]*ablationVariant{
 			mk("gamma=0.3 (default)", 0.3),
 			mk("gamma=0", 0),
-			mk("gamma=1.0", 1.0),
 		})
 }
 
@@ -117,20 +98,4 @@ func AblationRefineTrigger(s Scale) *Table {
 			mk("check-every-128", 128),
 			mk("check-every-1", 1),
 		})
-}
-
-// AblationKeywordClass disables the summary index's keyword class,
-// leaving only hashtags, URLs and the RT user class to fetch candidate
-// bundles. Since the bounded keyword term of Eq. 1 cannot cross the
-// join threshold on its own (see score.DefaultBundleWeights), the
-// keyword class mostly inflates candidate lists: this ablation measures
-// its match-cost price against its (small) routing benefit.
-func AblationKeywordClass(s Scale) *Table {
-	with := newVariant("keywords on (default)", core.PartialIndexConfig(s.PoolLimit))
-	without := newVariant("keywords off", core.PartialIndexConfig(s.PoolLimit))
-	without.eng.SetKeywordClass(false)
-	return runAblation(s, s.Messages/2,
-		"Ablation: summary-index keyword class",
-		"keyword postings inflate candidate fetch; Eq.1's bounded keyword term keeps their routing effect small",
-		[]*ablationVariant{with, without})
 }

@@ -316,30 +316,36 @@ func ceil0(w float64) float64 {
 
 // BundleSimCeil bounds BundleSim(w, t, b) from above for a candidate
 // bundle known (from summary-index postings) to carry urlHits of t's
-// URLs, tagHits of its hashtags and kwHits of its kwTotal keywords,
-// with rt reporting whether the bundle contains the re-shared user.
-// The slack counts cover postings the fetch did NOT traverse (fanout
-// cut or disabled class): each untraversed list may or may not contain
-// the bundle, so the bound assumes it does, at the clamped weight.
-// The freshness term is ≤ w.Time. BoundSlop covers the difference
-// between this multiply-based arithmetic and BundleSim's running sum.
-func BundleSimCeil(w BundleWeights, t Doc, urlHits, tagHits, kwHits int, rt bool,
-	slackURL, slackTag, slackKw int, slackRT bool) float64 {
+// URLs and tagHits of its hashtags, with rt reporting whether the
+// bundle contains the re-shared user. The slack counts cover hard
+// postings the fetch did NOT traverse (fanout cut): each untraversed
+// list may or may not contain the bundle, so the bound assumes it does,
+// at the clamped weight. The keyword term is a ratio the fetch never
+// counts (keyword postings are not walked), so it is charged at its
+// ceiling; the freshness term is ≤ w.Time. BoundSlop covers the
+// difference between this multiply-based arithmetic and BundleSim's
+// running sum.
+func BundleSimCeil(w BundleWeights, urlHits, tagHits int, rt bool,
+	slackURL, slackTag int, slackRT bool) float64 {
 	s := w.URL*float64(urlHits) + w.Tag*float64(tagHits) + BoundSlop
-	if kwTotal := len(t.Keywords); kwTotal > 0 {
-		s += w.Keyword * float64(kwHits) / float64(kwTotal)
-		if slackKw > 0 {
-			s += ceil0(w.Keyword) * float64(slackKw) / float64(kwTotal)
-		}
-	}
 	if rt {
 		s += w.RT
 	} else if slackRT {
 		s += ceil0(w.RT)
 	}
 	s += ceil0(w.URL)*float64(slackURL) + ceil0(w.Tag)*float64(slackTag)
-	s += ceil0(w.Time)
+	s += ceil0(w.Keyword) + ceil0(w.Time)
 	return s
+}
+
+// HardIndicantsRequired reports whether no bundle can pass the join
+// threshold on the keyword and freshness terms alone: their ceilings
+// (plus BoundSlop) stay at or below Threshold, and a join needs a score
+// strictly above it. Candidate fetch walks only the hard-indicant
+// classes (URL, hashtag, re-shared user), which is lossless exactly
+// when this holds; core.New refuses weights that break it.
+func (w BundleWeights) HardIndicantsRequired() bool {
+	return ceil0(w.Keyword)+ceil0(w.Time)+BoundSlop <= w.Threshold
 }
 
 // EvictionRank is Equation 6: G(B) = curr − date(B) + 1/|B|, where the

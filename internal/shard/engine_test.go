@@ -40,12 +40,11 @@ func genMessages(seed int64, n int) []*tweet.Message {
 	return msgs
 }
 
-// uncappedConfig is the exact-equivalence configuration: no candidate
-// caps, no pool limits — every relaxation documented in DESIGN.md §2i
+// uncappedConfig is the exact-equivalence configuration: no fanout
+// cut, no pool limits — every relaxation documented in DESIGN.md §2i
 // switched off.
 func uncappedConfig() core.Config {
 	cfg := core.FullIndexConfig()
-	cfg.MaxCandidates = 0
 	cfg.MaxFanout = 0
 	return cfg
 }

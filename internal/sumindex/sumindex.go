@@ -6,8 +6,9 @@
 //
 // The index serves two operations on the ingest hot path:
 //
-//   - Candidates: given a new message's indicants, fetch the candidate
-//     bundle list (Algorithm 1, step 1);
+//   - Candidates: given a new message's hard indicants (URLs, hashtags
+//     and the re-shared user), fetch the candidate bundle list
+//     (Algorithm 1, step 1);
 //   - Observe/Forget: keep the postings in sync as messages join
 //     bundles and as the pool evicts bundles (Algorithm 1, step 3 and
 //     Algorithm 3's delete_index).
@@ -88,14 +89,10 @@ const (
 type Index struct {
 	classes [numClasses]map[string][]Posting
 	mem     metrics.MemEstimator
-	// enabled masks which classes participate in Candidates — the
-	// keyword class can be switched off for the ablation study.
-	enabled [numClasses]bool
-	// maxFanout skips postings longer than this during candidate fetch
-	// (0 = unlimited). Hyper-frequent terms ("game" on a baseball
-	// night) appear in thousands of bundles and carry no routing
-	// signal — the textbook stop-posting cut. Postings are still fully
-	// maintained, so changing the cap never loses state.
+	// maxFanout skips hard-indicant postings longer than this during
+	// candidate fetch (0 = unlimited): a hashtag carried by thousands
+	// of bundles is a stop indicant with no routing signal. Postings
+	// are still fully maintained, so changing the cap never loses state.
 	maxFanout int
 
 	// slabs holds recycled posting slices by capacity class; slabs[k]
@@ -113,20 +110,14 @@ type Index struct {
 	fetch   FetchInfo
 }
 
-// New creates an empty summary index with every class enabled and no
-// fanout cap.
+// New creates an empty summary index with no fanout cap.
 func New() *Index {
 	ix := &Index{}
 	for c := range ix.classes {
 		ix.classes[c] = make(map[string][]Posting)
-		ix.enabled[c] = true
 	}
 	return ix
 }
-
-// SetEnabled toggles a class's participation in candidate fetch.
-// Postings are still maintained so the class can be re-enabled.
-func (ix *Index) SetEnabled(c Class, on bool) { ix.enabled[c] = on }
 
 // SetMaxFanout bounds the posting-list length considered during
 // candidate fetch; 0 removes the bound.
@@ -279,23 +270,23 @@ func (ix *Index) drop(c Class, term string, id BundleID) {
 }
 
 // Candidate is one bundle surfaced by the summary index with the number
-// of indicant hits that surfaced it, split per class. The per-class
-// counts are exact over the posting lists the fetch traversed — the
-// inputs of the Eq. 1 upper bound (score.BundleSimCeil); lists the
-// fetch skipped are reported in FetchInfo as slack. A count is at most
-// the message's term count in that class, which a uint32 always holds:
-// it never wraps into a smaller one, which would make the bound unsound.
+// of hard-indicant hits that surfaced it, split per class. The
+// per-class counts are exact over the posting lists the fetch traversed
+// — the inputs of the Eq. 1 upper bound (score.BundleSimCeil); lists
+// the fetch skipped are reported in FetchInfo as slack. A count is at
+// most the message's term count in that class, which a uint32 always
+// holds: it never wraps into a smaller one, which would make the bound
+// unsound.
 type Candidate struct {
 	ID      BundleID
 	URLHits uint32
 	TagHits uint32
-	KeyHits uint32
 	RTHit   bool
 }
 
-// Hits is the fetch rank: URLHits + TagHits + KeyHits (+1 for RTHit).
+// Hits is the fetch rank: URLHits + TagHits (+1 for RTHit).
 func (c Candidate) Hits() int {
-	n := int(c.URLHits) + int(c.TagHits) + int(c.KeyHits)
+	n := int(c.URLHits) + int(c.TagHits)
 	if c.RTHit {
 		n++
 	}
@@ -303,16 +294,14 @@ func (c Candidate) Hits() int {
 }
 
 // FetchInfo describes what the last Candidates call did NOT traverse:
-// per class, how many of the message's terms were skipped because the
-// class is disabled or the posting list exceeded the fanout cap.
-// A skipped list may still hit any candidate, so upper-bound users must
-// treat each skipped term as a potential hit (BundleSimCeil's slack
-// terms). Postings counts the entries actually walked — the true fetch
-// cost of the message.
+// per class, how many of the message's hard-indicant terms were skipped
+// because the posting list exceeded the fanout cap. A skipped list may
+// still hit any candidate, so upper-bound users must treat each skipped
+// term as a potential hit (BundleSimCeil's slack terms). Postings counts
+// the entries actually walked — the true fetch cost of the message.
 type FetchInfo struct {
 	SkippedURL int
 	SkippedTag int
-	SkippedKey int
 	SkippedRT  bool
 	Postings   int
 }
@@ -333,10 +322,15 @@ type heapEntry struct {
 }
 
 // Candidates fetches the candidate bundle list for doc (Algorithm 1,
-// step 1): the union over the message's indicants of each indicant's
-// posting list. The result is ordered by descending hit count, then
-// ascending bundle ID, so callers can cap scoring work at the most
-// promising candidates and the match stage can scan in impact order.
+// step 1): the union of the posting lists of the message's URLs and
+// hashtags and, for a re-share, of the re-shared user. Keyword postings
+// are maintained for Eq. 7 but never walked here: under weights where
+// the keyword and freshness terms together cannot pass the join
+// threshold (core.New enforces it), a bundle sharing only keywords with
+// the message can never win, so the hard classes are the prefix that
+// can reach it (prefix filtering, DESIGN.md §2g). The result is ordered
+// by descending hit count, then ascending bundle ID, so the match stage
+// scans in impact order.
 //
 // Three passes over reused scratch produce it: gather one cursor per
 // traversed list (a repeated term gets one per occurrence, so counts
@@ -359,9 +353,6 @@ func (ix *Index) Candidates(doc score.Doc) []Candidate {
 	for _, u := range m.URLs {
 		ix.gather(ClassURL, u)
 	}
-	for _, k := range doc.Keywords {
-		ix.gather(ClassKeyword, k)
-	}
 	if m.IsRT() {
 		ix.gather(ClassUser, m.RTOf)
 	}
@@ -373,15 +364,10 @@ func (ix *Index) Candidates(doc score.Doc) []Candidate {
 }
 
 // gather opens a cursor on one term's posting list, or records the term
-// as skipped slack when its class is disabled or its list exceeds the
-// fanout cap.
+// as skipped slack when its list exceeds the fanout cap.
 //
-//provex:hotpath runs per indicant term of every ingested message
+//provex:hotpath runs per hard-indicant term of every ingested message
 func (ix *Index) gather(c Class, term string) {
-	if !ix.enabled[c] {
-		ix.noteSkip(c)
-		return
-	}
 	pl := ix.classes[c][term]
 	if ix.maxFanout > 0 && len(pl) > ix.maxFanout {
 		ix.noteSkip(c)
@@ -402,8 +388,6 @@ func (ix *Index) noteSkip(c Class) {
 		ix.fetch.SkippedURL++
 	case ClassTag:
 		ix.fetch.SkippedTag++
-	case ClassKeyword:
-		ix.fetch.SkippedKey++
 	case ClassUser:
 		ix.fetch.SkippedRT = true
 	}
@@ -443,7 +427,7 @@ func (ix *Index) merge() {
 			siftDown(h, 0, top)
 		}
 		ix.hist[hits]++
-		out = append(out, Candidate{ID: id, URLHits: n[ClassURL], TagHits: n[ClassTag], KeyHits: n[ClassKeyword], RTHit: n[ClassUser] != 0})
+		out = append(out, Candidate{ID: id, URLHits: n[ClassURL], TagHits: n[ClassTag], RTHit: n[ClassUser] != 0})
 	}
 	ix.merged = out
 }

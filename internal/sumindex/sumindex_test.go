@@ -131,22 +131,6 @@ func TestDuplicateObserveCounts(t *testing.T) {
 	}
 }
 
-func TestSetEnabled(t *testing.T) {
-	ix := New()
-	ix.Observe(1, doc(1, "a", "shared keyword story"))
-	if got := ix.Candidates(doc(2, "b", "keyword story overlap")); len(got) == 0 {
-		t.Fatal("keyword class should surface candidate")
-	}
-	ix.SetEnabled(ClassKeyword, false)
-	if got := ix.Candidates(doc(3, "c", "keyword story overlap")); got != nil {
-		t.Errorf("disabled keyword class still surfaced %v", got)
-	}
-	ix.SetEnabled(ClassKeyword, true)
-	if got := ix.Candidates(doc(4, "d", "keyword story overlap")); len(got) == 0 {
-		t.Error("re-enabled keyword class returned nothing")
-	}
-}
-
 func TestClassString(t *testing.T) {
 	for c, want := range map[Class]string{
 		ClassTag: "hashtag", ClassURL: "url", ClassKeyword: "keyword", ClassUser: "user",
@@ -193,8 +177,8 @@ func TestObserveForgetInverseProperty(t *testing.T) {
 	}
 }
 
-// Property: candidate hit counts never exceed the number of indicants
-// the probing message carries.
+// Property: candidate hit counts never exceed the number of hard
+// indicants the probing message carries.
 func TestCandidateHitBoundProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -204,7 +188,7 @@ func TestCandidateHitBoundProperty(t *testing.T) {
 				"word"+string(rune('a'+rng.Intn(4)))+" #tag"+string(rune('a'+rng.Intn(3)))))
 		}
 		probe := doc(100, "p", "worda wordb #taga #tagb")
-		nIndicants := len(probe.Msg.Hashtags) + len(probe.Msg.URLs) + len(probe.Keywords)
+		nIndicants := len(probe.Msg.Hashtags) + len(probe.Msg.URLs)
 		for _, c := range ix.Candidates(probe) {
 			if c.Hits() > nIndicants {
 				return false
@@ -260,21 +244,22 @@ func TestCandidatePerClassHits(t *testing.T) {
 		byID[c.ID] = c
 	}
 	c1 := byID[1]
-	if c1.URLHits != 1 || c1.TagHits != 2 || !c1.RTHit || c1.Hits() != 4+int(c1.KeyHits) {
+	if c1.URLHits != 1 || c1.TagHits != 2 || !c1.RTHit || c1.Hits() != 4 {
 		t.Errorf("bundle 1 = %+v (Hits %d), want url=1 tag=2 rt=true", c1, c1.Hits())
 	}
 	c2 := byID[2]
-	if c2.URLHits != 0 || c2.TagHits != 1 || c2.RTHit || c2.Hits() != 1+int(c2.KeyHits) {
+	if c2.URLHits != 0 || c2.TagHits != 1 || c2.RTHit || c2.Hits() != 1 {
 		t.Errorf("bundle 2 = %+v (Hits %d), want url=0 tag=1 rt=false", c2, c2.Hits())
 	}
-	if fi := ix.LastFetch(); fi.SkippedURL != 0 || fi.SkippedTag != 0 || fi.SkippedKey != 0 || fi.SkippedRT {
+	if fi := ix.LastFetch(); fi.SkippedURL != 0 || fi.SkippedTag != 0 || fi.SkippedRT {
 		t.Errorf("LastFetch = %+v, want no skipped lists", ix.LastFetch())
 	}
 }
 
-// TestLastFetchSlack verifies that every list the fetch does not
-// traverse — fanout-cut or class-disabled — is reported as slack, which
-// is what keeps the Eq. 1 upper bound sound for those candidates.
+// TestLastFetchSlack verifies that every hard list the fetch cuts by
+// fanout is reported as slack, which is what keeps the Eq. 1 upper
+// bound sound for those candidates, and that keyword lists are neither
+// walked nor slack: the bound charges the keyword term at its ceiling.
 func TestLastFetchSlack(t *testing.T) {
 	ix := New()
 	for i := 1; i <= 4; i++ {
@@ -299,37 +284,43 @@ func TestLastFetchSlack(t *testing.T) {
 		}
 	}
 
-	// A disabled class skips every term of that class.
-	ix.SetMaxFanout(0)
-	ix.SetEnabled(ClassKeyword, false)
-	ix.Candidates(doc(10, "dee", "stuff things #cool"))
-	if fi := ix.LastFetch(); fi.SkippedKey == 0 {
-		t.Errorf("LastFetch = %+v, want SkippedKey > 0 with keyword class disabled", fi)
+	// ann's user list (4 bundles) is over the cap: a re-share of ann is
+	// slack too.
+	ix.Candidates(doc(10, "dee", "RT @ann: #cool"))
+	if fi := ix.LastFetch(); !fi.SkippedRT || fi.Postings != 1 {
+		t.Errorf("LastFetch = %+v, want SkippedRT and #cool's one posting walked", fi)
 	}
-	ix.SetEnabled(ClassUser, false)
-	ix.Candidates(doc(11, "eve", "RT @ann: #hot"))
-	if fi := ix.LastFetch(); !fi.SkippedRT {
-		t.Errorf("LastFetch = %+v, want SkippedRT with user class disabled", fi)
+
+	// "stuff" is in all five bundles' keyword lists, over the cap, and
+	// still neither walked nor slack.
+	ix.SetMaxFanout(0)
+	if got := ix.Candidates(doc(11, "eve", "stuff")); got != nil {
+		t.Errorf("keyword-only probe surfaced %v", got)
+	}
+	if fi := ix.LastFetch(); fi != (FetchInfo{}) {
+		t.Errorf("LastFetch = %+v after a keyword-only probe, want zero", fi)
+	}
+	if n := len(ix.Postings(ClassKeyword, "stuff")); n != 5 {
+		t.Errorf("keyword postings for stuff = %d, want 5 (maintained for Eq. 7)", n)
 	}
 }
 
-// oracleCandidates is the fetch this package shipped before the merge:
-// accumulate every traversed posting into a map keyed by bundle, then
-// comparison-sort by (hits desc, ID asc). It is the reference the
-// merge/scatter implementation is diffed against and lives only here.
+// oracleCandidates is the fetch this package shipped before the merge,
+// over the hard classes: accumulate every traversed posting into a map
+// keyed by bundle, then comparison-sort by (hits desc, ID asc). It is
+// the reference the merge/scatter implementation is diffed against and
+// lives only here.
 func oracleCandidates(ix *Index, d score.Doc) ([]Candidate, FetchInfo) {
 	var fi FetchInfo
 	hits := map[BundleID]Candidate{}
 	collect := func(c Class, term string) {
 		pl := ix.classes[c][term]
-		if !ix.enabled[c] || (ix.maxFanout > 0 && len(pl) > ix.maxFanout) {
+		if ix.maxFanout > 0 && len(pl) > ix.maxFanout {
 			switch c {
 			case ClassURL:
 				fi.SkippedURL++
 			case ClassTag:
 				fi.SkippedTag++
-			case ClassKeyword:
-				fi.SkippedKey++
 			case ClassUser:
 				fi.SkippedRT = true
 			}
@@ -343,8 +334,6 @@ func oracleCandidates(ix *Index, d score.Doc) ([]Candidate, FetchInfo) {
 				cand.URLHits++
 			case ClassTag:
 				cand.TagHits++
-			case ClassKeyword:
-				cand.KeyHits++
 			case ClassUser:
 				cand.RTHit = true
 			}
@@ -357,9 +346,6 @@ func oracleCandidates(ix *Index, d score.Doc) ([]Candidate, FetchInfo) {
 	}
 	for _, u := range d.Msg.URLs {
 		collect(ClassURL, u)
-	}
-	for _, k := range d.Keywords {
-		collect(ClassKeyword, k)
 	}
 	if d.Msg.IsRT() {
 		collect(ClassUser, d.Msg.RTOf)
@@ -381,16 +367,20 @@ func oracleCandidates(ix *Index, d score.Doc) ([]Candidate, FetchInfo) {
 }
 
 // fetchCoverage counts the fetch shapes a script exercised, so the
-// property test can refuse to pass vacuously.
+// property test can refuse to pass vacuously. keywordOnly counts probes
+// where a bundle carrying one of the message's keywords was not fetched.
 type fetchCoverage struct {
-	fetches, empty, single, multiHit, repeated, fanoutCut, classOff, forgets int
+	fetches, empty, single, multiHit, repeated, fanoutCut, keywordOnly, forgets int
 }
 
 // runFetchScript interprets data as a sequence of index operations —
-// Observe, Forget, SetMaxFanout, keyword-class toggles and probes — over
-// small vocabularies (so lists overlap and messages repeat terms) with
-// bundle IDs on a shard stride, and diffs every probe's Candidates and
-// LastFetch against oracleCandidates, adding the shapes it saw to cov.
+// Observe, Forget, SetMaxFanout and probes — over small vocabularies
+// (so lists overlap and messages repeat terms) with bundle IDs on a
+// shard stride, and diffs every probe's Candidates and LastFetch
+// against oracleCandidates, adding the shapes it saw to cov. Every
+// probe also checks that the keyword postings of its terms hold exactly
+// the live bundles carrying them: maintained, though the fetch never
+// walks them (LastFetch().Postings counts hard lists only).
 func runFetchScript(t *testing.T, data []byte, cov *fetchCoverage) {
 	t.Helper()
 	next := func() int {
@@ -419,7 +409,13 @@ func runFetchScript(t *testing.T, data []byte, cov *fetchCoverage) {
 		}
 		return score.Doc{Msg: m, Keywords: keys}
 	}
-	probe := func(ix *Index, d score.Doc) {
+	ix := New()
+	stride := 1 + next()%4
+	start := 1 + next()%stride
+	const nBundles = 12
+	// members[i] is what bundle i holds, per class, for Forget.
+	var members [nBundles][numClasses]map[string]bool
+	probe := func(d score.Doc) {
 		got := ix.Candidates(d)
 		gotInfo := ix.LastFetch()
 		want, wantInfo := oracleCandidates(ix, d)
@@ -447,17 +443,30 @@ func runFetchScript(t *testing.T, data []byte, cov *fetchCoverage) {
 		if ix.maxFanout > 0 && gotInfo.SkippedTag+gotInfo.SkippedURL > 0 {
 			cov.fanoutCut++
 		}
-		if !ix.enabled[ClassKeyword] && gotInfo.SkippedKey > 0 {
-			cov.classOff++
+		keywordOnly := false
+		for _, k := range d.Keywords {
+			var want []BundleID
+			for i := range members {
+				if members[i][ClassKeyword][k] {
+					want = append(want, BundleID(start+stride*i))
+				}
+			}
+			var have []BundleID
+			for _, p := range ix.Postings(ClassKeyword, k) {
+				have = append(have, p.ID)
+			}
+			if !slices.Equal(have, want) {
+				t.Fatalf("keyword %q postings %v, want bundles %v", k, have, want)
+			}
+			for _, id := range want {
+				keywordOnly = keywordOnly || !slices.ContainsFunc(got, func(c Candidate) bool { return c.ID == id })
+			}
+		}
+		if keywordOnly {
+			cov.keywordOnly++
 		}
 	}
 
-	ix := New()
-	stride := 1 + next()%4
-	start := 1 + next()%stride
-	const nBundles = 12
-	// members[i] is what bundle i holds, per class, for Forget.
-	var members [nBundles][numClasses]map[string]bool
 	for len(data) > 0 {
 		switch op := next() % 8; op {
 		case 0, 1, 2, 3:
@@ -487,15 +496,13 @@ func runFetchScript(t *testing.T, data []byte, cov *fetchCoverage) {
 			cov.forgets++
 		case 5:
 			ix.SetMaxFanout(next() % 6)
-		case 6:
-			ix.SetEnabled(ClassKeyword, next()%2 == 0)
-		case 7:
-			probe(ix, randomDoc())
+		case 6, 7:
+			probe(randomDoc())
 		}
 	}
-	probe(ix, score.Doc{Msg: &tweet.Message{User: "u0"}})
-	probe(ix, score.Doc{Msg: &tweet.Message{User: "u0", Hashtags: []string{"t0"}}})
-	probe(ix, score.Doc{Msg: &tweet.Message{User: "u0", Hashtags: []string{"t1", "t1"}, URLs: []string{"l0"}, RTOf: "u1"},
+	probe(score.Doc{Msg: &tweet.Message{User: "u0"}})
+	probe(score.Doc{Msg: &tweet.Message{User: "u0", Hashtags: []string{"t0"}}})
+	probe(score.Doc{Msg: &tweet.Message{User: "u0", Hashtags: []string{"t1", "t1"}, URLs: []string{"l0"}, RTOf: "u1"},
 		Keywords: []string{"k0", "k1", "k0"}})
 }
 
@@ -510,7 +517,7 @@ func TestCandidatesMatchOracle(t *testing.T) {
 		runFetchScript(t, script, &total)
 	}
 	if total.empty == 0 || total.single == 0 || total.multiHit == 0 || total.repeated == 0 ||
-		total.fanoutCut == 0 || total.classOff == 0 || total.forgets == 0 {
+		total.fanoutCut == 0 || total.keywordOnly == 0 || total.forgets == 0 {
 		t.Errorf("property run left a fetch shape uncovered: %+v", total)
 	}
 }
@@ -552,10 +559,12 @@ func TestCandidateHitsCannotWrap(t *testing.T) {
 	}
 }
 
-// crawlShapedFetch builds an index and a probe with the fetch shape of
-// the crawl under FullIndexConfig: about eight traversed terms, several
-// posting lists at the 1 024 fanout cap, one hyper-frequent keyword cut
-// by it, and well over 3 000 distinct candidates out.
+// crawlShapedFetch builds an index and a probe with the heaviest fetch
+// shape of the crawl under FullIndexConfig: a re-share carrying a
+// hashtag at the 1 024 fanout cap, a second one at 300, a stop hashtag
+// cut by the cap, a URL and the re-shared user — well over 1 000
+// distinct candidates out. The probe's keywords have long lists too,
+// which the fetch must not walk.
 func crawlShapedFetch() (*Index, score.Doc) {
 	const nBundles = 20_000
 	rng := rand.New(rand.NewSource(1))
@@ -568,24 +577,25 @@ func crawlShapedFetch() (*Index, score.Doc) {
 	}
 	fill(ClassTag, "tag0", 1024)
 	fill(ClassTag, "tag1", 300)
+	fill(ClassTag, "stop", 2000)
 	fill(ClassURL, "url0", 40)
-	fill(ClassKeyword, "key0", 1024)
-	fill(ClassKeyword, "key1", 1024)
-	fill(ClassKeyword, "key2", 900)
-	fill(ClassKeyword, "key3", 600)
-	fill(ClassKeyword, "key4", 120)
-	fill(ClassKeyword, "stop", 2000)
 	fill(ClassUser, "origin", 5)
+	fill(ClassKeyword, "key0", 1024)
+	fill(ClassKeyword, "key1", 900)
+	fill(ClassKeyword, "key2", 120)
 	return ix, score.Doc{
-		Msg:      &tweet.Message{User: "p", Hashtags: []string{"tag0", "tag1"}, URLs: []string{"url0"}, RTOf: "origin"},
-		Keywords: []string{"key0", "key1", "key2", "key3", "key4", "stop"},
+		Msg:      &tweet.Message{User: "p", Hashtags: []string{"tag0", "tag1", "stop"}, URLs: []string{"url0"}, RTOf: "origin"},
+		Keywords: []string{"key0", "key1", "key2"},
 	}
 }
 
 func BenchmarkCandidates(b *testing.B) {
 	ix, probe := crawlShapedFetch()
-	if n := len(ix.Candidates(probe)); n < 3000 {
-		b.Fatalf("fetch produced %d candidates, want the crawl's >= 3000", n)
+	if n := len(ix.Candidates(probe)); n < 1000 {
+		b.Fatalf("fetch produced %d candidates, want the crawl's >= 1000", n)
+	}
+	if fi := ix.LastFetch(); fi.Postings != 1024+300+40+5 || fi.SkippedTag != 1 {
+		b.Fatalf("LastFetch = %+v, want the four hard lists walked and the stop tag cut", fi)
 	}
 	b.ResetTimer()
 	b.ReportAllocs()

@@ -79,12 +79,11 @@ type Decision struct {
 	Date  time.Time `json:"date"`
 
 	// Match stage (Eq. 1). Candidates holds every fetched candidate in
-	// summary-index order (hits desc, ID asc), including skipped ones.
-	// CandidatesPruned (derived at Commit) counts the entries whose
-	// Skipped is "pruned": candidates the upper bound eliminated before
-	// full Eq. 1 scoring.
+	// summary-index order (hits desc, ID asc), including skipped ones,
+	// so its length is CandidatesFetched. CandidatesPruned (derived at
+	// Commit) counts the entries whose Skipped is "pruned": candidates
+	// the upper bound eliminated before full Eq. 1 scoring.
 	CandidatesFetched int              `json:"candidates_fetched"`
-	CandidatesDropped int              `json:"candidates_dropped"` // MaxCandidates cut
 	CandidatesPruned  int              `json:"candidates_pruned"`
 	Threshold         float64          `json:"threshold"`
 	Candidates        []CandidateScore `json:"candidates"`
