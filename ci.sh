@@ -47,6 +47,24 @@ go test ./internal/bundle -fuzz FuzzBundleSummary -fuzztime 10s -fuzzminimizetim
 # codec across slab sizes and chains
 go test ./internal/textindex -fuzz FuzzSearchMatchesOracle -fuzztime 10s -fuzzminimizetime 20x -run '^$'
 go test ./internal/textindex -fuzz FuzzPostingsRoundTrip -fuzztime 10s -run '^$'
+# the two parsers of outside input: message text (indicants, the stored
+# form) and the JSONL codec
+go test ./internal/tweet -fuzz FuzzParse -fuzztime 10s -run '^$'
+go test ./internal/stream -fuzz FuzzJSONL -fuzztime 10s -run '^$'
+
+# README's quickstart output block is quoted, not illustrated: every
+# line of it must be a line the example prints today.
+echo "== quickstart vs README =="
+go run ./examples/quickstart >"$lint_tmp/quickstart.out"
+awk '/^## Quickstart/ { q = 1; next }
+     q && /^```/ { if (fence) { if (bare) exit; fence = 0 } else { fence = 1; bare = ($0 == "```") } next }
+     q && fence && bare' README.md >"$lint_tmp/quickstart.readme"
+[ -s "$lint_tmp/quickstart.readme" ] || { echo "quickstart: no output block under README's Quickstart"; exit 1; }
+while IFS= read -r line; do
+    grep -Fxq -- "$line" "$lint_tmp/quickstart.out" \
+        || { echo "quickstart: README quotes a line the example does not print: $line"; exit 1; }
+done <"$lint_tmp/quickstart.readme"
+echo "quickstart: all $(wc -l <"$lint_tmp/quickstart.readme") README lines printed"
 
 # The WAL's group-commit path, once: 64 appends, one write, one fsync.
 # TestAppendZeroAlloc pins its allocations; this proves the benchmark

@@ -5,8 +5,8 @@
 // adaptive pool maintenance, an on-disk bundle store, and
 // bundle-granularity retrieval.
 //
-// The implementation lives under internal/ (see DESIGN.md for the
-// module inventory); cmd/ holds the tools, examples/ runnable
-// demonstrations, and bench_test.go one benchmark per figure of the
-// paper's evaluation.
+// The implementation lives under internal/ (ARCHITECTURE.md maps every
+// package); cmd/ holds the tools, examples/quickstart a runnable walk
+// through the engine on the paper's Table I messages, and bench_test.go
+// one benchmark per figure of the paper's evaluation.
 package provex

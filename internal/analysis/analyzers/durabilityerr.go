@@ -31,7 +31,7 @@ var durabilityCritical = []critCall{
 	{"internal/storage", "Store", "Put", "a dropped Put error silently loses the bundle from the store"},
 	{"internal/storage", "Store", "Sync", "an unchecked store sync means flushed bundles may not be durable"},
 	{"internal/storage", "Store", "Compact", "an unchecked compaction error can strand dead segments"},
-	{"internal/core", "Engine", "WriteCheckpoint", "a failed checkpoint write must abort the checkpoint, not seal garbage"},
+	{"internal/core", "Engine", "writeCheckpoint", "a failed checkpoint write must abort the checkpoint, not seal garbage"},
 	{"internal/core", "Engine", "SaveCheckpoint", "a failed checkpoint write must abort the checkpoint, not seal garbage"},
 	{"internal/pipeline", "Durable", "Checkpoint", "an unchecked checkpoint failure leaves recovery pinned to the previous checkpoint"},
 	{"internal/shard", "ledger", "append", "a dropped ledger append loses the barrier cut; recovery replays from a stale coordinate"},

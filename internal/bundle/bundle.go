@@ -222,29 +222,6 @@ func (b *Bundle) Edges() []Edge {
 	return out
 }
 
-// Roots returns the indices of nodes without parents — the origins of
-// the bundle's provenance trails.
-func (b *Bundle) Roots() []int {
-	var out []int
-	for i, n := range b.nodes {
-		if n.Parent == NoParent {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Children returns the node indices whose parent is i.
-func (b *Bundle) Children(i int) []int {
-	var out []int
-	for j, n := range b.nodes {
-		if n.Parent == int32(i) {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
 // SummaryWords returns the k most frequent summary terms — the "Summary
 // Words" column of the paper's Figure 2 result list. Hashtags count
 // double so topical tags float to the front like the paper's examples.

@@ -110,9 +110,6 @@ func TestUnrelatedMessageBecomesRoot(t *testing.T) {
 	if got := b.Nodes()[idx].Parent; got != NoParent {
 		t.Errorf("unrelated message parent = %d, want NoParent (forest root)", got)
 	}
-	if len(b.Roots()) != 2 {
-		t.Errorf("Roots = %v, want 2 roots", b.Roots())
-	}
 }
 
 func TestBestParentWins(t *testing.T) {
@@ -142,19 +139,6 @@ func TestClosedBundlePanics(t *testing.T) {
 		}
 	}()
 	b.Add(weights, doc(2, "b", "more #t", base.Add(time.Minute)))
-}
-
-func TestChildrenAndRoots(t *testing.T) {
-	b := buildGameBundle(t)
-	for _, r := range b.Roots() {
-		if b.Nodes()[r].Parent != NoParent {
-			t.Errorf("root %d has a parent", r)
-		}
-	}
-	kids := b.Children(2)
-	if !reflect.DeepEqual(kids, []int{3}) {
-		t.Errorf("Children(2) = %v, want [3]", kids)
-	}
 }
 
 func TestSummaryWords(t *testing.T) {

@@ -110,8 +110,8 @@ func NewScratch() *Scratch { return &Scratch{} }
 
 // AddScratch is Add with an observer, caller-provided scratch and work
 // stats: the engine passes its shared Scratch so placement allocates
-// nothing at steady state. sc == nil (tests, provops merges) uses a
-// throwaway one; obs may be nil. A bundle below PruneMinNodes, or one whose
+// nothing at steady state. sc == nil (tests) uses a throwaway one; obs
+// may be nil. A bundle below PruneMinNodes, or one whose
 // nodes are not in date order, is placed by the reference scan; the
 // chosen parent, its score, and the connection type are identical to
 // AddExhaustive for every input either way — see the package comment

@@ -55,9 +55,9 @@ const maxCkptRecord = 64 << 20
 // ErrBadCheckpoint reports an unreadable or corrupt checkpoint stream.
 var ErrBadCheckpoint = errors.New("core: bad checkpoint")
 
-// WriteCheckpoint serialises the engine's in-memory state to w.
+// writeCheckpoint serialises the engine's in-memory state to w.
 // The engine must not ingest concurrently.
-func (e *Engine) WriteCheckpoint(w io.Writer) error {
+func (e *Engine) writeCheckpoint(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := bw.Write(ckptMagic[:]); err != nil {
 		return fmt.Errorf("core: checkpoint: %w", err)
@@ -133,15 +133,15 @@ func (e *Engine) WriteCheckpoint(w io.Writer) error {
 	return nil
 }
 
-// RestoreCheckpoint rebuilds an engine from a checkpoint written by
-// WriteCheckpoint. cfg, store and onEdge play the same roles as in New
+// restoreCheckpoint rebuilds an engine from a checkpoint written by
+// writeCheckpoint. cfg, store and onEdge play the same roles as in New
 // and must match the original engine's configuration for the restored
 // behaviour to be equivalent (the checkpoint carries state, not
 // configuration). The summary index is reconstructed from the restored
 // bundles; stage timers restart from zero (they measure the current
 // process, not the stream's history); onEdge is not replayed for
 // historical edges.
-func RestoreCheckpoint(cfg Config, store *storage.Store, onEdge EdgeFunc, r io.Reader) (*Engine, error) {
+func restoreCheckpoint(cfg Config, store *storage.Store, onEdge EdgeFunc, r io.Reader) (*Engine, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var magic [8]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil || magic != ckptMagic {
@@ -271,7 +271,7 @@ func RestoreCheckpoint(cfg Config, store *storage.Store, onEdge EdgeFunc, r io.R
 // fsys (fsx.WriteAtomic), so a crash at any point leaves either the old
 // checkpoint or the new one — never a torn hybrid.
 func (e *Engine) SaveCheckpoint(fsys fsx.FS, path string) error {
-	return fsx.WriteAtomic(fsx.Default(fsys), path, e.WriteCheckpoint)
+	return fsx.WriteAtomic(fsx.Default(fsys), path, e.writeCheckpoint)
 }
 
 // LoadCheckpoint restores an engine from the checkpoint file at path on
@@ -287,5 +287,5 @@ func LoadCheckpoint(cfg Config, store *storage.Store, onEdge EdgeFunc, fsys fsx.
 		return nil, fmt.Errorf("core: checkpoint: %w", err)
 	}
 	defer f.Close()
-	return RestoreCheckpoint(cfg, store, onEdge, f)
+	return restoreCheckpoint(cfg, store, onEdge, f)
 }

@@ -40,7 +40,7 @@ func ckptFixture(t *testing.T) []byte {
 	e.retryq = append(e.retryq, flushRetry{b: pb, attempts: 3})
 
 	var buf bytes.Buffer
-	if err := e.WriteCheckpoint(&buf); err != nil {
+	if err := e.writeCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -53,7 +53,7 @@ func restoreNoPanic(t *testing.T, label string, data []byte) (err error) {
 			t.Fatalf("%s: restore panicked: %v", label, r)
 		}
 	}()
-	_, err = RestoreCheckpoint(FullIndexConfig(), nil, nil, bytes.NewReader(data))
+	_, err = restoreCheckpoint(FullIndexConfig(), nil, nil, bytes.NewReader(data))
 	return err
 }
 
@@ -108,12 +108,12 @@ func TestCheckpointParkedRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := e.WriteCheckpoint(&buf); err != nil {
+	if err := e.writeCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
 	ff.Disarm()
 
-	restored, err := RestoreCheckpoint(cfg, st, nil, bytes.NewReader(buf.Bytes()))
+	restored, err := restoreCheckpoint(cfg, st, nil, bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

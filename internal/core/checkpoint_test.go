@@ -41,12 +41,12 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := orig.WriteCheckpoint(&buf); err != nil {
-		t.Fatalf("WriteCheckpoint: %v", err)
+	if err := orig.writeCheckpoint(&buf); err != nil {
+		t.Fatalf("writeCheckpoint: %v", err)
 	}
-	restored, err := RestoreCheckpoint(cfg, nil, nil, bytes.NewReader(buf.Bytes()))
+	restored, err := restoreCheckpoint(cfg, nil, nil, bytes.NewReader(buf.Bytes()))
 	if err != nil {
-		t.Fatalf("RestoreCheckpoint: %v", err)
+		t.Fatalf("restoreCheckpoint: %v", err)
 	}
 
 	// Snapshots (modulo timers) must match exactly.
@@ -95,10 +95,10 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 		first.Insert(gCkpt.Next())
 	}
 	var buf bytes.Buffer
-	if err := first.WriteCheckpoint(&buf); err != nil {
+	if err := first.writeCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := RestoreCheckpoint(cfg, nil, nil, bytes.NewReader(buf.Bytes()))
+	resumed, err := restoreCheckpoint(cfg, nil, nil, bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,10 +141,10 @@ func TestCheckpointNextIDSurvivesEviction(t *testing.T) {
 	nextBefore := e.pool.NextID()
 
 	var buf bytes.Buffer
-	if err := e.WriteCheckpoint(&buf); err != nil {
+	if err := e.writeCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreCheckpoint(cfg, nil, nil, bytes.NewReader(buf.Bytes()))
+	restored, err := restoreCheckpoint(cfg, nil, nil, bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +161,10 @@ func TestCheckpointRestoredEngineQueries(t *testing.T) {
 	r1 := e.Insert(tweet.Parse(1, "a", base, "game on tonight #redsox"))
 
 	var buf bytes.Buffer
-	if err := e.WriteCheckpoint(&buf); err != nil {
+	if err := e.writeCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreCheckpoint(FullIndexConfig(), nil, nil, bytes.NewReader(buf.Bytes()))
+	restored, err := restoreCheckpoint(FullIndexConfig(), nil, nil, bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestCheckpointCorruption(t *testing.T) {
 		e.Insert(g.Next())
 	}
 	var buf bytes.Buffer
-	if err := e.WriteCheckpoint(&buf); err != nil {
+	if err := e.writeCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -202,7 +202,7 @@ func TestCheckpointCorruption(t *testing.T) {
 		"trailing": append(append([]byte{}, data...), 1, 2, 3),
 	}
 	for name, c := range cases {
-		if _, err := RestoreCheckpoint(FullIndexConfig(), nil, nil, bytes.NewReader(c)); !errors.Is(err, ErrBadCheckpoint) {
+		if _, err := restoreCheckpoint(FullIndexConfig(), nil, nil, bytes.NewReader(c)); !errors.Is(err, ErrBadCheckpoint) {
 			t.Errorf("%s: err = %v, want ErrBadCheckpoint", name, err)
 		}
 	}
@@ -211,10 +211,10 @@ func TestCheckpointCorruption(t *testing.T) {
 func TestCheckpointEmptyEngine(t *testing.T) {
 	e := New(FullIndexConfig(), nil, nil)
 	var buf bytes.Buffer
-	if err := e.WriteCheckpoint(&buf); err != nil {
+	if err := e.writeCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreCheckpoint(FullIndexConfig(), nil, nil, bytes.NewReader(buf.Bytes()))
+	restored, err := restoreCheckpoint(FullIndexConfig(), nil, nil, bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

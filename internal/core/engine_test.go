@@ -211,10 +211,10 @@ func TestSnapshotTotalsMatchWalk(t *testing.T) {
 	}
 	check(e, "after ingest")
 	var buf bytes.Buffer
-	if err := e.WriteCheckpoint(&buf); err != nil {
+	if err := e.writeCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreCheckpoint(cfg, nil, nil, &buf)
+	restored, err := restoreCheckpoint(cfg, nil, nil, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -78,12 +79,15 @@ func TestGeneratorValidMessages(t *testing.T) {
 }
 
 // TestGeneratorStreamShape checks the macro statistics the provenance
-// index relies on: a meaningful share of messages carry hashtags, RTs
-// exist, URLs circulate, and noise is present.
+// index relies on (DESIGN.md S3): a meaningful share of messages carry
+// hashtags, RTs exist, URLs circulate, noise is present and is short
+// fragments, and topics are carried by hashtags and links that recur
+// across messages — a Table II connection needs a second message.
 func TestGeneratorStreamShape(t *testing.T) {
 	g := New(smallConfig())
 	const n = 20000
-	var withTag, withURL, rts, bare int
+	var withTag, withURL, rts, bare, fragments, bareLen, restLen int
+	tags, urls := map[string]int{}, map[string]int{}
 	for i := 0; i < n; i++ {
 		m := g.Next()
 		switch {
@@ -97,6 +101,37 @@ func TestGeneratorStreamShape(t *testing.T) {
 		if len(m.URLs) > 0 {
 			withURL++
 		}
+		if len(m.Hashtags) == 0 && len(m.URLs) == 0 && !m.IsRT() {
+			fragments++
+			bareLen += len(m.Text)
+		} else {
+			restLen += len(m.Text)
+		}
+		for _, h := range m.Hashtags {
+			tags[h]++
+		}
+		for _, u := range m.URLs {
+			urls[u]++
+		}
+	}
+	recurring := func(counts map[string]int) float64 {
+		r := 0
+		for _, c := range counts {
+			if c > 1 {
+				r++
+			}
+		}
+		return float64(r) / float64(len(counts))
+	}
+	if r := recurring(tags); r < 0.5 {
+		t.Errorf("only %.0f%% of %d hashtags recur in a second message", 100*r, len(tags))
+	}
+	if r := recurring(urls); r < 0.25 {
+		t.Errorf("only %.0f%% of %d URLs recur in a second message", 100*r, len(urls))
+	}
+	noise, rest := float64(bareLen)/float64(fragments), float64(restLen)/float64(n-fragments)
+	if noise > rest/2 {
+		t.Errorf("noise is not short fragments: %.1f bytes a message against %.1f", noise, rest)
 	}
 	if withTag < n/5 {
 		t.Errorf("only %d/%d original messages carry hashtags", withTag, n)
@@ -146,15 +181,21 @@ func TestGeneratorUserSkew(t *testing.T) {
 	for i := 0; i < n; i++ {
 		counts[g.Next().User]++
 	}
-	max := 0
+	per := make([]int, 0, len(counts))
 	for _, c := range counts {
-		if c > max {
-			max = c
-		}
+		per = append(per, c)
 	}
+	sort.Sort(sort.Reverse(sort.IntSlice(per)))
 	mean := float64(n) / float64(len(counts))
-	if float64(max) < 5*mean {
-		t.Errorf("user activity not heavy-tailed: max %d vs mean %.1f over %d users", max, mean, len(counts))
+	if float64(per[0]) < 5*mean {
+		t.Errorf("user activity not heavy-tailed: max %d vs mean %.1f over %d users", per[0], mean, len(counts))
+	}
+	top, posts := max(len(per)/100, 1), 0
+	for _, c := range per[:top] {
+		posts += c
+	}
+	if share := float64(posts) / n; share < 0.25 {
+		t.Errorf("the top 1%% of users (%d) post %.0f%% of messages, want a quarter or more", top, 100*share)
 	}
 }
 

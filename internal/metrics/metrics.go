@@ -12,8 +12,6 @@
 package metrics
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -173,29 +171,4 @@ func (h *Histogram) Snapshot() (buckets []Bucket, total int64, mean float64, max
 		mean = float64(h.sum) / float64(h.total)
 	}
 	return buckets, h.total, mean, h.max
-}
-
-// String renders an ASCII sketch, useful in example output and -v tests.
-func (h *Histogram) String() string {
-	buckets, total, mean, max := h.Snapshot()
-	var b strings.Builder
-	fmt.Fprintf(&b, "histogram n=%d mean=%.1f max=%d\n", total, mean, max)
-	var peak int64 = 1
-	for _, bk := range buckets {
-		if bk.Count > peak {
-			peak = bk.Count
-		}
-	}
-	for _, bk := range buckets {
-		if bk.Count == 0 {
-			continue
-		}
-		label := "overflow"
-		if bk.UpperBound >= 0 {
-			label = fmt.Sprintf("<=%d", bk.UpperBound)
-		}
-		bar := strings.Repeat("#", int(1+bk.Count*40/peak))
-		fmt.Fprintf(&b, "  %-10s %8d %s\n", label, bk.Count, bar)
-	}
-	return b.String()
 }

@@ -78,11 +78,16 @@ func (j *JSONLReader) Next() (*tweet.Message, error) {
 		if err != nil {
 			return nil, fmt.Errorf("stream: line %d: bad date: %w", j.line, err)
 		}
+		// The WAL and the store keep a date as unix nanoseconds
+		// (tweet.AppendRaw), which span the years 1678 to 2262.
+		if !time.Unix(0, date.UnixNano()).Equal(date) {
+			return nil, fmt.Errorf("stream: line %d: bad date: %s is outside the years 1678 to 2262", j.line, rec.Date)
+		}
 		m := tweet.Parse(tweet.ID(rec.ID), rec.User, date, rec.Text)
 		return m, nil
 	}
 	if err := j.sc.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("stream: line %d: %w", j.line+1, err)
 	}
 	return nil, io.EOF
 }

@@ -121,6 +121,10 @@ func TestJSONLReaderMalformed(t *testing.T) {
 	cases := []string{
 		"not json at all\n",
 		`{"id":1,"date":"NOT A DATE","user":"u","text":"x"}` + "\n",
+		// a date unix nanoseconds cannot hold, which the WAL would store
+		// as another one
+		`{"id":1,"date":"0000-01-01T00:00:00+01:00","user":"u","text":"x"}` + "\n",
+		`{"id":1,"date":"2300-01-01T00:00:00Z","user":"u","text":"x"}` + "\n",
 	}
 	for _, input := range cases {
 		_, err := Drain(NewJSONLReader(strings.NewReader(input)))

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // MinTokenLen is the shortest token kept by Keywords; one- and two-letter
@@ -28,11 +29,8 @@ func Tokenize(text string) []string {
 	var out []string
 	i := 0
 	for i < len(text) {
-		// Skip URLs wholesale.
 		if hasURLPrefix(text[i:]) {
-			for i < len(text) && !unicode.IsSpace(rune(text[i])) {
-				i++
-			}
+			i = skipURL(text, i)
 			continue
 		}
 		c := rune(text[i])
@@ -57,6 +55,25 @@ func isWordRune(r rune) bool {
 func hasURLPrefix(s string) bool {
 	return strings.HasPrefix(s, "http://") || strings.HasPrefix(s, "https://") ||
 		strings.HasPrefix(s, "www.")
+}
+
+// skipURL returns the end of the URL that starts at i: the first
+// whitespace rune after it, or len(text). URLs are skipped wholesale so
+// link fragments do not pollute the vocabulary. It steps by rune, so a
+// multi-byte character whose tail byte reads as NBSP (A0) or NEL (85)
+// does not end the URL and leak the rest of it into the keywords.
+func skipURL(text string, i int) int {
+	for i < len(text) {
+		r, size := rune(text[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(text[i:])
+		}
+		if unicode.IsSpace(r) {
+			break
+		}
+		i += size
+	}
+	return i
 }
 
 // stopwords is the filter list applied by Keywords. It mixes standard
@@ -134,11 +151,8 @@ func Keywords(text string) []string {
 	out := scratch[:0]
 	i := 0
 	for i < len(text) {
-		// Skip URLs wholesale, as Tokenize does.
 		if hasURLPrefix(text[i:]) {
-			for i < len(text) && !unicode.IsSpace(rune(text[i])) {
-				i++
-			}
+			i = skipURL(text, i)
 			continue
 		}
 		if !isWordRune(rune(text[i])) {

@@ -29,6 +29,29 @@ func TestTokenize(t *testing.T) {
 	}
 }
 
+// TestURLWithMultiByteCharacters: a URL is skipped up to whitespace,
+// and the tail byte of "à" (C3 A0), "Å" (C3 85) or Cyrillic "Р" (D0 A0)
+// is not whitespace, although read alone it is NBSP or NEL.
+func TestURLWithMultiByteCharacters(t *testing.T) {
+	tests := []struct {
+		text     string
+		tokens   []string
+		keywords []string
+	}{
+		{"see http://example.com/voilàpourquoi today", []string{"see", "today"}, []string{"see", "today"}},
+		{"http://example.com/Åland/guide visit", []string{"visit"}, []string{"visit"}},
+		{"read http://ru.example.org/Россия/news first", []string{"read", "first"}, []string{"read", "first"}},
+	}
+	for _, tc := range tests {
+		if got := Tokenize(tc.text); !reflect.DeepEqual(got, tc.tokens) {
+			t.Errorf("Tokenize(%q) = %v, want %v", tc.text, got, tc.tokens)
+		}
+		if got := Keywords(tc.text); !reflect.DeepEqual(got, tc.keywords) {
+			t.Errorf("Keywords(%q) = %v, want %v", tc.text, got, tc.keywords)
+		}
+	}
+}
+
 func TestStem(t *testing.T) {
 	tests := []struct{ in, want string }{
 		{"yankees", "yankee"},

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Parse builds a Message from raw text, extracting every annotated
@@ -96,11 +97,21 @@ func hasURLPrefix(s string) bool {
 }
 
 // scanURL consumes a URL starting at position start and returns it raw
-// (normalisation happens in NormalizeURL) plus the next index.
+// (normalisation happens in NormalizeURL) plus the next index. It steps
+// by rune, so a multi-byte character stays whole: read byte by byte,
+// the tail of "à" (C3 A0) or "Р" (D0 A0) is NBSP and that of "Å"
+// (C3 85) is NEL, and the URL would stop mid-character.
 func scanURL(s string, start int) (string, int) {
 	i := start
-	for i < len(s) && !isURLStop(rune(s[i])) {
-		i++
+	for i < len(s) {
+		r, size := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(s[i:])
+		}
+		if isURLStop(r) {
+			break
+		}
+		i += size
 	}
 	return s[start:i], i
 }

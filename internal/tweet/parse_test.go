@@ -61,6 +61,27 @@ func TestParseURLs(t *testing.T) {
 	}
 }
 
+// TestParseURLMultiByte: a URL ends at whitespace, and the tail byte of
+// "à" (C3 A0), "Å" (C3 85) or Cyrillic "Р" (D0 A0) is not whitespace,
+// although read alone it is NBSP or NEL. Cut there, the two links of
+// the second row would be one URL indicant and make a URL connection.
+func TestParseURLMultiByte(t *testing.T) {
+	tests := []struct {
+		text string
+		want []string
+	}{
+		{"voilà http://example.com/voilà", []string{"example.com/voilà"}},
+		{"http://example.com/voilà vs http://example.com/voilàpourquoi", []string{"example.com/voilà", "example.com/voilàpourquoi"}},
+		{"guide http://example.com/Åland/guide", []string{"example.com/åland/guide"}},
+		{"http://ru.example.org/Россия/news", []string{"ru.example.org/россия/news"}},
+	}
+	for _, tc := range tests {
+		if got := parseText(t, tc.text).URLs; !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("Parse(%q).URLs = %q, want %q", tc.text, got, tc.want)
+		}
+	}
+}
+
 func TestParseMentions(t *testing.T) {
 	m := parseText(t, "hey @Alice and @bob_2, also @alice again")
 	want := []string{"alice", "bob_2"}
