@@ -35,6 +35,10 @@ go test ./internal/wal -fuzz FuzzOpenReplay -fuzztime 10s -run '^$'
 go test ./internal/recfile -fuzz FuzzScan -fuzztime 10s -run '^$'
 go test ./internal/tokenizer -fuzz FuzzTokenizeKeywords -fuzztime 10s -run '^$'
 go test ./internal/promtext -fuzz FuzzParse -fuzztime 10s -run '^$'
+# the two decoders of the other frame users: a checkpoint (a download
+# from the leader is one) and the replication stream; every checkpoint
+# input restores a whole engine, so minimising is capped as below
+go test ./internal/core -fuzz FuzzRestoreCheckpoint -fuzztime 10s -fuzzminimizetime 20x -run '^$'
 go test ./internal/repl -fuzz FuzzFrameDecoder -fuzztime 10s -run '^$'
 go test ./internal/analysis/analyzers -fuzz FuzzParseGuardedBy -fuzztime 10s -run '^$'
 go test ./internal/sumindex -fuzz FuzzCandidates -fuzztime 10s -run '^$'
@@ -249,6 +253,22 @@ exec 3<&-
 grep -q 'clean exit' "$state/serve.log" || { echo "build: no clean exit logged"; cat "$state/serve.log"; exit 1; }
 restart_clean build 3000 -live -ckpt "$state/engine.ckpt" -addr "$loop_addr"
 
+# A state directory in the layout before the checkpoint became frames (a
+# v2 checkpoint beside a WAL) is refused: provserve exits non-zero naming
+# the version, and leaves every byte of it as it was.
+echo "== provserve refuses a v2 checkpoint, state untouched =="
+state="$obs_tmp/v2"
+mkdir -p "$state/engine.ckpt.wal"
+cp internal/core/testdata/golden_v2.ckpt "$state/engine.ckpt"
+cp internal/wal/testdata/golden_pr14.wal "$state/engine.ckpt.wal/wal-000001.log"
+(cd "$state" && find . -type f | sort | xargs sha256sum) >"$obs_tmp/v2.before"
+if "$obs_tmp/provserve" -ckpt "$state/engine.ckpt" -addr "$loop_addr" </dev/null >"$obs_tmp/v2.log" 2>&1; then
+    echo "v2: provserve started on a v2 checkpoint"; exit 1
+fi
+grep -q 'unsupported version 2' "$obs_tmp/v2.log" || { echo "v2: the refusal does not name version 2"; cat "$obs_tmp/v2.log"; exit 1; }
+(cd "$state" && find . -type f | sort | xargs sha256sum) | cmp -s - "$obs_tmp/v2.before" \
+    || { echo "v2: the refused state directory changed"; exit 1; }
+
 # provingest smoke: the serial engine and the sharded one at B=1 (where
 # the round protocol is the serial apply order, DESIGN.md §2i) must
 # agree on what the stream contains, per Table II connection type too;
@@ -337,6 +357,11 @@ for p in '/search?q=tsunami+samoa&k=10' '/prov?q=tsunami&k=10' '/trending?k=10';
         || { echo "repl loopback: follower diverges from leader on $p"; exit 1; }
 done
 echo "repl loopback: follower converged, parity on /search /prov /trending"
+# the shipping endpoints sit behind the server's middleware: the
+# follower's fetches are counted on the leader like any request
+curl -s http://127.0.0.1:18941/metrics \
+    | awk '$1 == "provex_http_requests_total{code=\"2xx\",path=\"/repl/\"}" && $2 > 0 { ok = 1 } END { exit !ok }' \
+    || { echo "repl loopback: the leader counted no 2xx request under path=\"/repl/\""; exit 1; }
 "$obs_tmp/provload" -target http://127.0.0.1:18941,http://127.0.0.1:18942 \
     -wait 15s -qps 200 -workers 8 -warmup 200ms -duration 2s >"$obs_tmp/repl-load.out"
 grep -E 'requests:' "$obs_tmp/repl-load.out"

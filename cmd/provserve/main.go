@@ -170,7 +170,7 @@ func openSerial(ckpt, walDir string, reg *metrics.Registry, rec *trace.Recorder)
 		dur.RegisterMetrics(reg)
 		opts.Durable = dur
 		nd.close, nd.replayed = dur.Close, dur.Replayed()
-		nd.shipper = repl.NewSource(dur, repl.SourceOptions{})
+		nd.shipper = repl.NewSource(dur)
 		nd.shipper.RegisterMetrics(reg)
 	}
 	eng.SetTracer(rec)

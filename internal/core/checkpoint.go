@@ -8,18 +8,18 @@ package core
 // is rebuilt on restore, which keeps checkpoints small and immune to
 // index-format drift.
 //
-// Format v2 (little-endian, varint-coded):
+// Format v3: the magic "PROVCKP1" and a version byte (3), then
+// recfile frames (CRC32C) and nothing after them, so every byte past
+// the version is checksummed:
 //
-//	magic "PROVCKP1"
-//	version byte (2)
-//	clock unix-nanos (varint)
-//	engine counters: messages, edges, conn counts [5]
-//	pool counters: nextID, created, refines, deletedTiny,
-//	               flushedClosed, flushedRanked, inserts, live count
-//	flush counters: retries, dropped
-//	per live bundle: payload length, CRC32C, payload (bundle.Marshal)
-//	parked count, then per parked flush-retry entry: attempts,
-//	  payload length, CRC32C, payload
+//	header frame: clock unix-nanos (varint); then uvarints — engine
+//	  counters: messages, edges, conn counts [5]; pool counters: nextID,
+//	  created, refines, deletedTiny, flushedClosed, flushedRanked,
+//	  inserts; flush counters: retries, dropped; the live-bundle count
+//	  and the parked count
+//	one frame per live bundle: bundle.Marshal
+//	one frame per parked flush-retry entry: uvarint attempts, then
+//	  bundle.Marshal
 //
 // The parked section exists so degraded mode survives a restart: a
 // bundle evicted from the pool whose flush failed lives only in the
@@ -31,7 +31,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"io/fs"
 	"time"
@@ -46,10 +45,10 @@ import (
 
 var ckptMagic = [8]byte{'P', 'R', 'O', 'V', 'C', 'K', 'P', '1'}
 
-const ckptVersion = 2
+const ckptVersion = 3
 
-// maxCkptRecord caps one serialised bundle so a corrupt length field
-// cannot drive an absurd allocation during restore.
+// maxCkptRecord caps one frame so a corrupt length field cannot drive
+// an absurd allocation during restore.
 const maxCkptRecord = 64 << 20
 
 // ErrBadCheckpoint reports an unreadable or corrupt checkpoint stream.
@@ -58,73 +57,46 @@ var ErrBadCheckpoint = errors.New("core: bad checkpoint")
 // writeCheckpoint serialises the engine's in-memory state to w.
 // The engine must not ingest concurrently.
 func (e *Engine) writeCheckpoint(w io.Writer) error {
+	// bufio.Writer keeps its first write error and returns it from every
+	// later call, so only Flush's is checked.
 	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(ckptMagic[:]); err != nil {
-		return fmt.Errorf("core: checkpoint: %w", err)
+	_, _ = bw.Write(ckptMagic[:])
+	_ = bw.WriteByte(ckptVersion)
+	// frame closes the frame buf holds, writes it and opens the next.
+	frame := func(buf []byte) []byte {
+		recfile.EndFrame(buf, 0, recfile.Castagnoli)
+		_, _ = bw.Write(buf)
+		return recfile.BeginFrame(buf[:0])
 	}
-	if err := bw.WriteByte(ckptVersion); err != nil {
-		return fmt.Errorf("core: checkpoint: %w", err)
-	}
-	var hdr []byte
-	hdr = binary.AppendVarint(hdr, e.clock.Now().UnixNano())
-	hdr = binary.AppendUvarint(hdr, uint64(e.messages.Value()))
-	hdr = binary.AppendUvarint(hdr, uint64(e.edges.Value()))
+
+	buf := recfile.BeginFrame(nil)
+	buf = binary.AppendVarint(buf, e.clock.Now().UnixNano())
+	buf = binary.AppendUvarint(buf, uint64(e.messages.Value()))
+	buf = binary.AppendUvarint(buf, uint64(e.edges.Value()))
 	for i := range e.connCounts {
-		hdr = binary.AppendUvarint(hdr, uint64(e.connCounts[i].Value()))
+		buf = binary.AppendUvarint(buf, uint64(e.connCounts[i].Value()))
 	}
 	ps := e.pool.Stats()
-	hdr = binary.AppendUvarint(hdr, uint64(e.pool.NextID()))
-	hdr = binary.AppendUvarint(hdr, uint64(ps.Created))
-	hdr = binary.AppendUvarint(hdr, uint64(ps.Refines))
-	hdr = binary.AppendUvarint(hdr, uint64(ps.DeletedTiny))
-	hdr = binary.AppendUvarint(hdr, uint64(ps.FlushedClosed))
-	hdr = binary.AppendUvarint(hdr, uint64(ps.FlushedRanked))
-	hdr = binary.AppendUvarint(hdr, uint64(e.pool.Inserts()))
-	hdr = binary.AppendUvarint(hdr, uint64(e.pool.Len()))
-	hdr = binary.AppendUvarint(hdr, uint64(e.flushRetries.Value()))
-	hdr = binary.AppendUvarint(hdr, uint64(e.flushDropped.Value()))
-	if _, err := bw.Write(hdr); err != nil {
-		return fmt.Errorf("core: checkpoint: %w", err)
-	}
+	buf = binary.AppendUvarint(buf, uint64(e.pool.NextID()))
+	buf = binary.AppendUvarint(buf, uint64(ps.Created))
+	buf = binary.AppendUvarint(buf, uint64(ps.Refines))
+	buf = binary.AppendUvarint(buf, uint64(ps.DeletedTiny))
+	buf = binary.AppendUvarint(buf, uint64(ps.FlushedClosed))
+	buf = binary.AppendUvarint(buf, uint64(ps.FlushedRanked))
+	buf = binary.AppendUvarint(buf, uint64(e.pool.Inserts()))
+	buf = binary.AppendUvarint(buf, uint64(e.flushRetries.Value()))
+	buf = binary.AppendUvarint(buf, uint64(e.flushDropped.Value()))
+	buf = binary.AppendUvarint(buf, uint64(e.pool.Len()))
+	buf = binary.AppendUvarint(buf, uint64(len(e.retryq)))
+	buf = frame(buf)
 
-	writeRec := func(payload []byte) error {
-		var rec []byte
-		rec = binary.AppendUvarint(rec, uint64(len(payload)))
-		rec = binary.AppendUvarint(rec, uint64(crc32.Checksum(payload, recfile.Castagnoli)))
-		if _, err := bw.Write(rec); err != nil {
-			return err
-		}
-		_, err := bw.Write(payload)
-		return err
-	}
-
-	var werr error
 	e.pool.All(func(b *bundle.Bundle) {
-		if werr != nil {
-			return
-		}
-		werr = writeRec(b.Marshal())
+		buf = frame(append(buf, b.Marshal()...))
 	})
-	if werr != nil {
-		return fmt.Errorf("core: checkpoint: %w", werr)
-	}
-
 	// Parked flush-retry entries: bundles already evicted from the pool
 	// that still await a successful flush.
-	var parked []byte
-	parked = binary.AppendUvarint(parked, uint64(len(e.retryq)))
-	if _, err := bw.Write(parked); err != nil {
-		return fmt.Errorf("core: checkpoint: %w", err)
-	}
 	for _, r := range e.retryq {
-		var att []byte
-		att = binary.AppendUvarint(att, uint64(r.attempts))
-		if _, err := bw.Write(att); err != nil {
-			return fmt.Errorf("core: checkpoint: %w", err)
-		}
-		if err := writeRec(r.b.Marshal()); err != nil {
-			return fmt.Errorf("core: checkpoint: %w", err)
-		}
+		buf = frame(append(binary.AppendUvarint(buf, uint64(r.attempts)), r.b.Marshal()...))
 	}
 
 	if err := bw.Flush(); err != nil {
@@ -148,40 +120,39 @@ func restoreCheckpoint(cfg Config, store *storage.Store, onEdge EdgeFunc, r io.R
 		return nil, fmt.Errorf("%w: bad magic", ErrBadCheckpoint)
 	}
 	version, err := br.ReadByte()
-	if err != nil || version != ckptVersion {
-		return nil, fmt.Errorf("%w: unsupported version", ErrBadCheckpoint)
+	if err != nil {
+		return nil, fmt.Errorf("%w: no version", ErrBadCheckpoint)
+	}
+	if version != ckptVersion {
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadCheckpoint, version)
+	}
+	// frame reads the i-th frame of a section: the end of the file is
+	// damage wherever a frame is due.
+	frame := func(what string, i uint64) ([]byte, error) {
+		p, err := recfile.ReadFrame(br, recfile.Castagnoli, maxCkptRecord)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %s %d: %v", ErrBadCheckpoint, what, i, err)
+		}
+		return p, nil
 	}
 
-	clockNanos, err := binary.ReadVarint(br)
+	p, err := frame("header", 0)
 	if err != nil {
-		return nil, fmt.Errorf("%w: truncated header", ErrBadCheckpoint)
+		return nil, err
 	}
-	readU := func() uint64 {
-		if err != nil {
-			return 0
-		}
-		var v uint64
-		v, err = binary.ReadUvarint(br)
-		return v
-	}
-	messages := readU()
-	edges := readU()
+	c := recfile.NewCursor(p)
+	clockNanos := c.Varint()
+	messages, edges := c.Uvarint(), c.Uvarint()
 	var conns [5]uint64
 	for i := range conns {
-		conns[i] = readU()
+		conns[i] = c.Uvarint()
 	}
-	nextID := readU()
-	created := readU()
-	refines := readU()
-	deletedTiny := readU()
-	flushedClosed := readU()
-	flushedRanked := readU()
-	inserts := readU()
-	bundleCount := readU()
-	flushRetries := readU()
-	flushDropped := readU()
-	if err != nil {
-		return nil, fmt.Errorf("%w: truncated header", ErrBadCheckpoint)
+	nextID, created, refines := c.Uvarint(), c.Uvarint(), c.Uvarint()
+	deletedTiny, flushedClosed, flushedRanked := c.Uvarint(), c.Uvarint(), c.Uvarint()
+	inserts, flushRetries, flushDropped := c.Uvarint(), c.Uvarint(), c.Uvarint()
+	live, parked := c.Uvarint(), c.Uvarint()
+	if c.Err() != nil || c.Rest() != 0 {
+		return nil, fmt.Errorf("%w: malformed header", ErrBadCheckpoint)
 	}
 
 	e := New(cfg, store, onEdge)
@@ -202,36 +173,17 @@ func restoreCheckpoint(cfg Config, store *storage.Store, onEdge EdgeFunc, r io.R
 	e.flushRetries.Add(int64(flushRetries))
 	e.flushDropped.Add(int64(flushDropped))
 
-	readRec := func(what string, i uint64) (*bundle.Bundle, error) {
-		length, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: truncated at %s %d", ErrBadCheckpoint, what, i)
-		}
-		if length > maxCkptRecord {
-			return nil, fmt.Errorf("%w: %s %d: absurd length %d", ErrBadCheckpoint, what, i, length)
-		}
-		wantCRC, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: truncated at %s %d", ErrBadCheckpoint, what, i)
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return nil, fmt.Errorf("%w: truncated at %s %d", ErrBadCheckpoint, what, i)
-		}
-		if crc32.Checksum(payload, recfile.Castagnoli) != uint32(wantCRC) {
-			return nil, fmt.Errorf("%w: checksum mismatch at %s %d", ErrBadCheckpoint, what, i)
-		}
-		b, err := bundle.Unmarshal(payload)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s %d: %v", ErrBadCheckpoint, what, i, err)
-		}
-		return b, nil
-	}
-
-	for i := uint64(0); i < bundleCount; i++ {
-		b, err := readRec("bundle", i)
+	for i := uint64(0); i < live; i++ {
+		p, err := frame("bundle", i)
 		if err != nil {
 			return nil, err
+		}
+		b, err := bundle.Unmarshal(p)
+		if err != nil {
+			return nil, fmt.Errorf("%w: bundle %d: %v", ErrBadCheckpoint, i, err)
+		}
+		if e.pool.Get(b.ID()) != nil {
+			return nil, fmt.Errorf("%w: bundle %d: repeated bundle ID %d", ErrBadCheckpoint, i, b.ID())
 		}
 		e.pool.Adopt(b)
 		// Rebuild summary-index postings from the bundle's messages.
@@ -244,18 +196,19 @@ func restoreCheckpoint(cfg Config, store *storage.Store, onEdge EdgeFunc, r io.R
 	// Parked flush-retry entries: re-queued as immediately due. They were
 	// already Forgotten from the summary index when first evicted, so
 	// they rejoin the retry queue only — not the pool or index.
-	parkedCount, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("%w: truncated parked section", ErrBadCheckpoint)
-	}
-	for i := uint64(0); i < parkedCount; i++ {
-		attempts, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: truncated at parked %d", ErrBadCheckpoint, i)
-		}
-		b, err := readRec("parked", i)
+	for i := uint64(0); i < parked; i++ {
+		p, err := frame("parked", i)
 		if err != nil {
 			return nil, err
+		}
+		c := recfile.NewCursor(p)
+		attempts := c.Uvarint()
+		if c.Err() != nil {
+			return nil, fmt.Errorf("%w: parked %d: %v", ErrBadCheckpoint, i, c.Err())
+		}
+		b, err := bundle.Unmarshal(p[len(p)-c.Rest():])
+		if err != nil {
+			return nil, fmt.Errorf("%w: parked %d: %v", ErrBadCheckpoint, i, err)
 		}
 		e.retryq = append(e.retryq, flushRetry{b: b, attempts: int(attempts)})
 	}

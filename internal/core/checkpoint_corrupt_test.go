@@ -1,21 +1,23 @@
 package core
 
-// Satellite coverage for checkpoint restore under corruption: a
-// truncation sweep over EVERY proper prefix of a valid stream and a
-// bit-flip sweep over every byte. Restore must never panic, must report
-// ErrBadCheckpoint for every truncation, and any error from a flipped
-// byte must still be ErrBadCheckpoint (some flips — e.g. in a header
-// counter varint — legitimately decode as a different, valid
-// checkpoint, so "no error" is acceptable; a crash never is).
+// Checkpoint restore under corruption: a truncation sweep over EVERY
+// proper prefix of a valid stream, a sweep over every bit of it, and a
+// fuzz target over arbitrary bytes. Restore never panics, and every
+// truncation and every flipped bit is ErrBadCheckpoint: past the magic
+// and the version byte the file is CRC-checked frames, the header's
+// counters included.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"provex/internal/bundle"
 	"provex/internal/fsx"
+	"provex/internal/recfile"
 	"provex/internal/score"
 	"provex/internal/storage"
 	"provex/internal/tweet"
@@ -24,7 +26,7 @@ import (
 // ckptFixture builds a small but section-complete checkpoint: live
 // bundles in the pool AND a parked flush-retry entry, so every format
 // section is exercised by the sweeps.
-func ckptFixture(t *testing.T) []byte {
+func ckptFixture(t testing.TB) []byte {
 	t.Helper()
 	// Keep the stream small: the sweeps are quadratic in its length.
 	g := genSmall(11)
@@ -46,7 +48,7 @@ func ckptFixture(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-func restoreNoPanic(t *testing.T, label string, data []byte) (err error) {
+func restoreNoPanic(t testing.TB, label string, data []byte) (err error) {
 	t.Helper()
 	defer func() {
 		if r := recover(); r != nil {
@@ -71,14 +73,66 @@ func TestCheckpointBitFlipSweep(t *testing.T) {
 	data := ckptFixture(t)
 	mut := make([]byte, len(data))
 	for i := 0; i < len(data); i++ {
-		copy(mut, data)
-		mut[i] ^= 0xFF
-		err := restoreNoPanic(t, "flip", mut)
-		if err != nil && !errors.Is(err, ErrBadCheckpoint) {
-			t.Fatalf("flip at byte %d/%d: err = %v, want nil or ErrBadCheckpoint",
-				i, len(data), err)
+		for bit := 0; bit < 8; bit++ {
+			copy(mut, data)
+			mut[i] ^= 1 << bit
+			if err := restoreNoPanic(t, "flip", mut); !errors.Is(err, ErrBadCheckpoint) {
+				t.Fatalf("flip of bit %d at byte %d/%d: err = %v, want ErrBadCheckpoint",
+					bit, i, len(data), err)
+			}
 		}
 	}
+}
+
+// ckptFrames splits a checkpoint into its lead (magic and version) and
+// its frames, each with its frame header.
+func ckptFrames(data []byte) (lead []byte, frames [][]byte) {
+	lead, rest := data[:len(ckptMagic)+1], data[len(ckptMagic)+1:]
+	for len(rest) > 0 {
+		n := recfile.HeaderSize + int(binary.LittleEndian.Uint32(rest))
+		frames, rest = append(frames, rest[:n]), rest[n:]
+	}
+	return lead, frames
+}
+
+// FuzzRestoreCheckpoint: arbitrary bytes never panic a restore, every
+// refusal is ErrBadCheckpoint, and an accepted input saved again
+// restores to the same Stats.
+func FuzzRestoreCheckpoint(f *testing.F) {
+	data := ckptFixture(f)
+	lead, frames := ckptFrames(data)
+	f.Add(data)
+	f.Add([]byte{})
+	f.Add(lead)
+	f.Add(data[:len(data)/2])
+	f.Add(bytes.Join([][]byte{lead, frames[0]}, nil))
+	f.Add(append(bytes.Clone(data), frames[len(frames)-1]...))
+	var empty bytes.Buffer
+	if err := New(FullIndexConfig(), nil, nil).writeCheckpoint(&empty); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(empty.Bytes())
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e, err := restoreCheckpoint(FullIndexConfig(), nil, nil, bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrBadCheckpoint) {
+				t.Fatalf("refusal is not ErrBadCheckpoint: %v", err)
+			}
+			return
+		}
+		var buf bytes.Buffer
+		if err := e.writeCheckpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		again, err := restoreCheckpoint(FullIndexConfig(), nil, nil, bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("an accepted checkpoint saved again does not restore: %v", err)
+		}
+		if got, want := snapshotComparable(again.Snapshot()), snapshotComparable(e.Snapshot()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("saved again, restores to\n%+v\nnot\n%+v", got, want)
+		}
+	})
 }
 
 // TestCheckpointParkedRoundTrip: parked flush-retry entries survive a

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -200,6 +201,13 @@ func TestCheckpointCorruption(t *testing.T) {
 			return mut
 		}(),
 		"trailing": append(append([]byte{}, data...), 1, 2, 3),
+		// The second bundle frame replaced by a copy of the first: every
+		// frame is intact, and the pool must not be asked to adopt one ID
+		// twice.
+		"repeated bundle": func() []byte {
+			lead, frames := ckptFrames(data)
+			return bytes.Join(append([][]byte{lead, frames[0], frames[1], frames[1]}, frames[3:]...), nil)
+		}(),
 	}
 	for name, c := range cases {
 		if _, err := restoreCheckpoint(FullIndexConfig(), nil, nil, bytes.NewReader(c)); !errors.Is(err, ErrBadCheckpoint) {
@@ -223,13 +231,18 @@ func TestCheckpointEmptyEngine(t *testing.T) {
 	}
 }
 
-// TestGoldenCheckpoint pins the checkpoint file across the move to
-// fsx.WriteAtomic and the shared cursor under bundle.Unmarshal: a file
-// saved by the previous implementation restores here, and the same
-// inserts save the same bytes here. One live bundle only — the pool
-// writes its bundles in map order, so two would not be reproducible.
+// TestGoldenCheckpoint pins the v3 checkpoint file: the golden opens,
+// and the same inserts save the same bytes. One live bundle only — the
+// pool writes its bundles in map order, so two would not be
+// reproducible. A v2 file (the layout before the header and the
+// records became frames) is refused by its version byte, before any
+// of it is decoded.
 func TestGoldenCheckpoint(t *testing.T) {
-	golden, err := os.ReadFile("testdata/golden_pr16.ckpt")
+	golden, err := os.ReadFile("testdata/golden_v3.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := os.ReadFile("testdata/golden_v2.ckpt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,6 +254,7 @@ func TestGoldenCheckpoint(t *testing.T) {
 
 	mem := fsx.NewMem()
 	mem.WriteFile("old.ckpt", golden)
+	mem.WriteFile("v2.ckpt", v2)
 	old, err := LoadCheckpoint(FullIndexConfig(), nil, nil, mem, "old.ckpt")
 	if err != nil {
 		t.Fatalf("golden checkpoint: %v", err)
@@ -253,5 +267,8 @@ func TestGoldenCheckpoint(t *testing.T) {
 	}
 	if written, _ := mem.ReadFile("new.ckpt"); !bytes.Equal(written, golden) {
 		t.Fatalf("the same 4 inserts saved %d bytes that differ from the %d-byte golden checkpoint", len(written), len(golden))
+	}
+	if _, err := LoadCheckpoint(FullIndexConfig(), nil, nil, mem, "v2.ckpt"); !errors.Is(err, ErrBadCheckpoint) || !strings.Contains(err.Error(), "unsupported version 2") {
+		t.Fatalf("v2 checkpoint: err = %v, want ErrBadCheckpoint naming version 2", err)
 	}
 }

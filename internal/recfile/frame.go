@@ -1,11 +1,12 @@
-// Package recfile is how provex lays records on disk. It owns the
-// format decisions the write-ahead log, the bundle store and the round
-// ledger share, so each exists once: the frame, [len u32 LE][crc32 u32
-// LE][payload] (this file); the segment directory — numbered files that
-// open with a magic and carry frames, one append-only tail behind
-// immutable sealed files — and the recovery rule that goes with that
-// shape (dir.go); the cursor that decodes the varint payloads inside
-// the frames (cursor.go).
+// Package recfile is how provex lays records on disk and on the wire.
+// It owns the format decisions the write-ahead log, the bundle store,
+// the round ledger, the engine checkpoint and the replication stream
+// share, so each exists once: the frame, [len u32 LE][crc32 u32
+// LE][payload] (this file), the only frame codec in the tree; the
+// segment directory — numbered files that open with a magic and carry
+// frames, one append-only tail behind immutable sealed files — and the
+// recovery rule that goes with that shape (dir.go); the cursor that
+// decodes the varint payloads inside the frames (cursor.go).
 //
 // What a record means is the caller's business: CRC table, magic, file
 // names and record cap are per-caller constants, and payloads are
@@ -23,8 +24,9 @@ import (
 // HeaderSize is the frame header: u32 payload length + u32 CRC.
 const HeaderSize = 8
 
-// Castagnoli is the CRC32C table of the WAL's and the store's frames
-// (and so of every Dir); the round ledger frames with crc32.IEEETable.
+// Castagnoli is the CRC32C table of the WAL's, the store's, the
+// checkpoint's and the replication stream's frames (and so of every
+// Dir); the round ledger frames with crc32.IEEETable.
 var Castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // What can be wrong with a frame. Scan reports them with the file and

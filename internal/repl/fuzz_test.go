@@ -2,58 +2,55 @@ package repl
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
+	"provex/internal/recfile"
 	"provex/internal/wal"
 )
 
-// FuzzFrameDecoder hammers the replication stream decoder with torn
-// frames, bit flips, and truncated input. Invariants: never panic; on
-// success, re-encoding the decoded records and trailer and decoding
-// that again reproduces the identical records and trailer (no record
-// is silently altered, reordered, dropped, or invented — the
-// mis-apply guard).
+// FuzzFrameDecoder hammers readBatch, the replication stream decoder,
+// with torn frames, bit flips and truncated input. Invariants: never
+// panic; never deliver more records than the header counts; on
+// success, re-encoding the decoded batch and decoding that again
+// reproduces the identical records, watermark and cursor (no record is
+// silently altered, reordered, dropped or invented — the mis-apply
+// guard).
 func FuzzFrameDecoder(f *testing.F) {
+	valid := appendBatch(nil, wal.Batch{Records: sampleRecords(3), Synced: 3, Next: wal.Cursor{Seg: 2, Off: 77}})
 	f.Add([]byte{})
-	f.Add([]byte(streamMagic))
 	f.Add([]byte("PROVWAL1 not this stream"))
-	valid := encodeStream(f, sampleRecords(3), StreamEnd{Synced: 3, Next: wal.Cursor{Seg: 2, Off: 77}})
 	f.Add(valid)
 	f.Add(valid[:len(valid)-5])
 	flipped := bytes.Clone(valid)
 	flipped[len(flipped)/2] ^= 0x40
 	f.Add(flipped)
-	empty := encodeStream(f, nil, StreamEnd{})
-	f.Add(empty)
+	f.Add(appendBatch(nil, wal.Batch{}))
 	f.Add(append(bytes.Clone(valid), "trailing garbage"...))
+	f.Add(appendBatch(nil, wal.Batch{Records: [][]byte{{}, {1}}, Synced: 1 << 40}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var records [][]byte
-		end, err := ReadStream(bytes.NewReader(data), func(p []byte) error {
-			records = append(records, p)
-			return nil
-		})
+		got, err := decodeStream(data)
+		if header, herr := recfile.ReadFrame(bytes.NewReader(data), recfile.Castagnoli, maxStreamHeader); herr == nil {
+			c := recfile.NewCursor(header)
+			c.Uvarint()
+			c.Uvarint()
+			c.Uvarint()
+			if count := c.Uvarint(); c.Err() == nil && uint64(len(got.Records)) > count {
+				t.Fatalf("%d records delivered, the header counts %d", len(got.Records), count)
+			}
+		} else if len(got.Records) > 0 {
+			t.Fatalf("%d records delivered without a header", len(got.Records))
+		}
 		if err != nil {
 			return
 		}
-		var again [][]byte
-		end2, err := ReadStream(bytes.NewReader(encodeStream(t, records, end)), func(p []byte) error {
-			again = append(again, p)
-			return nil
-		})
+		again, err := decodeStream(appendBatch(nil, got))
 		if err != nil {
 			t.Fatalf("re-decode of re-encoding failed: %v", err)
 		}
-		if end2 != end {
-			t.Fatalf("trailer round-trip: %+v != %+v", end2, end)
-		}
-		if len(again) != len(records) {
-			t.Fatalf("record count round-trip: %d != %d", len(again), len(records))
-		}
-		for i := range again {
-			if !bytes.Equal(again[i], records[i]) {
-				t.Fatalf("record %d round-trip mismatch", i)
-			}
+		if !reflect.DeepEqual(again, got) {
+			t.Fatalf("round trip: %+v != %+v", again, got)
 		}
 	})
 }

@@ -542,9 +542,9 @@ func (r *Replica) installCheckpoint(op string, ready func() error) (found bool, 
 		return true, fmt.Errorf("repl: %s download: %w", op, err)
 	}
 	// Validate before install: load the engine once from the download.
-	// CRC-guarded checkpoint records turn torn/flipped downloads into
-	// load errors here instead of a poisoned install we would reopen
-	// forever.
+	// Past its version byte a checkpoint is CRC-checked frames, so a torn
+	// or flipped download is a load error here instead of a poisoned
+	// install we would reopen forever.
 	if _, err = core.LoadCheckpoint(r.cfg, nil, nil, fsys, tmp); err != nil {
 		err = fmt.Errorf("repl: %s: downloaded checkpoint invalid: %w", op, err)
 	} else if err = ready(); err == nil {
@@ -625,7 +625,7 @@ func (r *Replica) tailOnce(st *replState) (tailResult, time.Duration) {
 
 	applied := r.applied.Load()
 	count := 0
-	end, err := ReadStream(resp.Body, func(payload []byte) error {
+	synced, next, err := readBatch(resp.Body, func(payload []byte) error {
 		seq, m, err := wal.DecodeRecord(payload)
 		if err != nil {
 			return fmt.Errorf("undecodable record after %d: %w", applied, err)
@@ -656,14 +656,14 @@ func (r *Replica) tailOnce(st *replState) (tailResult, time.Duration) {
 		return tailFault, 0
 	}
 	r.lastContact.Store(time.Now().UnixNano())
-	r.leaderSynced.Store(end.Synced)
-	r.cursor = end.Next
+	r.leaderSynced.Store(synced)
+	r.cursor = next
 	r.batches.Inc()
 	r.records.Add(int64(count))
-	if end.Synced < applied {
+	if synced < applied {
 		return tailDiverged, 0
 	}
-	if applied >= end.Synced {
+	if applied >= synced {
 		// Caught up: close any open catch-up episode.
 		if !r.catchupStart.IsZero() {
 			r.catchup.Observe(int64(time.Since(r.catchupStart)))

@@ -64,7 +64,7 @@ func newTestLeader(t *testing.T) *testLeader {
 	t.Helper()
 	mem := fsx.NewMem()
 	dur := leaderDurable(t, mem)
-	l := &testLeader{t: t, mem: mem, dur: dur, src: NewSource(dur, SourceOptions{})}
+	l := &testLeader{t: t, mem: mem, dur: dur, src: NewSource(dur)}
 	l.srv = httptest.NewServer(l.handler())
 	t.Cleanup(l.srv.Close)
 	return l
@@ -111,7 +111,7 @@ func (l *testLeader) restart() {
 	l.t.Helper()
 	l.mem.Crash()
 	l.dur = leaderDurable(l.t, l.mem)
-	l.src = NewSource(l.dur, SourceOptions{})
+	l.src = NewSource(l.dur)
 }
 
 // follower state shared by the helpers below.
@@ -641,18 +641,20 @@ func TestFollowerConvergesDespiteStaleOffsets(t *testing.T) {
 	assertParity(t, leader.queryServer().URL, fsrv.URL, parityPaths...)
 }
 
-// TestSourceShedsAtCapacity occupies the leader's only shipping slot
-// and requires the next request to be shed immediately — 503 with the
-// configured Retry-After — rather than queued behind it.
+// TestSourceShedsAtCapacity occupies all of the leader's shipping
+// slots and requires the next request to be shed immediately — 503
+// with Retry-After: 1 — rather than queued behind them.
 func TestSourceShedsAtCapacity(t *testing.T) {
 	leader := newTestLeader(t)
 	leader.ingest(10)
-	src := NewSource(leader.dur, SourceOptions{MaxStreams: 1, RetryAfter: 7 * time.Second})
+	src := NewSource(leader.dur)
 	srv := httptest.NewServer(src)
 	defer srv.Close()
 
-	src.sem <- struct{}{} // occupy the only slot
-	resp, err := http.Get(srv.URL + "/repl/status")
+	for i := 0; i < maxStreams; i++ {
+		src.sem <- struct{}{}
+	}
+	resp, err := http.Get(srv.URL + "/repl/wal?after=0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -660,11 +662,14 @@ func TestSourceShedsAtCapacity(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("saturated shipper answered %d, want 503", resp.StatusCode)
 	}
-	if got := resp.Header.Get("Retry-After"); got != "7" {
-		t.Fatalf("shed Retry-After = %q, want 7", got)
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Fatalf("shed Retry-After = %q, want 1", got)
+	}
+	if got := src.shed.Value(); got != 1 {
+		t.Fatalf("shed counter = %d, want 1", got)
 	}
 	<-src.sem
-	if st, _ := fetchRaw(t, srv.URL+"/repl/status"); st != http.StatusOK {
+	if st, _ := fetchRaw(t, srv.URL+"/repl/wal?after=0"); st != http.StatusOK {
 		t.Fatalf("freed shipper answered %d", st)
 	}
 }
@@ -691,7 +696,7 @@ func (w *tornWriter) Write(p []byte) (int, error) {
 func TestSourceCountsOnlyFinishedStreams(t *testing.T) {
 	leader := newTestLeader(t)
 	leader.ingest(10)
-	src := NewSource(leader.dur, SourceOptions{})
+	src := NewSource(leader.dur)
 	req := httptest.NewRequest(http.MethodGet, "/repl/wal?after=0", nil)
 
 	whole := httptest.NewRecorder()

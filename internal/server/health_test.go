@@ -3,11 +3,13 @@ package server
 import (
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"provex/internal/core"
+	"provex/internal/metrics"
 	"provex/internal/query"
 )
 
@@ -115,19 +117,48 @@ func TestGateReadsRefusesDataEndpointsOnly(t *testing.T) {
 	}
 }
 
+// TestWithReplicationMount: the replication handler serves under
+// /repl/ behind the shared middleware — non-GET refused with 405 before
+// it runs, every request counted under path="/repl/" — and is never
+// gated, however unready the node.
 func TestWithReplicationMount(t *testing.T) {
 	proc := query.New(core.New(core.FullIndexConfig(), nil, nil), query.DefaultOptions())
+	calls := 0
 	marker := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls++
 		w.Header().Set("X-Repl", r.URL.Path)
 	})
-	srv := httptest.NewServer(New(proc, WithReplication(marker)))
+	reg := metrics.NewRegistry()
+	gated := func() HealthStatus { return HealthStatus{Reason: "bootstrapping", GateReads: true} }
+	srv := httptest.NewServer(New(proc, WithRegistry(reg), WithHealth(gated), WithReplication(marker)))
 	t.Cleanup(srv.Close)
-	resp, err := http.Get(srv.URL + "/repl/status")
+
+	resp, err := http.Post(srv.URL+"/repl/wal", "text/plain", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.Header.Get("X-Repl") != "/repl/status" {
-		t.Fatal("replication handler not mounted under /repl/")
+	if resp.StatusCode != http.StatusMethodNotAllowed || calls != 0 {
+		t.Fatalf("POST /repl/wal = %d after %d handler calls, want 405 and none", resp.StatusCode, calls)
+	}
+	resp, err = http.Get(srv.URL + "/repl/wal?after=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Repl") != "/repl/wal" {
+		t.Fatalf("GET /repl/wal = %d, X-Repl %q: replication handler not mounted under /repl/", resp.StatusCode, resp.Header.Get("X-Repl"))
+	}
+	var b strings.Builder
+	if err := reg.Expose(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`provex_http_requests_total{code="2xx",path="/repl/"} 1`,
+		`provex_http_requests_total{code="4xx",path="/repl/"} 1`,
+	} {
+		if !strings.Contains(b.String(), want+"\n") {
+			t.Errorf("exposition lacks %s", want)
+		}
 	}
 }

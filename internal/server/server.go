@@ -152,9 +152,9 @@ func WithHealth(fn HealthFunc) Option {
 }
 
 // WithReplication mounts a WAL-shipping handler (repl.NewSource) under
-// /repl/. The handler is mounted raw — its responses are streamed
-// binary with its own shed/retry semantics, so it bypasses the JSON
-// middleware the data endpoints share.
+// /repl/, behind the shared middleware (GET only, request metrics
+// under path="/repl/"), and never health-gated: a node whose reads are
+// gated still feeds its followers.
 func WithReplication(h http.Handler) Option {
 	return func(s *Server) { s.repl = h }
 }
@@ -183,7 +183,7 @@ func New(backend Backend, opts ...Option) *Server {
 		s.handle("/metrics", s.handleMetrics)
 	}
 	if s.repl != nil {
-		s.mux.Handle("/repl/", s.repl)
+		s.handle("/repl/", s.repl.ServeHTTP)
 	}
 	if s.trace != nil {
 		s.handle("/explain", s.handleExplain)
@@ -262,7 +262,7 @@ func (s *Server) handle(path string, h http.HandlerFunc) {
 	checked := func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			w.Header().Set("Allow", http.MethodGet)
-			httpError(w, http.StatusMethodNotAllowed, "method %s not allowed, use GET", r.Method)
+			Error(w, http.StatusMethodNotAllowed, "method %s not allowed, use GET", r.Method)
 			return
 		}
 		h(w, r)
@@ -341,7 +341,7 @@ const defaultRetryAfter = time.Second
 // clients back off instead of hammering a degraded node.
 func Unavailable(w http.ResponseWriter, retryAfter time.Duration, format string, args ...interface{}) {
 	w.Header().Set("Retry-After", retryAfterValue(retryAfter))
-	httpError(w, http.StatusServiceUnavailable, format, args...)
+	Error(w, http.StatusServiceUnavailable, format, args...)
 }
 
 // retryAfterValue renders a Retry-After duration as whole seconds,
@@ -508,7 +508,7 @@ func (s *Server) handleBundle(w http.ResponseWriter, r *http.Request) {
 	idRaw := r.URL.Query().Get("id")
 	id, err := strconv.ParseUint(idRaw, 10, 64)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "invalid id %q", idRaw)
+		Error(w, http.StatusBadRequest, "invalid id %q", idRaw)
 		return
 	}
 	d, err := s.backend.Bundle(bundle.ID(id))
@@ -517,7 +517,7 @@ func (s *Server) handleBundle(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, storage.ErrNotFound) {
 			status = http.StatusNotFound
 		}
-		httpError(w, status, "%v", err)
+		Error(w, status, "%v", err)
 		return
 	}
 	nodes := make([]nodeJSON, 0, len(d.Nodes))
@@ -561,7 +561,7 @@ func (s *Server) handleTrending(w http.ResponseWriter, r *http.Request) {
 	if kRaw := r.URL.Query().Get("k"); kRaw != "" {
 		v, err := strconv.Atoi(kRaw)
 		if err != nil || v < 1 {
-			httpError(w, http.StatusBadRequest, "invalid k %q", kRaw)
+			Error(w, http.StatusBadRequest, "invalid k %q", kRaw)
 			return
 		}
 		k = v
@@ -613,7 +613,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	idRaw := r.URL.Query().Get("id")
 	id, err := strconv.ParseUint(idRaw, 10, 64)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "invalid id %q", idRaw)
+		Error(w, http.StatusBadRequest, "invalid id %q", idRaw)
 		return
 	}
 	d, ok := s.trace.Explain(id)
@@ -690,7 +690,7 @@ func countParam(w http.ResponseWriter, r *http.Request, def int) (int, bool) {
 	if nRaw := r.URL.Query().Get("n"); nRaw != "" {
 		v, err := strconv.Atoi(nRaw)
 		if err != nil || v < 1 {
-			httpError(w, http.StatusBadRequest, "invalid n %q", nRaw)
+			Error(w, http.StatusBadRequest, "invalid n %q", nRaw)
 			return 0, false
 		}
 		n = v
@@ -702,14 +702,14 @@ func countParam(w http.ResponseWriter, r *http.Request, def int) (int, bool) {
 func (s *Server) queryParams(w http.ResponseWriter, r *http.Request) (string, int, bool) {
 	q := r.URL.Query().Get("q")
 	if q == "" {
-		httpError(w, http.StatusBadRequest, "missing q parameter")
+		Error(w, http.StatusBadRequest, "missing q parameter")
 		return "", 0, false
 	}
 	k := 10
 	if kRaw := r.URL.Query().Get("k"); kRaw != "" {
 		v, err := strconv.Atoi(kRaw)
 		if err != nil || v < 1 {
-			httpError(w, http.StatusBadRequest, "invalid k %q", kRaw)
+			Error(w, http.StatusBadRequest, "invalid k %q", kRaw)
 			return "", 0, false
 		}
 		k = v
@@ -730,7 +730,9 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 	}
 }
 
-func httpError(w http.ResponseWriter, status int, format string, args ...interface{}) {
+// Error is the package's error writer: status and a JSON body
+// {"error": message}. The replication handler answers through it too.
+func Error(w http.ResponseWriter, status int, format string, args ...interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})

@@ -49,7 +49,7 @@ func fullRegistry(t *testing.T) *metrics.Registry {
 	rec := trace.New(trace.Options{SampleEvery: 1})
 	rec.RegisterMetrics(reg)
 	// leader-side WAL shipping families
-	repl.NewSource(dur, repl.SourceOptions{}).RegisterMetrics(reg)
+	repl.NewSource(dur).RegisterMetrics(reg)
 	// follower families; the replica is never started, so only its
 	// repl_-level instruments register (its engine/WAL/pipeline series
 	// are the same families the durable node above already exports)
