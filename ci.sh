@@ -42,6 +42,9 @@ go test ./internal/core -fuzz FuzzRestoreCheckpoint -fuzztime 10s -fuzzminimizet
 go test ./internal/repl -fuzz FuzzFrameDecoder -fuzztime 10s -run '^$'
 go test ./internal/analysis/analyzers -fuzz FuzzParseGuardedBy -fuzztime 10s -run '^$'
 go test ./internal/sumindex -fuzz FuzzCandidates -fuzztime 10s -run '^$'
+# the sharded round's floored probe against full probes, message by
+# message, over generated streams at any seed, shard count and batch
+go test ./internal/shard -fuzz FuzzFlooredProbe -fuzztime 10s -run '^$'
 # a bundle's two summary forms against the eight-map reference; every
 # input is ~40 Adds with the full comparison after each, so minimising
 # a new corpus entry is capped or it would eat the whole budget
@@ -106,11 +109,12 @@ go test -race -count=1 ./internal/fsx ./internal/recfile ./internal/wal ./intern
 # serial and the sharded durable backend (it lives in internal/shard,
 # which can import both; seeds are fixed, a failure prints the seed in
 # the subtest name) — plus the differential equivalence proof, the
-# determinism and shared-recorder tracing tests and the disk-full
-# barrier test: the correctness contract for -shards > 1.
+# floored probe against full probes, the determinism and shared-recorder
+# tracing tests and the disk-full barrier test: the correctness contract
+# for -shards > 1.
 echo "== sharded engine + crash torture (-race -count=1) =="
 go test -race -count=1 \
-    -run 'TestCrashTorture|TestShardedEquivalenceWithSerial|TestShardedDeterminism|TestShardedTracing|TestShardedBarrierDiskFull' \
+    -run 'TestCrashTorture|TestShardedEquivalenceWithSerial|TestFlooredProbeMatchesFullProbe|TestShardedDeterminism|TestShardedTracing|TestShardedBarrierDiskFull' \
     -v ./internal/shard | grep -E 'seed|PASS|FAIL|ok '
 
 # Observability loopback, once per engine: a real durable live
@@ -306,6 +310,14 @@ echo "== provingest pinned counts (provgen -n 125000, full index) =="
 printf 'bundles created 43425\nedges           81575\n' | cmp -s - "$obs_tmp/pinned.txt" \
     || { echo "provingest: pinned counts moved:"; cat "$obs_tmp/pinned.txt"; exit 1; }
 cat "$obs_tmp/pinned.txt"
+# The same stream through two shards at the default batch of 256, where
+# rounds relax assignment (DESIGN.md §2i) but the floored probe must not
+# move a single decision: these are the counts of the full-probe round.
+"$obs_tmp/provgen" -n 125000 | "$obs_tmp/provingest" -mode full -shards 2 -progress 0 2>/dev/null \
+    | grep -E '^(bundles created|edges) ' >"$obs_tmp/pinned-2.txt"
+printf 'bundles created 43555\nedges           81445\n' | cmp -s - "$obs_tmp/pinned-2.txt" \
+    || { echo "provingest -shards 2: pinned counts moved:"; cat "$obs_tmp/pinned-2.txt"; exit 1; }
+cat "$obs_tmp/pinned-2.txt"
 
 # Replication loopback: a durable leader ingests a generated stream
 # while a follower bootstraps from its checkpoint and tails its WAL

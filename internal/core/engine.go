@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"provex/internal/bundle"
@@ -177,9 +178,10 @@ func (s Stats) MemTotal() int64 { return s.MemBundles + s.MemIndex }
 // The sharded engine (internal/shard, DESIGN.md §2i) runs N Engines
 // side by side, one goroutine per shard per phase; the contract is
 // per-engine: a given Engine is still owned by exactly one goroutine at
-// a time. Probe is the read-only exception — it may run on one shard's
-// engine while sibling engines insert, because it touches only that
-// engine's own pool/index state plus atomic counters.
+// a time. The probe passes (Seed, Resume, and the oracle Probe) are the
+// read-only exception — they may run on one shard's engine while
+// sibling engines insert, because they touch only that engine's own
+// pool/index state plus atomic counters.
 type Engine struct {
 	cfg   Config
 	pool  *pool.Pool
@@ -213,6 +215,14 @@ type Engine struct {
 	// did the same fetch work.
 	matchPostings metrics.Counter
 	matchFetched  metrics.Counter
+	// matchScored counts full Eq. 1 evaluations (score.BundleSim) in the
+	// match loop, probes included: the work pruning did not avoid.
+	matchScored metrics.Counter
+
+	// joinFloor is the least Eq. 1 score that joins a bundle: the next
+	// float above the threshold, so "at or above the floor" is "strictly
+	// above the threshold" (the match loop's floors are inclusive).
+	joinFloor float64
 
 	// placeScratch is the engine-owned scratch of the pruned Algorithm 2
 	// scan, shared across every bundle (inserts are single-goroutine).
@@ -275,7 +285,8 @@ func New(cfg Config, store *storage.Store, onEdge EdgeFunc) *Engine {
 	if onEdge == nil {
 		onEdge = func(tweet.ID, tweet.ID, score.ConnectionType) {}
 	}
-	e := &Engine{cfg: cfg, index: sumindex.New(), store: store, onEdge: onEdge}
+	e := &Engine{cfg: cfg, index: sumindex.New(), store: store, onEdge: onEdge,
+		joinFloor: math.Nextafter(cfg.BundleWeights.Threshold, math.Inf(1))}
 	e.index.SetMaxFanout(cfg.MaxFanout)
 	e.pool = pool.New(cfg.Pool, e.evict)
 	// Milli-G buckets from 0.1 G to 1000 G (G ≈ hours of quiet age).
@@ -336,6 +347,8 @@ func (e *Engine) RegisterMetrics(reg *metrics.Registry, labels ...string) {
 		"Summary-index posting entries walked by candidate fetch (Algorithm 1 step 1; URL, hashtag and re-shared-user lists only, fanout-cut lists not walked).", &e.matchPostings, labels...)
 	reg.RegisterCounter("provex_match_candidates_fetched_total",
 		"Distinct candidate bundles produced by candidate fetch; every one reaches the Eq. 1 loop.", &e.matchFetched, labels...)
+	reg.RegisterCounter("provex_match_candidates_scored_total",
+		"Full Eq. 1 evaluations (score.BundleSim) in the match loop, sharded probes included: fetched candidates the upper bound did not prune whose bundle was still open.", &e.matchScored, labels...)
 	reg.RegisterHistogram("provex_place_skipped_nodes",
 		"Distribution of nodes skipped per placement by the pruned Algorithm 2 scan.",
 		e.placeSkipHist, 1, labels...)
@@ -614,39 +627,118 @@ func (e *Engine) InsertPrepared(p Prepared) InsertResult {
 // same way the serial engine's lowest-bundle-ID rule does (bundle IDs
 // are allocated in creation order, so "lowest ID" and "earliest
 // creation" coincide; see DESIGN.md §2i).
+//
+// From a floored probe (Resume), OK means a bundle scored at or above
+// the round's floor; an engine whose best lies below the floor reports
+// !OK, because another engine already holds a better one.
 type ProbeResult struct {
 	Bundle   bundle.ID
 	Score    float64
 	Created  time.Time // date of the bundle's first message
 	FirstMsg tweet.ID  // ID of the bundle's first message
-	OK       bool      // a bundle scored strictly above the join threshold
+	OK       bool      // a bundle scored strictly above the join threshold (and at or above the floor)
 }
 
-// Probe runs the match stage of Algorithm 1 without mutating anything:
-// candidate fetch plus the serial Eq. 1 scoring loop, returning the
-// best open bundle strictly above the join threshold. It is the phase-1
-// primitive of the sharded two-phase protocol: every shard probes the
-// same message against its local state, and the router commits the
-// message to the shard with the globally best result.
-//
-// Probe may run concurrently with other engines' inserts but not with
-// this engine's own mutations (it shares the summary index's candidate
-// scratch buffer with matchBundle). The fetch and pruning counters it
-// bumps are atomic.
-func (e *Engine) Probe(doc score.Doc) ProbeResult {
-	cands, fetch := e.fetchCandidates(doc)
-	b, s := e.matchRange(doc, cands, fetch, nil)
-	if b == nil {
+// probeResult reports a match's winner, !OK when there is none.
+func probeResult(m match) ProbeResult {
+	if m.best == nil {
 		return ProbeResult{}
 	}
-	first := b.Nodes()[0].Doc.Msg
+	first := m.best.Nodes()[0].Doc.Msg
 	return ProbeResult{
-		Bundle:   b.ID(),
-		Score:    s,
+		Bundle:   m.best.ID(),
+		Score:    m.score,
 		Created:  first.Date,
 		FirstMsg: first.ID,
 		OK:       true,
 	}
+}
+
+// Probe runs the match stage of Algorithm 1 without mutating anything:
+// candidate fetch plus the serial Eq. 1 scoring loop, returning the
+// best open bundle strictly above the join threshold. It is the
+// unfloored probe, and only tests call it: it is the oracle of Seed and
+// Resume, whose reduce must pick what the reduce over Probe picks.
+//
+// Probe may run concurrently with other engines' inserts but not with
+// this engine's own mutations (it shares the summary index's candidate
+// scratch buffer with matchBundle). The counters it bumps are atomic.
+func (e *Engine) Probe(doc score.Doc) ProbeResult {
+	cands, fetch := e.fetchCandidates(doc)
+	m, _ := e.matchRange(doc, cands, fetch, match{score: e.joinFloor}, false, nil)
+	return probeResult(m)
+}
+
+// RoundProbe is one engine's scratch for a sharded round's floored
+// probe (DESIGN.md §2i). Seed fills it, one entry per batched message
+// in batch order; Resume reads it. Per message it keeps the seed — the
+// first candidate, in fetch order, that cleared the threshold — and,
+// for a seeded message, the candidates after it, unscored, with the
+// fetch's skipped-list slack. That is what makes the floored probe one
+// fetch per message with no candidate scored twice. The zero value is
+// ready; Reset reuses the buffers from round to round.
+type RoundProbe struct {
+	seeds []seed
+	rest  []sumindex.Candidate // the seeded messages' unscored candidates, back to back
+}
+
+// seed is one message's seed pass on one engine.
+type seed struct {
+	m      match // the seed bundle and its score; no bundle when none cleared the threshold
+	fetch  sumindex.FetchInfo
+	lo, hi int // the candidates after the seed: rest[lo:hi]
+}
+
+// Reset empties the probe for the next round.
+func (p *RoundProbe) Reset() { p.seeds, p.rest = p.seeds[:0], p.rest[:0] }
+
+// Seed returns message i's seed score, 0 when none of this engine's
+// candidates cleared the threshold.
+func (p *RoundProbe) Seed(i int) float64 {
+	if p.seeds[i].m.best == nil {
+		return 0
+	}
+	return p.seeds[i].m.score
+}
+
+// Seed is the first pass of a floored probe: one candidate fetch for
+// doc, scored in fetch order up to the first bundle that clears the
+// join threshold. It appends doc's seed to p and returns its score, 0
+// when no candidate qualifies. Seeds are real Eq. 1 scores, so the
+// largest over all engines is a floor no winner lies below. Like Probe
+// it only reads this engine.
+func (e *Engine) Seed(p *RoundProbe, doc score.Doc) float64 {
+	cands, fetch := e.fetchCandidates(doc)
+	m, at := e.matchRange(doc, cands, fetch, match{score: e.joinFloor}, true, nil)
+	s := seed{m: m}
+	if m.best != nil {
+		lo := len(p.rest)
+		p.rest = append(p.rest, cands[at+1:]...)
+		s.fetch, s.lo, s.hi = fetch, lo, len(p.rest)
+	}
+	p.seeds = append(p.seeds, s)
+	return p.Seed(len(p.seeds) - 1)
+}
+
+// Resume is the second pass of a floored probe for the i-th message
+// Seed saw, under floor, the largest seed over all engines. An engine
+// without a seed reports !OK: it could not have won. Otherwise the
+// Eq. 1 loop continues after the seed candidate, pruning what cannot
+// reach floor and accepting scores at or above it; the seed itself is
+// the running best when it is the floor. The result is Probe's
+// whenever Probe's score is at least floor, and !OK otherwise, so the
+// reduce picks the same winner (DESIGN.md §2i gives the argument).
+func (e *Engine) Resume(p *RoundProbe, i int, doc score.Doc, floor float64) ProbeResult {
+	s := p.seeds[i]
+	if s.m.best == nil {
+		return ProbeResult{}
+	}
+	m := match{score: floor}
+	if s.m.score == floor {
+		m = s.m
+	}
+	m, _ = e.matchRange(doc, p.rest[s.lo:s.hi], s.fetch, m, false, nil)
+	return probeResult(m)
 }
 
 // AdvanceClock moves the engine's simulated clock forward to t (older
@@ -680,15 +772,37 @@ func (e *Engine) matchBundle(doc score.Doc, td *trace.Decision) *bundle.Bundle {
 		td.Threshold = e.cfg.BundleWeights.Threshold
 		sink = &td.Candidates
 	}
-	best, _ := e.matchRange(doc, cands, fetch, sink)
-	return best
+	m, _ := e.matchRange(doc, cands, fetch, match{score: e.joinFloor}, false, sink)
+	return m.best
 }
 
-// matchRange is the Eq. 1 scoring loop over the candidate list: the
-// best open bundle scoring strictly above the join threshold, ties
-// broken toward the lowest bundle ID. It only reads pool and bundle
-// state (the pruning counter is atomic), which is what lets Probe run
-// it beside sibling shards' inserts. A non-nil sink receives one
+// match is the running state of the Eq. 1 loop: the best bundle so far
+// and its score or, before any bundle qualifies, the floor — the least
+// score that qualifies.
+type match struct {
+	best  *bundle.Bundle
+	score float64
+}
+
+// beats reports whether a bundle scoring s takes the lead: a higher
+// score, or an equal one with a lower bundle ID — and, before any
+// bundle qualifies, any score at or above the floor.
+//
+//provex:hotpath runs twice per match candidate
+func (m match) beats(s float64, id bundle.ID) bool {
+	return s > m.score || (s == m.score && (m.best == nil || id < m.best.ID()))
+}
+
+// matchRange is the Eq. 1 scoring loop over a candidate list, from the
+// running state m: the best open bundle that beats it, ties broken
+// toward the lowest bundle ID. A serial match starts from the join
+// floor (the least score strictly above the threshold); a sharded
+// round's resume pass starts from its cross-shard floor, or from its
+// seed. With first set the loop stops at the first candidate that takes
+// the lead and also returns that candidate's index (the seed pass);
+// otherwise the index is len(cands). It only reads pool and bundle
+// state (its counters are atomic), which is what lets the probe passes
+// run it beside sibling shards' inserts. A non-nil sink receives one
 // CandidateScore per candidate (skipped ones included), carrying the
 // score that was compared, so tracing never changes which bundle wins.
 //
@@ -696,32 +810,21 @@ func (e *Engine) matchBundle(doc score.Doc, td *trace.Decision) *bundle.Bundle {
 // candidate is first tested against its Eq. 1 upper bound
 // (score.BundleSimCeil over the exact hard-indicant hit counts, fetch's
 // skipped-list slack and the keyword and freshness ceilings) and
-// skipped when it cannot beat the running best:
-// a candidate is pruned only if
-// ub < bestScore, or ub == bestScore when the tie could not go its way
-// (no bundle chosen yet — joining needs a strictly-above-threshold
-// score — or a lower-ID bundle already holds the tie). Since the true
-// score never exceeds ub, a pruned candidate could never have been
-// selected, so the returned (bundle, score) pair is identical to the
-// exhaustive loop's.
+// skipped when that bound does not beat the running state. Since the
+// true score never exceeds the bound, a pruned candidate could never
+// have been selected, so the result is identical to the exhaustive
+// loop's.
 //
 //provex:hotpath Eq. 1 scoring loop runs per ingested message
-func (e *Engine) matchRange(doc score.Doc, cands []sumindex.Candidate, fetch sumindex.FetchInfo, sink *[]trace.CandidateScore) (*bundle.Bundle, float64) {
+func (e *Engine) matchRange(doc score.Doc, cands []sumindex.Candidate, fetch sumindex.FetchInfo, m match, first bool, sink *[]trace.CandidateScore) (match, int) {
 	prune := !e.exhaustive
-	pruned := int64(0)
-	var best *bundle.Bundle
-	bestScore := e.cfg.BundleWeights.Threshold
-	for _, c := range cands {
+	pruned, scored := int64(0), int64(0)
+	at := len(cands)
+	for i, c := range cands {
 		if prune {
 			ub := score.BundleSimCeil(e.cfg.BundleWeights, int(c.URLHits), int(c.TagHits), c.RTHit,
 				fetch.SkippedURL, fetch.SkippedTag, fetch.SkippedRT)
-			skip := false
-			if best == nil {
-				skip = ub <= bestScore
-			} else {
-				skip = ub < bestScore || (ub == bestScore && bundle.ID(c.ID) > best.ID())
-			}
-			if skip {
+			if !m.beats(ub, bundle.ID(c.ID)) {
 				pruned++
 				if sink != nil {
 					*sink = append(*sink, trace.CandidateScore{
@@ -745,6 +848,7 @@ func (e *Engine) matchRange(doc score.Doc, cands []sumindex.Candidate, fetch sum
 			continue
 		}
 		parts := score.BundleSim(e.cfg.BundleWeights, doc, b)
+		scored++
 		s := parts.Total
 		if sink != nil {
 			*sink = append(*sink, trace.CandidateScore{
@@ -758,14 +862,21 @@ func (e *Engine) matchRange(doc score.Doc, cands []sumindex.Candidate, fetch sum
 				Total:     s,
 			})
 		}
-		if s > bestScore || (s == bestScore && best != nil && b.ID() < best.ID()) {
-			bestScore, best = s, b
+		if m.beats(s, b.ID()) {
+			m = match{best: b, score: s}
+			if first {
+				at = i
+				break
+			}
 		}
 	}
 	if pruned > 0 {
 		e.matchPruned.Add(pruned)
 	}
-	return best, bestScore
+	if scored > 0 {
+		e.matchScored.Add(scored)
+	}
+	return m, at
 }
 
 // Pool exposes the live bundle pool (read-only use by query/eval).

@@ -12,7 +12,16 @@
 //
 //   - Phase 1 (probe, read-only, parallel): every shard scores every
 //     buffered message against its local start-of-round state with the
-//     Eq. 1 match (core.Engine.Probe).
+//     Eq. 1 match, in two passes under a cross-shard floor. The seed
+//     pass fetches each message's candidates once and scores them in
+//     fetch order up to the first one that clears the threshold: that
+//     score is the shard's seed (core.Engine.Seed). A message's floor is
+//     its largest seed over the shards. The resume pass continues each
+//     seeded shard's candidate list after the seed, pruning what cannot
+//     reach the floor (core.Engine.Resume); a shard with no seed reports
+//     no match. A shard reports its unfloored best whenever that is at
+//     least the floor, so the reduce picks what it would over full
+//     probes, with a fraction of the Eq. 1 evaluations.
 //   - Reduce (serial, deterministic): per message in stream order, the
 //     best probe wins — highest Eq. 1 score, ties broken to the bundle
 //     created earliest (the serial engine's lowest-bundle-ID rule,
@@ -117,6 +126,7 @@ type shardState struct {
 	eng *core.Engine
 	dur *pipeline.Durable
 
+	round  core.RoundProbe    // phase-1 scratch: the seed pass's seeds and unscored candidates
 	probes []core.ProbeResult // phase-1 output, one per batched message
 	assign []core.Prepared    // phase-2 input, stream order
 	busy   time.Duration      // this phase's busy time on this shard
@@ -155,7 +165,8 @@ type Engine struct {
 	proc   *query.Processor // the node's read side; nil without Options.Query
 
 	pending []core.Prepared
-	global  uint64 // messages committed across all shards (stream prefix length)
+	floors  []float64 // phase-1 scratch: per batched message, the largest seed over the shards
+	global  uint64    // messages committed across all shards (stream prefix length)
 	led     *ledger
 	marks   []uint64 // ledger watermark scratch
 
@@ -303,24 +314,72 @@ func (e *Engine) Flush() error {
 }
 
 // round runs the two-phase protocol over batch. See the package doc
-// for the protocol; this function is its direct transcription.
+// for the protocol; round, probe and resolve are its direct
+// transcription.
 func (e *Engine) round(batch []core.Prepared) error {
-	n := len(e.shards)
-
-	// Phase 1: probe. Read-only against start-of-round state, so the
-	// shard goroutines are independent. One shard skips it — there is
-	// nothing to arbitrate.
-	if n > 1 {
-		e.runPhase(func(_ int, sh *shardState) {
-			t0 := time.Now()
-			sh.probes = sh.probes[:0]
-			for _, p := range batch {
-				sh.probes = append(sh.probes, sh.eng.Probe(p.Doc))
-			}
-			sh.busy = time.Since(t0)
-		}, nil)
-		e.spanProbe.Add(int64(e.maxBusy()))
+	// Phase 1: probe. One shard skips it — there is nothing to
+	// arbitrate.
+	if len(e.shards) > 1 {
+		e.probe(batch)
 	}
+	return e.resolve(batch)
+}
+
+// probe is phase 1: read-only against start-of-round state, so the
+// shard goroutines of each pass are independent. The seed pass gives
+// every message its floor, the largest seed over the shards; the resume
+// pass finishes each shard's probe under it. It leaves each shard's
+// probes for the reduce, and the probe span covers both passes and the
+// floors between them.
+func (e *Engine) probe(batch []core.Prepared) {
+	e.runPhase(func(_ int, sh *shardState) { sh.seed(batch) }, nil)
+	span := e.maxBusy()
+	t0 := time.Now()
+	e.floors = e.floors[:0]
+	for mi := range batch {
+		floor := 0.0
+		for _, sh := range e.shards {
+			floor = max(floor, sh.round.Seed(mi))
+		}
+		e.floors = append(e.floors, floor)
+	}
+	span += time.Since(t0)
+	e.runPhase(func(_ int, sh *shardState) { sh.resume(batch, e.floors) }, nil)
+	e.spanProbe.Add(int64(span + e.maxBusy()))
+}
+
+// seed is one shard's seed pass: per batched message, one candidate
+// fetch, scored in fetch order up to the first bundle that clears the
+// threshold (core.Engine.Seed).
+//
+//provex:hotpath seed pass of every round, per batched message
+func (sh *shardState) seed(batch []core.Prepared) {
+	t0 := time.Now()
+	sh.round.Reset()
+	for _, p := range batch {
+		sh.eng.Seed(&sh.round, p.Doc)
+	}
+	sh.busy = time.Since(t0)
+}
+
+// resume is one shard's resume pass: per batched message, the rest of
+// its candidates under the message's floor (core.Engine.Resume). A
+// shard whose seed was 0 reports !OK without scoring anything.
+//
+//provex:hotpath resume pass of every round, per batched message
+func (sh *shardState) resume(batch []core.Prepared, floors []float64) {
+	t0 := time.Now()
+	sh.probes = sh.probes[:0]
+	for mi, p := range batch {
+		sh.probes = append(sh.probes, sh.eng.Resume(&sh.round, mi, p.Doc, floors[mi]))
+	}
+	sh.busy = time.Since(t0)
+}
+
+// resolve runs the reduce over the probes phase 1 left, then phase 2,
+// then ledgers the round.
+func (e *Engine) resolve(batch []core.Prepared) error {
+	n := len(e.shards)
 
 	// Reduce: deterministic winner per message, in stream order.
 	t0 := time.Now()
@@ -330,17 +389,8 @@ func (e *Engine) round(batch []core.Prepared) error {
 	var maxDate time.Time
 	for mi, p := range batch {
 		win := -1
-		var best core.ProbeResult
 		if n > 1 {
-			for si, sh := range e.shards {
-				pr := sh.probes[mi]
-				if !pr.OK {
-					continue
-				}
-				if win < 0 || better(pr, best) {
-					win, best = si, pr
-				}
-			}
+			win, _ = e.winner(mi)
 		}
 		if win < 0 {
 			win = Route(p.Doc, n)
@@ -410,6 +460,23 @@ func (e *Engine) round(batch []core.Prepared) error {
 		}
 	}
 	return nil
+}
+
+// winner is the reduce step for batched message mi: the shard whose
+// probe is best, -1 when no shard matched.
+func (e *Engine) winner(mi int) (int, core.ProbeResult) {
+	win := -1
+	var best core.ProbeResult
+	for si, sh := range e.shards {
+		pr := sh.probes[mi]
+		if !pr.OK {
+			continue
+		}
+		if win < 0 || better(pr, best) {
+			win, best = si, pr
+		}
+	}
+	return win, best
 }
 
 // better orders probe results: higher Eq. 1 score wins; exact ties go
