@@ -34,6 +34,9 @@ go test ./internal/wal -fuzz FuzzOpenReplay -fuzztime 10s -run '^$'
 # frame loop under the round ledger (its seeds include ledger bytes)
 go test ./internal/recfile -fuzz FuzzScan -fuzztime 10s -run '^$'
 go test ./internal/tokenizer -fuzz FuzzTokenizeKeywords -fuzztime 10s -run '^$'
+# the process-wide term dictionary: ID → term round trip, class kept,
+# Lookup never adds a term
+go test ./internal/termdict -fuzz FuzzDict -fuzztime 10s -run '^$'
 go test ./internal/promtext -fuzz FuzzParse -fuzztime 10s -run '^$'
 # the two decoders of the other frame users: a checkpoint (a download
 # from the leader is one) and the replication stream; every checkpoint

@@ -14,6 +14,7 @@ import (
 
 	"provex/internal/metrics"
 	"provex/internal/score"
+	"provex/internal/termdict"
 	"provex/internal/tokenizer"
 	"provex/internal/tweet"
 )
@@ -51,7 +52,7 @@ type Bundle struct {
 	// The indicant summary (summary.go): a row table below PruneMinNodes
 	// nodes, the hash index from there up — never both.
 	rows []row
-	idx  *index
+	idx  index
 
 	// Message-date extent (Algorithm 2 lines 8–13). end is also when the
 	// bundle last absorbed a message in stream time — Eq. 1's freshness
@@ -101,28 +102,14 @@ func (b *Bundle) Nodes() []Node { return b.nodes }
 // MemBytes is the analytic memory footprint estimate of the bundle.
 func (b *Bundle) MemBytes() int64 { return b.memBytes }
 
-// score.BundleStats implementation — read by Eq. 1.
-
-// TagCount reports how many messages carry the hashtag.
-func (b *Bundle) TagCount(tag string) int { return b.count(classTag, tag) }
-
-// URLCount reports how many messages carry the URL.
-func (b *Bundle) URLCount(u string) int { return b.count(classURL, u) }
-
-// KeywordCount reports how many messages carry the keyword.
-func (b *Bundle) KeywordCount(k string) int { return b.count(classKey, k) }
-
-// HasUser reports whether user posted inside the bundle.
-func (b *Bundle) HasUser(u string) bool { return b.count(classUser, u) > 0 }
-
-// LastDate implements score.BundleStats.
+// LastDate implements score.BundleStats (with Count, summary.go).
 func (b *Bundle) LastDate() time.Time { return b.end }
 
 // Indicants returns the distinct hashtags, URLs, keywords and users of
-// the bundle, each sorted — exactly the terms the summary index must
-// drop when the bundle leaves memory.
+// the bundle, each sorted by the term string.
 func (b *Bundle) Indicants() (tags, urls, keys, users []string) {
-	return b.sortedTerms(classTag), b.sortedTerms(classURL), b.sortedTerms(classKey), b.sortedTerms(classUser)
+	return b.sortedTerms(termdict.Tag), b.sortedTerms(termdict.URL),
+		b.sortedTerms(termdict.Keyword), b.sortedTerms(termdict.User)
 }
 
 // Add allocates doc inside the bundle per Algorithm 2: collect the
@@ -195,9 +182,9 @@ func (b *Bundle) addExhaustive(w score.MessageWeights, doc score.Doc, obs Parent
 // follow the id of the newest node.
 func (b *Bundle) absorb(doc score.Doc) {
 	m := doc.Msg
-	refs := len(m.Hashtags) + len(m.URLs) + len(m.Mentions) + len(doc.Keywords)
 	b.memBytes += metrics.NodeBase + metrics.MessageBase +
-		metrics.StringCost(m.User) + metrics.StringCost(m.Text) + int64(refs)*metrics.TermRefCost +
+		metrics.StringCost(m.User) + metrics.StringCost(m.Text) +
+		int64(len(m.Hashtags)+len(m.URLs))*metrics.StringOverhead + int64(len(doc.Terms))*metrics.TermRefCost +
 		b.absorbSummary(doc)
 
 	if b.start.IsZero() || m.Date.Before(b.start) {
@@ -226,14 +213,15 @@ func (b *Bundle) Edges() []Edge {
 // Words" column of the paper's Figure 2 result list. Hashtags count
 // double so topical tags float to the front like the paper's examples.
 func (b *Bundle) SummaryWords(k int) []string {
-	terms := len(b.rows)
-	if b.idx != nil {
-		terms = len(b.idx[classKey]) + len(b.idx[classTag]) + len(b.idx[classURL])
-	}
-	merged := make(map[string]int, terms)
-	b.each(classKey, func(t string, n int) { merged[t] += n })
-	b.each(classTag, func(t string, n int) { merged[t] += 2 * n })
-	b.each(classURL, func(t string, n int) { merged[t] += n })
+	merged := make(map[string]int, len(b.rows)+len(b.idx))
+	b.each(func(t termdict.ID, n int) {
+		switch t.Class() {
+		case termdict.Tag:
+			merged[termdict.Term(t)] += 2 * n
+		case termdict.URL, termdict.Keyword:
+			merged[termdict.Term(t)] += n
+		}
+	})
 	return tokenizer.TopTerms(merged, k)
 }
 
@@ -248,10 +236,7 @@ func (b *Bundle) Validate() error {
 		return fmt.Errorf("bundle %d: %d nodes with indexed=%v and %d summary rows",
 			b.id, len(b.nodes), indexed, len(b.rows))
 	}
-	var want [numClasses]map[string]int
-	for c := range want {
-		want[c] = map[string]int{}
-	}
+	want := map[termdict.ID]int{}
 	for i, n := range b.nodes {
 		if n.Parent != NoParent && (n.Parent < 0 || int(n.Parent) >= i) {
 			return fmt.Errorf("bundle %d: node %d has invalid parent %d", b.id, i, n.Parent)
@@ -261,26 +246,20 @@ func (b *Bundle) Validate() error {
 			return fmt.Errorf("bundle %d: node %d date %v outside extent [%v, %v]",
 				b.id, i, m.Date, b.start, b.end)
 		}
-		var user [1]string
-		for c, ts := range classTerms(n.Doc, &user) {
-			for _, t := range ts {
-				want[c][t]++
-			}
+		for _, t := range n.Doc.Indicants() {
+			want[t]++
 		}
 	}
 	var err error
-	for c := range want {
-		b.each(class(c), func(t string, got int) {
-			if got != want[c][t] && err == nil {
-				err = fmt.Errorf("bundle %d: %s %q count %d, nodes imply %d",
-					b.id, classNames[c], t, got, want[c][t])
-			}
-			delete(want[c], t)
-		})
-		if len(want[c]) > 0 && err == nil {
-			err = fmt.Errorf("bundle %d: %s summary lacks %d terms the nodes carry",
-				b.id, classNames[c], len(want[c]))
+	b.each(func(t termdict.ID, got int) {
+		if got != want[t] && err == nil {
+			err = fmt.Errorf("bundle %d: %s %q count %d, nodes imply %d",
+				b.id, t.Class(), termdict.Term(t), got, want[t])
 		}
+		delete(want, t)
+	})
+	if len(want) > 0 && err == nil {
+		err = fmt.Errorf("bundle %d: summary lacks %d terms the nodes carry", b.id, len(want))
 	}
 	return err
 }

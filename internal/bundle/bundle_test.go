@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"provex/internal/score"
-	"provex/internal/tokenizer"
+	"provex/internal/termdict"
 	"provex/internal/tweet"
 )
 
@@ -17,7 +17,7 @@ var (
 
 func doc(id tweet.ID, user, text string, at time.Time) score.Doc {
 	m := tweet.Parse(id, user, at, text)
-	return score.Doc{Msg: m, Keywords: tokenizer.Keywords(text)}
+	return score.NewDoc(m)
 }
 
 // buildGameBundle assembles a small Yankees/Redsox bundle like the
@@ -78,17 +78,21 @@ func TestEdges(t *testing.T) {
 
 func TestSummaryCounts(t *testing.T) {
 	b := buildGameBundle(t)
-	if got := b.TagCount("redsox"); got != 4 {
-		t.Errorf("TagCount(redsox) = %d, want 4", got)
+	count := func(c termdict.Class, term string) int { return b.Count(termdict.Lookup(c, term)) }
+	if got := count(termdict.Tag, "redsox"); got != 4 {
+		t.Errorf("Count(#redsox) = %d, want 4", got)
 	}
-	if got := b.TagCount("yankee"); got != 2 {
-		t.Errorf("TagCount(yankee) = %d, want 2", got)
+	if got := count(termdict.Tag, "yankee"); got != 2 {
+		t.Errorf("Count(#yankee) = %d, want 2", got)
 	}
-	if !b.HasUser("dims") || b.HasUser("stranger") {
-		t.Error("HasUser wrong")
+	if count(termdict.User, "dims") != 1 || count(termdict.User, "stranger") != 0 {
+		t.Error("user counts wrong")
 	}
-	if got := b.KeywordCount("lester"); got != 3 {
-		t.Errorf("KeywordCount(lester) = %d, want 3", got)
+	if got := count(termdict.Keyword, "lester"); got != 3 {
+		t.Errorf("Count(lester) = %d, want 3", got)
+	}
+	if got := count(termdict.Keyword, "redsox"); got != 4 {
+		t.Errorf("Count(keyword redsox) = %d, want 4: the keyword and the hashtag are two terms", got)
 	}
 }
 
@@ -160,19 +164,20 @@ func TestMemBytesGrows(t *testing.T) {
 
 func TestValidateCatchesCorruption(t *testing.T) {
 	b := buildGameBundle(t)
-	b.findRow(classTag, "redsox").count = 99
+	b.findRow(termdict.Lookup(termdict.Tag, "redsox")).count = 99
 	if err := b.Validate(); err == nil {
 		t.Error("Validate accepted a corrupted summary row")
 	}
 	big := buildSized(PruneMinNodes)
-	p := big.idx[classUser]["user0"]
+	user0 := termdict.Lookup(termdict.User, "user0")
+	p := big.idx[user0]
 	p.count = 99
-	big.idx[classUser]["user0"] = p
+	big.idx[user0] = p
 	if err := big.Validate(); err == nil {
 		t.Error("Validate accepted a corrupted index entry")
 	}
 	early := buildSized(PruneMinNodes - 1)
-	early.idx, early.rows = new(index), nil
+	early.idx, early.rows = index{}, nil
 	if err := early.Validate(); err == nil {
 		t.Error("Validate accepted an index below PruneMinNodes")
 	}

@@ -8,6 +8,7 @@ import (
 
 	"provex/internal/recfile"
 	"provex/internal/score"
+	"provex/internal/termdict"
 	"provex/internal/tweet"
 )
 
@@ -20,6 +21,8 @@ import (
 //	          conn type, the raw message fields (tweet.AppendRaw: id,
 //	          unix-nano date, user, text), keyword count + keywords
 //
+// Keywords are stored as strings, never as term-dictionary IDs (which
+// another process numbers differently); decode resolves them again.
 // Indicant summaries, extent and memory estimate are NOT stored — they
 // are deterministic functions of the nodes and are rebuilt on decode,
 // which keeps the format small and makes corruption detectable through
@@ -49,9 +52,10 @@ func (b *Bundle) Marshal() []byte {
 		buf = binary.AppendUvarint(buf, math.Float64bits(n.Score))
 		buf = append(buf, byte(n.Conn))
 		buf = tweet.AppendRaw(buf, n.Doc.Msg)
-		buf = binary.AppendUvarint(buf, uint64(len(n.Doc.Keywords)))
-		for _, k := range n.Doc.Keywords {
-			buf = recfile.AppendStr(buf, k)
+		keys := n.Doc.Keywords()
+		buf = binary.AppendUvarint(buf, uint64(len(keys)))
+		for _, k := range keys {
+			buf = recfile.AppendStr(buf, termdict.Term(k))
 		}
 	}
 	return buf
@@ -98,7 +102,7 @@ func Unmarshal(data []byte) (*Bundle, error) {
 		if parent != NoParent && (parent < 0 || uint64(parent) >= i) {
 			return nil, fmt.Errorf("%w: node %d parent %d", ErrCorrupt, i, parent)
 		}
-		doc := score.Doc{Msg: msg, Keywords: keywords}
+		doc := score.DocWithKeywords(msg, keywords)
 		b.nodes = append(b.nodes, Node{
 			Doc:    doc,
 			Parent: parent,

@@ -10,7 +10,6 @@ import (
 
 	"provex/internal/gen"
 	"provex/internal/score"
-	"provex/internal/tokenizer"
 )
 
 func TestMarshalRoundTrip(t *testing.T) {
@@ -54,8 +53,8 @@ func assertBundleEqual(t *testing.T, want, got *Bundle) {
 		if !reflect.DeepEqual(g.Doc.Msg, w.Doc.Msg) {
 			t.Fatalf("node %d message differs:\n  %+v\n  %+v", i, g.Doc.Msg, w.Doc.Msg)
 		}
-		if !reflect.DeepEqual(g.Doc.Keywords, w.Doc.Keywords) {
-			t.Fatalf("node %d keywords differ: %v vs %v", i, g.Doc.Keywords, w.Doc.Keywords)
+		if !reflect.DeepEqual(g.Doc.Terms, w.Doc.Terms) {
+			t.Fatalf("node %d terms differ: %v vs %v", i, g.Doc.Terms, w.Doc.Terms)
 		}
 	}
 	if !got.StartTime().Equal(want.StartTime()) || !got.EndTime().Equal(want.EndTime()) {
@@ -149,7 +148,7 @@ func TestRoundTripProperty(t *testing.T) {
 		b := New(ID(sizeRaw) + 1)
 		for i := 0; i < size; i++ {
 			m := g.Next()
-			b.Add(w, score.Doc{Msg: m, Keywords: tokenizer.Keywords(m.Text)})
+			b.Add(w, score.NewDoc(m))
 		}
 		got, err := Unmarshal(b.Marshal())
 		if err != nil {
@@ -186,7 +185,7 @@ func BenchmarkMarshal(b *testing.B) {
 	w := score.DefaultMessageWeights()
 	for i := 0; i < 50; i++ {
 		m := g.Next()
-		bn.Add(w, score.Doc{Msg: m, Keywords: tokenizer.Keywords(m.Text)})
+		bn.Add(w, score.NewDoc(m))
 	}
 	b.ResetTimer()
 	b.ReportAllocs()
@@ -203,7 +202,7 @@ func BenchmarkUnmarshal(b *testing.B) {
 	w := score.DefaultMessageWeights()
 	for i := 0; i < 50; i++ {
 		m := g.Next()
-		bn.Add(w, score.Doc{Msg: m, Keywords: tokenizer.Keywords(m.Text)})
+		bn.Add(w, score.NewDoc(m))
 	}
 	data := bn.Marshal()
 	b.ResetTimer()

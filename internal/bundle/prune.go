@@ -214,27 +214,28 @@ func (b *Bundle) addPrunedTime(w score.MessageWeights, doc score.Doc, obs Parent
 		panic("bundle: Add to closed bundle")
 	}
 	m := doc.Msg
-	nU, nH, nK := len(m.URLs), len(m.Hashtags), len(doc.Keywords)
+	urls, tags, keys := doc.URLs(), doc.Tags(), doc.Keywords()
+	nU, nH, nK := len(urls), len(tags), len(keys)
 	wuPos, whPos, wkPos := clampPos(w.URL), clampPos(w.Tag), clampPos(w.Keyword)
 	wrPos, wtPos := clampPos(w.RT), clampPos(w.Time)
 	sc.lists = sc.lists[:0]
-	for _, u := range m.URLs {
-		if l := b.nodesWith(classURL, u); len(l) > 0 {
+	for _, u := range urls {
+		if l := b.nodesWith(u); len(l) > 0 {
 			sc.lists = append(sc.lists, mergeList{ids: l, pos: len(l) - 1, bit: maskURL, wc: wuPos / float64(nU)})
 		}
 	}
-	for _, h := range m.Hashtags {
-		if l := b.nodesWith(classTag, h); len(l) > 0 {
+	for _, h := range tags {
+		if l := b.nodesWith(h); len(l) > 0 {
 			sc.lists = append(sc.lists, mergeList{ids: l, pos: len(l) - 1, bit: maskTag, wc: whPos / float64(nH)})
 		}
 	}
-	for _, k := range doc.Keywords {
-		if l := b.nodesWith(classKey, k); len(l) > 0 {
+	for _, k := range keys {
+		if l := b.nodesWith(k); len(l) > 0 {
 			sc.lists = append(sc.lists, mergeList{ids: l, pos: len(l) - 1, bit: maskKey, wc: wkPos / float64(nK)})
 		}
 	}
-	if m.IsRT() {
-		if l := b.nodesWith(classUser, m.RTOf); len(l) > 0 {
+	if rt, ok := doc.RTUser(); ok {
+		if l := b.nodesWith(rt); len(l) > 0 {
 			sc.lists = append(sc.lists, mergeList{ids: l, pos: len(l) - 1, bit: maskRT, wc: wrPos})
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"provex/internal/score"
-	"provex/internal/tokenizer"
 	"provex/internal/tweet"
 )
 
@@ -31,7 +30,7 @@ func randomDoc(rng *rand.Rand, id tweet.ID, users []string, at time.Time) score.
 		text += fmt.Sprintf(" http://u.rl/%d", rng.Intn(4))
 	}
 	m := tweet.Parse(id, user, at, text)
-	return score.Doc{Msg: m, Keywords: tokenizer.Keywords(text)}
+	return score.NewDoc(m)
 }
 
 // TestAddScratchMatchesExhaustive is the placement differential

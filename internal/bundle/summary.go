@@ -6,7 +6,7 @@
 // 98 % never reach PruneMinNodes. Below that size nothing reads a node
 // index — AddScratch scores every node — and the Eq. 1 lookups face a
 // few dozen terms at most, so the whole summary is one exact-fit table
-// of (class, term, count) rows scanned linearly. The absorb that
+// of 8-byte (term ID, count) rows scanned linearly. The absorb that
 // appends node number PruneMinNodes builds the hash form from the
 // nodes and drops the table; the representation switches at the size
 // where the algorithm reading it does, and is a function of the nodes
@@ -18,27 +18,14 @@ import (
 
 	"provex/internal/metrics"
 	"provex/internal/score"
+	"provex/internal/termdict"
 )
 
-// class is one of the four indicant classes a summary counts.
-type class uint8
-
-const (
-	classTag class = iota
-	classURL
-	classKey
-	classUser
-	numClasses
-)
-
-var classNames = [numClasses]string{"tag", "url", "key", "user"}
-
-// row is one entry of a small bundle's summary table: 24 bytes, the
-// term's bytes shared with the message that carried it.
+// row is one entry of a small bundle's summary table: a term of any
+// class (the class is in the ID) and how many messages carry it.
 type row struct {
-	term  string
-	count int32
-	class class
+	term  termdict.ID
+	count uint32
 }
 
 // posting is one term of an indexed bundle: how many messages carry it,
@@ -51,43 +38,31 @@ type posting struct {
 	nodes []int32
 }
 
-// index is the summary of a bundle of PruneMinNodes nodes or more.
-type index [numClasses]map[string]posting
+// index is the summary of a bundle of PruneMinNodes nodes or more, every
+// class in one map.
+type index map[termdict.ID]posting
 
-// classTerms lists doc's indicants by summary class. user backs the
-// one-element user list so the result can stay on the caller's stack.
-func classTerms(doc score.Doc, user *[1]string) [numClasses][]string {
-	user[0] = doc.Msg.User
-	return [numClasses][]string{
-		classTag:  doc.Msg.Hashtags,
-		classURL:  doc.Msg.URLs,
-		classKey:  doc.Keywords,
-		classUser: user[:],
-	}
-}
-
-// count is the summary lookup behind TagCount, URLCount, KeywordCount
-// and HasUser.
+// Count reports how many of the bundle's messages carry term (for a
+// user: how many the user posted) — the summary lookup of Eq. 1 and
+// Eq. 7, and the score.BundleStats implementation.
 //
 //provex:hotpath Eq. 1 looks up every indicant of the message in every scored candidate
-func (b *Bundle) count(c class, term string) int {
+func (b *Bundle) Count(term termdict.ID) int {
 	if b.idx != nil {
-		return b.idx[c][term].count
+		return b.idx[term].count
 	}
-	if r := b.findRow(c, term); r != nil {
+	if r := b.findRow(term); r != nil {
 		return int(r.count)
 	}
 	return 0
 }
 
-// findRow scans the table for (c, term), nil when absent. The compare
-// is class, then length, then bytes; interned keywords usually stop at
-// the pointer-equal fast path.
+// findRow scans the table for term, nil when absent.
 //
-//provex:hotpath the small-bundle half of count
-func (b *Bundle) findRow(c class, term string) *row {
+//provex:hotpath the small-bundle half of Count
+func (b *Bundle) findRow(term termdict.ID) *row {
 	for i := range b.rows {
-		if r := &b.rows[i]; r.class == c && r.term == term {
+		if r := &b.rows[i]; r.term == term {
 			return r
 		}
 	}
@@ -97,28 +72,38 @@ func (b *Bundle) findRow(c class, term string) *row {
 // nodesWith returns the ascending ids of the nodes carrying term. Only
 // the pruned scans ask, and they run from PruneMinNodes nodes up, where
 // the index exists.
-func (b *Bundle) nodesWith(c class, term string) []int32 { return b.idx[c][term].nodes }
+func (b *Bundle) nodesWith(term termdict.ID) []int32 { return b.idx[term].nodes }
 
-// each calls fn for every (term, count) of class c, in unspecified
+// each calls fn for every (term, count) of the summary, in unspecified
 // order, whichever form the summary is in.
-func (b *Bundle) each(c class, fn func(term string, count int)) {
+func (b *Bundle) each(fn func(term termdict.ID, count int)) {
 	if b.idx != nil {
-		for t, p := range b.idx[c] {
+		for t, p := range b.idx {
 			fn(t, p.count)
 		}
 		return
 	}
 	for _, r := range b.rows {
-		if r.class == c {
-			fn(r.term, int(r.count))
-		}
+		fn(r.term, int(r.count))
 	}
 }
 
-// sortedTerms returns the distinct terms of class c in ascending order.
-func (b *Bundle) sortedTerms(c class) []string {
+// AppendTerms appends the bundle's distinct terms, in unspecified order:
+// what the summary index must drop when the bundle leaves memory.
+func (b *Bundle) AppendTerms(dst []termdict.ID) []termdict.ID {
+	b.each(func(t termdict.ID, _ int) { dst = append(dst, t) })
+	return dst
+}
+
+// sortedTerms returns the distinct terms of class c ordered by the term
+// string, never by ID: every process numbers terms its own way.
+func (b *Bundle) sortedTerms(c termdict.Class) []string {
 	var out []string
-	b.each(c, func(t string, _ int) { out = append(out, t) })
+	b.each(func(t termdict.ID, _ int) {
+		if t.Class() == c {
+			out = append(out, termdict.Term(t))
+		}
+	})
 	sort.Strings(out)
 	return out
 }
@@ -143,14 +128,11 @@ func (b *Bundle) absorbSummary(doc score.Doc) int64 {
 // allocation — because append's doubling would leave more slack than
 // rows across a pool of mostly single-message bundles.
 func (b *Bundle) absorbRows(doc score.Doc) int64 {
-	var user [1]string
-	terms := classTerms(doc, &user)
+	terms := doc.Indicants()
 	fresh := 0
-	for c, ts := range terms {
-		for _, t := range ts {
-			if b.findRow(class(c), t) == nil {
-				fresh++ // a term repeated inside the message counts twice: slack, not an error
-			}
+	for _, t := range terms {
+		if b.findRow(t) == nil {
+			fresh++ // a term repeated inside the message counts twice: slack, not an error
 		}
 	}
 	if fresh > cap(b.rows)-len(b.rows) {
@@ -159,15 +141,13 @@ func (b *Bundle) absorbRows(doc score.Doc) int64 {
 		b.rows = grown
 	}
 	var added int64
-	for c, ts := range terms {
-		for _, t := range ts {
-			if r := b.findRow(class(c), t); r != nil {
-				r.count++
-				continue
-			}
-			b.rows = append(b.rows, row{term: t, count: 1, class: class(c)})
-			added += metrics.SummaryRowCost
+	for _, t := range terms {
+		if r := b.findRow(t); r != nil {
+			r.count++
+			continue
 		}
+		b.rows = append(b.rows, row{term: t, count: 1})
+		added += metrics.SummaryRowCost
 	}
 	return added
 }
@@ -176,16 +156,8 @@ func (b *Bundle) absorbRows(doc score.Doc) int64 {
 // nodes (the newest included). It returns the change in the memory
 // estimate: the index's cost minus the rows released.
 func (b *Bundle) buildIndex() int64 {
-	var sizes [numClasses]int
-	var added int64 = metrics.SummaryIndexBase
-	for _, r := range b.rows {
-		sizes[r.class]++
-		added -= metrics.SummaryRowCost
-	}
-	b.idx = new(index)
-	for c := range b.idx {
-		b.idx[c] = make(map[string]posting, sizes[c])
-	}
+	added := metrics.SummaryIndexBase - int64(len(b.rows))*metrics.SummaryRowCost
+	b.idx = make(index, len(b.rows))
 	for i := range b.nodes {
 		added += b.idx.absorb(b.nodes[i].Doc, int32(i))
 	}
@@ -194,26 +166,22 @@ func (b *Bundle) buildIndex() int64 {
 }
 
 // absorb records node id's indicants and returns the bytes charged: a
-// map entry and its key per new term, a reference per node-list slot.
-// Ids arrive in ascending order, so a term repeated inside one message
-// shows as a repeated tail id and is listed once.
-func (idx *index) absorb(doc score.Doc, id int32) int64 {
-	var user [1]string
+// map entry per new term, a reference per node-list slot. Ids arrive in
+// ascending order, so a term repeated inside one message shows as a
+// repeated tail id and is listed once.
+func (idx index) absorb(doc score.Doc, id int32) int64 {
 	var added int64
-	for c, ts := range classTerms(doc, &user) {
-		m := idx[c]
-		for _, t := range ts {
-			p := m[t]
-			if p.count == 0 {
-				added += metrics.MapEntryCost + metrics.StringCost(t)
-			}
-			p.count++
-			if n := len(p.nodes); n == 0 || p.nodes[n-1] != id {
-				p.nodes = append(p.nodes, id)
-				added += metrics.NodeRefCost
-			}
-			m[t] = p
+	for _, t := range doc.Indicants() {
+		p := idx[t]
+		if p.count == 0 {
+			added += metrics.MapEntryCost
 		}
+		p.count++
+		if n := len(p.nodes); n == 0 || p.nodes[n-1] != id {
+			p.nodes = append(p.nodes, id)
+			added += metrics.NodeRefCost
+		}
+		idx[t] = p
 	}
 	return added
 }

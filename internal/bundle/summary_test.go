@@ -10,6 +10,7 @@ import (
 
 	"provex/internal/metrics"
 	"provex/internal/score"
+	"provex/internal/termdict"
 	"provex/internal/tokenizer"
 	"provex/internal/tweet"
 )
@@ -35,8 +36,8 @@ func buildSized(n int) *Bundle {
 // two-form representation is compared against.
 type refSummary struct {
 	nodes  []Node
-	counts [numClasses]map[string]int
-	lists  [numClasses]map[string][]int32
+	counts [termdict.NumClasses]map[string]int
+	lists  [termdict.NumClasses]map[string][]int32
 }
 
 func newRefSummary() *refSummary {
@@ -63,8 +64,7 @@ func (r *refSummary) add(w score.MessageWeights, d score.Doc) Node {
 	}
 	r.nodes = append(r.nodes, n)
 	id := int32(len(r.nodes) - 1)
-	var user [1]string
-	for c, ts := range classTerms(d, &user) {
+	for c, ts := range stringTerms(d) {
 		for _, t := range ts {
 			r.counts[c][t]++
 			if l := r.lists[c][t]; len(l) == 0 || l[len(l)-1] != id {
@@ -75,15 +75,28 @@ func (r *refSummary) add(w score.MessageWeights, d score.Doc) Node {
 	return n
 }
 
+// stringTerms lists d's summary indicants by class as strings — the
+// message's own for tags, URLs and the author — so the reference keeps
+// no term IDs.
+func stringTerms(d score.Doc) [termdict.NumClasses][]string {
+	var keys []string
+	for _, k := range d.Keywords() {
+		keys = append(keys, termdict.Term(k))
+	}
+	return [termdict.NumClasses][]string{
+		termdict.Tag: d.Msg.Hashtags, termdict.URL: d.Msg.URLs, termdict.Keyword: keys, termdict.User: {d.Msg.User},
+	}
+}
+
 // memBytes is the cost model of metrics/memest.go applied to the maps:
 // rows below the threshold, map entries and node references from it up.
 func (r *refSummary) memBytes() int64 {
 	total := int64(metrics.BundleBase)
 	for _, n := range r.nodes {
 		m := n.Doc.Msg
-		refs := len(m.Hashtags) + len(m.URLs) + len(m.Mentions) + len(n.Doc.Keywords)
 		total += metrics.NodeBase + metrics.MessageBase +
-			metrics.StringCost(m.User) + metrics.StringCost(m.Text) + int64(refs)*metrics.TermRefCost
+			metrics.StringCost(m.User) + metrics.StringCost(m.Text) +
+			int64(len(m.Hashtags)+len(m.URLs))*metrics.StringOverhead + int64(len(n.Doc.Terms))*metrics.TermRefCost
 	}
 	indexed := len(r.nodes) >= PruneMinNodes
 	if indexed {
@@ -92,8 +105,7 @@ func (r *refSummary) memBytes() int64 {
 	for c := range r.counts {
 		for t := range r.counts[c] {
 			if indexed {
-				total += metrics.MapEntryCost + metrics.StringCost(t) +
-					int64(len(r.lists[c][t]))*metrics.NodeRefCost
+				total += metrics.MapEntryCost + int64(len(r.lists[c][t]))*metrics.NodeRefCost
 			} else {
 				total += metrics.SummaryRowCost
 			}
@@ -102,7 +114,7 @@ func (r *refSummary) memBytes() int64 {
 	return total
 }
 
-func (r *refSummary) sorted(c class) []string {
+func (r *refSummary) sorted(c termdict.Class) []string {
 	var out []string
 	for t := range r.counts[c] {
 		out = append(out, t)
@@ -113,13 +125,13 @@ func (r *refSummary) sorted(c class) []string {
 
 func (r *refSummary) summaryWords(k int) []string {
 	merged := map[string]int{}
-	for t, n := range r.counts[classKey] {
+	for t, n := range r.counts[termdict.Keyword] {
 		merged[t] += n
 	}
-	for t, n := range r.counts[classTag] {
+	for t, n := range r.counts[termdict.Tag] {
 		merged[t] += 2 * n
 	}
-	for t, n := range r.counts[classURL] {
+	for t, n := range r.counts[termdict.URL] {
 		merged[t] += n
 	}
 	return tokenizer.TopTerms(merged, k)
@@ -174,7 +186,7 @@ func scriptDoc(next func() byte, i int, at *time.Time, ordered bool) score.Doc {
 	}
 	m.Date = *at
 	m.Text = fmt.Sprint(m.Hashtags, m.URLs, keys, m.RTOf)
-	return score.Doc{Msg: m, Keywords: keys}
+	return score.DocWithKeywords(m, keys)
 }
 
 // checkSummaryScript feeds the script's messages to a Bundle and to the
@@ -211,38 +223,28 @@ func checkSummaryScript(t *testing.T, data []byte) *Bundle {
 		if got, want := b.MemBytes(), ref.memBytes(); got != want {
 			t.Fatalf("size %d: MemBytes = %d, reference %d", size, got, want)
 		}
-		lookups := [numClasses]func(string) int{
-			classTag: b.TagCount, classURL: b.URLCount, classKey: b.KeywordCount,
-			classUser: func(u string) int {
-				if b.HasUser(u) {
-					return 1
-				}
-				return 0
-			},
-		}
 		for c, counts := range ref.counts {
+			class := termdict.Class(c)
 			for term, n := range counts {
-				if c == int(classUser) {
-					n = 1
+				id := termdict.Lookup(class, term)
+				if got := b.Count(id); got != n {
+					t.Fatalf("size %d: %s %q = %d, reference %d", size, class, term, got, n)
 				}
-				if got := lookups[c](term); got != n {
-					t.Fatalf("size %d: %s %q = %d, reference %d", size, classNames[c], term, got, n)
-				}
-				if b.idx != nil && !slices.Equal(b.idx[c][term].nodes, ref.lists[c][term]) {
+				if b.idx != nil && !slices.Equal(b.idx[id].nodes, ref.lists[c][term]) {
 					t.Fatalf("size %d: %s %q nodes %v, reference %v",
-						size, classNames[c], term, b.idx[c][term].nodes, ref.lists[c][term])
+						size, class, term, b.idx[id].nodes, ref.lists[c][term])
 				}
 			}
 			for _, unseen := range []string{"", "nope", "tag", "user5", fmt.Sprintf("word-only%d", i+1)} {
-				if got := lookups[c](unseen); got != 0 {
-					t.Fatalf("size %d: %s %q = %d, want 0", size, classNames[c], unseen, got)
+				if got := b.Count(termdict.Intern(class, unseen)); got != 0 {
+					t.Fatalf("size %d: %s %q = %d, want 0", size, class, unseen, got)
 				}
 			}
 		}
 		tags, urls, keys, users := b.Indicants()
-		for c, got := range [numClasses][]string{classTag: tags, classURL: urls, classKey: keys, classUser: users} {
-			if want := ref.sorted(class(c)); !slices.Equal(got, want) {
-				t.Fatalf("size %d: Indicants %s = %v, reference %v", size, classNames[c], got, want)
+		for c, got := range [termdict.NumClasses][]string{termdict.Tag: tags, termdict.URL: urls, termdict.Keyword: keys, termdict.User: users} {
+			if want := ref.sorted(termdict.Class(c)); !slices.Equal(got, want) {
+				t.Fatalf("size %d: Indicants %s = %v, reference %v", size, termdict.Class(c), got, want)
 			}
 		}
 		for _, k := range []int{1, 4, 100} {

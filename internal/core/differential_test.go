@@ -8,6 +8,7 @@ import (
 	"provex/internal/gen"
 	"provex/internal/score"
 	"provex/internal/sumindex"
+	"provex/internal/termdict"
 	"provex/internal/tweet"
 )
 
@@ -55,18 +56,18 @@ func differentialRun(t *testing.T, cfg Config, mode engineMode, msgs []*tweet.Me
 // exhaustive loop scores every candidate, so no hit counts are needed.
 func referenceCandidates(ix *sumindex.Index, d score.Doc) []sumindex.Candidate {
 	var ids []sumindex.BundleID
-	walk := func(c sumindex.Class, terms ...string) {
+	walk := func(terms ...termdict.ID) {
 		for _, term := range terms {
-			for _, p := range ix.Postings(c, term) {
+			for _, p := range ix.Postings(term) {
 				ids = append(ids, p.ID)
 			}
 		}
 	}
-	walk(sumindex.ClassTag, d.Msg.Hashtags...)
-	walk(sumindex.ClassURL, d.Msg.URLs...)
-	walk(sumindex.ClassKeyword, d.Keywords...)
-	if d.Msg.IsRT() {
-		walk(sumindex.ClassUser, d.Msg.RTOf)
+	walk(d.Tags()...)
+	walk(d.URLs()...)
+	walk(d.Keywords()...)
+	if rt, ok := d.RTUser(); ok {
+		walk(rt)
 	}
 	slices.Sort(ids)
 	ids = slices.Compact(ids)

@@ -22,6 +22,7 @@ import (
 	"provex/internal/storage"
 	"provex/internal/stream"
 	"provex/internal/sumindex"
+	"provex/internal/termdict"
 	"provex/internal/trace"
 	"provex/internal/tweet"
 )
@@ -228,6 +229,9 @@ type Engine struct {
 	// scan, shared across every bundle (inserts are single-goroutine).
 	placeScratch *bundle.Scratch
 
+	// forget is evict's scratch: the terms of the bundle leaving the pool.
+	forget []termdict.ID
+
 	// exhaustive selects the reference O(n) implementations of both hot
 	// stages: every bundle node scored with Eq. 5 during placement, every
 	// fetched candidate with Eq. 1 during match, no upper-bound pruning.
@@ -393,8 +397,8 @@ func (e *Engine) SetTracer(r *trace.Recorder) {
 // mode); only exhausting FlushRetryOptions drops it, counted and
 // latched as the engine's background error.
 func (e *Engine) evict(b *bundle.Bundle, _ pool.EvictReason, flush bool) {
-	tags, urls, keys, users := b.Indicants()
-	e.index.Forget(sumindex.BundleID(b.ID()), tags, urls, keys, users)
+	e.forget = b.AppendTerms(e.forget[:0])
+	e.index.Forget(sumindex.BundleID(b.ID()), e.forget)
 	if flush && e.store != nil {
 		if err := e.store.Put(b); err != nil {
 			e.park(b, err)
@@ -491,18 +495,19 @@ func (e *Engine) SetFlushObserver(fn func(*bundle.Bundle)) { e.onFlush = fn }
 func (e *Engine) Err() error { return e.flushErr }
 
 // Prepared is the output of the pure precompute stage of Algorithm 1:
-// the message with its extracted keyword set (and the stage's measured
-// cost, charged to the engine's prepare timer at apply time). Prepare
-// touches no engine state, so any number of messages can be prepared
-// concurrently; InsertPrepared then applies them strictly in stream
-// order.
+// the message with every indicant resolved to a term-dictionary ID (and
+// the stage's measured cost, charged to the engine's prepare timer at
+// apply time). Prepare touches no engine state — the dictionary it
+// resolves through is process-wide and safe for concurrent use — so any
+// number of messages can be prepared concurrently; InsertPrepared then
+// applies them strictly in stream order.
 type Prepared struct {
 	Doc  score.Doc
 	cost time.Duration
 }
 
-// Prepare runs the parse/tokenize precompute for m. Pure and safe for
-// concurrent use.
+// Prepare runs the tokenize/resolve precompute for m: every indicant
+// once, through the term dictionary. Safe for concurrent use.
 func Prepare(m *tweet.Message) Prepared {
 	start := time.Now()
 	doc := score.NewDoc(m)

@@ -10,7 +10,7 @@ import (
 	"provex/internal/gen"
 	"provex/internal/score"
 	"provex/internal/storage"
-	"provex/internal/sumindex"
+	"provex/internal/termdict"
 	"provex/internal/tweet"
 )
 
@@ -153,15 +153,15 @@ func TestPartialIndexEviction(t *testing.T) {
 	}
 	// delete_index(b): what is left in the summary index is what the
 	// surviving bundles hold, in every class — users included, which
-	// evict takes from Indicants like the other three.
-	var want [4]map[string]bool
+	// evict takes from AppendTerms like the other three.
+	var want [termdict.NumClasses]map[string]bool
 	for c := range want {
 		want[c] = map[string]bool{}
 	}
 	e.Pool().All(func(b *bundle.Bundle) {
 		tags, urls, keys, users := b.Indicants()
-		for c, terms := range [4][]string{
-			sumindex.ClassTag: tags, sumindex.ClassURL: urls, sumindex.ClassKeyword: keys, sumindex.ClassUser: users,
+		for c, terms := range [termdict.NumClasses][]string{
+			termdict.Tag: tags, termdict.URL: urls, termdict.Keyword: keys, termdict.User: users,
 		} {
 			for _, term := range terms {
 				want[c][term] = true
@@ -169,12 +169,12 @@ func TestPartialIndexEviction(t *testing.T) {
 		}
 	})
 	for c, terms := range want {
-		if got := e.SummaryIndex().Terms(sumindex.Class(c)); got != len(terms) {
-			t.Errorf("summary index holds %d %s terms, the live bundles %d", got, sumindex.Class(c), len(terms))
+		if got := e.SummaryIndex().Terms(termdict.Class(c)); got != len(terms) {
+			t.Errorf("summary index holds %d %s terms, the live bundles %d", got, termdict.Class(c), len(terms))
 		}
 	}
-	if len(want[sumindex.ClassUser]) != e.Pool().Len() {
-		t.Errorf("%d users over %d single-author bundles", len(want[sumindex.ClassUser]), e.Pool().Len())
+	if len(want[termdict.User]) != e.Pool().Len() {
+		t.Errorf("%d users over %d single-author bundles", len(want[termdict.User]), e.Pool().Len())
 	}
 }
 

@@ -13,21 +13,23 @@ type MemEstimator struct {
 	bytes Gauge
 }
 
-// Per-object cost constants for the 64-bit memory model.
+// Per-object cost constants for the 64-bit memory model. The ones read
+// off a struct are its unsafe.Sizeof rounded to the allocator's size
+// class; bundle/memest_test.go holds them to the layouts.
 const (
 	StringOverhead = 16  // string header
-	MapEntryCost   = 48  // amortised bucket share per map entry
-	MessageBase    = 176 // Message struct (168 B, in its 176 B size class); text and user are charged by length
+	MapEntryCost   = 40  // slot of a term-ID-keyed map: the 4-byte ID padded to 8 + a bundle summary's 32-byte posting (the summary index's 24-byte list header fits too)
+	MessageBase    = 128 // Message struct, its own size class; text and user are charged by length, hashtags and URLs by StringOverhead each
 	NodeBase       = 64  // bundle tree node (56 B: doc, parent, score, connection) + node-slice growth slack
-	TermRefCost    = 16  // one entry of a message's indicant or keyword list: a string header; the bytes are the text's or the intern table's
+	TermRefCost    = 4   // one entry of a Doc's term list: a term-dictionary ID; the term's bytes are the dictionary's
 	BundleBase     = 160
 	PostingCost    = 24 // bundle ID + count + list slot
 	NodeRefCost    = 8  // node-index reference: int32 slot + growth slack
 
 	// A bundle's summary (bundle/summary.go) is a row table below
-	// bundle.PruneMinNodes nodes and four hash maps from there up.
-	SummaryRowCost   = 24  // row: term header + count + class; the term's bytes are the message's
-	SummaryIndexBase = 224 // the index array and four map headers, charged when built
+	// bundle.PruneMinNodes nodes and one ID-keyed hash map from there up.
+	SummaryRowCost   = 8  // row: term ID + count
+	SummaryIndexBase = 48 // the map header, charged when built
 )
 
 // StringCost returns the estimated heap bytes of string s.

@@ -9,7 +9,6 @@ import (
 
 	"provex/internal/bundle"
 	"provex/internal/score"
-	"provex/internal/tokenizer"
 	"provex/internal/tweet"
 )
 
@@ -23,7 +22,7 @@ func fill(b *bundle.Bundle, n int, at time.Time) {
 	for i := b.Size(); n > 0; i, n = i+1, n-1 {
 		text := fmt.Sprintf("message %d of bundle %d #b%d", i, b.ID(), b.ID())
 		m := tweet.Parse(tweet.ID(uint64(b.ID())*1000+uint64(i)), "u", at, text)
-		b.Add(weights, score.Doc{Msg: m, Keywords: tokenizer.Keywords(text)})
+		b.Add(weights, score.NewDoc(m))
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 	"provex/internal/core"
 	"provex/internal/gen"
 	"provex/internal/storage"
-	"provex/internal/sumindex"
+	"provex/internal/termdict"
 	"provex/internal/tokenizer"
 	"provex/internal/tweet"
 )
@@ -27,17 +27,18 @@ func oracleSearchBundles(p *Processor, q string, k int) []BundleHit {
 	}
 	idx := p.Engine().SummaryIndex()
 	now := p.Engine().Now()
+	ids := resolve(terms)
 	cands := make(map[bundle.ID]struct{})
-	for _, t := range terms {
-		for _, cls := range []sumindex.Class{sumindex.ClassKeyword, sumindex.ClassTag, sumindex.ClassURL} {
-			for _, p := range idx.Postings(cls, t) {
+	for _, q := range ids {
+		for _, t := range []termdict.ID{q.keyword, q.tag, q.url} {
+			for _, p := range idx.Postings(t) {
 				cands[bundle.ID(p.ID)] = struct{}{}
 			}
 		}
 	}
 	hits := make([]BundleHit, 0, len(cands))
 	score := func(id bundle.ID, b *bundle.Bundle) {
-		if r := p.relevance(terms, b, now); r > 0 {
+		if r := p.relevance(ids, b, now); r > 0 {
 			hits = append(hits, BundleHit{ID: id, Score: r, Size: b.Size(), LastPost: b.EndTime(), Summary: b.SummaryWords(10)})
 		}
 	}

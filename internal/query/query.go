@@ -28,7 +28,7 @@ import (
 	"provex/internal/core"
 	"provex/internal/metrics"
 	"provex/internal/score"
-	"provex/internal/sumindex"
+	"provex/internal/termdict"
 	"provex/internal/textindex"
 	"provex/internal/tokenizer"
 	"provex/internal/trending"
@@ -88,7 +88,7 @@ type Processor struct {
 
 	msgIndex *textindex.Index // set once by NewNode: the /metrics gauges read it beside ingest
 	messages []*tweet.Message // by the ordinal msgIndex gave the message
-	terms    []string         // scratch for one message's index terms
+	terms    []string         // scratch for one message's index terms, the dictionary's strings
 	dups     metrics.Counter  // messages whose ID the index already held
 
 	arch *archive.Index
@@ -139,7 +139,7 @@ func (p *Processor) RegisterMetrics(reg *metrics.Registry) {
 		"(term, message) pairs in the message index's posting lists.",
 		func() float64 { return float64(p.msgIndex.Stats().Postings) })
 	reg.RegisterGaugeFunc("provex_query_index_bytes",
-		"Heap the message index owns: posting slabs, term table and per-message columns, counted from its own allocations (the messages and the interned terms are not its own).",
+		"Heap the message index owns: posting slabs, term table and per-message columns, counted from its own allocations (the messages and the term dictionary's strings are not its own).",
 		func() float64 { return float64(p.msgIndex.Stats().Bytes) })
 }
 
@@ -201,9 +201,15 @@ func (p *Processor) index(d *score.Doc) bool {
 	if _, held := p.msgIndex.Ordinal(key); held {
 		return false
 	}
-	// Scratch, not the keywords themselves: appending to those would
-	// alias the engine-retained set. The index keeps no reference to it.
-	p.terms = append(append(p.terms[:0], d.Keywords...), d.Msg.Hashtags...)
+	// The dictionary's copies, so the index's term table pins no message
+	// text. The index keeps no reference to the scratch.
+	p.terms = p.terms[:0]
+	for _, t := range d.Keywords() {
+		p.terms = append(p.terms, termdict.Term(t))
+	}
+	for _, t := range d.Tags() {
+		p.terms = append(p.terms, termdict.Term(t))
+	}
 	p.msgIndex.Add(key, p.terms)
 	p.messages = append(p.messages, d.Msg) // the n-th Add is ordinal n − 1
 	return true
@@ -360,7 +366,8 @@ func merge[T any](engs []*core.Engine, k int, ask func(*core.Engine) []T, key fu
 }
 
 // queryTerms normalises a free-text query into search terms: keywords
-// plus any explicit hashtags (with and without '#').
+// plus any explicit hashtags (with and without '#'). It only reads the
+// term dictionary, so no query grows it.
 func queryTerms(q string) []string {
 	kws := tokenizer.Keywords(q)
 	// Raw tokens too, so exact tag words below the keyword length
@@ -409,23 +416,45 @@ func (p *Processor) SearchBundles(q string, k int) []BundleHit {
 	if len(terms) == 0 {
 		return nil
 	}
+	ids := resolve(terms)
 	return merge(p.engs, k,
-		func(e *core.Engine) []BundleHit { return p.searchBundles(e, terms, k) },
+		func(e *core.Engine) []BundleHit { return p.searchBundles(e, terms, ids, k) },
 		func(h BundleHit) (float64, uint64) { return h.Score, uint64(h.ID) })
 }
 
+// queryTerm is one query term as the three classes Eq. 7 reads it in;
+// termdict.None where the dictionary has no such term.
+type queryTerm struct {
+	keyword, tag, url termdict.ID
+}
+
+// resolve looks the query terms up in the dictionary, adding nothing: a
+// word the dictionary does not hold matches nothing.
+func resolve(terms []string) []queryTerm {
+	out := make([]queryTerm, len(terms))
+	for i, t := range terms {
+		out[i] = queryTerm{
+			keyword: termdict.Lookup(termdict.Keyword, t),
+			tag:     termdict.Lookup(termdict.Tag, t),
+			url:     termdict.Lookup(termdict.URL, t),
+		}
+	}
+	return out
+}
+
 // searchBundles is SearchBundles over one engine's pool (and the
-// archive, which only a one-engine Processor has).
-func (p *Processor) searchBundles(e *core.Engine, terms []string, k int) []BundleHit {
+// archive, which only a one-engine Processor has). terms are the query
+// words, ids the same words resolved.
+func (p *Processor) searchBundles(e *core.Engine, terms []string, ids []queryTerm, k int) []BundleHit {
 	idx := e.SummaryIndex()
 	now := e.Now()
 
 	// Candidate bundles: union of the query terms' postings over the
 	// keyword, hashtag and URL classes.
 	cands := make(map[bundle.ID]struct{})
-	for _, t := range terms {
-		for _, cls := range []sumindex.Class{sumindex.ClassKeyword, sumindex.ClassTag, sumindex.ClassURL} {
-			for _, p := range idx.Postings(cls, t) {
+	for _, q := range ids {
+		for _, t := range [...]termdict.ID{q.keyword, q.tag, q.url} {
+			for _, p := range idx.Postings(t) {
 				cands[bundle.ID(p.ID)] = struct{}{}
 			}
 		}
@@ -436,11 +465,11 @@ func (p *Processor) searchBundles(e *core.Engine, terms []string, k int) []Bundl
 		if b == nil {
 			continue
 		}
-		if r := p.relevance(terms, b, now); r > 0 {
+		if r := p.relevance(ids, b, now); r > 0 {
 			scored = append(scored, scoredBundle{b, r})
 		}
 	}
-	scored = append(scored, p.archivedHits(terms, k, now)...)
+	scored = append(scored, p.archivedHits(terms, ids, k, now)...)
 	sort.Slice(scored, func(i, j int) bool {
 		if scored[i].score != scored[j].score {
 			return scored[i].score > scored[j].score
@@ -467,7 +496,7 @@ func (p *Processor) searchBundles(e *core.Engine, terms []string, k int) []Bundl
 // archive index surfaces up to k candidates by summary-term BM25, the
 // candidates are loaded from the store, and each is scored with the
 // same Eq. 7 relevance as live bundles so merged ranking is coherent.
-func (p *Processor) archivedHits(terms []string, k int, now time.Time) []scoredBundle {
+func (p *Processor) archivedHits(terms []string, ids []queryTerm, k int, now time.Time) []scoredBundle {
 	if p.arch == nil {
 		return nil
 	}
@@ -477,7 +506,7 @@ func (p *Processor) archivedHits(terms []string, k int, now time.Time) []scoredB
 		if err != nil {
 			continue // a corrupt archived record should not fail a query
 		}
-		if r := p.relevance(terms, b, now); r > 0 {
+		if r := p.relevance(ids, b, now); r > 0 {
 			out = append(out, scoredBundle{b, r})
 		}
 	}
@@ -485,7 +514,7 @@ func (p *Processor) archivedHits(terms []string, k int, now time.Time) []scoredB
 }
 
 // relevance is Eq. 7 for one bundle.
-func (p *Processor) relevance(terms []string, b *bundle.Bundle, now time.Time) float64 {
+func (p *Processor) relevance(terms []queryTerm, b *bundle.Bundle, now time.Time) float64 {
 	s := textualSim(terms, b)
 	i := indicantSim(terms, b)
 	t := freshness(now, b.EndTime())
@@ -496,13 +525,13 @@ func (p *Processor) relevance(terms []string, b *bundle.Bundle, now time.Time) f
 // over the bundle's keyword summary — the common textual similarity of
 // the paper, computed from the summary rather than re-reading member
 // messages.
-func textualSim(terms []string, b *bundle.Bundle) float64 {
+func textualSim(terms []queryTerm, b *bundle.Bundle) float64 {
 	if b.Size() == 0 {
 		return 0
 	}
 	var sum float64
 	for _, t := range terms {
-		tf := float64(b.KeywordCount(t))
+		tf := float64(b.Count(t.keyword))
 		sum += tf / float64(b.Size())
 	}
 	return sum / float64(len(terms))
@@ -510,10 +539,10 @@ func textualSim(terms []string, b *bundle.Bundle) float64 {
 
 // indicantSim i(q,B): the fraction of query terms that appear as hard
 // indicants (hashtags or URLs) of the bundle.
-func indicantSim(terms []string, b *bundle.Bundle) float64 {
+func indicantSim(terms []queryTerm, b *bundle.Bundle) float64 {
 	n := 0
 	for _, t := range terms {
-		if b.TagCount(t) > 0 || b.URLCount(t) > 0 {
+		if b.Count(t.tag) > 0 || b.Count(t.url) > 0 {
 			n++
 		}
 	}

@@ -13,6 +13,7 @@ package score
 import (
 	"time"
 
+	"provex/internal/termdict"
 	"provex/internal/tokenizer"
 	"provex/internal/tweet"
 )
@@ -47,27 +48,108 @@ func (c ConnectionType) String() string {
 	}
 }
 
-// Doc couples a message with its extracted keyword set. Keyword
-// extraction costs a tokenizer pass, so it happens once at ingest and
-// rides along with the message through matching, allocation and
-// summary maintenance.
+// Doc couples a message with its indicants resolved to term-dictionary
+// IDs. Resolution costs a tokenizer pass and a dictionary probe per
+// term, so it happens once, in prepare, and the Doc rides along with
+// the message through matching, allocation and summary maintenance.
+//
+// Terms is one exact-fit list: the author, the message's hashtags, its
+// URLs and its keywords, then — for a re-share only — the re-shared
+// user. The message's own counts delimit the runs, so the accessors
+// below slice it without a scan; the author through the keywords is a
+// prefix (Indicants), the set a bundle summary and the summary index
+// count.
 type Doc struct {
-	Msg      *tweet.Message
-	Keywords []string
+	Msg   *tweet.Message
+	Terms []termdict.ID
 }
 
-// NewDoc runs the keyword extraction pass for m and returns the Doc the
-// scoring functions consume. It is pure (no shared state beyond the
-// tokenizer's concurrency-safe intern table), which is what lets the
-// pipeline's prepare stage run it on many messages concurrently.
+// NewDoc resolves m's indicants and extracts and resolves the keywords
+// of its text, adding first-seen terms to the dictionary. It touches no
+// engine state (the dictionary is safe for concurrent use), which is
+// what lets the pipeline's prepare stage run it ahead of the writer.
 func NewDoc(m *tweet.Message) Doc {
-	return Doc{Msg: m, Keywords: tokenizer.Keywords(m.Text)}
+	var scratch [48]termdict.ID
+	terms := appendHead(scratch[:0], m)
+	terms = tokenizer.AppendKeywords(terms, m.Text)
+	return finish(m, terms)
 }
 
-// overlap counts common elements of two small string slices. The slices
-// on micro-blog messages hold a handful of entries, so the quadratic
-// scan beats building maps.
-func overlap(a, b []string) int {
+// DocWithKeywords is NewDoc with the keyword set given rather than
+// extracted: a decoded bundle keeps the keywords its messages were
+// indexed under.
+func DocWithKeywords(m *tweet.Message, keywords []string) Doc {
+	var scratch [48]termdict.ID
+	terms := appendHead(scratch[:0], m)
+	for _, k := range keywords {
+		terms = append(terms, termdict.Intern(termdict.Keyword, k))
+	}
+	return finish(m, terms)
+}
+
+// appendHead appends the author, hashtag and URL IDs of m.
+func appendHead(dst []termdict.ID, m *tweet.Message) []termdict.ID {
+	dst = append(dst, termdict.Intern(termdict.User, m.User))
+	for _, h := range m.Hashtags {
+		dst = append(dst, termdict.Intern(termdict.Tag, h))
+	}
+	for _, u := range m.URLs {
+		dst = append(dst, termdict.Intern(termdict.URL, u))
+	}
+	return dst
+}
+
+// finish appends the re-shared user and copies the list out to fit: the
+// engine keeps it as long as it keeps the message.
+func finish(m *tweet.Message, terms []termdict.ID) Doc {
+	if m.IsRT() {
+		terms = append(terms, termdict.Intern(termdict.User, m.RTOf))
+	}
+	return Doc{Msg: m, Terms: append(make([]termdict.ID, 0, len(terms)), terms...)}
+}
+
+// rt is 1 for a re-share (its last term is the re-shared user), else 0.
+func (d Doc) rt() int {
+	if d.Msg.IsRT() {
+		return 1
+	}
+	return 0
+}
+
+// User is the author's ID.
+func (d Doc) User() termdict.ID { return d.Terms[0] }
+
+// Tags are the hashtag IDs, in the message's order.
+func (d Doc) Tags() []termdict.ID { return d.Terms[1 : 1+len(d.Msg.Hashtags)] }
+
+// URLs are the URL IDs, in the message's order.
+func (d Doc) URLs() []termdict.ID {
+	i := 1 + len(d.Msg.Hashtags)
+	return d.Terms[i : i+len(d.Msg.URLs)]
+}
+
+// Keywords are the keyword IDs, in first-occurrence order.
+func (d Doc) Keywords() []termdict.ID {
+	return d.Terms[1+len(d.Msg.Hashtags)+len(d.Msg.URLs) : len(d.Terms)-d.rt()]
+}
+
+// RTUser is the re-shared user's ID; ok is false for an original post.
+func (d Doc) RTUser() (id termdict.ID, ok bool) {
+	if !d.Msg.IsRT() {
+		return termdict.None, false
+	}
+	return d.Terms[len(d.Terms)-1], true
+}
+
+// Indicants are the terms the message contributes to a bundle summary
+// and the summary index: author, hashtags, URLs and keywords — every
+// term but the re-shared user.
+func (d Doc) Indicants() []termdict.ID { return d.Terms[:len(d.Terms)-d.rt()] }
+
+// overlap counts common elements of two small ID lists. The lists on
+// micro-blog messages hold a handful of entries, so the quadratic scan
+// beats building sets.
+func overlap(a, b []termdict.ID) int {
 	n := 0
 	for _, x := range a {
 		for _, y := range b {
@@ -80,17 +162,23 @@ func overlap(a, b []string) int {
 	return n
 }
 
+// rtOf reports whether b re-shares a's author.
+func rtOf(a, b Doc) bool {
+	rt, ok := b.RTUser()
+	return ok && rt == a.User()
+}
+
 // Classify labels the strongest Table II connection from earlier
 // message a to later message b, ConnNone when unrelated.
 func Classify(a, b Doc) ConnectionType {
 	switch {
-	case b.Msg.IsRT() && b.Msg.RTOf == a.Msg.User:
+	case rtOf(a, b):
 		return ConnRT
-	case overlap(a.Msg.URLs, b.Msg.URLs) > 0:
+	case overlap(a.URLs(), b.URLs()) > 0:
 		return ConnURL
-	case overlap(a.Msg.Hashtags, b.Msg.Hashtags) > 0:
+	case overlap(a.Tags(), b.Tags()) > 0:
 		return ConnHashtag
-	case overlap(a.Keywords, b.Keywords) > 0:
+	case overlap(a.Keywords(), b.Keywords()) > 0:
 		return ConnText
 	default:
 		return ConnNone
@@ -116,19 +204,18 @@ func DefaultMessageWeights() MessageWeights {
 
 // U is Equation 2: the fraction of the later message's URLs shared with
 // the earlier one. Zero when the later message has no URLs.
-func U(earlier, later *tweet.Message) float64 {
-	if len(later.URLs) == 0 {
-		return 0
-	}
-	return float64(overlap(later.URLs, earlier.URLs)) / float64(len(later.URLs))
-}
+func U(earlier, later Doc) float64 { return share(earlier.URLs(), later.URLs()) }
 
 // H is Equation 3, the hashtag analogue of U.
-func H(earlier, later *tweet.Message) float64 {
-	if len(later.Hashtags) == 0 {
+func H(earlier, later Doc) float64 { return share(earlier.Tags(), later.Tags()) }
+
+// share is the fraction of later's terms that earlier carries, 0 when
+// later has none: the ratio of Eq. 2, Eq. 3 and the keyword term.
+func share(earlier, later []termdict.ID) float64 {
+	if len(later) == 0 {
 		return 0
 	}
-	return float64(overlap(later.Hashtags, earlier.Hashtags)) / float64(len(later.Hashtags))
+	return float64(overlap(later, earlier)) / float64(len(later))
 }
 
 // T is Equation 4: inverse time gap, measured in hours so that the
@@ -141,14 +228,6 @@ func T(a, b *tweet.Message) float64 {
 		gap = -gap
 	}
 	return 1 / (gap.Hours() + 1)
-}
-
-// keywordSim is the keyword analogue of U/H over extracted keyword sets.
-func keywordSim(earlier, later Doc) float64 {
-	if len(later.Keywords) == 0 {
-		return 0
-	}
-	return float64(overlap(later.Keywords, earlier.Keywords)) / float64(len(later.Keywords))
 }
 
 // MessageSimParts is Equation 5 split into its weighted components.
@@ -170,13 +249,13 @@ type MessageSimParts struct {
 // order from its merge counts.
 func MessageSim(w MessageWeights, earlier, later Doc) MessageSimParts {
 	p := MessageSimParts{
-		U:       w.URL * U(earlier.Msg, later.Msg),
-		H:       w.Tag * H(earlier.Msg, later.Msg),
+		U:       w.URL * U(earlier, later),
+		H:       w.Tag * H(earlier, later),
 		T:       w.Time * T(earlier.Msg, later.Msg),
-		Keyword: w.Keyword * keywordSim(earlier, later),
+		Keyword: w.Keyword * share(earlier.Keywords(), later.Keywords()),
 	}
 	p.Total = p.U + p.H + p.T + p.Keyword
-	if later.Msg.IsRT() && later.Msg.RTOf == earlier.Msg.User {
+	if rtOf(earlier, later) {
 		p.RT = w.RT
 		p.Total += w.RT
 	}
@@ -212,13 +291,9 @@ func DefaultBundleWeights() BundleWeights {
 // BundleStats is the view of a bundle the Eq. 1 scorer needs. It is a
 // narrow interface so score does not depend on the bundle package.
 type BundleStats interface {
-	// TagCount / URLCount / KeywordCount return how many messages of
-	// the bundle carry the given indicant.
-	TagCount(tag string) int
-	URLCount(url string) int
-	KeywordCount(kw string) int
-	// HasUser reports whether the user posted inside the bundle.
-	HasUser(user string) bool
+	// Count returns how many messages of the bundle carry the term — a
+	// hashtag, URL or keyword, or for a user how many they posted.
+	Count(term termdict.ID) int
 	// LastDate is the newest message date in the bundle.
 	LastDate() time.Time
 }
@@ -248,29 +323,29 @@ type BundleSimParts struct {
 func BundleSim(w BundleWeights, t Doc, b BundleStats) BundleSimParts {
 	var p BundleSimParts
 	var s float64
-	for _, u := range t.Msg.URLs {
-		if b.URLCount(u) > 0 {
+	for _, u := range t.URLs() {
+		if b.Count(u) > 0 {
 			s += w.URL
 			p.URL += w.URL
 		}
 	}
-	for _, h := range t.Msg.Hashtags {
-		if b.TagCount(h) > 0 {
+	for _, h := range t.Tags() {
+		if b.Count(h) > 0 {
 			s += w.Tag
 			p.Tag += w.Tag
 		}
 	}
-	if len(t.Keywords) > 0 {
+	if kws := t.Keywords(); len(kws) > 0 {
 		shared := 0
-		for _, k := range t.Keywords {
-			if b.KeywordCount(k) > 0 {
+		for _, k := range kws {
+			if b.Count(k) > 0 {
 				shared++
 			}
 		}
-		p.Keyword = w.Keyword * float64(shared) / float64(len(t.Keywords))
+		p.Keyword = w.Keyword * float64(shared) / float64(len(kws))
 		s += p.Keyword
 	}
-	if t.Msg.IsRT() && b.HasUser(t.Msg.RTOf) {
+	if rt, ok := t.RTUser(); ok && b.Count(rt) > 0 {
 		p.RT = w.RT
 		s += w.RT
 	}

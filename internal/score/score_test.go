@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
-	"provex/internal/tokenizer"
+	"provex/internal/termdict"
 	"provex/internal/tweet"
 )
 
@@ -14,7 +14,7 @@ var base = time.Date(2009, 9, 26, 0, 0, 0, 0, time.UTC)
 
 func doc(id tweet.ID, user, text string, at time.Time) Doc {
 	m := tweet.Parse(id, user, at, text)
-	return Doc{Msg: m, Keywords: tokenizer.Keywords(text)}
+	return NewDoc(m)
 }
 
 func TestClassifyTableII(t *testing.T) {
@@ -60,14 +60,14 @@ func TestConnectionTypeString(t *testing.T) {
 
 func TestOverlap(t *testing.T) {
 	tests := []struct {
-		a, b []string
+		a, b []termdict.ID
 		want int
 	}{
 		{nil, nil, 0},
-		{[]string{"a"}, nil, 0},
-		{[]string{"a", "b"}, []string{"b", "c"}, 1},
-		{[]string{"a", "b"}, []string{"a", "b"}, 2},
-		{[]string{"a", "a"}, []string{"a"}, 2}, // caller guarantees dedup; raw count documented
+		{[]termdict.ID{1}, nil, 0},
+		{[]termdict.ID{1, 2}, []termdict.ID{2, 3}, 1},
+		{[]termdict.ID{1, 2}, []termdict.ID{1, 2}, 2},
+		{[]termdict.ID{1, 1}, []termdict.ID{1}, 2}, // caller guarantees dedup; raw count documented
 	}
 	for _, tc := range tests {
 		if got := overlap(tc.a, tc.b); got != tc.want {
@@ -79,14 +79,14 @@ func TestOverlap(t *testing.T) {
 func TestEquation2URL(t *testing.T) {
 	a := doc(1, "u1", "first http://bit.ly/x http://ow.ly/y", base)
 	b := doc(2, "u2", "second http://bit.ly/x", base.Add(time.Hour))
-	if got := U(a.Msg, b.Msg); got != 1.0 {
+	if got := U(a, b); got != 1.0 {
 		t.Errorf("U = %v, want 1.0 (all of later's URLs shared)", got)
 	}
-	if got := U(b.Msg, a.Msg); got != 0.5 {
+	if got := U(b, a); got != 0.5 {
 		t.Errorf("U reversed = %v, want 0.5", got)
 	}
 	c := doc(3, "u3", "no urls", base)
-	if got := U(a.Msg, c.Msg); got != 0 {
+	if got := U(a, c); got != 0 {
 		t.Errorf("U with no URLs = %v, want 0", got)
 	}
 }
@@ -94,10 +94,10 @@ func TestEquation2URL(t *testing.T) {
 func TestEquation3Hashtag(t *testing.T) {
 	a := doc(1, "u1", "#redsox #yankees game", base)
 	b := doc(2, "u2", "#redsox night", base.Add(time.Hour))
-	if got := H(a.Msg, b.Msg); got != 1.0 {
+	if got := H(a, b); got != 1.0 {
 		t.Errorf("H = %v, want 1.0", got)
 	}
-	if got := H(b.Msg, a.Msg); got != 0.5 {
+	if got := H(b, a); got != 0.5 {
 		t.Errorf("H reversed = %v, want 0.5", got)
 	}
 }
@@ -145,11 +145,23 @@ type fakeBundle struct {
 	last            time.Time
 }
 
-func (f *fakeBundle) TagCount(s string) int     { return f.tags[s] }
-func (f *fakeBundle) URLCount(s string) int     { return f.urls[s] }
-func (f *fakeBundle) KeywordCount(s string) int { return f.kws[s] }
-func (f *fakeBundle) HasUser(u string) bool     { return f.users[u] }
-func (f *fakeBundle) LastDate() time.Time       { return f.last }
+func (f *fakeBundle) Count(t termdict.ID) int {
+	s := termdict.Term(t)
+	switch t.Class() {
+	case termdict.Tag:
+		return f.tags[s]
+	case termdict.URL:
+		return f.urls[s]
+	case termdict.Keyword:
+		return f.kws[s]
+	default:
+		if f.users[s] {
+			return 1
+		}
+		return 0
+	}
+}
+func (f *fakeBundle) LastDate() time.Time { return f.last }
 
 func TestEquation1BundleSim(t *testing.T) {
 	w := DefaultBundleWeights()
@@ -230,11 +242,31 @@ func TestBundleSimEmptyProperty(t *testing.T) {
 	w := DefaultBundleWeights()
 	empty := &fakeBundle{last: base}
 	f := func(text string) bool {
-		d := doc(1, "u", "x "+text, base)
-		d.Msg.RTOf = "" // ensure no RT path
-		return BundleSim(w, d, empty).Total == 0
+		m := tweet.Parse(1, "u", base, "x "+text)
+		m.RTOf = "" // ensure no RT path
+		return BundleSim(w, NewDoc(m), empty).Total == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestNewDocOneAllocation: prepare runs once per ingested message and
+// the Doc's ID list is its only allocation once the dictionary holds
+// the message's terms — the lists are built in stack scratch.
+func TestNewDocOneAllocation(t *testing.T) {
+	m := tweet.Parse(1, "abcdude", base, "Classy RT @AmalieBenjamin: Lester getting an ovation #Yankee #redsox http://bit.ly/Uvcpr")
+	d := NewDoc(m)
+	if len(d.Terms) != cap(d.Terms) {
+		t.Errorf("Terms: %d IDs in %d slots, want an exact fit", len(d.Terms), cap(d.Terms))
+	}
+	if n := testing.AllocsPerRun(100, func() { NewDoc(m) }); n != 1 {
+		t.Errorf("NewDoc allocates %.0f times, want 1", n)
+	}
+	if u, ok := d.RTUser(); !ok || termdict.Term(u) != "amaliebenjamin" || termdict.Term(d.User()) != "abcdude" {
+		t.Errorf("RTUser/User = %q/%q", termdict.Term(u), termdict.Term(d.User()))
+	}
+	if got := len(d.Tags()) + len(d.URLs()) + len(d.Keywords()) + 2; got != len(d.Terms) {
+		t.Errorf("the runs cover %d of %d IDs", got, len(d.Terms))
 	}
 }

@@ -68,6 +68,7 @@ import (
 	"provex/internal/metrics"
 	"provex/internal/query"
 	"provex/internal/storage"
+	"provex/internal/termdict"
 	"provex/internal/trace"
 )
 
@@ -122,8 +123,10 @@ type Option func(*Server)
 
 // WithRegistry instruments every endpoint (request counters by status
 // class, latency histograms, an in-flight gauge), registers the
-// backend's snapshot-derived gauges, and serves the whole registry at
-// GET /metrics in Prometheus text exposition format.
+// backend's snapshot-derived gauges and the process-wide families
+// (build, runtime, term dictionary) — a process runs one server, so
+// they register once whatever its shape — and serves the whole
+// registry at GET /metrics in Prometheus text exposition format.
 func WithRegistry(reg *metrics.Registry) Option {
 	return func(s *Server) { s.reg = reg }
 }
@@ -169,6 +172,7 @@ func New(backend Backend, opts ...Option) *Server {
 		s.inFlight = s.reg.Gauge("provex_http_in_flight_requests",
 			"Requests currently being handled.")
 		metrics.RegisterProcess(s.reg)
+		termdict.RegisterMetrics(s.reg)
 		registerBackendMetrics(s.reg, backend)
 	}
 	s.handle("/", s.handleIndex)

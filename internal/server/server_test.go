@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -15,6 +16,7 @@ import (
 	"provex/internal/core"
 	"provex/internal/pipeline"
 	"provex/internal/query"
+	"provex/internal/termdict"
 	"provex/internal/tweet"
 )
 
@@ -288,5 +290,55 @@ func TestBundleWhileIngesting(t *testing.T) {
 	}
 	if grew == 0 {
 		t.Fatal("no poll saw bundle 1 between PruneMinNodes and full: the test did not overlap ingest")
+	}
+}
+
+// TestQueriesDoNotGrowDictionary: /search and /prov resolve their words
+// through the term dictionary without adding to it — 10 000 queries of
+// random words, in random case and with and without '#', leave every
+// class's term count where ingest left it, while words the stream
+// carries still match.
+func TestQueriesDoNotGrowDictionary(t *testing.T) {
+	srv, _ := newTestServer(t)
+	var held [termdict.NumClasses]int
+	for c := range held {
+		held[c] = termdict.Len(termdict.Class(c))
+	}
+	rng := rand.New(rand.NewSource(1))
+	word := func() string {
+		b := make([]byte, 3+rng.Intn(8))
+		for i := range b {
+			b[i] = byte('a' + rng.Intn(26))
+			if rng.Intn(4) == 0 {
+				b[i] -= 'a' - 'A'
+			}
+		}
+		if rng.Intn(3) == 0 {
+			return "%23" + string(b) // "#word"
+		}
+		return string(b)
+	}
+	for i := 0; i < 10000; i++ {
+		q := word() + "+" + word() + "+lester"
+		path := "/search"
+		if i%2 == 1 {
+			path = "/prov"
+		}
+		resp, err := http.Get(srv.URL + path + "?q=" + q + "&k=3")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s?q=%s: status %d", path, q, resp.StatusCode)
+		}
+	}
+	for c := range held {
+		if n := termdict.Len(termdict.Class(c)); n != held[c] {
+			t.Errorf("%d queries added %d %s terms to the dictionary", 10000, n-held[c], termdict.Class(c))
+		}
+	}
+	if b, _ := getJSON(t, srv.URL+"/prov?q=Xqzvw+lester&k=3", http.StatusOK)["bundles"].([]interface{}); len(b) == 0 {
+		t.Error("a query mixing an unknown word with a known one matched nothing")
 	}
 }

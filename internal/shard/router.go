@@ -18,6 +18,7 @@ package shard
 
 import (
 	"provex/internal/score"
+	"provex/internal/termdict"
 )
 
 // FNV-1a, inlined so the hot path stays allocation-free.
@@ -39,7 +40,9 @@ func hashString(h uint64, s string) uint64 {
 
 // RouteKey hashes the message's dominant indicant. Each indicant class
 // salts the hash with a distinct byte so equal strings in different
-// classes ("#x" vs a keyword "x") do not collide structurally. Pure:
+// classes ("#x" vs a keyword "x") do not collide structurally. It hashes
+// the term, never its dictionary ID, which another process numbers
+// differently. Pure:
 // the same document always yields the same key, on any shard count —
 // which is what makes sharded ingest a function of (stream, N, batch)
 // alone, independent of goroutine scheduling.
@@ -54,8 +57,8 @@ func RouteKey(doc score.Doc) uint64 {
 		return hashString(fnvOffset^2, m.URLs[0])
 	case len(m.Hashtags) > 0:
 		return hashString(fnvOffset^3, m.Hashtags[0])
-	case len(doc.Keywords) > 0:
-		return hashString(fnvOffset^4, doc.Keywords[0])
+	case len(doc.Keywords()) > 0:
+		return hashString(fnvOffset^4, termdict.Term(doc.Keywords()[0]))
 	default:
 		return hashString(fnvOffset^5, m.User)
 	}

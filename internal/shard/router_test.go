@@ -10,7 +10,7 @@ import (
 )
 
 func doc(m tweet.Message, keywords ...string) score.Doc {
-	return score.Doc{Msg: &m, Keywords: keywords}
+	return score.DocWithKeywords(&m, keywords)
 }
 
 func TestRouteKeyClassPrecedence(t *testing.T) {

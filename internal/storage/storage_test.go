@@ -10,7 +10,6 @@ import (
 	"provex/internal/bundle"
 	"provex/internal/gen"
 	"provex/internal/score"
-	"provex/internal/tokenizer"
 	"provex/internal/tweet"
 )
 
@@ -29,7 +28,7 @@ func makeBundle(id bundle.ID, n int) *bundle.Bundle {
 	b := bundle.New(id)
 	for i := 0; i < n; i++ {
 		m := g.Next()
-		b.Add(msgWeights, score.Doc{Msg: m, Keywords: tokenizer.Keywords(m.Text)})
+		b.Add(msgWeights, score.NewDoc(m))
 	}
 	return b
 }
@@ -291,7 +290,7 @@ func TestBundleContentSurvivesStore(t *testing.T) {
 	b := bundle.New(77)
 	at := time.Date(2009, 9, 30, 1, 2, 3, 0, time.UTC)
 	m := tweet.Parse(5, "somebody", at, "exact text #tag http://bit.ly/z")
-	b.Add(msgWeights, score.Doc{Msg: m, Keywords: tokenizer.Keywords(m.Text)})
+	b.Add(msgWeights, score.NewDoc(m))
 	if err := s.Put(b); err != nil {
 		t.Fatal(err)
 	}

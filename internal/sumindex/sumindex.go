@@ -25,44 +25,19 @@
 package sumindex
 
 import (
-	"fmt"
 	"math/bits"
 	"slices"
 
 	"provex/internal/metrics"
 	"provex/internal/score"
+	"provex/internal/termdict"
 )
 
-// Class identifies an indicant family — a top-level key group of the
-// summary index.
-type Class uint8
-
-// Indicant classes. ClassUser is the paper's "more system specific
-// fields can also be included, like the RT information": it lets a
-// re-share route to the bundle containing the re-shared user's posts.
-const (
-	ClassTag Class = iota
-	ClassURL
-	ClassKeyword
-	ClassUser
-	numClasses
-)
-
-// String names the class.
-func (c Class) String() string {
-	switch c {
-	case ClassTag:
-		return "hashtag"
-	case ClassURL:
-		return "url"
-	case ClassKeyword:
-		return "keyword"
-	case ClassUser:
-		return "user"
-	default:
-		return fmt.Sprintf("class%d", uint8(c))
-	}
-}
+// The index's keys are term-dictionary IDs, whose top bits carry the
+// indicant class (termdict.Class), so one map holds every class. The
+// user class is the paper's "more system specific fields can also be
+// included, like the RT information": it lets a re-share route to the
+// bundle containing the re-shared user's posts.
 
 // BundleID mirrors bundle.ID without importing the bundle package,
 // keeping sumindex reusable below it in the dependency order.
@@ -87,8 +62,9 @@ const (
 // read lock) are safe as long as no Observe/Forget/Candidates call runs
 // at the same time.
 type Index struct {
-	classes [numClasses]map[string][]Posting
-	mem     metrics.MemEstimator
+	postings map[termdict.ID][]Posting
+	terms    [termdict.NumClasses]int // distinct terms by class
+	mem      metrics.MemEstimator
 	// maxFanout skips hard-indicant postings longer than this during
 	// candidate fetch (0 = unlimited): a hashtag carried by thousands
 	// of bundles is a stop indicant with no routing signal. Postings
@@ -112,11 +88,7 @@ type Index struct {
 
 // New creates an empty summary index with no fanout cap.
 func New() *Index {
-	ix := &Index{}
-	for c := range ix.classes {
-		ix.classes[c] = make(map[string][]Posting)
-	}
-	return ix
+	return &Index{postings: make(map[termdict.ID][]Posting)}
 }
 
 // SetMaxFanout bounds the posting-list length considered during
@@ -127,17 +99,9 @@ func (ix *Index) SetMaxFanout(n int) { ix.maxFanout = n }
 // message raises its posting count for that bundle (Algorithm 1,
 // step 3 — "update summary index").
 func (ix *Index) Observe(id BundleID, doc score.Doc) {
-	m := doc.Msg
-	for _, h := range m.Hashtags {
-		ix.add(ClassTag, h, id)
+	for _, t := range doc.Indicants() {
+		ix.add(t, id)
 	}
-	for _, u := range m.URLs {
-		ix.add(ClassURL, u, id)
-	}
-	for _, k := range doc.Keywords {
-		ix.add(ClassKeyword, k, id)
-	}
-	ix.add(ClassUser, m.User, id)
 }
 
 // findPosting returns the insertion index of id in the ID-sorted list.
@@ -154,13 +118,12 @@ func findPosting(pl []Posting, id BundleID) int {
 	return lo
 }
 
-func (ix *Index) add(c Class, term string, id BundleID) {
-	class := ix.classes[c]
-	pl, ok := class[term]
+func (ix *Index) add(term termdict.ID, id BundleID) {
+	pl, ok := ix.postings[term]
 	if !ok {
-		pl = append(ix.allocPostings(1), Posting{ID: id, Count: 1})
-		class[term] = pl
-		ix.mem.Add(metrics.MapEntryCost + metrics.StringCost(term) + metrics.PostingCost)
+		ix.postings[term] = append(ix.allocPostings(1), Posting{ID: id, Count: 1})
+		ix.terms[term.Class()]++
+		ix.mem.Add(metrics.MapEntryCost + metrics.PostingCost)
 		return
 	}
 	i := findPosting(pl, id)
@@ -182,7 +145,7 @@ func (ix *Index) add(c Class, term string, id BundleID) {
 		ix.recycle(pl)
 		pl = grown
 	}
-	class[term] = pl
+	ix.postings[term] = pl
 	ix.mem.Add(metrics.PostingCost)
 }
 
@@ -229,27 +192,17 @@ func (ix *Index) recycle(pl []Posting) {
 	ix.slabs[k] = append(ix.slabs[k], pl[:0])
 }
 
-// Forget removes every posting of the bundle described by (tags, urls,
-// keys, users) — the distinct indicants a bundle reports via
-// Indicants(). It implements Algorithm 3's delete_index(b).
-func (ix *Index) Forget(id BundleID, tags, urls, keys, users []string) {
-	for _, t := range tags {
-		ix.drop(ClassTag, t, id)
-	}
-	for _, u := range urls {
-		ix.drop(ClassURL, u, id)
-	}
-	for _, k := range keys {
-		ix.drop(ClassKeyword, k, id)
-	}
-	for _, u := range users {
-		ix.drop(ClassUser, u, id)
+// Forget removes the bundle's posting from every list of terms — the
+// distinct terms a bundle reports via AppendTerms. It implements
+// Algorithm 3's delete_index(b).
+func (ix *Index) Forget(id BundleID, terms []termdict.ID) {
+	for _, t := range terms {
+		ix.drop(t, id)
 	}
 }
 
-func (ix *Index) drop(c Class, term string, id BundleID) {
-	class := ix.classes[c]
-	pl, ok := class[term]
+func (ix *Index) drop(term termdict.ID, id BundleID) {
+	pl, ok := ix.postings[term]
 	if !ok {
 		return
 	}
@@ -261,12 +214,13 @@ func (ix *Index) drop(c Class, term string, id BundleID) {
 	pl = pl[:len(pl)-1]
 	ix.mem.Sub(metrics.PostingCost)
 	if len(pl) == 0 {
-		delete(class, term)
+		delete(ix.postings, term)
+		ix.terms[term.Class()]--
 		ix.recycle(pl)
-		ix.mem.Sub(metrics.MapEntryCost + metrics.StringCost(term))
+		ix.mem.Sub(metrics.MapEntryCost)
 		return
 	}
-	class[term] = pl
+	ix.postings[term] = pl
 }
 
 // Candidate is one bundle surfaced by the summary index with the number
@@ -310,7 +264,7 @@ type FetchInfo struct {
 type cursor struct {
 	list  []Posting
 	pos   int
-	class Class
+	class termdict.Class
 }
 
 // heapEntry orders one cursor in the merge heap by the bundle ID under
@@ -346,15 +300,14 @@ type heapEntry struct {
 func (ix *Index) Candidates(doc score.Doc) []Candidate {
 	ix.fetch = FetchInfo{}
 	ix.cursors, ix.heap = ix.cursors[:0], ix.heap[:0]
-	m := doc.Msg
-	for _, h := range m.Hashtags {
-		ix.gather(ClassTag, h)
+	for _, h := range doc.Tags() {
+		ix.gather(h)
 	}
-	for _, u := range m.URLs {
-		ix.gather(ClassURL, u)
+	for _, u := range doc.URLs() {
+		ix.gather(u)
 	}
-	if m.IsRT() {
-		ix.gather(ClassUser, m.RTOf)
+	if rt, ok := doc.RTUser(); ok {
+		ix.gather(rt)
 	}
 	if len(ix.cursors) == 0 {
 		return nil
@@ -367,28 +320,28 @@ func (ix *Index) Candidates(doc score.Doc) []Candidate {
 // as skipped slack when its list exceeds the fanout cap.
 //
 //provex:hotpath runs per hard-indicant term of every ingested message
-func (ix *Index) gather(c Class, term string) {
-	pl := ix.classes[c][term]
+func (ix *Index) gather(term termdict.ID) {
+	pl := ix.postings[term]
 	if ix.maxFanout > 0 && len(pl) > ix.maxFanout {
-		ix.noteSkip(c)
+		ix.noteSkip(term.Class())
 		return
 	}
 	if len(pl) == 0 {
 		return
 	}
 	ix.heap = append(ix.heap, heapEntry{head: pl[0].ID, cursor: int32(len(ix.cursors))})
-	ix.cursors = append(ix.cursors, cursor{list: pl, class: c})
+	ix.cursors = append(ix.cursors, cursor{list: pl, class: term.Class()})
 	ix.fetch.Postings += len(pl)
 }
 
 // noteSkip records a non-traversed term for LastFetch.
-func (ix *Index) noteSkip(c Class) {
+func (ix *Index) noteSkip(c termdict.Class) {
 	switch c {
-	case ClassURL:
+	case termdict.URL:
 		ix.fetch.SkippedURL++
-	case ClassTag:
+	case termdict.Tag:
 		ix.fetch.SkippedTag++
-	case ClassUser:
+	case termdict.User:
 		ix.fetch.SkippedRT = true
 	}
 }
@@ -410,7 +363,7 @@ func (ix *Index) merge() {
 	out := ix.merged[:0]
 	for len(h) > 0 {
 		id := h[0].head
-		var n [numClasses]uint32
+		var n [termdict.NumClasses]uint32
 		hits := 0
 		for len(h) > 0 && h[0].head == id {
 			top := h[0]
@@ -427,7 +380,7 @@ func (ix *Index) merge() {
 			siftDown(h, 0, top)
 		}
 		ix.hist[hits]++
-		out = append(out, Candidate{ID: id, URLHits: n[ClassURL], TagHits: n[ClassTag], RTHit: n[ClassUser] != 0})
+		out = append(out, Candidate{ID: id, URLHits: n[termdict.URL], TagHits: n[termdict.Tag], RTHit: n[termdict.User] != 0})
 	}
 	ix.merged = out
 }
@@ -482,17 +435,17 @@ func (ix *Index) scatter() []Candidate {
 // Like the candidate slice itself, it is valid until the next call.
 func (ix *Index) LastFetch() FetchInfo { return ix.fetch }
 
-// Postings returns the posting list of term in class c, ordered by
-// ascending bundle ID. The slice is the index's internal storage:
+// Postings returns the posting list of term, ordered by ascending bundle
+// ID; termdict.None has none. The slice is the index's internal storage:
 // callers must treat it as read-only and must not retain it across
 // index mutations. Query support uses it for the i(q,B)
 // indicant-closeness factor of Eq. 7.
-func (ix *Index) Postings(c Class, term string) []Posting {
-	return ix.classes[c][term]
+func (ix *Index) Postings(term termdict.ID) []Posting {
+	return ix.postings[term]
 }
 
-// Terms returns the number of distinct terms in class c.
-func (ix *Index) Terms(c Class) int { return len(ix.classes[c]) }
+// Terms returns the number of distinct terms of class c.
+func (ix *Index) Terms(c termdict.Class) int { return ix.terms[c] }
 
 // MemBytes is the analytic memory estimate of the index.
 func (ix *Index) MemBytes() int64 { return ix.mem.Bytes() }

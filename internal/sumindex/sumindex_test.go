@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"provex/internal/score"
-	"provex/internal/tokenizer"
+	"provex/internal/termdict"
 	"provex/internal/tweet"
 )
 
@@ -18,7 +18,7 @@ var base = time.Date(2009, 9, 1, 0, 0, 0, 0, time.UTC)
 
 func doc(id tweet.ID, user, text string) score.Doc {
 	m := tweet.Parse(id, user, base.Add(time.Duration(id)*time.Minute), text)
-	return score.Doc{Msg: m, Keywords: tokenizer.Keywords(text)}
+	return score.NewDoc(m)
 }
 
 func TestObserveAndCandidates(t *testing.T) {
@@ -85,9 +85,7 @@ func TestForget(t *testing.T) {
 	ix.Observe(1, d)
 	ix.Observe(2, doc(2, "b", "more #redsox"))
 
-	// The keyword set of the observed doc includes "redsox" (the
-	// tokenizer keeps hashtag words as text tokens).
-	ix.Forget(1, []string{"redsox"}, []string{"bit.ly/x"}, d.Keywords, []string{"a"})
+	ix.Forget(1, d.Indicants())
 	cands := ix.Candidates(doc(3, "c", "#redsox game http://bit.ly/x"))
 	for _, c := range cands {
 		if c.ID == 1 {
@@ -98,7 +96,7 @@ func TestForget(t *testing.T) {
 		t.Errorf("Candidates = %v, want only bundle 2", cands)
 	}
 	// Forgetting again is a no-op.
-	ix.Forget(1, []string{"redsox"}, nil, nil, nil)
+	ix.Forget(1, []termdict.ID{termdict.Lookup(termdict.Tag, "redsox")})
 }
 
 func TestMemoryAccounting(t *testing.T) {
@@ -112,7 +110,7 @@ func TestMemoryAccounting(t *testing.T) {
 	if grown <= 0 {
 		t.Fatal("Observe did not grow memory estimate")
 	}
-	ix.Forget(1, d.Msg.Hashtags, d.Msg.URLs, d.Keywords, []string{"a"})
+	ix.Forget(1, d.Indicants())
 	if got := ix.MemBytes(); got != 0 {
 		t.Errorf("mem after full forget = %d, want 0", got)
 	}
@@ -122,22 +120,12 @@ func TestDuplicateObserveCounts(t *testing.T) {
 	ix := New()
 	ix.Observe(1, doc(1, "a", "#redsox"))
 	ix.Observe(1, doc(2, "b", "#redsox again"))
-	p := ix.Postings(ClassTag, "redsox")
+	p := ix.Postings(termdict.Lookup(termdict.Tag, "redsox"))
 	if len(p) != 1 || p[0].ID != 1 || p[0].Count != 2 {
 		t.Errorf("postings = %v, want [{1 2}]", p)
 	}
-	if ix.Terms(ClassTag) != 1 {
-		t.Errorf("Terms = %d, want 1", ix.Terms(ClassTag))
-	}
-}
-
-func TestClassString(t *testing.T) {
-	for c, want := range map[Class]string{
-		ClassTag: "hashtag", ClassURL: "url", ClassKeyword: "keyword", ClassUser: "user",
-	} {
-		if c.String() != want {
-			t.Errorf("Class(%d).String() = %q, want %q", c, c.String(), want)
-		}
+	if ix.Terms(termdict.Tag) != 1 {
+		t.Errorf("Terms = %d, want 1", ix.Terms(termdict.Tag))
 	}
 }
 
@@ -158,9 +146,7 @@ func TestObserveForgetInverseProperty(t *testing.T) {
 
 		d := doc(1, "u", texts[rng.Intn(len(texts))])
 		ix.Observe(7, d)
-		var users []string
-		users = append(users, d.Msg.User)
-		ix.Forget(7, d.Msg.Hashtags, d.Msg.URLs, d.Keywords, users)
+		ix.Forget(7, d.Indicants())
 
 		if ix.MemBytes() != before {
 			return false
@@ -300,7 +286,7 @@ func TestLastFetchSlack(t *testing.T) {
 	if fi := ix.LastFetch(); fi != (FetchInfo{}) {
 		t.Errorf("LastFetch = %+v after a keyword-only probe, want zero", fi)
 	}
-	if n := len(ix.Postings(ClassKeyword, "stuff")); n != 5 {
+	if n := len(ix.Postings(termdict.Lookup(termdict.Keyword, "stuff"))); n != 5 {
 		t.Errorf("keyword postings for stuff = %d, want 5 (maintained for Eq. 7)", n)
 	}
 }
@@ -313,15 +299,15 @@ func TestLastFetchSlack(t *testing.T) {
 func oracleCandidates(ix *Index, d score.Doc) ([]Candidate, FetchInfo) {
 	var fi FetchInfo
 	hits := map[BundleID]Candidate{}
-	collect := func(c Class, term string) {
-		pl := ix.classes[c][term]
+	collect := func(term termdict.ID) {
+		pl := ix.postings[term]
 		if ix.maxFanout > 0 && len(pl) > ix.maxFanout {
-			switch c {
-			case ClassURL:
+			switch term.Class() {
+			case termdict.URL:
 				fi.SkippedURL++
-			case ClassTag:
+			case termdict.Tag:
 				fi.SkippedTag++
-			case ClassUser:
+			case termdict.User:
 				fi.SkippedRT = true
 			}
 			return
@@ -329,26 +315,26 @@ func oracleCandidates(ix *Index, d score.Doc) ([]Candidate, FetchInfo) {
 		for _, p := range pl {
 			cand := hits[p.ID]
 			cand.ID = p.ID
-			switch c {
-			case ClassURL:
+			switch term.Class() {
+			case termdict.URL:
 				cand.URLHits++
-			case ClassTag:
+			case termdict.Tag:
 				cand.TagHits++
-			case ClassUser:
+			case termdict.User:
 				cand.RTHit = true
 			}
 			hits[p.ID] = cand
 		}
 		fi.Postings += len(pl)
 	}
-	for _, h := range d.Msg.Hashtags {
-		collect(ClassTag, h)
+	for _, h := range d.Tags() {
+		collect(h)
 	}
-	for _, u := range d.Msg.URLs {
-		collect(ClassURL, u)
+	for _, u := range d.URLs() {
+		collect(u)
 	}
-	if d.Msg.IsRT() {
-		collect(ClassUser, d.Msg.RTOf)
+	if rt, ok := d.RTUser(); ok {
+		collect(rt)
 	}
 	if len(hits) == 0 {
 		return nil, fi
@@ -407,28 +393,28 @@ func runFetchScript(t *testing.T, data []byte, cov *fetchCoverage) {
 		if next()%3 == 0 {
 			m.RTOf = term("u", 4)
 		}
-		return score.Doc{Msg: m, Keywords: keys}
+		return score.DocWithKeywords(m, keys)
 	}
 	ix := New()
 	stride := 1 + next()%4
 	start := 1 + next()%stride
 	const nBundles = 12
-	// members[i] is what bundle i holds, per class, for Forget.
-	var members [nBundles][numClasses]map[string]bool
+	// members[i] is what bundle i holds, for Forget.
+	var members [nBundles]map[termdict.ID]bool
 	probe := func(d score.Doc) {
 		got := ix.Candidates(d)
 		gotInfo := ix.LastFetch()
 		want, wantInfo := oracleCandidates(ix, d)
 		if !slices.Equal(got, want) || (got == nil) != (want == nil) {
-			t.Fatalf("Candidates diverged for %+v keys %v:\n got %v\nwant %v", *d.Msg, d.Keywords, got, want)
+			t.Fatalf("Candidates diverged for %+v terms %v:\n got %v\nwant %v", *d.Msg, d.Terms, got, want)
 		}
 		if gotInfo != wantInfo {
-			t.Fatalf("LastFetch diverged for %+v keys %v: got %+v, want %+v", *d.Msg, d.Keywords, gotInfo, wantInfo)
+			t.Fatalf("LastFetch diverged for %+v terms %v: got %+v, want %+v", *d.Msg, d.Terms, gotInfo, wantInfo)
 		}
 		cov.fetches++
-		terms := append(append(append([]string(nil), d.Msg.Hashtags...), d.Msg.URLs...), d.Keywords...)
+		terms := slices.Clone(d.Indicants()[1:]) // hashtags, URLs and keywords
 		slices.Sort(terms)
-		if len(slices.Compact(terms)) < len(d.Msg.Hashtags)+len(d.Msg.URLs)+len(d.Keywords) {
+		if len(slices.Compact(terms)) < len(d.Indicants())-1 {
 			cov.repeated++
 		}
 		switch {
@@ -444,19 +430,19 @@ func runFetchScript(t *testing.T, data []byte, cov *fetchCoverage) {
 			cov.fanoutCut++
 		}
 		keywordOnly := false
-		for _, k := range d.Keywords {
+		for _, k := range d.Keywords() {
 			var want []BundleID
 			for i := range members {
-				if members[i][ClassKeyword][k] {
+				if members[i][k] {
 					want = append(want, BundleID(start+stride*i))
 				}
 			}
 			var have []BundleID
-			for _, p := range ix.Postings(ClassKeyword, k) {
+			for _, p := range ix.Postings(k) {
 				have = append(have, p.ID)
 			}
 			if !slices.Equal(have, want) {
-				t.Fatalf("keyword %q postings %v, want bundles %v", k, have, want)
+				t.Fatalf("keyword %q postings %v, want bundles %v", termdict.Term(k), have, want)
 			}
 			for _, id := range want {
 				keywordOnly = keywordOnly || !slices.ContainsFunc(got, func(c Candidate) bool { return c.ID == id })
@@ -473,26 +459,20 @@ func runFetchScript(t *testing.T, data []byte, cov *fetchCoverage) {
 			i := next() % nBundles
 			d := randomDoc()
 			ix.Observe(BundleID(start+stride*i), d)
-			for c, terms := range [numClasses][]string{
-				ClassTag: d.Msg.Hashtags, ClassURL: d.Msg.URLs, ClassKeyword: d.Keywords, ClassUser: {d.Msg.User},
-			} {
-				if members[i][c] == nil {
-					members[i][c] = map[string]bool{}
-				}
-				for _, term := range terms {
-					members[i][c][term] = true
-				}
+			if members[i] == nil {
+				members[i] = map[termdict.ID]bool{}
+			}
+			for _, term := range d.Indicants() {
+				members[i][term] = true
 			}
 		case 4:
 			i := next() % nBundles
-			var terms [numClasses][]string
-			for c := range terms {
-				for term := range members[i][c] {
-					terms[c] = append(terms[c], term)
-				}
-				members[i][c] = nil
+			var terms []termdict.ID
+			for term := range members[i] {
+				terms = append(terms, term)
 			}
-			ix.Forget(BundleID(start+stride*i), terms[ClassTag], terms[ClassURL], terms[ClassKeyword], terms[ClassUser])
+			members[i] = nil
+			ix.Forget(BundleID(start+stride*i), terms)
 			cov.forgets++
 		case 5:
 			ix.SetMaxFanout(next() % 6)
@@ -500,10 +480,10 @@ func runFetchScript(t *testing.T, data []byte, cov *fetchCoverage) {
 			probe(randomDoc())
 		}
 	}
-	probe(score.Doc{Msg: &tweet.Message{User: "u0"}})
-	probe(score.Doc{Msg: &tweet.Message{User: "u0", Hashtags: []string{"t0"}}})
-	probe(score.Doc{Msg: &tweet.Message{User: "u0", Hashtags: []string{"t1", "t1"}, URLs: []string{"l0"}, RTOf: "u1"},
-		Keywords: []string{"k0", "k1", "k0"}})
+	probe(score.DocWithKeywords(&tweet.Message{User: "u0"}, nil))
+	probe(score.DocWithKeywords(&tweet.Message{User: "u0", Hashtags: []string{"t0"}}, nil))
+	probe(score.DocWithKeywords(&tweet.Message{User: "u0", Hashtags: []string{"t1", "t1"}, URLs: []string{"l0"}, RTOf: "u1"},
+		[]string{"k0", "k1", "k0"}))
 }
 
 // TestCandidatesMatchOracle is the seeded differential property test of
@@ -546,7 +526,7 @@ func TestCandidateHitsCannotWrap(t *testing.T) {
 	for i := 0; i < nTags; i++ {
 		m.Hashtags = append(m.Hashtags, "t"+strconv.Itoa(i))
 	}
-	d := score.Doc{Msg: m}
+	d := score.DocWithKeywords(m, nil)
 	ix := New()
 	ix.Observe(1, d)
 	got := ix.Candidates(d)
@@ -570,23 +550,22 @@ func crawlShapedFetch() (*Index, score.Doc) {
 	rng := rand.New(rand.NewSource(1))
 	ix := New()
 	ix.SetMaxFanout(1024)
-	fill := func(c Class, term string, n int) {
+	fill := func(c termdict.Class, term string, n int) {
 		for _, i := range rng.Perm(nBundles)[:n] {
-			ix.add(c, term, BundleID(i+1))
+			ix.add(termdict.Intern(c, term), BundleID(i+1))
 		}
 	}
-	fill(ClassTag, "tag0", 1024)
-	fill(ClassTag, "tag1", 300)
-	fill(ClassTag, "stop", 2000)
-	fill(ClassURL, "url0", 40)
-	fill(ClassUser, "origin", 5)
-	fill(ClassKeyword, "key0", 1024)
-	fill(ClassKeyword, "key1", 900)
-	fill(ClassKeyword, "key2", 120)
-	return ix, score.Doc{
-		Msg:      &tweet.Message{User: "p", Hashtags: []string{"tag0", "tag1", "stop"}, URLs: []string{"url0"}, RTOf: "origin"},
-		Keywords: []string{"key0", "key1", "key2"},
-	}
+	fill(termdict.Tag, "tag0", 1024)
+	fill(termdict.Tag, "tag1", 300)
+	fill(termdict.Tag, "stop", 2000)
+	fill(termdict.URL, "url0", 40)
+	fill(termdict.User, "origin", 5)
+	fill(termdict.Keyword, "key0", 1024)
+	fill(termdict.Keyword, "key1", 900)
+	fill(termdict.Keyword, "key2", 120)
+	return ix, score.DocWithKeywords(
+		&tweet.Message{User: "p", Hashtags: []string{"tag0", "tag1", "stop"}, URLs: []string{"url0"}, RTOf: "origin"},
+		[]string{"key0", "key1", "key2"})
 }
 
 func BenchmarkCandidates(b *testing.B) {

@@ -38,7 +38,7 @@ func (c *column[T]) bytes() int64 {
 // termTable maps a term to its posting list. A term's id is its
 // position in the two columns; slots is an open-addressed hash table of
 // id + 1 (0 marks an empty slot), probed linearly. The term is held
-// once, as the 16-byte header of an interned string — a map[string]…
+// once, as the 16-byte header of the term dictionary's string — a map[string]…
 // would hold it beside each value at 35 to 55 bytes an entry.
 type termTable struct {
 	seed  maphash.Seed
@@ -103,7 +103,7 @@ func (t *termTable) rehash() {
 }
 
 // bytes is the table's heap footprint, the terms' own bytes apart: they
-// are the tokenizer's interned strings, shared with every other holder.
+// are the term dictionary's strings, shared with every other holder.
 func (t *termTable) bytes() int64 {
 	return int64(cap(t.slots))*4 + t.names.bytes() + t.lists.bytes()
 }

@@ -1,10 +1,14 @@
 package tokenizer
 
-import "testing"
+import (
+	"testing"
+
+	"provex/internal/termdict"
+)
 
 // Benchmark corpus: message texts shaped like the generator's output —
 // short, hashtag- and URL-bearing, with the Zipfian word repetition the
-// interner exploits.
+// term dictionary exploits.
 var benchTexts = []string{
 	"Lester getting an ovation as he walks off #redsox",
 	"breaking tsunami warning issued for samoa coast http://bit.ly/3xyz #tsunami",
@@ -19,11 +23,12 @@ var benchTexts = []string{
 // BenchmarkKeywordsMixed measures the full ingest-side keyword
 // extraction over a mixed corpus — the dominant cost of the prepare
 // stage. (BenchmarkKeywords in tokenizer_test.go covers the single
-// long-text case.)
+// long-text case of the lookup-only string path.)
 func BenchmarkKeywordsMixed(b *testing.B) {
 	b.ReportAllocs()
+	dst := make([]termdict.ID, 0, 64)
 	for i := 0; i < b.N; i++ {
-		Keywords(benchTexts[i%len(benchTexts)])
+		AppendKeywords(dst, benchTexts[i%len(benchTexts)])
 	}
 }
 

@@ -4,13 +4,17 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
+
+	"provex/internal/termdict"
 )
 
 // FuzzTokenizeKeywords throws arbitrary text (including invalid UTF-8
 // and pathological URL/sigil soup) at the tokenizer and checks the
 // structural invariants every downstream consumer relies on: no
 // panics, tokens are lower-cased word runes only, keywords are
-// deduplicated and interned, the single-pass Keywords scan is the
+// deduplicated, Keywords adds nothing to the term dictionary while
+// AppendKeywords resolves the same list to IDs, the single-pass scan is the
 // specified pipeline over Tokenize — drop tokens shorter than
 // MinTokenLen, stop words and numbers, THEN stem, keep first
 // occurrences — and the pipeline is deterministic. The stop-word filter
@@ -58,21 +62,31 @@ func FuzzTokenizeKeywords(f *testing.F) {
 				want = append(want, st)
 			}
 		}
+		held := termdict.Len(termdict.Keyword)
 		kws := Keywords(text)
+		if n := termdict.Len(termdict.Keyword); n != held {
+			t.Fatalf("Keywords added %d terms to the dictionary", n-held)
+		}
 		if !slices.Equal(kws, want) {
 			t.Fatalf("Keywords = %q, the pipeline over Tokenize gives %q", kws, want)
 		}
 		if cap(kws) != len(kws) {
 			t.Fatalf("Keywords: %d entries in a slice of %d", len(kws), cap(kws))
 		}
-		for _, k := range kws {
+		ids := AppendKeywords(nil, text)
+		if len(ids) != len(kws) {
+			t.Fatalf("AppendKeywords gave %d IDs for %d keywords", len(ids), len(kws))
+		}
+		for i, k := range kws {
 			if len(k) == 0 {
 				t.Fatal("Keywords produced an empty keyword")
 			}
-			// Interning must be stable: the same spelling resolves to
-			// the same canonical string.
-			if Intern(k) != k {
-				t.Fatalf("keyword %q is not the canonical interned copy", k)
+			if ids[i].Class() != termdict.Keyword || termdict.Term(ids[i]) != k {
+				t.Fatalf("keyword %d: AppendKeywords resolved %q to %v (%q)", i, k, ids[i], termdict.Term(ids[i]))
+			}
+			// Once resolved, Keywords hands out the dictionary's copy.
+			if kk := Keywords(text)[i]; unsafe.StringData(kk) != unsafe.StringData(termdict.Term(ids[i])) {
+				t.Fatalf("keyword %q is not the dictionary's copy", k)
 			}
 		}
 

@@ -10,10 +10,13 @@
 package tokenizer
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"unicode"
 	"unicode/utf8"
+
+	"provex/internal/termdict"
 )
 
 // MinTokenLen is the shortest token kept by Keywords; one- and two-letter
@@ -118,38 +121,126 @@ func IsStopword(tok string) bool { return stopwords[tok] }
 // "wins"/"winning"/"win" collide in the keyword space the way the
 // paper's bundle summaries (Figure 2) show merged word forms.
 func Stem(tok string) string {
+	keep, y := stemRule(tok)
+	if y {
+		return tok[:keep] + "y"
+	}
+	return tok[:keep]
+}
+
+// stemBytes is Stem in place, over a token the caller owns.
+func stemBytes(tok []byte) []byte {
+	keep, y := stemRule(tok)
+	if y {
+		tok[keep] = 'y'
+		keep++
+	}
+	return tok[:keep]
+}
+
+// stemRule is the stemmer's one rule table: how many bytes of tok the
+// stem keeps, and whether a 'y' follows them ("stories" → "story").
+func stemRule[T string | []byte](tok T) (keep int, y bool) {
 	n := len(tok)
 	switch {
-	case n > 5 && strings.HasSuffix(tok, "ing"):
-		return tok[:n-3]
-	case n > 4 && strings.HasSuffix(tok, "ies"):
-		return tok[:n-3] + "y"
-	case n > 4 && strings.HasSuffix(tok, "ed") && tok[n-3] != 'e':
-		return tok[:n-2]
-	case n > 3 && strings.HasSuffix(tok, "es") && !strings.HasSuffix(tok, "ses"):
-		return tok[:n-1]
-	case n > 3 && strings.HasSuffix(tok, "s") && !strings.HasSuffix(tok, "ss"):
-		return tok[:n-1]
+	case n > 5 && hasSuffix(tok, "ing"):
+		return n - 3, false
+	case n > 4 && hasSuffix(tok, "ies"):
+		return n - 3, true
+	case n > 4 && hasSuffix(tok, "ed") && tok[n-3] != 'e':
+		return n - 2, false
+	case n > 3 && hasSuffix(tok, "es") && !hasSuffix(tok, "ses"):
+		return n - 1, false
+	case n > 3 && hasSuffix(tok, "s") && !hasSuffix(tok, "ss"):
+		return n - 1, false
 	}
-	return tok
+	return n, false
+}
+
+func hasSuffix[T string | []byte](s T, suffix string) bool {
+	if len(s) < len(suffix) {
+		return false
+	}
+	s = s[len(s)-len(suffix):]
+	for i := 0; i < len(suffix); i++ {
+		if s[i] != suffix[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Keywords returns the deduplicated, stemmed, stopword-filtered keyword
 // set of text, in first-occurrence order. This is the "text" indicant of
 // Table II and the keywords class of the summary index.
 //
-// Keywords sits on the ingest hot path (once per message, inside the
-// prepare stage), so it scans text in a single pass — no intermediate
-// token slice, no seen-map — and returns interned strings: the only
-// steady-state allocation is the result slice itself, and since the
-// engine keeps that slice for as long as it keeps the message, it is
-// cut to fit: the keywords are collected in a stack scratch (which a
-// 140-character message cannot outgrow) and copied out once. Safe for
-// concurrent use.
+// Keywords only reads the term dictionary: a keyword the dictionary
+// holds comes back as the dictionary's copy, any other as a fresh
+// string, and nothing is added — so queries, which resolve their words
+// through it, cannot grow the dictionary. Ingest resolves a message's
+// keywords to IDs with AppendKeywords instead. The result is cut to fit.
+// Safe for concurrent use.
 func Keywords(text string) []string {
+	var buf [keywordBuf]byte
 	var scratch [36]string // 140 characters hold at most 35 tokens of MinTokenLen
 	out := scratch[:0]
-	i := 0
+	for i := 0; ; {
+		var kw []byte
+		if kw, i = nextKeyword(text, i, &buf); kw == nil {
+			break
+		}
+		var k string
+		if id := termdict.LookupBytes(termdict.Keyword, kw); id != termdict.None {
+			k = termdict.Term(id)
+		} else {
+			k = string(kw)
+		}
+		if !slices.Contains(out, k) {
+			out = append(out, k)
+		}
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	return append(make([]string, 0, len(out)), out...)
+}
+
+// AppendKeywords appends the term-dictionary IDs of text's keywords —
+// Keywords' set, in its order — to dst, adding first-seen keywords to
+// the dictionary. It runs once per ingested message, in the prepare
+// stage, and allocates only for a keyword the dictionary has never
+// seen (or when dst must grow).
+//
+//provex:hotpath keyword extraction of every prepared message
+func AppendKeywords(dst []termdict.ID, text string) []termdict.ID {
+	var buf [keywordBuf]byte
+	first := len(dst)
+	for i := 0; ; {
+		var kw []byte
+		if kw, i = nextKeyword(text, i, &buf); kw == nil {
+			return dst
+		}
+		// Keyword sets of 140-character messages hold a handful of
+		// entries; the linear dedup scan beats a set.
+		if id := termdict.InternBytes(termdict.Keyword, kw); !slices.Contains(dst[first:], id) {
+			dst = append(dst, id)
+		}
+	}
+}
+
+// keywordBuf is the stack scratch a token is lower-cased and stemmed in;
+// a longer token gets a heap copy.
+const keywordBuf = 64
+
+// nextKeyword scans text from i in a single pass — no token slice, no
+// seen-set — and returns the next keyword, lower-cased (isWordRune
+// admits only ASCII, so byte-wise) and stemmed in buf, plus the index to
+// resume from; nil once text is exhausted. Tokens shorter than
+// MinTokenLen, stop words and numbers are dropped before stemming. The
+// keyword is valid until the next call with the same buf.
+//
+//provex:hotpath one call per keyword of every prepared message
+func nextKeyword(text string, i int, buf *[keywordBuf]byte) ([]byte, int) {
 	for i < len(text) {
 		if hasURLPrefix(text[i:]) {
 			i = skipURL(text, i)
@@ -160,63 +251,33 @@ func Keywords(text string) []string {
 			continue
 		}
 		start := i
-		hasUpper := false
 		for i < len(text) && isWordRune(rune(text[i])) {
-			if 'A' <= text[i] && text[i] <= 'Z' {
-				hasUpper = true
-			}
 			i++
 		}
 		if i-start < MinTokenLen {
 			continue
 		}
-		tok := text[start:i]
-		if hasUpper {
-			tok = internLower(tok)
+		tok := buf[:0]
+		if i-start > len(buf) {
+			//provlint:ignore hotpathalloc a token longer than the stack scratch, never seen in 140 characters
+			tok = make([]byte, 0, i-start)
 		}
-		if IsStopword(tok) || isNumeric(tok) {
+		for j := start; j < i; j++ {
+			c := text[j]
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			tok = append(tok, c)
+		}
+		if stopwords[string(tok)] || isNumeric(tok) {
 			continue
 		}
-		tok = Intern(Stem(tok))
-		// Keyword sets of 140-character messages hold a handful of
-		// entries; the linear dedup scan beats allocating a map.
-		dup := false
-		for _, k := range out {
-			if k == tok {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, tok)
-		}
+		return stemBytes(tok), i
 	}
-	if len(out) == 0 {
-		return nil
-	}
-	return append(make([]string, 0, len(out)), out...)
+	return nil, i
 }
 
-// internLower lower-cases tok (pure ASCII by construction: isWordRune
-// admits only [A-Za-z0-9_']) into a stack buffer and resolves it
-// through the intern table without allocating on the hit path.
-func internLower(tok string) string {
-	var buf [64]byte
-	if len(tok) > len(buf) {
-		return Intern(strings.ToLower(tok))
-	}
-	b := buf[:len(tok)]
-	for j := 0; j < len(tok); j++ {
-		c := tok[j]
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		b[j] = c
-	}
-	return internBytes(b)
-}
-
-func isNumeric(s string) bool {
+func isNumeric[T string | []byte](s T) bool {
 	for i := 0; i < len(s); i++ {
 		if s[i] < '0' || s[i] > '9' {
 			return false

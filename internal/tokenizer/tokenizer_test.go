@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"provex/internal/termdict"
 )
 
 func TestTokenize(t *testing.T) {
@@ -182,10 +184,10 @@ func BenchmarkKeywords(b *testing.B) {
 	}
 }
 
-// TestKeywordsExactFit: the engine keeps a message's keyword slice as
-// long as it keeps the message, so the slice holds no spare slots — for
-// the benchmark corpus, for a text that outgrows the stack scratch, and
-// for whatever quick.Check draws — and one allocation makes it.
+// TestKeywordsExactFit: Keywords' slice holds no spare slots — for the
+// benchmark corpus, for a text that outgrows the stack scratch, and for
+// whatever quick.Check draws — and, once the dictionary holds a text's
+// keywords, one allocation makes it.
 func TestKeywordsExactFit(t *testing.T) {
 	var long strings.Builder
 	for i := 0; i < 100; i++ {
@@ -208,11 +210,37 @@ func TestKeywordsExactFit(t *testing.T) {
 	}
 	for _, text := range benchTexts {
 		want := 1.0
-		if len(Keywords(text)) == 0 { // also interns the text's words for the run below
+		if len(AppendKeywords(nil, text)) == 0 { // also resolves the text's keywords for the run below
 			want = 0
 		}
 		if got := testing.AllocsPerRun(100, func() { Keywords(text) }); got != want {
 			t.Errorf("Keywords(%q) allocates %.0f times, want %.0f", text, got, want)
 		}
+	}
+}
+
+// TestAppendKeywordsZeroAlloc: the ingest path resolves a message's
+// keywords into the caller's slice without allocating once the
+// dictionary holds them — a prepared message pays for its own ID list
+// and nothing else.
+func TestAppendKeywordsZeroAlloc(t *testing.T) {
+	dst := make([]termdict.ID, 0, 64)
+	for _, text := range benchTexts {
+		AppendKeywords(dst, text)
+		if got := testing.AllocsPerRun(100, func() { AppendKeywords(dst, text) }); got != 0 {
+			t.Errorf("AppendKeywords(%q) allocates %.0f times, want 0", text, got)
+		}
+	}
+}
+
+// TestKeywordsDoNotGrowDictionary: Keywords answers for words the
+// dictionary has never seen without adding them.
+func TestKeywordsDoNotGrowDictionary(t *testing.T) {
+	held := termdict.Len(termdict.Keyword)
+	if kw := Keywords("Zyxwvutsrq qponmlkjihg fedcbazyx"); len(kw) != 3 {
+		t.Fatalf("Keywords = %q, want three keywords", kw)
+	}
+	if n := termdict.Len(termdict.Keyword); n != held {
+		t.Errorf("Keywords added %d terms to the dictionary", n-held)
 	}
 }

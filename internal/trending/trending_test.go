@@ -13,7 +13,6 @@ import (
 	"provex/internal/gen"
 	"provex/internal/pool"
 	"provex/internal/score"
-	"provex/internal/tokenizer"
 	"provex/internal/tweet"
 )
 
@@ -29,7 +28,7 @@ func addMsgs(p *pool.Pool, topic string, n int, start time.Time, step time.Durat
 	for i := 0; i < n; i++ {
 		text := fmt.Sprintf("%s development %d #%s", topic, i, topic)
 		m := tweet.Parse(tweet.ID(uint64(b.ID())*1000+uint64(i)), "u", start.Add(time.Duration(i)*step), text)
-		b.Add(weights, score.Doc{Msg: m, Keywords: tokenizer.Keywords(text)})
+		b.Add(weights, score.NewDoc(m))
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package tweet defines the micro-blog message model used throughout
 // provex and a parser that extracts the annotated indicants the paper's
-// provenance model is built on: hashtags, URLs, user mentions, and the
-// re-share (RT) relation.
+// provenance model is built on: hashtags, URLs and the re-share (RT)
+// relation.
 //
 // Definition 1 of the paper represents each message as the multi-field
 // tuple [date, user, msg, urls, hashtags, rt]; Message mirrors that tuple
@@ -31,10 +31,12 @@ const MaxTextLen = 140
 
 // Message is one micro-blog post: Definition 1's multi-field tuple.
 //
-// The annotated indicants (URLs, Hashtags, Mentions, RT) are extracted by
-// Parse; code receiving a Message may rely on them being normalised:
-// hashtags lower-cased without '#', mentions lower-cased without '@',
-// URLs lower-cased with scheme stripped.
+// The annotated indicants (URLs, Hashtags, RT) are extracted by Parse;
+// code receiving a Message may rely on them being normalised: hashtags
+// lower-cased without '#', URLs lower-cased with scheme stripped, the
+// re-shared user lower-cased without '@'. Mentions other than the RT
+// marker's are no indicant of the paper's and are not kept: the struct
+// is 128 bytes, and an engine holds one per message.
 //
 // A Message is immutable once Parse (or the generator) has returned it:
 // nothing downstream assigns to a field or to an element of its slices.
@@ -51,13 +53,10 @@ type Message struct {
 	// Extracted indicants.
 	URLs     []string
 	Hashtags []string
-	Mentions []string
 
 	// RTOf names the user whose message this one re-shares ("RT @user:"),
-	// empty when the message is original. RTComment holds any text the
-	// re-sharer prepended before the RT marker.
-	RTOf      string
-	RTComment string
+	// empty when the message is original.
+	RTOf string
 }
 
 // IsRT reports whether the message re-shares a previous one.
@@ -92,11 +91,6 @@ func (m *Message) Validate() error {
 	for _, u := range m.URLs {
 		if u == "" || strings.ContainsAny(u, " \t\n") {
 			return fmt.Errorf("tweet: malformed url %q", u)
-		}
-	}
-	for _, u := range m.Mentions {
-		if u == "" || strings.ContainsAny(u, "@ \t\n") {
-			return fmt.Errorf("tweet: malformed mention %q", u)
 		}
 	}
 	return nil

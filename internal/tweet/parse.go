@@ -10,17 +10,17 @@ import (
 
 // Parse builds a Message from raw text, extracting every annotated
 // indicant the paper's Table I shows: hashtags ("#redsox"), URLs
-// ("http://bit.ly/Uvcpr"), mentions ("@AmalieBenjamin") and the RT
-// re-share marker ("comment RT @user: original text").
+// ("http://bit.ly/Uvcpr") and the RT re-share marker ("comment RT
+// @user: original text"). A mention ("@AmalieBenjamin") is skipped
+// whole, so an "RT" inside one is no marker.
 //
 // Extraction is deterministic and normalising:
 //
 //   - hashtags are lower-cased, '#' stripped, deduplicated, order kept;
 //   - URLs are lower-cased, scheme ("http://", "https://") stripped,
 //     trailing punctuation trimmed, deduplicated;
-//   - mentions are lower-cased, '@' stripped, deduplicated;
-//   - the FIRST "RT @user" marker determines RTOf; text before it is the
-//     re-sharer's comment. Nested re-shares ("WHEW!! RT @MLB: RT
+//   - the FIRST "RT @user" marker determines RTOf, lower-cased. Nested
+//     re-shares ("WHEW!! RT @MLB: RT
 //     @IanMBrowne ...") attribute the message to the outermost source,
 //     matching how the paper treats chains of re-shares as one hop to the
 //     immediately re-shared user.
@@ -30,8 +30,7 @@ func Parse(id ID, user string, date time.Time, text string) *Message {
 	return m
 }
 
-// extractEntities scans m.Text once and fills URLs, Hashtags, Mentions,
-// RTOf and RTComment.
+// extractEntities scans m.Text once and fills URLs, Hashtags and RTOf.
 func extractEntities(m *Message) {
 	text := m.Text
 	// A message carries one to three entities of a kind: deduplicating
@@ -51,9 +50,7 @@ func extractEntities(m *Message) {
 			add(&m.Hashtags, strings.ToLower(tag))
 			i = next
 		case c == '@':
-			men, next := scanTag(text, i+1)
-			add(&m.Mentions, strings.ToLower(men))
-			i = next
+			_, i = scanTag(text, i+1)
 		case hasURLPrefix(text[i:]):
 			u, next := scanURL(text, i)
 			add(&m.URLs, NormalizeURL(u))
@@ -61,10 +58,7 @@ func extractEntities(m *Message) {
 		case c == 'R' || c == 'r':
 			if m.RTOf == "" && isRTMarker(text, i) {
 				user, _ := rtUser(text, i)
-				if user != "" {
-					m.RTOf = strings.ToLower(user)
-					m.RTComment = strings.TrimSpace(strings.TrimRight(text[:i], " :;-,"))
-				}
+				m.RTOf = strings.ToLower(user)
 			}
 			i++
 		default:
