@@ -411,10 +411,11 @@ go run ./cmd/provbench -figure fig13 -max 30000 -shards 4 -check-linear 1.5 -out
 go_lines() { find cmd internal -name '*.go' -not -path '*/testdata/*' "$@" -print0 | xargs -0 cat | wc -l; }
 echo "loc: non-test $(go_lines -not -name '*_test.go') test $(go_lines -name '*_test.go')"
 
-# The two memory budgets, uncached, so every CI log carries the
-# figures: live heap bytes per ingested message of the serving shape,
-# and the message index's bytes per posting with its slab waste.
-go test -count=1 -run 'TestLiveHeapPerMessage|TestBytesPerPosting' -v ./internal/query ./internal/textindex \
+# The memory budgets, uncached, so every CI log carries the figures:
+# live heap bytes per ingested message of the serving shape, the
+# message index's bytes per posting with its slab waste, and the
+# summary index's bytes per posting.
+go test -count=1 -run 'TestLiveHeapPerMessage|TestBytesPerPosting' -v ./internal/query ./internal/textindex ./internal/sumindex \
     | grep -E 'per message|per posting'
 
 echo "CI OK"

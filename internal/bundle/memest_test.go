@@ -38,6 +38,7 @@ func TestMemEstimateMatchesLayouts(t *testing.T) {
 		{"NodeBase (bundle.Node, size class)", sizeClass(unsafe.Sizeof(Node{})), metrics.NodeBase},
 		{"TermRefCost (termdict.ID)", unsafe.Sizeof(termdict.ID(0)), metrics.TermRefCost},
 		{"SummaryRowCost (bundle.row)", unsafe.Sizeof(row{}), metrics.SummaryRowCost},
+		{"PostingCost (summary-index posting, bundle.ID)", unsafe.Sizeof(ID(0)), metrics.PostingCost},
 		{"MapEntryCost (index slot)", unsafe.Sizeof(struct {
 			k termdict.ID
 			v posting

@@ -40,7 +40,6 @@ import (
 	"provex/internal/pool"
 	"provex/internal/recfile"
 	"provex/internal/storage"
-	"provex/internal/sumindex"
 )
 
 var ckptMagic = [8]byte{'P', 'R', 'O', 'V', 'C', 'K', 'P', '1'}
@@ -188,7 +187,7 @@ func restoreCheckpoint(cfg Config, store *storage.Store, onEdge EdgeFunc, r io.R
 		e.pool.Adopt(b)
 		// Rebuild summary-index postings from the bundle's messages.
 		for _, n := range b.Nodes() {
-			e.index.Observe(sumindex.BundleID(b.ID()), n.Doc)
+			e.index.Observe(b.ID(), n.Doc)
 		}
 	}
 	e.pool.SetNextID(bundle.ID(nextID))

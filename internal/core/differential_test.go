@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"provex/internal/bundle"
 	"provex/internal/gen"
 	"provex/internal/score"
 	"provex/internal/sumindex"
@@ -55,11 +56,11 @@ func differentialRun(t *testing.T, cfg Config, mode engineMode, msgs []*tweet.Me
 // or the re-shared user — with no list skipped, in ascending ID. The
 // exhaustive loop scores every candidate, so no hit counts are needed.
 func referenceCandidates(ix *sumindex.Index, d score.Doc) []sumindex.Candidate {
-	var ids []sumindex.BundleID
+	var ids []bundle.ID
 	walk := func(terms ...termdict.ID) {
 		for _, term := range terms {
 			for _, p := range ix.Postings(term) {
-				ids = append(ids, p.ID)
+				ids = append(ids, p)
 			}
 		}
 	}

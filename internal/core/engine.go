@@ -38,16 +38,6 @@ type Config struct {
 	MsgWeights    score.MessageWeights
 	BundleWeights score.BundleWeights
 
-	// MaxFanout is the stop-indicant cut (0 = unlimited): candidate
-	// fetch skips a hashtag, URL or re-shared-user posting list longer
-	// than this. A hashtag carried by thousands of bundles routes
-	// nothing, yet walking it for every message that carries it makes
-	// a full-index match superlinear in the stream. A skipped list is
-	// charged to every candidate's Eq. 1 bound as slack, so pruning
-	// stays sound; only a bundle reachable through nothing but skipped
-	// lists is missed.
-	MaxFanout int
-
 	// FlushRetry bounds the degraded mode entered when the disk
 	// back-end errors: failed bundle flushes are parked and retried
 	// instead of dropped.
@@ -82,7 +72,6 @@ func FullIndexConfig() Config {
 	return Config{
 		MsgWeights:    score.DefaultMessageWeights(),
 		BundleWeights: score.DefaultBundleWeights(),
-		MaxFanout:     1024,
 	}
 }
 
@@ -291,7 +280,6 @@ func New(cfg Config, store *storage.Store, onEdge EdgeFunc) *Engine {
 	}
 	e := &Engine{cfg: cfg, index: sumindex.New(), store: store, onEdge: onEdge,
 		joinFloor: math.Nextafter(cfg.BundleWeights.Threshold, math.Inf(1))}
-	e.index.SetMaxFanout(cfg.MaxFanout)
 	e.pool = pool.New(cfg.Pool, e.evict)
 	// Milli-G buckets from 0.1 G to 1000 G (G ≈ hours of quiet age).
 	e.gHist = metrics.NewHistogram(
@@ -398,7 +386,7 @@ func (e *Engine) SetTracer(r *trace.Recorder) {
 // latched as the engine's background error.
 func (e *Engine) evict(b *bundle.Bundle, _ pool.EvictReason, flush bool) {
 	e.forget = b.AppendTerms(e.forget[:0])
-	e.index.Forget(sumindex.BundleID(b.ID()), e.forget)
+	e.index.Forget(b.ID(), e.forget)
 	if flush && e.store != nil {
 		if err := e.store.Put(b); err != nil {
 			e.park(b, err)
@@ -609,7 +597,7 @@ func (e *Engine) InsertPrepared(p Prepared) InsertResult {
 	})
 
 	// Step 3: update the summary index with the new message's indicants.
-	e.index.Observe(sumindex.BundleID(chosen.ID()), doc)
+	e.index.Observe(chosen.ID(), doc)
 
 	e.tracer.Commit(td)
 
@@ -829,7 +817,7 @@ func (e *Engine) matchRange(doc score.Doc, cands []sumindex.Candidate, fetch sum
 		if prune {
 			ub := score.BundleSimCeil(e.cfg.BundleWeights, int(c.URLHits), int(c.TagHits), c.RTHit,
 				fetch.SkippedURL, fetch.SkippedTag, fetch.SkippedRT)
-			if !m.beats(ub, bundle.ID(c.ID)) {
+			if !m.beats(ub, c.ID) {
 				pruned++
 				if sink != nil {
 					*sink = append(*sink, trace.CandidateScore{
@@ -839,7 +827,7 @@ func (e *Engine) matchRange(doc score.Doc, cands []sumindex.Candidate, fetch sum
 				continue
 			}
 		}
-		b := e.pool.Get(bundle.ID(c.ID))
+		b := e.pool.Get(c.ID)
 		if b == nil || b.Closed() {
 			if sink != nil {
 				skip := "evicted"

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -139,11 +140,15 @@ func TestPartialIndexEviction(t *testing.T) {
 	cfg.Pool.LowerLimit = 3
 	cfg.Pool.CheckEvery = 1
 	e := New(cfg, nil, nil)
+	var docs []score.Doc
 	for i := 0; i < 40; i++ {
-		// Fully disjoint vocabulary per message so each opens a bundle.
-		word := fmt.Sprintf("topic%dword", i)
-		text := fmt.Sprintf("%s #t%d", word, i)
-		e.Insert(msg(tweet.ID(i+1), fmt.Sprintf("user%d", i), text, base.Add(time.Duration(i)*time.Hour)))
+		// Disjoint hard indicants per message so each opens a bundle; the
+		// one shared keyword puts every bundle on one list, so eviction
+		// deletes from lists that stay.
+		text := fmt.Sprintf("topic%dword lamppost #t%d", i, i)
+		m := msg(tweet.ID(i+1), fmt.Sprintf("user%d", i), text, base.Add(time.Duration(i)*time.Hour))
+		docs = append(docs, score.NewDoc(m))
+		e.Insert(m)
 	}
 	if got := e.Pool().Len(); got > 10 {
 		t.Errorf("pool size %d exceeds limit 10", got)
@@ -151,30 +156,38 @@ func TestPartialIndexEviction(t *testing.T) {
 	if e.Snapshot().Pool.Refines == 0 {
 		t.Error("no refinement ran")
 	}
-	// delete_index(b): what is left in the summary index is what the
-	// surviving bundles hold, in every class — users included, which
-	// evict takes from AppendTerms like the other three.
-	var want [termdict.NumClasses]map[string]bool
-	for c := range want {
-		want[c] = map[string]bool{}
-	}
+	// delete_index(b): the summary index holds exactly what the surviving
+	// bundles carry, in every class — users included, which evict takes
+	// from AppendTerms like the other three. Every term of a live bundle
+	// lists it, and every posting of every term the stream carried names
+	// a live bundle that carries the term.
+	ix := e.SummaryIndex()
+	var live []bundle.ID
 	e.Pool().All(func(b *bundle.Bundle) {
+		live = append(live, b.ID())
 		tags, urls, keys, users := b.Indicants()
 		for c, terms := range [termdict.NumClasses][]string{
 			termdict.Tag: tags, termdict.URL: urls, termdict.Keyword: keys, termdict.User: users,
 		} {
 			for _, term := range terms {
-				want[c][term] = true
+				if !slices.Contains(ix.Postings(termdict.Lookup(termdict.Class(c), term)), b.ID()) {
+					t.Errorf("live bundle %d carries %s %q but is not on its list", b.ID(), termdict.Class(c), term)
+				}
 			}
 		}
 	})
-	for c, terms := range want {
-		if got := e.SummaryIndex().Terms(termdict.Class(c)); got != len(terms) {
-			t.Errorf("summary index holds %d %s terms, the live bundles %d", got, termdict.Class(c), len(terms))
+	for _, d := range docs {
+		for _, term := range d.Indicants() {
+			for _, id := range ix.Postings(term) {
+				if b := e.Pool().Get(id); b == nil || b.Count(term) == 0 {
+					t.Errorf("%s %q lists bundle %d, which is evicted or does not carry it", term.Class(), termdict.Term(term), id)
+				}
+			}
 		}
 	}
-	if len(want[termdict.User]) != e.Pool().Len() {
-		t.Errorf("%d users over %d single-author bundles", len(want[termdict.User]), e.Pool().Len())
+	slices.Sort(live)
+	if shared := ix.Postings(termdict.Lookup(termdict.Keyword, "lamppost")); len(live) < 2 || !slices.Equal(shared, live) {
+		t.Errorf("the shared keyword lists %v, the pool holds %v", shared, live)
 	}
 }
 

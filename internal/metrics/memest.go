@@ -23,8 +23,8 @@ const (
 	NodeBase       = 64  // bundle tree node (56 B: doc, parent, score, connection) + node-slice growth slack
 	TermRefCost    = 4   // one entry of a Doc's term list: a term-dictionary ID; the term's bytes are the dictionary's
 	BundleBase     = 160
-	PostingCost    = 24 // bundle ID + count + list slot
-	NodeRefCost    = 8  // node-index reference: int32 slot + growth slack
+	PostingCost    = 8 // a summary-index posting: one bundle ID
+	NodeRefCost    = 8 // node-index reference: int32 slot + growth slack
 
 	// A bundle's summary (bundle/summary.go) is a row table below
 	// bundle.PruneMinNodes nodes and one ID-keyed hash map from there up.

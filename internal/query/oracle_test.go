@@ -32,7 +32,7 @@ func oracleSearchBundles(p *Processor, q string, k int) []BundleHit {
 	for _, q := range ids {
 		for _, t := range []termdict.ID{q.keyword, q.tag, q.url} {
 			for _, p := range idx.Postings(t) {
-				cands[bundle.ID(p.ID)] = struct{}{}
+				cands[p] = struct{}{}
 			}
 		}
 	}

@@ -166,7 +166,7 @@ func (p *Processor) Insert(m *tweet.Message) core.InsertResult {
 // of running the tokenizer a second time. This is the apply half the
 // pipeline calls from its single writer goroutine. A message whose ID
 // the index already holds — a stream re-fed after a resume — still goes
-// through the engine (deduplication there is ROADMAP item 5) but keeps
+// through the engine (deduplication there is ROADMAP item 9) but keeps
 // its first index entry, and is counted. One-engine Processors only:
 // a node of several engines applies to them itself and calls Index.
 func (p *Processor) InsertPrepared(prep core.Prepared) core.InsertResult {
@@ -455,7 +455,7 @@ func (p *Processor) searchBundles(e *core.Engine, terms []string, ids []queryTer
 	for _, q := range ids {
 		for _, t := range [...]termdict.ID{q.keyword, q.tag, q.url} {
 			for _, p := range idx.Postings(t) {
-				cands[bundle.ID(p.ID)] = struct{}{}
+				cands[p] = struct{}{}
 			}
 		}
 	}

@@ -1,7 +1,7 @@
 package shard
 
-// Sharded-vs-serial equivalence and determinism: at Batch=1 with no
-// candidate caps the sharded engine must partition messages into
+// Sharded-vs-serial equivalence and determinism: at Batch=1 under the
+// full index the sharded engine must partition messages into
 // bundles EXACTLY like the serial engine (same bundles, same node
 // order, same provenance edges); at any batch size the result must be
 // a pure function of (stream, shard count, batch size) — repeated runs
@@ -17,6 +17,8 @@ import (
 	"provex/internal/core"
 	"provex/internal/gen"
 	"provex/internal/score"
+	"provex/internal/sumindex"
+	"provex/internal/termdict"
 	"provex/internal/trace"
 	"provex/internal/tweet"
 )
@@ -38,15 +40,6 @@ func genMessages(seed int64, n int) []*tweet.Message {
 		msgs[i] = g.Next()
 	}
 	return msgs
-}
-
-// uncappedConfig is the exact-equivalence configuration: no fanout
-// cut, no pool limits — every relaxation documented in DESIGN.md §2i
-// switched off.
-func uncappedConfig() core.Config {
-	cfg := core.FullIndexConfig()
-	cfg.MaxFanout = 0
-	return cfg
 }
 
 type edge struct {
@@ -117,6 +110,28 @@ func assertPartitionsEqual(t *testing.T, want, got map[tweet.ID][]tweet.ID) {
 	}
 }
 
+// assertUnderFanout fails if a live bundle's hashtag, URL or user list
+// is longer than sumindex.MaxFanout on any of the engines. Under the
+// full index no list ever shrinks, so a stream that ends under the cut
+// never reached it: candidate fetch skipped nothing, and the serial and
+// sharded runs can be held to exact equality.
+func assertUnderFanout(t *testing.T, engines ...*core.Engine) {
+	t.Helper()
+	for _, e := range engines {
+		ix := e.SummaryIndex()
+		e.Pool().All(func(b *bundle.Bundle) {
+			tags, urls, _, users := b.Indicants()
+			for c, terms := range map[termdict.Class][]string{termdict.Tag: tags, termdict.URL: urls, termdict.User: users} {
+				for _, term := range terms {
+					if n := len(ix.Postings(termdict.Lookup(c, term))); n > sumindex.MaxFanout {
+						t.Errorf("%s %q is on %d bundles, over the fanout cut %d", c, term, n, sumindex.MaxFanout)
+					}
+				}
+			}
+		})
+	}
+}
+
 func shardEngines(e *Engine) []*core.Engine {
 	engs := make([]*core.Engine, e.Shards())
 	for i := range engs {
@@ -128,7 +143,7 @@ func shardEngines(e *Engine) []*core.Engine {
 func TestShardedEquivalenceWithSerial(t *testing.T) {
 	const total = 6000
 	msgs := genMessages(11, total)
-	cfg := uncappedConfig()
+	cfg := core.FullIndexConfig()
 
 	var refEdges edgeCollector
 	ref := core.New(cfg, nil, refEdges.fn)
@@ -136,6 +151,7 @@ func TestShardedEquivalenceWithSerial(t *testing.T) {
 		ref.Insert(m)
 	}
 	refPart := livePartition(ref)
+	assertUnderFanout(t, ref)
 
 	for _, n := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
@@ -161,6 +177,7 @@ func TestShardedEquivalenceWithSerial(t *testing.T) {
 					rs.Messages, rs.BundlesCreated, rs.BundlesLive, rs.EdgesCreated)
 			}
 			assertPartitionsEqual(t, refPart, livePartition(shardEngines(e)...))
+			assertUnderFanout(t, shardEngines(e)...)
 			w, g := refEdges.sorted(), edges.sorted()
 			for i := range w {
 				if w[i] != g[i] {
@@ -277,7 +294,7 @@ func TestShardedTracing(t *testing.T) {
 func TestShardIDSpaces(t *testing.T) {
 	const n = 3
 	msgs := genMessages(17, 3000)
-	e, err := New(uncappedConfig(), Options{Shards: n, Batch: 32}, nil, nil)
+	e, err := New(core.FullIndexConfig(), Options{Shards: n, Batch: 32}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,7 @@
 // Package sumindex implements the paper's summary index (Section IV-B,
 // Figure 5): an inverted index whose top-level keys are bundle
 // indicants — hashtags, URLs, keywords, and the RT-oriented user class —
-// and whose posting lists enumerate the bundles carrying each indicant
-// together with occurrence counts.
+// and whose posting lists enumerate the bundles carrying each indicant.
 //
 // The index serves two operations on the ingest hot path:
 //
@@ -13,21 +12,18 @@
 //     bundles and as the pool evicts bundles (Algorithm 1, step 3 and
 //     Algorithm 3's delete_index).
 //
-// Posting storage follows the slab policy of Asadi, Lin & Busch
-// ("Dynamic Memory Allocation Policies for Postings in Real-Time
-// Twitter Search"): each term's postings live in an ID-sorted slice
-// whose capacity grows through power-of-two size classes, and slabs
-// freed by Forget are recycled through per-class freelists instead of
-// being handed back to the garbage collector. Because every list is
-// ID-sorted, candidate fetch is a k-way merge plus a counting sort over
-// reused scratch (see Candidates), so the steady-state ingest path
-// allocates only when a term's posting list genuinely outgrows its slab.
+// A posting is a bare bundle ID in an ID-sorted slice per term: how
+// often a bundle carries a term is the bundle's own summary
+// (bundle.Count), so the index stores only membership. Because every
+// list is ID-sorted, candidate fetch is a k-way merge plus a counting
+// sort over reused scratch (see Candidates) and allocates nothing at
+// steady state.
 package sumindex
 
 import (
-	"math/bits"
 	"slices"
 
+	"provex/internal/bundle"
 	"provex/internal/metrics"
 	"provex/internal/score"
 	"provex/internal/termdict"
@@ -39,41 +35,26 @@ import (
 // included, like the RT information": it lets a re-share route to the
 // bundle containing the re-shared user's posts.
 
-// BundleID mirrors bundle.ID without importing the bundle package,
-// keeping sumindex reusable below it in the dependency order.
-type BundleID uint64
-
-// Posting is one entry of a term's posting list: a bundle carrying the
-// term and how many of its messages do.
-type Posting struct {
-	ID    BundleID
-	Count uint32
-}
-
-// slab size classes: capacities 2^1 .. 2^maxSlabClass are recycled;
-// larger lists (hyper-frequent terms) fall through to plain make.
-const (
-	maxSlabClass    = 10 // largest recycled capacity: 1024 postings
-	maxFreePerClass = 256
-)
+// MaxFanout is the stop-indicant cut: candidate fetch skips a hashtag,
+// URL or re-shared-user posting list longer than this. A hashtag carried
+// by thousands of bundles routes nothing, yet walking it for every
+// message that carries it makes a full-index match superlinear in the
+// stream. A skipped list is charged to every candidate's Eq. 1 bound as
+// slack (FetchInfo), so pruning stays sound; only a bundle reachable
+// through nothing but skipped lists is missed. Postings are maintained
+// in full either way.
+const MaxFanout = 1024
 
 // Index is the summary index. Not safe for concurrent use; the engine
 // serialises ingest. Concurrent *readers* (queries under the pipeline's
 // read lock) are safe as long as no Observe/Forget/Candidates call runs
 // at the same time.
 type Index struct {
-	postings map[termdict.ID][]Posting
-	terms    [termdict.NumClasses]int // distinct terms by class
+	postings map[termdict.ID][]bundle.ID
 	mem      metrics.MemEstimator
-	// maxFanout skips hard-indicant postings longer than this during
-	// candidate fetch (0 = unlimited): a hashtag carried by thousands
-	// of bundles is a stop indicant with no routing signal. Postings
-	// are still fully maintained, so changing the cap never loses state.
+	// maxFanout is MaxFanout; the package's tests lower it to exercise
+	// skipping on small lists.
 	maxFanout int
-
-	// slabs holds recycled posting slices by capacity class; slabs[k]
-	// stores slices of capacity 1<<k.
-	slabs [maxSlabClass + 1][][]Posting
 
 	// Candidate-fetch scratch, reused across calls (see Candidates):
 	// the gathered cursors and their merge heap, the ID-ordered merge
@@ -86,141 +67,57 @@ type Index struct {
 	fetch   FetchInfo
 }
 
-// New creates an empty summary index with no fanout cap.
+// New creates an empty summary index.
 func New() *Index {
-	return &Index{postings: make(map[termdict.ID][]Posting)}
+	return &Index{postings: make(map[termdict.ID][]bundle.ID), maxFanout: MaxFanout}
 }
 
-// SetMaxFanout bounds the posting-list length considered during
-// candidate fetch; 0 removes the bound.
-func (ix *Index) SetMaxFanout(n int) { ix.maxFanout = n }
-
-// Observe registers that doc joined bundle id: every indicant of the
-// message raises its posting count for that bundle (Algorithm 1,
-// step 3 — "update summary index").
-func (ix *Index) Observe(id BundleID, doc score.Doc) {
+// Observe registers that doc joined bundle id: the bundle is added to
+// the posting list of every indicant of the message it is not yet on
+// (Algorithm 1, step 3 — "update summary index").
+func (ix *Index) Observe(id bundle.ID, doc score.Doc) {
 	for _, t := range doc.Indicants() {
 		ix.add(t, id)
 	}
 }
 
-// findPosting returns the insertion index of id in the ID-sorted list.
-func findPosting(pl []Posting, id BundleID) int {
-	lo, hi := 0, len(pl)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if pl[mid].ID < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-func (ix *Index) add(term termdict.ID, id BundleID) {
+func (ix *Index) add(term termdict.ID, id bundle.ID) {
 	pl, ok := ix.postings[term]
 	if !ok {
-		ix.postings[term] = append(ix.allocPostings(1), Posting{ID: id, Count: 1})
-		ix.terms[term.Class()]++
-		ix.mem.Add(metrics.MapEntryCost + metrics.PostingCost)
+		ix.mem.Add(metrics.MapEntryCost)
+	}
+	i, found := slices.BinarySearch(pl, id)
+	if found {
 		return
 	}
-	i := findPosting(pl, id)
-	if i < len(pl) && pl[i].ID == id {
-		pl[i].Count++
-		return
-	}
-	// Insert at i. Bundle IDs mostly grow with the stream, so the
-	// common case is an append at the tail.
-	if len(pl) < cap(pl) {
-		pl = pl[:len(pl)+1]
-		copy(pl[i+1:], pl[i:len(pl)-1])
-		pl[i] = Posting{ID: id, Count: 1}
-	} else {
-		grown := ix.allocPostings(len(pl) + 1)[:len(pl)+1]
-		copy(grown, pl[:i])
-		copy(grown[i+1:], pl[i:])
-		grown[i] = Posting{ID: id, Count: 1}
-		ix.recycle(pl)
-		pl = grown
-	}
-	ix.postings[term] = pl
+	// Bundle IDs mostly grow with the stream, so the common case is an
+	// append at the tail.
+	ix.postings[term] = slices.Insert(pl, i, id)
 	ix.mem.Add(metrics.PostingCost)
-}
-
-// allocPostings returns an empty posting slice with capacity for at
-// least n entries, reusing a recycled slab of the right size class when
-// one is free.
-func (ix *Index) allocPostings(n int) []Posting {
-	k := capClass(n)
-	if k <= maxSlabClass {
-		if fl := ix.slabs[k]; len(fl) > 0 {
-			pl := fl[len(fl)-1]
-			fl[len(fl)-1] = nil
-			ix.slabs[k] = fl[:len(fl)-1]
-			return pl
-		}
-		return make([]Posting, 0, 1<<k)
-	}
-	// Beyond the largest slab class, grow by 3/2 like append would —
-	// such lists belong to hyper-frequent terms and are rarely freed.
-	c := n + n/2
-	return make([]Posting, 0, c)
-}
-
-// capClass is the smallest k with 1<<k >= n (minimum 1: the smallest
-// slab holds two postings, since one-bundle terms dominate).
-func capClass(n int) int {
-	if n <= 2 {
-		return 1
-	}
-	return bits.Len(uint(n - 1))
-}
-
-// recycle returns a posting slice's storage to its freelist. Only
-// exact power-of-two capacities up to the slab bound are kept.
-func (ix *Index) recycle(pl []Posting) {
-	c := cap(pl)
-	if c == 0 || c&(c-1) != 0 {
-		return
-	}
-	k := bits.TrailingZeros(uint(c))
-	if k > maxSlabClass || len(ix.slabs[k]) >= maxFreePerClass {
-		return
-	}
-	ix.slabs[k] = append(ix.slabs[k], pl[:0])
 }
 
 // Forget removes the bundle's posting from every list of terms — the
 // distinct terms a bundle reports via AppendTerms. It implements
 // Algorithm 3's delete_index(b).
-func (ix *Index) Forget(id BundleID, terms []termdict.ID) {
+func (ix *Index) Forget(id bundle.ID, terms []termdict.ID) {
 	for _, t := range terms {
 		ix.drop(t, id)
 	}
 }
 
-func (ix *Index) drop(term termdict.ID, id BundleID) {
-	pl, ok := ix.postings[term]
-	if !ok {
+func (ix *Index) drop(term termdict.ID, id bundle.ID) {
+	pl := ix.postings[term]
+	i, found := slices.BinarySearch(pl, id)
+	if !found {
 		return
 	}
-	i := findPosting(pl, id)
-	if i >= len(pl) || pl[i].ID != id {
-		return
-	}
-	copy(pl[i:], pl[i+1:])
-	pl = pl[:len(pl)-1]
 	ix.mem.Sub(metrics.PostingCost)
-	if len(pl) == 0 {
+	if len(pl) == 1 {
 		delete(ix.postings, term)
-		ix.terms[term.Class()]--
-		ix.recycle(pl)
 		ix.mem.Sub(metrics.MapEntryCost)
 		return
 	}
-	ix.postings[term] = pl
+	ix.postings[term] = slices.Delete(pl, i, i+1)
 }
 
 // Candidate is one bundle surfaced by the summary index with the number
@@ -232,7 +129,7 @@ func (ix *Index) drop(term termdict.ID, id BundleID) {
 // holds: it never wraps into a smaller one, which would make the bound
 // unsound.
 type Candidate struct {
-	ID      BundleID
+	ID      bundle.ID
 	URLHits uint32
 	TagHits uint32
 	RTHit   bool
@@ -262,7 +159,7 @@ type FetchInfo struct {
 
 // cursor is one traversed posting list and the read position in it.
 type cursor struct {
-	list  []Posting
+	list  []bundle.ID
 	pos   int
 	class termdict.Class
 }
@@ -271,7 +168,7 @@ type cursor struct {
 // its read position. Sifting these 16 bytes is measurably faster than
 // sifting cursors or a word-sized index (no message has 2^31 terms).
 type heapEntry struct {
-	head   BundleID
+	head   bundle.ID
 	cursor int32
 }
 
@@ -322,14 +219,14 @@ func (ix *Index) Candidates(doc score.Doc) []Candidate {
 //provex:hotpath runs per hard-indicant term of every ingested message
 func (ix *Index) gather(term termdict.ID) {
 	pl := ix.postings[term]
-	if ix.maxFanout > 0 && len(pl) > ix.maxFanout {
+	if len(pl) > ix.maxFanout {
 		ix.noteSkip(term.Class())
 		return
 	}
 	if len(pl) == 0 {
 		return
 	}
-	ix.heap = append(ix.heap, heapEntry{head: pl[0].ID, cursor: int32(len(ix.cursors))})
+	ix.heap = append(ix.heap, heapEntry{head: pl[0], cursor: int32(len(ix.cursors))})
 	ix.cursors = append(ix.cursors, cursor{list: pl, class: term.Class()})
 	ix.fetch.Postings += len(pl)
 }
@@ -372,7 +269,7 @@ func (ix *Index) merge() {
 			hits++
 			cur.pos++
 			if cur.pos < len(cur.list) {
-				top.head = cur.list[cur.pos].ID
+				top.head = cur.list[cur.pos]
 			} else {
 				top = h[len(h)-1]
 				h = h[:len(h)-1]
@@ -440,12 +337,9 @@ func (ix *Index) LastFetch() FetchInfo { return ix.fetch }
 // callers must treat it as read-only and must not retain it across
 // index mutations. Query support uses it for the i(q,B)
 // indicant-closeness factor of Eq. 7.
-func (ix *Index) Postings(term termdict.ID) []Posting {
+func (ix *Index) Postings(term termdict.ID) []bundle.ID {
 	return ix.postings[term]
 }
-
-// Terms returns the number of distinct terms of class c.
-func (ix *Index) Terms(c termdict.Class) int { return ix.terms[c] }
 
 // MemBytes is the analytic memory estimate of the index.
 func (ix *Index) MemBytes() int64 { return ix.mem.Bytes() }

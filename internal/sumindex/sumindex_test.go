@@ -2,6 +2,7 @@ package sumindex
 
 import (
 	"cmp"
+	"math"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -9,6 +10,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"provex/internal/bundle"
 	"provex/internal/score"
 	"provex/internal/termdict"
 	"provex/internal/tweet"
@@ -116,16 +118,20 @@ func TestMemoryAccounting(t *testing.T) {
 	}
 }
 
-func TestDuplicateObserveCounts(t *testing.T) {
+// TestDuplicateObserveOnePosting: a bundle is on a term's list once,
+// however many of its messages carry the term, and only its first
+// message is charged.
+func TestDuplicateObserveOnePosting(t *testing.T) {
 	ix := New()
 	ix.Observe(1, doc(1, "a", "#redsox"))
-	ix.Observe(1, doc(2, "b", "#redsox again"))
+	once := ix.MemBytes()
+	ix.Observe(1, doc(2, "a", "#redsox"))
 	p := ix.Postings(termdict.Lookup(termdict.Tag, "redsox"))
-	if len(p) != 1 || p[0].ID != 1 || p[0].Count != 2 {
-		t.Errorf("postings = %v, want [{1 2}]", p)
+	if !slices.Equal(p, []bundle.ID{1}) {
+		t.Errorf("postings = %v, want [1]", p)
 	}
-	if ix.Terms(termdict.Tag) != 1 {
-		t.Errorf("Terms = %d, want 1", ix.Terms(termdict.Tag))
+	if ix.MemBytes() != once {
+		t.Errorf("mem = %d after a repeat, want %d", ix.MemBytes(), once)
 	}
 }
 
@@ -170,7 +176,7 @@ func TestCandidateHitBoundProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		ix := New()
 		for i := 0; i < 20; i++ {
-			ix.Observe(BundleID(rng.Intn(5)), doc(tweet.ID(i+1), "u",
+			ix.Observe(bundle.ID(rng.Intn(5)), doc(tweet.ID(i+1), "u",
 				"word"+string(rune('a'+rng.Intn(4)))+" #tag"+string(rune('a'+rng.Intn(3)))))
 		}
 		probe := doc(100, "p", "worda wordb #taga #tagb")
@@ -191,25 +197,20 @@ func TestMaxFanoutCapsCandidateFetch(t *testing.T) {
 	ix := New()
 	// Six distinct bundles all carry the same hashtag.
 	for i := 1; i <= 6; i++ {
-		ix.Observe(BundleID(i), doc(tweet.ID(i), "u", "#everywhere item"))
+		ix.Observe(bundle.ID(i), doc(tweet.ID(i), "u", "#everywhere item"))
 	}
 	probe := doc(99, "p", "#everywhere")
 	if got := ix.Candidates(probe); len(got) != 6 {
-		t.Fatalf("uncapped Candidates = %d, want 6", len(got))
+		t.Fatalf("Candidates under MaxFanout = %d, want 6", len(got))
 	}
-	ix.SetMaxFanout(5)
+	ix.maxFanout = 5
 	if got := ix.Candidates(probe); got != nil {
 		t.Errorf("capped Candidates = %v, want nil (posting length 6 > cap 5)", got)
 	}
 	// A posting at exactly the cap still serves.
-	ix.SetMaxFanout(6)
+	ix.maxFanout = 6
 	if got := ix.Candidates(probe); len(got) != 6 {
 		t.Errorf("cap==len Candidates = %d, want 6", len(got))
-	}
-	// Cap removal restores full fetch.
-	ix.SetMaxFanout(0)
-	if got := ix.Candidates(probe); len(got) != 6 {
-		t.Errorf("uncapped again = %d, want 6", len(got))
 	}
 }
 
@@ -225,7 +226,7 @@ func TestCandidatePerClassHits(t *testing.T) {
 	if len(cands) != 2 {
 		t.Fatalf("Candidates = %v, want 2", cands)
 	}
-	byID := map[BundleID]Candidate{}
+	byID := map[bundle.ID]Candidate{}
 	for _, c := range cands {
 		byID[c.ID] = c
 	}
@@ -249,13 +250,13 @@ func TestCandidatePerClassHits(t *testing.T) {
 func TestLastFetchSlack(t *testing.T) {
 	ix := New()
 	for i := 1; i <= 4; i++ {
-		ix.Observe(BundleID(i), doc(tweet.ID(i), "ann", "#hot stuff"))
+		ix.Observe(bundle.ID(i), doc(tweet.ID(i), "ann", "#hot stuff"))
 	}
 	ix.Observe(5, doc(5, "bob", "#cool stuff"))
 
 	// #hot's posting list (4 bundles) exceeds the cap; #cool and bob's
 	// user list (1 each) do not.
-	ix.SetMaxFanout(2)
+	ix.maxFanout = 2
 	cands := ix.Candidates(doc(9, "cat", "RT @bob: #hot #cool things"))
 	fi := ix.LastFetch()
 	if fi.SkippedTag != 1 {
@@ -279,7 +280,6 @@ func TestLastFetchSlack(t *testing.T) {
 
 	// "stuff" is in all five bundles' keyword lists, over the cap, and
 	// still neither walked nor slack.
-	ix.SetMaxFanout(0)
 	if got := ix.Candidates(doc(11, "eve", "stuff")); got != nil {
 		t.Errorf("keyword-only probe surfaced %v", got)
 	}
@@ -298,10 +298,10 @@ func TestLastFetchSlack(t *testing.T) {
 // lives only here.
 func oracleCandidates(ix *Index, d score.Doc) ([]Candidate, FetchInfo) {
 	var fi FetchInfo
-	hits := map[BundleID]Candidate{}
+	hits := map[bundle.ID]Candidate{}
 	collect := func(term termdict.ID) {
 		pl := ix.postings[term]
-		if ix.maxFanout > 0 && len(pl) > ix.maxFanout {
+		if len(pl) > ix.maxFanout {
 			switch term.Class() {
 			case termdict.URL:
 				fi.SkippedURL++
@@ -312,9 +312,9 @@ func oracleCandidates(ix *Index, d score.Doc) ([]Candidate, FetchInfo) {
 			}
 			return
 		}
-		for _, p := range pl {
-			cand := hits[p.ID]
-			cand.ID = p.ID
+		for _, id := range pl {
+			cand := hits[id]
+			cand.ID = id
 			switch term.Class() {
 			case termdict.URL:
 				cand.URLHits++
@@ -323,7 +323,7 @@ func oracleCandidates(ix *Index, d score.Doc) ([]Candidate, FetchInfo) {
 			case termdict.User:
 				cand.RTHit = true
 			}
-			hits[p.ID] = cand
+			hits[id] = cand
 		}
 		fi.Postings += len(pl)
 	}
@@ -360,7 +360,7 @@ type fetchCoverage struct {
 }
 
 // runFetchScript interprets data as a sequence of index operations —
-// Observe, Forget, SetMaxFanout and probes — over small vocabularies
+// Observe, Forget, fanout cuts and probes — over small vocabularies
 // (so lists overlap and messages repeat terms) with bundle IDs on a
 // shard stride, and diffs every probe's Candidates and LastFetch
 // against oracleCandidates, adding the shapes it saw to cov. Every
@@ -426,21 +426,18 @@ func runFetchScript(t *testing.T, data []byte, cov *fetchCoverage) {
 		if len(got) > 0 && got[0].Hits() > 1 {
 			cov.multiHit++
 		}
-		if ix.maxFanout > 0 && gotInfo.SkippedTag+gotInfo.SkippedURL > 0 {
+		if gotInfo.SkippedTag+gotInfo.SkippedURL > 0 {
 			cov.fanoutCut++
 		}
 		keywordOnly := false
 		for _, k := range d.Keywords() {
-			var want []BundleID
+			var want []bundle.ID
 			for i := range members {
 				if members[i][k] {
-					want = append(want, BundleID(start+stride*i))
+					want = append(want, bundle.ID(start+stride*i))
 				}
 			}
-			var have []BundleID
-			for _, p := range ix.Postings(k) {
-				have = append(have, p.ID)
-			}
+			have := ix.Postings(k)
 			if !slices.Equal(have, want) {
 				t.Fatalf("keyword %q postings %v, want bundles %v", termdict.Term(k), have, want)
 			}
@@ -458,7 +455,7 @@ func runFetchScript(t *testing.T, data []byte, cov *fetchCoverage) {
 		case 0, 1, 2, 3:
 			i := next() % nBundles
 			d := randomDoc()
-			ix.Observe(BundleID(start+stride*i), d)
+			ix.Observe(bundle.ID(start+stride*i), d)
 			if members[i] == nil {
 				members[i] = map[termdict.ID]bool{}
 			}
@@ -472,10 +469,13 @@ func runFetchScript(t *testing.T, data []byte, cov *fetchCoverage) {
 				terms = append(terms, term)
 			}
 			members[i] = nil
-			ix.Forget(BundleID(start+stride*i), terms)
+			ix.Forget(bundle.ID(start+stride*i), terms)
 			cov.forgets++
 		case 5:
-			ix.SetMaxFanout(next() % 6)
+			// a cut of 1 to 5, or 0 for none
+			if ix.maxFanout = next() % 6; ix.maxFanout == 0 {
+				ix.maxFanout = math.MaxInt
+			}
 		case 6, 7:
 			probe(randomDoc())
 		}
@@ -549,10 +549,9 @@ func crawlShapedFetch() (*Index, score.Doc) {
 	const nBundles = 20_000
 	rng := rand.New(rand.NewSource(1))
 	ix := New()
-	ix.SetMaxFanout(1024)
 	fill := func(c termdict.Class, term string, n int) {
 		for _, i := range rng.Perm(nBundles)[:n] {
-			ix.add(termdict.Intern(c, term), BundleID(i+1))
+			ix.add(termdict.Intern(c, term), bundle.ID(i+1))
 		}
 	}
 	fill(termdict.Tag, "tag0", 1024)
