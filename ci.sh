@@ -58,9 +58,11 @@ go test ./internal/bundle -fuzz FuzzBundleSummary -fuzztime 10s -fuzzminimizetim
 go test ./internal/textindex -fuzz FuzzSearchMatchesOracle -fuzztime 10s -fuzzminimizetime 20x -run '^$'
 go test ./internal/textindex -fuzz FuzzPostingsRoundTrip -fuzztime 10s -run '^$'
 # the two parsers of outside input: message text (indicants, the stored
-# form) and the JSONL codec
+# form) and the JSONL codec; and the Doc prepare makes of the parse
+# output, which must read back as that output from its IDs alone
 go test ./internal/tweet -fuzz FuzzParse -fuzztime 10s -run '^$'
 go test ./internal/stream -fuzz FuzzJSONL -fuzztime 10s -run '^$'
+go test ./internal/score -fuzz FuzzDoc -fuzztime 10s -run '^$'
 
 # README's quickstart output block is quoted, not illustrated: every
 # line of it must be a line the example prints today.
@@ -325,9 +327,10 @@ cat "$obs_tmp/pinned-2.txt"
 # Replication loopback: a durable leader ingests a generated stream
 # while a follower bootstraps from its checkpoint and tails its WAL
 # (DESIGN.md §2h). The gate: the follower reports ready with zero lag,
-# its /search, /prov and /trending answers are byte-identical to the
-# leader's, and provload drives the leader+follower pair through
-# /readyz gating without errors.
+# its /search, /prov and /trending answers and the /bundle trail of the
+# bundle /prov ranks first (node dates, parents, scores) are
+# byte-identical to the leader's, and provload drives the
+# leader+follower pair through /readyz gating without errors.
 echo "== leader+follower replication loopback =="
 leader_pid=""
 follower_pid=""
@@ -365,13 +368,16 @@ done
 [ "$ready" = "200" ] && [ "$lag" = "0" ] \
     || { echo "repl loopback: follower never converged (readyz=$ready lag=$lag)"; exit 1; }
 # leader-parity: identical bytes on every read endpoint
-for p in '/search?q=tsunami+samoa&k=10' '/prov?q=tsunami&k=10' '/trending?k=10'; do
+top_bundle="$(curl -sf 'http://127.0.0.1:18941/prov?q=tsunami&k=10' \
+    | grep -m1 -o '"id": [0-9]*' | grep -o '[0-9]*$')" || true
+[ -n "$top_bundle" ] || { echo "repl loopback: /prov?q=tsunami names no bundle"; exit 1; }
+for p in '/search?q=tsunami+samoa&k=10' '/prov?q=tsunami&k=10' '/trending?k=10' "/bundle?id=$top_bundle"; do
     curl -sf "http://127.0.0.1:18941$p" >"$obs_tmp/leader.json"
     curl -sf "http://127.0.0.1:18942$p" >"$obs_tmp/follower.json"
     cmp -s "$obs_tmp/leader.json" "$obs_tmp/follower.json" \
         || { echo "repl loopback: follower diverges from leader on $p"; exit 1; }
 done
-echo "repl loopback: follower converged, parity on /search /prov /trending"
+echo "repl loopback: follower converged, parity on /search /prov /trending /bundle?id=$top_bundle"
 # the shipping endpoints sit behind the server's middleware: the
 # follower's fetches are counted on the leader like any request
 curl -s http://127.0.0.1:18941/metrics \
@@ -413,9 +419,10 @@ echo "loc: non-test $(go_lines -not -name '*_test.go') test $(go_lines -name '*_
 
 # The memory budgets, uncached, so every CI log carries the figures:
 # live heap bytes per ingested message of the serving shape, the
-# message index's bytes per posting with its slab waste, and the
-# summary index's bytes per posting.
-go test -count=1 -run 'TestLiveHeapPerMessage|TestBytesPerPosting' -v ./internal/query ./internal/textindex ./internal/sumindex \
-    | grep -E 'per message|per posting'
+# engine's cost model against its live heap, the message index's bytes
+# per posting with its slab waste, and the summary index's bytes per
+# posting.
+go test -count=1 -run 'TestLiveHeapPerMessage|TestMemEstimateTracksHeap|TestBytesPerPosting' -v ./internal/query ./internal/core ./internal/textindex ./internal/sumindex \
+    | grep -E 'per message|live heap .* ratio|per posting'
 
 echo "CI OK"

@@ -21,6 +21,7 @@ import (
 	"provex/internal/bundle"
 	"provex/internal/storage"
 	"provex/internal/textindex"
+	"provex/internal/tweet"
 )
 
 // summaryTerms is how many top summary words represent a bundle in the
@@ -39,7 +40,7 @@ type Index struct {
 
 	docBundle []bundle.ID // by document key − 1: keys are dense, so the slice is the map; 8 bytes a flush, superseded ones included
 	bundleDoc map[bundle.ID]textindex.DocID
-	ends      map[bundle.ID]time.Time
+	ends      map[bundle.ID]int64 // last-post dates, unix nanoseconds
 }
 
 // Open builds an archive index over store, scanning any bundles already
@@ -49,7 +50,7 @@ func Open(store *storage.Store) (*Index, error) {
 		store:     store,
 		ix:        textindex.New(),
 		bundleDoc: make(map[bundle.ID]textindex.DocID),
-		ends:      make(map[bundle.ID]time.Time),
+		ends:      make(map[bundle.ID]int64),
 	}
 	err := store.Scan(func(b *bundle.Bundle) error {
 		a.Note(b)
@@ -77,7 +78,7 @@ func (a *Index) Note(b *bundle.Bundle) {
 	a.ix.Add(doc, terms)
 
 	a.bundleDoc[b.ID()] = doc
-	a.ends[b.ID()] = b.EndTime()
+	a.ends[b.ID()] = b.LastDate()
 
 	if a.ix.DeletedRatio() > compactRatio {
 		a.ix.Compact()
@@ -108,7 +109,7 @@ func (a *Index) Search(terms []string, k int) []Hit {
 	out := make([]Hit, 0, len(raw))
 	for _, h := range raw {
 		id := a.docBundle[h.Doc-1]
-		out = append(out, Hit{ID: id, Text: h.Score / max, LastPost: a.ends[id]})
+		out = append(out, Hit{ID: id, Text: h.Score / max, LastPost: tweet.Time(a.ends[id])})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Text != out[j].Text {

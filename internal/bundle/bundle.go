@@ -10,7 +10,6 @@ package bundle
 
 import (
 	"fmt"
-	"time"
 
 	"provex/internal/metrics"
 	"provex/internal/score"
@@ -27,12 +26,13 @@ type ID uint64
 const NoParent int32 = -1
 
 // Node is one message inside a bundle with its provenance edge: the
-// index of its parent node, the Eq. 5 score of that edge, and the
-// Table II connection type.
+// Eq. 5 score of that edge, the index of its parent node, and the
+// Table II connection type. The fields run largest first, so the node
+// packs into 48 bytes.
 type Node struct {
 	Doc    score.Doc
-	Parent int32
 	Score  float64
+	Parent int32
 	Conn   score.ConnectionType
 }
 
@@ -54,10 +54,10 @@ type Bundle struct {
 	rows []row
 	idx  index
 
-	// Message-date extent (Algorithm 2 lines 8–13). end is also when the
-	// bundle last absorbed a message in stream time — Eq. 1's freshness
-	// and the date(B) of Equation 6.
-	start, end time.Time
+	// Message-date extent (Algorithm 2 lines 8–13), in unix nanoseconds.
+	// end is also when the bundle last absorbed a message in stream time
+	// — Eq. 1's freshness and the date(B) of Equation 6.
+	start, end int64
 	closed     bool
 
 	// timeOrdered reports that nodes were appended in non-decreasing
@@ -89,11 +89,9 @@ func (b *Bundle) Closed() bool { return b.closed }
 // Close marks the bundle closed. Closing is one-way.
 func (b *Bundle) Close() { b.closed = true }
 
-// StartTime and EndTime bound the message dates inside the bundle.
-func (b *Bundle) StartTime() time.Time { return b.start }
-
-// EndTime returns the newest message date.
-func (b *Bundle) EndTime() time.Time { return b.end }
+// StartDate and LastDate bound the message dates inside the bundle, in
+// unix nanoseconds (tweet.Time renders them).
+func (b *Bundle) StartDate() int64 { return b.start }
 
 // Nodes exposes the node slice read-only by convention (callers must
 // not mutate). Index i is the node ID used in Parent links.
@@ -102,8 +100,9 @@ func (b *Bundle) Nodes() []Node { return b.nodes }
 // MemBytes is the analytic memory footprint estimate of the bundle.
 func (b *Bundle) MemBytes() int64 { return b.memBytes }
 
-// LastDate implements score.BundleStats (with Count, summary.go).
-func (b *Bundle) LastDate() time.Time { return b.end }
+// LastDate is the newest message date; it implements score.BundleStats
+// (with Count, summary.go).
+func (b *Bundle) LastDate() int64 { return b.end }
 
 // Indicants returns the distinct hashtags, URLs, keywords and users of
 // the bundle, each sorted by the term string.
@@ -183,14 +182,14 @@ func (b *Bundle) addExhaustive(w score.MessageWeights, doc score.Doc, obs Parent
 func (b *Bundle) absorb(doc score.Doc) {
 	m := doc.Msg
 	b.memBytes += metrics.NodeBase + metrics.MessageBase +
-		metrics.StringCost(m.User) + metrics.StringCost(m.Text) +
-		int64(len(m.Hashtags)+len(m.URLs))*metrics.StringOverhead + int64(len(doc.Terms))*metrics.TermRefCost +
+		metrics.StringCost(m.User) + metrics.StringCost(m.Text) + int64(len(doc.Terms))*metrics.TermRefCost +
 		b.absorbSummary(doc)
 
-	if b.start.IsZero() || m.Date.Before(b.start) {
+	first := len(b.nodes) == 1
+	if first || m.Date < b.start {
 		b.start = m.Date
 	}
-	if m.Date.Before(b.end) {
+	if !first && m.Date < b.end {
 		b.timeOrdered = false
 	} else {
 		b.end = m.Date
@@ -242,9 +241,9 @@ func (b *Bundle) Validate() error {
 			return fmt.Errorf("bundle %d: node %d has invalid parent %d", b.id, i, n.Parent)
 		}
 		m := n.Doc.Msg
-		if m.Date.Before(b.start) || m.Date.After(b.end) {
+		if m.Date < b.start || m.Date > b.end {
 			return fmt.Errorf("bundle %d: node %d date %v outside extent [%v, %v]",
-				b.id, i, m.Date, b.start, b.end)
+				b.id, i, m.Time(), tweet.Time(b.start), tweet.Time(b.end))
 		}
 		for _, t := range n.Doc.Indicants() {
 			want[t]++

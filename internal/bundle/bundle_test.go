@@ -98,12 +98,12 @@ func TestSummaryCounts(t *testing.T) {
 
 func TestExtent(t *testing.T) {
 	b := buildGameBundle(t)
-	if !b.StartTime().Equal(base) {
-		t.Errorf("StartTime = %v, want %v", b.StartTime(), base)
+	if got := tweet.Time(b.StartDate()); !got.Equal(base) {
+		t.Errorf("StartDate = %v, want %v", got, base)
 	}
 	want := base.Add(25 * time.Minute)
-	if !b.EndTime().Equal(want) {
-		t.Errorf("EndTime = %v, want %v", b.EndTime(), want)
+	if got := tweet.Time(b.LastDate()); !got.Equal(want) {
+		t.Errorf("LastDate = %v, want %v", got, want)
 	}
 }
 

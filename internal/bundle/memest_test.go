@@ -25,16 +25,16 @@ func sizeClass(n uintptr) uintptr {
 // metrics/memest.go to the layout it prices, so bundle.mem_mb and
 // sumindex.mem_mb follow a struct that changes size: an allocation is
 // charged its size class, a slice element or map slot its size. It also
-// pins the layouts the term dictionary bought: a Doc is a message
-// pointer and one ID list, a Node still 56 bytes.
+// pins the layouts the term dictionary and the Post bought: a Doc is a
+// post pointer and one ID list, a Node 48 bytes.
 func TestMemEstimateMatchesLayouts(t *testing.T) {
 	for _, c := range []struct {
 		name       string
 		got, model uintptr
 	}{
 		{"score.Doc", unsafe.Sizeof(score.Doc{}), 32},
-		{"bundle.Node", unsafe.Sizeof(Node{}), 56},
-		{"MessageBase (tweet.Message, size class)", sizeClass(unsafe.Sizeof(tweet.Message{})), metrics.MessageBase},
+		{"bundle.Node", unsafe.Sizeof(Node{}), 48},
+		{"MessageBase (tweet.Post, size class)", sizeClass(unsafe.Sizeof(tweet.Post{})), metrics.MessageBase},
 		{"NodeBase (bundle.Node, size class)", sizeClass(unsafe.Sizeof(Node{})), metrics.NodeBase},
 		{"TermRefCost (termdict.ID)", unsafe.Sizeof(termdict.ID(0)), metrics.TermRefCost},
 		{"SummaryRowCost (bundle.row)", unsafe.Sizeof(row{}), metrics.SummaryRowCost},

@@ -214,7 +214,7 @@ func (b *Bundle) addPrunedTime(w score.MessageWeights, doc score.Doc, obs Parent
 		panic("bundle: Add to closed bundle")
 	}
 	m := doc.Msg
-	urls, tags, keys := doc.URLs(), doc.Tags(), doc.Keywords()
+	tags, urls, keys := doc.Runs()
 	nU, nH, nK := len(urls), len(tags), len(keys)
 	wuPos, whPos, wkPos := clampPos(w.URL), clampPos(w.Tag), clampPos(w.Keyword)
 	wrPos, wtPos := clampPos(w.RT), clampPos(w.Time)
@@ -276,7 +276,7 @@ func (b *Bundle) addPrunedTime(w score.MessageWeights, doc score.Doc, obs Parent
 		// voids the decay argument, so it falls back to the global
 		// maximum of 1.
 		tCeil := 1.0
-		if !m.Date.Before(earlier.Msg.Date) {
+		if m.Date >= earlier.Msg.Date {
 			tCeil = nodeT
 		}
 

@@ -79,12 +79,15 @@ func (r *refSummary) add(w score.MessageWeights, d score.Doc) Node {
 // message's own for tags, URLs and the author — so the reference keeps
 // no term IDs.
 func stringTerms(d score.Doc) [termdict.NumClasses][]string {
-	var keys []string
-	for _, k := range d.Keywords() {
-		keys = append(keys, termdict.Term(k))
+	terms := func(ids []termdict.ID) []string {
+		var out []string
+		for _, id := range ids {
+			out = append(out, termdict.Term(id))
+		}
+		return out
 	}
 	return [termdict.NumClasses][]string{
-		termdict.Tag: d.Msg.Hashtags, termdict.URL: d.Msg.URLs, termdict.Keyword: keys, termdict.User: {d.Msg.User},
+		termdict.Tag: terms(d.Tags()), termdict.URL: terms(d.URLs()), termdict.Keyword: terms(d.Keywords()), termdict.User: {d.Msg.User},
 	}
 }
 
@@ -95,8 +98,7 @@ func (r *refSummary) memBytes() int64 {
 	for _, n := range r.nodes {
 		m := n.Doc.Msg
 		total += metrics.NodeBase + metrics.MessageBase +
-			metrics.StringCost(m.User) + metrics.StringCost(m.Text) +
-			int64(len(m.Hashtags)+len(m.URLs))*metrics.StringOverhead + int64(len(n.Doc.Terms))*metrics.TermRefCost
+			metrics.StringCost(m.User) + metrics.StringCost(m.Text) + int64(len(n.Doc.Terms))*metrics.TermRefCost
 	}
 	indexed := len(r.nodes) >= PruneMinNodes
 	if indexed {
@@ -151,7 +153,7 @@ func scriptDoc(next func() byte, i int, at *time.Time, ordered bool) score.Doc {
 		}
 		return fmt.Sprintf("%s%d", kind, v%shared)
 	}
-	m := &tweet.Message{ID: tweet.ID(i + 1), User: fmt.Sprintf("user%d", next()%5)}
+	m := &tweet.Message{Post: tweet.Post{ID: tweet.ID(i + 1), User: fmt.Sprintf("user%d", next()%5)}}
 	shape := next()
 	for n := int(shape % 3); n > 0; n-- {
 		m.Hashtags = append(m.Hashtags, pick("tag", 4))
@@ -184,7 +186,7 @@ func scriptDoc(next func() byte, i int, at *time.Time, ordered bool) score.Doc {
 	} else {
 		*at = at.Add(time.Duration(step) * time.Second)
 	}
-	m.Date = *at
+	m.Date = at.UnixNano()
 	m.Text = fmt.Sprint(m.Hashtags, m.URLs, keys, m.RTOf)
 	return score.DocWithKeywords(m, keys)
 }

@@ -12,7 +12,8 @@ package core
 // recfile frames (CRC32C) and nothing after them, so every byte past
 // the version is checksummed:
 //
-//	header frame: clock unix-nanos (varint); then uvarints — engine
+//	header frame: clock unix-nanos (varint; an engine that has seen no
+//	  message stores ckptNoDate); then uvarints — engine
 //	  counters: messages, edges, conn counts [5]; pool counters: nextID,
 //	  created, refines, deletedTiny, flushedClosed, flushedRanked,
 //	  inserts; flush counters: retries, dropped; the live-bundle count
@@ -40,6 +41,7 @@ import (
 	"provex/internal/pool"
 	"provex/internal/recfile"
 	"provex/internal/storage"
+	"provex/internal/stream"
 )
 
 var ckptMagic = [8]byte{'P', 'R', 'O', 'V', 'C', 'K', 'P', '1'}
@@ -49,6 +51,18 @@ const ckptVersion = 3
 // maxCkptRecord caps one frame so a corrupt length field cannot drive
 // an absurd allocation during restore.
 const maxCkptRecord = 64 << 20
+
+// ckptNoDate is the clock of an engine that has seen no message: the
+// value v3 has always stored for it, the zero time.Time's UnixNano.
+var ckptNoDate = time.Time{}.UnixNano()
+
+// clockToCkpt is the header's clock field for now.
+func clockToCkpt(now int64) int64 {
+	if now == stream.NoDate {
+		return ckptNoDate
+	}
+	return now
+}
 
 // ErrBadCheckpoint reports an unreadable or corrupt checkpoint stream.
 var ErrBadCheckpoint = errors.New("core: bad checkpoint")
@@ -69,7 +83,7 @@ func (e *Engine) writeCheckpoint(w io.Writer) error {
 	}
 
 	buf := recfile.BeginFrame(nil)
-	buf = binary.AppendVarint(buf, e.clock.Now().UnixNano())
+	buf = binary.AppendVarint(buf, clockToCkpt(e.clock.Now()))
 	buf = binary.AppendUvarint(buf, uint64(e.messages.Value()))
 	buf = binary.AppendUvarint(buf, uint64(e.edges.Value()))
 	for i := range e.connCounts {
@@ -155,7 +169,9 @@ func restoreCheckpoint(cfg Config, store *storage.Store, onEdge EdgeFunc, r io.R
 	}
 
 	e := New(cfg, store, onEdge)
-	e.clock.AdvanceTo(time.Unix(0, clockNanos).UTC())
+	if clockNanos != ckptNoDate {
+		e.clock.AdvanceTo(clockNanos)
+	}
 	e.messages.Add(int64(messages))
 	e.edges.Add(int64(edges))
 	for i := range conns {

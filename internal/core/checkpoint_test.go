@@ -56,7 +56,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("snapshot differs after restore:\n got: %+v\nwant: %+v", got, want)
 	}
-	if !restored.Now().Equal(orig.Now()) {
+	if restored.Now() != orig.Now() {
 		t.Errorf("clock differs: %v vs %v", restored.Now(), orig.Now())
 	}
 

@@ -366,7 +366,7 @@ func (e *Engine) SetTracer(r *trace.Recorder) {
 	}
 	e.pool.SetRefineObserver(func(b *bundle.Bundle, reason pool.EvictReason, ageHours, g float64, rank int) {
 		r.RecordRefine(trace.RefineEvent{
-			Now:      e.clock.Now(),
+			Now:      tweet.Time(e.clock.Now()),
 			Bundle:   uint64(b.ID()),
 			Reason:   reason.String(),
 			Size:     b.Size(),
@@ -524,7 +524,7 @@ func (e *Engine) InsertPrepared(p Prepared) InsertResult {
 	td := e.tracer.Begin(uint64(m.ID))
 	if td != nil {
 		td.User = m.User
-		td.Date = m.Date
+		td.Date = m.Time()
 	}
 
 	// Step 1+2a: fetch candidates and pick the best bundle by Eq. 1.
@@ -627,9 +627,9 @@ func (e *Engine) InsertPrepared(p Prepared) InsertResult {
 type ProbeResult struct {
 	Bundle   bundle.ID
 	Score    float64
-	Created  time.Time // date of the bundle's first message
-	FirstMsg tweet.ID  // ID of the bundle's first message
-	OK       bool      // a bundle scored strictly above the join threshold (and at or above the floor)
+	Created  int64    // date of the bundle's first message, unix nanoseconds
+	FirstMsg tweet.ID // ID of the bundle's first message
+	OK       bool     // a bundle scored strictly above the join threshold (and at or above the floor)
 }
 
 // probeResult reports a match's winner, !OK when there is none.
@@ -734,12 +734,12 @@ func (e *Engine) Resume(p *RoundProbe, i int, doc score.Doc, floor float64) Prob
 	return probeResult(m)
 }
 
-// AdvanceClock moves the engine's simulated clock forward to t (older
-// instants are ignored). The sharded commit phase calls it so shards
+// AdvanceClock moves the engine's simulated clock forward to date, in
+// unix nanoseconds (older dates are ignored). The sharded commit phase calls it so shards
 // that won no message in a round still age their pools in lockstep with
 // the stream — Algorithm 3 refinement and trending decay stay globally
 // timed.
-func (e *Engine) AdvanceClock(t time.Time) { e.clock.AdvanceTo(t) }
+func (e *Engine) AdvanceClock(date int64) { e.clock.AdvanceTo(date) }
 
 // fetchCandidates is Algorithm 1 step 1: the hit-ranked candidates
 // from the hard-indicant postings and the fetch's skipped-list slack.
@@ -881,8 +881,9 @@ func (e *Engine) SummaryIndex() *sumindex.Index { return e.index }
 // Store returns the disk back-end, nil when the engine runs memory-only.
 func (e *Engine) Store() *storage.Store { return e.store }
 
-// Now is the simulated current time (the newest message date seen).
-func (e *Engine) Now() time.Time { return e.clock.Now() }
+// Now is the simulated current time (the newest message date seen), in
+// unix nanoseconds; stream.NoDate before the first message.
+func (e *Engine) Now() int64 { return e.clock.Now() }
 
 // Bundle resolves id in the pool first, then the disk back-end.
 func (e *Engine) Bundle(id bundle.ID) (*bundle.Bundle, error) {

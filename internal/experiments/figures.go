@@ -10,6 +10,7 @@ import (
 	"provex/internal/gen"
 	"provex/internal/metrics"
 	"provex/internal/query"
+	"provex/internal/tweet"
 )
 
 // Method names used across series and tables.
@@ -118,7 +119,7 @@ func Fig6(s Scale) []*Table {
 	spanHist := metrics.NewHistogram(1, 2, 4, 8, 16, 32, 64, 128, 256, 512) // hours
 	e.Pool().All(func(b *bundle.Bundle) {
 		sizeHist.Observe(int64(b.Size()))
-		span := b.EndTime().Sub(b.StartTime()).Hours()
+		span := tweet.Sub(b.LastDate(), b.StartDate()).Hours()
 		spanHist.Observe(int64(span + 0.5))
 	})
 

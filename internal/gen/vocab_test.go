@@ -136,14 +136,14 @@ func TestSynthWordPronounceable(t *testing.T) {
 func TestEventReservoirKeepsRoot(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ev := &event{}
-	root := &tweet.Message{ID: 1, User: "root", Text: "root msg"}
+	root := &tweet.Message{Post: tweet.Post{ID: 1, User: "root", Text: "root msg"}}
 	ev.posted = 1
 	ev.remember(root, rng)
 	// Flood the reservoir; the root may be displaced but the reservoir
 	// must stay at its cap and never contain nils.
 	for i := 2; i <= 500; i++ {
 		ev.posted++
-		ev.remember(&tweet.Message{ID: tweet.ID(i), User: "u", Text: "x"}, rng)
+		ev.remember(&tweet.Message{Post: tweet.Post{ID: tweet.ID(i), User: "u", Text: "x"}}, rng)
 	}
 	if len(ev.recent) != 32 {
 		t.Fatalf("reservoir size = %d, want cap 32", len(ev.recent))

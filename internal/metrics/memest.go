@@ -17,11 +17,11 @@ type MemEstimator struct {
 // off a struct are its unsafe.Sizeof rounded to the allocator's size
 // class; bundle/memest_test.go holds them to the layouts.
 const (
-	StringOverhead = 16  // string header
-	MapEntryCost   = 40  // slot of a term-ID-keyed map: the 4-byte ID padded to 8 + a bundle summary's 32-byte posting (the summary index's 24-byte list header fits too)
-	MessageBase    = 128 // Message struct, its own size class; text and user are charged by length, hashtags and URLs by StringOverhead each
-	NodeBase       = 64  // bundle tree node (56 B: doc, parent, score, connection) + node-slice growth slack
-	TermRefCost    = 4   // one entry of a Doc's term list: a term-dictionary ID; the term's bytes are the dictionary's
+	StringOverhead = 16 // string header
+	MapEntryCost   = 40 // slot of a term-ID-keyed map: the 4-byte ID padded to 8 + a bundle summary's 32-byte posting (the summary index's 24-byte list header fits too)
+	MessageBase    = 48 // tweet.Post, its own size class; text and user are charged by length, the indicants by TermRefCost in the Doc
+	NodeBase       = 48 // bundle tree node (48 B: doc, score, parent, connection)
+	TermRefCost    = 4  // one entry of a Doc's term list: a term-dictionary ID; the term's bytes are the dictionary's
 	BundleBase     = 160
 	PostingCost    = 8 // a summary-index posting: one bundle ID
 	NodeRefCost    = 8 // node-index reference: int32 slot + growth slack

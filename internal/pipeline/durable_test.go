@@ -29,7 +29,7 @@ func durableOpts(fs fsx.FS) DurableOptions {
 func feed(t *testing.T, d *Durable, msgs []*tweet.Message) {
 	t.Helper()
 	for _, m := range msgs {
-		if err := d.Log(m); err != nil {
+		if err := d.Log(&m.Post); err != nil {
 			t.Fatal(err)
 		}
 		d.Engine().Insert(m)
@@ -139,7 +139,7 @@ func TestCheckpointResyncsSeqAfterFailedLog(t *testing.T) {
 	// append fails (torn write, tail repaired) but the message still
 	// enters the engine — in memory only, not crash-safe.
 	ff.Arm(1, fsx.Fault{TornBytes: 3}, fsx.OpWrite)
-	if err := d.Log(msgs[20]); err == nil {
+	if err := d.Log(&msgs[20].Post); err == nil {
 		t.Fatal("Log succeeded despite injected write fault")
 	}
 	ff.Disarm()
@@ -245,7 +245,7 @@ func assertEnginesEqual(t *testing.T, want, got *core.Engine) {
 	if want.Pool().NextID() != got.Pool().NextID() {
 		t.Fatalf("NextID %d, want %d", got.Pool().NextID(), want.Pool().NextID())
 	}
-	if !want.Now().Equal(got.Now()) {
+	if want.Now() != got.Now() {
 		t.Fatalf("clock %v, want %v", got.Now(), want.Now())
 	}
 	mismatches := 0

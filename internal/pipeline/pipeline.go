@@ -77,7 +77,7 @@ type Backend interface {
 	// the lock, so an fsync never blocks queries; a failure degrades
 	// durability but does not stop ingest. Engines that log inside Apply
 	// do nothing in either.
-	Log(m *tweet.Message) error
+	Log(p *tweet.Post) error
 	Sync() error
 	// LogBatch is the most messages one Sync should cover; at least 1.
 	LogBatch() int
@@ -302,8 +302,9 @@ func (s *Service) logStage(full chan<- batch, free <-chan []core.Prepared, resum
 		b.started = time.Now()
 		s.logWait.Observe(b.started.Sub(blocked))
 		for more := true; more; {
-			b.msgs = append(b.msgs, core.Prepare(m))
-			if err := s.be.Log(m); err != nil {
+			p := core.Prepare(m)
+			b.msgs = append(b.msgs, p)
+			if err := s.be.Log(p.Doc.Msg); err != nil {
 				// The message stays in memory but is not crash-safe:
 				// degraded durability, latched and surfaced by Err while
 				// ingest continues (availability over durability).
@@ -488,11 +489,11 @@ type serial struct {
 	applied int
 }
 
-func (b *serial) Log(m *tweet.Message) error {
+func (b *serial) Log(p *tweet.Post) error {
 	if b.dur == nil {
 		return nil
 	}
-	return b.dur.Log(m)
+	return b.dur.Log(p)
 }
 
 func (b *serial) Sync() error {

@@ -20,6 +20,7 @@ import (
 	"provex/internal/bundle"
 	"provex/internal/metrics"
 	"provex/internal/score"
+	"provex/internal/tweet"
 )
 
 // Config is the maintenance policy. The zero value disables every
@@ -279,7 +280,8 @@ func (p *Pool) NoteInsert(b *bundle.Bundle, grew int64) bool {
 
 // MaybeRefine runs the refinement pass if the pool exceeds its bound.
 // It reports whether a pass ran.
-func (p *Pool) MaybeRefine(now time.Time) bool {
+// now is the stream's current date in unix nanoseconds.
+func (p *Pool) MaybeRefine(now int64) bool {
 	if p.cfg.MaxBundles <= 0 || len(p.bundles) <= p.cfg.MaxBundles {
 		return false
 	}
@@ -305,17 +307,17 @@ type rankedBundle struct {
 // flushes aging closed ones; stage two ranks the rest by G(B)
 // descending and flushes from the top until both the lower limit is met
 // and the pool is back under MaxBundles.
-func (p *Pool) refine(now time.Time) {
+func (p *Pool) refine(now int64) {
 	p.stats.Refines++
 	count := 0
 	waiting := make([]rankedBundle, 0, len(p.bundles))
 	for _, b := range p.bundles {
-		age := now.Sub(b.EndTime())
+		age := tweet.Sub(now, b.LastDate())
 		switch {
 		case age > p.cfg.RefineAge && b.Size() < p.cfg.RefineSize:
 			p.remove(b)
 			if p.onRefine != nil {
-				p.onRefine(b, EvictAgingTiny, age.Hours(), score.EvictionRank(now, b.EndTime(), b.Size()), 0)
+				p.onRefine(b, EvictAgingTiny, age.Hours(), score.EvictionRank(now, b.LastDate(), b.Size()), 0)
 			}
 			p.onEvict(b, EvictAgingTiny, false)
 			p.stats.DeletedTiny++
@@ -323,13 +325,13 @@ func (p *Pool) refine(now time.Time) {
 		case age > p.cfg.RefineAge && b.Closed():
 			p.remove(b)
 			if p.onRefine != nil {
-				p.onRefine(b, EvictClosed, age.Hours(), score.EvictionRank(now, b.EndTime(), b.Size()), 0)
+				p.onRefine(b, EvictClosed, age.Hours(), score.EvictionRank(now, b.LastDate(), b.Size()), 0)
 			}
 			p.onEvict(b, EvictClosed, true)
 			p.stats.FlushedClosed++
 			count++
 		default:
-			waiting = append(waiting, rankedBundle{b: b, g: score.EvictionRank(now, b.EndTime(), b.Size())})
+			waiting = append(waiting, rankedBundle{b: b, g: score.EvictionRank(now, b.LastDate(), b.Size())})
 		}
 	}
 	sort.Slice(waiting, func(i, j int) bool {
@@ -344,7 +346,7 @@ func (p *Pool) refine(now time.Time) {
 		}
 		p.remove(rb.b)
 		if p.onRefine != nil {
-			p.onRefine(rb.b, EvictRanked, now.Sub(rb.b.EndTime()).Hours(), rb.g, rank+1)
+			p.onRefine(rb.b, EvictRanked, tweet.Sub(now, rb.b.LastDate()).Hours(), rb.g, rank+1)
 		}
 		p.onEvict(rb.b, EvictRanked, true)
 		p.stats.FlushedRanked++

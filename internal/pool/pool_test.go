@@ -75,7 +75,7 @@ func TestUnlimitedPoolNeverRefines(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		fill(p.Create(), 1, base)
 	}
-	if p.MaybeRefine(base.Add(100 * time.Hour)) {
+	if p.MaybeRefine(base.Add(100 * time.Hour).UnixNano()) {
 		t.Error("unlimited pool ran refinement")
 	}
 	if p.Len() != 500 {
@@ -124,7 +124,7 @@ func TestRefineDeletesAgingTiny(t *testing.T) {
 	fill(big, 10, base.Add(2*time.Hour))
 
 	now := base.Add(90 * time.Minute) // old aged 90m > 1h; others fresh
-	if !p.MaybeRefine(now.Add(time.Hour)) {
+	if !p.MaybeRefine(now.Add(time.Hour).UnixNano()) {
 		t.Fatal("refinement did not run over limit")
 	}
 	if p.Get(old.ID()) != nil {
@@ -159,7 +159,7 @@ func TestRefineFlushesAgingClosed(t *testing.T) {
 	fresh := p.Create()
 	fill(fresh, 3, base.Add(3*time.Hour))
 
-	p.MaybeRefine(base.Add(4 * time.Hour))
+	p.MaybeRefine(base.Add(4 * time.Hour).UnixNano())
 	if p.Get(closed.ID()) != nil {
 		t.Fatal("aging closed bundle survived")
 	}
@@ -189,7 +189,7 @@ func TestRefineRankedEviction(t *testing.T) {
 	freshSmall := p.Create()
 	fill(freshSmall, 2, base.Add(10*time.Hour))
 
-	p.MaybeRefine(base.Add(11 * time.Hour))
+	p.MaybeRefine(base.Add(11 * time.Hour).UnixNano())
 
 	if len(log.events) != 2 {
 		t.Fatalf("evictions = %v, want 2", log.events)
@@ -218,7 +218,7 @@ func TestRefineRespectsLowerLimit(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		fill(p.Create(), 2, base.Add(time.Duration(i)*time.Hour))
 	}
-	p.MaybeRefine(base.Add(10 * time.Hour))
+	p.MaybeRefine(base.Add(10 * time.Hour).UnixNano())
 	if len(log.events) != 3 {
 		t.Errorf("evictions = %d, want LowerLimit 3", len(log.events))
 	}
@@ -233,7 +233,7 @@ func TestRefineNotTriggeredUnderLimit(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		fill(p.Create(), 1, base)
 	}
-	if p.MaybeRefine(base.Add(100 * time.Hour)) {
+	if p.MaybeRefine(base.Add(100 * time.Hour).UnixNano()) {
 		t.Error("refinement ran at exactly the limit (trigger is 'exceeds')")
 	}
 }
@@ -294,7 +294,7 @@ func TestRefineInvariantProperty(t *testing.T) {
 			b := p.Create()
 			fill(b, int(s%9)+1, base.Add(time.Duration(i)*time.Minute))
 		}
-		p.MaybeRefine(base.Add(48 * time.Hour))
+		p.MaybeRefine(base.Add(48 * time.Hour).UnixNano())
 		if p.Len() > max {
 			return false
 		}
@@ -323,7 +323,7 @@ func TestStatsConservationProperty(t *testing.T) {
 			b := p.Create()
 			fill(b, int(s%9)+1, base.Add(time.Duration(i)*time.Minute))
 			p.NoteInsert(b, 0)
-			p.MaybeRefine(base.Add(time.Duration(i)*time.Minute + 30*time.Hour))
+			p.MaybeRefine(base.Add(time.Duration(i)*time.Minute + 30*time.Hour).UnixNano())
 		}
 		st := p.Stats()
 		return st.DeletedTiny+st.FlushedClosed+st.FlushedRanked == int64(len(log.events))
@@ -419,7 +419,7 @@ func TestRunningTotalsMatchWalk(t *testing.T) {
 					}
 				}
 			}
-			if p.MaybeRefine(now) {
+			if p.MaybeRefine(now.UnixNano()) {
 				check(p, fmt.Sprintf("seed %d step %d, after refinement", seed, step))
 			}
 		}

@@ -39,7 +39,7 @@ func oracleSearchBundles(p *Processor, q string, k int) []BundleHit {
 	hits := make([]BundleHit, 0, len(cands))
 	score := func(id bundle.ID, b *bundle.Bundle) {
 		if r := p.relevance(ids, b, now); r > 0 {
-			hits = append(hits, BundleHit{ID: id, Score: r, Size: b.Size(), LastPost: b.EndTime(), Summary: b.SummaryWords(10)})
+			hits = append(hits, BundleHit{ID: id, Score: r, Size: b.Size(), LastPost: tweet.Time(b.LastDate()), Summary: b.SummaryWords(10)})
 		}
 	}
 	for id := range cands {

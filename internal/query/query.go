@@ -54,7 +54,7 @@ func DefaultOptions() Options {
 
 // MessageHit is one result of the conventional message search.
 type MessageHit struct {
-	Msg   *tweet.Message
+	Msg   *tweet.Post
 	Score float64
 }
 
@@ -87,7 +87,7 @@ type Processor struct {
 	engs []*core.Engine // set once by NewNode; a sharded node's in shard order
 
 	msgIndex *textindex.Index // set once by NewNode: the /metrics gauges read it beside ingest
-	messages []*tweet.Message // by the ordinal msgIndex gave the message
+	messages []*tweet.Post    // by the ordinal msgIndex gave the message
 	terms    []string         // scratch for one message's index terms, the dictionary's strings
 	dups     metrics.Counter  // messages whose ID the index already held
 
@@ -204,10 +204,11 @@ func (p *Processor) index(d *score.Doc) bool {
 	// The dictionary's copies, so the index's term table pins no message
 	// text. The index keeps no reference to the scratch.
 	p.terms = p.terms[:0]
-	for _, t := range d.Keywords() {
+	tags, _, keywords := d.Runs()
+	for _, t := range keywords {
 		p.terms = append(p.terms, termdict.Term(t))
 	}
-	for _, t := range d.Tags() {
+	for _, t := range tags {
 		p.terms = append(p.terms, termdict.Term(t))
 	}
 	p.msgIndex.Add(key, p.terms)
@@ -485,7 +486,7 @@ func (p *Processor) searchBundles(e *core.Engine, terms []string, ids []queryTer
 			ID:       s.b.ID(),
 			Score:    s.score,
 			Size:     s.b.Size(),
-			LastPost: s.b.EndTime(),
+			LastPost: tweet.Time(s.b.LastDate()),
 			Summary:  s.b.SummaryWords(10),
 		}
 	}
@@ -496,7 +497,7 @@ func (p *Processor) searchBundles(e *core.Engine, terms []string, ids []queryTer
 // archive index surfaces up to k candidates by summary-term BM25, the
 // candidates are loaded from the store, and each is scored with the
 // same Eq. 7 relevance as live bundles so merged ranking is coherent.
-func (p *Processor) archivedHits(terms []string, ids []queryTerm, k int, now time.Time) []scoredBundle {
+func (p *Processor) archivedHits(terms []string, ids []queryTerm, k int, now int64) []scoredBundle {
 	if p.arch == nil {
 		return nil
 	}
@@ -514,10 +515,10 @@ func (p *Processor) archivedHits(terms []string, ids []queryTerm, k int, now tim
 }
 
 // relevance is Eq. 7 for one bundle.
-func (p *Processor) relevance(terms []queryTerm, b *bundle.Bundle, now time.Time) float64 {
+func (p *Processor) relevance(terms []queryTerm, b *bundle.Bundle, now int64) float64 {
 	s := textualSim(terms, b)
 	i := indicantSim(terms, b)
-	t := freshness(now, b.EndTime())
+	t := freshness(now, b.LastDate())
 	return p.opts.Alpha*s + p.opts.Beta*i + (1-p.opts.Alpha-p.opts.Beta)*t
 }
 
@@ -550,8 +551,8 @@ func indicantSim(terms []queryTerm, b *bundle.Bundle) float64 {
 }
 
 // freshness t(B): inverse hours since the bundle's last post.
-func freshness(now, last time.Time) float64 {
-	age := now.Sub(last).Hours()
+func freshness(now, last int64) float64 {
+	age := tweet.Sub(now, last).Hours()
 	if age < 0 {
 		age = 0
 	}

@@ -22,7 +22,7 @@ import (
 // lock the read ran under has been released. Hits, topics, statistics
 // and BundleDetail are fresh values copied out by the read that found
 // them; the messages they point to are shared with the engine, which is
-// safe because a message is immutable once parsed (tweet.Message).
+// safe because a post is immutable once prepared (tweet.Post).
 // Nothing returned aliases a live bundle, pool or index — code that
 // wants the bundle itself asks the engine on the writer's goroutine
 // (Processor.Engine().Bundle).
@@ -38,9 +38,9 @@ type Reader interface {
 // the index of its parent in Nodes (bundle.NoParent for a root), the
 // Eq. 5 score of that edge and its Table II connection type.
 type BundleNode struct {
-	Msg    *tweet.Message
-	Parent int32
+	Msg    *tweet.Post
 	Score  float64
+	Parent int32
 	Conn   score.ConnectionType
 }
 
@@ -50,7 +50,7 @@ type BundleNode struct {
 type BundleDetail struct {
 	ID         bundle.ID
 	Closed     bool
-	Start, End time.Time    // message-date extent
+	Start, End time.Time    // message-date extent, UTC
 	Summary    []string     // the 10 most frequent summary words
 	Nodes      []BundleNode // in node-id order
 }
@@ -60,13 +60,13 @@ func detail(b *bundle.Bundle) BundleDetail {
 	d := BundleDetail{
 		ID:      b.ID(),
 		Closed:  b.Closed(),
-		Start:   b.StartTime(),
-		End:     b.EndTime(),
+		Start:   tweet.Time(b.StartDate()),
+		End:     tweet.Time(b.LastDate()),
 		Summary: b.SummaryWords(10),
 		Nodes:   make([]BundleNode, b.Size()),
 	}
 	for i, n := range b.Nodes() {
-		d.Nodes[i] = BundleNode{Msg: n.Doc.Msg, Parent: n.Parent, Score: n.Score, Conn: n.Conn}
+		d.Nodes[i] = BundleNode{Msg: n.Doc.Msg, Score: n.Score, Parent: n.Parent, Conn: n.Conn}
 	}
 	return d
 }

@@ -33,7 +33,7 @@ func sampleMessage(i int) *tweet.Message {
 func sampleRecords(n int) [][]byte {
 	recs := make([][]byte, n)
 	for i := range recs {
-		recs[i] = wal.AppendRecord(nil, uint64(i+1), sampleMessage(i))
+		recs[i] = wal.AppendRecord(nil, uint64(i+1), &sampleMessage(i).Post)
 	}
 	return recs
 }
@@ -49,7 +49,7 @@ func TestStreamRoundtrip(t *testing.T) {
 	}
 	defer l.Close()
 	for i := 0; i < 7; i++ {
-		if err := l.Append(uint64(i+1), sampleMessage(i)); err != nil {
+		if err := l.Append(uint64(i+1), &sampleMessage(i).Post); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -9,6 +9,7 @@ package repl
 // double-applied or skipped records cannot pass.
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -27,6 +28,7 @@ import (
 	"provex/internal/query"
 	"provex/internal/server"
 	"provex/internal/storage"
+	"provex/internal/stream"
 	"provex/internal/tweet"
 )
 
@@ -89,7 +91,7 @@ func (l *testLeader) ingest(count int) {
 	l.t.Helper()
 	for i := 0; i < count; i++ {
 		m := testMsg(l.n)
-		if err := l.dur.Log(m); err != nil {
+		if err := l.dur.Log(&m.Post); err != nil {
 			l.t.Fatalf("leader ingest %d: %v", l.n, err)
 		}
 		l.dur.Engine().Insert(m)
@@ -734,4 +736,60 @@ func TestFollowerHonorsShedResponses(t *testing.T) {
 	if ft.Trips() == 0 {
 		t.Fatal("injected 503 never fired")
 	}
+}
+
+// TestDatesRenderAlikeEverywhere: a date is unix nanoseconds once it is
+// parsed, so the zone offset a feed spells it in is not kept, and every
+// node renders it in UTC. A stream dated +02:00 reads the same, byte
+// for byte, on /search, /prov and /bundle from the live leader, from a
+// follower, and from the leader after a crash and recovery (checkpoint
+// plus WAL replay) — while the live node kept the feed's offset, the
+// recovered nodes, decoding the stored form, rendered Z.
+func TestDatesRenderAlikeEverywhere(t *testing.T) {
+	leader := newTestLeader(t)
+	ingest := func(count int) {
+		for end := leader.n + count; leader.n < end; leader.n++ {
+			i := leader.n
+			date := time.Date(2009, 9, 29, 20, 0, 0, 0, time.FixedZone("", 2*60*60)).Add(time.Duration(i) * time.Minute)
+			line := fmt.Sprintf(`{"id":%d,"date":%q,"user":"user%d","text":"tsunami %d near #samoa http://x.io/%d"}`,
+				i+1, date.Format(time.RFC3339), i%7, i, i%5)
+			m, err := stream.NewJSONLReader(strings.NewReader(line)).Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := leader.dur.Log(&m.Post); err != nil {
+				t.Fatal(err)
+			}
+			leader.dur.Engine().Insert(m)
+		}
+	}
+	ingest(60)
+	leader.checkpoint()
+	ingest(30) // a WAL tail past the checkpoint
+
+	live := leader.queryServer().URL
+	_, prov := fetchRaw(t, live+"/prov?q=tsunami&k=10")
+	var top struct{ Bundles []struct{ ID uint64 } }
+	if err := json.Unmarshal(prov, &top); err != nil || len(top.Bundles) == 0 {
+		t.Fatalf("/prov names no bundle (%v): %s", err, prov)
+	}
+	paths := []string{"/search?q=tsunami&k=25", "/prov?q=tsunami&k=10", fmt.Sprintf("/bundle?id=%d", top.Bundles[0].ID)}
+	if _, b := fetchRaw(t, live+paths[2]); !strings.Contains(string(b), `"2009-09-29T18:00:00Z"`) {
+		t.Fatalf("/bundle does not render the first date in UTC: %s", b)
+	}
+
+	r := newFollower(t, leader.srv.URL, fsx.NewMem(), http.DefaultClient, nil)
+	r.Start()
+	waitFor(t, 5*time.Second, "follower catch-up", func() bool {
+		return r.Applied() == uint64(leader.n) && r.Health().Ready
+	})
+	fsrv := httptest.NewServer(server.New(r, server.WithHealth(r.Health)))
+	defer fsrv.Close()
+	assertParity(t, live, fsrv.URL, paths...)
+	if err := r.Stop(); err != nil {
+		t.Fatal(err)
+	}
+
+	leader.restart()
+	assertParity(t, live, leader.queryServer().URL, paths...)
 }

@@ -11,8 +11,6 @@
 package score
 
 import (
-	"time"
-
 	"provex/internal/termdict"
 	"provex/internal/tokenizer"
 	"provex/internal/tweet"
@@ -48,19 +46,20 @@ func (c ConnectionType) String() string {
 	}
 }
 
-// Doc couples a message with its indicants resolved to term-dictionary
+// Doc couples a post with its indicants resolved to term-dictionary
 // IDs. Resolution costs a tokenizer pass and a dictionary probe per
 // term, so it happens once, in prepare, and the Doc rides along with
-// the message through matching, allocation and summary maintenance.
+// the post through matching, allocation and summary maintenance.
 //
 // Terms is one exact-fit list: the author, the message's hashtags, its
 // URLs and its keywords, then — for a re-share only — the re-shared
-// user. The message's own counts delimit the runs, so the accessors
-// below slice it without a scan; the author through the keywords is a
-// prefix (Indicants), the set a bundle summary and the summary index
-// count.
+// user. Every ID carries its class, and the classes run Tag, URL,
+// Keyword between the two users, so the Doc finds its own runs: the
+// accessors below slice the list after a scan of its class bits. The
+// author through the keywords is a prefix (Indicants), the set a bundle
+// summary and the summary index count.
 type Doc struct {
-	Msg   *tweet.Message
+	Msg   *tweet.Post
 	Terms []termdict.ID
 }
 
@@ -68,6 +67,8 @@ type Doc struct {
 // of its text, adding first-seen terms to the dictionary. It touches no
 // engine state (the dictionary is safe for concurrent use), which is
 // what lets the pipeline's prepare stage run it ahead of the writer.
+// The Doc holds a copy of m's Post, not m: the parse output is garbage
+// once prepare returns.
 func NewDoc(m *tweet.Message) Doc {
 	var scratch [48]termdict.ID
 	terms := appendHead(scratch[:0], m)
@@ -99,18 +100,40 @@ func appendHead(dst []termdict.ID, m *tweet.Message) []termdict.ID {
 	return dst
 }
 
-// finish appends the re-shared user and copies the list out to fit: the
-// engine keeps it as long as it keeps the message.
+// finish appends the re-shared user and copies the list and the post
+// out: the engine keeps both as long as it keeps the message.
 func finish(m *tweet.Message, terms []termdict.ID) Doc {
 	if m.IsRT() {
 		terms = append(terms, termdict.Intern(termdict.User, m.RTOf))
 	}
-	return Doc{Msg: m, Terms: append(make([]termdict.ID, 0, len(terms)), terms...)}
+	post := m.Post
+	return Doc{Msg: &post, Terms: append(make([]termdict.ID, 0, len(terms)), terms...)}
+}
+
+// Runs splits the terms after the author into the hashtag, URL and
+// keyword runs, in one scan of their class bits: the runs follow one
+// another in that order, and the re-shared user (class User) ends the
+// last. Code that reads several runs of a Doc takes them from one call.
+func (d Doc) Runs() (tags, urls, keywords []termdict.ID) {
+	t := d.Terms
+	i := 1
+	for i < len(t) && t[i].Class() == termdict.Tag {
+		i++
+	}
+	j := i
+	for j < len(t) && t[j].Class() == termdict.URL {
+		j++
+	}
+	k := j
+	for k < len(t) && t[k].Class() == termdict.Keyword {
+		k++
+	}
+	return t[1:i], t[i:j], t[j:k]
 }
 
 // rt is 1 for a re-share (its last term is the re-shared user), else 0.
 func (d Doc) rt() int {
-	if d.Msg.IsRT() {
+	if n := len(d.Terms); n > 1 && d.Terms[n-1].Class() == termdict.User {
 		return 1
 	}
 	return 0
@@ -120,22 +143,26 @@ func (d Doc) rt() int {
 func (d Doc) User() termdict.ID { return d.Terms[0] }
 
 // Tags are the hashtag IDs, in the message's order.
-func (d Doc) Tags() []termdict.ID { return d.Terms[1 : 1+len(d.Msg.Hashtags)] }
+func (d Doc) Tags() []termdict.ID {
+	tags, _, _ := d.Runs()
+	return tags
+}
 
 // URLs are the URL IDs, in the message's order.
 func (d Doc) URLs() []termdict.ID {
-	i := 1 + len(d.Msg.Hashtags)
-	return d.Terms[i : i+len(d.Msg.URLs)]
+	_, urls, _ := d.Runs()
+	return urls
 }
 
 // Keywords are the keyword IDs, in first-occurrence order.
 func (d Doc) Keywords() []termdict.ID {
-	return d.Terms[1+len(d.Msg.Hashtags)+len(d.Msg.URLs) : len(d.Terms)-d.rt()]
+	_, _, keywords := d.Runs()
+	return keywords
 }
 
 // RTUser is the re-shared user's ID; ok is false for an original post.
 func (d Doc) RTUser() (id termdict.ID, ok bool) {
-	if !d.Msg.IsRT() {
+	if d.rt() == 0 {
 		return termdict.None, false
 	}
 	return d.Terms[len(d.Terms)-1], true
@@ -171,14 +198,17 @@ func rtOf(a, b Doc) bool {
 // Classify labels the strongest Table II connection from earlier
 // message a to later message b, ConnNone when unrelated.
 func Classify(a, b Doc) ConnectionType {
-	switch {
-	case rtOf(a, b):
+	if rtOf(a, b) {
 		return ConnRT
-	case overlap(a.URLs(), b.URLs()) > 0:
+	}
+	at, au, ak := a.Runs()
+	bt, bu, bk := b.Runs()
+	switch {
+	case overlap(au, bu) > 0:
 		return ConnURL
-	case overlap(a.Tags(), b.Tags()) > 0:
+	case overlap(at, bt) > 0:
 		return ConnHashtag
-	case overlap(a.Keywords(), b.Keywords()) > 0:
+	case overlap(ak, bk) > 0:
 		return ConnText
 	default:
 		return ConnNone
@@ -222,8 +252,8 @@ func share(earlier, later []termdict.ID) float64 {
 // scale is meaningful against the unit-interval overlap ratios (the
 // paper leaves the unit open; hours make one-hour-apart messages score
 // 0.5 and day-apart messages 0.04).
-func T(a, b *tweet.Message) float64 {
-	gap := a.Date.Sub(b.Date)
+func T(a, b *tweet.Post) float64 {
+	gap := tweet.Sub(a.Date, b.Date)
 	if gap < 0 {
 		gap = -gap
 	}
@@ -248,11 +278,13 @@ type MessageSimParts struct {
 // time-bounded placement scan (bundle.addPrunedTime) reproduces that
 // order from its merge counts.
 func MessageSim(w MessageWeights, earlier, later Doc) MessageSimParts {
+	et, eu, ek := earlier.Runs()
+	lt, lu, lk := later.Runs()
 	p := MessageSimParts{
-		U:       w.URL * U(earlier, later),
-		H:       w.Tag * H(earlier, later),
+		U:       w.URL * share(eu, lu), // Eq. 2, U
+		H:       w.Tag * share(et, lt), // Eq. 3, H
 		T:       w.Time * T(earlier.Msg, later.Msg),
-		Keyword: w.Keyword * share(earlier.Keywords(), later.Keywords()),
+		Keyword: w.Keyword * share(ek, lk),
 	}
 	p.Total = p.U + p.H + p.T + p.Keyword
 	if rtOf(earlier, later) {
@@ -294,8 +326,9 @@ type BundleStats interface {
 	// Count returns how many messages of the bundle carry the term — a
 	// hashtag, URL or keyword, or for a user how many they posted.
 	Count(term termdict.ID) int
-	// LastDate is the newest message date in the bundle.
-	LastDate() time.Time
+	// LastDate is the newest message date in the bundle, in unix
+	// nanoseconds.
+	LastDate() int64
 }
 
 // BundleSimParts is Equation 1 split into its components. Total is what
@@ -323,19 +356,20 @@ type BundleSimParts struct {
 func BundleSim(w BundleWeights, t Doc, b BundleStats) BundleSimParts {
 	var p BundleSimParts
 	var s float64
-	for _, u := range t.URLs() {
+	tags, urls, kws := t.Runs()
+	for _, u := range urls {
 		if b.Count(u) > 0 {
 			s += w.URL
 			p.URL += w.URL
 		}
 	}
-	for _, h := range t.Tags() {
+	for _, h := range tags {
 		if b.Count(h) > 0 {
 			s += w.Tag
 			p.Tag += w.Tag
 		}
 	}
-	if kws := t.Keywords(); len(kws) > 0 {
+	if len(kws) > 0 {
 		shared := 0
 		for _, k := range kws {
 			if b.Count(k) > 0 {
@@ -350,7 +384,7 @@ func BundleSim(w BundleWeights, t Doc, b BundleStats) BundleSimParts {
 		s += w.RT
 	}
 	if s > 0 && w.Time > 0 {
-		gap := t.Msg.Date.Sub(b.LastDate())
+		gap := tweet.Sub(t.Msg.Date, b.LastDate())
 		if gap < 0 {
 			gap = -gap
 		}
@@ -427,8 +461,9 @@ func (w BundleWeights) HardIndicantsRequired() bool {
 // age term is measured in hours (the unit again left open by the paper;
 // hours keep the 1/|B| size term relevant for bundles hours-old rather
 // than vanishing instantly). Higher ranks evict first.
-func EvictionRank(curr, lastUpdate time.Time, size int) float64 {
-	ageHours := curr.Sub(lastUpdate).Hours()
+// Dates are unix nanoseconds.
+func EvictionRank(curr, lastUpdate int64, size int) float64 {
+	ageHours := tweet.Sub(curr, lastUpdate).Hours()
 	if size < 1 {
 		size = 1
 	}

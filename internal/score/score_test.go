@@ -161,7 +161,7 @@ func (f *fakeBundle) Count(t termdict.ID) int {
 		return 0
 	}
 }
-func (f *fakeBundle) LastDate() time.Time { return f.last }
+func (f *fakeBundle) LastDate() int64 { return f.last.UnixNano() }
 
 func TestEquation1BundleSim(t *testing.T) {
 	w := DefaultBundleWeights()
@@ -203,18 +203,53 @@ func TestEquation1FreshnessTiebreak(t *testing.T) {
 }
 
 func TestEquation6EvictionRank(t *testing.T) {
-	curr := base.Add(24 * time.Hour)
-	oldSmall := EvictionRank(curr, base, 1)
-	oldBig := EvictionRank(curr, base, 1000)
-	freshSmall := EvictionRank(curr, base.Add(23*time.Hour), 1)
+	curr := base.Add(24 * time.Hour).UnixNano()
+	oldSmall := EvictionRank(curr, base.UnixNano(), 1)
+	oldBig := EvictionRank(curr, base.UnixNano(), 1000)
+	freshSmall := EvictionRank(curr, base.Add(23*time.Hour).UnixNano(), 1)
 	if oldSmall <= oldBig {
 		t.Error("smaller bundle of equal age must rank higher for eviction")
 	}
 	if oldSmall <= freshSmall {
 		t.Error("older bundle of equal size must rank higher for eviction")
 	}
-	if got := EvictionRank(curr, base, 0); math.IsInf(got, 0) || math.IsNaN(got) {
+	if got := EvictionRank(curr, base.UnixNano(), 0); math.IsInf(got, 0) || math.IsNaN(got) {
 		t.Errorf("size 0 produced %v", got)
+	}
+}
+
+// TestDateGapsSaturate: dates are unix nanoseconds, and the stream's
+// extreme years, 1678 and 2262, lie further apart than an int64 of
+// nanoseconds reaches, so a raw difference wraps. Eq. 1's freshness,
+// Eq. 4's T and Eq. 6's rank must read such a pair as time.Time.Sub
+// does — saturated — bit for bit, in both directions.
+func TestDateGapsSaturate(t *testing.T) {
+	early := time.Date(1678, 1, 1, 0, 0, 0, 0, time.UTC)
+	late := time.Date(2262, 4, 11, 0, 0, 0, 0, time.UTC)
+	if d := late.UnixNano() - early.UnixNano(); d > 0 {
+		t.Fatalf("the pair's raw difference %d does not wrap", d)
+	}
+	hours := func(a, b time.Time) float64 {
+		gap := a.Sub(b)
+		if gap < 0 {
+			gap = -gap
+		}
+		return gap.Hours()
+	}
+	w := DefaultBundleWeights()
+	for _, c := range []struct{ msg, last time.Time }{{late, early}, {early, late}, {late, late}} {
+		d := doc(1, "u", "game on #redsox", c.msg)
+		b := &fakeBundle{tags: map[string]int{"redsox": 1}, last: c.last}
+		if got, want := BundleSim(w, d, b).Freshness, w.Time/(hours(c.msg, c.last)+1); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("Eq. 1 freshness %v .. %v = %v, want %v", c.msg, c.last, got, want)
+		}
+		e := doc(2, "v", "game on #redsox", c.last)
+		if got, want := T(d.Msg, e.Msg), 1/(hours(c.msg, c.last)+1); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("Eq. 4 T %v .. %v = %v, want %v", c.msg, c.last, got, want)
+		}
+		if got, want := EvictionRank(c.msg.UnixNano(), c.last.UnixNano(), 3), c.msg.Sub(c.last).Hours()+1.0/3; math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("Eq. 6 rank %v .. %v = %v, want %v", c.msg, c.last, got, want)
+		}
 	}
 }
 
@@ -229,7 +264,7 @@ func TestMessageSimProperty(t *testing.T) {
 		if s < 0 || math.IsNaN(s) || math.IsInf(s, 0) {
 			return false
 		}
-		brt := doc(3, "bob", "RT @alice: seed "+textB, b.Msg.Date)
+		brt := doc(3, "bob", "RT @alice: seed "+textB, b.Msg.Time())
 		return MessageSim(w, a, brt).Total >= w.RT
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -251,17 +286,18 @@ func TestBundleSimEmptyProperty(t *testing.T) {
 	}
 }
 
-// TestNewDocOneAllocation: prepare runs once per ingested message and
-// the Doc's ID list is its only allocation once the dictionary holds
-// the message's terms — the lists are built in stack scratch.
-func TestNewDocOneAllocation(t *testing.T) {
+// TestNewDocAllocations: prepare runs once per ingested message, and
+// once the dictionary holds the message's terms it allocates only what
+// the engine keeps — the Post copy and the exact-fit ID list; the lists
+// are built in stack scratch.
+func TestNewDocAllocations(t *testing.T) {
 	m := tweet.Parse(1, "abcdude", base, "Classy RT @AmalieBenjamin: Lester getting an ovation #Yankee #redsox http://bit.ly/Uvcpr")
 	d := NewDoc(m)
 	if len(d.Terms) != cap(d.Terms) {
 		t.Errorf("Terms: %d IDs in %d slots, want an exact fit", len(d.Terms), cap(d.Terms))
 	}
-	if n := testing.AllocsPerRun(100, func() { NewDoc(m) }); n != 1 {
-		t.Errorf("NewDoc allocates %.0f times, want 1", n)
+	if n := testing.AllocsPerRun(100, func() { NewDoc(m) }); n != 2 {
+		t.Errorf("NewDoc allocates %.0f times, want 2", n)
 	}
 	if u, ok := d.RTUser(); !ok || termdict.Term(u) != "amaliebenjamin" || termdict.Term(d.User()) != "abcdude" {
 		t.Errorf("RTUser/User = %q/%q", termdict.Term(u), termdict.Term(d.User()))

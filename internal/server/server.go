@@ -461,7 +461,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		out = append(out, messageJSON{
 			ID:    uint64(h.Msg.ID),
 			User:  h.Msg.User,
-			Date:  h.Msg.Date.Format(time.RFC3339),
+			Date:  h.Msg.Time().Format(time.RFC3339),
 			Text:  h.Msg.Text,
 			Score: h.Score,
 		})
@@ -530,7 +530,7 @@ func (s *Server) handleBundle(w http.ResponseWriter, r *http.Request) {
 			Index:  i,
 			Parent: int(n.Parent),
 			User:   n.Msg.User,
-			Date:   n.Msg.Date.Format(time.RFC3339),
+			Date:   n.Msg.Time().Format(time.RFC3339),
 			Text:   n.Msg.Text,
 		}
 		if n.Parent != bundle.NoParent {

@@ -45,6 +45,7 @@ import (
 	"provex/internal/metrics"
 	"provex/internal/pipeline"
 	"provex/internal/storage"
+	"provex/internal/stream"
 	"provex/internal/wal"
 )
 
@@ -200,12 +201,10 @@ func OpenDurable(cfg core.Config, opts Options, dopts DurableOptions) (*Durable,
 	// every commit had advanced all shards to the round's newest date:
 	// realign them, or a crash after the last round leaves the shards
 	// that won none of its messages aging their pools behind the rest.
-	var now time.Time
+	now := stream.NoDate
 	for _, sh := range states {
 		d.Engine.global += uint64(sh.eng.Snapshot().Messages)
-		if t := sh.eng.Now(); t.After(now) {
-			now = t
-		}
+		now = max(now, sh.eng.Now())
 	}
 	for _, sh := range states {
 		sh.eng.AdvanceClock(now)

@@ -126,7 +126,7 @@ func TestShardedCrashRecoversAcknowledgedRounds(t *testing.T) {
 	}
 	// Every commit leaves all shards at the round's newest date, whoever
 	// won that message; replay alone would leave the other shard behind.
-	if a, b := d2.ShardEngine(0).Now(), d2.ShardEngine(1).Now(); !a.Equal(b) || !a.Equal(msgs[999].Date) {
+	if a, b := d2.ShardEngine(0).Now(), d2.ShardEngine(1).Now(); a != b || a != msgs[999].Date {
 		t.Fatalf("recovered shard clocks %v and %v, want both at the last acknowledged message's %v", a, b, msgs[999].Date)
 	}
 	// Resume exactly at the recovered prefix and finish the stream;
@@ -221,7 +221,7 @@ func TestShardedTornRoundTrimmed(t *testing.T) {
 	// round protocol — exactly what a crash between phase-2 WAL syncs
 	// and the ledger append leaves behind.
 	sh := d.shards[0]
-	if err := sh.dur.Log(msgs[500]); err != nil {
+	if err := sh.dur.Log(&msgs[500].Post); err != nil {
 		t.Fatal(err)
 	}
 	if err := sh.dur.SyncWAL(); err != nil {

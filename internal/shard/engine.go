@@ -58,6 +58,7 @@ import (
 	"provex/internal/pipeline"
 	"provex/internal/query"
 	"provex/internal/storage"
+	"provex/internal/stream"
 	"provex/internal/trace"
 	"provex/internal/tweet"
 )
@@ -386,7 +387,7 @@ func (e *Engine) resolve(batch []core.Prepared) error {
 	for _, sh := range e.shards {
 		sh.assign = sh.assign[:0]
 	}
-	var maxDate time.Time
+	maxDate := stream.NoDate
 	for mi, p := range batch {
 		win := -1
 		if n > 1 {
@@ -398,7 +399,7 @@ func (e *Engine) resolve(batch []core.Prepared) error {
 			e.cross.Inc()
 		}
 		e.shards[win].assign = append(e.shards[win].assign, p)
-		if d := p.Doc.Msg.Date; d.After(maxDate) {
+		if d := p.Doc.Msg.Date; d > maxDate {
 			maxDate = d
 		}
 	}
@@ -492,8 +493,8 @@ func better(a, b core.ProbeResult) bool {
 	if a.Score != b.Score {
 		return a.Score > b.Score
 	}
-	if !a.Created.Equal(b.Created) {
-		return a.Created.Before(b.Created)
+	if a.Created != b.Created {
+		return a.Created < b.Created
 	}
 	return a.FirstMsg < b.FirstMsg
 }

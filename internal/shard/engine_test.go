@@ -229,7 +229,7 @@ func TestShardedDeterminism(t *testing.T) {
 			if ae.Pool().NextID() != oe.Pool().NextID() {
 				t.Fatalf("shard %d NextID %d vs %d", i, ae.Pool().NextID(), oe.Pool().NextID())
 			}
-			if !ae.Now().Equal(oe.Now()) {
+			if ae.Now() != oe.Now() {
 				t.Fatalf("shard %d clock %v vs %v", i, ae.Now(), oe.Now())
 			}
 		}

@@ -49,19 +49,20 @@ func hashString(h uint64, s string) uint64 {
 //
 //provex:hotpath router hash runs once per ingested message
 func RouteKey(doc score.Doc) uint64 {
-	m := doc.Msg
-	switch {
-	case m.RTOf != "":
-		return hashString(fnvOffset^1, m.RTOf)
-	case len(m.URLs) > 0:
-		return hashString(fnvOffset^2, m.URLs[0])
-	case len(m.Hashtags) > 0:
-		return hashString(fnvOffset^3, m.Hashtags[0])
-	case len(doc.Keywords()) > 0:
-		return hashString(fnvOffset^4, termdict.Term(doc.Keywords()[0]))
-	default:
-		return hashString(fnvOffset^5, m.User)
+	if rt, ok := doc.RTUser(); ok {
+		return hashString(fnvOffset^1, termdict.Term(rt))
 	}
+	tags, urls, kws := doc.Runs()
+	if len(urls) > 0 {
+		return hashString(fnvOffset^2, termdict.Term(urls[0]))
+	}
+	if len(tags) > 0 {
+		return hashString(fnvOffset^3, termdict.Term(tags[0]))
+	}
+	if len(kws) > 0 {
+		return hashString(fnvOffset^4, termdict.Term(kws[0]))
+	}
+	return hashString(fnvOffset^5, termdict.Term(doc.User()))
 }
 
 // Route maps doc onto one of n shards.

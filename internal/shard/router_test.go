@@ -17,26 +17,28 @@ func TestRouteKeyClassPrecedence(t *testing.T) {
 	// A retweet routes by its original regardless of other indicants;
 	// stripping indicants walks down the precedence chain.
 	full := tweet.Message{
-		User: "alice", RTOf: "origin",
-		URLs: []string{"http://a"}, Hashtags: []string{"x"},
+		Post:     tweet.Post{User: "alice"},
+		RTOf:     "origin",
+		URLs:     []string{"http://a"},
+		Hashtags: []string{"x"},
 	}
 	cases := []struct {
 		name string
 		a, b score.Doc
 		same bool
 	}{
-		{"rt dominates", doc(full, "k"), doc(tweet.Message{User: "bob", RTOf: "origin"}), true},
-		{"url next", doc(tweet.Message{User: "a", URLs: []string{"http://a"}, Hashtags: []string{"y"}}),
-			doc(tweet.Message{User: "b", URLs: []string{"http://a"}}), true},
-		{"tag next", doc(tweet.Message{User: "a", Hashtags: []string{"x"}}, "k1"),
-			doc(tweet.Message{User: "b", Hashtags: []string{"x"}}), true},
-		{"keyword next", doc(tweet.Message{User: "a"}, "k1", "k2"),
-			doc(tweet.Message{User: "b"}, "k1"), true},
-		{"user last", doc(tweet.Message{User: "a"}), doc(tweet.Message{User: "a"}), true},
+		{"rt dominates", doc(full, "k"), doc(tweet.Message{Post: tweet.Post{User: "bob"}, RTOf: "origin"}), true},
+		{"url next", doc(tweet.Message{Post: tweet.Post{User: "a"}, URLs: []string{"http://a"}, Hashtags: []string{"y"}}),
+			doc(tweet.Message{Post: tweet.Post{User: "b"}, URLs: []string{"http://a"}}), true},
+		{"tag next", doc(tweet.Message{Post: tweet.Post{User: "a"}, Hashtags: []string{"x"}}, "k1"),
+			doc(tweet.Message{Post: tweet.Post{User: "b"}, Hashtags: []string{"x"}}), true},
+		{"keyword next", doc(tweet.Message{Post: tweet.Post{User: "a"}}, "k1", "k2"),
+			doc(tweet.Message{Post: tweet.Post{User: "b"}}, "k1"), true},
+		{"user last", doc(tweet.Message{Post: tweet.Post{User: "a"}}), doc(tweet.Message{Post: tweet.Post{User: "a"}}), true},
 		// Class salting: the same string in different classes must not
 		// collide structurally.
-		{"tag vs keyword salted", doc(tweet.Message{User: "a", Hashtags: []string{"x"}}),
-			doc(tweet.Message{User: "b"}, "x"), false},
+		{"tag vs keyword salted", doc(tweet.Message{Post: tweet.Post{User: "a"}, Hashtags: []string{"x"}}),
+			doc(tweet.Message{Post: tweet.Post{User: "b"}}, "x"), false},
 	}
 	for _, c := range cases {
 		if got := RouteKey(c.a) == RouteKey(c.b); got != c.same {
@@ -82,8 +84,8 @@ func TestRouteSpread(t *testing.T) {
 func TestRouteTimeIndependent(t *testing.T) {
 	// The key must ignore everything but the dominant indicant — two
 	// messages of one RT storm land together whatever their time/text.
-	a := doc(tweet.Message{ID: 1, User: "u1", RTOf: "celebrity", Date: time.Unix(0, 0)})
-	b := doc(tweet.Message{ID: 9, User: "u2", RTOf: "celebrity", Date: time.Unix(9999, 0), Text: "x"}, "extra")
+	a := doc(tweet.Message{Post: tweet.Post{ID: 1, User: "u1", Date: 0 * int64(time.Second)}, RTOf: "celebrity"})
+	b := doc(tweet.Message{Post: tweet.Post{ID: 9, User: "u2", Date: 9999 * int64(time.Second), Text: "x"}, RTOf: "celebrity"}, "extra")
 	if RouteKey(a) != RouteKey(b) {
 		t.Fatal("RT storm split across shards")
 	}
@@ -95,7 +97,7 @@ func TestRouteTimeIndependent(t *testing.T) {
 }
 
 func ExampleRoute() {
-	d := doc(tweet.Message{User: "alice", Hashtags: []string{"breaking"}})
+	d := doc(tweet.Message{Post: tweet.Post{User: "alice"}, Hashtags: []string{"breaking"}})
 	fmt.Println(Route(d, 1) == 0, Route(d, 4) == Route(d, 4))
 	// Output: true true
 }

@@ -56,7 +56,7 @@ type backend struct {
 	dur *Durable // nil for memory-only engines
 }
 
-func (b backend) Log(*tweet.Message) error    { return nil }
+func (b backend) Log(*tweet.Post) error       { return nil }
 func (b backend) Sync() error                 { return nil }
 func (b backend) LogBatch() int               { return b.eng.Batch() }
 func (b backend) Apply(p core.Prepared) error { return b.eng.IngestPrepared(p) }

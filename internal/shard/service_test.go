@@ -180,7 +180,7 @@ func walkBundle(t *testing.T, s *Service, id bundle.ID) {
 		return
 	}
 	for i, n := range d.Nodes {
-		if n.Msg.Text == "" || int(n.Parent) >= i || n.Msg.Date.Before(d.Start) || n.Msg.Date.After(d.End) {
+		if n.Msg.Text == "" || int(n.Parent) >= i || n.Msg.Time().Before(d.Start) || n.Msg.Time().After(d.End) {
 			t.Errorf("Bundle(%d): node %d = %+v outside the bundle's shape", id, i, n)
 			return
 		}
@@ -276,7 +276,7 @@ func TestServiceContract(t *testing.T) {
 			if err := d.svc.Stop(); err != nil {
 				t.Fatal(err)
 			}
-			err := d.svc.Submit(&tweet.Message{ID: 1, User: "u", Text: "x", Date: time.Now()})
+			err := d.svc.Submit(&tweet.Message{Post: tweet.Post{ID: 1, User: "u", Text: "x", Date: time.Now().UnixNano()}})
 			if !errors.Is(err, pipeline.ErrClosed) {
 				t.Errorf("Submit after Stop = %v, want ErrClosed", err)
 			}

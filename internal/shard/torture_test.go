@@ -88,7 +88,7 @@ func (s serialTortured) applied() int { return int(s.d.Engine().Snapshot().Messa
 // ingest logs, syncs and applies, in the order the Service's two stages
 // do.
 func (s serialTortured) ingest(m *tweet.Message) error {
-	if err := s.d.Log(m); err != nil {
+	if err := s.d.Log(&m.Post); err != nil {
 		return err
 	}
 	if err := s.d.SyncWAL(); err != nil {
@@ -285,7 +285,7 @@ func assertEnginesEqual(t *testing.T, i int, want, got *core.Engine) {
 	if want.Pool().NextID() != got.Pool().NextID() {
 		t.Fatalf("engine %d: NextID %d, want %d", i, got.Pool().NextID(), want.Pool().NextID())
 	}
-	if !want.Now().Equal(got.Now()) {
+	if want.Now() != got.Now() {
 		t.Fatalf("engine %d: clock %v, want %v", i, got.Now(), want.Now())
 	}
 	want.Pool().All(func(b *bundle.Bundle) {

@@ -299,7 +299,7 @@ func TestBundleContentSurvivesStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	gm := got.Nodes()[0].Doc.Msg
-	if gm.Text != m.Text || gm.User != m.User || !gm.Date.Equal(at) {
+	if gm.Text != m.Text || gm.User != m.User || gm.Date != at.UnixNano() {
 		t.Errorf("content mangled: %+v", gm)
 	}
 }

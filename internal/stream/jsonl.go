@@ -36,7 +36,7 @@ func WriteJSONL(w io.Writer, src Source) (int, error) {
 		}
 		rec := jsonRecord{
 			ID:   uint64(m.ID),
-			Date: m.Date.UTC().Format(time.RFC3339Nano),
+			Date: m.Time().Format(time.RFC3339Nano),
 			User: m.User,
 			Text: m.Text,
 		}

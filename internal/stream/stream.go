@@ -12,7 +12,7 @@ package stream
 import (
 	"errors"
 	"io"
-	"time"
+	"math"
 
 	"provex/internal/tweet"
 )
@@ -107,27 +107,33 @@ func Drain(src Source) ([]*tweet.Message, error) {
 	}
 }
 
+// NoDate is what a Clock that has seen no date reads: before every
+// unix-nanosecond date.
+const NoDate int64 = math.MinInt64
+
 // Clock tracks simulated time per the paper's replay convention: the
-// newest message date observed so far is "now". The zero Clock reads as
-// the zero time until fed.
+// newest message date observed so far is "now", in unix nanoseconds
+// like tweet.Post.Date. The zero Clock reads NoDate until fed.
 type Clock struct {
-	now time.Time
+	now  int64
+	seen bool
 }
 
-// Observe advances the clock to m's date if it is newer.
-func (c *Clock) Observe(m *tweet.Message) {
-	if m.Date.After(c.now) {
-		c.now = m.Date
-	}
-}
+// Observe advances the clock to p's date if it is newer.
+func (c *Clock) Observe(p *tweet.Post) { c.AdvanceTo(p.Date) }
 
 // Now returns the simulated current time.
-func (c *Clock) Now() time.Time { return c.now }
+func (c *Clock) Now() int64 {
+	if !c.seen {
+		return NoDate
+	}
+	return c.now
+}
 
-// AdvanceTo moves the clock forward to t; older instants are ignored.
+// AdvanceTo moves the clock forward to date; older dates are ignored.
 // Checkpoint restore uses it to resume simulated time.
-func (c *Clock) AdvanceTo(t time.Time) {
-	if t.After(c.now) {
-		c.now = t
+func (c *Clock) AdvanceTo(date int64) {
+	if !c.seen || date > c.now {
+		c.now, c.seen = date, true
 	}
 }

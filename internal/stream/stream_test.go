@@ -71,7 +71,7 @@ func TestFuncSourceWithLimit(t *testing.T) {
 	i := 0
 	f := FuncSource(func() *tweet.Message {
 		i++
-		return &tweet.Message{ID: tweet.ID(i), User: "u", Text: "x", Date: time.Unix(int64(i), 0)}
+		return &tweet.Message{Post: tweet.Post{ID: tweet.ID(i), User: "u", Text: "x", Date: int64(i) * int64(time.Second)}}
 	})
 	got, err := Drain(Limit(f, 5))
 	if err != nil {
@@ -136,14 +136,15 @@ func TestJSONLReaderMalformed(t *testing.T) {
 
 func TestClock(t *testing.T) {
 	var c Clock
-	if !c.Now().IsZero() {
-		t.Error("zero clock should read zero time")
+	if c.Now() != NoDate {
+		t.Error("zero clock should read NoDate")
 	}
-	t1 := time.Date(2009, 9, 1, 12, 0, 0, 0, time.UTC)
-	t0 := t1.Add(-time.Hour)
-	c.Observe(&tweet.Message{Date: t1})
-	c.Observe(&tweet.Message{Date: t0}) // late-arriving older message
-	if !c.Now().Equal(t1) {
+	// A date before 1970 is negative, and still after NoDate.
+	t1 := time.Date(1960, 9, 1, 12, 0, 0, 0, time.UTC).UnixNano()
+	t0 := t1 - int64(time.Hour)
+	c.Observe(&tweet.Post{Date: t1})
+	c.Observe(&tweet.Post{Date: t0}) // late-arriving older message
+	if c.Now() != t1 {
 		t.Errorf("clock went backwards: %v", c.Now())
 	}
 }

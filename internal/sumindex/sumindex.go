@@ -197,10 +197,11 @@ type heapEntry struct {
 func (ix *Index) Candidates(doc score.Doc) []Candidate {
 	ix.fetch = FetchInfo{}
 	ix.cursors, ix.heap = ix.cursors[:0], ix.heap[:0]
-	for _, h := range doc.Tags() {
+	tags, urls, _ := doc.Runs()
+	for _, h := range tags {
 		ix.gather(h)
 	}
-	for _, u := range doc.URLs() {
+	for _, u := range urls {
 		ix.gather(u)
 	}
 	if rt, ok := doc.RTUser(); ok {

@@ -18,6 +18,7 @@ import (
 
 	"provex/internal/bundle"
 	"provex/internal/pool"
+	"provex/internal/tweet"
 )
 
 // Window is the recency horizon: only messages newer than now-Window
@@ -50,9 +51,10 @@ func (t Topic) String() string {
 		strings.Join(t.Summary, ", "))
 }
 
-// Detect scans the live pool at simulated time now and returns the top
-// k trending bundles, hottest first.
-func Detect(p *pool.Pool, now time.Time, k int, opts Options) []Topic {
+// Detect scans the live pool at simulated time now (unix nanoseconds)
+// and returns the top k trending bundles, hottest first. A date is in
+// the window when it is less than Window before now.
+func Detect(p *pool.Pool, now int64, k int, opts Options) []Topic {
 	if k <= 0 {
 		return nil
 	}
@@ -64,7 +66,6 @@ func Detect(p *pool.Pool, now time.Time, k int, opts Options) []Topic {
 	if minRecent <= 0 {
 		minRecent = 3
 	}
-	cutoff := now.Add(-window)
 
 	// Rank first, render last: the Figure 2 summary row is a merged map
 	// plus a sort per bundle, so only the k winners get one.
@@ -75,12 +76,12 @@ func Detect(p *pool.Pool, now time.Time, k int, opts Options) []Topic {
 	}
 	var hot []ranked
 	p.All(func(b *bundle.Bundle) {
-		if b.EndTime().Before(cutoff) {
+		if tweet.Sub(now, b.LastDate()) > window {
 			return // quiet bundle
 		}
 		recent := 0
 		for _, n := range b.Nodes() {
-			if n.Doc.Msg.Date.After(cutoff) {
+			if tweet.Sub(now, n.Doc.Msg.Date) < window {
 				recent++
 			}
 		}
@@ -114,7 +115,7 @@ func Detect(p *pool.Pool, now time.Time, k int, opts Options) []Topic {
 			Score:    h.score,
 			Recent:   h.recent,
 			Size:     h.b.Size(),
-			LastPost: h.b.EndTime(),
+			LastPost: tweet.Time(h.b.LastDate()),
 			Summary:  h.b.SummaryWords(6),
 		}
 	}

@@ -42,7 +42,7 @@ func TestDetectRanksBurstFirst(t *testing.T) {
 	// Dead topic: finished yesterday.
 	addMsgs(p, "election", 30, now.Add(-30*time.Hour), time.Minute)
 
-	topics := Detect(p, now, 10, Options{})
+	topics := Detect(p, now.UnixNano(), 10, Options{})
 	if len(topics) == 0 {
 		t.Fatal("nothing trending")
 	}
@@ -60,10 +60,10 @@ func TestDetectMinRecentFilter(t *testing.T) {
 	p := pool.New(pool.Config{}, nil)
 	now := base
 	addMsgs(p, "whisper", 2, now.Add(-10*time.Minute), time.Minute) // below MinRecent
-	if topics := Detect(p, now, 5, Options{}); len(topics) != 0 {
+	if topics := Detect(p, now.UnixNano(), 5, Options{}); len(topics) != 0 {
 		t.Errorf("2-message bundle trended: %v", topics)
 	}
-	if topics := Detect(p, now, 5, Options{MinRecent: 1}); len(topics) != 1 {
+	if topics := Detect(p, now.UnixNano(), 5, Options{MinRecent: 1}); len(topics) != 1 {
 		t.Errorf("MinRecent=1 should surface it: %v", topics)
 	}
 }
@@ -74,13 +74,13 @@ func TestDetectKAndZero(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		addMsgs(p, fmt.Sprintf("topic%c", 'a'+i), 5+i, now.Add(-20*time.Minute), time.Minute)
 	}
-	if got := Detect(p, now, 3, Options{}); len(got) != 3 {
+	if got := Detect(p, now.UnixNano(), 3, Options{}); len(got) != 3 {
 		t.Errorf("k=3 returned %d", len(got))
 	}
-	if got := Detect(p, now, 0, Options{}); got != nil {
+	if got := Detect(p, now.UnixNano(), 0, Options{}); got != nil {
 		t.Errorf("k=0 returned %v", got)
 	}
-	full := Detect(p, now, 100, Options{})
+	full := Detect(p, now.UnixNano(), 100, Options{})
 	for i := 1; i < len(full); i++ {
 		if full[i].Score > full[i-1].Score {
 			t.Error("topics not sorted by score")
@@ -91,7 +91,7 @@ func TestDetectKAndZero(t *testing.T) {
 func TestTopicString(t *testing.T) {
 	p := pool.New(pool.Config{}, nil)
 	addMsgs(p, "storm", 5, base.Add(-10*time.Minute), time.Minute)
-	topics := Detect(p, base, 1, Options{})
+	topics := Detect(p, base.UnixNano(), 1, Options{})
 	if len(topics) != 1 || !strings.Contains(topics[0].String(), "bundle") {
 		t.Errorf("String = %v", topics)
 	}
@@ -135,8 +135,9 @@ func TestDetectOverEngine(t *testing.T) {
 
 // oracleDetect is Detect as it was before it ranked first: a summary
 // rendered for every qualifying bundle, the lot sorted, all but k
-// thrown away. Kept as the definition of the result list.
-func oracleDetect(p *pool.Pool, now time.Time, k int, opts Options) []Topic {
+// thrown away, with the window cut as a time.Time instant. Kept as the
+// definition of the result list.
+func oracleDetect(p *pool.Pool, now int64, k int, opts Options) []Topic {
 	if k <= 0 {
 		return nil
 	}
@@ -148,16 +149,16 @@ func oracleDetect(p *pool.Pool, now time.Time, k int, opts Options) []Topic {
 	if minRecent <= 0 {
 		minRecent = 3
 	}
-	cutoff := now.Add(-window)
+	cutoff := tweet.Time(now).Add(-window)
 
 	var topics []Topic
 	p.All(func(b *bundle.Bundle) {
-		if b.EndTime().Before(cutoff) {
+		if tweet.Time(b.LastDate()).Before(cutoff) {
 			return
 		}
 		recent := 0
 		for _, n := range b.Nodes() {
-			if n.Doc.Msg.Date.After(cutoff) {
+			if n.Doc.Msg.Time().After(cutoff) {
 				recent++
 			}
 		}
@@ -171,7 +172,7 @@ func oracleDetect(p *pool.Pool, now time.Time, k int, opts Options) []Topic {
 			Score:    rate * (0.5 + ratio),
 			Recent:   recent,
 			Size:     b.Size(),
-			LastPost: b.EndTime(),
+			LastPost: tweet.Time(b.LastDate()),
 			Summary:  b.SummaryWords(6),
 		})
 	})
@@ -209,7 +210,7 @@ func TestDetectMatchesOracle(t *testing.T) {
 			}
 		}
 	}
-	if got := Detect(p, now.Add(1000*time.Hour), 10, Options{}); got != nil {
+	if got := Detect(p, now+int64(1000*time.Hour), 10, Options{}); got != nil {
 		t.Errorf("a quiet pool trends %v, want nil", got)
 	}
 

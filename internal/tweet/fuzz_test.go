@@ -56,7 +56,7 @@ func FuzzParse(f *testing.F) {
 			}
 		}
 
-		got := DecodeRaw(recfile.NewCursor(AppendRaw(nil, m)))
+		got := DecodeRaw(recfile.NewCursor(AppendRaw(nil, &m.Post)))
 		if !reflect.DeepEqual(got, m) {
 			t.Fatalf("DecodeRaw(AppendRaw(m)) differs:\n  in:  %+v\n  out: %+v", m, got)
 		}

@@ -24,8 +24,11 @@ import (
 //     @IanMBrowne ...") attribute the message to the outermost source,
 //     matching how the paper treats chains of re-shares as one hop to the
 //     immediately re-shared user.
+//
+// The date is kept as unix nanoseconds (Post.Date), so it must lie in
+// the years 1678 to 2262.
 func Parse(id ID, user string, date time.Time, text string) *Message {
-	m := &Message{ID: id, User: user, Date: date, Text: text}
+	m := &Message{Post: Post{ID: id, Date: date.UnixNano(), User: user, Text: text}}
 	extractEntities(m)
 	return m
 }

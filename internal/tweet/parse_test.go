@@ -168,12 +168,11 @@ func TestValidate(t *testing.T) {
 		t.Fatalf("valid message rejected: %v", err)
 	}
 	bad := []*Message{
-		{User: "", Date: testDate, Text: "x"},
-		{User: "u", Text: "x"},
-		{User: "u", Date: testDate, Text: "   "},
-		{User: "u", Date: testDate, Text: "x", Hashtags: []string{"#h"}},
-		{User: "u", Date: testDate, Text: "x", Hashtags: []string{"UPPER"}},
-		{User: "u", Date: testDate, Text: "x", URLs: []string{"has space"}},
+		{Post: Post{User: "", Date: testDate.UnixNano(), Text: "x"}},
+		{Post: Post{User: "u", Date: testDate.UnixNano(), Text: "   "}},
+		{Post: Post{User: "u", Date: testDate.UnixNano(), Text: "x"}, Hashtags: []string{"#h"}},
+		{Post: Post{User: "u", Date: testDate.UnixNano(), Text: "x"}, Hashtags: []string{"UPPER"}},
+		{Post: Post{User: "u", Date: testDate.UnixNano(), Text: "x"}, URLs: []string{"has space"}},
 	}
 	for i, m := range bad {
 		if err := m.Validate(); err == nil {
@@ -250,19 +249,22 @@ func BenchmarkParse(b *testing.B) {
 // mention, a URL and an RT marker — at the allocations its content
 // needs: the Message, the two entity slices (Hashtags grows once) and
 // the lower-cased copies. 14 when each entity kind deduplicated through
-// a map of its own; 8 while mentions and the RT comment were kept.
-// Parse runs once per message in the log stage.
+// a map of its own; 8 while mentions and the RT comment were kept; 6
+// while Parse was small enough to inline, which kept the discarded
+// Message on this test's stack. Parse runs once per message in the log
+// stage.
 func TestParseAllocs(t *testing.T) {
 	text := "Classy. Way it should be RT @AmalieBenjamin: Lester getting an ovation from the #Yankee Stadium crowd http://bit.ly/Uvcpr #redsox"
-	if n := testing.AllocsPerRun(200, func() { Parse(1, "abcdude", testDate, text) }); n > 6 {
-		t.Errorf("Parse allocates %.0f times, want at most 6", n)
+	if n := testing.AllocsPerRun(200, func() { Parse(1, "abcdude", testDate, text) }); n > 7 {
+		t.Errorf("Parse allocates %.0f times, want at most 7", n)
 	}
 }
 
-// TestMessageSize: an engine holds one Message per ingested message, so
-// the struct is a per-message cost — 128 bytes, its own size class.
+// TestMessageSize: an engine holds one Post per ingested message, so
+// the struct is a per-message cost — 48 bytes, its own size class. The
+// Message around it is parse output and is dropped after prepare.
 func TestMessageSize(t *testing.T) {
-	if got := unsafe.Sizeof(Message{}); got != 128 {
-		t.Errorf("unsafe.Sizeof(Message{}) = %d, want 128", got)
+	if got := unsafe.Sizeof(Post{}); got != 48 {
+		t.Errorf("unsafe.Sizeof(Post{}) = %d, want 48", got)
 	}
 }

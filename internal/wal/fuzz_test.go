@@ -21,14 +21,11 @@ func validWALBytes(tb testing.TB, n int) []byte {
 	}
 	for i := 1; i <= n; i++ {
 		m := &tweet.Message{
-			ID:       tweet.ID(uint64(i)),
-			Date:     time.Unix(int64(1300000000+i), 0).UTC(),
-			User:     "fuzzer",
-			Text:     "RT @seed: provenance record",
+			Post:     tweet.Post{ID: tweet.ID(uint64(i)), Date: time.Unix(int64(1300000000+i), 0).UnixNano(), User: "fuzzer", Text: "RT @seed: provenance record"},
 			Hashtags: []string{"fuzz"},
 			RTOf:     "seed",
 		}
-		if err := l.Append(uint64(i), m); err != nil {
+		if err := l.Append(uint64(i), &m.Post); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -112,7 +109,7 @@ func FuzzOpenReplay(f *testing.F) {
 			t.Fatalf("Replay: non-corruption error %v", err)
 		}
 		next := l.lastSeq + 1
-		if err := l.Append(next, &tweet.Message{ID: tweet.ID(next), User: "post", Text: "append after recovery"}); err != nil {
+		if err := l.Append(next, &tweet.Post{ID: tweet.ID(next), User: "post", Text: "append after recovery"}); err != nil {
 			t.Fatalf("Append after recovery: %v", err)
 		}
 		if err := l.Close(); err != nil {

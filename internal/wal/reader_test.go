@@ -62,7 +62,7 @@ func TestReadBatchRoundtrip(t *testing.T) {
 			t.Fatalf("decode %d: %v", i, err)
 		}
 		want := msg(i)
-		if seq != uint64(i+1) || m.ID != want.ID || m.Text != want.Text || !m.Date.Equal(want.Date) {
+		if seq != uint64(i+1) || m.ID != want.ID || m.Text != want.Text || m.Date != want.Date {
 			t.Fatalf("record %d: seq %d msg %+v", i, seq, m)
 		}
 	}
@@ -212,7 +212,7 @@ func TestReadBatchConcurrentWriter(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < total; i++ {
-			if err := l.Append(uint64(i+1), msg(i)); err != nil {
+			if err := l.Append(uint64(i+1), &msg(i).Post); err != nil {
 				t.Errorf("append %d: %v", i, err)
 				return
 			}

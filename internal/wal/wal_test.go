@@ -22,7 +22,7 @@ func msg(i int) *tweet.Message {
 func appendN(t *testing.T, l *Log, from, to int) {
 	t.Helper()
 	for i := from; i < to; i++ {
-		if err := l.Append(uint64(i+1), msg(i)); err != nil {
+		if err := l.Append(uint64(i+1), &msg(i).Post); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
@@ -69,7 +69,7 @@ func TestAppendReplayRoundtrip(t *testing.T) {
 		if seqs[i] != uint64(i+1) {
 			t.Fatalf("seq[%d] = %d", i, seqs[i])
 		}
-		if m.ID != want.ID || m.User != want.User || m.Text != want.Text || !m.Date.Equal(want.Date) {
+		if m.ID != want.ID || m.User != want.User || m.Text != want.Text || m.Date != want.Date {
 			t.Fatalf("message %d mismatch: got %+v want %+v", i, m, want)
 		}
 		if len(m.Hashtags) != len(want.Hashtags) || len(m.URLs) != len(want.URLs) {
@@ -92,7 +92,7 @@ func TestAppendRejectsStaleSeq(t *testing.T) {
 	mem := fsx.NewMem()
 	l, _ := Open("wal", Options{FS: mem})
 	appendN(t, l, 0, 3)
-	if err := l.Append(3, msg(99)); err == nil {
+	if err := l.Append(3, &msg(99).Post); err == nil {
 		t.Fatal("stale sequence accepted")
 	}
 }
@@ -112,7 +112,7 @@ func TestCrashLosesOnlyUnsyncedTail(t *testing.T) {
 		t.Fatalf("after crash replay = %v, want 1..8", seqs)
 	}
 	// The log must accept new appends for the lost sequences.
-	if err := l2.Append(9, msg(8)); err != nil {
+	if err := l2.Append(9, &msg(8).Post); err != nil {
 		t.Fatalf("append after crash: %v", err)
 	}
 }
@@ -143,7 +143,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 		t.Fatalf("LastSeq = %d", l2.lastSeq)
 	}
 	// Appending over the truncated tail works.
-	if err := l2.Append(5, msg(4)); err != nil {
+	if err := l2.Append(5, &msg(4).Post); err != nil {
 		t.Fatal(err)
 	}
 	seqs, _ = collect(t, l2, 0)
@@ -213,7 +213,7 @@ func TestAppendFailureRepairsTail(t *testing.T) {
 			// The write tears, leaving partial garbage bytes at the
 			// append position before the error surfaces.
 			ff.Arm(1, fsx.Fault{TornBytes: tc.torn}, fsx.OpWrite)
-			if err := l.Append(6, msg(5)); !errors.Is(err, fsx.ErrInjected) {
+			if err := l.Append(6, &msg(5).Post); !errors.Is(err, fsx.ErrInjected) {
 				t.Fatalf("append err = %v, want injected write failure", err)
 			}
 			ff.Disarm()
@@ -249,7 +249,7 @@ func TestShortBatchWriteDropsBatch(t *testing.T) {
 		syncedSize := l.Size()
 		appendN(t, l, 64, 127)
 		ff.Arm(1, fsx.Fault{TornBytes: int(l.Size()-syncedSize) / 2}, fsx.OpWrite)
-		if err := l.Append(128, msg(127)); !errors.Is(err, fsx.ErrInjected) {
+		if err := l.Append(128, &msg(127).Post); !errors.Is(err, fsx.ErrInjected) {
 			t.Fatalf("append closing the batch: err = %v, want the injected short write", err)
 		}
 		ff.Disarm()
@@ -291,11 +291,11 @@ func TestUnrepairedTailLatchesBroken(t *testing.T) {
 	// The batch write tears AND the repair truncate fails: the on-disk
 	// tail stays torn, so the log must refuse to write past it.
 	ff.Arm(1, fsx.Fault{TornBytes: 3, Freeze: true}, fsx.OpWrite, fsx.OpTruncate)
-	if err := l.Append(12, msg(11)); !errors.Is(err, fsx.ErrInjected) {
+	if err := l.Append(12, &msg(11).Post); !errors.Is(err, fsx.ErrInjected) {
 		t.Fatalf("append err = %v, want injected write failure", err)
 	}
 	ff.Disarm()
-	if err := l.Append(9, msg(8)); err == nil {
+	if err := l.Append(9, &msg(8).Post); err == nil {
 		t.Fatal("append accepted on a broken log")
 	}
 	// Truncate is refused too: sealing the torn file into a non-final
@@ -314,7 +314,7 @@ func TestUnrepairedTailLatchesBroken(t *testing.T) {
 	if len(seqs) != 8 {
 		t.Fatalf("replay = %v, want records 1..8", seqs)
 	}
-	if err := l2.Append(9, msg(8)); err != nil {
+	if err := l2.Append(9, &msg(8).Post); err != nil {
 		t.Fatalf("append after reopen: %v", err)
 	}
 }
@@ -356,7 +356,7 @@ func TestSyncErrorSurfacesOnAppend(t *testing.T) {
 	ff.Arm(1, fsx.Fault{}, fsx.OpSync)
 	// The append that closes the batch carries the fsync failure, and
 	// the batch — written, but never known durable — is dropped with it.
-	if err := l.Append(4, msg(3)); !errors.Is(err, fsx.ErrInjected) {
+	if err := l.Append(4, &msg(3).Post); !errors.Is(err, fsx.ErrInjected) {
 		t.Fatalf("append err = %v, want injected fsync failure", err)
 	}
 	ff.Disarm()
@@ -390,7 +390,7 @@ func TestCrashDuringFileCreationRecovered(t *testing.T) {
 	if len(seqs) != 3 {
 		t.Fatalf("replay = %v", seqs)
 	}
-	if err := l2.Append(4, msg(3)); err != nil {
+	if err := l2.Append(4, &msg(3).Post); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -438,7 +438,7 @@ func TestGoldenFormat(t *testing.T) {
 	}
 	for i, m := range msgs {
 		want := msg(i)
-		if seqs[i] != uint64(i+1) || m.ID != want.ID || m.User != want.User || m.Text != want.Text || !m.Date.Equal(want.Date) {
+		if seqs[i] != uint64(i+1) || m.ID != want.ID || m.User != want.User || m.Text != want.Text || m.Date != want.Date {
 			t.Fatalf("golden record %d = seq %d %+v, want seq %d %+v", i, seqs[i], m, i+1, want)
 		}
 	}
@@ -480,7 +480,7 @@ func TestAppendZeroAlloc(t *testing.T) {
 	seq := uint64(0)
 	add := func() {
 		seq++
-		if err := l.Append(seq, m); err != nil {
+		if err := l.Append(seq, &m.Post); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -507,7 +507,7 @@ func BenchmarkAppend(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < 64; j++ {
 			seq++
-			if err := l.Append(seq, m); err != nil {
+			if err := l.Append(seq, &m.Post); err != nil {
 				b.Fatal(err)
 			}
 		}
