@@ -12,6 +12,12 @@ go build ./...
 echo "== go vet =="
 go vet ./...
 
+# gofmt: every Go file in the tree, testdata included, is as gofmt
+# prints it; a listed file fails the gate.
+echo "== gofmt =="
+unformatted="$(gofmt -l .)"
+[ -z "$unformatted" ] || { echo "gofmt: not formatted:"; echo "$unformatted"; exit 1; }
+
 # provlint: the repo's own vettool (cmd/provlint) re-runs vet with the
 # eight invariant analyzers — fsxdiscipline, durabilityerr, metricsreg,
 # hotpathalloc (DESIGN.md §2f) plus the concurrency four: lockguard,
@@ -53,8 +59,9 @@ go test ./internal/shard -fuzz FuzzFlooredProbe -fuzztime 10s -run '^$'
 # a new corpus entry is capped or it would eat the whole budget
 go test ./internal/bundle -fuzz FuzzBundleSummary -fuzztime 10s -fuzzminimizetime 20x -run '^$'
 # the message index against the map-and-slice index it replaced (adds in
-# and out of key order, deletes, compactions, searches), and its posting
-# codec across slab sizes and chains
+# and out of key order, deletes, compactions, searches; the index takes
+# each word's keyword ID, the reference the word), and its posting codec
+# across slab sizes and chains
 go test ./internal/textindex -fuzz FuzzSearchMatchesOracle -fuzztime 10s -fuzzminimizetime 20x -run '^$'
 go test ./internal/textindex -fuzz FuzzPostingsRoundTrip -fuzztime 10s -run '^$'
 # the two parsers of outside input: message text (indicants, the stored

@@ -20,6 +20,7 @@ import (
 
 	"provex/internal/bundle"
 	"provex/internal/storage"
+	"provex/internal/termdict"
 	"provex/internal/textindex"
 	"provex/internal/tweet"
 )
@@ -71,10 +72,18 @@ func (a *Index) Note(b *bundle.Bundle) {
 	a.docBundle = append(a.docBundle, b.ID())
 	doc := textindex.DocID(len(a.docBundle))
 
-	terms := b.SummaryWords(summaryTerms)
-	tags, urls, _, _ := b.Indicants()
-	terms = append(terms, tags...)
-	terms = append(terms, urls...)
+	// The summary words are spellings; the text index names each by the
+	// keyword-class ID of its spelling, and the bundle's hashtag and URL
+	// IDs the same way.
+	var terms []termdict.ID
+	for _, w := range b.SummaryWords(summaryTerms) {
+		terms = append(terms, termdict.Intern(termdict.Keyword, w))
+	}
+	for _, t := range b.AppendTerms(nil) {
+		if c := t.Class(); c == termdict.Tag || c == termdict.URL {
+			terms = append(terms, t)
+		}
+	}
 	a.ix.Add(doc, terms)
 
 	a.bundleDoc[b.ID()] = doc

@@ -35,7 +35,9 @@ import (
 // engine directly, which counted its re-share reservoir too; decoded
 // from JSONL the same build reads 686. 562 when the engine kept a
 // 48-byte Post (unix-nanosecond date, no indicant strings) and a
-// 48-byte node. The budget is about 10 % above the last. A change
+// 48-byte node; 549 when the message index addressed its lists by
+// term-dictionary ID and dropped its own term table. The budget is
+// about 10 % above 562. A change
 // that needs more should say where the bytes go (EXPERIMENTS.md has
 // the by-owner table) and move the budget knowingly. The term
 // dictionary is per process: run alone, the figure includes its

@@ -88,7 +88,7 @@ type Processor struct {
 
 	msgIndex *textindex.Index // set once by NewNode: the /metrics gauges read it beside ingest
 	messages []*tweet.Post    // by the ordinal msgIndex gave the message
-	terms    []string         // scratch for one message's index terms, the dictionary's strings
+	terms    []termdict.ID    // scratch for one message's index terms
 	dups     metrics.Counter  // messages whose ID the index already held
 
 	arch *archive.Index
@@ -139,7 +139,7 @@ func (p *Processor) RegisterMetrics(reg *metrics.Registry) {
 		"(term, message) pairs in the message index's posting lists.",
 		func() float64 { return float64(p.msgIndex.Stats().Postings) })
 	reg.RegisterGaugeFunc("provex_query_index_bytes",
-		"Heap the message index owns: posting slabs, term table and per-message columns, counted from its own allocations (the messages and the term dictionary's strings are not its own).",
+		"Heap the message index owns: posting slabs, list headers by term ID and per-message columns, counted from its own allocations (the messages and the term dictionary are not its own).",
 		func() float64 { return float64(p.msgIndex.Stats().Bytes) })
 }
 
@@ -201,16 +201,9 @@ func (p *Processor) index(d *score.Doc) bool {
 	if _, held := p.msgIndex.Ordinal(key); held {
 		return false
 	}
-	// The dictionary's copies, so the index's term table pins no message
-	// text. The index keeps no reference to the scratch.
-	p.terms = p.terms[:0]
+	// The index keeps no reference to the scratch.
 	tags, _, keywords := d.Runs()
-	for _, t := range keywords {
-		p.terms = append(p.terms, termdict.Term(t))
-	}
-	for _, t := range tags {
-		p.terms = append(p.terms, termdict.Term(t))
-	}
+	p.terms = append(append(p.terms[:0], keywords...), tags...)
 	p.msgIndex.Add(key, p.terms)
 	p.messages = append(p.messages, d.Msg) // the n-th Add is ordinal n − 1
 	return true
@@ -333,7 +326,7 @@ func SumStats(engs []*core.Engine) core.Stats {
 func (p *Processor) Trending(k int) []trending.Topic {
 	return merge(p.engs, k,
 		func(e *core.Engine) []trending.Topic {
-			return trending.Detect(e.Pool(), e.Now(), k, trending.Options{})
+			return trending.Detect(e.Pool(), e.Now(), k)
 		},
 		func(t trending.Topic) (float64, uint64) { return t.Score, uint64(t.ID) })
 }

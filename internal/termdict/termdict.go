@@ -80,6 +80,12 @@ const (
 // Class returns the class the ID belongs to.
 func (id ID) Class() Class { return Class(id >> classShift) }
 
+// Index returns the ID's position within its class: the class's terms
+// are numbered densely from 0 in the order they were added, so a slice
+// indexed by it is a table keyed by the class's terms. None's index is
+// past every term's.
+func (id ID) Index() uint32 { return uint32(id) & indexMask }
+
 const (
 	pageBits = 10
 	pageSize = 1 << pageBits
@@ -281,7 +287,7 @@ func makeID(c Class, index uint32) ID { return ID(c)<<classShift | ID(index) }
 
 //provex:hotpath resolves stored and routed terms (bundle codec, shard routing, message index)
 func (d *dict) term(id ID) string {
-	i := uint32(id) & indexMask
+	i := id.Index()
 	pages := *d.tables[id.Class()].pages.Load()
 	return pages[i>>pageBits][i&(pageSize-1)]
 }

@@ -25,11 +25,14 @@ func TestInternLookupTerm(t *testing.T) {
 	if id := d.lookup(Keyword, "redsox"); id != None {
 		t.Fatalf("empty dictionary looked up %v", id)
 	}
+	if None.Index() != indexMask {
+		t.Fatalf("None's index %d is not past every term's", None.Index())
+	}
 	if n := d.len(Keyword); n != 0 {
 		t.Fatalf("Lookup added %d terms", n)
 	}
 	kw, tag := d.intern(Keyword, "redsox"), d.intern(Tag, "redsox")
-	if kw == tag || kw.Class() != Keyword || tag.Class() != Tag {
+	if kw == tag || kw.Class() != Keyword || tag.Class() != Tag || kw.Index() != 0 || tag.Index() != 0 {
 		t.Fatalf("keyword %v and hashtag %v of one spelling", kw, tag)
 	}
 	// Enough terms to rehash several times and fill more than one page.
@@ -39,6 +42,9 @@ func TestInternLookupTerm(t *testing.T) {
 	}
 	for i, id := range ids {
 		term := fmt.Sprintf("user%d", i)
+		if id.Index() != uint32(i) {
+			t.Fatalf("the %d-th user term has index %d: a class's terms are numbered densely from 0", i, id.Index())
+		}
 		if got := d.term(id); got != term {
 			t.Fatalf("Term(%v) = %q, want %q", id, got, term)
 		}

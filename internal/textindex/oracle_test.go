@@ -272,7 +272,8 @@ func (p *bytePicker) Intn(n int) int {
 // vocabulary is small, so lists grow through several slab sizes and
 // terms repeat within a document (tf > 1); bags may be empty or hold
 // the empty term; keys mostly increase but also arrive out of order
-// and repeat. A key the index holds is not added again: both would
+// and repeat. The index is handed each word's keyword-class ID, the
+// oracle the word. A key the index holds is not added again: both would
 // panic on a live one, and the oracle would resurrect a tombstoned one —
 // the branch the index dropped.
 func differential(t *testing.T, p picker) {
@@ -298,7 +299,7 @@ func differential(t *testing.T, p picker) {
 				terms[i] = vocab[p.Intn(len(vocab))]
 			}
 			if _, held := ix.Ordinal(key); !held {
-				ix.Add(key, terms)
+				ix.Add(key, keywords(terms...))
 				or.Add(key, terms)
 				keys = append(keys, key)
 			}

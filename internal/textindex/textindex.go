@@ -7,6 +7,10 @@
 //   - A document is a dense ordinal the index assigns in arrival order.
 //     Per-document state is two columns indexed by it: the length of the
 //     term bag and the caller's 64-bit key.
+//   - A term is a spelling, named by the process-wide term dictionary's
+//     keyword-class ID of that spelling (see Add), and its posting list
+//     is found by indexing a column of list headers with the ID's index:
+//     the index keeps no term table of its own.
 //   - A term's postings are an append-only, pointer-free byte code in
 //     ordinal order — gap and term frequency, two to three bytes a
 //     posting — held in slabs cut from one arena (postings.go).
@@ -30,6 +34,8 @@ import (
 	"slices"
 	"sort"
 	"sync"
+
+	"provex/internal/termdict"
 )
 
 // DocID is the caller's key for an indexed document.
@@ -45,8 +51,8 @@ const (
 // concurrent use; writes take an exclusive lock.
 type Index struct {
 	mu    sync.RWMutex
-	terms termTable // term → posting list; guarded by mu
-	pool  arena     // the slabs the lists are written in; guarded by mu
+	lists column[list] // posting list by the term's keyword-class index; guarded by mu
+	pool  arena        // the slabs the lists are written in; guarded by mu
 
 	keys  column[DocID]    // caller's key, by ordinal; guarded by mu
 	lens  column[uint32]   // term-bag length, by ordinal; guarded by mu
@@ -54,24 +60,49 @@ type Index struct {
 	dead  []uint64         // tombstone bit per ordinal; nil until the first Delete; guarded by mu
 	nDead int              // set bits in dead; guarded by mu
 
-	postings int64    // postings over all lists, tombstoned documents included; guarded by mu
-	totalLen int64    // sum of live documents' lengths; guarded by mu
-	liveDocs int      // documents with at least one term and no tombstone; guarded by mu
-	sorted   []string // Add's scratch copy of one document's terms; guarded by mu
+	postings int64         // postings over all lists, tombstoned documents included; guarded by mu
+	totalLen int64         // sum of live documents' lengths; guarded by mu
+	liveDocs int           // documents with at least one term and no tombstone; guarded by mu
+	sorted   []termdict.ID // Add's scratch copy of one document's terms; guarded by mu
 }
 
 // New returns an empty index.
 func New() *Index { return new(Index) }
 
-// Add indexes a document under key with the given term bag, giving it
-// the next ordinal: the n-th Add is ordinal n − 1. Duplicate terms raise
-// term frequency; empty terms are ignored. Adding a key the index holds,
+// term names a term of a document as the index does: by its spelling,
+// as the keyword-class ID of that spelling. A hashtag or URL is indexed
+// under the keyword of the same spelling, interned on first sight, so a
+// hashtag "redsox" and the keyword "redsox" are one term and the index
+// answers as one keyed by the spellings themselves would (DESIGN.md §2k).
+func term(id termdict.ID) termdict.ID {
+	if id.Class() == termdict.Keyword {
+		return id
+	}
+	return termdict.Intern(termdict.Keyword, termdict.Term(id))
+}
+
+// listLocked returns the list of the keyword-class ID t, nil when t has
+// no postings.
+func (ix *Index) listLocked(t termdict.ID) *list {
+	if i := int(t.Index()); i < ix.lists.n {
+		if l := ix.lists.at(i); l.df > 0 {
+			return l
+		}
+	}
+	return nil
+}
+
+// Add indexes a document under key with the given term bag — term
+// dictionary IDs of any class, named as term says — giving it the next
+// ordinal: the n-th Add is ordinal n − 1. Duplicate terms raise term
+// frequency; a term spelled empty counts toward the document's length
+// but is not indexed. Adding a key the index holds,
 // tombstoned or not, is a programming error and panics — the index
 // assigns ordinals, so a key is never reused; a caller whose input may
 // repeat keys asks Ordinal first. A document with no terms still takes
 // an ordinal (so that its key is recognised when it comes again) but can
 // never be found, and the BM25 statistics do not count it.
-func (ix *Index) Add(key DocID, terms []string) {
+func (ix *Index) Add(key DocID, terms []termdict.ID) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if _, held := ix.ordinalLocked(key); held {
@@ -97,7 +128,10 @@ func (ix *Index) Add(key DocID, terms []string) {
 	// Term frequencies by sort + run length over a scratch copy: no
 	// per-document map. Which term's posting list is extended first does
 	// not matter — each list stays in ordinal order either way.
-	ix.sorted = append(ix.sorted[:0], terms...)
+	ix.sorted = ix.sorted[:0]
+	for _, t := range terms {
+		ix.sorted = append(ix.sorted, term(t))
+	}
 	slices.Sort(ix.sorted)
 	for i := 0; i < len(ix.sorted); {
 		t := ix.sorted[i]
@@ -105,8 +139,8 @@ func (ix *Index) Add(key DocID, terms []string) {
 		for j < len(ix.sorted) && ix.sorted[j] == t {
 			j++
 		}
-		if t != "" {
-			ix.pool.add(ix.terms.intern(t), uint32(ord), uint32(j-i))
+		if termdict.Term(t) != "" {
+			ix.pool.add(ix.lists.reach(int(t.Index())), uint32(ord), uint32(j-i))
 			ix.postings++
 		}
 		i = j
@@ -198,17 +232,17 @@ func (ix *Index) Compact() {
 	}
 	ix.dead, ix.nDead = nil, 0
 
-	terms, pool := ix.terms, ix.pool
-	ix.terms, ix.pool, ix.postings = termTable{}, arena{}, 0
-	for id := 0; id < terms.names.n; id++ {
+	lists, pool := ix.lists, ix.pool
+	ix.lists, ix.pool, ix.postings = column[list]{}, arena{}, 0
+	for i := 0; i < lists.n; i++ {
 		var l list
-		for c := pool.cursor(terms.lists.at(id)); c.next(); {
+		for c := pool.cursor(lists.at(i)); c.next(); {
 			if ord := renum[c.ord]; ord != gone {
 				ix.pool.add(&l, ord, c.tf)
 			}
 		}
 		if l.df > 0 {
-			*ix.terms.intern(*terms.names.at(id)) = l
+			*ix.lists.reach(i) = l
 			ix.postings += int64(l.df)
 		}
 	}
@@ -229,7 +263,7 @@ func (ix *Index) DeletedRatio() float64 {
 type Stats struct {
 	Docs     int   // ordinals assigned and not compacted away
 	Postings int   // (term, document) pairs over all lists
-	Bytes    int64 // heap the index owns: arena pages, term table, per-document columns
+	Bytes    int64 // heap the index owns: arena pages, list headers, per-document columns
 }
 
 // keyEntryBytes is what Stats charges an entry of the key → ordinal
@@ -246,7 +280,7 @@ func (ix *Index) Stats() Stats {
 	return Stats{
 		Docs:     ix.keys.n,
 		Postings: int(ix.postings),
-		Bytes: ix.pool.bytes() + ix.terms.bytes() + ix.keys.bytes() + ix.lens.bytes() +
+		Bytes: ix.pool.bytes() + ix.lists.bytes() + ix.keys.bytes() + ix.lens.bytes() +
 			int64(cap(ix.dead))*8 + int64(len(ix.byKey))*keyEntryBytes,
 	}
 }
@@ -270,12 +304,14 @@ func (ix *Index) advanceLocked(c *termCursor) {
 	}
 }
 
-// Search ranks live documents against the term bag by BM25 and returns
-// the top k hits, best first, equal scores by ascending key. Documents
-// matching more query terms score higher through summation; no
-// coordination factor is applied beyond that.
-func (ix *Index) Search(terms []string, k int) []Hit {
-	if k <= 0 || len(terms) == 0 {
+// Search ranks live documents against the words by BM25 and returns
+// the top k hits, best first, equal scores by ascending key. A word is
+// resolved to its keyword-class ID with termdict.Lookup, so a search
+// never adds a term to the dictionary. Documents matching more query
+// words score higher through summation; no coordination factor is
+// applied beyond that.
+func (ix *Index) Search(words []string, k int) []Hit {
+	if k <= 0 || len(words) == 0 {
 		return nil
 	}
 	ix.mu.RLock()
@@ -288,13 +324,16 @@ func (ix *Index) Search(terms []string, k int) []Hit {
 		avgdl = 1
 	}
 
-	// One cursor per distinct query term that has live postings, in
+	// One cursor per distinct query word that has live postings, in
 	// query order — the order a document's contributions are summed in.
 	var buf [8]termCursor
 	cs := buf[:0]
-	for i, t := range terms {
-		l := ix.terms.lookup(t)
-		if l == nil || slices.Contains(terms[:i], t) {
+	for i, w := range words {
+		if slices.Contains(words[:i], w) {
+			continue
+		}
+		l := ix.listLocked(termdict.Lookup(termdict.Keyword, w))
+		if l == nil {
 			continue
 		}
 		df := int(l.df)

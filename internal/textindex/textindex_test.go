@@ -8,7 +8,30 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"provex/internal/termdict"
 )
+
+// keywords names each word by its keyword-class ID, as a caller of Add
+// holds the words of a message.
+func keywords(words ...string) []termdict.ID {
+	ids := make([]termdict.ID, len(words))
+	for i, w := range words {
+		ids[i] = termdict.Intern(termdict.Keyword, w)
+	}
+	return ids
+}
+
+// terms counts the terms holding postings.
+func (ix *Index) terms() int {
+	n := 0
+	for i := 0; i < ix.lists.n; i++ {
+		if ix.lists.at(i).df > 0 {
+			n++
+		}
+	}
+	return n
+}
 
 func buildIndex(docs map[DocID][]string) *Index {
 	ix := New()
@@ -18,7 +41,7 @@ func buildIndex(docs map[DocID][]string) *Index {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		ix.Add(id, docs[id])
+		ix.Add(id, keywords(docs[id]...))
 	}
 	return ix
 }
@@ -135,7 +158,7 @@ func TestCompact(t *testing.T) {
 		t.Errorf("DeletedRatio = %v, want 2/3", r)
 	}
 	ix.Compact()
-	if n := ix.terms.names.n; n != 1 {
+	if n := ix.terms(); n != 1 {
 		t.Errorf("terms after compact = %d, want 1", n)
 	}
 	if st := ix.Stats(); st.Docs != 1 || st.Postings != 1 {
@@ -150,15 +173,41 @@ func TestCompact(t *testing.T) {
 	}
 }
 
+// TestTermIsASpelling: a hashtag or URL is indexed under the keyword
+// of its spelling, so a document carrying the hashtag and one carrying
+// the keyword hold one term, and a search never adds a term to the
+// dictionary.
+func TestTermIsASpelling(t *testing.T) {
+	ix := New()
+	ix.Add(1, []termdict.ID{termdict.Intern(termdict.Tag, "bluejays")})
+	ix.Add(2, keywords("bluejays"))
+	ix.Add(3, []termdict.ID{termdict.Intern(termdict.URL, "bluejays.example"), termdict.Intern(termdict.Tag, "bluejays")})
+	if n := ix.terms(); n != 2 {
+		t.Errorf("%d terms, want 2: bluejays and bluejays.example", n)
+	}
+	hits := ix.Search([]string{"bluejays"}, 10)
+	if got := hitDocs(hits); !reflect.DeepEqual(got, []DocID{1, 2, 3}) || hits[0].Score != hits[1].Score {
+		t.Errorf("Search(bluejays) = %v, want documents 1 and 2 alike, then 3", hits)
+	}
+	if got := hitDocs(ix.Search([]string{"bluejays.example"}, 10)); !reflect.DeepEqual(got, []DocID{3}) {
+		t.Errorf("Search(bluejays.example) = %v, want [3]", got)
+	}
+	before := termdict.Len(termdict.Keyword)
+	ix.Search([]string{"orioles-never-interned"}, 10)
+	if termdict.Len(termdict.Keyword) != before {
+		t.Error("a search added a term to the dictionary")
+	}
+}
+
 func TestDuplicateAddPanics(t *testing.T) {
 	ix := New()
-	ix.Add(1, []string{"a"})
+	ix.Add(1, keywords("a"))
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate Add did not panic")
 		}
 	}()
-	ix.Add(1, []string{"b"})
+	ix.Add(1, keywords("b"))
 }
 
 // TestOrdinal: a key is recognised, and translated to the ordinal its
@@ -175,9 +224,9 @@ func TestOrdinal(t *testing.T) {
 		}
 	}
 	check(10, 0, false)
-	ix.Add(10, []string{"a"})
+	ix.Add(10, keywords("a"))
 	ix.Add(20, nil) // no terms: an ordinal all the same
-	ix.Add(30, []string{"a"})
+	ix.Add(30, keywords("a"))
 	check(10, 0, true)
 	check(20, 1, true)
 	check(30, 2, true)
@@ -187,11 +236,11 @@ func TestOrdinal(t *testing.T) {
 	if ix.byKey != nil {
 		t.Error("increasing keys built the key map")
 	}
-	ix.Add(15, []string{"a"}) // new, and below the highest: out of order
+	ix.Add(15, keywords("a")) // new, and below the highest: out of order
 	if len(ix.byKey) != 4 {
 		t.Errorf("key map holds %d keys after an out-of-order add, want 4", len(ix.byKey))
 	}
-	ix.Add(40, []string{"a"})
+	ix.Add(40, keywords("a"))
 	check(15, 3, true)
 	check(40, 4, true)
 	check(10, 0, true)
@@ -218,7 +267,7 @@ func TestConcurrentReadWrite(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				ix.Add(DocID(w*1000+i), []string{"shared", fmt.Sprintf("t%d", i%17)})
+				ix.Add(DocID(w*1000+i), keywords("shared", fmt.Sprintf("t%d", i%17)))
 			}
 		}(w)
 	}
@@ -294,7 +343,7 @@ func TestCompactEquivalenceProperty(t *testing.T) {
 		n := 5 + rng.Intn(30)
 		for i := 0; i < n; i++ {
 			terms := []string{vocab[rng.Intn(len(vocab))], vocab[rng.Intn(len(vocab))]}
-			ix.Add(DocID(i+1), terms)
+			ix.Add(DocID(i+1), keywords(terms...))
 		}
 		for i := 0; i < n/3; i++ {
 			ix.Delete(DocID(rng.Intn(n) + 1))
@@ -312,12 +361,12 @@ func TestCompactEquivalenceProperty(t *testing.T) {
 func BenchmarkSearch(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	ix := New()
-	vocab := make([]string, 2000)
+	vocab := make([]termdict.ID, 2000)
 	for i := range vocab {
-		vocab[i] = fmt.Sprintf("term%d", i)
+		vocab[i] = termdict.Intern(termdict.Keyword, fmt.Sprintf("term%d", i))
 	}
+	terms := make([]termdict.ID, 8)
 	for i := 0; i < 50000; i++ {
-		terms := make([]string, 8)
 		for j := range terms {
 			terms[j] = vocab[rng.Intn(len(vocab))]
 		}
@@ -335,12 +384,14 @@ func BenchmarkSearch(b *testing.B) {
 // any other allocation) per document: over a fixed vocabulary the only
 // allocations left are the arena's pages and the columns growing,
 // which amortise to well under one per Add. The message index pays this
-// path once per ingested message.
+// path once per ingested message, hashtags named by their spelling's
+// keyword ID included.
 func TestAddNoPerDocumentMap(t *testing.T) {
 	ix := New()
-	vocab := []string{"game", "win", "team", "score", "final", "tsunami", "samoa", "quake", "coast", "rescue",
-		"warning", "relief", "wave", "island", "alert", "news", "live"}
-	terms := make([]string, 12) // a message's keywords and hashtags; more than a stack-allocated map holds
+	vocab := append(keywords("game", "win", "team", "score", "final", "tsunami", "samoa", "quake", "coast", "rescue",
+		"warning", "relief", "wave", "island", "alert", "news"),
+		termdict.Intern(termdict.Tag, "live"), termdict.Intern(termdict.URL, "news.example/live"))
+	terms := make([]termdict.ID, 12) // a message's keywords and hashtags; more than a stack-allocated map holds
 	doc := DocID(0)
 	add := func() {
 		doc++
@@ -356,15 +407,15 @@ func TestAddNoPerDocumentMap(t *testing.T) {
 		t.Errorf("Add allocates %.2f per document, want amortised growth only (< 0.5)", n)
 	}
 	// Repeated terms still count: "game" twice, "win" once.
-	ix.Add(doc+1, []string{"game", "win", "game", ""})
+	ix.Add(doc+1, keywords("game", "win", "game", ""))
 	ord, _ := ix.Ordinal(doc + 1)
-	c := ix.pool.cursor(ix.terms.lookup("game"))
+	c := ix.pool.cursor(ix.listLocked(termdict.Lookup(termdict.Keyword, "game")))
 	for c.next() {
 	}
 	if int(c.ord) != ord || c.tf != 2 {
 		t.Errorf("last posting of game = ordinal %d tf %d, want ordinal %d (doc %d) with tf 2", c.ord, c.tf, ord, doc+1)
 	}
-	if ix.terms.lookup("") != nil {
+	if ix.listLocked(termdict.Lookup(termdict.Keyword, "")) != nil {
 		t.Error("the empty term was indexed")
 	}
 }

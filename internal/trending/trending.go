@@ -21,18 +21,14 @@ import (
 	"provex/internal/tweet"
 )
 
-// Window is the recency horizon: only messages newer than now-Window
-// count as "recent activity".
-const DefaultWindow = 2 * time.Hour
-
-// Options tune the detector.
-type Options struct {
-	// Window bounds the recent-activity horizon; 0 uses DefaultWindow.
-	Window time.Duration
-	// MinRecent filters bundles with fewer recent messages than this
-	// (default 3) — a single fresh message is not a trend.
-	MinRecent int
-}
+const (
+	// Window is the recency horizon: only messages less than Window
+	// before now count as recent activity.
+	Window = 2 * time.Hour
+	// MinRecent is the fewest recent messages a trending bundle has: a
+	// single fresh message is not a trend.
+	MinRecent = 3
+)
 
 // Topic is one trending bundle.
 type Topic struct {
@@ -54,17 +50,9 @@ func (t Topic) String() string {
 // Detect scans the live pool at simulated time now (unix nanoseconds)
 // and returns the top k trending bundles, hottest first. A date is in
 // the window when it is less than Window before now.
-func Detect(p *pool.Pool, now int64, k int, opts Options) []Topic {
+func Detect(p *pool.Pool, now int64, k int) []Topic {
 	if k <= 0 {
 		return nil
-	}
-	window := opts.Window
-	if window <= 0 {
-		window = DefaultWindow
-	}
-	minRecent := opts.MinRecent
-	if minRecent <= 0 {
-		minRecent = 3
 	}
 
 	// Rank first, render last: the Figure 2 summary row is a merged map
@@ -76,20 +64,20 @@ func Detect(p *pool.Pool, now int64, k int, opts Options) []Topic {
 	}
 	var hot []ranked
 	p.All(func(b *bundle.Bundle) {
-		if tweet.Sub(now, b.LastDate()) > window {
+		if tweet.Sub(now, b.LastDate()) > Window {
 			return // quiet bundle
 		}
 		recent := 0
 		for _, n := range b.Nodes() {
-			if tweet.Sub(now, n.Doc.Msg.Date) < window {
+			if tweet.Sub(now, n.Doc.Msg.Date) < Window {
 				recent++
 			}
 		}
-		if recent < minRecent {
+		if recent < MinRecent {
 			return
 		}
 		// Rate of recent arrivals...
-		rate := float64(recent) / window.Hours()
+		rate := float64(recent) / Window.Hours()
 		// ...scaled by the burst ratio: what fraction of the bundle's
 		// life happened inside the window. A steady old topic has a
 		// low ratio; a fresh burst approaches 1.

@@ -42,7 +42,7 @@ func TestDetectRanksBurstFirst(t *testing.T) {
 	// Dead topic: finished yesterday.
 	addMsgs(p, "election", 30, now.Add(-30*time.Hour), time.Minute)
 
-	topics := Detect(p, now.UnixNano(), 10, Options{})
+	topics := Detect(p, now.UnixNano(), 10)
 	if len(topics) == 0 {
 		t.Fatal("nothing trending")
 	}
@@ -59,12 +59,13 @@ func TestDetectRanksBurstFirst(t *testing.T) {
 func TestDetectMinRecentFilter(t *testing.T) {
 	p := pool.New(pool.Config{}, nil)
 	now := base
-	addMsgs(p, "whisper", 2, now.Add(-10*time.Minute), time.Minute) // below MinRecent
-	if topics := Detect(p, now.UnixNano(), 5, Options{}); len(topics) != 0 {
-		t.Errorf("2-message bundle trended: %v", topics)
+	addMsgs(p, "whisper", MinRecent-1, now.Add(-10*time.Minute), time.Minute)
+	if topics := Detect(p, now.UnixNano(), 5); len(topics) != 0 {
+		t.Errorf("a bundle of %d recent messages trended: %v", MinRecent-1, topics)
 	}
-	if topics := Detect(p, now.UnixNano(), 5, Options{MinRecent: 1}); len(topics) != 1 {
-		t.Errorf("MinRecent=1 should surface it: %v", topics)
+	addMsgs(p, "shout", MinRecent, now.Add(-10*time.Minute), time.Minute)
+	if topics := Detect(p, now.UnixNano(), 5); len(topics) != 1 || topics[0].Recent != MinRecent {
+		t.Errorf("want only the bundle of %d recent messages: %v", MinRecent, topics)
 	}
 }
 
@@ -74,13 +75,13 @@ func TestDetectKAndZero(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		addMsgs(p, fmt.Sprintf("topic%c", 'a'+i), 5+i, now.Add(-20*time.Minute), time.Minute)
 	}
-	if got := Detect(p, now.UnixNano(), 3, Options{}); len(got) != 3 {
+	if got := Detect(p, now.UnixNano(), 3); len(got) != 3 {
 		t.Errorf("k=3 returned %d", len(got))
 	}
-	if got := Detect(p, now.UnixNano(), 0, Options{}); got != nil {
+	if got := Detect(p, now.UnixNano(), 0); got != nil {
 		t.Errorf("k=0 returned %v", got)
 	}
-	full := Detect(p, now.UnixNano(), 100, Options{})
+	full := Detect(p, now.UnixNano(), 100)
 	for i := 1; i < len(full); i++ {
 		if full[i].Score > full[i-1].Score {
 			t.Error("topics not sorted by score")
@@ -91,7 +92,7 @@ func TestDetectKAndZero(t *testing.T) {
 func TestTopicString(t *testing.T) {
 	p := pool.New(pool.Config{}, nil)
 	addMsgs(p, "storm", 5, base.Add(-10*time.Minute), time.Minute)
-	topics := Detect(p, base.UnixNano(), 1, Options{})
+	topics := Detect(p, base.UnixNano(), 1)
 	if len(topics) != 1 || !strings.Contains(topics[0].String(), "bundle") {
 		t.Errorf("String = %v", topics)
 	}
@@ -117,7 +118,7 @@ func TestDetectOverEngine(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		e.Insert(g.Next())
 	}
-	topics := Detect(e.Pool(), e.Now(), 5, Options{})
+	topics := Detect(e.Pool(), e.Now(), 5)
 	if len(topics) == 0 {
 		t.Fatal("nothing trending at stream end")
 	}
@@ -137,19 +138,11 @@ func TestDetectOverEngine(t *testing.T) {
 // rendered for every qualifying bundle, the lot sorted, all but k
 // thrown away, with the window cut as a time.Time instant. Kept as the
 // definition of the result list.
-func oracleDetect(p *pool.Pool, now int64, k int, opts Options) []Topic {
+func oracleDetect(p *pool.Pool, now int64, k int) []Topic {
 	if k <= 0 {
 		return nil
 	}
-	window := opts.Window
-	if window <= 0 {
-		window = DefaultWindow
-	}
-	minRecent := opts.MinRecent
-	if minRecent <= 0 {
-		minRecent = 3
-	}
-	cutoff := tweet.Time(now).Add(-window)
+	cutoff := tweet.Time(now).Add(-Window)
 
 	var topics []Topic
 	p.All(func(b *bundle.Bundle) {
@@ -162,10 +155,10 @@ func oracleDetect(p *pool.Pool, now int64, k int, opts Options) []Topic {
 				recent++
 			}
 		}
-		if recent < minRecent {
+		if recent < MinRecent {
 			return
 		}
-		rate := float64(recent) / window.Hours()
+		rate := float64(recent) / Window.Hours()
 		ratio := float64(recent) / float64(b.Size())
 		topics = append(topics, Topic{
 			ID:       b.ID(),
@@ -198,25 +191,23 @@ func TestDetectMatchesOracle(t *testing.T) {
 		e.Insert(g.Next())
 	}
 	p, now := e.Pool(), e.Now()
-	qualifying := len(oracleDetect(p, now, 1<<30, Options{}))
+	qualifying := len(oracleDetect(p, now, 1<<30))
 	if qualifying < 100 {
 		t.Fatalf("only %d bundles qualify: the cut to k is not exercised", qualifying)
 	}
 	for _, k := range []int{1, 10, 1000} {
-		for _, opts := range []Options{{}, {Window: 30 * time.Minute, MinRecent: 2}} {
-			got, want := Detect(p, now, k, opts), oracleDetect(p, now, k, opts)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("k=%d %+v: Detect diverges from the oracle:\n got %v\nwant %v", k, opts, got, want)
-			}
+		got, want := Detect(p, now, k), oracleDetect(p, now, k)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("k=%d: Detect diverges from the oracle:\n got %v\nwant %v", k, got, want)
 		}
 	}
-	if got := Detect(p, now+int64(1000*time.Hour), 10, Options{}); got != nil {
+	if got := Detect(p, now+int64(1000*time.Hour), 10); got != nil {
 		t.Errorf("a quiet pool trends %v, want nil", got)
 	}
 
 	// Measured: 94 for the ranking slice, the sort and ten summaries; the
 	// oracle's 3 546 are eight per qualifying bundle.
-	if allocs := testing.AllocsPerRun(5, func() { Detect(p, now, 10, Options{}) }); allocs > 150 {
+	if allocs := testing.AllocsPerRun(5, func() { Detect(p, now, 10) }); allocs > 150 {
 		t.Errorf("Detect(k=10) over %d qualifying bundles: %v allocations, want at most 150", qualifying, allocs)
 	}
 }
