@@ -4,10 +4,17 @@ package provex_test
 // internal/ package and every cmd/ binary by name. The directory
 // listing is read live, so adding a package without a row here (or
 // renaming one and orphaning its row) fails the build, the same deal
-// observability_test.go enforces for metric families.
+// observability_test.go enforces for metric families. The file also
+// holds the tree's one import rule: which files may import unsafe.
 
 import (
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -79,6 +86,53 @@ func TestArchitectureDocNamesExist(t *testing.T) {
 					name, strings.TrimSpace(line))
 			}
 		}
+	}
+}
+
+// unsafeAllowed lists the non-test files that may import unsafe: the
+// message record's layout (score.Msg) and the text index's paged list
+// column. Everything else reads those through their accessors, so a
+// layout mistake has two files to hide in; go test -race runs both
+// under checkptr.
+var unsafeAllowed = []string{
+	"internal/score/record.go",
+	"internal/textindex/column.go",
+}
+
+// TestUnsafeIsContained: the non-test files of the module that import
+// unsafe are exactly unsafeAllowed.
+func TestUnsafeIsContained(t *testing.T) {
+	var got []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "unsafe" {
+				got = append(got, filepath.ToSlash(path))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, unsafeAllowed) {
+		t.Errorf("non-test files importing unsafe: %q, want exactly %q", got, unsafeAllowed)
 	}
 }
 

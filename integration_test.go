@@ -187,7 +187,7 @@ func TestStoreRecoveryAfterEngineRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before[id] = b.Marshal()
+		before[id] = b.AppendMarshal(nil)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -206,7 +206,7 @@ func TestStoreRecoveryAfterEngineRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Get(%d) after reopen: %v", id, err)
 		}
-		if !bytes.Equal(b.Marshal(), want) {
+		if !bytes.Equal(b.AppendMarshal(nil), want) {
 			t.Fatalf("bundle %d bytes differ after reopen", id)
 		}
 	}

@@ -27,8 +27,8 @@ const NoParent int32 = -1
 
 // Node is one message inside a bundle with its provenance edge: the
 // Eq. 5 score of that edge, the index of its parent node, and the
-// Table II connection type. The fields run largest first, so the node
-// packs into 48 bytes.
+// Table II connection type. The Doc is one pointer to the message's
+// record, so the node packs into 24 bytes.
 type Node struct {
 	Doc    score.Doc
 	Score  float64
@@ -163,7 +163,7 @@ func (b *Bundle) addExhaustive(w score.MessageWeights, doc score.Doc, obs Parent
 		stats.Scored++
 		parts := score.MessageSim(w, b.nodes[i].Doc, doc)
 		if obs != nil {
-			obs(ParentCandidate{Node: i, Msg: b.nodes[i].Doc.Msg.ID, Conn: c, Parts: parts})
+			obs(ParentCandidate{Node: i, Msg: b.nodes[i].Doc.ID(), Conn: c, Parts: parts})
 		}
 		if s := parts.Total; s > best || (s == best && parent == NoParent) {
 			best, parent, conn = s, int32(i), c
@@ -180,19 +180,19 @@ func (b *Bundle) addExhaustive(w score.MessageWeights, doc score.Doc, obs Parent
 // node is appended: the summary's form and its node-index entries
 // follow the id of the newest node.
 func (b *Bundle) absorb(doc score.Doc) {
-	m := doc.Msg
 	b.memBytes += metrics.NodeBase + metrics.MessageBase +
-		metrics.StringCost(m.User) + metrics.StringCost(m.Text) + int64(len(doc.Terms))*metrics.TermRefCost +
+		int64(len(doc.Terms()))*metrics.TermRefCost + int64(len(doc.Text())) +
 		b.absorbSummary(doc)
 
+	date := doc.Date()
 	first := len(b.nodes) == 1
-	if first || m.Date < b.start {
-		b.start = m.Date
+	if first || date < b.start {
+		b.start = date
 	}
-	if !first && m.Date < b.end {
+	if !first && date < b.end {
 		b.timeOrdered = false
 	} else {
-		b.end = m.Date
+		b.end = date
 	}
 }
 
@@ -203,7 +203,7 @@ func (b *Bundle) Edges() []Edge {
 		if n.Parent == NoParent {
 			continue
 		}
-		out = append(out, Edge{Parent: b.nodes[n.Parent].Doc.Msg.ID, Child: n.Doc.Msg.ID})
+		out = append(out, Edge{Parent: b.nodes[n.Parent].Doc.ID(), Child: n.Doc.ID()})
 	}
 	return out
 }
@@ -240,10 +240,9 @@ func (b *Bundle) Validate() error {
 		if n.Parent != NoParent && (n.Parent < 0 || int(n.Parent) >= i) {
 			return fmt.Errorf("bundle %d: node %d has invalid parent %d", b.id, i, n.Parent)
 		}
-		m := n.Doc.Msg
-		if m.Date < b.start || m.Date > b.end {
+		if d := n.Doc.Date(); d < b.start || d > b.end {
 			return fmt.Errorf("bundle %d: node %d date %v outside extent [%v, %v]",
-				b.id, i, m.Time(), tweet.Time(b.start), tweet.Time(b.end))
+				b.id, i, n.Doc.Time(), tweet.Time(b.start), tweet.Time(b.end))
 		}
 		for _, t := range n.Doc.Indicants() {
 			want[t]++

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"provex/internal/recfile"
 	"provex/internal/score"
@@ -36,9 +37,10 @@ const (
 // ErrCorrupt reports a structurally invalid encoded bundle.
 var ErrCorrupt = errors.New("bundle: corrupt encoding")
 
-// Marshal encodes the bundle.
-func (b *Bundle) Marshal() []byte {
-	buf := make([]byte, 0, 64+len(b.nodes)*96)
+// AppendMarshal appends the bundle's encoding to buf: the checkpoint
+// and the store encode straight into their reused frame buffers.
+func (b *Bundle) AppendMarshal(buf []byte) []byte {
+	buf = slices.Grow(buf, 64+len(b.nodes)*96)
 	buf = append(buf, codecMagic, codecVersion)
 	buf = binary.AppendUvarint(buf, uint64(b.id))
 	if b.closed {
@@ -51,7 +53,7 @@ func (b *Bundle) Marshal() []byte {
 		buf = binary.AppendUvarint(buf, uint64(n.Parent+1))
 		buf = binary.AppendUvarint(buf, math.Float64bits(n.Score))
 		buf = append(buf, byte(n.Conn))
-		buf = tweet.AppendRaw(buf, n.Doc.Msg)
+		buf = n.Doc.AppendRaw(buf)
 		keys := n.Doc.Keywords()
 		buf = binary.AppendUvarint(buf, uint64(len(keys)))
 		for _, k := range keys {
@@ -63,7 +65,7 @@ func (b *Bundle) Marshal() []byte {
 
 // Unmarshal decodes an encoded bundle, rebuilding summaries, extent and
 // memory estimate from the node data. The decoded bundle satisfies
-// Validate if the input was produced by Marshal.
+// Validate if the input was produced by AppendMarshal.
 func Unmarshal(data []byte) (*Bundle, error) {
 	r := recfile.NewCursor(data)
 	truncated := func() error { return fmt.Errorf("%w: %v", ErrCorrupt, r.Err()) }

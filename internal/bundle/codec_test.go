@@ -15,7 +15,7 @@ import (
 func TestMarshalRoundTrip(t *testing.T) {
 	b := buildGameBundle(t)
 	b.Close()
-	data := b.Marshal()
+	data := b.AppendMarshal(nil)
 	got, err := Unmarshal(data)
 	if err != nil {
 		t.Fatalf("Unmarshal: %v", err)
@@ -31,7 +31,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 
 func TestMarshalEmptyBundle(t *testing.T) {
 	b := New(42)
-	got, err := Unmarshal(b.Marshal())
+	got, err := Unmarshal(b.AppendMarshal(nil))
 	if err != nil {
 		t.Fatalf("Unmarshal empty: %v", err)
 	}
@@ -50,11 +50,11 @@ func assertBundleEqual(t *testing.T, want, got *Bundle) {
 		if g.Parent != w.Parent || g.Score != w.Score || g.Conn != w.Conn {
 			t.Fatalf("node %d edge differs: %+v vs %+v", i, g, w)
 		}
-		if !reflect.DeepEqual(g.Doc.Msg, w.Doc.Msg) {
-			t.Fatalf("node %d message differs:\n  %+v\n  %+v", i, g.Doc.Msg, w.Doc.Msg)
+		if g.Doc.ID() != w.Doc.ID() || g.Doc.Date() != w.Doc.Date() || g.Doc.Text() != w.Doc.Text() {
+			t.Fatalf("node %d message differs:\n  %v\n  %v", i, g.Doc, w.Doc)
 		}
-		if !reflect.DeepEqual(g.Doc.Terms, w.Doc.Terms) {
-			t.Fatalf("node %d terms differ: %v vs %v", i, g.Doc.Terms, w.Doc.Terms)
+		if !reflect.DeepEqual(g.Doc.Terms(), w.Doc.Terms()) {
+			t.Fatalf("node %d terms differ: %v vs %v", i, g.Doc.Terms(), w.Doc.Terms())
 		}
 	}
 	if got.StartDate() != want.StartDate() || got.LastDate() != want.LastDate() {
@@ -75,7 +75,7 @@ func assertBundleEqual(t *testing.T, want, got *Bundle) {
 func TestRoundTripKeepsRepresentation(t *testing.T) {
 	for _, n := range []int{1, PruneMinNodes - 1, PruneMinNodes, PruneMinNodes + 1, 200} {
 		b := buildSized(n)
-		got, err := Unmarshal(b.Marshal())
+		got, err := Unmarshal(b.AppendMarshal(nil))
 		if err != nil {
 			t.Fatalf("size %d: Unmarshal: %v", n, err)
 		}
@@ -91,7 +91,7 @@ func TestRoundTripKeepsRepresentation(t *testing.T) {
 
 func TestUnmarshalRejectsCorruption(t *testing.T) {
 	b := buildGameBundle(t)
-	data := b.Marshal()
+	data := b.AppendMarshal(nil)
 
 	cases := map[string][]byte{
 		"empty":       {},
@@ -111,7 +111,7 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 // offset; decode must fail cleanly (never panic) on all of them.
 func TestUnmarshalFuzzedTruncations(t *testing.T) {
 	b := buildGameBundle(t)
-	data := b.Marshal()
+	data := b.AppendMarshal(nil)
 	for i := 0; i < len(data); i++ {
 		if _, err := Unmarshal(data[:i]); err == nil {
 			t.Fatalf("truncation at %d/%d accepted", i, len(data))
@@ -123,7 +123,7 @@ func TestUnmarshalFuzzedTruncations(t *testing.T) {
 // or produce a bundle (possibly semantically different) without panic.
 func TestUnmarshalFuzzedFlips(t *testing.T) {
 	b := buildGameBundle(t)
-	data := b.Marshal()
+	data := b.AppendMarshal(nil)
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {
 		mut := append([]byte{}, data...)
@@ -150,7 +150,7 @@ func TestRoundTripProperty(t *testing.T) {
 			m := g.Next()
 			b.Add(w, score.NewDoc(m))
 		}
-		got, err := Unmarshal(b.Marshal())
+		got, err := Unmarshal(b.AppendMarshal(nil))
 		if err != nil {
 			return false
 		}
@@ -168,16 +168,18 @@ func TestDecodedDatesUTC(t *testing.T) {
 	b := New(1)
 	loc := time.FixedZone("X", 3600)
 	b.Add(weights, doc(1, "a", "msg #t", base.In(loc)))
-	got, err := Unmarshal(b.Marshal())
+	got, err := Unmarshal(b.AppendMarshal(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Nodes()[0].Doc.Msg.Date != base.UnixNano() {
+	if got.Nodes()[0].Doc.Date() != base.UnixNano() {
 		t.Error("date instant lost across time zones")
 	}
 }
 
-func BenchmarkMarshal(b *testing.B) {
+// BenchmarkAppendMarshal encodes into one reused buffer, as the
+// checkpoint and the store do.
+func BenchmarkAppendMarshal(b *testing.B) {
 	bn := New(1)
 	cfg := gen.DefaultConfig()
 	cfg.MsgsPerDay = 10000
@@ -187,10 +189,11 @@ func BenchmarkMarshal(b *testing.B) {
 		m := g.Next()
 		bn.Add(w, score.NewDoc(m))
 	}
+	var buf []byte
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		bn.Marshal()
+		buf = bn.AppendMarshal(buf[:0])
 	}
 }
 
@@ -204,7 +207,7 @@ func BenchmarkUnmarshal(b *testing.B) {
 		m := g.Next()
 		bn.Add(w, score.NewDoc(m))
 	}
-	data := bn.Marshal()
+	data := bn.AppendMarshal(nil)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -7,35 +7,23 @@ import (
 	"provex/internal/metrics"
 	"provex/internal/score"
 	"provex/internal/termdict"
-	"provex/internal/tweet"
 )
-
-// sizeClass rounds n up to the Go allocator's size class, for the
-// classes a per-message struct can fall in.
-func sizeClass(n uintptr) uintptr {
-	for _, c := range []uintptr{8, 16, 24, 32, 48, 64, 80, 96, 112, 128, 144, 160, 176, 192, 208, 224, 240, 256} {
-		if n <= c {
-			return c
-		}
-	}
-	return n
-}
 
 // TestMemEstimateMatchesLayouts ties every struct-derived constant of
 // metrics/memest.go to the layout it prices, so bundle.mem_mb and
-// sumindex.mem_mb follow a struct that changes size: an allocation is
-// charged its size class, a slice element or map slot its size. It also
-// pins the layouts the term dictionary and the Post bought: a Doc is a
-// post pointer and one ID list, a Node 48 bytes.
+// sumindex.mem_mb follow a struct that changes size: a slice element or
+// map slot is charged its size, a message record its header (the term
+// list and the text are charged by length). It also pins the layouts
+// the one-record message bought: a Doc is one pointer, a Node 24 bytes.
 func TestMemEstimateMatchesLayouts(t *testing.T) {
 	for _, c := range []struct {
 		name       string
 		got, model uintptr
 	}{
-		{"score.Doc", unsafe.Sizeof(score.Doc{}), 32},
-		{"bundle.Node", unsafe.Sizeof(Node{}), 48},
-		{"MessageBase (tweet.Post, size class)", sizeClass(unsafe.Sizeof(tweet.Post{})), metrics.MessageBase},
-		{"NodeBase (bundle.Node, size class)", sizeClass(unsafe.Sizeof(Node{})), metrics.NodeBase},
+		{"score.Doc", unsafe.Sizeof(score.Doc{}), 8},
+		{"bundle.Node", unsafe.Sizeof(Node{}), 24},
+		{"MessageBase (score.Msg, the record header)", unsafe.Sizeof(score.Msg{}), metrics.MessageBase},
+		{"NodeBase (bundle.Node, a slice element)", unsafe.Sizeof(Node{}), metrics.NodeBase},
 		{"TermRefCost (termdict.ID)", unsafe.Sizeof(termdict.ID(0)), metrics.TermRefCost},
 		{"SummaryRowCost (bundle.row)", unsafe.Sizeof(row{}), metrics.SummaryRowCost},
 		{"PostingCost (summary-index posting, bundle.ID)", unsafe.Sizeof(ID(0)), metrics.PostingCost},

@@ -276,7 +276,7 @@ func (b *Bundle) addPrunedTime(w score.MessageWeights, doc score.Doc, obs Parent
 		// voids the decay argument, so it falls back to the global
 		// maximum of 1.
 		tCeil := 1.0
-		if m.Date >= earlier.Msg.Date {
+		if m.Date() >= earlier.Date() {
 			tCeil = nodeT
 		}
 
@@ -371,7 +371,7 @@ func (b *Bundle) addPrunedTime(w score.MessageWeights, doc score.Doc, obs Parent
 			msk |= maskRT
 		}
 		if obs != nil {
-			obs(ParentCandidate{Node: int(pivot), Msg: earlier.Msg.ID, Conn: connFromMask(msk), Parts: p})
+			obs(ParentCandidate{Node: int(pivot), Msg: earlier.ID(), Conn: connFromMask(msk), Parts: p})
 		}
 		if s := p.Total; s > best || (s == best && (parent == NoParent || pivot < parent)) {
 			best, parent, conn = s, pivot, connFromMask(msk)

@@ -74,7 +74,7 @@ func TestAddScratchMatchesExhaustive(t *testing.T) {
 					a, b := pruned.Nodes()[np], exhaustive.Nodes()[ne]
 					if a.Parent != b.Parent || a.Score != b.Score || a.Conn != b.Conn {
 						t.Fatalf("seed %d msg %d %q: pruned (parent=%d score=%v conn=%v) vs exhaustive (parent=%d score=%v conn=%v)",
-							seed, i, d.Msg.Text, a.Parent, a.Score, a.Conn, b.Parent, b.Score, b.Conn)
+							seed, i, d.Text(), a.Parent, a.Score, a.Conn, b.Parent, b.Score, b.Conn)
 					}
 					if ps.Scored > ps.Candidates || ps.Candidates > ps.Nodes || ps.Skipped() < 0 {
 						t.Fatalf("seed %d msg %d: inconsistent stats %+v", seed, i, ps)
@@ -121,7 +121,7 @@ func TestAddScratchMatchesExhaustiveOutOfOrder(t *testing.T) {
 			a, b := pruned.Nodes()[np], exhaustive.Nodes()[ne]
 			if a.Parent != b.Parent || a.Score != b.Score || a.Conn != b.Conn {
 				t.Fatalf("seed %d msg %d %q: pruned (parent=%d score=%v conn=%v) vs exhaustive (parent=%d score=%v conn=%v)",
-					seed, i, d.Msg.Text, a.Parent, a.Score, a.Conn, b.Parent, b.Score, b.Conn)
+					seed, i, d.Text(), a.Parent, a.Score, a.Conn, b.Parent, b.Score, b.Conn)
 			}
 			if want := i < PruneMinNodes || !wasOrdered; ps.Exhaustive != want {
 				t.Fatalf("seed %d msg %d (bundle ordered before the Add: %v): PlaceStats.Exhaustive = %v, want %v",

@@ -87,7 +87,7 @@ func stringTerms(d score.Doc) [termdict.NumClasses][]string {
 		return out
 	}
 	return [termdict.NumClasses][]string{
-		termdict.Tag: terms(d.Tags()), termdict.URL: terms(d.URLs()), termdict.Keyword: terms(d.Keywords()), termdict.User: {d.Msg.User},
+		termdict.Tag: terms(d.Tags()), termdict.URL: terms(d.URLs()), termdict.Keyword: terms(d.Keywords()), termdict.User: {termdict.Term(d.User())},
 	}
 }
 
@@ -96,9 +96,8 @@ func stringTerms(d score.Doc) [termdict.NumClasses][]string {
 func (r *refSummary) memBytes() int64 {
 	total := int64(metrics.BundleBase)
 	for _, n := range r.nodes {
-		m := n.Doc.Msg
 		total += metrics.NodeBase + metrics.MessageBase +
-			metrics.StringCost(m.User) + metrics.StringCost(m.Text) + int64(len(n.Doc.Terms))*metrics.TermRefCost
+			int64(len(n.Doc.Terms()))*metrics.TermRefCost + int64(len(n.Doc.Text()))
 	}
 	indexed := len(r.nodes) >= PruneMinNodes
 	if indexed {
@@ -153,7 +152,7 @@ func scriptDoc(next func() byte, i int, at *time.Time, ordered bool) score.Doc {
 		}
 		return fmt.Sprintf("%s%d", kind, v%shared)
 	}
-	m := &tweet.Message{Post: tweet.Post{ID: tweet.ID(i + 1), User: fmt.Sprintf("user%d", next()%5)}}
+	m := &tweet.Message{ID: tweet.ID(i + 1), User: fmt.Sprintf("user%d", next()%5)}
 	shape := next()
 	for n := int(shape % 3); n > 0; n-- {
 		m.Hashtags = append(m.Hashtags, pick("tag", 4))

@@ -18,9 +18,9 @@ package core
 //	  created, refines, deletedTiny, flushedClosed, flushedRanked,
 //	  inserts; flush counters: retries, dropped; the live-bundle count
 //	  and the parked count
-//	one frame per live bundle: bundle.Marshal
+//	one frame per live bundle: bundle.AppendMarshal
 //	one frame per parked flush-retry entry: uvarint attempts, then
-//	  bundle.Marshal
+//	  bundle.AppendMarshal
 //
 // The parked section exists so degraded mode survives a restart: a
 // bundle evicted from the pool whose flush failed lives only in the
@@ -104,12 +104,12 @@ func (e *Engine) writeCheckpoint(w io.Writer) error {
 	buf = frame(buf)
 
 	e.pool.All(func(b *bundle.Bundle) {
-		buf = frame(append(buf, b.Marshal()...))
+		buf = frame(b.AppendMarshal(buf))
 	})
 	// Parked flush-retry entries: bundles already evicted from the pool
 	// that still await a successful flush.
 	for _, r := range e.retryq {
-		buf = frame(append(binary.AppendUvarint(buf, uint64(r.attempts)), r.b.Marshal()...))
+		buf = frame(r.b.AppendMarshal(binary.AppendUvarint(buf, uint64(r.attempts))))
 	}
 
 	if err := bw.Flush(); err != nil {

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"reflect"
 	"strings"
@@ -66,7 +68,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		if r == nil {
 			t.Fatalf("bundle %d missing after restore", b.ID())
 		}
-		if !bytes.Equal(r.Marshal(), b.Marshal()) {
+		if !bytes.Equal(r.AppendMarshal(nil), b.AppendMarshal(nil)) {
 			t.Fatalf("bundle %d differs after restore", b.ID())
 		}
 		if err := r.Validate(); err != nil {
@@ -228,6 +230,32 @@ func TestCheckpointEmptyEngine(t *testing.T) {
 	}
 	if restored.Snapshot().Messages != 0 || restored.Pool().Len() != 0 {
 		t.Error("empty engine restore not empty")
+	}
+}
+
+// TestCheckpointAllocationsFlat: writeCheckpoint encodes every bundle
+// straight into its one reused frame buffer (bundle.AppendMarshal), so
+// its allocations do not grow with the number of bundles it writes.
+func TestCheckpointAllocationsFlat(t *testing.T) {
+	at := time.Date(2009, 9, 29, 18, 0, 0, 0, time.UTC)
+	allocs := func(bundles int) float64 {
+		e := New(FullIndexConfig(), nil, nil)
+		for i := 0; i < bundles; i++ {
+			e.Insert(tweet.Parse(tweet.ID(i+1), fmt.Sprintf("user%d", i), at.Add(time.Duration(i)*time.Second),
+				fmt.Sprintf("unrelated message #topic%d", i)))
+		}
+		if got := e.Pool().Len(); got != bundles {
+			t.Fatalf("%d messages made %d bundles, want one each", bundles, got)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if err := e.writeCheckpoint(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(200), allocs(2000)
+	if large > small {
+		t.Errorf("writeCheckpoint allocates %.0f times for 200 bundles and %.0f for 2 000", small, large)
 	}
 }
 

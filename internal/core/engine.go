@@ -514,17 +514,16 @@ func (e *Engine) Insert(m *tweet.Message) InsertResult {
 // goroutine prepared them.
 func (e *Engine) InsertPrepared(p Prepared) InsertResult {
 	doc := p.Doc
-	m := doc.Msg
 	e.prepTimer.Observe(p.cost)
-	e.clock.Observe(m)
+	e.clock.AdvanceTo(doc.Date())
 	e.messages.Inc()
 
 	// Decision tracing: nil unless this message is sampled. Everything
 	// below guards on td so the untraced path stays allocation-free.
-	td := e.tracer.Begin(uint64(m.ID))
+	td := e.tracer.Begin(uint64(doc.ID()))
 	if td != nil {
-		td.User = m.User
-		td.Date = m.Time()
+		td.User = termdict.Term(doc.User())
+		td.Date = doc.Time()
 	}
 
 	// Step 1+2a: fetch candidates and pick the best bundle by Eq. 1.
@@ -577,10 +576,10 @@ func (e *Engine) InsertPrepared(p Prepared) InsertResult {
 		node := chosen.Nodes()[res.Node]
 		res.Conn = node.Conn
 		if node.Parent != bundle.NoParent {
-			parent := chosen.Nodes()[node.Parent].Doc.Msg.ID
+			parent := chosen.Nodes()[node.Parent].Doc.ID()
 			e.edges.Inc()
 			e.connCounts[node.Conn].Inc()
-			e.onEdge(parent, m.ID, node.Conn)
+			e.onEdge(parent, doc.ID(), node.Conn)
 		}
 		if td != nil {
 			td.NewBundle = res.Created
@@ -637,12 +636,12 @@ func probeResult(m match) ProbeResult {
 	if m.best == nil {
 		return ProbeResult{}
 	}
-	first := m.best.Nodes()[0].Doc.Msg
+	first := m.best.Nodes()[0].Doc
 	return ProbeResult{
 		Bundle:   m.best.ID(),
 		Score:    m.score,
-		Created:  first.Date,
-		FirstMsg: first.ID,
+		Created:  first.Date(),
+		FirstMsg: first.ID(),
 		OK:       true,
 	}
 }

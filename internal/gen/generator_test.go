@@ -155,7 +155,7 @@ func TestGeneratorRTConsistency(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		m := g.Next()
 		if m.IsRT() && !seen[m.RTOf] {
-			t.Fatalf("message %d re-shares unseen user %q: %s", i, m.RTOf, m)
+			t.Fatalf("message %d re-shares unseen user %q: %+v", i, m.RTOf, m)
 		}
 		seen[m.User] = true
 	}

@@ -19,9 +19,9 @@ type MemEstimator struct {
 const (
 	StringOverhead = 16 // string header
 	MapEntryCost   = 40 // slot of a term-ID-keyed map: the 4-byte ID padded to 8 + a bundle summary's 32-byte posting (the summary index's 24-byte list header fits too)
-	MessageBase    = 48 // tweet.Post, its own size class; text and user are charged by length, the indicants by TermRefCost in the Doc
-	NodeBase       = 48 // bundle tree node (48 B: doc, score, parent, connection)
-	TermRefCost    = 4  // one entry of a Doc's term list: a term-dictionary ID; the term's bytes are the dictionary's
+	MessageBase    = 24 // a message record's header (score.Msg); its term list is charged by TermRefCost and its text by length
+	NodeBase       = 24 // bundle tree node (24 B: record handle, score, parent, connection)
+	TermRefCost    = 4  // one entry of a record's term list: a term-dictionary ID; the term's bytes are the dictionary's
 	BundleBase     = 160
 	PostingCost    = 8 // a summary-index posting: one bundle ID
 	NodeRefCost    = 8 // node-index reference: int32 slot + growth slack

@@ -27,6 +27,7 @@ import (
 	"provex/internal/core"
 	"provex/internal/fsx"
 	"provex/internal/metrics"
+	"provex/internal/score"
 	"provex/internal/storage"
 	"provex/internal/tweet"
 	"provex/internal/wal"
@@ -140,9 +141,9 @@ func (d *Durable) LogSize() int64 { return d.wal.Size() }
 // every WALSyncEvery-th call also writes and fsyncs the batch. Call it
 // BEFORE applying m to the engine. On error the sequence is not
 // consumed and nothing of the open batch was made durable (wal.Sync).
-func (d *Durable) Log(p *tweet.Post) error {
+func (d *Durable) Log(m *score.Msg) error {
 	next := d.seq + 1
-	if err := d.wal.Append(next, p); err != nil {
+	if err := d.wal.Append(next, m); err != nil {
 		return err
 	}
 	d.seq = next

@@ -11,6 +11,7 @@ import (
 	"provex/internal/core"
 	"provex/internal/fsx"
 	"provex/internal/query"
+	"provex/internal/score"
 	"provex/internal/storage"
 	"provex/internal/tweet"
 )
@@ -29,7 +30,7 @@ func durableOpts(fs fsx.FS) DurableOptions {
 func feed(t *testing.T, d *Durable, msgs []*tweet.Message) {
 	t.Helper()
 	for _, m := range msgs {
-		if err := d.Log(&m.Post); err != nil {
+		if err := d.Log(score.NewDoc(m).Msg); err != nil {
 			t.Fatal(err)
 		}
 		d.Engine().Insert(m)
@@ -139,7 +140,7 @@ func TestCheckpointResyncsSeqAfterFailedLog(t *testing.T) {
 	// append fails (torn write, tail repaired) but the message still
 	// enters the engine — in memory only, not crash-safe.
 	ff.Arm(1, fsx.Fault{TornBytes: 3}, fsx.OpWrite)
-	if err := d.Log(&msgs[20].Post); err == nil {
+	if err := d.Log(score.NewDoc(msgs[20]).Msg); err == nil {
 		t.Fatal("Log succeeded despite injected write fault")
 	}
 	ff.Disarm()
@@ -251,7 +252,7 @@ func assertEnginesEqual(t *testing.T, want, got *core.Engine) {
 	mismatches := 0
 	want.Pool().All(func(b *bundle.Bundle) {
 		g := got.Pool().Get(b.ID())
-		if g == nil || string(g.Marshal()) != string(b.Marshal()) {
+		if g == nil || string(g.AppendMarshal(nil)) != string(b.AppendMarshal(nil)) {
 			mismatches++
 		}
 	})
@@ -276,7 +277,7 @@ func assertStoresEqual(t *testing.T, want, got *storage.Store) {
 		if err != nil {
 			t.Fatalf("bundle %d missing: %v", id, err)
 		}
-		if string(wb.Marshal()) != string(gb.Marshal()) {
+		if string(wb.AppendMarshal(nil)) != string(gb.AppendMarshal(nil)) {
 			t.Fatalf("stored bundle %d differs", id)
 		}
 	}

@@ -53,6 +53,7 @@ import (
 	"provex/internal/core"
 	"provex/internal/metrics"
 	"provex/internal/query"
+	"provex/internal/score"
 	"provex/internal/trending"
 	"provex/internal/tweet"
 )
@@ -77,7 +78,7 @@ type Backend interface {
 	// the lock, so an fsync never blocks queries; a failure degrades
 	// durability but does not stop ingest. Engines that log inside Apply
 	// do nothing in either.
-	Log(p *tweet.Post) error
+	Log(m *score.Msg) error
 	Sync() error
 	// LogBatch is the most messages one Sync should cover; at least 1.
 	LogBatch() int
@@ -489,11 +490,11 @@ type serial struct {
 	applied int
 }
 
-func (b *serial) Log(p *tweet.Post) error {
+func (b *serial) Log(m *score.Msg) error {
 	if b.dur == nil {
 		return nil
 	}
-	return b.dur.Log(p)
+	return b.dur.Log(m)
 }
 
 func (b *serial) Sync() error {

@@ -92,7 +92,7 @@ func idOrderChild(t *testing.T, seeded bool) {
 		seedVocabulary(msgs)
 	}
 	first := score.NewDoc(msgs[0])
-	emit("numbering", fmt.Sprint(first.Terms))
+	emit("numbering", fmt.Sprint(first.Terms()))
 
 	queries := benchQueries(msgs, 40, 9)
 	for name, cfg := range map[string]core.Config{
@@ -123,7 +123,7 @@ func idOrderChild(t *testing.T, seeded bool) {
 				fmt.Fprintln(&eq7, q, h.ID, math.Float64bits(h.Score), h.Size, h.Summary)
 			}
 			for _, h := range p.SearchMessages(q, 10) {
-				fmt.Fprintln(&search, q, h.Msg.ID, math.Float64bits(h.Score))
+				fmt.Fprintln(&search, q, h.Msg.ID(), math.Float64bits(h.Score))
 			}
 		}
 		emit(name+".eq7", eq7.String())

@@ -36,8 +36,10 @@ import (
 // from JSONL the same build reads 686. 562 when the engine kept a
 // 48-byte Post (unix-nanosecond date, no indicant strings) and a
 // 48-byte node; 549 when the message index addressed its lists by
-// term-dictionary ID and dropped its own term table. The budget is
-// about 10 % above 562. A change
+// term-dictionary ID and dropped its own term table; 477 when a message
+// became one pointer-free record (header, term IDs, text; no author
+// string) behind a one-word Doc and a node 24 bytes. The budget is
+// about 10 % above 477. A change
 // that needs more should say where the bytes go (EXPERIMENTS.md has
 // the by-owner table) and move the budget knowingly. The term
 // dictionary is per process: run alone, the figure includes its
@@ -46,7 +48,7 @@ import (
 func TestLiveHeapPerMessage(t *testing.T) {
 	const (
 		n      = 20000
-		budget = 620
+		budget = 525
 	)
 	// Most bundles never hold a second message, so the struct itself is
 	// a per-message cost: 96 B is id, node slice, the two summary forms,
@@ -88,7 +90,8 @@ func TestLiveHeapPerMessage(t *testing.T) {
 }
 
 // TestEngineDropsParseOutput: a tweet.Message is parse output. Prepare
-// copies its Post and resolves its indicants, and after that nothing a
+// resolves its indicants and copies them with its raw fields into the
+// message's record, and after that nothing a
 // node keeps — bundle node, summary index, message index — points into
 // it, so a forced collection frees it. It is checked for a message that
 // opens a bundle, one that joins it, and a Doc built the way a decoded

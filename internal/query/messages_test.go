@@ -19,8 +19,8 @@ func sameMessageHits(t *testing.T, what string, got, want []MessageHit) {
 		t.Fatalf("%s: %d hits, want %d", what, len(got), len(want))
 	}
 	for i := range got {
-		if got[i].Msg.ID != want[i].Msg.ID || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
-			t.Fatalf("%s: hit %d is (%d, %v), want (%d, %v)", what, i, got[i].Msg.ID, got[i].Score, want[i].Msg.ID, want[i].Score)
+		if got[i].Msg.ID() != want[i].Msg.ID() || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+			t.Fatalf("%s: hit %d is (%d, %v), want (%d, %v)", what, i, got[i].Msg.ID(), got[i].Score, want[i].Msg.ID(), want[i].Score)
 		}
 	}
 }
@@ -108,13 +108,13 @@ func TestDecreasingIDsAreSearchable(t *testing.T) {
 	}
 	for id := tweet.ID(1); id <= n; id++ {
 		hits := p.SearchMessages(fmt.Sprintf("marker%dx", id), 3)
-		if len(hits) != 1 || hits[0].Msg.ID != id {
+		if len(hits) != 1 || hits[0].Msg.ID() != id {
 			t.Fatalf("marker%dx: hits %v, want message %d alone", id, hits, id)
 		}
 	}
 	if hits := p.SearchMessages("report", n+10); len(hits) != n {
 		t.Errorf("the shared word finds %d of %d messages", len(hits), n)
-	} else if hits[0].Msg.ID != 1 || hits[n-1].Msg.ID != n {
-		t.Errorf("equal scores rank %d … %d, want by ID: 1 … %d", hits[0].Msg.ID, hits[n-1].Msg.ID, n)
+	} else if hits[0].Msg.ID() != 1 || hits[n-1].Msg.ID() != n {
+		t.Errorf("equal scores rank %d … %d, want by ID: 1 … %d", hits[0].Msg.ID(), hits[n-1].Msg.ID(), n)
 	}
 }

@@ -54,7 +54,7 @@ func DefaultOptions() Options {
 
 // MessageHit is one result of the conventional message search.
 type MessageHit struct {
-	Msg   *tweet.Post
+	Msg   score.Doc
 	Score float64
 }
 
@@ -87,7 +87,7 @@ type Processor struct {
 	engs []*core.Engine // set once by NewNode; a sharded node's in shard order
 
 	msgIndex *textindex.Index // set once by NewNode: the /metrics gauges read it beside ingest
-	messages []*tweet.Post    // by the ordinal msgIndex gave the message
+	messages []score.Doc      // by the ordinal msgIndex gave the message
 	terms    []termdict.ID    // scratch for one message's index terms
 	dups     metrics.Counter  // messages whose ID the index already held
 
@@ -171,7 +171,7 @@ func (p *Processor) Insert(m *tweet.Message) core.InsertResult {
 // a node of several engines applies to them itself and calls Index.
 func (p *Processor) InsertPrepared(prep core.Prepared) core.InsertResult {
 	res := p.Engine().InsertPrepared(prep)
-	p.note(&prep.Doc)
+	p.note(prep.Doc)
 	return res
 }
 
@@ -182,13 +182,13 @@ func (p *Processor) InsertPrepared(prep core.Prepared) core.InsertResult {
 // index, so it may run while the engines apply the same batch.
 func (p *Processor) Index(batch []core.Prepared) {
 	for i := range batch {
-		p.note(&batch[i].Doc)
+		p.note(batch[i].Doc)
 	}
 }
 
 // note indexes one ingested message, counting it when the index
 // already held its ID.
-func (p *Processor) note(d *score.Doc) {
+func (p *Processor) note(d score.Doc) {
 	if !p.index(d) {
 		p.dups.Inc()
 	}
@@ -196,8 +196,8 @@ func (p *Processor) note(d *score.Doc) {
 
 // index adds the message to the message index under its keywords and
 // hashtags, unless the index already holds its ID.
-func (p *Processor) index(d *score.Doc) bool {
-	key := textindex.DocID(d.Msg.ID)
+func (p *Processor) index(d score.Doc) bool {
+	key := textindex.DocID(d.ID())
 	if _, held := p.msgIndex.Ordinal(key); held {
 		return false
 	}
@@ -205,7 +205,7 @@ func (p *Processor) index(d *score.Doc) bool {
 	tags, _, keywords := d.Runs()
 	p.terms = append(append(p.terms[:0], keywords...), tags...)
 	p.msgIndex.Add(key, p.terms)
-	p.messages = append(p.messages, d.Msg) // the n-th Add is ordinal n − 1
+	p.messages = append(p.messages, d) // the n-th Add is ordinal n − 1
 	return true
 }
 
@@ -223,11 +223,12 @@ func (p *Processor) index(d *score.Doc) bool {
 // checkpoint are not recoverable here; under an unbounded pool
 // (FullIndexConfig) the rebuilt index covers the full history.
 func (p *Processor) Reindex() int {
-	// The ID rides beside the pointer so that sorting touches the slice
-	// alone, not 125 000 messages scattered over a freshly loaded heap.
+	// The ID rides beside the record's handle so that sorting touches
+	// the slice alone, not 125 000 records scattered over a freshly
+	// loaded heap.
 	type ref struct {
 		id  tweet.ID
-		doc *score.Doc
+		doc score.Doc
 	}
 	var held int64
 	for _, e := range p.engs {
@@ -238,7 +239,7 @@ func (p *Processor) Reindex() int {
 		e.Pool().All(func(b *bundle.Bundle) {
 			nodes := b.Nodes()
 			for i := range nodes {
-				refs = append(refs, ref{nodes[i].Doc.Msg.ID, &nodes[i].Doc})
+				refs = append(refs, ref{nodes[i].Doc.ID(), nodes[i].Doc})
 			}
 		})
 	}

@@ -48,13 +48,13 @@ func TestSearchMessages(t *testing.T) {
 		}
 	}
 	// Top hit mentions lester.
-	if !strings.Contains(strings.ToLower(hits[0].Msg.Text), "lester") {
-		t.Errorf("top hit %q does not mention lester", hits[0].Msg.Text)
+	if !strings.Contains(strings.ToLower(hits[0].Msg.Text()), "lester") {
+		t.Errorf("top hit %q does not mention lester", hits[0].Msg.Text())
 	}
 	// Stocks messages don't match a lester query.
 	for _, h := range hits {
-		if strings.Contains(h.Msg.Text, "stocks") && !strings.Contains(h.Msg.Text, "redsox") {
-			t.Errorf("unrelated message surfaced: %q", h.Msg.Text)
+		if strings.Contains(h.Msg.Text(), "stocks") && !strings.Contains(h.Msg.Text(), "redsox") {
+			t.Errorf("unrelated message surfaced: %q", h.Msg.Text())
 		}
 	}
 }
@@ -92,9 +92,9 @@ func TestReindexRebuildsMessageSearch(t *testing.T) {
 		t.Fatalf("hits after reindex = %d, want %d", len(got), len(want))
 	}
 	for i := range got {
-		if got[i].Msg.ID != want[i].Msg.ID || got[i].Score != want[i].Score {
+		if got[i].Msg.ID() != want[i].Msg.ID() || got[i].Score != want[i].Score {
 			t.Fatalf("hit %d: got (%d, %g) want (%d, %g)",
-				i, got[i].Msg.ID, got[i].Score, want[i].Msg.ID, want[i].Score)
+				i, got[i].Msg.ID(), got[i].Score, want[i].Msg.ID(), want[i].Score)
 		}
 	}
 }
@@ -200,7 +200,7 @@ func TestRender(t *testing.T) {
 	for i, n := range d.Nodes {
 		line := "- " + n.Msg.String()
 		if strings.Count(out, line) != 1 {
-			t.Fatalf("Render shows message %q %d times:\n%s", n.Msg.Text, strings.Count(out, line), out)
+			t.Fatalf("Render shows message %q %d times:\n%s", n.Msg.Text(), strings.Count(out, line), out)
 		}
 		at[i] = strings.Index(out, line)
 		indent[i] = at[i] - strings.LastIndex(out[:at[i]], "\n") - 1

@@ -21,8 +21,8 @@ import (
 // from any goroutine, for as long as the caller likes, after whatever
 // lock the read ran under has been released. Hits, topics, statistics
 // and BundleDetail are fresh values copied out by the read that found
-// them; the messages they point to are shared with the engine, which is
-// safe because a post is immutable once prepared (tweet.Post).
+// them; the message records they point to are shared with the engine,
+// which is safe because a record is immutable once prepared (score.Msg).
 // Nothing returned aliases a live bundle, pool or index — code that
 // wants the bundle itself asks the engine on the writer's goroutine
 // (Processor.Engine().Bundle).
@@ -38,7 +38,7 @@ type Reader interface {
 // the index of its parent in Nodes (bundle.NoParent for a root), the
 // Eq. 5 score of that edge and its Table II connection type.
 type BundleNode struct {
-	Msg    *tweet.Post
+	Msg    score.Doc
 	Score  float64
 	Parent int32
 	Conn   score.ConnectionType
@@ -66,7 +66,7 @@ func detail(b *bundle.Bundle) BundleDetail {
 		Nodes:   make([]BundleNode, b.Size()),
 	}
 	for i, n := range b.Nodes() {
-		d.Nodes[i] = BundleNode{Msg: n.Doc.Msg, Score: n.Score, Parent: n.Parent, Conn: n.Conn}
+		d.Nodes[i] = BundleNode{Msg: n.Doc, Score: n.Score, Parent: n.Parent, Conn: n.Conn}
 	}
 	return d
 }

@@ -144,8 +144,8 @@ func TestTextIndexTermIsASpelling(t *testing.T) {
 				t.Fatalf("SearchMessages(%q, %d): %d hits, reference %d", q, k, len(got), len(want))
 			}
 			for i := range got {
-				if uint64(got[i].Msg.ID) != want[i].key || math.Float64bits(got[i].Score) != math.Float64bits(want[i].score) {
-					t.Fatalf("SearchMessages(%q, %d) hit %d: (%d, %v), reference (%d, %v)", q, k, i, got[i].Msg.ID, got[i].Score, want[i].key, want[i].score)
+				if uint64(got[i].Msg.ID()) != want[i].key || math.Float64bits(got[i].Score) != math.Float64bits(want[i].score) {
+					t.Fatalf("SearchMessages(%q, %d) hit %d: (%d, %v), reference (%d, %v)", q, k, i, got[i].Msg.ID(), got[i].Score, want[i].key, want[i].score)
 				}
 			}
 			// The archive cuts to k by raw score and flush order, then

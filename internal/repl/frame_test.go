@@ -9,6 +9,7 @@ import (
 
 	"provex/internal/fsx"
 	"provex/internal/recfile"
+	"provex/internal/score"
 	"provex/internal/tweet"
 	"provex/internal/wal"
 )
@@ -33,7 +34,7 @@ func sampleMessage(i int) *tweet.Message {
 func sampleRecords(n int) [][]byte {
 	recs := make([][]byte, n)
 	for i := range recs {
-		recs[i] = wal.AppendRecord(nil, uint64(i+1), &sampleMessage(i).Post)
+		recs[i] = wal.AppendRecord(nil, uint64(i+1), score.NewDoc(sampleMessage(i)).Msg)
 	}
 	return recs
 }
@@ -49,7 +50,7 @@ func TestStreamRoundtrip(t *testing.T) {
 	}
 	defer l.Close()
 	for i := 0; i < 7; i++ {
-		if err := l.Append(uint64(i+1), &sampleMessage(i).Post); err != nil {
+		if err := l.Append(uint64(i+1), score.NewDoc(sampleMessage(i)).Msg); err != nil {
 			t.Fatal(err)
 		}
 	}

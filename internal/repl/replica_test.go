@@ -26,6 +26,7 @@ import (
 	"provex/internal/metrics"
 	"provex/internal/pipeline"
 	"provex/internal/query"
+	"provex/internal/score"
 	"provex/internal/server"
 	"provex/internal/storage"
 	"provex/internal/stream"
@@ -91,7 +92,7 @@ func (l *testLeader) ingest(count int) {
 	l.t.Helper()
 	for i := 0; i < count; i++ {
 		m := testMsg(l.n)
-		if err := l.dur.Log(&m.Post); err != nil {
+		if err := l.dur.Log(score.NewDoc(m).Msg); err != nil {
 			l.t.Fatalf("leader ingest %d: %v", l.n, err)
 		}
 		l.dur.Engine().Insert(m)
@@ -553,7 +554,7 @@ func TestFollowerGatesWhileLagBeyondBound(t *testing.T) {
 		}
 		if d, err := r.Bundle(1); err == nil {
 			for i, n := range d.Nodes {
-				if n.Msg.Text == "" || int(n.Parent) >= i {
+				if n.Msg.Text() == "" || int(n.Parent) >= i {
 					t.Fatalf("Bundle(1) while tailing: node %d = %+v", i, n)
 				}
 			}
@@ -757,7 +758,7 @@ func TestDatesRenderAlikeEverywhere(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := leader.dur.Log(&m.Post); err != nil {
+			if err := leader.dur.Log(score.NewDoc(m).Msg); err != nil {
 				t.Fatal(err)
 			}
 			leader.dur.Engine().Insert(m)

@@ -46,10 +46,12 @@ func (c ConnectionType) String() string {
 	}
 }
 
-// Doc couples a post with its indicants resolved to term-dictionary
-// IDs. Resolution costs a tokenizer pass and a dictionary probe per
-// term, so it happens once, in prepare, and the Doc rides along with
-// the post through matching, allocation and summary maintenance.
+// Doc is a one-word handle to a message's record (Msg): its raw
+// fields and its indicants resolved to term-dictionary IDs. Resolution
+// costs a tokenizer pass and a dictionary probe per term, so it happens
+// once, in prepare, and the Doc rides along through matching,
+// allocation and summary maintenance, into a bundle's node and the
+// message index.
 //
 // Terms is one exact-fit list: the author, the message's hashtags, its
 // URLs and its keywords, then — for a re-share only — the re-shared
@@ -58,17 +60,15 @@ func (c ConnectionType) String() string {
 // accessors below slice the list after a scan of its class bits. The
 // author through the keywords is a prefix (Indicants), the set a bundle
 // summary and the summary index count.
-type Doc struct {
-	Msg   *tweet.Post
-	Terms []termdict.ID
-}
+type Doc struct{ *Msg }
 
 // NewDoc resolves m's indicants and extracts and resolves the keywords
-// of its text, adding first-seen terms to the dictionary. It touches no
+// of its text, adding first-seen terms to the dictionary, and copies
+// the raw fields and the terms into the message's record. It touches no
 // engine state (the dictionary is safe for concurrent use), which is
 // what lets the pipeline's prepare stage run it ahead of the writer.
-// The Doc holds a copy of m's Post, not m: the parse output is garbage
-// once prepare returns.
+// The Doc keeps nothing of m: the parse output is garbage once prepare
+// returns.
 func NewDoc(m *tweet.Message) Doc {
 	var scratch [48]termdict.ID
 	terms := appendHead(scratch[:0], m)
@@ -100,14 +100,13 @@ func appendHead(dst []termdict.ID, m *tweet.Message) []termdict.ID {
 	return dst
 }
 
-// finish appends the re-shared user and copies the list and the post
-// out: the engine keeps both as long as it keeps the message.
+// finish appends the re-shared user and builds the record: the engine
+// keeps it as long as it keeps the message.
 func finish(m *tweet.Message, terms []termdict.ID) Doc {
 	if m.IsRT() {
 		terms = append(terms, termdict.Intern(termdict.User, m.RTOf))
 	}
-	post := m.Post
-	return Doc{Msg: &post, Terms: append(make([]termdict.ID, 0, len(terms)), terms...)}
+	return Doc{newMsg(m.ID, m.Date, terms, m.Text)}
 }
 
 // Runs splits the terms after the author into the hashtag, URL and
@@ -115,7 +114,7 @@ func finish(m *tweet.Message, terms []termdict.ID) Doc {
 // another in that order, and the re-shared user (class User) ends the
 // last. Code that reads several runs of a Doc takes them from one call.
 func (d Doc) Runs() (tags, urls, keywords []termdict.ID) {
-	t := d.Terms
+	t := d.Terms()
 	i := 1
 	for i < len(t) && t[i].Class() == termdict.Tag {
 		i++
@@ -133,14 +132,11 @@ func (d Doc) Runs() (tags, urls, keywords []termdict.ID) {
 
 // rt is 1 for a re-share (its last term is the re-shared user), else 0.
 func (d Doc) rt() int {
-	if n := len(d.Terms); n > 1 && d.Terms[n-1].Class() == termdict.User {
+	if t := d.Terms(); len(t) > 1 && t[len(t)-1].Class() == termdict.User {
 		return 1
 	}
 	return 0
 }
-
-// User is the author's ID.
-func (d Doc) User() termdict.ID { return d.Terms[0] }
 
 // Tags are the hashtag IDs, in the message's order.
 func (d Doc) Tags() []termdict.ID {
@@ -165,13 +161,17 @@ func (d Doc) RTUser() (id termdict.ID, ok bool) {
 	if d.rt() == 0 {
 		return termdict.None, false
 	}
-	return d.Terms[len(d.Terms)-1], true
+	t := d.Terms()
+	return t[len(t)-1], true
 }
 
 // Indicants are the terms the message contributes to a bundle summary
 // and the summary index: author, hashtags, URLs and keywords — every
 // term but the re-shared user.
-func (d Doc) Indicants() []termdict.ID { return d.Terms[:len(d.Terms)-d.rt()] }
+func (d Doc) Indicants() []termdict.ID {
+	t := d.Terms()
+	return t[:len(t)-d.rt()]
+}
 
 // overlap counts common elements of two small ID lists. The lists on
 // micro-blog messages hold a handful of entries, so the quadratic scan
@@ -252,8 +252,8 @@ func share(earlier, later []termdict.ID) float64 {
 // scale is meaningful against the unit-interval overlap ratios (the
 // paper leaves the unit open; hours make one-hour-apart messages score
 // 0.5 and day-apart messages 0.04).
-func T(a, b *tweet.Post) float64 {
-	gap := tweet.Sub(a.Date, b.Date)
+func T(a, b *Msg) float64 {
+	gap := tweet.Sub(a.Date(), b.Date())
 	if gap < 0 {
 		gap = -gap
 	}
@@ -384,7 +384,7 @@ func BundleSim(w BundleWeights, t Doc, b BundleStats) BundleSimParts {
 		s += w.RT
 	}
 	if s > 0 && w.Time > 0 {
-		gap := tweet.Sub(t.Msg.Date, b.LastDate())
+		gap := tweet.Sub(t.Date(), b.LastDate())
 		if gap < 0 {
 			gap = -gap
 		}

@@ -2,9 +2,13 @@ package score
 
 import (
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
+	"weak"
 
 	"provex/internal/termdict"
 	"provex/internal/tweet"
@@ -288,21 +292,53 @@ func TestBundleSimEmptyProperty(t *testing.T) {
 
 // TestNewDocAllocations: prepare runs once per ingested message, and
 // once the dictionary holds the message's terms it allocates only what
-// the engine keeps — the Post copy and the exact-fit ID list; the lists
-// are built in stack scratch.
+// the engine keeps — the message's record, raw fields and exact-fit
+// term list in one piece; the list is built in stack scratch.
 func TestNewDocAllocations(t *testing.T) {
 	m := tweet.Parse(1, "abcdude", base, "Classy RT @AmalieBenjamin: Lester getting an ovation #Yankee #redsox http://bit.ly/Uvcpr")
 	d := NewDoc(m)
-	if len(d.Terms) != cap(d.Terms) {
-		t.Errorf("Terms: %d IDs in %d slots, want an exact fit", len(d.Terms), cap(d.Terms))
+	if terms := d.Terms(); len(terms) != cap(terms) {
+		t.Errorf("Terms: %d IDs in %d slots, want an exact fit", len(terms), cap(terms))
 	}
-	if n := testing.AllocsPerRun(100, func() { NewDoc(m) }); n != 2 {
-		t.Errorf("NewDoc allocates %.0f times, want 2", n)
+	if n := testing.AllocsPerRun(100, func() { NewDoc(m) }); n != 1 {
+		t.Errorf("NewDoc allocates %.0f times, want 1", n)
 	}
 	if u, ok := d.RTUser(); !ok || termdict.Term(u) != "amaliebenjamin" || termdict.Term(d.User()) != "abcdude" {
 		t.Errorf("RTUser/User = %q/%q", termdict.Term(u), termdict.Term(d.User()))
 	}
-	if got := len(d.Tags()) + len(d.URLs()) + len(d.Keywords()) + 2; got != len(d.Terms) {
-		t.Errorf("the runs cover %d of %d IDs", got, len(d.Terms))
+	if got := len(d.Tags()) + len(d.URLs()) + len(d.Keywords()) + 2; got != len(d.Terms()) {
+		t.Errorf("the runs cover %d of %d IDs", got, len(d.Terms()))
 	}
+}
+
+// TestRecordSizes pins the per-message layout: a Doc is one pointer, and
+// the record's fixed header is 24 bytes (id, date, term count, text
+// length) ahead of the term list and the text.
+func TestRecordSizes(t *testing.T) {
+	if got := unsafe.Sizeof(Doc{}); got != 8 {
+		t.Errorf("unsafe.Sizeof(Doc{}) = %d, want 8", got)
+	}
+	if headerSize != 24 {
+		t.Errorf("record header is %d bytes, want 24", headerSize)
+	}
+}
+
+// TestDocOwnsItsBytes: a message's text may be a substring of a large
+// buffer — a decoded JSON line, a WAL segment. The record copies it, so
+// a Doc must not keep that buffer alive.
+func TestDocOwnsItsBytes(t *testing.T) {
+	big := strings.Repeat("tsunami warning #samoa ", 1<<15)
+	w := weak.Make(unsafe.StringData(big))
+	text := big[23*100 : 23*103]
+	d := NewDoc(tweet.Parse(7, "user", base, text))
+	want := strings.Repeat("tsunami warning #samoa ", 3)
+	big, text = "", ""
+	runtime.GC()
+	if w.Value() != nil {
+		t.Error("the buffer the text was cut from survives a forced GC: the Doc pins it")
+	}
+	if d.Text() != want || d.ID() != 7 || termdict.Term(d.User()) != "user" {
+		t.Errorf("Doc reads %d %q %q", d.ID(), termdict.Term(d.User()), d.Text())
+	}
+	runtime.KeepAlive(d)
 }

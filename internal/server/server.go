@@ -459,10 +459,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	out := make([]messageJSON, 0, len(hits))
 	for _, h := range hits {
 		out = append(out, messageJSON{
-			ID:    uint64(h.Msg.ID),
-			User:  h.Msg.User,
+			ID:    uint64(h.Msg.ID()),
+			User:  termdict.Term(h.Msg.User()),
 			Date:  h.Msg.Time().Format(time.RFC3339),
-			Text:  h.Msg.Text,
+			Text:  h.Msg.Text(),
 			Score: h.Score,
 		})
 	}
@@ -529,9 +529,9 @@ func (s *Server) handleBundle(w http.ResponseWriter, r *http.Request) {
 		nj := nodeJSON{
 			Index:  i,
 			Parent: int(n.Parent),
-			User:   n.Msg.User,
+			User:   termdict.Term(n.Msg.User()),
 			Date:   n.Msg.Time().Format(time.RFC3339),
-			Text:   n.Msg.Text,
+			Text:   n.Msg.Text(),
 		}
 		if n.Parent != bundle.NoParent {
 			nj.Conn = n.Conn.String()

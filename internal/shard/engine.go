@@ -399,7 +399,7 @@ func (e *Engine) resolve(batch []core.Prepared) error {
 			e.cross.Inc()
 		}
 		e.shards[win].assign = append(e.shards[win].assign, p)
-		if d := p.Doc.Msg.Date; d > maxDate {
+		if d := p.Doc.Date(); d > maxDate {
 			maxDate = d
 		}
 	}

@@ -81,7 +81,7 @@ func livePartition(engines ...*core.Engine) map[tweet.ID][]tweet.ID {
 			nodes := b.Nodes()
 			ids := make([]tweet.ID, len(nodes))
 			for i, n := range nodes {
-				ids[i] = n.Doc.Msg.ID
+				ids[i] = n.Doc.ID()
 			}
 			part[ids[0]] = ids
 		})

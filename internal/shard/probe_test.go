@@ -123,7 +123,7 @@ func tieAtFloor(t *testing.T) []*tweet.Message {
 	}
 	t0 := time.Date(2011, 3, 11, 0, 0, 0, 0, time.UTC)
 	at := func(id tweet.ID, hours int, tags ...string) *tweet.Message {
-		return &tweet.Message{Post: tweet.Post{ID: id, Date: t0.Add(time.Duration(hours) * time.Hour).UnixNano(), User: fmt.Sprintf("u%d", id)}, Hashtags: tags}
+		return &tweet.Message{ID: id, Date: t0.Add(time.Duration(hours) * time.Hour).UnixNano(), User: fmt.Sprintf("u%d", id), Hashtags: tags}
 	}
 	return []*tweet.Message{
 		at(1, 0, home(1, "y"), "h2"), // Y on shard 1

@@ -13,11 +13,11 @@ import (
 // round. Covers each indicant class so no branch smuggles one in.
 func TestHotPathZeroAlloc(t *testing.T) {
 	docs := []score.Doc{
-		doc(tweet.Message{Post: tweet.Post{User: "a"}, RTOf: "origin"}),
-		doc(tweet.Message{Post: tweet.Post{User: "a"}, URLs: []string{"http://a"}}),
-		doc(tweet.Message{Post: tweet.Post{User: "a"}, Hashtags: []string{"x"}}),
-		doc(tweet.Message{Post: tweet.Post{User: "a"}}, "keyword"),
-		doc(tweet.Message{Post: tweet.Post{User: "a"}}),
+		doc(tweet.Message{User: "a", RTOf: "origin"}),
+		doc(tweet.Message{User: "a", URLs: []string{"http://a"}}),
+		doc(tweet.Message{User: "a", Hashtags: []string{"x"}}),
+		doc(tweet.Message{User: "a"}, "keyword"),
+		doc(tweet.Message{User: "a"}),
 	}
 	var sink uint64
 	if n := testing.AllocsPerRun(1000, func() {

@@ -27,6 +27,7 @@ import (
 	"provex/internal/core"
 	"provex/internal/fsx"
 	"provex/internal/pipeline"
+	"provex/internal/score"
 	"provex/internal/storage"
 	"provex/internal/tweet"
 )
@@ -88,7 +89,7 @@ func (s serialTortured) applied() int { return int(s.d.Engine().Snapshot().Messa
 // ingest logs, syncs and applies, in the order the Service's two stages
 // do.
 func (s serialTortured) ingest(m *tweet.Message) error {
-	if err := s.d.Log(&m.Post); err != nil {
+	if err := s.d.Log(score.NewDoc(m).Msg); err != nil {
 		return err
 	}
 	if err := s.d.SyncWAL(); err != nil {
@@ -290,7 +291,7 @@ func assertEnginesEqual(t *testing.T, i int, want, got *core.Engine) {
 	}
 	want.Pool().All(func(b *bundle.Bundle) {
 		g := got.Pool().Get(b.ID())
-		if g == nil || string(g.Marshal()) != string(b.Marshal()) {
+		if g == nil || string(g.AppendMarshal(nil)) != string(b.AppendMarshal(nil)) {
 			t.Fatalf("engine %d: live bundle %d differs", i, b.ID())
 		}
 	})
@@ -308,7 +309,7 @@ func assertEnginesEqual(t *testing.T, i int, want, got *core.Engine) {
 		if err != nil {
 			t.Fatalf("engine %d: stored bundle %d missing: %v", i, id, err)
 		}
-		if string(wb.Marshal()) != string(gb.Marshal()) {
+		if string(wb.AppendMarshal(nil)) != string(gb.AppendMarshal(nil)) {
 			t.Fatalf("engine %d: stored bundle %d differs", i, id)
 		}
 	}

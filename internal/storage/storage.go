@@ -133,12 +133,12 @@ func (s *Store) indexRecordLocked(id bundle.ID, pos recordPos) {
 	s.liveBytes += pos.size()
 }
 
-// appendLocked frames payload and lands it in the active segment with
-// one write, sealing a full segment first (the old one is synced before
+// appendLocked encodes b into the reused frame buffer and lands the
+// frame in the active segment with one write, sealing a full segment first (the old one is synced before
 // the next is started). Every failure leaves the active segment at its
 // last good length, so the caller may simply try again — or latches the
 // directory broken when that repair fails too. Caller holds s.mu.
-func (s *Store) appendLocked(payload []byte) (recordPos, error) {
+func (s *Store) appendLocked(b *bundle.Bundle) (recordPos, error) {
 	if err := s.segs.Broken(); err != nil {
 		return recordPos{}, err
 	}
@@ -147,7 +147,7 @@ func (s *Store) appendLocked(payload []byte) (recordPos, error) {
 			return recordPos{}, err
 		}
 	}
-	s.frame = append(recfile.BeginFrame(s.frame[:0]), payload...)
+	s.frame = b.AppendMarshal(recfile.BeginFrame(s.frame[:0]))
 	recfile.EndFrame(s.frame, 0, recfile.Castagnoli)
 	if _, err := s.segs.File().Write(s.frame); err != nil {
 		// Without the rewind a retried Put would start behind a dangling
@@ -155,7 +155,7 @@ func (s *Store) appendLocked(payload []byte) (recordPos, error) {
 		s.segs.Rewind(s.activeSize)
 		return recordPos{}, fmt.Errorf("storage: %w", err)
 	}
-	pos := recordPos{seg: s.segs.Seg(), offset: s.activeSize, length: int64(len(payload))}
+	pos := recordPos{seg: s.segs.Seg(), offset: s.activeSize, length: int64(len(s.frame) - recfile.HeaderSize)}
 	s.activeSize += pos.size()
 	return pos, nil
 }
@@ -177,10 +177,9 @@ func (s *Store) rotateLocked() error {
 // the new record. A failed Put leaves the store exactly as it was, so
 // the caller may retry (the engine's flush retry queue does).
 func (s *Store) Put(b *bundle.Bundle) error {
-	payload := b.Marshal()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	pos, err := s.appendLocked(payload)
+	pos, err := s.appendLocked(b)
 	if err != nil {
 		return err
 	}
@@ -307,7 +306,7 @@ func (s *Store) Compact() error {
 		if err != nil {
 			return err
 		}
-		pos, err := s.appendLocked(b.Marshal())
+		pos, err := s.appendLocked(b)
 		if err != nil {
 			return err
 		}

@@ -10,6 +10,7 @@ import (
 	"provex/internal/bundle"
 	"provex/internal/gen"
 	"provex/internal/score"
+	"provex/internal/termdict"
 	"provex/internal/tweet"
 )
 
@@ -298,9 +299,9 @@ func TestBundleContentSurvivesStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gm := got.Nodes()[0].Doc.Msg
-	if gm.Text != m.Text || gm.User != m.User || gm.Date != at.UnixNano() {
-		t.Errorf("content mangled: %+v", gm)
+	gm := got.Nodes()[0].Doc
+	if gm.Text() != m.Text || termdict.Term(gm.User()) != m.User || gm.Date() != at.UnixNano() {
+		t.Errorf("content mangled: %v", gm)
 	}
 }
 

@@ -113,14 +113,11 @@ const NoDate int64 = math.MinInt64
 
 // Clock tracks simulated time per the paper's replay convention: the
 // newest message date observed so far is "now", in unix nanoseconds
-// like tweet.Post.Date. The zero Clock reads NoDate until fed.
+// like tweet.Message.Date. The zero Clock reads NoDate until fed.
 type Clock struct {
 	now  int64
 	seen bool
 }
-
-// Observe advances the clock to p's date if it is newer.
-func (c *Clock) Observe(p *tweet.Post) { c.AdvanceTo(p.Date) }
 
 // Now returns the simulated current time.
 func (c *Clock) Now() int64 {
@@ -131,7 +128,8 @@ func (c *Clock) Now() int64 {
 }
 
 // AdvanceTo moves the clock forward to date; older dates are ignored.
-// Checkpoint restore uses it to resume simulated time.
+// The engine feeds it every message's date, and checkpoint restore
+// uses it to resume simulated time.
 func (c *Clock) AdvanceTo(date int64) {
 	if !c.seen || date > c.now {
 		c.now, c.seen = date, true

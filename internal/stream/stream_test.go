@@ -71,7 +71,7 @@ func TestFuncSourceWithLimit(t *testing.T) {
 	i := 0
 	f := FuncSource(func() *tweet.Message {
 		i++
-		return &tweet.Message{Post: tweet.Post{ID: tweet.ID(i), User: "u", Text: "x", Date: int64(i) * int64(time.Second)}}
+		return &tweet.Message{ID: tweet.ID(i), User: "u", Text: "x", Date: int64(i) * int64(time.Second)}
 	})
 	got, err := Drain(Limit(f, 5))
 	if err != nil {
@@ -142,8 +142,8 @@ func TestClock(t *testing.T) {
 	// A date before 1970 is negative, and still after NoDate.
 	t1 := time.Date(1960, 9, 1, 12, 0, 0, 0, time.UTC).UnixNano()
 	t0 := t1 - int64(time.Hour)
-	c.Observe(&tweet.Post{Date: t1})
-	c.Observe(&tweet.Post{Date: t0}) // late-arriving older message
+	c.AdvanceTo(t1)
+	c.AdvanceTo(t0) // late-arriving older message
 	if c.Now() != t1 {
 		t.Errorf("clock went backwards: %v", c.Now())
 	}

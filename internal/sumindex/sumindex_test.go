@@ -379,7 +379,7 @@ func runFetchScript(t *testing.T, data []byte, cov *fetchCoverage) {
 	}
 	term := func(prefix string, vocab int) string { return prefix + strconv.Itoa(next()%vocab) }
 	randomDoc := func() score.Doc {
-		m := &tweet.Message{Post: tweet.Post{User: term("u", 4)}}
+		m := &tweet.Message{User: term("u", 4)}
 		for n := next() % 4; n > 0; n-- {
 			m.Hashtags = append(m.Hashtags, term("t", 5))
 		}
@@ -406,10 +406,10 @@ func runFetchScript(t *testing.T, data []byte, cov *fetchCoverage) {
 		gotInfo := ix.LastFetch()
 		want, wantInfo := oracleCandidates(ix, d)
 		if !slices.Equal(got, want) || (got == nil) != (want == nil) {
-			t.Fatalf("Candidates diverged for %+v terms %v:\n got %v\nwant %v", *d.Msg, d.Terms, got, want)
+			t.Fatalf("Candidates diverged for %v terms %v:\n got %v\nwant %v", d, d.Terms(), got, want)
 		}
 		if gotInfo != wantInfo {
-			t.Fatalf("LastFetch diverged for %+v terms %v: got %+v, want %+v", *d.Msg, d.Terms, gotInfo, wantInfo)
+			t.Fatalf("LastFetch diverged for %v terms %v: got %+v, want %+v", d, d.Terms(), gotInfo, wantInfo)
 		}
 		cov.fetches++
 		terms := slices.Clone(d.Indicants()[1:]) // hashtags, URLs and keywords
@@ -480,9 +480,9 @@ func runFetchScript(t *testing.T, data []byte, cov *fetchCoverage) {
 			probe(randomDoc())
 		}
 	}
-	probe(score.DocWithKeywords(&tweet.Message{Post: tweet.Post{User: "u0"}}, nil))
-	probe(score.DocWithKeywords(&tweet.Message{Post: tweet.Post{User: "u0"}, Hashtags: []string{"t0"}}, nil))
-	probe(score.DocWithKeywords(&tweet.Message{Post: tweet.Post{User: "u0"}, Hashtags: []string{"t1", "t1"}, URLs: []string{"l0"}, RTOf: "u1"},
+	probe(score.DocWithKeywords(&tweet.Message{User: "u0"}, nil))
+	probe(score.DocWithKeywords(&tweet.Message{User: "u0", Hashtags: []string{"t0"}}, nil))
+	probe(score.DocWithKeywords(&tweet.Message{User: "u0", Hashtags: []string{"t1", "t1"}, URLs: []string{"l0"}, RTOf: "u1"},
 		[]string{"k0", "k1", "k0"}))
 }
 
@@ -522,7 +522,7 @@ func FuzzCandidates(f *testing.F) {
 // BundleSimCeil under-estimated and pruning stopped being lossless.
 func TestCandidateHitsCannotWrap(t *testing.T) {
 	const nTags = 70_000
-	m := &tweet.Message{Post: tweet.Post{ID: 1, User: "u", Date: base.UnixNano()}}
+	m := &tweet.Message{ID: 1, User: "u", Date: base.UnixNano()}
 	for i := 0; i < nTags; i++ {
 		m.Hashtags = append(m.Hashtags, "t"+strconv.Itoa(i))
 	}
@@ -563,7 +563,7 @@ func crawlShapedFetch() (*Index, score.Doc) {
 	fill(termdict.Keyword, "key1", 900)
 	fill(termdict.Keyword, "key2", 120)
 	return ix, score.DocWithKeywords(
-		&tweet.Message{Post: tweet.Post{User: "p"}, Hashtags: []string{"tag0", "tag1", "stop"}, URLs: []string{"url0"}, RTOf: "origin"},
+		&tweet.Message{User: "p", Hashtags: []string{"tag0", "tag1", "stop"}, URLs: []string{"url0"}, RTOf: "origin"},
 		[]string{"key0", "key1", "key2"})
 }
 

@@ -69,7 +69,7 @@ func Detect(p *pool.Pool, now int64, k int) []Topic {
 		}
 		recent := 0
 		for _, n := range b.Nodes() {
-			if tweet.Sub(now, n.Doc.Msg.Date) < Window {
+			if tweet.Sub(now, n.Doc.Date()) < Window {
 				recent++
 			}
 		}

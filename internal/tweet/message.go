@@ -8,7 +8,7 @@
 // and adds a stable identifier so connections between messages can be
 // recorded as (parent ID, child ID) edges. Only Algorithm 1 needs the
 // whole tuple: once prepare has resolved the indicants, an engine keeps
-// the raw fields alone, as a Post.
+// the raw fields and the indicant IDs in one record (score.Msg).
 package tweet
 
 import (
@@ -32,29 +32,6 @@ type ID uint64
 // expansion) but the generator honours it.
 const MaxTextLen = 140
 
-// Post is one micro-blog post as the engine keeps it: the raw fields of
-// Definition 1's tuple, exactly what AppendRaw stores, with the date in
-// unix nanoseconds. Its indicants live in the engine as term-dictionary
-// IDs (score.Doc), so a Post holds no copy of them: the struct is 48
-// bytes, and an engine holds one per message.
-//
-// A Post is immutable once prepare has made it: nothing downstream
-// assigns to a field. That is what lets one *Post be shared — by a
-// bundle's node and the message index, and by the writer and the
-// readers its query results are handed to (query.Reader) — without a
-// copy or a lock.
-type Post struct {
-	ID   ID
-	Date int64 // unix nanoseconds; Time renders it
-	User string
-	Text string
-}
-
-// Time returns the post's date in UTC. Every date the system renders
-// goes through it (or Time for a bare date), so a message reads the
-// same on a live node, after recovery and on a follower.
-func (p *Post) Time() time.Time { return Time(p.Date) }
-
 // Time returns a unix-nanosecond date in UTC.
 func Time(date int64) time.Time { return time.Unix(0, date).UTC() }
 
@@ -73,9 +50,10 @@ func Sub(a, b int64) time.Duration {
 	return time.Duration(d)
 }
 
-// Message is the parse output: a Post plus the annotated indicants
-// Parse extracted. It lives from Parse to prepare, which resolves the
-// indicants and keeps only the Post.
+// Message is the parse output: the raw fields of Definition 1's tuple
+// — the date in unix nanoseconds — plus the annotated indicants Parse
+// extracted. It lives from Parse to prepare, which resolves the
+// indicants and copies what the engine keeps into the message's record.
 //
 // The indicants are normalised: hashtags lower-cased without '#', URLs
 // lower-cased with scheme stripped, the re-shared user lower-cased
@@ -84,7 +62,10 @@ func Sub(a, b int64) time.Duration {
 // the generator) has returned it, so several engines may be fed the
 // same one.
 type Message struct {
-	Post
+	ID   ID
+	Date int64 // unix nanoseconds; Time renders it
+	User string
+	Text string
 
 	// Extracted indicants.
 	URLs     []string
@@ -98,11 +79,8 @@ type Message struct {
 // IsRT reports whether the message re-shares a previous one.
 func (m *Message) IsRT() bool { return m.RTOf != "" }
 
-// String renders the post in the compact "user date: text" form used
-// in examples, trails and test failure output.
-func (p *Post) String() string {
-	return fmt.Sprintf("%s %s: %s", p.User, p.Time().Format("2006-01-02 15:04:05"), p.Text)
-}
+// Time returns the message's date in UTC.
+func (m *Message) Time() time.Time { return Time(m.Date) }
 
 // Validate checks structural invariants a well-formed message must hold.
 // It is used by codecs and the generator's self-checks rather than on the
@@ -130,16 +108,16 @@ func (m *Message) Validate() error {
 	return nil
 }
 
-// AppendRaw appends the stored form of p to buf: the raw fields only —
-// id, unix-nano date, user, text. Indicants are never stored; DecodeRaw
-// re-extracts them through Parse, so the parser stays the single source
-// of truth for every on-disk codec (WAL records, encoded bundles), the
-// same contract as the JSONL codec.
-func AppendRaw(buf []byte, p *Post) []byte {
-	buf = binary.AppendUvarint(buf, uint64(p.ID))
-	buf = binary.AppendVarint(buf, p.Date)
-	buf = recfile.AppendStr(buf, p.User)
-	return recfile.AppendStr(buf, p.Text)
+// AppendRaw appends the stored form of a message to buf: the raw
+// fields only — id, unix-nano date, user, text. Indicants are never
+// stored; DecodeRaw re-extracts them through Parse, so the parser stays
+// the single source of truth for every on-disk codec (WAL records,
+// encoded bundles), the same contract as the JSONL codec.
+func AppendRaw(buf []byte, id ID, date int64, user, text string) []byte {
+	buf = binary.AppendUvarint(buf, uint64(id))
+	buf = binary.AppendVarint(buf, date)
+	buf = recfile.AppendStr(buf, user)
+	return recfile.AppendStr(buf, text)
 }
 
 // DecodeRaw reads what AppendRaw wrote and parses it back into a full
@@ -149,7 +127,7 @@ func DecodeRaw(c *recfile.Cursor) *Message {
 	if c.Err() != nil {
 		return nil
 	}
-	m := &Message{Post: Post{ID: id, Date: date, User: user, Text: text}}
+	m := &Message{ID: id, Date: date, User: user, Text: text}
 	extractEntities(m)
 	return m
 }

@@ -25,10 +25,10 @@ import (
 //     matching how the paper treats chains of re-shares as one hop to the
 //     immediately re-shared user.
 //
-// The date is kept as unix nanoseconds (Post.Date), so it must lie in
+// The date is kept as unix nanoseconds (Message.Date), so it must lie in
 // the years 1678 to 2262.
 func Parse(id ID, user string, date time.Time, text string) *Message {
-	m := &Message{Post: Post{ID: id, Date: date.UnixNano(), User: user, Text: text}}
+	m := &Message{ID: id, Date: date.UnixNano(), User: user, Text: text}
 	extractEntities(m)
 	return m
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-	"unsafe"
 )
 
 var testDate = time.Date(2009, 9, 26, 0, 23, 58, 0, time.UTC)
@@ -168,11 +167,11 @@ func TestValidate(t *testing.T) {
 		t.Fatalf("valid message rejected: %v", err)
 	}
 	bad := []*Message{
-		{Post: Post{User: "", Date: testDate.UnixNano(), Text: "x"}},
-		{Post: Post{User: "u", Date: testDate.UnixNano(), Text: "   "}},
-		{Post: Post{User: "u", Date: testDate.UnixNano(), Text: "x"}, Hashtags: []string{"#h"}},
-		{Post: Post{User: "u", Date: testDate.UnixNano(), Text: "x"}, Hashtags: []string{"UPPER"}},
-		{Post: Post{User: "u", Date: testDate.UnixNano(), Text: "x"}, URLs: []string{"has space"}},
+		{User: "", Date: testDate.UnixNano(), Text: "x"},
+		{User: "u", Date: testDate.UnixNano(), Text: "   "},
+		{User: "u", Date: testDate.UnixNano(), Text: "x", Hashtags: []string{"#h"}},
+		{User: "u", Date: testDate.UnixNano(), Text: "x", Hashtags: []string{"UPPER"}},
+		{User: "u", Date: testDate.UnixNano(), Text: "x", URLs: []string{"has space"}},
 	}
 	for i, m := range bad {
 		if err := m.Validate(); err == nil {
@@ -257,14 +256,5 @@ func TestParseAllocs(t *testing.T) {
 	text := "Classy. Way it should be RT @AmalieBenjamin: Lester getting an ovation from the #Yankee Stadium crowd http://bit.ly/Uvcpr #redsox"
 	if n := testing.AllocsPerRun(200, func() { Parse(1, "abcdude", testDate, text) }); n > 7 {
 		t.Errorf("Parse allocates %.0f times, want at most 7", n)
-	}
-}
-
-// TestMessageSize: an engine holds one Post per ingested message, so
-// the struct is a per-message cost — 48 bytes, its own size class. The
-// Message around it is parse output and is dropped after prepare.
-func TestMessageSize(t *testing.T) {
-	if got := unsafe.Sizeof(Post{}); got != 48 {
-		t.Errorf("unsafe.Sizeof(Post{}) = %d, want 48", got)
 	}
 }

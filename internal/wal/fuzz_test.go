@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"provex/internal/fsx"
+	"provex/internal/score"
 	"provex/internal/tweet"
 )
 
@@ -20,12 +21,8 @@ func validWALBytes(tb testing.TB, n int) []byte {
 		tb.Fatal(err)
 	}
 	for i := 1; i <= n; i++ {
-		m := &tweet.Message{
-			Post:     tweet.Post{ID: tweet.ID(uint64(i)), Date: time.Unix(int64(1300000000+i), 0).UnixNano(), User: "fuzzer", Text: "RT @seed: provenance record"},
-			Hashtags: []string{"fuzz"},
-			RTOf:     "seed",
-		}
-		if err := l.Append(uint64(i), &m.Post); err != nil {
+		m := tweet.Parse(tweet.ID(uint64(i)), "fuzzer", time.Unix(int64(1300000000+i), 0), "RT @seed: provenance record")
+		if err := l.Append(uint64(i), score.NewDoc(m).Msg); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -109,7 +106,7 @@ func FuzzOpenReplay(f *testing.F) {
 			t.Fatalf("Replay: non-corruption error %v", err)
 		}
 		next := l.lastSeq + 1
-		if err := l.Append(next, &tweet.Post{ID: tweet.ID(next), User: "post", Text: "append after recovery"}); err != nil {
+		if err := l.Append(next, score.NewDoc(&tweet.Message{ID: tweet.ID(next), User: "post", Text: "append after recovery"}).Msg); err != nil {
 			t.Fatalf("Append after recovery: %v", err)
 		}
 		if err := l.Close(); err != nil {

@@ -48,6 +48,7 @@ import (
 	"provex/internal/fsx"
 	"provex/internal/metrics"
 	"provex/internal/recfile"
+	"provex/internal/score"
 	"provex/internal/tweet"
 )
 
@@ -219,11 +220,11 @@ func (l *Log) Replay(afterSeq uint64, fn func(seq uint64, m *tweet.Message) erro
 	return nil
 }
 
-// AppendRecord appends the canonical record payload of (seq, p) to buf
+// AppendRecord appends the canonical record payload of (seq, m) to buf
 // — the sequence and the raw message fields: the bytes ReadBatch ships
 // and DecodeRecord parses.
-func AppendRecord(buf []byte, seq uint64, p *tweet.Post) []byte {
-	return tweet.AppendRaw(binary.AppendUvarint(buf, seq), p)
+func AppendRecord(buf []byte, seq uint64, m *score.Msg) []byte {
+	return m.AppendRaw(binary.AppendUvarint(buf, seq))
 }
 
 // DecodeRecord parses one record payload back into its sequence and
@@ -241,14 +242,14 @@ func DecodeRecord(payload []byte) (uint64, *tweet.Message, error) {
 	return seq, m, nil
 }
 
-// Append encodes post p under sequence seq (the engine ordinal it
+// Append encodes message m under sequence seq (the engine ordinal it
 // will occupy) into the open batch; the record that fills the batch
 // (SyncEvery) also writes and fsyncs it. Sequences must be appended in
 // increasing order. A nil return promises nothing by itself: the
 // message is durable once a Sync — this one's, a later Append's or an
 // explicit one — has returned nil. An error means the whole open batch
 // was dropped (see Sync).
-func (l *Log) Append(seq uint64, p *tweet.Post) error {
+func (l *Log) Append(seq uint64, m *score.Msg) error {
 	if err := l.dir.Broken(); err != nil {
 		return err
 	}
@@ -257,7 +258,7 @@ func (l *Log) Append(seq uint64, p *tweet.Post) error {
 	}
 	start := time.Now()
 	at := len(l.batch)
-	l.batch = AppendRecord(recfile.BeginFrame(l.batch), seq, p)
+	l.batch = AppendRecord(recfile.BeginFrame(l.batch), seq, m)
 	recfile.EndFrame(l.batch, at, recfile.Castagnoli)
 	l.encode += time.Since(start)
 	l.size.Add(int64(len(l.batch) - at))

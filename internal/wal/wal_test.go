@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"provex/internal/fsx"
+	"provex/internal/score"
 	"provex/internal/tweet"
 )
 
@@ -22,7 +23,7 @@ func msg(i int) *tweet.Message {
 func appendN(t *testing.T, l *Log, from, to int) {
 	t.Helper()
 	for i := from; i < to; i++ {
-		if err := l.Append(uint64(i+1), &msg(i).Post); err != nil {
+		if err := l.Append(uint64(i+1), score.NewDoc(msg(i)).Msg); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
@@ -92,7 +93,7 @@ func TestAppendRejectsStaleSeq(t *testing.T) {
 	mem := fsx.NewMem()
 	l, _ := Open("wal", Options{FS: mem})
 	appendN(t, l, 0, 3)
-	if err := l.Append(3, &msg(99).Post); err == nil {
+	if err := l.Append(3, score.NewDoc(msg(99)).Msg); err == nil {
 		t.Fatal("stale sequence accepted")
 	}
 }
@@ -112,7 +113,7 @@ func TestCrashLosesOnlyUnsyncedTail(t *testing.T) {
 		t.Fatalf("after crash replay = %v, want 1..8", seqs)
 	}
 	// The log must accept new appends for the lost sequences.
-	if err := l2.Append(9, &msg(8).Post); err != nil {
+	if err := l2.Append(9, score.NewDoc(msg(8)).Msg); err != nil {
 		t.Fatalf("append after crash: %v", err)
 	}
 }
@@ -143,7 +144,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 		t.Fatalf("LastSeq = %d", l2.lastSeq)
 	}
 	// Appending over the truncated tail works.
-	if err := l2.Append(5, &msg(4).Post); err != nil {
+	if err := l2.Append(5, score.NewDoc(msg(4)).Msg); err != nil {
 		t.Fatal(err)
 	}
 	seqs, _ = collect(t, l2, 0)
@@ -213,7 +214,7 @@ func TestAppendFailureRepairsTail(t *testing.T) {
 			// The write tears, leaving partial garbage bytes at the
 			// append position before the error surfaces.
 			ff.Arm(1, fsx.Fault{TornBytes: tc.torn}, fsx.OpWrite)
-			if err := l.Append(6, &msg(5).Post); !errors.Is(err, fsx.ErrInjected) {
+			if err := l.Append(6, score.NewDoc(msg(5)).Msg); !errors.Is(err, fsx.ErrInjected) {
 				t.Fatalf("append err = %v, want injected write failure", err)
 			}
 			ff.Disarm()
@@ -249,7 +250,7 @@ func TestShortBatchWriteDropsBatch(t *testing.T) {
 		syncedSize := l.Size()
 		appendN(t, l, 64, 127)
 		ff.Arm(1, fsx.Fault{TornBytes: int(l.Size()-syncedSize) / 2}, fsx.OpWrite)
-		if err := l.Append(128, &msg(127).Post); !errors.Is(err, fsx.ErrInjected) {
+		if err := l.Append(128, score.NewDoc(msg(127)).Msg); !errors.Is(err, fsx.ErrInjected) {
 			t.Fatalf("append closing the batch: err = %v, want the injected short write", err)
 		}
 		ff.Disarm()
@@ -291,11 +292,11 @@ func TestUnrepairedTailLatchesBroken(t *testing.T) {
 	// The batch write tears AND the repair truncate fails: the on-disk
 	// tail stays torn, so the log must refuse to write past it.
 	ff.Arm(1, fsx.Fault{TornBytes: 3, Freeze: true}, fsx.OpWrite, fsx.OpTruncate)
-	if err := l.Append(12, &msg(11).Post); !errors.Is(err, fsx.ErrInjected) {
+	if err := l.Append(12, score.NewDoc(msg(11)).Msg); !errors.Is(err, fsx.ErrInjected) {
 		t.Fatalf("append err = %v, want injected write failure", err)
 	}
 	ff.Disarm()
-	if err := l.Append(9, &msg(8).Post); err == nil {
+	if err := l.Append(9, score.NewDoc(msg(8)).Msg); err == nil {
 		t.Fatal("append accepted on a broken log")
 	}
 	// Truncate is refused too: sealing the torn file into a non-final
@@ -314,7 +315,7 @@ func TestUnrepairedTailLatchesBroken(t *testing.T) {
 	if len(seqs) != 8 {
 		t.Fatalf("replay = %v, want records 1..8", seqs)
 	}
-	if err := l2.Append(9, &msg(8).Post); err != nil {
+	if err := l2.Append(9, score.NewDoc(msg(8)).Msg); err != nil {
 		t.Fatalf("append after reopen: %v", err)
 	}
 }
@@ -356,7 +357,7 @@ func TestSyncErrorSurfacesOnAppend(t *testing.T) {
 	ff.Arm(1, fsx.Fault{}, fsx.OpSync)
 	// The append that closes the batch carries the fsync failure, and
 	// the batch — written, but never known durable — is dropped with it.
-	if err := l.Append(4, &msg(3).Post); !errors.Is(err, fsx.ErrInjected) {
+	if err := l.Append(4, score.NewDoc(msg(3)).Msg); !errors.Is(err, fsx.ErrInjected) {
 		t.Fatalf("append err = %v, want injected fsync failure", err)
 	}
 	ff.Disarm()
@@ -390,7 +391,7 @@ func TestCrashDuringFileCreationRecovered(t *testing.T) {
 	if len(seqs) != 3 {
 		t.Fatalf("replay = %v", seqs)
 	}
-	if err := l2.Append(4, &msg(3).Post); err != nil {
+	if err := l2.Append(4, score.NewDoc(msg(3)).Msg); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -476,11 +477,11 @@ func TestAppendZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.f = discardFile{l.f}
-	m := msg(1)
+	m := score.NewDoc(msg(1)).Msg
 	seq := uint64(0)
 	add := func() {
 		seq++
-		if err := l.Append(seq, &m.Post); err != nil {
+		if err := l.Append(seq, m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -507,7 +508,7 @@ func BenchmarkAppend(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < 64; j++ {
 			seq++
-			if err := l.Append(seq, &m.Post); err != nil {
+			if err := l.Append(seq, score.NewDoc(m).Msg); err != nil {
 				b.Fatal(err)
 			}
 		}
