@@ -90,13 +90,11 @@ func TestArchitectureDocNamesExist(t *testing.T) {
 }
 
 // unsafeAllowed lists the non-test files that may import unsafe: the
-// message record's layout (score.Msg) and the text index's paged list
-// column. Everything else reads those through their accessors, so a
-// layout mistake has two files to hide in; go test -race runs both
-// under checkptr.
+// message record's layout (score.Msg). Everything else reads a record
+// through its accessors, so a layout mistake has one file to hide in;
+// go test -race runs it under checkptr.
 var unsafeAllowed = []string{
 	"internal/score/record.go",
-	"internal/textindex/column.go",
 }
 
 // TestUnsafeIsContained: the non-test files of the module that import

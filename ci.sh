@@ -40,8 +40,8 @@ go test ./internal/wal -fuzz FuzzOpenReplay -fuzztime 10s -run '^$'
 # frame loop under the round ledger (its seeds include ledger bytes)
 go test ./internal/recfile -fuzz FuzzScan -fuzztime 10s -run '^$'
 go test ./internal/tokenizer -fuzz FuzzTokenizeKeywords -fuzztime 10s -run '^$'
-# the process-wide term dictionary: ID → term round trip, class kept,
-# Lookup never adds a term
+# the process-wide term dictionary: ID → term round trip through its
+# term column, class kept, Lookup never adds a term
 go test ./internal/termdict -fuzz FuzzDict -fuzztime 10s -run '^$'
 go test ./internal/promtext -fuzz FuzzParse -fuzztime 10s -run '^$'
 # the two decoders of the other frame users: a checkpoint (a download
@@ -50,6 +50,8 @@ go test ./internal/promtext -fuzz FuzzParse -fuzztime 10s -run '^$'
 go test ./internal/core -fuzz FuzzRestoreCheckpoint -fuzztime 10s -fuzzminimizetime 20x -run '^$'
 go test ./internal/repl -fuzz FuzzFrameDecoder -fuzztime 10s -run '^$'
 go test ./internal/analysis/analyzers -fuzz FuzzParseGuardedBy -fuzztime 10s -run '^$'
+# candidate fetch over the summary index's per-class list columns
+# against the map-and-sort fetch it replaced
 go test ./internal/sumindex -fuzz FuzzCandidates -fuzztime 10s -run '^$'
 # the sharded round's floored probe against full probes, message by
 # message, over generated streams at any seed, shard count and batch
@@ -59,9 +61,9 @@ go test ./internal/shard -fuzz FuzzFlooredProbe -fuzztime 10s -run '^$'
 # a new corpus entry is capped or it would eat the whole budget
 go test ./internal/bundle -fuzz FuzzBundleSummary -fuzztime 10s -fuzzminimizetime 20x -run '^$'
 # the message index against the map-and-slice index it replaced (adds in
-# and out of key order, deletes, compactions, searches; the index takes
-# each word's keyword ID, the reference the word), and its posting codec
-# across slab sizes and chains
+# and out of key order, deletes, compactions, searches; the index finds
+# a list by each word's keyword ID in its list column, the reference by
+# the word), and its posting codec across slab sizes and chains
 go test ./internal/textindex -fuzz FuzzSearchMatchesOracle -fuzztime 10s -fuzzminimizetime 20x -run '^$'
 go test ./internal/textindex -fuzz FuzzPostingsRoundTrip -fuzztime 10s -run '^$'
 # the two parsers of outside input: message text (indicants, the stored
@@ -111,9 +113,12 @@ go test -race -shuffle=on ./...
 # Durability-critical packages once more, uncached: the fault-injection
 # and WAL tests and the two-stage ingest loop (apply-after-sync, the
 # checkpoint barrier) are the crash-safety gate and must not ride a
-# stale test cache.
+# stale test cache. So are the users of termdict.Column, the one paged
+# table: the dictionary's lock-free Term reads ride on the column's
+# atomic page directory, and both indexes keep their lists in columns.
 echo "== durability (-race -count=1) =="
-go test -race -count=1 ./internal/fsx ./internal/recfile ./internal/wal ./internal/storage ./internal/pipeline
+go test -race -count=1 ./internal/fsx ./internal/recfile ./internal/wal ./internal/storage ./internal/pipeline \
+    ./internal/termdict ./internal/textindex ./internal/sumindex
 
 # Sharded engine gate and crash torture, once, uncached, under the race
 # detector (DESIGN.md §2i): randomized fault points, crash, recover,

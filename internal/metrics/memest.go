@@ -18,7 +18,7 @@ type MemEstimator struct {
 // class; bundle/memest_test.go holds them to the layouts.
 const (
 	StringOverhead = 16 // string header
-	MapEntryCost   = 40 // slot of a term-ID-keyed map: the 4-byte ID padded to 8 + a bundle summary's 32-byte posting (the summary index's 24-byte list header fits too)
+	MapEntryCost   = 40 // slot of a bundle summary's term-ID-keyed map: the 4-byte ID padded to 8 + its 32-byte posting
 	MessageBase    = 24 // a message record's header (score.Msg); its term list is charged by TermRefCost and its text by length
 	NodeBase       = 24 // bundle tree node (24 B: record handle, score, parent, connection)
 	TermRefCost    = 4  // one entry of a record's term list: a term-dictionary ID; the term's bytes are the dictionary's

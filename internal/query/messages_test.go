@@ -85,8 +85,8 @@ func TestRefedStreamIsIndexedOnce(t *testing.T) {
 	if got := twice.DuplicateMessages(); got != n {
 		t.Errorf("DuplicateMessages = %d, want %d", got, n)
 	}
-	if st := twice.msgIndex.Stats(); st.Docs != n || len(twice.messages) != n {
-		t.Errorf("index holds %d documents beside %d messages, want %d of each", st.Docs, len(twice.messages), n)
+	if st := twice.msgIndex.Stats(); st.Docs != n || twice.messages.Len() != n {
+		t.Errorf("index holds %d documents beside %d messages, want %d of each", st.Docs, twice.messages.Len(), n)
 	}
 	for _, q := range benchQueries(msgs, 30, 3) {
 		sameMessageHits(t, fmt.Sprintf("SearchMessages(%q) on the stream fed twice", q), twice.SearchMessages(q, 50), once.SearchMessages(q, 50))

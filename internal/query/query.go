@@ -86,10 +86,10 @@ type Processor struct {
 	opts Options
 	engs []*core.Engine // set once by NewNode; a sharded node's in shard order
 
-	msgIndex *textindex.Index // set once by NewNode: the /metrics gauges read it beside ingest
-	messages []score.Doc      // by the ordinal msgIndex gave the message
-	terms    []termdict.ID    // scratch for one message's index terms
-	dups     metrics.Counter  // messages whose ID the index already held
+	msgIndex *textindex.Index           // set once by NewNode: the /metrics gauges read it beside ingest
+	messages termdict.Column[score.Doc] // by the ordinal msgIndex gave the message
+	terms    []termdict.ID              // scratch for one message's index terms
+	dups     metrics.Counter            // messages whose ID the index already held
 
 	arch *archive.Index
 }
@@ -205,7 +205,7 @@ func (p *Processor) index(d score.Doc) bool {
 	tags, _, keywords := d.Runs()
 	p.terms = append(append(p.terms[:0], keywords...), tags...)
 	p.msgIndex.Add(key, p.terms)
-	p.messages = append(p.messages, d) // the n-th Add is ordinal n − 1
+	*p.messages.Reach(p.messages.Len()) = d // the n-th Add is ordinal n − 1
 	return true
 }
 
@@ -389,7 +389,7 @@ func (p *Processor) SearchMessages(q string, k int) []MessageHit {
 	out := make([]MessageHit, 0, len(hits))
 	for _, h := range hits {
 		ord, _ := p.msgIndex.Ordinal(h.Doc)
-		out = append(out, MessageHit{Msg: p.messages[ord], Score: h.Score})
+		out = append(out, MessageHit{Msg: *p.messages.At(ord), Score: h.Score})
 	}
 	return out
 }

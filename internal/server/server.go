@@ -407,7 +407,7 @@ func registerBackendMetrics(reg *metrics.Registry, backend Backend) {
 		"Analytic memory estimate of the bundle pool (Figure 11(a)).",
 		func() float64 { return float64(st.MemBundles) })
 	reg.RegisterGaugeFunc("provex_mem_index_bytes",
-		"Analytic memory estimate of the summary index (Figure 11(a)).",
+		"Memory estimate of the summary index (Figure 11(a)): postings charged as they come and go, plus its list columns' pages.",
 		func() float64 { return float64(st.MemIndex) })
 	reg.RegisterGaugeFunc("provex_flush_parked",
 		"Bundles parked awaiting a storage flush retry (non-zero = degraded mode).",

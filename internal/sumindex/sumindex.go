@@ -14,7 +14,8 @@
 //
 // A posting is a bare bundle ID in an ID-sorted slice per term: how
 // often a bundle carries a term is the bundle's own summary
-// (bundle.Count), so the index stores only membership. Because every
+// (bundle.Count), so the index stores only membership; a term's list
+// sits in its class's termdict.Column at ID.Index(). Because every
 // list is ID-sorted, candidate fetch is a k-way merge plus a counting
 // sort over reused scratch (see Candidates) and allocates nothing at
 // steady state.
@@ -30,10 +31,10 @@ import (
 )
 
 // The index's keys are term-dictionary IDs, whose top bits carry the
-// indicant class (termdict.Class), so one map holds every class. The
-// user class is the paper's "more system specific fields can also be
-// included, like the RT information": it lets a re-share route to the
-// bundle containing the re-shared user's posts.
+// indicant class (termdict.Class). The user class is the paper's "more
+// system specific fields can also be included, like the RT
+// information": it lets a re-share route to the bundle containing the
+// re-shared user's posts.
 
 // MaxFanout is the stop-indicant cut: candidate fetch skips a hashtag,
 // URL or re-shared-user posting list longer than this. A hashtag carried
@@ -50,8 +51,8 @@ const MaxFanout = 1024
 // read lock) are safe as long as no Observe/Forget/Candidates call runs
 // at the same time.
 type Index struct {
-	postings map[termdict.ID][]bundle.ID
-	mem      metrics.MemEstimator
+	lists [termdict.NumClasses]termdict.Column[[]bundle.ID] // posting list by class and ID.Index(); nil when empty
+	mem   metrics.MemEstimator                              // the postings; MemBytes adds the columns
 	// maxFanout is MaxFanout; the package's tests lower it to exercise
 	// skipping on small lists.
 	maxFanout int
@@ -69,7 +70,7 @@ type Index struct {
 
 // New creates an empty summary index.
 func New() *Index {
-	return &Index{postings: make(map[termdict.ID][]bundle.ID), maxFanout: MaxFanout}
+	return &Index{maxFanout: MaxFanout}
 }
 
 // Observe registers that doc joined bundle id: the bundle is added to
@@ -82,17 +83,14 @@ func (ix *Index) Observe(id bundle.ID, doc score.Doc) {
 }
 
 func (ix *Index) add(term termdict.ID, id bundle.ID) {
-	pl, ok := ix.postings[term]
-	if !ok {
-		ix.mem.Add(metrics.MapEntryCost)
-	}
-	i, found := slices.BinarySearch(pl, id)
+	pl := ix.lists[term.Class()].Reach(int(term.Index()))
+	i, found := slices.BinarySearch(*pl, id)
 	if found {
 		return
 	}
 	// Bundle IDs mostly grow with the stream, so the common case is an
 	// append at the tail.
-	ix.postings[term] = slices.Insert(pl, i, id)
+	*pl = slices.Insert(*pl, i, id)
 	ix.mem.Add(metrics.PostingCost)
 }
 
@@ -106,18 +104,20 @@ func (ix *Index) Forget(id bundle.ID, terms []termdict.ID) {
 }
 
 func (ix *Index) drop(term termdict.ID, id bundle.ID) {
-	pl := ix.postings[term]
-	i, found := slices.BinarySearch(pl, id)
+	pl := ix.lists[term.Class()].At(int(term.Index()))
+	if pl == nil {
+		return
+	}
+	i, found := slices.BinarySearch(*pl, id)
 	if !found {
 		return
 	}
 	ix.mem.Sub(metrics.PostingCost)
-	if len(pl) == 1 {
-		delete(ix.postings, term)
-		ix.mem.Sub(metrics.MapEntryCost)
+	if len(*pl) == 1 {
+		*pl = nil
 		return
 	}
-	ix.postings[term] = slices.Delete(pl, i, i+1)
+	*pl = slices.Delete(*pl, i, i+1)
 }
 
 // Candidate is one bundle surfaced by the summary index with the number
@@ -219,7 +219,7 @@ func (ix *Index) Candidates(doc score.Doc) []Candidate {
 //
 //provex:hotpath runs per hard-indicant term of every ingested message
 func (ix *Index) gather(term termdict.ID) {
-	pl := ix.postings[term]
+	pl := ix.Postings(term)
 	if len(pl) > ix.maxFanout {
 		ix.noteSkip(term.Class())
 		return
@@ -339,8 +339,18 @@ func (ix *Index) LastFetch() FetchInfo { return ix.fetch }
 // index mutations. Query support uses it for the i(q,B)
 // indicant-closeness factor of Eq. 7.
 func (ix *Index) Postings(term termdict.ID) []bundle.ID {
-	return ix.postings[term]
+	if pl := ix.lists[term.Class()].At(int(term.Index())); pl != nil {
+		return *pl
+	}
+	return nil
 }
 
-// MemBytes is the analytic memory estimate of the index.
-func (ix *Index) MemBytes() int64 { return ix.mem.Bytes() }
+// MemBytes is the index's memory estimate: its postings as charged,
+// plus its columns' pages as allocated.
+func (ix *Index) MemBytes() int64 {
+	n := ix.mem.Bytes()
+	for c := range ix.lists {
+		n += ix.lists[c].Bytes()
+	}
+	return n
+}

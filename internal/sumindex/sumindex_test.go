@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"provex/internal/bundle"
+	"provex/internal/metrics"
 	"provex/internal/score"
 	"provex/internal/termdict"
 	"provex/internal/tweet"
@@ -70,6 +71,9 @@ func TestCandidatesRTUserClass(t *testing.T) {
 	}
 }
 
+// TestCandidatesEmpty: reads of terms the index holds no list for —
+// None, a Lookup miss, terms observed by no bundle, classes with no
+// page yet — find nothing and grow nothing.
 func TestCandidatesEmpty(t *testing.T) {
 	ix := New()
 	if got := ix.Candidates(doc(1, "a", "anything #tag")); got != nil {
@@ -78,6 +82,27 @@ func TestCandidatesEmpty(t *testing.T) {
 	ix.Observe(1, doc(1, "a", "#redsox"))
 	if got := ix.Candidates(doc(2, "b", "ugh")); got != nil {
 		t.Errorf("indicant-free message returned %v", got)
+	}
+	mem := ix.MemBytes()
+	for _, term := range []termdict.ID{termdict.None, termdict.Lookup(termdict.Tag, "never-interned-tag")} {
+		if got := ix.Postings(term); got != nil {
+			t.Errorf("Postings(%v) = %v, want nothing", term, got)
+		}
+	}
+	// A message of terms no bundle carries, in every class; interned
+	// after the observed ones, they index past the columns' ends.
+	unseen := doc(3, "never-observed-user", "RT @never-observed-rt: #never-observed-tag http://never.observed/x")
+	if got := ix.Candidates(unseen); got != nil {
+		t.Errorf("never-observed terms returned %v", got)
+	}
+	for _, term := range unseen.Indicants() {
+		if got := ix.Postings(term); got != nil {
+			t.Errorf("Postings(%v) = %v for a never-observed term", term, got)
+		}
+	}
+	ix.Forget(1, unseen.Indicants())
+	if got := ix.MemBytes(); got != mem {
+		t.Errorf("MemBytes = %d after reads of absent terms, was %d", got, mem)
 	}
 }
 
@@ -101,6 +126,18 @@ func TestForget(t *testing.T) {
 	ix.Forget(1, []termdict.ID{termdict.Lookup(termdict.Tag, "redsox")})
 }
 
+// columnBytes is what the index's columns hold: the pages Observe
+// reached, which Forget leaves in place.
+func columnBytes(ix *Index) int64 {
+	var n int64
+	for c := range ix.lists {
+		n += ix.lists[c].Bytes()
+	}
+	return n
+}
+
+// TestMemoryAccounting: a posting is charged while it is held, and a
+// full forget leaves the estimate at the columns' page bytes.
 func TestMemoryAccounting(t *testing.T) {
 	ix := New()
 	if ix.MemBytes() != 0 {
@@ -108,13 +145,18 @@ func TestMemoryAccounting(t *testing.T) {
 	}
 	d := doc(1, "a", "game #redsox http://bit.ly/x")
 	ix.Observe(1, d)
-	grown := ix.MemBytes()
-	if grown <= 0 {
-		t.Fatal("Observe did not grow memory estimate")
+	pages := columnBytes(ix)
+	if pages <= 0 || ix.MemBytes() != pages+int64(len(d.Indicants()))*metrics.PostingCost {
+		t.Fatalf("mem after Observe = %d: %d page bytes and %d postings", ix.MemBytes(), pages, len(d.Indicants()))
 	}
 	ix.Forget(1, d.Indicants())
-	if got := ix.MemBytes(); got != 0 {
-		t.Errorf("mem after full forget = %d, want 0", got)
+	if got := ix.MemBytes(); got != pages || columnBytes(ix) != pages {
+		t.Errorf("mem after full forget = %d, want the columns' %d page bytes", got, pages)
+	}
+	for _, term := range d.Indicants() {
+		if p := ix.lists[term.Class()].At(int(term.Index())); p == nil || *p != nil {
+			t.Errorf("the emptied list of %v is %v, want nil", term, p)
+		}
 	}
 }
 
@@ -136,8 +178,8 @@ func TestDuplicateObserveOnePosting(t *testing.T) {
 }
 
 // Property: Observe followed by Forget of the same indicants always
-// restores memory to its prior value and removes the bundle from every
-// candidate list.
+// restores memory to its prior value, but for the column pages Observe
+// reached, and removes the bundle from every candidate list.
 func TestObserveForgetInverseProperty(t *testing.T) {
 	texts := []string{
 		"game on #redsox", "breaking http://bit.ly/q #news", "plain words here",
@@ -148,13 +190,13 @@ func TestObserveForgetInverseProperty(t *testing.T) {
 		ix := New()
 		// Background noise owned by bundle 99.
 		ix.Observe(99, doc(1000, "z", texts[rng.Intn(len(texts))]))
-		before := ix.MemBytes()
+		before := ix.MemBytes() - columnBytes(ix)
 
 		d := doc(1, "u", texts[rng.Intn(len(texts))])
 		ix.Observe(7, d)
 		ix.Forget(7, d.Indicants())
 
-		if ix.MemBytes() != before {
+		if ix.MemBytes()-columnBytes(ix) != before {
 			return false
 		}
 		for _, c := range ix.Candidates(d) {
@@ -300,7 +342,7 @@ func oracleCandidates(ix *Index, d score.Doc) ([]Candidate, FetchInfo) {
 	var fi FetchInfo
 	hits := map[bundle.ID]Candidate{}
 	collect := func(term termdict.ID) {
-		pl := ix.postings[term]
+		pl := ix.Postings(term)
 		if len(pl) > ix.maxFanout {
 			switch term.Class() {
 			case termdict.URL:

@@ -20,9 +20,9 @@
 // value: what is stored or ranked goes through Term.
 //
 // Concurrency: Intern and Lookup take a per-class lock (read-locked on
-// a hit); Term takes none — terms live in fixed pages published through
-// an atomic pointer, and an ID reaches a reader only after the write of
-// its term.
+// a hit); Term takes none — terms live in a Column, the paged table
+// every ID-keyed table of the process is built on, and an ID reaches a
+// reader only after the write of its term.
 package termdict
 
 import (
@@ -30,7 +30,6 @@ import (
 	"hash/maphash"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"provex/internal/metrics"
 )
@@ -86,26 +85,14 @@ func (id ID) Class() Class { return Class(id >> classShift) }
 // past every term's.
 func (id ID) Index() uint32 { return uint32(id) & indexMask }
 
-const (
-	pageBits = 10
-	pageSize = 1 << pageBits
-)
-
-// page holds pageSize terms by index. Pages never move once published,
-// which is what lets Term read without a lock.
-type page [pageSize]string
-
 // table is one class's terms: an open-addressed hash of index + 1 (0 is
 // an empty slot), probed linearly and kept under three quarters full,
-// over the terms themselves in pages.
+// over the terms themselves in a column.
 type table struct {
 	mu    sync.RWMutex
-	slots []uint32 // guarded by mu
-	n     int      // terms held; guarded by mu
-	bytes int64    // the terms' own bytes; guarded by mu
-
-	// pages is written under mu and read by Term without it.
-	pages atomic.Pointer[[]*page]
+	slots []uint32       // guarded by mu
+	bytes int64          // the terms' own bytes; guarded by mu
+	terms Column[string] // by index; written under mu, read by Term without it
 }
 
 // dict is the dictionary; the process has one, global.
@@ -114,13 +101,7 @@ type dict struct {
 	tables [NumClasses]table
 }
 
-func newDict() *dict {
-	d := &dict{seed: maphash.MakeSeed()}
-	for c := range d.tables {
-		d.tables[c].pages.Store(new([]*page))
-	}
-	return d
-}
+func newDict() *dict { return &dict{seed: maphash.MakeSeed()} }
 
 var global = newDict()
 
@@ -218,26 +199,18 @@ func (d *dict) insert(c Class, term string, h uint64) ID {
 	if i1 != 0 {
 		return makeID(c, i1-1)
 	}
-	if t.n >= indexMask {
-		panic(fmt.Sprintf("termdict: %s class full at %d terms", c, t.n))
+	n := t.terms.Len()
+	if n >= indexMask {
+		panic(fmt.Sprintf("termdict: %s class full at %d terms", c, n))
 	}
-	if (t.n+1)*4 > len(t.slots)*3 {
+	if (n+1)*4 > len(t.slots)*3 {
 		d.rehashLocked(t)
 		_, slot = findLocked(t, term, h)
 	}
-	pages := *t.pages.Load()
-	if t.n == len(pages)*pageSize {
-		grown := make([]*page, len(pages)+1)
-		copy(grown, pages)
-		grown[len(pages)] = new(page)
-		t.pages.Store(&grown)
-		pages = grown
-	}
-	pages[t.n>>pageBits][t.n&(pageSize-1)] = term
-	t.n++
+	*t.terms.Reach(n) = term
 	t.bytes += int64(len(term))
-	t.slots[slot] = uint32(t.n)
-	return makeID(c, uint32(t.n-1))
+	t.slots[slot] = uint32(n + 1)
+	return makeID(c, uint32(n))
 }
 
 // findLocked returns the term's index + 1, or 0 and the slot it would
@@ -246,11 +219,10 @@ func findLocked[T string | []byte](t *table, term T, h uint64) (i1 uint32, slot 
 	if len(t.slots) == 0 {
 		return 0, -1
 	}
-	pages := *t.pages.Load()
 	mask := len(t.slots) - 1
 	for slot = int(h) & mask; ; slot = (slot + 1) & mask {
 		i1 = t.slots[slot]
-		if i1 == 0 || equal(pages[(i1-1)>>pageBits][(i1-1)&(pageSize-1)], term) {
+		if i1 == 0 || equal(*t.terms.At(int(i1 - 1)), term) {
 			return i1, slot
 		}
 	}
@@ -273,9 +245,8 @@ func equal[T string | []byte](held string, term T) bool {
 func (d *dict) rehashLocked(t *table) {
 	t.slots = make([]uint32, max(16, 2*len(t.slots)))
 	mask := len(t.slots) - 1
-	pages := *t.pages.Load()
-	for i := 0; i < t.n; i++ {
-		slot := int(maphash.String(d.seed, pages[i>>pageBits][i&(pageSize-1)])) & mask
+	for i := 0; i < t.terms.Len(); i++ {
+		slot := int(maphash.String(d.seed, *t.terms.At(i))) & mask
 		for t.slots[slot] != 0 {
 			slot = (slot + 1) & mask
 		}
@@ -286,27 +257,17 @@ func (d *dict) rehashLocked(t *table) {
 func makeID(c Class, index uint32) ID { return ID(c)<<classShift | ID(index) }
 
 //provex:hotpath resolves stored and routed terms (bundle codec, shard routing, message index)
-func (d *dict) term(id ID) string {
-	i := id.Index()
-	pages := *d.tables[id.Class()].pages.Load()
-	return pages[i>>pageBits][i&(pageSize-1)]
-}
+func (d *dict) term(id ID) string { return *d.tables[id.Class()].terms.At(int(id.Index())) }
 
-func (d *dict) len(c Class) int {
-	t := &d.tables[c]
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.n
-}
+func (d *dict) len(c Class) int { return d.tables[c].terms.Len() }
 
-// size sums every class's slots, page directory, pages and term bytes.
+// size sums every class's slots, term column and term bytes.
 func (d *dict) size() int64 {
 	var n int64
 	for c := range d.tables {
 		t := &d.tables[c]
 		t.mu.RLock()
-		pages := *t.pages.Load()
-		n += int64(cap(t.slots))*4 + int64(len(pages))*(8+pageSize*16) + t.bytes
+		n += int64(cap(t.slots))*4 + t.terms.Bytes() + t.bytes
 		t.mu.RUnlock()
 	}
 	return n

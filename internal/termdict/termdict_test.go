@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -144,6 +145,101 @@ func TestConcurrentInternAndTerm(t *testing.T) {
 	}
 	if n := d.len(Keyword); n > 2*perWriter {
 		t.Errorf("%d terms from a vocabulary of %d: a term was added twice", n, 2*perWriter)
+	}
+}
+
+// TestColumn: Reach grows a column across a page boundary, the entries
+// it skipped read as zero, a page never moves, Bytes counts whole pages
+// and the directory, and reads past the end find nothing and grow
+// nothing.
+func TestColumn(t *testing.T) {
+	var c Column[int64]
+	if c.Len() != 0 || c.Bytes() != 0 || c.At(0) != nil {
+		t.Fatalf("zero column: Len %d, Bytes %d, At(0) %v", c.Len(), c.Bytes(), c.At(0))
+	}
+	*c.Reach(5) = 6
+	first := c.At(5)
+	if c.Len() != 6 || first == nil || *first != 6 {
+		t.Fatalf("after Reach(5): Len %d, At(5) %v", c.Len(), first)
+	}
+	onePage := c.Bytes()
+	if want := int64(pageSize*8 + 8); onePage != want {
+		t.Errorf("Bytes = %d for one page of int64, want %d", onePage, want)
+	}
+	end := pageSize + 3
+	*c.Reach(end) = 7
+	if c.Len() != end+1 {
+		t.Fatalf("Len = %d after Reach(%d)", c.Len(), end)
+	}
+	for i := 0; i < end; i++ {
+		want := int64(0) // skipped entries read zero
+		if i == 5 {
+			want = 6
+		}
+		if got := *c.At(i); got != want {
+			t.Fatalf("At(%d) = %d, want %d", i, got, want)
+		}
+	}
+	if c.At(5) != first {
+		t.Error("entry 5 moved when the column grew a page")
+	}
+	if want := int64(2*pageSize*8 + 2*8); c.Bytes() != want {
+		t.Errorf("Bytes = %d for two pages of int64, want %d", c.Bytes(), want)
+	}
+	n, b := c.Len(), c.Bytes()
+	for _, i := range []int{end + 1, 2*pageSize - 1, 2 * pageSize, int(None.Index()), -1} {
+		if p := c.At(i); p != nil {
+			t.Errorf("At(%d) = %v past the end of %d entries", i, *p, n)
+		}
+	}
+	if c.Len() != n || c.Bytes() != b {
+		t.Errorf("reads past the end moved Len %d → %d, Bytes %d → %d", n, c.Len(), b, c.Bytes())
+	}
+}
+
+// TestConcurrentColumnReach is the Term contract on the column alone,
+// under -race: readers read every entry the writer has published while
+// the writer's Reach adds pages and replaces the directory.
+func TestConcurrentColumnReach(t *testing.T) {
+	const n, readers = 16 * pageSize, 4
+	var (
+		c         Column[uint32]
+		published atomic.Int64 // entries written: a reader may read below it
+		wg        sync.WaitGroup
+	)
+	errs := make(chan error, readers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for {
+				p := int(published.Load())
+				if p > 0 {
+					i := rng.Intn(p)
+					if e := c.At(i); e == nil || *e != uint32(i)+1 {
+						errs <- fmt.Errorf("At(%d) = %v with %d entries published", i, e, p)
+						return
+					}
+					if c.Len() < p || c.Bytes() < int64(p)*4 {
+						errs <- fmt.Errorf("Len %d, Bytes %d with %d entries published", c.Len(), c.Bytes(), p)
+						return
+					}
+				}
+				if p == n {
+					return
+				}
+			}
+		}(int64(r))
+	}
+	for i := 0; i < n; i++ {
+		*c.Reach(i) = uint32(i) + 1
+		published.Store(int64(i) + 1)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

@@ -65,7 +65,7 @@ func TestBytesPerPosting(t *testing.T) {
 		perPosting, budget, st.Bytes, st.Postings, ix.terms(), st.Docs,
 		float64(ix.pool.codeBytes)/float64(st.Postings), 100*waste, 100*wasteCeiling)
 	t.Logf("arena %d B (slabs %d, code %d), list headers %d B over %d IDs, keys+lens %d B",
-		ix.pool.bytes(), ix.pool.cutBytes, ix.pool.codeBytes, ix.lists.bytes(), ix.lists.n, ix.keys.bytes()+ix.lens.bytes())
+		ix.pool.bytes(), ix.pool.cutBytes, ix.pool.codeBytes, ix.lists.Bytes(), ix.lists.Len(), ix.keys.Bytes()+ix.lens.Bytes())
 	if perPosting > budget {
 		t.Errorf("%.2f bytes per posting, budget %.1f", perPosting, budget)
 	}

@@ -51,14 +51,14 @@ const (
 // concurrent use; writes take an exclusive lock.
 type Index struct {
 	mu    sync.RWMutex
-	lists column[list] // posting list by the term's keyword-class index; guarded by mu
-	pool  arena        // the slabs the lists are written in; guarded by mu
+	lists termdict.Column[list] // posting list by the term's keyword-class index; guarded by mu
+	pool  arena                 // the slabs the lists are written in; guarded by mu
 
-	keys  column[DocID]    // caller's key, by ordinal; guarded by mu
-	lens  column[uint32]   // term-bag length, by ordinal; guarded by mu
-	byKey map[DocID]uint32 // key → ordinal; nil while keys have arrived in increasing order, when keys is searched instead; guarded by mu
-	dead  []uint64         // tombstone bit per ordinal; nil until the first Delete; guarded by mu
-	nDead int              // set bits in dead; guarded by mu
+	keys  *termdict.Column[DocID]  // caller's key, by ordinal (a pointer: Compact replaces it); guarded by mu
+	lens  *termdict.Column[uint32] // term-bag length, by ordinal (likewise); guarded by mu
+	byKey map[DocID]uint32         // key → ordinal; nil while keys have arrived in increasing order, when keys is searched instead; guarded by mu
+	dead  []uint64                 // tombstone bit per ordinal; nil until the first Delete; guarded by mu
+	nDead int                      // set bits in dead; guarded by mu
 
 	postings int64         // postings over all lists, tombstoned documents included; guarded by mu
 	totalLen int64         // sum of live documents' lengths; guarded by mu
@@ -67,7 +67,9 @@ type Index struct {
 }
 
 // New returns an empty index.
-func New() *Index { return new(Index) }
+func New() *Index {
+	return &Index{keys: new(termdict.Column[DocID]), lens: new(termdict.Column[uint32])}
+}
 
 // term names a term of a document as the index does: by its spelling,
 // as the keyword-class ID of that spelling. A hashtag or URL is indexed
@@ -84,10 +86,8 @@ func term(id termdict.ID) termdict.ID {
 // listLocked returns the list of the keyword-class ID t, nil when t has
 // no postings.
 func (ix *Index) listLocked(t termdict.ID) *list {
-	if i := int(t.Index()); i < ix.lists.n {
-		if l := ix.lists.at(i); l.df > 0 {
-			return l
-		}
+	if l := ix.lists.At(int(t.Index())); l != nil && l.df > 0 {
+		return l
 	}
 	return nil
 }
@@ -108,11 +108,11 @@ func (ix *Index) Add(key DocID, terms []termdict.ID) {
 	if _, held := ix.ordinalLocked(key); held {
 		panic("textindex: duplicate Add for a key the index holds")
 	}
-	ord := ix.keys.n
+	ord := ix.keys.Len()
 	if ord == math.MaxUint32 {
 		panic("textindex: ordinal space exhausted")
 	}
-	if ix.byKey == nil && ord > 0 && key < *ix.keys.at(ord - 1) {
+	if ix.byKey == nil && ord > 0 && key < *ix.keys.At(ord - 1) {
 		// The first new key to arrive out of order: from here on a
 		// binary search over keys cannot tell new from held.
 		ix.indexKeysLocked()
@@ -120,8 +120,8 @@ func (ix *Index) Add(key DocID, terms []termdict.ID) {
 	if ix.byKey != nil {
 		ix.byKey[key] = uint32(ord)
 	}
-	ix.keys.push(key)
-	ix.lens.push(uint32(len(terms)))
+	*ix.keys.Reach(ord) = key
+	*ix.lens.Reach(ord) = uint32(len(terms))
 	if len(terms) == 0 {
 		return
 	}
@@ -140,7 +140,7 @@ func (ix *Index) Add(key DocID, terms []termdict.ID) {
 			j++
 		}
 		if termdict.Term(t) != "" {
-			ix.pool.add(ix.lists.reach(int(t.Index())), uint32(ord), uint32(j-i))
+			ix.pool.add(ix.lists.Reach(int(t.Index())), uint32(ord), uint32(j-i))
 			ix.postings++
 		}
 		i = j
@@ -151,9 +151,9 @@ func (ix *Index) Add(key DocID, terms []termdict.ID) {
 
 // indexKeysLocked builds the key → ordinal map from the key column.
 func (ix *Index) indexKeysLocked() {
-	ix.byKey = make(map[DocID]uint32, ix.keys.n+1)
-	for ord := 0; ord < ix.keys.n; ord++ {
-		ix.byKey[*ix.keys.at(ord)] = uint32(ord)
+	ix.byKey = make(map[DocID]uint32, ix.keys.Len()+1)
+	for ord := 0; ord < ix.keys.Len(); ord++ {
+		ix.byKey[*ix.keys.At(ord)] = uint32(ord)
 	}
 }
 
@@ -170,12 +170,12 @@ func (ix *Index) ordinalLocked(key DocID) (int, bool) {
 		ord, ok := ix.byKey[key]
 		return int(ord), ok
 	}
-	n := ix.keys.n
-	if n == 0 || key > *ix.keys.at(n - 1) {
+	n := ix.keys.Len()
+	if n == 0 || key > *ix.keys.At(n - 1) {
 		return 0, false // the common case: keys increase with arrival
 	}
-	ord := sort.Search(n, func(i int) bool { return *ix.keys.at(i) >= key })
-	return ord, *ix.keys.at(ord) == key
+	ord := sort.Search(n, func(i int) bool { return *ix.keys.At(i) >= key })
+	return ord, *ix.keys.At(ord) == key
 }
 
 func (ix *Index) deadLocked(ord uint32) bool {
@@ -198,7 +198,7 @@ func (ix *Index) Delete(key DocID) {
 	}
 	ix.dead[ord>>6] |= 1 << (ord & 63)
 	ix.nDead++
-	if n := *ix.lens.at(ord); n > 0 {
+	if n := *ix.lens.At(ord); n > 0 {
 		ix.totalLen -= int64(n)
 		ix.liveDocs--
 	}
@@ -215,36 +215,35 @@ func (ix *Index) Compact() {
 		return
 	}
 	const gone = ^uint32(0)
-	renum := make([]uint32, ix.keys.n)
+	renum := make([]uint32, ix.keys.Len())
 	keys, lens := ix.keys, ix.lens
-	ix.keys, ix.lens = column[DocID]{}, column[uint32]{}
+	ix.keys, ix.lens = new(termdict.Column[DocID]), new(termdict.Column[uint32])
 	for ord := range renum {
 		if ix.deadLocked(uint32(ord)) {
 			renum[ord] = gone
 			continue
 		}
-		renum[ord] = uint32(ix.keys.n)
-		ix.keys.push(*keys.at(ord))
-		ix.lens.push(*lens.at(ord))
+		renum[ord] = uint32(ix.keys.Len())
+		*ix.keys.Reach(int(renum[ord])) = *keys.At(ord)
+		*ix.lens.Reach(int(renum[ord])) = *lens.At(ord)
 	}
 	if ix.byKey != nil {
 		ix.indexKeysLocked()
 	}
 	ix.dead, ix.nDead = nil, 0
 
-	lists, pool := ix.lists, ix.pool
-	ix.lists, ix.pool, ix.postings = column[list]{}, arena{}, 0
-	for i := 0; i < lists.n; i++ {
+	pool := ix.pool
+	ix.pool, ix.postings = arena{}, 0
+	for i := 0; i < ix.lists.Len(); i++ {
+		old := ix.lists.At(i)
 		var l list
-		for c := pool.cursor(lists.at(i)); c.next(); {
+		for c := pool.cursor(old); c.next(); {
 			if ord := renum[c.ord]; ord != gone {
 				ix.pool.add(&l, ord, c.tf)
 			}
 		}
-		if l.df > 0 {
-			*ix.lists.reach(i) = l
-			ix.postings += int64(l.df)
-		}
+		*old = l
+		ix.postings += int64(l.df)
 	}
 }
 
@@ -253,10 +252,10 @@ func (ix *Index) Compact() {
 func (ix *Index) DeletedRatio() float64 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if ix.keys.n == 0 {
+	if ix.keys.Len() == 0 {
 		return 0
 	}
-	return float64(ix.nDead) / float64(ix.keys.n)
+	return float64(ix.nDead) / float64(ix.keys.Len())
 }
 
 // Stats is what the index holds.
@@ -278,9 +277,9 @@ func (ix *Index) Stats() Stats {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return Stats{
-		Docs:     ix.keys.n,
+		Docs:     ix.keys.Len(),
 		Postings: int(ix.postings),
-		Bytes: ix.pool.bytes() + ix.lists.bytes() + ix.keys.bytes() + ix.lens.bytes() +
+		Bytes: ix.pool.bytes() + ix.lists.Bytes() + ix.keys.Bytes() + ix.lens.Bytes() +
 			int64(cap(ix.dead))*8 + int64(len(ix.byKey))*keyEntryBytes,
 	}
 }
@@ -370,7 +369,7 @@ func (ix *Index) Search(words []string, k int) []Hit {
 		if !found {
 			break
 		}
-		dl := float64(*ix.lens.at(int(ord)))
+		dl := float64(*ix.lens.At(int(ord)))
 		var score float64
 		for i := range cs {
 			c := &cs[i]
@@ -382,7 +381,7 @@ func (ix *Index) Search(words []string, k int) []Hit {
 			score += c.idf * norm
 			ix.advanceLocked(c)
 		}
-		h.offer(Hit{Doc: *ix.keys.at(int(ord)), Score: score}, k)
+		h.offer(Hit{Doc: *ix.keys.At(int(ord)), Score: score}, k)
 	}
 	return h.ranked()
 }

@@ -25,8 +25,8 @@ func keywords(words ...string) []termdict.ID {
 // terms counts the terms holding postings.
 func (ix *Index) terms() int {
 	n := 0
-	for i := 0; i < ix.lists.n; i++ {
-		if ix.lists.at(i).df > 0 {
+	for i := 0; i < ix.lists.Len(); i++ {
+		if ix.lists.At(i).df > 0 {
 			n++
 		}
 	}
@@ -74,10 +74,36 @@ func TestSearchBasic(t *testing.T) {
 	}
 }
 
+// TestSearchUnknownTerm: a word no document holds — one the dictionary
+// has never seen, which resolves to termdict.None, one interned after
+// every indexed term, past the list column's end — finds nothing, and
+// neither it nor a list read of None grows the index.
 func TestSearchUnknownTerm(t *testing.T) {
 	ix := buildIndex(map[DocID][]string{1: {"a"}})
+	bytes := ix.Stats().Bytes
 	if hits := ix.Search([]string{"zzz"}, 5); hits != nil {
 		t.Errorf("unknown term returned %v", hits)
+	}
+	never := "never-interned-search-word"
+	if id := termdict.Lookup(termdict.Keyword, never); id != termdict.None {
+		t.Fatalf("%q is in the dictionary as %v", never, id)
+	}
+	if hits := ix.Search([]string{never}, 5); hits != nil {
+		t.Errorf("a word the dictionary does not hold returned %v", hits)
+	}
+	late := "interned-after-the-index"
+	termdict.Intern(termdict.Keyword, late)
+	if hits := ix.Search([]string{late, never}, 5); hits != nil {
+		t.Errorf("a word interned after every indexed term returned %v", hits)
+	}
+	ix.mu.RLock()
+	l := ix.listLocked(termdict.None)
+	ix.mu.RUnlock()
+	if l != nil {
+		t.Errorf("termdict.None has a list: %+v", *l)
+	}
+	if got := ix.Stats().Bytes; got != bytes {
+		t.Errorf("Stats().Bytes moved %d → %d on reads of absent terms", bytes, got)
 	}
 	if hits := ix.Search(nil, 5); hits != nil {
 		t.Errorf("empty query returned %v", hits)
