@@ -56,9 +56,11 @@ go test ./internal/sumindex -fuzz FuzzCandidates -fuzztime 10s -run '^$'
 # the sharded round's floored probe against full probes, message by
 # message, over generated streams at any seed, shard count and batch
 go test ./internal/shard -fuzz FuzzFlooredProbe -fuzztime 10s -run '^$'
-# a bundle's two summary forms against the eight-map reference; every
-# input is ~40 Adds with the full comparison after each, so minimising
-# a new corpus entry is capped or it would eat the whole budget
+# a bundle's three summary forms against the eight-map reference (the
+# seeds include a one-message script and promotionScript, whose
+# single-node terms gain their second node after node 16); every input
+# is ~40 Adds with the full comparison after each, so minimising a new
+# corpus entry is capped or it would eat the whole budget
 go test ./internal/bundle -fuzz FuzzBundleSummary -fuzztime 10s -fuzzminimizetime 20x -run '^$'
 # the message index against the map-and-slice index it replaced (adds in
 # and out of key order, deletes, compactions, searches; the index finds
@@ -433,8 +435,8 @@ echo "loc: non-test $(go_lines -not -name '*_test.go') test $(go_lines -name '*_
 # live heap bytes per ingested message of the serving shape, the
 # engine's cost model against its live heap, the message index's bytes
 # per posting with its slab waste, and the summary index's bytes per
-# posting.
-go test -count=1 -run 'TestLiveHeapPerMessage|TestMemEstimateTracksHeap|TestBytesPerPosting' -v ./internal/query ./internal/core ./internal/textindex ./internal/sumindex \
+# posting; and the apply layer's allocations and bytes per message.
+go test -count=1 -run 'TestLiveHeapPerMessage|TestApplyAllocationsPerMessage|TestMemEstimateTracksHeap|TestBytesPerPosting' -v ./internal/query ./internal/core ./internal/textindex ./internal/sumindex \
     | grep -E 'per message|live heap .* ratio|per posting'
 
 echo "CI OK"

@@ -10,6 +10,7 @@ package bundle
 
 import (
 	"fmt"
+	"slices"
 
 	"provex/internal/metrics"
 	"provex/internal/score"
@@ -49,10 +50,10 @@ type Bundle struct {
 	id    ID
 	nodes []Node
 
-	// The indicant summary (summary.go): a row table below PruneMinNodes
-	// nodes, the hash index from there up — never both.
+	// The indicant summary (summary.go): the one node's record, a row
+	// table from two nodes, the index from PruneMinNodes up — never two.
 	rows []row
-	idx  index
+	idx  *index
 
 	// Message-date extent (Algorithm 2 lines 8–13), in unix nanoseconds.
 	// end is also when the bundle last absorbed a message in stream time
@@ -212,7 +213,7 @@ func (b *Bundle) Edges() []Edge {
 // Words" column of the paper's Figure 2 result list. Hashtags count
 // double so topical tags float to the front like the paper's examples.
 func (b *Bundle) SummaryWords(k int) []string {
-	merged := make(map[string]int, len(b.rows)+len(b.idx))
+	merged := make(map[string]int, b.numTerms())
 	b.each(func(t termdict.ID, n int) {
 		switch t.Class() {
 		case termdict.Tag:
@@ -226,16 +227,18 @@ func (b *Bundle) SummaryWords(k int) []string {
 
 // Validate checks the structural invariants of a bundle: parents
 // precede children (the stream order guarantees trails point backwards
-// in time), summary counts match node contents, and the time extent
-// bounds every message. Used by tests and the storage round-trip
-// self-check.
+// in time), the summary is in the form its size calls for, its counts
+// match node contents and, in the index, every node list is strictly
+// ascending and names exactly the nodes that carry its term, and the
+// time extent bounds every message. Used by tests and the storage
+// round-trip self-check.
 func (b *Bundle) Validate() error {
-	indexed := b.idx != nil
-	if indexed != (len(b.nodes) >= PruneMinNodes) || (indexed && b.rows != nil) {
+	size := len(b.nodes)
+	if indexed, rowed := b.idx != nil, b.rows != nil; indexed != (size >= PruneMinNodes) || rowed != (size >= 2 && !indexed) {
 		return fmt.Errorf("bundle %d: %d nodes with indexed=%v and %d summary rows",
-			b.id, len(b.nodes), indexed, len(b.rows))
+			b.id, size, indexed, len(b.rows))
 	}
-	want := map[termdict.ID]int{}
+	want := map[termdict.ID][]int32{}
 	for i, n := range b.nodes {
 		if n.Parent != NoParent && (n.Parent < 0 || int(n.Parent) >= i) {
 			return fmt.Errorf("bundle %d: node %d has invalid parent %d", b.id, i, n.Parent)
@@ -245,14 +248,19 @@ func (b *Bundle) Validate() error {
 				b.id, i, n.Doc.Time(), tweet.Time(b.start), tweet.Time(b.end))
 		}
 		for _, t := range n.Doc.Indicants() {
-			want[t]++
+			want[t] = append(want[t], int32(i))
 		}
 	}
 	var err error
 	b.each(func(t termdict.ID, got int) {
-		if got != want[t] && err == nil {
+		if err != nil {
+			return
+		}
+		if got != len(want[t]) {
 			err = fmt.Errorf("bundle %d: %s %q count %d, nodes imply %d",
-				b.id, t.Class(), termdict.Term(t), got, want[t])
+				b.id, t.Class(), termdict.Term(t), got, len(want[t]))
+		} else if b.idx != nil {
+			err = checkNodeList(b.id, t, b.nodesWith(t), want[t])
 		}
 		delete(want, t)
 	})
@@ -260,4 +268,20 @@ func (b *Bundle) Validate() error {
 		err = fmt.Errorf("bundle %d: summary lacks %d terms the nodes carry", b.id, len(want))
 	}
 	return err
+}
+
+// checkNodeList checks one term's node list in the index against the
+// ascending ids of the nodes that carry the term.
+func checkNodeList(id ID, t termdict.ID, got, want []int32) error {
+	for i := 1; i < len(got); i++ {
+		if got[i] <= got[i-1] {
+			return fmt.Errorf("bundle %d: %s %q node list %v is not strictly ascending",
+				id, t.Class(), termdict.Term(t), got)
+		}
+	}
+	if !slices.Equal(got, want) {
+		return fmt.Errorf("bundle %d: %s %q node list %v, nodes imply %v",
+			id, t.Class(), termdict.Term(t), got, want)
+	}
+	return nil
 }

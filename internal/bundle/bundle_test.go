@@ -168,18 +168,28 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	if err := b.Validate(); err == nil {
 		t.Error("Validate accepted a corrupted summary row")
 	}
-	big := buildSized(PruneMinNodes)
-	user0 := termdict.Lookup(termdict.User, "user0")
-	p := big.idx[user0]
-	p.count = 99
-	big.idx[user0] = p
-	if err := big.Validate(); err == nil {
-		t.Error("Validate accepted a corrupted index entry")
+	// user0 posts every fifth message: nodes 0, 5, 10, 15 and 20.
+	user0 := buildSized(PruneMinNodes + 5).nodes[0].Doc.User()
+	for name, corrupt := range map[string]func(l []int32){
+		"out of order": func(l []int32) { l[0], l[1] = l[1], l[0] },
+		"a repeat":     func(l []int32) { l[1] = l[0] },
+		"a wrong node": func(l []int32) { l[1]++ },
+	} {
+		big := buildSized(PruneMinNodes + 5)
+		corrupt(big.nodesWith(user0))
+		if err := big.Validate(); err == nil {
+			t.Errorf("Validate accepted a node list with %s", name)
+		}
 	}
 	early := buildSized(PruneMinNodes - 1)
-	early.idx, early.rows = index{}, nil
+	early.idx, early.rows = &index{refs: map[termdict.ID]uint32{}}, nil
 	if err := early.Validate(); err == nil {
 		t.Error("Validate accepted an index below PruneMinNodes")
+	}
+	single := buildSized(1)
+	single.rows = []row{{term: user0, count: 1}}
+	if err := single.Validate(); err == nil {
+		t.Error("Validate accepted a singleton holding rows")
 	}
 	b2 := buildGameBundle(t)
 	b2.nodes[1].Parent = 3 // forward reference

@@ -14,7 +14,8 @@ import (
 // sumindex.mem_mb follow a struct that changes size: a slice element or
 // map slot is charged its size, a message record its header (the term
 // list and the text are charged by length). It also pins the layouts
-// the one-record message bought: a Doc is one pointer, a Node 24 bytes.
+// the one-record message bought: a Doc is one pointer, a Node 24 bytes;
+// and the large-bundle index: a 4-byte reference per term in its map.
 func TestMemEstimateMatchesLayouts(t *testing.T) {
 	for _, c := range []struct {
 		name       string
@@ -27,10 +28,12 @@ func TestMemEstimateMatchesLayouts(t *testing.T) {
 		{"TermRefCost (termdict.ID)", unsafe.Sizeof(termdict.ID(0)), metrics.TermRefCost},
 		{"SummaryRowCost (bundle.row)", unsafe.Sizeof(row{}), metrics.SummaryRowCost},
 		{"PostingCost (summary-index posting, bundle.ID)", unsafe.Sizeof(ID(0)), metrics.PostingCost},
-		{"MapEntryCost (index slot)", unsafe.Sizeof(struct {
+		{"MapEntryCost (index term-map slot)", unsafe.Sizeof(struct {
 			k termdict.ID
-			v posting
+			v uint32
 		}{}), metrics.MapEntryCost},
+		{"NodeListCost (a term's own node list)", unsafe.Sizeof([]int32(nil)), metrics.NodeListCost},
+		{"bundle.index (SummaryIndexBase prices it at its 64-byte size class)", unsafe.Sizeof(index{}), 56},
 	} {
 		if c.got != c.model {
 			t.Errorf("%s: layout %d B, model %d B", c.name, c.got, c.model)

@@ -78,8 +78,8 @@ type PlaceStats struct {
 func (ps PlaceStats) Skipped() int { return ps.Nodes - ps.Scored }
 
 // Scratch is the reusable state of the time-bounded placement scan:
-// one posting-list cursor per indicant occurrence of the message being
-// placed, plus the active-cursor index sorted by frontier. One Scratch
+// one posting-list cursor per indicant of the message being placed,
+// plus the active-cursor index sorted by frontier. One Scratch
 // serves any number of bundles sequentially (the engine owns a single
 // instance for its whole lifetime); it must not be shared between
 // goroutines.
@@ -172,15 +172,13 @@ func searchLE(ids []int32, v int32) int {
 // Three facts make the scan exact rather than approximate:
 //
 //  1. The per-class hit counts at a merge pivot ARE the Eq. 2–4
-//     numerators: one cursor is opened per indicant occurrence of the
-//     incoming message, and node membership in urlNodes[u] is
-//     equivalent to "u ∈ node's URLs", so the number of cursors sitting
-//     on a node equals overlap() exactly (duplicate occurrences open
-//     duplicate cursors that advance in lockstep, matching overlap's
-//     per-occurrence counting). Each popped node is therefore scored
-//     with bit-identical Eq. 5 arithmetic — same divisions, same
-//     association order as score.MessageSim — in O(cursors), without
-//     touching the node's own term sets.
+//     numerators: one cursor is opened per indicant of the incoming
+//     message (a record's runs are sets), and node membership in
+//     nodesWith(u) is equivalent to "u ∈ node's URLs", so the number of
+//     cursors sitting on a node equals overlap() exactly. Each popped
+//     node is therefore scored with bit-identical Eq. 5 arithmetic —
+//     same divisions, same association order as score.MessageSim — in
+//     O(cursors), without touching the node's own term sets.
 //  2. Node id order is message-date order, and Eq. 4 decays
 //     monotonically with the gap, so for every unconsumed node the time
 //     term is bounded by the head frontier's (when the incoming message

@@ -33,7 +33,7 @@ func buildSized(n int) *Bundle {
 
 // refSummary is the summary as it was before the row table existed:
 // eight plain maps filled for every bundle size. It is the oracle the
-// two-form representation is compared against.
+// three-form representation is compared against.
 type refSummary struct {
 	nodes  []Node
 	counts [termdict.NumClasses]map[string]int
@@ -92,22 +92,28 @@ func stringTerms(d score.Doc) [termdict.NumClasses][]string {
 }
 
 // memBytes is the cost model of metrics/memest.go applied to the maps:
-// rows below the threshold, map entries and node references from it up.
+// nothing beyond the record for one node, rows below the threshold, and
+// from it up a map entry and node references per term, plus a list
+// header for a term on two nodes or more.
 func (r *refSummary) memBytes() int64 {
 	total := int64(metrics.BundleBase)
 	for _, n := range r.nodes {
 		total += metrics.NodeBase + metrics.MessageBase +
 			int64(len(n.Doc.Terms()))*metrics.TermRefCost + int64(len(n.Doc.Text()))
 	}
-	indexed := len(r.nodes) >= PruneMinNodes
+	size := len(r.nodes)
+	indexed := size >= PruneMinNodes
 	if indexed {
 		total += metrics.SummaryIndexBase
 	}
 	for c := range r.counts {
 		for t := range r.counts[c] {
-			if indexed {
-				total += metrics.MapEntryCost + int64(len(r.lists[c][t]))*metrics.NodeRefCost
-			} else {
+			switch nodes := len(r.lists[c][t]); {
+			case indexed && nodes > 1:
+				total += metrics.MapEntryCost + metrics.NodeListCost + int64(nodes)*metrics.NodeRefCost
+			case indexed:
+				total += metrics.MapEntryCost + metrics.NodeRefCost
+			case size > 1:
 				total += metrics.SummaryRowCost
 			}
 		}
@@ -143,8 +149,9 @@ func (r *refSummary) summaryWords(k int) []string {
 // unique to the message, an optional re-share, an optional term
 // repeated inside the message, and a date that advances or, unless the
 // script is ordered, sometimes jumps back. Messages are built directly
-// (not through Parse) so that in-message repeats are reachable.
-func scriptDoc(next func() byte, i int, at *time.Time, ordered bool) score.Doc {
+// (not through Parse) so that in-message repeats reach score.finish,
+// which must keep the repeated term once.
+func scriptDoc(t *testing.T, next func() byte, i int, at *time.Time, ordered bool) score.Doc {
 	pick := func(kind string, shared int) string {
 		v := int(next())
 		if v%4 == 0 {
@@ -164,20 +171,24 @@ func scriptDoc(next func() byte, i int, at *time.Time, ordered bool) score.Doc {
 	for n := int(shape / 9 % 5); n > 0; n-- {
 		keys = append(keys, pick("word", 7))
 	}
+	repeat := termdict.None
 	switch shape / 45 {
 	case 1:
 		m.RTOf = fmt.Sprintf("user%d", next()%6) // user5 never posts
 	case 2:
 		if len(m.Hashtags) > 0 {
 			m.Hashtags = append(m.Hashtags, m.Hashtags[0])
+			repeat = termdict.Intern(termdict.Tag, m.Hashtags[0])
 		}
 	case 3:
 		if len(keys) > 0 {
 			keys = append(keys, keys[0])
+			repeat = termdict.Intern(termdict.Keyword, keys[0])
 		}
 	case 4:
 		if len(m.URLs) > 0 {
 			m.URLs = append(m.URLs, m.URLs[0])
+			repeat = termdict.Intern(termdict.URL, m.URLs[0])
 		}
 	}
 	if step := next(); step%16 == 0 && !ordered {
@@ -187,7 +198,16 @@ func scriptDoc(next func() byte, i int, at *time.Time, ordered bool) score.Doc {
 	}
 	m.Date = at.UnixNano()
 	m.Text = fmt.Sprint(m.Hashtags, m.URLs, keys, m.RTOf)
-	return score.DocWithKeywords(m, keys)
+	d := score.DocWithKeywords(m, keys)
+	for j, id := range d.Indicants() {
+		if slices.Contains(d.Indicants()[:j], id) {
+			t.Fatalf("msg %d: %s %q is in the record twice", i, id.Class(), termdict.Term(id))
+		}
+	}
+	if repeat != termdict.None && !slices.Contains(d.Indicants(), repeat) {
+		t.Fatalf("msg %d: the repeated %s %q is not in the record", i, repeat.Class(), termdict.Term(repeat))
+	}
+	return d
 }
 
 // checkSummaryScript feeds the script's messages to a Bundle and to the
@@ -207,7 +227,7 @@ func checkSummaryScript(t *testing.T, data []byte) *Bundle {
 	b, ref, sc := New(1), newRefSummary(), NewScratch()
 	at, ordered := base, next()%2 == 0
 	for i := 0; pos < len(data) && i < 40; i++ {
-		d := scriptDoc(next, i, &at, ordered)
+		d := scriptDoc(t, next, i, &at, ordered)
 		id, _ := b.AddScratch(weights, d, nil, sc)
 		want, got := ref.add(weights, d), b.nodes[id]
 		if got.Parent != want.Parent || got.Score != want.Score || got.Conn != want.Conn {
@@ -215,7 +235,7 @@ func checkSummaryScript(t *testing.T, data []byte) *Bundle {
 				i, got.Parent, got.Score, got.Conn, want.Parent, want.Score, want.Conn)
 		}
 		size := len(b.nodes)
-		if indexed := b.idx != nil; indexed != (size >= PruneMinNodes) || (indexed && b.rows != nil) {
+		if indexed, rowed := b.idx != nil, b.rows != nil; indexed != (size >= PruneMinNodes) || rowed != (size > 1 && !indexed) {
 			t.Fatalf("size %d: indexed=%v with %d rows", size, indexed, len(b.rows))
 		}
 		if err := b.Validate(); err != nil {
@@ -231,9 +251,9 @@ func checkSummaryScript(t *testing.T, data []byte) *Bundle {
 				if got := b.Count(id); got != n {
 					t.Fatalf("size %d: %s %q = %d, reference %d", size, class, term, got, n)
 				}
-				if b.idx != nil && !slices.Equal(b.idx[id].nodes, ref.lists[c][term]) {
+				if b.idx != nil && !slices.Equal(b.nodesWith(id), ref.lists[c][term]) {
 					t.Fatalf("size %d: %s %q nodes %v, reference %v",
-						size, class, term, b.idx[id].nodes, ref.lists[c][term])
+						size, class, term, b.nodesWith(id), ref.lists[c][term])
 				}
 			}
 			for _, unseen := range []string{"", "nope", "tag", "user5", fmt.Sprintf("word-only%d", i+1)} {
@@ -286,14 +306,84 @@ func FuzzBundleSummary(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte{})
-	f.Add(make([]byte, 300)) // one user, no indicants, a date that only jumps back
+	f.Add(make([]byte, 300))      // one user, no indicants, a date that only jumps back
+	f.Add([]byte{0, 0, 1, 1, 30}) // one message: the summary is its record
+	f.Add(promotionScript())
 	f.Fuzz(func(t *testing.T, data []byte) { checkSummaryScript(t, data) })
 }
 
-// TestSmallBundleOwnsNoMap pins the point of the row table: below
+// promotionScript is an ordered script in which single-node terms of the
+// index gain their second node (node ids count from 0): word1 is on node
+// 5 alone when node 15, the sixteenth, builds the index, u.rl/1 first
+// appears on node 16, node 17 carries both — each moves from the
+// single-node list to a list of its own — and node 18 extends the URL's
+// list. The other nodes carry only their
+// author. Each message is the bytes scriptDoc reads: user, shape, one
+// pick per indicant, date step.
+func promotionScript() []byte {
+	const (
+		oneURL = 3 // scriptDoc's shape: tags shape%3, URLs shape/3%3, keywords shape/9%5
+		oneKey = 9
+	)
+	data := []byte{0} // ordered
+	for i := 0; i < 19; i++ {
+		switch i {
+		case 5:
+			data = append(data, byte(i), oneKey, 1, 30)
+		case 16, 18:
+			data = append(data, byte(i), oneURL, 1, 30)
+		case 17:
+			data = append(data, byte(i), oneURL+oneKey, 1, 1, 30)
+		default:
+			data = append(data, byte(i), 0, 30)
+		}
+	}
+	return data
+}
+
+// TestSingleNodeTermMovesToList runs promotionScript and checks where
+// its two terms ended: each on a list of its own, with its first node
+// left behind in the single-node list.
+func TestSingleNodeTermMovesToList(t *testing.T) {
+	b := checkSummaryScript(t, promotionScript())
+	for term, want := range map[termdict.ID][]int32{
+		termdict.Lookup(termdict.Keyword, "word1"): {5, 17},
+		termdict.Lookup(termdict.URL, "u.rl/1"):    {16, 17, 18},
+	} {
+		if r := b.idx.refs[term]; r&listRef == 0 || !slices.Equal(b.nodesWith(term), want) {
+			t.Errorf("%s %q: reference %#x, nodes %v, want a list of %v", term.Class(), termdict.Term(term), r, b.nodesWith(term), want)
+		}
+		if !slices.Contains(b.idx.single, want[0]) {
+			t.Errorf("%s %q: node %d is not in the single-node list %v", term.Class(), termdict.Term(term), want[0], b.idx.single)
+		}
+	}
+}
+
+// TestSummaryReadsAllocateNothing is the runtime pin beside provlint's
+// hotpathalloc on Count and nodesWith: in each of the three forms a
+// lookup, hit or miss, allocates nothing.
+func TestSummaryReadsAllocateNothing(t *testing.T) {
+	for _, n := range []int{1, PruneMinNodes - 1, PruneMinNodes + 5} {
+		b := buildSized(n)
+		terms := b.AppendTerms(nil)
+		terms = append(terms, termdict.Intern(termdict.Keyword, "nowhere-in-the-bundle"))
+		allocs := testing.AllocsPerRun(100, func() {
+			for _, term := range terms {
+				if b.Count(term) > 0 && b.idx != nil && len(b.nodesWith(term)) == 0 {
+					t.Fatal("counted term without nodes")
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("size %d: %v allocations per pass over %d terms, want 0", n, allocs, len(terms))
+		}
+	}
+}
+
+// TestSmallBundleOwnsNoMap pins the point of the small forms: below
 // PruneMinNodes a bundle holds no hash map, and a single-message
-// bundle — most of any pool — is three allocations: the struct, its
-// node slice and an exact-fit row table.
+// bundle — most of any pool — is two allocations, the struct and its
+// node slice: its summary is its record.
 func TestSmallBundleOwnsNoMap(t *testing.T) {
 	b := buildSized(PruneMinNodes - 1)
 	if b.idx != nil {
@@ -313,10 +403,16 @@ func TestSmallBundleOwnsNoMap(t *testing.T) {
 		single = New(1)
 		single.Add(weights, d)
 	})
-	if allocs != 3 {
-		t.Errorf("a single-message bundle costs %v allocations, want 3", allocs)
+	if allocs != 2 {
+		t.Errorf("a single-message bundle costs %v allocations, want 2", allocs)
 	}
-	if len(single.rows) != cap(single.rows) {
-		t.Errorf("row table has %d rows in %d slots, want an exact fit", len(single.rows), cap(single.rows))
+	if single.rows != nil || single.Count(d.User()) != 1 {
+		t.Errorf("a single-message bundle holds %d rows and counts its author %d times", len(single.rows), single.Count(d.User()))
+	}
+	pair := New(2)
+	pair.Add(weights, d)
+	pair.Add(weights, doc(2, "dims", "unbelievable #redsox", base.Add(time.Minute)))
+	if len(pair.rows) != cap(pair.rows) || pair.Count(termdict.Lookup(termdict.Tag, "redsox")) != 2 {
+		t.Errorf("a two-message bundle has %d rows in %d slots, want an exact fit", len(pair.rows), cap(pair.rows))
 	}
 }

@@ -18,18 +18,20 @@ type MemEstimator struct {
 // class; bundle/memest_test.go holds them to the layouts.
 const (
 	StringOverhead = 16 // string header
-	MapEntryCost   = 40 // slot of a bundle summary's term-ID-keyed map: the 4-byte ID padded to 8 + its 32-byte posting
+	MapEntryCost   = 8  // slot of a bundle index's term map: the 4-byte term ID and its 4-byte node-list reference
 	MessageBase    = 24 // a message record's header (score.Msg); its term list is charged by TermRefCost and its text by length
 	NodeBase       = 24 // bundle tree node (24 B: record handle, score, parent, connection)
 	TermRefCost    = 4  // one entry of a record's term list: a term-dictionary ID; the term's bytes are the dictionary's
 	BundleBase     = 160
-	PostingCost    = 8 // a summary-index posting: one bundle ID
-	NodeRefCost    = 8 // node-index reference: int32 slot + growth slack
+	PostingCost    = 8  // a summary-index posting: one bundle ID
+	NodeRefCost    = 8  // node-list entry: int32 slot + growth slack; a term on one node has its one in the shared single-node list
+	NodeListCost   = 24 // the slice header of a term's own node list, once a second node carries it
 
-	// A bundle's summary (bundle/summary.go) is a row table below
-	// bundle.PruneMinNodes nodes and one ID-keyed hash map from there up.
-	SummaryRowCost   = 8  // row: term ID + count
-	SummaryIndexBase = 48 // the map header, charged when built
+	// A bundle's summary (bundle/summary.go) is its one node's record,
+	// a row table from two nodes to bundle.PruneMinNodes, and an index
+	// (a term map and node lists) from there up.
+	SummaryRowCost   = 8   // row: term ID + count
+	SummaryIndexBase = 112 // the index struct (56 B, a 64-byte size class) and its map header (48 B), charged when built
 )
 
 // StringCost returns the estimated heap bytes of string s.

@@ -18,7 +18,8 @@ import (
 // IDs alone — so for any parsed message the runs, read back through the
 // dictionary, must be the parse output in order: Hashtags, URLs,
 // tokenizer.Keywords of the text and RTOf, with the author first and
-// the Indicants every term but the re-shared user. The seeds hold the
+// the Indicants every term but the re-shared user, none of them twice
+// (finish keeps the runs sets for every record). The seeds hold the
 // shapes the runs can be confused on: a re-share with no keywords, URLs
 // without tags, and a keyword spelled like a user name; and the texts
 // the record's layout can be confused on: empty, not UTF-8, and longer
@@ -69,6 +70,11 @@ func FuzzDoc(f *testing.F) {
 		want := 1 + len(m.Hashtags) + len(m.URLs) + len(tokenizer.Keywords(text))
 		if got := len(d.Indicants()); got != want {
 			t.Fatalf("%q: %d indicants, want %d", text, got, want)
+		}
+		for i, id := range d.Indicants() {
+			if slices.Contains(d.Indicants()[:i], id) {
+				t.Fatalf("%q: indicant %q repeats", text, termdict.Term(id))
+			}
 		}
 	})
 }

@@ -11,6 +11,8 @@
 package score
 
 import (
+	"slices"
+
 	"provex/internal/termdict"
 	"provex/internal/tokenizer"
 	"provex/internal/tweet"
@@ -100,9 +102,22 @@ func appendHead(dst []termdict.ID, m *tweet.Message) []termdict.ID {
 	return dst
 }
 
-// finish appends the re-shared user and builds the record: the engine
-// keeps it as long as it keeps the message.
+// finish drops every term already earlier in the list, appends the
+// re-shared user and builds the record: the engine keeps it as long as
+// it keeps the message. Every record is built here, so its hashtag,
+// URL and keyword runs are sets and its Indicants repeat-free — what a
+// bundle summary's node lists (one entry per node and term) rely on.
+// Parse and the tokenizer already hand over sets; the scan keeps the
+// invariant from depending on every caller.
 func finish(m *tweet.Message, terms []termdict.ID) Doc {
+	kept := 1 // the author; no other indicant is of class User
+	for _, t := range terms[1:] {
+		if !slices.Contains(terms[1:kept], t) {
+			terms[kept] = t
+			kept++
+		}
+	}
+	terms = terms[:kept]
 	if m.IsRT() {
 		terms = append(terms, termdict.Intern(termdict.User, m.RTOf))
 	}

@@ -184,8 +184,8 @@ type heapEntry struct {
 // scans in impact order.
 //
 // Three passes over reused scratch produce it: gather one cursor per
-// traversed list (a repeated term gets one per occurrence, so counts
-// each time), merge them in ascending bundle ID, scatter by hit count.
+// traversed list (a record's runs are sets, so one per term), merge
+// them in ascending bundle ID, scatter by hit count.
 //
 // The returned slice is internal scratch, valid only until the next
 // Candidates call on this index — the ingest loop consumes it within

@@ -395,8 +395,10 @@ func oracleCandidates(ix *Index, d score.Doc) ([]Candidate, FetchInfo) {
 }
 
 // fetchCoverage counts the fetch shapes a script exercised, so the
-// property test can refuse to pass vacuously. keywordOnly counts probes
-// where a bundle carrying one of the message's keywords was not fetched.
+// property test can refuse to pass vacuously. repeated counts probes of
+// a message whose entity lists named a term twice (its record holds it
+// once); keywordOnly counts probes where a bundle carrying one of the
+// message's keywords was not fetched.
 type fetchCoverage struct {
 	fetches, empty, single, multiHit, repeated, fanoutCut, keywordOnly, forgets int
 }
@@ -420,7 +422,12 @@ func runFetchScript(t *testing.T, data []byte, cov *fetchCoverage) {
 		return int(b)
 	}
 	term := func(prefix string, vocab int) string { return prefix + strconv.Itoa(next()%vocab) }
-	randomDoc := func() score.Doc {
+	repeats := func(s []string) bool {
+		sorted := slices.Clone(s)
+		slices.Sort(sorted)
+		return len(slices.Compact(sorted)) < len(s)
+	}
+	randomDoc := func() (score.Doc, bool) {
 		m := &tweet.Message{User: term("u", 4)}
 		for n := next() % 4; n > 0; n-- {
 			m.Hashtags = append(m.Hashtags, term("t", 5))
@@ -435,7 +442,7 @@ func runFetchScript(t *testing.T, data []byte, cov *fetchCoverage) {
 		if next()%3 == 0 {
 			m.RTOf = term("u", 4)
 		}
-		return score.DocWithKeywords(m, keys)
+		return score.DocWithKeywords(m, keys), repeats(m.Hashtags) || repeats(m.URLs) || repeats(keys)
 	}
 	ix := New()
 	stride := 1 + next()%4
@@ -443,7 +450,7 @@ func runFetchScript(t *testing.T, data []byte, cov *fetchCoverage) {
 	const nBundles = 12
 	// members[i] is what bundle i holds, for Forget.
 	var members [nBundles]map[termdict.ID]bool
-	probe := func(d score.Doc) {
+	probe := func(d score.Doc, repeated bool) {
 		got := ix.Candidates(d)
 		gotInfo := ix.LastFetch()
 		want, wantInfo := oracleCandidates(ix, d)
@@ -457,6 +464,9 @@ func runFetchScript(t *testing.T, data []byte, cov *fetchCoverage) {
 		terms := slices.Clone(d.Indicants()[1:]) // hashtags, URLs and keywords
 		slices.Sort(terms)
 		if len(slices.Compact(terms)) < len(d.Indicants())-1 {
+			t.Fatalf("the record of %v repeats a term: %v", d, d.Terms())
+		}
+		if repeated {
 			cov.repeated++
 		}
 		switch {
@@ -496,7 +506,7 @@ func runFetchScript(t *testing.T, data []byte, cov *fetchCoverage) {
 		switch op := next() % 8; op {
 		case 0, 1, 2, 3:
 			i := next() % nBundles
-			d := randomDoc()
+			d, _ := randomDoc()
 			ix.Observe(bundle.ID(start+stride*i), d)
 			if members[i] == nil {
 				members[i] = map[termdict.ID]bool{}
@@ -522,10 +532,10 @@ func runFetchScript(t *testing.T, data []byte, cov *fetchCoverage) {
 			probe(randomDoc())
 		}
 	}
-	probe(score.DocWithKeywords(&tweet.Message{User: "u0"}, nil))
-	probe(score.DocWithKeywords(&tweet.Message{User: "u0", Hashtags: []string{"t0"}}, nil))
+	probe(score.DocWithKeywords(&tweet.Message{User: "u0"}, nil), false)
+	probe(score.DocWithKeywords(&tweet.Message{User: "u0", Hashtags: []string{"t0"}}, nil), false)
 	probe(score.DocWithKeywords(&tweet.Message{User: "u0", Hashtags: []string{"t1", "t1"}, URLs: []string{"l0"}, RTOf: "u1"},
-		[]string{"k0", "k1", "k0"}))
+		[]string{"k0", "k1", "k0"}), true)
 }
 
 // TestCandidatesMatchOracle is the seeded differential property test of
