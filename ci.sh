@@ -276,21 +276,24 @@ exec 3<&-
 grep -q 'clean exit' "$state/serve.log" || { echo "build: no clean exit logged"; cat "$state/serve.log"; exit 1; }
 restart_clean build 3000 -live -ckpt "$state/engine.ckpt" -addr "$loop_addr"
 
-# A state directory in the layout before the checkpoint became frames (a
-# v2 checkpoint beside a WAL) is refused: provserve exits non-zero naming
-# the version, and leaves every byte of it as it was.
-echo "== provserve refuses a v2 checkpoint, state untouched =="
-state="$obs_tmp/v2"
-mkdir -p "$state/engine.ckpt.wal"
-cp internal/core/testdata/golden_v2.ckpt "$state/engine.ckpt"
-cp internal/wal/testdata/golden_pr14.wal "$state/engine.ckpt.wal/wal-000001.log"
-(cd "$state" && find . -type f | sort | xargs sha256sum) >"$obs_tmp/v2.before"
-if "$obs_tmp/provserve" -ckpt "$state/engine.ckpt" -addr "$loop_addr" </dev/null >"$obs_tmp/v2.log" 2>&1; then
-    echo "v2: provserve started on a v2 checkpoint"; exit 1
-fi
-grep -q 'unsupported version 2' "$obs_tmp/v2.log" || { echo "v2: the refusal does not name version 2"; cat "$obs_tmp/v2.log"; exit 1; }
-(cd "$state" && find . -type f | sort | xargs sha256sum) | cmp -s - "$obs_tmp/v2.before" \
-    || { echo "v2: the refused state directory changed"; exit 1; }
+# A state directory with an older checkpoint beside a WAL is refused:
+# provserve exits non-zero naming the version, and leaves every byte of
+# it as it was. v2 is the layout before the checkpoint became frames, v3
+# the frames over bundle codec v1 (every node's keywords stored).
+for v in 2 3; do
+    echo "== provserve refuses a v$v checkpoint, state untouched =="
+    state="$obs_tmp/v$v"
+    mkdir -p "$state/engine.ckpt.wal"
+    cp "internal/core/testdata/golden_v$v.ckpt" "$state/engine.ckpt"
+    cp internal/wal/testdata/golden_pr14.wal "$state/engine.ckpt.wal/wal-000001.log"
+    (cd "$state" && find . -type f | sort | xargs sha256sum) >"$obs_tmp/v$v.before"
+    if "$obs_tmp/provserve" -ckpt "$state/engine.ckpt" -addr "$loop_addr" </dev/null >"$obs_tmp/v$v.log" 2>&1; then
+        echo "v$v: provserve started on a v$v checkpoint"; exit 1
+    fi
+    grep -q "unsupported version $v" "$obs_tmp/v$v.log" || { echo "v$v: the refusal does not name version $v"; cat "$obs_tmp/v$v.log"; exit 1; }
+    (cd "$state" && find . -type f | sort | xargs sha256sum) | cmp -s - "$obs_tmp/v$v.before" \
+        || { echo "v$v: the refused state directory changed"; exit 1; }
+done
 
 # provingest smoke: the serial engine and the sharded one at B=1 (where
 # the round protocol is the serial apply order, DESIGN.md §2i) must
@@ -435,8 +438,9 @@ echo "loc: non-test $(go_lines -not -name '*_test.go') test $(go_lines -name '*_
 # live heap bytes per ingested message of the serving shape, the
 # engine's cost model against its live heap, the message index's bytes
 # per posting with its slab waste, and the summary index's bytes per
-# posting; and the apply layer's allocations and bytes per message.
-go test -count=1 -run 'TestLiveHeapPerMessage|TestApplyAllocationsPerMessage|TestMemEstimateTracksHeap|TestBytesPerPosting' -v ./internal/query ./internal/core ./internal/textindex ./internal/sumindex \
+# posting; the apply layer's allocations and bytes per message; and the
+# checkpoint's bytes and its restore's allocations per message.
+go test -count=1 -run 'TestLiveHeapPerMessage|TestApplyAllocationsPerMessage|TestMemEstimateTracksHeap|TestBytesPerPosting|TestCheckpointWorkPerMessage' -v ./internal/query ./internal/core ./internal/textindex ./internal/sumindex \
     | grep -E 'per message|live heap .* ratio|per posting'
 
 echo "CI OK"

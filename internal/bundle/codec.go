@@ -9,7 +9,6 @@ import (
 
 	"provex/internal/recfile"
 	"provex/internal/score"
-	"provex/internal/termdict"
 	"provex/internal/tweet"
 )
 
@@ -20,18 +19,21 @@ import (
 //	bundle id, closed flag, node count
 //	per node: parent+1 (so NoParent encodes as 0), score (float64 bits),
 //	          conn type, the raw message fields (tweet.AppendRaw: id,
-//	          unix-nano date, user, text), keyword count + keywords
+//	          unix-nano date, user, text)
 //
-// Keywords are stored as strings, never as term-dictionary IDs (which
-// another process numbers differently); decode resolves them again.
-// Indicant summaries, extent and memory estimate are NOT stored — they
-// are deterministic functions of the nodes and are rebuilt on decode,
-// which keeps the format small and makes corruption detectable through
-// Validate after load.
+// A node stores only what cannot be derived. Its indicants — hashtags,
+// URLs, re-shared user and keywords — are functions of its text, and
+// decode rebuilds the record with score.NewDoc, the builder prepare and
+// WAL replay use: the tokenizer is deterministic and keeps first
+// occurrences in order, so a decoded node's terms equal the live one's.
+// No term-dictionary ID is stored (another process numbers terms
+// differently). Summaries, extent and memory estimate are not stored
+// either: they are rebuilt from the nodes, which keeps the format small
+// and makes corruption detectable through Validate after load.
 
 const (
 	codecMagic   = 0xB5
-	codecVersion = 1
+	codecVersion = 2
 )
 
 // ErrCorrupt reports a structurally invalid encoded bundle.
@@ -54,11 +56,6 @@ func (b *Bundle) AppendMarshal(buf []byte) []byte {
 		buf = binary.AppendUvarint(buf, math.Float64bits(n.Score))
 		buf = append(buf, byte(n.Conn))
 		buf = n.Doc.AppendRaw(buf)
-		keys := n.Doc.Keywords()
-		buf = binary.AppendUvarint(buf, uint64(len(keys)))
-		for _, k := range keys {
-			buf = recfile.AppendStr(buf, termdict.Term(k))
-		}
 	}
 	return buf
 }
@@ -90,21 +87,13 @@ func Unmarshal(data []byte) (*Bundle, error) {
 		scoreBits := r.Uvarint()
 		conn := score.ConnectionType(r.Byte())
 		msg := tweet.DecodeRaw(r)
-		nk := r.Uvarint() // zero once the cursor has failed
-		if nk > uint64(len(data)) {
-			return nil, fmt.Errorf("%w: implausible keyword count %d", ErrCorrupt, nk)
-		}
-		keywords := make([]string, 0, nk)
-		for j := uint64(0); j < nk; j++ {
-			keywords = append(keywords, r.Str())
-		}
 		if r.Err() != nil {
 			return nil, truncated()
 		}
 		if parent != NoParent && (parent < 0 || uint64(parent) >= i) {
 			return nil, fmt.Errorf("%w: node %d parent %d", ErrCorrupt, i, parent)
 		}
-		doc := score.DocWithKeywords(msg, keywords)
+		doc := score.NewDoc(msg)
 		b.nodes = append(b.nodes, Node{
 			Doc:    doc,
 			Parent: parent,

@@ -8,7 +8,7 @@ package core
 // is rebuilt on restore, which keeps checkpoints small and immune to
 // index-format drift.
 //
-// Format v3: the magic "PROVCKP1" and a version byte (3), then
+// Format v4: the magic "PROVCKP1" and a version byte (4), then
 // recfile frames (CRC32C) and nothing after them, so every byte past
 // the version is checksummed:
 //
@@ -21,6 +21,10 @@ package core
 //	one frame per live bundle: bundle.AppendMarshal
 //	one frame per parked flush-retry entry: uvarint attempts, then
 //	  bundle.AppendMarshal
+//
+// A bundle frame holds its messages' raw fields and no derived term. A
+// file of another version is refused at its version byte, before any
+// frame is decoded.
 //
 // The parked section exists so degraded mode survives a restart: a
 // bundle evicted from the pool whose flush failed lives only in the
@@ -46,14 +50,14 @@ import (
 
 var ckptMagic = [8]byte{'P', 'R', 'O', 'V', 'C', 'K', 'P', '1'}
 
-const ckptVersion = 3
+const ckptVersion = 4
 
 // maxCkptRecord caps one frame so a corrupt length field cannot drive
 // an absurd allocation during restore.
 const maxCkptRecord = 64 << 20
 
 // ckptNoDate is the clock of an engine that has seen no message: the
-// value v3 has always stored for it, the zero time.Time's UnixNano.
+// value stored for it, the zero time.Time's UnixNano.
 var ckptNoDate = time.Time{}.UnixNano()
 
 // clockToCkpt is the header's clock field for now.

@@ -259,18 +259,15 @@ func TestCheckpointAllocationsFlat(t *testing.T) {
 	}
 }
 
-// TestGoldenCheckpoint pins the v3 checkpoint file: the golden opens,
+// TestGoldenCheckpoint pins the v4 checkpoint file: the golden opens,
 // and the same inserts save the same bytes. One live bundle only — the
 // pool writes its bundles in map order, so two would not be
 // reproducible. A v2 file (the layout before the header and the
-// records became frames) is refused by its version byte, before any
-// of it is decoded.
+// records became frames) and a v3 file (the same frames, but bundle
+// codec v1, which stored every node's keywords) are refused by their
+// version byte, before any of them is decoded.
 func TestGoldenCheckpoint(t *testing.T) {
-	golden, err := os.ReadFile("testdata/golden_v3.ckpt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := os.ReadFile("testdata/golden_v2.ckpt")
+	golden, err := os.ReadFile("testdata/golden_v4.ckpt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +279,6 @@ func TestGoldenCheckpoint(t *testing.T) {
 
 	mem := fsx.NewMem()
 	mem.WriteFile("old.ckpt", golden)
-	mem.WriteFile("v2.ckpt", v2)
 	old, err := LoadCheckpoint(FullIndexConfig(), nil, nil, mem, "old.ckpt")
 	if err != nil {
 		t.Fatalf("golden checkpoint: %v", err)
@@ -296,7 +292,15 @@ func TestGoldenCheckpoint(t *testing.T) {
 	if written, _ := mem.ReadFile("new.ckpt"); !bytes.Equal(written, golden) {
 		t.Fatalf("the same 4 inserts saved %d bytes that differ from the %d-byte golden checkpoint", len(written), len(golden))
 	}
-	if _, err := LoadCheckpoint(FullIndexConfig(), nil, nil, mem, "v2.ckpt"); !errors.Is(err, ErrBadCheckpoint) || !strings.Contains(err.Error(), "unsupported version 2") {
-		t.Fatalf("v2 checkpoint: err = %v, want ErrBadCheckpoint naming version 2", err)
+	for _, v := range []int{2, 3} {
+		name := fmt.Sprintf("golden_v%d.ckpt", v)
+		data, err := os.ReadFile("testdata/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem.WriteFile(name, data)
+		if _, err := LoadCheckpoint(FullIndexConfig(), nil, nil, mem, name); !errors.Is(err, ErrBadCheckpoint) || !strings.Contains(err.Error(), fmt.Sprintf("unsupported version %d", v)) {
+			t.Fatalf("v%d checkpoint: err = %v, want ErrBadCheckpoint naming version %d", v, err, v)
+		}
 	}
 }

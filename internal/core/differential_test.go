@@ -64,9 +64,10 @@ func referenceCandidates(ix *sumindex.Index, d score.Doc) []sumindex.Candidate {
 			}
 		}
 	}
-	walk(d.Tags()...)
-	walk(d.URLs()...)
-	walk(d.Keywords()...)
+	tags, urls, keywords := d.Runs()
+	walk(tags...)
+	walk(urls...)
+	walk(keywords...)
 	if rt, ok := d.RTUser(); ok {
 		walk(rt)
 	}

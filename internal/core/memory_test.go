@@ -2,8 +2,12 @@ package core
 
 import (
 	"bytes"
+	"flag"
 	"io"
+	"os"
+	"os/exec"
 	"runtime"
+	"strings"
 	"testing"
 
 	"provex/internal/gen"
@@ -51,4 +55,83 @@ func TestMemEstimateTracksHeap(t *testing.T) {
 		t.Errorf("MemTotal is %.0f %% of the live heap (%d of %d B), want within 30 %%",
 			100*ratio, st.MemTotal(), heap)
 	}
+}
+
+// TestCheckpointWorkPerMessage is a deterministic work counter of the
+// checkpoint layer: the bytes writeCheckpoint writes and the
+// allocations restoreCheckpoint makes per message, on seed-1 20 000
+// messages in an unbounded engine. It runs in a process of its own, so
+// the term dictionary holds the stream's vocabulary only. The pool
+// writes its bundles in map order, and the restore's list and map
+// growth follows that order, so the allocation count wanders in its
+// last digit; the byte count is exact. The bounds sit just above the
+// measured 79.3 B and 9.93 allocations. Before a stored node dropped
+// its keyword strings (bundle codec v2, checkpoint v4) they read 119.0 B
+// and 16.13 allocations (at 125 000 messages: 120.0 → 80.2 B and 15.4 →
+// 9.2); decode allocated one string per keyword. Under -race, whose
+// instrumentation allocates, the allocations are logged but not held to
+// their bound.
+func TestCheckpointWorkPerMessage(t *testing.T) {
+	const (
+		n           = 20000
+		byteBudget  = 80.0
+		allocBudget = 10.0
+	)
+	if !inOwnProcess(t) {
+		return
+	}
+	g := gen.New(gen.DefaultConfig())
+	e := New(FullIndexConfig(), nil, nil)
+	for i := 0; i < n; i++ {
+		e.Insert(g.Next())
+	}
+	var ckpt bytes.Buffer
+	if err := e.writeCheckpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	restored, err := restoreCheckpoint(FullIndexConfig(), nil, nil, bytes.NewReader(ckpt.Bytes()))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := restored.Snapshot().Messages; got != n {
+		t.Fatalf("restored %d messages, want %d", got, n)
+	}
+	perMsg := float64(ckpt.Len()) / n
+	allocs := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("checkpoint %.1f bytes and restore %.2f allocations per message (budgets %.1f and %.1f)", perMsg, allocs, byteBudget, allocBudget)
+	if perMsg > byteBudget {
+		t.Errorf("checkpoint writes %.1f bytes per message, budget %.1f", perMsg, byteBudget)
+	}
+	if allocs > allocBudget && !raceBuild {
+		t.Errorf("restore makes %.2f allocations per message, budget %.1f", allocs, allocBudget)
+	}
+}
+
+// raceBuild is set in a -race build (race_test.go).
+var raceBuild bool
+
+// inOwnProcess reports whether the calling test is running alone in a
+// child process of the test binary, and should measure. When it is not,
+// it runs the test in such a child, relays the child's log lines, fails
+// if the child failed, and reports false.
+func inOwnProcess(t *testing.T) bool {
+	t.Helper()
+	run := "^" + t.Name() + "$"
+	if flag.Lookup("test.run").Value.String() == run {
+		return true
+	}
+	out, err := exec.Command(os.Args[0], "-test.run="+run, "-test.count=1", "-test.v").CombinedOutput()
+	for _, line := range strings.Split(string(out), "\n") {
+		if _, msg, ok := strings.Cut(line, "memory_test.go:"); ok {
+			_, msg, _ = strings.Cut(msg, ": ")
+			t.Log(msg)
+		}
+	}
+	if err != nil {
+		t.Fatalf("child: %v\n%s", err, out)
+	}
+	return false
 }

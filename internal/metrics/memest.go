@@ -17,15 +17,14 @@ type MemEstimator struct {
 // off a struct are its unsafe.Sizeof rounded to the allocator's size
 // class; bundle/memest_test.go holds them to the layouts.
 const (
-	StringOverhead = 16 // string header
-	MapEntryCost   = 8  // slot of a bundle index's term map: the 4-byte term ID and its 4-byte node-list reference
-	MessageBase    = 24 // a message record's header (score.Msg); its term list is charged by TermRefCost and its text by length
-	NodeBase       = 24 // bundle tree node (24 B: record handle, score, parent, connection)
-	TermRefCost    = 4  // one entry of a record's term list: a term-dictionary ID; the term's bytes are the dictionary's
-	BundleBase     = 160
-	PostingCost    = 8  // a summary-index posting: one bundle ID
-	NodeRefCost    = 8  // node-list entry: int32 slot + growth slack; a term on one node has its one in the shared single-node list
-	NodeListCost   = 24 // the slice header of a term's own node list, once a second node carries it
+	MapEntryCost = 8  // slot of a bundle index's term map: the 4-byte term ID and its 4-byte node-list reference
+	MessageBase  = 24 // a message record's header (score.Msg); its term list is charged by TermRefCost and its text by length
+	NodeBase     = 24 // bundle tree node (24 B: record handle, score, parent, connection)
+	TermRefCost  = 4  // one entry of a record's term list: a term-dictionary ID; the term's bytes are the dictionary's
+	BundleBase   = 160
+	PostingCost  = 8  // a summary-index posting: one bundle ID
+	NodeRefCost  = 8  // node-list entry: int32 slot + growth slack; a term on one node has its one in the shared single-node list
+	NodeListCost = 24 // the slice header of a term's own node list, once a second node carries it
 
 	// A bundle's summary (bundle/summary.go) is its one node's record,
 	// a row table from two nodes to bundle.PruneMinNodes, and an index
@@ -33,9 +32,6 @@ const (
 	SummaryRowCost   = 8   // row: term ID + count
 	SummaryIndexBase = 112 // the index struct (56 B, a 64-byte size class) and its map header (48 B), charged when built
 )
-
-// StringCost returns the estimated heap bytes of string s.
-func StringCost(s string) int64 { return StringOverhead + int64(len(s)) }
 
 // Add charges n bytes.
 //

@@ -143,12 +143,6 @@ func TestMemEstimator(t *testing.T) {
 	}
 }
 
-func TestStringCosts(t *testing.T) {
-	if got := StringCost("abcd"); got != StringOverhead+4 {
-		t.Errorf("StringCost = %d", got)
-	}
-}
-
 // Property: histogram total always equals the number of observations
 // and the sum of bucket counts.
 func TestHistogramConservationProperty(t *testing.T) {

@@ -194,8 +194,9 @@ func inOwnProcess(t *testing.T) bool {
 // message's record, and after that nothing a
 // node keeps — bundle node, summary index, message index — points into
 // it, so a forced collection frees it. It is checked for a message that
-// opens a bundle, one that joins it, and a Doc built the way a decoded
-// bundle builds its nodes (DocWithKeywords).
+// opens a bundle, one that joins it, and a node's Doc out of a real
+// bundle.Unmarshal of the message's encoded bundle, as a checkpoint
+// restore or a store read makes it.
 func TestEngineDropsParseOutput(t *testing.T) {
 	p := New(core.New(core.FullIndexConfig(), nil, nil), DefaultOptions())
 	at := time.Date(2009, 9, 29, 18, 0, 0, 0, time.UTC)
@@ -213,7 +214,13 @@ func TestEngineDropsParseOutput(t *testing.T) {
 		{"join", func() *tweet.Message { return msg(2) }, core.Prepare, false},
 		{"decoded-bundle doc", func() *tweet.Message { return msg(3) },
 			func(m *tweet.Message) core.Prepared {
-				return core.Prepared{Doc: score.DocWithKeywords(m, []string{"tsunami", "waves"})}
+				src := bundle.New(1)
+				src.Add(score.DefaultMessageWeights(), score.NewDoc(m))
+				b, err := bundle.Unmarshal(src.AppendMarshal(nil))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return core.Prepared{Doc: b.Nodes()[0].Doc}
 			}, false},
 	} {
 		w, res := insertWeak(p, c.m, c.prepare)

@@ -34,20 +34,29 @@ var Stop = errors.New("recfile: stop scan")
 // opposed to a damaged record.
 var errBadMagic = errors.New("bad magic")
 
+// errEmpty marks a frame with no payload: what a zero-filled tail
+// reads as (length 0, and 0 is the CRC of nothing). No owner writes an
+// empty record.
+var errEmpty = errors.New("empty record")
+
 // RecordFunc receives each intact record of a scan: its file, the
 // offset of its frame and its payload, which it owns. Any error but
-// Stop says the payload does not decode, which the scan treats like a
-// bad checksum at that offset.
+// Stop says the payload does not decode: corruption, in any file (Dir).
 type RecordFunc func(seg int, off int64, payload []byte) error
 
 // Dir is a directory of numbered segment files in one Format: one
 // append-only tail, immutable sealed files behind it.
 //
-// Recovery rule: a torn or corrupt record in the final file is where a
-// crash cut an append short — it ends the file, and Open truncates it
-// away; a final file without a whole magic is the debris of a crash
-// during creation and is dropped. Damage in an earlier file is an error
-// (Format.Corrupt): sealed files are never legitimately half-written.
+// Recovery rule: in the final file, a frame that a crash can leave — a
+// torn header or payload, a checksum mismatch, an oversized length, an
+// empty frame — is where an append was cut short: it ends the file,
+// and Open truncates it away. A final file without a whole magic is
+// the debris of a crash during creation and is dropped. Anything else
+// is an error (Format.Corrupt) and Open changes nothing: damage in an
+// earlier file, since sealed files are never legitimately half-written,
+// and an intact record the owner's decoder refuses, in any file — it
+// is a format the owner does not read, not a torn append, and cutting
+// it off would drop every record behind it.
 //
 // A Dir has one owner; List, Path and Scan touch only what never
 // changes after Open and are safe beside it from any goroutine.
@@ -138,9 +147,10 @@ func (d *Dir) List() ([]int, error) {
 // Scan reads file seg from offset off — below MagicSize means from the
 // top, checking the magic — hands each intact record to fn (nil only
 // validates) and returns the length of the valid prefix. With
-// tolerateTail the first unreadable record ends the scan quietly, as
-// the tail of the final file; without it that record is an error
-// wrapping Format.Corrupt. A missing file matches fs.ErrNotExist.
+// tolerateTail the first frame a crash can leave (see Dir) ends the
+// scan quietly, as the tail of the final file; without it that frame
+// is an error wrapping Format.Corrupt. A record fn refuses is that
+// error either way. A missing file matches fs.ErrNotExist.
 func (d *Dir) Scan(seg int, off int64, tolerateTail bool, fn RecordFunc) (int64, error) {
 	f, err := d.fs.Open(d.Path(seg))
 	if err != nil {
@@ -162,18 +172,21 @@ func (d *Dir) Scan(seg int, off int64, tolerateTail bool, fn RecordFunc) (int64,
 		if err == io.EOF {
 			return off, nil
 		}
-		if err == nil && fn != nil {
-			if err = fn(seg, off, payload); err == Stop {
-				return off, nil
-			} else if err != nil {
-				err = fmt.Errorf("undecodable record (%v)", err)
-			}
+		if err == nil && len(payload) == 0 {
+			err = errEmpty
 		}
 		if err != nil {
 			if tolerateTail {
 				return off, nil
 			}
 			return 0, d.corrupt(seg, off, err)
+		}
+		if fn != nil {
+			if err := fn(seg, off, payload); err == Stop {
+				return off, nil
+			} else if err != nil {
+				return 0, d.corrupt(seg, off, fmt.Errorf("undecodable record (%v)", err))
+			}
 		}
 		off += HeaderSize + int64(len(payload))
 	}

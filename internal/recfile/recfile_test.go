@@ -104,10 +104,11 @@ func TestCursorLatchesFirstError(t *testing.T) {
 	}
 }
 
-// TestOpenCutsDamagedTail: whatever is wrong with the final file from
-// some record on — chopped bytes, a flipped bit in the last record or in
-// the first — that record ends the file; Open truncates there and the
-// next append lands on a clean boundary.
+// TestOpenCutsDamagedTail: whatever a crash can leave wrong with the
+// final file from some record on — chopped bytes, a flipped bit in the
+// last record or in the first, zeros past the last — that record ends
+// the file; Open truncates there and the next append lands on a clean
+// boundary.
 func TestOpenCutsDamagedTail(t *testing.T) {
 	for name, tc := range map[string]struct {
 		damage func(data []byte) []byte
@@ -117,6 +118,7 @@ func TestOpenCutsDamagedTail(t *testing.T) {
 		"flip in last": {func(d []byte) []byte { d[len(d)-1] ^= 0xFF; return d }, 4},
 		"flip in 1st":  {func(d []byte) []byte { d[MagicSize+HeaderSize+2] ^= 0xFF; return d }, 0},
 		"absurd len":   {func(d []byte) []byte { return append(d, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0) }, 5},
+		"zero-filled":  {func(d []byte) []byte { return append(d, make([]byte, 100)...) }, 5},
 	} {
 		t.Run(name, func(t *testing.T) {
 			mem := fsx.NewMem()
@@ -139,6 +141,30 @@ func TestOpenCutsDamagedTail(t *testing.T) {
 				t.Fatalf("after appending over the cut: %q", recs)
 			}
 		})
+	}
+}
+
+// TestOpenRefusesUndecodableRecord: an intact record the owner's
+// decoder refuses is no crash debris, so in the final file too it is
+// corruption, and Open cuts nothing — cutting would drop it and every
+// record behind it.
+func TestOpenRefusesUndecodableRecord(t *testing.T) {
+	mem := fsx.NewMem()
+	d, size, _ := open(t, mem)
+	add(t, d, size, 0, 5)
+	d.Close()
+	before, _ := mem.ReadFile("d/t-000001.rec")
+	refuse := func(_ int, _ int64, p []byte) error {
+		if string(p) == "record 3" {
+			return errors.New("unknown version")
+		}
+		return nil
+	}
+	if _, _, err := Open(mem, "d", testFormat, refuse); !errors.Is(err, errTestCorrupt) {
+		t.Fatalf("Open over a refused record = %v, want the format's Corrupt", err)
+	}
+	if after, _ := mem.ReadFile("d/t-000001.rec"); !bytes.Equal(after, before) {
+		t.Fatalf("the refused file changed: %d bytes, was %d", len(after), len(before))
 	}
 }
 

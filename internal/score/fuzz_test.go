@@ -60,7 +60,8 @@ func FuzzDoc(f *testing.F) {
 		if got, want := terms(d.URLs()), orEmpty(m.URLs); !slices.Equal(got, want) {
 			t.Fatalf("%q: URLs = %q, want %q", text, got, want)
 		}
-		if got, want := terms(d.Keywords()), orEmpty(tokenizer.Keywords(text)); !slices.Equal(got, want) {
+		_, _, keywords := d.Runs()
+		if got, want := terms(keywords), orEmpty(tokenizer.Keywords(text)); !slices.Equal(got, want) {
 			t.Fatalf("%q: Keywords = %q, want %q", text, got, want)
 		}
 		rt, ok := d.RTUser()

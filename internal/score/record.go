@@ -24,7 +24,7 @@ import (
 // accessors below return views into it (unsafe.Slice, unsafe.String),
 // never copies.
 //
-// A record is immutable once NewDoc (or DocWithKeywords) has built it:
+// A record is immutable once NewDoc, its only builder, has built it:
 // nothing writes through a view. That is what lets one record be shared
 // — by a bundle's node and the message index, and by the writer and the
 // readers its query results are handed to (query.Reader) — without a

@@ -66,49 +66,33 @@ type Doc struct{ *Msg }
 
 // NewDoc resolves m's indicants and extracts and resolves the keywords
 // of its text, adding first-seen terms to the dictionary, and copies
-// the raw fields and the terms into the message's record. It touches no
-// engine state (the dictionary is safe for concurrent use), which is
-// what lets the pipeline's prepare stage run it ahead of the writer.
-// The Doc keeps nothing of m: the parse output is garbage once prepare
-// returns.
+// the raw fields and the terms into the message's record. It is the
+// only record builder: prepare, WAL replay and bundle decode all come
+// through it, so a message's terms are a function of its raw fields
+// alone. It touches no engine state (the dictionary is safe for
+// concurrent use), which is what lets the pipeline's prepare stage run
+// it ahead of the writer. The Doc keeps nothing of m: the parse output
+// is garbage once prepare returns.
 func NewDoc(m *tweet.Message) Doc {
 	var scratch [48]termdict.ID
-	terms := appendHead(scratch[:0], m)
+	terms := append(scratch[:0], termdict.Intern(termdict.User, m.User))
+	for _, h := range m.Hashtags {
+		terms = append(terms, termdict.Intern(termdict.Tag, h))
+	}
+	for _, u := range m.URLs {
+		terms = append(terms, termdict.Intern(termdict.URL, u))
+	}
 	terms = tokenizer.AppendKeywords(terms, m.Text)
 	return finish(m, terms)
 }
 
-// DocWithKeywords is NewDoc with the keyword set given rather than
-// extracted: a decoded bundle keeps the keywords its messages were
-// indexed under.
-func DocWithKeywords(m *tweet.Message, keywords []string) Doc {
-	var scratch [48]termdict.ID
-	terms := appendHead(scratch[:0], m)
-	for _, k := range keywords {
-		terms = append(terms, termdict.Intern(termdict.Keyword, k))
-	}
-	return finish(m, terms)
-}
-
-// appendHead appends the author, hashtag and URL IDs of m.
-func appendHead(dst []termdict.ID, m *tweet.Message) []termdict.ID {
-	dst = append(dst, termdict.Intern(termdict.User, m.User))
-	for _, h := range m.Hashtags {
-		dst = append(dst, termdict.Intern(termdict.Tag, h))
-	}
-	for _, u := range m.URLs {
-		dst = append(dst, termdict.Intern(termdict.URL, u))
-	}
-	return dst
-}
-
 // finish drops every term already earlier in the list, appends the
 // re-shared user and builds the record: the engine keeps it as long as
-// it keeps the message. Every record is built here, so its hashtag,
+// it keeps the message. NewDoc ends here, so every record's hashtag,
 // URL and keyword runs are sets and its Indicants repeat-free — what a
 // bundle summary's node lists (one entry per node and term) rely on.
 // Parse and the tokenizer already hand over sets; the scan keeps the
-// invariant from depending on every caller.
+// invariant for a Message built by hand.
 func finish(m *tweet.Message, terms []termdict.ID) Doc {
 	kept := 1 // the author; no other indicant is of class User
 	for _, t := range terms[1:] {
@@ -163,12 +147,6 @@ func (d Doc) Tags() []termdict.ID {
 func (d Doc) URLs() []termdict.ID {
 	_, urls, _ := d.Runs()
 	return urls
-}
-
-// Keywords are the keyword IDs, in first-occurrence order.
-func (d Doc) Keywords() []termdict.ID {
-	_, _, keywords := d.Runs()
-	return keywords
 }
 
 // RTUser is the re-shared user's ID; ok is false for an original post.

@@ -306,8 +306,8 @@ func TestNewDocAllocations(t *testing.T) {
 	if u, ok := d.RTUser(); !ok || termdict.Term(u) != "amaliebenjamin" || termdict.Term(d.User()) != "abcdude" {
 		t.Errorf("RTUser/User = %q/%q", termdict.Term(u), termdict.Term(d.User()))
 	}
-	if got := len(d.Tags()) + len(d.URLs()) + len(d.Keywords()) + 2; got != len(d.Terms()) {
-		t.Errorf("the runs cover %d of %d IDs", got, len(d.Terms()))
+	if tags, urls, keywords := d.Runs(); len(tags)+len(urls)+len(keywords)+2 != len(d.Terms()) {
+		t.Errorf("the runs cover %d of %d IDs", len(tags)+len(urls)+len(keywords)+2, len(d.Terms()))
 	}
 }
 

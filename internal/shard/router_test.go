@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,8 +10,11 @@ import (
 	"provex/internal/tweet"
 )
 
+// doc builds m's record with the given keywords as its text, spelled
+// so the tokenizer keeps them as they are.
 func doc(m tweet.Message, keywords ...string) score.Doc {
-	return score.DocWithKeywords(&m, keywords)
+	m.Text = strings.Join(keywords, " ")
+	return score.NewDoc(&m)
 }
 
 func TestRouteKeyClassPrecedence(t *testing.T) {
@@ -27,18 +31,18 @@ func TestRouteKeyClassPrecedence(t *testing.T) {
 		a, b score.Doc
 		same bool
 	}{
-		{"rt dominates", doc(full, "k"), doc(tweet.Message{User: "bob", RTOf: "origin"}), true},
+		{"rt dominates", doc(full, "kite"), doc(tweet.Message{User: "bob", RTOf: "origin"}), true},
 		{"url next", doc(tweet.Message{User: "a", URLs: []string{"http://a"}, Hashtags: []string{"y"}}),
 			doc(tweet.Message{User: "b", URLs: []string{"http://a"}}), true},
-		{"tag next", doc(tweet.Message{User: "a", Hashtags: []string{"x"}}, "k1"),
+		{"tag next", doc(tweet.Message{User: "a", Hashtags: []string{"x"}}, "kilo"),
 			doc(tweet.Message{User: "b", Hashtags: []string{"x"}}), true},
-		{"keyword next", doc(tweet.Message{User: "a"}, "k1", "k2"),
-			doc(tweet.Message{User: "b"}, "k1"), true},
+		{"keyword next", doc(tweet.Message{User: "a"}, "kilo", "knot"),
+			doc(tweet.Message{User: "b"}, "kilo"), true},
 		{"user last", doc(tweet.Message{User: "a"}), doc(tweet.Message{User: "a"}), true},
 		// Class salting: the same string in different classes must not
 		// collide structurally.
-		{"tag vs keyword salted", doc(tweet.Message{User: "a", Hashtags: []string{"x"}}),
-			doc(tweet.Message{User: "b"}, "x"), false},
+		{"tag vs keyword salted", doc(tweet.Message{User: "a", Hashtags: []string{"xray"}}),
+			doc(tweet.Message{User: "b"}, "xray"), false},
 	}
 	for _, c := range cases {
 		if got := RouteKey(c.a) == RouteKey(c.b); got != c.same {
@@ -85,7 +89,7 @@ func TestRouteTimeIndependent(t *testing.T) {
 	// The key must ignore everything but the dominant indicant — two
 	// messages of one RT storm land together whatever their time/text.
 	a := doc(tweet.Message{ID: 1, User: "u1", Date: 0 * int64(time.Second), RTOf: "celebrity"})
-	b := doc(tweet.Message{ID: 9, User: "u2", Date: 9999 * int64(time.Second), Text: "x", RTOf: "celebrity"}, "extra")
+	b := doc(tweet.Message{ID: 9, User: "u2", Date: 9999 * int64(time.Second), RTOf: "celebrity"}, "extra")
 	if RouteKey(a) != RouteKey(b) {
 		t.Fatal("RT storm split across shards")
 	}

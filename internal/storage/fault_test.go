@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -41,8 +42,9 @@ func put(t *testing.T, s *Store, id bundle.ID, n int) {
 	}
 }
 
-// putGolden makes the four Puts behind testdata/golden_pr16.bls: three
-// bundles, the second superseded.
+// putGolden makes the four Puts behind testdata/golden_v2.bls (and,
+// in bundle codec v1, testdata/golden_pr16.bls): three bundles, the
+// second superseded.
 func putGolden(t *testing.T, s *Store) {
 	t.Helper()
 	for _, b := range [][2]int{{1, 3}, {2, 2}, {3, 4}, {2, 5}} {
@@ -306,12 +308,10 @@ func TestCompactFailureLeavesStoreIntact(t *testing.T) {
 	}
 }
 
-// TestGoldenSegment pins the segment format across the move to the
-// shared frame and one write per record: a segment written by the
-// previous implementation opens here, and the same Puts write the same
-// bytes here.
+// TestGoldenSegment pins the segment format: the golden segment opens,
+// and the same Puts write the same bytes.
 func TestGoldenSegment(t *testing.T) {
-	golden, err := os.ReadFile("testdata/golden_pr16.bls")
+	golden, err := os.ReadFile("testdata/golden_v2.bls")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,5 +329,51 @@ func TestGoldenSegment(t *testing.T) {
 	}
 	if written, _ := mem.ReadFile("store/seg-000001.bls"); !bytes.Equal(written, golden) {
 		t.Fatalf("the same 4 Puts wrote %d bytes that differ from the %d-byte golden segment", len(written), len(golden))
+	}
+}
+
+// TestOpenRefusesUndecodableActiveSegment: a segment of bundle codec v1
+// (the same four Puts, each node carrying its keywords) holds intact
+// records this build does not decode. That is no torn append, so Open
+// refuses the store, names the version, and does not cut the active
+// segment: cutting at the first record would drop every bundle in it.
+func TestOpenRefusesUndecodableActiveSegment(t *testing.T) {
+	v1, err := os.ReadFile("testdata/golden_pr16.bls")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := fsx.NewMem()
+	mem.WriteFile("store/seg-000001.bls", v1)
+	if _, err := Open("store", Options{FS: mem}); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("Open over a codec v1 segment = %v, want ErrCorrupt naming version 1", err)
+	}
+	if after, _ := mem.ReadFile("store/seg-000001.bls"); !bytes.Equal(after, v1) {
+		t.Fatalf("the refused segment changed: %d bytes, was %d", len(after), len(v1))
+	}
+}
+
+// TestZeroFilledTailTruncatedOnOpen: a crash can leave the active
+// segment grown with zeros past its last record. Those read as empty
+// frames with a valid checksum, which no Put writes: they are a torn
+// tail, cut away, and every record before them survives.
+func TestZeroFilledTailTruncatedOnOpen(t *testing.T) {
+	mem := fsx.NewMem()
+	s := openMem(t, mem, Options{})
+	putGolden(t, s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	name := "store/seg-000001.bls"
+	data, _ := mem.ReadFile(name)
+	mem.WriteFile(name, append(bytes.Clone(data), make([]byte, 4096)...))
+	s2 := openMem(t, mem, Options{})
+	if b, err := s2.Get(2); err != nil || b.Size() != 5 || s2.Count() != 3 {
+		t.Fatalf("after a zero-filled tail: Get(2) = %v, %v; Count %d", b, err, s2.Count())
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := mem.ReadFile(name); !bytes.Equal(after, data) {
+		t.Fatalf("segment is %d bytes after Open, want the %d before the zeros", len(after), len(data))
 	}
 }

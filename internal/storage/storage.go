@@ -37,7 +37,10 @@ const DefaultSegmentSize = 8 << 20
 // ErrNotFound reports a bundle ID absent from the store.
 var ErrNotFound = errors.New("storage: bundle not found")
 
-// ErrCorrupt reports an unreadable sealed segment.
+// ErrCorrupt reports an unreadable sealed segment, or an intact record
+// in any segment that does not decode as a bundle (one in a codec
+// version this build does not read, say): Open refuses the store and
+// changes nothing.
 var ErrCorrupt = errors.New("storage: corrupt segment")
 
 // segFormat is the on-disk layout of a store directory.

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -437,12 +438,12 @@ func runFetchScript(t *testing.T, data []byte, cov *fetchCoverage) {
 		}
 		var keys []string
 		for n := next() % 6; n > 0; n-- {
-			keys = append(keys, term("k", 6))
+			keys = append(keys, term("key", 6))
 		}
 		if next()%3 == 0 {
 			m.RTOf = term("u", 4)
 		}
-		return score.DocWithKeywords(m, keys), repeats(m.Hashtags) || repeats(m.URLs) || repeats(keys)
+		return withKeywords(m, keys...), repeats(m.Hashtags) || repeats(m.URLs) || repeats(keys)
 	}
 	ix := New()
 	stride := 1 + next()%4
@@ -482,7 +483,8 @@ func runFetchScript(t *testing.T, data []byte, cov *fetchCoverage) {
 			cov.fanoutCut++
 		}
 		keywordOnly := false
-		for _, k := range d.Keywords() {
+		_, _, keywords := d.Runs()
+		for _, k := range keywords {
 			var want []bundle.ID
 			for i := range members {
 				if members[i][k] {
@@ -532,10 +534,17 @@ func runFetchScript(t *testing.T, data []byte, cov *fetchCoverage) {
 			probe(randomDoc())
 		}
 	}
-	probe(score.DocWithKeywords(&tweet.Message{User: "u0"}, nil), false)
-	probe(score.DocWithKeywords(&tweet.Message{User: "u0", Hashtags: []string{"t0"}}, nil), false)
-	probe(score.DocWithKeywords(&tweet.Message{User: "u0", Hashtags: []string{"t1", "t1"}, URLs: []string{"l0"}, RTOf: "u1"},
-		[]string{"k0", "k1", "k0"}), true)
+	probe(withKeywords(&tweet.Message{User: "u0"}), false)
+	probe(withKeywords(&tweet.Message{User: "u0", Hashtags: []string{"t0"}}), false)
+	probe(withKeywords(&tweet.Message{User: "u0", Hashtags: []string{"t1", "t1"}, URLs: []string{"l0"}, RTOf: "u1"},
+		"key0", "key1", "key0"), true)
+}
+
+// withKeywords builds m's record with the given keywords as its text,
+// spelled so the tokenizer keeps them as they are.
+func withKeywords(m *tweet.Message, keywords ...string) score.Doc {
+	m.Text = strings.Join(keywords, " ")
+	return score.NewDoc(m)
 }
 
 // TestCandidatesMatchOracle is the seeded differential property test of
@@ -578,7 +587,7 @@ func TestCandidateHitsCannotWrap(t *testing.T) {
 	for i := 0; i < nTags; i++ {
 		m.Hashtags = append(m.Hashtags, "t"+strconv.Itoa(i))
 	}
-	d := score.DocWithKeywords(m, nil)
+	d := score.NewDoc(m)
 	ix := New()
 	ix.Observe(1, d)
 	got := ix.Candidates(d)
@@ -614,9 +623,9 @@ func crawlShapedFetch() (*Index, score.Doc) {
 	fill(termdict.Keyword, "key0", 1024)
 	fill(termdict.Keyword, "key1", 900)
 	fill(termdict.Keyword, "key2", 120)
-	return ix, score.DocWithKeywords(
+	return ix, withKeywords(
 		&tweet.Message{User: "p", Hashtags: []string{"tag0", "tag1", "stop"}, URLs: []string{"url0"}, RTOf: "origin"},
-		[]string{"key0", "key1", "key2"})
+		"key0", "key1", "key2")
 }
 
 func BenchmarkCandidates(b *testing.B) {

@@ -110,9 +110,11 @@ func (m *Message) Validate() error {
 
 // AppendRaw appends the stored form of a message to buf: the raw
 // fields only — id, unix-nano date, user, text. Indicants are never
-// stored; DecodeRaw re-extracts them through Parse, so the parser stays
-// the single source of truth for every on-disk codec (WAL records,
-// encoded bundles), the same contract as the JSONL codec.
+// stored, keywords included: DecodeRaw re-extracts the entities through
+// Parse, and the record builder (score.NewDoc) the keywords through the
+// tokenizer, so parser and tokenizer stay the single source of truth
+// for every on-disk codec (WAL records, encoded bundles and so
+// checkpoints), the same contract as the JSONL codec.
 func AppendRaw(buf []byte, id ID, date int64, user, text string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(id))
 	buf = binary.AppendVarint(buf, date)

@@ -57,7 +57,8 @@ import (
 // reading shipped records).
 const MaxRecordLen = 16 << 20
 
-// ErrCorrupt reports an unreadable sealed WAL file.
+// ErrCorrupt reports an unreadable sealed WAL file, or an intact
+// record in any file that does not decode.
 var ErrCorrupt = errors.New("wal: corrupt log")
 
 // logFormat is the on-disk layout of a log directory.
