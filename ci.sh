@@ -437,10 +437,12 @@ echo "loc: non-test $(go_lines -not -name '*_test.go') test $(go_lines -name '*_
 # The memory budgets, uncached, so every CI log carries the figures:
 # live heap bytes per ingested message of the serving shape, the
 # engine's cost model against its live heap, the message index's bytes
-# per posting with its slab waste, and the summary index's bytes per
-# posting; the apply layer's allocations and bytes per message; and the
-# checkpoint's bytes and its restore's allocations per message.
-go test -count=1 -run 'TestLiveHeapPerMessage|TestApplyAllocationsPerMessage|TestMemEstimateTracksHeap|TestBytesPerPosting|TestCheckpointWorkPerMessage' -v ./internal/query ./internal/core ./internal/textindex ./internal/sumindex \
-    | grep -E 'per message|live heap .* ratio|per posting'
+# per posting with its slab waste, the summary index's bytes per
+# posting and its MemBytes against that heap; the apply layer's
+# allocations and bytes per message; the checkpoint's bytes and its
+# restore's allocations per message; and the summary index's inserts by
+# kind.
+go test -count=1 -run 'TestLiveHeapPerMessage|TestApplyAllocationsPerMessage|TestMemEstimateTracksHeap|TestBytesPerPosting|TestCheckpointWorkPerMessage|TestSummaryIndexInserts' -v ./internal/query ./internal/core ./internal/textindex ./internal/sumindex \
+    | grep -E 'per message|live heap .* ratio|per posting|MemBytes .* ratio|summary-index inserts'
 
 echo "CI OK"

@@ -27,7 +27,8 @@ func TestMemEstimateMatchesLayouts(t *testing.T) {
 		{"NodeBase (bundle.Node, a slice element)", unsafe.Sizeof(Node{}), metrics.NodeBase},
 		{"TermRefCost (termdict.ID)", unsafe.Sizeof(termdict.ID(0)), metrics.TermRefCost},
 		{"SummaryRowCost (bundle.row)", unsafe.Sizeof(row{}), metrics.SummaryRowCost},
-		{"PostingCost (summary-index posting, bundle.ID)", unsafe.Sizeof(ID(0)), metrics.PostingCost},
+		{"PostingCost (summary-index posting, a uint32 offset)", unsafe.Sizeof(uint32(0)), metrics.PostingCost},
+		{"ListSlotCost (summary-index list-table slot)", unsafe.Sizeof([]uint32(nil)), metrics.ListSlotCost},
 		{"MapEntryCost (index term-map slot)", unsafe.Sizeof(struct {
 			k termdict.ID
 			v uint32

@@ -46,6 +46,7 @@ import (
 	"provex/internal/recfile"
 	"provex/internal/storage"
 	"provex/internal/stream"
+	"provex/internal/sumindex"
 )
 
 var ckptMagic = [8]byte{'P', 'R', 'O', 'V', 'C', 'K', 'P', '1'}
@@ -200,6 +201,9 @@ func restoreCheckpoint(cfg Config, store *storage.Store, onEdge EdgeFunc, r io.R
 		b, err := bundle.Unmarshal(p)
 		if err != nil {
 			return nil, fmt.Errorf("%w: bundle %d: %v", ErrBadCheckpoint, i, err)
+		}
+		if b.ID() == 0 || b.ID() > sumindex.MaxID {
+			return nil, fmt.Errorf("%w: bundle %d: bundle ID %d outside the summary index's 1..%d", ErrBadCheckpoint, i, b.ID(), sumindex.MaxID)
 		}
 		if e.pool.Get(b.ID()) != nil {
 			return nil, fmt.Errorf("%w: bundle %d: repeated bundle ID %d", ErrBadCheckpoint, i, b.ID())

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +16,8 @@ import (
 	"provex/internal/fsx"
 	"provex/internal/gen"
 	"provex/internal/score"
+	"provex/internal/sumindex"
+	"provex/internal/termdict"
 	"provex/internal/tweet"
 )
 
@@ -39,8 +42,13 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	g := genSmall(3)
 	cfg := PartialIndexConfig(300)
 	orig := New(cfg, nil, nil)
+	carried := map[termdict.ID]bool{} // every term the stream carried
 	for i := 0; i < 6000; i++ {
-		orig.Insert(g.Next())
+		m := g.Next()
+		for _, term := range Prepare(m).Doc.Indicants() {
+			carried[term] = true
+		}
+		orig.Insert(m)
 	}
 
 	var buf bytes.Buffer
@@ -75,6 +83,25 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			t.Fatalf("restored bundle %d invalid: %v", b.ID(), err)
 		}
 	})
+
+	// The summary index is rebuilt, not stored: restore observes the
+	// bundles in map order, so terms reach their lists in another order
+	// than ingest, and each must list the same bundles, in every class.
+	var classes [termdict.NumClasses]int
+	for term := range carried {
+		want := orig.index.AppendPostings(nil, term)
+		if got := restored.index.AppendPostings(nil, term); !slices.Equal(got, want) {
+			t.Fatalf("%s %q lists %v after restore, %v before", term.Class(), termdict.Term(term), got, want)
+		}
+		if len(want) > 0 {
+			classes[term.Class()]++
+		}
+	}
+	for c, n := range classes {
+		if n == 0 {
+			t.Errorf("no %s term holds a posting: the check covers nothing there", termdict.Class(c))
+		}
+	}
 }
 
 // TestCheckpointResumeEquivalence: a run that checkpoints midway and
@@ -214,6 +241,27 @@ func TestCheckpointCorruption(t *testing.T) {
 	for name, c := range cases {
 		if _, err := restoreCheckpoint(FullIndexConfig(), nil, nil, bytes.NewReader(c)); !errors.Is(err, ErrBadCheckpoint) {
 			t.Errorf("%s: err = %v, want ErrBadCheckpoint", name, err)
+		}
+	}
+}
+
+// TestCheckpointRefusesBundleIDsOutsideTheIndex: the summary index
+// holds bundles 1 to sumindex.MaxID. A checkpoint whose frames and CRCs
+// are intact but which carries a bundle outside that range is refused
+// with ErrBadCheckpoint, not a panic in the index rebuild.
+func TestCheckpointRefusesBundleIDsOutsideTheIndex(t *testing.T) {
+	for _, id := range []bundle.ID{0, sumindex.MaxID + 1, 1<<31 + 1} {
+		e := New(FullIndexConfig(), nil, nil)
+		e.Insert(tweet.Parse(1, "a", base, "game on #redsox"))
+		b := bundle.New(id)
+		b.Add(e.cfg.MsgWeights, score.NewDoc(tweet.Parse(2, "b", base.Add(time.Minute), "other talk #news")))
+		e.pool.Adopt(b)
+		var buf bytes.Buffer
+		if err := e.writeCheckpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := restoreCheckpoint(FullIndexConfig(), nil, nil, &buf); !errors.Is(err, ErrBadCheckpoint) {
+			t.Errorf("bundles 1 and %d: err = %v, want ErrBadCheckpoint", id, err)
 		}
 	}
 }

@@ -59,9 +59,7 @@ func referenceCandidates(ix *sumindex.Index, d score.Doc) []sumindex.Candidate {
 	var ids []bundle.ID
 	walk := func(terms ...termdict.ID) {
 		for _, term := range terms {
-			for _, p := range ix.Postings(term) {
-				ids = append(ids, p)
-			}
+			ids = ix.AppendPostings(ids, term)
 		}
 	}
 	tags, urls, keywords := d.Runs()

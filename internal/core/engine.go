@@ -341,6 +341,11 @@ func (e *Engine) RegisterMetrics(reg *metrics.Registry, labels ...string) {
 		"Distinct candidate bundles produced by candidate fetch; every one reaches the Eq. 1 loop.", &e.matchFetched, labels...)
 	reg.RegisterCounter("provex_match_candidates_scored_total",
 		"Full Eq. 1 evaluations (score.BundleSim) in the match loop, sharded probes included: fetched candidates the upper bound did not prune whose bundle was still open.", &e.matchScored, labels...)
+	for k := range sumindex.NumInsertKinds {
+		reg.RegisterCounter("provex_sumindex_inserts_total",
+			"Postings the summary index added, by where they went: inline (a term's first bundle), promote (its second, which makes a list), tail and mid (into a list).",
+			e.index.Inserts(k), with("kind", k.String())...)
+	}
 	reg.RegisterHistogram("provex_place_skipped_nodes",
 		"Distribution of nodes skipped per placement by the pruned Algorithm 2 scan.",
 		e.placeSkipHist, 1, labels...)

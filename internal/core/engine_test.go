@@ -170,7 +170,7 @@ func TestPartialIndexEviction(t *testing.T) {
 			termdict.Tag: tags, termdict.URL: urls, termdict.Keyword: keys, termdict.User: users,
 		} {
 			for _, term := range terms {
-				if !slices.Contains(ix.Postings(termdict.Lookup(termdict.Class(c), term)), b.ID()) {
+				if !slices.Contains(ix.AppendPostings(nil, termdict.Lookup(termdict.Class(c), term)), b.ID()) {
 					t.Errorf("live bundle %d carries %s %q but is not on its list", b.ID(), termdict.Class(c), term)
 				}
 			}
@@ -178,7 +178,7 @@ func TestPartialIndexEviction(t *testing.T) {
 	})
 	for _, d := range docs {
 		for _, term := range d.Indicants() {
-			for _, id := range ix.Postings(term) {
+			for _, id := range ix.AppendPostings(nil, term) {
 				if b := e.Pool().Get(id); b == nil || b.Count(term) == 0 {
 					t.Errorf("%s %q lists bundle %d, which is evicted or does not carry it", term.Class(), termdict.Term(term), id)
 				}
@@ -186,7 +186,7 @@ func TestPartialIndexEviction(t *testing.T) {
 		}
 	}
 	slices.Sort(live)
-	if shared := ix.Postings(termdict.Lookup(termdict.Keyword, "lamppost")); len(live) < 2 || !slices.Equal(shared, live) {
+	if shared := ix.AppendPostings(nil, termdict.Lookup(termdict.Keyword, "lamppost")); len(live) < 2 || !slices.Equal(shared, live) {
 		t.Errorf("the shared keyword lists %v, the pool holds %v", shared, live)
 	}
 }

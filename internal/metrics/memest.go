@@ -22,7 +22,8 @@ const (
 	NodeBase     = 24 // bundle tree node (24 B: record handle, score, parent, connection)
 	TermRefCost  = 4  // one entry of a record's term list: a term-dictionary ID; the term's bytes are the dictionary's
 	BundleBase   = 160
-	PostingCost  = 8  // a summary-index posting: one bundle ID
+	PostingCost  = 4  // a summary-index posting: a bundle ID's 4-byte offset from the index's base
+	ListSlotCost = 24 // a summary-index list-table slot: the slice header of a term's list, once a second bundle carries it
 	NodeRefCost  = 8  // node-list entry: int32 slot + growth slack; a term on one node has its one in the shared single-node list
 	NodeListCost = 24 // the slice header of a term's own node list, once a second node carries it
 

@@ -31,7 +31,7 @@ func oracleSearchBundles(p *Processor, q string, k int) []BundleHit {
 	cands := make(map[bundle.ID]struct{})
 	for _, q := range ids {
 		for _, t := range []termdict.ID{q.keyword, q.tag, q.url} {
-			for _, p := range idx.Postings(t) {
+			for _, p := range idx.AppendPostings(nil, t) {
 				cands[p] = struct{}{}
 			}
 		}

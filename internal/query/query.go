@@ -447,9 +447,11 @@ func (p *Processor) searchBundles(e *core.Engine, terms []string, ids []queryTer
 	// Candidate bundles: union of the query terms' postings over the
 	// keyword, hashtag and URL classes.
 	cands := make(map[bundle.ID]struct{})
+	var postings []bundle.ID // this call's own: readers share no index scratch
 	for _, q := range ids {
 		for _, t := range [...]termdict.ID{q.keyword, q.tag, q.url} {
-			for _, p := range idx.Postings(t) {
+			postings = idx.AppendPostings(postings[:0], t)
+			for _, p := range postings {
 				cands[p] = struct{}{}
 			}
 		}

@@ -19,18 +19,25 @@ import (
 // index's test of the same name: the live heap a summary index built
 // by Observe over the live pool of a full-index engine keeps per
 // posting, after a forced collection. It counts everything the index
-// owns — the class columns of list headers and the ID-sorted lists with
-// their growth slack — and budgets about 10 % above what it measured:
-// 18.6 B at 20 000 messages, an 8-byte posting, 6.8 B of 24-byte list
-// headers (3.5 postings a term) and the rest the columns' unfilled last
-// pages and the lists' spare capacity. While the lists hung off a
-// term-keyed map it read 28.4 B. The columns are addressed by the
-// process-wide term ID, so terms other tests of the binary interned
-// would read as holes: the figure is taken in a process of its own.
+// owns — the class columns of term entries, the list table and the
+// ID-sorted lists with their slack — and budgets about 10 % above what
+// it measured: 7.58 B at 20 000 messages, where a posting is a 4-byte
+// offset, a term on one bundle (81 %) holds its posting in its 4-byte
+// entry, and a term on more has a 24-byte table slot and a list whose
+// capacity is its length rounded up to an allocator size class. It read
+// 28.4 B while the lists hung off a term-keyed map, and 18.6 B as a
+// column of 24-byte list headers over lists of 8-byte bundle IDs. The
+// columns are addressed by the process-wide term ID, so terms other
+// tests of the binary interned would read as holes: the figure is taken
+// in a process of its own. MemBytes, the provex_mem_index_bytes gauge,
+// must come within 10 % of the heap measured. It reads 0.92 of it: the
+// rest is mostly the list table's unfilled last page and the 16-byte
+// blocks into which the allocator packs the 8-byte lists of two. Under
+// -race, whose runtime reads 0.90, the ratio is logged but not held.
 func TestBytesPerPosting(t *testing.T) {
 	const (
 		n      = 20000
-		budget = 20.5
+		budget = 8.3
 	)
 	if flag.Lookup("test.run").Value.String() != "^TestBytesPerPosting$" {
 		out, err := exec.Command(os.Args[0], "-test.run=^TestBytesPerPosting$", "-test.count=1", "-test.v").CombinedOutput()
@@ -78,4 +85,12 @@ func TestBytesPerPosting(t *testing.T) {
 	if perPosting > budget {
 		t.Errorf("%.2f bytes per posting, budget %.1f", perPosting, budget)
 	}
+	heap := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("MemBytes %d of a %d-byte heap: ratio %.3f", ix.MemBytes(), heap, float64(ix.MemBytes())/float64(heap))
+	if r := float64(ix.MemBytes()) / float64(heap); (r < 0.9 || r > 1.1) && !raceBuild {
+		t.Errorf("MemBytes is %d, %.1f %% of the %d bytes the index holds; want within 10 %%", ix.MemBytes(), 100*r, heap)
+	}
 }
+
+// raceBuild is set in a -race build (race_test.go).
+var raceBuild bool

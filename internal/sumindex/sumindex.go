@@ -12,16 +12,24 @@
 //     bundles and as the pool evicts bundles (Algorithm 1, step 3 and
 //     Algorithm 3's delete_index).
 //
-// A posting is a bare bundle ID in an ID-sorted slice per term: how
-// often a bundle carries a term is the bundle's own summary
-// (bundle.Count), so the index stores only membership; a term's list
-// sits in its class's termdict.Column at ID.Index(). Because every
-// list is ID-sorted, candidate fetch is a k-way merge plus a counting
-// sort over reused scratch (see Candidates) and allocates nothing at
-// steady state.
+// A posting is bare membership: how often a bundle carries a term is
+// the bundle's own summary (bundle.Count). It is stored as the bundle
+// ID in 4 bytes, so the index holds bundles 1 to MaxID, and a term costs
+// one 4-byte entry in its class's termdict.Column at ID.Index(). The posting count
+// alone picks the entry's form: zero for no bundle, the one posting
+// inline for one bundle (81 % of the terms on the crawl), and from two
+// bundles a reference to an ID-sorted list in one table of lists, whose
+// slots are recycled. Observe promotes a term at its second bundle and
+// Forget demotes it at one, and a list's capacity is a function of its
+// length (capFor), so the same postings give the same structure and the
+// same MemBytes whatever order built them. Because every list is
+// ID-sorted, candidate fetch is a k-way merge plus a counting sort over
+// reused scratch (see Candidates) and allocates nothing at steady state.
 package sumindex
 
 import (
+	"fmt"
+	"math/bits"
 	"slices"
 
 	"provex/internal/bundle"
@@ -46,13 +54,44 @@ import (
 // in full either way.
 const MaxFanout = 1024
 
+// A term's entry: 0 when no bundle carries it, its one posting when one
+// does, and listRef | slot, the slot of its list in the list table, when
+// two or more do. A posting is a bundle ID in [1, listRef).
+const listRef = 1 << 31
+
+// MaxID is the highest bundle ID the index holds; Observe refuses a
+// higher one. Pools hand out IDs from 1 up (a shard's from its IDStart),
+// so reaching it takes 2^31 − 1 bundles created; the crawl makes 43 k.
+const MaxID bundle.ID = listRef - 1
+
+// InsertKind says where Observe put a new posting: the work counter of
+// the index (provex_sumindex_inserts_total).
+type InsertKind int
+
+const (
+	Inline  InsertKind = iota // a term's first bundle, held in its entry
+	Promote                   // its second: the entry becomes a list of two
+	Tail                      // appended to a list: the bundle is the term's newest
+	Mid                       // inserted inside a list: an older bundle gained the term
+	NumInsertKinds
+)
+
+func (k InsertKind) String() string {
+	return [...]string{"inline", "promote", "tail", "mid"}[k]
+}
+
 // Index is the summary index. Not safe for concurrent use; the engine
 // serialises ingest. Concurrent *readers* (queries under the pipeline's
 // read lock) are safe as long as no Observe/Forget/Candidates call runs
 // at the same time.
 type Index struct {
-	lists [termdict.NumClasses]termdict.Column[[]bundle.ID] // posting list by class and ID.Index(); nil when empty
-	mem   metrics.MemEstimator                              // the postings; MemBytes adds the columns
+	terms [termdict.NumClasses]termdict.Column[uint32] // a term's entry by class and ID.Index()
+	lists termdict.Column[[]uint32]                    // the list table: ID-sorted postings, cap(l) == capFor(len(l)); nil when free
+	free  []uint32                                     // list slots to reuse
+	mem   metrics.MemEstimator                         // the lists: their capacity and table slots; MemBytes adds the term columns
+
+	inserts [NumInsertKinds]metrics.Counter
+
 	// maxFanout is MaxFanout; the package's tests lower it to exercise
 	// skipping on small lists.
 	maxFanout int
@@ -73,51 +112,142 @@ func New() *Index {
 	return &Index{maxFanout: MaxFanout}
 }
 
+// Inserts is the counter of the postings Observe added of kind k.
+func (ix *Index) Inserts(k InsertKind) *metrics.Counter { return &ix.inserts[k] }
+
 // Observe registers that doc joined bundle id: the bundle is added to
 // the posting list of every indicant of the message it is not yet on
-// (Algorithm 1, step 3 — "update summary index").
+// (Algorithm 1, step 3 — "update summary index"). It panics on a bundle
+// ID of 0 or past MaxID.
 func (ix *Index) Observe(id bundle.ID, doc score.Doc) {
+	if id == 0 || id > MaxID {
+		panic(fmt.Sprintf("sumindex: bundle ID %d outside 1..%d", id, MaxID))
+	}
 	for _, t := range doc.Indicants() {
-		ix.add(t, id)
+		ix.add(t, uint32(id))
 	}
 }
 
-func (ix *Index) add(term termdict.ID, id bundle.ID) {
-	pl := ix.lists[term.Class()].Reach(int(term.Index()))
-	i, found := slices.BinarySearch(*pl, id)
-	if found {
-		return
+func (ix *Index) add(term termdict.ID, p uint32) {
+	e := ix.terms[term.Class()].Reach(int(term.Index()))
+	switch {
+	case *e == 0:
+		*e = p
+		ix.inserts[Inline].Inc()
+	case *e < listRef:
+		if *e == p {
+			return
+		}
+		*e = listRef | ix.newList(min(*e, p), max(*e, p))
+		ix.inserts[Promote].Inc()
+	default:
+		pl := ix.lists.At(int(*e &^ listRef))
+		l := *pl
+		// Bundle IDs mostly grow with the stream, so the common case is
+		// an append at the tail.
+		i, kind := len(l), Tail
+		if p <= l[i-1] {
+			var found bool
+			if i, found = slices.BinarySearch(l, p); found {
+				return
+			}
+			kind = Mid
+		}
+		*pl = insertAt(l, i, p)
+		ix.mem.Add(int64(cap(*pl)-cap(l)) * metrics.PostingCost)
+		ix.inserts[kind].Inc()
 	}
-	// Bundle IDs mostly grow with the stream, so the common case is an
-	// append at the tail.
-	*pl = slices.Insert(*pl, i, id)
-	ix.mem.Add(metrics.PostingCost)
+}
+
+// newList stores the ID-sorted pair a, b in a free slot of the list
+// table and returns the slot. A slot stays below listRef: 2^31 lists
+// would be 48 GiB of slice headers.
+func (ix *Index) newList(a, b uint32) uint32 {
+	slot := ix.lists.Len()
+	if n := len(ix.free); n > 0 {
+		slot, ix.free = int(ix.free[n-1]), ix.free[:n-1]
+	}
+	*ix.lists.Reach(slot) = []uint32{a, b}
+	ix.mem.Add(2*metrics.PostingCost + metrics.ListSlotCost)
+	return uint32(slot)
+}
+
+// capFor is the capacity of a list of n ≥ 2 postings, so that a list's
+// capacity follows from its length alone: n rounded up to an even
+// number to 8, then to four steps per doubling (12, 16, 20, 24, 28, 32,
+// 40, 48, …). Every step below 512 postings is an allocator size class,
+// so the capacity charged is the heap held.
+func capFor(n int) int {
+	if n <= 8 {
+		return (n + 1) &^ 1
+	}
+	step := 1 << max(2, bits.Len(uint(n-1))-3)
+	return (n + step - 1) &^ (step - 1)
+}
+
+// insertAt inserts v at i of l, moving l to a list of capFor(len+1)
+// when it is full.
+func insertAt(l []uint32, i int, v uint32) []uint32 {
+	if len(l) < cap(l) {
+		return slices.Insert(l, i, v)
+	}
+	out := make([]uint32, len(l)+1, capFor(len(l)+1))
+	copy(out, l[:i])
+	out[i] = v
+	copy(out[i+1:], l[i:])
+	return out
+}
+
+// deleteAt deletes l[i], moving l to a list of capFor(len-1) when that
+// is smaller.
+func deleteAt(l []uint32, i int) []uint32 {
+	if c := capFor(len(l) - 1); c < cap(l) {
+		out := make([]uint32, len(l)-1, c)
+		copy(out, l[:i])
+		copy(out[i:], l[i+1:])
+		return out
+	}
+	return slices.Delete(l, i, i+1)
 }
 
 // Forget removes the bundle's posting from every list of terms — the
 // distinct terms a bundle reports via AppendTerms. It implements
 // Algorithm 3's delete_index(b).
 func (ix *Index) Forget(id bundle.ID, terms []termdict.ID) {
+	if id == 0 || id > MaxID {
+		return // never held
+	}
 	for _, t := range terms {
-		ix.drop(t, id)
+		ix.drop(t, uint32(id))
 	}
 }
 
-func (ix *Index) drop(term termdict.ID, id bundle.ID) {
-	pl := ix.lists[term.Class()].At(int(term.Index()))
-	if pl == nil {
-		return
+func (ix *Index) drop(term termdict.ID, p uint32) {
+	e := ix.terms[term.Class()].At(int(term.Index()))
+	switch {
+	case e == nil || *e == 0:
+	case *e < listRef:
+		if *e == p {
+			*e = 0
+		}
+	default:
+		slot := *e &^ listRef
+		pl := ix.lists.At(int(slot))
+		l := *pl
+		i, found := slices.BinarySearch(l, p)
+		if !found {
+			return
+		}
+		if len(l) == 2 {
+			*e = l[1-i]
+			*pl = nil
+			ix.free = append(ix.free, slot)
+			ix.mem.Sub(int64(cap(l))*metrics.PostingCost + metrics.ListSlotCost)
+			return
+		}
+		*pl = deleteAt(l, i)
+		ix.mem.Sub(int64(cap(l)-cap(*pl)) * metrics.PostingCost)
 	}
-	i, found := slices.BinarySearch(*pl, id)
-	if !found {
-		return
-	}
-	ix.mem.Sub(metrics.PostingCost)
-	if len(*pl) == 1 {
-		*pl = nil
-		return
-	}
-	*pl = slices.Delete(*pl, i, i+1)
 }
 
 // Candidate is one bundle surfaced by the summary index with the number
@@ -157,18 +287,19 @@ type FetchInfo struct {
 	Postings   int
 }
 
-// cursor is one traversed posting list and the read position in it.
+// cursor is one traversed posting list and the read position in it. An
+// inline posting has no list: its only posting is its heap entry's head.
 type cursor struct {
-	list  []bundle.ID
+	list  []uint32
 	pos   int
 	class termdict.Class
 }
 
-// heapEntry orders one cursor in the merge heap by the bundle ID under
-// its read position. Sifting these 16 bytes is measurably faster than
-// sifting cursors or a word-sized index (no message has 2^31 terms).
+// heapEntry orders one cursor in the merge heap by the posting under its
+// read position. A posting is its bundle ID, and sifting these 8 bytes
+// is faster than sifting cursors (no message has 2^31 terms).
 type heapEntry struct {
-	head   bundle.ID
+	head   uint32
 	cursor int32
 }
 
@@ -219,17 +350,34 @@ func (ix *Index) Candidates(doc score.Doc) []Candidate {
 //
 //provex:hotpath runs per hard-indicant term of every ingested message
 func (ix *Index) gather(term termdict.ID) {
-	pl := ix.Postings(term)
-	if len(pl) > ix.maxFanout {
+	e := ix.entry(term)
+	var list []uint32
+	head, n := e, 1
+	switch {
+	case e == 0:
+		n = 0
+	case e >= listRef:
+		list = *ix.lists.At(int(e &^ listRef))
+		head, n = list[0], len(list)
+	}
+	if n > ix.maxFanout {
 		ix.noteSkip(term.Class())
 		return
 	}
-	if len(pl) == 0 {
+	if n == 0 {
 		return
 	}
-	ix.heap = append(ix.heap, heapEntry{head: pl[0], cursor: int32(len(ix.cursors))})
-	ix.cursors = append(ix.cursors, cursor{list: pl, class: term.Class()})
-	ix.fetch.Postings += len(pl)
+	ix.heap = append(ix.heap, heapEntry{head: head, cursor: int32(len(ix.cursors))})
+	ix.cursors = append(ix.cursors, cursor{list: list, class: term.Class()})
+	ix.fetch.Postings += n
+}
+
+// entry returns term's entry; 0 when the index has none.
+func (ix *Index) entry(term termdict.ID) uint32 {
+	if e := ix.terms[term.Class()].At(int(term.Index())); e != nil {
+		return *e
+	}
+	return 0
 }
 
 // noteSkip records a non-traversed term for LastFetch.
@@ -278,7 +426,7 @@ func (ix *Index) merge() {
 			siftDown(h, 0, top)
 		}
 		ix.hist[hits]++
-		out = append(out, Candidate{ID: id, URLHits: n[termdict.URL], TagHits: n[termdict.Tag], RTHit: n[termdict.User] != 0})
+		out = append(out, Candidate{ID: bundle.ID(id), URLHits: n[termdict.URL], TagHits: n[termdict.Tag], RTHit: n[termdict.User] != 0})
 	}
 	ix.merged = out
 }
@@ -333,24 +481,32 @@ func (ix *Index) scatter() []Candidate {
 // Like the candidate slice itself, it is valid until the next call.
 func (ix *Index) LastFetch() FetchInfo { return ix.fetch }
 
-// Postings returns the posting list of term, ordered by ascending bundle
-// ID; termdict.None has none. The slice is the index's internal storage:
-// callers must treat it as read-only and must not retain it across
-// index mutations. Query support uses it for the i(q,B)
-// indicant-closeness factor of Eq. 7.
-func (ix *Index) Postings(term termdict.ID) []bundle.ID {
-	if pl := ix.lists[term.Class()].At(int(term.Index())); pl != nil {
-		return *pl
+// AppendPostings appends the bundles carrying term to dst in ascending
+// ID and returns it; termdict.None has none. It writes nothing in the
+// index, so readers may call it side by side. Query support uses it for
+// the i(q,B) indicant-closeness factor of Eq. 7.
+func (ix *Index) AppendPostings(dst []bundle.ID, term termdict.ID) []bundle.ID {
+	switch e := ix.entry(term); {
+	case e == 0:
+	case e < listRef:
+		dst = append(dst, bundle.ID(e))
+	default:
+		for _, p := range *ix.lists.At(int(e &^ listRef)) {
+			dst = append(dst, bundle.ID(p))
+		}
 	}
-	return nil
+	return dst
 }
 
-// MemBytes is the index's memory estimate: its postings as charged,
-// plus its columns' pages as allocated.
+// MemBytes is the index's memory estimate: each list's capacity and
+// table slot, charged while the list is held, plus the pages of the
+// term columns as allocated. The table's free slots and unfilled last
+// page are not charged, so the same postings read the same whatever
+// order built them, a restore's included.
 func (ix *Index) MemBytes() int64 {
 	n := ix.mem.Bytes()
-	for c := range ix.lists {
-		n += ix.lists[c].Bytes()
+	for c := range ix.terms {
+		n += ix.terms[c].Bytes()
 	}
 	return n
 }

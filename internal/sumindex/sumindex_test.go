@@ -86,8 +86,8 @@ func TestCandidatesEmpty(t *testing.T) {
 	}
 	mem := ix.MemBytes()
 	for _, term := range []termdict.ID{termdict.None, termdict.Lookup(termdict.Tag, "never-interned-tag")} {
-		if got := ix.Postings(term); got != nil {
-			t.Errorf("Postings(%v) = %v, want nothing", term, got)
+		if got := ix.AppendPostings(nil, term); got != nil {
+			t.Errorf("AppendPostings(%v) = %v, want nothing", term, got)
 		}
 	}
 	// A message of terms no bundle carries, in every class; interned
@@ -97,8 +97,8 @@ func TestCandidatesEmpty(t *testing.T) {
 		t.Errorf("never-observed terms returned %v", got)
 	}
 	for _, term := range unseen.Indicants() {
-		if got := ix.Postings(term); got != nil {
-			t.Errorf("Postings(%v) = %v for a never-observed term", term, got)
+		if got := ix.AppendPostings(nil, term); got != nil {
+			t.Errorf("AppendPostings(%v) = %v for a never-observed term", term, got)
 		}
 	}
 	ix.Forget(1, unseen.Indicants())
@@ -127,18 +127,19 @@ func TestForget(t *testing.T) {
 	ix.Forget(1, []termdict.ID{termdict.Lookup(termdict.Tag, "redsox")})
 }
 
-// columnBytes is what the index's columns hold: the pages Observe
+// columnBytes is what the index's term columns hold: the pages Observe
 // reached, which Forget leaves in place.
 func columnBytes(ix *Index) int64 {
 	var n int64
-	for c := range ix.lists {
-		n += ix.lists[c].Bytes()
+	for c := range ix.terms {
+		n += ix.terms[c].Bytes()
 	}
 	return n
 }
 
-// TestMemoryAccounting: a posting is charged while it is held, and a
-// full forget leaves the estimate at the columns' page bytes.
+// TestMemoryAccounting: a term on one bundle costs its entry alone, a
+// list is charged its capacity while it is held, and a full forget
+// leaves the estimate at the columns' page bytes.
 func TestMemoryAccounting(t *testing.T) {
 	ix := New()
 	if ix.MemBytes() != 0 {
@@ -147,16 +148,34 @@ func TestMemoryAccounting(t *testing.T) {
 	d := doc(1, "a", "game #redsox http://bit.ly/x")
 	ix.Observe(1, d)
 	pages := columnBytes(ix)
-	if pages <= 0 || ix.MemBytes() != pages+int64(len(d.Indicants()))*metrics.PostingCost {
-		t.Fatalf("mem after Observe = %d: %d page bytes and %d postings", ix.MemBytes(), pages, len(d.Indicants()))
+	if pages <= 0 || ix.MemBytes() != pages {
+		t.Fatalf("mem after Observe = %d, want the columns' %d page bytes: every term is inline", ix.MemBytes(), pages)
+	}
+	d2 := doc(2, "b", "game #redsox")
+	ix.Observe(2, d2)
+	pages = columnBytes(ix)
+	// The terms both carry (game and #redsox) now have lists of two, at
+	// capFor(2), each in a slot of the list table.
+	shared := 0
+	for _, term := range d2.Indicants() {
+		if slices.Contains(d.Indicants(), term) {
+			shared++
+		}
+	}
+	if want := pages + int64(shared)*(int64(capFor(2))*metrics.PostingCost+metrics.ListSlotCost); shared < 2 || ix.MemBytes() != want {
+		t.Fatalf("mem after a second bundle = %d, want %d (%d shared terms)", ix.MemBytes(), want, shared)
+	}
+	ix.Forget(2, d2.Indicants())
+	if got := ix.MemBytes(); got != pages {
+		t.Errorf("mem after the second bundle's forget = %d, want the columns' %d page bytes", got, pages)
 	}
 	ix.Forget(1, d.Indicants())
 	if got := ix.MemBytes(); got != pages || columnBytes(ix) != pages {
 		t.Errorf("mem after full forget = %d, want the columns' %d page bytes", got, pages)
 	}
 	for _, term := range d.Indicants() {
-		if p := ix.lists[term.Class()].At(int(term.Index())); p == nil || *p != nil {
-			t.Errorf("the emptied list of %v is %v, want nil", term, p)
+		if e := ix.entry(term); e != 0 {
+			t.Errorf("the entry of forgotten %v is %#x, want 0", term, e)
 		}
 	}
 }
@@ -169,12 +188,77 @@ func TestDuplicateObserveOnePosting(t *testing.T) {
 	ix.Observe(1, doc(1, "a", "#redsox"))
 	once := ix.MemBytes()
 	ix.Observe(1, doc(2, "a", "#redsox"))
-	p := ix.Postings(termdict.Lookup(termdict.Tag, "redsox"))
+	p := ix.AppendPostings(nil, termdict.Lookup(termdict.Tag, "redsox"))
 	if !slices.Equal(p, []bundle.ID{1}) {
 		t.Errorf("postings = %v, want [1]", p)
 	}
 	if ix.MemBytes() != once {
 		t.Errorf("mem = %d after a repeat, want %d", ix.MemBytes(), once)
+	}
+}
+
+// TestInsertKinds: each new posting is counted once, by where it went —
+// a term's first bundle inline, its second a promotion, then the tail
+// or the middle of its list — and a repeat is not counted.
+func TestInsertKinds(t *testing.T) {
+	ix := New()
+	tag := termdict.Intern(termdict.Tag, "kinds")
+	for _, id := range []bundle.ID{5, 3, 9, 7, 9, 1} {
+		ix.add(tag, uint32(id))
+	}
+	want := [NumInsertKinds]int64{Inline: 1, Promote: 1, Tail: 1, Mid: 2}
+	for k := range NumInsertKinds {
+		if got := ix.Inserts(k).Value(); got != want[k] {
+			t.Errorf("%s inserts = %d, want %d", k, got, want[k])
+		}
+	}
+	if got := ix.AppendPostings(nil, tag); !slices.Equal(got, []bundle.ID{1, 3, 5, 7, 9}) {
+		t.Errorf("postings %v", got)
+	}
+}
+
+// TestCapForIsASizeClass: a list's capacity is a function of its length
+// that never falls below it, grows by at most a quarter past eight
+// postings, and below 512 postings is exactly what the allocator hands
+// out for it, so MemBytes charges the heap the list holds.
+func TestCapForIsASizeClass(t *testing.T) {
+	for n := 2; n <= 1<<14; n++ {
+		c := capFor(n)
+		if c < n || c < capFor(n-1) || (n > 8 && 4*c > 5*n+12) {
+			t.Fatalf("capFor(%d) = %d (capFor(%d) = %d)", n, c, n-1, capFor(n-1))
+		}
+		if n < 512 {
+			if got := cap(slices.Grow([]uint32(nil), c)); got != c {
+				t.Fatalf("capFor(%d) = %d, but a list of that capacity gets room for %d", n, c, got)
+			}
+		}
+	}
+}
+
+// TestObserveRefusesIDsOutsideRange: a posting is the bundle ID in 4
+// bytes, so the index holds bundles 1 to MaxID. Observe refuses any
+// other ID before it changes anything, and Forget of one is a no-op.
+func TestObserveRefusesIDsOutsideRange(t *testing.T) {
+	ix := New()
+	d := withKeywords(&tweet.Message{User: "u", Hashtags: []string{"range"}}, "range")
+	tag := termdict.Lookup(termdict.Tag, "range")
+	ix.Observe(1, d)
+	ix.Observe(MaxID, d)
+	mem := ix.MemBytes()
+	for _, id := range []bundle.ID{0, MaxID + 1, 1<<32 + 1} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "bundle ID "+strconv.FormatUint(uint64(id), 10)) {
+					t.Errorf("Observe(%d): recovered %q, want a panic naming the ID", id, msg)
+				}
+			}()
+			ix.Observe(id, d)
+		}()
+		ix.Forget(id, d.Indicants())
+	}
+	if got := ix.AppendPostings(nil, tag); !slices.Equal(got, []bundle.ID{1, MaxID}) || ix.MemBytes() != mem {
+		t.Errorf("a refused Observe changed the index: postings %v, MemBytes %d (was %d)", got, ix.MemBytes(), mem)
 	}
 }
 
@@ -219,7 +303,7 @@ func TestCandidateHitBoundProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		ix := New()
 		for i := 0; i < 20; i++ {
-			ix.Observe(bundle.ID(rng.Intn(5)), doc(tweet.ID(i+1), "u",
+			ix.Observe(bundle.ID(1+rng.Intn(5)), doc(tweet.ID(i+1), "u",
 				"word"+string(rune('a'+rng.Intn(4)))+" #tag"+string(rune('a'+rng.Intn(3)))))
 		}
 		probe := doc(100, "p", "worda wordb #taga #tagb")
@@ -329,7 +413,7 @@ func TestLastFetchSlack(t *testing.T) {
 	if fi := ix.LastFetch(); fi != (FetchInfo{}) {
 		t.Errorf("LastFetch = %+v after a keyword-only probe, want zero", fi)
 	}
-	if n := len(ix.Postings(termdict.Lookup(termdict.Keyword, "stuff"))); n != 5 {
+	if n := len(ix.AppendPostings(nil, termdict.Lookup(termdict.Keyword, "stuff"))); n != 5 {
 		t.Errorf("keyword postings for stuff = %d, want 5 (maintained for Eq. 7)", n)
 	}
 }
@@ -343,7 +427,7 @@ func oracleCandidates(ix *Index, d score.Doc) ([]Candidate, FetchInfo) {
 	var fi FetchInfo
 	hits := map[bundle.ID]Candidate{}
 	collect := func(term termdict.ID) {
-		pl := ix.Postings(term)
+		pl := ix.AppendPostings(nil, term)
 		if len(pl) > ix.maxFanout {
 			switch term.Class() {
 			case termdict.URL:
@@ -395,22 +479,27 @@ func oracleCandidates(ix *Index, d score.Doc) ([]Candidate, FetchInfo) {
 	return out, fi
 }
 
-// fetchCoverage counts the fetch shapes a script exercised, so the
-// property test can refuse to pass vacuously. repeated counts probes of
-// a message whose entity lists named a term twice (its record holds it
-// once); keywordOnly counts probes where a bundle carrying one of the
-// message's keywords was not fetched.
+// fetchCoverage counts the fetch shapes and index transitions a script
+// exercised, so the property test can refuse to pass vacuously.
+// repeated counts probes of a message whose entity lists named a term
+// twice (its record holds it once); keywordOnly counts probes where a
+// bundle carrying one of the message's keywords was not fetched;
+// demoted counts forgets that took a term from two bundles to one, and
+// emptied from one to none.
 type fetchCoverage struct {
 	fetches, empty, single, multiHit, repeated, fanoutCut, keywordOnly, forgets int
+	demoted, emptied                                                            int
 }
 
 // runFetchScript interprets data as a sequence of index operations —
-// Observe, Forget, fanout cuts and probes — over small vocabularies
-// (so lists overlap and messages repeat terms) with bundle IDs on a
-// shard stride, and diffs every probe's Candidates and LastFetch
-// against oracleCandidates, adding the shapes it saw to cov. Every
-// probe also checks that the keyword postings of its terms hold exactly
-// the live bundles carrying them: maintained, though the fetch never
+// Observe, whole-bundle and single-term Forget, fanout cuts and probes — over small vocabularies (so lists overlap
+// and messages repeat terms) with bundle IDs on a shard stride that
+// grow as bundles are forgotten and their slots reused, as on a stream.
+// It diffs every probe's Candidates and LastFetch against
+// oracleCandidates, and after every operation every term's postings,
+// form and capacity against a map-of-sets oracle and MemBytes against a
+// recount of the structure, adding the shapes it saw to cov. Keyword
+// postings are checked like the rest: maintained, though the fetch never
 // walks them (LastFetch().Postings counts hard lists only).
 func runFetchScript(t *testing.T, data []byte, cov *fetchCoverage) {
 	t.Helper()
@@ -449,8 +538,50 @@ func runFetchScript(t *testing.T, data []byte, cov *fetchCoverage) {
 	stride := 1 + next()%4
 	start := 1 + next()%stride
 	const nBundles = 12
-	// members[i] is what bundle i holds, for Forget.
-	var members [nBundles]map[termdict.ID]bool
+	// Slot i holds one bundle at a time; a forget moves the slot on to a
+	// higher ID. held is the oracle: the terms each bundle is on.
+	var gen [nBundles]int
+	id := func(i int) bundle.ID { return bundle.ID(start + stride*(gen[i]*nBundles+i)) }
+	held := map[bundle.ID]map[termdict.ID]bool{}
+	seen := map[termdict.ID]bool{}
+	check := func(op string) {
+		t.Helper()
+		refs := 0
+		for term := range seen {
+			var want []bundle.ID
+			for b, terms := range held {
+				if terms[term] {
+					want = append(want, b)
+				}
+			}
+			slices.Sort(want)
+			if got := ix.AppendPostings(nil, term); !slices.Equal(got, want) {
+				t.Fatalf("after %s: %s %q postings %v, want %v", op, term.Class(), termdict.Term(term), got, want)
+			}
+			e := ix.entry(term)
+			switch {
+			case len(want) == 0 && e != 0, len(want) == 1 && (e == 0 || e >= listRef), len(want) > 1 && e < listRef:
+				t.Fatalf("after %s: %s %q on %d bundles has entry %#x", op, term.Class(), termdict.Term(term), len(want), e)
+			case len(want) > 1:
+				refs++
+				if l := *ix.lists.At(int(e &^ listRef)); cap(l) != capFor(len(l)) {
+					t.Fatalf("after %s: a list of %d has capacity %d, want %d", op, len(l), cap(l), capFor(len(l)))
+				}
+			}
+		}
+		recount := columnBytes(ix)
+		for slot := range ix.lists.Len() {
+			if l := *ix.lists.At(slot); l != nil {
+				recount += int64(cap(l))*metrics.PostingCost + metrics.ListSlotCost
+			}
+		}
+		if got := ix.MemBytes(); got != recount {
+			t.Fatalf("after %s: MemBytes %d, a recount reads %d", op, got, recount)
+		}
+		if ix.lists.Len() != refs+len(ix.free) {
+			t.Fatalf("after %s: %d list slots, %d lists and %d free", op, ix.lists.Len(), refs, len(ix.free))
+		}
+	}
 	probe := func(d score.Doc, repeated bool) {
 		got := ix.Candidates(d)
 		gotInfo := ix.LastFetch()
@@ -485,46 +616,60 @@ func runFetchScript(t *testing.T, data []byte, cov *fetchCoverage) {
 		keywordOnly := false
 		_, _, keywords := d.Runs()
 		for _, k := range keywords {
-			var want []bundle.ID
-			for i := range members {
-				if members[i][k] {
-					want = append(want, bundle.ID(start+stride*i))
-				}
-			}
-			have := ix.Postings(k)
-			if !slices.Equal(have, want) {
-				t.Fatalf("keyword %q postings %v, want bundles %v", termdict.Term(k), have, want)
-			}
-			for _, id := range want {
-				keywordOnly = keywordOnly || !slices.ContainsFunc(got, func(c Candidate) bool { return c.ID == id })
+			for b, terms := range held {
+				keywordOnly = keywordOnly || terms[k] && !slices.ContainsFunc(got, func(c Candidate) bool { return c.ID == b })
 			}
 		}
 		if keywordOnly {
 			cov.keywordOnly++
 		}
 	}
+	forget := func(b bundle.ID, terms []termdict.ID) {
+		for _, term := range terms {
+			n := 0
+			for _, on := range held {
+				if on[term] {
+					n++
+				}
+			}
+			switch {
+			case !held[b][term]:
+			case n == 2:
+				cov.demoted++
+			case n == 1:
+				cov.emptied++
+			}
+			delete(held[b], term)
+		}
+		if len(held[b]) == 0 {
+			delete(held, b)
+		}
+		ix.Forget(b, terms)
+		cov.forgets++
+	}
 
 	for len(data) > 0 {
-		switch op := next() % 8; op {
+		switch op := next() % 9; op {
 		case 0, 1, 2, 3:
-			i := next() % nBundles
+			b := id(next() % nBundles)
 			d, _ := randomDoc()
-			ix.Observe(bundle.ID(start+stride*i), d)
-			if members[i] == nil {
-				members[i] = map[termdict.ID]bool{}
+			ix.Observe(b, d)
+			if held[b] == nil {
+				held[b] = map[termdict.ID]bool{}
 			}
 			for _, term := range d.Indicants() {
-				members[i][term] = true
+				held[b][term], seen[term] = true, true
 			}
+			check("Observe")
 		case 4:
 			i := next() % nBundles
 			var terms []termdict.ID
-			for term := range members[i] {
+			for term := range held[id(i)] {
 				terms = append(terms, term)
 			}
-			members[i] = nil
-			ix.Forget(bundle.ID(start+stride*i), terms)
-			cov.forgets++
+			forget(id(i), terms)
+			gen[i]++
+			check("Forget")
 		case 5:
 			// a cut of 1 to 5, or 0 for none
 			if ix.maxFanout = next() % 6; ix.maxFanout == 0 {
@@ -532,6 +677,19 @@ func runFetchScript(t *testing.T, data []byte, cov *fetchCoverage) {
 			}
 		case 6, 7:
 			probe(randomDoc())
+		case 8:
+			// one term of a bundle: takes lists down one posting at a
+			// time, through the demotions to inline and to nothing
+			b := id(next() % nBundles)
+			var terms []termdict.ID
+			for term := range held[b] {
+				terms = append(terms, term)
+			}
+			slices.Sort(terms)
+			if len(terms) > 0 {
+				forget(b, terms[next()%len(terms):][:1])
+				check("a one-term Forget")
+			}
 		}
 	}
 	probe(withKeywords(&tweet.Message{User: "u0"}), false)
@@ -558,7 +716,8 @@ func TestCandidatesMatchOracle(t *testing.T) {
 		runFetchScript(t, script, &total)
 	}
 	if total.empty == 0 || total.single == 0 || total.multiHit == 0 || total.repeated == 0 ||
-		total.fanoutCut == 0 || total.keywordOnly == 0 || total.forgets == 0 {
+		total.fanoutCut == 0 || total.keywordOnly == 0 || total.forgets == 0 ||
+		total.demoted == 0 || total.emptied == 0 {
 		t.Errorf("property run left a fetch shape uncovered: %+v", total)
 	}
 }
@@ -612,7 +771,7 @@ func crawlShapedFetch() (*Index, score.Doc) {
 	ix := New()
 	fill := func(c termdict.Class, term string, n int) {
 		for _, i := range rng.Perm(nBundles)[:n] {
-			ix.add(termdict.Intern(c, term), bundle.ID(i+1))
+			ix.add(termdict.Intern(c, term), uint32(i+1))
 		}
 	}
 	fill(termdict.Tag, "tag0", 1024)
