@@ -36,8 +36,8 @@ go vet -vettool="$lint_tmp/provlint" ./...
 # seeds still pass.
 echo "== fuzz smoke =="
 go test ./internal/wal -fuzz FuzzOpenReplay -fuzztime 10s -run '^$'
-# the shared segment scanner under the WAL and the store, and the bare
-# frame loop under the round ledger (its seeds include ledger bytes)
+# the shared segment scanner under the WAL, the store and the round
+# ledger (its seeds include a file of each)
 go test ./internal/recfile -fuzz FuzzScan -fuzztime 10s -run '^$'
 go test ./internal/tokenizer -fuzz FuzzTokenizeKeywords -fuzztime 10s -run '^$'
 # the process-wide term dictionary: ID → term round trip through its
@@ -129,11 +129,13 @@ go test -race -count=1 ./internal/fsx ./internal/recfile ./internal/wal ./intern
 # which can import both; seeds are fixed, a failure prints the seed in
 # the subtest name) — plus the differential equivalence proof, the
 # floored probe against full probes, the determinism and shared-recorder
-# tracing tests and the disk-full barrier test: the correctness contract
-# for -shards > 1.
+# tracing tests, the disk-full barrier test and the round ledger's own
+# tests (a torn round trimmed, acknowledged rounds recovered, the
+# resharding refusal, a state of the older manifest layout refused with
+# nothing wiped): the correctness contract for -shards > 1.
 echo "== sharded engine + crash torture (-race -count=1) =="
 go test -race -count=1 \
-    -run 'TestCrashTorture|TestShardedEquivalenceWithSerial|TestFlooredProbeMatchesFullProbe|TestShardedDeterminism|TestShardedTracing|TestShardedBarrierDiskFull' \
+    -run 'TestCrashTorture|TestShardedEquivalenceWithSerial|TestFlooredProbeMatchesFullProbe|TestShardedDeterminism|TestShardedTracing|TestShardedBarrierDiskFull|TestShardedTornRoundTrimmed|TestShardedReshardingRefused|TestShardedCrashRecoversAcknowledgedRounds|TestShardedManifestFileRefused' \
     -v ./internal/shard | grep -E 'seed|PASS|FAIL|ok '
 
 # Observability loopback, once per engine: a real durable live

@@ -22,9 +22,9 @@
 // input, ingest stops with a final checkpoint and the node keeps
 // serving. -ckpt makes any mode durable: every acknowledged message is
 // in the write-ahead log at -wal (default <ckpt>.wal) before queries see
-// it. With -shards > 1, -ckpt is the cross-shard manifest and -wal the
-// per-shard tree; a durable serial node is also a replication leader,
-// shipping its WAL under /repl/.
+// it. With -shards > 1, -ckpt is the round ledger's directory (the
+// cross-shard cut) and -wal the per-shard tree; a durable serial node
+// is also a replication leader, shipping its WAL under /repl/.
 //
 // A follower serves the same read endpoints with an explicit staleness
 // bound: beyond -max-lag messages (or -stale-after of leader silence)

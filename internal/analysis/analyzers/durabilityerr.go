@@ -34,9 +34,8 @@ var durabilityCritical = []critCall{
 	{"internal/core", "Engine", "writeCheckpoint", "a failed checkpoint write must abort the checkpoint, not seal garbage"},
 	{"internal/core", "Engine", "SaveCheckpoint", "a failed checkpoint write must abort the checkpoint, not seal garbage"},
 	{"internal/pipeline", "Durable", "Checkpoint", "an unchecked checkpoint failure leaves recovery pinned to the previous checkpoint"},
-	{"internal/shard", "ledger", "append", "a dropped ledger append loses the barrier cut; recovery replays from a stale coordinate"},
-	{"internal/shard", "ledger", "reset", "an unchecked ledger reset can leave a stale cut that recovery trusts over newer shard state"},
-	{"internal/shard", "", "writeManifest", "an unchecked manifest write breaks the atomic commit point of the sharded checkpoint"},
+	{"internal/shard", "ledger", "append", "a dropped ledger append loses the round's cut; recovery replays from a stale coordinate"},
+	{"internal/shard", "ledger", "truncate", "an unchecked ledger truncate counts a barrier whose cut may never have reached the disk"},
 	{"internal/repl", "Replica", "installCheckpoint", "an unchecked checkpoint install leaves the replica on its old base state while reporting a new one"},
 	{"internal/repl", "Replica", "resync", "an unchecked resync failure leaves the replica serving stale state while reporting progress"},
 	{"internal/fsx", "File", "Write", "an unchecked write can tear the file image"},

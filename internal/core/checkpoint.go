@@ -82,7 +82,7 @@ func (e *Engine) writeCheckpoint(w io.Writer) error {
 	_ = bw.WriteByte(ckptVersion)
 	// frame closes the frame buf holds, writes it and opens the next.
 	frame := func(buf []byte) []byte {
-		recfile.EndFrame(buf, 0, recfile.Castagnoli)
+		recfile.EndFrame(buf, 0)
 		_, _ = bw.Write(buf)
 		return recfile.BeginFrame(buf[:0])
 	}
@@ -147,7 +147,7 @@ func restoreCheckpoint(cfg Config, store *storage.Store, onEdge EdgeFunc, r io.R
 	// frame reads the i-th frame of a section: the end of the file is
 	// damage wherever a frame is due.
 	frame := func(what string, i uint64) ([]byte, error) {
-		p, err := recfile.ReadFrame(br, recfile.Castagnoli, maxCkptRecord)
+		p, err := recfile.ReadFrame(br, maxCkptRecord)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %s %d: %v", ErrBadCheckpoint, what, i, err)
 		}

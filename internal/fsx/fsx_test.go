@@ -5,6 +5,8 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"strings"
+	"syscall"
 	"testing"
 )
 
@@ -256,9 +258,38 @@ func TestOSAndMemParity(t *testing.T) {
 	}
 }
 
+// TestMkdirAllOverFile: MkdirAll at a file, or below one, fails with
+// ENOTDIR naming the file, on the real filesystem and on MemFS alike —
+// a state directory opened where an older layout left a file.
+func TestMkdirAllOverFile(t *testing.T) {
+	osFS := prefixed(t)
+	for _, tc := range []struct {
+		name string
+		fs   FS
+		root string // stripped from the error, which names a full path on the OS
+	}{
+		{"os", osFS, osFS.dir + "/"},
+		{"mem", NewMem(), ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := tc.fs.Create("manifest.json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			for _, path := range []string{"manifest.json", "manifest.json/cuts"} {
+				err := tc.fs.MkdirAll(path, 0o755)
+				if !errors.Is(err, syscall.ENOTDIR) || strings.ReplaceAll(err.Error(), tc.root, "") != "mkdir manifest.json: not a directory" {
+					t.Errorf("MkdirAll(%q) = %v, want mkdir manifest.json: not a directory", path, err)
+				}
+			}
+		})
+	}
+}
+
 // prefixed returns the real FS rooted in a fresh temp dir by rewriting
 // paths — enough for the parity test's relative names.
-func prefixed(t *testing.T) FS {
+func prefixed(t *testing.T) *prefixFS {
 	t.Helper()
 	return &prefixFS{dir: t.TempDir()}
 }

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"syscall"
 )
 
 // MemFS is an in-memory filesystem with crash semantics: every file
@@ -160,11 +161,20 @@ func (m *MemFS) Remove(name string) error {
 	return nil
 }
 
-// MkdirAll implements FS.
+// MkdirAll implements FS. Like os.MkdirAll it fails with ENOTDIR,
+// naming the file, when path or one of its parents is a file.
 func (m *MemFS) MkdirAll(path string, _ os.FileMode) error {
 	path = clean(path)
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	for p := path; ; p = filepath.Dir(p) {
+		if _, ok := m.files[p]; ok {
+			return &fs.PathError{Op: "mkdir", Path: p, Err: syscall.ENOTDIR}
+		}
+		if p == filepath.Dir(p) {
+			break
+		}
+	}
 	for p := path; ; p = filepath.Dir(p) {
 		m.dirs[p] = true
 		if p == filepath.Dir(p) {

@@ -174,13 +174,13 @@ func seedVocabulary(msgs []*tweet.Message) {
 func checkpointFrames(t *testing.T, ckpt []byte) string {
 	const head = 9 // magic and version
 	r := bytes.NewReader(ckpt[head:])
-	header, err := recfile.ReadFrame(r, recfile.Castagnoli, len(ckpt))
+	header, err := recfile.ReadFrame(r, len(ckpt))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var frames []string
 	for r.Len() > 0 {
-		f, err := recfile.ReadFrame(r, recfile.Castagnoli, len(ckpt))
+		f, err := recfile.ReadFrame(r, len(ckpt))
 		if err != nil {
 			t.Fatal(err)
 		}

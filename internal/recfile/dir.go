@@ -168,7 +168,7 @@ func (d *Dir) Scan(seg int, off int64, tolerateTail bool, fn RecordFunc) (int64,
 	}
 	r := bufio.NewReaderSize(f, 1<<16)
 	for {
-		payload, err := ReadFrame(r, Castagnoli, d.format.MaxRecord)
+		payload, err := ReadFrame(r, d.format.MaxRecord)
 		if err == io.EOF {
 			return off, nil
 		}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"testing"
@@ -18,9 +17,10 @@ func format(magic string, maxRecord int) *Format {
 	return &Format{Pkg: "test", Magic: [8]byte([]byte(magic)), Name: "t-%06d.rec", MaxRecord: maxRecord, Corrupt: errTestCorrupt}
 }
 
-// testFormat stands in for a caller's layout; walLike and segLike carry
-// the real magics so the golden files of those packages scan.
-var testFormat, walLike, segLike = format("PROVTST1", 1<<10), format("PROVWAL1", 1<<16), format("PROVSEG1", 1<<16)
+// testFormat stands in for a caller's layout; walLike, segLike and
+// cutLike carry the real magics so the golden files of those packages
+// scan.
+var testFormat, walLike, segLike, cutLike = format("PROVTST1", 1<<10), format("PROVWAL1", 1<<16), format("PROVSEG1", 1<<16), format("PROVCUT1", 1<<16)
 
 // open opens "d" on fsys and returns what the scan delivered.
 func open(t *testing.T, fsys fsx.FS) (*Dir, int64, []string) {
@@ -42,7 +42,7 @@ func add(t *testing.T, d *Dir, size int64, from, to int) int64 {
 	t.Helper()
 	for i := from; i < to; i++ {
 		frame := append(BeginFrame(nil), fmt.Sprintf("record %d", i)...)
-		EndFrame(frame, 0, Castagnoli)
+		EndFrame(frame, 0)
 		if _, err := d.File().Write(frame); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
@@ -53,13 +53,13 @@ func add(t *testing.T, d *Dir, size int64, from, to int) int64 {
 
 func TestFrameRoundTripAndDamage(t *testing.T) {
 	frame := append(BeginFrame([]byte("before")), "payload"...)
-	EndFrame(frame, len("before"), crc32.IEEETable)
+	EndFrame(frame, len("before"))
 	frame = frame[len("before"):]
 	r := bytes.NewReader(frame)
-	if p, err := ReadFrame(r, crc32.IEEETable, 16); err != nil || string(p) != "payload" {
+	if p, err := ReadFrame(r, 16); err != nil || string(p) != "payload" {
 		t.Fatalf("ReadFrame = %q, %v", p, err)
 	}
-	if _, err := ReadFrame(r, crc32.IEEETable, 16); err != io.EOF {
+	if _, err := ReadFrame(r, 16); err != io.EOF {
 		t.Fatalf("at the end: %v, want bare io.EOF", err)
 	}
 	flipped := append([]byte(nil), frame...)
@@ -73,13 +73,8 @@ func TestFrameRoundTripAndDamage(t *testing.T) {
 		"torn payload": {frame[:len(frame)-1], 16, errTornPayload},
 		"oversized":    {frame, 6, errOversized},
 		"bit flip":     {flipped, 16, errChecksum},
-		"other table":  {frame, 16, errChecksum},
 	} {
-		table := crc32.IEEETable
-		if name == "other table" {
-			table = Castagnoli
-		}
-		if _, err := ReadFrame(bytes.NewReader(tc.data), table, tc.max); err != tc.want {
+		if _, err := ReadFrame(bytes.NewReader(tc.data), tc.max); err != tc.want {
 			t.Errorf("%s: %v, want %v", name, err, tc.want)
 		}
 	}
@@ -258,13 +253,13 @@ func TestRewindRepairsTailOrLatchesBroken(t *testing.T) {
 }
 
 // FuzzScan feeds arbitrary bytes to the shared scanner as one file, in
-// the WAL's and the store's magic, and to the bare frame loop the round
-// ledger uses. Contract: never a panic; a tolerated tail yields a valid
+// the WAL's, the store's and the round ledger's magic. Contract: never
+// a panic; a tolerated tail yields a valid
 // prefix — cut there, the file scans clean, strictly, with the same
 // records; a sealed (strict) scan either covers the whole file or fails
 // as corrupt.
 func FuzzScan(f *testing.F) {
-	for _, name := range []string{"../wal/testdata/golden_pr14.wal", "../storage/testdata/golden_pr16.bls", "../shard/testdata/golden_pr16.ledger"} {
+	for _, name := range []string{"../wal/testdata/golden_pr14.wal", "../storage/testdata/golden_pr16.bls", "../shard/testdata/golden_cuts.log"} {
 		data, err := os.ReadFile(name)
 		if err != nil {
 			f.Fatal(err)
@@ -283,7 +278,7 @@ func FuzzScan(f *testing.F) {
 	f.Add([]byte("garbage bytes")) // bad magic
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, format := range []*Format{walLike, segLike} {
+		for _, format := range []*Format{walLike, segLike, cutLike} {
 			mem := fsx.NewMem()
 			mem.WriteFile("d/t-000001.rec", data)
 			d := &Dir{fs: mem, path: "d", format: format}
@@ -306,12 +301,6 @@ func FuzzScan(f *testing.F) {
 			mem.WriteFile("d/t-000001.rec", data[:size])
 			if n, err := d.Scan(1, 0, false, count(&strict)); err != nil || n != size || strict != tolerated {
 				t.Fatalf("the valid prefix scans to %d with %d records, %v; want %d with %d", n, strict, err, size, tolerated)
-			}
-		}
-		r := bytes.NewReader(data)
-		for {
-			if _, err := ReadFrame(r, crc32.IEEETable, 1<<20); err != nil {
-				break
 			}
 		}
 	})

@@ -58,11 +58,11 @@ func appendBatch(buf []byte, b wal.Batch) []byte {
 	buf = binary.AppendUvarint(buf, uint64(b.Next.Seg))
 	buf = binary.AppendUvarint(buf, uint64(b.Next.Off))
 	buf = binary.AppendUvarint(buf, uint64(len(b.Records)))
-	recfile.EndFrame(buf, at, recfile.Castagnoli)
+	recfile.EndFrame(buf, at)
 	for _, rec := range b.Records {
 		at = len(buf)
 		buf = append(recfile.BeginFrame(buf), rec...)
-		recfile.EndFrame(buf, at, recfile.Castagnoli)
+		recfile.EndFrame(buf, at)
 	}
 	return buf
 }
@@ -75,7 +75,7 @@ func appendBatch(buf []byte, b wal.Batch) []byte {
 // of the damage; an error from fn is returned as-is. Lengths are capped
 // before allocation, so hostile input cannot panic it.
 func readBatch(r io.Reader, fn func(payload []byte) error) (synced uint64, next wal.Cursor, err error) {
-	p, err := recfile.ReadFrame(r, recfile.Castagnoli, maxStreamHeader)
+	p, err := recfile.ReadFrame(r, maxStreamHeader)
 	if err != nil {
 		return 0, wal.Cursor{}, fmt.Errorf("repl: stream header: %w", err)
 	}
@@ -85,7 +85,7 @@ func readBatch(r io.Reader, fn func(payload []byte) error) (synced uint64, next 
 		return 0, wal.Cursor{}, errors.New("repl: malformed stream header")
 	}
 	for i := uint64(0); i < count; i++ {
-		p, err := recfile.ReadFrame(r, recfile.Castagnoli, wal.MaxRecordLen)
+		p, err := recfile.ReadFrame(r, wal.MaxRecordLen)
 		if err != nil {
 			return 0, wal.Cursor{}, fmt.Errorf("repl: record %d of %d: %w", i+1, count, err)
 		}

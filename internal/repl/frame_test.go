@@ -84,7 +84,7 @@ func TestStreamRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	header, err := recfile.ReadFrame(bytes.NewReader(wire), recfile.Castagnoli, maxStreamHeader)
+	header, err := recfile.ReadFrame(bytes.NewReader(wire), maxStreamHeader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestStreamEmptyBatch(t *testing.T) {
 func TestStreamTruncationNeverDecodes(t *testing.T) {
 	records := sampleRecords(3)
 	wire := appendBatch(nil, wal.Batch{Records: records, Synced: 3})
-	header, err := recfile.ReadFrame(bytes.NewReader(wire), recfile.Castagnoli, maxStreamHeader)
+	header, err := recfile.ReadFrame(bytes.NewReader(wire), maxStreamHeader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestStreamRecordErrorPropagates(t *testing.T) {
 
 func TestStreamOversizedFrameRejected(t *testing.T) {
 	wire := appendBatch(nil, wal.Batch{Records: sampleRecords(1), Synced: 1})
-	header, err := recfile.ReadFrame(bytes.NewReader(wire), recfile.Castagnoli, maxStreamHeader)
+	header, err := recfile.ReadFrame(bytes.NewReader(wire), maxStreamHeader)
 	if err != nil {
 		t.Fatal(err)
 	}

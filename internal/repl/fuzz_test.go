@@ -31,7 +31,7 @@ func FuzzFrameDecoder(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := decodeStream(data)
-		if header, herr := recfile.ReadFrame(bytes.NewReader(data), recfile.Castagnoli, maxStreamHeader); herr == nil {
+		if header, herr := recfile.ReadFrame(bytes.NewReader(data), maxStreamHeader); herr == nil {
 			c := recfile.NewCursor(header)
 			c.Uvarint()
 			c.Uvarint()

@@ -1,6 +1,6 @@
 // Durable sharding: N pipeline.Durable shells (one WAL segment and
-// checkpoint file per shard) coordinated by the round ledger and a
-// manifest, so a crash anywhere recovers to an exact stream prefix.
+// checkpoint file per shard) coordinated by the round ledger, so a
+// crash anywhere recovers to an exact stream prefix.
 //
 // On-disk layout under DurableOptions.Dir:
 //
@@ -8,22 +8,21 @@
 //	shard-000/wal/          per-shard write-ahead log
 //	shard-000/store/        per-shard bundle store (optional)
 //	shard-001/...
-//	rounds.ledger           consistent cuts (see ledger.go)
 //
-// plus the manifest at DurableOptions.ManifestPath: shard count,
-// global sequence and per-shard counts at the last checkpoint barrier,
-// written atomically (fsx.WriteAtomic) AFTER every shard's
-// checkpoint and BEFORE the ledger reset. That ordering makes each
-// crash window recoverable:
+// plus the round ledger at DurableOptions.ManifestPath, a directory of
+// consistent cuts (see ledger.go). The newest intact cut decides what
+// recovery replays, and when there is none nothing was acknowledged. A
+// round appends its cut; the checkpoint barrier writes every shard's
+// checkpoint, then truncates the ledger to one new file holding the
+// barrier's cut. Each crash window recovers:
 //
 //   - mid-round: the ledger's newest cut predates the torn round;
 //     recovery trims every shard's WAL replay to its watermark.
-//   - mid-barrier, before the manifest: shards with the new checkpoint
-//     recovered it (it matches the barrier cut exactly — the barrier
-//     runs between rounds); shards without it replay their WAL to the
-//     same cut, which the ledger still holds.
-//   - after the manifest, before the ledger reset: the stale cuts are
-//     at or below the manifest's global sequence and are ignored.
+//   - mid-barrier: shards with the new checkpoint recovered it (it
+//     matches the barrier cut exactly — the barrier runs between
+//     rounds, so the cut is the last round's); shards without it replay
+//     their WAL to the same cut, which the old file ends in until the
+//     new file's cut is synced, and the new file holds after.
 //
 // Recovery finishes with a full checkpoint barrier of its own, which
 // truncates the trimmed WAL tails before any new append could re-issue
@@ -32,11 +31,8 @@
 package shard
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
 	"path/filepath"
 	"time"
 
@@ -49,26 +45,15 @@ import (
 	"provex/internal/wal"
 )
 
-// manifestVersion guards the manifest schema.
-const manifestVersion = 1
-
-// manifest is the barrier-consistent summary of the sharded state.
-type manifest struct {
-	Version int      `json:"version"`
-	Shards  int      `json:"shards"`
-	Global  uint64   `json:"global_seq"`
-	Counts  []uint64 `json:"shard_counts"`
-}
-
 // DurableOptions configure OpenDurable.
 type DurableOptions struct {
 	// FS is the filesystem all durable state goes through; nil uses the
 	// real one.
 	FS fsx.FS
-	// Dir is the shard state root (per-shard subdirectories plus the
-	// round ledger).
+	// Dir is the shard state root: one subdirectory per shard.
 	Dir string
-	// ManifestPath is the manifest file.
+	// ManifestPath is the round ledger's directory (ledger.go), which
+	// also pins the shard count.
 	ManifestPath string
 	// WALSyncEvery is each shard WAL's batching cadence; the round
 	// commit ends with an explicit sync regardless, so this only
@@ -83,8 +68,6 @@ type DurableOptions struct {
 // the coordinated checkpoint barrier.
 type Durable struct {
 	*Engine
-	fs     fsx.FS
-	dopts  DurableOptions
 	stores []*storage.Store // stores this Durable opened (closed by Close)
 
 	ckpts       metrics.Counter
@@ -92,7 +75,7 @@ type Durable struct {
 }
 
 // barrierBounds bucket checkpoint-barrier latency (ns) from 1ms to a
-// minute: N checkpoints + a manifest + a ledger reset per observation.
+// minute: N checkpoints + a ledger truncate per observation.
 var barrierBounds = []int64{
 	1e6, 5e6, 25e6, 1e8, 5e8, 2_500e6, 10_000e6, 60_000e6,
 }
@@ -105,8 +88,8 @@ func shardDir(root string, i int) string {
 // dopts and recovers it to the newest consistent cut: each shard loads
 // its checkpoint and replays its WAL no further than the cut's
 // watermark, then a full checkpoint barrier persists the recovered
-// state and clears the trimmed tails. The manifest pins the shard
-// count — reopening with a different opts.Shards is an error
+// state and clears the trimmed tails. The cut's shard count is the
+// state's — reopening with a different opts.Shards is an error
 // (resharding is not supported; DESIGN.md §2i).
 func OpenDurable(cfg core.Config, opts Options, dopts DurableOptions) (*Durable, error) {
 	opts = opts.normalized()
@@ -114,44 +97,22 @@ func OpenDurable(cfg core.Config, opts Options, dopts DurableOptions) (*Durable,
 	if dopts.Dir == "" || dopts.ManifestPath == "" {
 		return nil, errors.New("shard: durable: Dir and ManifestPath are required")
 	}
-	if err := fsys.MkdirAll(dopts.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("shard: durable: %w", err)
-	}
 	n := opts.Shards
 
-	man, haveMan, err := readManifest(fsys, dopts.ManifestPath)
+	led, cut, err := openLedger(fsys, dopts.ManifestPath)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("shard: durable: %w", err)
 	}
-	if haveMan && man.Shards != n {
-		return nil, fmt.Errorf("shard: durable: state has %d shards, opened with %d (resharding is not supported)", man.Shards, n)
+	if cut.watermarks != nil && len(cut.watermarks) != n {
+		led.close()
+		return nil, fmt.Errorf("shard: durable: state has %d shards, opened with %d (resharding is not supported)", len(cut.watermarks), n)
 	}
-
-	led, cut, haveCut, err := openLedger(fsys, filepath.Join(dopts.Dir, "rounds.ledger"))
-	if err != nil {
-		return nil, err
-	}
-
-	// The recovery cut: the ledger's newest record when it postdates
-	// the last barrier, else the barrier itself (manifest counts), else
-	// nothing durable (zeros).
+	// The recovery cut: the ledger's newest, else nothing was ever
+	// acknowledged (zeros).
 	limits := make([]uint64, n)
-	switch {
-	case haveCut && cut.global > man.Global:
-		if len(cut.watermarks) != n {
-			led.close()
-			return nil, fmt.Errorf("shard: durable: ledger cut has %d shards, state has %d", len(cut.watermarks), n)
-		}
-		copy(limits, cut.watermarks)
-	case haveMan:
-		copy(limits, man.Counts)
-	}
+	copy(limits, cut.watermarks)
 
-	d := &Durable{
-		fs:          fsys,
-		dopts:       dopts,
-		barrierHist: metrics.NewHistogram(barrierBounds...),
-	}
+	d := &Durable{barrierHist: metrics.NewHistogram(barrierBounds...)}
 	states := make([]*shardState, n)
 	fail := func(err error) (*Durable, error) {
 		led.close()
@@ -232,10 +193,9 @@ func (d *Durable) Replayed() int {
 
 // Checkpoint flushes any buffered round, then runs the coordinated
 // barrier: every shard drains its flush retries and checkpoints (store
-// sync, atomic checkpoint write, WAL truncate) in parallel, the
-// manifest records the new cut atomically, and the ledger resets. A
-// crash at any point recovers to either the previous cut or this one
-// (see the file comment's window analysis).
+// sync, atomic checkpoint write, WAL truncate) in parallel, then the
+// ledger is truncated to the barrier's cut. A crash at any point
+// recovers to that cut (see the file comment's window analysis).
 //
 // It is the two steps below back to back; a Service runs them under
 // different locks.
@@ -270,14 +230,7 @@ func (d *Durable) persistCheckpoint() error {
 			return fmt.Errorf("shard: checkpoint shard %d: %w", i, err)
 		}
 	}
-	man := manifest{Version: manifestVersion, Shards: len(d.shards), Global: d.global}
-	for _, sh := range d.shards {
-		man.Counts = append(man.Counts, uint64(sh.eng.Snapshot().Messages))
-	}
-	if err := writeManifest(d.fs, d.dopts.ManifestPath, man); err != nil {
-		return err
-	}
-	if err := d.led.reset(); err != nil {
+	if err := d.led.truncate(d.global, d.watermarks()); err != nil {
 		return err
 	}
 	d.ckpts.Inc()
@@ -309,7 +262,7 @@ func (d *Durable) RegisterMetrics(reg *metrics.Registry) {
 	reg.RegisterCounter("provex_shard_checkpoints_total",
 		"Coordinated checkpoint barriers completed across all shards.", &d.ckpts)
 	reg.RegisterHistogram("provex_shard_checkpoint_barrier_seconds",
-		"Latency of the coordinated checkpoint barrier (per-shard checkpoints, manifest write, ledger reset).",
+		"Latency of the coordinated checkpoint barrier (per-shard checkpoints, ledger truncate).",
 		d.barrierHist, 1e9)
 }
 
@@ -317,14 +270,8 @@ func (d *Durable) RegisterMetrics(reg *metrics.Registry) {
 // Durable opened. It does NOT checkpoint — un-checkpointed rounds
 // recover from the WALs and ledger.
 func (d *Durable) Close() error {
-	var first error
-	if d.Engine != nil {
-		d.closeShards(d.shards)
-		if err := d.led.close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	d.closeShards(d.shards)
+	return d.led.close()
 }
 
 // closeShards releases per-shard resources for whichever states were
@@ -339,37 +286,4 @@ func (d *Durable) closeShards(states []*shardState) {
 		st.Close()
 	}
 	d.stores = nil
-}
-
-// readManifest loads the manifest; a missing file is a fresh state.
-func readManifest(fsys fsx.FS, path string) (manifest, bool, error) {
-	f, err := fsys.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return manifest{}, false, nil
-	}
-	if err != nil {
-		return manifest{}, false, fmt.Errorf("shard: manifest: %w", err)
-	}
-	defer f.Close()
-	var m manifest
-	if err := json.NewDecoder(f).Decode(&m); err != nil {
-		return manifest{}, false, fmt.Errorf("shard: manifest: decode: %w", err)
-	}
-	if m.Version != manifestVersion {
-		return manifest{}, false, fmt.Errorf("shard: manifest: unsupported version %d", m.Version)
-	}
-	if len(m.Counts) != m.Shards {
-		return manifest{}, false, fmt.Errorf("shard: manifest: %d counts for %d shards", len(m.Counts), m.Shards)
-	}
-	return m, true, nil
-}
-
-// writeManifest persists m atomically, so a reader never sees a partial
-// manifest.
-func writeManifest(fsys fsx.FS, path string, m manifest) error {
-	err := fsx.WriteAtomic(fsys, path, func(w io.Writer) error { return json.NewEncoder(w).Encode(m) })
-	if err != nil {
-		return fmt.Errorf("shard: manifest: %w", err)
-	}
-	return nil
 }

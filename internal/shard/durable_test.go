@@ -2,18 +2,21 @@ package shard
 
 // Durable sharding: recovery equals per-shard checkpoint + WAL replay
 // trimmed to the round ledger's newest consistent cut; acknowledged
-// rounds survive crashes exactly; the manifest pins the shard count.
+// rounds survive crashes exactly; the ledger's cut pins the shard count.
 
 import (
 	"bytes"
 	"errors"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
+	"syscall"
 	"testing"
 
 	"provex/internal/core"
 	"provex/internal/fsx"
+	"provex/internal/recfile"
 	"provex/internal/score"
 	"provex/internal/tweet"
 )
@@ -22,7 +25,7 @@ func testDurableOpts(fs fsx.FS) DurableOptions {
 	return DurableOptions{
 		FS:           fs,
 		Dir:          "shards",
-		ManifestPath: "manifest.json",
+		ManifestPath: "ledger",
 		WALSyncEvery: 1,
 	}
 }
@@ -190,6 +193,13 @@ func TestShardedBarrierDiskFull(t *testing.T) {
 func TestShardedReshardingRefused(t *testing.T) {
 	mem := fsx.NewMem()
 	cfg := core.PartialIndexConfig(300)
+	reshard := func(when string) {
+		t.Helper()
+		_, err := OpenDurable(cfg, Options{Shards: 3, Batch: 16}, testDurableOpts(mem))
+		if err == nil || !strings.Contains(err.Error(), "resharding") {
+			t.Fatalf("reopen with different shard count %s: err = %v, want resharding refusal", when, err)
+		}
+	}
 	d, err := OpenDurable(cfg, Options{Shards: 2, Batch: 16}, testDurableOpts(mem))
 	if err != nil {
 		t.Fatal(err)
@@ -198,9 +208,66 @@ func TestShardedReshardingRefused(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, err = OpenDurable(cfg, Options{Shards: 3, Batch: 16}, testDurableOpts(mem))
-	if err == nil || !strings.Contains(err.Error(), "resharding") {
-		t.Fatalf("reopen with different shard count: err = %v, want resharding refusal", err)
+	reshard("after rounds")
+	// The recovery barrier leaves a ledger holding its cut alone.
+	if d, err = OpenDurable(cfg, Options{Shards: 2, Batch: 16}, testDurableOpts(mem)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reshard("right after a barrier")
+}
+
+// TestShardedManifestFileRefused opens a state whose ManifestPath is a
+// file — the JSON manifest an older layout kept there — over shard WALs
+// that hold records: the open fails before it wipes anything, and every
+// file keeps its bytes.
+func TestShardedManifestFileRefused(t *testing.T) {
+	manifest, err := os.ReadFile("testdata/golden_pr16.manifest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := fsx.NewMem()
+	cfg := core.PartialIndexConfig(300)
+	opts := Options{Shards: 2, Batch: 16}
+	elsewhere := testDurableOpts(mem)
+	elsewhere.ManifestPath = "cuts"
+	d, err := OpenDurable(cfg, opts, elsewhere)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(t, d, genMessages(41, 200))
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mem.WriteFile("ledger", manifest)
+	files := func() map[string]string {
+		m := map[string]string{}
+		data, _ := mem.ReadFile("ledger")
+		m["ledger"] = string(data)
+		for i := range opts.Shards {
+			dir := filepath.Join(shardDir("shards", i), "wal")
+			names, _ := mem.ReadDir(dir)
+			for _, name := range names {
+				data, _ := mem.ReadFile(filepath.Join(dir, name))
+				m[filepath.Join(dir, name)] = string(data)
+			}
+		}
+		return m
+	}
+	before := files()
+	for name, data := range before {
+		if len(data) <= recfile.MagicSize {
+			t.Fatalf("%s holds no record, so the test checks no wipe", name)
+		}
+	}
+
+	if _, err := OpenDurable(cfg, opts, testDurableOpts(mem)); !errors.Is(err, syscall.ENOTDIR) {
+		t.Fatalf("open over a manifest file: err = %v, want ENOTDIR", err)
+	}
+	if after := files(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("the refused open changed the state: %d files before, %d after", len(before), len(after))
 	}
 }
 
@@ -243,34 +310,34 @@ func TestShardedTornRoundTrimmed(t *testing.T) {
 	}
 }
 
-// TestGoldenLedgerAndManifest pins the two files the sharded barrier
-// writes across the move to the shared frame (one write per cut) and
-// fsx.WriteAtomic: files written by the previous implementation read
-// back here, and the same calls write the same bytes here.
-func TestGoldenLedgerAndManifest(t *testing.T) {
-	mem := fsx.NewMem()
-	golden := map[string][]byte{}
-	for _, name := range []string{"ledger", "manifest"} {
-		data, err := os.ReadFile("testdata/golden_pr16." + name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		golden[name] = data
-		mem.WriteFile("old."+name, data)
+// TestGoldenLedger pins the round ledger's bytes: a cut file written
+// once reads back to its newest cut, one more record that does not
+// decode is refused, and the same appends on a fresh ledger write the
+// file again byte for byte.
+func TestGoldenLedger(t *testing.T) {
+	golden, err := os.ReadFile("testdata/golden_cuts.log")
+	if err != nil {
+		t.Fatal(err)
 	}
+	mem := fsx.NewMem()
+	mem.WriteFile("old/cut-000001.log", golden)
 	cuts := []ledgerCut{{10, []uint64{4, 6}}, {25, []uint64{12, 13}}, {300, []uint64{150, 150}}}
-	man := manifest{Version: manifestVersion, Shards: 2, Global: 300, Counts: []uint64{150, 150}}
 
-	old, cut, ok, err := openLedger(mem, "old.ledger")
-	if err != nil || !ok || !reflect.DeepEqual(cut, cuts[2]) {
-		t.Fatalf("golden ledger: newest cut %+v, ok %v, err %v; want %+v", cut, ok, err, cuts[2])
+	old, cut, err := openLedger(mem, "old")
+	if err != nil || !reflect.DeepEqual(cut, cuts[2]) {
+		t.Fatalf("golden ledger: newest cut %+v, err %v; want %+v", cut, err, cuts[2])
 	}
 	old.close()
-	if got, ok, err := readManifest(mem, "old.manifest"); err != nil || !ok || !reflect.DeepEqual(got, man) {
-		t.Fatalf("golden manifest: %+v, ok %v, err %v; want %+v", got, ok, err, man)
+	// A cut with a trailing byte is an intact record that does not
+	// decode: corruption, never the previous cut.
+	bad := append(recfile.BeginFrame(nil), 0x0a, 0x02, 0x04, 0x06, 0x00)
+	recfile.EndFrame(bad, 0)
+	mem.WriteFile("bad/cut-000001.log", append(golden, bad...))
+	if _, _, err := openLedger(mem, "bad"); !errors.Is(err, errCorruptLedger) {
+		t.Fatalf("a cut with trailing bytes: err = %v, want errCorruptLedger", err)
 	}
 
-	l, _, _, err := openLedger(mem, "new.ledger")
+	l, _, err := openLedger(mem, "new")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,12 +347,7 @@ func TestGoldenLedgerAndManifest(t *testing.T) {
 		}
 	}
 	l.close()
-	if err := writeManifest(mem, "new.manifest", man); err != nil {
-		t.Fatal(err)
-	}
-	for name, want := range golden {
-		if got, _ := mem.ReadFile("new." + name); !bytes.Equal(got, want) {
-			t.Errorf("the same calls wrote a %s of %d bytes that differs from the %d-byte golden file", name, len(got), len(want))
-		}
+	if got, _ := mem.ReadFile("new/cut-000001.log"); !bytes.Equal(got, golden) {
+		t.Errorf("the same appends wrote %d bytes that differ from the %d-byte golden file", len(got), len(golden))
 	}
 }

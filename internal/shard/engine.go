@@ -453,14 +453,18 @@ func (e *Engine) resolve(batch []core.Prepared) error {
 	// extended the durable prefix to. Only after it lands is the round
 	// acknowledged.
 	if e.led != nil {
-		for i, sh := range e.shards {
-			e.marks[i] = sh.dur.Seq()
-		}
-		if err := e.led.append(e.global, e.marks); err != nil {
-			return err
-		}
+		return e.led.append(e.global, e.watermarks())
 	}
 	return nil
+}
+
+// watermarks is every shard's local WAL sequence, the per-shard half of
+// a ledger cut, in the engine's scratch.
+func (e *Engine) watermarks() []uint64 {
+	for i, sh := range e.shards {
+		e.marks[i] = sh.dur.Seq()
+	}
+	return e.marks
 }
 
 // winner is the reduce step for batched message mi: the shard whose

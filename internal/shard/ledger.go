@@ -1,6 +1,6 @@
 // Round ledger: the durable record of completed two-phase rounds. One
 // fixed-layout record is appended and fsynced after each round's WAL
-// appends are synced on every shard; the newest valid record therefore
+// appends are synced on every shard; the newest intact record therefore
 // names a globally consistent cut — "the stream prefix up to global
 // sequence G is fully durable, and shard s's share of it ends at local
 // WAL sequence W[s]".
@@ -12,13 +12,14 @@
 // is exactly a stream prefix, which is what lets a feeder resume from
 // "total recovered messages" with no duplicates and no holes.
 //
-// The file is a bare sequence of recfile frames (CRC32-IEEE, no magic);
-// the payload is uvarints: global seq, shard count, then one local
-// watermark per shard. A torn tail — the crash hit mid-append —
-// invalidates only the final frame; earlier frames still parse, so the
-// ledger degrades to the previous round's cut, never to garbage. The
-// checkpoint barrier resets the ledger (all state is then covered by the
-// per-shard checkpoints and the manifest).
+// The ledger is a recfile.Dir (cut-000001.log, ...; its own magic,
+// CRC32C frames, torn-tail recovery); a record's payload is uvarints:
+// global seq, shard count, then one local watermark per shard. A torn
+// tail — the crash hit mid-append — is cut off at open, so the ledger
+// degrades to the previous round's cut, never to garbage; an intact
+// record that does not decode is corruption. The checkpoint barrier
+// truncates the ledger the way wal.Truncate does the log: a new file
+// holding only the barrier's cut, then the older files removed.
 
 package shard
 
@@ -26,9 +27,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"os"
 
 	"provex/internal/fsx"
 	"provex/internal/recfile"
@@ -41,6 +40,19 @@ const (
 	maxCutShards = 1 << 16
 )
 
+// errCorruptLedger reports a sealed ledger file that does not scan, or
+// an intact record in any file that does not decode.
+var errCorruptLedger = errors.New("shard: corrupt round ledger")
+
+// ledgerFormat is the on-disk layout of the ledger directory.
+var ledgerFormat = recfile.Format{
+	Pkg:       "shard: ledger",
+	Magic:     [8]byte{'P', 'R', 'O', 'V', 'C', 'U', 'T', '1'},
+	Name:      "cut-%06d.log",
+	MaxRecord: maxCutLen,
+	Corrupt:   errCorruptLedger,
+}
+
 // ledgerCut is one decoded ledger record: the consistent cut after a
 // completed round.
 type ledgerCut struct {
@@ -50,44 +62,27 @@ type ledgerCut struct {
 
 // ledger is the writer-side handle. Writer-goroutine only.
 type ledger struct {
-	f   fsx.File // opened for appending
-	buf []byte
+	dir  *recfile.Dir
+	size int64 // the active file's synced length
+	buf  []byte
 }
 
-// openLedger opens (creating if needed) the ledger for appends and
-// returns the newest valid cut, ok=false when the file is empty or
-// unreadable past frame zero.
-func openLedger(fsys fsx.FS, path string) (*ledger, ledgerCut, bool, error) {
-	cut, ok := ledgerCut{}, false
-	if f, err := fsys.Open(path); err == nil {
-		cut, ok = scanLedger(f)
-		f.Close()
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, ledgerCut{}, false, fmt.Errorf("shard: ledger open: %w", err)
-	}
-	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+// openLedger opens (creating if needed) the ledger directory at path
+// and returns the newest intact cut: the zero cut, nil watermarks, when
+// no file holds one.
+func openLedger(fsys fsx.FS, path string) (*ledger, ledgerCut, error) {
+	var cut ledgerCut
+	dir, size, err := recfile.Open(fsys, path, &ledgerFormat, func(_ int, _ int64, p []byte) error {
+		c, err := decodeCut(p)
+		if err == nil {
+			cut = c
+		}
+		return err
+	})
 	if err != nil {
-		return nil, ledgerCut{}, false, fmt.Errorf("shard: ledger open: %w", err)
+		return nil, ledgerCut{}, err
 	}
-	return &ledger{f: f}, cut, ok, nil
-}
-
-// scanLedger walks the frames and returns the last one that parses.
-// Torn or corrupt tails end the scan without error: the previous frame
-// is still a valid (if older) consistent cut.
-func scanLedger(r io.Reader) (ledgerCut, bool) {
-	cut, ok := ledgerCut{}, false
-	for {
-		payload, err := recfile.ReadFrame(r, crc32.IEEETable, maxCutLen)
-		if err != nil {
-			return cut, ok
-		}
-		c, err := decodeCut(payload)
-		if err != nil {
-			return cut, ok
-		}
-		cut, ok = c, true
-	}
+	return &ledger{dir: dir, size: size}, cut, nil
 }
 
 func decodeCut(p []byte) (ledgerCut, error) {
@@ -95,57 +90,64 @@ func decodeCut(p []byte) (ledgerCut, error) {
 	cut := ledgerCut{global: c.Uvarint()}
 	n := c.Uvarint()
 	if c.Err() != nil || n > maxCutShards {
-		return cut, errors.New("shard: ledger: bad global seq or shard count")
+		return cut, errors.New("bad global seq or shard count")
 	}
 	cut.watermarks = make([]uint64, n)
 	for i := range cut.watermarks {
 		cut.watermarks[i] = c.Uvarint()
 	}
 	if err := c.Err(); err != nil {
-		return cut, fmt.Errorf("shard: ledger: watermarks: %w", err)
+		return cut, fmt.Errorf("watermarks: %w", err)
+	}
+	if c.Rest() != 0 {
+		return cut, errors.New("trailing bytes")
 	}
 	return cut, nil
 }
 
 // append writes (one frame, one write) and fsyncs one cut. On error the
-// round is not acknowledged; a torn frame is tolerated by the next scan.
+// round is not acknowledged and the file is cut back to its synced
+// length (recfile.Dir.Rewind).
 func (l *ledger) append(global uint64, watermarks []uint64) error {
+	if err := l.dir.Broken(); err != nil {
+		return err
+	}
 	l.buf = recfile.BeginFrame(l.buf[:0])
 	l.buf = binary.AppendUvarint(l.buf, global)
 	l.buf = binary.AppendUvarint(l.buf, uint64(len(watermarks)))
 	for _, w := range watermarks {
 		l.buf = binary.AppendUvarint(l.buf, w)
 	}
-	recfile.EndFrame(l.buf, 0, crc32.IEEETable)
-	if _, err := l.f.Write(l.buf); err != nil {
-		return fmt.Errorf("shard: ledger append: %w", err)
+	recfile.EndFrame(l.buf, 0)
+	n, err := l.dir.File().Write(l.buf)
+	if err == nil && n < len(l.buf) {
+		err = io.ErrShortWrite
 	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("shard: ledger sync: %w", err)
-	}
-	return nil
-}
-
-// reset empties the ledger after a checkpoint barrier: everything it
-// recorded is now covered by the per-shard checkpoints + manifest. A
-// crash mid-reset leaves either the old frames (stale — recovery
-// ignores cuts at or below the manifest's global seq) or an empty file;
-// both recover correctly. The handle appends, so the next cut lands at
-// the new end.
-func (l *ledger) reset() error {
-	err := l.f.Truncate(0)
 	if err == nil {
-		err = l.f.Sync()
+		err = l.dir.Sync()
 	}
 	if err != nil {
-		return fmt.Errorf("shard: ledger reset: %w", err)
+		l.dir.Rewind(l.size)
+		return fmt.Errorf("shard: ledger append: %w", err)
 	}
+	l.size += int64(len(l.buf))
 	return nil
 }
 
-func (l *ledger) close() error {
-	if l == nil || l.f == nil {
-		return nil
+// truncate is the barrier's ledger step: a new file holding only the
+// barrier's cut, then the older files removed. The barrier runs between
+// rounds, so its cut equals the last round's: until the new file's cut
+// is synced the old file ends in that same cut, and a file left behind
+// by a failed remove only scans first and loses to it.
+func (l *ledger) truncate(global uint64, watermarks []uint64) error {
+	if err := l.dir.CreateNext(); err != nil {
+		return err
 	}
-	return l.f.Close()
+	l.size = recfile.MagicSize
+	if err := l.append(global, watermarks); err != nil {
+		return err
+	}
+	return l.dir.RemoveBefore(l.dir.Seg())
 }
+
+func (l *ledger) close() error { return l.dir.Close() }

@@ -3,14 +3,14 @@ package shard
 // Crash-torture capstone, one seeded driver over both durable backends:
 // ingest a fixed stream under randomized frozen fault injection — every
 // mutating filesystem op (on the serial node's WAL, checkpoint and
-// store; on any shard's, the manifest or the round ledger) is a
-// potential failure point; each failure is followed by a simulated
-// crash (the in-memory disk reverts to its last-synced image) and a
-// fresh recovery — and assert the final state is IDENTICAL, engine by
-// engine, to an uninterrupted run over the same stream. For the sharded
-// backend this exercises every barrier window: crashes land mid-round
-// (ledger trim), mid-barrier (mixed old/new shard checkpoints) and
-// post-manifest (stale ledger cuts ignored).
+// store; on any shard's, or the round ledger's files) is a potential
+// failure point; each failure is followed by a simulated crash (the
+// in-memory disk reverts to its last-synced image) and a fresh
+// recovery — and assert the final state is IDENTICAL, engine by engine,
+// to an uninterrupted run over the same stream. For the sharded backend
+// this exercises every barrier window: crashes land mid-round (ledger
+// trim) and mid-barrier (mixed old/new shard checkpoints, the ledger's
+// new file not yet holding the barrier's cut).
 //
 // The resume contract under test is the strong one: recovery always
 // lands on an exact stream prefix, so the feeder resumes from applied()

@@ -151,7 +151,7 @@ func (s *Store) appendLocked(b *bundle.Bundle) (recordPos, error) {
 		}
 	}
 	s.frame = b.AppendMarshal(recfile.BeginFrame(s.frame[:0]))
-	recfile.EndFrame(s.frame, 0, recfile.Castagnoli)
+	recfile.EndFrame(s.frame, 0)
 	if _, err := s.segs.File().Write(s.frame); err != nil {
 		// Without the rewind a retried Put would start behind a dangling
 		// partial record.
@@ -214,7 +214,7 @@ func (s *Store) readAt(pos recordPos) (*bundle.Bundle, error) {
 	}
 	defer f.Close()
 	frame := io.NewSectionReader(f, pos.offset, pos.size())
-	payload, err := recfile.ReadFrame(frame, recfile.Castagnoli, int(pos.length))
+	payload, err := recfile.ReadFrame(frame, int(pos.length))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v for segment %d offset %d", ErrCorrupt, err, pos.seg, pos.offset)
 	}

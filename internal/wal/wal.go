@@ -260,7 +260,7 @@ func (l *Log) Append(seq uint64, m *score.Msg) error {
 	start := time.Now()
 	at := len(l.batch)
 	l.batch = AppendRecord(recfile.BeginFrame(l.batch), seq, m)
-	recfile.EndFrame(l.batch, at, recfile.Castagnoli)
+	recfile.EndFrame(l.batch, at)
 	l.encode += time.Since(start)
 	l.size.Add(int64(len(l.batch) - at))
 	l.lastSeq = seq
