@@ -8,6 +8,9 @@ package provex_test
 // states — live, after a restart from the final checkpoint, and after
 // a restart that replays the write-ahead log alone — and compares the
 // SHA-256 of every response body with testdata/answers/seed1-20k.txt.
+// The corpus also pins the SHA-256 of each checkpoint file the live
+// node's final checkpoint wrote: checkpoint bytes are a function of the
+// stream.
 //
 // Re-pin after a change that means to move an answer with
 //
@@ -170,6 +173,32 @@ func answerLines(t *testing.T, state string, nd answerNode, reqs []string) []str
 	return out
 }
 
+// checkpointLines returns one corpus line for every engine checkpoint
+// file under dir: its path and the SHA-256 of its bytes.
+func checkpointLines(t *testing.T, state, dir string) []string {
+	t.Helper()
+	var out []string
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".ckpt") {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		out = append(out, fmt.Sprintf("%s %s %d %x", state, filepath.ToSlash(rel), len(data), sha256.Sum256(data)))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) == 0 {
+		t.Fatalf("%s: no checkpoint file under %s", state, dir)
+	}
+	return out
+}
+
 // snapshotDir copies dir to a fresh directory: the node's files as a
 // crash right now would leave them, every acknowledged record synced.
 func snapshotDir(t *testing.T, dir string) string {
@@ -216,7 +245,7 @@ func serialAnswers(t *testing.T, msgs []*tweet.Message) []string {
 		t.Fatal(err)
 	}
 	reqs := answerRequests(nd)
-	lines := answerLines(t, "shards1/live", nd, reqs)
+	lines := append(checkpointLines(t, "shards1/checkpoint-file", dir), answerLines(t, "shards1/live", nd, reqs)...)
 	if err := nd.close(); err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +282,7 @@ func shardedAnswers(t *testing.T, msgs []*tweet.Message) []string {
 		t.Fatal(err)
 	}
 	reqs := answerRequests(nd)
-	lines := answerLines(t, "shards2/live", nd, reqs)
+	lines := append(checkpointLines(t, "shards2/checkpoint-file", dir), answerLines(t, "shards2/live", nd, reqs)...)
 	if err := nd.close(); err != nil {
 		t.Fatal(err)
 	}

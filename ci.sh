@@ -436,6 +436,15 @@ go run ./cmd/provbench -figure fig13 -max 30000 -shards 4 -check-linear 1.5 -out
 go_lines() { find cmd internal -name '*.go' -not -path '*/testdata/*' "$@" -print0 | xargs -0 cat | wc -l; }
 echo "loc: non-test $(go_lines -not -name '*_test.go') test $(go_lines -name '*_test.go')"
 
+# Same answers, uncached: the pinned SHA-256 of every /search, /prov,
+# /trending and /bundle body of a seed-1 20 k durable node (live, after
+# a checkpoint restart, after a WAL-only replay; one and two shards) and
+# of its checkpoint files; two runs of one stream writing the same
+# checkpoint bytes; and every node's derived edge score against the
+# score its placement compared.
+go test -count=1 -run 'TestAnswerCorpus' .
+go test -count=1 -run 'TestCheckpointBytesAreAFunctionOfTheStream|TestEdgeScoreIsDerived' ./internal/core
+
 # The memory budgets, uncached, so every CI log carries the figures:
 # live heap bytes per ingested message of the serving shape, the
 # engine's cost model against its live heap, the message index's bytes

@@ -21,6 +21,7 @@ import (
 	"provex/internal/eval"
 	"provex/internal/gen"
 	"provex/internal/query"
+	"provex/internal/score"
 	"provex/internal/server"
 	"provex/internal/storage"
 	"provex/internal/stream"
@@ -187,7 +188,7 @@ func TestStoreRecoveryAfterEngineRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before[id] = b.AppendMarshal(nil)
+		before[id] = b.AppendMarshal(nil, score.DefaultMessageWeights())
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -206,7 +207,7 @@ func TestStoreRecoveryAfterEngineRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Get(%d) after reopen: %v", id, err)
 		}
-		if !bytes.Equal(b.AppendMarshal(nil), want) {
+		if !bytes.Equal(b.AppendMarshal(nil, score.DefaultMessageWeights()), want) {
 			t.Fatalf("bundle %d bytes differ after reopen", id)
 		}
 	}

@@ -23,16 +23,20 @@ import (
 // the disk back-end.
 type ID uint64
 
+// MaxID is the highest bundle ID: a bundle holds its ID in 4 bytes,
+// and the summary index a posting in 31 bits.
+const MaxID ID = 1<<31 - 1
+
 // NoParent marks a node with no provenance parent (the root of a trail).
 const NoParent int32 = -1
 
 // Node is one message inside a bundle with its provenance edge: the
-// Eq. 5 score of that edge, the index of its parent node, and the
-// Table II connection type. The Doc is one pointer to the message's
-// record, so the node packs into 24 bytes.
+// index of its parent node and the Table II connection type. The Doc is
+// one pointer to the message's record, so the node packs into 16 bytes.
+// The edge's Eq. 5 score is not stored: it is a function of the two
+// messages and the engine's weights (EdgeScore).
 type Node struct {
 	Doc    score.Doc
-	Score  float64
 	Parent int32
 	Conn   score.ConnectionType
 }
@@ -46,20 +50,29 @@ type Edge struct {
 
 // Bundle is Definition 3's message group. Not safe for concurrent use;
 // the engine serialises access.
+//
+// Most bundles never hold a second message, so the struct is a
+// per-message cost: its fields are ordered to fill the 80-byte size
+// class, and none holds what another derives (the start of the extent
+// is the first node's date while nodes are in date order).
 type Bundle struct {
-	id    ID
-	nodes []Node
+	nodes []Node // grown by appendGrown: capacity is a function of length
 
 	// The indicant summary (summary.go): the one node's record, a row
 	// table from two nodes, the index from PruneMinNodes up — never two.
 	rows []row
 	idx  *index
 
-	// Message-date extent (Algorithm 2 lines 8–13), in unix nanoseconds.
-	// end is also when the bundle last absorbed a message in stream time
-	// — Eq. 1's freshness and the date(B) of Equation 6.
-	start, end int64
-	closed     bool
+	// end is the newest message date, in unix nanoseconds: Algorithm 2's
+	// extent (lines 8–13, with StartDate), and when the bundle last
+	// absorbed a message in stream time — Eq. 1's freshness and the
+	// date(B) of Equation 6.
+	end int64
+
+	memBytes int64
+
+	id     uint32 // at most MaxID
+	closed bool
 
 	// timeOrdered reports that nodes were appended in non-decreasing
 	// message-date order, which makes node id order equal time order.
@@ -68,17 +81,19 @@ type Bundle struct {
 	// placement falls back from the time-bounded scan to the reference
 	// scan (prune.go).
 	timeOrdered bool
-
-	memBytes int64
 }
 
-// New creates an empty bundle.
+// New creates an empty bundle. An id of 0 or past MaxID panics: the
+// pool never allocates one, and decode refuses it.
 func New(id ID) *Bundle {
-	return &Bundle{id: id, memBytes: metrics.BundleBase, timeOrdered: true}
+	if id == 0 || id > MaxID {
+		panic(fmt.Sprintf("bundle: ID %d outside 1..%d", id, MaxID))
+	}
+	return &Bundle{id: uint32(id), memBytes: metrics.BundleBase, timeOrdered: true}
 }
 
 // ID returns the bundle identifier.
-func (b *Bundle) ID() ID { return b.id }
+func (b *Bundle) ID() ID { return ID(b.id) }
 
 // Size returns the number of messages in the bundle.
 func (b *Bundle) Size() int { return len(b.nodes) }
@@ -91,12 +106,37 @@ func (b *Bundle) Closed() bool { return b.closed }
 func (b *Bundle) Close() { b.closed = true }
 
 // StartDate and LastDate bound the message dates inside the bundle, in
-// unix nanoseconds (tweet.Time renders them).
-func (b *Bundle) StartDate() int64 { return b.start }
+// unix nanoseconds (tweet.Time renders them); both are 0 for an empty
+// bundle. While nodes are in date order the start is the first node's
+// date; otherwise it takes a scan.
+func (b *Bundle) StartDate() int64 {
+	if len(b.nodes) == 0 {
+		return 0
+	}
+	start := b.nodes[0].Doc.Date()
+	if !b.timeOrdered {
+		for _, n := range b.nodes[1:] {
+			start = min(start, n.Doc.Date())
+		}
+	}
+	return start
+}
 
 // Nodes exposes the node slice read-only by convention (callers must
 // not mutate). Index i is the node ID used in Parent links.
 func (b *Bundle) Nodes() []Node { return b.nodes }
+
+// EdgeScore is the Eq. 5 score of node i's provenance edge under w, 0
+// for a root: the score Algorithm 2 chose the parent by, when w are the
+// weights it placed the node under. Both scans compute it as
+// score.MessageSim does, so this is that same float64, bit for bit.
+func (b *Bundle) EdgeScore(w score.MessageWeights, i int) float64 {
+	n := b.nodes[i]
+	if n.Parent == NoParent {
+		return 0
+	}
+	return score.MessageSim(w, b.nodes[n.Parent].Doc, n.Doc).Total
+}
 
 // MemBytes is the analytic memory footprint estimate of the bundle.
 func (b *Bundle) MemBytes() int64 { return b.memBytes }
@@ -170,8 +210,7 @@ func (b *Bundle) addExhaustive(w score.MessageWeights, doc score.Doc, obs Parent
 			best, parent, conn = s, int32(i), c
 		}
 	}
-	node := Node{Doc: doc, Parent: parent, Score: best, Conn: conn}
-	b.nodes = append(b.nodes, node)
+	b.nodes = appendGrown(b.nodes, Node{Doc: doc, Parent: parent, Conn: conn}, metrics.NodeBase)
 	b.absorb(doc)
 	return len(b.nodes) - 1, stats
 }
@@ -185,12 +224,7 @@ func (b *Bundle) absorb(doc score.Doc) {
 		int64(len(doc.Terms()))*metrics.TermRefCost + int64(len(doc.Text())) +
 		b.absorbSummary(doc)
 
-	date := doc.Date()
-	first := len(b.nodes) == 1
-	if first || date < b.start {
-		b.start = date
-	}
-	if !first && date < b.end {
+	if date := doc.Date(); len(b.nodes) > 1 && date < b.end {
 		b.timeOrdered = false
 	} else {
 		b.end = date
@@ -239,13 +273,14 @@ func (b *Bundle) Validate() error {
 			b.id, size, indexed, len(b.rows))
 	}
 	want := map[termdict.ID][]int32{}
+	start := b.StartDate()
 	for i, n := range b.nodes {
 		if n.Parent != NoParent && (n.Parent < 0 || int(n.Parent) >= i) {
 			return fmt.Errorf("bundle %d: node %d has invalid parent %d", b.id, i, n.Parent)
 		}
-		if d := n.Doc.Date(); d < b.start || d > b.end {
+		if d := n.Doc.Date(); d < start || d > b.end {
 			return fmt.Errorf("bundle %d: node %d date %v outside extent [%v, %v]",
-				b.id, i, n.Doc.Time(), tweet.Time(b.start), tweet.Time(b.end))
+				b.id, i, n.Doc.Time(), tweet.Time(start), tweet.Time(b.end))
 		}
 		for _, t := range n.Doc.Indicants() {
 			want[t] = append(want[t], int32(i))
@@ -260,7 +295,7 @@ func (b *Bundle) Validate() error {
 			err = fmt.Errorf("bundle %d: %s %q count %d, nodes imply %d",
 				b.id, t.Class(), termdict.Term(t), got, len(want[t]))
 		} else if b.idx != nil {
-			err = checkNodeList(b.id, t, b.nodesWith(t), want[t])
+			err = checkNodeList(b.ID(), t, b.nodesWith(t), want[t])
 		}
 		delete(want, t)
 	})

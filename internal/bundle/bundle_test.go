@@ -50,8 +50,8 @@ func TestAddBuildsTrail(t *testing.T) {
 	}
 	// Every non-root edge carries a positive score.
 	for i, n := range nodes {
-		if n.Parent != NoParent && n.Score <= 0 {
-			t.Errorf("node %d edge score %v, want > 0", i, n.Score)
+		if s := b.EdgeScore(weights, i); n.Parent != NoParent && s <= 0 {
+			t.Errorf("node %d edge score %v, want > 0", i, s)
 		}
 	}
 }

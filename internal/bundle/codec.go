@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 
+	"provex/internal/metrics"
 	"provex/internal/recfile"
 	"provex/internal/score"
 	"provex/internal/tweet"
@@ -17,15 +18,18 @@ import (
 //
 //	magic byte 0xB5, version byte
 //	bundle id, closed flag, node count
-//	per node: parent+1 (so NoParent encodes as 0), score (float64 bits),
+//	per node: parent+1 (so NoParent encodes as 0), the edge's Eq. 5
+//	          score (float64 bits; written from the weights, never read),
 //	          conn type, the raw message fields (tweet.AppendRaw: id,
 //	          unix-nano date, user, text)
 //
-// A node stores only what cannot be derived. Its indicants — hashtags,
-// URLs, re-shared user and keywords — are functions of its text, and
-// decode rebuilds the record with score.NewDoc, the builder prepare and
-// WAL replay use: the tokenizer is deterministic and keeps first
-// occurrences in order, so a decoded node's terms equal the live one's.
+// Apart from the score, which keeps the format as it was when nodes
+// stored it, a node stores only what cannot be derived. Its indicants —
+// hashtags, URLs, re-shared user and keywords — are functions of its
+// text, and decode rebuilds the record with score.NewDoc, the builder
+// prepare and WAL replay use: the tokenizer is deterministic and keeps
+// first occurrences in order, so a decoded node's terms equal the live
+// one's.
 // No term-dictionary ID is stored (another process numbers terms
 // differently). Summaries, extent and memory estimate are not stored
 // either: they are rebuilt from the nodes, which keeps the format small
@@ -40,8 +44,11 @@ const (
 var ErrCorrupt = errors.New("bundle: corrupt encoding")
 
 // AppendMarshal appends the bundle's encoding to buf: the checkpoint
-// and the store encode straight into their reused frame buffers.
-func (b *Bundle) AppendMarshal(buf []byte) []byte {
+// and the store encode straight into their reused frame buffers. w are
+// the weights the bundle was placed under: a node's Eq. 5 score is
+// written from them (EdgeScore), so the bytes are the ones a stored
+// score would have made.
+func (b *Bundle) AppendMarshal(buf []byte, w score.MessageWeights) []byte {
 	buf = slices.Grow(buf, 64+len(b.nodes)*96)
 	buf = append(buf, codecMagic, codecVersion)
 	buf = binary.AppendUvarint(buf, uint64(b.id))
@@ -51,9 +58,9 @@ func (b *Bundle) AppendMarshal(buf []byte) []byte {
 		buf = append(buf, 0)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(b.nodes)))
-	for _, n := range b.nodes {
+	for i, n := range b.nodes {
 		buf = binary.AppendUvarint(buf, uint64(n.Parent+1))
-		buf = binary.AppendUvarint(buf, math.Float64bits(n.Score))
+		buf = binary.AppendUvarint(buf, math.Float64bits(b.EdgeScore(w, i)))
 		buf = append(buf, byte(n.Conn))
 		buf = n.Doc.AppendRaw(buf)
 	}
@@ -61,8 +68,10 @@ func (b *Bundle) AppendMarshal(buf []byte) []byte {
 }
 
 // Unmarshal decodes an encoded bundle, rebuilding summaries, extent and
-// memory estimate from the node data. The decoded bundle satisfies
-// Validate if the input was produced by AppendMarshal.
+// memory estimate from the node data. A node's score is read and
+// dropped: it is derived again from the weights the reader places
+// under. The decoded bundle satisfies Validate if the input was
+// produced by AppendMarshal.
 func Unmarshal(data []byte) (*Bundle, error) {
 	r := recfile.NewCursor(data)
 	truncated := func() error { return fmt.Errorf("%w: %v", ErrCorrupt, r.Err()) }
@@ -78,13 +87,20 @@ func Unmarshal(data []byte) (*Bundle, error) {
 	if r.Err() != nil {
 		return nil, truncated()
 	}
-	if n > uint64(len(data)) { // each node needs >1 byte; cheap bound
+	if id == 0 || id > MaxID {
+		return nil, fmt.Errorf("%w: bundle ID %d outside 1..%d", ErrCorrupt, id, MaxID)
+	}
+	// A node takes at least 7 bytes: a byte each for parent, score,
+	// connection, message ID, date and the two string lengths. The bound
+	// keeps the node slice made below within 16/7 of the input's size.
+	if n > uint64(len(data))/7 {
 		return nil, fmt.Errorf("%w: implausible node count %d", ErrCorrupt, n)
 	}
 	b := New(id)
+	b.nodes = makeFor[Node](int(n), metrics.NodeBase)
 	for i := uint64(0); i < n; i++ {
 		parent := int32(r.Uvarint()) - 1
-		scoreBits := r.Uvarint()
+		r.Uvarint() // the score, derived on read
 		conn := score.ConnectionType(r.Byte())
 		msg := tweet.DecodeRaw(r)
 		if r.Err() != nil {
@@ -94,12 +110,7 @@ func Unmarshal(data []byte) (*Bundle, error) {
 			return nil, fmt.Errorf("%w: node %d parent %d", ErrCorrupt, i, parent)
 		}
 		doc := score.NewDoc(msg)
-		b.nodes = append(b.nodes, Node{
-			Doc:    doc,
-			Parent: parent,
-			Score:  math.Float64frombits(scoreBits),
-			Conn:   conn,
-		})
+		b.nodes = append(b.nodes, Node{Doc: doc, Parent: parent, Conn: conn})
 		b.absorb(doc)
 	}
 	b.closed = closed

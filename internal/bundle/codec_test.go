@@ -15,7 +15,7 @@ import (
 func TestMarshalRoundTrip(t *testing.T) {
 	b := buildGameBundle(t)
 	b.Close()
-	data := b.AppendMarshal(nil)
+	data := b.AppendMarshal(nil, weights)
 	got, err := Unmarshal(data)
 	if err != nil {
 		t.Fatalf("Unmarshal: %v", err)
@@ -31,7 +31,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 
 func TestMarshalEmptyBundle(t *testing.T) {
 	b := New(42)
-	got, err := Unmarshal(b.AppendMarshal(nil))
+	got, err := Unmarshal(b.AppendMarshal(nil, weights))
 	if err != nil {
 		t.Fatalf("Unmarshal empty: %v", err)
 	}
@@ -47,7 +47,7 @@ func assertBundleEqual(t *testing.T, want, got *Bundle) {
 	}
 	for i := range want.nodes {
 		w, g := want.nodes[i], got.nodes[i]
-		if g.Parent != w.Parent || g.Score != w.Score || g.Conn != w.Conn {
+		if g.Parent != w.Parent || g.Conn != w.Conn || got.EdgeScore(weights, i) != want.EdgeScore(weights, i) {
 			t.Fatalf("node %d edge differs: %+v vs %+v", i, g, w)
 		}
 		if g.Doc.ID() != w.Doc.ID() || g.Doc.Date() != w.Doc.Date() || g.Doc.Text() != w.Doc.Text() {
@@ -75,7 +75,7 @@ func assertBundleEqual(t *testing.T, want, got *Bundle) {
 func TestRoundTripKeepsRepresentation(t *testing.T) {
 	for _, n := range []int{1, PruneMinNodes - 1, PruneMinNodes, PruneMinNodes + 1, 200} {
 		b := buildSized(n)
-		got, err := Unmarshal(b.AppendMarshal(nil))
+		got, err := Unmarshal(b.AppendMarshal(nil, weights))
 		if err != nil {
 			t.Fatalf("size %d: Unmarshal: %v", n, err)
 		}
@@ -91,7 +91,7 @@ func TestRoundTripKeepsRepresentation(t *testing.T) {
 
 func TestUnmarshalRejectsCorruption(t *testing.T) {
 	b := buildGameBundle(t)
-	data := b.AppendMarshal(nil)
+	data := b.AppendMarshal(nil, weights)
 
 	cases := map[string][]byte{
 		"empty":       {},
@@ -111,7 +111,7 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 // offset; decode must fail cleanly (never panic) on all of them.
 func TestUnmarshalFuzzedTruncations(t *testing.T) {
 	b := buildGameBundle(t)
-	data := b.AppendMarshal(nil)
+	data := b.AppendMarshal(nil, weights)
 	for i := 0; i < len(data); i++ {
 		if _, err := Unmarshal(data[:i]); err == nil {
 			t.Fatalf("truncation at %d/%d accepted", i, len(data))
@@ -123,7 +123,7 @@ func TestUnmarshalFuzzedTruncations(t *testing.T) {
 // or produce a bundle (possibly semantically different) without panic.
 func TestUnmarshalFuzzedFlips(t *testing.T) {
 	b := buildGameBundle(t)
-	data := b.AppendMarshal(nil)
+	data := b.AppendMarshal(nil, weights)
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {
 		mut := append([]byte{}, data...)
@@ -150,7 +150,7 @@ func TestRoundTripProperty(t *testing.T) {
 			m := g.Next()
 			b.Add(w, score.NewDoc(m))
 		}
-		got, err := Unmarshal(b.AppendMarshal(nil))
+		got, err := Unmarshal(b.AppendMarshal(nil, weights))
 		if err != nil {
 			return false
 		}
@@ -168,7 +168,7 @@ func TestDecodedDatesUTC(t *testing.T) {
 	b := New(1)
 	loc := time.FixedZone("X", 3600)
 	b.Add(weights, doc(1, "a", "msg #t", base.In(loc)))
-	got, err := Unmarshal(b.AppendMarshal(nil))
+	got, err := Unmarshal(b.AppendMarshal(nil, weights))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func BenchmarkAppendMarshal(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf = bn.AppendMarshal(buf[:0])
+		buf = bn.AppendMarshal(buf[:0], weights)
 	}
 }
 
@@ -207,7 +207,7 @@ func BenchmarkUnmarshal(b *testing.B) {
 		m := g.Next()
 		bn.Add(w, score.NewDoc(m))
 	}
-	data := bn.AppendMarshal(nil)
+	data := bn.AppendMarshal(nil, weights)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -14,15 +14,19 @@ import (
 // sumindex.mem_mb follow a struct that changes size: a slice element or
 // map slot is charged its size, a message record its header (the term
 // list and the text are charged by length). It also pins the layouts
-// the one-record message bought: a Doc is one pointer, a Node 24 bytes;
-// and the large-bundle index: a 4-byte reference per term in its map.
+// the one-record message bought: a Doc is one pointer, a Node 16 bytes
+// with its score derived; the Bundle in its 80-byte size class; and the
+// large-bundle index: a 4-byte reference per term in its map, and the
+// element sizes its arrays grow by.
 func TestMemEstimateMatchesLayouts(t *testing.T) {
 	for _, c := range []struct {
 		name       string
 		got, model uintptr
 	}{
 		{"score.Doc", unsafe.Sizeof(score.Doc{}), 8},
-		{"bundle.Node", unsafe.Sizeof(Node{}), 24},
+		{"bundle.Node", unsafe.Sizeof(Node{}), 16},
+		{"bundle.Bundle", unsafe.Sizeof(Bundle{}), 80},
+		{"BundleBase (bundle.Bundle)", unsafe.Sizeof(Bundle{}), metrics.BundleBase},
 		{"MessageBase (score.Msg, the record header)", unsafe.Sizeof(score.Msg{}), metrics.MessageBase},
 		{"NodeBase (bundle.Node, a slice element)", unsafe.Sizeof(Node{}), metrics.NodeBase},
 		{"TermRefCost (termdict.ID)", unsafe.Sizeof(termdict.ID(0)), metrics.TermRefCost},
@@ -33,7 +37,8 @@ func TestMemEstimateMatchesLayouts(t *testing.T) {
 			k termdict.ID
 			v uint32
 		}{}), metrics.MapEntryCost},
-		{"NodeListCost (a term's own node list)", unsafe.Sizeof([]int32(nil)), metrics.NodeListCost},
+		{"nodeIDSize (an entry of single or a node list; NodeRefCost adds growth slack)", unsafe.Sizeof(int32(0)), nodeIDSize},
+		{"listHeaderSize (an entry of the lists table; NodeListCost adds growth slack)", unsafe.Sizeof([]int32(nil)), listHeaderSize},
 		{"bundle.index (SummaryIndexBase prices it at its 64-byte size class)", unsafe.Sizeof(index{}), 56},
 	} {
 		if c.got != c.model {

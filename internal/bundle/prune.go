@@ -28,7 +28,10 @@
 // prune_test.go and internal/core/differential_test.go.
 package bundle
 
-import "provex/internal/score"
+import (
+	"provex/internal/metrics"
+	"provex/internal/score"
+)
 
 // PruneMinNodes is the bundle size below which AddScratch takes the
 // exhaustive path: for a handful of nodes the direct Eq. 5 scan is
@@ -376,8 +379,7 @@ func (b *Bundle) addPrunedTime(w score.MessageWeights, doc score.Doc, obs Parent
 		}
 	}
 
-	node := Node{Doc: doc, Parent: parent, Score: best, Conn: conn}
-	b.nodes = append(b.nodes, node)
+	b.nodes = appendGrown(b.nodes, Node{Doc: doc, Parent: parent, Conn: conn}, metrics.NodeBase)
 	b.absorb(doc)
 	return len(b.nodes) - 1, stats
 }

@@ -49,8 +49,10 @@ type row struct {
 // reference in refs and nothing more until it reaches a second node:
 // the reference is a position in single, the one shared list of
 // single-node ids, or — with listRef set — the index of the term's own
-// list in lists. A term that moves to lists leaves its single slot
-// behind unused; single only grows, like the bundle.
+// list in lists. The build gives a term already on several nodes its
+// list at once; a term that moves to lists later leaves its single slot
+// behind unused; single only grows, like the bundle. Every array grows
+// on the size-class schedule of grow.go.
 type index struct {
 	refs   map[termdict.ID]uint32
 	single []int32
@@ -59,6 +61,13 @@ type index struct {
 
 // listRef marks a reference into index.lists.
 const listRef = 1 << 31
+
+// The element sizes the index's arrays grow by (appendGrown): a node id
+// in single or a list, and a list's slice header in lists.
+const (
+	nodeIDSize     = 4
+	listHeaderSize = 24
+)
 
 // Count reports how many of the bundle's messages carry term (for a
 // user: how many the user posted) — the summary lookup of Eq. 1 and
@@ -237,14 +246,61 @@ func (b *Bundle) absorbRows(doc score.Doc) int64 {
 
 // buildIndex replaces the row table with the index, built from the
 // nodes (the newest included). It returns the change in the memory
-// estimate: the index's cost minus the rows released.
+// estimate: the index's cost minus the rows released. The rows count
+// every term of the older nodes, so each array is made once, at the
+// capacity its final length calls for: single for the terms on one
+// node, lists for the terms on several, and each of those lists. The
+// charges are absorb's for the same nodes.
 func (b *Bundle) buildIndex() int64 {
-	added := metrics.SummaryIndexBase - int64(len(b.rows))*metrics.SummaryRowCost
-	b.idx = &index{refs: make(map[termdict.ID]uint32, len(b.rows))}
-	for i := range b.nodes {
-		added += b.idx.absorb(b.nodes[i].Doc, int32(i))
+	newest := b.nodes[len(b.nodes)-1].Doc.Indicants()
+	count := func(t termdict.ID) int {
+		n := 0
+		if r := b.findRow(t); r != nil {
+			n = int(r.count)
+		}
+		if slices.Contains(newest, t) {
+			n++
+		}
+		return n
 	}
-	b.rows = nil
+	singles, multi := 0, 0
+	for _, r := range b.rows {
+		if count(r.term) > 1 {
+			multi++
+		} else {
+			singles++
+		}
+	}
+	for _, t := range newest {
+		if b.findRow(t) == nil {
+			singles++
+		}
+	}
+	x := &index{
+		refs:   make(map[termdict.ID]uint32, singles+multi),
+		single: makeFor[int32](singles, nodeIDSize),
+		lists:  makeFor[[]int32](multi, listHeaderSize),
+	}
+	added := metrics.SummaryIndexBase - int64(len(b.rows))*metrics.SummaryRowCost
+	for i := range b.nodes {
+		for _, t := range b.nodes[i].Doc.Indicants() {
+			added += metrics.NodeRefCost
+			if r, ok := x.refs[t]; ok {
+				x.lists[r&^listRef] = append(x.lists[r&^listRef], int32(i))
+				continue
+			}
+			added += metrics.MapEntryCost
+			if n := count(t); n > 1 {
+				x.refs[t] = listRef | uint32(len(x.lists))
+				x.lists = append(x.lists, append(makeFor[int32](n, nodeIDSize), int32(i)))
+				added += metrics.NodeListCost
+			} else {
+				x.refs[t] = uint32(len(x.single))
+				x.single = append(x.single, int32(i))
+			}
+		}
+	}
+	b.idx, b.rows = x, nil
 	return added
 }
 
@@ -260,14 +316,14 @@ func (x *index) absorb(doc score.Doc, id int32) int64 {
 		switch {
 		case !ok:
 			x.refs[t] = uint32(len(x.single))
-			x.single = append(x.single, id)
+			x.single = appendGrown(x.single, id, nodeIDSize)
 			added += metrics.MapEntryCost + metrics.NodeRefCost
 		case r&listRef != 0:
-			x.lists[r&^listRef] = append(x.lists[r&^listRef], id)
+			x.lists[r&^listRef] = appendGrown(x.lists[r&^listRef], id, nodeIDSize)
 			added += metrics.NodeRefCost
 		default:
 			x.refs[t] = listRef | uint32(len(x.lists))
-			x.lists = append(x.lists, []int32{x.single[r], id})
+			x.lists = appendGrown(x.lists, []int32{x.single[r], id}, listHeaderSize)
 			added += metrics.NodeListCost + metrics.NodeRefCost
 		}
 	}

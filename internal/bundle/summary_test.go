@@ -51,16 +51,17 @@ func newRefSummary() *refSummary {
 }
 
 // add is Algorithm 2 by the exhaustive scan, then the eight-map absorb.
-func (r *refSummary) add(w score.MessageWeights, d score.Doc) Node {
-	n := Node{Doc: d, Parent: NoParent}
+// It returns the node and its edge score.
+func (r *refSummary) add(w score.MessageWeights, d score.Doc) (Node, float64) {
+	n, best := Node{Doc: d, Parent: NoParent}, 0.0
 	for i := range r.nodes {
 		c := score.Classify(r.nodes[i].Doc, d)
 		if c == score.ConnNone {
 			continue
 		}
 		s := score.MessageSim(w, r.nodes[i].Doc, d).Total
-		if s > n.Score || (s == n.Score && n.Parent == NoParent) {
-			n.Score, n.Parent, n.Conn = s, int32(i), c
+		if s > best || (s == best && n.Parent == NoParent) {
+			best, n.Parent, n.Conn = s, int32(i), c
 		}
 	}
 	r.nodes = append(r.nodes, n)
@@ -73,7 +74,7 @@ func (r *refSummary) add(w score.MessageWeights, d score.Doc) Node {
 			}
 		}
 	}
-	return n
+	return n, best
 }
 
 // stringTerms lists d's summary indicants by class as strings — the
@@ -233,10 +234,11 @@ func checkSummaryScript(t *testing.T, data []byte) *Bundle {
 	for i := 0; pos < len(data) && i < 40; i++ {
 		d := scriptDoc(t, next, i, &at, ordered)
 		id, _ := b.AddScratch(weights, d, nil, sc)
-		want, got := ref.add(weights, d), b.nodes[id]
-		if got.Parent != want.Parent || got.Score != want.Score || got.Conn != want.Conn {
+		want, wantScore := ref.add(weights, d)
+		got, gotScore := b.nodes[id], b.EdgeScore(weights, id)
+		if got.Parent != want.Parent || gotScore != wantScore || got.Conn != want.Conn {
 			t.Fatalf("msg %d: placed (parent=%d score=%v conn=%v), reference (parent=%d score=%v conn=%v)",
-				i, got.Parent, got.Score, got.Conn, want.Parent, want.Score, want.Conn)
+				i, got.Parent, gotScore, got.Conn, want.Parent, wantScore, want.Conn)
 		}
 		size := len(b.nodes)
 		if indexed, rowed := b.idx != nil, b.rows != nil; indexed != (size >= PruneMinNodes) || rowed != (size > 1 && !indexed) {

@@ -46,7 +46,6 @@ import (
 	"provex/internal/recfile"
 	"provex/internal/storage"
 	"provex/internal/stream"
-	"provex/internal/sumindex"
 )
 
 var ckptMagic = [8]byte{'P', 'R', 'O', 'V', 'C', 'K', 'P', '1'}
@@ -109,12 +108,12 @@ func (e *Engine) writeCheckpoint(w io.Writer) error {
 	buf = frame(buf)
 
 	e.pool.All(func(b *bundle.Bundle) {
-		buf = frame(b.AppendMarshal(buf))
+		buf = frame(b.AppendMarshal(buf, e.cfg.MsgWeights))
 	})
 	// Parked flush-retry entries: bundles already evicted from the pool
 	// that still await a successful flush.
 	for _, r := range e.retryq {
-		buf = frame(r.b.AppendMarshal(binary.AppendUvarint(buf, uint64(r.attempts))))
+		buf = frame(r.b.AppendMarshal(binary.AppendUvarint(buf, uint64(r.attempts)), e.cfg.MsgWeights))
 	}
 
 	if err := bw.Flush(); err != nil {
@@ -202,13 +201,9 @@ func restoreCheckpoint(cfg Config, store *storage.Store, onEdge EdgeFunc, r io.R
 		if err != nil {
 			return nil, fmt.Errorf("%w: bundle %d: %v", ErrBadCheckpoint, i, err)
 		}
-		if b.ID() == 0 || b.ID() > sumindex.MaxID {
-			return nil, fmt.Errorf("%w: bundle %d: bundle ID %d outside the summary index's 1..%d", ErrBadCheckpoint, i, b.ID(), sumindex.MaxID)
+		if err := e.pool.Adopt(b); err != nil {
+			return nil, fmt.Errorf("%w: bundle %d: %v", ErrBadCheckpoint, i, err)
 		}
-		if e.pool.Get(b.ID()) != nil {
-			return nil, fmt.Errorf("%w: bundle %d: repeated bundle ID %d", ErrBadCheckpoint, i, b.ID())
-		}
-		e.pool.Adopt(b)
 		// Rebuild summary-index postings from the bundle's messages.
 		for _, n := range b.Nodes() {
 			e.index.Observe(b.ID(), n.Doc)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -15,6 +16,7 @@ import (
 	"provex/internal/bundle"
 	"provex/internal/fsx"
 	"provex/internal/gen"
+	"provex/internal/recfile"
 	"provex/internal/score"
 	"provex/internal/sumindex"
 	"provex/internal/termdict"
@@ -76,7 +78,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		if r == nil {
 			t.Fatalf("bundle %d missing after restore", b.ID())
 		}
-		if !bytes.Equal(r.AppendMarshal(nil), b.AppendMarshal(nil)) {
+		if !bytes.Equal(r.AppendMarshal(nil, score.DefaultMessageWeights()), b.AppendMarshal(nil, score.DefaultMessageWeights())) {
 			t.Fatalf("bundle %d differs after restore", b.ID())
 		}
 		if err := r.Validate(); err != nil {
@@ -245,23 +247,63 @@ func TestCheckpointCorruption(t *testing.T) {
 	}
 }
 
-// TestCheckpointRefusesBundleIDsOutsideTheIndex: the summary index
-// holds bundles 1 to sumindex.MaxID. A checkpoint whose frames and CRCs
-// are intact but which carries a bundle outside that range is refused
-// with ErrBadCheckpoint, not a panic in the index rebuild.
+// withBundleID returns the checkpoint data with the ID of its first
+// bundle frame replaced by id, framed and checksummed as a writer would
+// have: a checkpoint damage cannot explain.
+func withBundleID(t *testing.T, data []byte, id bundle.ID) []byte {
+	t.Helper()
+	lead, frames := ckptFrames(data)
+	payload := frames[1][recfile.HeaderSize:]
+	_, n := binary.Uvarint(payload[2:]) // after the codec's magic and version
+	buf := append(recfile.BeginFrame(nil), payload[:2]...)
+	buf = binary.AppendUvarint(buf, uint64(id))
+	buf = append(buf, payload[2+n:]...)
+	recfile.EndFrame(buf, 0)
+	frames[1] = buf
+	return bytes.Join(append([][]byte{lead}, frames...), nil)
+}
+
+// TestCheckpointRefusesBundleIDsOutsideTheIndex: a bundle holds IDs 1
+// to bundle.MaxID, the summary index's range. A checkpoint whose frames
+// and CRCs are intact but which carries a bundle outside that range is
+// refused with ErrBadCheckpoint, not a panic.
 func TestCheckpointRefusesBundleIDsOutsideTheIndex(t *testing.T) {
-	for _, id := range []bundle.ID{0, sumindex.MaxID + 1, 1<<31 + 1} {
-		e := New(FullIndexConfig(), nil, nil)
-		e.Insert(tweet.Parse(1, "a", base, "game on #redsox"))
-		b := bundle.New(id)
-		b.Add(e.cfg.MsgWeights, score.NewDoc(tweet.Parse(2, "b", base.Add(time.Minute), "other talk #news")))
-		e.pool.Adopt(b)
-		var buf bytes.Buffer
-		if err := e.writeCheckpoint(&buf); err != nil {
-			t.Fatal(err)
+	e := New(FullIndexConfig(), nil, nil)
+	e.Insert(tweet.Parse(1, "a", base, "game on #redsox"))
+	var buf bytes.Buffer
+	if err := e.writeCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := restoreCheckpoint(FullIndexConfig(), nil, nil, bytes.NewReader(withBundleID(t, buf.Bytes(), 1))); err != nil {
+		t.Fatalf("the unchanged ID re-framed: %v", err)
+	}
+	for _, id := range []bundle.ID{0, sumindex.MaxID + 1, 1<<31 + 1, 1 << 40} {
+		if _, err := restoreCheckpoint(FullIndexConfig(), nil, nil, bytes.NewReader(withBundleID(t, buf.Bytes(), id))); !errors.Is(err, ErrBadCheckpoint) {
+			t.Errorf("bundle %d: err = %v, want ErrBadCheckpoint", id, err)
 		}
-		if _, err := restoreCheckpoint(FullIndexConfig(), nil, nil, &buf); !errors.Is(err, ErrBadCheckpoint) {
-			t.Errorf("bundles 1 and %d: err = %v, want ErrBadCheckpoint", id, err)
+	}
+}
+
+// TestCheckpointRefusesBundleOffThePoolsIDs: a shard's pool allocates
+// one arithmetic progression of IDs (DESIGN.md §2i), and its table has
+// a slot for those only. A correctly framed checkpoint carrying an ID
+// off the progression is refused with ErrBadCheckpoint.
+func TestCheckpointRefusesBundleOffThePoolsIDs(t *testing.T) {
+	cfg := FullIndexConfig()
+	cfg.Pool.IDStart, cfg.Pool.IDStride = 2, 3 // shard 1 of 3: 2, 5, 8, ...
+	e := New(cfg, nil, nil)
+	e.Insert(tweet.Parse(1, "a", base, "game on #redsox"))
+	var buf bytes.Buffer
+	if err := e.writeCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for id, ok := range map[bundle.ID]bool{1: false, 2: true, 3: false, 4: false, 5: true, 3001: false} {
+		_, err := restoreCheckpoint(cfg, nil, nil, bytes.NewReader(withBundleID(t, buf.Bytes(), id)))
+		if ok && err != nil {
+			t.Errorf("bundle %d, on the progression: %v", id, err)
+		}
+		if !ok && !errors.Is(err, ErrBadCheckpoint) {
+			t.Errorf("bundle %d, off the progression: err = %v, want ErrBadCheckpoint", id, err)
 		}
 	}
 }
@@ -307,10 +349,9 @@ func TestCheckpointAllocationsFlat(t *testing.T) {
 	}
 }
 
-// TestGoldenCheckpoint pins the v4 checkpoint file: the golden opens,
-// and the same inserts save the same bytes. One live bundle only — the
-// pool writes its bundles in map order, so two would not be
-// reproducible. A v2 file (the layout before the header and the
+// TestGoldenCheckpoint pins the v4 checkpoint file: the golden opens
+// and, restored, saves the same bytes — node scores derived, not read —
+// and the same inserts save the same bytes. A v2 file (the layout before the header and the
 // records became frames) and a v3 file (the same frames, but bundle
 // codec v1, which stored every node's keywords) are refused by their
 // version byte, before any of them is decoded.
@@ -334,6 +375,12 @@ func TestGoldenCheckpoint(t *testing.T) {
 	if got, want := snapshotComparable(old.Snapshot()), snapshotComparable(e.Snapshot()); !reflect.DeepEqual(got, want) || want.BundlesLive != 1 || want.Messages != 4 {
 		t.Fatalf("golden checkpoint restored %+v, want %+v", got, want)
 	}
+	if err := old.SaveCheckpoint(mem, "again.ckpt"); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := mem.ReadFile("again.ckpt"); !bytes.Equal(again, golden) {
+		t.Fatalf("the golden checkpoint restored and saved again wrote %d bytes that differ from its %d", len(again), len(golden))
+	}
 	if err := e.SaveCheckpoint(mem, "new.ckpt"); err != nil {
 		t.Fatal(err)
 	}
@@ -351,4 +398,52 @@ func TestGoldenCheckpoint(t *testing.T) {
 			t.Fatalf("v%d checkpoint: err = %v, want ErrBadCheckpoint naming version %d", v, err, v)
 		}
 	}
+}
+
+// TestCheckpointBytesAreAFunctionOfTheStream: two engines fed the same
+// seed-1 20 000 messages write the same checkpoint, byte for byte, and
+// a checkpoint restored and written again is the same bytes. The pool
+// hands bundles out in ID order and every bundle frame is a function
+// of the bundle, so nothing of the process — map order, allocation
+// history, term IDs — reaches the file.
+func TestCheckpointBytesAreAFunctionOfTheStream(t *testing.T) {
+	save := func(e *Engine) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := e.writeCheckpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	run := func() []byte {
+		g := gen.New(gen.DefaultConfig())
+		e := New(FullIndexConfig(), nil, nil)
+		for i := 0; i < 20_000; i++ {
+			e.Insert(g.Next())
+		}
+		return save(e)
+	}
+	first, second := run(), run()
+	if !bytes.Equal(first, second) {
+		t.Fatalf("two runs on one stream wrote %d and %d checkpoint bytes, first differing at byte %d",
+			len(first), len(second), firstDiff(first, second))
+	}
+	restored, err := restoreCheckpoint(FullIndexConfig(), nil, nil, bytes.NewReader(first))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := save(restored); !bytes.Equal(again, first) {
+		t.Fatalf("checkpoint → restore → checkpoint wrote %d bytes for %d, first differing at byte %d",
+			len(again), len(first), firstDiff(first, again))
+	}
+}
+
+// firstDiff is the offset of the first byte where a and b differ.
+func firstDiff(a, b []byte) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
 }

@@ -393,7 +393,7 @@ func (e *Engine) evict(b *bundle.Bundle, _ pool.EvictReason, flush bool) {
 	e.forget = b.AppendTerms(e.forget[:0])
 	e.index.Forget(b.ID(), e.forget)
 	if flush && e.store != nil {
-		if err := e.store.Put(b); err != nil {
+		if err := e.store.Put(b, e.cfg.MsgWeights); err != nil {
 			e.park(b, err)
 			return
 		}
@@ -445,7 +445,7 @@ func (e *Engine) processRetries(force bool) {
 			continue
 		}
 		e.flushRetries.Inc()
-		err := e.store.Put(r.b)
+		err := e.store.Put(r.b, e.cfg.MsgWeights)
 		if err == nil {
 			if e.onFlush != nil {
 				e.onFlush(r.b)
@@ -594,7 +594,7 @@ func (e *Engine) InsertPrepared(p Prepared) InsertResult {
 			}
 			td.Node = res.Node
 			td.Parent = int(node.Parent)
-			td.ParentScore = node.Score
+			td.ParentScore = chosen.EdgeScore(e.cfg.MsgWeights, res.Node)
 			td.Conn = node.Conn.String()
 			td.ParentsPruned = ps.Skipped()
 		}
@@ -884,6 +884,11 @@ func (e *Engine) SummaryIndex() *sumindex.Index { return e.index }
 
 // Store returns the disk back-end, nil when the engine runs memory-only.
 func (e *Engine) Store() *storage.Store { return e.store }
+
+// MessageWeights are the Eq. 5 weights the engine places messages
+// under: a bundle's edge scores are derived from them
+// (bundle.EdgeScore).
+func (e *Engine) MessageWeights() score.MessageWeights { return e.cfg.MsgWeights }
 
 // Now is the simulated current time (the newest message date seen), in
 // unix nanoseconds; stream.NoDate before the first message.

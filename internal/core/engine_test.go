@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -443,5 +444,63 @@ func TestFlushObserver(t *testing.T) {
 		if n != 1 {
 			t.Errorf("bundle %d observed %d times", id, n)
 		}
+	}
+}
+
+// TestEdgeScoreIsDerived: a node keeps no score. The Eq. 5 score
+// /bundle, trails, traces and the bundle codec show for its edge is
+// derived from the two messages and the engine's weights
+// (bundle.EdgeScore), and must equal, bit for bit, the Total that
+// Algorithm 2 compared when it chose the parent — 0 for a root. Every
+// node of the seed-1 20 000-message stream is checked, under the
+// default weights and under others: each bundle is placed again,
+// message by message, with an observer on the scan, which reports the
+// totals the placement compared (the pruned scan's own arithmetic from
+// PruneMinNodes nodes up).
+func TestEdgeScoreIsDerived(t *testing.T) {
+	for name, w := range map[string]score.MessageWeights{
+		"default": score.DefaultMessageWeights(),
+		"other":   {URL: 0.7, Tag: 1.3, Time: 0.9, Keyword: 0.25, RT: 1.5},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg := FullIndexConfig()
+			cfg.MsgWeights = w
+			e := New(cfg, nil, nil)
+			g := gen.New(gen.DefaultConfig())
+			for i := 0; i < 20_000; i++ {
+				e.Insert(g.Next())
+			}
+			nodes, edges, pruned := 0, 0, 0
+			sc := bundle.NewScratch()
+			e.Pool().All(func(b *bundle.Bundle) {
+				again := bundle.New(b.ID())
+				for i, n := range b.Nodes() {
+					totals := map[int]float64{}
+					id, ps := again.AddScratch(w, n.Doc, func(pc bundle.ParentCandidate) { totals[pc.Node] = pc.Parts.Total }, sc)
+					if id != i || again.Nodes()[i] != n {
+						t.Fatalf("bundle %d node %d placed again as %d %+v, not %+v", b.ID(), i, id, again.Nodes()[i], n)
+					}
+					want, seen := 0.0, true
+					if n.Parent != bundle.NoParent {
+						want, seen = totals[int(n.Parent)]
+					}
+					if got := b.EdgeScore(w, i); !seen || math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("bundle %d node %d (parent %d, reported %v): derived score %v, placement compared %v",
+							b.ID(), i, n.Parent, seen, got, want)
+					}
+					nodes++
+					if n.Parent != bundle.NoParent {
+						edges++
+					}
+					if !ps.Exhaustive {
+						pruned++
+					}
+				}
+			})
+			if nodes != 20_000 || edges == 0 || pruned == 0 {
+				t.Fatalf("checked %d nodes, %d edges, %d placed by the pruned scan", nodes, edges, pruned)
+			}
+			t.Logf("%d nodes, %d edges, %d placed by the pruned scan", nodes, edges, pruned)
+		})
 	}
 }

@@ -219,21 +219,21 @@ func TestTracedMatchesUntraced(t *testing.T) {
 // the assertions are not vacuous). What /explain shows is the score
 // that was compared: every recorded breakdown sums to its Total, and
 // the traced winner's Total is, bit for bit, the edge score an untraced
-// engine stored on the node for the same message.
+// engine derives for the node of the same message.
 func TestTraceRecordsPruning(t *testing.T) {
 	cfg := PartialIndexConfig(400)
 	eng := New(cfg, nil, nil)
 	rec := trace.New(trace.Options{SampleEvery: 1, Buffer: 8192})
 	eng.SetTracer(rec)
 	untraced := New(cfg, nil, nil)
-	stored := map[uint64]float64{} // message → edge score on the untraced engine's node
+	stored := map[uint64]float64{} // message → edge score of the untraced engine's node
 
 	g := gen.New(gen.DefaultConfig())
 	for i := 0; i < 3000; i++ {
 		m := g.Next()
 		eng.Insert(m)
 		res := untraced.Insert(m)
-		stored[uint64(m.ID)] = untraced.Pool().Get(res.Bundle).Nodes()[res.Node].Score
+		stored[uint64(m.ID)] = untraced.Pool().Get(res.Bundle).EdgeScore(cfg.MsgWeights, res.Node)
 	}
 
 	sawCandPrune, sawParentPrune := false, false

@@ -252,7 +252,7 @@ func assertEnginesEqual(t *testing.T, want, got *core.Engine) {
 	mismatches := 0
 	want.Pool().All(func(b *bundle.Bundle) {
 		g := got.Pool().Get(b.ID())
-		if g == nil || string(g.AppendMarshal(nil)) != string(b.AppendMarshal(nil)) {
+		if g == nil || string(g.AppendMarshal(nil, score.DefaultMessageWeights())) != string(b.AppendMarshal(nil, score.DefaultMessageWeights())) {
 			mismatches++
 		}
 	})
@@ -277,7 +277,7 @@ func assertStoresEqual(t *testing.T, want, got *storage.Store) {
 		if err != nil {
 			t.Fatalf("bundle %d missing: %v", id, err)
 		}
-		if string(wb.AppendMarshal(nil)) != string(gb.AppendMarshal(nil)) {
+		if string(wb.AppendMarshal(nil, score.DefaultMessageWeights())) != string(gb.AppendMarshal(nil, score.DefaultMessageWeights())) {
 			t.Fatalf("stored bundle %d differs", id)
 		}
 	}

@@ -109,7 +109,7 @@ type Stats struct {
 // Pool holds the live bundles. Not safe for concurrent use.
 type Pool struct {
 	cfg     Config
-	bundles map[bundle.ID]*bundle.Bundle
+	bundles table
 	nextID  bundle.ID
 	onEvict EvictFunc
 	inserts int
@@ -162,16 +162,21 @@ func New(cfg Config, onEvict EvictFunc) *Pool {
 	}
 	return &Pool{
 		cfg:     cfg,
-		bundles: make(map[bundle.ID]*bundle.Bundle),
 		nextID:  cfg.IDStart,
 		onEvict: onEvict,
 	}
 }
 
+// slot is id's position on the pool's (IDStart, IDStride) progression:
+// its index in the bundle table. id must lie on it (Allocates).
+func (p *Pool) slot(id bundle.ID) int {
+	return int(uint64(id-p.cfg.IDStart) / uint64(p.cfg.IDStride))
+}
+
 // Create allocates a fresh bundle in the pool.
 func (p *Pool) Create() *bundle.Bundle {
 	b := bundle.New(p.nextID)
-	p.bundles[p.nextID] = b
+	p.bundles.put(p.slot(p.nextID), b)
 	p.memBytes += b.MemBytes()
 	p.nextID += bundle.ID(p.cfg.IDStride)
 	p.stats.Created++
@@ -202,21 +207,32 @@ func (p *Pool) Allocates(id bundle.ID) bool {
 }
 
 // Get returns the live bundle with id, nil when absent.
-func (p *Pool) Get(id bundle.ID) *bundle.Bundle { return p.bundles[id] }
+func (p *Pool) Get(id bundle.ID) *bundle.Bundle {
+	if !p.Allocates(id) {
+		return nil
+	}
+	return p.bundles.get(p.slot(id))
+}
 
 // Adopt inserts an existing bundle (checkpoint restore); the ID
-// allocator advances past it so future Create calls never collide.
-// Adopting an ID already in the pool panics.
-func (p *Pool) Adopt(b *bundle.Bundle) {
-	if _, ok := p.bundles[b.ID()]; ok {
-		panic("pool: Adopt of duplicate bundle ID")
+// allocator advances past it so future Create calls never collide. An
+// ID this pool would not allocate, or one already in the pool, is an
+// error and leaves the pool as it was.
+func (p *Pool) Adopt(b *bundle.Bundle) error {
+	if !p.Allocates(b.ID()) {
+		return fmt.Errorf("pool: Adopt of bundle %d, off the pool's IDs %d, %d+%d, ...",
+			b.ID(), p.cfg.IDStart, p.cfg.IDStart, p.cfg.IDStride)
 	}
-	p.bundles[b.ID()] = b
+	if p.Get(b.ID()) != nil {
+		return fmt.Errorf("pool: Adopt of bundle %d, already in the pool", b.ID())
+	}
+	p.bundles.put(p.slot(b.ID()), b)
 	p.memBytes += b.MemBytes()
 	p.messages += int64(b.Size())
 	if next := p.alignID(b.ID() + 1); next > p.nextID {
 		p.nextID = next
 	}
+	return nil
 }
 
 // SetStats overwrites the activity counters (checkpoint restore).
@@ -245,17 +261,13 @@ func (p *Pool) SetNextID(id bundle.ID) {
 }
 
 // Len is the number of live bundles.
-func (p *Pool) Len() int { return len(p.bundles) }
+func (p *Pool) Len() int { return p.bundles.n }
 
 // Stats returns activity counters.
 func (p *Pool) Stats() Stats { return p.stats }
 
-// All iterates the live bundles in unspecified order.
-func (p *Pool) All(fn func(*bundle.Bundle)) {
-	for _, b := range p.bundles {
-		fn(b)
-	}
-}
+// All iterates the live bundles in ascending ID order.
+func (p *Pool) All(fn func(*bundle.Bundle)) { p.bundles.each(fn) }
 
 // MemBytes is the analytic memory estimate summed over live bundles.
 func (p *Pool) MemBytes() int64 { return p.memBytes }
@@ -282,7 +294,7 @@ func (p *Pool) NoteInsert(b *bundle.Bundle, grew int64) bool {
 // It reports whether a pass ran.
 // now is the stream's current date in unix nanoseconds.
 func (p *Pool) MaybeRefine(now int64) bool {
-	if p.cfg.MaxBundles <= 0 || len(p.bundles) <= p.cfg.MaxBundles {
+	if p.cfg.MaxBundles <= 0 || p.Len() <= p.cfg.MaxBundles {
 		return false
 	}
 	p.refine(now)
@@ -291,7 +303,7 @@ func (p *Pool) MaybeRefine(now int64) bool {
 
 // remove takes b out of the pool and out of the running totals.
 func (p *Pool) remove(b *bundle.Bundle) {
-	delete(p.bundles, b.ID())
+	p.bundles.del(p.slot(b.ID()))
 	p.memBytes -= b.MemBytes()
 	p.messages -= int64(b.Size())
 }
@@ -310,8 +322,8 @@ type rankedBundle struct {
 func (p *Pool) refine(now int64) {
 	p.stats.Refines++
 	count := 0
-	waiting := make([]rankedBundle, 0, len(p.bundles))
-	for _, b := range p.bundles {
+	waiting := make([]rankedBundle, 0, p.Len())
+	p.All(func(b *bundle.Bundle) {
 		age := tweet.Sub(now, b.LastDate())
 		switch {
 		case age > p.cfg.RefineAge && b.Size() < p.cfg.RefineSize:
@@ -333,7 +345,7 @@ func (p *Pool) refine(now int64) {
 		default:
 			waiting = append(waiting, rankedBundle{b: b, g: score.EvictionRank(now, b.LastDate(), b.Size())})
 		}
-	}
+	})
 	sort.Slice(waiting, func(i, j int) bool {
 		if waiting[i].g != waiting[j].g {
 			return waiting[i].g > waiting[j].g
@@ -341,7 +353,7 @@ func (p *Pool) refine(now int64) {
 		return waiting[i].b.ID() < waiting[j].b.ID()
 	})
 	for rank, rb := range waiting {
-		if count >= p.cfg.LowerLimit && len(p.bundles) <= p.cfg.MaxBundles {
+		if count >= p.cfg.LowerLimit && p.Len() <= p.cfg.MaxBundles {
 			break
 		}
 		p.remove(rb.b)

@@ -3,6 +3,7 @@ package pool
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -336,7 +337,9 @@ func TestStatsConservationProperty(t *testing.T) {
 func TestAdoptAndNextID(t *testing.T) {
 	p := New(Config{}, nil)
 	b := bundle.New(50)
-	p.Adopt(b)
+	if err := p.Adopt(b); err != nil {
+		t.Fatal(err)
+	}
 	if p.Get(50) != b {
 		t.Fatal("adopted bundle not retrievable")
 	}
@@ -356,12 +359,34 @@ func TestAdoptAndNextID(t *testing.T) {
 	if p.NextID() != 100 {
 		t.Errorf("SetNextID = %d, want 100", p.NextID())
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate Adopt did not panic")
+	if err := p.Adopt(bundle.New(50)); err == nil || p.Get(50) != b {
+		t.Errorf("duplicate Adopt: err = %v, and the pool holds %p, not the first bundle %p", err, p.Get(50), b)
+	}
+}
+
+// TestAdoptOffTheProgression: a pool allocates IDStart, IDStart +
+// IDStride, ... and has a slot for those IDs only; Adopt refuses any
+// other and leaves the pool as it was.
+func TestAdoptOffTheProgression(t *testing.T) {
+	p := New(Config{IDStart: 2, IDStride: 3}, nil)
+	for _, id := range []bundle.ID{1, 3, 4, 6, 1_000_000} {
+		if err := p.Adopt(bundle.New(id)); err == nil {
+			t.Errorf("Adopt(%d) on the progression 2, 5, 8, ...: no error", id)
 		}
-	}()
-	p.Adopt(bundle.New(50))
+	}
+	if p.Len() != 0 || p.NextID() != 2 {
+		t.Fatalf("refused adopts left %d bundles, next ID %d", p.Len(), p.NextID())
+	}
+	for _, id := range []bundle.ID{5, 2, 3002} {
+		if err := p.Adopt(bundle.New(id)); err != nil {
+			t.Errorf("Adopt(%d): %v", id, err)
+		}
+	}
+	var got []bundle.ID
+	p.All(func(b *bundle.Bundle) { got = append(got, b.ID()) })
+	if want := []bundle.ID{2, 5, 3002}; !slices.Equal(got, want) || p.NextID() != 3005 {
+		t.Errorf("All walks %v with next ID %d, want %v and 3005", got, p.NextID(), want)
+	}
 }
 
 func TestInsertsCounter(t *testing.T) {
@@ -409,9 +434,12 @@ func TestRunningTotalsMatchWalk(t *testing.T) {
 			case r < 2 || len(open) == 0:
 				open = append(open, p.Create())
 			case r < 3:
-				b := bundle.New(bundle.ID(1_000_000 + 2*step)) // off this pool's own ID sequence
+				// On the pool's odd IDs, above every one it has made.
+				b := bundle.New(p.NextID() + bundle.ID(2*rng.Intn(200)))
 				fill(b, 1+rng.Intn(25), now)
-				p.Adopt(b)
+				if err := p.Adopt(b); err != nil {
+					t.Fatal(err)
+				}
 			default:
 				if b := open[rng.Intn(len(open))]; p.Get(b.ID()) == b {
 					for n := 1 + rng.Intn(4); n > 0 && !b.Closed(); n-- {
@@ -428,4 +456,60 @@ func TestRunningTotalsMatchWalk(t *testing.T) {
 			t.Errorf("seed %d: eviction kinds not all exercised: %+v", seed, st)
 		}
 	}
+}
+
+// TestTableStaysBounded: a pool with the Bundle Limit configuration
+// (core.BundleLimitConfig(1000, 50)) creates 200 000 bundles, a third
+// of its inserts going to a live bundle picked at random, so survivors
+// of refinement sit scattered over old pages. The table must release
+// pages as they empty: after every refinement its bytes — directory and
+// pages — stay within tableBound of the 8-byte slot each live bundle
+// needs.
+func TestTableStaysBounded(t *testing.T) {
+	const (
+		created    = 200_000
+		tableBound = 8
+	)
+	cfg := DefaultConfig()
+	cfg.MaxBundles, cfg.LowerLimit, cfg.CheckEvery, cfg.MaxBundleSize = 1000, 250, 125, 50
+	p := New(cfg, nil)
+	rng := rand.New(rand.NewSource(1))
+	now := base
+	var live []*bundle.Bundle
+	worst := 0.0
+	for p.Stats().Created < created {
+		now = now.Add(time.Duration(rng.Intn(40)) * time.Second)
+		b := (*bundle.Bundle)(nil)
+		if rng.Intn(3) == 0 && len(live) > 0 {
+			if c := live[rng.Intn(len(live))]; p.Get(c.ID()) == c && !c.Closed() {
+				b = c
+			}
+		}
+		if b == nil {
+			b = p.Create()
+			live = append(live, b)
+		}
+		insert(p, b, 1, now)
+		if p.inserts%cfg.CheckEvery == 0 && p.MaybeRefine(now.UnixNano()) {
+			live = slices.DeleteFunc(live, func(b *bundle.Bundle) bool { return p.Get(b.ID()) != b })
+			if r := float64(tableBytes(&p.bundles)) / float64(8*p.Len()); r > worst {
+				worst = r
+			}
+		}
+	}
+	t.Logf("%d bundles created, %d live; table %d bytes, worst %.2f× the live bundles' slots", p.Stats().Created, p.Len(), tableBytes(&p.bundles), worst)
+	if worst > tableBound {
+		t.Errorf("the table held %.2f× the 8 bytes a live bundle needs, bound %d×", worst, tableBound)
+	}
+}
+
+// tableBytes is the heap t holds: its directory and its pages.
+func tableBytes(t *table) int64 {
+	n := int64(cap(t.pages))*8 + int64(cap(t.used))*2
+	for _, pg := range t.pages {
+		if pg != nil {
+			n += pageSize * 8
+		}
+	}
+	return n
 }

@@ -266,11 +266,12 @@ func (p *Processor) Engine() *core.Engine {
 // Bundle resolves a bundle in the pool or the disk back-end of the
 // engine that allocated its ID, and copies it out (Reader's contract).
 func (p *Processor) Bundle(id bundle.ID) (BundleDetail, error) {
-	b, err := p.owner(id).Bundle(id)
+	e := p.owner(id)
+	b, err := e.Bundle(id)
 	if err != nil {
 		return BundleDetail{}, err
 	}
-	return detail(b), nil
+	return detail(b, e.MessageWeights()), nil
 }
 
 // owner returns the engine whose pool allocated id — the only one that

@@ -55,8 +55,10 @@ type BundleDetail struct {
 	Nodes      []BundleNode // in node-id order
 }
 
-// detail copies b out. The caller holds whatever keeps b still.
-func detail(b *bundle.Bundle) BundleDetail {
+// detail copies b out, its edge scores derived under w, the weights
+// of the engine that placed it. The caller holds whatever keeps b
+// still.
+func detail(b *bundle.Bundle, w score.MessageWeights) BundleDetail {
 	d := BundleDetail{
 		ID:      b.ID(),
 		Closed:  b.Closed(),
@@ -66,7 +68,7 @@ func detail(b *bundle.Bundle) BundleDetail {
 		Nodes:   make([]BundleNode, b.Size()),
 	}
 	for i, n := range b.Nodes() {
-		d.Nodes[i] = BundleNode{Msg: n.Doc, Score: n.Score, Parent: n.Parent, Conn: n.Conn}
+		d.Nodes[i] = BundleNode{Msg: n.Doc, Score: b.EdgeScore(w, i), Parent: n.Parent, Conn: n.Conn}
 	}
 	return d
 }

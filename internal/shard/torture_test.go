@@ -291,7 +291,7 @@ func assertEnginesEqual(t *testing.T, i int, want, got *core.Engine) {
 	}
 	want.Pool().All(func(b *bundle.Bundle) {
 		g := got.Pool().Get(b.ID())
-		if g == nil || string(g.AppendMarshal(nil)) != string(b.AppendMarshal(nil)) {
+		if g == nil || string(g.AppendMarshal(nil, score.DefaultMessageWeights())) != string(b.AppendMarshal(nil, score.DefaultMessageWeights())) {
 			t.Fatalf("engine %d: live bundle %d differs", i, b.ID())
 		}
 	})
@@ -309,7 +309,7 @@ func assertEnginesEqual(t *testing.T, i int, want, got *core.Engine) {
 		if err != nil {
 			t.Fatalf("engine %d: stored bundle %d missing: %v", i, id, err)
 		}
-		if string(wb.AppendMarshal(nil)) != string(gb.AppendMarshal(nil)) {
+		if string(wb.AppendMarshal(nil, score.DefaultMessageWeights())) != string(gb.AppendMarshal(nil, score.DefaultMessageWeights())) {
 			t.Fatalf("engine %d: stored bundle %d differs", i, id)
 		}
 	}

@@ -37,7 +37,7 @@ func faultBundle(id bundle.ID, n int) *bundle.Bundle {
 // put stores faultBundle(id, n), which must succeed.
 func put(t *testing.T, s *Store, id bundle.ID, n int) {
 	t.Helper()
-	if err := s.Put(faultBundle(id, n)); err != nil {
+	if err := s.Put(faultBundle(id, n), score.DefaultMessageWeights()); err != nil {
 		t.Fatalf("put %d: %v", id, err)
 	}
 }
@@ -106,7 +106,7 @@ func TestENOSPCMidAppend(t *testing.T) {
 	// Fail the next Put's write with ENOSPC after the frame header and
 	// some payload already landed — a torn append.
 	ff.Arm(1, fsx.Fault{Err: fsx.ErrNoSpace, TornBytes: 20}, fsx.OpWrite)
-	err := s.Put(faultBundle(2, 3))
+	err := s.Put(faultBundle(2, 3), score.DefaultMessageWeights())
 	if !errors.Is(err, fsx.ErrNoSpace) {
 		t.Fatalf("Put err = %v, want ENOSPC", err)
 	}
@@ -138,7 +138,7 @@ func TestPutRetryAfterTornAppend(t *testing.T) {
 	put(t, s, 1, 3)
 	// Tear the next Put's write: header and 4 payload bytes land, then error.
 	ff.Arm(1, fsx.Fault{Err: fsx.ErrNoSpace, TornBytes: 12}, fsx.OpWrite)
-	if err := s.Put(faultBundle(2, 3)); !errors.Is(err, fsx.ErrNoSpace) {
+	if err := s.Put(faultBundle(2, 3), score.DefaultMessageWeights()); !errors.Is(err, fsx.ErrNoSpace) {
 		t.Fatalf("torn Put err = %v", err)
 	}
 	ff.Disarm()
@@ -167,7 +167,7 @@ func TestFsyncErrorOnRotate(t *testing.T) {
 	s := openMem(t, ff, Options{SegmentSize: 64})
 	put(t, s, 1, 3)
 	ff.Arm(1, fsx.Fault{}, fsx.OpSync)
-	if err := s.Put(faultBundle(2, 3)); !errors.Is(err, fsx.ErrInjected) {
+	if err := s.Put(faultBundle(2, 3), score.DefaultMessageWeights()); !errors.Is(err, fsx.ErrInjected) {
 		t.Fatalf("Put during failing rotate = %v, want injected", err)
 	}
 	ff.Disarm()
@@ -298,7 +298,7 @@ func TestCompactFailureLeavesStoreIntact(t *testing.T) {
 			t.Fatalf("op %d: Compact swallowed the injected fault", n)
 		}
 		check("after the failed compaction", s, 1, 2, 3)
-		if err := s.Put(faultBundle(4, 2)); err != nil {
+		if err := s.Put(faultBundle(4, 2), score.DefaultMessageWeights()); err != nil {
 			t.Fatalf("op %d: Put after the failed compaction: %v", n, err)
 		}
 		if err := s.Close(); err != nil {
@@ -309,7 +309,8 @@ func TestCompactFailureLeavesStoreIntact(t *testing.T) {
 }
 
 // TestGoldenSegment pins the segment format: the golden segment opens,
-// and the same Puts write the same bytes.
+// every bundle read from it re-encodes to its record — node scores
+// derived, not read — and the same Puts write the same bytes.
 func TestGoldenSegment(t *testing.T) {
 	golden, err := os.ReadFile("testdata/golden_v2.bls")
 	if err != nil {
@@ -320,6 +321,19 @@ func TestGoldenSegment(t *testing.T) {
 	old := openMem(t, mem, Options{})
 	if b, err := old.Get(2); err != nil || b.Size() != 5 || old.Count() != 3 || old.DeadBytes() == 0 {
 		t.Fatalf("golden segment: Get(2) = %v, %v; Count %d, DeadBytes %d", b, err, old.Count(), old.DeadBytes())
+	}
+	for _, id := range old.IDs() {
+		b, err := old.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored, err := old.payloadAt(old.index[id])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again := b.AppendMarshal(nil, score.DefaultMessageWeights()); !bytes.Equal(again, stored) {
+			t.Fatalf("golden bundle %d re-encodes to %d bytes that differ from its %d-byte record", id, len(again), len(stored))
+		}
 	}
 	mem = fsx.NewMem()
 	s := openMem(t, mem, Options{})

@@ -28,6 +28,7 @@ import (
 	"provex/internal/bundle"
 	"provex/internal/fsx"
 	"provex/internal/recfile"
+	"provex/internal/score"
 )
 
 // DefaultSegmentSize rotates segments at 8 MiB, large enough to
@@ -136,12 +137,13 @@ func (s *Store) indexRecordLocked(id bundle.ID, pos recordPos) {
 	s.liveBytes += pos.size()
 }
 
-// appendLocked encodes b into the reused frame buffer and lands the
-// frame in the active segment with one write, sealing a full segment first (the old one is synced before
-// the next is started). Every failure leaves the active segment at its
-// last good length, so the caller may simply try again — or latches the
-// directory broken when that repair fails too. Caller holds s.mu.
-func (s *Store) appendLocked(b *bundle.Bundle) (recordPos, error) {
+// appendLocked lands the record encode appends to the reused frame
+// buffer in the active segment with one write, sealing a full segment
+// first (the old one is synced before the next is started). Every
+// failure leaves the active segment at its last good length, so the
+// caller may simply try again — or latches the directory broken when
+// that repair fails too. Caller holds s.mu.
+func (s *Store) appendLocked(encode func([]byte) []byte) (recordPos, error) {
 	if err := s.segs.Broken(); err != nil {
 		return recordPos{}, err
 	}
@@ -150,7 +152,7 @@ func (s *Store) appendLocked(b *bundle.Bundle) (recordPos, error) {
 			return recordPos{}, err
 		}
 	}
-	s.frame = b.AppendMarshal(recfile.BeginFrame(s.frame[:0]))
+	s.frame = encode(recfile.BeginFrame(s.frame[:0]))
 	recfile.EndFrame(s.frame, 0)
 	if _, err := s.segs.File().Write(s.frame); err != nil {
 		// Without the rewind a retried Put would start behind a dangling
@@ -176,13 +178,14 @@ func (s *Store) rotateLocked() error {
 	return nil
 }
 
-// Put appends b to the store. A bundle already present is superseded by
-// the new record. A failed Put leaves the store exactly as it was, so
-// the caller may retry (the engine's flush retry queue does).
-func (s *Store) Put(b *bundle.Bundle) error {
+// Put appends b to the store, encoded under w, the weights b was placed
+// under (bundle.AppendMarshal). A bundle already present is superseded
+// by the new record. A failed Put leaves the store exactly as it was,
+// so the caller may retry (the engine's flush retry queue does).
+func (s *Store) Put(b *bundle.Bundle, w score.MessageWeights) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	pos, err := s.appendLocked(b)
+	pos, err := s.appendLocked(func(buf []byte) []byte { return b.AppendMarshal(buf, w) })
 	if err != nil {
 		return err
 	}
@@ -206,6 +209,19 @@ func (s *Store) Get(id bundle.ID) (*bundle.Bundle, error) {
 }
 
 func (s *Store) readAt(pos recordPos) (*bundle.Bundle, error) {
+	payload, err := s.payloadAt(pos)
+	if err != nil {
+		return nil, err
+	}
+	b, err := bundle.Unmarshal(payload)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return b, nil
+}
+
+// payloadAt reads the checked payload of the record at pos.
+func (s *Store) payloadAt(pos recordPos) ([]byte, error) {
 	// The active segment is written through its own handle; reads open
 	// theirs so readers never disturb the append cursor.
 	f, err := s.opts.FS.Open(s.segs.Path(pos.seg))
@@ -218,11 +234,7 @@ func (s *Store) readAt(pos recordPos) (*bundle.Bundle, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v for segment %d offset %d", ErrCorrupt, err, pos.seg, pos.offset)
 	}
-	b, err := bundle.Unmarshal(payload)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return b, nil
+	return payload, nil
 }
 
 // Has reports whether id is stored.
@@ -286,8 +298,8 @@ func (s *Store) Scan(fn func(*bundle.Bundle) error) error {
 	return nil
 }
 
-// Compact rewrites live records into fresh segments and deletes old
-// ones, reclaiming dead bytes. Put and Get wait for its duration. The
+// Compact copies live records, byte for byte, into fresh segments and
+// deletes old ones, reclaiming dead bytes. Put and Get wait for its duration. The
 // new chain is built behind the old one, and the directory moves over
 // to it only once it is whole and synced: if anything fails before
 // that, the store answers exactly as before the call and accepts Put —
@@ -305,11 +317,11 @@ func (s *Store) Compact() error {
 	}
 	index, live := make(map[bundle.ID]recordPos, len(s.index)), int64(0)
 	for _, id := range s.idsLocked() {
-		b, err := s.readAt(s.index[id])
+		payload, err := s.payloadAt(s.index[id])
 		if err != nil {
 			return err
 		}
-		pos, err := s.appendLocked(b)
+		pos, err := s.appendLocked(func(buf []byte) []byte { return append(buf, payload...) })
 		if err != nil {
 			return err
 		}

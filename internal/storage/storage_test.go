@@ -47,7 +47,7 @@ func openStore(t *testing.T, dir string, opts Options) *Store {
 func TestPutGetRoundTrip(t *testing.T) {
 	s := openStore(t, t.TempDir(), Options{})
 	want := makeBundle(7, 12)
-	if err := s.Put(want); err != nil {
+	if err := s.Put(want, score.DefaultMessageWeights()); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	got, err := s.Get(7)
@@ -79,7 +79,7 @@ func TestReopenRecoversIndex(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, Options{})
 	for id := bundle.ID(1); id <= 20; id++ {
-		if err := s.Put(makeBundle(id, int(id)%7+1)); err != nil {
+		if err := s.Put(makeBundle(id, int(id)%7+1), score.DefaultMessageWeights()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -101,7 +101,7 @@ func TestReopenRecoversIndex(t *testing.T) {
 		}
 	}
 	// And the store still accepts appends.
-	if err := s2.Put(makeBundle(21, 3)); err != nil {
+	if err := s2.Put(makeBundle(21, 3), score.DefaultMessageWeights()); err != nil {
 		t.Fatalf("Put after reopen: %v", err)
 	}
 }
@@ -110,7 +110,7 @@ func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, Options{SegmentSize: 4 << 10})
 	for id := bundle.ID(1); id <= 60; id++ {
-		if err := s.Put(makeBundle(id, 10)); err != nil {
+		if err := s.Put(makeBundle(id, 10), score.DefaultMessageWeights()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -139,13 +139,13 @@ func TestSupersedeAndCompact(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, Options{SegmentSize: 16 << 10})
 	for id := bundle.ID(1); id <= 10; id++ {
-		if err := s.Put(makeBundle(id, 5)); err != nil {
+		if err := s.Put(makeBundle(id, 5), score.DefaultMessageWeights()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Supersede half the bundles with bigger versions.
 	for id := bundle.ID(1); id <= 5; id++ {
-		if err := s.Put(makeBundle(id, 9)); err != nil {
+		if err := s.Put(makeBundle(id, 9), score.DefaultMessageWeights()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -175,7 +175,7 @@ func TestSupersedeAndCompact(t *testing.T) {
 		}
 	}
 	// Store still writable after compact and survives reopen.
-	if err := s.Put(makeBundle(11, 2)); err != nil {
+	if err := s.Put(makeBundle(11, 2), score.DefaultMessageWeights()); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -188,7 +188,7 @@ func TestSupersedeAndCompact(t *testing.T) {
 func TestScan(t *testing.T) {
 	s := openStore(t, t.TempDir(), Options{})
 	for id := bundle.ID(3); id >= 1; id-- {
-		if err := s.Put(makeBundle(id, 2)); err != nil {
+		if err := s.Put(makeBundle(id, 2), score.DefaultMessageWeights()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -213,7 +213,7 @@ func TestScan(t *testing.T) {
 func TestSyncEvery(t *testing.T) {
 	s := openStore(t, t.TempDir(), Options{SyncEvery: 2})
 	for id := bundle.ID(1); id <= 5; id++ {
-		if err := s.Put(makeBundle(id, 2)); err != nil {
+		if err := s.Put(makeBundle(id, 2), score.DefaultMessageWeights()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -253,7 +253,7 @@ func TestPutSequenceProperty(t *testing.T) {
 		for i, op := range ops {
 			id := bundle.ID(op%5) + 1
 			size := i%6 + 1
-			if err := s.Put(makeBundle(id, size)); err != nil {
+			if err := s.Put(makeBundle(id, size), score.DefaultMessageWeights()); err != nil {
 				return false
 			}
 			latest[id] = size
@@ -292,7 +292,7 @@ func TestBundleContentSurvivesStore(t *testing.T) {
 	at := time.Date(2009, 9, 30, 1, 2, 3, 0, time.UTC)
 	m := tweet.Parse(5, "somebody", at, "exact text #tag http://bit.ly/z")
 	b.Add(msgWeights, score.NewDoc(m))
-	if err := s.Put(b); err != nil {
+	if err := s.Put(b, score.DefaultMessageWeights()); err != nil {
 		t.Fatal(err)
 	}
 	got, err := s.Get(77)
@@ -319,7 +319,7 @@ func BenchmarkPut(b *testing.B) {
 		// Unique IDs so the index grows like production.
 		bn2 := makeBundle(bundle.ID(i+2), 1)
 		_ = bn2
-		if err := s.Put(bn); err != nil {
+		if err := s.Put(bn, score.DefaultMessageWeights()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -333,7 +333,7 @@ func BenchmarkGet(b *testing.B) {
 	}
 	defer s.Close()
 	for id := bundle.ID(1); id <= 100; id++ {
-		if err := s.Put(makeBundle(id, 10)); err != nil {
+		if err := s.Put(makeBundle(id, 10), score.DefaultMessageWeights()); err != nil {
 			b.Fatal(err)
 		}
 	}
