@@ -377,7 +377,7 @@ func TestAdoptOffTheProgression(t *testing.T) {
 	if p.Len() != 0 || p.NextID() != 2 {
 		t.Fatalf("refused adopts left %d bundles, next ID %d", p.Len(), p.NextID())
 	}
-	for _, id := range []bundle.ID{5, 2, 3002} {
+	for _, id := range []bundle.ID{3002, 5, 2} { // the later pages first
 		if err := p.Adopt(bundle.New(id)); err != nil {
 			t.Errorf("Adopt(%d): %v", id, err)
 		}

@@ -59,10 +59,11 @@ const MaxFanout = 1024
 // two or more do. A posting is a bundle ID in [1, listRef).
 const listRef = 1 << 31
 
-// MaxID is the highest bundle ID the index holds; Observe refuses a
-// higher one. Pools hand out IDs from 1 up (a shard's from its IDStart),
-// so reaching it takes 2^31 − 1 bundles created; the crawl makes 43 k.
-const MaxID bundle.ID = listRef - 1
+// MaxID is the highest bundle ID the index holds, bundle.MaxID: a
+// posting lies below listRef. Observe refuses a higher one. Pools hand
+// out IDs from 1 up (a shard's from its IDStart), so reaching it takes
+// 2^31 − 1 bundles created; the crawl makes 43 k.
+const MaxID = bundle.MaxID
 
 // InsertKind says where Observe put a new posting: the work counter of
 // the index (provex_sumindex_inserts_total).
