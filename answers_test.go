@@ -84,7 +84,6 @@ func openSerialNode(t *testing.T, dir string) (answerNode, *pipeline.Durable, *p
 	d, err := pipeline.OpenDurable(core.FullIndexConfig(), nil, nil, pipeline.DurableOptions{
 		CheckpointPath: filepath.Join(dir, "e.ckpt"),
 		WALDir:         filepath.Join(dir, "e.ckpt.wal"),
-		WALSyncEvery:   64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +103,6 @@ func openShardedNode(t *testing.T, dir string) (answerNode, *shard.Durable) {
 	d, err := shard.OpenDurable(core.FullIndexConfig(), shard.Options{Shards: 2, Query: &q}, shard.DurableOptions{
 		Dir:          filepath.Join(dir, "e.ckpt.wal"),
 		ManifestPath: filepath.Join(dir, "e.ckpt"),
-		WALSyncEvery: 64,
 	})
 	if err != nil {
 		t.Fatal(err)

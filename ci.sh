@@ -89,9 +89,11 @@ while IFS= read -r line; do
 done <"$lint_tmp/quickstart.readme"
 echo "quickstart: all $(wc -l <"$lint_tmp/quickstart.readme") README lines printed"
 
-# The WAL's group-commit path, once: 64 appends, one write, one fsync.
-# TestAppendZeroAlloc pins its allocations; this proves the benchmark
-# that times it still builds and runs.
+# The WAL's group-commit path, once: a batch of 64 appends, one write,
+# one fsync (a Service's batch is whatever its queue held, up to the
+# queue's capacity; the benchmark times a fixed size). TestAppendZeroAlloc
+# pins its allocations; this proves the benchmark that times it still
+# builds and runs.
 echo "== wal append benchmark (1x) =="
 go test ./internal/wal -run '^$' -bench BenchmarkAppend -benchtime 1x
 
@@ -455,5 +457,10 @@ go test -count=1 -run 'TestCheckpointBytesAreAFunctionOfTheStream|TestEdgeScoreI
 # kind.
 go test -count=1 -run 'TestLiveHeapPerMessage|TestApplyAllocationsPerMessage|TestMemEstimateTracksHeap|TestBytesPerPosting|TestCheckpointWorkPerMessage|TestSummaryIndexInserts' -v ./internal/query ./internal/core ./internal/textindex ./internal/sumindex \
     | grep -E 'per message|live heap .* ratio|per posting|MemBytes .* ratio|summary-index inserts'
+
+# Group commit by count, uncached: a full queue lands as one batch with
+# one fsync, and a direct Durable.Log caller gets the sync cadence it
+# opened the log with.
+go test -count=1 -run 'TestOneFsyncPerDrainedBatch|TestDirectLogSyncCadence' ./internal/pipeline
 
 echo "CI OK"

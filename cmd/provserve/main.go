@@ -134,10 +134,7 @@ func validate(shards int, follow, ckpt, walDir string) error {
 	return nil
 }
 
-const (
-	checkpointEvery = 50_000 // checkpoint cadence, in applied messages
-	walSyncEvery    = 64     // WAL appends per fsync
-)
+const checkpointEvery = 50_000 // checkpoint cadence, in applied messages
 
 // node is an opened engine behind its ingest service: everything serve
 // needs, whichever engine -shards picked.
@@ -161,7 +158,6 @@ func openSerial(ckpt, walDir string, reg *metrics.Registry, rec *trace.Recorder)
 		dur, err := pipeline.OpenDurable(core.FullIndexConfig(), nil, nil, pipeline.DurableOptions{
 			CheckpointPath: ckpt,
 			WALDir:         walDir,
-			WALSyncEvery:   walSyncEvery,
 		})
 		if err != nil {
 			cli.Fatal("durable open", err)
@@ -199,7 +195,6 @@ func openSharded(ns int, ckpt, walDir string, reg *metrics.Registry, rec *trace.
 		dur, err = shard.OpenDurable(core.FullIndexConfig(), opts, shard.DurableOptions{
 			Dir:          walDir,
 			ManifestPath: ckpt,
-			WALSyncEvery: walSyncEvery,
 		})
 		if err != nil {
 			cli.Fatal("sharded durable open", err)

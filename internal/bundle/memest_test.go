@@ -33,10 +33,10 @@ func TestMemEstimateMatchesLayouts(t *testing.T) {
 		{"SummaryRowCost (bundle.row)", unsafe.Sizeof(row{}), metrics.SummaryRowCost},
 		{"PostingCost (summary-index posting, a uint32 offset)", unsafe.Sizeof(uint32(0)), metrics.PostingCost},
 		{"ListSlotCost (summary-index list-table slot)", unsafe.Sizeof([]uint32(nil)), metrics.ListSlotCost},
-		{"MapEntryCost (index term-map slot)", unsafe.Sizeof(struct {
+		{"a term-map slot (MapEntryCost adds its control byte and load-factor slack)", unsafe.Sizeof(struct {
 			k termdict.ID
 			v uint32
-		}{}), metrics.MapEntryCost},
+		}{}), 8},
 		{"nodeIDSize (an entry of single or a node list; NodeRefCost adds growth slack)", unsafe.Sizeof(int32(0)), nodeIDSize},
 		{"listHeaderSize (an entry of the lists table; NodeListCost adds growth slack)", unsafe.Sizeof([]int32(nil)), listHeaderSize},
 		{"bundle.index (SummaryIndexBase prices it at its 64-byte size class)", unsafe.Sizeof(index{}), 56},

@@ -127,7 +127,7 @@ type Stats struct {
 	EdgesCreated   int64
 	ConnCounts     map[string]int64
 
-	MemBundles       int64 // analytic bytes in the pool
+	MemBundles       int64 // analytic bytes of the live bundles, plus the pool table that holds them
 	MemIndex         int64 // analytic bytes in the summary index
 	MessagesInMemory int64
 
@@ -917,7 +917,7 @@ func (e *Engine) Snapshot() Stats {
 		BundlesLive:      e.pool.Len(),
 		EdgesCreated:     e.edges.Value(),
 		ConnCounts:       conn,
-		MemBundles:       e.pool.MemBytes(),
+		MemBundles:       e.pool.MemBytes() + e.pool.TableBytes(),
 		MemIndex:         e.index.MemBytes(),
 		MessagesInMemory: e.pool.MessageCount(),
 		PrepareTime:      e.prepTimer.Total(),

@@ -17,10 +17,10 @@ type MemEstimator struct {
 // off a struct are its unsafe.Sizeof rounded to the allocator's size
 // class; bundle/memest_test.go holds them to the layouts. NodeRefCost
 // and NodeListCost price arrays that grow on bundle/grow.go's size-class
-// schedule, so they carry that schedule's slack, measured on the seed-1
-// 125 000-message stream.
+// schedule, so they carry that schedule's slack, and MapEntryCost a
+// Swiss table's, all measured on the seed-1 125 000-message stream.
 const (
-	MapEntryCost = 8  // slot of a bundle index's term map: the 4-byte term ID and its 4-byte node-list reference
+	MapEntryCost = 16 // entry of a bundle index's term map: the 8-byte slot (4-byte term ID, 4-byte node-list reference), its control byte and the load-factor slack (1 499 280 B over 95 682 entries in 953 maps, their 48-byte headers apart)
 	MessageBase  = 24 // a message record's header (score.Msg); its term list is charged by TermRefCost and its text by length
 	NodeBase     = 16 // bundle tree node (16 B: record handle, parent, connection; the edge score is derived)
 	TermRefCost  = 4  // one entry of a record's term list: a term-dictionary ID; the term's bytes are the dictionary's

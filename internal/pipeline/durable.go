@@ -42,10 +42,11 @@ type DurableOptions struct {
 	CheckpointPath string
 	// WALDir is the write-ahead log directory.
 	WALDir string
-	// WALSyncEvery is the group-commit batch cap: the log is written and
-	// fsynced after every n appends, and a Service closes its batches at
-	// the same n (or sooner, when its queue runs dry). <=1 syncs every
-	// append (strongest guarantee, highest cost).
+	// WALSyncEvery, when n > 0, also writes and fsyncs the log on every
+	// n-th Log. 0 syncs only on SyncWAL, which is how a Service runs:
+	// one sync per batch it drained from its queue. n is for callers
+	// that Log directly and never call SyncWAL (the benchmark's traced
+	// replay); ROADMAP item 1(a) deletes the field with them.
 	WALSyncEvery int
 	// ReplayLimit, when non-zero, caps recovery at WAL sequence
 	// ReplayLimit: records beyond it are left in the log but NOT applied
@@ -138,9 +139,10 @@ func (d *Durable) Replayed() int { return d.replayed }
 func (d *Durable) LogSize() int64 { return d.wal.Size() }
 
 // Log appends m to the WAL's open batch under the next sequence number;
-// every WALSyncEvery-th call also writes and fsyncs the batch. Call it
-// BEFORE applying m to the engine. On error the sequence is not
-// consumed and nothing of the open batch was made durable (wal.Sync).
+// under WALSyncEvery n > 0 every n-th call also writes and fsyncs the
+// batch. Call it BEFORE applying m to the engine, and SyncWAL before
+// acknowledging it. On error the sequence is not consumed and nothing
+// of the open batch was made durable (wal.Sync).
 func (d *Durable) Log(m *score.Msg) error {
 	next := d.seq + 1
 	if err := d.wal.Append(next, m); err != nil {
@@ -196,10 +198,11 @@ func (d *Durable) Checkpoint() error {
 func (d *Durable) WALSyncedSeq() uint64 { return d.wal.SyncedSeq() }
 
 // SyncWAL writes and fsyncs the WAL's open batch, however few records
-// it holds. The Service's log stage calls it before handing a batch to
-// the writer, the sharded commit phase at the end of each round so the
-// round ledger's per-shard watermarks only ever cover records that are
-// actually on stable storage.
+// it holds. The Service's log stage calls it once per batch, before
+// handing the batch to the writer; the sharded commit phase once per
+// shard at the end of each round, so the round ledger's per-shard
+// watermarks only ever cover records that are actually on stable
+// storage.
 func (d *Durable) SyncWAL() error { return d.wal.Sync() }
 
 // Seq returns the last WAL sequence handed out by Log — the shard

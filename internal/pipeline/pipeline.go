@@ -8,7 +8,9 @@
 // Ingest is two goroutines (DESIGN.md §2c). The log stage does
 // everything with no dependency between messages: it drains the queue
 // into a batch, prepares and WAL-appends each message, lands the batch
-// with one write and one fsync, and hands it on. The writer does
+// with one write and one fsync, and hands it on. A batch is whatever
+// the queue held, so it is bounded by the queue's capacity and a
+// saturated feed pays one fsync per queueful. The writer does
 // nothing but lock, apply, unlock per message — so a message becomes
 // visible to queries only after its batch is on stable storage.
 //
@@ -80,8 +82,6 @@ type Backend interface {
 	// do nothing in either.
 	Log(m *score.Msg) error
 	Sync() error
-	// LogBatch is the most messages one Sync should cover; at least 1.
-	LogBatch() int
 	// Apply ingests one prepared message; it may only buffer it. An
 	// error is the backend's to latch and report through Err.
 	Apply(p core.Prepared) error
@@ -105,19 +105,20 @@ type Backend interface {
 // Options configure a Service.
 type Options struct {
 	// Buffer is the ingest queue capacity; Submit blocks when full
-	// (backpressure), so producers can never outrun memory. 0 uses 1024.
+	// (backpressure), so producers can never outrun memory. It also
+	// bounds a batch of the log stage. 0 uses 1024.
 	Buffer int
 	// CheckpointEvery writes a checkpoint after every that many messages
 	// this service ingests; 0 leaves only the checkpoint at Stop. A
 	// memory-only service never checkpoints.
 	CheckpointEvery int
 	// Durable, when set, makes a serial service crash-safe: every
-	// message is WAL-appended and fsynced, in batches of at most the
-	// Durable's WALSyncEvery, before it is applied, and checkpoints go
-	// through Durable.Checkpoint — drain parked flushes, sync the store,
-	// atomic checkpoint, truncate the WAL. The Durable must wrap the
-	// same engine the service's processor does. Nil keeps the service
-	// memory-only.
+	// message is WAL-appended and fsynced, one fsync per batch the log
+	// stage drained from the queue, before it is applied, and
+	// checkpoints go through Durable.Checkpoint — drain parked flushes,
+	// sync the store, atomic checkpoint, truncate the WAL. The Durable
+	// must wrap the same engine the service's processor does. Nil keeps
+	// the service memory-only.
 	Durable *Durable
 }
 
@@ -237,7 +238,7 @@ func (s *Service) run() {
 	full := make(chan batch, inFlight)
 	free := make(chan []core.Prepared, inFlight)
 	for i := 0; i < inFlight; i++ {
-		free <- make([]core.Prepared, 0, s.be.LogBatch())
+		free <- make([]core.Prepared, 0, cap(s.in))
 	}
 	resume := make(chan struct{})
 	go s.logStage(full, free, resume)
@@ -283,15 +284,16 @@ func (s *Service) run() {
 }
 
 // logStage is everything ingest does that has no dependency between
-// messages. It drains the queue greedily into a batch — closed at
-// LogBatch messages, at the checkpoint cadence, or as soon as the queue
-// is dry, so a quiet feed's tail is synced at once — prepares and logs
-// each message, syncs once, and hands the batch to the writer. Between
-// a barrier batch and resume it is parked: the writer checkpoints, and
-// owns the backend's log while it does.
+// messages. It drains the queue greedily into a batch — closed as soon
+// as the queue is dry, so a quiet feed's tail is synced at once, at the
+// checkpoint cadence, or at the queue's capacity, so a producer that
+// refills the queue as fast as it drains cannot hold a batch open —
+// prepares and logs each message, syncs once, and hands the batch to
+// the writer. Between a barrier batch and resume it is parked: the
+// writer checkpoints, and owns the backend's log while it does.
 func (s *Service) logStage(full chan<- batch, free <-chan []core.Prepared, resume <-chan struct{}) {
 	defer close(full)
-	limit := s.be.LogBatch()
+	limit := cap(s.in)
 	every := 0
 	if s.be.CanCheckpoint() {
 		every = s.opts.CheckpointEvery
@@ -502,20 +504,6 @@ func (b *serial) Sync() error {
 		return nil
 	}
 	return b.dur.SyncWAL()
-}
-
-// memLogBatch bounds a batch when there is no WAL to take the cap from:
-// large enough to amortise the hand-over, small enough that a message
-// is not held back behind many others' prepare.
-const memLogBatch = 64
-
-// LogBatch is the WAL's own batch cap, so the log stage's sync and the
-// log's cadence close the same batch.
-func (b *serial) LogBatch() int {
-	if b.dur == nil {
-		return memLogBatch
-	}
-	return max(1, b.dur.opts.WALSyncEvery)
 }
 
 func (b *serial) Apply(p core.Prepared) error {

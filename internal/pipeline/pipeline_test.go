@@ -31,7 +31,6 @@ func TestPeriodicCheckpointAndResume(t *testing.T) {
 	dopts := DurableOptions{
 		CheckpointPath: filepath.Join(dir, "engine.ckpt"),
 		WALDir:         filepath.Join(dir, "wal"),
-		WALSyncEvery:   64,
 	}
 	cfg := core.PartialIndexConfig(500)
 	d, err := OpenDurable(cfg, nil, nil, dopts)

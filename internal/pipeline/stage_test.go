@@ -1,9 +1,10 @@
 package pipeline
 
 // The two-stage ingest loop's own guarantees, on the serial backend:
-// nothing is applied before its batch is on stable storage, a cadence
-// checkpoint is a barrier through both stages, and a failed batch sync
-// degrades durability without stopping ingest.
+// nothing is applied before its batch is on stable storage, a batch is
+// what the queue held and costs one fsync, a cadence checkpoint is a
+// barrier through both stages, and a failed batch sync degrades
+// durability without stopping ingest.
 
 import (
 	"strings"
@@ -13,18 +14,21 @@ import (
 
 	"provex/internal/core"
 	"provex/internal/fsx"
+	"provex/internal/metrics"
+	"provex/internal/promtext"
 	"provex/internal/query"
+	"provex/internal/score"
 	"provex/internal/tweet"
 	"provex/internal/wal"
 )
 
-// openStaged opens a Durable on fs with provserve's batch cap and puts
-// a Service over it.
+// openStaged opens a Durable on fs as provserve does, syncing only
+// when the log stage closes a batch, and puts a Service over it.
 func openStaged(t *testing.T, fs fsx.FS, opts Options) (*Durable, *Service) {
 	t.Helper()
-	dopts := durableOpts(fs)
-	dopts.WALSyncEvery = 64
-	d, err := OpenDurable(core.PartialIndexConfig(300), nil, nil, dopts)
+	d, err := OpenDurable(core.PartialIndexConfig(300), nil, nil, DurableOptions{
+		FS: fs, CheckpointPath: "engine.ckpt", WALDir: "wal",
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,6 +85,94 @@ func TestApplyAfterSync(t *testing.T) {
 			t.Errorf("crash after %d: recovered %d messages, but %d had been visible to readers", crashAfter, got, seen)
 		}
 		d2.Close()
+	}
+}
+
+// scrape renders reg and parses it back, series name → value.
+func scrape(t *testing.T, reg *metrics.Registry) map[string]float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.Expose(&b); err != nil {
+		t.Fatal(err)
+	}
+	series, err := promtext.Parse(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return series
+}
+
+// TestOneFsyncPerDrainedBatch: a batch is whatever the queue held, so
+// a full queue lands as one batch — one WAL write and fsync, one batch
+// handed to the writer — however many messages it holds. Counted, not
+// timed: the messages are all queued before the log stage starts.
+func TestOneFsyncPerDrainedBatch(t *testing.T) {
+	const n = 1000
+	d, s := openStaged(t, fsx.NewMem(), Options{Buffer: n})
+	defer d.Close()
+	reg := metrics.NewRegistry()
+	d.RegisterMetrics(reg)
+	s.RegisterMetrics(reg)
+	for _, m := range genMessages(35, n) {
+		if err := s.Submit(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Start()
+	waitFor(t, "the queue applied", func() bool { return s.Ingested() == n })
+	series := scrape(t, reg)
+	if got := series["provex_wal_fsync_seconds_count"]; got != 1 {
+		t.Errorf("%d queued messages took %v fsyncs, want 1", n, got)
+	}
+	if got := series["provex_pipeline_batch_size_count"]; got != 1 {
+		t.Errorf("%d queued messages went over in %v batches, want 1", n, got)
+	}
+	if got := d.WALSyncedSeq(); got != n {
+		t.Errorf("WAL synced to %d, want %d", got, n)
+	}
+	if err := s.Stop(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDirectLogSyncCadence: a caller that drives Durable.Log itself
+// gets the cadence it opened the log with — WALSyncEvery n syncs on
+// every n-th Log, 0 on SyncWAL alone.
+func TestDirectLogSyncCadence(t *testing.T) {
+	for _, tc := range []struct {
+		every       int
+		fsyncs      float64 // after 130 Logs
+		syncedAfter uint64
+	}{{64, 2, 128}, {0, 0, 0}} {
+		d, err := OpenDurable(core.PartialIndexConfig(300), nil, nil, DurableOptions{
+			FS: fsx.NewMem(), CheckpointPath: "engine.ckpt", WALDir: "wal", WALSyncEvery: tc.every,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := metrics.NewRegistry()
+		d.RegisterMetrics(reg)
+		for _, m := range genMessages(36, 130) {
+			if err := d.Log(score.NewDoc(m).Msg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := scrape(t, reg)["provex_wal_fsync_seconds_count"]; got != tc.fsyncs {
+			t.Errorf("WALSyncEvery %d: %v fsyncs after 130 Logs, want %v", tc.every, got, tc.fsyncs)
+		}
+		if got := d.WALSyncedSeq(); got != tc.syncedAfter {
+			t.Errorf("WALSyncEvery %d: synced to %d after 130 Logs, want %d", tc.every, got, tc.syncedAfter)
+		}
+		if err := d.SyncWAL(); err != nil {
+			t.Fatal(err)
+		}
+		if got := scrape(t, reg)["provex_wal_fsync_seconds_count"]; got != tc.fsyncs+1 {
+			t.Errorf("WALSyncEvery %d: %v fsyncs after SyncWAL, want %v", tc.every, got, tc.fsyncs+1)
+		}
+		if got := d.WALSyncedSeq(); got != 130 {
+			t.Errorf("WALSyncEvery %d: synced to %d after SyncWAL, want 130", tc.every, got)
+		}
+		d.Close()
 	}
 }
 
@@ -178,12 +270,14 @@ func TestCheckpointBarrier(t *testing.T) {
 // applied anyway (availability over durability), the failure is latched
 // under the "pipeline: wal:" prefix and stays the reported one, every
 // later batch is logged normally, and the final checkpoint closes the
-// gap so a restart recovers everything.
+// gap so a restart recovers everything. A batch is at most a queueful,
+// so a queue of 64 makes at least 16 batches of the 1000 messages and
+// the third fsync is certain to be a batch's.
 func TestFailedBatchSyncLatchesOnce(t *testing.T) {
 	const n = 1000
 	mem := fsx.NewMem()
 	ff := fsx.NewFault(mem)
-	d, s := openStaged(t, ff, Options{})
+	d, s := openStaged(t, ff, Options{Buffer: 64})
 	ff.Arm(3, fsx.Fault{}, fsx.OpSync)
 	s.Start()
 	msgs := genMessages(33, n)

@@ -272,6 +272,10 @@ func (p *Pool) All(fn func(*bundle.Bundle)) { p.bundles.each(fn) }
 // MemBytes is the analytic memory estimate summed over live bundles.
 func (p *Pool) MemBytes() int64 { return p.memBytes }
 
+// TableBytes is the heap of the table that holds the live bundles: its
+// pages and its page directory.
+func (p *Pool) TableBytes() int64 { return p.bundles.bytes() }
+
 // MessageCount is the number of messages held in memory — Figure
 // 11(b)'s hardware-independent memory metric.
 func (p *Pool) MessageCount() int64 { return p.messages }

@@ -464,11 +464,13 @@ func TestRunningTotalsMatchWalk(t *testing.T) {
 // of refinement sit scattered over old pages. The table must release
 // pages as they empty: after every refinement its bytes — directory and
 // pages — stay within tableBound of the 8-byte slot each live bundle
-// needs.
+// needs, and TableBytes, which the engine's memory estimate charges,
+// is those bytes. The run is seeded: it reads 4.32× at 128-slot pages
+// (5.03× at 256), and the bound leaves a margin of 0.68×.
 func TestTableStaysBounded(t *testing.T) {
 	const (
 		created    = 200_000
-		tableBound = 8
+		tableBound = 5
 	)
 	cfg := DefaultConfig()
 	cfg.MaxBundles, cfg.LowerLimit, cfg.CheckEvery, cfg.MaxBundleSize = 1000, 250, 125, 50
@@ -492,6 +494,9 @@ func TestTableStaysBounded(t *testing.T) {
 		insert(p, b, 1, now)
 		if p.inserts%cfg.CheckEvery == 0 && p.MaybeRefine(now.UnixNano()) {
 			live = slices.DeleteFunc(live, func(b *bundle.Bundle) bool { return p.Get(b.ID()) != b })
+			if got, want := p.TableBytes(), tableBytes(&p.bundles); got != want {
+				t.Fatalf("TableBytes = %d, the table holds %d", got, want)
+			}
 			if r := float64(tableBytes(&p.bundles)) / float64(8*p.Len()); r > worst {
 				worst = r
 			}

@@ -3,8 +3,11 @@ package pool
 import "provex/internal/bundle"
 
 // pageSize is how many slots one page of the bundle table holds: a page
-// of pointers is 2 KiB, an allocator size class.
-const pageSize = 256
+// of pointers is 1 KiB, an allocator size class. Against 256 slots, the
+// dense pool of the seed-1 125 000-message stream holds 0.9 % more table
+// bytes (1.9 % at 64 slots) and the bounded pool of
+// TestTableStaysBounded 4.32× its live slots where 256 held 5.03×.
+const pageSize = 128
 
 // table holds the live bundles by slot, their position on the pool's ID
 // progression (Pool.slot), in fixed pages: 8 bytes a slot where a map
@@ -17,6 +20,13 @@ type table struct {
 	used  []uint16                    // live bundles in pages[i]
 	first int                         // page number of pages[0]
 	n     int                         // live bundles
+	live  int                         // pages allocated
+}
+
+// bytes is the heap the table holds: its live pages and its directory,
+// 8 bytes a slot or page pointer and 2 a page's count.
+func (t *table) bytes() int64 {
+	return int64(t.live)*pageSize*8 + int64(cap(t.pages))*8 + int64(cap(t.used))*2
 }
 
 // get returns the bundle in slot, nil when none is.
@@ -47,6 +57,7 @@ func (t *table) put(slot int, b *bundle.Bundle) {
 	i := pn - t.first
 	if t.pages[i] == nil {
 		t.pages[i] = new([pageSize]*bundle.Bundle)
+		t.live++
 	}
 	t.pages[i][slot%pageSize] = b
 	t.used[i]++
@@ -63,6 +74,7 @@ func (t *table) del(slot int) {
 		return
 	}
 	t.pages[i] = nil
+	t.live--
 	for len(t.pages) > 0 && t.pages[0] == nil {
 		t.pages, t.used = t.pages[1:], t.used[1:]
 		t.first++

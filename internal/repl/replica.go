@@ -34,8 +34,6 @@ type ReplicaOptions struct {
 	// a follower is a full crash-recoverable node, not a cache.
 	CheckpointPath string
 	WALDir         string
-	// WALSyncEvery batches the follower's WAL fsyncs (default 64).
-	WALSyncEvery int
 	// CheckpointEvery checkpoints the follower every n applied messages
 	// (default 50000), truncating its WAL like any durable node.
 	CheckpointEvery int
@@ -63,9 +61,6 @@ type ReplicaOptions struct {
 
 func (o *ReplicaOptions) defaults() {
 	o.FS = fsx.Default(o.FS)
-	if o.WALSyncEvery <= 0 {
-		o.WALSyncEvery = 64
-	}
 	if o.CheckpointEvery <= 0 {
 		o.CheckpointEvery = 50_000
 	}
@@ -484,7 +479,6 @@ func (r *Replica) openState() (*replState, error) {
 		FS:             r.opts.FS,
 		CheckpointPath: r.opts.CheckpointPath,
 		WALDir:         r.opts.WALDir,
-		WALSyncEvery:   r.opts.WALSyncEvery,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("repl: open durable: %w", err)

@@ -123,7 +123,6 @@ func followerOpts(mem *fsx.MemFS, client *http.Client) ReplicaOptions {
 		FS:             mem,
 		CheckpointPath: "follower/ckpt",
 		WALDir:         "follower/wal",
-		WALSyncEvery:   1,
 		Client:         client,
 		PollInterval:   3 * time.Millisecond,
 		StaleAfter:     2 * time.Second,
@@ -307,7 +306,6 @@ func TestFollowerCrashTorture(t *testing.T) {
 		ft := NewFaultTransport(nil)
 		client := &http.Client{Transport: ft, Timeout: 500 * time.Millisecond}
 		r := newFollower(t, leader.srv.URL, mem, client, func(o *ReplicaOptions) {
-			o.WALSyncEvery = 4 // let crashes actually lose recent applies
 			o.MaxBatchBytes = 1 + rng.Intn(4000)
 		})
 		switch rng.Intn(4) {

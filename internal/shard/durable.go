@@ -55,9 +55,9 @@ type DurableOptions struct {
 	// ManifestPath is the round ledger's directory (ledger.go), which
 	// also pins the shard count.
 	ManifestPath string
-	// WALSyncEvery is each shard WAL's batching cadence; the round
-	// commit ends with an explicit sync regardless, so this only
-	// shapes intra-round append cost.
+	// WALSyncEvery, when n > 0, also syncs each shard's WAL on every
+	// n-th append (pipeline.DurableOptions). 0 leaves one sync per shard
+	// per round, the one the round's commit ends with.
 	WALSyncEvery int
 	// Store, when non-nil, opens one bundle store per shard at
 	// Dir/shard-NNN/store (its FS defaults to FS above).

@@ -47,9 +47,9 @@ func NewService(eng *Engine, dur *Durable, opts ServiceOptions) (*Service, error
 // backend is the pipeline.Backend over a sharded engine. The node's
 // Processor supplies the reads and Snapshot, as it does for
 // pipeline.New's serial backend; eng the rest. Apply buffers into the
-// round, whose commit phase does the WAL logging (one batch write per
-// fsync on each shard's log), so Log and Sync have nothing to do, and
-// the log stage hands over one round's worth at a time.
+// round, whose commit phase does the WAL logging (one batch write and
+// one fsync per shard's log per round), so Log and Sync have nothing
+// to do.
 type backend struct {
 	*query.Processor
 	eng *Engine
@@ -58,7 +58,6 @@ type backend struct {
 
 func (b backend) Log(*score.Msg) error        { return nil }
 func (b backend) Sync() error                 { return nil }
-func (b backend) LogBatch() int               { return b.eng.Batch() }
 func (b backend) Apply(p core.Prepared) error { return b.eng.IngestPrepared(p) }
 func (b backend) Flush() error                { return b.eng.Flush() }
 func (b backend) Pending() int                { return b.eng.Pending() }

@@ -74,7 +74,7 @@ type contractBackend struct {
 var contractBackends = []contractBackend{
 	{"serial", true, func(t *testing.T, fs fsx.FS, opts pipeline.Options) deployment {
 		d, err := pipeline.OpenDurable(core.PartialIndexConfig(500), nil, nil, pipeline.DurableOptions{
-			FS: fs, CheckpointPath: "engine.ckpt", WALDir: "wal", WALSyncEvery: 64,
+			FS: fs, CheckpointPath: "engine.ckpt", WALDir: "wal",
 		})
 		if err != nil {
 			t.Fatal(err)

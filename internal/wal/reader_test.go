@@ -43,7 +43,7 @@ func drainBatches(t *testing.T, l *Log, after uint64, maxBytes int) []uint64 {
 
 func TestReadBatchRoundtrip(t *testing.T) {
 	mem := fsx.NewMem()
-	l, err := Open("wal", Options{FS: mem})
+	l, err := Open("wal", Options{FS: mem, SyncEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestReadBatchRoundtrip(t *testing.T) {
 
 func TestReadBatchByteBudget(t *testing.T) {
 	mem := fsx.NewMem()
-	l, err := Open("wal", Options{FS: mem})
+	l, err := Open("wal", Options{FS: mem, SyncEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestReadBatchWatermarkBound(t *testing.T) {
 
 func TestReadBatchGapAfterTruncate(t *testing.T) {
 	mem := fsx.NewMem()
-	l, err := Open("wal", Options{FS: mem})
+	l, err := Open("wal", Options{FS: mem, SyncEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestReadBatchGapAfterTruncate(t *testing.T) {
 
 func TestReadBatchStaleHintFallsBack(t *testing.T) {
 	mem := fsx.NewMem()
-	l, err := Open("wal", Options{FS: mem})
+	l, err := Open("wal", Options{FS: mem, SyncEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestReadBatchAcrossStaleSegments(t *testing.T) {
 	// across the old and new segments; the reader must walk both.
 	mem := fsx.NewMem()
 	ffs := fsx.NewFault(mem)
-	l, err := Open("wal", Options{FS: ffs})
+	l, err := Open("wal", Options{FS: ffs, SyncEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

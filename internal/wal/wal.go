@@ -6,13 +6,14 @@
 //
 // Group commit: Append only encodes a framed record into the open
 // batch, a buffer the log owns and reuses; Sync lands the whole batch
-// with one write and one fsync. Append calls Sync itself every
-// SyncEvery records, callers call it to close a batch early (the ingest
-// loop does whenever its queue runs dry). A batch lands whole or not at
-// all: if the write comes up short or the fsync fails, the file is cut
-// back to its last synced length and the batch is dropped, so the file
-// on disk always ends at a sync point and a later batch starts at a
-// clean record boundary.
+// with one write and one fsync. The owner decides where a batch ends:
+// the ingest loop calls Sync once per batch it drained from its queue
+// (DESIGN.md §2c). Only a log opened with SyncEvery n > 0 also syncs by
+// itself on every n-th Append. A batch lands whole or not at all: if
+// the write comes up short or the fsync fails, the file is cut back to
+// its last synced length and the batch is dropped, so the file on disk
+// always ends at a sync point and a later batch starts at a clean
+// record boundary.
 //
 // The files are a recfile.Dir (wal-000001.log, ...; magic, CRC32C
 // frames, torn-tail recovery — DESIGN.md §2d has the table). What this
@@ -74,8 +75,9 @@ var logFormat = recfile.Format{
 type Options struct {
 	// FS is the filesystem; nil uses the real one.
 	FS fsx.FS
-	// SyncEvery caps the open batch: the n-th appended record writes and
-	// fsyncs it. <=1 syncs every append (the maximally durable default).
+	// SyncEvery, when n > 0, makes the n-th appended record of a batch
+	// write and fsync it (1: every append). 0 leaves every sync to the
+	// owner's Sync.
 	SyncEvery int
 }
 
@@ -125,7 +127,7 @@ func (l *Log) RegisterMetrics(reg *metrics.Registry, labels ...string) {
 	reg.RegisterTimer("provex_wal_append_seconds",
 		"Cumulative time encoding WAL records and writing their batches (excludes fsync); one observation per batch written.", &l.appendTimer, labels...)
 	reg.RegisterHistogram("provex_wal_fsync_seconds",
-		"Latency of WAL fsyncs (one fsync covers one batch of at most SyncEvery appends).", l.syncHist, 1e9, labels...)
+		"Latency of WAL fsyncs (one fsync lands one batch: every record appended since the last).", l.syncHist, 1e9, labels...)
 	reg.RegisterCounter("provex_wal_truncations_total",
 		"WAL truncations after a covering checkpoint.", &l.truncations, labels...)
 	reg.RegisterGaugeFunc("provex_wal_size_bytes",
@@ -150,9 +152,6 @@ var fsyncBounds = []int64{
 // messages back into the engine.
 func Open(dir string, opts Options) (*Log, error) {
 	opts.FS = fsx.Default(opts.FS)
-	if opts.SyncEvery < 1 {
-		opts.SyncEvery = 1
-	}
 	l := &Log{opts: opts, syncHist: metrics.NewHistogram(fsyncBounds...)}
 	d, size, err := recfile.Open(opts.FS, dir, &logFormat, func(_ int, _ int64, payload []byte) error {
 		seq, _, err := DecodeRecord(payload)
@@ -244,8 +243,8 @@ func DecodeRecord(payload []byte) (uint64, *tweet.Message, error) {
 }
 
 // Append encodes message m under sequence seq (the engine ordinal it
-// will occupy) into the open batch; the record that fills the batch
-// (SyncEvery) also writes and fsyncs it. Sequences must be appended in
+// will occupy) into the open batch; under SyncEvery n > 0 the n-th
+// record also writes and fsyncs it. Sequences must be appended in
 // increasing order. A nil return promises nothing by itself: the
 // message is durable once a Sync — this one's, a later Append's or an
 // explicit one — has returned nil. An error means the whole open batch
@@ -265,7 +264,7 @@ func (l *Log) Append(seq uint64, m *score.Msg) error {
 	l.size.Add(int64(len(l.batch) - at))
 	l.lastSeq = seq
 	l.pending++
-	if l.pending >= l.opts.SyncEvery {
+	if l.opts.SyncEvery > 0 && l.pending >= l.opts.SyncEvery {
 		return l.Sync()
 	}
 	return nil

@@ -81,7 +81,7 @@ func TestAppendReplayRoundtrip(t *testing.T) {
 
 func TestReplaySeqFilter(t *testing.T) {
 	mem := fsx.NewMem()
-	l, _ := Open("wal", Options{FS: mem})
+	l, _ := Open("wal", Options{FS: mem, SyncEvery: 1})
 	appendN(t, l, 0, 10)
 	seqs, _ := collect(t, l, 7)
 	if len(seqs) != 3 || seqs[0] != 8 || seqs[2] != 10 {
@@ -120,7 +120,7 @@ func TestCrashLosesOnlyUnsyncedTail(t *testing.T) {
 
 func TestTornTailTruncatedOnOpen(t *testing.T) {
 	mem := fsx.NewMem()
-	l, _ := Open("wal", Options{FS: mem})
+	l, _ := Open("wal", Options{FS: mem, SyncEvery: 1})
 	appendN(t, l, 0, 5)
 	l.Close()
 
@@ -132,7 +132,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 	}
 	mem.WriteFile(name, data[:len(data)-3])
 
-	l2, err := Open("wal", Options{FS: mem})
+	l2, err := Open("wal", Options{FS: mem, SyncEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 
 func TestTruncateDiscardsAndRestarts(t *testing.T) {
 	mem := fsx.NewMem()
-	l, _ := Open("wal", Options{FS: mem})
+	l, _ := Open("wal", Options{FS: mem, SyncEvery: 1})
 	appendN(t, l, 0, 10)
 	if err := l.Truncate(); err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestTruncateDiscardsAndRestarts(t *testing.T) {
 func TestStaleFilesFilteredWhenRemoveFails(t *testing.T) {
 	mem := fsx.NewMem()
 	ff := fsx.NewFault(mem)
-	l, _ := Open("wal", Options{FS: ff})
+	l, _ := Open("wal", Options{FS: ff, SyncEvery: 1})
 	appendN(t, l, 0, 6)
 	ff.Arm(1, fsx.Fault{}, fsx.OpRemove)
 	if err := l.Truncate(); !errors.Is(err, fsx.ErrInjected) {
@@ -209,7 +209,7 @@ func TestAppendFailureRepairsTail(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			mem := fsx.NewMem()
 			ff := fsx.NewFault(mem)
-			l, _ := Open("wal", Options{FS: ff})
+			l, _ := Open("wal", Options{FS: ff, SyncEvery: 1})
 			appendN(t, l, 0, 5)
 			// The write tears, leaving partial garbage bytes at the
 			// append position before the error surfaces.
@@ -323,7 +323,7 @@ func TestUnrepairedTailLatchesBroken(t *testing.T) {
 func TestTruncateRetriesAfterFailedStart(t *testing.T) {
 	mem := fsx.NewMem()
 	ff := fsx.NewFault(mem)
-	l, _ := Open("wal", Options{FS: ff})
+	l, _ := Open("wal", Options{FS: ff, SyncEvery: 1})
 	appendN(t, l, 0, 6)
 	// The new file's header sync fails mid-Truncate; the half-created
 	// file must not block every later Truncate with O_EXCL debris.

@@ -34,7 +34,6 @@ func fullRegistry(t *testing.T) *metrics.Registry {
 		FS:             fsx.NewMem(),
 		CheckpointPath: "engine.ckpt",
 		WALDir:         "wal",
-		WALSyncEvery:   8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +81,6 @@ func shardRegistry(t *testing.T) *metrics.Registry {
 			FS:           fsx.NewMem(),
 			Dir:          "shards",
 			ManifestPath: "manifest.json",
-			WALSyncEvery: 8,
 		})
 	if err != nil {
 		t.Fatal(err)
