@@ -453,9 +453,9 @@ go test -count=1 -run 'TestCheckpointBytesAreAFunctionOfTheStream|TestEdgeScoreI
 # per posting with its slab waste, the summary index's bytes per
 # posting and its MemBytes against that heap; the apply layer's
 # allocations and bytes per message; the checkpoint's bytes and its
-# restore's allocations per message; and the summary index's inserts by
-# kind.
-go test -count=1 -run 'TestLiveHeapPerMessage|TestApplyAllocationsPerMessage|TestMemEstimateTracksHeap|TestBytesPerPosting|TestCheckpointWorkPerMessage|TestSummaryIndexInserts' -v ./internal/query ./internal/core ./internal/textindex ./internal/sumindex \
+# restore's allocations per message; the WAL replay's allocations per
+# message; and the summary index's inserts by kind.
+go test -count=1 -run 'TestLiveHeapPerMessage|TestApplyAllocationsPerMessage|TestMemEstimateTracksHeap|TestBytesPerPosting|TestCheckpointWorkPerMessage|TestReplayWorkPerMessage|TestSummaryIndexInserts' -v ./internal/query ./internal/core ./internal/textindex ./internal/sumindex ./internal/pipeline \
     | grep -E 'per message|live heap .* ratio|per posting|MemBytes .* ratio|summary-index inserts'
 
 # Group commit by count, uncached: a full queue lands as one batch with

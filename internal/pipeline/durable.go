@@ -1,10 +1,11 @@
 // Crash-safe ingest: Durable couples an engine with a write-ahead log
 // and atomic checkpoints so that a killed process recovers to exactly
 // the state it acknowledged. Recovery is newest checkpoint + WAL
-// replay: OpenDurable loads the checkpoint (if any), then re-inserts
-// every logged message with a sequence number beyond the checkpoint's
-// coverage. Checkpoint() inverts the dependency — once engine state is
-// durably on disk the log is redundant and is truncated.
+// replay: OpenDurable loads the checkpoint (if any), then opens the
+// WAL, whose one scan re-inserts every logged message with a sequence
+// number beyond the checkpoint's coverage. Checkpoint() inverts the
+// dependency — once engine state is durably on disk the log is
+// redundant and is truncated.
 //
 // Durable has one owner at a time: Log, Checkpoint, SyncWAL, Seq and
 // Close must never run concurrently. Behind a Service the owner
@@ -72,8 +73,9 @@ type Durable struct {
 }
 
 // OpenDurable restores an engine from CheckpointPath (a missing file
-// means a fresh engine), opens the WAL and replays every record past
-// the checkpoint's message count. store may be nil, as in core.New.
+// means a fresh engine), then opens the WAL, whose one scan replays
+// every record past the checkpoint's message count. store may be nil,
+// as in core.New.
 func OpenDurable(cfg core.Config, store *storage.Store, onEdge core.EdgeFunc, opts DurableOptions) (*Durable, error) {
 	fsys := fsx.Default(opts.FS)
 	if opts.CheckpointPath == "" || opts.WALDir == "" {
@@ -86,13 +88,9 @@ func OpenDurable(cfg core.Config, store *storage.Store, onEdge core.EdgeFunc, op
 		return nil, err
 	}
 
-	l, err := wal.Open(opts.WALDir, wal.Options{FS: fsys, SyncEvery: opts.WALSyncEvery})
-	if err != nil {
-		return nil, err
-	}
 	base := uint64(eng.Snapshot().Messages)
 	replayed := 0
-	err = l.Replay(base, func(seq uint64, m *tweet.Message) error {
+	l, err := wal.Open(opts.WALDir, wal.Options{FS: fsys, SyncEvery: opts.WALSyncEvery}, base, func(seq uint64, m *tweet.Message) error {
 		if opts.ReplayLimit > 0 && seq > opts.ReplayLimit {
 			return nil // beyond the consistent cut: never acknowledged
 		}
@@ -101,8 +99,7 @@ func OpenDurable(cfg core.Config, store *storage.Store, onEdge core.EdgeFunc, op
 		return nil
 	})
 	if err != nil {
-		l.Close()
-		return nil, fmt.Errorf("pipeline: durable: replay: %w", err)
+		return nil, err
 	}
 	return &Durable{
 		fs:       fsys,
@@ -134,9 +131,6 @@ func (d *Durable) RegisterMetrics(reg *metrics.Registry, labels ...string) {
 // Replayed reports how many messages the WAL contributed at open —
 // the work a crash would have lost without the log.
 func (d *Durable) Replayed() int { return d.replayed }
-
-// LogSize returns the active WAL file's byte length.
-func (d *Durable) LogSize() int64 { return d.wal.Size() }
 
 // Log appends m to the WAL's open batch under the next sequence number;
 // under WALSyncEvery n > 0 every n-th call also writes and fsyncs the
@@ -176,7 +170,7 @@ func (d *Durable) Checkpoint() error {
 	// must rejoin the engine ordinal here: if a failed Log ever skipped
 	// a message (degraded mode), seq lags the engine count and every
 	// post-checkpoint append would sit at or below the count recovery
-	// passes to Replay — filtered out, silently losing logged messages.
+	// passes to wal.Open — filtered out, silently losing logged messages.
 	d.seq = uint64(d.eng.Snapshot().Messages)
 	if err := d.wal.Truncate(); err != nil {
 		// Stale log records are filtered by sequence on the next open;
@@ -193,8 +187,8 @@ func (d *Durable) Checkpoint() error {
 
 // WALSyncedSeq returns the WAL's durable watermark — the highest
 // sequence fully on stable storage. Unlike the writer-side methods it
-// is safe from any goroutine (replication shippers read it from HTTP
-// handlers).
+// is safe from any goroutine. Replication reads the watermark from
+// ReadWAL's Batch.Synced; this is for tests that watch a Service.
 func (d *Durable) WALSyncedSeq() uint64 { return d.wal.SyncedSeq() }
 
 // SyncWAL writes and fsyncs the WAL's open batch, however few records

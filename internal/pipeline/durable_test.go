@@ -5,15 +5,21 @@ package pipeline
 // guarantees under concurrent ingest.
 
 import (
+	"errors"
+	"maps"
+	"path/filepath"
 	"testing"
 
 	"provex/internal/bundle"
 	"provex/internal/core"
 	"provex/internal/fsx"
+	"provex/internal/metrics"
 	"provex/internal/query"
+	"provex/internal/recfile"
 	"provex/internal/score"
 	"provex/internal/storage"
 	"provex/internal/tweet"
+	"provex/internal/wal"
 )
 
 func durableOpts(fs fsx.FS) DurableOptions {
@@ -120,10 +126,81 @@ func TestDurableCrashRecoversAcknowledged(t *testing.T) {
 	assertEnginesEqual(t, ref, d2.Engine())
 }
 
+// TestUndecodableRecordRefusesOpen: a record that passes its checksum
+// but does not decode, in a sealed WAL file behind records the open
+// scan has already applied to the engine, fails OpenDurable with
+// wal.ErrCorrupt and no Durable, and leaves every file of the state
+// directory as it was.
+func TestUndecodableRecordRefusesOpen(t *testing.T) {
+	mem := fsx.NewMem()
+	ff := fsx.NewFault(mem)
+	cfg := core.PartialIndexConfig(300)
+	msgs := genMessages(25, 40)
+
+	d, err := OpenDurable(cfg, nil, nil, durableOpts(mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(t, d, msgs[:20])
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	feed(t, d, msgs[20:])
+	d.Close()
+	// Seal wal-000002.log, which holds records 21..40, behind a fresh
+	// file: a truncate whose remove fails.
+	l, err := wal.Open("wal", wal.Options{FS: ff}, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff.Arm(1, fsx.Fault{}, fsx.OpRemove)
+	if err := l.Truncate(); !errors.Is(err, fsx.ErrInjected) {
+		t.Fatalf("truncate err = %v, want the injected remove failure", err)
+	}
+	ff.Disarm()
+	l.Close()
+	// Record 41 is its sequence alone: CRC-valid, no message.
+	bad := append(recfile.BeginFrame(nil), 41)
+	recfile.EndFrame(bad, 0)
+	sealed, _ := mem.ReadFile("wal/wal-000002.log")
+	mem.WriteFile("wal/wal-000002.log", append(sealed, bad...))
+	files := memFiles(t, mem, ".")
+	if len(files) != 3 {
+		t.Fatalf("state directory holds %d files, want the checkpoint and two WAL files", len(files))
+	}
+
+	d2, err := OpenDurable(cfg, nil, nil, durableOpts(mem))
+	if d2 != nil || !errors.Is(err, wal.ErrCorrupt) {
+		t.Fatalf("OpenDurable = %v, %v; want no Durable and wal.ErrCorrupt", d2, err)
+	}
+	if got := memFiles(t, mem, "."); !maps.Equal(got, files) {
+		t.Fatal("a refused open changed the state directory")
+	}
+}
+
+// memFiles returns every file under dir on mem, path → content.
+func memFiles(t *testing.T, mem *fsx.MemFS, dir string) map[string]string {
+	t.Helper()
+	names, err := mem.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	for _, name := range names {
+		p := filepath.Join(dir, name)
+		if data, err := mem.ReadFile(p); err == nil {
+			files[p] = string(data)
+		} else {
+			maps.Copy(files, memFiles(t, mem, p))
+		}
+	}
+	return files
+}
+
 // TestCheckpointResyncsSeqAfterFailedLog: a failed WAL append in
 // degraded mode (message applied to the engine but never logged) must
 // not leave WAL sequences lagging engine ordinals past the next
-// checkpoint — otherwise recovery's Replay(afterSeq = checkpoint count)
+// checkpoint — otherwise recovery's wal.Open(after = checkpoint count)
 // filters out acknowledged, successfully-logged later messages.
 func TestCheckpointResyncsSeqAfterFailedLog(t *testing.T) {
 	mem := fsx.NewMem()
@@ -183,6 +260,8 @@ func TestDurableServiceIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := metrics.NewRegistry()
+	d.RegisterMetrics(reg)
 	proc := query.New(d.Engine(), query.DefaultOptions())
 	svc := New(proc, Options{Durable: d, CheckpointEvery: 1000})
 	svc.Start()
@@ -198,8 +277,8 @@ func TestDurableServiceIntegration(t *testing.T) {
 		t.Fatal("no checkpoints written")
 	}
 	// Stop's final checkpoint truncated the WAL.
-	if d.LogSize() > 16 {
-		t.Fatalf("WAL not truncated after final checkpoint: %d bytes", d.LogSize())
+	if size := scrape(t, reg)["provex_wal_size_bytes"]; size > 16 {
+		t.Fatalf("WAL not truncated after final checkpoint: %v bytes", size)
 	}
 	d.Close()
 

@@ -214,9 +214,10 @@ func (p *Processor) index(d score.Doc) bool {
 // was. This is the recovery companion: checkpoint restore and WAL
 // replay insert straight into the engines, so a resumed Processor
 // starts with an empty message index even though every pool node still
-// carries its message and extracted keywords. The pools are walked in
-// map order, which no two runs share, and a sharded node's messages are
-// spread over several, so the messages are added in ID order: a
+// carries its message and extracted keywords. A pool is walked in
+// bundle ID order, which is not message ID order (an old bundle gains
+// new messages), and a sharded node's messages are spread over several
+// pools, so the messages are sorted and added in ID order: a
 // restarted node then holds the index an uninterrupted one built
 // (ordinals included — the stream's IDs increase), and the index never
 // sees an out-of-order key. Messages evicted to disk before the

@@ -44,7 +44,7 @@ func sampleRecords(n int) [][]byte {
 // the stream is the log file's own frames, byte for byte.
 func TestStreamRoundtrip(t *testing.T) {
 	mem := fsx.NewMem()
-	l, err := wal.Open("wal", wal.Options{FS: mem, SyncEvery: 64})
+	l, err := wal.Open("wal", wal.Options{FS: mem, SyncEvery: 64}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

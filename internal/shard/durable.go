@@ -241,15 +241,6 @@ func (d *Durable) persistCheckpoint() error {
 // Checkpoints counts completed barriers (including the recovery one).
 func (d *Durable) Checkpoints() int64 { return d.ckpts.Value() }
 
-// LogSize sums the shards' active WAL byte lengths.
-func (d *Durable) LogSize() int64 {
-	var n int64
-	for _, sh := range d.shards {
-		n += sh.dur.LogSize()
-	}
-	return n
-}
-
 // RegisterMetrics exposes the durability side on reg: each shard's WAL
 // and replay series labeled shard="i" (per-shard WAL size gauges fall
 // out of this), plus the barrier counter and duration histogram.

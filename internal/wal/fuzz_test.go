@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"io"
+	"slices"
 	"testing"
 	"time"
 
@@ -16,7 +17,7 @@ import (
 func validWALBytes(tb testing.TB, n int) []byte {
 	tb.Helper()
 	mem := fsx.NewMem()
-	l, err := Open("wal", Options{FS: mem})
+	l, err := Open("wal", Options{FS: mem}, 0, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -62,10 +63,12 @@ func writeRaw(tb testing.TB, mem *fsx.MemFS, name string, data []byte) {
 }
 
 // FuzzOpenReplay feeds arbitrary bytes to the WAL as (a) the live tail
-// file and (b) a sealed earlier file, and checks the recovery
-// contract: never a panic; a sealed file either scans cleanly or
-// fails with ErrCorrupt; a tail file is always recovered into an
-// appendable log (torn tails truncate silently).
+// file and (b) a sealed earlier file, and checks the one-scan recovery
+// contract: never a panic; Open either fails with ErrCorrupt or hands
+// every surviving record to apply once, in log order — a second Open
+// over what the first left replays the same sequences; a sealed file
+// either scans cleanly or fails with ErrCorrupt; a tail file is always
+// recovered into an appendable log (torn tails truncate silently).
 func FuzzOpenReplay(f *testing.F) {
 	valid := validWALBytes(f, 3)
 	f.Add(valid)
@@ -82,28 +85,35 @@ func FuzzOpenReplay(f *testing.F) {
 	huge = append(huge, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0) // absurd length field
 	f.Add(huge)
 
+	// open opens the log at "wal" on fsys and returns the sequences its
+	// scan handed to apply.
+	open := func(t *testing.T, fsys fsx.FS) (*Log, []uint64, error) {
+		var seqs []uint64
+		l, err := Open("wal", Options{FS: fsys}, 0, func(seq uint64, m *tweet.Message) error {
+			if m == nil {
+				t.Fatal("Open applied a nil message")
+			}
+			seqs = append(seqs, seq)
+			return nil
+		})
+		return l, seqs, err
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// (a) As the live tail: Open must tolerate any tail damage by
 		// truncating, or reject the whole file as ErrCorrupt. Whatever
-		// survives must replay and accept appends.
+		// survives was applied, and accepts appends.
 		mem := fsx.NewMem()
 		writeRaw(t, mem, "wal/wal-000001.log", data)
-		l, err := Open("wal", Options{FS: mem})
+		l, seqs, err := open(t, mem)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("Open(tail): non-corruption error %v", err)
 			}
 			return
 		}
-		replayed := 0
-		if err := l.Replay(0, func(seq uint64, m *tweet.Message) error {
-			if m == nil {
-				t.Fatal("Replay delivered a nil message")
-			}
-			replayed++
-			return nil
-		}); err != nil && !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("Replay: non-corruption error %v", err)
+		if len(seqs) > 0 && l.lastSeq != slices.Max(seqs) {
+			t.Fatalf("LastSeq %d, want the highest applied sequence %d", l.lastSeq, slices.Max(seqs))
 		}
 		next := l.lastSeq + 1
 		if err := l.Append(next, score.NewDoc(&tweet.Message{ID: tweet.ID(next), User: "post", Text: "append after recovery"}).Msg); err != nil {
@@ -113,40 +123,33 @@ func FuzzOpenReplay(f *testing.F) {
 			t.Fatalf("Close: %v", err)
 		}
 
-		// The appended record must survive a second recovery.
-		l2, err := Open("wal", Options{FS: mem})
+		// The second recovery replays what the first applied, once and
+		// in the same order, and then the appended record.
+		l2, seqs2, err := open(t, mem)
 		if err != nil {
 			t.Fatalf("re-Open after append: %v", err)
 		}
-		found := false
-		if err := l2.Replay(0, func(seq uint64, m *tweet.Message) error {
-			if seq == next {
-				found = true
-			}
-			return nil
-		}); err != nil {
-			t.Fatalf("re-Replay: %v", err)
-		}
-		if !found {
-			t.Fatalf("record appended after recovery (seq %d) lost on re-open", next)
+		if want := append(seqs, next); !slices.Equal(seqs2, want) {
+			t.Fatalf("re-Open applied %v, want %v", seqs2, want)
 		}
 		l2.Close()
 
 		// (b) As a sealed earlier file (a valid file follows it):
 		// sealed corruption is never tolerated — Open either succeeds
-		// (the file was well-formed) or reports ErrCorrupt.
+		// (the file was well-formed), having applied the following
+		// file's record last, or reports ErrCorrupt.
 		mem2 := fsx.NewMem()
 		writeRaw(t, mem2, "wal/wal-000001.log", data)
 		writeRaw(t, mem2, "wal/wal-000002.log", validWALBytes(t, 1))
-		l3, err := Open("wal", Options{FS: mem2})
+		l3, seqs3, err := open(t, mem2)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("Open(sealed): non-corruption error %v", err)
 			}
 			return
 		}
-		if err := l3.Replay(0, func(seq uint64, m *tweet.Message) error { return nil }); err != nil && !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("Replay(sealed): non-corruption error %v", err)
+		if len(seqs3) == 0 || seqs3[len(seqs3)-1] != 1 {
+			t.Fatalf("Open(sealed) applied %v, want the following file's record 1 last", seqs3)
 		}
 		l3.Close()
 	})

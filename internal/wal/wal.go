@@ -19,15 +19,17 @@
 // frames, torn-tail recovery — DESIGN.md §2d has the table). What this
 // package adds on top of that layer: one record is one message tagged
 // with its stream sequence number (the engine's message ordinal) and
-// sequences only grow; the batch buffer and group commit above; the
-// synced watermark replication reads up to (reader.go); and Truncate —
-// called after a checkpoint has made all logged messages redundant —
-// which starts a fresh file and removes the old ones, so normally a
-// single file is live, stale files only pile up when removal itself
-// fails, and replay filters those by sequence number anyway.
+// sequences only grow; recovery in one scan — Open decodes each record
+// once, for the last sequence and for the owner's apply, which gets the
+// records past the checkpoint; the batch buffer and group commit above;
+// the synced watermark replication reads up to (reader.go); and
+// Truncate — called after a checkpoint has made all logged messages
+// redundant — which starts a fresh file and removes the old ones, so
+// normally a single file is live, stale files only pile up when removal
+// itself fails, and Open's replay filters those by sequence anyway.
 //
 // Concurrency contract: the log has one owner at a time — Append, Sync,
-// Truncate, Rebase, Replay and Close must never run concurrently. In a
+// Truncate, Rebase and Close must never run concurrently. In a
 // pipeline.Service the owner is the log stage, or the writer while the
 // stage is parked at a checkpoint barrier (DESIGN.md §2c); a tool's
 // main loop or a shard's commit goroutine owns its log outright. Size,
@@ -102,7 +104,7 @@ type Log struct {
 	batch   []byte        // the open batch: framed records not yet written; reused across syncs
 	pending int           // records in batch
 	encode  time.Duration // time spent encoding the open batch
-	lastSeq uint64        // highest sequence appended or replayed
+	lastSeq uint64        // highest sequence appended, or found by Open's scan
 
 	// synced is the shipping watermark: the highest sequence known to be
 	// fully on stable storage. Atomic, because replication readers
@@ -146,20 +148,33 @@ var fsyncBounds = []int64{
 	int64(500 * time.Millisecond), int64(time.Second),
 }
 
-// Open opens (creating if needed) the log at dir, verifies existing
-// files and truncates a torn tail in the final one, leaving the log
-// positioned for appends. Use Replay before appending to feed logged
-// messages back into the engine.
-func Open(dir string, opts Options) (*Log, error) {
+// Open opens (creating if needed) the log at dir in one scan of its
+// files: it verifies them, decodes every intact record once, hands
+// each with sequence > after to apply in log order, and truncates a
+// torn tail in the final file, leaving the log positioned for appends.
+// after is the message count the restored checkpoint already covers; a
+// nil apply opens the log without replaying it. An apply error ends
+// the scan: Open returns that error and cuts no tail.
+func Open(dir string, opts Options, after uint64, apply func(seq uint64, m *tweet.Message) error) (*Log, error) {
 	opts.FS = fsx.Default(opts.FS)
 	l := &Log{opts: opts, syncHist: metrics.NewHistogram(fsyncBounds...)}
+	var applyErr error
 	d, size, err := recfile.Open(opts.FS, dir, &logFormat, func(_ int, _ int64, payload []byte) error {
-		seq, _, err := DecodeRecord(payload)
-		if seq > l.lastSeq {
-			l.lastSeq = seq
+		seq, m, err := DecodeRecord(payload)
+		if err != nil {
+			return err
 		}
-		return err
+		l.lastSeq = max(l.lastSeq, seq)
+		if apply != nil && seq > after {
+			// Not recfile.Stop: that ends only this file's scan, and
+			// Open would go on to cut the active file where it stopped.
+			applyErr = apply(seq, m)
+		}
+		return applyErr
 	})
+	if applyErr != nil {
+		return nil, applyErr
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -186,36 +201,6 @@ func Wipe(fsys fsx.FS, dir string) error {
 	}
 	if err != nil {
 		return fmt.Errorf("wal: wipe: %w", err)
-	}
-	return nil
-}
-
-// Replay streams every logged message with sequence > afterSeq to fn in
-// log order. Call it once, after Open and before the first Append.
-// afterSeq is the message count the restored checkpoint already covers.
-func (l *Log) Replay(afterSeq uint64, fn func(seq uint64, m *tweet.Message) error) error {
-	segs, err := l.dir.List()
-	if err != nil {
-		return err
-	}
-	for i, seg := range segs {
-		var fnErr error
-		_, err := l.dir.Scan(seg, 0, i == len(segs)-1, func(_ int, _ int64, payload []byte) error {
-			seq, m, err := DecodeRecord(payload)
-			if err != nil || seq <= afterSeq {
-				return err
-			}
-			if fnErr = fn(seq, m); fnErr != nil {
-				return recfile.Stop
-			}
-			return nil
-		})
-		if fnErr != nil {
-			return fnErr
-		}
-		if err != nil {
-			return err
-		}
 	}
 	return nil
 }

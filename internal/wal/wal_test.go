@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -29,23 +31,35 @@ func appendN(t *testing.T, l *Log, from, to int) {
 	}
 }
 
-// collect replays the log into a slice.
-func collect(t *testing.T, l *Log, after uint64) (seqs []uint64, msgs []*tweet.Message) {
+// openCollect opens the log at dir and returns it with the records its
+// scan replayed past after.
+func openCollect(t *testing.T, dir string, opts Options, after uint64) (l *Log, seqs []uint64, msgs []*tweet.Message) {
 	t.Helper()
-	err := l.Replay(after, func(seq uint64, m *tweet.Message) error {
+	l, err := Open(dir, opts, after, func(seq uint64, m *tweet.Message) error {
 		seqs = append(seqs, seq)
 		msgs = append(msgs, m)
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("replay: %v", err)
+		t.Fatalf("open: %v", err)
+	}
+	return l, seqs, msgs
+}
+
+// collect returns what a restart would replay past after: it opens a
+// second log at dir and closes it again.
+func collect(t *testing.T, fsys fsx.FS, dir string, after uint64) ([]uint64, []*tweet.Message) {
+	t.Helper()
+	l, seqs, msgs := openCollect(t, dir, Options{FS: fsys}, after)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
 	}
 	return seqs, msgs
 }
 
 func TestAppendReplayRoundtrip(t *testing.T) {
 	mem := fsx.NewMem()
-	l, err := Open("wal", Options{FS: mem})
+	l, err := Open("wal", Options{FS: mem}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,14 +68,10 @@ func TestAppendReplayRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, err := Open("wal", Options{FS: mem})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l2, seqs, msgs := openCollect(t, "wal", Options{FS: mem}, 0)
 	if l2.lastSeq != 20 {
 		t.Fatalf("LastSeq = %d", l2.lastSeq)
 	}
-	seqs, msgs := collect(t, l2, 0)
 	if len(seqs) != 20 {
 		t.Fatalf("replayed %d records", len(seqs))
 	}
@@ -81,9 +91,13 @@ func TestAppendReplayRoundtrip(t *testing.T) {
 
 func TestReplaySeqFilter(t *testing.T) {
 	mem := fsx.NewMem()
-	l, _ := Open("wal", Options{FS: mem, SyncEvery: 1})
+	l, _ := Open("wal", Options{FS: mem, SyncEvery: 1}, 0, nil)
 	appendN(t, l, 0, 10)
-	seqs, _ := collect(t, l, 7)
+	l.Close()
+	l2, seqs, _ := openCollect(t, "wal", Options{FS: mem}, 7)
+	if l2.lastSeq != 10 {
+		t.Fatalf("LastSeq = %d, want 10: filtered records still count", l2.lastSeq)
+	}
 	if len(seqs) != 3 || seqs[0] != 8 || seqs[2] != 10 {
 		t.Fatalf("filtered replay = %v", seqs)
 	}
@@ -91,7 +105,7 @@ func TestReplaySeqFilter(t *testing.T) {
 
 func TestAppendRejectsStaleSeq(t *testing.T) {
 	mem := fsx.NewMem()
-	l, _ := Open("wal", Options{FS: mem})
+	l, _ := Open("wal", Options{FS: mem}, 0, nil)
 	appendN(t, l, 0, 3)
 	if err := l.Append(3, score.NewDoc(msg(99)).Msg); err == nil {
 		t.Fatal("stale sequence accepted")
@@ -100,15 +114,11 @@ func TestAppendRejectsStaleSeq(t *testing.T) {
 
 func TestCrashLosesOnlyUnsyncedTail(t *testing.T) {
 	mem := fsx.NewMem()
-	l, _ := Open("wal", Options{FS: mem, SyncEvery: 4})
+	l, _ := Open("wal", Options{FS: mem, SyncEvery: 4}, 0, nil)
 	appendN(t, l, 0, 10) // records 1..8 synced (two batches), 9..10 pending
 	mem.Crash()
 
-	l2, err := Open("wal", Options{FS: mem})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqs, _ := collect(t, l2, 0)
+	l2, seqs, _ := openCollect(t, "wal", Options{FS: mem}, 0)
 	if len(seqs) != 8 || seqs[len(seqs)-1] != 8 {
 		t.Fatalf("after crash replay = %v, want 1..8", seqs)
 	}
@@ -120,7 +130,7 @@ func TestCrashLosesOnlyUnsyncedTail(t *testing.T) {
 
 func TestTornTailTruncatedOnOpen(t *testing.T) {
 	mem := fsx.NewMem()
-	l, _ := Open("wal", Options{FS: mem, SyncEvery: 1})
+	l, _ := Open("wal", Options{FS: mem, SyncEvery: 1}, 0, nil)
 	appendN(t, l, 0, 5)
 	l.Close()
 
@@ -132,11 +142,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 	}
 	mem.WriteFile(name, data[:len(data)-3])
 
-	l2, err := Open("wal", Options{FS: mem, SyncEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqs, _ := collect(t, l2, 0)
+	l2, seqs, _ := openCollect(t, "wal", Options{FS: mem, SyncEvery: 1}, 0)
 	if len(seqs) != 4 {
 		t.Fatalf("replay after torn tail = %v, want 4 records", seqs)
 	}
@@ -147,7 +153,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 	if err := l2.Append(5, score.NewDoc(msg(4)).Msg); err != nil {
 		t.Fatal(err)
 	}
-	seqs, _ = collect(t, l2, 0)
+	seqs, _ = collect(t, mem, "wal", 0)
 	if len(seqs) != 5 {
 		t.Fatalf("after re-append = %v", seqs)
 	}
@@ -155,18 +161,18 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 
 func TestTruncateDiscardsAndRestarts(t *testing.T) {
 	mem := fsx.NewMem()
-	l, _ := Open("wal", Options{FS: mem, SyncEvery: 1})
+	l, _ := Open("wal", Options{FS: mem, SyncEvery: 1}, 0, nil)
 	appendN(t, l, 0, 10)
 	if err := l.Truncate(); err != nil {
 		t.Fatal(err)
 	}
-	seqs, _ := collect(t, l, 0)
+	seqs, _ := collect(t, mem, "wal", 0)
 	if len(seqs) != 0 {
 		t.Fatalf("replay after truncate = %v", seqs)
 	}
 	// Appends continue with later sequences.
 	appendN(t, l, 10, 15)
-	seqs, _ = collect(t, l, 10)
+	seqs, _ = collect(t, mem, "wal", 10)
 	if len(seqs) != 5 || seqs[0] != 11 {
 		t.Fatalf("post-truncate replay = %v", seqs)
 	}
@@ -181,7 +187,7 @@ func TestTruncateDiscardsAndRestarts(t *testing.T) {
 func TestStaleFilesFilteredWhenRemoveFails(t *testing.T) {
 	mem := fsx.NewMem()
 	ff := fsx.NewFault(mem)
-	l, _ := Open("wal", Options{FS: ff, SyncEvery: 1})
+	l, _ := Open("wal", Options{FS: ff, SyncEvery: 1}, 0, nil)
 	appendN(t, l, 0, 6)
 	ff.Arm(1, fsx.Fault{}, fsx.OpRemove)
 	if err := l.Truncate(); !errors.Is(err, fsx.ErrInjected) {
@@ -190,12 +196,12 @@ func TestStaleFilesFilteredWhenRemoveFails(t *testing.T) {
 	ff.Disarm()
 	// The stale file survived, but its records are at or below the
 	// covered sequence, so a replay after seq 6 yields nothing.
-	seqs, _ := collect(t, l, 6)
+	seqs, _ := collect(t, mem, "wal", 6)
 	if len(seqs) != 0 {
 		t.Fatalf("stale records leaked: %v", seqs)
 	}
 	appendN(t, l, 6, 9)
-	seqs, _ = collect(t, l, 6)
+	seqs, _ = collect(t, mem, "wal", 6)
 	if len(seqs) != 3 || seqs[0] != 7 {
 		t.Fatalf("replay = %v", seqs)
 	}
@@ -209,7 +215,7 @@ func TestAppendFailureRepairsTail(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			mem := fsx.NewMem()
 			ff := fsx.NewFault(mem)
-			l, _ := Open("wal", Options{FS: ff, SyncEvery: 1})
+			l, _ := Open("wal", Options{FS: ff, SyncEvery: 1}, 0, nil)
 			appendN(t, l, 0, 5)
 			// The write tears, leaving partial garbage bytes at the
 			// append position before the error surfaces.
@@ -224,11 +230,7 @@ func TestAppendFailureRepairsTail(t *testing.T) {
 			appendN(t, l, 5, 10)
 			l.Close()
 
-			l2, err := Open("wal", Options{FS: mem})
-			if err != nil {
-				t.Fatal(err)
-			}
-			seqs, _ := collect(t, l2, 0)
+			seqs, _ := collect(t, mem, "wal", 0)
 			if len(seqs) != 10 || seqs[9] != 10 {
 				t.Fatalf("replay = %v, want 1..10 with no drop after the torn append", seqs)
 			}
@@ -245,7 +247,7 @@ func TestShortBatchWriteDropsBatch(t *testing.T) {
 	for _, resume := range []bool{false, true} {
 		mem := fsx.NewMem()
 		ff := fsx.NewFault(mem)
-		l, _ := Open("wal", Options{FS: ff, SyncEvery: 64})
+		l, _ := Open("wal", Options{FS: ff, SyncEvery: 64}, 0, nil)
 		appendN(t, l, 0, 64) // one full batch: written and synced
 		syncedSize := l.Size()
 		appendN(t, l, 64, 127)
@@ -268,11 +270,7 @@ func TestShortBatchWriteDropsBatch(t *testing.T) {
 		}
 		mem.Crash()
 
-		l2, err := Open("wal", Options{FS: mem})
-		if err != nil {
-			t.Fatal(err)
-		}
-		seqs, _ := collect(t, l2, 0)
+		seqs, _ := collect(t, mem, "wal", 0)
 		if len(seqs) != want {
 			t.Fatalf("resume=%v: replayed %d records, want %d", resume, len(seqs), want)
 		}
@@ -287,7 +285,7 @@ func TestShortBatchWriteDropsBatch(t *testing.T) {
 func TestUnrepairedTailLatchesBroken(t *testing.T) {
 	mem := fsx.NewMem()
 	ff := fsx.NewFault(mem)
-	l, _ := Open("wal", Options{FS: ff, SyncEvery: 4})
+	l, _ := Open("wal", Options{FS: ff, SyncEvery: 4}, 0, nil)
 	appendN(t, l, 0, 11) // two batches synced, three records in the open one
 	// The batch write tears AND the repair truncate fails: the on-disk
 	// tail stays torn, so the log must refuse to write past it.
@@ -307,11 +305,7 @@ func TestUnrepairedTailLatchesBroken(t *testing.T) {
 	l.Close()
 
 	// The torn tail sits in the final file, where Open repairs it.
-	l2, err := Open("wal", Options{FS: mem})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqs, _ := collect(t, l2, 0)
+	l2, seqs, _ := openCollect(t, "wal", Options{FS: mem}, 0)
 	if len(seqs) != 8 {
 		t.Fatalf("replay = %v, want records 1..8", seqs)
 	}
@@ -323,7 +317,7 @@ func TestUnrepairedTailLatchesBroken(t *testing.T) {
 func TestTruncateRetriesAfterFailedStart(t *testing.T) {
 	mem := fsx.NewMem()
 	ff := fsx.NewFault(mem)
-	l, _ := Open("wal", Options{FS: ff, SyncEvery: 1})
+	l, _ := Open("wal", Options{FS: ff, SyncEvery: 1}, 0, nil)
 	appendN(t, l, 0, 6)
 	// The new file's header sync fails mid-Truncate; the half-created
 	// file must not block every later Truncate with O_EXCL debris.
@@ -338,7 +332,7 @@ func TestTruncateRetriesAfterFailedStart(t *testing.T) {
 		t.Fatalf("truncate retry: %v", err)
 	}
 	appendN(t, l, 8, 10)
-	seqs, _ := collect(t, l, 8)
+	seqs, _ := collect(t, mem, "wal", 8)
 	if len(seqs) != 2 || seqs[0] != 9 {
 		t.Fatalf("replay = %v", seqs)
 	}
@@ -352,7 +346,7 @@ func TestTruncateRetriesAfterFailedStart(t *testing.T) {
 func TestSyncErrorSurfacesOnAppend(t *testing.T) {
 	mem := fsx.NewMem()
 	ff := fsx.NewFault(mem)
-	l, _ := Open("wal", Options{FS: ff, SyncEvery: 4})
+	l, _ := Open("wal", Options{FS: ff, SyncEvery: 4}, 0, nil)
 	appendN(t, l, 0, 3)
 	ff.Arm(1, fsx.Fault{}, fsx.OpSync)
 	// The append that closes the batch carries the fsync failure, and
@@ -366,28 +360,20 @@ func TestSyncErrorSurfacesOnAppend(t *testing.T) {
 	}
 	appendN(t, l, 0, 4)
 	mem.Crash()
-	l2, err := Open("wal", Options{FS: mem})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seqs, _ := collect(t, l2, 0); len(seqs) != 4 {
+	if seqs, _ := collect(t, mem, "wal", 0); len(seqs) != 4 {
 		t.Fatalf("replay = %v, want the re-appended 1..4 exactly once", seqs)
 	}
 }
 
 func TestCrashDuringFileCreationRecovered(t *testing.T) {
 	mem := fsx.NewMem()
-	l, _ := Open("wal", Options{FS: mem})
+	l, _ := Open("wal", Options{FS: mem}, 0, nil)
 	appendN(t, l, 0, 3)
 	l.Sync()
 	// Simulate the debris of a crashed Truncate: a follow-up file whose
 	// magic never made it to disk.
 	mem.WriteFile("wal/wal-000002.log", []byte("PRO")) // torn magic
-	l2, err := Open("wal", Options{FS: mem})
-	if err != nil {
-		t.Fatalf("open over stillborn file: %v", err)
-	}
-	seqs, _ := collect(t, l2, 0)
+	l2, seqs, _ := openCollect(t, "wal", Options{FS: mem}, 0)
 	if len(seqs) != 3 {
 		t.Fatalf("replay = %v", seqs)
 	}
@@ -399,7 +385,7 @@ func TestCrashDuringFileCreationRecovered(t *testing.T) {
 func TestCorruptSealedFileErrors(t *testing.T) {
 	mem := fsx.NewMem()
 	ff := fsx.NewFault(mem)
-	l, _ := Open("wal", Options{FS: ff})
+	l, _ := Open("wal", Options{FS: ff}, 0, nil)
 	appendN(t, l, 0, 4)
 	// Make file 1 sealed by forcing a truncate whose remove fails, then
 	// corrupt a record inside it.
@@ -413,9 +399,78 @@ func TestCorruptSealedFileErrors(t *testing.T) {
 	data[12] ^= 0x40
 	mem.WriteFile("wal/wal-000001.log", data)
 
-	if _, err := Open("wal", Options{FS: mem}); !errors.Is(err, ErrCorrupt) {
+	if _, err := Open("wal", Options{FS: mem}, 0, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("open err = %v, want ErrCorrupt for sealed file", err)
 	}
+}
+
+// TestApplyErrorEndsOpen: an apply error ends the one scan, in a sealed
+// file or in the active one. Open returns that error, not ErrCorrupt;
+// apply sees no record after it; and no file changes — the active file
+// keeps even the torn tail a clean Open cuts.
+func TestApplyErrorEndsOpen(t *testing.T) {
+	mem := fsx.NewMem()
+	ff := fsx.NewFault(mem)
+	l, _ := Open("wal", Options{FS: ff, SyncEvery: 1}, 0, nil)
+	appendN(t, l, 0, 4)
+	// A truncate whose remove fails seals file 1 behind file 2.
+	ff.Arm(1, fsx.Fault{}, fsx.OpRemove)
+	_ = l.Truncate()
+	ff.Disarm()
+	appendN(t, l, 4, 8)
+	l.Close()
+	active, _ := mem.ReadFile("wal/wal-000002.log")
+	mem.WriteFile("wal/wal-000002.log", append(active, 0x01, 0x02, 0x03))
+	files := walFiles(t, mem)
+
+	errApply := errors.New("apply refused")
+	for _, k := range []uint64{2, 6} { // in the sealed file, in the active one
+		var applied []uint64
+		l, err := Open("wal", Options{FS: mem}, 0, func(seq uint64, _ *tweet.Message) error {
+			applied = append(applied, seq)
+			if seq == k {
+				return errApply
+			}
+			return nil
+		})
+		if l != nil || !errors.Is(err, errApply) || errors.Is(err, ErrCorrupt) {
+			t.Fatalf("apply refusing %d: Open = %v, %v; want no log and the apply error alone", k, l, err)
+		}
+		var want []uint64
+		for seq := range k {
+			want = append(want, seq+1)
+		}
+		if !slices.Equal(applied, want) {
+			t.Fatalf("apply refusing %d saw %v, want %v", k, applied, want)
+		}
+		if got := walFiles(t, mem); !maps.Equal(got, files) {
+			t.Fatalf("apply refusing %d changed the log's files", k)
+		}
+	}
+	if seqs, _ := collect(t, mem, "wal", 0); len(seqs) != 8 {
+		t.Fatalf("clean Open replayed %v, want 1..8", seqs)
+	}
+	if got, _ := mem.ReadFile("wal/wal-000002.log"); !bytes.Equal(got, active) {
+		t.Fatal("clean Open left the torn tail")
+	}
+}
+
+// walFiles returns every file of the log directory, name → content.
+func walFiles(t *testing.T, mem *fsx.MemFS) map[string]string {
+	t.Helper()
+	names, err := mem.ReadDir("wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	for _, name := range names {
+		data, err := mem.ReadFile("wal/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[name] = string(data)
+	}
+	return files
 }
 
 // TestGoldenFormat pins the on-disk format across the move to batch
@@ -429,11 +484,7 @@ func TestGoldenFormat(t *testing.T) {
 	}
 	mem := fsx.NewMem()
 	mem.WriteFile("old/wal-000001.log", golden)
-	old, err := Open("old", Options{FS: mem})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqs, msgs := collect(t, old, 0)
+	seqs, msgs := collect(t, mem, "old", 0)
 	if len(seqs) != 10 {
 		t.Fatalf("golden file replayed %d records, want 10", len(seqs))
 	}
@@ -444,7 +495,7 @@ func TestGoldenFormat(t *testing.T) {
 		}
 	}
 
-	l, err := Open("new", Options{FS: mem, SyncEvery: 4})
+	l, err := Open("new", Options{FS: mem, SyncEvery: 4}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +523,7 @@ func (discardFile) Sync() error                 { return nil }
 // per record once the batch buffer has reached its working size: no
 // per-record payload buffer, no header array escaping to the heap.
 func TestAppendZeroAlloc(t *testing.T) {
-	l, err := Open("wal", Options{FS: fsx.NewMem(), SyncEvery: 64})
+	l, err := Open("wal", Options{FS: fsx.NewMem(), SyncEvery: 64}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +548,7 @@ func TestAppendZeroAlloc(t *testing.T) {
 // one write, one fsync, on MemFS. The log is truncated now and then, as
 // checkpoints do, because MemFS copies the whole file on every sync.
 func BenchmarkAppend(b *testing.B) {
-	l, err := Open("wal", Options{FS: fsx.NewMem(), SyncEvery: 64})
+	l, err := Open("wal", Options{FS: fsx.NewMem(), SyncEvery: 64}, 0, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
