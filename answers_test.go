@@ -133,9 +133,9 @@ func answerRequests(nd answerNode) []string {
 		}
 	}
 	reqs = append(reqs, "/trending?k=10")
-	var all []*bundle.Bundle
+	var all []bundle.Ref
 	for _, e := range nd.engs {
-		e.Pool().All(func(b *bundle.Bundle) { all = append(all, b) })
+		e.Pool().All(func(b bundle.Ref) { all = append(all, b) })
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].Size() != all[j].Size() {

@@ -454,9 +454,10 @@ go test -count=1 -run 'TestCheckpointBytesAreAFunctionOfTheStream|TestEdgeScoreI
 # posting and its MemBytes against that heap; the apply layer's
 # allocations and bytes per message; the checkpoint's bytes and its
 # restore's allocations per message; the WAL replay's allocations per
-# message; and the summary index's inserts by kind.
-go test -count=1 -run 'TestLiveHeapPerMessage|TestApplyAllocationsPerMessage|TestMemEstimateTracksHeap|TestBytesPerPosting|TestCheckpointWorkPerMessage|TestReplayWorkPerMessage|TestSummaryIndexInserts' -v ./internal/query ./internal/core ./internal/textindex ./internal/sumindex ./internal/pipeline \
-    | grep -E 'per message|live heap .* ratio|per posting|MemBytes .* ratio|summary-index inserts'
+# message; the summary index's inserts by kind; and how many live
+# bundles the pool holds as their one message's record.
+go test -count=1 -run 'TestLiveHeapPerMessage|TestApplyAllocationsPerMessage|TestMemEstimateTracksHeap|TestBytesPerPosting|TestCheckpointWorkPerMessage|TestReplayWorkPerMessage|TestSummaryIndexInserts|TestRecordsAtSeed1' -v ./internal/query ./internal/core ./internal/textindex ./internal/sumindex ./internal/pipeline \
+    | grep -E 'per message|live heap .* ratio|per posting|MemBytes .* ratio|summary-index inserts|live bundles: .* records'
 
 # Group commit by count, uncached: a full queue lands as one batch with
 # one fsync, and a direct Durable.Log caller gets the sync cadence it

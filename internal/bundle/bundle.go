@@ -51,10 +51,12 @@ type Edge struct {
 // Bundle is Definition 3's message group. Not safe for concurrent use;
 // the engine serialises access.
 //
-// Most bundles never hold a second message, so the struct is a
-// per-message cost: its fields are ordered to fill the 80-byte size
-// class, and none holds what another derives (the start of the extent
-// is the first node's date while nodes are in date order).
+// A pool builds one for a bundle of two messages or more, or a closed
+// one: an open bundle of one message, most bundles, is held as its
+// record alone (Ref), so the struct is not a per-message cost. Its
+// fields are still ordered to fill the 80-byte size class, and none
+// holds what another derives (the start of the extent is the first
+// node's date while nodes are in date order).
 type Bundle struct {
 	nodes []Node // grown by appendGrown: capacity is a function of length
 
@@ -220,9 +222,7 @@ func (b *Bundle) addExhaustive(w score.MessageWeights, doc score.Doc, obs Parent
 // node is appended: the summary's form and its node-index entries
 // follow the id of the newest node.
 func (b *Bundle) absorb(doc score.Doc) {
-	b.memBytes += metrics.NodeBase + metrics.MessageBase +
-		int64(len(doc.Terms()))*metrics.TermRefCost + int64(len(doc.Text())) +
-		b.absorbSummary(doc)
+	b.memBytes += metrics.NodeBase + recordBytes(doc) + b.absorbSummary(doc)
 
 	if date := doc.Date(); len(b.nodes) > 1 && date < b.end {
 		b.timeOrdered = false
@@ -248,15 +248,18 @@ func (b *Bundle) Edges() []Edge {
 // double so topical tags float to the front like the paper's examples.
 func (b *Bundle) SummaryWords(k int) []string {
 	merged := make(map[string]int, b.numTerms())
-	b.each(func(t termdict.ID, n int) {
-		switch t.Class() {
-		case termdict.Tag:
-			merged[termdict.Term(t)] += 2 * n
-		case termdict.URL, termdict.Keyword:
-			merged[termdict.Term(t)] += n
-		}
-	})
+	b.each(func(t termdict.ID, n int) { tally(merged, t, n) })
 	return tokenizer.TopTerms(merged, k)
+}
+
+// tally adds term t, carried by n messages, to a summary-word count.
+func tally(merged map[string]int, t termdict.ID, n int) {
+	switch t.Class() {
+	case termdict.Tag:
+		merged[termdict.Term(t)] += 2 * n
+	case termdict.URL, termdict.Keyword:
+		merged[termdict.Term(t)] += n
+	}
 }
 
 // Validate checks the structural invariants of a bundle: parents

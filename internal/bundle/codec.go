@@ -49,22 +49,34 @@ var ErrCorrupt = errors.New("bundle: corrupt encoding")
 // written from them (EdgeScore), so the bytes are the ones a stored
 // score would have made.
 func (b *Bundle) AppendMarshal(buf []byte, w score.MessageWeights) []byte {
-	buf = slices.Grow(buf, 64+len(b.nodes)*96)
+	buf = appendHeader(buf, b.ID(), b.closed, len(b.nodes))
+	for i, n := range b.nodes {
+		buf = appendNode(buf, n.Parent, b.EdgeScore(w, i), n.Conn, n.Doc)
+	}
+	return buf
+}
+
+// appendHeader appends the encoding's magic, version, bundle ID, closed
+// flag and node count, first growing buf by what the header and that
+// many nodes of a typical message take.
+func appendHeader(buf []byte, id ID, closed bool, nodes int) []byte {
+	buf = slices.Grow(buf, 64+nodes*96)
 	buf = append(buf, codecMagic, codecVersion)
-	buf = binary.AppendUvarint(buf, uint64(b.id))
-	if b.closed {
+	buf = binary.AppendUvarint(buf, uint64(id))
+	if closed {
 		buf = append(buf, 1)
 	} else {
 		buf = append(buf, 0)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(b.nodes)))
-	for i, n := range b.nodes {
-		buf = binary.AppendUvarint(buf, uint64(n.Parent+1))
-		buf = binary.AppendUvarint(buf, math.Float64bits(b.EdgeScore(w, i)))
-		buf = append(buf, byte(n.Conn))
-		buf = n.Doc.AppendRaw(buf)
-	}
-	return buf
+	return binary.AppendUvarint(buf, uint64(nodes))
+}
+
+// appendNode appends one node's encoding.
+func appendNode(buf []byte, parent int32, edge float64, conn score.ConnectionType, doc score.Doc) []byte {
+	buf = binary.AppendUvarint(buf, uint64(parent+1))
+	buf = binary.AppendUvarint(buf, math.Float64bits(edge))
+	buf = append(buf, byte(conn))
+	return doc.AppendRaw(buf)
 }
 
 // Unmarshal decodes an encoded bundle, rebuilding summaries, extent and
@@ -73,49 +85,74 @@ func (b *Bundle) AppendMarshal(buf []byte, w score.MessageWeights) []byte {
 // under. The decoded bundle satisfies Validate if the input was
 // produced by AppendMarshal.
 func Unmarshal(data []byte) (*Bundle, error) {
+	r, err := decode(data, false)
+	return r.b, err
+}
+
+// Decode decodes an encoded bundle in the form a pool holds it (Ref): an
+// open bundle of one root message straight into its record, with no
+// Bundle built, any other as Unmarshal decodes it.
+func Decode(data []byte) (Ref, error) { return decode(data, true) }
+
+// decode is Unmarshal, and with records set Decode.
+func decode(data []byte, records bool) (Ref, error) {
 	r := recfile.NewCursor(data)
 	truncated := func() error { return fmt.Errorf("%w: %v", ErrCorrupt, r.Err()) }
 	if r.Byte() != codecMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+		return Ref{}, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	if v := r.Byte(); v != codecVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, v)
+		return Ref{}, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, v)
 	}
 	id := ID(r.Uvarint())
 	closed := r.Byte() == 1
 	n := r.Uvarint()
 	if r.Err() != nil {
-		return nil, truncated()
+		return Ref{}, truncated()
 	}
 	if id == 0 || id > MaxID {
-		return nil, fmt.Errorf("%w: bundle ID %d outside 1..%d", ErrCorrupt, id, MaxID)
+		return Ref{}, fmt.Errorf("%w: bundle ID %d outside 1..%d", ErrCorrupt, id, MaxID)
 	}
 	// A node takes at least 7 bytes: a byte each for parent, score,
 	// connection, message ID, date and the two string lengths. The bound
 	// keeps the node slice made below within 16/7 of the input's size.
 	if n > uint64(len(data))/7 {
-		return nil, fmt.Errorf("%w: implausible node count %d", ErrCorrupt, n)
+		return Ref{}, fmt.Errorf("%w: implausible node count %d", ErrCorrupt, n)
 	}
-	b := New(id)
-	b.nodes = makeFor[Node](int(n), metrics.NodeBase)
+	var out Ref
+	var b *Bundle
 	for i := uint64(0); i < n; i++ {
 		parent := int32(r.Uvarint()) - 1
 		r.Uvarint() // the score, derived on read
 		conn := score.ConnectionType(r.Byte())
 		msg := tweet.DecodeRaw(r)
 		if r.Err() != nil {
-			return nil, truncated()
+			return Ref{}, truncated()
 		}
 		if parent != NoParent && (parent < 0 || uint64(parent) >= i) {
-			return nil, fmt.Errorf("%w: node %d parent %d", ErrCorrupt, i, parent)
+			return Ref{}, fmt.Errorf("%w: node %d parent %d", ErrCorrupt, i, parent)
 		}
-		doc := score.NewDoc(msg)
-		b.nodes = append(b.nodes, Node{Doc: doc, Parent: parent, Conn: conn})
-		b.absorb(doc)
+		node := Node{Doc: score.NewDoc(msg), Parent: parent, Conn: conn}
+		if records && heldAsRecord(closed, int(n), node) {
+			out = Single(id, node.Doc)
+			continue
+		}
+		if b == nil {
+			b = New(id)
+			b.nodes = makeFor[Node](int(n), metrics.NodeBase)
+		}
+		b.nodes = append(b.nodes, node)
+		b.absorb(node.Doc)
 	}
-	b.closed = closed
+	if out.IsZero() {
+		if b == nil { // no node
+			b = New(id)
+		}
+		b.closed = closed
+		out = b.Ref()
+	}
 	if r.Rest() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.Rest())
+		return Ref{}, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.Rest())
 	}
-	return b, nil
+	return out, nil
 }

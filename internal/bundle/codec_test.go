@@ -1,6 +1,7 @@
 package bundle
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"provex/internal/gen"
+	"provex/internal/metrics"
 	"provex/internal/score"
 )
 
@@ -71,11 +73,14 @@ func assertBundleEqual(t *testing.T, want, got *Bundle) {
 // TestRoundTripKeepsRepresentation: the summary's form is a function of
 // the nodes, so a decoded bundle is in the form — and at the memory
 // estimate — of the one that was encoded, on both sides of the
-// threshold and at it.
+// threshold and at it. So is the pool's form: Decode returns an open
+// bundle of one message as its record, and any larger one as the Bundle
+// Unmarshal returns, and either encodes again to the same bytes.
 func TestRoundTripKeepsRepresentation(t *testing.T) {
 	for _, n := range []int{1, PruneMinNodes - 1, PruneMinNodes, PruneMinNodes + 1, 200} {
 		b := buildSized(n)
-		got, err := Unmarshal(b.AppendMarshal(nil, weights))
+		data := b.AppendMarshal(nil, weights)
+		got, err := Unmarshal(data)
 		if err != nil {
 			t.Fatalf("size %d: Unmarshal: %v", n, err)
 		}
@@ -86,6 +91,111 @@ func TestRoundTripKeepsRepresentation(t *testing.T) {
 		if err := got.Validate(); err != nil {
 			t.Errorf("size %d: decoded bundle invalid: %v", n, err)
 		}
+		r, err := Decode(data)
+		if err != nil {
+			t.Fatalf("size %d: Decode: %v", n, err)
+		}
+		if record := r.Bundle() == nil; record != (n == 1) {
+			t.Errorf("size %d decoded for the pool with record=%v", n, record)
+		}
+		if r != r.Compact() || r.ID() != b.ID() || r.Size() != n || r.MemBytes() > b.MemBytes() {
+			t.Errorf("size %d: Decode gave bundle %d of %d messages at %d B, compacting to another form", n, r.ID(), r.Size(), r.MemBytes())
+		}
+		if again := r.AppendMarshal(nil, weights); !bytes.Equal(again, data) {
+			t.Errorf("size %d: the decoded form encodes to other bytes", n)
+		}
+		assertBundleEqual(t, b, r.Expand())
+	}
+}
+
+// TestRecordFrame: a bundle held as its one message's record encodes,
+// byte for byte, as the Bundle bundle.New and Add of that message would
+// have — parent+1 0, score bits 0, no connection, then the raw fields —
+// and decodes back to the record form; closed, it stays a Bundle.
+func TestRecordFrame(t *testing.T) {
+	for i, m := range oneMessageDocs() {
+		id := ID(100 + i)
+		want := New(id)
+		want.Add(weights, m)
+		r := Single(id, m)
+		data := r.AppendMarshal(nil, weights)
+		if !bytes.Equal(data, want.AppendMarshal(nil, weights)) {
+			t.Fatalf("%v: the record's frame differs from the Bundle's", m)
+		}
+		got, err := Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Bundle() != nil || got.ID() != id || !reflect.DeepEqual(got.First().Terms(), m.Terms()) ||
+			!bytes.Equal(got.AppendMarshal(nil, weights), data) {
+			t.Errorf("%v: decoded to %+v, want the record of bundle %d", m, got, id)
+		}
+		if c := want.Ref().Compact(); c != r {
+			t.Errorf("%v: the open Bundle compacts to %+v, want the record", m, c)
+		}
+		want.Close()
+		if got, err := Decode(want.AppendMarshal(nil, weights)); err != nil || got.Bundle() == nil || !got.Closed() {
+			t.Errorf("%v: a closed bundle of one message decoded to %+v (%v), want a closed Bundle", m, got, err)
+		}
+		if c := want.Ref().Compact(); c.Bundle() != want {
+			t.Errorf("%v: a closed Bundle compacts to the record form", m)
+		}
+	}
+}
+
+// TestPromotionIsNewAndAdd: the Bundle a record expands to — what the
+// pool promotes a record to when a second message joins — is the one
+// New and Add build, field for field, and a second Add then leaves the
+// two equal again: its parent, its edge score and the summary rows.
+func TestPromotionIsNewAndAdd(t *testing.T) {
+	docs := oneMessageDocs()
+	for i, m := range docs {
+		id := ID(200 + i)
+		want := New(id)
+		want.Add(weights, m)
+		r := Single(id, m)
+		got := r.Expand()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: promoted\n%+v\nwant\n%+v", m, got, want)
+		}
+		if err := got.Validate(); err != nil {
+			t.Errorf("%v: promoted bundle invalid: %v", m, err)
+		}
+		if r.MemBytes() != want.MemBytes()-metrics.BundleBase-metrics.NodeBase {
+			t.Errorf("%v: the record is priced %d B, the Bundle %d B", m, r.MemBytes(), want.MemBytes())
+		}
+		if r.LastDate() != want.LastDate() || r.First() != want.Nodes()[0].Doc || r.Size() != want.Size() || r.Closed() {
+			t.Errorf("%v: the record reads otherwise than the Bundle", m)
+		}
+		if !reflect.DeepEqual(r.SummaryWords(10), want.SummaryWords(10)) || !reflect.DeepEqual(r.AppendTerms(nil), want.AppendTerms(nil)) {
+			t.Errorf("%v: the record's terms differ from the Bundle's", m)
+		}
+		for _, term := range m.Terms() {
+			if r.Stats().Count(term) != want.Count(term) {
+				t.Errorf("%v: Count(%v) = %d on the record, %d on the Bundle", m, term, r.Stats().Count(term), want.Count(term))
+			}
+		}
+		next := docs[(i+1)%len(docs)]
+		second := doc(next.ID()+1000, "later", next.Text(), next.Time().Add(time.Hour))
+		if wn, gn := want.Add(weights, second), got.Add(weights, second); wn != gn || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: after a second Add the promoted bundle differs", m)
+		}
+		if got.EdgeScore(weights, 1) != want.EdgeScore(weights, 1) {
+			t.Errorf("%v: second node's edge score differs", m)
+		}
+	}
+}
+
+// oneMessageDocs are messages of every indicant shape: plain keywords,
+// a hashtag, a URL, a re-share and an empty text.
+func oneMessageDocs() []score.Doc {
+	at := base
+	return []score.Doc{
+		doc(1, "alice", "lester ovation from the crowd", at),
+		doc(2, "bob", "game seven tonight #redsox", at.Add(time.Minute)),
+		doc(3, "carol", "what an inning http://bit.ly/Uvcpr #redsox", at.Add(2*time.Minute)),
+		doc(4, "dave", "RT @alice: lester ovation from the crowd", at.Add(3*time.Minute)),
+		doc(5, "erin", "", at.Add(4*time.Minute)),
 	}
 }
 

@@ -15,9 +15,12 @@ import (
 // map slot is charged its size, a message record its header (the term
 // list and the text are charged by length). It also pins the layouts
 // the one-record message bought: a Doc is one pointer, a Node 16 bytes
-// with its score derived; the Bundle in its 80-byte size class; and the
-// large-bundle index: a 4-byte reference per term in its map, and the
-// element sizes its arrays grow by.
+// with its score derived; the Bundle in its 80-byte size class; the Ref
+// a pool hands out, three words, and the record form's summary, one
+// pointer, which an interface holds unboxed; and the large-bundle
+// index: a 4-byte reference per term in its map, and the element sizes
+// its arrays grow by. An open bundle of one message is priced at its
+// record alone (Ref.MemBytes): the pool's table prices its slot.
 func TestMemEstimateMatchesLayouts(t *testing.T) {
 	for _, c := range []struct {
 		name       string
@@ -26,6 +29,8 @@ func TestMemEstimateMatchesLayouts(t *testing.T) {
 		{"score.Doc", unsafe.Sizeof(score.Doc{}), 8},
 		{"bundle.Node", unsafe.Sizeof(Node{}), 16},
 		{"bundle.Bundle", unsafe.Sizeof(Bundle{}), 80},
+		{"bundle.Ref (a Bundle pointer, a record handle, the ID)", unsafe.Sizeof(Ref{}), 24},
+		{"the record form's summary (*single, one pointer)", unsafe.Sizeof((*single)(nil)), 8},
 		{"BundleBase (bundle.Bundle)", unsafe.Sizeof(Bundle{}), metrics.BundleBase},
 		{"MessageBase (score.Msg, the record header)", unsafe.Sizeof(score.Msg{}), metrics.MessageBase},
 		{"NodeBase (bundle.Node, a slice element)", unsafe.Sizeof(Node{}), metrics.NodeBase},

@@ -18,7 +18,9 @@ package core
 //	  created, refines, deletedTiny, flushedClosed, flushedRanked,
 //	  inserts; flush counters: retries, dropped; the live-bundle count
 //	  and the parked count
-//	one frame per live bundle: bundle.AppendMarshal
+//	one frame per live bundle, in ID order: bundle.Ref.AppendMarshal (a
+//	  bundle held as its one message's record encodes as the Bundle
+//	  bundle.New and Add would build)
 //	one frame per parked flush-retry entry: uvarint attempts, then
 //	  bundle.AppendMarshal
 //
@@ -107,8 +109,8 @@ func (e *Engine) writeCheckpoint(w io.Writer) error {
 	buf = binary.AppendUvarint(buf, uint64(len(e.retryq)))
 	buf = frame(buf)
 
-	e.pool.All(func(b *bundle.Bundle) {
-		buf = frame(b.AppendMarshal(buf, e.cfg.MsgWeights))
+	e.pool.All(func(r bundle.Ref) {
+		buf = frame(r.AppendMarshal(buf, e.cfg.MsgWeights))
 	})
 	// Parked flush-retry entries: bundles already evicted from the pool
 	// that still await a successful flush.
@@ -197,16 +199,20 @@ func restoreCheckpoint(cfg Config, store *storage.Store, onEdge EdgeFunc, r io.R
 		if err != nil {
 			return nil, err
 		}
-		b, err := bundle.Unmarshal(p)
+		r, err := bundle.Decode(p)
 		if err != nil {
 			return nil, fmt.Errorf("%w: bundle %d: %v", ErrBadCheckpoint, i, err)
 		}
-		if err := e.pool.Adopt(b); err != nil {
+		if err := e.pool.Adopt(r); err != nil {
 			return nil, fmt.Errorf("%w: bundle %d: %v", ErrBadCheckpoint, i, err)
 		}
 		// Rebuild summary-index postings from the bundle's messages.
-		for _, n := range b.Nodes() {
-			e.index.Observe(b.ID(), n.Doc)
+		if b := r.Bundle(); b != nil {
+			for _, n := range b.Nodes() {
+				e.index.Observe(b.ID(), n.Doc)
+			}
+		} else {
+			e.index.Observe(r.ID(), r.First())
 		}
 	}
 	e.pool.SetNextID(bundle.ID(nextID))

@@ -153,7 +153,7 @@ func TestCheckpointParkedRoundTrip(t *testing.T) {
 		score.NewDoc(tweet.Parse(1, "u", base, "will not flush yet #stuck")))
 
 	ff.Arm(1, fsx.Fault{Freeze: true}, fsx.OpWrite)
-	e.evict(b, 0, true)
+	e.evict(b.Ref(), 0, true)
 	if got := e.Snapshot().FlushParked; got != 1 {
 		t.Fatalf("FlushParked = %d after failed flush, want 1", got)
 	}

@@ -73,22 +73,26 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 
 	// Every live bundle survived byte-for-byte and validates.
-	orig.pool.All(func(b *bundle.Bundle) {
+	orig.pool.All(func(b bundle.Ref) {
 		r := restored.pool.Get(b.ID())
-		if r == nil {
+		if r.IsZero() {
 			t.Fatalf("bundle %d missing after restore", b.ID())
+		}
+		if (r.Bundle() == nil) != (b.Bundle() == nil) {
+			t.Fatalf("bundle %d restored in another form", b.ID())
 		}
 		if !bytes.Equal(r.AppendMarshal(nil, score.DefaultMessageWeights()), b.AppendMarshal(nil, score.DefaultMessageWeights())) {
 			t.Fatalf("bundle %d differs after restore", b.ID())
 		}
-		if err := r.Validate(); err != nil {
+		if err := r.Expand().Validate(); err != nil {
 			t.Fatalf("restored bundle %d invalid: %v", b.ID(), err)
 		}
 	})
 
 	// The summary index is rebuilt, not stored: restore observes the
-	// bundles in map order, so terms reach their lists in another order
-	// than ingest, and each must list the same bundles, in every class.
+	// bundles in ID order, one bundle's messages at a time, so terms
+	// reach their lists in another order than ingest, and each must list
+	// the same bundles, in every class.
 	var classes [termdict.NumClasses]int
 	for term := range carried {
 		want := orig.index.AppendPostings(nil, term)
@@ -147,8 +151,8 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 	// Bundle IDs allocated after resume must not collide: spot-check by
 	// comparing the live bundle ID sets.
 	refIDs := map[bundle.ID]bool{}
-	ref.pool.All(func(b *bundle.Bundle) { refIDs[b.ID()] = true })
-	resumed.pool.All(func(b *bundle.Bundle) {
+	ref.pool.All(func(b bundle.Ref) { refIDs[b.ID()] = true })
+	resumed.pool.All(func(b bundle.Ref) {
 		if !refIDs[b.ID()] {
 			t.Errorf("resumed pool holds unexpected bundle %d", b.ID())
 		}

@@ -369,7 +369,7 @@ func (e *Engine) SetTracer(r *trace.Recorder) {
 		e.pool.SetRefineObserver(nil)
 		return
 	}
-	e.pool.SetRefineObserver(func(b *bundle.Bundle, reason pool.EvictReason, ageHours, g float64, rank int) {
+	e.pool.SetRefineObserver(func(b bundle.Ref, reason pool.EvictReason, ageHours, g float64, rank int) {
 		r.RecordRefine(trace.RefineEvent{
 			Now:      tweet.Time(e.clock.Now()),
 			Bundle:   uint64(b.ID()),
@@ -388,11 +388,14 @@ func (e *Engine) SetTracer(r *trace.Recorder) {
 // failed Put does not lose the bundle — it is parked in the flush
 // retry queue and re-attempted on later refinement ticks (degraded
 // mode); only exhausting FlushRetryOptions drops it, counted and
-// latched as the engine's background error.
-func (e *Engine) evict(b *bundle.Bundle, _ pool.EvictReason, flush bool) {
-	e.forget = b.AppendTerms(e.forget[:0])
-	e.index.Forget(b.ID(), e.forget)
+// latched as the engine's background error. A bundle in the record form
+// that is flushed leaves as a Bundle built from its record, which stores
+// the bytes the Bundle would have.
+func (e *Engine) evict(r bundle.Ref, _ pool.EvictReason, flush bool) {
+	e.forget = r.AppendTerms(e.forget[:0])
+	e.index.Forget(r.ID(), e.forget)
 	if flush && e.store != nil {
+		b := r.Expand()
 		if err := e.store.Put(b, e.cfg.MsgWeights); err != nil {
 			e.park(b, err)
 			return
@@ -532,7 +535,7 @@ func (e *Engine) InsertPrepared(p Prepared) InsertResult {
 	}
 
 	// Step 1+2a: fetch candidates and pick the best bundle by Eq. 1.
-	var chosen *bundle.Bundle
+	var chosen bundle.Ref
 	e.matchTimer.Time(func() {
 		chosen = e.matchBundle(doc, td)
 	})
@@ -542,33 +545,31 @@ func (e *Engine) InsertPrepared(p Prepared) InsertResult {
 	var res InsertResult
 	var grew int64
 	e.placeTimer.Time(func() {
-		if chosen == nil {
-			chosen = e.pool.Create()
-			res.Created = true
-		}
-		res.Bundle = chosen.ID()
-		before := chosen.MemBytes()
-		var obs bundle.ParentObserver
-		if td != nil {
-			obs = func(pc bundle.ParentCandidate) {
-				td.Parents = append(td.Parents, trace.ParentScore{
-					Node:    pc.Node,
-					MsgID:   uint64(pc.Msg),
-					Conn:    pc.Conn.String(),
-					U:       pc.Parts.U,
-					H:       pc.Parts.H,
-					T:       pc.Parts.T,
-					Keyword: pc.Parts.Keyword,
-					RT:      pc.Parts.RT,
-					Total:   pc.Parts.Total,
-				})
-			}
-		}
+		// A new bundle's message is its root, placed with nothing scored;
+		// the pool holds the bundle as that message's record.
+		node := bundle.Node{Doc: doc, Parent: bundle.NoParent, Conn: score.ConnNone}
 		var ps bundle.PlaceStats
-		if e.exhaustive {
-			res.Node = chosen.AddExhaustive(e.cfg.MsgWeights, doc, obs)
+		if chosen.IsZero() {
+			chosen = e.pool.Create(doc)
+			res.Created = true
 		} else {
-			res.Node, ps = chosen.AddScratch(e.cfg.MsgWeights, doc, obs, e.placeScratch)
+			b := e.pool.Promote(chosen)
+			before := b.MemBytes()
+			res.Node, ps = e.place(b, doc, td)
+			grew = b.MemBytes() - before
+			node = b.Nodes()[res.Node]
+			if node.Parent != bundle.NoParent {
+				parent := b.Nodes()[node.Parent].Doc.ID()
+				e.edges.Inc()
+				e.connCounts[node.Conn].Inc()
+				e.onEdge(parent, doc.ID(), node.Conn)
+			}
+			if td != nil {
+				td.ParentScore = b.EdgeScore(e.cfg.MsgWeights, res.Node)
+			}
+			chosen = b.Ref()
+		}
+		if !e.exhaustive {
 			e.placeScored.Add(int64(ps.Scored))
 			skipped := int64(ps.Skipped())
 			e.placeSkipped.Add(skipped)
@@ -577,15 +578,8 @@ func (e *Engine) InsertPrepared(p Prepared) InsertResult {
 				e.placeEarlyStop.Inc()
 			}
 		}
-		grew = chosen.MemBytes() - before
-		node := chosen.Nodes()[res.Node]
+		res.Bundle = chosen.ID()
 		res.Conn = node.Conn
-		if node.Parent != bundle.NoParent {
-			parent := chosen.Nodes()[node.Parent].Doc.ID()
-			e.edges.Inc()
-			e.connCounts[node.Conn].Inc()
-			e.onEdge(parent, doc.ID(), node.Conn)
-		}
 		if td != nil {
 			td.NewBundle = res.Created
 			td.Bundle = uint64(res.Bundle)
@@ -594,7 +588,6 @@ func (e *Engine) InsertPrepared(p Prepared) InsertResult {
 			}
 			td.Node = res.Node
 			td.Parent = int(node.Parent)
-			td.ParentScore = chosen.EdgeScore(e.cfg.MsgWeights, res.Node)
 			td.Conn = node.Conn.String()
 			td.ParentsPruned = ps.Skipped()
 		}
@@ -615,6 +608,33 @@ func (e *Engine) InsertPrepared(p Prepared) InsertResult {
 		e.processRetries(false)
 	}
 	return res
+}
+
+// place is Algorithm 2: it allocates doc inside b and returns the new
+// node's index with the placement's work, the reference scan's when the
+// differential test selected it (its work is not counted). A sampled
+// decision td receives every parent candidate scored.
+func (e *Engine) place(b *bundle.Bundle, doc score.Doc, td *trace.Decision) (int, bundle.PlaceStats) {
+	var obs bundle.ParentObserver
+	if td != nil {
+		obs = func(pc bundle.ParentCandidate) {
+			td.Parents = append(td.Parents, trace.ParentScore{
+				Node:    pc.Node,
+				MsgID:   uint64(pc.Msg),
+				Conn:    pc.Conn.String(),
+				U:       pc.Parts.U,
+				H:       pc.Parts.H,
+				T:       pc.Parts.T,
+				Keyword: pc.Parts.Keyword,
+				RT:      pc.Parts.RT,
+				Total:   pc.Parts.Total,
+			})
+		}
+	}
+	if e.exhaustive {
+		return b.AddExhaustive(e.cfg.MsgWeights, doc, obs), bundle.PlaceStats{}
+	}
+	return b.AddScratch(e.cfg.MsgWeights, doc, obs, e.placeScratch)
 }
 
 // ProbeResult is the outcome of a read-only Eq. 1 match probe. Created
@@ -638,10 +658,10 @@ type ProbeResult struct {
 
 // probeResult reports a match's winner, !OK when there is none.
 func probeResult(m match) ProbeResult {
-	if m.best == nil {
+	if m.best.IsZero() {
 		return ProbeResult{}
 	}
-	first := m.best.Nodes()[0].Doc
+	first := m.best.First()
 	return ProbeResult{
 		Bundle:   m.best.ID(),
 		Score:    m.score,
@@ -692,7 +712,7 @@ func (p *RoundProbe) Reset() { p.seeds, p.rest = p.seeds[:0], p.rest[:0] }
 // Seed returns message i's seed score, 0 when none of this engine's
 // candidates cleared the threshold.
 func (p *RoundProbe) Seed(i int) float64 {
-	if p.seeds[i].m.best == nil {
+	if p.seeds[i].m.best.IsZero() {
 		return 0
 	}
 	return p.seeds[i].m.score
@@ -708,7 +728,7 @@ func (e *Engine) Seed(p *RoundProbe, doc score.Doc) float64 {
 	cands, fetch := e.fetchCandidates(doc)
 	m, at := e.matchRange(doc, cands, fetch, match{score: e.joinFloor}, true, nil)
 	s := seed{m: m}
-	if m.best != nil {
+	if !m.best.IsZero() {
 		lo := len(p.rest)
 		p.rest = append(p.rest, cands[at+1:]...)
 		s.fetch, s.lo, s.hi = fetch, lo, len(p.rest)
@@ -727,7 +747,7 @@ func (e *Engine) Seed(p *RoundProbe, doc score.Doc) float64 {
 // reduce picks the same winner (DESIGN.md §2i gives the argument).
 func (e *Engine) Resume(p *RoundProbe, i int, doc score.Doc, floor float64) ProbeResult {
 	s := p.seeds[i]
-	if s.m.best == nil {
+	if s.m.best.IsZero() {
 		return ProbeResult{}
 	}
 	m := match{score: floor}
@@ -759,9 +779,9 @@ func (e *Engine) fetchCandidates(doc score.Doc) ([]sumindex.Candidate, sumindex.
 }
 
 // matchBundle scores the summary-index candidates with Eq. 1 and
-// returns the best open bundle above the threshold, nil when none
-// qualifies.
-func (e *Engine) matchBundle(doc score.Doc, td *trace.Decision) *bundle.Bundle {
+// returns the best open bundle above the threshold, the zero Ref when
+// none qualifies.
+func (e *Engine) matchBundle(doc score.Doc, td *trace.Decision) bundle.Ref {
 	cands, fetch := e.fetchCandidates(doc)
 	var sink *[]trace.CandidateScore
 	if td != nil {
@@ -777,7 +797,7 @@ func (e *Engine) matchBundle(doc score.Doc, td *trace.Decision) *bundle.Bundle {
 // and its score or, before any bundle qualifies, the floor — the least
 // score that qualifies.
 type match struct {
-	best  *bundle.Bundle
+	best  bundle.Ref
 	score float64
 }
 
@@ -787,7 +807,7 @@ type match struct {
 //
 //provex:hotpath runs twice per match candidate
 func (m match) beats(s float64, id bundle.ID) bool {
-	return s > m.score || (s == m.score && (m.best == nil || id < m.best.ID()))
+	return s > m.score || (s == m.score && (m.best.IsZero() || id < m.best.ID()))
 }
 
 // matchRange is the Eq. 1 scoring loop over a candidate list, from the
@@ -832,10 +852,10 @@ func (e *Engine) matchRange(doc score.Doc, cands []sumindex.Candidate, fetch sum
 			}
 		}
 		b := e.pool.Get(c.ID)
-		if b == nil || b.Closed() {
+		if b.IsZero() || b.Closed() {
 			if sink != nil {
 				skip := "evicted"
-				if b != nil {
+				if !b.IsZero() {
 					skip = "closed"
 				}
 				*sink = append(*sink, trace.CandidateScore{
@@ -844,7 +864,7 @@ func (e *Engine) matchRange(doc score.Doc, cands []sumindex.Candidate, fetch sum
 			}
 			continue
 		}
-		parts := score.BundleSim(e.cfg.BundleWeights, doc, b)
+		parts := score.BundleSim(e.cfg.BundleWeights, doc, b.Stats())
 		scored++
 		s := parts.Total
 		if sink != nil {
@@ -894,10 +914,12 @@ func (e *Engine) MessageWeights() score.MessageWeights { return e.cfg.MsgWeights
 // unix nanoseconds; stream.NoDate before the first message.
 func (e *Engine) Now() int64 { return e.clock.Now() }
 
-// Bundle resolves id in the pool first, then the disk back-end.
+// Bundle resolves id in the pool first, then the disk back-end. A live
+// bundle in the record form comes back as a Bundle built from its
+// record, which the pool does not hold.
 func (e *Engine) Bundle(id bundle.ID) (*bundle.Bundle, error) {
-	if b := e.pool.Get(id); b != nil {
-		return b, nil
+	if r := e.pool.Get(id); !r.IsZero() {
+		return r.Expand(), nil
 	}
 	if e.store != nil {
 		return e.store.Get(id)

@@ -164,7 +164,8 @@ func TestPartialIndexEviction(t *testing.T) {
 	// a live bundle that carries the term.
 	ix := e.SummaryIndex()
 	var live []bundle.ID
-	e.Pool().All(func(b *bundle.Bundle) {
+	e.Pool().All(func(r bundle.Ref) {
+		b := r.Expand()
 		live = append(live, b.ID())
 		tags, urls, keys, users := b.Indicants()
 		for c, terms := range [termdict.NumClasses][]string{
@@ -180,7 +181,7 @@ func TestPartialIndexEviction(t *testing.T) {
 	for _, d := range docs {
 		for _, term := range d.Indicants() {
 			for _, id := range ix.AppendPostings(nil, term) {
-				if b := e.Pool().Get(id); b == nil || b.Count(term) == 0 {
+				if b := e.Pool().Get(id); b.IsZero() || b.Stats().Count(term) == 0 {
 					t.Errorf("%s %q lists bundle %d, which is evicted or does not carry it", term.Class(), termdict.Term(term), id)
 				}
 			}
@@ -195,7 +196,7 @@ func TestPartialIndexEviction(t *testing.T) {
 // poolWalk sums what Snapshot reports as running totals; the pool
 // table's bytes, which Snapshot adds to the bundles', are no total.
 func poolWalk(e *Engine) (mem, msgs int64) {
-	e.Pool().All(func(b *bundle.Bundle) {
+	e.Pool().All(func(b bundle.Ref) {
 		mem += b.MemBytes()
 		msgs += int64(b.Size())
 	})
@@ -369,9 +370,9 @@ func TestPoolBundlesValid(t *testing.T) {
 	for _, m := range msgs {
 		e.Insert(m)
 	}
-	e.Pool().All(func(b *bundle.Bundle) {
-		if err := b.Validate(); err != nil {
-			t.Errorf("live bundle %d invalid: %v", b.ID(), err)
+	e.Pool().All(func(r bundle.Ref) {
+		if err := r.Expand().Validate(); err != nil {
+			t.Errorf("live bundle %d invalid: %v", r.ID(), err)
 		}
 	})
 }
@@ -473,7 +474,8 @@ func TestEdgeScoreIsDerived(t *testing.T) {
 			}
 			nodes, edges, pruned := 0, 0, 0
 			sc := bundle.NewScratch()
-			e.Pool().All(func(b *bundle.Bundle) {
+			e.Pool().All(func(r bundle.Ref) {
+				b := r.Expand()
 				again := bundle.New(b.ID())
 				for i, n := range b.Nodes() {
 					totals := map[int]float64{}

@@ -39,8 +39,8 @@ func TestFlushParkAndHeal(t *testing.T) {
 	e := New(FullIndexConfig(), st, nil)
 
 	ff.Arm(1, fsx.Fault{Freeze: true}, fsx.OpWrite)
-	e.evict(retryBundle(1), 0, true)
-	e.evict(retryBundle(2), 0, true)
+	e.evict(retryBundle(1).Ref(), 0, true)
+	e.evict(retryBundle(2).Ref(), 0, true)
 
 	s := e.Snapshot()
 	if s.FlushParked != 2 {
@@ -76,7 +76,7 @@ func TestFlushDropAfterMaxAttempts(t *testing.T) {
 	e := New(cfg, st, nil)
 
 	ff.Arm(1, fsx.Fault{Freeze: true}, fsx.OpWrite)
-	e.evict(retryBundle(1), 0, true)
+	e.evict(retryBundle(1).Ref(), 0, true)
 	if err := e.DrainFlushRetries(); err == nil {
 		t.Fatal("drain against a dead disk returned nil")
 	}
@@ -105,7 +105,7 @@ func TestFlushQueueBounded(t *testing.T) {
 
 	ff.Arm(1, fsx.Fault{Freeze: true}, fsx.OpWrite)
 	for id := bundle.ID(1); id <= 5; id++ {
-		e.evict(retryBundle(id), 0, true)
+		e.evict(retryBundle(id).Ref(), 0, true)
 	}
 	ff.Disarm()
 
@@ -137,7 +137,7 @@ func TestFlushRetryBackoff(t *testing.T) {
 	e := New(FullIndexConfig(), st, nil)
 
 	ff.Arm(1, fsx.Fault{Freeze: true}, fsx.OpWrite)
-	e.evict(retryBundle(1), 0, true)
+	e.evict(retryBundle(1).Ref(), 0, true)
 	// Run many ticks against the dead disk, then count Put attempts.
 	for i := 0; i < 64; i++ {
 		e.flushTick++

@@ -233,7 +233,7 @@ func TestTraceRecordsPruning(t *testing.T) {
 		m := g.Next()
 		eng.Insert(m)
 		res := untraced.Insert(m)
-		stored[uint64(m.ID)] = untraced.Pool().Get(res.Bundle).EdgeScore(cfg.MsgWeights, res.Node)
+		stored[uint64(m.ID)] = untraced.Pool().Get(res.Bundle).Expand().EdgeScore(cfg.MsgWeights, res.Node)
 	}
 
 	sawCandPrune, sawParentPrune := false, false

@@ -117,7 +117,8 @@ func Fig6(s Scale) []*Table {
 	}
 	sizeHist := metrics.NewPow2Histogram(14)                                // 1 .. 8192 messages
 	spanHist := metrics.NewHistogram(1, 2, 4, 8, 16, 32, 64, 128, 256, 512) // hours
-	e.Pool().All(func(b *bundle.Bundle) {
+	e.Pool().All(func(r bundle.Ref) {
+		b := r.Expand()
 		sizeHist.Observe(int64(b.Size()))
 		span := tweet.Sub(b.LastDate(), b.StartDate()).Hours()
 		spanHist.Observe(int64(span + 0.5))

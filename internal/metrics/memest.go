@@ -21,10 +21,10 @@ type MemEstimator struct {
 // Swiss table's, all measured on the seed-1 125 000-message stream.
 const (
 	MapEntryCost = 16 // entry of a bundle index's term map: the 8-byte slot (4-byte term ID, 4-byte node-list reference), its control byte and the load-factor slack (1 499 280 B over 95 682 entries in 953 maps, their 48-byte headers apart)
-	MessageBase  = 24 // a message record's header (score.Msg); its term list is charged by TermRefCost and its text by length
-	NodeBase     = 16 // bundle tree node (16 B: record handle, parent, connection; the edge score is derived)
+	MessageBase  = 24 // a message record's header (score.Msg); its term list is charged by TermRefCost and its text by length — all an open bundle of one message costs, held as its record in a pool-table slot the table's bytes price
+	NodeBase     = 16 // bundle tree node (16 B: record handle, parent, connection; the edge score is derived), from a bundle's second message on
 	TermRefCost  = 4  // one entry of a record's term list: a term-dictionary ID; the term's bytes are the dictionary's
-	BundleBase   = 80 // the Bundle struct, which fills its 80-byte size class
+	BundleBase   = 80 // the Bundle struct, which fills its 80-byte size class; built at a bundle's second message, or its first when the size constraint closes it there
 	PostingCost  = 4  // a summary-index posting: a bundle ID's 4-byte offset from the index's base
 	ListSlotCost = 24 // a summary-index list-table slot: the slice header of a term's list, once a second bundle carries it
 	NodeRefCost  = 5  // node-list entry: a 4-byte node id and its growth slack (1 734 312 B over 358 725 entries); a term on one node has its one in the shared single-node list

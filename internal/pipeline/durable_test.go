@@ -329,9 +329,9 @@ func assertEnginesEqual(t *testing.T, want, got *core.Engine) {
 		t.Fatalf("clock %v, want %v", got.Now(), want.Now())
 	}
 	mismatches := 0
-	want.Pool().All(func(b *bundle.Bundle) {
+	want.Pool().All(func(b bundle.Ref) {
 		g := got.Pool().Get(b.ID())
-		if g == nil || string(g.AppendMarshal(nil, score.DefaultMessageWeights())) != string(b.AppendMarshal(nil, score.DefaultMessageWeights())) {
+		if g.IsZero() || g.Bundle() == nil != (b.Bundle() == nil) || string(g.AppendMarshal(nil, score.DefaultMessageWeights())) != string(b.AppendMarshal(nil, score.DefaultMessageWeights())) {
 			mismatches++
 		}
 	})

@@ -92,10 +92,11 @@ func (r EvictReason) String() string {
 	}
 }
 
-// EvictFunc receives each evicted bundle. flush reports whether the
-// bundle should be persisted to the disk back-end (true) or dropped
-// (false). The engine hooks summary-index cleanup and storage here.
-type EvictFunc func(b *bundle.Bundle, reason EvictReason, flush bool)
+// EvictFunc receives each evicted bundle, in the form the pool held it.
+// flush reports whether the bundle should be persisted to the disk
+// back-end (true) or dropped (false). The engine hooks summary-index
+// cleanup and storage here.
+type EvictFunc func(r bundle.Ref, reason EvictReason, flush bool)
 
 // Stats counts pool activity.
 type Stats struct {
@@ -106,7 +107,11 @@ type Stats struct {
 	FlushedRanked int64
 }
 
-// Pool holds the live bundles. Not safe for concurrent use.
+// Pool holds the live bundles, each in the form its size calls for
+// (bundle.Ref): an open bundle of one message as that message's record,
+// any other as a Bundle. Create opens a bundle in the record form and
+// Promote builds its Bundle when a second message joins. Not safe for
+// concurrent use.
 type Pool struct {
 	cfg     Config
 	bundles table
@@ -117,7 +122,8 @@ type Pool struct {
 	gHist   *metrics.Histogram // optional: Eq. 6 scores of ranked evictions
 
 	// Running totals over the live bundles, so a stats snapshot does not
-	// walk the pool: moved wherever a bundle enters, grows or leaves.
+	// walk the pool: moved wherever a bundle enters, grows, is promoted
+	// or leaves.
 	memBytes int64
 	messages int64
 
@@ -129,7 +135,7 @@ type Pool struct {
 // and — for ranked (second-stage) evictions — its 1-based position in
 // the G ranking (0 for stage-one verdicts, which are categorical, not
 // ranked). The decision tracer subscribes here.
-type RefineObserver func(b *bundle.Bundle, reason EvictReason, ageHours, g float64, rank int)
+type RefineObserver func(r bundle.Ref, reason EvictReason, ageHours, g float64, rank int)
 
 // SetRefineObserver registers fn (nil unregisters). Called from the
 // single ingest goroutine during refinement, before the EvictFunc for
@@ -158,7 +164,7 @@ func New(cfg Config, onEvict EvictFunc) *Pool {
 		cfg.IDStride = 1
 	}
 	if onEvict == nil {
-		onEvict = func(*bundle.Bundle, EvictReason, bool) {}
+		onEvict = func(bundle.Ref, EvictReason, bool) {}
 	}
 	return &Pool{
 		cfg:     cfg,
@@ -173,13 +179,44 @@ func (p *Pool) slot(id bundle.ID) int {
 	return int(uint64(id-p.cfg.IDStart) / uint64(p.cfg.IDStride))
 }
 
-// Create allocates a fresh bundle in the pool.
-func (p *Pool) Create() *bundle.Bundle {
-	b := bundle.New(p.nextID)
-	p.bundles.put(p.slot(p.nextID), b)
-	p.memBytes += b.MemBytes()
+// Create opens a fresh bundle holding doc, its first message, in the
+// record form — or as a Bundle when the size constraint closes a bundle
+// at its first message (MaxBundleSize 1), since the record has no closed
+// flag. The memory total takes the bundle's estimate; the caller then
+// reports the message through NoteInsert with no growth.
+func (p *Pool) Create(doc score.Doc) bundle.Ref {
+	r := bundle.Single(p.nextID, doc)
+	if p.cfg.MaxBundleSize == 1 {
+		r = r.Expand().Ref()
+	}
+	p.put(r)
 	p.nextID += bundle.ID(p.cfg.IDStride)
 	p.stats.Created++
+	return r
+}
+
+// put stores r in its slot, which must be empty, and adds its estimate
+// to the memory total.
+func (p *Pool) put(r bundle.Ref) {
+	var doc score.Doc
+	if r.Bundle() == nil {
+		doc = r.First()
+	}
+	p.bundles.put(p.slot(r.ID()), r.Bundle(), doc)
+	p.memBytes += r.MemBytes()
+}
+
+// Promote returns the Bundle of the live bundle r, building it from the
+// record when r is in the record form: a second message is about to
+// join it, and the pool holds the Bundle from then on. The Bundle is the
+// one bundle.New and Add of the record's message would have built.
+func (p *Pool) Promote(r bundle.Ref) *bundle.Bundle {
+	if b := r.Bundle(); b != nil {
+		return b
+	}
+	b := r.Expand()
+	p.bundles.promote(p.slot(r.ID()), b)
+	p.memBytes += b.MemBytes() - r.MemBytes()
 	return b
 }
 
@@ -206,30 +243,46 @@ func (p *Pool) Allocates(id bundle.ID) bool {
 	return id >= p.cfg.IDStart && uint64(id-p.cfg.IDStart)%uint64(p.cfg.IDStride) == 0
 }
 
-// Get returns the live bundle with id, nil when absent.
-func (p *Pool) Get(id bundle.ID) *bundle.Bundle {
+// Get returns the live bundle with id, the zero Ref when absent.
+//
+//provex:hotpath Eq. 1 resolves every candidate the upper bound did not prune
+func (p *Pool) Get(id bundle.ID) bundle.Ref {
 	if !p.Allocates(id) {
-		return nil
+		return bundle.Ref{}
 	}
-	return p.bundles.get(p.slot(id))
+	slot := p.slot(id)
+	b, doc := p.bundles.get(slot)
+	return p.ref(slot, b, doc)
 }
 
-// Adopt inserts an existing bundle (checkpoint restore); the ID
-// allocator advances past it so future Create calls never collide. An
-// ID this pool would not allocate, or one already in the pool, is an
-// error and leaves the pool as it was.
-func (p *Pool) Adopt(b *bundle.Bundle) error {
-	if !p.Allocates(b.ID()) {
+// ref is the reference of the bundle in slot, given what the slot holds.
+func (p *Pool) ref(slot int, b *bundle.Bundle, doc score.Doc) bundle.Ref {
+	switch {
+	case b != nil:
+		return b.Ref()
+	case doc.Msg != nil:
+		return bundle.Single(p.cfg.IDStart+bundle.ID(slot*p.cfg.IDStride), doc)
+	default:
+		return bundle.Ref{}
+	}
+}
+
+// Adopt inserts an existing bundle (checkpoint restore) in the form the
+// pool holds it (bundle.Ref.Compact): a restored pool has the form the
+// saved one had. The ID allocator advances past it so future Create
+// calls never collide. An ID this pool would not allocate, or one
+// already in the pool, is an error and leaves the pool as it was.
+func (p *Pool) Adopt(r bundle.Ref) error {
+	if !p.Allocates(r.ID()) {
 		return fmt.Errorf("pool: Adopt of bundle %d, off the pool's IDs %d, %d+%d, ...",
-			b.ID(), p.cfg.IDStart, p.cfg.IDStart, p.cfg.IDStride)
+			r.ID(), p.cfg.IDStart, p.cfg.IDStart, p.cfg.IDStride)
 	}
-	if p.Get(b.ID()) != nil {
-		return fmt.Errorf("pool: Adopt of bundle %d, already in the pool", b.ID())
+	if !p.Get(r.ID()).IsZero() {
+		return fmt.Errorf("pool: Adopt of bundle %d, already in the pool", r.ID())
 	}
-	p.bundles.put(p.slot(b.ID()), b)
-	p.memBytes += b.MemBytes()
-	p.messages += int64(b.Size())
-	if next := p.alignID(b.ID() + 1); next > p.nextID {
+	p.put(r.Compact())
+	p.messages += int64(r.Size())
+	if next := p.alignID(r.ID() + 1); next > p.nextID {
 		p.nextID = next
 	}
 	return nil
@@ -266,28 +319,39 @@ func (p *Pool) Len() int { return p.bundles.n }
 // Stats returns activity counters.
 func (p *Pool) Stats() Stats { return p.stats }
 
-// All iterates the live bundles in ascending ID order.
-func (p *Pool) All(fn func(*bundle.Bundle)) { p.bundles.each(fn) }
+// All iterates the live bundles, in either form, in ascending ID order.
+// fn must not add to the pool; refinement, the one caller that deletes,
+// deletes only the bundle it is given.
+func (p *Pool) All(fn func(bundle.Ref)) {
+	p.bundles.each(func(slot int, b *bundle.Bundle, doc score.Doc) { fn(p.ref(slot, b, doc)) })
+}
 
-// MemBytes is the analytic memory estimate summed over live bundles.
+// Bundles iterates the live bundles held as Bundles, in ascending ID
+// order, skipping the open bundles of one message: a walk that needs
+// more than one message of a bundle (trending) reads only these.
+func (p *Pool) Bundles(fn func(*bundle.Bundle)) { p.bundles.eachBundle(fn) }
+
+// MemBytes is the analytic memory estimate summed over live bundles: a
+// Bundle's estimate, or a record's (bundle.Ref.MemBytes).
 func (p *Pool) MemBytes() int64 { return p.memBytes }
 
 // TableBytes is the heap of the table that holds the live bundles: its
-// pages and its page directory.
+// pages, 16 bytes a slot, and its page directory.
 func (p *Pool) TableBytes() int64 { return p.bundles.bytes() }
 
 // MessageCount is the number of messages held in memory — Figure
 // 11(b)'s hardware-independent memory metric.
 func (p *Pool) MessageCount() int64 { return p.messages }
 
-// NoteInsert must be called after every message insertion into b, with
-// the growth of b.MemBytes() the insertion caused: it keeps the running
-// totals, applies the bundle size constraint and advances the periodic
-// check counter. It returns true when the caller should run MaybeRefine.
-func (p *Pool) NoteInsert(b *bundle.Bundle, grew int64) bool {
+// NoteInsert must be called after every message insertion into r, with
+// the growth of its MemBytes the insertion caused (none for a bundle
+// Create opened): it keeps the running totals, applies the bundle size
+// constraint and advances the periodic check counter. It returns true
+// when the caller should run MaybeRefine.
+func (p *Pool) NoteInsert(r bundle.Ref, grew int64) bool {
 	p.memBytes += grew
 	p.messages++
-	if p.cfg.MaxBundleSize > 0 && !b.Closed() && b.Size() >= p.cfg.MaxBundleSize {
+	if b := r.Bundle(); b != nil && p.cfg.MaxBundleSize > 0 && !b.Closed() && b.Size() >= p.cfg.MaxBundleSize {
 		b.Close()
 	}
 	p.inserts++
@@ -305,17 +369,17 @@ func (p *Pool) MaybeRefine(now int64) bool {
 	return true
 }
 
-// remove takes b out of the pool and out of the running totals.
-func (p *Pool) remove(b *bundle.Bundle) {
-	p.bundles.del(p.slot(b.ID()))
-	p.memBytes -= b.MemBytes()
-	p.messages -= int64(b.Size())
+// remove takes r out of the pool and out of the running totals.
+func (p *Pool) remove(r bundle.Ref) {
+	p.bundles.del(p.slot(r.ID()))
+	p.memBytes -= r.MemBytes()
+	p.messages -= int64(r.Size())
 }
 
 // rankedBundle pairs a bundle with its Equation 6 score for the
 // second-stage ranking.
 type rankedBundle struct {
-	b *bundle.Bundle
+	r bundle.Ref
 	g float64
 }
 
@@ -327,44 +391,44 @@ func (p *Pool) refine(now int64) {
 	p.stats.Refines++
 	count := 0
 	waiting := make([]rankedBundle, 0, p.Len())
-	p.All(func(b *bundle.Bundle) {
-		age := tweet.Sub(now, b.LastDate())
+	p.All(func(r bundle.Ref) {
+		age := tweet.Sub(now, r.LastDate())
 		switch {
-		case age > p.cfg.RefineAge && b.Size() < p.cfg.RefineSize:
-			p.remove(b)
+		case age > p.cfg.RefineAge && r.Size() < p.cfg.RefineSize:
+			p.remove(r)
 			if p.onRefine != nil {
-				p.onRefine(b, EvictAgingTiny, age.Hours(), score.EvictionRank(now, b.LastDate(), b.Size()), 0)
+				p.onRefine(r, EvictAgingTiny, age.Hours(), score.EvictionRank(now, r.LastDate(), r.Size()), 0)
 			}
-			p.onEvict(b, EvictAgingTiny, false)
+			p.onEvict(r, EvictAgingTiny, false)
 			p.stats.DeletedTiny++
 			count++
-		case age > p.cfg.RefineAge && b.Closed():
-			p.remove(b)
+		case age > p.cfg.RefineAge && r.Closed():
+			p.remove(r)
 			if p.onRefine != nil {
-				p.onRefine(b, EvictClosed, age.Hours(), score.EvictionRank(now, b.LastDate(), b.Size()), 0)
+				p.onRefine(r, EvictClosed, age.Hours(), score.EvictionRank(now, r.LastDate(), r.Size()), 0)
 			}
-			p.onEvict(b, EvictClosed, true)
+			p.onEvict(r, EvictClosed, true)
 			p.stats.FlushedClosed++
 			count++
 		default:
-			waiting = append(waiting, rankedBundle{b: b, g: score.EvictionRank(now, b.LastDate(), b.Size())})
+			waiting = append(waiting, rankedBundle{r: r, g: score.EvictionRank(now, r.LastDate(), r.Size())})
 		}
 	})
 	sort.Slice(waiting, func(i, j int) bool {
 		if waiting[i].g != waiting[j].g {
 			return waiting[i].g > waiting[j].g
 		}
-		return waiting[i].b.ID() < waiting[j].b.ID()
+		return waiting[i].r.ID() < waiting[j].r.ID()
 	})
 	for rank, rb := range waiting {
 		if count >= p.cfg.LowerLimit && p.Len() <= p.cfg.MaxBundles {
 			break
 		}
-		p.remove(rb.b)
+		p.remove(rb.r)
 		if p.onRefine != nil {
-			p.onRefine(rb.b, EvictRanked, tweet.Sub(now, rb.b.LastDate()).Hours(), rb.g, rank+1)
+			p.onRefine(rb.r, EvictRanked, tweet.Sub(now, rb.r.LastDate()).Hours(), rb.g, rank+1)
 		}
-		p.onEvict(rb.b, EvictRanked, true)
+		p.onEvict(rb.r, EvictRanked, true)
 		p.stats.FlushedRanked++
 		count++
 		if p.gHist != nil {

@@ -18,8 +18,9 @@ import (
 
 // oracleSearchBundles is SearchBundles as it was before summaries were
 // built for the winners only: every candidate gets its Figure 2 row,
-// then the lot is sorted and cut. Kept as the reference the result
-// lists must equal element for element.
+// then the lot is sorted and cut, and every live candidate is read as
+// a Bundle, a one-message bundle the pool holds as its record too. Kept
+// as the reference the result lists must equal element for element.
 func oracleSearchBundles(p *Processor, q string, k int) []BundleHit {
 	terms := queryTerms(q)
 	if k <= 0 || len(terms) == 0 {
@@ -38,13 +39,13 @@ func oracleSearchBundles(p *Processor, q string, k int) []BundleHit {
 	}
 	hits := make([]BundleHit, 0, len(cands))
 	score := func(id bundle.ID, b *bundle.Bundle) {
-		if r := p.relevance(ids, b, now); r > 0 {
+		if r := p.relevance(ids, b.Ref(), now); r > 0 {
 			hits = append(hits, BundleHit{ID: id, Score: r, Size: b.Size(), LastPost: tweet.Time(b.LastDate()), Summary: b.SummaryWords(10)})
 		}
 	}
 	for id := range cands {
-		if b := p.Engine().Pool().Get(id); b != nil {
-			score(id, b)
+		if b := p.Engine().Pool().Get(id); !b.IsZero() {
+			score(id, b.Expand())
 		}
 	}
 	if p.arch != nil {
@@ -152,5 +153,27 @@ func TestSearchBundlesMatchesOracle(t *testing.T) {
 			t.Errorf("%q with %d candidates: %v allocations against the oracle's %v — summaries are not winners-only",
 				busiest, most, ours, oracle)
 		}
+	}
+}
+
+// TestEq7ReadsTheRecord: Eq. 7 reads a live bundle the pool holds as its
+// one message's record through the record, with no allocation, to the
+// relevance the same bundle scores as a Bundle.
+func TestEq7ReadsTheRecord(t *testing.T) {
+	p := New(core.New(core.FullIndexConfig(), nil, nil), DefaultOptions())
+	at := time.Date(2009, 9, 29, 18, 0, 0, 0, time.UTC)
+	p.Insert(tweet.Parse(1, "alice", at, "tsunami warning samoa #tsunami http://x.io/1"))
+	r := p.Engine().Pool().Get(1)
+	if r.Bundle() != nil {
+		t.Fatalf("bundle 1 is held as a Bundle, want its record")
+	}
+	ids := resolve(queryTerms("tsunami samoa x.io"))
+	now := p.Engine().Now()
+	got, want := p.relevance(ids, r, now), p.relevance(ids, r.Expand().Ref(), now)
+	if got != want || got <= 0 {
+		t.Fatalf("relevance %v through the record, %v through the Bundle", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { p.relevance(ids, r, now) }); allocs != 0 {
+		t.Errorf("Eq. 7 allocates %.1f times for a one-message candidate", allocs)
 	}
 }

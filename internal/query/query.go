@@ -237,7 +237,12 @@ func (p *Processor) Reindex() int {
 	}
 	refs := make([]ref, 0, held)
 	for _, e := range p.engs {
-		e.Pool().All(func(b *bundle.Bundle) {
+		e.Pool().All(func(r bundle.Ref) {
+			b := r.Bundle()
+			if b == nil {
+				refs = append(refs, ref{r.First().ID(), r.First()})
+				return
+			}
 			nodes := b.Nodes()
 			for i := range nodes {
 				refs = append(refs, ref{nodes[i].Doc.ID(), nodes[i].Doc})
@@ -399,7 +404,7 @@ func (p *Processor) SearchMessages(q string, k int) []MessageHit {
 // scoredBundle is a ranked candidate that has not been rendered yet:
 // only the k winners get their summary row built.
 type scoredBundle struct {
-	b     *bundle.Bundle
+	b     bundle.Ref
 	score float64
 }
 
@@ -461,7 +466,7 @@ func (p *Processor) searchBundles(e *core.Engine, terms []string, ids []queryTer
 	scored := make([]scoredBundle, 0, len(cands))
 	for id := range cands {
 		b := e.Pool().Get(id)
-		if b == nil {
+		if b.IsZero() {
 			continue
 		}
 		if r := p.relevance(ids, b, now); r > 0 {
@@ -505,17 +510,19 @@ func (p *Processor) archivedHits(terms []string, ids []queryTerm, k int, now int
 		if err != nil {
 			continue // a corrupt archived record should not fail a query
 		}
-		if r := p.relevance(ids, b, now); r > 0 {
-			out = append(out, scoredBundle{b, r})
+		if r := p.relevance(ids, b.Ref(), now); r > 0 {
+			out = append(out, scoredBundle{b.Ref(), r})
 		}
 	}
 	return out
 }
 
-// relevance is Eq. 7 for one bundle.
-func (p *Processor) relevance(terms []queryTerm, b *bundle.Bundle, now int64) float64 {
-	s := textualSim(terms, b)
-	i := indicantSim(terms, b)
+// relevance is Eq. 7 for one bundle, in either form: a bundle held as
+// its one message's record is read through the record.
+func (p *Processor) relevance(terms []queryTerm, b bundle.Ref, now int64) float64 {
+	sum := b.Stats()
+	s := textualSim(terms, sum, b.Size())
+	i := indicantSim(terms, sum)
 	t := freshness(now, b.LastDate())
 	return p.opts.Alpha*s + p.opts.Beta*i + (1-p.opts.Alpha-p.opts.Beta)*t
 }
@@ -524,21 +531,21 @@ func (p *Processor) relevance(terms []queryTerm, b *bundle.Bundle, now int64) fl
 // over the bundle's keyword summary — the common textual similarity of
 // the paper, computed from the summary rather than re-reading member
 // messages.
-func textualSim(terms []queryTerm, b *bundle.Bundle) float64 {
-	if b.Size() == 0 {
+func textualSim(terms []queryTerm, b score.BundleStats, size int) float64 {
+	if size == 0 {
 		return 0
 	}
 	var sum float64
 	for _, t := range terms {
 		tf := float64(b.Count(t.keyword))
-		sum += tf / float64(b.Size())
+		sum += tf / float64(size)
 	}
 	return sum / float64(len(terms))
 }
 
 // indicantSim i(q,B): the fraction of query terms that appear as hard
 // indicants (hashtags or URLs) of the bundle.
-func indicantSim(terms []queryTerm, b *bundle.Bundle) float64 {
+func indicantSim(terms []queryTerm, b score.BundleStats) float64 {
 	n := 0
 	for _, t := range terms {
 		if b.Count(t.tag) > 0 || b.Count(t.url) > 0 {

@@ -77,8 +77,8 @@ func (c *edgeCollector) sorted() []edge {
 func livePartition(engines ...*core.Engine) map[tweet.ID][]tweet.ID {
 	part := make(map[tweet.ID][]tweet.ID)
 	for _, e := range engines {
-		e.Pool().All(func(b *bundle.Bundle) {
-			nodes := b.Nodes()
+		e.Pool().All(func(r bundle.Ref) {
+			nodes := r.Expand().Nodes()
 			ids := make([]tweet.ID, len(nodes))
 			for i, n := range nodes {
 				ids[i] = n.Doc.ID()
@@ -119,8 +119,8 @@ func assertUnderFanout(t *testing.T, engines ...*core.Engine) {
 	t.Helper()
 	for _, e := range engines {
 		ix := e.SummaryIndex()
-		e.Pool().All(func(b *bundle.Bundle) {
-			tags, urls, _, users := b.Indicants()
+		e.Pool().All(func(r bundle.Ref) {
+			tags, urls, _, users := r.Expand().Indicants()
 			for c, terms := range map[termdict.Class][]string{termdict.Tag: tags, termdict.URL: urls, termdict.User: users} {
 				for _, term := range terms {
 					if n := len(ix.AppendPostings(nil, termdict.Lookup(c, term))); n > sumindex.MaxFanout {
@@ -307,7 +307,7 @@ func TestShardIDSpaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		e.ShardEngine(i).Pool().All(func(b *bundle.Bundle) {
+		e.ShardEngine(i).Pool().All(func(b bundle.Ref) {
 			for j := 0; j < n; j++ {
 				if got := e.ShardEngine(j).Pool().Allocates(b.ID()); got != (j == i) {
 					t.Fatalf("bundle %d lives on shard %d but shard %d's pool Allocates it: %v", b.ID(), i, j, got)

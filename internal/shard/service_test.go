@@ -40,7 +40,7 @@ type deployment struct {
 func liveIDs(engines ...*core.Engine) func() []bundle.ID {
 	return func() (ids []bundle.ID) {
 		for _, e := range engines {
-			e.Pool().All(func(b *bundle.Bundle) { ids = append(ids, b.ID()) })
+			e.Pool().All(func(b bundle.Ref) { ids = append(ids, b.ID()) })
 		}
 		return ids
 	}

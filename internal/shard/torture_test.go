@@ -289,9 +289,9 @@ func assertEnginesEqual(t *testing.T, i int, want, got *core.Engine) {
 	if want.Now() != got.Now() {
 		t.Fatalf("engine %d: clock %v, want %v", i, got.Now(), want.Now())
 	}
-	want.Pool().All(func(b *bundle.Bundle) {
+	want.Pool().All(func(b bundle.Ref) {
 		g := got.Pool().Get(b.ID())
-		if g == nil || string(g.AppendMarshal(nil, score.DefaultMessageWeights())) != string(b.AppendMarshal(nil, score.DefaultMessageWeights())) {
+		if g.IsZero() || g.Bundle() == nil != (b.Bundle() == nil) || string(g.AppendMarshal(nil, score.DefaultMessageWeights())) != string(b.AppendMarshal(nil, score.DefaultMessageWeights())) {
 			t.Fatalf("engine %d: live bundle %d differs", i, b.ID())
 		}
 	})

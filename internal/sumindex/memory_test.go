@@ -63,7 +63,8 @@ func TestBytesPerPosting(t *testing.T) {
 	ix := sumindex.New()
 	postings, terms := 0, map[termdict.ID]bool{}
 	var scratch []termdict.ID
-	e.Pool().All(func(b *bundle.Bundle) {
+	e.Pool().All(func(r bundle.Ref) {
+		b := r.Expand()
 		for _, nd := range b.Nodes() {
 			ix.Observe(b.ID(), nd.Doc)
 		}

@@ -30,6 +30,11 @@ const (
 	MinRecent = 3
 )
 
+// Detect walks only the pool's Bundles (pool.Pool.Bundles): a bundle
+// the pool holds as its one message's record never has MinRecent
+// recent messages. This fails to compile if MinRecent drops below 2.
+const _ = uint(MinRecent - 2)
+
 // Topic is one trending bundle.
 type Topic struct {
 	ID       bundle.ID
@@ -63,7 +68,7 @@ func Detect(p *pool.Pool, now int64, k int) []Topic {
 		recent int
 	}
 	var hot []ranked
-	p.All(func(b *bundle.Bundle) {
+	p.Bundles(func(b *bundle.Bundle) {
 		if tweet.Sub(now, b.LastDate()) > Window {
 			return // quiet bundle
 		}

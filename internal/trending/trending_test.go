@@ -21,14 +21,18 @@ var (
 	weights = score.DefaultMessageWeights()
 )
 
-// addMsgs puts n same-topic messages into a fresh pool bundle, spaced
-// by step and starting at start.
+// addMsgs puts n ≥ 1 same-topic messages into a fresh pool bundle,
+// spaced by step and starting at start.
 func addMsgs(p *pool.Pool, topic string, n int, start time.Time, step time.Duration) {
-	b := p.Create()
-	for i := 0; i < n; i++ {
+	id := p.NextID()
+	msg := func(i int) score.Doc {
 		text := fmt.Sprintf("%s development %d #%s", topic, i, topic)
-		m := tweet.Parse(tweet.ID(uint64(b.ID())*1000+uint64(i)), "u", start.Add(time.Duration(i)*step), text)
-		b.Add(weights, score.NewDoc(m))
+		return score.NewDoc(tweet.Parse(tweet.ID(uint64(id)*1000+uint64(i)), "u", start.Add(time.Duration(i)*step), text))
+	}
+	r := p.Create(msg(0))
+	for i := 1; i < n; i++ {
+		p.Promote(r).Add(weights, msg(i))
+		r = p.Get(id)
 	}
 }
 
@@ -136,8 +140,10 @@ func TestDetectOverEngine(t *testing.T) {
 
 // oracleDetect is Detect as it was before it ranked first: a summary
 // rendered for every qualifying bundle, the lot sorted, all but k
-// thrown away, with the window cut as a time.Time instant. Kept as the
-// definition of the result list.
+// thrown away, with the window cut as a time.Time instant, and every
+// bundle of the pool scanned as a Bundle, a one-message bundle the
+// pool holds as its record too. Kept as the definition of the result
+// list.
 func oracleDetect(p *pool.Pool, now int64, k int) []Topic {
 	if k <= 0 {
 		return nil
@@ -145,7 +151,8 @@ func oracleDetect(p *pool.Pool, now int64, k int) []Topic {
 	cutoff := tweet.Time(now).Add(-Window)
 
 	var topics []Topic
-	p.All(func(b *bundle.Bundle) {
+	p.All(func(r bundle.Ref) {
+		b := r.Expand()
 		if tweet.Time(b.LastDate()).Before(cutoff) {
 			return
 		}
