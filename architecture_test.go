@@ -5,9 +5,12 @@ package provex_test
 // listing is read live, so adding a package without a row here (or
 // renaming one and orphaning its row) fails the build, the same deal
 // observability_test.go enforces for metric families. The file also
-// holds the tree's one import rule: which files may import unsafe.
+// holds the tree's rules on production code: which files may import
+// unsafe, that every atomic is a typed one, and that every exported
+// function under internal/ has a production caller.
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -101,6 +104,25 @@ var unsafeAllowed = []string{
 // unsafe are exactly unsafeAllowed.
 func TestUnsafeIsContained(t *testing.T) {
 	var got []string
+	walkProduction(t, parser.ImportsOnly, func(path string, f *ast.File) {
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "unsafe" {
+				got = append(got, path)
+			}
+		}
+	})
+	slices.Sort(got)
+	if !slices.Equal(got, unsafeAllowed) {
+		t.Errorf("non-test files importing unsafe: %q, want exactly %q", got, unsafeAllowed)
+	}
+}
+
+// walkProduction parses every non-test .go file of the module outside
+// testdata/ and hidden directories, with mode, and calls fn with its
+// slash-separated path.
+func walkProduction(t *testing.T, mode parser.Mode, fn func(path string, f *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -114,24 +136,143 @@ func TestUnsafeIsContained(t *testing.T) {
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		f, err := parser.ParseFile(fset, path, nil, mode)
 		if err != nil {
 			return err
 		}
-		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p == "unsafe" {
-				got = append(got, filepath.ToSlash(path))
-			}
-		}
+		fn(filepath.ToSlash(path), f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slices.Sort(got)
-	if !slices.Equal(got, unsafeAllowed) {
-		t.Errorf("non-test files importing unsafe: %q, want exactly %q", got, unsafeAllowed)
+}
+
+// TestTypedAtomicsOnly: no non-test file calls a package-level
+// function of sync/atomic (atomic.AddInt64, atomic.LoadUint32, ...).
+// Every atomic is then a typed one (atomic.Int64, atomic.Pointer[T]),
+// whose value plain code cannot read or write, so a field cannot be
+// touched atomically in one place and plainly in another.
+func TestTypedAtomicsOnly(t *testing.T) {
+	walkProduction(t, parser.SkipObjectResolution, func(path string, f *ast.File) {
+		name := ""
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "sync/atomic" {
+				name = "atomic"
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+			}
+		}
+		if name == "" || name == "_" {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); ok && x.Name == name {
+				t.Errorf("%s: calls %s.%s; use a typed atomic (atomic.Int64, atomic.Pointer[T], ...)", path, name, sel.Sel.Name)
+			}
+			return true
+		})
+	})
+}
+
+// exportsWithoutCaller lists what TestExportsHaveProductionCallers
+// lets through, each with its reason. A key is a file, a directory
+// (ending in /) or a function as the test names it.
+var exportsWithoutCaller = map[string]string{
+	"internal/fsx/fault.go":           "test fake: the fault injector every durability test drives",
+	"internal/fsx/memfs.go":           "test fake: the in-memory filesystem with crash images",
+	"internal/repl/fault.go":          "test fake: the faulty transport of the replication tests",
+	"internal/analysis/analysistest/": "test harness: runs an analyzer over its fixtures",
+	"(*bundle.Bundle).Validate":       "declared oracle: checks a bundle's invariants (Def. 3) in tests and fuzzers",
+	"(*tweet.Message).Validate":       "declared oracle: checks a parsed message's invariants in tests and fuzzers",
+}
+
+// TestExportsHaveProductionCallers: every exported function or method
+// declared under internal/ is named by some non-test file of the
+// module (internal/, cmd/, bench/, examples/ or the root), unless
+// exportsWithoutCaller lets it through. An export only tests call
+// belongs in the tests. The check is by name, so it over-approximates
+// use: a dead export that shares its name with a live identifier —
+// any method called Next, say — slips through.
+func TestExportsHaveProductionCallers(t *testing.T) {
+	type decl struct{ path, name, key string }
+	var decls []decl
+	uses := map[string]int{}
+	walkProduction(t, parser.SkipObjectResolution, func(path string, f *ast.File) {
+		declared := map[*ast.Ident]bool{}
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || !fd.Name.IsExported() || !strings.HasPrefix(path, "internal/") {
+				continue
+			}
+			declared[fd.Name] = true
+			decls = append(decls, decl{path, fd.Name.Name, funcKey(f.Name.Name, fd)})
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !declared[id] {
+				uses[id.Name]++
+			}
+			return true
+		})
+	})
+	matched := map[string]bool{}
+	for _, d := range decls {
+		if uses[d.name] > 0 {
+			continue
+		}
+		if k := allowedBy(d.path, d.key); k != "" {
+			matched[k] = true
+			continue
+		}
+		t.Errorf("%s: %s is exported, but no non-test file names it", d.path, d.key)
 	}
+	for k := range exportsWithoutCaller {
+		if !matched[k] {
+			t.Errorf("exportsWithoutCaller lets %s through, but it holds no export without a caller", k)
+		}
+	}
+}
+
+// funcKey names fd as go doc would: pkg.F, (pkg.T).M or (*pkg.T).M.
+func funcKey(pkg string, fd *ast.FuncDecl) string {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return pkg + "." + fd.Name.Name
+	}
+	typ, star := fd.Recv.List[0].Type, ""
+	if s, ok := typ.(*ast.StarExpr); ok {
+		typ, star = s.X, "*"
+	}
+	switch x := typ.(type) {
+	case *ast.IndexExpr:
+		typ = x.X
+	case *ast.IndexListExpr:
+		typ = x.X
+	}
+	name := "?"
+	if id, ok := typ.(*ast.Ident); ok {
+		name = id.Name
+	}
+	return "(" + star + pkg + "." + name + ")." + fd.Name.Name
+}
+
+// allowedBy returns the exportsWithoutCaller key that lets the export
+// key declared in path through, or "".
+func allowedBy(path, key string) string {
+	for k := range exportsWithoutCaller {
+		if k == path || k == key || strings.HasSuffix(k, "/") && strings.HasPrefix(path, k) {
+			return k
+		}
+	}
+	return ""
 }
 
 // containsWord reports whether text contains name delimited by

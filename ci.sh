@@ -19,9 +19,11 @@ unformatted="$(gofmt -l .)"
 [ -z "$unformatted" ] || { echo "gofmt: not formatted:"; echo "$unformatted"; exit 1; }
 
 # provlint: the repo's own vettool (cmd/provlint) re-runs vet with the
-# eight invariant analyzers — fsxdiscipline, durabilityerr, metricsreg,
-# hotpathalloc (DESIGN.md §2f) plus the concurrency four: lockguard,
-# wgbalance, atomicmix, sendafterclose (§2j). The ./... sweep includes
+# seven invariant analyzers — fsxdiscipline, durabilityerr, metricsreg,
+# hotpathalloc (DESIGN.md §2f) plus the concurrency three: lockguard,
+# wgbalance, sendafterclose (§2j); atomics are held by go test's
+# TestTypedAtomicsOnly (no package-level sync/atomic call, so every
+# atomic is a typed one) instead. The ./... sweep includes
 # internal/analysis itself, so provlint self-lints. A finding here is a
 # positioned diagnostic and fails the gate; deliberate exceptions carry
 # //provlint:ignore with a reason.

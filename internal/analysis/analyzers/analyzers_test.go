@@ -34,10 +34,6 @@ func TestWgBalance(t *testing.T) {
 	analysistest.Run(t, WgBalance, "wgbalance")
 }
 
-func TestAtomicMix(t *testing.T) {
-	analysistest.Run(t, AtomicMix, "atomicmix")
-}
-
 func TestSendAfterClose(t *testing.T) {
 	analysistest.Run(t, SendAfterClose, "sendafterclose")
 }
@@ -50,12 +46,11 @@ func TestSuppression(t *testing.T) {
 }
 
 // TestSuppressionConcurrency proves the ignore scanner composes with
-// the concurrency analyzers: directives naming lockguard/atomicmix
-// silence exactly the lines they cover, and mismatched analyzer names
-// or out-of-range directives leave the finding live.
+// the concurrency analyzers: directives naming lockguard silence
+// exactly the lines they cover, and mismatched analyzer names or
+// out-of-range directives leave the finding live.
 func TestSuppressionConcurrency(t *testing.T) {
 	analysistest.Run(t, LockGuard, "suppresslock")
-	analysistest.Run(t, AtomicMix, "suppressatomic")
 }
 
 // TestParseGuardedBy pins the annotation grammar the lockguard

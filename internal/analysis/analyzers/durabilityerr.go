@@ -30,7 +30,6 @@ var durabilityCritical = []critCall{
 	{"internal/recfile", "Dir", "RemoveBefore", "an unchecked remove leaves sealed files the caller believes gone"},
 	{"internal/storage", "Store", "Put", "a dropped Put error silently loses the bundle from the store"},
 	{"internal/storage", "Store", "Sync", "an unchecked store sync means flushed bundles may not be durable"},
-	{"internal/storage", "Store", "Compact", "an unchecked compaction error can strand dead segments"},
 	{"internal/core", "Engine", "writeCheckpoint", "a failed checkpoint write must abort the checkpoint, not seal garbage"},
 	{"internal/core", "Engine", "SaveCheckpoint", "a failed checkpoint write must abort the checkpoint, not seal garbage"},
 	{"internal/pipeline", "Durable", "Checkpoint", "an unchecked checkpoint failure leaves recovery pinned to the previous checkpoint"},
@@ -57,7 +56,7 @@ var DurabilityErr = &analysis.Analyzer{
 	Name: "durabilityerr",
 	Doc: `discarded error from a durability-critical call
 
-Errors from wal.Append/Truncate/Sync, storage.Put/Sync/Compact,
+Errors from wal.Append/Truncate/Sync, storage.Put/Sync,
 checkpoint writes, and fsx write/fsync/rename calls must be checked.
 These errors are the crash-safety contract: the WAL+checkpoint
 recovery proof (DESIGN.md §2d) assumes every failed write is observed

@@ -8,9 +8,11 @@ import "provex/internal/analysis"
 
 // All returns every provlint analyzer, in stable order. The first
 // four date from PR 5 (filesystem, durability, metrics and allocation
-// contracts); the concurrency four extend the same machinery to the
-// lock discipline, goroutine lifecycles and atomics the sharded
-// engine and the replication layer rest on.
+// contracts); the concurrency three extend the same machinery to the
+// lock discipline and goroutine lifecycles the sharded engine and the
+// replication layer rest on. Atomics need no analyzer: the module's
+// TestTypedAtomicsOnly keeps every atomic a typed one, which plain
+// code cannot touch.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		FsxDiscipline,
@@ -19,7 +21,6 @@ func All() []*analysis.Analyzer {
 		HotPathAlloc,
 		LockGuard,
 		WgBalance,
-		AtomicMix,
 		SendAfterClose,
 	}
 }

@@ -6,4 +6,3 @@ type Store struct{}
 
 func (s *Store) Put(data []byte) error { return nil }
 func (s *Store) Sync() error           { return nil }
-func (s *Store) Compact() error        { return nil }

@@ -24,7 +24,7 @@ func (g *gauge) stillFlagged() int {
 }
 
 func (g *gauge) wrongAnalyzer() int {
-	//provlint:ignore atomicmix directive names another analyzer
+	//provlint:ignore wgbalance directive names another analyzer
 	return g.v // want `read of g\.v without g\.mu held`
 }
 

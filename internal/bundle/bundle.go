@@ -41,13 +41,6 @@ type Node struct {
 	Conn   score.ConnectionType
 }
 
-// Edge is a provenance connection in (parent, child) message-ID form —
-// the unit the paper's accuracy/return evaluation counts.
-type Edge struct {
-	Parent tweet.ID
-	Child  tweet.ID
-}
-
 // Bundle is Definition 3's message group. Not safe for concurrent use;
 // the engine serialises access.
 //
@@ -231,18 +224,6 @@ func (b *Bundle) absorb(doc score.Doc) {
 	}
 }
 
-// Edges returns every provenance connection in the bundle.
-func (b *Bundle) Edges() []Edge {
-	var out []Edge
-	for _, n := range b.nodes {
-		if n.Parent == NoParent {
-			continue
-		}
-		out = append(out, Edge{Parent: b.nodes[n.Parent].Doc.ID(), Child: n.Doc.ID()})
-	}
-	return out
-}
-
 // SummaryWords returns the k most frequent summary terms — the "Summary
 // Words" column of the paper's Figure 2 result list. Hashtags count
 // double so topical tags float to the front like the paper's examples.
@@ -267,8 +248,9 @@ func tally(merged map[string]int, t termdict.ID, n int) {
 // in time), the summary is in the form its size calls for, its counts
 // match node contents and, in the index, every node list is strictly
 // ascending and names exactly the nodes that carry its term, and the
-// time extent bounds every message. Used by tests and the storage
-// round-trip self-check.
+// time extent bounds every message. It is an oracle for tests (codec
+// round trips, the summary fuzzer, restored pools); no production path
+// calls it.
 func (b *Bundle) Validate() error {
 	size := len(b.nodes)
 	if indexed, rowed := b.idx != nil, b.rows != nil; indexed != (size >= PruneMinNodes) || rowed != (size >= 2 && !indexed) {

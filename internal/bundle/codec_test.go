@@ -267,7 +267,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if got.Size() != b.Size() || got.MemBytes() != b.MemBytes() {
 			return false
 		}
-		return got.Validate() == nil && reflect.DeepEqual(got.Edges(), b.Edges())
+		return got.Validate() == nil && reflect.DeepEqual(edges(got), edges(b))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

@@ -177,7 +177,7 @@ func TestCheckpointParkedRoundTrip(t *testing.T) {
 	if err := restored.DrainFlushRetries(); err != nil {
 		t.Fatalf("drain after heal: %v", err)
 	}
-	if !st.Has(1) {
+	if !stored(st, 1) {
 		t.Fatal("parked bundle never reached the store")
 	}
 	if restored.Snapshot().FlushParked != 0 {

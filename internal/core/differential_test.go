@@ -33,6 +33,17 @@ const (
 	uncapped
 )
 
+// generate materialises the first n messages of the stream cfg
+// generates.
+func generate(cfg gen.Config, n int) []*tweet.Message {
+	g := gen.New(cfg)
+	out := make([]*tweet.Message, n)
+	for i := range out {
+		out[i] = g.Next()
+	}
+	return out
+}
+
 // differentialRun is the one place the unexported switches are set.
 func differentialRun(t *testing.T, cfg Config, mode engineMode, msgs []*tweet.Message) ([]InsertResult, []diffEdge) {
 	t.Helper()
@@ -88,7 +99,7 @@ func TestPrunedMatchesExhaustiveEndToEnd(t *testing.T) {
 	for _, seed := range []int64{1, 42} {
 		g := gen.DefaultConfig()
 		g.Seed = seed
-		msgs := gen.New(g).Generate(4000)
+		msgs := generate(g, 4000)
 
 		base := PartialIndexConfig(150) // small pool: constant eviction churn
 		base.Pool.MaxBundleSize = 40    // closed bundles appear in candidate lists
@@ -120,7 +131,7 @@ func TestFetchMatchesUncappedReference(t *testing.T) {
 				t.Parallel()
 				g := gen.DefaultConfig()
 				g.Seed = seed
-				msgs := gen.New(g).Generate(20_000)
+				msgs := generate(g, 20_000)
 				wantRes, wantEdges := differentialRun(t, c.cfg, uncapped, msgs)
 				gotRes, gotEdges := differentialRun(t, c.cfg, production, msgs)
 				compareRuns(t, c.name, seed, wantRes, wantEdges, gotRes, gotEdges)
@@ -151,7 +162,7 @@ func compareRuns(t *testing.T, name string, seed int64, wantRes []InsertResult, 
 // a substantial amount of skipped Eq. 5 and Eq. 1 work.
 func TestPruningActuallyPrunes(t *testing.T) {
 	g := gen.DefaultConfig()
-	msgs := gen.New(g).Generate(4000)
+	msgs := generate(g, 4000)
 	e := New(PartialIndexConfig(150), nil, nil)
 	for _, m := range msgs {
 		e.Insert(m)

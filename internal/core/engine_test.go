@@ -335,7 +335,7 @@ func TestFullIndexStats(t *testing.T) {
 	cfg.Users = 300
 	cfg.VocabSize = 600
 	cfg.EventsPerDay = 150
-	msgs := gen.New(cfg).Generate(2000)
+	msgs := generate(cfg, 2000)
 	e := New(FullIndexConfig(), nil, nil)
 	for _, m := range msgs {
 		e.Insert(m)
@@ -365,7 +365,7 @@ func TestPoolBundlesValid(t *testing.T) {
 	cfg.Users = 300
 	cfg.VocabSize = 600
 	cfg.EventsPerDay = 150
-	msgs := gen.New(cfg).Generate(3000)
+	msgs := generate(cfg, 3000)
 	e := New(BundleLimitConfig(200, 50), nil, nil)
 	for _, m := range msgs {
 		e.Insert(m)

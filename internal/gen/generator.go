@@ -146,15 +146,6 @@ func (g *Generator) Next() *tweet.Message {
 	return m
 }
 
-// Generate is a convenience that materialises n messages.
-func (g *Generator) Generate(n int) []*tweet.Message {
-	out := make([]*tweet.Message, n)
-	for i := range out {
-		out[i] = g.Next()
-	}
-	return out
-}
-
 // admitScripted moves scripted events whose start time has arrived into
 // the active set.
 func (g *Generator) admitScripted() {

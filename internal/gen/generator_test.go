@@ -20,9 +20,18 @@ func smallConfig() Config {
 	return cfg
 }
 
+// generate materialises the first n messages of g.
+func generate(g *Generator, n int) []*tweet.Message {
+	out := make([]*tweet.Message, n)
+	for i := range out {
+		out[i] = g.Next()
+	}
+	return out
+}
+
 func TestGeneratorDeterminism(t *testing.T) {
-	a := New(smallConfig()).Generate(2000)
-	b := New(smallConfig()).Generate(2000)
+	a := generate(New(smallConfig()), 2000)
+	b := generate(New(smallConfig()), 2000)
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -36,8 +45,8 @@ func TestGeneratorDeterminism(t *testing.T) {
 func TestGeneratorSeedSensitivity(t *testing.T) {
 	cfg2 := smallConfig()
 	cfg2.Seed = 99
-	a := New(smallConfig()).Generate(100)
-	b := New(cfg2).Generate(100)
+	a := generate(New(smallConfig()), 100)
+	b := generate(New(cfg2), 100)
 	same := 0
 	for i := range a {
 		if a[i].Text == b[i].Text {
@@ -165,7 +174,7 @@ func TestGeneratorArrivalRate(t *testing.T) {
 	cfg := smallConfig()
 	g := New(cfg)
 	const n = 20000
-	ms := g.Generate(n)
+	ms := generate(g, n)
 	span := tweet.Sub(ms[n-1].Date, ms[0].Date)
 	gotPerDay := float64(n) / (span.Hours() / 24)
 	ratio := gotPerDay / float64(cfg.MsgsPerDay)

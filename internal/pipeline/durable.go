@@ -16,7 +16,7 @@
 // commit goroutine, which owns its shard's Durable exclusively for the
 // round. Engine reads may happen
 // concurrently under whatever lock the caller already uses for
-// queries; WALSyncedSeq and ReadWAL are safe from any goroutine.
+// queries; ReadWAL is safe from any goroutine.
 
 package pipeline
 
@@ -184,12 +184,6 @@ func (d *Durable) Checkpoint() error {
 	d.wal.Rebase(d.seq)
 	return nil
 }
-
-// WALSyncedSeq returns the WAL's durable watermark — the highest
-// sequence fully on stable storage. Unlike the writer-side methods it
-// is safe from any goroutine. Replication reads the watermark from
-// ReadWAL's Batch.Synced; this is for tests that watch a Service.
-func (d *Durable) WALSyncedSeq() uint64 { return d.wal.SyncedSeq() }
 
 // SyncWAL writes and fsyncs the WAL's open batch, however few records
 // it holds. The Service's log stage calls it once per batch, before

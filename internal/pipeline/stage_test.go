@@ -7,6 +7,7 @@ package pipeline
 // durability without stopping ingest.
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -89,6 +90,17 @@ func TestApplyAfterSync(t *testing.T) {
 }
 
 // scrape renders reg and parses it back, series name → value.
+// walSynced reads d's durable WAL watermark as replication does, from a
+// ReadWAL batch; asking past every sequence reads no record.
+func walSynced(t *testing.T, d *Durable) uint64 {
+	t.Helper()
+	b, err := d.ReadWAL(math.MaxUint64, wal.Cursor{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.Synced
+}
+
 func scrape(t *testing.T, reg *metrics.Registry) map[string]float64 {
 	t.Helper()
 	var b strings.Builder
@@ -127,7 +139,7 @@ func TestOneFsyncPerDrainedBatch(t *testing.T) {
 	if got := series["provex_pipeline_batch_size_count"]; got != 1 {
 		t.Errorf("%d queued messages went over in %v batches, want 1", n, got)
 	}
-	if got := d.WALSyncedSeq(); got != n {
+	if got := walSynced(t, d); got != n {
 		t.Errorf("WAL synced to %d, want %d", got, n)
 	}
 	if err := s.Stop(); err != nil {
@@ -160,7 +172,7 @@ func TestDirectLogSyncCadence(t *testing.T) {
 		if got := scrape(t, reg)["provex_wal_fsync_seconds_count"]; got != tc.fsyncs {
 			t.Errorf("WALSyncEvery %d: %v fsyncs after 130 Logs, want %v", tc.every, got, tc.fsyncs)
 		}
-		if got := d.WALSyncedSeq(); got != tc.syncedAfter {
+		if got := walSynced(t, d); got != tc.syncedAfter {
 			t.Errorf("WALSyncEvery %d: synced to %d after 130 Logs, want %d", tc.every, got, tc.syncedAfter)
 		}
 		if err := d.SyncWAL(); err != nil {
@@ -169,7 +181,7 @@ func TestDirectLogSyncCadence(t *testing.T) {
 		if got := scrape(t, reg)["provex_wal_fsync_seconds_count"]; got != tc.fsyncs+1 {
 			t.Errorf("WALSyncEvery %d: %v fsyncs after SyncWAL, want %v", tc.every, got, tc.fsyncs+1)
 		}
-		if got := d.WALSyncedSeq(); got != 130 {
+		if got := walSynced(t, d); got != 130 {
 			t.Errorf("WALSyncEvery %d: synced to %d after SyncWAL, want 130", tc.every, got)
 		}
 		d.Close()
@@ -293,7 +305,7 @@ func TestFailedBatchSyncLatchesOnce(t *testing.T) {
 	}
 	// Batches after the failed one reached the disk: the synced
 	// watermark is the last sequence handed out.
-	if got, want := d.WALSyncedSeq(), d.Seq(); got != want || got == 0 {
+	if got, want := walSynced(t, d), d.Seq(); got != want || got == 0 {
 		t.Errorf("WAL synced to %d, last logged sequence %d", got, want)
 	}
 	if err := s.Stop(); err == nil || err.Error() != first.Error() {
@@ -321,7 +333,7 @@ func TestResumeRefeedSkipsDuplicates(t *testing.T) {
 	const n = 400
 	mem := fsx.NewMem()
 	msgs := genMessages(34, n)
-	run := func(feed []*tweet.Message) (*query.Processor, *Service) {
+	run := func(feed []*tweet.Message) (*metrics.Registry, *Service) {
 		// An unbounded pool, so Reindex recovers every message's entry.
 		d, err := OpenDurable(core.FullIndexConfig(), nil, nil, durableOpts(mem))
 		if err != nil {
@@ -330,6 +342,8 @@ func TestResumeRefeedSkipsDuplicates(t *testing.T) {
 		defer d.Close()
 		proc := query.New(d.Engine(), query.DefaultOptions())
 		proc.Reindex()
+		reg := metrics.NewRegistry()
+		proc.RegisterMetrics(reg)
 		s := New(proc, Options{Durable: d})
 		s.Start()
 		for _, m := range feed {
@@ -340,17 +354,17 @@ func TestResumeRefeedSkipsDuplicates(t *testing.T) {
 		if err := s.Stop(); err != nil {
 			t.Fatal(err)
 		}
-		return proc, s
+		return reg, s
 	}
 	run(msgs)
 	// Resume from the checkpoint Stop wrote, and feed the same JSONL
 	// again — fresh message values, same IDs.
-	proc, s := run(genMessages(34, n))
+	reg, s := run(genMessages(34, n))
 	if got := s.Ingested(); got != n {
 		t.Errorf("Ingested = %d, want %d", got, n)
 	}
-	if got := proc.DuplicateMessages(); got != n {
-		t.Errorf("DuplicateMessages = %d, want %d", got, n)
+	if got := scrape(t, reg)["provex_query_duplicate_messages_total"]; got != n {
+		t.Errorf("provex_query_duplicate_messages_total = %v, want %d", got, n)
 	}
 	if hits := s.SearchMessages(msgs[0].Text, 5); len(hits) == 0 {
 		t.Error("message index lost its entries over the re-feed")

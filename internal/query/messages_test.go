@@ -82,8 +82,8 @@ func TestRefedStreamIsIndexedOnce(t *testing.T) {
 	twice := New(core.New(core.FullIndexConfig(), nil, nil), DefaultOptions())
 	feed(twice)
 	feed(twice)
-	if got := twice.DuplicateMessages(); got != n {
-		t.Errorf("DuplicateMessages = %d, want %d", got, n)
+	if got := twice.dups.Value(); got != n {
+		t.Errorf("duplicate messages = %d, want %d", got, n)
 	}
 	if st := twice.msgIndex.Stats(); st.Docs != n || twice.messages.Len() != n {
 		t.Errorf("index holds %d documents beside %d messages, want %d of each", st.Docs, twice.messages.Len(), n)
@@ -103,8 +103,8 @@ func TestDecreasingIDsAreSearchable(t *testing.T) {
 		id := tweet.ID(n - i)
 		p.Insert(tweet.Parse(id, "user", base.Add(time.Duration(i)*time.Second), fmt.Sprintf("report marker%dx filed", id)))
 	}
-	if got := p.DuplicateMessages(); got != 0 {
-		t.Errorf("DuplicateMessages = %d, want 0", got)
+	if got := p.dups.Value(); got != 0 {
+		t.Errorf("duplicate messages = %d, want 0", got)
 	}
 	for id := tweet.ID(1); id <= n; id++ {
 		hits := p.SearchMessages(fmt.Sprintf("marker%dx", id), 3)

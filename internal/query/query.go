@@ -143,10 +143,6 @@ func (p *Processor) RegisterMetrics(reg *metrics.Registry) {
 		func() float64 { return float64(p.msgIndex.Stats().Bytes) })
 }
 
-// DuplicateMessages counts the messages whose ID the message index
-// already held when they were inserted.
-func (p *Processor) DuplicateMessages() int64 { return p.dups.Value() }
-
 // Archived reports how many disk-resident bundles are searchable.
 func (p *Processor) Archived() int {
 	if p.arch == nil {

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -31,6 +32,7 @@ import (
 	"provex/internal/storage"
 	"provex/internal/stream"
 	"provex/internal/tweet"
+	"provex/internal/wal"
 )
 
 func testMsg(i int) *tweet.Message {
@@ -428,8 +430,8 @@ func TestFollowerSurvivesLeaderRestartMidStream(t *testing.T) {
 		t.Fatalf("follower already applied %d of %d before its fourth fetch — test premise broken", prev, leader.n)
 	}
 	leader.restart()
-	if got := leader.dur.WALSyncedSeq(); got != uint64(leader.n) {
-		t.Fatalf("leader recovered to %d, ingested %d — test premise broken", got, leader.n)
+	if b, _ := leader.dur.ReadWAL(math.MaxUint64, wal.Cursor{}, 0); b.Synced != uint64(leader.n) {
+		t.Fatalf("leader recovered to %d, ingested %d — test premise broken", b.Synced, leader.n)
 	}
 	sw.set(leader.handler())
 

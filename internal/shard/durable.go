@@ -238,9 +238,6 @@ func (d *Durable) persistCheckpoint() error {
 	return nil
 }
 
-// Checkpoints counts completed barriers (including the recovery one).
-func (d *Durable) Checkpoints() int64 { return d.ckpts.Value() }
-
 // RegisterMetrics exposes the durability side on reg: each shard's WAL
 // and replay series labeled shard="i" (per-shard WAL size gauges fall
 // out of this), plus the barrier counter and duration histogram.

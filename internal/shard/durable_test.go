@@ -164,14 +164,14 @@ func TestShardedBarrierDiskFull(t *testing.T) {
 		t.Fatalf("Checkpoint on a full disk = %v, want the injected ErrNoSpace", err)
 	}
 	ff.Disarm()
-	barriers := d.Checkpoints()
+	barriers := d.ckpts.Value()
 
 	feed(t, d, msgs[640:1280]) // the parent latched a stale checkpoint error here
 	if err := d.Checkpoint(); err != nil {
 		t.Fatalf("the barrier after the disk was freed: %v", err)
 	}
-	if got := d.Checkpoints(); got != barriers+1 {
-		t.Fatalf("Checkpoints = %d, want %d", got, barriers+1)
+	if got := d.ckpts.Value(); got != barriers+1 {
+		t.Fatalf("%d barriers, want %d", got, barriers+1)
 	}
 	feed(t, d, msgs[1280:])
 	if err := d.Err(); err != nil {

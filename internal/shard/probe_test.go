@@ -193,9 +193,9 @@ func FuzzFlooredProbe(f *testing.F) {
 	})
 }
 
-// matchTotals sums every provex_match_* counter over the shards of the
-// engine registered on reg, by family.
-func matchTotals(t *testing.T, reg *metrics.Registry) map[string]float64 {
+// scrape reads every series registered on reg through its text
+// exposition, as a scraper would.
+func scrape(t *testing.T, reg *metrics.Registry) map[string]float64 {
 	t.Helper()
 	var b strings.Builder
 	if err := reg.Expose(&b); err != nil {
@@ -205,8 +205,15 @@ func matchTotals(t *testing.T, reg *metrics.Registry) map[string]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return series
+}
+
+// matchTotals sums every provex_match_* counter over the shards of the
+// engine registered on reg, by family.
+func matchTotals(t *testing.T, reg *metrics.Registry) map[string]float64 {
+	t.Helper()
 	out := map[string]float64{}
-	for name, v := range series {
+	for name, v := range scrape(t, reg) {
 		if fam, _, _ := strings.Cut(name, "{"); strings.HasPrefix(fam, "provex_match_") {
 			out[fam] += v
 		}

@@ -20,11 +20,13 @@ import (
 	"provex/internal/bundle"
 	"provex/internal/core"
 	"provex/internal/fsx"
+	"provex/internal/metrics"
 	"provex/internal/pipeline"
 	"provex/internal/query"
 	"provex/internal/storage"
 	"provex/internal/trending"
 	"provex/internal/tweet"
+	"provex/internal/wal"
 )
 
 // deployment is one opened backend behind its Service.
@@ -83,11 +85,16 @@ var contractBackends = []contractBackend{
 		proc.Reindex()
 		opts.Durable = d
 		return deployment{
-			svc:       pipeline.New(proc, opts),
-			replayed:  d.Replayed(),
-			walSynced: d.WALSyncedSeq,
-			liveIDs:   liveIDs(d.Engine()),
-			close:     d.Close,
+			svc:      pipeline.New(proc, opts),
+			replayed: d.Replayed(),
+			walSynced: func() uint64 {
+				// As replication reads it; asking past every sequence
+				// reads no record.
+				b, _ := d.ReadWAL(math.MaxUint64, wal.Cursor{}, 0)
+				return b.Synced
+			},
+			liveIDs: liveIDs(d.Engine()),
+			close:   d.Close,
 		}
 	}, plainSerial},
 	{"sharded", true, func(t *testing.T, fs fsx.FS, opts pipeline.Options) deployment {
@@ -670,6 +677,8 @@ func TestShardedRepeatsCountedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := metrics.NewRegistry()
+	e.RegisterMetrics(reg)
 	msgs := genMessages(11, n)
 	for _, m := range append(msgs, msgs...) {
 		if err := e.Ingest(m); err != nil {
@@ -679,8 +688,8 @@ func TestShardedRepeatsCountedOnce(t *testing.T) {
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.proc.DuplicateMessages(); got != n {
-		t.Errorf("DuplicateMessages = %d, want %d", got, n)
+	if got := scrape(t, reg)["provex_query_duplicate_messages_total"]; got != n {
+		t.Errorf("provex_query_duplicate_messages_total = %v, want %d", got, n)
 	}
 }
 

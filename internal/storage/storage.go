@@ -9,8 +9,10 @@
 // of that layer: an in-memory directory mapping bundle ID to its newest
 // record position, rebuilt by Open from a scan of every segment;
 // re-flushing a bundle supersedes the previous record (last write
-// wins); rotation at a size threshold; and Compact, which rewrites the
-// live records into fresh segments and drops the dead weight.
+// wins); and rotation at a size threshold. A superseded record stays
+// in its segment: the engine flushes a bundle once, when it leaves the
+// pool, so only a WAL replay after a crash or a re-fed stream flushes
+// an ID twice.
 //
 // All filesystem access goes through an fsx.FS (Options.FS), so every
 // failure path — torn write, ENOSPC, fsync error, frozen image — is
@@ -32,7 +34,7 @@ import (
 )
 
 // DefaultSegmentSize rotates segments at 8 MiB, large enough to
-// amortise file overhead, small enough for cheap compaction.
+// amortise file overhead.
 const DefaultSegmentSize = 8 << 20
 
 // ErrNotFound reports a bundle ID absent from the store.
@@ -58,10 +60,6 @@ type Options struct {
 	// SegmentSize is the rotation threshold in bytes; 0 means
 	// DefaultSegmentSize.
 	SegmentSize int64
-	// SyncEvery fsyncs the active segment after every n appends;
-	// 0 disables explicit fsync (the OS flushes on its schedule, and
-	// Sync/Close force it).
-	SyncEvery int
 	// FS is the filesystem the store lives on; nil uses the real one.
 	// Tests substitute fsx.MemFS/fsx.FaultFS to exercise crash and
 	// error paths.
@@ -90,11 +88,9 @@ type Store struct {
 	// reopened (recovery truncates the torn tail). Reads stay available.
 	segs       *recfile.Dir
 	activeSize int64  // guarded by mu
-	appends    int    // guarded by mu
 	frame      []byte // the record being written, reused; guarded by mu
 
 	index     map[bundle.ID]recordPos // guarded by mu
-	deadBytes int64                   // superseded record bytes, Compact trigger signal; guarded by mu
 	liveBytes int64                   // guarded by mu
 }
 
@@ -126,11 +122,10 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// indexRecordLocked records the newest position of id, tracking dead
-// bytes of any superseded record. Caller holds s.mu.
+// indexRecordLocked records the newest position of id, dropping any
+// superseded record from the live bytes. Caller holds s.mu.
 func (s *Store) indexRecordLocked(id bundle.ID, pos recordPos) {
 	if old, ok := s.index[id]; ok {
-		s.deadBytes += old.size()
 		s.liveBytes -= old.size()
 	}
 	s.index[id] = pos
@@ -181,7 +176,9 @@ func (s *Store) rotateLocked() error {
 // Put appends b to the store, encoded under w, the weights b was placed
 // under (bundle.AppendMarshal). A bundle already present is superseded
 // by the new record. A failed Put leaves the store exactly as it was,
-// so the caller may retry (the engine's flush retry queue does).
+// so the caller may retry (the engine's flush retry queue does). Put
+// does not fsync: Sync does, before the caller lets go of what the
+// record was built from.
 func (s *Store) Put(b *bundle.Bundle, w score.MessageWeights) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -190,10 +187,6 @@ func (s *Store) Put(b *bundle.Bundle, w score.MessageWeights) error {
 		return err
 	}
 	s.indexRecordLocked(b.ID(), pos)
-	s.appends++
-	if s.opts.SyncEvery > 0 && s.appends%s.opts.SyncEvery == 0 {
-		return s.segs.Sync()
-	}
 	return nil
 }
 
@@ -208,20 +201,8 @@ func (s *Store) Get(id bundle.ID) (*bundle.Bundle, error) {
 	return s.readAt(pos)
 }
 
+// readAt decodes the checked record at pos.
 func (s *Store) readAt(pos recordPos) (*bundle.Bundle, error) {
-	payload, err := s.payloadAt(pos)
-	if err != nil {
-		return nil, err
-	}
-	b, err := bundle.Unmarshal(payload)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return b, nil
-}
-
-// payloadAt reads the checked payload of the record at pos.
-func (s *Store) payloadAt(pos recordPos) ([]byte, error) {
 	// The active segment is written through its own handle; reads open
 	// theirs so readers never disturb the append cursor.
 	f, err := s.opts.FS.Open(s.segs.Path(pos.seg))
@@ -234,15 +215,11 @@ func (s *Store) payloadAt(pos recordPos) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v for segment %d offset %d", ErrCorrupt, err, pos.seg, pos.offset)
 	}
-	return payload, nil
-}
-
-// Has reports whether id is stored.
-func (s *Store) Has(id bundle.ID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.index[id]
-	return ok
+	b, err := bundle.Unmarshal(payload)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return b, nil
 }
 
 // Count returns the number of live bundles.
@@ -252,29 +229,18 @@ func (s *Store) Count() int {
 	return len(s.index)
 }
 
-// LiveBytes and DeadBytes report record accounting; their ratio drives
-// Compact policy.
+// LiveBytes returns the footprint of the newest record of every
+// stored bundle; superseded records are not counted.
 func (s *Store) LiveBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.liveBytes
 }
 
-// DeadBytes returns superseded record bytes awaiting compaction.
-func (s *Store) DeadBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.deadBytes
-}
-
 // IDs returns every stored bundle ID, ascending.
 func (s *Store) IDs() []bundle.ID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.idsLocked()
-}
-
-func (s *Store) idsLocked() []bundle.ID {
 	out := make([]bundle.ID, 0, len(s.index))
 	for id := range s.index {
 		out = append(out, id)
@@ -296,46 +262,6 @@ func (s *Store) Scan(fn func(*bundle.Bundle) error) error {
 		}
 	}
 	return nil
-}
-
-// Compact copies live records, byte for byte, into fresh segments and
-// deletes old ones, reclaiming dead bytes. Put and Get wait for its duration. The
-// new chain is built behind the old one, and the directory moves over
-// to it only once it is whole and synced: if anything fails before
-// that, the store answers exactly as before the call and accepts Put —
-// behind whatever copies the new chain already holds, so that none of
-// them can replay after a record newer than itself.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Even an empty store needs a segment to append to; and sealing the
-	// old chain syncs it, which a failure below relies on: the directory
-	// still points into it then.
-	last := s.segs.Seg()
-	if err := s.rotateLocked(); err != nil {
-		return err
-	}
-	index, live := make(map[bundle.ID]recordPos, len(s.index)), int64(0)
-	for _, id := range s.idsLocked() {
-		payload, err := s.payloadAt(s.index[id])
-		if err != nil {
-			return err
-		}
-		pos, err := s.appendLocked(func(buf []byte) []byte { return append(buf, payload...) })
-		if err != nil {
-			return err
-		}
-		index[id] = pos
-		live += pos.size()
-	}
-	if err := s.segs.Sync(); err != nil {
-		return err
-	}
-	s.index, s.liveBytes, s.deadBytes = index, live, 0
-	// The old files are dead weight from here; one that outlives a crash
-	// or a failed remove costs only space — it replays first and loses
-	// to the new records.
-	return s.segs.RemoveBefore(last + 1)
 }
 
 // Sync flushes the active segment to stable storage. The durability

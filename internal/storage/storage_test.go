@@ -60,8 +60,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if err := got.Validate(); err != nil {
 		t.Errorf("loaded bundle invalid: %v", err)
 	}
-	if !s.Has(7) || s.Has(8) {
-		t.Error("Has wrong")
+	if ids := s.IDs(); len(ids) != 1 || ids[0] != 7 {
+		t.Errorf("IDs = %v, want [7]", ids)
 	}
 	if s.Count() != 1 {
 		t.Errorf("Count = %d", s.Count())
@@ -135,9 +135,12 @@ func TestSegmentRotation(t *testing.T) {
 	}
 }
 
-func TestSupersedeAndCompact(t *testing.T) {
+// TestSupersede: the last Put of an ID wins, live and after a reopen
+// replays every record, and LiveBytes counts only the newest records.
+func TestSupersede(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, Options{SegmentSize: 16 << 10})
+	latest := openStore(t, t.TempDir(), Options{SegmentSize: 16 << 10})
 	for id := bundle.ID(1); id <= 10; id++ {
 		if err := s.Put(makeBundle(id, 5), score.DefaultMessageWeights()); err != nil {
 			t.Fatal(err)
@@ -149,40 +152,41 @@ func TestSupersedeAndCompact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.Count() != 10 {
-		t.Fatalf("Count = %d, want 10", s.Count())
-	}
-	if s.DeadBytes() == 0 {
-		t.Fatal("superseded records produced no dead bytes")
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	if s.DeadBytes() != 0 {
-		t.Errorf("DeadBytes after compact = %d", s.DeadBytes())
-	}
 	for id := bundle.ID(1); id <= 10; id++ {
-		b, err := s.Get(id)
-		if err != nil {
-			t.Fatalf("Get(%d) after compact: %v", id, err)
-		}
-		want := 5
-		if id <= 5 {
-			want = 9
-		}
-		if b.Size() != want {
-			t.Errorf("bundle %d size %d, want %d (latest version)", id, b.Size(), want)
+		if err := latest.Put(makeBundle(id, sizeAfterSupersede(id)), score.DefaultMessageWeights()); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// Store still writable after compact and survives reopen.
-	if err := s.Put(makeBundle(11, 2), score.DefaultMessageWeights()); err != nil {
-		t.Fatal(err)
+	check := func(when string, st *Store) {
+		t.Helper()
+		if st.Count() != 10 {
+			t.Fatalf("%s: Count = %d, want 10", when, st.Count())
+		}
+		if st.LiveBytes() != latest.LiveBytes() {
+			t.Errorf("%s: LiveBytes = %d, want %d, the newest records' alone", when, st.LiveBytes(), latest.LiveBytes())
+		}
+		for id := bundle.ID(1); id <= 10; id++ {
+			b, err := st.Get(id)
+			if err != nil {
+				t.Fatalf("%s: Get(%d): %v", when, id, err)
+			}
+			if want := sizeAfterSupersede(id); b.Size() != want {
+				t.Errorf("%s: bundle %d size %d, want %d (latest version)", when, id, b.Size(), want)
+			}
+		}
 	}
+	check("live", s)
 	s.Close()
-	s2 := openStore(t, dir, Options{SegmentSize: 16 << 10})
-	if s2.Count() != 11 {
-		t.Fatalf("post-compact reopen Count = %d, want 11", s2.Count())
+	check("reopened", openStore(t, dir, Options{SegmentSize: 16 << 10}))
+}
+
+// sizeAfterSupersede is the size of bundle id's newest record in
+// TestSupersede.
+func sizeAfterSupersede(id bundle.ID) int {
+	if id <= 5 {
+		return 9
 	}
+	return 5
 }
 
 func TestScan(t *testing.T) {
@@ -207,18 +211,6 @@ func TestScan(t *testing.T) {
 	err = s.Scan(func(*bundle.Bundle) error { return sentinel })
 	if !errors.Is(err, sentinel) {
 		t.Errorf("Scan error passthrough = %v", err)
-	}
-}
-
-func TestSyncEvery(t *testing.T) {
-	s := openStore(t, t.TempDir(), Options{SyncEvery: 2})
-	for id := bundle.ID(1); id <= 5; id++ {
-		if err := s.Put(makeBundle(id, 2), score.DefaultMessageWeights()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s.Count() != 5 {
-		t.Errorf("Count = %d", s.Count())
 	}
 }
 

@@ -69,11 +69,11 @@ func checkNamesLine(t *testing.T, input string, err error) {
 func checkRoundTrip(t *testing.T, m *tweet.Message) {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := WriteJSONL(&buf, NewSliceSource([]*tweet.Message{m})); err != nil {
+	if _, err := WriteJSONL(&buf, newSliceSource([]*tweet.Message{m})); err != nil {
 		t.Fatalf("WriteJSONL(%+v): %v", m, err)
 	}
 	written := buf.String()
-	got, err := Drain(NewJSONLReader(&buf))
+	got, err := drain(NewJSONLReader(&buf))
 	if err != nil || len(got) != 1 {
 		t.Fatalf("reading back %q: %d messages, %v", written, len(got), err)
 	}

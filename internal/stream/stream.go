@@ -10,7 +10,6 @@
 package stream
 
 import (
-	"errors"
 	"io"
 	"math"
 
@@ -22,30 +21,6 @@ import (
 type Source interface {
 	Next() (*tweet.Message, error)
 }
-
-// SliceSource replays an in-memory slice.
-type SliceSource struct {
-	msgs []*tweet.Message
-	pos  int
-}
-
-// NewSliceSource wraps msgs; the slice is not copied.
-func NewSliceSource(msgs []*tweet.Message) *SliceSource {
-	return &SliceSource{msgs: msgs}
-}
-
-// Next implements Source.
-func (s *SliceSource) Next() (*tweet.Message, error) {
-	if s.pos >= len(s.msgs) {
-		return nil, io.EOF
-	}
-	m := s.msgs[s.pos]
-	s.pos++
-	return m, nil
-}
-
-// Reset rewinds the source to the first message.
-func (s *SliceSource) Reset() { s.pos = 0 }
 
 // FuncSource adapts a generator function to Source. The function must
 // keep returning messages; use Limit to bound it.
@@ -89,22 +64,6 @@ func (t *teeSource) Next() (*tweet.Message, error) {
 		t.observe(m)
 	}
 	return m, err
-}
-
-// Drain pulls every message from src into a slice. It is intended for
-// tests and small datasets; multi-million message runs should stream.
-func Drain(src Source) ([]*tweet.Message, error) {
-	var out []*tweet.Message
-	for {
-		m, err := src.Next()
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, m)
-	}
 }
 
 // NoDate is what a Clock that has seen no date reads: before every

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"reflect"
 	"strings"
@@ -19,13 +20,50 @@ func genMessages(n int) []*tweet.Message {
 	cfg.Users = 500
 	cfg.VocabSize = 800
 	cfg.EventsPerDay = 200
-	return gen.New(cfg).Generate(n)
+	g := gen.New(cfg)
+	msgs := make([]*tweet.Message, n)
+	for i := range msgs {
+		msgs[i] = g.Next()
+	}
+	return msgs
+}
+
+// sliceSource replays an in-memory slice.
+type sliceSource struct {
+	msgs []*tweet.Message
+	pos  int
+}
+
+func newSliceSource(msgs []*tweet.Message) *sliceSource { return &sliceSource{msgs: msgs} }
+
+func (s *sliceSource) Next() (*tweet.Message, error) {
+	if s.pos >= len(s.msgs) {
+		return nil, io.EOF
+	}
+	m := s.msgs[s.pos]
+	s.pos++
+	return m, nil
+}
+
+// drain pulls every message from src into a slice.
+func drain(src Source) ([]*tweet.Message, error) {
+	var out []*tweet.Message
+	for {
+		m, err := src.Next()
+		if errors.Is(err, io.EOF) {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		out = append(out, m)
+	}
 }
 
 func TestSliceSource(t *testing.T) {
 	msgs := genMessages(10)
-	src := NewSliceSource(msgs)
-	got, err := Drain(src)
+	src := newSliceSource(msgs)
+	got, err := drain(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,22 +73,18 @@ func TestSliceSource(t *testing.T) {
 	if _, err := src.Next(); err != io.EOF {
 		t.Errorf("exhausted source returned %v, want io.EOF", err)
 	}
-	src.Reset()
-	if m, err := src.Next(); err != nil || m != msgs[0] {
-		t.Errorf("after Reset got (%v, %v), want first message", m, err)
-	}
 }
 
 func TestLimit(t *testing.T) {
 	msgs := genMessages(10)
-	got, err := Drain(Limit(NewSliceSource(msgs), 4))
+	got, err := drain(Limit(newSliceSource(msgs), 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 4 {
 		t.Fatalf("Limit(4) yielded %d messages", len(got))
 	}
-	if got2, _ := Drain(Limit(NewSliceSource(msgs), 99)); len(got2) != 10 {
+	if got2, _ := drain(Limit(newSliceSource(msgs), 99)); len(got2) != 10 {
 		t.Fatalf("Limit beyond length yielded %d, want 10", len(got2))
 	}
 }
@@ -58,8 +92,8 @@ func TestLimit(t *testing.T) {
 func TestTee(t *testing.T) {
 	msgs := genMessages(7)
 	var seen int
-	src := Tee(NewSliceSource(msgs), func(*tweet.Message) { seen++ })
-	if _, err := Drain(src); err != nil {
+	src := Tee(newSliceSource(msgs), func(*tweet.Message) { seen++ })
+	if _, err := drain(src); err != nil {
 		t.Fatal(err)
 	}
 	if seen != 7 {
@@ -73,7 +107,7 @@ func TestFuncSourceWithLimit(t *testing.T) {
 		i++
 		return &tweet.Message{ID: tweet.ID(i), User: "u", Text: "x", Date: int64(i) * int64(time.Second)}
 	})
-	got, err := Drain(Limit(f, 5))
+	got, err := drain(Limit(f, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +119,11 @@ func TestFuncSourceWithLimit(t *testing.T) {
 func TestJSONLRoundTrip(t *testing.T) {
 	msgs := genMessages(500)
 	var buf bytes.Buffer
-	n, err := WriteJSONL(&buf, NewSliceSource(msgs))
+	n, err := WriteJSONL(&buf, newSliceSource(msgs))
 	if err != nil || n != 500 {
 		t.Fatalf("WriteJSONL = (%d, %v)", n, err)
 	}
-	got, err := Drain(NewJSONLReader(&buf))
+	got, err := drain(NewJSONLReader(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +142,7 @@ func TestJSONLReaderSkipsBlankLines(t *testing.T) {
 
 {"id":2,"date":"2009-08-01T00:00:01Z","user":"v","text":"world"}
 `
-	got, err := Drain(NewJSONLReader(strings.NewReader(input)))
+	got, err := drain(NewJSONLReader(strings.NewReader(input)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +161,7 @@ func TestJSONLReaderMalformed(t *testing.T) {
 		`{"id":1,"date":"2300-01-01T00:00:00Z","user":"u","text":"x"}` + "\n",
 	}
 	for _, input := range cases {
-		_, err := Drain(NewJSONLReader(strings.NewReader(input)))
+		_, err := drain(NewJSONLReader(strings.NewReader(input)))
 		if err == nil {
 			t.Errorf("malformed input %q accepted", input)
 		}
@@ -159,10 +193,10 @@ func TestJSONLRoundTripProperty(t *testing.T) {
 		}
 		in := tweet.Parse(tweet.ID(idRaw), "quickuser", date, text)
 		var buf bytes.Buffer
-		if _, err := WriteJSONL(&buf, NewSliceSource([]*tweet.Message{in})); err != nil {
+		if _, err := WriteJSONL(&buf, newSliceSource([]*tweet.Message{in})); err != nil {
 			return false
 		}
-		out, err := Drain(NewJSONLReader(&buf))
+		out, err := drain(NewJSONLReader(&buf))
 		if err != nil || len(out) != 1 {
 			return false
 		}

@@ -34,6 +34,8 @@ func FuzzTokenizeKeywords(f *testing.F) {
 	f.Add("buts")
 	f.Add("thes")
 	f.Add("wills")
+	f.Add("(via http://bit.ly/x)samoa quake")
+	f.Add(`see "http://bit.ly/y"tsunami now`)
 
 	f.Fuzz(func(t *testing.T, text string) {
 		toks := Tokenize(text)
@@ -54,10 +56,10 @@ func FuzzTokenizeKeywords(f *testing.F) {
 		var want []string
 		listed := make(map[string]bool)
 		for _, tok := range toks {
-			if len(tok) < MinTokenLen || IsStopword(tok) || isNumeric(tok) {
+			if len(tok) < MinTokenLen || stopwords[tok] || isNumeric(tok) {
 				continue
 			}
-			if st := Stem(tok); !listed[st] {
+			if st := stem(tok); !listed[st] {
 				listed[st] = true
 				want = append(want, st)
 			}

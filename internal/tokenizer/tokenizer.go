@@ -13,10 +13,9 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"unicode"
-	"unicode/utf8"
 
 	"provex/internal/termdict"
+	"provex/internal/tweet"
 )
 
 // MinTokenLen is the shortest token kept by Keywords; one- and two-letter
@@ -26,14 +25,16 @@ const MinTokenLen = 3
 
 // Tokenize splits text into lower-cased word tokens. Hashtag and mention
 // sigils are dropped (the indicant extractors in package tweet own those
-// classes); URLs are skipped entirely so link fragments do not pollute
-// the vocabulary; everything else splits on non-alphanumeric runes.
+// classes); URLs — as tweet.HasURLPrefix and tweet.URLEnd delimit them,
+// the bytes the parser extracts — are skipped entirely so link fragments
+// do not pollute the vocabulary; everything else splits on
+// non-alphanumeric runes.
 func Tokenize(text string) []string {
 	var out []string
 	i := 0
 	for i < len(text) {
-		if hasURLPrefix(text[i:]) {
-			i = skipURL(text, i)
+		if tweet.HasURLPrefix(text[i:]) {
+			i = tweet.URLEnd(text, i)
 			continue
 		}
 		c := rune(text[i])
@@ -53,30 +54,6 @@ func Tokenize(text string) []string {
 func isWordRune(r rune) bool {
 	return r == '_' || r == '\'' ||
 		('a' <= r && r <= 'z') || ('A' <= r && r <= 'Z') || ('0' <= r && r <= '9')
-}
-
-func hasURLPrefix(s string) bool {
-	return strings.HasPrefix(s, "http://") || strings.HasPrefix(s, "https://") ||
-		strings.HasPrefix(s, "www.")
-}
-
-// skipURL returns the end of the URL that starts at i: the first
-// whitespace rune after it, or len(text). URLs are skipped wholesale so
-// link fragments do not pollute the vocabulary. It steps by rune, so a
-// multi-byte character whose tail byte reads as NBSP (A0) or NEL (85)
-// does not end the URL and leak the rest of it into the keywords.
-func skipURL(text string, i int) int {
-	for i < len(text) {
-		r, size := rune(text[i]), 1
-		if r >= utf8.RuneSelf {
-			r, size = utf8.DecodeRuneInString(text[i:])
-		}
-		if unicode.IsSpace(r) {
-			break
-		}
-		i += size
-	}
-	return i
 }
 
 // stopwords is the filter list applied by Keywords. It mixes standard
@@ -112,62 +89,31 @@ var stopwords = func() map[string]bool {
 	return m
 }()
 
-// IsStopword reports whether the (already lower-cased) token is filtered
-// from keyword sets.
-func IsStopword(tok string) bool { return stopwords[tok] }
-
-// Stem applies a light, deterministic suffix stemmer — a few high-value
-// rules rather than full Porter — so "yankees"/"yankee" and
-// "wins"/"winning"/"win" collide in the keyword space the way the
-// paper's bundle summaries (Figure 2) show merged word forms.
-func Stem(tok string) string {
-	keep, y := stemRule(tok)
-	if y {
-		return tok[:keep] + "y"
-	}
-	return tok[:keep]
-}
-
-// stemBytes is Stem in place, over a token the caller owns.
+// stemBytes applies a light, deterministic suffix stemmer in place,
+// over a token the caller owns — a few high-value rules rather than
+// full Porter — so "yankees"/"yankee" and "wins"/"winning"/"win" collide
+// in the keyword space the way the paper's bundle summaries (Figure 2)
+// show merged word forms.
 func stemBytes(tok []byte) []byte {
-	keep, y := stemRule(tok)
-	if y {
-		tok[keep] = 'y'
-		keep++
-	}
-	return tok[:keep]
-}
-
-// stemRule is the stemmer's one rule table: how many bytes of tok the
-// stem keeps, and whether a 'y' follows them ("stories" → "story").
-func stemRule[T string | []byte](tok T) (keep int, y bool) {
 	n := len(tok)
 	switch {
 	case n > 5 && hasSuffix(tok, "ing"):
-		return n - 3, false
-	case n > 4 && hasSuffix(tok, "ies"):
-		return n - 3, true
+		return tok[:n-3]
+	case n > 4 && hasSuffix(tok, "ies"): // "stories" → "story"
+		tok[n-3] = 'y'
+		return tok[:n-2]
 	case n > 4 && hasSuffix(tok, "ed") && tok[n-3] != 'e':
-		return n - 2, false
+		return tok[:n-2]
 	case n > 3 && hasSuffix(tok, "es") && !hasSuffix(tok, "ses"):
-		return n - 1, false
+		return tok[:n-1]
 	case n > 3 && hasSuffix(tok, "s") && !hasSuffix(tok, "ss"):
-		return n - 1, false
+		return tok[:n-1]
 	}
-	return n, false
+	return tok
 }
 
-func hasSuffix[T string | []byte](s T, suffix string) bool {
-	if len(s) < len(suffix) {
-		return false
-	}
-	s = s[len(s)-len(suffix):]
-	for i := 0; i < len(suffix); i++ {
-		if s[i] != suffix[i] {
-			return false
-		}
-	}
-	return true
+func hasSuffix(s []byte, suffix string) bool {
+	return len(s) >= len(suffix) && string(s[len(s)-len(suffix):]) == suffix
 }
 
 // Keywords returns the deduplicated, stemmed, stopword-filtered keyword
@@ -242,8 +188,8 @@ const keywordBuf = 64
 //provex:hotpath one call per keyword of every prepared message
 func nextKeyword(text string, i int, buf *[keywordBuf]byte) ([]byte, int) {
 	for i < len(text) {
-		if hasURLPrefix(text[i:]) {
-			i = skipURL(text, i)
+		if tweet.HasURLPrefix(text[i:]) {
+			i = tweet.URLEnd(text, i)
 			continue
 		}
 		if !isWordRune(rune(text[i])) {

@@ -5,9 +5,14 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"provex/internal/termdict"
+	"provex/internal/tweet"
 )
+
+// stem is stemBytes over a copy of tok.
+func stem(tok string) string { return string(stemBytes([]byte(tok))) }
 
 func TestTokenize(t *testing.T) {
 	tests := []struct {
@@ -54,6 +59,31 @@ func TestURLWithMultiByteCharacters(t *testing.T) {
 	}
 }
 
+// TestURLEndsWhereTheParserEndsIt: the tokenizer skips exactly the URL
+// the parser extracts, so a word glued to the closing quote or bracket
+// after a link is a keyword, not a piece of the link.
+func TestURLEndsWhereTheParserEndsIt(t *testing.T) {
+	tests := []struct {
+		text     string
+		url      string
+		keywords []string
+	}{
+		{"(via http://bit.ly/x)samoa quake", "bit.ly/x", []string{"samoa", "quake"}},
+		{`see "http://bit.ly/y"tsunami now`, "bit.ly/y", []string{"see", "tsunami"}},
+	}
+	for _, tc := range tests {
+		if urls := tweet.Parse(1, "u", time.Unix(0, 0), tc.text).URLs; !reflect.DeepEqual(urls, []string{tc.url}) {
+			t.Errorf("Parse(%q).URLs = %q, want [%q]", tc.text, urls, tc.url)
+		}
+		if got := Keywords(tc.text); !reflect.DeepEqual(got, tc.keywords) {
+			t.Errorf("Keywords(%q) = %v, want %v", tc.text, got, tc.keywords)
+		}
+		if got := Tokenize(tc.text); strings.Contains(strings.Join(got, " "), "bit") {
+			t.Errorf("Tokenize(%q) = %v, which keeps a piece of the URL", tc.text, got)
+		}
+	}
+}
+
 func TestStem(t *testing.T) {
 	tests := []struct{ in, want string }{
 		{"yankees", "yankee"},
@@ -68,8 +98,8 @@ func TestStem(t *testing.T) {
 		{"classes", "classe"},
 	}
 	for _, tc := range tests {
-		if got := Stem(tc.in); got != tc.want {
-			t.Errorf("Stem(%q) = %q, want %q", tc.in, got, tc.want)
+		if got := stem(tc.in); got != tc.want {
+			t.Errorf("stem(%q) = %q, want %q", tc.in, got, tc.want)
 		}
 	}
 }
@@ -100,13 +130,13 @@ func TestKeywordsDedupAfterStem(t *testing.T) {
 
 func TestIsStopword(t *testing.T) {
 	for _, w := range []string{"the", "rt", "lol", "don't"} {
-		if !IsStopword(w) {
-			t.Errorf("IsStopword(%q) = false, want true", w)
+		if !stopwords[w] {
+			t.Errorf("%q is no stop word, want one", w)
 		}
 	}
 	for _, w := range []string{"redsox", "tsunami", "lester"} {
-		if IsStopword(w) {
-			t.Errorf("IsStopword(%q) = true, want false", w)
+		if stopwords[w] {
+			t.Errorf("%q is a stop word, want none", w)
 		}
 	}
 }
@@ -144,11 +174,11 @@ func TestTokenizeProperty(t *testing.T) {
 
 // Property: stemming is a contraction (never lengthens except the
 // ies→y rule which keeps length ≤ input) and idempotent enough for
-// keyword dedup: Stem(Stem(x)) never panics and stays non-empty for
+// keyword dedup: stem(stem(x)) never panics and stays non-empty for
 // non-empty input.
 func TestStemProperty(t *testing.T) {
 	f := func(tok string) bool {
-		s := Stem(tok)
+		s := stem(tok)
 		if len(tok) > 0 && len(s) == 0 {
 			return false
 		}
@@ -164,7 +194,7 @@ func TestKeywordsProperty(t *testing.T) {
 	f := func(text string) bool {
 		seen := map[string]bool{}
 		for _, k := range Keywords(text) {
-			if seen[k] || IsStopword(k) || len(k) < MinTokenLen {
+			if seen[k] || stopwords[k] || len(k) < MinTokenLen {
 				return false
 			}
 			seen[k] = true

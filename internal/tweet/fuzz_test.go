@@ -69,7 +69,7 @@ func FuzzParse(f *testing.F) {
 func urlFromText(text, u string) bool {
 	valid := utf8.ValidString(text)
 	for start := 0; start < len(text); start++ {
-		if !hasURLPrefix(text[start:]) {
+		if !HasURLPrefix(text[start:]) {
 			continue
 		}
 		limit := len(text)

@@ -83,8 +83,8 @@ func (m *Message) IsRT() bool { return m.RTOf != "" }
 func (m *Message) Time() time.Time { return Time(m.Date) }
 
 // Validate checks structural invariants a well-formed message must hold.
-// It is used by codecs and the generator's self-checks rather than on the
-// hot ingest path.
+// It is an oracle for tests: the parser's tests and fuzzer and the
+// generator's tests hold their output to it; no ingest path calls it.
 func (m *Message) Validate() error {
 	switch {
 	case m.User == "":

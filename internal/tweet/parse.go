@@ -54,9 +54,9 @@ func extractEntities(m *Message) {
 			i = next
 		case c == '@':
 			_, i = scanTag(text, i+1)
-		case hasURLPrefix(text[i:]):
-			u, next := scanURL(text, i)
-			add(&m.URLs, NormalizeURL(u))
+		case HasURLPrefix(text[i:]):
+			next := URLEnd(text, i)
+			add(&m.URLs, NormalizeURL(text[i:next]))
 			i = next
 		case c == 'R' || c == 'r':
 			if m.RTOf == "" && isRTMarker(text, i) {
@@ -88,33 +88,35 @@ func isTagByte(c byte) bool {
 		('0' <= c && c <= '9')
 }
 
-func hasURLPrefix(s string) bool {
+// HasURLPrefix reports whether s begins with a URL: "http://",
+// "https://" or "www.". With URLEnd it is the one URL rule of the tree:
+// the parser extracts what they delimit, and the tokenizer skips the
+// same bytes.
+func HasURLPrefix(s string) bool {
 	return strings.HasPrefix(s, "http://") || strings.HasPrefix(s, "https://") ||
 		strings.HasPrefix(s, "www.")
 }
 
-// scanURL consumes a URL starting at position start and returns it raw
-// (normalisation happens in NormalizeURL) plus the next index. It steps
-// by rune, so a multi-byte character stays whole: read byte by byte,
-// the tail of "à" (C3 A0) or "Р" (D0 A0) is NBSP and that of "Å"
-// (C3 85) is NEL, and the URL would stop mid-character.
-func scanURL(s string, start int) (string, int) {
+// URLEnd returns the end of the URL that starts at start in s: the first
+// whitespace rune or one of " ' < > ) after it, or len(s). The URL is
+// s[start:URLEnd(s, start)], raw (normalisation happens in
+// NormalizeURL). It steps by rune, so a multi-byte character stays
+// whole: read byte by byte, the tail of "à" (C3 A0) or "Р" (D0 A0) is
+// NBSP and that of "Å" (C3 85) is NEL, and the URL would stop
+// mid-character.
+func URLEnd(s string, start int) int {
 	i := start
 	for i < len(s) {
 		r, size := rune(s[i]), 1
 		if r >= utf8.RuneSelf {
 			r, size = utf8.DecodeRuneInString(s[i:])
 		}
-		if isURLStop(r) {
+		if unicode.IsSpace(r) || r == '"' || r == '\'' || r == '<' || r == '>' || r == ')' {
 			break
 		}
 		i += size
 	}
-	return s[start:i], i
-}
-
-func isURLStop(r rune) bool {
-	return unicode.IsSpace(r) || r == '"' || r == '\'' || r == '<' || r == '>' || r == ')'
+	return i
 }
 
 // NormalizeURL canonicalises a URL indicant: lower-case, scheme stripped,

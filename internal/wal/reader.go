@@ -44,10 +44,6 @@ type Batch struct {
 	Synced  uint64
 }
 
-// SyncedSeq returns the durable watermark: the highest sequence known
-// to be fully on stable storage. Safe from any goroutine.
-func (l *Log) SyncedSeq() uint64 { return l.synced.Load() }
-
 // defaultBatchBytes bounds a ReadBatch when the caller passes no limit.
 const defaultBatchBytes = 1 << 20
 

@@ -102,7 +102,7 @@ func TestReadBatchWatermarkBound(t *testing.T) {
 	}
 	defer l.Close()
 	appendN(t, l, 0, 5)
-	if got := l.SyncedSeq(); got != 0 {
+	if got := l.synced.Load(); got != 0 {
 		t.Fatalf("synced before fsync = %d", got)
 	}
 	b, err := l.ReadBatch(0, Cursor{}, 1<<20)
@@ -112,7 +112,7 @@ func TestReadBatchWatermarkBound(t *testing.T) {
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.SyncedSeq(); got != 5 {
+	if got := l.synced.Load(); got != 5 {
 		t.Fatalf("synced after fsync = %d", got)
 	}
 	b, err = l.ReadBatch(0, Cursor{}, 1<<20)

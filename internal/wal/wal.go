@@ -33,9 +33,10 @@
 // pipeline.Service the owner is the log stage, or the writer while the
 // stage is parked at a checkpoint barrier (DESIGN.md §2c); a tool's
 // main loop or a shard's commit goroutine owns its log outright. Size,
-// SyncedSeq, ReadBatch and the series registered by RegisterMetrics
-// are the concurrent-read surfaces: they are backed by atomics and
-// their own file handles, safe while the owner is mid-append.
+// ReadBatch (whose Batch.Synced is the durable watermark) and the
+// series registered by RegisterMetrics are the concurrent-read
+// surfaces: they are backed by atomics and their own file handles,
+// safe while the owner is mid-append.
 package wal
 
 import (
@@ -85,7 +86,7 @@ type Options struct {
 
 // Log is an open write-ahead log positioned for appending. Not safe
 // for concurrent use: it has one owner at a time (see the package
-// comment). The only exceptions are Size, SyncedSeq, ReadBatch and the
+// comment). The only exceptions are Size, ReadBatch and the
 // RegisterMetrics instruments, which are atomic (or internally locked)
 // so a metrics scrape or a replication read may run while the owner
 // appends.

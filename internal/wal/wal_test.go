@@ -256,9 +256,9 @@ func TestShortBatchWriteDropsBatch(t *testing.T) {
 			t.Fatalf("append closing the batch: err = %v, want the injected short write", err)
 		}
 		ff.Disarm()
-		if l.lastSeq != 64 || l.SyncedSeq() != 64 || l.Size() != syncedSize {
+		if l.lastSeq != 64 || l.synced.Load() != 64 || l.Size() != syncedSize {
 			t.Fatalf("after the dropped batch: LastSeq %d SyncedSeq %d Size %d, want 64 64 %d",
-				l.lastSeq, l.SyncedSeq(), l.Size(), syncedSize)
+				l.lastSeq, l.synced.Load(), l.Size(), syncedSize)
 		}
 		want := 64
 		if resume {
@@ -355,8 +355,8 @@ func TestSyncErrorSurfacesOnAppend(t *testing.T) {
 		t.Fatalf("append err = %v, want injected fsync failure", err)
 	}
 	ff.Disarm()
-	if l.lastSeq != 0 || l.SyncedSeq() != 0 {
-		t.Fatalf("after the failed sync: LastSeq %d SyncedSeq %d, want 0 0", l.lastSeq, l.SyncedSeq())
+	if l.lastSeq != 0 || l.synced.Load() != 0 {
+		t.Fatalf("after the failed sync: LastSeq %d SyncedSeq %d, want 0 0", l.lastSeq, l.synced.Load())
 	}
 	appendN(t, l, 0, 4)
 	mem.Crash()
