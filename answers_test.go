@@ -43,7 +43,7 @@ import (
 	"provex/internal/tweet"
 )
 
-var updateAnswers = flag.Bool("update", false, "re-pin testdata/answers/seed1-20k.txt from this build")
+var update = flag.Bool("update", false, "re-pin testdata/answers/seed1-20k.txt and testdata/figures/ from this build")
 
 const answersPath = "testdata/answers/seed1-20k.txt"
 
@@ -305,7 +305,7 @@ func shardedAnswers(t *testing.T, msgs []*tweet.Message) []string {
 func TestAnswerCorpus(t *testing.T) {
 	msgs := answerStream(t)
 	got := append(serialAnswers(t, msgs), shardedAnswers(t, msgs)...)
-	if *updateAnswers {
+	if *update {
 		if err := os.MkdirAll(filepath.Dir(answersPath), 0o755); err != nil {
 			t.Fatal(err)
 		}

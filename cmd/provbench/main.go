@@ -97,13 +97,13 @@ func main() {
 		"6": true, "7": true, "8": true, "9": true, "10": true,
 		"11": true, "12": true, "13": true, "ablations": true, "all": true,
 	}
-	figs := map[string]bool{}
+	var figs []string
 	for _, f := range strings.Split(strings.ToLower(*fig), ",") {
 		f = strings.TrimSpace(f)
 		if !valid[f] {
 			cli.Fatal("unknown figure (want 6..13, ablations or all)", nil, "fig", f)
 		}
-		figs[f] = true
+		figs = append(figs, f)
 	}
 	if err := run(w, s, figs, *jsonOut); err != nil {
 		cli.Fatal("write report", err)
@@ -114,116 +114,51 @@ func main() {
 // meaning so trajectory tooling can refuse mixed comparisons.
 const reportSchema = "provbench/1"
 
-// jsonFigure is one figure's result set in the -json report.
-type jsonFigure struct {
-	Name   string               `json:"name"`
-	Tables []*experiments.Table `json:"tables"`
-	Trails []string             `json:"trails,omitempty"`
-}
-
 // jsonReport is the machine-readable bench trajectory entry: enough
 // environment to interpret the numbers, plus every requested figure's
 // tables verbatim. BENCH_PR4.json (and successors) are instances.
 type jsonReport struct {
-	Schema     string            `json:"schema"`
-	GoVersion  string            `json:"go_version"`
-	GOMAXPROCS int               `json:"gomaxprocs"`
-	Scale      experiments.Scale `json:"scale"`
-	Figures    []jsonFigure      `json:"figures"`
-	ElapsedSec float64           `json:"elapsed_sec"`
+	Schema     string               `json:"schema"`
+	GoVersion  string               `json:"go_version"`
+	GOMAXPROCS int                  `json:"gomaxprocs"`
+	Scale      experiments.Scale    `json:"scale"`
+	Figures    []experiments.Figure `json:"figures"`
+	ElapsedSec float64              `json:"elapsed_sec"`
 }
 
-// run executes the requested figure(s). Figures 7, 8, 11, 12 and 13
-// share one three-method pass so 'all' (or any comma-joined subset of
-// them) ingests the main stream once. With jsonOut the tables are
-// collected into one jsonReport instead of rendered as text.
-func run(w io.Writer, s experiments.Scale, figs map[string]bool, jsonOut bool) error {
+// run executes the requested figure(s) through experiments.Run. With
+// jsonOut the figures are collected into one jsonReport instead of
+// rendered as text.
+func run(w io.Writer, s experiments.Scale, figs []string, jsonOut bool) error {
 	start := time.Now()
-	report := jsonReport{
-		Schema:     reportSchema,
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Scale:      s,
-	}
 	if !jsonOut {
 		fmt.Fprintf(w, "provbench: scale messages=%d sweep=%d pool=%d bundle_limit=%d seed=%d\n\n",
 			s.Messages, s.SweepMessages, s.PoolLimit, s.BundleLimit, s.Seed)
 	}
-
-	var three *experiments.ThreeResult
-	needThree := func() *experiments.ThreeResult {
-		if three == nil {
-			slog.Info("running three-method stream pass")
-			three = experiments.RunThreeMethods(s)
-		}
-		return three
-	}
-	emit := func(name string, tables ...*experiments.Table) {
-		if jsonOut {
-			report.Figures = append(report.Figures, jsonFigure{Name: name, Tables: tables})
-			return
-		}
-		for _, t := range tables {
-			fmt.Fprintln(w, t.Render())
-		}
-	}
-
-	wants := func(name string) bool { return figs["all"] || figs[name] }
-
-	if wants("6") {
-		slog.Info("figure 6")
-		emit("fig6", experiments.Fig6(s)...)
-	}
-	if wants("7") {
-		emit("fig7", experiments.Fig7(needThree()))
-	}
-	if wants("8") {
-		emit("fig8", experiments.Fig8(needThree())...)
-	}
-	if wants("9") {
-		slog.Info("figure 9 sweep")
-		emit("fig9", experiments.Fig9(s))
-	}
-	if wants("10") {
-		slog.Info("figure 10 showcases")
-		table, trails := experiments.Fig10(s)
-		if jsonOut {
-			report.Figures = append(report.Figures, jsonFigure{
-				Name: "fig10", Tables: []*experiments.Table{table}, Trails: trails,
-			})
-		} else {
-			emit("fig10", table)
-			for _, trail := range trails {
-				fmt.Fprintln(w, headLines(trail, 20))
-			}
-		}
-	}
-	if wants("11") {
-		emit("fig11", experiments.Fig11(needThree())...)
-	}
-	if wants("12") {
-		emit("fig12", experiments.Fig12(needThree()))
-	}
-	if wants("13") {
-		emit("fig13", experiments.Fig13(needThree()))
-	}
-	if three != nil {
-		emit("conn-breakdown", experiments.ConnBreakdown(three))
-	}
-	if wants("ablations") {
-		slog.Info("ablations")
-		emit("ablations",
-			experiments.AblationFreshness(s),
-			experiments.AblationRefineTrigger(s),
-		)
-	}
+	slog.Info("running figures", "figs", strings.Join(figs, ","))
+	figures := experiments.Run(s, figs...)
 	elapsed := time.Since(start)
 	if jsonOut {
-		report.ElapsedSec = elapsed.Seconds()
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
+		if err := enc.Encode(jsonReport{
+			Schema:     reportSchema,
+			GoVersion:  runtime.Version(),
+			GOMAXPROCS: runtime.GOMAXPROCS(0),
+			Scale:      s,
+			Figures:    figures,
+			ElapsedSec: elapsed.Seconds(),
+		}); err != nil {
 			return err
+		}
+	} else {
+		for _, f := range figures {
+			for _, t := range f.Tables {
+				fmt.Fprintln(w, t.Render())
+			}
+			for _, trail := range f.Trails {
+				fmt.Fprintln(w, headLines(trail, 20))
+			}
 		}
 	}
 	slog.Info("done", "seconds", fmt.Sprintf("%.1f", elapsed.Seconds()))
@@ -247,7 +182,7 @@ func runSweep(w io.Writer, s experiments.Scale, max int, checkLinear float64, js
 			GoVersion:  runtime.Version(),
 			GOMAXPROCS: runtime.GOMAXPROCS(0),
 			Scale:      s,
-			Figures:    []jsonFigure{{Name: "fig13sweep", Tables: []*experiments.Table{res.Table()}}},
+			Figures:    []experiments.Figure{{Name: "fig13sweep", Tables: []*experiments.Table{res.Table()}}},
 			ElapsedSec: elapsed.Seconds(),
 		}
 		enc := json.NewEncoder(w)

@@ -21,7 +21,7 @@ func smallScale() experiments.Scale {
 // the schema tag BENCH_PR4.json (and successors) are matched against.
 func TestRunJSON(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, smallScale(), map[string]bool{"13": true}, true); err != nil {
+	if err := run(&buf, smallScale(), []string{"13"}, true); err != nil {
 		t.Fatal(err)
 	}
 	var rep jsonReport
@@ -53,7 +53,7 @@ func TestRunJSON(t *testing.T) {
 // TestRunText: the default text mode still renders tables, not JSON.
 func TestRunText(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, smallScale(), map[string]bool{"13": true}, false); err != nil {
+	if err := run(&buf, smallScale(), []string{"13"}, false); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
