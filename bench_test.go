@@ -1,7 +1,7 @@
 package provex_test
 
 // One benchmark per table/figure of the paper's evaluation (Section
-// VI), each wrapping the corresponding experiment at bench scale and
+// VI), each reading the corresponding experiment at bench scale and
 // reporting the figure's headline quantities as custom metrics. Run
 // with:
 //
@@ -51,55 +51,58 @@ func lastRow(t *experiments.Table) []string {
 	return t.Rows[len(t.Rows)-1]
 }
 
-// sharedThree caches one three-method pass across the figure-view
-// benchmarks so -bench=. ingests the main stream once, mirroring how
-// the paper derives Figures 7/8/11/12/13 from the same simulation.
-// sync.Once rather than a nil check: `go test -bench` can run benchmark
-// functions on fresh goroutines (and -cpu fans out further), so a plain
-// lazy-init global would race between the first two figure benchmarks.
+// sharedFigures caches one experiments.Run of every figure but Fig. 10
+// across the figure benchmarks, so -bench=. replays the stream once,
+// as the paper derives Figures 6–13 and the ablations from the same
+// simulation. sync.Once rather than a nil check: `go test -bench` can
+// run benchmark functions on fresh goroutines (and -cpu fans out
+// further), so a plain lazy-init global would race between the first
+// two figure benchmarks.
 var (
-	sharedThreeOnce sync.Once
-	sharedThree     *experiments.ThreeResult
+	sharedFiguresOnce sync.Once
+	sharedFigures     map[string][]*experiments.Table
 )
 
-func three(b *testing.B) *experiments.ThreeResult {
+// figure returns the tables of the named figure of the shared run.
+func figure(b *testing.B, name string) []*experiments.Table {
 	b.Helper()
-	sharedThreeOnce.Do(func() {
-		sharedThree = experiments.RunThreeMethods(benchScale())
+	sharedFiguresOnce.Do(func() {
+		sharedFigures = map[string][]*experiments.Table{}
+		for _, f := range experiments.Run(benchScale(), "6", "7", "8", "9", "11", "12", "13", "ablations") {
+			sharedFigures[f.Name] = f.Tables
+		}
 	})
-	return sharedThree
+	return sharedFigures[name]
 }
 
-// BenchmarkFig06BundleCharacters regenerates Figure 6: the bundle size
-// and time-span distributions of an unlimited full-index run.
+// BenchmarkFig06BundleCharacters reports Figure 6: the bundle size
+// and time-span distributions of the unlimited full index.
 func BenchmarkFig06BundleCharacters(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tables := experiments.Fig6(benchScale())
 		var total float64
-		for _, row := range tables[0].Rows {
+		for _, row := range figure(b, "fig6")[0].Rows {
 			total += cell(b, row[1])
 		}
 		b.ReportMetric(total, "bundles")
 	}
 }
 
-// BenchmarkFig07BundleGrowth regenerates Figure 7: live-bundle counts
-// per method over the stream.
+// BenchmarkFig07BundleGrowth reports Figure 7: live-bundle counts per
+// method over the stream.
 func BenchmarkFig07BundleGrowth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.Fig7(three(b))
-		last := lastRow(t)
+		last := lastRow(figure(b, "fig7")[0])
 		b.ReportMetric(cell(b, last[1]), "full_bundles")
 		b.ReportMetric(cell(b, last[2]), "partial_bundles")
 		b.ReportMetric(cell(b, last[3]), "limit_bundles")
 	}
 }
 
-// BenchmarkFig08AccuracyReturn regenerates Figure 8: accuracy and
-// return of the partial methods against the full-index ground truth.
+// BenchmarkFig08AccuracyReturn reports Figure 8: accuracy and return
+// of the partial methods against the full-index ground truth.
 func BenchmarkFig08AccuracyReturn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tabs := experiments.Fig8(three(b))
+		tabs := figure(b, "fig8")
 		acc, ret := lastRow(tabs[0]), lastRow(tabs[1])
 		b.ReportMetric(cell(b, acc[1]), "partial_acc")
 		b.ReportMetric(cell(b, acc[2]), "limit_acc")
@@ -108,60 +111,57 @@ func BenchmarkFig08AccuracyReturn(b *testing.B) {
 	}
 }
 
-// BenchmarkFig09PoolSweep regenerates Figure 9: accuracy across bundle
+// BenchmarkFig09PoolSweep reports Figure 9: accuracy across bundle
 // pool limits.
 func BenchmarkFig09PoolSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.Fig9(benchScale())
-		last := lastRow(t)
+		last := lastRow(figure(b, "fig9")[0])
 		b.ReportMetric(cell(b, last[1]), "acc_smallest_pool")
 		b.ReportMetric(cell(b, last[len(last)-1]), "acc_largest_pool")
 	}
 }
 
-// BenchmarkFig10Showcases regenerates Figure 10: the scripted showcase
-// events are ingested, retrieved and their trails rendered.
+// BenchmarkFig10Showcases regenerates Figure 10 on its own scripted
+// stream: the showcase events are ingested, retrieved and their trails
+// rendered.
 func BenchmarkFig10Showcases(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, trails := experiments.Fig10(benchScale())
-		if len(trails) == 0 {
+		f := experiments.Run(benchScale(), "10")[0]
+		if len(f.Trails) == 0 {
 			b.Fatal("no showcase trails")
 		}
-		b.ReportMetric(cell(b, t.Rows[0][2]), "cics_bundle_size")
-		b.ReportMetric(cell(b, t.Rows[1][2]), "tsunami_bundle_size")
+		b.ReportMetric(cell(b, f.Tables[0].Rows[0][2]), "cics_bundle_size")
+		b.ReportMetric(cell(b, f.Tables[0].Rows[1][2]), "tsunami_bundle_size")
 	}
 }
 
-// BenchmarkFig11MemoryCost regenerates Figure 11: estimated memory and
+// BenchmarkFig11MemoryCost reports Figure 11: estimated memory and
 // in-memory message counts per method.
 func BenchmarkFig11MemoryCost(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tabs := experiments.Fig11(three(b))
-		mem := lastRow(tabs[0])
+		mem := lastRow(figure(b, "fig11")[0])
 		b.ReportMetric(cell(b, mem[1]), "full_MB")
 		b.ReportMetric(cell(b, mem[2]), "partial_MB")
 		b.ReportMetric(cell(b, mem[3]), "limit_MB")
 	}
 }
 
-// BenchmarkFig12TimeCost regenerates Figure 12: cumulative maintenance
+// BenchmarkFig12TimeCost reports Figure 12: cumulative maintenance
 // time per method.
 func BenchmarkFig12TimeCost(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.Fig12(three(b))
-		last := lastRow(t)
+		last := lastRow(figure(b, "fig12")[0])
 		b.ReportMetric(cell(b, last[1]), "full_s")
 		b.ReportMetric(cell(b, last[2]), "partial_s")
 		b.ReportMetric(cell(b, last[3]), "limit_s")
 	}
 }
 
-// BenchmarkFig13StageTime regenerates Figure 13: cumulative per-stage
+// BenchmarkFig13StageTime reports Figure 13: cumulative per-stage
 // time of the partial index.
 func BenchmarkFig13StageTime(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.Fig13(three(b))
-		last := lastRow(t)
+		last := lastRow(figure(b, "fig13")[0])
 		b.ReportMetric(cell(b, last[1]), "match_s")
 		b.ReportMetric(cell(b, last[2]), "place_s")
 		b.ReportMetric(cell(b, last[3]), "refine_s")
@@ -172,7 +172,7 @@ func BenchmarkFig13StageTime(b *testing.B) {
 
 func BenchmarkAblationFreshness(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.AblationFreshness(benchScale())
+		t := figure(b, "ablations")[0]
 		b.ReportMetric(cell(b, t.Rows[1][1]), "acc_default_gamma")
 		b.ReportMetric(cell(b, t.Rows[2][1]), "acc_gamma0")
 	}
@@ -180,7 +180,7 @@ func BenchmarkAblationFreshness(b *testing.B) {
 
 func BenchmarkAblationRefineTrigger(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.AblationRefineTrigger(benchScale())
+		t := figure(b, "ablations")[1]
 		b.ReportMetric(cell(b, t.Rows[1][5]), "ingest_s_throttled")
 		b.ReportMetric(cell(b, t.Rows[3][5]), "ingest_s_every_insert")
 	}

@@ -5,12 +5,6 @@ import (
 	"testing"
 )
 
-func ablationScale() Scale {
-	s := testScale()
-	s.Messages = 8000
-	return s
-}
-
 // checkAblation asserts the common structure: a truth row plus the
 // variants, every accuracy/return within [0,1], truth row at 1/1.
 func checkAblation(t *testing.T, tab *Table, wantRows int) {
@@ -37,9 +31,9 @@ func checkAblation(t *testing.T, tab *Table, wantRows int) {
 }
 
 func TestAblationFreshness(t *testing.T) {
-	checkAblation(t, AblationFreshness(ablationScale()), 3)
+	checkAblation(t, getRun(t).ablations[0], 3)
 }
 
 func TestAblationRefineTrigger(t *testing.T) {
-	checkAblation(t, AblationRefineTrigger(ablationScale()), 4)
+	checkAblation(t, getRun(t).ablations[1], 4)
 }

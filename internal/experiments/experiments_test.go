@@ -20,13 +20,19 @@ func testScale() Scale {
 	}
 }
 
-// sharedRun caches one three-method pass for all figure-view tests.
-var sharedRun *ThreeResult
+// sharedRun caches one pass of every group for all figure-view tests.
+var sharedRun *pass
 
-func getRun(t *testing.T) *ThreeResult {
+func getRun(t *testing.T) *pass {
 	t.Helper()
 	if sharedRun == nil {
-		sharedRun = RunThreeMethods(testScale())
+		p := &pass{s: testScale()}
+		p.addFig6()
+		p.addThree()
+		p.addFig9()
+		p.addAblations()
+		p.run()
+		sharedRun = p
 	}
 	return sharedRun
 }
@@ -41,7 +47,7 @@ func parseCell(t *testing.T, s string) float64 {
 }
 
 func TestRunThreeMethodsSeries(t *testing.T) {
-	r := getRun(t)
+	r := getRun(t).three
 	if len(r.Checkpoints) != 4 {
 		t.Fatalf("checkpoints = %v", r.Checkpoints)
 	}
@@ -82,9 +88,9 @@ func TestRunThreeMethodsSeries(t *testing.T) {
 }
 
 func TestFig6Tables(t *testing.T) {
-	tables := Fig6(testScale())
+	tables := getRun(t).fig6
 	if len(tables) != 2 {
-		t.Fatalf("Fig6 returned %d tables", len(tables))
+		t.Fatalf("fig6 returned %d tables", len(tables))
 	}
 	var total int64
 	var small, large int64
@@ -110,7 +116,7 @@ func TestFig6Tables(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	tab := Fig7(getRun(t))
+	tab := fig7(getRun(t).three)
 	if len(tab.Rows) == 0 {
 		t.Fatal("empty Fig7")
 	}
@@ -123,7 +129,7 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	tabs := Fig8(getRun(t))
+	tabs := fig8(getRun(t).three)
 	if len(tabs) != 2 {
 		t.Fatal("Fig8 should return accuracy and return tables")
 	}
@@ -140,7 +146,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	tab := Fig9(testScale())
+	tab := getRun(t).fig9
 	if len(tab.Columns) != 1+len(testScale().SweepLimits) {
 		t.Fatalf("columns = %v", tab.Columns)
 	}
@@ -156,7 +162,7 @@ func TestFig9Shape(t *testing.T) {
 }
 
 func TestFig10Showcases(t *testing.T) {
-	tab, trails := Fig10(testScale())
+	tab, trails := fig10(testScale())
 	if len(tab.Rows) != 2 {
 		t.Fatalf("Fig10 rows = %v", tab.Rows)
 	}
@@ -175,7 +181,7 @@ func TestFig10Showcases(t *testing.T) {
 }
 
 func TestFig11Shape(t *testing.T) {
-	tabs := Fig11(getRun(t))
+	tabs := fig11(getRun(t).three)
 	if len(tabs) != 2 {
 		t.Fatal("Fig11 should return MB and count tables")
 	}
@@ -191,8 +197,8 @@ func TestFig11Shape(t *testing.T) {
 }
 
 func TestFig12And13Monotone(t *testing.T) {
-	r := getRun(t)
-	t12 := Fig12(r)
+	r := getRun(t).three
+	t12 := fig12(r)
 	prev := -1.0
 	for _, row := range t12.Rows {
 		v := parseCell(t, row[1])
@@ -201,7 +207,7 @@ func TestFig12And13Monotone(t *testing.T) {
 		}
 		prev = v
 	}
-	t13 := Fig13(r)
+	t13 := fig13(r)
 	lastRow := t13.Rows[len(t13.Rows)-1]
 	match, place := parseCell(t, lastRow[1]), parseCell(t, lastRow[2])
 	if match <= 0 || place <= 0 {
@@ -210,7 +216,7 @@ func TestFig12And13Monotone(t *testing.T) {
 }
 
 func TestConnBreakdown(t *testing.T) {
-	tab := ConnBreakdown(getRun(t))
+	tab := connBreakdown(getRun(t).three)
 	if len(tab.Rows) == 0 {
 		t.Fatal("empty breakdown")
 	}
@@ -218,7 +224,7 @@ func TestConnBreakdown(t *testing.T) {
 	for _, row := range tab.Rows {
 		total += parseCell(t, row[1])
 	}
-	want := getRun(t).Final[MethodFull].EdgesCreated
+	want := getRun(t).three.Final[MethodFull].EdgesCreated
 	if int64(total) != want {
 		t.Errorf("breakdown sums to %v, want %d", total, want)
 	}

@@ -8,10 +8,10 @@ import (
 	"provex/internal/shard"
 )
 
-// Fig13Sweep is the long-stream variant of Fig13: one Partial Index
+// Fig13Sweep is the long-stream variant of Figure 13: one Partial Index
 // node ingests up to max messages while the cumulative per-stage
 // timers are sampled at 100 evenly spaced checkpoints. It exists apart
-// from RunThreeMethods because the pruning guardrail needs a long
+// from Run's pass because the pruning guardrail needs a long
 // stream (BENCH_PR6.json runs 1M messages) at fine checkpoint
 // granularity, and carrying the Full Index and Bundle Limit engines
 // through it would triple the cost for series nothing reads.

@@ -20,18 +20,17 @@ const (
 	MethodLimit   = "limit"   // Bundle Limit — partial + bundle size cap
 )
 
-// ThreeResult is the shared product of one stream pass through the
-// paper's three method variants. Figures 7, 8, 11, 12 and 13 are all
-// views over it.
-type ThreeResult struct {
-	Scale       Scale
-	Checkpoints []int                // messages ingested at each sample
-	Series      map[string][]float64 // "<method>/<metric>" -> values
-	Final       map[string]core.Stats
+// threeResult is the three-method share of the pass: every per-method
+// metric at each checkpoint of the Messages-long run. Figures 7, 8, 11,
+// 12 and 13 and the connection breakdown are views over it.
+type threeResult struct {
+	Checkpoints []int                 // messages ingested at each sample
+	Series      map[string][]float64  // "<method>/<metric>" -> values
+	Final       map[string]core.Stats // each method's stats at Messages
 }
 
 // at reads series values safely.
-func (r *ThreeResult) at(key string, i int) float64 {
+func (r *threeResult) at(key string, i int) float64 {
 	s := r.Series[key]
 	if i >= len(s) {
 		return 0
@@ -39,127 +38,88 @@ func (r *ThreeResult) at(key string, i int) float64 {
 	return s[i]
 }
 
-// RunThreeMethods ingests one generated stream (Scale.Messages long)
-// through Full Index, Partial Index and Bundle Limit engines
-// simultaneously — the paper's Section VI-A simulation — sampling every
-// per-method metric at checkpoints.
-//
-// Feeding all three engines in a single pass guarantees each sees the
-// byte-identical stream, and lets accuracy/return be computed against
-// the ground-truth edge set at the same stream position, exactly as the
-// paper's date-checkpoint collection does.
-func RunThreeMethods(s Scale) *ThreeResult {
-	g := gen.New(s.genConfig())
-
-	truth := eval.NewEdgeSet()
-	full := core.New(core.FullIndexConfig(), nil, truth.Observe)
-
-	partialEdges := eval.NewEdgeSet()
-	partial := core.New(core.PartialIndexConfig(s.PoolLimit), nil, partialEdges.Observe)
-
-	limitEdges := eval.NewEdgeSet()
-	limit := core.New(core.BundleLimitConfig(s.PoolLimit, s.BundleLimit), nil, limitEdges.Observe)
-
-	methods := []struct {
-		name  string
-		eng   *core.Engine
-		edges *eval.EdgeSet
-	}{
-		{MethodFull, full, truth},
-		{MethodPartial, partial, partialEdges},
-		{MethodLimit, limit, limitEdges},
-	}
-
-	res := &ThreeResult{Scale: s, Series: make(map[string][]float64), Final: make(map[string]core.Stats)}
-	every := s.checkpointEvery(s.Messages)
-	push := func(key string, v float64) { res.Series[key] = append(res.Series[key], v) }
-
-	for i := 1; i <= s.Messages; i++ {
-		m := g.Next()
-		for _, mt := range methods {
-			mt.eng.Insert(m) // shared: a message is immutable once generated
-		}
-		if i%every == 0 || i == s.Messages {
-			res.Checkpoints = append(res.Checkpoints, i)
-			for _, mt := range methods {
-				st := mt.eng.Snapshot()
-				push(mt.name+"/bundles", float64(st.BundlesLive))
-				push(mt.name+"/memMB", float64(st.MemTotal())/(1<<20))
-				push(mt.name+"/msgsInMem", float64(st.MessagesInMemory))
-				push(mt.name+"/time_s", (st.MatchTime + st.PlaceTime + st.RefineTime).Seconds())
-				push(mt.name+"/match_s", st.MatchTime.Seconds())
-				push(mt.name+"/place_s", st.PlaceTime.Seconds())
-				push(mt.name+"/refine_s", st.RefineTime.Seconds())
-				if mt.name != MethodFull {
-					m := eval.Compare(mt.edges, truth)
-					push(mt.name+"/accuracy", m.Accuracy)
-					push(mt.name+"/return", m.Return)
-					push(mt.name+"/matched", float64(m.Matched))
-				}
+// addThree adds the paper's three methods over Messages: the truth as
+// Full Index beside Partial Index and Bundle Limit, every metric sampled
+// at the checkpoints, accuracy and return scored against the truth at
+// the same stream position as the paper's date checkpoints are.
+func (p *pass) addThree() {
+	s := p.s
+	r := &threeResult{Series: make(map[string][]float64), Final: make(map[string]core.Stats)}
+	p.three = r
+	partial := newVariant(MethodPartial, core.PartialIndexConfig(s.PoolLimit))
+	limit := newVariant(MethodLimit, core.BundleLimitConfig(s.PoolLimit, s.BundleLimit))
+	push := func(key string, v float64) { r.Series[key] = append(r.Series[key], v) }
+	p.add(s.Messages, s.checkpointEvery(s.Messages), []*variant{partial, limit}, func(i int) {
+		r.Checkpoints = append(r.Checkpoints, i)
+		for _, v := range []*variant{p.truth, partial, limit} {
+			st := v.eng.Snapshot()
+			push(v.name+"/bundles", float64(st.BundlesLive))
+			push(v.name+"/memMB", float64(st.MemTotal())/(1<<20))
+			push(v.name+"/msgsInMem", float64(st.MessagesInMemory))
+			push(v.name+"/time_s", (st.MatchTime + st.PlaceTime + st.RefineTime).Seconds())
+			push(v.name+"/match_s", st.MatchTime.Seconds())
+			push(v.name+"/place_s", st.PlaceTime.Seconds())
+			push(v.name+"/refine_s", st.RefineTime.Seconds())
+			if v != p.truth {
+				m := eval.Compare(v.edges, p.truth.edges)
+				push(v.name+"/accuracy", m.Accuracy)
+				push(v.name+"/return", m.Return)
+				push(v.name+"/matched", float64(m.Matched))
+			}
+			if i == s.Messages {
+				r.Final[v.name] = st
 			}
 		}
-	}
-	for _, mt := range methods {
-		res.Final[mt.name] = mt.eng.Snapshot()
-	}
-	return res
-}
-
-// Fig6 reproduces Figure 6, "Provenance Bundle Characters": the bundle
-// size distribution (a) and the bundle active time-span distribution
-// (b) of an unrestricted Full Index run, plus the headline bundle count
-// the paper reports in Section V-A (~30k bundles from 700k messages).
-func Fig6(s Scale) []*Table {
-	g := gen.New(s.genConfig())
-	e := core.New(core.FullIndexConfig(), nil, nil)
-	for i := 0; i < s.Messages; i++ {
-		e.Insert(g.Next())
-	}
-	sizeHist := metrics.NewPow2Histogram(14)                                // 1 .. 8192 messages
-	spanHist := metrics.NewHistogram(1, 2, 4, 8, 16, 32, 64, 128, 256, 512) // hours
-	e.Pool().All(func(r bundle.Ref) {
-		b := r.Expand()
-		sizeHist.Observe(int64(b.Size()))
-		span := tweet.Sub(b.LastDate(), b.StartDate()).Hours()
-		spanHist.Observe(int64(span + 0.5))
 	})
-
-	st := e.Snapshot()
-	sizes := &Table{
-		Title:   "Fig 6(a) bundle size distribution (full index, no limits)",
-		Columns: []string{"size<=", "bundle_count"},
-		Notes: fmt.Sprintf("%d messages -> %d bundles (paper: 700k -> ~30k); paper shape: most bundles small, long tail of large event bundles",
-			st.Messages, st.BundlesLive),
-	}
-	buckets, _, _, _ := sizeHist.Snapshot()
-	for _, b := range buckets {
-		label := "overflow"
-		if b.UpperBound >= 0 {
-			label = fmt.Sprintf("%d", b.UpperBound)
-		}
-		sizes.AddRow(label, b.Count)
-	}
-
-	spans := &Table{
-		Title:   "Fig 6(b) bundle time-span distribution (hours)",
-		Columns: []string{"span_hours<=", "bundle_count"},
-		Notes:   "paper shape: most bundles stop receiving updates within a day",
-	}
-	buckets, _, _, _ = spanHist.Snapshot()
-	for _, b := range buckets {
-		label := "overflow"
-		if b.UpperBound >= 0 {
-			label = fmt.Sprintf("%d", b.UpperBound)
-		}
-		spans.AddRow(label, b.Count)
-	}
-	return []*Table{sizes, spans}
 }
 
-// Fig7 is Figure 7, "Provenance Bundle Growth under Different
+// addFig6 adds Figure 6, "Provenance Bundle Characters": the bundle
+// size distribution (a) and the bundle active time-span distribution
+// (b) of the truth at Messages, plus the headline bundle count the
+// paper reports in Section V-A (~30k bundles from 700k messages).
+func (p *pass) addFig6() {
+	p.add(p.s.Messages, p.s.Messages, nil, func(int) {
+		sizeHist := metrics.NewPow2Histogram(14)                                // 1 .. 8192 messages
+		spanHist := metrics.NewHistogram(1, 2, 4, 8, 16, 32, 64, 128, 256, 512) // hours
+		p.truth.eng.Pool().All(func(r bundle.Ref) {
+			b := r.Expand()
+			sizeHist.Observe(int64(b.Size()))
+			span := tweet.Sub(b.LastDate(), b.StartDate()).Hours()
+			spanHist.Observe(int64(span + 0.5))
+		})
+		st := p.truth.eng.Snapshot()
+		sizes := &Table{
+			Title:   "Fig 6(a) bundle size distribution (full index, no limits)",
+			Columns: []string{"size<=", "bundle_count"},
+			Notes: fmt.Sprintf("%d messages -> %d bundles (paper: 700k -> ~30k); paper shape: most bundles small, long tail of large event bundles",
+				st.Messages, st.BundlesLive),
+		}
+		spans := &Table{
+			Title:   "Fig 6(b) bundle time-span distribution (hours)",
+			Columns: []string{"span_hours<=", "bundle_count"},
+			Notes:   "paper shape: most bundles stop receiving updates within a day",
+		}
+		for _, h := range []struct {
+			t    *Table
+			hist *metrics.Histogram
+		}{{sizes, sizeHist}, {spans, spanHist}} {
+			buckets, _, _, _ := h.hist.Snapshot()
+			for _, b := range buckets {
+				label := "overflow"
+				if b.UpperBound >= 0 {
+					label = fmt.Sprintf("%d", b.UpperBound)
+				}
+				h.t.AddRow(label, b.Count)
+			}
+		}
+		p.fig6 = []*Table{sizes, spans}
+	})
+}
+
+// fig7 is Figure 7, "Provenance Bundle Growth under Different
 // Approaches": live-bundle count versus incoming messages for the
 // three methods.
-func Fig7(r *ThreeResult) *Table {
+func fig7(r *threeResult) *Table {
 	t := &Table{
 		Title:   "Fig 7 bundle count in pool vs incoming messages",
 		Columns: []string{"messages", MethodFull, MethodPartial, MethodLimit},
@@ -174,10 +134,10 @@ func Fig7(r *ThreeResult) *Table {
 	return t
 }
 
-// Fig8 is Figure 8: (a) accuracy and (b) return of the two partial
+// fig8 is Figure 8: (a) accuracy and (b) return of the two partial
 // methods against the Full Index ground truth, with the matched-pair
 // counts the paper draws as bars.
-func Fig8(r *ThreeResult) []*Table {
+func fig8(r *threeResult) []*Table {
 	acc := &Table{
 		Title:   "Fig 8(a) provenance accuracy vs incoming messages",
 		Columns: []string{"messages", "partial_acc", "limit_acc", "partial_matched", "limit_matched"},
@@ -197,63 +157,36 @@ func Fig8(r *ThreeResult) []*Table {
 	return []*Table{acc, ret}
 }
 
-// Fig9 is Figure 9: final-checkpoint accuracy of the Partial Index
-// under different pool limits over the longer sweep stream. All limit
-// variants ingest the same stream in one pass alongside the
-// ground-truth engine.
-func Fig9(s Scale) *Table {
-	g := gen.New(s.genConfig())
-	truth := eval.NewEdgeSet()
-	full := core.New(core.FullIndexConfig(), nil, truth.Observe)
-
-	type variant struct {
-		limit int
-		eng   *core.Engine
-		edges *eval.EdgeSet
-	}
-	variants := make([]*variant, 0, len(s.SweepLimits))
-	for _, lim := range s.SweepLimits {
-		es := eval.NewEdgeSet()
-		variants = append(variants, &variant{
-			limit: lim,
-			eng:   core.New(core.PartialIndexConfig(lim), nil, es.Observe),
-			edges: es,
-		})
-	}
-
+// addFig9 adds Figure 9: the accuracy of the Partial Index under each
+// pool limit against the truth over the longer sweep stream.
+func (p *pass) addFig9() {
+	s := p.s
 	t := &Table{
 		Title:   "Fig 9 accuracy under different pool limits (partial index)",
 		Columns: []string{"messages"},
 		Notes:   "paper shape: small pools degrade hard; pools >= ~0.5% of stream stay stable and high",
 	}
-	for _, v := range variants {
-		t.Columns = append(t.Columns, fmt.Sprintf("pool_%d", v.limit))
+	p.fig9 = t
+	variants := make([]*variant, len(s.SweepLimits))
+	for i, lim := range s.SweepLimits {
+		variants[i] = newVariant(fmt.Sprintf("pool_%d", lim), core.PartialIndexConfig(lim))
+		t.Columns = append(t.Columns, variants[i].name)
 	}
-
-	every := s.checkpointEvery(s.SweepMessages)
-	for i := 1; i <= s.SweepMessages; i++ {
-		m := g.Next()
-		full.Insert(m)
+	p.add(s.SweepMessages, s.checkpointEvery(s.SweepMessages), variants, func(i int) {
+		row := []interface{}{i}
 		for _, v := range variants {
-			v.eng.Insert(m)
+			row = append(row, eval.Compare(v.edges, p.truth.edges).Accuracy)
 		}
-		if i%every == 0 || i == s.SweepMessages {
-			row := []interface{}{i}
-			for _, v := range variants {
-				row = append(row, eval.Compare(v.edges, truth).Accuracy)
-			}
-			t.AddRow(row...)
-		}
-	}
-	return t
+		t.AddRow(row...)
+	})
 }
 
-// Fig10 reproduces Figure 10's showcase bundles: two scripted September
+// fig10 reproduces Figure 10's showcase bundles: two scripted September
 // 2009 events (the IBM CICS partner conference and the Samoa tsunami)
 // are injected into the stream, retrieved by query, and their
 // provenance trails rendered. It returns the summary table and the two
 // rendered trails.
-func Fig10(s Scale) (*Table, []string) {
+func fig10(s Scale) (*Table, []string) {
 	g := gen.New(s.showcaseConfig())
 	proc := query.New(core.New(core.FullIndexConfig(), nil, nil), query.DefaultOptions())
 	n := s.Messages / 2
@@ -289,9 +222,9 @@ func Fig10(s Scale) (*Table, []string) {
 	return t, trails
 }
 
-// Fig11 is Figure 11: (a) estimated memory cost in MB and (b) message
+// fig11 is Figure 11: (a) estimated memory cost in MB and (b) message
 // count held in memory, per method over the stream.
-func Fig11(r *ThreeResult) []*Table {
+func fig11(r *threeResult) []*Table {
 	mem := &Table{
 		Title:   "Fig 11(a) memory cost (estimated MB) vs incoming messages",
 		Columns: []string{"messages", MethodFull, MethodPartial, MethodLimit},
@@ -312,8 +245,8 @@ func Fig11(r *ThreeResult) []*Table {
 	return []*Table{mem, cnt}
 }
 
-// Fig12 is Figure 12: cumulative provenance-maintenance time per method.
-func Fig12(r *ThreeResult) *Table {
+// fig12 is Figure 12: cumulative provenance-maintenance time per method.
+func fig12(r *threeResult) *Table {
 	t := &Table{
 		Title:   "Fig 12 cumulative time cost (seconds) vs incoming messages",
 		Columns: []string{"messages", MethodFull, MethodPartial, MethodLimit},
@@ -325,9 +258,9 @@ func Fig12(r *ThreeResult) *Table {
 	return t
 }
 
-// Fig13 is Figure 13: cumulative time per pipeline stage (bundle match,
+// fig13 is Figure 13: cumulative time per pipeline stage (bundle match,
 // message placement, memory refinement) for the Partial Index method.
-func Fig13(r *ThreeResult) *Table {
+func fig13(r *threeResult) *Table {
 	t := &Table{
 		Title:   "Fig 13 cumulative stage time (seconds, partial index)",
 		Columns: []string{"messages", "bundle_match", "message_placement", "memory_refinement"},
@@ -342,10 +275,10 @@ func Fig13(r *ThreeResult) *Table {
 	return t
 }
 
-// ConnBreakdown is a bonus table (Table II instantiated): how many
+// connBreakdown is a bonus table (Table II instantiated): how many
 // provenance edges of the ground-truth run each connection type
 // contributed.
-func ConnBreakdown(r *ThreeResult) *Table {
+func connBreakdown(r *threeResult) *Table {
 	t := &Table{
 		Title:   "Connection type breakdown (full index)",
 		Columns: []string{"type", "edges"},

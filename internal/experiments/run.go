@@ -9,8 +9,11 @@ type Figure struct {
 }
 
 // Run regenerates the named figures — "6" to "13", "ablations", or
-// "all" for every one — in the order cmd/provbench prints them. The
-// connection breakdown comes with any figure of the three-method pass.
+// "all" for every one — in the order cmd/provbench prints them. Every
+// figure but Fig. 10 reads one pass over the seed stream, which builds
+// only the engines the named figures read; Fig. 10 replays its own
+// scripted stream. The connection breakdown comes with any figure of
+// the three-method run.
 func Run(s Scale, figs ...string) []Figure {
 	want := map[string]bool{}
 	for _, f := range figs {
@@ -18,47 +21,55 @@ func Run(s Scale, figs ...string) []Figure {
 	}
 	wants := func(name string) bool { return want["all"] || want[name] }
 
+	p := &pass{s: s}
+	if wants("6") {
+		p.addFig6()
+	}
+	if wants("7") || wants("8") || wants("11") || wants("12") || wants("13") {
+		p.addThree()
+	}
+	if wants("9") {
+		p.addFig9()
+	}
+	if wants("ablations") {
+		p.addAblations()
+	}
+	p.run()
+
 	var out []Figure
 	emit := func(name string, tables ...*Table) {
 		out = append(out, Figure{Name: name, Tables: tables})
 	}
-	var three *ThreeResult
-	needThree := func() *ThreeResult {
-		if three == nil {
-			three = RunThreeMethods(s)
-		}
-		return three
-	}
 	if wants("6") {
-		emit("fig6", Fig6(s)...)
+		emit("fig6", p.fig6...)
 	}
 	if wants("7") {
-		emit("fig7", Fig7(needThree()))
+		emit("fig7", fig7(p.three))
 	}
 	if wants("8") {
-		emit("fig8", Fig8(needThree())...)
+		emit("fig8", fig8(p.three)...)
 	}
 	if wants("9") {
-		emit("fig9", Fig9(s))
+		emit("fig9", p.fig9)
 	}
 	if wants("10") {
-		table, trails := Fig10(s)
+		table, trails := fig10(s)
 		out = append(out, Figure{Name: "fig10", Tables: []*Table{table}, Trails: trails})
 	}
 	if wants("11") {
-		emit("fig11", Fig11(needThree())...)
+		emit("fig11", fig11(p.three)...)
 	}
 	if wants("12") {
-		emit("fig12", Fig12(needThree()))
+		emit("fig12", fig12(p.three))
 	}
 	if wants("13") {
-		emit("fig13", Fig13(needThree()))
+		emit("fig13", fig13(p.three))
 	}
-	if three != nil {
-		emit("conn-breakdown", ConnBreakdown(three))
+	if p.three != nil {
+		emit("conn-breakdown", connBreakdown(p.three))
 	}
 	if wants("ablations") {
-		emit("ablations", AblationFreshness(s), AblationRefineTrigger(s))
+		emit("ablations", p.ablations...)
 	}
 	return out
 }

@@ -1,7 +1,10 @@
 // Package experiments regenerates every figure of the paper's
-// evaluation (Section VI) on the synthetic stream: one entry point per
-// figure, each returning text tables whose rows are the series the
-// paper plots. cmd/provbench renders them; bench_test.go wraps them in
+// evaluation (Section VI) on the synthetic stream. Run replays the seed
+// stream once through Full Index — the ground truth — and the variants
+// the requested figures read, and returns each figure as text tables
+// whose rows are the series the paper plots; Fig. 10 replays its own
+// scripted stream, and Fig13Sweep is the long-stream stage-time sweep.
+// cmd/provbench renders the figures and bench_test.go reports them as
 // testing.B benchmarks.
 package experiments
 
@@ -15,8 +18,8 @@ type Table struct {
 	Title   string
 	Columns []string
 	Rows    [][]string
-	// Notes carries the comparison against the paper's reported shape,
-	// quoted into EXPERIMENTS.md.
+	// Notes carries the comparison against the paper's reported shape;
+	// EXPERIMENTS.md quotes it in the figure's section.
 	Notes string
 }
 
