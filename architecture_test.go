@@ -11,8 +11,10 @@ package provex_test
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -122,7 +124,12 @@ func TestUnsafeIsContained(t *testing.T) {
 // slash-separated path.
 func walkProduction(t *testing.T, mode parser.Mode, fn func(path string, f *ast.File)) {
 	t.Helper()
-	fset := token.NewFileSet()
+	walkProductionFset(t, token.NewFileSet(), mode, fn)
+}
+
+// walkProductionFset is walkProduction recording positions in fset.
+func walkProductionFset(t *testing.T, fset *token.FileSet, mode parser.Mode, fn func(path string, f *ast.File)) {
+	t.Helper()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -194,50 +201,237 @@ var exportsWithoutCaller = map[string]string{
 	"internal/analysis/analysistest/": "test harness: runs an analyzer over its fixtures",
 	"(*bundle.Bundle).Validate":       "declared oracle: checks a bundle's invariants (Def. 3) in tests and fuzzers",
 	"(*tweet.Message).Validate":       "declared oracle: checks a parsed message's invariants in tests and fuzzers",
+	"score.U":                         "declared oracle: Eq. 2 as the paper writes it, beside the fused Eq. 5 scorer",
+	"score.H":                         "declared oracle: Eq. 3 as the paper writes it, beside the fused Eq. 5 scorer",
+	"(*core.Engine).Probe":            "declared oracle: the unfloored match probe that Seed and Resume must agree with",
 }
 
 // TestExportsHaveProductionCallers: every exported function or method
-// declared under internal/ is named by some non-test file of the
-// module (internal/, cmd/, bench/, examples/ or the root), unless
+// declared under internal/ is used by some non-test file of the module
+// (internal/, cmd/, bench/, examples/ or the root), unless
 // exportsWithoutCaller lets it through. An export only tests call
-// belongs in the tests. The check is by name, so it over-approximates
-// use: a dead export that shares its name with a live identifier —
-// any method called Next, say — slips through.
+// belongs in the tests. Uses are resolved with go/types, so a live
+// identifier that merely shares an export's name keeps nothing alive,
+// and a method also counts as used when its type is converted to an
+// interface the method satisfies (fsx.FaultFS's methods, through
+// fsx.FS).
 func TestExportsHaveProductionCallers(t *testing.T) {
-	type decl struct{ path, name, key string }
-	var decls []decl
-	uses := map[string]int{}
-	walkProduction(t, parser.SkipObjectResolution, func(path string, f *ast.File) {
-		declared := map[*ast.Ident]bool{}
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || !fd.Name.IsExported() || !strings.HasPrefix(path, "internal/") {
-				continue
-			}
-			declared[fd.Name] = true
-			decls = append(decls, decl{path, fd.Name.Name, funcKey(f.Name.Name, fd)})
+	type decl struct{ path, key string }
+	decls := map[*types.Func]decl{}
+	m := loadModule(t)
+	for path, f := range m.files {
+		if !strings.HasPrefix(path, "internal/") {
+			continue
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				uses[id.Name]++
+		for _, d := range f.Decls {
+			// A String method counts as used: fmt reaches it through a
+			// dynamic fmt.Stringer check that types cannot follow.
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.IsExported() && !(fd.Recv != nil && fd.Name.Name == "String") {
+				decls[m.info.Defs[fd.Name].(*types.Func)] = decl{path, funcKey(f.Name.Name, fd)}
 			}
-			return true
-		})
+		}
+	}
+	used := map[*types.Func]bool{}
+	for _, obj := range m.info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			used[fn.Origin()] = true
+		}
+	}
+	m.conversions(func(from, to types.Type) {
+		iface, ok := to.Underlying().(*types.Interface)
+		if !ok || types.IsInterface(from) {
+			return
+		}
+		for i := 0; i < iface.NumMethods(); i++ {
+			obj, _, _ := types.LookupFieldOrMethod(from, true, nil, iface.Method(i).Name())
+			if fn, ok := obj.(*types.Func); ok {
+				used[fn.Origin()] = true
+			}
+		}
 	})
 	matched := map[string]bool{}
-	for _, d := range decls {
-		if uses[d.name] > 0 {
+	for fn, d := range decls {
+		if used[fn] {
 			continue
 		}
 		if k := allowedBy(d.path, d.key); k != "" {
 			matched[k] = true
 			continue
 		}
-		t.Errorf("%s: %s is exported, but no non-test file names it", d.path, d.key)
+		t.Errorf("%s: %s is exported, but no non-test file uses it", d.path, d.key)
 	}
 	for k := range exportsWithoutCaller {
 		if !matched[k] {
 			t.Errorf("exportsWithoutCaller lets %s through, but it holds no export without a caller", k)
+		}
+	}
+}
+
+// module is the module's non-test files, type-checked: files by
+// slash-separated path, and one types.Info over all of them.
+type module struct {
+	fset  *token.FileSet
+	files map[string]*ast.File
+	info  *types.Info
+}
+
+// loadModule parses every non-test file walkProduction sees and
+// type-checks them package by package, the standard library from
+// source.
+func loadModule(t *testing.T) *module {
+	t.Helper()
+	m := &module{
+		fset:  token.NewFileSet(),
+		files: map[string]*ast.File{},
+		info: &types.Info{
+			Types:     map[ast.Expr]types.TypeAndValue{},
+			Defs:      map[*ast.Ident]types.Object{},
+			Uses:      map[*ast.Ident]types.Object{},
+			Instances: map[*ast.Ident]types.Instance{},
+		},
+	}
+	byPkg := map[string][]*ast.File{}
+	walkProductionFset(t, m.fset, parser.SkipObjectResolution, func(path string, f *ast.File) {
+		m.files[path] = f
+		imp := "provex"
+		if dir := filepath.ToSlash(filepath.Dir(path)); dir != "." {
+			imp += "/" + dir
+		}
+		byPkg[imp] = append(byPkg[imp], f)
+	})
+	std := importer.ForCompiler(m.fset, "source", nil)
+	checked := map[string]*types.Package{}
+	var imp importerFunc
+	imp = func(path string) (*types.Package, error) {
+		if pkg, ok := checked[path]; ok {
+			return pkg, nil
+		}
+		files, ok := byPkg[path]
+		if !ok {
+			return std.Import(path)
+		}
+		conf := types.Config{Importer: imp}
+		pkg, err := conf.Check(path, m.fset, files, m.info)
+		if err != nil {
+			return nil, err
+		}
+		checked[path] = pkg
+		return pkg, nil
+	}
+	for path := range byPkg {
+		if _, err := imp(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return m
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// conversions calls fn with the from and to types of every place the
+// module's files assign a value to a typed slot: call arguments and
+// explicit conversions, assignments, typed declarations, returns,
+// composite literal elements, channel sends, and type arguments to
+// their constraints.
+func (m *module) conversions(to func(from, to types.Type)) {
+	fn := func(from, t types.Type) {
+		if from != nil && t != nil {
+			to(from, t)
+		}
+	}
+	typeOf := func(e ast.Expr) types.Type { return m.info.Types[e].Type }
+	// walk visits root, whose return statements return results; a
+	// function inside it is walked with its own.
+	var walk func(root ast.Node, results *types.Tuple)
+	walk = func(root ast.Node, results *types.Tuple) {
+		ast.Inspect(root, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Body != nil {
+					walk(n.Body, m.info.Defs[n.Name].Type().(*types.Signature).Results())
+				}
+				return false
+			case *ast.FuncLit:
+				walk(n.Body, typeOf(n).(*types.Signature).Results())
+				return false
+			case *ast.ReturnStmt:
+				if len(n.Results) == results.Len() {
+					for i, e := range n.Results {
+						fn(typeOf(e), results.At(i).Type())
+					}
+				}
+			case *ast.CallExpr:
+				if tv := m.info.Types[n.Fun]; tv.IsType() {
+					fn(typeOf(n.Args[0]), tv.Type)
+				} else if sig, ok := typeOf(n.Fun).(*types.Signature); ok {
+					params := sig.Params()
+					for i, a := range n.Args {
+						if i >= params.Len()-1 && sig.Variadic() && !n.Ellipsis.IsValid() {
+							fn(typeOf(a), params.At(params.Len()-1).Type().(*types.Slice).Elem())
+						} else if i < params.Len() {
+							fn(typeOf(a), params.At(i).Type())
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				if len(n.Lhs) == len(n.Rhs) {
+					for i := range n.Lhs {
+						fn(typeOf(n.Rhs[i]), typeOf(n.Lhs[i]))
+					}
+				}
+			case *ast.ValueSpec:
+				if n.Type != nil {
+					for _, v := range n.Values {
+						fn(typeOf(v), typeOf(n.Type))
+					}
+				}
+			case *ast.SendStmt:
+				if ch, ok := typeOf(n.Chan).Underlying().(*types.Chan); ok {
+					fn(typeOf(n.Value), ch.Elem())
+				}
+			case *ast.CompositeLit:
+				switch u := typeOf(n).Underlying().(type) {
+				case *types.Struct:
+					for i, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							fn(typeOf(kv.Value), m.info.Uses[kv.Key.(*ast.Ident)].Type())
+						} else if i < u.NumFields() {
+							fn(typeOf(e), u.Field(i).Type())
+						}
+					}
+				case *types.Slice, *types.Array, *types.Map:
+					elem := u.(interface{ Elem() types.Type }).Elem()
+					for _, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if mp, ok := u.(*types.Map); ok {
+								fn(typeOf(kv.Key), mp.Key())
+							}
+							e = kv.Value
+						}
+						fn(typeOf(e), elem)
+					}
+				}
+			}
+			return true
+		})
+	}
+	for _, f := range m.files {
+		walk(f, nil)
+	}
+	for id, inst := range m.info.Instances {
+		var tparams *types.TypeParamList
+		switch obj := m.info.Uses[id].(type) {
+		case *types.Func:
+			tparams = obj.Type().(*types.Signature).TypeParams()
+		case *types.TypeName:
+			if named, ok := obj.Type().(*types.Named); ok {
+				tparams = named.TypeParams()
+			}
+		}
+		for i := 0; tparams != nil && i < inst.TypeArgs.Len(); i++ {
+			fn(inst.TypeArgs.At(i), tparams.At(i).Constraint())
 		}
 	}
 }

@@ -22,7 +22,7 @@ func topicBundle(id bundle.ID, topic string, n int) *bundle.Bundle {
 	for i := 0; i < n; i++ {
 		text := fmt.Sprintf("%s update number %d #%s", topic, i, topic)
 		m := tweet.Parse(tweet.ID(uint64(id)*100+uint64(i)), "u", base.Add(time.Duration(i)*time.Minute), text)
-		b.Add(weights, score.NewDoc(m))
+		b.AddScratch(weights, score.NewDoc(m), nil, nil)
 	}
 	return b
 }
@@ -136,7 +136,7 @@ func TestSearchRanking(t *testing.T) {
 	for i, topic := range []string{"flood", "game", "vote", "show", "market", "tour"} {
 		text := fmt.Sprintf("%s news item %d #%s", topic, i, topic)
 		m := tweet.Parse(tweet.ID(200+i), "u", base.Add(time.Duration(i)*time.Minute), text)
-		mixed.Add(weights, score.NewDoc(m))
+		mixed.AddScratch(weights, score.NewDoc(m), nil, nil)
 	}
 	st.Put(b1, weights)
 	a.Note(b1)

@@ -140,23 +140,6 @@ func (b *Bundle) MemBytes() int64 { return b.memBytes }
 // (with Count, summary.go).
 func (b *Bundle) LastDate() int64 { return b.end }
 
-// Indicants returns the distinct hashtags, URLs, keywords and users of
-// the bundle, each sorted by the term string.
-func (b *Bundle) Indicants() (tags, urls, keys, users []string) {
-	return b.sortedTerms(termdict.Tag), b.sortedTerms(termdict.URL),
-		b.sortedTerms(termdict.Keyword), b.sortedTerms(termdict.User)
-}
-
-// Add allocates doc inside the bundle per Algorithm 2: collect the
-// candidate nodes sharing any indicant, connect to the best-scoring one
-// (Eq. 5), and widen the bundle's time extent. Returns the index of the
-// inserted node. Adding to a closed bundle panics — the engine checks
-// Closed before routing.
-func (b *Bundle) Add(w score.MessageWeights, doc score.Doc) int {
-	n, _ := b.AddScratch(w, doc, nil, nil)
-	return n
-}
-
 // ParentCandidate reports one Algorithm 2 evaluation to an observer:
 // an existing node considered as parent for the incoming message, with
 // the Eq. 5 score split into its Eq. 2–4, keyword and RT components.

@@ -25,10 +25,10 @@ func doc(id tweet.ID, user, text string, at time.Time) score.Doc {
 func buildGameBundle(t *testing.T) *Bundle {
 	t.Helper()
 	b := New(7)
-	b.Add(weights, doc(1, "wharman", "Lester down #redsox", base))
-	b.Add(weights, doc(2, "dims", "unbelievable!! #redsox", base.Add(10*time.Minute)))
-	b.Add(weights, doc(3, "amaliebenjamin", "Lester getting an ovation from the #yankee crowd #redsox", base.Add(20*time.Minute)))
-	b.Add(weights, doc(4, "abcdude", "Classy RT @amaliebenjamin: Lester getting an ovation from the #yankee crowd #redsox", base.Add(25*time.Minute)))
+	b.AddScratch(weights, doc(1, "wharman", "Lester down #redsox", base), nil, nil)
+	b.AddScratch(weights, doc(2, "dims", "unbelievable!! #redsox", base.Add(10*time.Minute)), nil, nil)
+	b.AddScratch(weights, doc(3, "amaliebenjamin", "Lester getting an ovation from the #yankee crowd #redsox", base.Add(20*time.Minute)), nil, nil)
+	b.AddScratch(weights, doc(4, "abcdude", "Classy RT @amaliebenjamin: Lester getting an ovation from the #yankee crowd #redsox", base.Add(25*time.Minute)), nil, nil)
 	if err := b.Validate(); err != nil {
 		t.Fatalf("bundle invalid: %v", err)
 	}
@@ -124,8 +124,8 @@ func TestExtent(t *testing.T) {
 
 func TestUnrelatedMessageBecomesRoot(t *testing.T) {
 	b := New(1)
-	b.Add(weights, doc(1, "a", "first topic #one", base))
-	idx := b.Add(weights, doc(2, "b", "completely different subject", base.Add(time.Minute)))
+	b.AddScratch(weights, doc(1, "a", "first topic #one", base), nil, nil)
+	idx, _ := b.AddScratch(weights, doc(2, "b", "completely different subject", base.Add(time.Minute)), nil, nil)
 	if got := b.Nodes()[idx].Parent; got != NoParent {
 		t.Errorf("unrelated message parent = %d, want NoParent (forest root)", got)
 	}
@@ -133,10 +133,10 @@ func TestUnrelatedMessageBecomesRoot(t *testing.T) {
 
 func TestBestParentWins(t *testing.T) {
 	b := New(1)
-	b.Add(weights, doc(1, "a", "game update #redsox", base))
-	b.Add(weights, doc(2, "b", "game over #redsox http://bit.ly/x", base.Add(time.Minute)))
+	b.AddScratch(weights, doc(1, "a", "game update #redsox", base), nil, nil)
+	b.AddScratch(weights, doc(2, "b", "game over #redsox http://bit.ly/x", base.Add(time.Minute)), nil, nil)
 	// Shares URL+tag with node 1, only tag with node 0 → must pick 1.
-	idx := b.Add(weights, doc(3, "c", "replay http://bit.ly/x #redsox", base.Add(2*time.Minute)))
+	idx, _ := b.AddScratch(weights, doc(3, "c", "replay http://bit.ly/x #redsox", base.Add(2*time.Minute)), nil, nil)
 	if got := b.Nodes()[idx].Parent; got != 1 {
 		t.Errorf("parent = %d, want 1 (stronger URL overlap)", got)
 	}
@@ -147,7 +147,7 @@ func TestBestParentWins(t *testing.T) {
 
 func TestClosedBundlePanics(t *testing.T) {
 	b := New(1)
-	b.Add(weights, doc(1, "a", "msg #t", base))
+	b.AddScratch(weights, doc(1, "a", "msg #t", base), nil, nil)
 	b.Close()
 	if !b.Closed() {
 		t.Fatal("Closed() false after Close")
@@ -157,7 +157,7 @@ func TestClosedBundlePanics(t *testing.T) {
 			t.Error("Add to closed bundle did not panic")
 		}
 	}()
-	b.Add(weights, doc(2, "b", "more #t", base.Add(time.Minute)))
+	b.AddScratch(weights, doc(2, "b", "more #t", base.Add(time.Minute)), nil, nil)
 }
 
 func TestSummaryWords(t *testing.T) {
@@ -171,7 +171,7 @@ func TestSummaryWords(t *testing.T) {
 func TestMemBytesGrows(t *testing.T) {
 	b := New(1)
 	before := b.MemBytes()
-	b.Add(weights, doc(1, "a", "some message #tag http://bit.ly/q", base))
+	b.AddScratch(weights, doc(1, "a", "some message #tag http://bit.ly/q", base), nil, nil)
 	if b.MemBytes() <= before {
 		t.Errorf("MemBytes did not grow: %d -> %d", before, b.MemBytes())
 	}
@@ -215,7 +215,8 @@ func TestValidateCatchesCorruption(t *testing.T) {
 
 func TestIndicants(t *testing.T) {
 	b := buildGameBundle(t)
-	tags, urls, keys, users := b.Indicants()
+	tags, urls, keys, users := sortedTerms(b, termdict.Tag), sortedTerms(b, termdict.URL),
+		sortedTerms(b, termdict.Keyword), sortedTerms(b, termdict.User)
 	if !reflect.DeepEqual(users, []string{"abcdude", "amaliebenjamin", "dims", "wharman"}) {
 		t.Errorf("users = %v", users)
 	}

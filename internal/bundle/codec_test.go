@@ -116,7 +116,7 @@ func TestRecordFrame(t *testing.T) {
 	for i, m := range oneMessageDocs() {
 		id := ID(100 + i)
 		want := New(id)
-		want.Add(weights, m)
+		want.AddScratch(weights, m, nil, nil)
 		r := Single(id, m)
 		data := r.AppendMarshal(nil, weights)
 		if !bytes.Equal(data, want.AppendMarshal(nil, weights)) {
@@ -152,7 +152,7 @@ func TestPromotionIsNewAndAdd(t *testing.T) {
 	for i, m := range docs {
 		id := ID(200 + i)
 		want := New(id)
-		want.Add(weights, m)
+		want.AddScratch(weights, m, nil, nil)
 		r := Single(id, m)
 		got := r.Expand()
 		if !reflect.DeepEqual(got, want) {
@@ -177,7 +177,8 @@ func TestPromotionIsNewAndAdd(t *testing.T) {
 		}
 		next := docs[(i+1)%len(docs)]
 		second := doc(next.ID()+1000, "later", next.Text(), next.Time().Add(time.Hour))
-		if wn, gn := want.Add(weights, second), got.Add(weights, second); wn != gn || !reflect.DeepEqual(got, want) {
+		wn, _ := want.AddScratch(weights, second, nil, nil)
+		if gn, _ := got.AddScratch(weights, second, nil, nil); wn != gn || !reflect.DeepEqual(got, want) {
 			t.Fatalf("%v: after a second Add the promoted bundle differs", m)
 		}
 		if got.EdgeScore(weights, 1) != want.EdgeScore(weights, 1) {
@@ -258,7 +259,7 @@ func TestRoundTripProperty(t *testing.T) {
 		b := New(ID(sizeRaw) + 1)
 		for i := 0; i < size; i++ {
 			m := g.Next()
-			b.Add(w, score.NewDoc(m))
+			b.AddScratch(w, score.NewDoc(m), nil, nil)
 		}
 		got, err := Unmarshal(b.AppendMarshal(nil, weights))
 		if err != nil {
@@ -277,7 +278,7 @@ func TestRoundTripProperty(t *testing.T) {
 func TestDecodedDatesUTC(t *testing.T) {
 	b := New(1)
 	loc := time.FixedZone("X", 3600)
-	b.Add(weights, doc(1, "a", "msg #t", base.In(loc)))
+	b.AddScratch(weights, doc(1, "a", "msg #t", base.In(loc)), nil, nil)
 	got, err := Unmarshal(b.AppendMarshal(nil, weights))
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +298,7 @@ func BenchmarkAppendMarshal(b *testing.B) {
 	w := score.DefaultMessageWeights()
 	for i := 0; i < 50; i++ {
 		m := g.Next()
-		bn.Add(w, score.NewDoc(m))
+		bn.AddScratch(w, score.NewDoc(m), nil, nil)
 	}
 	var buf []byte
 	b.ResetTimer()
@@ -315,7 +316,7 @@ func BenchmarkUnmarshal(b *testing.B) {
 	w := score.DefaultMessageWeights()
 	for i := 0; i < 50; i++ {
 		m := g.Next()
-		bn.Add(w, score.NewDoc(m))
+		bn.AddScratch(w, score.NewDoc(m), nil, nil)
 	}
 	data := bn.AppendMarshal(nil, weights)
 	b.ResetTimer()

@@ -111,10 +111,13 @@ func (l *mergeList) frontier() int32 { return l.ids[l.pos] }
 // NewScratch returns an empty Scratch; the cursor slices grow on demand.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// AddScratch is Add with an observer, caller-provided scratch and work
-// stats: the engine passes its shared Scratch so placement allocates
-// nothing at steady state. sc == nil (tests) uses a throwaway one; obs
-// may be nil. A bundle below PruneMinNodes, or one whose
+// AddScratch allocates doc inside the bundle per Algorithm 2: collect
+// the candidate nodes sharing any indicant, connect to the best-scoring
+// one (Eq. 5), and widen the bundle's time extent. It returns the index
+// of the inserted node and the placement's work stats. Adding to a
+// closed bundle panics — the engine checks Closed before routing. The
+// engine passes its shared Scratch so placement allocates nothing at
+// steady state; sc == nil (tests) uses a throwaway one; obs may be nil. A bundle below PruneMinNodes, or one whose
 // nodes are not in date order, is placed by the reference scan; the
 // chosen parent, its score, and the connection type are identical to
 // AddExhaustive for every input either way — see the package comment

@@ -158,7 +158,7 @@ func TestAddScratchObserverAgreement(t *testing.T) {
 	for i := 0; i < 80; i++ {
 		at = at.Add(time.Duration(rng.Intn(1800)) * time.Second)
 		d := randomDoc(rng, tweet.ID(i+1), users, at)
-		plain.Add(w, d)
+		plain.AddScratch(w, d, nil, nil)
 		var seen []ParentCandidate
 		_, ps := observed.AddScratch(w, d, func(pc ParentCandidate) {
 			seen = append(seen, pc)
@@ -188,11 +188,11 @@ func TestPruneSkipsUnrelatedNodes(t *testing.T) {
 	at := time.Date(2009, 9, 1, 0, 0, 0, 0, time.UTC)
 	// 50 disjoint-topic nodes, 3 sharing #game.
 	for i := 0; i < 50; i++ {
-		b.Add(w, doc(tweet.ID(i+1), "u", fmt.Sprintf("unique%dx unique%dy #only%d", i, i, i), at))
+		b.AddScratch(w, doc(tweet.ID(i+1), "u", fmt.Sprintf("unique%dx unique%dy #only%d", i, i, i), at), nil, nil)
 		at = at.Add(time.Minute)
 	}
 	for i := 50; i < 53; i++ {
-		b.Add(w, doc(tweet.ID(i+1), "u", fmt.Sprintf("final inning #game%d #game", i), at))
+		b.AddScratch(w, doc(tweet.ID(i+1), "u", fmt.Sprintf("final inning #game%d #game", i), at), nil, nil)
 		at = at.Add(time.Minute)
 	}
 	_, ps := b.AddScratch(w, doc(99, "v", "what an ending #game", at), nil, nil)
@@ -216,7 +216,7 @@ func TestSmallBundleFallsBackExhaustive(t *testing.T) {
 	w := score.DefaultMessageWeights()
 	b := New(1)
 	at := time.Date(2009, 9, 1, 0, 0, 0, 0, time.UTC)
-	b.Add(w, doc(1, "u", "hello #x", at))
+	b.AddScratch(w, doc(1, "u", "hello #x", at), nil, nil)
 	_, ps := b.AddScratch(w, doc(2, "v", "again #x", at.Add(time.Minute)), nil, nil)
 	if !ps.Exhaustive {
 		t.Errorf("size-1 bundle should fall back to the exhaustive scan, stats %+v", ps)

@@ -146,7 +146,7 @@ func (r Ref) AppendMarshal(buf []byte, w score.MessageWeights) []byte {
 }
 
 // Expand returns the bundle as a Bundle: the one r holds, or, for a
-// record, a new Bundle in exactly the state New and Add of the message
+// record, a new Bundle in exactly the state New and AddScratch of the message
 // leave. The pool promotes a record through it when a second message
 // joins; anything else that builds one from a record holds a copy the
 // pool does not.

@@ -24,7 +24,6 @@ package bundle
 
 import (
 	"slices"
-	"sort"
 
 	"provex/internal/metrics"
 	"provex/internal/score"
@@ -174,19 +173,6 @@ func (b *Bundle) numTerms() int {
 func (b *Bundle) AppendTerms(dst []termdict.ID) []termdict.ID {
 	b.each(func(t termdict.ID, _ int) { dst = append(dst, t) })
 	return dst
-}
-
-// sortedTerms returns the distinct terms of class c ordered by the term
-// string, never by ID: every process numbers terms its own way.
-func (b *Bundle) sortedTerms(c termdict.Class) []string {
-	var out []string
-	b.each(func(t termdict.ID, _ int) {
-		if t.Class() == c {
-			out = append(out, termdict.Term(t))
-		}
-	})
-	sort.Strings(out)
-	return out
 }
 
 // absorbSummary merges the newest node's indicants into the summary and

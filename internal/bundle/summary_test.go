@@ -27,7 +27,7 @@ func buildSized(n int) *Bundle {
 		if i%7 == 6 {
 			text = fmt.Sprintf("wow RT @user%d: %s", (i-1)%5, text)
 		}
-		b.Add(weights, doc(tweet.ID(i+1), fmt.Sprintf("user%d", i%5), text, base.Add(time.Duration(i)*time.Minute)))
+		b.AddScratch(weights, doc(tweet.ID(i+1), fmt.Sprintf("user%d", i%5), text, base.Add(time.Duration(i)*time.Minute)), nil, nil)
 	}
 	return b
 }
@@ -268,9 +268,8 @@ func checkSummaryScript(t *testing.T, data []byte) *Bundle {
 				}
 			}
 		}
-		tags, urls, keys, users := b.Indicants()
-		for c, got := range [termdict.NumClasses][]string{termdict.Tag: tags, termdict.URL: urls, termdict.Keyword: keys, termdict.User: users} {
-			if want := ref.sorted(termdict.Class(c)); !slices.Equal(got, want) {
+		for c := range termdict.NumClasses {
+			if got, want := sortedTerms(b, termdict.Class(c)), ref.sorted(termdict.Class(c)); !slices.Equal(got, want) {
 				t.Fatalf("size %d: Indicants %s = %v, reference %v", size, termdict.Class(c), got, want)
 			}
 		}
@@ -407,7 +406,7 @@ func TestSmallBundleOwnsNoMap(t *testing.T) {
 	var single *Bundle
 	allocs := testing.AllocsPerRun(100, func() {
 		single = New(1)
-		single.Add(weights, d)
+		single.AddScratch(weights, d, nil, nil)
 	})
 	if allocs != 2 {
 		t.Errorf("a single-message bundle costs %v allocations, want 2", allocs)
@@ -416,9 +415,22 @@ func TestSmallBundleOwnsNoMap(t *testing.T) {
 		t.Errorf("a single-message bundle holds %d rows and counts its author %d times", len(single.rows), single.Count(d.User()))
 	}
 	pair := New(2)
-	pair.Add(weights, d)
-	pair.Add(weights, doc(2, "dims", "unbelievable #redsox", base.Add(time.Minute)))
+	pair.AddScratch(weights, d, nil, nil)
+	pair.AddScratch(weights, doc(2, "dims", "unbelievable #redsox", base.Add(time.Minute)), nil, nil)
 	if len(pair.rows) != cap(pair.rows) || pair.Count(termdict.Lookup(termdict.Tag, "redsox")) != 2 {
 		t.Errorf("a two-message bundle has %d rows in %d slots, want an exact fit", len(pair.rows), cap(pair.rows))
 	}
+}
+
+// sortedTerms returns the distinct terms of class c in b ordered by the
+// term string, never by ID: every process numbers terms its own way.
+func sortedTerms(b *Bundle, c termdict.Class) []string {
+	var out []string
+	for _, t := range b.AppendTerms(nil) {
+		if t.Class() == c {
+			out = append(out, termdict.Term(t))
+		}
+	}
+	sort.Strings(out)
+	return out
 }

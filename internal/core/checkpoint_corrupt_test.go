@@ -38,7 +38,7 @@ func ckptFixture(t testing.TB) []byte {
 	pb := bundle.New(9001)
 	base := time.Date(2009, 9, 29, 12, 0, 0, 0, time.UTC)
 	m := tweet.Parse(77, "parked", base, "orphaned flush #retry")
-	pb.Add(score.DefaultMessageWeights(), score.NewDoc(m))
+	pb.AddScratch(score.DefaultMessageWeights(), score.NewDoc(m), nil, nil)
 	e.retryq = append(e.retryq, flushRetry{b: pb, attempts: 3})
 
 	var buf bytes.Buffer
@@ -149,8 +149,8 @@ func TestCheckpointParkedRoundTrip(t *testing.T) {
 
 	b := bundle.New(1)
 	base := time.Date(2009, 9, 29, 12, 0, 0, 0, time.UTC)
-	b.Add(score.DefaultMessageWeights(),
-		score.NewDoc(tweet.Parse(1, "u", base, "will not flush yet #stuck")))
+	b.AddScratch(score.DefaultMessageWeights(),
+		score.NewDoc(tweet.Parse(1, "u", base, "will not flush yet #stuck")), nil, nil)
 
 	ff.Arm(1, fsx.Fault{Freeze: true}, fsx.OpWrite)
 	e.evict(b.Ref(), 0, true)

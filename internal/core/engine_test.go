@@ -167,14 +167,9 @@ func TestPartialIndexEviction(t *testing.T) {
 	e.Pool().All(func(r bundle.Ref) {
 		b := r.Expand()
 		live = append(live, b.ID())
-		tags, urls, keys, users := b.Indicants()
-		for c, terms := range [termdict.NumClasses][]string{
-			termdict.Tag: tags, termdict.URL: urls, termdict.Keyword: keys, termdict.User: users,
-		} {
-			for _, term := range terms {
-				if !slices.Contains(ix.AppendPostings(nil, termdict.Lookup(termdict.Class(c), term)), b.ID()) {
-					t.Errorf("live bundle %d carries %s %q but is not on its list", b.ID(), termdict.Class(c), term)
-				}
+		for _, term := range b.AppendTerms(nil) {
+			if !slices.Contains(ix.AppendPostings(nil, term), b.ID()) {
+				t.Errorf("live bundle %d carries %s %q but is not on its list", b.ID(), term.Class(), termdict.Term(term))
 			}
 		}
 	})

@@ -24,7 +24,7 @@ func retryBundle(id bundle.ID) *bundle.Bundle {
 	base := time.Date(2009, 9, 29, 12, 0, 0, 0, time.UTC)
 	m := tweet.Parse(tweet.ID(id), fmt.Sprintf("user%d", id), base,
 		fmt.Sprintf("retry fixture %d #queue", id))
-	b.Add(score.DefaultMessageWeights(), score.NewDoc(m))
+	b.AddScratch(score.DefaultMessageWeights(), score.NewDoc(m), nil, nil)
 	return b
 }
 

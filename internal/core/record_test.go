@@ -104,7 +104,7 @@ func TestRecordFlushStoresTheBundleBytes(t *testing.T) {
 		e.pool.NoteInsert(r, 0)
 		e.evict(r, 0, true)
 		want := bundle.New(r.ID())
-		want.Add(w, doc)
+		want.AddScratch(w, doc, nil, nil)
 		if err := wantStore.Put(want, w); err != nil {
 			t.Fatal(err)
 		}

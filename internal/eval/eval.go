@@ -43,19 +43,8 @@ func (s *EdgeSet) Observe(parent, child tweet.ID, _ score.ConnectionType) {
 	s.edges[Edge{Parent: parent, Child: child}] = struct{}{}
 }
 
-// Add inserts an edge directly.
-func (s *EdgeSet) Add(parent, child tweet.ID) {
-	s.edges[Edge{Parent: parent, Child: child}] = struct{}{}
-}
-
 // Len returns the number of edges.
 func (s *EdgeSet) Len() int { return len(s.edges) }
-
-// Contains reports membership.
-func (s *EdgeSet) Contains(e Edge) bool {
-	_, ok := s.edges[e]
-	return ok
-}
 
 // IntersectCount returns |s ∩ other| without materialising the
 // intersection.

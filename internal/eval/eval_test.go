@@ -12,7 +12,7 @@ import (
 func setOf(edges ...[2]int) *EdgeSet {
 	s := NewEdgeSet()
 	for _, e := range edges {
-		s.Add(tweet.ID(e[0]), tweet.ID(e[1]))
+		s.Observe(tweet.ID(e[0]), tweet.ID(e[1]), score.ConnText)
 	}
 	return s
 }
@@ -22,14 +22,17 @@ func TestEdgeSetBasics(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatal("fresh set not empty")
 	}
-	s.Add(1, 2)
-	s.Add(1, 2) // duplicate
+	s.Observe(1, 2, score.ConnText)
+	s.Observe(1, 2, score.ConnText) // duplicate
 	s.Observe(3, 4, score.ConnRT)
 	if s.Len() != 2 {
 		t.Errorf("Len = %d, want 2", s.Len())
 	}
-	if !s.Contains(Edge{1, 2}) || s.Contains(Edge{2, 1}) {
-		t.Error("Contains wrong (edges are directed)")
+	if _, ok := s.edges[Edge{1, 2}]; !ok {
+		t.Error("edge 1->2 missing")
+	}
+	if _, ok := s.edges[Edge{2, 1}]; ok {
+		t.Error("edge 2->1 present (edges are directed)")
 	}
 }
 
@@ -90,18 +93,18 @@ func TestCompareBoundsProperty(t *testing.T) {
 	f := func(truthPairs, extraPairs []uint16) bool {
 		truth := NewEdgeSet()
 		for i, p := range truthPairs {
-			truth.Add(tweet.ID(p), tweet.ID(uint32(p)+uint32(i)+100000))
+			truth.Observe(tweet.ID(p), tweet.ID(uint32(p)+uint32(i)+100000), score.ConnText)
 		}
 		method := NewEdgeSet()
 		for e := range truth.edges {
-			method.Add(e.Parent, e.Child)
+			method.Observe(e.Parent, e.Child, score.ConnText)
 		}
 		m := Compare(method, truth)
 		if m.Accuracy != 1 || m.Return != 1 {
 			return false
 		}
 		for i, p := range extraPairs {
-			method.Add(tweet.ID(uint32(p)+200000), tweet.ID(uint32(i)+300000))
+			method.Observe(tweet.ID(uint32(p)+200000), tweet.ID(uint32(i)+300000), score.ConnText)
 		}
 		m = Compare(method, truth)
 		return m.Accuracy >= 0 && m.Accuracy <= 1 && m.Return >= 0 && m.Return <= 1 &&
@@ -117,10 +120,10 @@ func TestIntersectBoundProperty(t *testing.T) {
 	f := func(a, b []uint16) bool {
 		sa, sb := NewEdgeSet(), NewEdgeSet()
 		for _, p := range a {
-			sa.Add(tweet.ID(p%50), tweet.ID(p%50+1000))
+			sa.Observe(tweet.ID(p%50), tweet.ID(p%50+1000), score.ConnText)
 		}
 		for _, p := range b {
-			sb.Add(tweet.ID(p%50), tweet.ID(p%50+1000))
+			sb.Observe(tweet.ID(p%50), tweet.ID(p%50+1000), score.ConnText)
 		}
 		n := sa.IntersectCount(sb)
 		min := sa.Len()

@@ -91,21 +91,6 @@ func synthWord(rng *rand.Rand) string {
 // sample draws one word, Zipf-biased toward the vocabulary head.
 func (v *vocab) sample() string { return v.words[v.zipf.Uint64()] }
 
-// sampleN draws k distinct words (best effort: gives up doubling after
-// 4k attempts, which only matters for tiny vocabularies).
-func (v *vocab) sampleN(k int) []string {
-	out := make([]string, 0, k)
-	seen := make(map[string]bool, k)
-	for attempts := 0; len(out) < k && attempts < 4*k+8; attempts++ {
-		w := v.sample()
-		if !seen[w] {
-			seen[w] = true
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
 // sampleTail draws k distinct words uniformly from the whole vocabulary,
 // used for event-specific topical words so that distinct events rarely
 // share vocabulary by accident.

@@ -61,21 +61,6 @@ func TestVocabZipfSkew(t *testing.T) {
 	}
 }
 
-func TestSampleN(t *testing.T) {
-	v := newTestVocab(500)
-	got := v.sampleN(10)
-	seen := map[string]bool{}
-	for _, w := range got {
-		if seen[w] {
-			t.Fatalf("sampleN returned duplicate %q", w)
-		}
-		seen[w] = true
-	}
-	if len(got) != 10 {
-		t.Errorf("sampleN(10) = %d words", len(got))
-	}
-}
-
 func TestSampleTailUniform(t *testing.T) {
 	v := newTestVocab(2000)
 	rng := rand.New(rand.NewSource(2))

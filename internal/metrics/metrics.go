@@ -42,11 +42,6 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 // Gauge is an instantaneous value that may go up and down.
 type Gauge struct{ v atomic.Int64 }
 
-// Set stores v.
-//
-//provex:hotpath queue-depth style updates inside the ingest loop
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
 // Add adjusts the gauge by delta (may be negative).
 //
 //provex:hotpath in-flight tracking on every HTTP request

@@ -42,7 +42,7 @@ func TestCounterConcurrent(t *testing.T) {
 
 func TestGauge(t *testing.T) {
 	var g Gauge
-	g.Set(10)
+	g.Add(10)
 	g.Add(-3)
 	if got := g.Value(); got != 7 {
 		t.Errorf("Gauge = %d, want 7", got)

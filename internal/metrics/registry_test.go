@@ -17,7 +17,7 @@ func buildTestRegistry() *Registry {
 	r.Counter("test_requests_total", "Requests served.", "path", "/search", "code", "5xx").Inc()
 
 	g := r.Gauge("test_in_flight", "In-flight requests.")
-	g.Set(3)
+	g.Add(3)
 
 	r.RegisterGaugeFunc("test_pool_bundles_live", "Live bundles.", func() float64 { return 10000 })
 	r.RegisterCounterFunc("test_evictions_total", "Evictions.", func() float64 { return 7 }, "reason", "ranked")
@@ -199,7 +199,7 @@ func TestHotPathZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(2)
-		g.Set(7)
+		g.Add(7)
 		g.Add(-1)
 	}); n != 0 {
 		t.Errorf("hot path allocates %.1f per op, want 0", n)
@@ -214,11 +214,11 @@ func BenchmarkRegisteredCounterInc(b *testing.B) {
 	}
 }
 
-func BenchmarkRegisteredGaugeSet(b *testing.B) {
+func BenchmarkRegisteredGaugeAdd(b *testing.B) {
 	g := NewRegistry().Gauge("bench_gauge", "h")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g.Set(int64(i))
+		g.Add(1)
 	}
 }
 

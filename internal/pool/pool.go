@@ -209,7 +209,7 @@ func (p *Pool) put(r bundle.Ref) {
 // Promote returns the Bundle of the live bundle r, building it from the
 // record when r is in the record form: a second message is about to
 // join it, and the pool holds the Bundle from then on. The Bundle is the
-// one bundle.New and Add of the record's message would have built.
+// one bundle.New and AddScratch of the record's message would have built.
 func (p *Pool) Promote(r bundle.Ref) *bundle.Bundle {
 	if b := r.Bundle(); b != nil {
 		return b

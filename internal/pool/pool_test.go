@@ -41,7 +41,7 @@ func insert(p *Pool, r bundle.Ref, n int, at time.Time) bundle.Ref {
 	for i := 0; i < n && !r.Closed(); i++ {
 		b := p.Promote(r)
 		before := b.MemBytes()
-		b.Add(weights, msg(b.ID(), b.Size(), at))
+		b.AddScratch(weights, msg(b.ID(), b.Size(), at), nil, nil)
 		r = b.Ref()
 		p.NoteInsert(r, b.MemBytes()-before)
 	}
@@ -51,7 +51,7 @@ func insert(p *Pool, r bundle.Ref, n int, at time.Time) bundle.Ref {
 // fill builds a bundle of n messages dated at outside any pool.
 func fill(b *bundle.Bundle, n int, at time.Time) {
 	for i := b.Size(); n > 0; i, n = i+1, n-1 {
-		b.Add(weights, msg(b.ID(), i, at))
+		b.AddScratch(weights, msg(b.ID(), i, at), nil, nil)
 	}
 }
 

@@ -111,8 +111,8 @@ func idOrderChild(t *testing.T, seeded bool) {
 		slices.SortFunc(live, func(a, b *bundle.Bundle) int { return cmp.Compare(a.ID(), b.ID()) })
 		var summaries strings.Builder
 		for _, b := range live {
-			tags, urls, keys, users := b.Indicants()
-			fmt.Fprintln(&summaries, b.ID(), b.SummaryWords(10), tags, urls, keys, users)
+			fmt.Fprintln(&summaries, b.ID(), b.SummaryWords(10), spellings(b, termdict.Tag), spellings(b, termdict.URL),
+				spellings(b, termdict.Keyword), spellings(b, termdict.User))
 		}
 		emit(name+".summaries", summaries.String())
 
@@ -170,4 +170,17 @@ func seedVocabulary(msgs []*tweet.Message) {
 // emit prints one section's digest for the parent to compare.
 func emit(section, content string) {
 	fmt.Printf("idorder %s %x\n", section, sha256.Sum256([]byte(content)))
+}
+
+// spellings returns the distinct terms of class c in b ordered by the
+// term string, never by ID: the two runs number terms their own way.
+func spellings(b *bundle.Bundle, c termdict.Class) []string {
+	var out []string
+	for _, t := range b.AppendTerms(nil) {
+		if t.Class() == c {
+			out = append(out, termdict.Term(t))
+		}
+	}
+	slices.Sort(out)
+	return out
 }

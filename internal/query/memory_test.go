@@ -231,7 +231,7 @@ func TestEngineDropsParseOutput(t *testing.T) {
 		{"decoded-bundle doc", func() *tweet.Message { return msg(3) },
 			func(m *tweet.Message) core.Prepared {
 				src := bundle.New(1)
-				src.Add(score.DefaultMessageWeights(), score.NewDoc(m))
+				src.AddScratch(score.DefaultMessageWeights(), score.NewDoc(m), nil, nil)
 				b, err := bundle.Unmarshal(src.AppendMarshal(nil, score.DefaultMessageWeights()))
 				if err != nil {
 					t.Fatal(err)

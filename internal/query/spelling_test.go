@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"provex/internal/bundle"
+	"provex/internal/termdict"
 	"provex/internal/tokenizer"
 	"provex/internal/tweet"
 )
@@ -119,8 +120,7 @@ func TestTextIndexTermIsASpelling(t *testing.T) {
 		}
 		latest[b.ID()] = len(archived)
 		flushed = append(flushed, b.ID())
-		tags, urls, _, _ := b.Indicants()
-		terms := slices.Concat(b.SummaryWords(24), tags, urls) // 24: the archive's summary terms
+		terms := slices.Concat(b.SummaryWords(24), spellings(b, termdict.Tag), spellings(b, termdict.URL)) // 24: the archive's summary terms
 		archived = append(archived, spellingDoc{key: uint64(len(flushed)), terms: terms})
 		p.arch.Note(b)
 	})

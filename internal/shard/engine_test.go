@@ -120,12 +120,12 @@ func assertUnderFanout(t *testing.T, engines ...*core.Engine) {
 	for _, e := range engines {
 		ix := e.SummaryIndex()
 		e.Pool().All(func(r bundle.Ref) {
-			tags, urls, _, users := r.Expand().Indicants()
-			for c, terms := range map[termdict.Class][]string{termdict.Tag: tags, termdict.URL: urls, termdict.User: users} {
-				for _, term := range terms {
-					if n := len(ix.AppendPostings(nil, termdict.Lookup(c, term))); n > sumindex.MaxFanout {
-						t.Errorf("%s %q is on %d bundles, over the fanout cut %d", c, term, n, sumindex.MaxFanout)
-					}
+			for _, term := range r.Expand().AppendTerms(nil) {
+				if term.Class() == termdict.Keyword {
+					continue
+				}
+				if n := len(ix.AppendPostings(nil, term)); n > sumindex.MaxFanout {
+					t.Errorf("%s %q is on %d bundles, over the fanout cut %d", term.Class(), termdict.Term(term), n, sumindex.MaxFanout)
 				}
 			}
 		})

@@ -31,7 +31,7 @@ func faultBundle(id bundle.ID, n int) *bundle.Bundle {
 		m := tweet.Parse(tweet.ID(uint64(id)*1000+uint64(i)), fmt.Sprintf("user%d", i),
 			base.Add(time.Duration(i)*time.Minute),
 			fmt.Sprintf("bundle %d message %d #fault http://x.io/%d", id, i, i))
-		b.Add(score.DefaultMessageWeights(), score.NewDoc(m))
+		b.AddScratch(score.DefaultMessageWeights(), score.NewDoc(m), nil, nil)
 	}
 	return b
 }

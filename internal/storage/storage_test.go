@@ -29,7 +29,7 @@ func makeBundle(id bundle.ID, n int) *bundle.Bundle {
 	b := bundle.New(id)
 	for i := 0; i < n; i++ {
 		m := g.Next()
-		b.Add(msgWeights, score.NewDoc(m))
+		b.AddScratch(msgWeights, score.NewDoc(m), nil, nil)
 	}
 	return b
 }
@@ -283,7 +283,7 @@ func TestBundleContentSurvivesStore(t *testing.T) {
 	b := bundle.New(77)
 	at := time.Date(2009, 9, 30, 1, 2, 3, 0, time.UTC)
 	m := tweet.Parse(5, "somebody", at, "exact text #tag http://bit.ly/z")
-	b.Add(msgWeights, score.NewDoc(m))
+	b.AddScratch(msgWeights, score.NewDoc(m), nil, nil)
 	if err := s.Put(b, score.DefaultMessageWeights()); err != nil {
 		t.Fatal(err)
 	}

@@ -186,11 +186,6 @@ func New(opts Options) *Recorder {
 	}
 }
 
-// Enabled reports whether the recorder samples decisions.
-//
-//provex:hotpath guards tracing work on the per-message path
-func (r *Recorder) Enabled() bool { return r != nil && r.sample > 0 }
-
 // SampleEvery returns the sampling period (0 when disabled).
 func (r *Recorder) SampleEvery() int {
 	if r == nil || r.sample <= 0 {

@@ -31,7 +31,7 @@ func addMsgs(p *pool.Pool, topic string, n int, start time.Time, step time.Durat
 	}
 	r := p.Create(msg(0))
 	for i := 1; i < n; i++ {
-		p.Promote(r).Add(weights, msg(i))
+		p.Promote(r).AddScratch(weights, msg(i), nil, nil)
 		r = p.Get(id)
 	}
 }
