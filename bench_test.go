@@ -87,38 +87,37 @@ func BenchmarkFig06BundleCharacters(b *testing.B) {
 	}
 }
 
+// reportLast reports, on every iteration, the cells of the last row of
+// table t of the named figure: column i+1 under units[i], where an
+// empty unit skips its column.
+func reportLast(b *testing.B, name string, t int, units ...string) {
+	for i := 0; i < b.N; i++ {
+		last := lastRow(figure(b, name)[t])
+		for c, unit := range units {
+			if unit != "" {
+				b.ReportMetric(cell(b, last[c+1]), unit)
+			}
+		}
+	}
+}
+
 // BenchmarkFig07BundleGrowth reports Figure 7: live-bundle counts per
 // method over the stream.
 func BenchmarkFig07BundleGrowth(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		last := lastRow(figure(b, "fig7")[0])
-		b.ReportMetric(cell(b, last[1]), "full_bundles")
-		b.ReportMetric(cell(b, last[2]), "partial_bundles")
-		b.ReportMetric(cell(b, last[3]), "limit_bundles")
-	}
+	reportLast(b, "fig7", 0, "full_bundles", "partial_bundles", "limit_bundles")
 }
 
 // BenchmarkFig08AccuracyReturn reports Figure 8: accuracy and return
 // of the partial methods against the full-index ground truth.
 func BenchmarkFig08AccuracyReturn(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tabs := figure(b, "fig8")
-		acc, ret := lastRow(tabs[0]), lastRow(tabs[1])
-		b.ReportMetric(cell(b, acc[1]), "partial_acc")
-		b.ReportMetric(cell(b, acc[2]), "limit_acc")
-		b.ReportMetric(cell(b, ret[1]), "partial_ret")
-		b.ReportMetric(cell(b, ret[2]), "limit_ret")
-	}
+	reportLast(b, "fig8", 0, "partial_acc", "limit_acc")
+	reportLast(b, "fig8", 1, "partial_ret", "limit_ret")
 }
 
-// BenchmarkFig09PoolSweep reports Figure 9: accuracy across bundle
-// pool limits.
+// BenchmarkFig09PoolSweep reports Figure 9: accuracy across the bench
+// scale's three bundle pool limits.
 func BenchmarkFig09PoolSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		last := lastRow(figure(b, "fig9")[0])
-		b.ReportMetric(cell(b, last[1]), "acc_smallest_pool")
-		b.ReportMetric(cell(b, last[len(last)-1]), "acc_largest_pool")
-	}
+	reportLast(b, "fig9", 0, "acc_smallest_pool", "", "acc_largest_pool")
 }
 
 // BenchmarkFig10Showcases regenerates Figure 10 on its own scripted
@@ -135,37 +134,22 @@ func BenchmarkFig10Showcases(b *testing.B) {
 	}
 }
 
-// BenchmarkFig11MemoryCost reports Figure 11: estimated memory and
-// in-memory message counts per method.
+// BenchmarkFig11MemoryCost reports Figure 11: estimated memory per
+// method.
 func BenchmarkFig11MemoryCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		mem := lastRow(figure(b, "fig11")[0])
-		b.ReportMetric(cell(b, mem[1]), "full_MB")
-		b.ReportMetric(cell(b, mem[2]), "partial_MB")
-		b.ReportMetric(cell(b, mem[3]), "limit_MB")
-	}
+	reportLast(b, "fig11", 0, "full_MB", "partial_MB", "limit_MB")
 }
 
 // BenchmarkFig12TimeCost reports Figure 12: cumulative maintenance
 // time per method.
 func BenchmarkFig12TimeCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		last := lastRow(figure(b, "fig12")[0])
-		b.ReportMetric(cell(b, last[1]), "full_s")
-		b.ReportMetric(cell(b, last[2]), "partial_s")
-		b.ReportMetric(cell(b, last[3]), "limit_s")
-	}
+	reportLast(b, "fig12", 0, "full_s", "partial_s", "limit_s")
 }
 
 // BenchmarkFig13StageTime reports Figure 13: cumulative per-stage
 // time of the partial index.
 func BenchmarkFig13StageTime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		last := lastRow(figure(b, "fig13")[0])
-		b.ReportMetric(cell(b, last[1]), "match_s")
-		b.ReportMetric(cell(b, last[2]), "place_s")
-		b.ReportMetric(cell(b, last[3]), "refine_s")
-	}
+	reportLast(b, "fig13", 0, "match_s", "place_s", "refine_s")
 }
 
 // Ablation benches — the design choices DESIGN.md calls out.

@@ -1,7 +1,8 @@
 // Command provbench regenerates the paper's evaluation figures
 // (Section VI) on the synthetic stream. Each -fig value maps to one
 // figure of the paper; 'all' runs the whole suite plus the ablation
-// studies and prints the text tables EXPERIMENTS.md quotes.
+// studies. The command in EXPERIMENTS.md's header writes
+// bench_results_default.txt, which its figure sections quote.
 //
 // Usage:
 //
@@ -139,16 +140,7 @@ func run(w io.Writer, s experiments.Scale, figs []string, jsonOut bool) error {
 	figures := experiments.Run(s, figs...)
 	elapsed := time.Since(start)
 	if jsonOut {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(jsonReport{
-			Schema:     reportSchema,
-			GoVersion:  runtime.Version(),
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			Scale:      s,
-			Figures:    figures,
-			ElapsedSec: elapsed.Seconds(),
-		}); err != nil {
+		if err := writeReport(w, s, figures, elapsed); err != nil {
 			return err
 		}
 	} else {
@@ -177,17 +169,7 @@ func runSweep(w io.Writer, s experiments.Scale, max int, checkLinear float64, js
 	res := experiments.Fig13Sweep(s, max, shards)
 	elapsed := time.Since(start)
 	if jsonOut {
-		report := jsonReport{
-			Schema:     reportSchema,
-			GoVersion:  runtime.Version(),
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			Scale:      s,
-			Figures:    []experiments.Figure{{Name: "fig13sweep", Tables: []*experiments.Table{res.Table()}}},
-			ElapsedSec: elapsed.Seconds(),
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
+		if err := writeReport(w, s, []experiments.Figure{{Name: "fig13sweep", Tables: []*experiments.Table{res.Table()}}}, elapsed); err != nil {
 			return err
 		}
 	} else {
@@ -201,6 +183,20 @@ func runSweep(w io.Writer, s experiments.Scale, max int, checkLinear float64, js
 	}
 	slog.Info("done", "seconds", fmt.Sprintf("%.1f", elapsed.Seconds()))
 	return nil
+}
+
+// writeReport encodes figures as one jsonReport.
+func writeReport(w io.Writer, s experiments.Scale, figures []experiments.Figure, elapsed time.Duration) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(jsonReport{
+		Schema:     reportSchema,
+		GoVersion:  runtime.Version(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Scale:      s,
+		Figures:    figures,
+		ElapsedSec: elapsed.Seconds(),
+	})
 }
 
 // headLines truncates s to its first n lines, annotating the cut.

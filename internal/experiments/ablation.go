@@ -40,7 +40,7 @@ func (p *pass) addAblations() {
 	}
 	n := p.s.Messages / 2
 	p.add(n, n, append(freshness, trigger...), func(int) {
-		p.ablations = []*Table{
+		p.figs["ablations"] = []*Table{
 			p.ablation("Ablation: Eq.1 freshness weight",
 				"freshness steers ambiguous messages to the live bundle instead of a stale twin",
 				freshness),

@@ -31,9 +31,9 @@ func checkAblation(t *testing.T, tab *Table, wantRows int) {
 }
 
 func TestAblationFreshness(t *testing.T) {
-	checkAblation(t, getRun(t).ablations[0], 3)
+	checkAblation(t, fig(t, "ablations", 0), 3)
 }
 
 func TestAblationRefineTrigger(t *testing.T) {
-	checkAblation(t, getRun(t).ablations[1], 4)
+	checkAblation(t, fig(t, "ablations", 1), 4)
 }

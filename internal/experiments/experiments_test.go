@@ -21,12 +21,14 @@ func testScale() Scale {
 }
 
 // sharedRun caches one pass of every group for all figure-view tests.
+// At testScale the sweep is as long as the main run, so the truth
+// stops at Messages.
 var sharedRun *pass
 
 func getRun(t *testing.T) *pass {
 	t.Helper()
 	if sharedRun == nil {
-		p := &pass{s: testScale()}
+		p := &pass{s: testScale(), figs: map[string][]*Table{}}
 		p.addFig6()
 		p.addThree()
 		p.addFig9()
@@ -35,6 +37,16 @@ func getRun(t *testing.T) *pass {
 		sharedRun = p
 	}
 	return sharedRun
+}
+
+// fig returns table i of the named figure of the shared run.
+func fig(t *testing.T, name string, i int) *Table {
+	t.Helper()
+	tabs := getRun(t).figs[name]
+	if i >= len(tabs) {
+		t.Fatalf("%s has %d tables, want table %d", name, len(tabs), i)
+	}
+	return tabs[i]
 }
 
 func parseCell(t *testing.T, s string) float64 {
@@ -46,49 +58,60 @@ func parseCell(t *testing.T, s string) float64 {
 	return v
 }
 
-func TestRunThreeMethodsSeries(t *testing.T) {
-	r := getRun(t).three
-	if len(r.Checkpoints) != 4 {
-		t.Fatalf("checkpoints = %v", r.Checkpoints)
+// column returns column c of tab as numbers.
+func column(t *testing.T, tab *Table, c int) []float64 {
+	t.Helper()
+	out := make([]float64, len(tab.Rows))
+	for i, row := range tab.Rows {
+		out[i] = parseCell(t, row[c])
 	}
-	last := len(r.Checkpoints) - 1
+	return out
+}
 
-	fullB := r.Series[MethodFull+"/bundles"]
+func TestRunThreeMethodsSeries(t *testing.T) {
+	bundles := fig(t, "fig7", 0)
+	if len(bundles.Rows) != 4 {
+		t.Fatalf("checkpoints = %v", column(t, bundles, 0))
+	}
+	last := len(bundles.Rows) - 1
+
+	fullB, partialB := column(t, bundles, 1), column(t, bundles, 2)
 	for i := 1; i < len(fullB); i++ {
 		if fullB[i] < fullB[i-1] {
 			t.Error("full index bundle count must grow monotonically")
 		}
 	}
-	if r.at(MethodPartial+"/bundles", last) > float64(testScale().PoolLimit)*1.5 {
-		t.Errorf("partial pool %v far above limit %d", r.at(MethodPartial+"/bundles", last), testScale().PoolLimit)
+	if partialB[last] > float64(testScale().PoolLimit)*1.5 {
+		t.Errorf("partial pool %v far above limit %d", partialB[last], testScale().PoolLimit)
 	}
-	if fullB[last] <= r.at(MethodPartial+"/bundles", last) {
+	if fullB[last] <= partialB[last] {
 		t.Error("full index should hold more bundles than partial at the end")
 	}
 
 	// Memory ordering at the end of the stream: full > partial variants.
-	if r.at(MethodFull+"/memMB", last) <= r.at(MethodPartial+"/memMB", last) {
+	if mem := fig(t, "fig11", 0); column(t, mem, 1)[last] <= column(t, mem, 2)[last] {
 		t.Error("full index should cost more memory than partial")
 	}
-	// Accuracy/return in range.
-	for _, m := range []string{MethodPartial, MethodLimit} {
-		for i := range r.Checkpoints {
-			a, ret := r.at(m+"/accuracy", i), r.at(m+"/return", i)
-			if a < 0 || a > 1 || ret < 0 || ret > 1 {
-				t.Fatalf("%s metrics out of range: acc=%v ret=%v", m, a, ret)
+	// Accuracy/return in range, for partial (column 1) and limit (2).
+	acc, ret := fig(t, "fig8", 0), fig(t, "fig8", 1)
+	for c := 1; c <= 2; c++ {
+		a, r := column(t, acc, c), column(t, ret, c)
+		for i := range a {
+			if a[i] < 0 || a[i] > 1 || r[i] < 0 || r[i] > 1 {
+				t.Fatalf("%s metrics out of range: acc=%v ret=%v", acc.Columns[c], a[i], r[i])
 			}
 		}
-		if r.at(m+"/accuracy", last) < 0.5 {
-			t.Errorf("%s final accuracy %v implausibly low", m, r.at(m+"/accuracy", last))
+		if a[last] < 0.5 {
+			t.Errorf("%s final accuracy %v implausibly low", acc.Columns[c], a[last])
 		}
 	}
-	if r.Final[MethodFull].EdgesCreated == 0 {
+	if getRun(t).truth.eng.Snapshot().EdgesCreated == 0 {
 		t.Error("ground truth found no edges")
 	}
 }
 
 func TestFig6Tables(t *testing.T) {
-	tables := getRun(t).fig6
+	tables := getRun(t).figs["fig6"]
 	if len(tables) != 2 {
 		t.Fatalf("fig6 returned %d tables", len(tables))
 	}
@@ -116,7 +139,7 @@ func TestFig6Tables(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	tab := fig7(getRun(t).three)
+	tab := fig(t, "fig7", 0)
 	if len(tab.Rows) == 0 {
 		t.Fatal("empty Fig7")
 	}
@@ -129,7 +152,7 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	tabs := fig8(getRun(t).three)
+	tabs := getRun(t).figs["fig8"]
 	if len(tabs) != 2 {
 		t.Fatal("Fig8 should return accuracy and return tables")
 	}
@@ -146,7 +169,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	tab := getRun(t).fig9
+	tab := fig(t, "fig9", 0)
 	if len(tab.Columns) != 1+len(testScale().SweepLimits) {
 		t.Fatalf("columns = %v", tab.Columns)
 	}
@@ -181,7 +204,7 @@ func TestFig10Showcases(t *testing.T) {
 }
 
 func TestFig11Shape(t *testing.T) {
-	tabs := fig11(getRun(t).three)
+	tabs := getRun(t).figs["fig11"]
 	if len(tabs) != 2 {
 		t.Fatal("Fig11 should return MB and count tables")
 	}
@@ -197,8 +220,7 @@ func TestFig11Shape(t *testing.T) {
 }
 
 func TestFig12And13Monotone(t *testing.T) {
-	r := getRun(t).three
-	t12 := fig12(r)
+	t12 := fig(t, "fig12", 0)
 	prev := -1.0
 	for _, row := range t12.Rows {
 		v := parseCell(t, row[1])
@@ -207,7 +229,7 @@ func TestFig12And13Monotone(t *testing.T) {
 		}
 		prev = v
 	}
-	t13 := fig13(r)
+	t13 := fig(t, "fig13", 0)
 	lastRow := t13.Rows[len(t13.Rows)-1]
 	match, place := parseCell(t, lastRow[1]), parseCell(t, lastRow[2])
 	if match <= 0 || place <= 0 {
@@ -216,7 +238,7 @@ func TestFig12And13Monotone(t *testing.T) {
 }
 
 func TestConnBreakdown(t *testing.T) {
-	tab := connBreakdown(getRun(t).three)
+	tab := fig(t, "conn-breakdown", 0)
 	if len(tab.Rows) == 0 {
 		t.Fatal("empty breakdown")
 	}
@@ -224,7 +246,7 @@ func TestConnBreakdown(t *testing.T) {
 	for _, row := range tab.Rows {
 		total += parseCell(t, row[1])
 	}
-	want := getRun(t).three.Final[MethodFull].EdgesCreated
+	want := getRun(t).truth.eng.Snapshot().EdgesCreated
 	if int64(total) != want {
 		t.Errorf("breakdown sums to %v, want %d", total, want)
 	}

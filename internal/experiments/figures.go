@@ -13,61 +13,89 @@ import (
 	"provex/internal/tweet"
 )
 
-// Method names used across series and tables.
+// Method names: the three-method variants and their table columns.
 const (
 	MethodFull    = "full"    // Full Index — no limits, ground truth
 	MethodPartial = "partial" // Partial Index — pool limit + refinement
 	MethodLimit   = "limit"   // Bundle Limit — partial + bundle size cap
 )
 
-// threeResult is the three-method share of the pass: every per-method
-// metric at each checkpoint of the Messages-long run. Figures 7, 8, 11,
-// 12 and 13 and the connection breakdown are views over it.
-type threeResult struct {
-	Checkpoints []int                 // messages ingested at each sample
-	Series      map[string][]float64  // "<method>/<metric>" -> values
-	Final       map[string]core.Stats // each method's stats at Messages
-}
-
-// at reads series values safely.
-func (r *threeResult) at(key string, i int) float64 {
-	s := r.Series[key]
-	if i >= len(s) {
-		return 0
-	}
-	return s[i]
-}
-
 // addThree adds the paper's three methods over Messages: the truth as
-// Full Index beside Partial Index and Bundle Limit, every metric sampled
-// at the checkpoints, accuracy and return scored against the truth at
-// the same stream position as the paper's date checkpoints are.
+// Full Index beside Partial Index and Bundle Limit, sampled at every
+// checkpoint, accuracy and return scored against the truth at the same
+// stream position as the paper's date checkpoints are. Its tables are
+// Figures 7, 8, 11, 12 and 13 and, at Messages, the connection
+// breakdown.
 func (p *pass) addThree() {
 	s := p.s
-	r := &threeResult{Series: make(map[string][]float64), Final: make(map[string]core.Stats)}
-	p.three = r
+	methods := []string{"messages", MethodFull, MethodPartial, MethodLimit}
+	fig7 := &Table{
+		Title:   "Fig 7 bundle count in pool vs incoming messages",
+		Columns: methods,
+		Notes:   "paper shape: full grows linearly; partial/limit saturate near the pool limit after an initial drop",
+	}
+	acc := &Table{
+		Title:   "Fig 8(a) provenance accuracy vs incoming messages",
+		Columns: []string{"messages", "partial_acc", "limit_acc", "partial_matched", "limit_matched"},
+		Notes:   "paper shape: both stay high (>0.5 axis); partial index slightly above bundle limit",
+	}
+	ret := &Table{
+		Title:   "Fig 8(b) provenance return (coverage) vs incoming messages",
+		Columns: []string{"messages", "partial_ret", "limit_ret", "partial_matched", "limit_matched"},
+		Notes:   "paper shape: both around the middle of [0,1]; partial above bundle limit",
+	}
+	mem := &Table{
+		Title:   "Fig 11(a) memory cost (estimated MB) vs incoming messages",
+		Columns: methods,
+		Notes:   "paper shape: full grows unboundedly (~170M); partial variants flat at a low level (~10M)",
+	}
+	cnt := &Table{
+		Title:   "Fig 11(b) message count in memory vs incoming messages",
+		Columns: methods,
+		Notes:   "paper shape: same ordering as (a), hardware-independent",
+	}
+	fig12 := &Table{
+		Title:   "Fig 12 cumulative time cost (seconds) vs incoming messages",
+		Columns: methods,
+		Notes:   "paper shape: all three linear; partial variants at or below full",
+	}
+	fig13 := &Table{
+		Title:   "Fig 13 cumulative stage time (seconds, partial index)",
+		Columns: []string{"messages", "bundle_match", "message_placement", "memory_refinement"},
+		Notes:   "paper shape: all stages linear and steady; refinement cheapest",
+	}
+	// Table II instantiated: the edges of each connection type.
+	conns := &Table{Title: "Connection type breakdown (full index)", Columns: []string{"type", "edges"}}
+	p.figs["fig7"] = []*Table{fig7}
+	p.figs["fig8"] = []*Table{acc, ret}
+	p.figs["fig11"] = []*Table{mem, cnt}
+	p.figs["fig12"] = []*Table{fig12}
+	p.figs["fig13"] = []*Table{fig13}
+	p.figs["conn-breakdown"] = []*Table{conns}
+
 	partial := newVariant(MethodPartial, core.PartialIndexConfig(s.PoolLimit))
 	limit := newVariant(MethodLimit, core.BundleLimitConfig(s.PoolLimit, s.BundleLimit))
-	push := func(key string, v float64) { r.Series[key] = append(r.Series[key], v) }
 	p.add(s.Messages, s.checkpointEvery(s.Messages), []*variant{partial, limit}, func(i int) {
-		r.Checkpoints = append(r.Checkpoints, i)
-		for _, v := range []*variant{p.truth, partial, limit} {
-			st := v.eng.Snapshot()
-			push(v.name+"/bundles", float64(st.BundlesLive))
-			push(v.name+"/memMB", float64(st.MemTotal())/(1<<20))
-			push(v.name+"/msgsInMem", float64(st.MessagesInMemory))
-			push(v.name+"/time_s", (st.MatchTime + st.PlaceTime + st.RefineTime).Seconds())
-			push(v.name+"/match_s", st.MatchTime.Seconds())
-			push(v.name+"/place_s", st.PlaceTime.Seconds())
-			push(v.name+"/refine_s", st.RefineTime.Seconds())
-			if v != p.truth {
-				m := eval.Compare(v.edges, p.truth.edges)
-				push(v.name+"/accuracy", m.Accuracy)
-				push(v.name+"/return", m.Return)
-				push(v.name+"/matched", float64(m.Matched))
+		st := [3]core.Stats{p.truth.eng.Snapshot(), partial.eng.Snapshot(), limit.eng.Snapshot()}
+		row := func(f func(core.Stats) interface{}) []interface{} {
+			return []interface{}{i, f(st[0]), f(st[1]), f(st[2])}
+		}
+		pm, lm := eval.Compare(partial.edges, p.truth.edges), eval.Compare(limit.edges, p.truth.edges)
+		fig7.AddRow(row(func(st core.Stats) interface{} { return st.BundlesLive })...)
+		acc.AddRow(i, pm.Accuracy, lm.Accuracy, pm.Matched, lm.Matched)
+		ret.AddRow(i, pm.Return, lm.Return, pm.Matched, lm.Matched)
+		mem.AddRow(row(func(st core.Stats) interface{} { return float64(st.MemTotal()) / (1 << 20) })...)
+		cnt.AddRow(row(func(st core.Stats) interface{} { return st.MessagesInMemory })...)
+		fig12.AddRow(row(func(st core.Stats) interface{} { return (st.MatchTime + st.PlaceTime + st.RefineTime).Seconds() })...)
+		fig13.AddRow(i, st[1].MatchTime.Seconds(), st[1].PlaceTime.Seconds(), st[1].RefineTime.Seconds())
+		if i == s.Messages {
+			types := make([]string, 0, len(st[0].ConnCounts))
+			for k := range st[0].ConnCounts {
+				types = append(types, k)
 			}
-			if i == s.Messages {
-				r.Final[v.name] = st
+			sort.Strings(types)
+			for _, k := range types {
+				conns.AddRow(k, st[0].ConnCounts[k])
 			}
 		}
 	})
@@ -112,49 +140,8 @@ func (p *pass) addFig6() {
 				h.t.AddRow(label, b.Count)
 			}
 		}
-		p.fig6 = []*Table{sizes, spans}
+		p.figs["fig6"] = []*Table{sizes, spans}
 	})
-}
-
-// fig7 is Figure 7, "Provenance Bundle Growth under Different
-// Approaches": live-bundle count versus incoming messages for the
-// three methods.
-func fig7(r *threeResult) *Table {
-	t := &Table{
-		Title:   "Fig 7 bundle count in pool vs incoming messages",
-		Columns: []string{"messages", MethodFull, MethodPartial, MethodLimit},
-		Notes:   "paper shape: full grows linearly; partial/limit saturate near the pool limit after an initial drop",
-	}
-	for i, n := range r.Checkpoints {
-		t.AddRow(n,
-			int(r.at(MethodFull+"/bundles", i)),
-			int(r.at(MethodPartial+"/bundles", i)),
-			int(r.at(MethodLimit+"/bundles", i)))
-	}
-	return t
-}
-
-// fig8 is Figure 8: (a) accuracy and (b) return of the two partial
-// methods against the Full Index ground truth, with the matched-pair
-// counts the paper draws as bars.
-func fig8(r *threeResult) []*Table {
-	acc := &Table{
-		Title:   "Fig 8(a) provenance accuracy vs incoming messages",
-		Columns: []string{"messages", "partial_acc", "limit_acc", "partial_matched", "limit_matched"},
-		Notes:   "paper shape: both stay high (>0.5 axis); partial index slightly above bundle limit",
-	}
-	ret := &Table{
-		Title:   "Fig 8(b) provenance return (coverage) vs incoming messages",
-		Columns: []string{"messages", "partial_ret", "limit_ret", "partial_matched", "limit_matched"},
-		Notes:   "paper shape: both around the middle of [0,1]; partial above bundle limit",
-	}
-	for i, n := range r.Checkpoints {
-		pm := int(r.at(MethodPartial+"/matched", i))
-		lm := int(r.at(MethodLimit+"/matched", i))
-		acc.AddRow(n, r.at(MethodPartial+"/accuracy", i), r.at(MethodLimit+"/accuracy", i), pm, lm)
-		ret.AddRow(n, r.at(MethodPartial+"/return", i), r.at(MethodLimit+"/return", i), pm, lm)
-	}
-	return []*Table{acc, ret}
 }
 
 // addFig9 adds Figure 9: the accuracy of the Partial Index under each
@@ -166,7 +153,7 @@ func (p *pass) addFig9() {
 		Columns: []string{"messages"},
 		Notes:   "paper shape: small pools degrade hard; pools >= ~0.5% of stream stay stable and high",
 	}
-	p.fig9 = t
+	p.figs["fig9"] = []*Table{t}
 	variants := make([]*variant, len(s.SweepLimits))
 	for i, lim := range s.SweepLimits {
 		variants[i] = newVariant(fmt.Sprintf("pool_%d", lim), core.PartialIndexConfig(lim))
@@ -220,80 +207,4 @@ func fig10(s Scale) (*Table, []string) {
 		trails = append(trails, trail)
 	}
 	return t, trails
-}
-
-// fig11 is Figure 11: (a) estimated memory cost in MB and (b) message
-// count held in memory, per method over the stream.
-func fig11(r *threeResult) []*Table {
-	mem := &Table{
-		Title:   "Fig 11(a) memory cost (estimated MB) vs incoming messages",
-		Columns: []string{"messages", MethodFull, MethodPartial, MethodLimit},
-		Notes:   "paper shape: full grows unboundedly (~170M); partial variants flat at a low level (~10M)",
-	}
-	cnt := &Table{
-		Title:   "Fig 11(b) message count in memory vs incoming messages",
-		Columns: []string{"messages", MethodFull, MethodPartial, MethodLimit},
-		Notes:   "paper shape: same ordering as (a), hardware-independent",
-	}
-	for i, n := range r.Checkpoints {
-		mem.AddRow(n, r.at(MethodFull+"/memMB", i), r.at(MethodPartial+"/memMB", i), r.at(MethodLimit+"/memMB", i))
-		cnt.AddRow(n,
-			int(r.at(MethodFull+"/msgsInMem", i)),
-			int(r.at(MethodPartial+"/msgsInMem", i)),
-			int(r.at(MethodLimit+"/msgsInMem", i)))
-	}
-	return []*Table{mem, cnt}
-}
-
-// fig12 is Figure 12: cumulative provenance-maintenance time per method.
-func fig12(r *threeResult) *Table {
-	t := &Table{
-		Title:   "Fig 12 cumulative time cost (seconds) vs incoming messages",
-		Columns: []string{"messages", MethodFull, MethodPartial, MethodLimit},
-		Notes:   "paper shape: all three linear; partial variants at or below full",
-	}
-	for i, n := range r.Checkpoints {
-		t.AddRow(n, r.at(MethodFull+"/time_s", i), r.at(MethodPartial+"/time_s", i), r.at(MethodLimit+"/time_s", i))
-	}
-	return t
-}
-
-// fig13 is Figure 13: cumulative time per pipeline stage (bundle match,
-// message placement, memory refinement) for the Partial Index method.
-func fig13(r *threeResult) *Table {
-	t := &Table{
-		Title:   "Fig 13 cumulative stage time (seconds, partial index)",
-		Columns: []string{"messages", "bundle_match", "message_placement", "memory_refinement"},
-		Notes:   "paper shape: all stages linear and steady; refinement cheapest",
-	}
-	for i, n := range r.Checkpoints {
-		t.AddRow(n,
-			r.at(MethodPartial+"/match_s", i),
-			r.at(MethodPartial+"/place_s", i),
-			r.at(MethodPartial+"/refine_s", i))
-	}
-	return t
-}
-
-// connBreakdown is a bonus table (Table II instantiated): how many
-// provenance edges of the ground-truth run each connection type
-// contributed.
-func connBreakdown(r *threeResult) *Table {
-	t := &Table{
-		Title:   "Connection type breakdown (full index)",
-		Columns: []string{"type", "edges"},
-	}
-	st, ok := r.Final[MethodFull]
-	if !ok {
-		return t
-	}
-	types := make([]string, 0, len(st.ConnCounts))
-	for k := range st.ConnCounts {
-		types = append(types, k)
-	}
-	sort.Strings(types)
-	for _, k := range types {
-		t.AddRow(k, st.ConnCounts[k])
-	}
-	return t
 }

@@ -12,16 +12,13 @@ import (
 // adds a group: its variants ingest the stream up to the group's own
 // length and are read at its own checkpoints, where the truth stands at
 // the same stream position. The stream runs as long as the longest
-// group; a figure's results are in the pass's fields once run returns.
+// group; figs holds each figure's tables, by figure name, once run
+// returns.
 type pass struct {
 	s      Scale
 	groups []group
 	truth  *variant // built by run, so a pass of no group builds no engine
-
-	fig6      []*Table
-	three     *threeResult
-	fig9      *Table
-	ablations []*Table
+	figs   map[string][]*Table
 }
 
 // group is one figure's share of the pass: read is called after the

@@ -1,5 +1,7 @@
 package experiments
 
+import "strings"
+
 // Figure is one figure's result set: its tables and, for Fig. 10, the
 // rendered provenance trails.
 type Figure struct {
@@ -21,7 +23,7 @@ func Run(s Scale, figs ...string) []Figure {
 	}
 	wants := func(name string) bool { return want["all"] || want[name] }
 
-	p := &pass{s: s}
+	p := &pass{s: s, figs: map[string][]*Table{}}
 	if wants("6") {
 		p.addFig6()
 	}
@@ -37,39 +39,15 @@ func Run(s Scale, figs ...string) []Figure {
 	p.run()
 
 	var out []Figure
-	emit := func(name string, tables ...*Table) {
-		out = append(out, Figure{Name: name, Tables: tables})
-	}
-	if wants("6") {
-		emit("fig6", p.fig6...)
-	}
-	if wants("7") {
-		emit("fig7", fig7(p.three))
-	}
-	if wants("8") {
-		emit("fig8", fig8(p.three)...)
-	}
-	if wants("9") {
-		emit("fig9", p.fig9)
-	}
-	if wants("10") {
-		table, trails := fig10(s)
-		out = append(out, Figure{Name: "fig10", Tables: []*Table{table}, Trails: trails})
-	}
-	if wants("11") {
-		emit("fig11", fig11(p.three)...)
-	}
-	if wants("12") {
-		emit("fig12", fig12(p.three))
-	}
-	if wants("13") {
-		emit("fig13", fig13(p.three))
-	}
-	if p.three != nil {
-		emit("conn-breakdown", connBreakdown(p.three))
-	}
-	if wants("ablations") {
-		emit("ablations", p.ablations...)
+	for _, name := range []string{"fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "conn-breakdown", "ablations"} {
+		tables, ok := p.figs[name]
+		switch {
+		case name == "fig10" && wants("10"):
+			table, trails := fig10(s)
+			out = append(out, Figure{Name: name, Tables: []*Table{table}, Trails: trails})
+		case ok && (name == "conn-breakdown" || wants(strings.TrimPrefix(name, "fig"))):
+			out = append(out, Figure{Name: name, Tables: tables})
+		}
 	}
 	return out
 }
