@@ -106,7 +106,7 @@ var unsafeAllowed = []string{
 // unsafe are exactly unsafeAllowed.
 func TestUnsafeIsContained(t *testing.T) {
 	var got []string
-	walkProduction(t, parser.ImportsOnly, func(path string, f *ast.File) {
+	walkProduction(t, token.NewFileSet(), parser.ImportsOnly, func(path string, f *ast.File) {
 		for _, imp := range f.Imports {
 			if p, _ := strconv.Unquote(imp.Path.Value); p == "unsafe" {
 				got = append(got, path)
@@ -120,15 +120,9 @@ func TestUnsafeIsContained(t *testing.T) {
 }
 
 // walkProduction parses every non-test .go file of the module outside
-// testdata/ and hidden directories, with mode, and calls fn with its
-// slash-separated path.
-func walkProduction(t *testing.T, mode parser.Mode, fn func(path string, f *ast.File)) {
-	t.Helper()
-	walkProductionFset(t, token.NewFileSet(), mode, fn)
-}
-
-// walkProductionFset is walkProduction recording positions in fset.
-func walkProductionFset(t *testing.T, fset *token.FileSet, mode parser.Mode, fn func(path string, f *ast.File)) {
+// testdata/ and hidden directories into fset, with mode, and calls fn
+// with its slash-separated path.
+func walkProduction(t *testing.T, fset *token.FileSet, mode parser.Mode, fn func(path string, f *ast.File)) {
 	t.Helper()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -161,7 +155,7 @@ func walkProductionFset(t *testing.T, fset *token.FileSet, mode parser.Mode, fn 
 // whose value plain code cannot read or write, so a field cannot be
 // touched atomically in one place and plainly in another.
 func TestTypedAtomicsOnly(t *testing.T) {
-	walkProduction(t, parser.SkipObjectResolution, func(path string, f *ast.File) {
+	walkProduction(t, token.NewFileSet(), parser.SkipObjectResolution, func(path string, f *ast.File) {
 		name := ""
 		for _, imp := range f.Imports {
 			if p, _ := strconv.Unquote(imp.Path.Value); p == "sync/atomic" {
@@ -291,7 +285,7 @@ func loadModule(t *testing.T) *module {
 		},
 	}
 	byPkg := map[string][]*ast.File{}
-	walkProductionFset(t, m.fset, parser.SkipObjectResolution, func(path string, f *ast.File) {
+	walkProduction(t, m.fset, parser.SkipObjectResolution, func(path string, f *ast.File) {
 		m.files[path] = f
 		imp := "provex"
 		if dir := filepath.ToSlash(filepath.Dir(path)); dir != "." {

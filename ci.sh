@@ -331,7 +331,8 @@ cat "$obs_tmp/ingest-1.txt"
 # index. Candidate fetch walks URL, hashtag and re-shared-user postings
 # only; the uncapped reference (every class, no fanout cut) makes
 # 43 423 / 81 577, and the two edges missing here come from hard lists
-# over the fanout cut (EXPERIMENTS.md, "Match from hard indicants").
+# over the fanout cut (EXPERIMENTS.md, "Match from hard indicants";
+# measured in CHANGES.md's PR 26 entry).
 echo "== provingest pinned counts (provgen -n 125000, full index) =="
 "$obs_tmp/provgen" -n 125000 | "$obs_tmp/provingest" -mode full -progress 0 2>/dev/null \
     | grep -E '^(bundles created|edges) ' >"$obs_tmp/pinned.txt"
@@ -447,6 +448,10 @@ echo "loc: non-test $(go_lines -not -name '*_test.go') test $(go_lines -name '*_
 # checkpoint bytes; and every node's derived edge score against the
 # score its placement compared.
 go test -count=1 -run 'TestAnswerCorpus' .
+# Same figures, uncached: every deterministic cell of Figs. 6-11, the
+# connection breakdown and both ablations at the seed-1 20 k bench
+# scale against testdata/figures/.
+go test -count=1 -run 'TestFigurePin' .
 go test -count=1 -run 'TestCheckpointBytesAreAFunctionOfTheStream|TestEdgeScoreIsDerived' ./internal/core
 
 # The memory budgets, uncached, so every CI log carries the figures:

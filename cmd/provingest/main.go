@@ -184,7 +184,9 @@ loop:
 	if sh.Shards() > 1 {
 		// Per-shard balance, cross-shard resolution rate, and the
 		// critical-path (span) throughput an unstarved scheduler would
-		// reach — see EXPERIMENTS.md "Sharded scaling".
+		// reach. Span is a model of one core per shard; the benchmark's
+		// steady-sharded workload measures wall clock (EXPERIMENTS.md,
+		// "Sharded ingest scaling").
 		fmt.Printf("shards          %d (batch %d, rounds %d, cross-shard %d = %.1f%%)\n",
 			sh.Shards(), sh.Batch(), sh.Rounds(), sh.Cross(), 100*float64(sh.Cross())/float64(max(n, 1)))
 		for i := 0; i < sh.Shards(); i++ {

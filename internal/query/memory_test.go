@@ -57,11 +57,13 @@ import (
 // a schedule of allocator size classes; 308 when the pool came to hold
 // an open bundle of one message as that message's record alone, with
 // no Bundle and no node array, in a 16-byte table slot. The budget is
-// about 10 % above that. A change that needs more should say where the bytes go
-// (EXPERIMENTS.md has the by-owner table) and move the budget
-// knowingly. The figures up to 442 were read in whatever test binary
-// ran them; the term dictionary is per process, so a run after another
-// test that resolved the same vocabulary read lower. The test now runs
+// about 10 % above that. A change that needs more should say where the
+// bytes go — a by-owner heap table (go tool pprof -sample_index=inuse_space
+// -top of a node started with GODEBUG=memprofilerate=64) in its CHANGES.md
+// entry — and move the budget knowingly. The figures up to 442 were
+// read in whatever test binary ran them; the term dictionary is per
+// process, so a run after another test that resolved the same
+// vocabulary read lower. The test now runs
 // in a process of its own, dictionary growth included, and reads the
 // same alone and in ./...
 func TestLiveHeapPerMessage(t *testing.T) {

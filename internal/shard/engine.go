@@ -140,9 +140,9 @@ type shardState struct {
 // round the slowest shard's probe time, the serial reduce time, and
 // the slowest shard's commit time. Span is what an ideal scheduler
 // with one core per shard could not beat — provingest and the
-// benchmark's traced replay report it next to wall clock
-// (EXPERIMENTS.md explains why both numbers matter on core-starved
-// hardware).
+// benchmark's traced replay report it next to wall clock. Span models
+// one core per shard and wall clock measures the host; on a core-starved
+// host the two part (EXPERIMENTS.md, "Sharded ingest scaling").
 type SpanStats struct {
 	Probe  time.Duration // Σ rounds: max over shards of phase-1 busy
 	Reduce time.Duration // Σ rounds: serial reduce
