@@ -331,8 +331,8 @@ cat "$obs_tmp/ingest-1.txt"
 # index. Candidate fetch walks URL, hashtag and re-shared-user postings
 # only; the uncapped reference (every class, no fanout cut) makes
 # 43 423 / 81 577, and the two edges missing here come from hard lists
-# over the fanout cut (EXPERIMENTS.md, "Match from hard indicants";
-# measured in CHANGES.md's PR 26 entry).
+# over the fanout cut (EXPERIMENTS.md, "Match from hard indicants",
+# and the CHANGES.md entry it names).
 echo "== provingest pinned counts (provgen -n 125000, full index) =="
 "$obs_tmp/provgen" -n 125000 | "$obs_tmp/provingest" -mode full -progress 0 2>/dev/null \
     | grep -E '^(bundles created|edges) ' >"$obs_tmp/pinned.txt"
