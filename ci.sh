@@ -76,6 +76,10 @@ go test ./internal/textindex -fuzz FuzzPostingsRoundTrip -fuzztime 10s -run '^$'
 go test ./internal/tweet -fuzz FuzzParse -fuzztime 10s -run '^$'
 go test ./internal/stream -fuzz FuzzJSONL -fuzztime 10s -run '^$'
 go test ./internal/score -fuzz FuzzDoc -fuzztime 10s -run '^$'
+# the record text's codec: a table trained on any sample (empty, one
+# byte value, not UTF-8) codes any bytes, over 64 KiB too, back to
+# themselves
+go test ./internal/fsst -fuzz FuzzTextCode -fuzztime 10s -run '^$'
 
 # README's quickstart output block is quoted, not illustrated: every
 # line of it must be a line the example prints today.
@@ -461,9 +465,10 @@ go test -count=1 -run 'TestCheckpointBytesAreAFunctionOfTheStream|TestEdgeScoreI
 # posting and its MemBytes against that heap; the apply layer's
 # allocations and bytes per message; the checkpoint's bytes and its
 # restore's allocations per message; the WAL replay's allocations per
-# message; the summary index's inserts by kind; and how many live
-# bundles the pool holds as their one message's record.
-go test -count=1 -run 'TestLiveHeapPerMessage|TestApplyAllocationsPerMessage|TestMemEstimateTracksHeap|TestBytesPerPosting|TestCheckpointWorkPerMessage|TestReplayWorkPerMessage|TestSummaryIndexInserts|TestRecordsAtSeed1' -v ./internal/query ./internal/core ./internal/textindex ./internal/sumindex ./internal/pipeline \
+# message; the summary index's inserts by kind; how many live bundles
+# the pool holds as their one message's record; and the text bytes per
+# message the records hold, coded, against the raw.
+go test -count=1 -run 'TestLiveHeapPerMessage|TestApplyAllocationsPerMessage|TestMemEstimateTracksHeap|TestBytesPerPosting|TestCheckpointWorkPerMessage|TestReplayWorkPerMessage|TestSummaryIndexInserts|TestRecordsAtSeed1|TestRecordTextBytes' -v ./internal/query ./internal/core ./internal/textindex ./internal/sumindex ./internal/pipeline \
     | grep -E 'per message|live heap .* ratio|per posting|MemBytes .* ratio|summary-index inserts|live bundles: .* records'
 
 # Group commit by count, uncached: a full queue lands as one batch with

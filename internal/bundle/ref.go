@@ -163,7 +163,7 @@ func (r Ref) Expand() *Bundle {
 // recordBytes is the estimate of a message's record: its header, its
 // term list and its text.
 func recordBytes(doc score.Doc) int64 {
-	return metrics.MessageBase + int64(len(doc.Terms()))*metrics.TermRefCost + int64(len(doc.Text()))
+	return metrics.MessageBase + int64(len(doc.Terms()))*metrics.TermRefCost + int64(doc.TextLen())
 }
 
 // single is the summary of a bundle in the record form: the message's

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"provex/internal/gen"
+	"provex/internal/score"
 	"provex/internal/stream"
 	"provex/internal/sumindex"
 )
@@ -146,6 +147,37 @@ func TestSummaryIndexInserts(t *testing.T) {
 		100*float64(got[sumindex.Mid])/float64(got[sumindex.Tail]+got[sumindex.Mid]))
 	if got != want {
 		t.Errorf("summary-index inserts %v, want %v", got, want)
+	}
+}
+
+// TestRecordTextBytes is the work cell of the records' text: on seed-1
+// 20 000 messages in an unbounded engine, the text bytes the records
+// hold (provex_record_text_bytes{form="stored"}) against the bytes the
+// messages carry (form="raw"). It runs in a process of its own, so the
+// symbol table is trained from the stream's own first ~64 KB of text
+// and both counts are a function of the stream alone, pinned exactly;
+// a change to the codec, its training or the sample moves the stored
+// count. The first 1 450 or so texts, built before the table, are
+// stored raw.
+func TestRecordTextBytes(t *testing.T) {
+	const (
+		n          = 20000
+		wantRaw    = 936692
+		wantStored = 496951
+	)
+	if !inOwnProcess(t) {
+		return
+	}
+	g := gen.New(gen.DefaultConfig())
+	e := New(FullIndexConfig(), nil, nil)
+	for i := 0; i < n; i++ {
+		e.Insert(g.Next())
+	}
+	raw, stored := score.TextBytes()
+	t.Logf("record text: %.2f stored bytes per message of %.2f raw (%.3f)",
+		float64(stored)/n, float64(raw)/n, float64(stored)/float64(raw))
+	if raw != wantRaw || stored != wantStored {
+		t.Errorf("record text bytes: raw %d, stored %d; want %d, %d", raw, stored, wantRaw, wantStored)
 	}
 }
 

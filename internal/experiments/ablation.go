@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"time"
 
 	"provex/internal/core"
@@ -19,8 +20,10 @@ import (
 // where keyword + γ pass the threshold.
 //
 // Refine trigger compares the paper's throttled pool check (the "lower
-// bound ... avoids frequent bundle scanning") with checking on every
-// insert.
+// bound ... avoids frequent bundle scanning") at the Partial Index's own
+// cadence — core.PartialIndexConfig's, the one every other figure's
+// Partial Index runs at — with a sparser one, a denser one and checking
+// on every insert.
 func (p *pass) addAblations() {
 	gamma := func(name string, timeWeight float64) *variant {
 		cfg := core.PartialIndexConfig(p.s.PoolLimit)
@@ -33,10 +36,12 @@ func (p *pass) addAblations() {
 		return newVariant(name, cfg)
 	}
 	freshness := []*variant{gamma("gamma=0.3 (default)", 0.3), gamma("gamma=0", 0)}
-	trigger := []*variant{
-		check("check-every-1024 (default)", 1024),
-		check("check-every-128", 128),
-		check("check-every-1", 1),
+	cadence := core.PartialIndexConfig(p.s.PoolLimit).Pool.CheckEvery
+	trigger := []*variant{check(fmt.Sprintf("check-every-%d (default)", cadence), cadence)}
+	for _, every := range []int{1024, 128, 1} {
+		if every != cadence {
+			trigger = append(trigger, check(fmt.Sprintf("check-every-%d", every), every))
+		}
 	}
 	n := p.s.Messages / 2
 	p.add(n, n, append(freshness, trigger...), func(int) {

@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"fmt"
+	"slices"
 	"strconv"
 	"testing"
+
+	"provex/internal/core"
 )
 
 // checkAblation asserts the common structure: a truth row plus the
@@ -34,6 +38,18 @@ func TestAblationFreshness(t *testing.T) {
 	checkAblation(t, fig(t, "ablations", 0), 3)
 }
 
+// TestAblationRefineTrigger: the "(default)" row runs the Partial
+// Index's own cadence and names it, and the freshness ablation's
+// default, the same configuration, reads the same; the fixed cadences
+// follow.
 func TestAblationRefineTrigger(t *testing.T) {
-	checkAblation(t, fig(t, "ablations", 1), 4)
+	tab := fig(t, "ablations", 1)
+	checkAblation(t, tab, 5)
+	every := core.PartialIndexConfig(testScale().PoolLimit).Pool.CheckEvery
+	if got, want := tab.Rows[1][0], fmt.Sprintf("check-every-%d (default)", every); got != want {
+		t.Errorf("row 1 is %q, want %q", got, want)
+	}
+	if fresh := fig(t, "ablations", 0).Rows[1]; !slices.Equal(fresh[1:5], tab.Rows[1][1:5]) {
+		t.Errorf("the default cadence reads %v, the freshness ablation's default %v", tab.Rows[1][1:5], fresh[1:5])
+	}
 }

@@ -23,7 +23,9 @@ import (
 // shapes the runs can be confused on: a re-share with no keywords, URLs
 // without tags, and a keyword spelled like a user name; and the texts
 // the record's layout can be confused on: empty, not UTF-8, and longer
-// than 64 KiB.
+// than 64 KiB. The text reads back through Text, TextLen and AppendRaw
+// (the bytes tweet.AppendRaw writes) from a record of each form: raw, as
+// before the table is trained, and coded by the trained table.
 func FuzzDoc(f *testing.F) {
 	date := time.Date(2009, 9, 26, 0, 23, 58, 0, time.UTC).UnixNano()
 	f.Add(uint64(1), date, "abcdude", "Classy. RT @AmalieBenjamin: Lester #Yankee http://bit.ly/Uvcpr #redsox")
@@ -43,6 +45,9 @@ func FuzzDoc(f *testing.F) {
 			t.Fatalf("%q: the record reads (%d, %d, %q), the message is (%d, %d, %q)",
 				text, d.ID(), d.Date(), d.Text(), m.ID, m.Date, m.Text)
 		}
+		asRaw, asCoded := recordForms(m)
+		checkText(t, "raw", asRaw, m)
+		checkText(t, "coded", asCoded, m)
 		terms := func(ids []termdict.ID) []string {
 			out := []string{}
 			for _, id := range ids {

@@ -105,7 +105,7 @@ func finish(m *tweet.Message, terms []termdict.ID) Doc {
 	if m.IsRT() {
 		terms = append(terms, termdict.Intern(termdict.User, m.RTOf))
 	}
-	return Doc{newMsg(m.ID, m.Date, terms, m.Text)}
+	return Doc{newMsg(m.ID, m.Date, terms, m.Text, textCode.tableFor(m.Text))}
 }
 
 // Runs splits the terms after the author into the hashtag, URL and

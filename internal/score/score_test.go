@@ -293,7 +293,9 @@ func TestBundleSimEmptyProperty(t *testing.T) {
 // TestNewDocAllocations: prepare runs once per ingested message, and
 // once the dictionary holds the message's terms it allocates only what
 // the engine keeps — the message's record, raw fields and exact-fit
-// term list in one piece; the list is built in stack scratch.
+// term list in one piece; the list is built in stack scratch, and so is
+// the coded text (TestMain trained the table: the figure is the steady
+// state's).
 func TestNewDocAllocations(t *testing.T) {
 	m := tweet.Parse(1, "abcdude", base, "Classy RT @AmalieBenjamin: Lester getting an ovation #Yankee #redsox http://bit.ly/Uvcpr")
 	d := NewDoc(m)
@@ -312,8 +314,8 @@ func TestNewDocAllocations(t *testing.T) {
 }
 
 // TestRecordSizes pins the per-message layout: a Doc is one pointer, and
-// the record's fixed header is 24 bytes (id, date, term count, text
-// length) ahead of the term list and the text.
+// the record's fixed header is 24 bytes (id, date, term count, stored
+// text length with its coded bit) ahead of the term list and the text.
 func TestRecordSizes(t *testing.T) {
 	if got := unsafe.Sizeof(Doc{}); got != 8 {
 		t.Errorf("unsafe.Sizeof(Doc{}) = %d, want 8", got)

@@ -67,6 +67,7 @@ import (
 	"provex/internal/core"
 	"provex/internal/metrics"
 	"provex/internal/query"
+	"provex/internal/score"
 	"provex/internal/storage"
 	"provex/internal/termdict"
 	"provex/internal/trace"
@@ -173,6 +174,7 @@ func New(backend Backend, opts ...Option) *Server {
 			"Requests currently being handled.")
 		metrics.RegisterProcess(s.reg)
 		termdict.RegisterMetrics(s.reg)
+		score.RegisterMetrics(s.reg)
 		registerBackendMetrics(s.reg, backend)
 	}
 	s.handle("/", s.handleIndex)

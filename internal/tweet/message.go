@@ -116,10 +116,17 @@ func (m *Message) Validate() error {
 // for every on-disk codec (WAL records, encoded bundles and so
 // checkpoints), the same contract as the JSONL codec.
 func AppendRaw(buf []byte, id ID, date int64, user, text string) []byte {
+	return append(AppendRawHead(buf, id, date, user, len(text)), text...)
+}
+
+// AppendRawHead appends what AppendRaw writes ahead of the text's
+// bytes, for a text of textLen bytes the caller appends itself (a
+// record decoding its stored text into buf).
+func AppendRawHead(buf []byte, id ID, date int64, user string, textLen int) []byte {
 	buf = binary.AppendUvarint(buf, uint64(id))
 	buf = binary.AppendVarint(buf, date)
 	buf = recfile.AppendStr(buf, user)
-	return recfile.AppendStr(buf, text)
+	return binary.AppendUvarint(buf, uint64(textLen))
 }
 
 // DecodeRaw reads what AppendRaw wrote and parses it back into a full
