@@ -5,23 +5,26 @@ package provex_test
 // listing is read live, so adding a package without a row here (or
 // renaming one and orphaning its row) fails the build, the same deal
 // observability_test.go enforces for metric families. The file also
-// holds the tree's rules on production code: which files may import
-// unsafe, that every atomic is a typed one, and that every exported
-// function under internal/ has a production caller.
+// holds the tree's rules on production code, all read from one
+// type-checked load of the module: provlint's analyzers (TestLint),
+// which files may import unsafe, that every atomic is a typed one, and
+// that every exported function under internal/ has a production caller.
 
 import (
 	"go/ast"
 	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+
+	"provex/internal/analysis"
+	"provex/internal/analysis/analyzers"
 )
 
 // entries lists the subdirectory names of dir (non-directories are
@@ -106,7 +109,7 @@ var unsafeAllowed = []string{
 // unsafe are exactly unsafeAllowed.
 func TestUnsafeIsContained(t *testing.T) {
 	var got []string
-	walkProduction(t, token.NewFileSet(), parser.ImportsOnly, func(path string, f *ast.File) {
+	loadModule(t).eachFile(func(_ *analysis.Package, path string, f *ast.File) {
 		for _, imp := range f.Imports {
 			if p, _ := strconv.Unquote(imp.Path.Value); p == "unsafe" {
 				got = append(got, path)
@@ -119,33 +122,60 @@ func TestUnsafeIsContained(t *testing.T) {
 	}
 }
 
-// walkProduction parses every non-test .go file of the module outside
-// testdata/ and hidden directories into fset, with mode, and calls fn
-// with its slash-separated path.
-func walkProduction(t *testing.T, fset *token.FileSet, mode parser.Mode, fn func(path string, f *ast.File)) {
+// module is the module's packages, loaded once for every tree rule:
+// the non-test files of every directory outside testdata/ and hidden
+// directories (internal/, cmd/, bench/, examples/ and the root), each
+// package type-checked from source, the standard library too.
+type module struct {
+	fset *token.FileSet
+	pkgs []*analysis.Package
+}
+
+var (
+	moduleOnce   sync.Once
+	moduleLoaded *module
+	moduleErr    error
+)
+
+// loadModule returns the module's one load, made by the first caller.
+func loadModule(t *testing.T) *module {
 	t.Helper()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, mode)
-		if err != nil {
-			return err
-		}
-		fn(filepath.ToSlash(path), f)
-		return nil
+	moduleOnce.Do(func() {
+		fset := token.NewFileSet()
+		pkgs, err := analysis.Load(fset, ".", "provex", importer.ForCompiler(fset, "source", nil))
+		moduleLoaded, moduleErr = &module{fset, pkgs}, err
 	})
-	if err != nil {
-		t.Fatal(err)
+	if moduleErr != nil {
+		t.Fatal(moduleErr)
+	}
+	return moduleLoaded
+}
+
+// eachFile calls fn with every non-test file of the module, its
+// package and its slash-separated path.
+func (m *module) eachFile(fn func(p *analysis.Package, path string, f *ast.File)) {
+	for _, p := range m.pkgs {
+		for _, f := range p.Files {
+			fn(p, filepath.ToSlash(m.fset.Position(f.Pos()).Filename), f)
+		}
+	}
+}
+
+// TestLint runs provlint's analyzers (internal/analysis/analyzers) over
+// every package of the module: each finding, each malformed
+// //provlint:ignore directive (test files included) and each directive
+// that silences nothing fails it, printed as file:line:col: message
+// [analyzer]. DESIGN.md §2f and §2j say what each analyzer holds.
+func TestLint(t *testing.T) {
+	m := loadModule(t)
+	for _, p := range m.pkgs {
+		diags, err := analysis.RunAnalyzers(m.fset, p, analyzers.All())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range diags {
+			t.Errorf("%s: %s [%s]", m.fset.Position(d.Pos), d.Message, d.AnalyzerName)
+		}
 	}
 }
 
@@ -155,7 +185,7 @@ func walkProduction(t *testing.T, fset *token.FileSet, mode parser.Mode, fn func
 // whose value plain code cannot read or write, so a field cannot be
 // touched atomically in one place and plainly in another.
 func TestTypedAtomicsOnly(t *testing.T) {
-	walkProduction(t, token.NewFileSet(), parser.SkipObjectResolution, func(path string, f *ast.File) {
+	loadModule(t).eachFile(func(_ *analysis.Package, path string, f *ast.File) {
 		name := ""
 		for _, imp := range f.Imports {
 			if p, _ := strconv.Unquote(imp.Path.Value); p == "sync/atomic" {
@@ -193,6 +223,7 @@ var exportsWithoutCaller = map[string]string{
 	"internal/fsx/memfs.go":           "test fake: the in-memory filesystem with crash images",
 	"internal/repl/fault.go":          "test fake: the faulty transport of the replication tests",
 	"internal/analysis/analysistest/": "test harness: runs an analyzer over its fixtures",
+	"analyzers.All":                   "the analyzer list TestLint runs",
 	"(*bundle.Bundle).Validate":       "declared oracle: checks a bundle's invariants (Def. 3) in tests and fuzzers",
 	"(*tweet.Message).Validate":       "declared oracle: checks a parsed message's invariants in tests and fuzzers",
 	"score.U":                         "declared oracle: Eq. 2 as the paper writes it, beside the fused Eq. 5 scorer",
@@ -213,22 +244,24 @@ func TestExportsHaveProductionCallers(t *testing.T) {
 	type decl struct{ path, key string }
 	decls := map[*types.Func]decl{}
 	m := loadModule(t)
-	for path, f := range m.files {
+	m.eachFile(func(p *analysis.Package, path string, f *ast.File) {
 		if !strings.HasPrefix(path, "internal/") {
-			continue
+			return
 		}
 		for _, d := range f.Decls {
 			// A String method counts as used: fmt reaches it through a
 			// dynamic fmt.Stringer check that types cannot follow.
 			if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.IsExported() && !(fd.Recv != nil && fd.Name.Name == "String") {
-				decls[m.info.Defs[fd.Name].(*types.Func)] = decl{path, funcKey(f.Name.Name, fd)}
+				decls[p.Info.Defs[fd.Name].(*types.Func)] = decl{path, funcKey(f.Name.Name, fd)}
 			}
 		}
-	}
+	})
 	used := map[*types.Func]bool{}
-	for _, obj := range m.info.Uses {
-		if fn, ok := obj.(*types.Func); ok {
-			used[fn.Origin()] = true
+	for _, p := range m.pkgs {
+		for _, obj := range p.Info.Uses {
+			if fn, ok := obj.(*types.Func); ok {
+				used[fn.Origin()] = true
+			}
 		}
 	}
 	m.conversions(func(from, to types.Type) {
@@ -261,69 +294,6 @@ func TestExportsHaveProductionCallers(t *testing.T) {
 	}
 }
 
-// module is the module's non-test files, type-checked: files by
-// slash-separated path, and one types.Info over all of them.
-type module struct {
-	fset  *token.FileSet
-	files map[string]*ast.File
-	info  *types.Info
-}
-
-// loadModule parses every non-test file walkProduction sees and
-// type-checks them package by package, the standard library from
-// source.
-func loadModule(t *testing.T) *module {
-	t.Helper()
-	m := &module{
-		fset:  token.NewFileSet(),
-		files: map[string]*ast.File{},
-		info: &types.Info{
-			Types:     map[ast.Expr]types.TypeAndValue{},
-			Defs:      map[*ast.Ident]types.Object{},
-			Uses:      map[*ast.Ident]types.Object{},
-			Instances: map[*ast.Ident]types.Instance{},
-		},
-	}
-	byPkg := map[string][]*ast.File{}
-	walkProduction(t, m.fset, parser.SkipObjectResolution, func(path string, f *ast.File) {
-		m.files[path] = f
-		imp := "provex"
-		if dir := filepath.ToSlash(filepath.Dir(path)); dir != "." {
-			imp += "/" + dir
-		}
-		byPkg[imp] = append(byPkg[imp], f)
-	})
-	std := importer.ForCompiler(m.fset, "source", nil)
-	checked := map[string]*types.Package{}
-	var imp importerFunc
-	imp = func(path string) (*types.Package, error) {
-		if pkg, ok := checked[path]; ok {
-			return pkg, nil
-		}
-		files, ok := byPkg[path]
-		if !ok {
-			return std.Import(path)
-		}
-		conf := types.Config{Importer: imp}
-		pkg, err := conf.Check(path, m.fset, files, m.info)
-		if err != nil {
-			return nil, err
-		}
-		checked[path] = pkg
-		return pkg, nil
-	}
-	for path := range byPkg {
-		if _, err := imp(path); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return m
-}
-
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
 // conversions calls fn with the from and to types of every place the
 // module's files assign a value to a typed slot: call arguments and
 // explicit conversions, assignments, typed declarations, returns,
@@ -335,7 +305,8 @@ func (m *module) conversions(to func(from, to types.Type)) {
 			to(from, t)
 		}
 	}
-	typeOf := func(e ast.Expr) types.Type { return m.info.Types[e].Type }
+	var info *types.Info // the package being walked
+	typeOf := func(e ast.Expr) types.Type { return info.Types[e].Type }
 	// walk visits root, whose return statements return results; a
 	// function inside it is walked with its own.
 	var walk func(root ast.Node, results *types.Tuple)
@@ -344,7 +315,7 @@ func (m *module) conversions(to func(from, to types.Type)) {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
 				if n.Body != nil {
-					walk(n.Body, m.info.Defs[n.Name].Type().(*types.Signature).Results())
+					walk(n.Body, info.Defs[n.Name].Type().(*types.Signature).Results())
 				}
 				return false
 			case *ast.FuncLit:
@@ -357,7 +328,7 @@ func (m *module) conversions(to func(from, to types.Type)) {
 					}
 				}
 			case *ast.CallExpr:
-				if tv := m.info.Types[n.Fun]; tv.IsType() {
+				if tv := info.Types[n.Fun]; tv.IsType() {
 					fn(typeOf(n.Args[0]), tv.Type)
 				} else if sig, ok := typeOf(n.Fun).(*types.Signature); ok {
 					params := sig.Params()
@@ -390,7 +361,7 @@ func (m *module) conversions(to func(from, to types.Type)) {
 				case *types.Struct:
 					for i, e := range n.Elts {
 						if kv, ok := e.(*ast.KeyValueExpr); ok {
-							fn(typeOf(kv.Value), m.info.Uses[kv.Key.(*ast.Ident)].Type())
+							fn(typeOf(kv.Value), info.Uses[kv.Key.(*ast.Ident)].Type())
 						} else if i < u.NumFields() {
 							fn(typeOf(e), u.Field(i).Type())
 						}
@@ -411,21 +382,24 @@ func (m *module) conversions(to func(from, to types.Type)) {
 			return true
 		})
 	}
-	for _, f := range m.files {
-		walk(f, nil)
-	}
-	for id, inst := range m.info.Instances {
-		var tparams *types.TypeParamList
-		switch obj := m.info.Uses[id].(type) {
-		case *types.Func:
-			tparams = obj.Type().(*types.Signature).TypeParams()
-		case *types.TypeName:
-			if named, ok := obj.Type().(*types.Named); ok {
-				tparams = named.TypeParams()
-			}
+	for _, p := range m.pkgs {
+		info = p.Info
+		for _, f := range p.Files {
+			walk(f, nil)
 		}
-		for i := 0; tparams != nil && i < inst.TypeArgs.Len(); i++ {
-			fn(inst.TypeArgs.At(i), tparams.At(i).Constraint())
+		for id, inst := range info.Instances {
+			var tparams *types.TypeParamList
+			switch obj := info.Uses[id].(type) {
+			case *types.Func:
+				tparams = obj.Type().(*types.Signature).TypeParams()
+			case *types.TypeName:
+				if named, ok := obj.Type().(*types.Named); ok {
+					tparams = named.TypeParams()
+				}
+			}
+			for i := 0; tparams != nil && i < inst.TypeArgs.Len(); i++ {
+				fn(inst.TypeArgs.At(i), tparams.At(i).Constraint())
+			}
 		}
 	}
 }

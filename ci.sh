@@ -2,7 +2,9 @@
 # CI gate: build, vet, unit tests, then the race-detector pass. The
 # race pass matters since the ingest pipeline grew concurrent stages
 # (log stage ahead of the writer, sharded probe/commit rounds,
-# read-lock queries).
+# read-lock queries). The repo's own static analysis, provlint's seven
+# analyzers, is the root test TestLint (DESIGN.md §2f, §2j): it runs in
+# every go test of the root package and once more uncached at the end.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -17,21 +19,6 @@ go vet ./...
 echo "== gofmt =="
 unformatted="$(gofmt -l .)"
 [ -z "$unformatted" ] || { echo "gofmt: not formatted:"; echo "$unformatted"; exit 1; }
-
-# provlint: the repo's own vettool (cmd/provlint) re-runs vet with the
-# seven invariant analyzers — fsxdiscipline, durabilityerr, metricsreg,
-# hotpathalloc (DESIGN.md §2f) plus the concurrency three: lockguard,
-# wgbalance, sendafterclose (§2j); atomics are held by go test's
-# TestTypedAtomicsOnly (no package-level sync/atomic call, so every
-# atomic is a typed one) instead. The ./... sweep includes
-# internal/analysis itself, so provlint self-lints. A finding here is a
-# positioned diagnostic and fails the gate; deliberate exceptions carry
-# //provlint:ignore with a reason.
-echo "== provlint (go vet -vettool) =="
-lint_tmp="$(mktemp -d)"
-trap 'rm -rf "$lint_tmp"' EXIT
-go build -o "$lint_tmp/provlint" ./cmd/provlint
-go vet -vettool="$lint_tmp/provlint" ./...
 
 # Fuzz smoke: each native fuzz target gets a short budget. The corpus
 # work happens offline; CI just proves the harnesses still run and the
@@ -84,16 +71,18 @@ go test ./internal/fsst -fuzz FuzzTextCode -fuzztime 10s -run '^$'
 # README's quickstart output block is quoted, not illustrated: every
 # line of it must be a line the example prints today.
 echo "== quickstart vs README =="
-go run ./examples/quickstart >"$lint_tmp/quickstart.out"
+quick_tmp="$(mktemp -d)"
+trap 'rm -rf "$quick_tmp"' EXIT
+go run ./examples/quickstart >"$quick_tmp/quickstart.out"
 awk '/^## Quickstart/ { q = 1; next }
      q && /^```/ { if (fence) { if (bare) exit; fence = 0 } else { fence = 1; bare = ($0 == "```") } next }
-     q && fence && bare' README.md >"$lint_tmp/quickstart.readme"
-[ -s "$lint_tmp/quickstart.readme" ] || { echo "quickstart: no output block under README's Quickstart"; exit 1; }
+     q && fence && bare' README.md >"$quick_tmp/quickstart.readme"
+[ -s "$quick_tmp/quickstart.readme" ] || { echo "quickstart: no output block under README's Quickstart"; exit 1; }
 while IFS= read -r line; do
-    grep -Fxq -- "$line" "$lint_tmp/quickstart.out" \
+    grep -Fxq -- "$line" "$quick_tmp/quickstart.out" \
         || { echo "quickstart: README quotes a line the example does not print: $line"; exit 1; }
-done <"$lint_tmp/quickstart.readme"
-echo "quickstart: all $(wc -l <"$lint_tmp/quickstart.readme") README lines printed"
+done <"$quick_tmp/quickstart.readme"
+echo "quickstart: all $(wc -l <"$quick_tmp/quickstart.readme") README lines printed"
 
 # The WAL's group-commit path, once: a batch of 64 appends, one write,
 # one fsync (a Service's batch is whatever its queue held, up to the
@@ -170,7 +159,7 @@ go test -race -count=1 \
 echo "== provload vs ingesting provserve -race loopback (-shards 1, -shards 2) =="
 obs_tmp="$(mktemp -d)"
 serve_pid=""
-trap '[ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null; rm -rf "$obs_tmp" "$lint_tmp"' EXIT
+trap '[ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null; rm -rf "$obs_tmp" "$quick_tmp"' EXIT
 go build -o "$obs_tmp/provserve" ./cmd/provserve
 go build -race -o "$obs_tmp/provserve-race" ./cmd/provserve
 go build -o "$obs_tmp/provload" ./cmd/provload
@@ -365,7 +354,7 @@ follower_pid=""
 trap '[ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null;
       [ -n "$leader_pid" ] && kill "$leader_pid" 2>/dev/null;
       [ -n "$follower_pid" ] && kill "$follower_pid" 2>/dev/null;
-      rm -rf "$obs_tmp" "$lint_tmp"' EXIT
+      rm -rf "$obs_tmp" "$quick_tmp"' EXIT
 "$obs_tmp/provgen" -n 20000 -out "$obs_tmp/stream.jsonl"
 "$obs_tmp/provserve" -live -in "$obs_tmp/stream.jsonl" \
     -ckpt "$obs_tmp/leader.ckpt" -wal "$obs_tmp/leader-wal" \
@@ -452,6 +441,15 @@ echo "loc: non-test $(go_lines -not -name '*_test.go') test $(go_lines -name '*_
 # checkpoint bytes; and every node's derived edge score against the
 # score its placement compared.
 go test -count=1 -run 'TestAnswerCorpus' .
+# The tree rules, uncached, over one go/types load of the module:
+# provlint's seven analyzers — fsxdiscipline, durabilityerr,
+# metricsreg, hotpathalloc (DESIGN.md §2f) and the concurrency three,
+# lockguard, wgbalance, sendafterclose (§2j) — over every non-test file,
+# internal/analysis itself included; a finding, a malformed
+# //provlint:ignore (test files too) or one that silences nothing fails
+# it, printed file:line:col: message [analyzer]. Beside it, every
+# exported function under internal/ must have a production caller.
+go test -count=1 -run 'TestLint|TestExportsHaveProductionCallers' .
 # Same figures, uncached: every deterministic cell of Figs. 6-11, the
 # connection breakdown and both ablations at the seed-1 20 k bench
 # scale against testdata/figures/.

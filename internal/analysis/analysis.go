@@ -1,11 +1,13 @@
 // Package analysis is a dependency-light reimplementation of the core
 // of golang.org/x/tools/go/analysis: named analyzers that inspect one
-// type-checked package and report positioned diagnostics, plus a
-// unitchecker-style driver speaking the `go vet -vettool` protocol.
+// type-checked package and report positioned diagnostics, and the one
+// loader that type-checks a tree of packages from source for them
+// (load.go). The module's TestLint runs every analyzer over the tree
+// inside go test.
 //
 // The repo builds offline (no module proxy), so the x/tools module is
 // not available; everything here rests on the standard library only
-// (go/ast, go/types, go/importer). The API deliberately mirrors
+// (go/ast, go/parser, go/types). The API deliberately mirrors
 // x/tools so analyzers could migrate to the real framework with
 // mechanical edits if the dependency ever becomes available.
 //
@@ -18,22 +20,24 @@
 //	//provlint:ignore <analyzer>[,<analyzer>] <reason>
 //
 // on the offending line or the line directly above it. The reason is
-// mandatory; a directive without one is itself reported. See ignore.go.
+// mandatory; a directive without one, or one that silences nothing, is
+// itself reported. See ignore.go.
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
 // An Analyzer describes one static check over a single package.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics, enable/disable
-	// flags, and //provlint:ignore directives. Lowercase, no spaces.
+	// Name identifies the analyzer in diagnostics and
+	// //provlint:ignore directives. Lowercase, no spaces.
 	Name string
 
 	// Doc is the analyzer's documentation: first line is a one-line
@@ -42,7 +46,7 @@ type Analyzer struct {
 
 	// Run applies the analyzer to one package, reporting findings via
 	// pass.Report / pass.Reportf. A non-nil error aborts the whole
-	// provlint run (reserved for internal failures, not findings).
+	// lint (reserved for internal failures, not findings).
 	Run func(pass *Pass) error
 }
 
@@ -51,7 +55,7 @@ type Analyzer struct {
 type Pass struct {
 	Analyzer  *Analyzer
 	Fset      *token.FileSet
-	Files     []*ast.File
+	Files     []*ast.File // the package's non-test files
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
@@ -63,12 +67,6 @@ type Diagnostic struct {
 	AnalyzerName string
 	Pos          token.Pos
 	Message      string
-
-	// Suppressed marks a finding silenced by a //provlint:ignore
-	// directive. RunAnalyzers drops suppressed findings; RunAnalyzersAll
-	// keeps them with this flag set so machine-readable output (the
-	// -json mode) can show what the directives hide.
-	Suppressed bool
 }
 
 // Report records one finding.
@@ -87,76 +85,40 @@ func (p *Pass) Position(pos token.Pos) token.Position {
 	return p.Fset.Position(pos)
 }
 
-// InTestFile reports whether pos falls in a _test.go file. The provlint
-// contracts protect production paths; tests legitimately reach around
-// them (raw os for fixtures, deliberately dropped errors), so most
-// analyzers skip test files wholesale.
-func (p *Pass) InTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
-}
-
-// RunAnalyzers applies every analyzer to the package, filters the
-// findings through //provlint:ignore directives, appends a diagnostic
-// for each malformed directive, and returns everything sorted by
-// position. It is the shared core of the unitchecker driver and the
-// analysistest harness, so suppression semantics cannot drift between
-// CI and the analyzer tests.
-func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Diagnostic, error) {
-	all, err := RunAnalyzersAll(fset, files, pkg, info, analyzers)
-	if err != nil {
-		return nil, err
-	}
-	kept := all[:0]
-	for _, d := range all {
-		if !d.Suppressed {
-			kept = append(kept, d)
-		}
-	}
-	return kept, nil
-}
-
-// RunAnalyzersAll is RunAnalyzers without the suppression filter:
-// findings silenced by //provlint:ignore directives are returned too,
-// marked Suppressed, in the same position-sorted order. The -json mode
-// uses it so tooling can audit what the directives hide.
-func RunAnalyzersAll(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Diagnostic, error) {
+// RunAnalyzers applies every analyzer to the package's non-test
+// files, drops the findings //provlint:ignore directives silence, and
+// returns the rest sorted by position, together with a diagnostic for
+// each malformed directive (in the test files too) and for each
+// directive that silenced nothing although every analyzer it names
+// ran. The module's TestLint and the analysistest harness both run
+// through it, so suppression semantics cannot drift between the tree
+// and the analyzer tests.
+func RunAnalyzers(fset *token.FileSet, pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer:  a,
 			Fset:      fset,
-			Files:     files,
-			Pkg:       pkg,
-			TypesInfo: info,
+			Files:     pkg.Files,
+			Pkg:       pkg.Types,
+			TypesInfo: pkg.Info,
 			report:    func(d Diagnostic) { diags = append(diags, d) },
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("analyzer %s: %w", a.Name, err)
 		}
 	}
-	sup := ScanSuppressions(fset, files)
-	for i := range diags {
-		diags[i].Suppressed = sup.Suppressed(diags[i].AnalyzerName, fset.Position(diags[i].Pos))
-	}
+	sup := ScanSuppressions(fset, pkg.Files)
+	diags = slices.DeleteFunc(diags, func(d Diagnostic) bool {
+		return sup.Suppressed(d.AnalyzerName, fset.Position(d.Pos))
+	})
 	diags = append(diags, sup.Malformed...)
-	sort.Slice(diags, func(i, j int) bool {
-		pi, pj := fset.Position(diags[i].Pos), fset.Position(diags[j].Pos)
-		if pi.Filename != pj.Filename {
-			return pi.Filename < pj.Filename
-		}
-		if pi.Line != pj.Line {
-			return pi.Line < pj.Line
-		}
-		if pi.Column != pj.Column {
-			return pi.Column < pj.Column
-		}
-		return diags[i].Message < diags[j].Message
+	diags = append(diags, sup.Unused(analyzers)...)
+	diags = append(diags, ScanSuppressions(fset, pkg.TestFiles).Malformed...)
+	slices.SortFunc(diags, func(a, b Diagnostic) int {
+		pa, pb := fset.Position(a.Pos), fset.Position(b.Pos)
+		return cmp.Or(strings.Compare(pa.Filename, pb.Filename), cmp.Compare(pa.Line, pb.Line),
+			cmp.Compare(pa.Column, pb.Column), strings.Compare(a.Message, b.Message))
 	})
 	return diags, nil
-}
-
-// TypesSizes returns the standard gc sizes model used when
-// type-checking for analysis.
-func TypesSizes(goarch string) types.Sizes {
-	return types.SizesFor("gc", goarch)
 }

@@ -6,8 +6,9 @@
 // Fixtures are self-contained: imports resolve against testdata/src
 // only (including stubs for "os", "fmt", and the provex packages the
 // analyzers match on), never against the real module or GOROOT, so
-// the tests are hermetic and fast. A fixture line expects diagnostics
-// with a trailing comment:
+// the tests are hermetic and fast. As on the module, a fixture's
+// _test.go files are parsed for their directives and never analyzed.
+// A fixture line expects diagnostics with a trailing comment:
 //
 //	f, _ := os.Create("x") // want `os\.Create bypasses`
 //
@@ -17,15 +18,10 @@
 package analysistest
 
 import (
-	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"go/types"
-	"os"
-	"path/filepath"
 	"regexp"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -36,116 +32,31 @@ import (
 // TestDataDir is where fixture packages live, relative to the test.
 const TestDataDir = "testdata/src"
 
-// Run loads each fixture package (a directory under testdata/src),
-// type-checks it hermetically, applies the analyzer (including the
-// shared //provlint:ignore suppression pass), and compares
-// diagnostics against the // want expectations.
+// Run loads the fixture tree under testdata/src with analysis.Load
+// (imports resolve inside it only), applies the analyzer to each named
+// package through analysis.RunAnalyzers (including the shared
+// //provlint:ignore suppression pass), and compares diagnostics against
+// the // want expectations of its files, test files included.
 func Run(t *testing.T, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
+	fset := token.NewFileSet()
+	pkgs, err := analysis.Load(fset, TestDataDir, "", nil)
+	if err != nil {
+		t.Fatalf("loading the fixtures: %v", err)
+	}
 	for _, pkgPath := range pkgPaths {
 		t.Run(a.Name+"/"+pkgPath, func(t *testing.T) {
-			runOne(t, a, pkgPath)
+			i := slices.IndexFunc(pkgs, func(p *analysis.Package) bool { return p.Path == pkgPath })
+			if i < 0 {
+				t.Fatalf("no fixture package %q under %s", pkgPath, TestDataDir)
+			}
+			diags, err := analysis.RunAnalyzers(fset, pkgs[i], []*analysis.Analyzer{a})
+			if err != nil {
+				t.Fatalf("running %s on %q: %v", a.Name, pkgPath, err)
+			}
+			checkWants(t, fset, slices.Concat(pkgs[i].Files, pkgs[i].TestFiles), diags)
 		})
 	}
-}
-
-func runOne(t *testing.T, a *analysis.Analyzer, pkgPath string) {
-	t.Helper()
-	imp := &fixtureImporter{
-		root:     TestDataDir,
-		fset:     token.NewFileSet(),
-		packages: make(map[string]*fixturePkg),
-	}
-	fp, err := imp.load(pkgPath)
-	if err != nil {
-		t.Fatalf("loading fixture package %q: %v", pkgPath, err)
-	}
-	diags, err := analysis.RunAnalyzers(imp.fset, fp.files, fp.pkg, fp.info, []*analysis.Analyzer{a})
-	if err != nil {
-		t.Fatalf("running %s on %q: %v", a.Name, pkgPath, err)
-	}
-	checkWants(t, imp.fset, fp.files, diags)
-}
-
-// fixturePkg is one loaded fixture package.
-type fixturePkg struct {
-	files []*ast.File
-	pkg   *types.Package
-	info  *types.Info
-}
-
-// fixtureImporter type-checks fixture packages rooted at testdata/src,
-// resolving imports recursively against the same tree.
-type fixtureImporter struct {
-	root     string
-	fset     *token.FileSet
-	packages map[string]*fixturePkg
-	loading  []string // cycle detection
-}
-
-var _ types.Importer = (*fixtureImporter)(nil)
-
-func (fi *fixtureImporter) Import(path string) (*types.Package, error) {
-	fp, err := fi.load(path)
-	if err != nil {
-		return nil, err
-	}
-	return fp.pkg, nil
-}
-
-func (fi *fixtureImporter) load(path string) (*fixturePkg, error) {
-	if fp, ok := fi.packages[path]; ok {
-		return fp, nil
-	}
-	for _, p := range fi.loading {
-		if p == path {
-			return nil, fmt.Errorf("fixture import cycle through %q", path)
-		}
-	}
-	fi.loading = append(fi.loading, path)
-	defer func() { fi.loading = fi.loading[:len(fi.loading)-1] }()
-
-	dir := filepath.Join(fi.root, filepath.FromSlash(path))
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("fixture package %q is not stubbed under %s: %w", path, fi.root, err)
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, fmt.Errorf("fixture package %q has no .go files", path)
-	}
-	var files []*ast.File
-	for _, name := range names {
-		f, err := parser.ParseFile(fi.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-	}
-	conf := &types.Config{
-		Importer: fi,
-		Sizes:    analysis.TypesSizes("amd64"),
-	}
-	pkg, err := conf.Check(path, fi.fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("typechecking fixture %q: %w", path, err)
-	}
-	fp := &fixturePkg{files: files, pkg: pkg, info: info}
-	fi.packages[path] = fp
-	return fp, nil
 }
 
 // want is one expectation: a regexp at a file:line.

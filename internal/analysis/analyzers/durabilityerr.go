@@ -116,9 +116,6 @@ func runDurabilityErr(pass *analysis.Pass) error {
 		return call
 	}
 	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch stmt := n.(type) {
 			case *ast.ExprStmt:

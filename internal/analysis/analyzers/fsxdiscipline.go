@@ -66,9 +66,6 @@ func runFsxDiscipline(pass *analysis.Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {

@@ -84,9 +84,6 @@ func runLockGuard(pass *analysis.Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {

@@ -134,13 +134,6 @@ func runMetricsReg(pass *analysis.Pass) error {
 	candidates := make(map[types.Object]*candidate)
 	salvaged := make(map[types.Object]bool)
 
-	var files []*ast.File
-	for _, f := range pass.Files {
-		if !pass.InTestFile(f.Pos()) {
-			files = append(files, f)
-		}
-	}
-
 	// Pass 1: collect candidates — instrument-typed struct fields and
 	// variables declared in this package's non-test files. A variable
 	// initialised from a non-construction expression (a call such as
@@ -160,7 +153,7 @@ func runMetricsReg(pass *analysis.Pass) error {
 		}
 		candidates[obj] = &candidate{pos: id.Pos(), typeName: tn, what: what}
 	}
-	walkWithStack(files, func(n ast.Node, stack []ast.Node) bool {
+	walkWithStack(pass.Files, func(n ast.Node, stack []ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.StructType:
 			for _, field := range x.Fields.List {
@@ -198,7 +191,7 @@ func runMetricsReg(pass *analysis.Pass) error {
 	// Pass 2: classify every use. Anything other than (a) calling the
 	// instrument's own methods and (b) re-assigning it from a bare
 	// construction counts as potentially reaching a registration.
-	walkWithStack(files, func(n ast.Node, stack []ast.Node) bool {
+	walkWithStack(pass.Files, func(n ast.Node, stack []ast.Node) bool {
 		id, ok := n.(*ast.Ident)
 		if !ok {
 			return true

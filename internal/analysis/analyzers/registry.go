@@ -1,7 +1,8 @@
 // Package analyzers holds the provlint analyzer suite. Each analyzer
 // encodes one contract this repo's earlier PRs established at runtime
-// and promotes it to a build-time check; registry.go is the single
-// list the provlint binary, the meta-test, and the docs all key off.
+// and promotes it to a check every go test of the module runs;
+// registry.go is the single list the module's TestLint, the meta-test,
+// and the docs all key off.
 package analyzers
 
 import "provex/internal/analysis"

@@ -36,9 +36,6 @@ _test.go files are exempt.`,
 
 func runSendAfterClose(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:

@@ -1,5 +1,6 @@
-// Test files are exempt from fsxdiscipline: raw os here carries no
-// want comments and must produce no diagnostics.
+// Test files are exempt from every analyzer: the loader parses them for
+// their directives only, so raw os here carries no want comments and
+// must produce no diagnostics.
 package fixture
 
 import "os"

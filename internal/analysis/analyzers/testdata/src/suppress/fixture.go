@@ -1,7 +1,7 @@
 // Package fixture exercises the //provlint:ignore directive: a
 // suppressed violation draws no diagnostic, a directive naming a
-// different analyzer does not apply, and an unsuppressed twin still
-// fires.
+// different analyzer does not apply, an unsuppressed twin still fires,
+// and a directive that silences nothing is itself reported.
 package fixture
 
 import "os"
@@ -27,4 +27,13 @@ func multi(dir string) error {
 	//provlint:ignore fsxdiscipline suppressed line
 	os.RemoveAll(dir)
 	return os.RemoveAll(dir) // want `os\.RemoveAll bypasses the fsx fault-injection boundary`
+}
+
+// A directive over a line with no finding silences nothing: it is
+// reported, since it would hide whatever finding later lands there.
+// One that names an analyzer that did not run (otheranalyzer, above)
+// is left alone.
+func clean(dir string) string {
+	//provlint:ignore fsxdiscipline nothing below bypasses fsx // want `//provlint:ignore fsxdiscipline silences no finding`
+	return dir
 }

@@ -29,7 +29,8 @@ func (g *gauge) wrongAnalyzer() int {
 }
 
 func (g *gauge) outOfRange() int {
-	//provlint:ignore lockguard directive two lines up reaches only one line down
+	// The directive is then reported too: it silences nothing.
+	//provlint:ignore lockguard directive two lines up reaches only one line down // want `//provlint:ignore lockguard silences no finding`
 
 	return g.v // want `read of g\.v without g\.mu held`
 }

@@ -39,9 +39,6 @@ shape is checkable on every build. _test.go files are exempt.`,
 
 func runWgBalance(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
 		// Check 1: Add inside a go-launched closure.
 		walkWithStack([]*ast.File{f}, func(n ast.Node, stack []ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)

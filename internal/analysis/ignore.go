@@ -10,27 +10,33 @@
 // the line directly below it (comment above the statement). A
 // directive with no analyzer name or no reason is itself reported —
 // an unexplained suppression is exactly the kind of silent contract
-// erosion provlint exists to stop.
+// erosion provlint exists to stop — and so is one that silences no
+// finding although every analyzer it names ran: it would hide, unseen,
+// whatever finding later lands on its line.
 
 package analysis
 
 import (
 	"go/ast"
 	"go/token"
+	"slices"
 	"strings"
 )
 
 const ignorePrefix = "provlint:ignore"
 
 type directive struct {
+	pos       token.Pos
 	analyzers []string
+	used      bool // it silenced a finding
 }
 
 // Suppressions is the per-package index of //provlint:ignore
 // directives, built once and consulted for every diagnostic.
 type Suppressions struct {
 	// byLine maps filename → line → directives covering that line.
-	byLine map[string]map[int][]directive
+	byLine map[string]map[int][]*directive
+	all    []*directive // in comment order
 	// Malformed holds one diagnostic per syntactically bad directive.
 	Malformed []Diagnostic
 }
@@ -38,7 +44,7 @@ type Suppressions struct {
 // ScanSuppressions walks every comment in files and indexes the
 // ignore directives.
 func ScanSuppressions(fset *token.FileSet, files []*ast.File) *Suppressions {
-	s := &Suppressions{byLine: make(map[string]map[int][]directive)}
+	s := &Suppressions{byLine: make(map[string]map[int][]*directive)}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -58,10 +64,11 @@ func ScanSuppressions(fset *token.FileSet, files []*ast.File) *Suppressions {
 					})
 					continue
 				}
-				d := directive{analyzers: strings.Split(fields[0], ",")}
+				d := &directive{pos: c.Pos(), analyzers: strings.Split(fields[0], ",")}
+				s.all = append(s.all, d)
 				pos := fset.Position(c.Pos())
 				if s.byLine[pos.Filename] == nil {
-					s.byLine[pos.Filename] = make(map[int][]directive)
+					s.byLine[pos.Filename] = make(map[int][]*directive)
 				}
 				// A trailing comment excuses its own line; a comment on
 				// its own line excuses the statement below. Both are
@@ -76,14 +83,37 @@ func ScanSuppressions(fset *token.FileSet, files []*ast.File) *Suppressions {
 }
 
 // Suppressed reports whether a diagnostic from the named analyzer at
-// pos is covered by a directive.
+// pos is covered by a directive, and marks the covering directives
+// used.
 func (s *Suppressions) Suppressed(analyzer string, pos token.Position) bool {
+	hit := false
 	for _, d := range s.byLine[pos.Filename][pos.Line] {
-		for _, name := range d.analyzers {
-			if name == analyzer {
-				return true
-			}
+		if slices.Contains(d.analyzers, analyzer) {
+			d.used = true
+			hit = true
 		}
 	}
-	return false
+	return hit
+}
+
+// Unused returns a diagnostic for each directive that Suppressed never
+// matched although every analyzer it names is one of ran. A directive
+// naming an analyzer that did not run is left alone: it may silence
+// that analyzer's findings.
+func (s *Suppressions) Unused(ran []*Analyzer) []Diagnostic {
+	notRun := func(name string) bool {
+		return !slices.ContainsFunc(ran, func(a *Analyzer) bool { return a.Name == name })
+	}
+	var out []Diagnostic
+	for _, d := range s.all {
+		if d.used || slices.ContainsFunc(d.analyzers, notRun) {
+			continue
+		}
+		out = append(out, Diagnostic{
+			AnalyzerName: "provlint",
+			Pos:          d.pos,
+			Message:      "//provlint:ignore " + strings.Join(d.analyzers, ",") + " silences no finding: delete the directive",
+		})
+	}
+	return out
 }

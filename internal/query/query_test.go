@@ -165,6 +165,52 @@ func TestFreshnessBreaksTies(t *testing.T) {
 	}
 }
 
+// TestEq7TieBreak: two bundles on one Eq. 7 score rank by bundle ID,
+// lower first, on one engine (searchBundles' sort) and across a node's
+// engines (merge). The two messages share the queried keyword and
+// their date, and their hard indicants differ, so they never join and
+// score alike. On the two-engine node the lower ID is on the later
+// engine, so the engines' order alone would rank them the other way.
+func TestEq7TieBreak(t *testing.T) {
+	tied := []*tweet.Message{
+		tweet.Parse(2, "b", base, "concert tonight amazing #east_stage"),
+		tweet.Parse(3, "c", base, "concert lineup revealed #west_stage"),
+	}
+	check := func(t *testing.T, p *Processor, want []bundle.ID) {
+		t.Helper()
+		hits := p.SearchBundles("concert", 10)
+		if len(hits) != 2 {
+			t.Fatalf("hits = %v, want the 2 tied bundles", hits)
+		}
+		if hits[0].Score != hits[1].Score {
+			t.Fatalf("scores %v and %v differ: nothing ties", hits[0].Score, hits[1].Score)
+		}
+		if got := []bundle.ID{hits[0].ID, hits[1].ID}; got[0] != want[0] || got[1] != want[1] {
+			t.Errorf("tied bundles ranked %v, want %v (lower ID first)", got, want)
+		}
+	}
+	t.Run("one engine", func(t *testing.T) {
+		p := New(core.New(core.FullIndexConfig(), nil, nil), DefaultOptions())
+		for _, m := range tied {
+			p.Insert(m)
+		}
+		check(t, p, []bundle.ID{1, 2})
+	})
+	t.Run("two engines", func(t *testing.T) {
+		engs := make([]*core.Engine, 2)
+		for i := range engs {
+			cfg := core.FullIndexConfig()
+			cfg.Pool.IDStart, cfg.Pool.IDStride = bundle.ID(i+1), 2
+			engs[i] = core.New(cfg, nil, nil)
+		}
+		// Engine 0 holds bundles 1 and 3, engine 1 bundle 2.
+		engs[0].Insert(tweet.Parse(1, "a", base, "weather sunny #forecast"))
+		engs[0].Insert(tied[0])
+		engs[1].Insert(tied[1])
+		check(t, NewNode(engs, DefaultOptions()), []bundle.ID{2, 3})
+	})
+}
+
 func TestTrail(t *testing.T) {
 	p := newGameProcessor(t)
 	hits := p.SearchBundles("redsox", 1)

@@ -710,6 +710,5 @@ func (r *Replica) backoff(attempt int) time.Duration {
 	if d > r.opts.BackoffCap {
 		d = r.opts.BackoffCap
 	}
-	//provlint:ignore hotpathalloc not a hot path: one backoff per failed fetch
 	return time.Duration((0.5 + rand.Float64()/2) * float64(d))
 }
