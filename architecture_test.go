@@ -169,7 +169,7 @@ func (m *module) eachFile(fn func(p *analysis.Package, path string, f *ast.File)
 func TestLint(t *testing.T) {
 	m := loadModule(t)
 	for _, p := range m.pkgs {
-		diags, err := analysis.RunAnalyzers(m.fset, p, analyzers.All())
+		diags, err := analysis.RunAnalyzers(m.fset, p, analyzers.All(), analyzers.All())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -278,8 +278,9 @@ restart_clean build 3000 -live -ckpt "$state/engine.ckpt" -addr "$loop_addr"
 # A state directory with an older checkpoint beside a WAL is refused:
 # provserve exits non-zero naming the version, and leaves every byte of
 # it as it was. v2 is the layout before the checkpoint became frames, v3
-# the frames over bundle codec v1 (every node's keywords stored).
-for v in 2 3; do
+# the frames over bundle codec v1 (every node's keywords stored), v4 the
+# frames over bundle codec v2 (every node's edge score stored).
+for v in 2 3 4; do
     echo "== provserve refuses a v$v checkpoint, state untouched =="
     state="$obs_tmp/v$v"
     mkdir -p "$state/engine.ckpt.wal"

@@ -21,7 +21,6 @@ import (
 	"provex/internal/eval"
 	"provex/internal/gen"
 	"provex/internal/query"
-	"provex/internal/score"
 	"provex/internal/server"
 	"provex/internal/storage"
 	"provex/internal/stream"
@@ -188,7 +187,7 @@ func TestStoreRecoveryAfterEngineRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before[id] = b.AppendMarshal(nil, score.DefaultMessageWeights())
+		before[id] = b.AppendMarshal(nil)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -207,7 +206,7 @@ func TestStoreRecoveryAfterEngineRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Get(%d) after reopen: %v", id, err)
 		}
-		if !bytes.Equal(b.AppendMarshal(nil, score.DefaultMessageWeights()), want) {
+		if !bytes.Equal(b.AppendMarshal(nil), want) {
 			t.Fatalf("bundle %d bytes differ after reopen", id)
 		}
 	}

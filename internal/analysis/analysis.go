@@ -20,8 +20,9 @@
 //	//provlint:ignore <analyzer>[,<analyzer>] <reason>
 //
 // on the offending line or the line directly above it. The reason is
-// mandatory; a directive without one, or one that silences nothing, is
-// itself reported. See ignore.go.
+// mandatory; a directive without one, one that names no analyzer of the
+// suite, or one that silences nothing, is itself reported. See
+// ignore.go.
 package analysis
 
 import (
@@ -88,12 +89,13 @@ func (p *Pass) Position(pos token.Pos) token.Position {
 // RunAnalyzers applies every analyzer to the package's non-test
 // files, drops the findings //provlint:ignore directives silence, and
 // returns the rest sorted by position, together with a diagnostic for
-// each malformed directive (in the test files too) and for each
-// directive that silenced nothing although every analyzer it names
-// ran. The module's TestLint and the analysistest harness both run
-// through it, so suppression semantics cannot drift between the tree
-// and the analyzer tests.
-func RunAnalyzers(fset *token.FileSet, pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+// each malformed directive (in the test files too), for each directive
+// that names an analyzer outside suite, the analyzers that exist, and
+// for each that silenced nothing although every analyzer it names ran.
+// The module's TestLint and the analysistest harness both run through
+// it, so suppression semantics cannot drift between the tree and the
+// analyzer tests.
+func RunAnalyzers(fset *token.FileSet, pkg *Package, suite, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -113,7 +115,7 @@ func RunAnalyzers(fset *token.FileSet, pkg *Package, analyzers []*Analyzer) ([]D
 		return sup.Suppressed(d.AnalyzerName, fset.Position(d.Pos))
 	})
 	diags = append(diags, sup.Malformed...)
-	diags = append(diags, sup.Unused(analyzers)...)
+	diags = append(diags, sup.Unused(suite, analyzers)...)
 	diags = append(diags, ScanSuppressions(fset, pkg.TestFiles).Malformed...)
 	slices.SortFunc(diags, func(a, b Diagnostic) int {
 		pa, pb := fset.Position(a.Pos), fset.Position(b.Pos)

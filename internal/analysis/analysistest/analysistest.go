@@ -35,9 +35,10 @@ const TestDataDir = "testdata/src"
 // Run loads the fixture tree under testdata/src with analysis.Load
 // (imports resolve inside it only), applies the analyzer to each named
 // package through analysis.RunAnalyzers (including the shared
-// //provlint:ignore suppression pass), and compares diagnostics against
-// the // want expectations of its files, test files included.
-func Run(t *testing.T, a *analysis.Analyzer, pkgPaths ...string) {
+// //provlint:ignore suppression pass, whose directives may name any
+// analyzer of suite), and compares diagnostics against the // want
+// expectations of its files, test files included.
+func Run(t *testing.T, suite []*analysis.Analyzer, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	fset := token.NewFileSet()
 	pkgs, err := analysis.Load(fset, TestDataDir, "", nil)
@@ -50,7 +51,7 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgPaths ...string) {
 			if i < 0 {
 				t.Fatalf("no fixture package %q under %s", pkgPath, TestDataDir)
 			}
-			diags, err := analysis.RunAnalyzers(fset, pkgs[i], []*analysis.Analyzer{a})
+			diags, err := analysis.RunAnalyzers(fset, pkgs[i], suite, []*analysis.Analyzer{a})
 			if err != nil {
 				t.Fatalf("running %s on %q: %v", a.Name, pkgPath, err)
 			}

@@ -10,39 +10,39 @@ import (
 )
 
 func TestFsxDiscipline(t *testing.T) {
-	analysistest.Run(t, FsxDiscipline, "fsxdiscipline")
+	analysistest.Run(t, All(), FsxDiscipline, "fsxdiscipline")
 }
 
 func TestDurabilityErr(t *testing.T) {
-	analysistest.Run(t, DurabilityErr, "durabilityerr",
+	analysistest.Run(t, All(), DurabilityErr, "durabilityerr",
 		"provex/internal/shard", "provex/internal/repl")
 }
 
 func TestMetricsReg(t *testing.T) {
-	analysistest.Run(t, MetricsReg, "metricsreg")
+	analysistest.Run(t, All(), MetricsReg, "metricsreg")
 }
 
 func TestHotPathAlloc(t *testing.T) {
-	analysistest.Run(t, HotPathAlloc, "hotpathalloc")
+	analysistest.Run(t, All(), HotPathAlloc, "hotpathalloc")
 }
 
 func TestLockGuard(t *testing.T) {
-	analysistest.Run(t, LockGuard, "lockguard")
+	analysistest.Run(t, All(), LockGuard, "lockguard")
 }
 
 func TestWgBalance(t *testing.T) {
-	analysistest.Run(t, WgBalance, "wgbalance")
+	analysistest.Run(t, All(), WgBalance, "wgbalance")
 }
 
 func TestSendAfterClose(t *testing.T) {
-	analysistest.Run(t, SendAfterClose, "sendafterclose")
+	analysistest.Run(t, All(), SendAfterClose, "sendafterclose")
 }
 
 // TestSuppression runs fsxdiscipline over a fixture where some
 // violations carry //provlint:ignore directives: suppressed lines must
 // stay silent, mismatched or out-of-range directives must not.
 func TestSuppression(t *testing.T) {
-	analysistest.Run(t, FsxDiscipline, "suppress")
+	analysistest.Run(t, All(), FsxDiscipline, "suppress")
 }
 
 // TestSuppressionConcurrency proves the ignore scanner composes with
@@ -50,7 +50,7 @@ func TestSuppression(t *testing.T) {
 // exactly the lines they cover, and mismatched analyzer names or
 // out-of-range directives leave the finding live.
 func TestSuppressionConcurrency(t *testing.T) {
-	analysistest.Run(t, LockGuard, "suppresslock")
+	analysistest.Run(t, All(), LockGuard, "suppresslock")
 }
 
 // TestParseGuardedBy pins the annotation grammar the lockguard

@@ -1,7 +1,8 @@
 // Package fixture exercises the //provlint:ignore directive: a
 // suppressed violation draws no diagnostic, a directive naming a
 // different analyzer does not apply, an unsuppressed twin still fires,
-// and a directive that silences nothing is itself reported.
+// and a directive that silences nothing, or names no analyzer, is
+// itself reported.
 package fixture
 
 import "os"
@@ -14,7 +15,7 @@ func cleanup(dir string) {
 
 	os.RemoveAll(dir) // want `os\.RemoveAll bypasses the fsx fault-injection boundary`
 
-	//provlint:ignore otheranalyzer directive names a different analyzer, so this still fires
+	//provlint:ignore otheranalyzer names no analyzer, so this still fires // want `//provlint:ignore names otheranalyzer, which is no analyzer`
 	os.RemoveAll(dir) // want `os\.RemoveAll bypasses the fsx fault-injection boundary`
 }
 
@@ -31,7 +32,7 @@ func multi(dir string) error {
 
 // A directive over a line with no finding silences nothing: it is
 // reported, since it would hide whatever finding later lands there.
-// One that names an analyzer that did not run (otheranalyzer, above)
+// One that names an analyzer that did not run (durabilityerr, above)
 // is left alone.
 func clean(dir string) string {
 	//provlint:ignore fsxdiscipline nothing below bypasses fsx // want `//provlint:ignore fsxdiscipline silences no finding`

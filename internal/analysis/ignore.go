@@ -10,9 +10,10 @@
 // the line directly below it (comment above the statement). A
 // directive with no analyzer name or no reason is itself reported —
 // an unexplained suppression is exactly the kind of silent contract
-// erosion provlint exists to stop — and so is one that silences no
-// finding although every analyzer it names ran: it would hide, unseen,
-// whatever finding later lands on its line.
+// erosion provlint exists to stop — and so is one that names an
+// analyzer that does not exist (a typo silences nothing), and one that
+// silences no finding although every analyzer it names ran: it would
+// hide, unseen, whatever finding later lands on its line.
 
 package analysis
 
@@ -96,24 +97,26 @@ func (s *Suppressions) Suppressed(analyzer string, pos token.Position) bool {
 	return hit
 }
 
-// Unused returns a diagnostic for each directive that Suppressed never
-// matched although every analyzer it names is one of ran. A directive
-// naming an analyzer that did not run is left alone: it may silence
+// Unused returns a diagnostic for each directive that names an
+// analyzer outside suite, and for each that Suppressed never matched
+// although every analyzer it names is one of ran. A directive naming an
+// analyzer of the suite that did not run is left alone: it may silence
 // that analyzer's findings.
-func (s *Suppressions) Unused(ran []*Analyzer) []Diagnostic {
-	notRun := func(name string) bool {
-		return !slices.ContainsFunc(ran, func(a *Analyzer) bool { return a.Name == name })
+func (s *Suppressions) Unused(suite, ran []*Analyzer) []Diagnostic {
+	notIn := func(set []*Analyzer) func(string) bool {
+		return func(name string) bool {
+			return !slices.ContainsFunc(set, func(a *Analyzer) bool { return a.Name == name })
+		}
 	}
 	var out []Diagnostic
 	for _, d := range s.all {
-		if d.used || slices.ContainsFunc(d.analyzers, notRun) {
+		msg := "//provlint:ignore " + strings.Join(d.analyzers, ",") + " silences no finding: delete the directive"
+		if i := slices.IndexFunc(d.analyzers, notIn(suite)); i >= 0 {
+			msg = "//provlint:ignore names " + d.analyzers[i] + ", which is no analyzer"
+		} else if d.used || slices.ContainsFunc(d.analyzers, notIn(ran)) {
 			continue
 		}
-		out = append(out, Diagnostic{
-			AnalyzerName: "provlint",
-			Pos:          d.pos,
-			Message:      "//provlint:ignore " + strings.Join(d.analyzers, ",") + " silences no finding: delete the directive",
-		})
+		out = append(out, Diagnostic{AnalyzerName: "provlint", Pos: d.pos, Message: msg})
 	}
 	return out
 }

@@ -100,7 +100,7 @@ func TestMalformedDirectiveInTestFileFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := RunAnalyzers(fset, pkgs[0], nil)
+	diags, err := RunAnalyzers(fset, pkgs[0], nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

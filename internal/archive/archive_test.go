@@ -45,7 +45,7 @@ func TestNoteAndSearch(t *testing.T) {
 	a, st := openArchive(t)
 	for id, topic := range map[bundle.ID]string{1: "tsunami", 2: "baseball", 3: "election"} {
 		b := topicBundle(id, topic, 4)
-		if err := st.Put(b, weights); err != nil {
+		if err := st.Put(b); err != nil {
 			t.Fatal(err)
 		}
 		a.Note(b)
@@ -83,7 +83,7 @@ func TestOpenRecoversExistingStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := bundle.ID(1); id <= 5; id++ {
-		if err := st.Put(topicBundle(id, "storm", 3), weights); err != nil {
+		if err := st.Put(topicBundle(id, "storm", 3)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -109,11 +109,11 @@ func TestOpenRecoversExistingStore(t *testing.T) {
 func TestNoteSupersede(t *testing.T) {
 	a, st := openArchive(t)
 	b1 := topicBundle(1, "quake", 2)
-	st.Put(b1, weights)
+	st.Put(b1)
 	a.Note(b1)
 	// Re-flush the same bundle grown bigger and re-topiced.
 	b2 := topicBundle(1, "aftershock", 6)
-	st.Put(b2, weights)
+	st.Put(b2)
 	a.Note(b2)
 	if a.Len() != 1 {
 		t.Fatalf("Len after supersede = %d", a.Len())
@@ -138,9 +138,9 @@ func TestSearchRanking(t *testing.T) {
 		m := tweet.Parse(tweet.ID(200+i), "u", base.Add(time.Duration(i)*time.Minute), text)
 		mixed.AddScratch(weights, score.NewDoc(m), nil, nil)
 	}
-	st.Put(b1, weights)
+	st.Put(b1)
 	a.Note(b1)
-	st.Put(mixed, weights)
+	st.Put(mixed)
 	a.Note(mixed)
 
 	hits := a.Search([]string{"flood"}, 5)

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 
 	"provex/internal/metrics"
@@ -18,18 +17,17 @@ import (
 //
 //	magic byte 0xB5, version byte
 //	bundle id, closed flag, node count
-//	per node: parent+1 (so NoParent encodes as 0), the edge's Eq. 5
-//	          score (float64 bits; written from the weights, never read),
-//	          conn type, the raw message fields (tweet.AppendRaw: id,
-//	          unix-nano date, user, text)
+//	per node: parent+1 (so NoParent encodes as 0), conn type, the raw
+//	          message fields (tweet.AppendRaw: id, unix-nano date, user,
+//	          text)
 //
-// Apart from the score, which keeps the format as it was when nodes
-// stored it, a node stores only what cannot be derived. Its indicants —
+// A node stores only what cannot be derived. Its edge's Eq. 5 score is
+// a function of its two nodes (EdgeScore), and its indicants —
 // hashtags, URLs, re-shared user and keywords — are functions of its
-// text, and decode rebuilds the record with score.NewDoc, the builder
-// prepare and WAL replay use: the tokenizer is deterministic and keeps
-// first occurrences in order, so a decoded node's terms equal the live
-// one's.
+// text: decode rebuilds the record with score.NewDoc, the builder
+// prepare and WAL replay use, and the tokenizer is deterministic and
+// keeps first occurrences in order, so a decoded node's terms equal the
+// live one's.
 // No term-dictionary ID is stored (another process numbers terms
 // differently). Summaries, extent and memory estimate are not stored
 // either: they are rebuilt from the nodes, which keeps the format small
@@ -37,21 +35,18 @@ import (
 
 const (
 	codecMagic   = 0xB5
-	codecVersion = 2
+	codecVersion = 3
 )
 
 // ErrCorrupt reports a structurally invalid encoded bundle.
 var ErrCorrupt = errors.New("bundle: corrupt encoding")
 
 // AppendMarshal appends the bundle's encoding to buf: the checkpoint
-// and the store encode straight into their reused frame buffers. w are
-// the weights the bundle was placed under: a node's Eq. 5 score is
-// written from them (EdgeScore), so the bytes are the ones a stored
-// score would have made.
-func (b *Bundle) AppendMarshal(buf []byte, w score.MessageWeights) []byte {
+// and the store encode straight into their reused frame buffers.
+func (b *Bundle) AppendMarshal(buf []byte) []byte {
 	buf = appendHeader(buf, b.ID(), b.closed, len(b.nodes))
-	for i, n := range b.nodes {
-		buf = appendNode(buf, n.Parent, b.EdgeScore(w, i), n.Conn, n.Doc)
+	for _, n := range b.nodes {
+		buf = appendNode(buf, n.Parent, n.Conn, n.Doc)
 	}
 	return buf
 }
@@ -72,18 +67,15 @@ func appendHeader(buf []byte, id ID, closed bool, nodes int) []byte {
 }
 
 // appendNode appends one node's encoding.
-func appendNode(buf []byte, parent int32, edge float64, conn score.ConnectionType, doc score.Doc) []byte {
+func appendNode(buf []byte, parent int32, conn score.ConnectionType, doc score.Doc) []byte {
 	buf = binary.AppendUvarint(buf, uint64(parent+1))
-	buf = binary.AppendUvarint(buf, math.Float64bits(edge))
 	buf = append(buf, byte(conn))
 	return doc.AppendRaw(buf)
 }
 
 // Unmarshal decodes an encoded bundle, rebuilding summaries, extent and
-// memory estimate from the node data. A node's score is read and
-// dropped: it is derived again from the weights the reader places
-// under. The decoded bundle satisfies Validate if the input was
-// produced by AppendMarshal.
+// memory estimate from the node data. The decoded bundle satisfies
+// Validate if the input was produced by AppendMarshal.
 func Unmarshal(data []byte) (*Bundle, error) {
 	r, err := decode(data, false)
 	return r.b, err
@@ -113,17 +105,16 @@ func decode(data []byte, records bool) (Ref, error) {
 	if id == 0 || id > MaxID {
 		return Ref{}, fmt.Errorf("%w: bundle ID %d outside 1..%d", ErrCorrupt, id, MaxID)
 	}
-	// A node takes at least 7 bytes: a byte each for parent, score,
+	// A node takes at least 6 bytes: a byte each for parent,
 	// connection, message ID, date and the two string lengths. The bound
-	// keeps the node slice made below within 16/7 of the input's size.
-	if n > uint64(len(data))/7 {
+	// keeps the node slice made below within 16/6 of the input's size.
+	if n > uint64(len(data))/6 {
 		return Ref{}, fmt.Errorf("%w: implausible node count %d", ErrCorrupt, n)
 	}
 	var out Ref
 	var b *Bundle
 	for i := uint64(0); i < n; i++ {
 		parent := int32(r.Uvarint()) - 1
-		r.Uvarint() // the score, derived on read
 		conn := score.ConnectionType(r.Byte())
 		msg := tweet.DecodeRaw(r)
 		if r.Err() != nil {

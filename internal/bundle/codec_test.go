@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -17,7 +18,7 @@ import (
 func TestMarshalRoundTrip(t *testing.T) {
 	b := buildGameBundle(t)
 	b.Close()
-	data := b.AppendMarshal(nil, weights)
+	data := b.AppendMarshal(nil)
 	got, err := Unmarshal(data)
 	if err != nil {
 		t.Fatalf("Unmarshal: %v", err)
@@ -33,7 +34,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 
 func TestMarshalEmptyBundle(t *testing.T) {
 	b := New(42)
-	got, err := Unmarshal(b.AppendMarshal(nil, weights))
+	got, err := Unmarshal(b.AppendMarshal(nil))
 	if err != nil {
 		t.Fatalf("Unmarshal empty: %v", err)
 	}
@@ -79,7 +80,7 @@ func assertBundleEqual(t *testing.T, want, got *Bundle) {
 func TestRoundTripKeepsRepresentation(t *testing.T) {
 	for _, n := range []int{1, PruneMinNodes - 1, PruneMinNodes, PruneMinNodes + 1, 200} {
 		b := buildSized(n)
-		data := b.AppendMarshal(nil, weights)
+		data := b.AppendMarshal(nil)
 		got, err := Unmarshal(data)
 		if err != nil {
 			t.Fatalf("size %d: Unmarshal: %v", n, err)
@@ -101,7 +102,7 @@ func TestRoundTripKeepsRepresentation(t *testing.T) {
 		if r != r.Compact() || r.ID() != b.ID() || r.Size() != n || r.MemBytes() > b.MemBytes() {
 			t.Errorf("size %d: Decode gave bundle %d of %d messages at %d B, compacting to another form", n, r.ID(), r.Size(), r.MemBytes())
 		}
-		if again := r.AppendMarshal(nil, weights); !bytes.Equal(again, data) {
+		if again := r.AppendMarshal(nil); !bytes.Equal(again, data) {
 			t.Errorf("size %d: the decoded form encodes to other bytes", n)
 		}
 		assertBundleEqual(t, b, r.Expand())
@@ -118,8 +119,8 @@ func TestRecordFrame(t *testing.T) {
 		want := New(id)
 		want.AddScratch(weights, m, nil, nil)
 		r := Single(id, m)
-		data := r.AppendMarshal(nil, weights)
-		if !bytes.Equal(data, want.AppendMarshal(nil, weights)) {
+		data := r.AppendMarshal(nil)
+		if !bytes.Equal(data, want.AppendMarshal(nil)) {
 			t.Fatalf("%v: the record's frame differs from the Bundle's", m)
 		}
 		got, err := Decode(data)
@@ -127,14 +128,14 @@ func TestRecordFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.Bundle() != nil || got.ID() != id || !reflect.DeepEqual(got.First().Terms(), m.Terms()) ||
-			!bytes.Equal(got.AppendMarshal(nil, weights), data) {
+			!bytes.Equal(got.AppendMarshal(nil), data) {
 			t.Errorf("%v: decoded to %+v, want the record of bundle %d", m, got, id)
 		}
 		if c := want.Ref().Compact(); c != r {
 			t.Errorf("%v: the open Bundle compacts to %+v, want the record", m, c)
 		}
 		want.Close()
-		if got, err := Decode(want.AppendMarshal(nil, weights)); err != nil || got.Bundle() == nil || !got.Closed() {
+		if got, err := Decode(want.AppendMarshal(nil)); err != nil || got.Bundle() == nil || !got.Closed() {
 			t.Errorf("%v: a closed bundle of one message decoded to %+v (%v), want a closed Bundle", m, got, err)
 		}
 		if c := want.Ref().Compact(); c.Bundle() != want {
@@ -202,7 +203,7 @@ func oneMessageDocs() []score.Doc {
 
 func TestUnmarshalRejectsCorruption(t *testing.T) {
 	b := buildGameBundle(t)
-	data := b.AppendMarshal(nil, weights)
+	data := b.AppendMarshal(nil)
 
 	cases := map[string][]byte{
 		"empty":       {},
@@ -218,11 +219,33 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestDecodeNodeCountBound: a node takes at least 6 bytes (parent,
+// connection, message ID, date and two empty strings, a byte each), so
+// a bundle of such nodes sits exactly at decode's plausibility bound
+// and decodes, and a node count one above what its bytes can hold is
+// refused before any node is read.
+func TestDecodeNodeCountBound(t *testing.T) {
+	const n = 10
+	encode := func(count byte) []byte {
+		data := []byte{codecMagic, codecVersion, 1, 1, count} // ID 1, closed
+		for range n {
+			data = append(data, 0, byte(score.ConnNone), 0, 0, 0, 0)
+		}
+		return data
+	}
+	if got, err := Decode(encode(n)); err != nil || got.Size() != n {
+		t.Fatalf("%d minimal nodes in %d bytes: Decode = %d nodes, %v", n, len(encode(n)), got.Size(), err)
+	}
+	if _, err := Decode(encode(n + 1)); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "implausible node count") {
+		t.Fatalf("a count of %d over %d bytes: err = %v, want an implausible node count", n+1, len(encode(n+1)), err)
+	}
+}
+
 // TestUnmarshalFuzzedTruncations chops the encoding at every byte
 // offset; decode must fail cleanly (never panic) on all of them.
 func TestUnmarshalFuzzedTruncations(t *testing.T) {
 	b := buildGameBundle(t)
-	data := b.AppendMarshal(nil, weights)
+	data := b.AppendMarshal(nil)
 	for i := 0; i < len(data); i++ {
 		if _, err := Unmarshal(data[:i]); err == nil {
 			t.Fatalf("truncation at %d/%d accepted", i, len(data))
@@ -234,7 +257,7 @@ func TestUnmarshalFuzzedTruncations(t *testing.T) {
 // or produce a bundle (possibly semantically different) without panic.
 func TestUnmarshalFuzzedFlips(t *testing.T) {
 	b := buildGameBundle(t)
-	data := b.AppendMarshal(nil, weights)
+	data := b.AppendMarshal(nil)
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {
 		mut := append([]byte{}, data...)
@@ -261,7 +284,7 @@ func TestRoundTripProperty(t *testing.T) {
 			m := g.Next()
 			b.AddScratch(w, score.NewDoc(m), nil, nil)
 		}
-		got, err := Unmarshal(b.AppendMarshal(nil, weights))
+		got, err := Unmarshal(b.AppendMarshal(nil))
 		if err != nil {
 			return false
 		}
@@ -279,7 +302,7 @@ func TestDecodedDatesUTC(t *testing.T) {
 	b := New(1)
 	loc := time.FixedZone("X", 3600)
 	b.AddScratch(weights, doc(1, "a", "msg #t", base.In(loc)), nil, nil)
-	got, err := Unmarshal(b.AppendMarshal(nil, weights))
+	got, err := Unmarshal(b.AppendMarshal(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +327,7 @@ func BenchmarkAppendMarshal(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf = bn.AppendMarshal(buf[:0], weights)
+		buf = bn.AppendMarshal(buf[:0])
 	}
 }
 
@@ -318,7 +341,7 @@ func BenchmarkUnmarshal(b *testing.B) {
 		m := g.Next()
 		bn.AddScratch(w, score.NewDoc(m), nil, nil)
 	}
-	data := bn.AppendMarshal(nil, weights)
+	data := bn.AppendMarshal(nil)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

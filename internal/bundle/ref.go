@@ -135,14 +135,14 @@ func (r Ref) SummaryWords(k int) []string {
 }
 
 // AppendMarshal appends the bundle's encoding to buf. A record encodes
-// as the Bundle Expand would build: open, one node, a root with a zero
-// score and no connection.
-func (r Ref) AppendMarshal(buf []byte, w score.MessageWeights) []byte {
+// as the Bundle Expand would build: open, one node, a root with no
+// connection.
+func (r Ref) AppendMarshal(buf []byte) []byte {
 	if r.b != nil {
-		return r.b.AppendMarshal(buf, w)
+		return r.b.AppendMarshal(buf)
 	}
 	buf = appendHeader(buf, r.id, false, 1)
-	return appendNode(buf, NoParent, 0, score.ConnNone, r.doc)
+	return appendNode(buf, NoParent, score.ConnNone, r.doc)
 }
 
 // Expand returns the bundle as a Bundle: the one r holds, or, for a

@@ -8,7 +8,7 @@ package core
 // is rebuilt on restore, which keeps checkpoints small and immune to
 // index-format drift.
 //
-// Format v4: the magic "PROVCKP1" and a version byte (4), then
+// Format v5: the magic "PROVCKP1" and a version byte (5), then
 // recfile frames (CRC32C) and nothing after them, so every byte past
 // the version is checksummed:
 //
@@ -24,9 +24,9 @@ package core
 //	one frame per parked flush-retry entry: uvarint attempts, then
 //	  bundle.AppendMarshal
 //
-// A bundle frame holds its messages' raw fields and no derived term. A
-// file of another version is refused at its version byte, before any
-// frame is decoded.
+// A bundle frame holds its messages' raw fields and nothing derived: no
+// term and no edge score. A file of another version is refused at its
+// version byte, before any frame is decoded.
 //
 // The parked section exists so degraded mode survives a restart: a
 // bundle evicted from the pool whose flush failed lives only in the
@@ -52,7 +52,7 @@ import (
 
 var ckptMagic = [8]byte{'P', 'R', 'O', 'V', 'C', 'K', 'P', '1'}
 
-const ckptVersion = 4
+const ckptVersion = 5
 
 // maxCkptRecord caps one frame so a corrupt length field cannot drive
 // an absurd allocation during restore.
@@ -110,12 +110,12 @@ func (e *Engine) writeCheckpoint(w io.Writer) error {
 	buf = frame(buf)
 
 	e.pool.All(func(r bundle.Ref) {
-		buf = frame(r.AppendMarshal(buf, e.cfg.MsgWeights))
+		buf = frame(r.AppendMarshal(buf))
 	})
 	// Parked flush-retry entries: bundles already evicted from the pool
 	// that still await a successful flush.
 	for _, r := range e.retryq {
-		buf = frame(r.b.AppendMarshal(binary.AppendUvarint(buf, uint64(r.attempts)), e.cfg.MsgWeights))
+		buf = frame(r.b.AppendMarshal(binary.AppendUvarint(buf, uint64(r.attempts))))
 	}
 
 	if err := bw.Flush(); err != nil {

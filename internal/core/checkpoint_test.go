@@ -81,7 +81,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		if (r.Bundle() == nil) != (b.Bundle() == nil) {
 			t.Fatalf("bundle %d restored in another form", b.ID())
 		}
-		if !bytes.Equal(r.AppendMarshal(nil, score.DefaultMessageWeights()), b.AppendMarshal(nil, score.DefaultMessageWeights())) {
+		if !bytes.Equal(r.AppendMarshal(nil), b.AppendMarshal(nil)) {
 			t.Fatalf("bundle %d differs after restore", b.ID())
 		}
 		if err := r.Expand().Validate(); err != nil {
@@ -353,14 +353,15 @@ func TestCheckpointAllocationsFlat(t *testing.T) {
 	}
 }
 
-// TestGoldenCheckpoint pins the v4 checkpoint file: the golden opens
-// and, restored, saves the same bytes — node scores derived, not read —
-// and the same inserts save the same bytes. A v2 file (the layout before the header and the
-// records became frames) and a v3 file (the same frames, but bundle
-// codec v1, which stored every node's keywords) are refused by their
-// version byte, before any of them is decoded.
+// TestGoldenCheckpoint pins the v5 checkpoint file: the golden opens
+// and, restored, saves the same bytes, and the same inserts save the
+// same bytes. A v2 file (the layout before the header and the records
+// became frames), a v3 file (the same frames, but bundle codec v1,
+// which stored every node's keywords) and a v4 file (bundle codec v2,
+// which stored every node's edge score) are refused by their version
+// byte, before any of them is decoded.
 func TestGoldenCheckpoint(t *testing.T) {
-	golden, err := os.ReadFile("testdata/golden_v4.ckpt")
+	golden, err := os.ReadFile("testdata/golden_v5.ckpt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +392,7 @@ func TestGoldenCheckpoint(t *testing.T) {
 	if written, _ := mem.ReadFile("new.ckpt"); !bytes.Equal(written, golden) {
 		t.Fatalf("the same 4 inserts saved %d bytes that differ from the %d-byte golden checkpoint", len(written), len(golden))
 	}
-	for _, v := range []int{2, 3} {
+	for _, v := range []int{2, 3, 4} {
 		name := fmt.Sprintf("golden_v%d.ckpt", v)
 		data, err := os.ReadFile("testdata/" + name)
 		if err != nil {

@@ -396,7 +396,7 @@ func (e *Engine) evict(r bundle.Ref, _ pool.EvictReason, flush bool) {
 	e.index.Forget(r.ID(), e.forget)
 	if flush && e.store != nil {
 		b := r.Expand()
-		if err := e.store.Put(b, e.cfg.MsgWeights); err != nil {
+		if err := e.store.Put(b); err != nil {
 			e.park(b, err)
 			return
 		}
@@ -448,7 +448,7 @@ func (e *Engine) processRetries(force bool) {
 			continue
 		}
 		e.flushRetries.Inc()
-		err := e.store.Put(r.b, e.cfg.MsgWeights)
+		err := e.store.Put(r.b)
 		if err == nil {
 			if e.onFlush != nil {
 				e.onFlush(r.b)
@@ -499,6 +499,7 @@ func (e *Engine) Err() error { return e.flushErr }
 // applies them strictly in stream order.
 type Prepared struct {
 	Doc  score.Doc
+	Msg  *tweet.Message // the input, which the WAL logs; a batch buffer is cleared of it before reuse
 	cost time.Duration
 }
 
@@ -507,7 +508,7 @@ type Prepared struct {
 func Prepare(m *tweet.Message) Prepared {
 	start := time.Now()
 	doc := score.NewDoc(m)
-	return Prepared{Doc: doc, cost: time.Since(start)}
+	return Prepared{Doc: doc, Msg: m, cost: time.Since(start)}
 }
 
 // Insert runs Algorithm 1 for one message and returns where it landed.

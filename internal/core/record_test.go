@@ -105,7 +105,7 @@ func TestRecordFlushStoresTheBundleBytes(t *testing.T) {
 		e.evict(r, 0, true)
 		want := bundle.New(r.ID())
 		want.AddScratch(w, doc, nil, nil)
-		if err := wantStore.Put(want, w); err != nil {
+		if err := wantStore.Put(want); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -28,7 +28,6 @@ import (
 	"provex/internal/core"
 	"provex/internal/fsx"
 	"provex/internal/metrics"
-	"provex/internal/score"
 	"provex/internal/storage"
 	"provex/internal/tweet"
 	"provex/internal/wal"
@@ -137,7 +136,7 @@ func (d *Durable) Replayed() int { return d.replayed }
 // batch. Call it BEFORE applying m to the engine, and SyncWAL before
 // acknowledging it. On error the sequence is not consumed and nothing
 // of the open batch was made durable (wal.Sync).
-func (d *Durable) Log(m *score.Msg) error {
+func (d *Durable) Log(m wal.Message) error {
 	next := d.seq + 1
 	if err := d.wal.Append(next, m); err != nil {
 		return err

@@ -16,7 +16,6 @@ import (
 	"provex/internal/metrics"
 	"provex/internal/query"
 	"provex/internal/recfile"
-	"provex/internal/score"
 	"provex/internal/storage"
 	"provex/internal/tweet"
 	"provex/internal/wal"
@@ -36,7 +35,7 @@ func durableOpts(fs fsx.FS) DurableOptions {
 func feed(t *testing.T, d *Durable, msgs []*tweet.Message) {
 	t.Helper()
 	for _, m := range msgs {
-		if err := d.Log(score.NewDoc(m).Msg); err != nil {
+		if err := d.Log(m); err != nil {
 			t.Fatal(err)
 		}
 		d.Engine().Insert(m)
@@ -217,7 +216,7 @@ func TestCheckpointResyncsSeqAfterFailedLog(t *testing.T) {
 	// append fails (torn write, tail repaired) but the message still
 	// enters the engine — in memory only, not crash-safe.
 	ff.Arm(1, fsx.Fault{TornBytes: 3}, fsx.OpWrite)
-	if err := d.Log(score.NewDoc(msgs[20]).Msg); err == nil {
+	if err := d.Log(msgs[20]); err == nil {
 		t.Fatal("Log succeeded despite injected write fault")
 	}
 	ff.Disarm()
@@ -331,7 +330,7 @@ func assertEnginesEqual(t *testing.T, want, got *core.Engine) {
 	mismatches := 0
 	want.Pool().All(func(b bundle.Ref) {
 		g := got.Pool().Get(b.ID())
-		if g.IsZero() || g.Bundle() == nil != (b.Bundle() == nil) || string(g.AppendMarshal(nil, score.DefaultMessageWeights())) != string(b.AppendMarshal(nil, score.DefaultMessageWeights())) {
+		if g.IsZero() || g.Bundle() == nil != (b.Bundle() == nil) || string(g.AppendMarshal(nil)) != string(b.AppendMarshal(nil)) {
 			mismatches++
 		}
 	})
@@ -356,7 +355,7 @@ func assertStoresEqual(t *testing.T, want, got *storage.Store) {
 		if err != nil {
 			t.Fatalf("bundle %d missing: %v", id, err)
 		}
-		if string(wb.AppendMarshal(nil, score.DefaultMessageWeights())) != string(gb.AppendMarshal(nil, score.DefaultMessageWeights())) {
+		if string(wb.AppendMarshal(nil)) != string(gb.AppendMarshal(nil)) {
 			t.Fatalf("stored bundle %d differs", id)
 		}
 	}

@@ -55,7 +55,6 @@ import (
 	"provex/internal/core"
 	"provex/internal/metrics"
 	"provex/internal/query"
-	"provex/internal/score"
 	"provex/internal/trending"
 	"provex/internal/tweet"
 )
@@ -80,7 +79,7 @@ type Backend interface {
 	// the lock, so an fsync never blocks queries; a failure degrades
 	// durability but does not stop ingest. Engines that log inside Apply
 	// do nothing in either.
-	Log(m *score.Msg) error
+	Log(m *tweet.Message) error
 	Sync() error
 	// Apply ingests one prepared message; it may only buffer it. An
 	// error is the backend's to latch and report through Err.
@@ -263,6 +262,7 @@ func (s *Service) run() {
 			err = s.be.Apply(p)
 			s.mu.Unlock()
 		}
+		clear(b.msgs) // a buffer waiting for reuse keeps no input message alive
 		free <- b.msgs[:0]
 		// On an Apply error the backend has latched it; the queue keeps
 		// draining so Stop does not deadlock producers.
@@ -307,7 +307,7 @@ func (s *Service) logStage(full chan<- batch, free <-chan []core.Prepared, resum
 		for more := true; more; {
 			p := core.Prepare(m)
 			b.msgs = append(b.msgs, p)
-			if err := s.be.Log(p.Doc.Msg); err != nil {
+			if err := s.be.Log(m); err != nil {
 				// The message stays in memory but is not crash-safe:
 				// degraded durability, latched and surfaced by Err while
 				// ingest continues (availability over durability).
@@ -492,7 +492,7 @@ type serial struct {
 	applied int
 }
 
-func (b *serial) Log(m *score.Msg) error {
+func (b *serial) Log(m *tweet.Message) error {
 	if b.dur == nil {
 		return nil
 	}

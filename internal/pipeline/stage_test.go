@@ -18,7 +18,6 @@ import (
 	"provex/internal/metrics"
 	"provex/internal/promtext"
 	"provex/internal/query"
-	"provex/internal/score"
 	"provex/internal/tweet"
 	"provex/internal/wal"
 )
@@ -165,7 +164,7 @@ func TestDirectLogSyncCadence(t *testing.T) {
 		reg := metrics.NewRegistry()
 		d.RegisterMetrics(reg)
 		for _, m := range genMessages(36, 130) {
-			if err := d.Log(score.NewDoc(m).Msg); err != nil {
+			if err := d.Log(m); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -237,7 +237,7 @@ func TestEngineDropsParseOutput(t *testing.T) {
 			func(m *tweet.Message) core.Prepared {
 				src := bundle.New(1)
 				src.AddScratch(score.DefaultMessageWeights(), score.NewDoc(m), nil, nil)
-				b, err := bundle.Unmarshal(src.AppendMarshal(nil, score.DefaultMessageWeights()))
+				b, err := bundle.Unmarshal(src.AppendMarshal(nil))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -27,7 +27,6 @@ import (
 	"provex/internal/metrics"
 	"provex/internal/pipeline"
 	"provex/internal/query"
-	"provex/internal/score"
 	"provex/internal/server"
 	"provex/internal/storage"
 	"provex/internal/stream"
@@ -94,7 +93,7 @@ func (l *testLeader) ingest(count int) {
 	l.t.Helper()
 	for i := 0; i < count; i++ {
 		m := testMsg(l.n)
-		if err := l.dur.Log(score.NewDoc(m).Msg); err != nil {
+		if err := l.dur.Log(m); err != nil {
 			l.t.Fatalf("leader ingest %d: %v", l.n, err)
 		}
 		l.dur.Engine().Insert(m)
@@ -758,7 +757,7 @@ func TestDatesRenderAlikeEverywhere(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := leader.dur.Log(score.NewDoc(m).Msg); err != nil {
+			if err := leader.dur.Log(m); err != nil {
 				t.Fatal(err)
 			}
 			leader.dur.Engine().Insert(m)

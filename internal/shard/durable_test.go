@@ -17,7 +17,6 @@ import (
 	"provex/internal/core"
 	"provex/internal/fsx"
 	"provex/internal/recfile"
-	"provex/internal/score"
 	"provex/internal/tweet"
 )
 
@@ -289,7 +288,7 @@ func TestShardedTornRoundTrimmed(t *testing.T) {
 	// round protocol — exactly what a crash between phase-2 WAL syncs
 	// and the ledger append leaves behind.
 	sh := d.shards[0]
-	if err := sh.dur.Log(score.NewDoc(msgs[500]).Msg); err != nil {
+	if err := sh.dur.Log(msgs[500]); err != nil {
 		t.Fatal(err)
 	}
 	if err := sh.dur.SyncWAL(); err != nil {

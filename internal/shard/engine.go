@@ -307,6 +307,7 @@ func (e *Engine) Flush() error {
 		return nil
 	}
 	err := e.round(e.pending)
+	clear(e.pending) // the buffer keeps no input message alive
 	e.pending = e.pending[:0]
 	if err != nil {
 		e.err = err
@@ -423,7 +424,7 @@ func (e *Engine) resolve(batch []core.Prepared) error {
 		sh.err = nil
 		for _, p := range sh.assign {
 			if sh.dur != nil {
-				if err := sh.dur.Log(p.Doc.Msg); err != nil {
+				if err := sh.dur.Log(p.Msg); err != nil {
 					sh.err = err
 					return
 				}
@@ -441,6 +442,7 @@ func (e *Engine) resolve(batch []core.Prepared) error {
 	}, index)
 	e.spanCommit.Add(int64(e.maxBusy()))
 	for _, sh := range e.shards {
+		clear(sh.assign) // the buffer keeps no input message alive
 		if sh.err != nil {
 			return fmt.Errorf("shard: commit: %w", sh.err)
 		}

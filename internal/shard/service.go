@@ -15,7 +15,7 @@ import (
 	"provex/internal/core"
 	"provex/internal/pipeline"
 	"provex/internal/query"
-	"provex/internal/score"
+	"provex/internal/tweet"
 )
 
 // Service is the concurrent facade NewService returns.
@@ -56,7 +56,7 @@ type backend struct {
 	dur *Durable // nil for memory-only engines
 }
 
-func (b backend) Log(*score.Msg) error        { return nil }
+func (b backend) Log(*tweet.Message) error    { return nil }
 func (b backend) Sync() error                 { return nil }
 func (b backend) Apply(p core.Prepared) error { return b.eng.IngestPrepared(p) }
 func (b backend) Flush() error                { return b.eng.Flush() }

@@ -12,10 +12,12 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"provex/internal/bundle"
 	"provex/internal/core"
@@ -158,6 +160,21 @@ func submitAll(t *testing.T, s *Service, next func() *tweet.Message, n int) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// submitWeak submits n messages and returns weak pointers to them; the
+// messages themselves do not outlive the call.
+func submitWeak(t *testing.T, s *Service, next func() *tweet.Message, n int) []weak.Pointer[tweet.Message] {
+	t.Helper()
+	ws := make([]weak.Pointer[tweet.Message], n)
+	for i := range ws {
+		m := next()
+		ws[i] = weak.Make(m)
+		if err := s.Submit(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ws
 }
 
 // waitFor polls cond until it holds; the writer goroutine is
@@ -519,6 +536,29 @@ func TestServiceContract(t *testing.T) {
 			waitFor(t, "the partial round", func() bool { return s.Snapshot().Messages == 3 })
 			if hits := s.SearchBundles("breaking story", 1); len(hits) == 0 {
 				t.Error("applied messages not searchable before Stop")
+			}
+			if err := s.Stop(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		// A prepared message carries its input (core.Prepared.Msg) to
+		// the log, so every buffer that holds prepared messages — the
+		// stages' batches, a round's pending and per-shard lists — is
+		// cleared before reuse: an applied message's input is garbage
+		// while the node runs on.
+		{"applied inputs are not kept", false, func(t *testing.T, be contractBackend) {
+			d := be.open(t, fsx.NewMem(), pipeline.Options{})
+			defer d.close()
+			s := d.svc
+			s.Start()
+			const n = 100
+			inputs := submitWeak(t, s, smallGen(7).Next, n)
+			waitFor(t, "every message applied", func() bool { return s.Snapshot().Messages == n })
+			runtime.GC()
+			for i, w := range inputs {
+				if w.Value() != nil {
+					t.Fatalf("input %d of %d survives a forced GC after its apply", i, n)
+				}
 			}
 			if err := s.Stop(); err != nil {
 				t.Fatal(err)

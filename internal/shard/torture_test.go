@@ -27,7 +27,6 @@ import (
 	"provex/internal/core"
 	"provex/internal/fsx"
 	"provex/internal/pipeline"
-	"provex/internal/score"
 	"provex/internal/storage"
 	"provex/internal/tweet"
 )
@@ -93,7 +92,7 @@ func (s serialTortured) applied() int { return int(s.d.Engine().Snapshot().Messa
 // Service's log stage and writer do with a batch.
 func (s serialTortured) ingest(run []*tweet.Message) error {
 	for _, m := range run {
-		if err := s.d.Log(score.NewDoc(m).Msg); err != nil {
+		if err := s.d.Log(m); err != nil {
 			return err
 		}
 	}
@@ -311,7 +310,7 @@ func assertEnginesEqual(t *testing.T, i int, want, got *core.Engine) {
 	}
 	want.Pool().All(func(b bundle.Ref) {
 		g := got.Pool().Get(b.ID())
-		if g.IsZero() || g.Bundle() == nil != (b.Bundle() == nil) || string(g.AppendMarshal(nil, score.DefaultMessageWeights())) != string(b.AppendMarshal(nil, score.DefaultMessageWeights())) {
+		if g.IsZero() || g.Bundle() == nil != (b.Bundle() == nil) || string(g.AppendMarshal(nil)) != string(b.AppendMarshal(nil)) {
 			t.Fatalf("engine %d: live bundle %d differs", i, b.ID())
 		}
 	})
@@ -329,7 +328,7 @@ func assertEnginesEqual(t *testing.T, i int, want, got *core.Engine) {
 		if err != nil {
 			t.Fatalf("engine %d: stored bundle %d missing: %v", i, id, err)
 		}
-		if string(wb.AppendMarshal(nil, score.DefaultMessageWeights())) != string(gb.AppendMarshal(nil, score.DefaultMessageWeights())) {
+		if string(wb.AppendMarshal(nil)) != string(gb.AppendMarshal(nil)) {
 			t.Fatalf("engine %d: stored bundle %d differs", i, id)
 		}
 	}

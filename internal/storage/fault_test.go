@@ -39,14 +39,14 @@ func faultBundle(id bundle.ID, n int) *bundle.Bundle {
 // put stores faultBundle(id, n), which must succeed.
 func put(t *testing.T, s *Store, id bundle.ID, n int) {
 	t.Helper()
-	if err := s.Put(faultBundle(id, n), score.DefaultMessageWeights()); err != nil {
+	if err := s.Put(faultBundle(id, n)); err != nil {
 		t.Fatalf("put %d: %v", id, err)
 	}
 }
 
-// putGolden makes the four Puts behind testdata/golden_v2.bls (and,
-// in bundle codec v1, testdata/golden_pr16.bls): three bundles, the
-// second superseded.
+// putGolden makes the four Puts behind testdata/golden_v3.bls (and, in
+// bundle codec v1 and v2, testdata/golden_pr16.bls and golden_v2.bls):
+// three bundles, the second superseded.
 func putGolden(t *testing.T, s *Store) {
 	t.Helper()
 	for _, b := range [][2]int{{1, 3}, {2, 2}, {3, 4}, {2, 5}} {
@@ -111,7 +111,7 @@ func TestENOSPCMidAppend(t *testing.T) {
 	// Fail the next Put's write with ENOSPC after the frame header and
 	// some payload already landed — a torn append.
 	ff.Arm(1, fsx.Fault{Err: fsx.ErrNoSpace, TornBytes: 20}, fsx.OpWrite)
-	err := s.Put(faultBundle(2, 3), score.DefaultMessageWeights())
+	err := s.Put(faultBundle(2, 3))
 	if !errors.Is(err, fsx.ErrNoSpace) {
 		t.Fatalf("Put err = %v, want ENOSPC", err)
 	}
@@ -143,7 +143,7 @@ func TestPutRetryAfterTornAppend(t *testing.T) {
 	put(t, s, 1, 3)
 	// Tear the next Put's write: header and 4 payload bytes land, then error.
 	ff.Arm(1, fsx.Fault{Err: fsx.ErrNoSpace, TornBytes: 12}, fsx.OpWrite)
-	if err := s.Put(faultBundle(2, 3), score.DefaultMessageWeights()); !errors.Is(err, fsx.ErrNoSpace) {
+	if err := s.Put(faultBundle(2, 3)); !errors.Is(err, fsx.ErrNoSpace) {
 		t.Fatalf("torn Put err = %v", err)
 	}
 	ff.Disarm()
@@ -172,7 +172,7 @@ func TestFsyncErrorOnRotate(t *testing.T) {
 	s := openMem(t, ff, Options{SegmentSize: 64})
 	put(t, s, 1, 3)
 	ff.Arm(1, fsx.Fault{}, fsx.OpSync)
-	if err := s.Put(faultBundle(2, 3), score.DefaultMessageWeights()); !errors.Is(err, fsx.ErrInjected) {
+	if err := s.Put(faultBundle(2, 3)); !errors.Is(err, fsx.ErrInjected) {
 		t.Fatalf("Put during failing rotate = %v, want injected", err)
 	}
 	ff.Disarm()
@@ -269,10 +269,10 @@ func TestSyncFlushesActiveSegment(t *testing.T) {
 }
 
 // TestGoldenSegment pins the segment format: the golden segment opens,
-// every bundle read from it re-encodes to its record — node scores
-// derived, not read — and the same Puts write the same bytes.
+// every bundle read from it re-encodes to its record, and the same Puts
+// write the same bytes.
 func TestGoldenSegment(t *testing.T) {
-	golden, err := os.ReadFile("testdata/golden_v2.bls")
+	golden, err := os.ReadFile("testdata/golden_v3.bls")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestGoldenSegment(t *testing.T) {
 		}
 		pos := old.index[id]
 		record := golden[pos.offset+recfile.HeaderSize : pos.offset+pos.size()]
-		if again := b.AppendMarshal(nil, score.DefaultMessageWeights()); !bytes.Equal(again, record) {
+		if again := b.AppendMarshal(nil); !bytes.Equal(again, record) {
 			t.Fatalf("golden bundle %d re-encodes to %d bytes that differ from its %d-byte record", id, len(again), len(record))
 		}
 	}
@@ -306,22 +306,25 @@ func TestGoldenSegment(t *testing.T) {
 }
 
 // TestOpenRefusesUndecodableActiveSegment: a segment of bundle codec v1
-// (the same four Puts, each node carrying its keywords) holds intact
-// records this build does not decode. That is no torn append, so Open
-// refuses the store, names the version, and does not cut the active
-// segment: cutting at the first record would drop every bundle in it.
+// (the same four Puts, each node carrying its keywords) or v2 (each
+// node carrying its edge score) holds intact records this build does
+// not decode. That is no torn append, so Open refuses the store, names
+// the version, and does not cut the active segment: cutting at the
+// first record would drop every bundle in it.
 func TestOpenRefusesUndecodableActiveSegment(t *testing.T) {
-	v1, err := os.ReadFile("testdata/golden_pr16.bls")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem := fsx.NewMem()
-	mem.WriteFile("store/seg-000001.bls", v1)
-	if _, err := Open("store", Options{FS: mem}); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported version 1") {
-		t.Fatalf("Open over a codec v1 segment = %v, want ErrCorrupt naming version 1", err)
-	}
-	if after, _ := mem.ReadFile("store/seg-000001.bls"); !bytes.Equal(after, v1) {
-		t.Fatalf("the refused segment changed: %d bytes, was %d", len(after), len(v1))
+	for v, name := range map[int]string{1: "golden_pr16.bls", 2: "golden_v2.bls"} {
+		old, err := os.ReadFile("testdata/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem := fsx.NewMem()
+		mem.WriteFile("store/seg-000001.bls", old)
+		if _, err := Open("store", Options{FS: mem}); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("unsupported version %d", v)) {
+			t.Fatalf("Open over a codec v%d segment = %v, want ErrCorrupt naming version %d", v, err, v)
+		}
+		if after, _ := mem.ReadFile("store/seg-000001.bls"); !bytes.Equal(after, old) {
+			t.Fatalf("the refused codec v%d segment changed: %d bytes, was %d", v, len(after), len(old))
+		}
 	}
 }
 

@@ -30,7 +30,6 @@ import (
 	"provex/internal/bundle"
 	"provex/internal/fsx"
 	"provex/internal/recfile"
-	"provex/internal/score"
 )
 
 // DefaultSegmentSize rotates segments at 8 MiB, large enough to
@@ -132,34 +131,6 @@ func (s *Store) indexRecordLocked(id bundle.ID, pos recordPos) {
 	s.liveBytes += pos.size()
 }
 
-// appendLocked lands the record encode appends to the reused frame
-// buffer in the active segment with one write, sealing a full segment
-// first (the old one is synced before the next is started). Every
-// failure leaves the active segment at its last good length, so the
-// caller may simply try again — or latches the directory broken when
-// that repair fails too. Caller holds s.mu.
-func (s *Store) appendLocked(encode func([]byte) []byte) (recordPos, error) {
-	if err := s.segs.Broken(); err != nil {
-		return recordPos{}, err
-	}
-	if s.segs.File() == nil || s.activeSize >= s.opts.SegmentSize {
-		if err := s.rotateLocked(); err != nil {
-			return recordPos{}, err
-		}
-	}
-	s.frame = encode(recfile.BeginFrame(s.frame[:0]))
-	recfile.EndFrame(s.frame, 0)
-	if _, err := s.segs.File().Write(s.frame); err != nil {
-		// Without the rewind a retried Put would start behind a dangling
-		// partial record.
-		s.segs.Rewind(s.activeSize)
-		return recordPos{}, fmt.Errorf("storage: %w", err)
-	}
-	pos := recordPos{seg: s.segs.Seg(), offset: s.activeSize, length: int64(len(s.frame) - recfile.HeaderSize)}
-	s.activeSize += pos.size()
-	return pos, nil
-}
-
 // rotateLocked seals the active segment and starts the next one. Caller
 // holds s.mu.
 func (s *Store) rotateLocked() error {
@@ -173,19 +144,35 @@ func (s *Store) rotateLocked() error {
 	return nil
 }
 
-// Put appends b to the store, encoded under w, the weights b was placed
-// under (bundle.AppendMarshal). A bundle already present is superseded
-// by the new record. A failed Put leaves the store exactly as it was,
-// so the caller may retry (the engine's flush retry queue does). Put
-// does not fsync: Sync does, before the caller lets go of what the
-// record was built from.
-func (s *Store) Put(b *bundle.Bundle, w score.MessageWeights) error {
+// Put appends b's encoding (bundle.AppendMarshal) to the active
+// segment with one write, sealing a full segment first (the old one is
+// synced before the next is started). A bundle already present is
+// superseded by the new record. Every failure leaves the active segment
+// at its last good length, so the caller may simply try again (the
+// engine's flush retry queue does) — or latches the directory broken
+// when that repair fails too. Put does not fsync: Sync does, before the
+// caller lets go of what the record was built from.
+func (s *Store) Put(b *bundle.Bundle) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	pos, err := s.appendLocked(func(buf []byte) []byte { return b.AppendMarshal(buf, w) })
-	if err != nil {
+	if err := s.segs.Broken(); err != nil {
 		return err
 	}
+	if s.segs.File() == nil || s.activeSize >= s.opts.SegmentSize {
+		if err := s.rotateLocked(); err != nil {
+			return err
+		}
+	}
+	s.frame = b.AppendMarshal(recfile.BeginFrame(s.frame[:0]))
+	recfile.EndFrame(s.frame, 0)
+	if _, err := s.segs.File().Write(s.frame); err != nil {
+		// Without the rewind a retried Put would start behind a dangling
+		// partial record.
+		s.segs.Rewind(s.activeSize)
+		return fmt.Errorf("storage: %w", err)
+	}
+	pos := recordPos{seg: s.segs.Seg(), offset: s.activeSize, length: int64(len(s.frame) - recfile.HeaderSize)}
+	s.activeSize += pos.size()
 	s.indexRecordLocked(b.ID(), pos)
 	return nil
 }

@@ -47,7 +47,7 @@ func openStore(t *testing.T, dir string, opts Options) *Store {
 func TestPutGetRoundTrip(t *testing.T) {
 	s := openStore(t, t.TempDir(), Options{})
 	want := makeBundle(7, 12)
-	if err := s.Put(want, score.DefaultMessageWeights()); err != nil {
+	if err := s.Put(want); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	got, err := s.Get(7)
@@ -79,7 +79,7 @@ func TestReopenRecoversIndex(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, Options{})
 	for id := bundle.ID(1); id <= 20; id++ {
-		if err := s.Put(makeBundle(id, int(id)%7+1), score.DefaultMessageWeights()); err != nil {
+		if err := s.Put(makeBundle(id, int(id)%7+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -101,7 +101,7 @@ func TestReopenRecoversIndex(t *testing.T) {
 		}
 	}
 	// And the store still accepts appends.
-	if err := s2.Put(makeBundle(21, 3), score.DefaultMessageWeights()); err != nil {
+	if err := s2.Put(makeBundle(21, 3)); err != nil {
 		t.Fatalf("Put after reopen: %v", err)
 	}
 }
@@ -110,7 +110,7 @@ func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, Options{SegmentSize: 4 << 10})
 	for id := bundle.ID(1); id <= 60; id++ {
-		if err := s.Put(makeBundle(id, 10), score.DefaultMessageWeights()); err != nil {
+		if err := s.Put(makeBundle(id, 10)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,18 +142,18 @@ func TestSupersede(t *testing.T) {
 	s := openStore(t, dir, Options{SegmentSize: 16 << 10})
 	latest := openStore(t, t.TempDir(), Options{SegmentSize: 16 << 10})
 	for id := bundle.ID(1); id <= 10; id++ {
-		if err := s.Put(makeBundle(id, 5), score.DefaultMessageWeights()); err != nil {
+		if err := s.Put(makeBundle(id, 5)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Supersede half the bundles with bigger versions.
 	for id := bundle.ID(1); id <= 5; id++ {
-		if err := s.Put(makeBundle(id, 9), score.DefaultMessageWeights()); err != nil {
+		if err := s.Put(makeBundle(id, 9)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for id := bundle.ID(1); id <= 10; id++ {
-		if err := latest.Put(makeBundle(id, sizeAfterSupersede(id)), score.DefaultMessageWeights()); err != nil {
+		if err := latest.Put(makeBundle(id, sizeAfterSupersede(id))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,7 +192,7 @@ func sizeAfterSupersede(id bundle.ID) int {
 func TestScan(t *testing.T) {
 	s := openStore(t, t.TempDir(), Options{})
 	for id := bundle.ID(3); id >= 1; id-- {
-		if err := s.Put(makeBundle(id, 2), score.DefaultMessageWeights()); err != nil {
+		if err := s.Put(makeBundle(id, 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -245,7 +245,7 @@ func TestPutSequenceProperty(t *testing.T) {
 		for i, op := range ops {
 			id := bundle.ID(op%5) + 1
 			size := i%6 + 1
-			if err := s.Put(makeBundle(id, size), score.DefaultMessageWeights()); err != nil {
+			if err := s.Put(makeBundle(id, size)); err != nil {
 				return false
 			}
 			latest[id] = size
@@ -284,7 +284,7 @@ func TestBundleContentSurvivesStore(t *testing.T) {
 	at := time.Date(2009, 9, 30, 1, 2, 3, 0, time.UTC)
 	m := tweet.Parse(5, "somebody", at, "exact text #tag http://bit.ly/z")
 	b.AddScratch(msgWeights, score.NewDoc(m), nil, nil)
-	if err := s.Put(b, score.DefaultMessageWeights()); err != nil {
+	if err := s.Put(b); err != nil {
 		t.Fatal(err)
 	}
 	got, err := s.Get(77)
@@ -311,7 +311,7 @@ func BenchmarkPut(b *testing.B) {
 		// Unique IDs so the index grows like production.
 		bn2 := makeBundle(bundle.ID(i+2), 1)
 		_ = bn2
-		if err := s.Put(bn, score.DefaultMessageWeights()); err != nil {
+		if err := s.Put(bn); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -325,7 +325,7 @@ func BenchmarkGet(b *testing.B) {
 	}
 	defer s.Close()
 	for id := bundle.ID(1); id <= 100; id++ {
-		if err := s.Put(makeBundle(id, 10), score.DefaultMessageWeights()); err != nil {
+		if err := s.Put(makeBundle(id, 10)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -119,6 +119,12 @@ func AppendRaw(buf []byte, id ID, date int64, user, text string) []byte {
 	return append(AppendRawHead(buf, id, date, user, len(text)), text...)
 }
 
+// AppendRaw appends m's stored form, as the function AppendRaw does:
+// the WAL writes its record of the parsed input through it.
+func (m *Message) AppendRaw(buf []byte) []byte {
+	return AppendRaw(buf, m.ID, m.Date, m.User, m.Text)
+}
+
 // AppendRawHead appends what AppendRaw writes ahead of the text's
 // bytes, for a text of textLen bytes the caller appends itself (a
 // record decoding its stored text into buf).

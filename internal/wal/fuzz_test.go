@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"provex/internal/fsx"
-	"provex/internal/score"
 	"provex/internal/tweet"
 )
 
@@ -23,7 +22,7 @@ func validWALBytes(tb testing.TB, n int) []byte {
 	}
 	for i := 1; i <= n; i++ {
 		m := tweet.Parse(tweet.ID(uint64(i)), "fuzzer", time.Unix(int64(1300000000+i), 0), "RT @seed: provenance record")
-		if err := l.Append(uint64(i), score.NewDoc(m).Msg); err != nil {
+		if err := l.Append(uint64(i), m); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -116,7 +115,7 @@ func FuzzOpenReplay(f *testing.F) {
 			t.Fatalf("LastSeq %d, want the highest applied sequence %d", l.lastSeq, slices.Max(seqs))
 		}
 		next := l.lastSeq + 1
-		if err := l.Append(next, score.NewDoc(&tweet.Message{ID: tweet.ID(next), User: "post", Text: "append after recovery"}).Msg); err != nil {
+		if err := l.Append(next, &tweet.Message{ID: tweet.ID(next), User: "post", Text: "append after recovery"}); err != nil {
 			t.Fatalf("Append after recovery: %v", err)
 		}
 		if err := l.Close(); err != nil {

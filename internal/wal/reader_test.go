@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"provex/internal/fsx"
-	"provex/internal/score"
 )
 
 // drainBatches reads the whole shippable run in bounded batches via
@@ -213,7 +212,7 @@ func TestReadBatchConcurrentWriter(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < total; i++ {
-			if err := l.Append(uint64(i+1), score.NewDoc(msg(i)).Msg); err != nil {
+			if err := l.Append(uint64(i+1), msg(i)); err != nil {
 				t.Errorf("append %d: %v", i, err)
 				return
 			}

@@ -52,7 +52,6 @@ import (
 	"provex/internal/fsx"
 	"provex/internal/metrics"
 	"provex/internal/recfile"
-	"provex/internal/score"
 	"provex/internal/tweet"
 )
 
@@ -206,10 +205,16 @@ func Wipe(fsys fsx.FS, dir string) error {
 	return nil
 }
 
+// Message is a message in the form a record holds it: its raw fields,
+// appended as tweet.AppendRaw writes them. The parsed input
+// (*tweet.Message) is one, and so is an engine's record (*score.Msg),
+// which writes the same bytes.
+type Message interface{ AppendRaw(buf []byte) []byte }
+
 // AppendRecord appends the canonical record payload of (seq, m) to buf
 // — the sequence and the raw message fields: the bytes ReadBatch ships
 // and DecodeRecord parses.
-func AppendRecord(buf []byte, seq uint64, m *score.Msg) []byte {
+func AppendRecord(buf []byte, seq uint64, m Message) []byte {
 	return m.AppendRaw(binary.AppendUvarint(buf, seq))
 }
 
@@ -235,7 +240,7 @@ func DecodeRecord(payload []byte) (uint64, *tweet.Message, error) {
 // message is durable once a Sync — this one's, a later Append's or an
 // explicit one — has returned nil. An error means the whole open batch
 // was dropped (see Sync).
-func (l *Log) Append(seq uint64, m *score.Msg) error {
+func (l *Log) Append(seq uint64, m Message) error {
 	if err := l.dir.Broken(); err != nil {
 		return err
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"provex/internal/fsx"
+	"provex/internal/gen"
 	"provex/internal/score"
 	"provex/internal/tweet"
 )
@@ -25,7 +26,7 @@ func msg(i int) *tweet.Message {
 func appendN(t *testing.T, l *Log, from, to int) {
 	t.Helper()
 	for i := from; i < to; i++ {
-		if err := l.Append(uint64(i+1), score.NewDoc(msg(i)).Msg); err != nil {
+		if err := l.Append(uint64(i+1), msg(i)); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
@@ -107,7 +108,7 @@ func TestAppendRejectsStaleSeq(t *testing.T) {
 	mem := fsx.NewMem()
 	l, _ := Open("wal", Options{FS: mem}, 0, nil)
 	appendN(t, l, 0, 3)
-	if err := l.Append(3, score.NewDoc(msg(99)).Msg); err == nil {
+	if err := l.Append(3, msg(99)); err == nil {
 		t.Fatal("stale sequence accepted")
 	}
 }
@@ -123,7 +124,7 @@ func TestCrashLosesOnlyUnsyncedTail(t *testing.T) {
 		t.Fatalf("after crash replay = %v, want 1..8", seqs)
 	}
 	// The log must accept new appends for the lost sequences.
-	if err := l2.Append(9, score.NewDoc(msg(8)).Msg); err != nil {
+	if err := l2.Append(9, msg(8)); err != nil {
 		t.Fatalf("append after crash: %v", err)
 	}
 }
@@ -150,7 +151,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 		t.Fatalf("LastSeq = %d", l2.lastSeq)
 	}
 	// Appending over the truncated tail works.
-	if err := l2.Append(5, score.NewDoc(msg(4)).Msg); err != nil {
+	if err := l2.Append(5, msg(4)); err != nil {
 		t.Fatal(err)
 	}
 	seqs, _ = collect(t, mem, "wal", 0)
@@ -220,7 +221,7 @@ func TestAppendFailureRepairsTail(t *testing.T) {
 			// The write tears, leaving partial garbage bytes at the
 			// append position before the error surfaces.
 			ff.Arm(1, fsx.Fault{TornBytes: tc.torn}, fsx.OpWrite)
-			if err := l.Append(6, score.NewDoc(msg(5)).Msg); !errors.Is(err, fsx.ErrInjected) {
+			if err := l.Append(6, msg(5)); !errors.Is(err, fsx.ErrInjected) {
 				t.Fatalf("append err = %v, want injected write failure", err)
 			}
 			ff.Disarm()
@@ -252,7 +253,7 @@ func TestShortBatchWriteDropsBatch(t *testing.T) {
 		syncedSize := l.Size()
 		appendN(t, l, 64, 127)
 		ff.Arm(1, fsx.Fault{TornBytes: int(l.Size()-syncedSize) / 2}, fsx.OpWrite)
-		if err := l.Append(128, score.NewDoc(msg(127)).Msg); !errors.Is(err, fsx.ErrInjected) {
+		if err := l.Append(128, msg(127)); !errors.Is(err, fsx.ErrInjected) {
 			t.Fatalf("append closing the batch: err = %v, want the injected short write", err)
 		}
 		ff.Disarm()
@@ -290,11 +291,11 @@ func TestUnrepairedTailLatchesBroken(t *testing.T) {
 	// The batch write tears AND the repair truncate fails: the on-disk
 	// tail stays torn, so the log must refuse to write past it.
 	ff.Arm(1, fsx.Fault{TornBytes: 3, Freeze: true}, fsx.OpWrite, fsx.OpTruncate)
-	if err := l.Append(12, score.NewDoc(msg(11)).Msg); !errors.Is(err, fsx.ErrInjected) {
+	if err := l.Append(12, msg(11)); !errors.Is(err, fsx.ErrInjected) {
 		t.Fatalf("append err = %v, want injected write failure", err)
 	}
 	ff.Disarm()
-	if err := l.Append(9, score.NewDoc(msg(8)).Msg); err == nil {
+	if err := l.Append(9, msg(8)); err == nil {
 		t.Fatal("append accepted on a broken log")
 	}
 	// Truncate is refused too: sealing the torn file into a non-final
@@ -309,7 +310,7 @@ func TestUnrepairedTailLatchesBroken(t *testing.T) {
 	if len(seqs) != 8 {
 		t.Fatalf("replay = %v, want records 1..8", seqs)
 	}
-	if err := l2.Append(9, score.NewDoc(msg(8)).Msg); err != nil {
+	if err := l2.Append(9, msg(8)); err != nil {
 		t.Fatalf("append after reopen: %v", err)
 	}
 }
@@ -351,7 +352,7 @@ func TestSyncErrorSurfacesOnAppend(t *testing.T) {
 	ff.Arm(1, fsx.Fault{}, fsx.OpSync)
 	// The append that closes the batch carries the fsync failure, and
 	// the batch — written, but never known durable — is dropped with it.
-	if err := l.Append(4, score.NewDoc(msg(3)).Msg); !errors.Is(err, fsx.ErrInjected) {
+	if err := l.Append(4, msg(3)); !errors.Is(err, fsx.ErrInjected) {
 		t.Fatalf("append err = %v, want injected fsync failure", err)
 	}
 	ff.Disarm()
@@ -377,7 +378,7 @@ func TestCrashDuringFileCreationRecovered(t *testing.T) {
 	if len(seqs) != 3 {
 		t.Fatalf("replay = %v", seqs)
 	}
-	if err := l2.Append(4, score.NewDoc(msg(3)).Msg); err != nil {
+	if err := l2.Append(4, msg(3)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -521,26 +522,60 @@ func (discardFile) Sync() error                 { return nil }
 
 // TestAppendZeroAlloc pins the group-commit path at zero allocations
 // per record once the batch buffer has reached its working size: no
-// per-record payload buffer, no header array escaping to the heap.
+// per-record payload buffer, no header array escaping to the heap, and
+// no boxing of the message, whether it is the parsed input or an
+// engine's record of it.
 func TestAppendZeroAlloc(t *testing.T) {
-	l, err := Open("wal", Options{FS: fsx.NewMem(), SyncEvery: 64}, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.f = discardFile{l.f}
-	m := score.NewDoc(msg(1)).Msg
-	seq := uint64(0)
-	add := func() {
-		seq++
-		if err := l.Append(seq, m); err != nil {
+	for _, m := range []Message{msg(1), score.NewDoc(msg(1)).Msg} {
+		l, err := Open("wal", Options{FS: fsx.NewMem(), SyncEvery: 64}, 0, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
+		l.f = discardFile{l.f}
+		seq := uint64(0)
+		add := func() {
+			seq++
+			if err := l.Append(seq, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 64; i++ {
+			add()
+		}
+		if n := testing.AllocsPerRun(640, add); n != 0 {
+			t.Errorf("Append of a %T allocates %.2f per record, want 0", m, n)
+		}
 	}
-	for i := 0; i < 64; i++ {
-		add()
-	}
-	if n := testing.AllocsPerRun(640, add); n != 0 {
-		t.Errorf("Append allocates %.2f per record, want 0", n)
+}
+
+// TestRecordFromEitherForm: the record of a message appended from its
+// parsed input is byte for byte the one appended from the engine's
+// record of it (score.Msg), whether that record holds its text raw or
+// FSST-coded — so the log stage, which logs the input, and a caller
+// holding only the record write the same log. The generated stream
+// trains the process's text table within its first ~64 KB, so it
+// yields both forms; which form a record took is read off the
+// process's stored-text counter.
+func TestRecordFromEitherForm(t *testing.T) {
+	g := gen.New(gen.DefaultConfig())
+	seen := map[bool]int{} // coded → records compared
+	for i := 1; seen[false] == 0 || seen[true] == 0; i++ {
+		if i > 100_000 {
+			t.Fatalf("no record of one form in %d messages: %v", i-1, seen)
+		}
+		m := g.Next()
+		if i == 1 {
+			m.Text = "a" // too short to code: a raw record even once the table is trained
+		}
+		_, before := score.TextBytes()
+		rec := score.NewDoc(m).Msg
+		_, after := score.TextBytes()
+		coded := after-before < int64(len(m.Text))
+		fromInput, fromRecord := AppendRecord(nil, uint64(i), m), AppendRecord(nil, uint64(i), rec)
+		if !bytes.Equal(fromInput, fromRecord) {
+			t.Fatalf("message %d (coded %v): record from the input %x, from its score.Msg %x", m.ID, coded, fromInput, fromRecord)
+		}
+		seen[coded]++
 	}
 }
 
@@ -559,7 +594,7 @@ func BenchmarkAppend(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < 64; j++ {
 			seq++
-			if err := l.Append(seq, score.NewDoc(m).Msg); err != nil {
+			if err := l.Append(seq, m); err != nil {
 				b.Fatal(err)
 			}
 		}
