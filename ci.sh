@@ -110,21 +110,23 @@ echo "== go test -race =="
 go test -race -shuffle=on ./...
 
 # Durability-critical packages once more, uncached: the fault-injection
-# and WAL tests and the two-stage ingest loop (apply-after-sync, the
-# checkpoint barrier) are the crash-safety gate and must not ride a
-# stale test cache. So are the users of termdict.Column, the one paged
+# and WAL tests, the two-stage ingest loop (apply-after-sync, the
+# checkpoint barrier) and the follower's checks of the leader's stream
+# and checkpoint are the crash-safety gate and must not ride a stale
+# test cache. So are the users of termdict.Column, the one paged
 # table: the dictionary's lock-free Term reads ride on the column's
 # atomic page directory, and both indexes keep their lists in columns.
 echo "== durability (-race -count=1) =="
 go test -race -count=1 ./internal/fsx ./internal/recfile ./internal/wal ./internal/storage ./internal/pipeline \
-    ./internal/termdict ./internal/textindex ./internal/sumindex
+    ./internal/repl ./internal/termdict ./internal/textindex ./internal/sumindex
 
 # Sharded engine gate and crash torture, once, uncached, under the race
-# detector (DESIGN.md §2i): randomized fault points, crash, recover,
-# compare against an uninterrupted run — one seeded driver over the
-# serial and the sharded durable backend (it lives in internal/shard,
-# which can import both; seeds are fixed, a failure prints the seed in
-# the subtest name) — plus the differential equivalence proof, the
+# detector (DESIGN.md §2d, §2h, §2i): randomized fault points, crash,
+# recover, compare against an uninterrupted run — one seeded harness over
+# the serial node, the sharded node and a follower tailing a leader,
+# disk and wire faults on one trigger (it lives in internal/shard, which
+# can import all three; seeds are fixed, a failure prints the seed in
+# the subtest name and each round's fault) — plus the differential equivalence proof, the
 # floored probe against full probes, the determinism and shared-recorder
 # tracing tests, the disk-full barrier test and the round ledger's own
 # tests (a torn round trimmed, acknowledged rounds recovered, the

@@ -66,18 +66,50 @@ type Fault struct {
 	Freeze bool
 }
 
+// Trigger is the schedule of one planned fault, shared by every
+// injector in the tree (FaultFS here, the replication transport's on
+// the wire): after Arm(nth, freeze) the nth matching event from now
+// trips; with freeze, every matching event after it trips too — a
+// dying disk or a dead link, not a blip — until it is armed again or
+// reset to the zero Trigger, which is disarmed. It holds no lock: its
+// owner serialises the calls.
+type Trigger struct {
+	armed, freeze, tripped bool
+	left                   int64 // matching events before the trip
+}
+
+// Arm plans a trip on the nth (1-based; less counts as 1) matching
+// event from now, replacing any earlier plan and clearing its trip.
+func (t *Trigger) Arm(nth int64, freeze bool) {
+	*t = Trigger{armed: true, freeze: freeze, left: max(nth, 1)}
+}
+
+// Fire counts one matching event and reports whether it fails, and
+// whether it is the planned event itself rather than a frozen repeat.
+func (t *Trigger) Fire() (trip, first bool) {
+	switch {
+	case !t.armed:
+		return false, false
+	case t.tripped:
+		return t.freeze, false
+	}
+	if t.left--; t.left > 0 {
+		return false, false
+	}
+	t.tripped = true
+	return true, true
+}
+
 // FaultFS wraps an FS and injects one planned fault: the Nth operation
 // matching the armed op set fails. It is safe for concurrent use.
 type FaultFS struct {
 	inner FS
 
-	mu      sync.Mutex
-	ops     [opCount]int64 // total operations seen, per kind; guarded by mu
-	armed   bool           // guarded by mu
-	match   [opCount]bool  // guarded by mu
-	left    int64          // matching ops remaining before the trip; guarded by mu
-	fault   Fault          // guarded by mu
-	tripped bool           // guarded by mu
+	mu    sync.Mutex
+	ops   [opCount]int64 // total operations seen, per kind; guarded by mu
+	match [opCount]bool  // guarded by mu
+	fault Fault          // guarded by mu
+	trig  Trigger        // guarded by mu
 }
 
 // NewFault wraps inner (nil = real filesystem) with an initially
@@ -90,9 +122,6 @@ func NewFault(inner FS) *FaultFS {
 // with f. An empty ops list matches every mutating operation. Re-arming
 // replaces any previous plan and clears the tripped state.
 func (t *FaultFS) Arm(nth int64, f Fault, ops ...Op) {
-	if nth < 1 {
-		nth = 1
-	}
 	if f.Err == nil {
 		f.Err = ErrInjected
 	}
@@ -101,9 +130,7 @@ func (t *FaultFS) Arm(nth int64, f Fault, ops ...Op) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.armed = true
-	t.tripped = false
-	t.left = nth
+	t.trig.Arm(nth, f.Freeze)
 	t.fault = f
 	t.match = [opCount]bool{}
 	for _, o := range ops {
@@ -115,15 +142,14 @@ func (t *FaultFS) Arm(nth int64, f Fault, ops ...Op) {
 func (t *FaultFS) Disarm() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.armed = false
-	t.tripped = false
+	t.trig = Trigger{}
 }
 
 // Tripped reports whether the armed fault has fired.
 func (t *FaultFS) Tripped() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.tripped
+	return t.trig.tripped
 }
 
 // OpCount returns how many operations of kind o have been observed —
@@ -147,26 +173,21 @@ func (t *FaultFS) TotalOps() int64 {
 
 // check counts one operation and decides whether it fails. The second
 // return is the torn-write byte budget (only meaningful for OpWrite
-// when err != nil).
+// when err != nil); a frozen repeat never tears.
 func (t *FaultFS) check(o Op) (error, int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.ops[o]++
-	if !t.armed || !t.match[o] {
+	if !t.match[o] {
 		return nil, 0
 	}
-	if t.tripped {
-		if t.fault.Freeze {
-			return t.fault.Err, 0
-		}
-		return nil, 0
+	switch trip, first := t.trig.Fire(); {
+	case first:
+		return t.fault.Err, t.fault.TornBytes
+	case trip:
+		return t.fault.Err, 0
 	}
-	t.left--
-	if t.left > 0 {
-		return nil, 0
-	}
-	t.tripped = true
-	return t.fault.Err, t.fault.TornBytes
+	return nil, 0
 }
 
 // OpenFile implements FS.

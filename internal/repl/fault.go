@@ -1,12 +1,15 @@
 package repl
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net/http"
 	"strconv"
 	"sync"
 	"time"
+
+	"provex/internal/fsx"
 )
 
 // ErrInjectedTransport is the error injected transport faults fail with.
@@ -19,9 +22,9 @@ type TransportFault struct {
 	// Err fails the request outright with this error (default
 	// ErrInjectedTransport) — a connection refused / reset stand-in.
 	Err error
-	// TornBytes truncates the response BODY after this many bytes and
-	// then surfaces an unexpected-EOF read error — a connection cut
-	// mid-stream. Requires TornBytes > 0.
+	// TornBytes > 0 cuts the response BODY after this many bytes, and
+	// always short of its end, then fails the read with
+	// io.ErrUnexpectedEOF — a connection cut mid-stream.
 	TornBytes int
 	// Stall delays the response this long before returning it — a slow
 	// or wedged leader. Combine with Freeze to wedge every request.
@@ -34,12 +37,13 @@ type TransportFault struct {
 	// empty body (e.g. 503 without Retry-After).
 	Status int
 	// Freeze latches the fault: every subsequent request trips too,
-	// until Disarm. Without it the fault fires exactly once.
+	// until Disarm or the next Arm. Without it the fault fires exactly
+	// once.
 	Freeze bool
 }
 
 // FaultTransport is an http.RoundTripper that injects one fault into
-// the Nth request, mirroring the fsx.FaultFS Arm/Disarm idiom for the
+// the Nth request, on fsx.FaultFS's schedule (fsx.Trigger) for the
 // replication transport: Nth-request errors, torn response bodies,
 // stalls and stale offsets.
 //
@@ -49,12 +53,10 @@ type TransportFault struct {
 type FaultTransport struct {
 	inner http.RoundTripper
 
-	mu     sync.Mutex
-	armed  bool           // guarded by mu
-	n      int64          // requests until the fault fires (1 = next request); guarded by mu
-	fault  TransportFault // guarded by mu
-	trips  int            // guarded by mu
-	frozen bool           // guarded by mu
+	mu    sync.Mutex
+	trig  fsx.Trigger    // guarded by mu
+	fault TransportFault // guarded by mu
+	trips int            // guarded by mu
 }
 
 // NewFaultTransport wraps inner (nil = http.DefaultTransport).
@@ -70,14 +72,15 @@ func NewFaultTransport(inner http.RoundTripper) *FaultTransport {
 func (t *FaultTransport) Arm(nth int64, f TransportFault) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.armed, t.n, t.fault, t.frozen = true, nth, f, false
+	t.trig.Arm(nth, f.Freeze)
+	t.fault = f
 }
 
 // Disarm cancels any pending or latched fault.
 func (t *FaultTransport) Disarm() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.armed, t.frozen = false, false
+	t.trig = fsx.Trigger{}
 }
 
 // Trips reports how many requests have been faulted.
@@ -90,17 +93,7 @@ func (t *FaultTransport) Trips() int {
 // RoundTrip implements http.RoundTripper.
 func (t *FaultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	t.mu.Lock()
-	trip := false
-	if t.frozen {
-		trip = true
-	} else if t.armed {
-		t.n--
-		if t.n <= 0 {
-			trip = true
-			t.armed = false
-			t.frozen = t.fault.Freeze
-		}
-	}
+	trip, _ := t.trig.Fire()
 	f := t.fault
 	if trip {
 		t.trips++
@@ -143,7 +136,13 @@ func (t *FaultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		if err != nil {
 			return nil, err
 		}
-		resp.Body = &tornBody{inner: resp.Body, remaining: f.TornBytes}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		body = body[:min(f.TornBytes, max(len(body)-1, 0))]
+		resp.Body = io.NopCloser(io.MultiReader(bytes.NewReader(body), cutConn{}))
 		resp.ContentLength = -1
 		return resp, nil
 	case f.Err != nil:
@@ -156,29 +155,8 @@ func (t *FaultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 }
 
-// tornBody passes through remaining bytes, then fails like a cut
-// connection (not a clean EOF).
-type tornBody struct {
-	inner     io.ReadCloser
-	remaining int
-}
+// cutConn fails every read like a connection cut mid-stream, never
+// with a clean EOF.
+type cutConn struct{}
 
-func (b *tornBody) Read(p []byte) (int, error) {
-	if b.remaining <= 0 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	if len(p) > b.remaining {
-		p = p[:b.remaining]
-	}
-	n, err := b.inner.Read(p)
-	b.remaining -= n
-	if err == io.EOF {
-		return n, err
-	}
-	if b.remaining <= 0 && err == nil {
-		err = io.ErrUnexpectedEOF
-	}
-	return n, err
-}
-
-func (b *tornBody) Close() error { return b.inner.Close() }
+func (cutConn) Read([]byte) (int, error) { return 0, io.ErrUnexpectedEOF }

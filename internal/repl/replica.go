@@ -255,15 +255,6 @@ func (r *Replica) Stop() error {
 	return err
 }
 
-// kill stops the tailer WITHOUT the graceful pipeline drain/checkpoint
-// shutdown — the test hook behind crash torture's "SIGKILL at any
-// point". Whatever the abandoned generation had not yet synced sits in
-// the (simulated) page cache for MemFS.Crash to discard.
-func (r *Replica) kill() {
-	r.stopOnce.Do(func() { close(r.stop) })
-	<-r.done
-}
-
 // Lag returns the replica's staleness bound in messages: how far the
 // leader's durable watermark is ahead of what we applied. 0 while
 // diverged or never connected (lag is then meaningless; Health covers
@@ -565,10 +556,14 @@ func (r *Replica) bootstrap() error {
 
 // resync tears down the current generation and re-bootstraps from the
 // leader's newest checkpoint — the 410 path, when the leader truncated
-// records we still needed. Download and validation happen FIRST, so a
-// failed resync leaves the old generation serving (stale but intact).
+// records we still needed, and the way out of a degraded local
+// pipeline. Download and validation happen FIRST, so a failed resync
+// leaves the old generation serving (stale but intact). A leader with
+// no checkpoint yet has truncated nothing, so there the generation is
+// torn down all the same and reopened from the local checkpoint, or
+// from nothing, to tail the leader's whole log.
 func (r *Replica) resync(st *replState) error {
-	found, err := r.installCheckpoint("resync", func() error {
+	teardown := func() error {
 		// Teardown only after the replacement is known-good. The old
 		// generation stops answering queries the moment state is cleared;
 		// Health gates reads ("bootstrapping") until the reopen finishes.
@@ -585,9 +580,10 @@ func (r *Replica) resync(st *replState) error {
 		// crash-safe order — dying in between leaves the OLD checkpoint
 		// with no WAL, a consistent (merely staler) recovery point.
 		return wal.Wipe(r.opts.FS, r.opts.WALDir)
-	})
+	}
+	found, err := r.installCheckpoint("resync", teardown)
 	if err == nil && !found {
-		err = errors.New("repl: resync: leader has no checkpoint")
+		err = teardown()
 	}
 	return err
 }

@@ -9,15 +9,17 @@ package repl
 // double-applied or skipped records cannot pass.
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -286,78 +288,6 @@ func TestFollowerExportsReadSideFamilies(t *testing.T) {
 		_ = reg.Expose(&b)
 		return strings.Contains(b.String(), fmt.Sprintf("\nprovex_query_index_docs %d\n", leader.n))
 	})
-}
-
-// TestFollowerCrashTorture SIGKILLs the follower at random points
-// under randomized transport faults — including across a leader
-// checkpoint that truncates history out from under it (410 resync) —
-// and requires exact convergence at the end. Double replay, skipped
-// records or a poisoned bootstrap all fail the byte parity check.
-func TestFollowerCrashTorture(t *testing.T) {
-	leader := newTestLeader(t)
-	leader.ingest(150)
-	leader.checkpoint()
-	leader.ingest(100)
-
-	rng := rand.New(rand.NewSource(7))
-	mem := fsx.NewMem() // the follower's disk, surviving every round
-
-	const rounds = 8
-	for round := 0; round < rounds; round++ {
-		ft := NewFaultTransport(nil)
-		client := &http.Client{Transport: ft, Timeout: 500 * time.Millisecond}
-		r := newFollower(t, leader.srv.URL, mem, client, func(o *ReplicaOptions) {
-			o.MaxBatchBytes = 1 + rng.Intn(4000)
-		})
-		switch rng.Intn(4) {
-		case 0:
-			ft.Arm(1+rng.Int63n(5), TransportFault{})
-		case 1:
-			ft.Arm(1+rng.Int63n(5), TransportFault{TornBytes: 1 + rng.Intn(300)})
-		case 2:
-			ft.Arm(1+rng.Int63n(5), TransportFault{StaleOffset: true})
-		case 3:
-			ft.Arm(1+rng.Int63n(5), TransportFault{Status: http.StatusServiceUnavailable})
-		}
-		r.Start()
-		time.Sleep(time.Duration(rng.Intn(40)) * time.Millisecond)
-		r.kill()
-		// Let the abandoned pipeline's queue settle so the simulated
-		// power cut below is the only thing that loses data.
-		if st := r.state.Load(); st != nil {
-			last := st.svc.Ingested()
-			waitFor(t, time.Second, "pipeline settle", func() bool {
-				now := st.svc.Ingested()
-				settled := now == last
-				last = now
-				return settled
-			})
-		}
-		mem.Crash()
-
-		// Keep the leader moving; mid-torture checkpoints truncate WAL
-		// history and force lagging followers through the 410 path.
-		if round%3 == 1 {
-			leader.ingest(40)
-		}
-		if round == 4 {
-			leader.checkpoint()
-		}
-	}
-
-	// Final round: no faults, full convergence, graceful shutdown.
-	client := &http.Client{Timeout: 2 * time.Second}
-	r := newFollower(t, leader.srv.URL, mem, client, nil)
-	r.Start()
-	waitFor(t, 10*time.Second, "post-torture convergence", func() bool {
-		return r.Applied() == uint64(leader.n) && r.Health().Ready
-	})
-	fsrv := httptest.NewServer(server.New(r, server.WithHealth(r.Health)))
-	defer fsrv.Close()
-	assertParity(t, leader.queryServer().URL, fsrv.URL, parityPaths...)
-	if err := r.Stop(); err != nil {
-		t.Fatalf("final stop: %v", err)
-	}
 }
 
 // swapHandler lets a single stable URL point at successive leader
@@ -792,4 +722,276 @@ func TestDatesRenderAlikeEverywhere(t *testing.T) {
 
 	leader.restart()
 	assertParity(t, live, leader.queryServer().URL, paths...)
+}
+
+// TestTornBodyNeverEndsClean: a torn fault hands the reader a strict
+// prefix of the body, at most TornBytes of it, and then
+// io.ErrUnexpectedEOF — also when the whole body is shorter than
+// TornBytes, so a counted trip is always a delivered fault.
+func TestTornBodyNeverEndsClean(t *testing.T) {
+	for _, c := range []struct{ size, torn, want int }{
+		{size: 10, torn: 64, want: 9},
+		{size: 100, torn: 64, want: 64},
+		{size: 1, torn: 64, want: 0},
+		{size: 0, torn: 1, want: 0},
+	} {
+		body := strings.Repeat("x", c.size)
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.WriteString(w, body)
+		}))
+		ft := NewFaultTransport(nil)
+		ft.Arm(1, TransportFault{TornBytes: c.torn})
+		resp, err := (&http.Client{Transport: ft}).Get(srv.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		srv.Close()
+		if err != io.ErrUnexpectedEOF || len(got) != c.want || ft.Trips() != 1 {
+			t.Errorf("%d-byte body torn at %d: read %d bytes, err %v, %d trips; want %d bytes, io.ErrUnexpectedEOF, 1 trip",
+				c.size, c.torn, len(got), err, ft.Trips(), c.want)
+		}
+	}
+}
+
+// scriptedLeader is a leader reduced to its wire: /repl/checkpoint
+// answers 404, as a fresh leader does, and the nth /repl/wal request
+// gets the nth of bodies, the last one again once they run out. It
+// keeps the query of every WAL request.
+type scriptedLeader struct {
+	bodies [][]byte
+
+	mu    sync.Mutex
+	asked []url.Values
+}
+
+func (s *scriptedLeader) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path != "/repl/wal" {
+		http.NotFound(w, r)
+		return
+	}
+	s.mu.Lock()
+	s.asked = append(s.asked, r.URL.Query())
+	body := s.bodies[min(len(s.asked), len(s.bodies))-1]
+	s.mu.Unlock()
+	w.Write(body)
+}
+
+// ask returns the query of the nth (0-based) WAL request, waiting for it.
+func (s *scriptedLeader) ask(t *testing.T, n int) url.Values {
+	t.Helper()
+	var q url.Values
+	waitFor(t, 5*time.Second, fmt.Sprintf("WAL request %d", n+1), func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if len(s.asked) > n {
+			q = s.asked[n]
+		}
+		return q != nil
+	})
+	return q
+}
+
+// record is the WAL record of testMsg(seq-1) under seq.
+func record(seq uint64) []byte { return wal.AppendRecord(nil, seq, testMsg(int(seq-1))) }
+
+// walBody is one /repl/wal response: records behind a header that says
+// synced and next.
+func walBody(synced uint64, next wal.Cursor, records ...[]byte) []byte {
+	return appendBatch(nil, wal.Batch{Synced: synced, Next: next, Records: records})
+}
+
+// tailScript starts a follower of ld on a fresh disk and waits for it
+// to have asked for WAL len(want) times, each request's after, seg and
+// off as want lists them; then for it to have applied applied messages.
+func tailScript(t *testing.T, ld *scriptedLeader, applied uint64, want ...string) *Replica {
+	t.Helper()
+	srv := httptest.NewServer(ld)
+	t.Cleanup(srv.Close)
+	r := newFollower(t, srv.URL, fsx.NewMem(), http.DefaultClient, nil)
+	r.Start()
+	t.Cleanup(func() { r.Stop() })
+	for i, w := range want {
+		q := ld.ask(t, i)
+		if got := fmt.Sprintf("after=%s seg=%s off=%s", q.Get("after"), q.Get("seg"), q.Get("off")); got != w {
+			t.Fatalf("WAL request %d asked %s, want %s", i+1, got, w)
+		}
+	}
+	waitFor(t, 5*time.Second, "the stream applied", func() bool { return r.Applied() == applied })
+	if got := r.Snapshot().Messages; got != int64(applied) {
+		t.Fatalf("follower engine holds %d messages, want %d", got, applied)
+	}
+	return r
+}
+
+// TestFollowerAppliesRepeatsOnce: a batch that repeats sequences the
+// follower has applied (a leader resuming from a stale cursor sends
+// them) applies the new ones only.
+func TestFollowerAppliesRepeatsOnce(t *testing.T) {
+	ld := &scriptedLeader{bodies: [][]byte{
+		walBody(5, wal.Cursor{}, record(1), record(2), record(3)),
+		walBody(5, wal.Cursor{}, record(2), record(3), record(4), record(5)),
+		walBody(5, wal.Cursor{}),
+	}}
+	r := tailScript(t, ld, 5, "after=0 seg=0 off=0", "after=3 seg=0 off=0", "after=5 seg=0 off=0")
+	if got := r.records.Value(); got != 5 {
+		t.Fatalf("records applied = %d, want 5", got)
+	}
+}
+
+// TestFollowerStopsAtASequenceGap: a batch that skips a sequence is
+// applied up to the gap; the fetch is retried after the last applied
+// record, from no cursor, since the batch's was not reached.
+func TestFollowerStopsAtASequenceGap(t *testing.T) {
+	ld := &scriptedLeader{bodies: [][]byte{
+		walBody(5, wal.Cursor{Seg: 3, Off: 77}, record(1), record(2)),
+		walBody(5, wal.Cursor{Seg: 3, Off: 99}, record(3), record(5)),
+		walBody(5, wal.Cursor{Seg: 3, Off: 120}, record(4), record(5)),
+		walBody(5, wal.Cursor{Seg: 3, Off: 120}),
+	}}
+	r := tailScript(t, ld, 5, "after=0 seg=0 off=0", "after=2 seg=3 off=77", "after=3 seg=0 off=0", "after=5 seg=3 off=120")
+	if r.retries.Value() == 0 {
+		t.Fatal("the gap was not counted as a retried fetch")
+	}
+}
+
+// TestFollowerStopsAtAnUndecodableRecord: a record whose frame is whole
+// but whose payload does not decode stops the batch before it, and the
+// fetch is retried after the last applied record.
+func TestFollowerStopsAtAnUndecodableRecord(t *testing.T) {
+	ld := &scriptedLeader{bodies: [][]byte{
+		walBody(3, wal.Cursor{}, record(1), record(2), binary.AppendUvarint(nil, 3), record(3)),
+		walBody(3, wal.Cursor{}, record(3)),
+		walBody(3, wal.Cursor{}),
+	}}
+	r := tailScript(t, ld, 3, "after=0 seg=0 off=0", "after=2 seg=0 off=0", "after=3 seg=0 off=0")
+	if r.retries.Value() == 0 {
+		t.Fatal("the undecodable record was not counted as a retried fetch")
+	}
+}
+
+// memFiles reads every file under dir of mem, one level of
+// subdirectories included, except a checkpoint download in progress.
+func memFiles(t *testing.T, mem *fsx.MemFS, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	names, err := mem.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		p := dir + "/" + name
+		if strings.HasSuffix(p, downloadSuffix) {
+			continue
+		}
+		if b, err := mem.ReadFile(p); err == nil {
+			files[p] = string(b)
+			continue
+		}
+		for p, b := range memFiles(t, mem, p) {
+			files[p] = b
+		}
+	}
+	return files
+}
+
+// TestFollowerRefusesAFlippedCheckpoint: a resync whose download is
+// complete but has one byte flipped fails validation; the follower
+// installs nothing, keeps its checkpoint and WAL as they were and keeps
+// serving the state it has, and tries again.
+func TestFollowerRefusesAFlippedCheckpoint(t *testing.T) {
+	leader := newTestLeader(t)
+	leader.ingest(60)
+	leader.checkpoint()
+	leader.ingest(20)
+	sw := &swapHandler{}
+	sw.set(leader.handler())
+	srv := httptest.NewServer(sw)
+	defer srv.Close()
+
+	mem := fsx.NewMem()
+	r := newFollower(t, srv.URL, mem, http.DefaultClient, nil)
+	r.Start()
+	waitFor(t, 5*time.Second, "catch-up", func() bool { return r.Applied() == uint64(leader.n) })
+	before := memFiles(t, mem, "follower")
+	if _, ok := before["follower/ckpt"]; !ok || len(before) < 2 {
+		t.Fatalf("follower state before the resync = %d files, want its checkpoint and WAL", len(before))
+	}
+
+	f, err := leader.dur.OpenCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := io.ReadAll(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt[len(ckpt)/2] ^= 0x40
+	var downloads atomic.Int64
+	sw.set(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path == "/repl/checkpoint" {
+			downloads.Add(1)
+			w.Write(ckpt)
+			return
+		}
+		http.Error(w, "truncated", http.StatusGone)
+	}))
+	waitFor(t, 5*time.Second, "a second download", func() bool { return downloads.Load() >= 2 })
+	after := memFiles(t, mem, "follower")
+	if len(after) != len(before) {
+		t.Fatalf("follower files %d after the refused resync, %d before", len(after), len(before))
+	}
+	for p, b := range before {
+		if after[p] != b {
+			t.Fatalf("%s changed under a refused resync", p)
+		}
+	}
+	if got := r.bootstraps.Value(); got != 1 {
+		t.Fatalf("checkpoints installed = %d, want the bootstrap's 1", got)
+	}
+	if got := r.Snapshot().Messages; got != int64(leader.n) {
+		t.Fatalf("follower serves %d messages, want the %d it held", got, leader.n)
+	}
+	if err := r.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mem.ReadFile("follower/ckpt" + downloadSuffix); err == nil {
+		t.Fatal("a refused download was left beside the checkpoint")
+	}
+}
+
+// TestFollowerResyncsBeforeTheLeaderCheckpoints: a follower whose local
+// pipeline degraded resyncs, and a leader that has not checkpointed yet
+// has no checkpoint to resync from — but it has truncated nothing
+// either, so the follower reopens from its own checkpoint, drops its
+// WAL, and tails the rest of the leader's log.
+func TestFollowerResyncsBeforeTheLeaderCheckpoints(t *testing.T) {
+	leader := newTestLeader(t)
+	leader.ingest(30)
+
+	ff := fsx.NewFault(fsx.NewMem())
+	r := newFollower(t, leader.srv.URL, nil, http.DefaultClient, func(o *ReplicaOptions) {
+		o.FS = ff
+		o.CheckpointEvery = 20
+	})
+	r.Start()
+	defer r.Stop()
+	waitFor(t, 5*time.Second, "catch-up", func() bool { return r.Applied() == uint64(leader.n) })
+
+	ff.Arm(1, fsx.Fault{Freeze: true}, fsx.OpSync)
+	leader.ingest(10)
+	waitFor(t, 5*time.Second, "the failed sync to show", func() bool { return !r.Health().Ready })
+	ff.Disarm()
+	leader.ingest(10)
+	waitFor(t, 5*time.Second, "the resynced follower to catch up", func() bool {
+		return r.Applied() == uint64(leader.n) && r.Health().Ready
+	})
+	if got := r.Snapshot().Messages; got != int64(leader.n) {
+		t.Fatalf("follower engine holds %d messages, want %d", got, leader.n)
+	}
+	fsrv := httptest.NewServer(server.New(r, server.WithHealth(r.Health)))
+	defer fsrv.Close()
+	assertParity(t, leader.queryServer().URL, fsrv.URL, parityPaths...)
 }

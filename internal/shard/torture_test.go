@@ -1,32 +1,47 @@
 package shard
 
-// Crash-torture capstone, one seeded driver over both durable backends:
-// ingest a fixed stream under randomized frozen fault injection — every
-// mutating filesystem op (on the serial node's WAL, checkpoint and
-// store; on any shard's, or the round ledger's files) is a potential
-// failure point; each failure is followed by a simulated crash (the
-// in-memory disk reverts to its last-synced image) and a fresh
-// recovery — and assert the final state is IDENTICAL, engine by engine,
-// to an uninterrupted run over the same stream. For the sharded backend
-// this exercises every barrier window: crashes land mid-round (ledger
-// trim) and mid-barrier (mixed old/new shard checkpoints, the ledger's
-// new file not yet holding the barrier's cut).
+// Crash-torture capstone, one seeded harness over every durable shape:
+// the serial node, the sharded node and a follower. For the first two
+// it ingests a fixed stream under randomized frozen fault injection —
+// every mutating filesystem op (on the serial node's WAL, checkpoint
+// and store; on any shard's, or the round ledger's files) is a
+// potential failure point; each failure is followed by a simulated
+// crash (the in-memory disk reverts to its last-synced image) and a
+// fresh recovery — and asserts the final state is IDENTICAL, engine by
+// engine, to an uninterrupted run over the same stream. For the sharded
+// backend this exercises every barrier window: crashes land mid-round
+// (ledger trim) and mid-barrier (mixed old/new shard checkpoints, the
+// ledger's new file not yet holding the barrier's cut). The follower
+// shape (tortureFollower) puts a repl.Replica on the tortured disk and
+// its leader's wire behind a repl.FaultTransport; both faults trip on
+// the one schedule, fsx.Trigger.
 //
 // The resume contract under test is the strong one: recovery always
 // lands on an exact stream prefix, so the feeder resumes from applied()
 // with no duplicates and no holes. Seeds are fixed and in the subtest
-// name, so a failure reproduces exactly. The driver lives here, like
-// the Service contract, because pipeline cannot import shard.
+// name, and a failing seed prints each round's fault and recovered
+// prefix. The harness lives here, like the Service contract, because
+// pipeline cannot import shard, and repl does not.
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
+	"time"
 
 	"provex/internal/bundle"
 	"provex/internal/core"
 	"provex/internal/fsx"
+	"provex/internal/metrics"
 	"provex/internal/pipeline"
+	"provex/internal/promtext"
+	"provex/internal/query"
+	"provex/internal/repl"
+	"provex/internal/server"
 	"provex/internal/storage"
 	"provex/internal/tweet"
 )
@@ -151,16 +166,83 @@ func (s shardedTortured) engines() []*core.Engine { return shardEngines(s.Engine
 func (s shardedTortured) close()                  { s.Close() }
 
 func TestCrashTorture(t *testing.T) {
+	seeds := []int64{1, 2, 3, 4, 5}
 	for _, be := range []tortureBackend{
 		{name: "serial", maxRounds: 60, deep: 600, shallow: 40, open: openSerialTortured},
 		{name: "sharded", maxRounds: 80, deep: 2000, shallow: 60, open: openShardedTortured},
 	} {
-		for _, seed := range []int64{1, 2, 3, 4, 5} {
+		for _, seed := range seeds {
 			t.Run(fmt.Sprintf("%s/seed=%d", be.name, seed), func(t *testing.T) {
 				tortureRun(t, be, seed)
 			})
 		}
 	}
+	var seen followerSeen
+	var rounds []string
+	for _, seed := range seeds {
+		t.Run(fmt.Sprintf("follower/seed=%d", seed), func(t *testing.T) {
+			rounds = append(rounds, tortureFollower(t, seed, &seen))
+		})
+	}
+	// Over the follower's seeds every recovery path must have run, or
+	// the shape proves less than it claims.
+	if len(rounds) == len(seeds) && !t.Failed() && seen != (followerSeen{true, true, true}) {
+		t.Fatalf("over %d follower seeds: crashed %v, resynced after a disk fault %v, after a 410 %v; want all\n%s",
+			len(seeds), seen.crashed, seen.diskResync, seen.goneResync, strings.Join(rounds, "\n"))
+	}
+}
+
+// armDiskFault draws one frozen fault from rng and arms it on ff: once
+// it trips, the armed op class keeps failing until the crash — a dying
+// disk, not a blip. It alternates between "any mutating op" (deep
+// trigger counts) and a single op class (shallow counts, so rare ops
+// like rename and remove get hit too); round 0 always arms across every
+// op class. It returns the fault as a round's log line names it.
+func armDiskFault(rng *rand.Rand, ff *fsx.FaultFS, round int, deep, shallow int64) string {
+	fault := fsx.Fault{Freeze: true, Err: fsx.ErrInjected}
+	switch rng.Intn(3) {
+	case 0:
+		fault.Err = fsx.ErrNoSpace
+	case 1:
+		fault.TornBytes = rng.Intn(8)
+		fault.Err = fsx.ErrNoSpace
+	}
+	ops, class := fsx.MutatingOps(), "any op"
+	var nth int64
+	if round == 0 || rng.Intn(2) == 0 {
+		nth = 1 + rng.Int63n(deep)
+	} else {
+		nth = 1 + rng.Int63n(shallow)
+		ops = ops[rng.Intn(len(ops)):][:1]
+		class = ops[0].String()
+	}
+	ff.Arm(nth, fault, ops...)
+	return fmt.Sprintf("disk: %s #%d fails (%v, torn %d)", class, nth, fault.Err, fault.TornBytes)
+}
+
+// roundLog keeps, for one seed, what each round did; a failing seed
+// prints it.
+type roundLog struct {
+	name  string
+	lines []string
+}
+
+func newRoundLog(t *testing.T) *roundLog {
+	l := &roundLog{name: t.Name()}
+	t.Cleanup(func() {
+		if t.Failed() {
+			t.Log(l)
+		}
+	})
+	return l
+}
+
+func (l *roundLog) add(format string, args ...any) {
+	l.lines = append(l.lines, fmt.Sprintf("round %d: ", len(l.lines))+fmt.Sprintf(format, args...))
+}
+
+func (l *roundLog) String() string {
+	return fmt.Sprintf("rounds of %s:\n%s", l.name, strings.Join(l.lines, "\n"))
 }
 
 func tortureRun(t *testing.T, be tortureBackend, seed int64) {
@@ -207,7 +289,7 @@ func tortureRun(t *testing.T, be tortureBackend, seed int64) {
 	// Tortured run: same stream, same config, hostile disk.
 	mem := fsx.NewMem()
 	ff := fsx.NewFault(mem)
-	ops := fsx.MutatingOps()
+	rounds := newRoundLog(t)
 	crashes := 0
 	for round := 0; ; round++ {
 		if round >= be.maxRounds {
@@ -219,27 +301,8 @@ func tortureRun(t *testing.T, be tortureBackend, seed int64) {
 		}
 		done := d.applied()
 
-		// Arm one randomized frozen fault: once it trips, the armed op
-		// class keeps failing until the crash — a dying disk, not a
-		// blip. Alternate between "any mutating op" (deep trigger
-		// counts) and a single op class (shallow counts, so rare ops
-		// like rename and remove get hit too).
-		fault := fsx.Fault{Freeze: true}
-		switch rng.Intn(3) {
-		case 0:
-			fault.Err = fsx.ErrNoSpace
-		case 1:
-			fault.TornBytes = rng.Intn(8)
-			fault.Err = fsx.ErrNoSpace
-		}
-		// Round 0 always arms across every op class: the full stream
-		// runs more mutating ops than deep, so at least one crash is
-		// certain.
-		if round == 0 || rng.Intn(2) == 0 {
-			ff.Arm(1+rng.Int63n(be.deep), fault, ops...)
-		} else {
-			ff.Arm(1+rng.Int63n(be.shallow), fault, ops[rng.Intn(len(ops))])
-		}
+		fault := armDiskFault(rng, ff, round, be.deep, be.shallow)
+		rounds.add("recovered %d; %s", done, fault)
 
 		crashed := feed(d, done) != nil
 		ff.Disarm()
@@ -332,4 +395,256 @@ func assertEnginesEqual(t *testing.T, i int, want, got *core.Engine) {
 			t.Fatalf("engine %d: stored bundle %d differs", i, id)
 		}
 	}
+}
+
+// The follower shape: a repl.Replica on the tortured disk tails a
+// leader pipeline.Service on a clean one through a repl.FaultTransport.
+// Both run core.FullIndexConfig with no bundle store, because a
+// follower has none; under a bounded pool a node without a store that
+// reopens indexes only the messages its pool still holds
+// (query.Processor.Reindex), so its /search would score against fewer
+// messages than the leader's. Each round the leader first moves on by a seeded
+// run of the stream — across one of its checkpoints now and then, so a
+// follower that was down meets a 410 and resyncs — and stands still;
+// then the follower opens on whatever its disk holds, under one disk
+// fault and one transport fault drawn from the seed, and the test
+// waits until the disk fault trips or the follower has caught up. A
+// tripped round ends, by a seeded coin, in a crash (Stop under the
+// frozen fault, then MemFS.Crash) or a heal (Disarm, and the follower
+// must catch up by itself: a pipeline that latched the failure resyncs
+// from the leader). Every other round ends in a clean Stop and a crash,
+// which must lose nothing. The plan replays from the seed; where in the
+// follower's work its fault lands is the scheduler's.
+const (
+	followerTotal     = 1200
+	followerRounds    = 40
+	leaderCkptEvery   = 200
+	followerCkptEvery = 150
+	// A follower round runs about 15 to 100 mutating ops: its open, a
+	// WAL write and fsync per applied batch, a checkpoint every
+	// followerCkptEvery messages and at Stop, a download per (re)sync.
+	followerDeep, followerShallow = 25, 10
+)
+
+// parityPaths are the reads the follower tests compare byte for byte.
+var parityPaths = []string{
+	"/search?q=tsunami&k=25",
+	"/search?q=samoa+message&k=10",
+	"/prov?q=tsunami&k=10",
+	"/trending?k=10",
+}
+
+// followerSeen says which recovery paths a follower seed went through.
+type followerSeen struct{ crashed, diskResync, goneResync bool }
+
+// tortureLeader is the follower shape's leader: a durable Service with
+// its replication source and reads behind one handler.
+type tortureLeader struct {
+	svc *pipeline.Service
+	dur *pipeline.Durable
+	reg *metrics.Registry // the source's provex_repl_ship_* series
+	h   http.Handler
+	srv *httptest.Server
+	n   int // messages fed
+}
+
+func openTortureLeader(t *testing.T) *tortureLeader {
+	dur, err := pipeline.OpenDurable(core.FullIndexConfig(), nil, nil, pipeline.DurableOptions{
+		FS: fsx.NewMem(), CheckpointPath: "leader.ckpt", WALDir: "leader-wal",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := pipeline.New(query.New(dur.Engine(), query.DefaultOptions()),
+		pipeline.Options{Durable: dur, CheckpointEvery: leaderCkptEvery})
+	svc.Start()
+	src := repl.NewSource(dur)
+	l := &tortureLeader{svc: svc, dur: dur, reg: metrics.NewRegistry(), h: server.New(svc, server.WithReplication(src))}
+	src.RegisterMetrics(l.reg)
+	l.srv = httptest.NewServer(l.h)
+	t.Cleanup(func() {
+		l.srv.Close()
+		l.svc.Stop()
+		l.dur.Close()
+	})
+	return l
+}
+
+// feed ingests run and waits until it is applied and every checkpoint
+// it crossed is written: the leader stands still through the round.
+func (l *tortureLeader) feed(t *testing.T, run []*tweet.Message) {
+	for _, m := range run {
+		if err := l.svc.Submit(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.n += len(run)
+	waitFor(t, "the leader to ingest", func() bool {
+		return l.svc.Ingested() == l.n && l.svc.Checkpoints() == l.n/leaderCkptEvery
+	})
+}
+
+// metric reads one unlabelled series of reg.
+func metric(t *testing.T, reg *metrics.Registry, name string) float64 {
+	var b bytes.Buffer
+	if err := reg.Expose(&b); err != nil {
+		t.Fatal(err)
+	}
+	m, err := promtext.Parse(&b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m[name]
+}
+
+// get answers path from h.
+func get(h http.Handler, path string) (int, string) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	return rec.Code, rec.Body.String()
+}
+
+// armTransportFault draws one transport fault from rng and arms it on
+// ft, one-shot: a request error, a body torn inside its records, a
+// stale cursor, a 503 or a stall.
+func armTransportFault(rng *rand.Rand, ft *repl.FaultTransport) string {
+	var f repl.TransportFault
+	kind := "request error"
+	switch rng.Intn(5) {
+	case 1:
+		f.TornBytes = 1 + rng.Intn(600)
+		kind = fmt.Sprintf("torn at %d", f.TornBytes)
+	case 2:
+		f.StaleOffset, kind = true, "stale cursor"
+	case 3:
+		f.Status, kind = http.StatusServiceUnavailable, "503"
+	case 4:
+		f.Stall, kind = 20*time.Millisecond, "stall"
+	}
+	nth := 1 + rng.Int63n(8)
+	ft.Arm(nth, f)
+	return fmt.Sprintf("wire: request #%d %s", nth, kind)
+}
+
+// tortureFollower runs one seed of the follower shape, marks in seen
+// the recovery paths it went through, and returns its round log.
+func tortureFollower(t *testing.T, seed int64, seen *followerSeen) string {
+	rng := rand.New(rand.NewSource(seed))
+	msgs := genMessages(seed, followerTotal)
+	lead := openTortureLeader(t)
+	rounds := newRoundLog(t)
+
+	mem := fsx.NewMem()
+	ff := fsx.NewFault(mem)
+	ft := repl.NewFaultTransport(nil)
+	open := func(maxBatch int) (*repl.Replica, *metrics.Registry) {
+		r, err := repl.NewReplica(lead.srv.URL, core.FullIndexConfig(), repl.ReplicaOptions{
+			FS: ff, CheckpointPath: "follower.ckpt", WALDir: "follower-wal",
+			CheckpointEvery: followerCkptEvery,
+			Client:          &http.Client{Transport: ft, Timeout: 5 * time.Second},
+			PollInterval:    time.Millisecond,
+			MaxBatchBytes:   maxBatch,
+			StaleAfter:      time.Minute,
+			BackoffBase:     time.Millisecond,
+			BackoffCap:      10 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := metrics.NewRegistry()
+		r.RegisterMetrics(reg)
+		r.Start()
+		return r, reg
+	}
+	caughtUp := func(r *repl.Replica) bool { return r.Applied() == uint64(lead.n) && r.Health().Ready }
+
+	for round := 0; ; round++ {
+		if round == followerRounds {
+			t.Fatalf("still not converged after %d rounds", round)
+		}
+		// The round's plan, all of it from the seed.
+		run := 50 + rng.Intn(350)
+		maxBatch := 256 + rng.Intn(4096)
+		heal := rng.Intn(2) == 0
+		lead.feed(t, msgs[lead.n:min(lead.n+run, followerTotal)])
+		gone := metric(t, lead.reg, "provex_repl_ship_resyncs_total")
+		disk := armDiskFault(rng, ff, round, followerDeep, followerShallow)
+		wire := armTransportFault(rng, ft)
+		r, reg := open(maxBatch)
+		waitFor(t, "a trip or the catch-up", func() bool { return ff.Tripped() || caughtUp(r) })
+		tripped := ff.Tripped()
+		end := "caught up"
+		switch {
+		case tripped && !heal:
+			// Stop under the frozen fault: the final checkpoint fails and
+			// nothing is repaired; then the power goes.
+			_ = r.Stop()
+			ff.Disarm()
+			ft.Disarm()
+			mem.Crash()
+			seen.crashed = true
+			rounds.add("leader at %d; %s; %s; tripped, crashed at %d", lead.n, disk, wire, r.Applied())
+			continue
+		case tripped:
+			// A pipeline that latched the failure says so for as long as
+			// the frozen fault stands: nothing can replace it until then.
+			var reason string
+			waitFor(t, "the fault to show", func() bool {
+				h := r.Health()
+				reason = h.Reason
+				return !h.Ready || caughtUp(r)
+			})
+			installs := metric(t, reg, "provex_repl_bootstraps_total")
+			ff.Disarm()
+			ft.Disarm()
+			waitFor(t, "the healed follower to catch up", func() bool { return caughtUp(r) })
+			if strings.Contains(reason, "local durability degraded") && metric(t, reg, "provex_repl_bootstraps_total") > installs {
+				seen.diskResync = true
+			}
+			end = fmt.Sprintf("tripped (%q), healed", reason)
+		}
+		ff.Disarm()
+		ft.Disarm()
+		// The leader stood still, so a follower that met a 410 and then
+		// caught up installed a newer leader checkpoint.
+		if metric(t, lead.reg, "provex_repl_ship_resyncs_total") > gone {
+			seen.goneResync = true
+			end += " after a 410"
+		}
+		if err := r.Stop(); err != nil {
+			t.Fatalf("round %d: clean stop: %v", round, err)
+		}
+		mem.Crash()
+		rounds.add("leader at %d; %s; %s; %s, stopped at %d", lead.n, disk, wire, end, r.Applied())
+		if !tripped && lead.n == followerTotal {
+			break
+		}
+	}
+
+	// The last round stopped cleanly before its crash, so the follower
+	// recovers everything from its own disk and equals the leader: the
+	// deterministic statistics, every live bundle and the parity reads,
+	// byte for byte.
+	r, _ := open(1 << 20)
+	defer r.Stop()
+	waitFor(t, "the final catch-up", func() bool { return caughtUp(r) })
+	ws, gs := lead.svc.Snapshot(), r.Snapshot()
+	if ws.Messages != gs.Messages || ws.EdgesCreated != gs.EdgesCreated ||
+		ws.BundlesCreated != gs.BundlesCreated || ws.BundlesLive != gs.BundlesLive || ws.Pool != gs.Pool {
+		t.Fatalf("follower stats differ:\n got %+v\nwant %+v", gs, ws)
+	}
+	// The leader is idle; its writer's last change happened before the
+	// read lock Snapshot just took.
+	paths := append([]string(nil), parityPaths...)
+	lead.dur.Engine().Pool().All(func(b bundle.Ref) { paths = append(paths, fmt.Sprintf("/bundle?id=%d", b.ID())) })
+	fh := server.New(r, server.WithHealth(r.Health))
+	for _, p := range paths {
+		lc, lb := get(lead.h, p)
+		fc, fb := get(fh, p)
+		if lc != http.StatusOK || fc != lc || fb != lb {
+			t.Fatalf("%s: leader %d, follower %d\nleader:   %s\nfollower: %s", p, lc, fc, lb, fb)
+		}
+	}
+	t.Logf("survived %d rounds", len(rounds.lines))
+	return rounds.String()
 }
